@@ -3,8 +3,19 @@
 Fixed-step trapezoidal companion models assembled into a nodal conductance
 matrix, solved per step for three decoupled phases (balanced operation,
 sources shifted by +-120 degrees).  Ideal voltage sources and machine
-internal EMF nodes are handled as known-voltage nodes; the reduced system
-over the remaining nodes is factorized once per topology.
+internal EMF nodes are handled as known-voltage nodes.
+
+Between topology changes the network is linear and time-invariant, so one
+step is a fixed affine map (Dommel's companion method in discrete
+state-space form).  With D the signed element-node incidence matrix, so
+that element voltages are u = D v, a step reads
+
+    i_hist = h*u + j*i                companion history currents
+    v'     = P [i_hist; v_k]          node voltages, v_k the known nodes
+    i'     = g*(D v') + i_hist
+
+where P is built once per topology from the reduced conductance matrix
+over the unknown nodes.  Machine swing dynamics update on top of it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -273,79 +284,75 @@ class EmtState:
 
 
 class CompiledNet:
-    """Index maps, companion arrays and factorized reduced matrices for one dt."""
+    """Companion arrays and the affine step map of one network at one dt.
+
+    `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
+    and -1 at its to-node.  `step_map` is P = [P_h | P_k] (n_nodes x
+    (n_elements + n_known)) in node order: an unknown node's row holds
+    G_uu^-1 (-A_u) and -G_uu^-1 W, with A_u = D^T restricted to the unknown
+    nodes and W the unknown-known block of the nodal conductance matrix
+    D^T diag(g) D; a known node's row holds a 1 in the column of its source.
+    Known nodes are the source nodes in order, then the machine EMF nodes.
+    """
 
     def __init__(self, net: EmtNet, dt: float):
         self.net = net
         self.dt = dt
         self.omega = net.omega
-        nodes = list(net.nodes)
-        self.node_index = {nid: i for i, nid in enumerate(nodes)}
-        self.n_nodes = len(nodes)
-        ground = self.n_nodes  # sentinel row, held at zero
+        self.node_index = {nid: i for i, nid in enumerate(net.nodes)}
+        self.n_nodes = len(net.nodes)
+        eids = [e.eid for e in net.elements]
+        ne = len(eids)
 
-        self.ef = np.array(
-            [self.node_index[e.n_from] for e in net.elements], dtype=int
-        ) if net.elements else np.zeros(0, dtype=int)
-        self.et = np.array(
-            [ground if e.n_to is None else self.node_index[e.n_to] for e in net.elements],
-            dtype=int,
-        ) if net.elements else np.zeros(0, dtype=int)
-
+        # Companion coefficients, repeated over the three phases: (ne, 3).
         models = [companion_coefficients(e.kind, e.value, dt) for e in net.elements]
-        self.g = np.array([m.g_coef for m in models])
-        self.h = np.array([m.h_coef for m in models])
-        self.j = np.array([m.j_coef for m in models])
-        self.models = models
+        g = np.array([m.g_coef for m in models], dtype=float)
+        self.g = np.outer(g, np.ones(3))
+        self.h = np.outer([m.h_coef for m in models], np.ones(3))
+        self.j = np.outer([m.j_coef for m in models], np.ones(3))
 
-        known: list[int] = []
-        self.known_rms = []
-        self.known_angle = []
-        for s in net.sources:
-            known.append(self.node_index[s.node])
-            self.known_rms.append(s.rms)
-            self.known_angle.append(s.angle)
-        self.machine_emf_pos = []
-        self.machine_branch = []
-        for m in net.machines:
-            self.machine_emf_pos.append(len(known))
-            known.append(self.node_index[m.emf_node])
-            self.known_rms.append(m.emf_rms)
-            self.known_angle.append(m.delta0)
-            self.machine_branch.append(
-                [e.eid for e in net.elements].index(m.branch_eid)
-            )
-        self.known_idx = np.array(known, dtype=int)
-        self.known_rms = np.array(self.known_rms)
-        self.known_angle = np.array(self.known_angle)
-        self.machine_branch = np.array(self.machine_branch, dtype=int)
-        self.machine_swing = np.array([m.swing for m in net.machines])
-        self.machine_2h = np.array([2.0 * m.inertia_h for m in net.machines])
+        d = np.zeros((ne, self.n_nodes))
+        for k, e in enumerate(net.elements):
+            d[k, self.node_index[e.n_from]] += 1.0
+            if e.n_to is not None:
+                d[k, self.node_index[e.n_to]] -= 1.0
+        self.incidence = d
+
+        # Known nodes: the source nodes in order, then the machine EMF nodes,
+        # whose amplitude and angle come from the state at every step.
+        known = [self.node_index[s.node] for s in net.sources]
+        known += [self.node_index[m.emf_node] for m in net.machines]
+        self.source_amp = SQRT2 * np.array([s.rms for s in net.sources])[:, None]
+        self.source_phase = np.array([s.angle for s in net.sources])[:, None] + PHASE_SHIFT
+
+        # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
+        # on active machines; the gains are zero on the others.
+        self.machine_branch = np.array([eids.index(m.branch_eid) for m in net.machines],
+                                       dtype=int)
+        active = [m.swing and m.inertia_h > 0 for m in net.machines]
+        self.speed_gain = np.array([dt / (2.0 * m.inertia_h) if a else 0.0
+                                    for m, a in zip(net.machines, active)])
+        self.angle_gain = np.array([dt * self.omega if a else 0.0 for a in active])
         self.machine_damping = np.array([m.damping for m in net.machines])
+        self.swing = any(active)
 
-        known_set = set(self.known_idx.tolist())
-        self.unknown_idx = np.array(
-            [i for i in range(self.n_nodes) if i not in known_set], dtype=int
-        )
-
-        gmat = np.zeros((self.n_nodes + 1, self.n_nodes + 1))
-        for k in range(len(net.elements)):
-            f, t, gv = self.ef[k], self.et[k], self.g[k]
-            gmat[f, f] += gv
-            gmat[t, t] += gv
-            gmat[f, t] -= gv
-            gmat[t, f] -= gv
-        u = self.unknown_idx
-        self.w_mat = gmat[np.ix_(u, self.known_idx)] if u.size and known else np.zeros(
-            (u.size, len(known))
-        )
-        g_uu = gmat[np.ix_(u, u)]
-        try:
-            self.g_red_inv = np.linalg.inv(g_uu) if u.size else np.zeros((0, 0))
-        except np.linalg.LinAlgError as exc:
-            raise SingularConductance(
-                f"reduced conductance matrix of '{net.name}' is singular"
-            ) from exc
+        known_set = set(known)
+        unknown = [i for i in range(self.n_nodes) if i not in known_set]
+        p = np.zeros((self.n_nodes, ne + len(known)))
+        if unknown:
+            d_u = d[:, unknown]
+            g_uu = d_u.T @ (g[:, None] * d_u)
+            w = d_u.T @ (g[:, None] * d[:, known])
+            try:
+                p[unknown] = np.linalg.solve(g_uu, -np.hstack([d_u.T, w]))
+            except np.linalg.LinAlgError as exc:
+                raise SingularConductance(
+                    f"reduced conductance matrix of '{net.name}' is singular"
+                ) from exc
+        for c, node in enumerate(known):
+            p[node] = 0.0  # a node pinned twice follows its last source
+            p[node, ne + c] = 1.0
+        self.step_map = p
 
     # --- state construction -----------------------------------------------
 
@@ -371,9 +378,8 @@ class CompiledNet:
         )
 
     def element_voltages(self, state: EmtState) -> np.ndarray:
-        """Element branch voltages at the stamped time, from node voltages."""
-        v_pad = np.vstack([state.v_nodes, np.zeros((1, 3))])
-        return v_pad[self.ef] - v_pad[self.et] if len(self.ef) else np.zeros((0, 3))
+        """Element branch voltages u = D v at the stamped time."""
+        return self.incidence.dot(state.v_nodes)
 
     def check_compatible(self, state: EmtState) -> None:
         if state.node_ids != self.net.nodes:
@@ -403,68 +409,45 @@ class CompiledNet:
 
     # --- stepping -----------------------------------------------------------
 
-    def known_voltages(self, t: float, scale: float, machine_delta: np.ndarray,
-                       machine_emf: np.ndarray) -> np.ndarray:
-        """Instantaneous known-node voltages (n_known, 3) at time t."""
-        rms = self.known_rms.copy()
-        ang = self.known_angle.copy()
-        if len(self.machine_emf_pos):
-            pos = np.array(self.machine_emf_pos, dtype=int)
-            rms[pos] = machine_emf
-            ang[pos] = machine_delta
-        arg = self.omega * t + ang[:, None] + PHASE_SHIFT[None, :]
-        return SQRT2 * scale * rms[:, None] * np.cos(arg)
-
     def step(self, state: EmtState, ramp: bool, t_ramp: float) -> EmtState:
-        """Advance one dt: inject histories, solve nodal equations, update."""
+        """Advance one dt: v' = P [i_hist; v_k], i' = g*(D v') + i_hist.
+
+        i_hist = h*u + j*i comes from the element voltages u = D v and
+        currents i at the stamped time.  The returned state shares no array
+        with the input state.
+        """
         dt = self.dt
         t_new = (state.step + 1) * dt
         scale = ramp_profile(t_new, t_ramp) if ramp else 1.0
 
         u_now = self.element_voltages(state)
-        i_hist = ((self.h * u_now.T) + (self.j * state.elem_i.T)).T  # (ne, 3)
+        i_hist = self.h * u_now + self.j * state.elem_i
 
-        inj = np.zeros((self.n_nodes + 1, 3))
-        if len(self.ef):
-            np.add.at(inj, self.ef, -i_hist)
-            np.add.at(inj, self.et, i_hist)
-
-        v_k = self.known_voltages(t_new, scale, state.machine_delta, state.machine_emf)
-        v_full = np.zeros((self.n_nodes + 1, 3))
-        if self.known_idx.size:
-            v_full[self.known_idx] = v_k
-        if self.unknown_idx.size:
-            rhs = inj[self.unknown_idx]
-            if self.known_idx.size:
-                rhs = rhs - self.w_mat @ v_k
-            v_full[self.unknown_idx] = self.g_red_inv @ rhs
-
-        u = v_full[self.ef] - v_full[self.et] if len(self.ef) else np.zeros((0, 3))
-        i_new = (self.g * u.T).T + i_hist
-
-        out = state.copy()
-        out.step = state.step + 1
-        out.v_nodes = v_full[: self.n_nodes]
-        out.elem_i = i_new
-        out.hist_u = u_now
-        out.hist_i = state.elem_i.copy()
-        out.source_scale = np.full_like(state.source_scale, scale)
-
+        v_k = scale * self.source_amp * np.cos(self.omega * t_new + self.source_phase)
+        parts = (i_hist, v_k)
         if len(self.machine_branch):
-            e_v = v_full[self.known_idx[self.machine_emf_pos]]
-            i_m = i_new[self.machine_branch]
-            pe = np.sum(e_v * i_m, axis=1) / 3.0
-            active = self.machine_swing & (scale >= 1.0) & (self.machine_2h > 0)
-            if np.any(active):
-                dw = out.machine_speed_dev.copy()
-                acc = (out.machine_pm - pe - self.machine_damping * dw)
-                dw = np.where(active, dw + dt * acc / np.where(self.machine_2h > 0,
-                                                               self.machine_2h, 1.0), dw)
-                out.machine_speed_dev = dw
-                out.machine_delta = np.where(
-                    active, out.machine_delta + dt * self.omega * dw, out.machine_delta
-                )
-        return out
+            e_v = scale * SQRT2 * state.machine_emf[:, None] * np.cos(
+                self.omega * t_new + state.machine_delta[:, None] + PHASE_SHIFT)
+            parts = (i_hist, v_k, e_v)
+
+        v_new = self.step_map.dot(np.concatenate(parts))
+        i_new = self.g * self.incidence.dot(v_new) + i_hist
+
+        delta, dw = state.machine_delta, state.machine_speed_dev
+        if self.swing and scale >= 1.0:
+            pe = (e_v * i_new[self.machine_branch]).sum(axis=1) / 3.0
+            dw = dw + self.speed_gain * (state.machine_pm - pe - self.machine_damping * dw)
+            delta = delta + self.angle_gain * dw
+        else:
+            delta, dw = delta.copy(), dw.copy()
+
+        return EmtState(
+            state.step + 1, dt, state.node_ids, state.element_ids,
+            state.source_ids, state.machine_ids,
+            v_new, i_new, u_now, state.elem_i.copy(), delta, dw,
+            state.machine_emf.copy(), state.machine_pm.copy(),
+            np.array([scale] * len(state.source_scale)),
+        )
 
 
 # --- probes and waveform recording -----------------------------------------------
@@ -482,35 +465,31 @@ class Waveform:
 
 
 class ProbeSet:
-    """Resolved probe ids: node voltages and element currents, all phases."""
+    """Resolved probe ids: node voltages and element currents, all phases.
+
+    Every key is one flat position in the node voltages stacked on the
+    element currents, so a sample is a single index gather.
+    """
 
     def __init__(self, compiled: CompiledNet, record: list[str]):
         self.keys: list[str] = []
-        self._getters: list[tuple[str, int, int]] = []  # (kind, index, phase)
+        eids = [e.eid for e in compiled.net.elements]
+        rows: list[int] = []
         for pid in record:
             if pid.startswith("i:"):
                 eid = pid[2:]
-                eids = [e.eid for e in compiled.net.elements]
                 if eid not in eids:
                     raise UnknownProbe(f"no element '{eid}' to record current from")
-                idx = eids.index(eid)
-                for ph, name in enumerate(PHASE_NAMES):
-                    self.keys.append(f"{pid}.{name}")
-                    self._getters.append(("i", idx, ph))
+                rows.append(compiled.n_nodes + eids.index(eid))
             else:
                 if pid not in compiled.node_index:
                     raise UnknownProbe(f"no node '{pid}' to record voltage from")
-                idx = compiled.node_index[pid]
-                for ph, name in enumerate(PHASE_NAMES):
-                    self.keys.append(f"{pid}.{name}")
-                    self._getters.append(("v", idx, ph))
+                rows.append(compiled.node_index[pid])
+            self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
+        self._flat = (3 * np.array(rows, dtype=int)[:, None] + np.arange(3)).ravel()
 
     def sample(self, state: EmtState) -> np.ndarray:
-        out = np.empty(len(self._getters))
-        for k, (kind, idx, ph) in enumerate(self._getters):
-            src = state.v_nodes if kind == "v" else state.elem_i
-            out[k] = src[idx, ph]
-        return out
+        return np.concatenate((state.v_nodes, state.elem_i)).take(self._flat)
 
 
 @dataclass
@@ -634,8 +613,8 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
     equals state.elem_i bit for bit.
     """
     u_now = compiled.element_voltages(state)
-    i_hist = ((compiled.h * state.hist_u.T) + (compiled.j * state.hist_i.T)).T
-    return (compiled.g * u_now.T).T + i_hist
+    i_hist = compiled.h * state.hist_u + compiled.j * state.hist_i
+    return compiled.g * u_now + i_hist
 
 
 def stored_energy(net: EmtNet, state: EmtState) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -401,15 +401,8 @@ def inline_grbcs(case: CaseFile) -> CaseFile:
     """
     from . import grbc
 
-    buses: list[BusRecord] = []
-    for b in case.buses:
-        if b.kind is BusKind.BOUNDARY:
-            buses.append(
-                BusRecord(b.id, BusKind.PQ, b.base_kv, None,
-                          b.p_load, b.q_load, b.shunt_g, b.shunt_b)
-            )
-        else:
-            buses.append(b)
+    buses = [replace(b, kind=BusKind.PQ, v_set=None) if b.kind is BusKind.BOUNDARY else b
+             for b in case.buses]
     branches = list(case.branches)
     machines = list(case.machines)
 
@@ -421,21 +414,10 @@ def inline_grbcs(case: CaseFile) -> CaseFile:
         net = g.payload.network
         rename = {b.id: f"{g.name}/{b.id}" for b in net.buses}
         rename[g.boundary_bus] = g.boundary_bus
-        for b in net.buses:
-            buses.append(
-                BusRecord(rename[b.id], b.kind, b.base_kv, b.v_set,
-                          b.p_load, b.q_load, b.shunt_g, b.shunt_b)
-            )
-        for br in net.branches:
-            branches.append(
-                BranchRecord(rename[br.from_bus], rename[br.to_bus],
-                             br.r, br.x, br.b_half, br.tap)
-            )
-        for m in net.machines:
-            machines.append(
-                MachineRecord(rename[m.bus], m.kind, m.xd_transient,
-                              m.p_set, m.v_set, m.inertia_h)
-            )
+        buses += [replace(b, id=rename[b.id]) for b in net.buses]
+        branches += [replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
+                     for br in net.branches]
+        machines += [replace(m, bus=rename[m.bus]) for m in net.machines]
 
     return CaseFile(case.base_mva, case.frequency_hz, buses, branches,
                     machines, [], name=f"{case.name}+inlined")

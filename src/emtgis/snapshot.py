@@ -504,7 +504,7 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     subsystem = subsystem or grbc_net.name
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
     record = [n for n in grbc_net.nodes] + [f"i:{probe_eid}"]
-    cfg = replace_simconfig(cfg, record=record, ramp_sources=True)
+    cfg = replace(cfg, record=record, ramp_sources=True)
 
     state, ready_step, last_cycle, keys = ek.run_until_steady(net, cfg)
     if ready_step is None:
@@ -518,17 +518,6 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     return Snapshot(subsystem, state.step, cfg.dt, net.frequency_hz, state,
                     {boundary_bus: (Phasor.from_complex(v_ph), Phasor.from_complex(i_ph))},
                     PROVENANCE_RAMP, parts={subsystem: PROVENANCE_RAMP})
-
-
-def replace_simconfig(cfg: SimConfig, **kw) -> SimConfig:
-    base = dict(
-        dt=cfg.dt, duration=cfg.duration, record=list(cfg.record),
-        events=list(cfg.events), ramp_sources=cfg.ramp_sources, t_ramp=cfg.t_ramp,
-        rms_change_tol=cfg.rms_change_tol, steady_cycles=cfg.steady_cycles,
-        settle_margin_cycles=cfg.settle_margin_cycles,
-    )
-    base.update(kw)
-    return SimConfig(**base)
 
 
 # --- splice schedule --------------------------------------------------------------
@@ -911,7 +900,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     record = list(cfg.record) or [n for n in full_net.nodes if ":" not in n]
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
-    cfg = replace_simconfig(cfg, ramp_sources=True, record=record)
+    cfg = replace(cfg, ramp_sources=True, record=record)
     init = ek.CompiledNet(full_net, cfg.dt).zero_state()
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)

@@ -56,6 +56,22 @@ def hybrid():
 
 
 @pytest.fixture(scope="session")
+def ninebus3_model(ninebus3):
+    """Coordinated system model of ninebus3 at dt = 5e-5."""
+    from emtgis import snapshot as sn
+
+    return sn.system_model(ninebus3, sn.PipelineConfig(dt=5e-5))
+
+
+@pytest.fixture(scope="session")
+def hybrid_model(hybrid):
+    """Coordinated system model of the hybrid case at dt = 5e-5."""
+    from emtgis import snapshot as sn
+
+    return sn.system_model(hybrid, sn.PipelineConfig(dt=5e-5))
+
+
+@pytest.fixture(scope="session")
 def ninebus1_pipeline(ninebus1):
     """One shared end-to-end initialization of the single-region fixture."""
     from emtgis import snapshot as sn

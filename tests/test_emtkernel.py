@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emtgis.emtkernel as ek
+import emtgis.snapshot as sn
 from emtgis.errors import (
     IncompatibleSnapshot,
     InvalidParameter,
@@ -15,6 +19,9 @@ from emtgis.errors import (
 
 OMEGA = 2 * math.pi * 50.0
 DATA = Path(__file__).parent / "data"
+
+from conftest import random_linear_net  # noqa: E402
+from reference_kernel import ReferenceNet  # noqa: E402
 
 
 def rl_net(r=1.0, l_henry=0.01, rms=1.0):
@@ -150,6 +157,12 @@ class TestFault:
                          events=[ek.SimEvent(0.2, "fault", "n2"),
                                  ek.SimEvent(0.1, "fault", "n2")])
 
+    def test_replaced_config_is_validated_again(self):
+        cfg = ek.SimConfig(dt=1e-4, duration=0.1)
+        with pytest.raises(InvalidParameter):
+            replace(cfg, events=[ek.SimEvent(0.2, "fault", "n2"),
+                                 ek.SimEvent(0.1, "fault", "n2")])
+
     def test_post_fault_waveform_golden_regression(self):
         golden = json.loads((DATA / "golden_fault.json").read_text())
         net = rl_net()
@@ -175,6 +188,28 @@ class TestNumericalContracts:
         state = compiled.zero_state()
         for _ in range(500):
             state = compiled.step(state, False, 0.5)
+        assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
+
+    def test_companion_replay_is_bit_exact_on_region_with_machine(self, ninebus3,
+                                                                    ninebus3_model):
+        op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
+        thev = sn.thevenin_extract(ninebus3, ninebus3_model.main_pf, op.decl.boundary_bus)
+        net, _ = sn.attach_thevenin(sn.build_region_net(op, ninebus3.frequency_hz),
+                                    op.decl.boundary_bus, thev)
+        assert net.machines
+        self._assert_replay_after_ramp(net)
+
+    def test_companion_replay_is_bit_exact_on_hybrid_full_net(self, hybrid_model):
+        assert hybrid_model.full_net.machines
+        self._assert_replay_after_ramp(hybrid_model.full_net)
+
+    @staticmethod
+    def _assert_replay_after_ramp(net):
+        # the ramp ends at step 200, so the last 100 steps also swing the machines
+        compiled = ek.CompiledNet(net, 5e-5)
+        state = compiled.zero_state()
+        for _ in range(300):
+            state = compiled.step(state, True, 200 * 5e-5)
         assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
 
     def test_trapezoidal_order_by_dt_halving(self):
@@ -221,6 +256,94 @@ class TestNumericalContracts:
         for k in w1.data:
             assert np.array_equal(w1.data[k], w2.data[k])
         assert np.array_equal(s1.v_nodes, s2.v_nodes)
+
+
+def assert_states_close(got, want, rel=1e-12):
+    """Node voltages and element currents agree within rel of the largest
+    per-unit magnitude of the reference state.
+
+    One scale serves both: on a net without a path to ground every current
+    is zero, and the affine step leaves rounding-level currents there.
+    """
+    scale = max(np.max(np.abs(want.v_nodes)), np.max(np.abs(want.elem_i)))
+    assert scale > 0.1
+    assert np.max(np.abs(got.v_nodes - want.v_nodes)) <= rel * scale
+    assert np.max(np.abs(got.elem_i - want.elem_i)) <= rel * scale
+
+
+class TestAffineStepEquivalence:
+    """The affine step against the reference nodal-injection stepper."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_on_random_nets(self, seed, ramp):
+        net, _ = random_linear_net(np.random.default_rng(seed))
+        dt, t_ramp = 5e-5, 100 * 5e-5
+        compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
+        fast = slow = compiled.zero_state()
+        for _ in range(200):
+            fast = compiled.step(fast, ramp, t_ramp)
+            slow = reference.step(slow, ramp, t_ramp)
+        assert fast.step == slow.step == 200
+        assert_states_close(fast, slow)
+        assert np.array_equal(fast.source_scale, slow.source_scale)
+
+    def test_matches_reference_with_swinging_machine(self, hybrid, hybrid_model):
+        net = hybrid_model.full_net
+        dt = 5e-5
+        snap = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net)
+        init = snap.emt_state
+        init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
+        compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
+        fast = slow = init
+        for _ in range(200):
+            fast = compiled.step(fast, False, 0.5)
+            slow = reference.step(slow, False, 0.5)
+        assert np.all(np.abs(fast.machine_delta - init.machine_delta) > 1e-6)
+        assert_states_close(fast, slow)
+        np.testing.assert_allclose(fast.machine_speed_dev, slow.machine_speed_dev,
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(fast.machine_delta, slow.machine_delta,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_step_shares_no_array_with_its_input(self, hybrid_model):
+        compiled = ek.CompiledNet(hybrid_model.full_net, 5e-5)
+        before = compiled.zero_state()
+        after = compiled.step(before, True, 0.5)
+        fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
+                  "machine_speed_dev", "machine_emf", "machine_pm", "source_scale")
+        for a in fields:
+            for b in fields:
+                assert not np.shares_memory(getattr(after, a), getattr(before, b)), (a, b)
+
+
+class TestProbeSet:
+    def test_interleaved_probes_match_per_probe_lookup(self):
+        net = rl_net()
+        compiled = ek.CompiledNet(net, 2e-5)
+        state = compiled.zero_state()
+        for _ in range(137):
+            state = compiled.step(state, False, 0.5)
+        record = ["n2", "i:l1", "n1", "i:r1", "n2"]
+        probes = ek.ProbeSet(compiled, record)
+        assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
+        eids = [e.eid for e in net.elements]
+        want = []
+        for pid in record:
+            if pid.startswith("i:"):
+                row = state.elem_i[eids.index(pid[2:])]
+            else:
+                row = state.v_nodes[compiled.node_index[pid]]
+            want += [row[ph] for ph in range(3)]
+        got = probes.sample(state)
+        assert np.array_equal(got, np.array(want))
+        assert got.shape == (len(probes.keys),)
+
+    def test_empty_record_samples_nothing(self):
+        compiled = ek.CompiledNet(rl_net(), 2e-5)
+        probes = ek.ProbeSet(compiled, [])
+        assert probes.keys == []
+        assert probes.sample(compiled.zero_state()).shape == (0,)
 
 
 class TestCompatibility:

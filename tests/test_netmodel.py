@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,6 +191,21 @@ class TestInline:
         assert flat.grbcs == []
         assert all(b.kind is not BusKind.BOUNDARY for b in flat.buses)
         assert any(b.id.startswith("wind1/") for b in flat.buses)
+
+    def test_region_machine_keeps_its_damping(self, ninebus3):
+        # plant2 holds a classical machine at W2 with the default damping 2.0
+        decls = []
+        for g in ninebus3.grbcs:
+            if g.name == "plant2":
+                net = g.payload.network
+                machines = tuple(replace(m, damping=7.5) for m in net.machines)
+                g = replace(g, payload=replace(g.payload,
+                                               network=replace(net, machines=machines)))
+            decls.append(g)
+        flat = inline_grbcs(replace(ninebus3, grbcs=decls))
+        (machine,) = [m for m in flat.machines if m.bus == "plant2/W2"]
+        assert machine.damping == 7.5
+        assert machine.inertia_h > 0.0
 
     def test_parse_rejects_malformed_document(self):
         from emtgis.errors import CaseFormatError
