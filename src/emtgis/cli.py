@@ -5,9 +5,10 @@ writes a manifest next to its outputs; re-running a command from the same
 inputs reproduces every artifact byte-for-byte (nothing time- or
 host-dependent is ever serialized).
 
-Exit codes: 0 ok, 1 input error, 2 coordination did not converge,
-3 initialization pipeline stage failure, 4 incompatible snapshot,
-5 comparison scheme failed to settle.
+Exit codes: 0 ok, 1 input error, 2 coordination failed, 3 pipeline stage
+failure or any other emtgis error, 4 incompatible snapshot, 5 zero-state
+comparison run failed to settle.  A failure prints one `error:` line, and
+leaves its trace.csv (coordination) or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -27,10 +27,13 @@ from . import snapshot as sn
 from .coordinator import JfngConfig
 from .errors import (
     CaseFormatError,
+    CoordinationError,
+    EmtgisError,
     IncompatibleSnapshot,
-    MaxOuterExceeded,
     StageFailure,
     SteadyStateTimeout,
+    UnknownBus,
+    UnknownProbe,
 )
 from .netmodel import load_case, validate_case
 
@@ -42,6 +45,15 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PIPELINE = 3
 EXIT_SNAPSHOT = 4
 EXIT_NO_SETTLE = 5
+
+# Exit code of an error reaching `main`; the first matching type wins.
+EXIT_CODES = (
+    ((CaseFormatError, UnknownBus, UnknownProbe), EXIT_INPUT),
+    (CoordinationError, EXIT_NO_CONVERGENCE),
+    (IncompatibleSnapshot, EXIT_SNAPSHOT),
+    (SteadyStateTimeout, EXIT_NO_SETTLE),
+    (EmtgisError, EXIT_PIPELINE),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,9 +125,28 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: case file not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
-    except (CaseFormatError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except EmtgisError as exc:
+        _record_failure(args, exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+
+
+def _record_failure(args, exc: EmtgisError) -> None:
+    """Write what a failed run knows next to its outputs, with a manifest."""
+    outputs = []
+    if isinstance(exc, CoordinationError) and exc.trace is not None:
+        exc.trace.to_csv(_outdir(args) / "trace.csv")
+        outputs.append("trace.csv")
+    if isinstance(exc, StageFailure):
+        doc = {"failed_stage": exc.stage, "error": str(exc.cause)}
+        (_outdir(args) / "report.json").write_text(
+            json.dumps(doc, sort_keys=True, indent=1) + "\n")
+        outputs.append("report.json")
+    if outputs:
+        _write_manifest(args, _outdir(args), outputs)
 
 
 def _load(args):
@@ -130,15 +161,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("EMTGIS_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return None if n <= 0 else n
-
-
 def _pipeline_config(args) -> sn.PipelineConfig:
     return sn.PipelineConfig(
         dt=args.dt,
@@ -147,7 +169,6 @@ def _pipeline_config(args) -> sn.PipelineConfig:
         jfng=JfngConfig(eps1=args.tol_eps1, eps2=args.tol_eps2,
                         m_restart=args.gmres_m, omega=args.omega,
                         max_outer=args.max_outer),
-        threads=_threads(),
     )
 
 
@@ -207,15 +228,7 @@ def cmd_ipf(args) -> int:
 
     n = len(case.grbcs)
     x0 = np.concatenate([np.ones(n), np.zeros(n)])
-    try:
-        state, trace = jfng_solve(case, case.grbcs, x0, cfg.jfng,
-                                  pf_tol=cfg.pf_tol, threads=cfg.threads)
-    except MaxOuterExceeded as exc:
-        if exc.trace is not None:
-            exc.trace.to_csv(outdir / "trace.csv")
-        _write_manifest(args, outdir, ["trace.csv"])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    state, trace = jfng_solve(case, case.grbcs, x0, cfg.jfng, pf_tol=cfg.pf_tol)
 
     (outdir / "boundary.json").write_text(
         json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
@@ -232,15 +245,7 @@ def cmd_init(args) -> int:
             print(f"{v.code}: {v.subject}: {v.message}", file=sys.stderr)
         return EXIT_INPUT
     outdir = _outdir(args)
-    cfg = _pipeline_config(args)
-    try:
-        result = sn.run_emtgis(case, cfg)
-    except StageFailure as exc:
-        doc = {"failed_stage": exc.stage, "error": str(exc.cause)}
-        (outdir / "report.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-        _write_manifest(args, outdir, ["report.json"])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE
+    result = sn.run_emtgis(case, _pipeline_config(args))
 
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
     (outdir / "report.json").write_text(
@@ -251,14 +256,10 @@ def cmd_init(args) -> int:
     return EXIT_OK
 
 
-def _system_and_probes(args, case):
-    cfg = _pipeline_config(args)
-    model = sn.system_model(case, cfg)
+def _probes(args, case) -> list[str]:
     if args.probes:
-        probes = [p.strip() for p in args.probes.split(",") if p.strip()]
-    else:
-        probes = [b.id for b in case.buses]
-    return cfg, model, probes
+        return [p.strip() for p in args.probes.split(",") if p.strip()]
+    return [b.id for b in case.buses]
 
 
 def cmd_simulate(args) -> int:
@@ -269,22 +270,14 @@ def cmd_simulate(args) -> int:
         print("error: give exactly one of --snapshot or --zero-state", file=sys.stderr)
         return EXIT_INPUT
     outdir = _outdir(args)
-    cfg, model, probes = _system_and_probes(args, case)
+    model = sn.system_model(case, _pipeline_config(args))
 
     events = [_parse_fault(args.fault)] if args.fault else []
-    sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=probes,
+    sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=_probes(args, case),
                        events=events, ramp_sources=args.zero_state,
                        t_ramp=args.t_ramp)
-    try:
-        if args.zero_state:
-            init = None
-        else:
-            snap = sn.load_snapshot(args.snapshot)
-            init = snap.emt_state
-        waves, _ = ek.run(model.full_net, sim, init=init)
-    except IncompatibleSnapshot as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SNAPSHOT
+    init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
+    waves, _ = ek.run(model.full_net, sim, init=init)
 
     ek.write_waveforms_csv(outdir / "waveforms.csv", waves)
     ek.write_waveforms_bin(outdir / "waveforms.emtw", waves)
@@ -305,19 +298,16 @@ def cmd_compare(args) -> int:
     if not report.ok:
         return EXIT_INPUT
     outdir = _outdir(args)
-    cfg, model, probes = _system_and_probes(args, case)
+    probes = _probes(args, case)
     period = case.period
 
     fault = _parse_fault(args.fault) if args.fault else None
 
-    try:
-        gis = sn.run_emtgis(case, cfg)
-        settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
-                                  ramp_sources=True, t_ramp=args.t_ramp)
-        zero_state, zero_fired = sn.settle_from_zero(model.full_net, settle_cfg)
-    except (StageFailure, SteadyStateTimeout) as exc:
-        print(f"error: scheme failed to settle: {exc}", file=sys.stderr)
-        return EXIT_NO_SETTLE
+    gis = sn.run_emtgis(case, _pipeline_config(args))
+    full_net = gis.full_net
+    settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
+                              ramp_sources=True, t_ramp=args.t_ramp)
+    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)
 
     cycles = int(round(period / args.dt))
     w0_step = ((zero_state.step // cycles) + 2) * cycles
@@ -333,7 +323,7 @@ def cmd_compare(args) -> int:
     events = [fault] if fault else []
     sim_zero = ek.SimConfig(dt=args.dt, duration=(w1_step - zero_state.step) * args.dt,
                             record=probes, events=events)
-    waves_zero, _ = ek.run(model.full_net, sim_zero, init=zero_state)
+    waves_zero, _ = ek.run(full_net, sim_zero, init=zero_state)
     if args.self_check:
         waves_gis = waves_zero
         gis_start = zero_state.step
@@ -342,7 +332,7 @@ def cmd_compare(args) -> int:
             dt=args.dt,
             duration=(w1_step - gis.snapshot.timestamp_steps) * args.dt,
             record=probes, events=events)
-        waves_gis, _ = ek.run(model.full_net, sim_gis, init=gis.snapshot.emt_state)
+        waves_gis, _ = ek.run(full_net, sim_gis, init=gis.snapshot.emt_state)
         gis_start = gis.snapshot.timestamp_steps
 
     deviations = {}

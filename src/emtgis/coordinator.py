@@ -7,6 +7,9 @@ solved by restarted GMRES whose operator action comes from directional
 differences of the residual, preconditioned by a rank-one-updated dense
 matrix that accumulates secant information as the iteration proceeds.
 
+A residual evaluation solves the torn main system, then each region in
+declaration order.  Outer steps, like probes, stay inside the voltage basin.
+
 The black-box region surface used here is exactly {evaluate,
 adapter_is_opaque}; nothing in this module inspects region internals and
 no code path assembles the residual Jacobian.
@@ -16,29 +19,30 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    CoordinationError,
     InnerBreakdown,
     InternalNonConvergence,
     InvalidVoltage,
     MaxOuterExceeded,
     NonConvergence,
     NonFinite,
+    OuterStepRejected,
     ResidualEvaluationError,
 )
 from .grbc import adapter_is_opaque, evaluate
-from .netmodel import Phasor
+from .netmodel import AdmittanceMatrix, Phasor, build_admittance
 from .powerflow import boundary_injections, solve_main
 
 log = logging.getLogger(__name__)
 
-VOLTAGE_FLOOR = 0.2  # pu; probe points below this are rejected as out-of-basin
+VOLTAGE_FLOOR = 0.2  # pu; probe points and outer steps below this are out-of-basin
+OUTER_HALVINGS = 6   # halvings of a rejected outer step before giving up
 
 
 @dataclass
@@ -129,19 +133,14 @@ class IterationTrace:
             f.write("\n".join(lines) + "\n")
 
 
-def _auto_threads(n_tasks: int, threads: int | None) -> int:
-    if threads is None or threads <= 0:
-        threads = os.cpu_count() or 1
-    return max(1, min(n_tasks, threads))
-
-
 def residual(case, grbcs, x: np.ndarray, pf_tol: float = 1e-10,
-             threads: int | None = None) -> BoundaryState:
+             ybus: AdmittanceMatrix | None = None) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
-    The main-system solve and all region evaluations see the *same*
-    voltages; they run concurrently and are joined in declaration order,
-    so the assembled residual is deterministic.
+    The main-system solve and every region evaluation see the *same*
+    voltages and run one after another in declaration order, so the
+    assembled residual is deterministic.  `ybus` is the main system's
+    admittance matrix, for callers that evaluate the residual many times.
     """
     n = len(grbcs)
     x = np.asarray(x, dtype=float)
@@ -153,35 +152,16 @@ def residual(case, grbcs, x: np.ndarray, pf_tol: float = 1e-10,
     bus_ids = tuple(g.boundary_bus for g in grbcs)
     volts = {bid: Phasor(float(x[i]), float(x[n + i])) for i, bid in enumerate(bus_ids)}
 
-    def run_main():
-        return solve_main(case, volts, tol=pf_tol, max_iter=40)
-
-    workers = _auto_threads(n + 1, threads)
-    if workers == 1 or n == 0:
+    try:
+        sol = solve_main(case, volts, tol=pf_tol, max_iter=40, ybus=ybus)
+    except NonConvergence as exc:
+        raise ResidualEvaluationError("main-system", exc) from exc
+    evals = []
+    for g in grbcs:
         try:
-            sol = run_main()
-        except NonConvergence as exc:
-            raise ResidualEvaluationError("main-system", exc) from exc
-        evals = []
-        for g in grbcs:
-            try:
-                evals.append(evaluate(g, volts[g.boundary_bus]))
-            except (InternalNonConvergence, InvalidVoltage) as exc:
-                raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            fut_main = pool.submit(run_main)
-            fut_regions = [pool.submit(evaluate, g, volts[g.boundary_bus]) for g in grbcs]
-            try:
-                sol = fut_main.result()
-            except NonConvergence as exc:
-                raise ResidualEvaluationError("main-system", exc) from exc
-            evals = []
-            for g, fut in zip(grbcs, fut_regions):
-                try:
-                    evals.append(fut.result())
-                except (InternalNonConvergence, InvalidVoltage) as exc:
-                    raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
+            evals.append(evaluate(g, volts[g.boundary_bus]))
+        except (InternalNonConvergence, InvalidVoltage) as exc:
+            raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
 
     inj = boundary_injections(sol, case)
     p = np.array([inj[b][0] for b in bus_ids])
@@ -365,60 +345,75 @@ def gmres_m(phi_at_x: np.ndarray, probe, M: Preconditioner,
 
 
 def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
-               pf_tol: float = 1e-10,
-               threads: int | None = None) -> tuple[BoundaryState, IterationTrace]:
+               pf_tol: float = 1e-10) -> tuple[BoundaryState, IterationTrace]:
     """Newton outer loop over the boundary coordination residual.
 
     Each outer step: evaluate phi, test ||phi||_2 against eps1, solve the
     correction with gmres_m, advance x, then give the preconditioner an
     outer secant update from the realized (dx, dphi) pair.  A restarted
     (non-converged) inner solve is still applied, damped by halving up to
-    four times while it increases ||phi||.
-
-    Raises MaxOuterExceeded (carrying the trace) when the budget runs out.
+    four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
+    one that breaks the residual is halved up to OUTER_HALVINGS times, then
+    rejected.  Every CoordinationError raised here carries the trace.
     """
     cfg = cfg or JfngConfig()
     x = np.asarray(x0, dtype=float).copy()
+    n = x.size // 2
     M = Preconditioner.identity(x.size)
     trace = IterationTrace()
+    ybus = build_admittance(case)
 
-    def residual_fn(xv: np.ndarray) -> np.ndarray:
-        return residual(case, grbcs, xv, pf_tol=pf_tol, threads=threads).phi
+    def evaluate_at(xv: np.ndarray) -> BoundaryState:
+        return residual(case, grbcs, xv, pf_tol=pf_tol, ybus=ybus)
+
+    def guarded(xv: np.ndarray) -> tuple[BoundaryState | None, str]:
+        """The state at xv, or None and why xv is rejected."""
+        if np.any(xv[:n] < VOLTAGE_FLOOR):
+            return None, f"boundary voltage below {VOLTAGE_FLOOR} pu"
+        try:
+            return evaluate_at(xv), ""
+        except ResidualEvaluationError as exc:
+            return None, str(exc)
 
     opaque = sum(1 for g in grbcs if adapter_is_opaque(g))
     log.debug("boundary coordination over %d regions (%d opaque)", len(grbcs), opaque)
 
-    state = residual(case, grbcs, x, pf_tol=pf_tol, threads=threads)
-    for k in range(cfg.max_outer + 1):
-        t0 = time.perf_counter()
-        phi_norm = float(np.linalg.norm(state.phi))
-        if phi_norm <= cfg.eps1:
-            trace.rows.append(OuterRecord(k, phi_norm, 0, [], False,
-                                          time.perf_counter() - t0))
-            trace.status = "converged"
-            return state, trace
-        if k == cfg.max_outer:
-            trace.status = "max_outer_exceeded"
-            raise MaxOuterExceeded(phi_norm, trace)
+    try:
+        state = evaluate_at(x)
+        for k in range(cfg.max_outer + 1):
+            t0 = time.perf_counter()
+            phi_norm = float(np.linalg.norm(state.phi))
+            if phi_norm <= cfg.eps1:
+                trace.rows.append(OuterRecord(k, phi_norm, 0, [], False,
+                                              time.perf_counter() - t0))
+                trace.status = "converged"
+                return state, trace
+            if k == cfg.max_outer:
+                trace.status = "max_outer_exceeded"
+                raise MaxOuterExceeded(phi_norm, trace)
 
-        probe = _make_probe(x, state.phi, residual_fn, cfg.omega)
-        dx, M, info = gmres_m(state.phi, probe, M, cfg)
+            probe = _make_probe(x, state.phi, lambda xv: evaluate_at(xv).phi, cfg.omega)
+            dx, M, info = gmres_m(state.phi, probe, M, cfg)
 
-        if info.converged:
-            x_new = x + dx
-            state_new = residual(case, grbcs, x_new, pf_tol=pf_tol, threads=threads)
-        else:
-            step = dx.copy()
-            for attempt in range(5):
+            step = dx
+            for halvings in range(OUTER_HALVINGS + 1):
                 x_new = x + step
-                state_new = residual(case, grbcs, x_new, pf_tol=pf_tol, threads=threads)
-                if float(np.linalg.norm(state_new.phi)) < phi_norm or attempt == 4:
+                state_new, reason = guarded(x_new)
+                if state_new is not None and (
+                        info.converged or halvings >= 4
+                        or float(np.linalg.norm(state_new.phi)) < phi_norm):
                     break
                 step = 0.5 * step
+            else:
+                trace.status = "step_rejected"
+                raise OuterStepRejected(OUTER_HALVINGS, reason)
 
-        M = precond_update(M, x_new - x, state_new.phi - state.phi, cfg.eps_den)
-        trace.rows.append(OuterRecord(k, phi_norm, info.iterations, info.rho_history,
-                                      info.restarted, time.perf_counter() - t0))
-        x, state = x_new, state_new
+            M = precond_update(M, x_new - x, state_new.phi - state.phi, cfg.eps_den)
+            trace.rows.append(OuterRecord(k, phi_norm, info.iterations, info.rho_history,
+                                          info.restarted, time.perf_counter() - t0))
+            x, state = x_new, state_new
+    except CoordinationError as exc:
+        exc.trace = trace
+        raise
 
     raise AssertionError("unreachable")

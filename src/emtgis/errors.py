@@ -63,7 +63,13 @@ class GrbcPayloadError(CaseFormatError):
 # --- boundary coordination -------------------------------------------------
 
 
-class ResidualEvaluationError(EmtgisError):
+class CoordinationError(EmtgisError):
+    """Boundary coordination failed; `jfng_solve` attaches its trace."""
+
+    trace = None
+
+
+class ResidualEvaluationError(CoordinationError):
     """Residual evaluation failed; carries which side broke."""
 
     def __init__(self, side: str, cause: Exception):
@@ -72,11 +78,11 @@ class ResidualEvaluationError(EmtgisError):
         self.cause = cause
 
 
-class NonFinite(EmtgisError):
+class NonFinite(CoordinationError):
     """A probe point produced a non-finite or out-of-basin residual."""
 
 
-class MaxOuterExceeded(EmtgisError):
+class MaxOuterExceeded(CoordinationError):
     def __init__(self, phi_norm: float, trace=None):
         super().__init__(
             f"outer iteration limit reached with residual norm {phi_norm:.3e}"
@@ -85,8 +91,16 @@ class MaxOuterExceeded(EmtgisError):
         self.trace = trace
 
 
-class InnerBreakdown(EmtgisError):
+class InnerBreakdown(CoordinationError):
     """Krylov basis broke down before reaching the inner tolerance."""
+
+
+class OuterStepRejected(CoordinationError):
+    """Every halving of an outer step left the basin or broke the residual."""
+
+    def __init__(self, halvings: int, reason: str):
+        super().__init__(f"outer Newton step rejected after {halvings} halvings: {reason}")
+        self.halvings = halvings
 
 
 # --- EMT kernel ------------------------------------------------------------

@@ -7,6 +7,7 @@ can be solved monolithically as an independent reference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,18 +61,14 @@ class PowerFlowSolution:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _scheduled_injections(case: CaseFile) -> tuple[np.ndarray, np.ndarray]:
-    n = len(case.buses)
-    p = np.zeros(n)
-    q = np.zeros(n)
-    for i, b in enumerate(case.buses):
-        p[i] -= b.p_load
-        q[i] -= b.q_load
+def _scheduled_injections(case: CaseFile) -> np.ndarray:
+    """Scheduled complex injection per bus: machine set points less loads."""
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    s = np.array([complex(-b.p_load, -b.q_load) for b in case.buses])
     for m in case.machines:
-        for i, b in enumerate(case.buses):
-            if b.id == m.bus:
-                p[i] += m.p_set
-    return p, q
+        if m.bus in index:
+            s[index[m.bus]] += m.p_set
+    return s
 
 
 def solve_main(
@@ -85,8 +82,11 @@ def solve_main(
     """Solve the main system with Boundary buses fixed at supplied phasors.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
-    magnitude; standard full-Jacobian NR over the remaining unknowns,
-    refactorized every iteration.  Flat start unless warm_start is given.
+    magnitude; full-Jacobian polar NR over the remaining unknowns.  Flat
+    start unless warm_start is given; `ybus` saves the admittance build.
+    An iteration is O(n^2): dS/dV by broadcasting (MATPOWER's dSbus_dV)
+    from the I = Y V the mismatch used, and one index gather for the
+    Jacobian.  A non-finite mismatch raises NonConvergence.
     """
     boundary_voltages = boundary_voltages or {}
     y = ybus if ybus is not None else build_admittance(case)
@@ -101,8 +101,9 @@ def solve_main(
     if missing:
         raise ValueError(f"no boundary voltage supplied for buses {missing}")
 
-    vm = np.ones(n)
-    va = np.zeros(n)
+    # Polar state [theta; |V|]; Newton updates it at [pvpq, n + pq].
+    x = np.concatenate([np.zeros(n), np.ones(n)])
+    va, vm = x[:n], x[n:]
     for i, b in enumerate(case.buses):
         if b.kind in (BusKind.SLACK, BusKind.PV):
             vm[i] = b.v_set
@@ -120,25 +121,31 @@ def solve_main(
     pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
     pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
     pvpq = np.concatenate([pv, pq])
+    unknowns = np.concatenate([pvpq, n + pq])
+    s_sched = _scheduled_injections(case)
 
-    p_sched, q_sched = _scheduled_injections(case)
-
-    def calc_powers():
-        v = vm * np.exp(1j * va)
-        s = v * np.conj(y.mat @ v)
-        return v, s
+    # Gathers from float views (a complex entry is real, imag): P rows are
+    # real parts over pvpq, Q rows imaginary parts over pq, of S_sched - S
+    # and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns' columns.
+    mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
+    jac_idx = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])[:, None] + 2 * unknowns
+    ds_dx = np.empty((n, 2 * n), dtype=complex)
+    ds_dva, ds_dvm = ds_dx[:, :n], ds_dx[:, n:]
+    # Strided views of both block diagonals (ds_dx is contiguous).
+    diag_va, diag_vm = ds_dx.reshape(-1)[::2 * n + 1], ds_dx.reshape(-1)[n::2 * n + 1]
 
     history: list[float] = []
     converged = False
     iterations = 0
-    v, s = calc_powers()
     for it in range(max_iter + 1):
-        dp = p_sched[pvpq] - s.real[pvpq]
-        dq = q_sched[pq] - s.imag[pq]
-        mismatch = np.concatenate([dp, dq])
-        if mismatch.size and not np.all(np.isfinite(mismatch)):
+        vhat = np.exp(1j * va)
+        v = vm * vhat
+        ibus = y.mat @ v
+        s = v * np.conj(ibus)
+        mismatch = (s_sched - s).view(float).take(mis_idx)
+        max_mis = float(abs(mismatch).max(initial=0.0))
+        if not math.isfinite(max_mis):
             raise NonConvergence(it, float("inf"))
-        max_mis = float(np.max(np.abs(mismatch))) if mismatch.size else 0.0
         history.append(max_mis)
         if max_mis <= tol:
             converged = True
@@ -146,24 +153,19 @@ def solve_main(
             break
         if it == max_iter:
             break
-        ibus = y.mat @ v
-        diag_v = np.diag(v)
-        diag_i = np.diag(ibus)
-        diag_vnorm = np.diag(np.exp(1j * va))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - y.mat @ diag_v)
-        ds_dvm = diag_v @ np.conj(y.mat @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq)].real
-        j21 = ds_dva[np.ix_(pq, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq, pq)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
+        # dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)),
+        # dS/d|V| = diag(V) conj(Y diag(Vhat)) + conj(diag(I)) diag(Vhat).
+        np.multiply(y.mat, vhat, out=ds_dvm)
+        np.conjugate(ds_dvm, out=ds_dvm)
+        ds_dvm *= v[:, None]
+        np.multiply(ds_dvm, -1j * vm, out=ds_dva)
+        diag_va += 1j * s
+        diag_vm += np.conj(ibus) * vhat
+        jac = ds_dx.view(float).take(jac_idx)
         try:
-            dx = np.linalg.solve(jac, mismatch)
+            x[unknowns] += np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(it) from exc
-        va[pvpq] += dx[: pvpq.size]
-        vm[pq] += dx[pvpq.size:]
-        v, s = calc_powers()
 
     if not converged:
         raise NonConvergence(max_iter, history[-1])

@@ -14,7 +14,6 @@ import cmath
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -187,11 +186,8 @@ def _add_case_parts(builder: _NetBuilder, case: CaseFile, pf: PowerFlowSolution,
     constant impedance at their solved voltages."""
     ns = namespace
 
-    def nid(bus_id: str) -> str:
-        return bus_id  # bus ids are already namespaced by the caller where needed
-
     for b in case.buses:
-        builder.node(nid(b.id))
+        builder.node(b.id)
 
     for k, br in enumerate(case.branches):
         if abs(br.tap - 1.0) > 1e-12:
@@ -199,23 +195,23 @@ def _add_case_parts(builder: _NetBuilder, case: CaseFile, pf: PowerFlowSolution,
                 f"off-nominal tap on {br.from_bus}-{br.to_bus}: EMT model undefined"
             )
         eid = f"{ns}ln:{br.from_bus}-{br.to_bus}:{k}"
-        builder.series_rx(eid, nid(br.from_bus), nid(br.to_bus), br.r, br.x)
+        builder.series_rx(eid, br.from_bus, br.to_bus, br.r, br.x)
         if br.b_half != 0.0:
-            builder.shunt_susceptance(f"{eid}:bf", nid(br.from_bus), br.b_half)
-            builder.shunt_susceptance(f"{eid}:bt", nid(br.to_bus), br.b_half)
+            builder.shunt_susceptance(f"{eid}:bf", br.from_bus, br.b_half)
+            builder.shunt_susceptance(f"{eid}:bt", br.to_bus, br.b_half)
 
     for b in case.buses:
         if b.shunt_g != 0.0:
             if b.shunt_g < 0.0:
                 raise UnsupportedElement(f"negative shunt conductance at '{b.id}'")
             builder.elements.append(
-                Element(f"{ns}shg:{b.id}", ElementKind.RESISTOR, builder.node(nid(b.id)),
+                Element(f"{ns}shg:{b.id}", ElementKind.RESISTOR, builder.node(b.id),
                         None, 1.0 / b.shunt_g)
             )
         if b.shunt_b != 0.0:
-            builder.shunt_susceptance(f"{ns}shb:{b.id}", nid(b.id), b.shunt_b)
+            builder.shunt_susceptance(f"{ns}shb:{b.id}", b.id, b.shunt_b)
         if b.p_load != 0.0 or b.q_load != 0.0:
-            builder.load(f"{ns}load:{b.id}", nid(b.id), b.p_load, b.q_load,
+            builder.load(f"{ns}load:{b.id}", b.id, b.p_load, b.q_load,
                          pf.voltage(b.id).magnitude)
 
     seen_machine_bus: set[str] = set()
@@ -225,13 +221,13 @@ def _add_case_parts(builder: _NetBuilder, case: CaseFile, pf: PowerFlowSolution,
         seen_machine_bus.add(m.bus)
         v = pf.voltage(m.bus).rect
         if m.kind is MachineKind.IDEAL_SOURCE:
-            builder.ideal_source(f"{ns}src:{m.bus}", nid(m.bus), v)
+            builder.ideal_source(f"{ns}src:{m.bus}", m.bus, v)
         else:
             s = _machine_injection(case, pf, m.bus)
             i = machine_port_current(s, v)
             emf = machine_internal_emf(v, i, m.xd_transient)
             pm = (emf * i.conjugate()).real
-            builder.machine(f"{ns}gen:{m.bus}", nid(m.bus), m.xd_transient,
+            builder.machine(f"{ns}gen:{m.bus}", m.bus, m.xd_transient,
                             m.inertia_h, m.damping, emf, pm, swing=True)
 
 
@@ -697,7 +693,6 @@ class PipelineConfig:
     ramp_budget: float = 6.0       # per-region steady-state search window
     jfng: JfngConfig = field(default_factory=JfngConfig)
     pf_tol: float = 1e-10
-    threads: int | None = None
     schedule_factor: int = 2
     rms_change_tol: float = 5e-4
     steady_cycles: int = 3
@@ -788,8 +783,7 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
         def run_ipf():
             n = len(case.grbcs)
             x0 = np.concatenate([np.ones(n), np.zeros(n)])
-            return jfng_solve(case, case.grbcs, x0, cfg.jfng,
-                              pf_tol=cfg.pf_tol, threads=cfg.threads)
+            return jfng_solve(case, case.grbcs, x0, cfg.jfng, pf_tol=cfg.pf_tol)
         boundary_state, trace = _stage("ipf", run_ipf)
         main_pf = boundary_state.main_solution
         draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
@@ -811,7 +805,7 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Whole pipeline: coordinated power flow, phasor snapshot of the main
-    system, Thevenin-backed ramp of every region (concurrently), schedule,
+    system, Thevenin-backed ramp of every region, schedule,
     splice.  Any stage failure is re-raised tagged with the stage name."""
     cfg = cfg or PipelineConfig()
     stage = _stage
@@ -840,19 +834,8 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
                                 op.decl.boundary_bus, subsystem=op.decl.name)
 
     snapshots: dict[str, Snapshot] = {MAIN_SUBSYSTEM: snap_main}
-    if region_ops:
-        # Ramps are independent; results join in declaration order either way.
-        # Stepping loops hold the interpreter most of the time, so fan out
-        # only when the caller explicitly asks for more than one worker.
-        workers = max(1, min(cfg.threads or 1, len(region_ops)))
-        def ramp_all():
-            if workers == 1:
-                return [ramp_one(op) for op in region_ops]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(ramp_one, op) for op in region_ops]
-                return [f.result() for f in futs]
-        for snap in stage("ramp_to_snapshot", ramp_all):
-            snapshots[snap.subsystem] = snap
+    for snap in stage("ramp_to_snapshot", lambda: [ramp_one(op) for op in region_ops]):
+        snapshots[snap.subsystem] = snap
 
     ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
     period_steps = int(round(case.period / cfg.dt))

@@ -30,6 +30,19 @@ def cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
+def overloaded_hybrid_doc() -> dict:
+    """The hybrid case with region plant2 scripted to draw 50 + j30 pu.
+
+    No operating point exists near the flat start: an unguarded Newton step
+    takes a boundary voltage magnitude below zero.
+    """
+    doc = json.loads(Path(case_path("hybrid")).read_text())
+    for region in doc["grbcs"]:
+        if region["name"] == "plant2":
+            region["payload"] = {"p": -50, "q": -30}
+    return doc
+
+
 @pytest.fixture(scope="session")
 def twobus():
     return load_case(case_path("twobus"))

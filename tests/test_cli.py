@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import case_path, cli_env
+from conftest import case_path, cli_env, overloaded_hybrid_doc
 
 
 def run_cli(*args, cwd=None) -> subprocess.CompletedProcess:
@@ -18,6 +18,19 @@ def run_cli(*args, cwd=None) -> subprocess.CompletedProcess:
 
 def read_json(path):
     return json.loads(Path(path).read_text())
+
+
+def assert_one_line_error(proc):
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+
+
+@pytest.fixture(scope="module")
+def overloaded(tmp_path_factory):
+    path = tmp_path_factory.mktemp("case") / "overloaded.json"
+    path.write_text(json.dumps(overloaded_hybrid_doc()))
+    return path
 
 
 class TestValidate:
@@ -61,6 +74,7 @@ class TestIpf:
         out = run_cli("ipf", case_path("ninebus1"), "--out", tmp_path,
                       "--max-outer", "0", "--quiet")
         assert out.returncode == 2
+        assert_one_line_error(out)
         assert (tmp_path / "trace.csv").exists()
 
     def test_zero_region_case(self, tmp_path):
@@ -85,6 +99,7 @@ class TestInit:
         out = run_cli("init", case_path("ninebus1"), "--out", tmp_path,
                       "--ramp-budget", "0.2", "--quiet")
         assert out.returncode == 3
+        assert_one_line_error(out)
         report = read_json(tmp_path / "report.json")
         assert report["failed_stage"] == "ramp_to_snapshot"
 
@@ -143,6 +158,7 @@ class TestSimulate:
                       "--dt", "1e-4", "--duration", "0.05",
                       "--out", tmp_path, "--quiet")
         assert out.returncode == 4
+        assert_one_line_error(out)
 
     def test_requires_exactly_one_start_mode(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--out", tmp_path)
@@ -162,6 +178,35 @@ class TestCompare:
         out = run_cli("compare", case_path("ninebus1"), "--settle-cap", "0.1",
                       "--out", tmp_path, "--quiet")
         assert out.returncode == 5
+        assert_one_line_error(out)
+
+
+class TestFailureExits:
+    """The overloaded hybrid case has no operating point near the flat start."""
+
+    def test_ipf_coordination_failure_exits_2_with_its_trace(self, overloaded, tmp_path):
+        out = run_cli("ipf", overloaded, "--out", tmp_path, "--quiet")
+        assert out.returncode == 2
+        assert_one_line_error(out)
+        assert "outer Newton step rejected" in out.stderr
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[0] == "outer_iter,inner_iters,phi_norm,rho_final" and len(rows) > 1
+        assert read_json(tmp_path / "manifest.json")["outputs"] == ["trace.csv"]
+
+    @pytest.mark.parametrize("command", [("init",), ("compare",),
+                                         ("simulate", "--zero-state")])
+    def test_pipeline_commands_exit_3_naming_the_failed_stage(self, overloaded,
+                                                             tmp_path, command):
+        out = run_cli(*command, overloaded, "--out", tmp_path, "--quiet")
+        assert out.returncode == 3
+        assert_one_line_error(out)
+        assert read_json(tmp_path / "report.json")["failed_stage"] == "ipf"
+
+    def test_unknown_probe_is_an_input_error(self, tmp_path):
+        out = run_cli("simulate", case_path("twobus"), "--zero-state", "--probes", "NOPE",
+                      "--duration", "0.01", "--out", tmp_path, "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
 
 
 class TestDeterminism:

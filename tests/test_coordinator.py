@@ -18,9 +18,10 @@ from emtgis.coordinator import (
     precond_update,
     residual,
 )
-from emtgis.errors import MaxOuterExceeded, NonFinite
+from conftest import overloaded_hybrid_doc
+from emtgis.errors import MaxOuterExceeded, NonFinite, OuterStepRejected
 from emtgis.grbc import parse_declaration
-from emtgis.netmodel import BusKind, BusRecord
+from emtgis.netmodel import BusKind, BusRecord, Phasor, build_admittance, parse_case
 from emtgis.powerflow import solve_monolithic
 
 
@@ -53,10 +54,18 @@ class TestResidual:
         assert state.phi[0] == pytest.approx(state.p[0] - 0.4, abs=1e-14)
         assert state.phi[1] == pytest.approx(state.q[0] + 0.0, abs=1e-14)
 
-    def test_threaded_and_serial_agree_bitwise(self, ninebus3):
-        x = np.concatenate([np.ones(3), np.zeros(3)])
-        a = residual(ninebus3, ninebus3.grbcs, x, threads=1)
-        b = residual(ninebus3, ninebus3.grbcs, x, threads=4)
+    def test_repeated_evaluations_agree_bitwise(self, ninebus3):
+        x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
+        a = residual(ninebus3, ninebus3.grbcs, x)
+        b = residual(ninebus3, ninebus3.grbcs, x)
+        assert np.array_equal(a.phi, b.phi)
+        assert np.array_equal(a.main_solution.vm, b.main_solution.vm)
+        assert np.array_equal(a.main_solution.va, b.main_solution.va)
+
+    def test_shared_admittance_matrix_gives_the_same_residual(self, ninebus3):
+        x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
+        a = residual(ninebus3, ninebus3.grbcs, x)
+        b = residual(ninebus3, ninebus3.grbcs, x, ybus=build_admittance(ninebus3))
         assert np.array_equal(a.phi, b.phi)
 
 
@@ -330,3 +339,44 @@ class TestEdgePaths:
         probe = _make_probe(x, np.zeros(2), residual_fn, omega_base=1e-6)
         with pytest.raises(NonFinite):
             probe(np.array([1.0, 0.0]))
+
+
+class TestOuterStepGuard:
+    def test_out_of_basin_repro_raises_typed_error_with_trace(self):
+        case = parse_case(overloaded_hybrid_doc(), name="overloaded")
+        n = len(case.grbcs)
+        x0 = np.concatenate([np.ones(n), np.zeros(n)])
+        with pytest.raises(OuterStepRejected) as exc:
+            jfng_solve(case, case.grbcs, x0)
+        trace = exc.value.trace
+        assert trace.status == "step_rejected"
+        assert trace.outer_iterations >= 1
+        assert exc.value.halvings == coordinator_module.OUTER_HALVINGS
+
+    def test_step_leaving_the_basin_is_halved_back_into_it(self, ninebus1, monkeypatch):
+        # Stretch the first Newton step so it lands at |V| = 0.1 pu, below
+        # the floor; halving it once brings it back to 0.55 pu.
+        real_gmres, real_residual = coordinator_module.gmres_m, coordinator_module.residual
+        calls, seen = [], []
+
+        def stretched_gmres(phi, probe, M, cfg):
+            dx, M, info = real_gmres(phi, probe, M, cfg)
+            if not calls:
+                dx = dx * (0.1 - 1.0) / dx[0]
+            calls.append(dx)
+            return dx, M, info
+
+        def recording_residual(case, grbcs, x, **kw):
+            seen.append(np.array(x))
+            return real_residual(case, grbcs, x, **kw)
+
+        monkeypatch.setattr(coordinator_module, "gmres_m", stretched_gmres)
+        monkeypatch.setattr(coordinator_module, "residual", recording_residual)
+        x0 = np.array([1.0, 0.0])
+        state, trace = jfng_solve(ninebus1, ninebus1.grbcs, x0)
+        assert trace.status == "converged"
+        assert min(x[0] for x in seen) >= coordinator_module.VOLTAGE_FLOOR
+        assert any(x[0] == pytest.approx(0.55) for x in seen)
+        mono = solve_monolithic(ninebus1)
+        got = Phasor(state.x[0], state.x[1]).rect
+        assert got == pytest.approx(mono.voltage("B10").rect, abs=1e-6)

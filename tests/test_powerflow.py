@@ -2,17 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emtgis.errors import NonConvergence, NotConverged, OracleUnavailable
+from conftest import case_path
+from emtgis.errors import (
+    NonConvergence,
+    NotConverged,
+    OracleUnavailable,
+    SingularJacobian,
+)
+from emtgis.grbc import GrbcKind, internal_pf_case
 from emtgis.netmodel import (
     BranchRecord,
     BusKind,
     BusRecord,
     CaseFile,
+    MachineKind,
+    MachineRecord,
     Phasor,
     build_admittance,
+    load_case,
 )
 from emtgis.powerflow import boundary_injections, solve_main, solve_monolithic
+from reference_powerflow import reference_solve_main
+
+BUNDLED = ("twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid")
 
 
 def two_bus(load_p=0.5, load_q=0.0, bus2_kind=BusKind.PQ):
@@ -67,6 +82,13 @@ class TestSolveMain:
         case = two_bus(bus2_kind=BusKind.BOUNDARY)
         with pytest.raises(ValueError):
             solve_main(case, {})
+
+    def test_non_finite_mismatch_raises_nonconvergence(self):
+        case = two_bus(load_p=float("nan"))
+        with pytest.raises(NonConvergence) as exc:
+            solve_main(case)
+        assert exc.value.max_iter == 0
+        assert exc.value.final_mismatch == float("inf")
 
     def test_nonconvergence_reports_limits(self):
         # impossible load far beyond the line's transfer capability
@@ -180,3 +202,83 @@ class TestWarmStart:
         warm = solve_main(flat, warm_start=cold)
         assert warm.iterations <= 1
         assert np.max(np.abs(warm.vm - cold.vm)) < 1e-9
+
+
+def random_meshed_case(rng):
+    """Random meshed network with slack, PV, PQ and boundary buses.
+
+    A spanning tree plus random chords of short lines; PV buses carry a
+    machine, PQ buses a load, boundary buses a supplied phasor.
+    """
+    n = int(rng.integers(3, 13))
+    pick = (BusKind.PV, BusKind.PQ, BusKind.PQ, BusKind.BOUNDARY)
+    kinds = [BusKind.SLACK] + [pick[k] for k in rng.integers(0, len(pick), size=n - 1)]
+    buses, machines, volts = [], [], {}
+    for i, kind in enumerate(kinds):
+        bid = f"B{i}"
+        if kind in (BusKind.SLACK, BusKind.PV):
+            buses.append(BusRecord(bid, kind, 230.0, v_set=float(rng.uniform(0.98, 1.05))))
+        elif kind is BusKind.PQ:
+            buses.append(BusRecord(bid, kind, 230.0, p_load=float(rng.uniform(0.0, 0.6)),
+                                   q_load=float(rng.uniform(-0.1, 0.3)),
+                                   shunt_b=float(rng.uniform(0.0, 0.05))))
+        else:
+            buses.append(BusRecord(bid, kind, 230.0))
+            volts[bid] = Phasor(float(rng.uniform(0.95, 1.05)), float(rng.uniform(-0.2, 0.2)))
+        if kind is BusKind.PV:
+            machines.append(MachineRecord(bid, MachineKind.IDEAL_SOURCE,
+                                          p_set=float(rng.uniform(0.1, 0.8))))
+
+    def line(f, t):
+        return BranchRecord(f"B{f}", f"B{t}", float(rng.uniform(0.002, 0.03)),
+                            float(rng.uniform(0.03, 0.2)), float(rng.uniform(0.0, 0.05)),
+                            float(rng.choice([1.0, 1.0, rng.uniform(0.95, 1.05)])))
+
+    branches = [line(int(rng.integers(0, i)), i) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, n))):
+        f, t = (int(k) for k in rng.choice(n, size=2, replace=False))
+        branches.append(line(f, t))
+    return CaseFile(100.0, 50.0, buses, branches, machines, name="meshed"), volts
+
+
+def assert_matches_reference(case, volts, tol=1e-10, max_iter=40):
+    try:
+        ref = reference_solve_main(case, volts, tol=tol, max_iter=max_iter)
+    except (NonConvergence, SingularJacobian) as exc:
+        with pytest.raises(type(exc)):
+            solve_main(case, volts, tol=tol, max_iter=max_iter)
+        return None
+    sol = solve_main(case, volts, tol=tol, max_iter=max_iter)
+    assert sol.iterations == ref.iterations
+    assert len(sol.mismatch_history) == len(ref.mismatch_history)
+    assert np.max(np.abs(sol.vm - ref.vm)) <= 1e-10
+    assert np.max(np.abs(sol.va - ref.va)) <= 1e-10
+    return sol
+
+
+class TestReferenceEquivalence:
+    """The broadcast Newton step against the dense diag-matrix step it replaced."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_meshed_networks(self, seed):
+        case, volts = random_meshed_case(np.random.default_rng(seed))
+        assert_matches_reference(case, volts)
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_main_systems(self, name):
+        case = load_case(case_path(name))
+        volts = {b.id: Phasor(1.0, 0.0) for b in case.buses if b.kind is BusKind.BOUNDARY}
+        assert assert_matches_reference(case, volts) is not None
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_white_box_internal_networks(self, name):
+        case = load_case(case_path(name))
+        for decl in case.grbcs:
+            if decl.kind is not GrbcKind.WHITE_BOX_NETWORK:
+                continue
+            for v_b in (Phasor(1.0, 0.0), Phasor(0.93, -0.15), Phasor(1.06, 0.3)):
+                sol = assert_matches_reference(internal_pf_case(decl),
+                                               {decl.boundary_bus: v_b}, tol=1e-12,
+                                               max_iter=60)
+                assert sol is not None
