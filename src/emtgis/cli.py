@@ -123,7 +123,9 @@ def main(argv=None) -> int:
     try:
         return handler(args)
     except FileNotFoundError as exc:
-        print(f"error: case file not found: {exc.filename}", file=sys.stderr)
+        is_case = exc.filename is not None and Path(exc.filename) == Path(args.case)
+        what = "case file" if is_case else "file"
+        print(f"error: {what} not found: {exc.filename}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,16 +6,25 @@ sources shifted by +-120 degrees).  Ideal voltage sources and machine
 internal EMF nodes are handled as known-voltage nodes.
 
 Between topology changes the network is linear and time-invariant, so one
-step is a fixed affine map (Dommel's companion method in discrete
-state-space form).  With D the signed element-node incidence matrix, so
-that element voltages are u = D v, a step reads
+step is a fixed linear map of the stacked state x = [v; i], node voltages
+over element currents (Dommel's companion method in discrete state-space
+form).  With D the signed element-node incidence matrix, so that element
+voltages are u = D v, the step
 
     i_hist = h*u + j*i                companion history currents
     v'     = P [i_hist; v_k]          node voltages, v_k the known nodes
     i'     = g*(D v') + i_hist
 
-where P is built once per topology from the reduced conductance matrix
-over the unknown nodes.  Machine swing dynamics update on top of it.
+folds into x' = A x + f_c osc_c + f_s osc_s + B_e e_v, where
+osc = s(t) [cos(wt + phase); sin(wt + phase)] per phase with s(t) the
+source ramp.  Every source enters through the two fixed columns f_c, f_s
+by the angle-addition identity, the machine EMFs e_v through B_e, and the
+machine swing updates on top.
+
+`CompiledNet` builds the map once per topology.  The stepping loops (`run`,
+`run_until_steady`) apply it to two preallocated buffers in turn and build
+an `EmtState` only at their edges: on return, and at a fault event, where
+the state migrates onto the faulted topology.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -25,6 +34,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -42,6 +52,7 @@ from .errors import (
 
 SQRT2 = math.sqrt(2.0)
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
+COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
 
 
@@ -283,16 +294,57 @@ class EmtState:
 # --- compiled network ------------------------------------------------------------
 
 
+def zero_state(net: EmtNet, dt: float) -> EmtState:
+    """De-energized state of a network at step 0; machines at their
+    build-time angle, EMF and mechanical power."""
+    ne, nm, ns = len(net.elements), len(net.machines), len(net.sources)
+    return EmtState(
+        step=0,
+        dt=dt,
+        node_ids=net.nodes,
+        element_ids=tuple(e.eid for e in net.elements),
+        source_ids=tuple(s.sid for s in net.sources),
+        machine_ids=tuple(m.mid for m in net.machines),
+        v_nodes=np.zeros((len(net.nodes), 3)),
+        elem_i=np.zeros((ne, 3)),
+        hist_u=np.zeros((ne, 3)),
+        hist_i=np.zeros((ne, 3)),
+        machine_delta=np.array([m.delta0 for m in net.machines], dtype=float),
+        machine_speed_dev=np.zeros(nm),
+        machine_emf=np.array([m.emf_rms for m in net.machines], dtype=float),
+        machine_pm=np.array([m.pm for m in net.machines], dtype=float),
+        source_scale=np.zeros(ns),
+    )
+
+
 class CompiledNet:
-    """Companion arrays and the affine step map of one network at one dt.
+    """The step of one network at one dt as a fixed linear map.
+
+    The state per phase is x = [v; i], the node voltages stacked on the
+    element currents, shape (size, 3) with size = n_nodes + n_elements.  A
+    step buffer holds x followed by two oscillator rows, s*cos(wt + phase)
+    and s*sin(wt + phase) with s the source ramp factor, and one EMF row
+    e_v per machine.  A step writes those rows for the new time and is then
+    one product
+
+        x' = A x + f_c osc_c + f_s osc_s + B_e e_v = M [x; osc; e_v]
+
+    with M = [A | f_c f_s | B_e] (size x (size + 2 + n_machines)):
+
+    * A folds the companion history i_hist = h*(D v) + j*i, the node solve
+      v' = P [i_hist; v_k] and the element currents i' = g*(D v') + i_hist
+      into one square matrix.
+    * f_c and f_s carry every source through the angle-addition identity:
+      a source of peak a and angle t pins a*cos(t) osc_c - a*sin(t) osc_s.
+    * B_e carries the machine EMFs, whose angles move with the swing.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
-    and -1 at its to-node.  `step_map` is P = [P_h | P_k] (n_nodes x
-    (n_elements + n_known)) in node order: an unknown node's row holds
-    G_uu^-1 (-A_u) and -G_uu^-1 W, with A_u = D^T restricted to the unknown
-    nodes and W the unknown-known block of the nodal conductance matrix
-    D^T diag(g) D; a known node's row holds a 1 in the column of its source.
-    Known nodes are the source nodes in order, then the machine EMF nodes.
+    and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
+    unknown node's row holds G_uu^-1 (-A_u) and -G_uu^-1 W, with A_u = D^T
+    restricted to the unknown nodes and W the unknown-known block of the
+    nodal conductance matrix D^T diag(g) D; a known node's row holds a 1 in
+    the column of its source.  Known nodes are the source nodes in order,
+    then the machine EMF nodes.
     """
 
     def __init__(self, net: EmtNet, dt: float):
@@ -300,45 +352,32 @@ class CompiledNet:
         self.dt = dt
         self.omega = net.omega
         self.node_index = {nid: i for i, nid in enumerate(net.nodes)}
-        self.n_nodes = len(net.nodes)
-        eids = [e.eid for e in net.elements]
+        self.n_nodes = nn = len(net.nodes)
+        self.element_ids = eids = tuple(e.eid for e in net.elements)
         ne = len(eids)
+        self.size = nn + ne
 
         # Companion coefficients, repeated over the three phases: (ne, 3).
         models = [companion_coefficients(e.kind, e.value, dt) for e in net.elements]
         g = np.array([m.g_coef for m in models], dtype=float)
+        h = np.array([m.h_coef for m in models], dtype=float)
+        j = np.array([m.j_coef for m in models], dtype=float)
         self.g = np.outer(g, np.ones(3))
-        self.h = np.outer([m.h_coef for m in models], np.ones(3))
-        self.j = np.outer([m.j_coef for m in models], np.ones(3))
+        self.h = np.outer(h, np.ones(3))
+        self.j = np.outer(j, np.ones(3))
 
-        d = np.zeros((ne, self.n_nodes))
+        d = np.zeros((ne, nn))
         for k, e in enumerate(net.elements):
             d[k, self.node_index[e.n_from]] += 1.0
             if e.n_to is not None:
                 d[k, self.node_index[e.n_to]] -= 1.0
         self.incidence = d
 
-        # Known nodes: the source nodes in order, then the machine EMF nodes,
-        # whose amplitude and angle come from the state at every step.
         known = [self.node_index[s.node] for s in net.sources]
         known += [self.node_index[m.emf_node] for m in net.machines]
-        self.source_amp = SQRT2 * np.array([s.rms for s in net.sources])[:, None]
-        self.source_phase = np.array([s.angle for s in net.sources])[:, None] + PHASE_SHIFT
-
-        # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
-        # on active machines; the gains are zero on the others.
-        self.machine_branch = np.array([eids.index(m.branch_eid) for m in net.machines],
-                                       dtype=int)
-        active = [m.swing and m.inertia_h > 0 for m in net.machines]
-        self.speed_gain = np.array([dt / (2.0 * m.inertia_h) if a else 0.0
-                                    for m, a in zip(net.machines, active)])
-        self.angle_gain = np.array([dt * self.omega if a else 0.0 for a in active])
-        self.machine_damping = np.array([m.damping for m in net.machines])
-        self.swing = any(active)
-
         known_set = set(known)
-        unknown = [i for i in range(self.n_nodes) if i not in known_set]
-        p = np.zeros((self.n_nodes, ne + len(known)))
+        unknown = [i for i in range(nn) if i not in known_set]
+        p = np.zeros((nn, ne + len(known)))
         if unknown:
             d_u = d[:, unknown]
             g_uu = d_u.T @ (g[:, None] * d_u)
@@ -352,39 +391,34 @@ class CompiledNet:
         for c, node in enumerate(known):
             p[node] = 0.0  # a node pinned twice follows its last source
             p[node, ne + c] = 1.0
-        self.step_map = p
 
-    # --- state construction -----------------------------------------------
+        # i_hist = H x, v' = P_h H x + P_k v_k, i' = g*(D v') + H x.
+        hist = np.hstack([h[:, None] * d, np.diag(j)])
+        p_h, p_k = p[:, :ne], p[:, ne:]
+        v_map = p_h @ hist
+        a = np.vstack([v_map, g[:, None] * (d @ v_map) + hist])
+        b = np.vstack([p_k, g[:, None] * (d @ p_k)])
+        ns = len(net.sources)
+        peak = SQRT2 * np.array([s.rms for s in net.sources])
+        angle = np.array([s.angle for s in net.sources])
+        f_c = b[:, :ns] @ (peak * np.cos(angle))
+        f_s = -(b[:, :ns] @ (peak * np.sin(angle)))
+        self.step_matrix = np.hstack([a, f_c[:, None], f_s[:, None], b[:, ns:]])
 
-    def zero_state(self) -> EmtState:
-        net = self.net
-        ne, nm, ns = len(net.elements), len(net.machines), len(net.sources)
-        return EmtState(
-            step=0,
-            dt=self.dt,
-            node_ids=net.nodes,
-            element_ids=tuple(e.eid for e in net.elements),
-            source_ids=tuple(s.sid for s in net.sources),
-            machine_ids=tuple(m.mid for m in net.machines),
-            v_nodes=np.zeros((self.n_nodes, 3)),
-            elem_i=np.zeros((ne, 3)),
-            hist_u=np.zeros((ne, 3)),
-            hist_i=np.zeros((ne, 3)),
-            machine_delta=np.array([m.delta0 for m in net.machines], dtype=float),
-            machine_speed_dev=np.zeros(nm),
-            machine_emf=np.array([m.emf_rms for m in net.machines], dtype=float),
-            machine_pm=np.array([m.pm for m in net.machines], dtype=float),
-            source_scale=np.zeros(ns),
-        )
+        # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
+        # on the active machines, as (machine, i' row, dt/2H, D, dt w).
+        self.n_machines = len(net.machines)
+        self.swinging = [(k, nn + eids.index(m.branch_eid), dt / (2.0 * m.inertia_h),
+                          m.damping, dt * self.omega)
+                         for k, m in enumerate(net.machines)
+                         if m.swing and m.inertia_h > 0]
 
-    def element_voltages(self, state: EmtState) -> np.ndarray:
-        """Element branch voltages u = D v at the stamped time."""
-        return self.incidence.dot(state.v_nodes)
+    # --- states at the edges of a stepping loop -----------------------------
 
     def check_compatible(self, state: EmtState) -> None:
         if state.node_ids != self.net.nodes:
             raise IncompatibleSnapshot("node set differs from network")
-        if state.element_ids != tuple(e.eid for e in self.net.elements):
+        if state.element_ids != self.element_ids:
             raise IncompatibleSnapshot("element set differs from network")
         if abs(state.dt - self.dt) > 1e-18:
             raise IncompatibleSnapshot(
@@ -394,60 +428,82 @@ class CompiledNet:
     def migrate_state(self, state: EmtState) -> EmtState:
         """Carry a state onto this topology after appended elements (faults)."""
         have = len(state.element_ids)
-        want = len(self.net.elements)
-        ids = tuple(e.eid for e in self.net.elements)
-        if ids[:have] != state.element_ids or want < have:
+        want = len(self.element_ids)
+        if self.element_ids[:have] != state.element_ids or want < have:
             raise IncompatibleSnapshot("topology change is not an element append")
         extra = want - have
         pad = np.zeros((extra, 3))
         out = state.copy()
-        out.element_ids = ids
+        out.element_ids = self.element_ids
         out.elem_i = np.vstack([out.elem_i, pad])
         out.hist_u = np.vstack([out.hist_u, pad])
         out.hist_i = np.vstack([out.hist_i, pad])
         return out
 
+    def buffers(self, state: EmtState) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+        """Two step buffers, the first holding the state's [v; i], and one
+        [delta, speed_dev, emf, pm] list per machine."""
+        x = np.zeros((self.step_matrix.shape[1], 3))
+        x[:self.n_nodes] = state.v_nodes
+        x[self.n_nodes:self.size] = state.elem_i
+        machines = np.array([state.machine_delta, state.machine_speed_dev,
+                             state.machine_emf, state.machine_pm], dtype=float)
+        return x, np.zeros_like(x), machines.reshape(4, self.n_machines).T.tolist()
+
+    def state(self, x: np.ndarray, prev: np.ndarray, step: int,
+              machines: list[list[float]], scale: float) -> EmtState:
+        """The state at `step` from its buffer x and the buffer one step
+        behind it.
+
+        The histories come from prev, and the element currents are
+        recomputed from them in companion form, so `companion_replay`
+        reproduces them bit for bit.  The state shares no array with the
+        buffers.
+        """
+        nn, net = self.n_nodes, self.net
+        hist_i = prev[nn:self.size].copy()
+        delta, dw, emf, pm = np.array(machines, dtype=float).reshape(-1, 4).T.copy()
+        state = EmtState(
+            step, self.dt, net.nodes, self.element_ids,
+            tuple(s.sid for s in net.sources), tuple(m.mid for m in net.machines),
+            x[:nn].copy(), np.empty_like(hist_i), self.incidence.dot(prev[:nn]), hist_i,
+            delta, dw, emf, pm, np.full(len(net.sources), float(scale)),
+        )
+        state.elem_i = companion_replay(self, state)
+        return state
+
     # --- stepping -----------------------------------------------------------
 
-    def step(self, state: EmtState, ramp: bool, t_ramp: float) -> EmtState:
-        """Advance one dt: v' = P [i_hist; v_k], i' = g*(D v') + i_hist.
+    def step(self, x: np.ndarray, out: np.ndarray, step: int, scale: float,
+             machines: list[list[float]]) -> None:
+        """Advance buffer x one dt to `step`, writing [v'; i'] into out.
 
-        i_hist = h*u + j*i comes from the element voltages u = D v and
-        currents i at the stamped time.  The returned state shares no array
-        with the input state.
+        Writes the oscillator and EMF rows of x for the new time, then
+        out[:size] = M x.  With the ramp complete, the swinging machines
+        advance in place.  Those rows are few, so they are computed on
+        plain floats: a numpy call would cost more than the arithmetic.
         """
-        dt = self.dt
-        t_new = (state.step + 1) * dt
-        scale = ramp_profile(t_new, t_ramp) if ramp else 1.0
-
-        u_now = self.element_voltages(state)
-        i_hist = self.h * u_now + self.j * state.elem_i
-
-        v_k = scale * self.source_amp * np.cos(self.omega * t_new + self.source_phase)
-        parts = (i_hist, v_k)
-        if len(self.machine_branch):
-            e_v = scale * SQRT2 * state.machine_emf[:, None] * np.cos(
-                self.omega * t_new + state.machine_delta[:, None] + PHASE_SHIFT)
-            parts = (i_hist, v_k, e_v)
-
-        v_new = self.step_map.dot(np.concatenate(parts))
-        i_new = self.g * self.incidence.dot(v_new) + i_hist
-
-        delta, dw = state.machine_delta, state.machine_speed_dev
-        if self.swing and scale >= 1.0:
-            pe = (e_v * i_new[self.machine_branch]).sum(axis=1) / 3.0
-            dw = dw + self.speed_gain * (state.machine_pm - pe - self.machine_damping * dw)
-            delta = delta + self.angle_gain * dw
-        else:
-            delta, dw = delta.copy(), dw.copy()
-
-        return EmtState(
-            state.step + 1, dt, state.node_ids, state.element_ids,
-            state.source_ids, state.machine_ids,
-            v_new, i_new, u_now, state.elem_i.copy(), delta, dw,
-            state.machine_emf.copy(), state.machine_pm.copy(),
-            np.array([scale] * len(state.source_scale)),
-        )
+        # Phases a, b, c sit at 0, -120, +120 degrees (PHASE_SHIFT); b and c
+        # by angle addition: cos(t -+ 120) = cos t COS120 +- sin t SIN120,
+        # sin(t -+ 120) = sin t COS120 -+ cos t SIN120.
+        wt = self.omega * (step * self.dt)
+        c, s = scale * math.cos(wt), scale * math.sin(wt)
+        rows = [[c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s],
+                [s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c]]
+        for delta, _, emf, _ in machines:
+            amp, theta = scale * SQRT2 * emf, wt + delta
+            c, s = amp * math.cos(theta), amp * math.sin(theta)
+            rows.append([c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s])
+        n = self.size
+        x[n:] = rows
+        np.dot(self.step_matrix, x, out=out[:n])
+        if self.swinging and scale >= 1.0:
+            for k, row, speed_gain, damping, angle_gain in self.swinging:
+                m = machines[k]
+                delta, dw, _, pm = m
+                pe = sum(map(operator.mul, rows[2 + k], out[row].tolist())) / 3.0
+                dw = dw + speed_gain * (pm - pe - damping * dw)
+                m[0], m[1] = delta + angle_gain * dw, dw
 
 
 # --- probes and waveform recording -----------------------------------------------
@@ -468,7 +524,8 @@ class ProbeSet:
     """Resolved probe ids: node voltages and element currents, all phases.
 
     Every key is one flat position in the node voltages stacked on the
-    element currents, so a sample is a single index gather.
+    element currents, the row layout of a step buffer, so a sample is a
+    single index gather.
     """
 
     def __init__(self, compiled: CompiledNet, record: list[str]):
@@ -488,8 +545,12 @@ class ProbeSet:
             self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
         self._flat = (3 * np.array(rows, dtype=int)[:, None] + np.arange(3)).ravel()
 
-    def sample(self, state: EmtState) -> np.ndarray:
-        return np.concatenate((state.v_nodes, state.elem_i)).take(self._flat)
+    def sample(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The probe values of a step buffer (or any array in the [v; i]
+        row layout), written into out when given."""
+        # "clip" lets take write into out unbuffered; the indices are in
+        # range by construction.
+        return x.take(self._flat, out=out, mode="clip")
 
 
 @dataclass
@@ -510,9 +571,13 @@ class WaveformSet:
 
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
-    """Fixed-duration simulation with event handling and probe recording."""
+    """Fixed-duration simulation with event handling and probe recording.
+
+    Steps two buffers in turn; an EmtState is built only at a fault event
+    (to migrate it onto the faulted topology) and on return.
+    """
     compiled = CompiledNet(net, cfg.dt)
-    state = compiled.zero_state() if init is None else init.copy()
+    state = zero_state(net, cfg.dt) if init is None else init.copy()
     compiled.check_compatible(state)
 
     n_steps = int(round(cfg.duration / cfg.dt))
@@ -528,21 +593,31 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     probes = ProbeSet(compiled, cfg.record)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
     traces = np.zeros((n_steps + 1, len(probes.keys)))
-    traces[0] = probes.sample(state)
+    x, prev, machines = compiled.buffers(state)
+    probes.sample(x, traces[0])
 
+    n, scale = start_step, 1.0
     next_event = 0
     current_net = net
     for k in range(1, n_steps + 1):
-        while next_event < len(events) and state.step >= event_steps[next_event]:
+        while next_event < len(events) and n >= event_steps[next_event]:
             ev = events[next_event]
+            if n > state.step:
+                state = compiled.state(x, prev, n, machines, scale)
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
             compiled = CompiledNet(current_net, cfg.dt)
             state = compiled.migrate_state(state)
+            x, prev, machines = compiled.buffers(state)
             probes = ProbeSet(compiled, cfg.record)
             next_event += 1
-        state = compiled.step(state, cfg.ramp_sources, cfg.t_ramp)
-        traces[k] = probes.sample(state)
+        n += 1
+        scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
+        compiled.step(x, prev, n, scale, machines)
+        x, prev = prev, x
+        probes.sample(x, traces[k])
 
+    if n > state.step:
+        state = compiled.state(x, prev, n, machines, scale)
     data = {key: traces[:, i].copy() for i, key in enumerate(probes.keys)}
     return WaveformSet(times, data), state
 
@@ -560,7 +635,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     Returns (state, ready_step or None, last cycle samples, probe keys).
     """
     compiled = CompiledNet(net, cfg.dt)
-    state = compiled.zero_state() if init is None else init.copy()
+    state = zero_state(net, cfg.dt) if init is None else init.copy()
     compiled.check_compatible(state)
 
     n_cycle = int(round(net.period / cfg.dt))
@@ -574,14 +649,21 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
+    x, prev, machines = compiled.buffers(state)
+    n, scale = state.step, 1.0
+    ready: int | None = None
 
     for c in range(max_cycles):
         for k in range(n_cycle):
-            state = compiled.step(state, cfg.ramp_sources, cfg.t_ramp)
-            buf[k] = probes.sample(state)
+            n += 1
+            scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
+            compiled.step(x, prev, n, scale, machines)
+            x, prev = prev, x
+            probes.sample(x, buf[k])
         if fired_at is not None:
             if c - fired_at >= cfg.settle_margin_cycles:
-                return state, state.step, buf.copy(), probes.keys
+                ready = n
+                break
             continue
         rms = np.sqrt(np.mean(buf**2, axis=0))
         if prev_rms is not None and c >= arm_after:
@@ -590,9 +672,13 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
             if stable_run >= cfg.steady_cycles:
                 fired_at = c
                 if cfg.settle_margin_cycles == 0:
-                    return state, state.step, buf.copy(), probes.keys
+                    ready = n
+                    break
         prev_rms = rms.copy()
-    return state, None, buf.copy(), probes.keys
+
+    if n > state.step:
+        state = compiled.state(x, prev, n, machines, scale)
+    return state, ready, buf.copy(), probes.keys
 
 
 def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:
@@ -609,10 +695,11 @@ def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) 
 def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
     """Re-evaluate the companion relation from the stored state.
 
-    Uses the same arithmetic as step(), so on any stepped state the result
-    equals state.elem_i bit for bit.
+    `CompiledNet.state` sets the element currents of every stepped state
+    with this function, so on such a state the result equals
+    state.elem_i bit for bit.
     """
-    u_now = compiled.element_voltages(state)
+    u_now = compiled.incidence.dot(state.v_nodes)
     i_hist = compiled.h * state.hist_u + compiled.j * state.hist_i
     return compiled.g * u_now + i_hist
 

@@ -372,8 +372,7 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float, t0: float = 0.
 
 def _state_from_phasors(net: EmtNet, node_ph: dict[str, complex],
                         elem_ph: dict[str, complex], dt: float, t0_steps: int) -> EmtState:
-    compiled = ek.CompiledNet(net, dt)
-    state = compiled.zero_state()
+    state = ek.zero_state(net, dt)
     state.step = t0_steps
     omega = net.omega
     t0 = t0_steps * dt
@@ -618,8 +617,7 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
             raise TopologyMismatch(f"elements missing from snapshot: {missing[:4]}")
         return only, {bus: 0.0 for bus in only.boundary_phasors}
 
-    compiled = ek.CompiledNet(full_net, dt)
-    merged = compiled.zero_state()
+    merged = ek.zero_state(full_net, dt)
     merged.step = schedule.t_ref_steps
     merged.source_scale[:] = 1.0
 
@@ -884,7 +882,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
     cfg = replace(cfg, ramp_sources=True, record=record)
-    init = ek.CompiledNet(full_net, cfg.dt).zero_state()
+    init = ek.zero_state(full_net, cfg.dt)
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)
     if fired is None:

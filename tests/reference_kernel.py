@@ -1,11 +1,18 @@
 """Reference EMT stepper: explicit nodal injection and reduced-matrix solve.
 
-This is the step arithmetic the affine `CompiledNet.step` replaced, kept
-as an oracle for equivalence tests.  Per step it scatters the companion
-history currents into nodal injections with `np.add.at`, pins the known
-nodes, and solves the unknown nodes with the inverted reduced conductance
-matrix G_uu^-1 (inj_u - W v_k).
+This is the step arithmetic the kernel used before `CompiledNet.step`
+became a fixed linear map, kept as an oracle for equivalence tests.  Per
+step it scatters the companion history currents into nodal injections with
+`np.add.at`, pins the known nodes, and solves the unknown nodes with the
+inverted reduced conductance matrix G_uu^-1 (inj_u - W v_k).  Every step
+returns a fresh `EmtState`.
+
+`reference_run` and `reference_run_until_steady` are the stepping loops of
+`emtkernel.run` and `emtkernel.run_until_steady` as they were before the
+buffer loop: one `EmtState` per step of that stepper.
 """
+
+import math
 
 import numpy as np
 
@@ -108,3 +115,77 @@ class ReferenceNet:
                     active, out.machine_delta + dt * self.omega * dw, out.machine_delta
                 )
         return out
+
+
+def reference_sample(state: ek.EmtState, record: list[str]) -> np.ndarray:
+    """Probe values by per-probe lookup, in `ProbeSet` key order."""
+    out = []
+    for pid in record:
+        if pid.startswith("i:"):
+            out += list(state.elem_i[state.element_ids.index(pid[2:])])
+        else:
+            out += list(state.v_nodes[state.node_ids.index(pid)])
+    return np.array(out)
+
+
+def reference_migrate(state: ek.EmtState, net: ek.EmtNet) -> ek.EmtState:
+    """Zero-pad the element arrays of a state for elements appended to net."""
+    pad = np.zeros((len(net.elements) - len(state.element_ids), 3))
+    out = state.copy()
+    out.element_ids = tuple(e.eid for e in net.elements)
+    out.elem_i = np.vstack([out.elem_i, pad])
+    out.hist_u = np.vstack([out.hist_u, pad])
+    out.hist_i = np.vstack([out.hist_i, pad])
+    return out
+
+
+def reference_run(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
+    """Fixed-duration run with fault events on the reference stepper.
+
+    Returns (samples per step, final state, migrated state per event).
+    """
+    ref = ReferenceNet(net, cfg.dt)
+    state = init.copy()
+    n_steps = int(round(cfg.duration / cfg.dt))
+    pending = [(int(round(e.time / cfg.dt)), e) for e in cfg.events]
+    rows = [reference_sample(state, cfg.record)]
+    migrated = []
+    for _ in range(n_steps):
+        while pending and state.step >= pending[0][0]:
+            ev = pending.pop(0)[1]
+            net = ek.apply_fault(net, ev.target, ev.r_fault)
+            ref = ReferenceNet(net, cfg.dt)
+            state = reference_migrate(state, net)
+            migrated.append(state)
+        state = ref.step(state, cfg.ramp_sources, cfg.t_ramp)
+        rows.append(reference_sample(state, cfg.record))
+    return np.array(rows), state, migrated
+
+
+def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
+    """The cycle-RMS steadiness loop of `run_until_steady` on the reference
+    stepper; returns (state, ready step or None, last cycle samples)."""
+    ref = ReferenceNet(net, cfg.dt)
+    state = init.copy()
+    n_cycle = int(round(net.period / cfg.dt))
+    arm_after = math.ceil(cfg.t_ramp / net.period) if cfg.ramp_sources else 0
+    buf = np.zeros((n_cycle, 3 * len(cfg.record)))
+    prev_rms, stable_run, fired_at = None, 0, None
+    for c in range(int(cfg.duration / net.period)):
+        for k in range(n_cycle):
+            state = ref.step(state, cfg.ramp_sources, cfg.t_ramp)
+            buf[k] = reference_sample(state, cfg.record)
+        if fired_at is not None:
+            if c - fired_at >= cfg.settle_margin_cycles:
+                return state, state.step, buf
+            continue
+        rms = np.sqrt(np.mean(buf**2, axis=0))
+        if prev_rms is not None and c >= arm_after:
+            change = np.abs(rms - prev_rms) / np.maximum(rms, 1e-6)
+            stable_run = stable_run + 1 if float(change.max()) <= cfg.rms_change_tol else 0
+            if stable_run >= cfg.steady_cycles:
+                fired_at = c
+                if cfg.settle_margin_cycles == 0:
+                    return state, state.step, buf
+        prev_rms = rms
+    return state, None, buf

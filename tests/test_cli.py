@@ -135,6 +135,14 @@ class TestSimulate:
         rms = np.sqrt((cyc**2).mean(axis=1))
         assert np.max(np.abs(rms - rms[-1])) / rms[-1] < 5e-3
 
+    def test_missing_snapshot_is_not_called_a_case_file(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        out = run_cli("simulate", case_path("twobus"), "--snapshot", missing,
+                      "--out", tmp_path, "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert out.stderr.strip() == f"error: file not found: {missing}"
+
     def test_zero_state_run(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--zero-state",
                       "--duration", "0.1", "--out", tmp_path, "--quiet")

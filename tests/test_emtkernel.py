@@ -21,7 +21,23 @@ OMEGA = 2 * math.pi * 50.0
 DATA = Path(__file__).parent / "data"
 
 from conftest import random_linear_net  # noqa: E402
-from reference_kernel import ReferenceNet  # noqa: E402
+from reference_kernel import (  # noqa: E402
+    ReferenceNet,
+    reference_run,
+    reference_run_until_steady,
+)
+
+
+def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
+    """The state `steps` buffer steps after `state`."""
+    x, prev, machines = compiled.buffers(state)
+    n = state.step
+    for _ in range(steps):
+        n += 1
+        scale = ek.ramp_profile(n * compiled.dt, t_ramp) if ramp else 1.0
+        compiled.step(x, prev, n, scale, machines)
+        x, prev = prev, x
+    return compiled.state(x, prev, n, machines, scale)
 
 
 def rl_net(r=1.0, l_henry=0.01, rms=1.0):
@@ -185,9 +201,7 @@ class TestNumericalContracts:
     def test_companion_replay_is_bit_exact(self):
         net = rl_net()
         compiled = ek.CompiledNet(net, 2e-5)
-        state = compiled.zero_state()
-        for _ in range(500):
-            state = compiled.step(state, False, 0.5)
+        state = advance(compiled, ek.zero_state(net, 2e-5), 500)
         assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
 
     def test_companion_replay_is_bit_exact_on_region_with_machine(self, ninebus3,
@@ -207,9 +221,7 @@ class TestNumericalContracts:
     def _assert_replay_after_ramp(net):
         # the ramp ends at step 200, so the last 100 steps also swing the machines
         compiled = ek.CompiledNet(net, 5e-5)
-        state = compiled.zero_state()
-        for _ in range(300):
-            state = compiled.step(state, True, 200 * 5e-5)
+        state = advance(compiled, ek.zero_state(net, 5e-5), 300, True, 200 * 5e-5)
         assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
 
     def test_trapezoidal_order_by_dt_halving(self):
@@ -241,7 +253,7 @@ class TestNumericalContracts:
         state = charged
         energies = [ek.stored_energy(dead, state)]
         for _ in range(12000):
-            state = compiled.step(state, False, 0.5)
+            state = advance(compiled, state, 1)
             energies.append(ek.stored_energy(dead, state))
         e = np.array(energies)
         assert e[0] > 1e-4
@@ -280,9 +292,9 @@ class TestAffineStepEquivalence:
         net, _ = random_linear_net(np.random.default_rng(seed))
         dt, t_ramp = 5e-5, 100 * 5e-5
         compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
-        fast = slow = compiled.zero_state()
+        fast = slow = ek.zero_state(net, dt)
+        fast = advance(compiled, fast, 200, ramp, t_ramp)
         for _ in range(200):
-            fast = compiled.step(fast, ramp, t_ramp)
             slow = reference.step(slow, ramp, t_ramp)
         assert fast.step == slow.step == 200
         assert_states_close(fast, slow)
@@ -296,8 +308,8 @@ class TestAffineStepEquivalence:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
         fast = slow = init
+        fast = advance(compiled, fast, 200)
         for _ in range(200):
-            fast = compiled.step(fast, False, 0.5)
             slow = reference.step(slow, False, 0.5)
         assert np.all(np.abs(fast.machine_delta - init.machine_delta) > 1e-6)
         assert_states_close(fast, slow)
@@ -307,23 +319,135 @@ class TestAffineStepEquivalence:
                                    rtol=1e-12, atol=0.0)
 
     def test_step_shares_no_array_with_its_input(self, hybrid_model):
-        compiled = ek.CompiledNet(hybrid_model.full_net, 5e-5)
-        before = compiled.zero_state()
-        after = compiled.step(before, True, 0.5)
+        net = hybrid_model.full_net
+        compiled = ek.CompiledNet(net, 5e-5)
+        before = ek.zero_state(net, 5e-5)
+        x, out, machines = compiled.buffers(before)
+        scale = ek.ramp_profile(5e-5, 0.5)
+        compiled.step(x, out, 1, scale, machines)
+        after = compiled.state(out, x, 1, machines, scale)
         fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
                   "machine_speed_dev", "machine_emf", "machine_pm", "source_scale")
         for a in fields:
             for b in fields:
                 assert not np.shares_memory(getattr(after, a), getattr(before, b)), (a, b)
+            for buf in (x, out):
+                assert not np.shares_memory(getattr(after, a), buf), a
+
+
+def assert_close_to_reference(got, want, rel=1e-12):
+    """Arrays agree within rel of the reference's largest magnitude."""
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    assert np.max(np.abs(np.asarray(got) - want)) <= rel * scale
+
+
+class TestLoopEquivalence:
+    """`run` and `run_until_steady` against the reference stepper's loops."""
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_run_across_a_fault_matches_reference(self, seed, ramp):
+        net, far = random_linear_net(np.random.default_rng(seed))
+        dt = 5e-5
+        record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
+        cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
+                           events=[ek.SimEvent(150 * dt, "fault", far, 0.05)],
+                           ramp_sources=ramp, t_ramp=200 * dt)
+        init = ek.zero_state(net, dt)
+        waves, final = ek.run(net, cfg, init=init)
+        rows, ref_final, ref_migrated = reference_run(net, cfg, init)
+        got = np.column_stack([waves.data[k] for k in waves.data])
+        assert got.shape == rows.shape
+        assert_close_to_reference(got, rows)
+        self._assert_state_close(final, ref_final)
+
+        # The state materialized at the fault and carried onto the faulted net.
+        _, pre = ek.run(net, replace(cfg, duration=150 * dt, events=[]), init=init)
+        faulted = ek.apply_fault(net, far, 0.05)
+        self._assert_state_close(ek.CompiledNet(faulted, dt).migrate_state(pre),
+                                 ref_migrated[0])
+
+    def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
+        net, dt = hybrid_model.full_net, 5e-5
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net).emt_state
+        init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
+        record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
+        cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
+                           events=[ek.SimEvent(100 * dt, "fault", "B7", 0.02)])
+        waves, final = ek.run(net, cfg, init=init)
+        rows, ref_final, _ = reference_run(net, cfg, init)
+        got = np.column_stack([waves.data[k] for k in waves.data])
+        assert_close_to_reference(got, rows)
+        self._assert_state_close(final, ref_final)
+        np.testing.assert_allclose(final.machine_delta, ref_final.machine_delta,
+                                   rtol=1e-12, atol=0.0)
+
+    def test_run_until_steady_with_ramp_on_region_net(self, ninebus3, ninebus3_model):
+        op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
+        thev = sn.thevenin_extract(ninebus3, ninebus3_model.main_pf, op.decl.boundary_bus)
+        region = sn.build_region_net(op, ninebus3.frequency_hz)
+        net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
+        assert net.machines
+        dt = 5e-5
+        cfg = ek.SimConfig(dt=dt, duration=2.0, record=list(region.nodes) + [f"i:{probe}"],
+                           ramp_sources=True, t_ramp=0.5)
+        init = ek.zero_state(net, dt)
+        state, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        assert ready is not None and ready == ref_ready == state.step
+        assert keys == [f"{p}.{ph}" for p in cfg.record for ph in "abc"]
+        assert_close_to_reference(last, ref_last)
+        self._assert_state_close(state, ref_state)
+
+    @staticmethod
+    def _assert_state_close(got, want, rel=1e-12):
+        assert got.step == want.step
+        assert got.element_ids == want.element_ids
+        assert_states_close(got, want, rel)
+        scale = max(np.max(np.abs(want.v_nodes)), np.max(np.abs(want.elem_i)))
+        for field in ("hist_u", "hist_i"):
+            diff = getattr(got, field) - getattr(want, field)
+            assert np.max(np.abs(diff)) <= rel * scale, field
+        assert np.array_equal(got.source_scale, want.source_scale)
+
+
+class TestStepCalls:
+    """A loop calls `CompiledNet.step` exactly once per kernel step, which
+    is what per-layer step counts are measured by."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        step = ek.CompiledNet.step
+
+        def counted(self, *args):
+            count[0] += 1
+            return step(self, *args)
+
+        monkeypatch.setattr(ek.CompiledNet, "step", counted)
+        return count
+
+    def test_run_steps_once_per_step_across_a_fault(self, calls):
+        cfg = ek.SimConfig(dt=1e-4, duration=0.05, record=["n2"],
+                           events=[ek.SimEvent(0.02, "fault", "n2", 0.1)])
+        waves, state = ek.run(rl_net(), cfg)
+        assert calls[0] == 500 == state.step == len(waves.times) - 1
+
+    def test_run_until_steady_steps_ready_step_times(self, calls):
+        cfg = ek.SimConfig(dt=2e-5, duration=2.0, record=["n2"],
+                           ramp_sources=True, t_ramp=0.1)
+        state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        assert ready is not None
+        assert calls[0] == ready == state.step
 
 
 class TestProbeSet:
     def test_interleaved_probes_match_per_probe_lookup(self):
         net = rl_net()
         compiled = ek.CompiledNet(net, 2e-5)
-        state = compiled.zero_state()
-        for _ in range(137):
-            state = compiled.step(state, False, 0.5)
+        state = advance(compiled, ek.zero_state(net, 2e-5), 137)
+        x = np.vstack([state.v_nodes, state.elem_i])
         record = ["n2", "i:l1", "n1", "i:r1", "n2"]
         probes = ek.ProbeSet(compiled, record)
         assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
@@ -335,7 +459,7 @@ class TestProbeSet:
             else:
                 row = state.v_nodes[compiled.node_index[pid]]
             want += [row[ph] for ph in range(3)]
-        got = probes.sample(state)
+        got = probes.sample(x)
         assert np.array_equal(got, np.array(want))
         assert got.shape == (len(probes.keys),)
 
@@ -343,7 +467,8 @@ class TestProbeSet:
         compiled = ek.CompiledNet(rl_net(), 2e-5)
         probes = ek.ProbeSet(compiled, [])
         assert probes.keys == []
-        assert probes.sample(compiled.zero_state()).shape == (0,)
+        x, _, _ = compiled.buffers(ek.zero_state(rl_net(), 2e-5))
+        assert probes.sample(x).shape == (0,)
 
 
 class TestCompatibility:

@@ -443,6 +443,46 @@ class TestPipeline:
         assert exc.value.stage == "validate"
 
 
+class TestPinnedStepCounts:
+    """The step counts the benchmark gates (`gis_cost_steps`,
+    `steady_ratio`), pinned at the values of the per-step EmtState kernel
+    that the buffer loop replaced: a kernel change must not move them."""
+
+    READY = {
+        "ninebus1": {"main": 0, "wind1": 14000},
+        "ninebus2": {"main": 0, "plant2": 14000, "wind1": 14000},
+        "ninebus3": {"farm3": 13600, "main": 0, "plant2": 14000, "wind1": 14000},
+        "hybrid": {"dclink": 14000, "main": 0, "plant2": 14000, "wind1": 13600},
+    }
+    ADJUSTED = {
+        "ninebus1": {"main": 0, "wind1": 14400},
+        "ninebus2": {"main": 0, "plant2": 14400, "wind1": 14400},
+        "ninebus3": {"farm3": 13600, "main": 0, "plant2": 14400, "wind1": 14400},
+        "hybrid": {"dclink": 14400, "main": 0, "plant2": 14400, "wind1": 13600},
+    }
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_init_ready_and_adjusted_steps(self, name, request):
+        if name == "ninebus1":
+            result = request.getfixturevalue("ninebus1_pipeline")
+        elif name == "hybrid":
+            result = request.getfixturevalue("hybrid_comparison")["result"]
+        else:
+            result = sn.run_emtgis(request.getfixturevalue(name),
+                                   sn.PipelineConfig(dt=5e-5))
+        assert result.report.ready_steps == self.READY[name]
+        assert result.report.adjusted_steps == self.ADJUSTED[name]
+        assert result.report.gis_cost_steps == 14400
+
+    def test_compare_steps_to_steady(self, hybrid_comparison):
+        # `emtgis compare hybrid.json --fault B7@5.5` settles the same
+        # zero-state run; its fault comes after the settle.
+        gis = hybrid_comparison["result"].report.gis_cost_steps
+        zero = hybrid_comparison["zero_fired"]
+        assert (gis, zero) == (14400, 100000)
+        assert zero / gis == 6.944444444444445
+
+
 class TestSnapshotFile:
     def test_round_trip_is_exact(self, ninebus1_pipeline, tmp_path):
         snap = ninebus1_pipeline.snapshot
