@@ -152,9 +152,11 @@ def _record_failure(args, exc: EmtgisError) -> None:
 
 
 def _load(args):
+    """The case, validated: an invalid one raises ValueError naming every
+    violation, which `main` prints as one `error:` line (exit 1)."""
     case = load_case(args.case)
-    report = validate_case(case)
-    return case, report
+    validate_case(case).raise_if_invalid()
+    return case
 
 
 def _outdir(args) -> Path:
@@ -200,7 +202,8 @@ def _parse_fault(spec: str) -> ek.SimEvent:
 
 
 def cmd_validate(args) -> int:
-    case, report = _load(args)
+    case = load_case(args.case)
+    report = validate_case(case)
     outdir = _outdir(args)
     doc = {
         "case": case.name,
@@ -218,11 +221,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ipf(args) -> int:
-    case, report = _load(args)
-    if not report.ok:
-        for v in report.violations:
-            print(f"{v.code}: {v.subject}: {v.message}", file=sys.stderr)
-        return EXIT_INPUT
+    case = _load(args)
     outdir = _outdir(args)
     cfg = _pipeline_config(args)
 
@@ -241,18 +240,14 @@ def cmd_ipf(args) -> int:
 
 
 def cmd_init(args) -> int:
-    case, report = _load(args)
-    if not report.ok:
-        for v in report.violations:
-            print(f"{v.code}: {v.subject}: {v.message}", file=sys.stderr)
-        return EXIT_INPUT
+    case = _load(args)
     outdir = _outdir(args)
     result = sn.run_emtgis(case, _pipeline_config(args))
 
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
     (outdir / "report.json").write_text(
         json.dumps(result.report.to_json_dict(), sort_keys=True, indent=1) + "\n")
-    if result.boundary_state is not None:
+    if result.model.boundary_state is not None:
         result.report.ipf_trace.to_csv(outdir / "trace.csv")
     _write_manifest(args, outdir, ["snapshot.json", "report.json"])
     return EXIT_OK
@@ -265,13 +260,13 @@ def _probes(args, case) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    case, report = _load(args)
-    if not report.ok:
-        return EXIT_INPUT
+    case = _load(args)
     if bool(args.snapshot) == bool(args.zero_state):
         print("error: give exactly one of --snapshot or --zero-state", file=sys.stderr)
         return EXIT_INPUT
     outdir = _outdir(args)
+    # The full net's loads and machine EMFs come from the coordinated power
+    # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, _pipeline_config(args))
 
     events = [_parse_fault(args.fault)] if args.fault else []
@@ -296,9 +291,7 @@ def average_relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_compare(args) -> int:
-    case, report = _load(args)
-    if not report.ok:
-        return EXIT_INPUT
+    case = _load(args)
     outdir = _outdir(args)
     probes = _probes(args, case)
     period = case.period
@@ -306,7 +299,7 @@ def cmd_compare(args) -> int:
     fault = _parse_fault(args.fault) if args.fault else None
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
-    full_net = gis.full_net
+    full_net = gis.model.full_net
     settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
                               ramp_sources=True, t_ramp=args.t_ramp)
     zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)

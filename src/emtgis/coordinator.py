@@ -78,15 +78,6 @@ class BoundaryState:
 
 
 @dataclass
-class Preconditioner:
-    m_matrix: np.ndarray
-
-    @classmethod
-    def identity(cls, n: int) -> "Preconditioner":
-        return cls(np.eye(n))
-
-
-@dataclass
 class JfngConfig:
     eps1: float = 1e-6        # outer residual tolerance on ||phi||_2
     eps2: float = 1e-3        # inner relative tolerance, eps_g = eps2*||r0||
@@ -221,31 +212,23 @@ def _make_probe(x: np.ndarray, phi_x: np.ndarray, residual_fn, omega_base: float
     return probe
 
 
-def _rank_one_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray,
-                     eps_den: float) -> tuple[np.ndarray, bool]:
-    """M <- M + (dx - M dphi)(dx)^T M / ((dx)^T M dphi), guarded."""
+def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray,
+                   eps_den: float = 1e-12) -> np.ndarray:
+    """Rank-one secant correction of the preconditioner matrix,
+    M <- M + (dx - M dphi)(dx)^T M / ((dx)^T M dphi).
+
+    After an accepted update M @ dphi == dx holds to rounding; a
+    denominator below eps_den relative to |dx||dphi| skips the update and
+    returns `mat` itself.
+    """
+    dx, dphi = np.asarray(dx, float), np.asarray(dphi, float)
     m_dphi = mat @ dphi
     den = float(dx @ m_dphi)
     scale = float(np.linalg.norm(dx) * np.linalg.norm(dphi))
     if abs(den) < eps_den * max(scale, 1e-300):
-        return mat, False
-    num = np.outer(dx - m_dphi, dx @ mat)
-    return mat + num / den, True
-
-
-def precond_update(M: Preconditioner, dx: np.ndarray, dphi: np.ndarray,
-                   eps_den: float = 1e-12) -> Preconditioner:
-    """Rank-one secant correction of the preconditioner.
-
-    After an accepted update M @ dphi == dx holds to rounding; degenerate
-    denominators skip the update and keep M unchanged.
-    """
-    mat, applied = _rank_one_update(M.m_matrix, np.asarray(dx, float),
-                                    np.asarray(dphi, float), eps_den)
-    if not applied:
         log.debug("preconditioner update skipped: degenerate denominator")
-        return M
-    return Preconditioner(mat)
+        return mat
+    return mat + np.outer(dx - m_dphi, dx @ mat) / den
 
 
 @dataclass
@@ -256,8 +239,8 @@ class GmresResult:
     restarted: bool
 
 
-def gmres_m(phi_at_x: np.ndarray, probe, M: Preconditioner,
-            cfg: JfngConfig) -> tuple[np.ndarray, Preconditioner, GmresResult]:
+def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
+            cfg: JfngConfig) -> tuple[np.ndarray, np.ndarray, GmresResult]:
     """Restarted, right-preconditioned GMRES on phi'(x) dx = -phi(x).
 
     Krylov vectors come only from the matrix-free probe; after every probe
@@ -278,7 +261,6 @@ def gmres_m(phi_at_x: np.ndarray, probe, M: Preconditioner,
     eps_g = cfg.eps2 * beta
     nn = r0.size
     m = cfg.m_restart
-    mat = M.m_matrix
 
     basis = np.zeros((nn, m + 1))
     basis[:, 0] = r0 / beta
@@ -299,7 +281,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, M: Preconditioner,
         z = mat @ basis[:, l]
         zdirs[:, l] = z
         w = probe(z)
-        mat, _ = _rank_one_update(mat, z, w, cfg.eps_den)
+        mat = precond_update(mat, z, w, cfg.eps_den)
 
         # Arnoldi, modified Gram-Schmidt with one conditional re-pass.
         h = np.zeros(l + 2)
@@ -335,13 +317,13 @@ def gmres_m(phi_at_x: np.ndarray, probe, M: Preconditioner,
         rho_hist.append(rho)
 
         if rho <= eps_g:
-            return correction(l), Preconditioner(mat), GmresResult(True, l + 1, rho_hist, False)
+            return correction(l), mat, GmresResult(True, l + 1, rho_hist, False)
         if happy:
             raise InnerBreakdown(
                 f"Krylov vector vanished at l={l + 1} with rho={rho:.3e} > {eps_g:.3e}"
             )
 
-    return correction(m - 1), Preconditioner(mat), GmresResult(False, m, rho_hist, True)
+    return correction(m - 1), mat, GmresResult(False, m, rho_hist, True)
 
 
 def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
@@ -359,7 +341,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
     cfg = cfg or JfngConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size // 2
-    M = Preconditioner.identity(x.size)
+    M = np.eye(x.size)
     trace = IterationTrace()
     ybus = build_admittance(case)
 

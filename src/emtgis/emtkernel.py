@@ -184,28 +184,16 @@ class EmtNet:
     def period(self) -> float:
         return 1.0 / self.frequency_hz
 
-    def element(self, eid: str) -> Element:
-        for e in self.elements:
-            if e.eid == eid:
-                return e
-        raise KeyError(eid)
-
     def with_sources_zeroed(self) -> "EmtNet":
         return replace(self, sources=tuple(replace(s, rms=0.0) for s in self.sources))
 
 
-class FaultKind(str, Enum):
-    THREE_PHASE_TO_GROUND = "ThreePhaseToGround"
-
-
-def apply_fault(net: EmtNet, bus: str, r_fault: float,
-                kind: FaultKind = FaultKind.THREE_PHASE_TO_GROUND) -> EmtNet:
-    """Shunt fault resistance to ground on all three phases at a node.
+def apply_fault(net: EmtNet, bus: str, r_fault: float) -> EmtNet:
+    """Three-phase-to-ground fault: a shunt fault resistance to ground on
+    all three phases at a node.
 
     An infinite fault resistance is the no-fault identity.
     """
-    if kind is not FaultKind.THREE_PHASE_TO_GROUND:
-        raise InvalidParameter(f"unsupported fault kind {kind}")
     if bus not in net.nodes:
         raise UnknownBus(f"fault target '{bus}' is not a network node")
     if math.isinf(r_fault):
@@ -509,17 +497,6 @@ class CompiledNet:
 # --- probes and waveform recording -----------------------------------------------
 
 
-@dataclass
-class Waveform:
-    probe: str
-    times: np.ndarray
-    values: np.ndarray
-
-    @property
-    def samples(self) -> np.ndarray:
-        return np.column_stack([self.times, self.values])
-
-
 class ProbeSet:
     """Resolved probe ids: node voltages and element currents, all phases.
 
@@ -557,9 +534,6 @@ class ProbeSet:
 class WaveformSet:
     times: np.ndarray
     data: dict[str, np.ndarray]
-
-    def waveform(self, key: str) -> Waveform:
-        return Waveform(key, self.times, self.data[key])
 
     def cycle_rms(self, key: str, samples_per_cycle: int, last_only: bool = True):
         y = self.data[key]

@@ -12,7 +12,7 @@ the region side, so boundary convergence is p_main + p_tilde = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import (
@@ -214,18 +214,24 @@ def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
 def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
     """Region-side phasor network with the torn boundary bus included.
 
-    Base values are placeholders; per-unit power-flow math never uses them.
+    Internal buses, and the branch ends and machines on them, are named
+    '<region>/<id>', the one namespace every whole-system view of the
+    region shares; the boundary bus keeps its own id.  Base values are
+    placeholders; per-unit power-flow math never uses them.
     """
     if decl.kind is not GrbcKind.WHITE_BOX_NETWORK:
         raise GrbcPayloadError(f"region '{decl.name}' has no internal network")
     net = decl.payload.network
+    rename = {b.id: f"{decl.name}/{b.id}" for b in net.buses}
+    rename[decl.boundary_bus] = decl.boundary_bus
     boundary = BusRecord(decl.boundary_bus, BusKind.BOUNDARY, base_kv=1.0)
     return CaseFile(
         base_mva=100.0,
         frequency_hz=50.0,
-        buses=[boundary, *net.buses],
-        branches=list(net.branches),
-        machines=list(net.machines),
+        buses=[boundary, *(replace(b, id=rename[b.id]) for b in net.buses)],
+        branches=[replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
+                  for br in net.branches],
+        machines=[replace(m, bus=rename[m.bus]) for m in net.machines],
         grbcs=[],
         name=f"{decl.name}-internal",
     )

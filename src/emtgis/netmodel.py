@@ -54,12 +54,6 @@ class Phasor:
     def rect(self) -> complex:
         return cmath.rect(self.magnitude, self.angle)
 
-    def scaled(self, factor: float) -> "Phasor":
-        return Phasor(self.magnitude * factor, self.angle)
-
-    def rotated(self, dangle: float) -> "Phasor":
-        return Phasor(self.magnitude, self.angle + dangle)
-
 
 class BusKind(str, Enum):
     SLACK = "Slack"
@@ -127,28 +121,14 @@ class CaseFile:
     name: str = "case"
 
     @property
-    def omega(self) -> float:
-        return TWO_PI * self.frequency_hz
-
-    @property
     def period(self) -> float:
         return 1.0 / self.frequency_hz
-
-    def bus_map(self) -> dict[str, BusRecord]:
-        return {b.id: b for b in self.buses}
 
     def bus(self, bus_id: str) -> BusRecord:
         for b in self.buses:
             if b.id == bus_id:
                 return b
         raise KeyError(bus_id)
-
-    def machines_at(self, bus_id: str) -> list[MachineRecord]:
-        return [m for m in self.machines if m.bus == bus_id]
-
-    def boundary_ids(self) -> list[str]:
-        """Boundary buses in region-declaration order."""
-        return [g.boundary_bus for g in self.grbcs]
 
 
 # --- case file I/O ----------------------------------------------------------
@@ -240,6 +220,12 @@ class ValidationReport:
 
     def codes(self) -> list[str]:
         return [v.code for v in self.violations]
+
+    def raise_if_invalid(self) -> None:
+        """Raise ValueError('invalid case: Code(subject); ...') unless ok."""
+        if self.violations:
+            raise ValueError("invalid case: " + "; ".join(
+                f"{v.code}({v.subject})" for v in self.violations))
 
 
 def validate_case(case: CaseFile) -> ValidationReport:
@@ -350,29 +336,21 @@ class AdmittanceMatrix:
     bus_ids: tuple[str, ...]
     mat: np.ndarray  # dense complex, (n, n)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.bus_ids)
-
     def index(self, bus_id: str) -> int:
         return self.bus_ids.index(bus_id)
 
 
-def build_admittance(case: CaseFile, exclude_grbc: bool = True) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix.
-
-    With exclude_grbc (the default) only the declared main-system buses and
-    branches enter; boundary buses remain as ordinary rows.  With
-    exclude_grbc=False the white-box region internals are inlined under
-    namespaced ids, which requires every region to be oracle-capable.
+def build_admittance(case: CaseFile) -> AdmittanceMatrix:
+    """Assemble the nodal admittance matrix of the case's own buses and
+    branches; boundary buses are ordinary rows and region internals are
+    absent (pass `inline_grbcs(case)` for the whole system).
     """
-    working = case if exclude_grbc else inline_grbcs(case)
-    ids = tuple(b.id for b in working.buses)
+    ids = tuple(b.id for b in case.buses)
     index = {bid: i for i, bid in enumerate(ids)}
     n = len(ids)
     y = np.zeros((n, n), dtype=complex)
 
-    for br in working.branches:
+    for br in case.branches:
         f, t = index[br.from_bus], index[br.to_bus]
         ys = br.series_admittance
         ysh = 1j * br.b_half
@@ -382,7 +360,7 @@ def build_admittance(case: CaseFile, exclude_grbc: bool = True) -> AdmittanceMat
         y[f, t] -= ys / tap
         y[t, f] -= ys / tap
 
-    for b in working.buses:
+    for b in case.buses:
         i = index[b.id]
         y[i, i] += complex(b.shunt_g, b.shunt_b)
 
@@ -395,9 +373,10 @@ def build_admittance(case: CaseFile, exclude_grbc: bool = True) -> AdmittanceMat
 def inline_grbcs(case: CaseFile) -> CaseFile:
     """Flatten white-box region internals into one whole-system case.
 
-    Internal buses/machines are renamed '<region>/<id>'; boundary buses
-    become ordinary PQ buses.  Raises OracleUnavailable if any region has
-    no visible internal network.
+    Each region contributes its `grbc.internal_pf_case` (internal ids
+    already '<region>/<id>') less the boundary bus; boundary buses become
+    ordinary PQ buses.  Raises OracleUnavailable if any region has no
+    visible internal network.
     """
     from . import grbc
 
@@ -411,13 +390,10 @@ def inline_grbcs(case: CaseFile) -> CaseFile:
             raise OracleUnavailable(
                 f"region '{g.name}' is opaque; whole-system solve impossible"
             )
-        net = g.payload.network
-        rename = {b.id: f"{g.name}/{b.id}" for b in net.buses}
-        rename[g.boundary_bus] = g.boundary_bus
-        buses += [replace(b, id=rename[b.id]) for b in net.buses]
-        branches += [replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
-                     for br in net.branches]
-        machines += [replace(m, bus=rename[m.bus]) for m in net.machines]
+        internal = grbc.internal_pf_case(g)
+        buses += [b for b in internal.buses if b.kind is not BusKind.BOUNDARY]
+        branches += internal.branches
+        machines += internal.machines
 
     return CaseFile(case.base_mva, case.frequency_hz, buses, branches,
                     machines, [], name=f"{case.name}+inlined")

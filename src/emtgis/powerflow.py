@@ -76,14 +76,15 @@ def solve_main(
     boundary_voltages: dict[str, Phasor] | None = None,
     tol: float = 1e-8,
     max_iter: int = 30,
-    warm_start: PowerFlowSolution | None = None,
     ybus: AdmittanceMatrix | None = None,
 ) -> PowerFlowSolution:
     """Solve the main system with Boundary buses fixed at supplied phasors.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
-    magnitude; full-Jacobian polar NR over the remaining unknowns.  Flat
-    start unless warm_start is given; `ybus` saves the admittance build.
+    magnitude; full-Jacobian polar NR over the remaining unknowns, always
+    from a flat start, so a solve is a pure function of its inputs (the
+    coordinator's directional differences rely on that); `ybus` saves the
+    admittance build.
     An iteration is O(n^2): dS/dV by broadcasting (MATPOWER's dSbus_dV)
     from the I = Y V the mismatch used, and one index gather for the
     Jacobian.  A non-finite mismatch raises NonConvergence.
@@ -110,13 +111,6 @@ def solve_main(
         elif b.kind is BusKind.BOUNDARY:
             ph = boundary_voltages[b.id]
             vm[i], va[i] = ph.magnitude, ph.angle
-    if warm_start is not None:
-        for i, bid in enumerate(ids):
-            if kinds[i] in (BusKind.PQ,):
-                j = warm_start.index(bid)
-                vm[i], va[i] = warm_start.vm[j], warm_start.va[j]
-            elif kinds[i] is BusKind.PV:
-                va[i] = warm_start.va[warm_start.index(bid)]
 
     pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
     pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)

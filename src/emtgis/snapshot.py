@@ -34,7 +34,7 @@ from .errors import (
     ZeroFaultCurrentDelta,
 )
 from .grbc import GrbcKind, internal_pf_case
-from .netmodel import BusKind, CaseFile, MachineKind, Phasor, validate_case
+from .netmodel import CaseFile, MachineKind, Phasor, validate_case
 from .powerflow import PowerFlowSolution, boundary_injections, solve_main
 
 log = logging.getLogger(__name__)
@@ -240,22 +240,28 @@ def build_main_net(case: CaseFile, pf: PowerFlowSolution) -> EmtNet:
 
 @dataclass
 class RegionOperatingPoint:
-    """Everything needed to build and initialize one region's EMT model."""
+    """Everything needed to build and initialize one region's EMT model.
+
+    A white-box region carries its internal case (`grbc.internal_pf_case`,
+    ids '<region>/<id>') and that case's power flow at v_boundary.
+    """
 
     decl: object
     v_boundary: Phasor
     s_into_node: complex           # region injection into the torn node (IPF)
+    internal_case: CaseFile | None = None
     internal_pf: PowerFlowSolution | None = None
 
 
 def region_operating_point(decl, v_boundary: Phasor,
                            p_tilde: float, q_tilde: float) -> RegionOperatingPoint:
-    internal = None
+    icase = internal = None
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         icase = internal_pf_case(decl)
         internal = solve_main(icase, {decl.boundary_bus: v_boundary},
                               tol=decl.payload.pf_tol, max_iter=60)
-    return RegionOperatingPoint(decl, v_boundary, complex(p_tilde, q_tilde), internal)
+    return RegionOperatingPoint(decl, v_boundary, complex(p_tilde, q_tilde),
+                                icase, internal)
 
 
 def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
@@ -268,25 +274,8 @@ def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
     decl = op.decl
     ns = f"{decl.name}/"
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
-        icase = internal_pf_case(decl)
-        renamed_buses = []
-        rename = {decl.boundary_bus: decl.boundary_bus}
-        for b in icase.buses:
-            if b.kind is BusKind.BOUNDARY:
-                renamed_buses.append(b)
-                continue
-            rename[b.id] = f"{ns}{b.id}"
-            renamed_buses.append(replace(b, id=rename[b.id]))
-        branches = [replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
-                    for br in icase.branches]
-        machines = [replace(m, bus=rename[m.bus]) for m in icase.machines]
-        shifted = CaseFile(icase.base_mva, icase.frequency_hz, renamed_buses,
-                           branches, machines, [], name=decl.name)
-        pf = op.internal_pf
-        # internal pf bus ids are un-namespaced; wrap access with the rename map
-        shifted_pf = _rename_solution(pf, rename)
-        _add_case_parts(builder, shifted, shifted_pf, namespace=ns)
         # the boundary bus row itself carries no region-side load by construction
+        _add_case_parts(builder, op.internal_case, op.internal_pf, namespace=ns)
     else:
         v = op.v_boundary.rect
         i_into_region = machine_port_current(-op.s_into_node, v)
@@ -295,11 +284,6 @@ def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
         builder.series_rx(f"{ns}zint", builder.node(src_node), decl.boundary_bus,
                           OPAQUE_EQUIVALENT_Z.real, OPAQUE_EQUIVALENT_Z.imag)
         builder.ideal_source(f"{ns}esrc", src_node, e_int)
-
-
-def _rename_solution(pf: PowerFlowSolution, rename: dict[str, str]) -> PowerFlowSolution:
-    ids = tuple(rename.get(b, b) for b in pf.bus_ids)
-    return replace(pf, bus_ids=ids)
 
 
 def build_region_net(op: RegionOperatingPoint, frequency_hz: float) -> EmtNet:
@@ -743,13 +727,13 @@ class SystemModel:
 
 @dataclass
 class PipelineResult:
+    """The system model plus what the pipeline adds: the spliced snapshot,
+    its report and the per-subsystem snapshots it was spliced from."""
+
+    model: SystemModel
     snapshot: Snapshot
     report: PipelineReport
-    main_pf: PowerFlowSolution
-    boundary_state: BoundaryState | None
-    full_net: EmtNet
-    region_ops: list[RegionOperatingPoint]
-    subsystem_snapshots: dict[str, Snapshot] = field(default_factory=dict)
+    subsystem_snapshots: dict[str, Snapshot]
 
 
 def _stage(name, fn, *args, **kw):
@@ -765,10 +749,7 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     cfg = cfg or PipelineConfig()
 
     def check_valid():
-        rep = validate_case(case)
-        if not rep.ok:
-            raise ValueError("invalid case: " + "; ".join(
-                f"{v.code}({v.subject})" for v in rep.violations))
+        validate_case(case).raise_if_invalid()
         period_steps = case.period / cfg.dt
         if abs(period_steps - round(period_steps)) > 1e-9:
             raise ValueError("period must be an integer multiple of dt")
@@ -809,14 +790,8 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     stage = _stage
 
     model = system_model(case, cfg)
-    main_pf = model.main_pf
-    boundary_state = model.boundary_state
-    trace = model.ipf_trace
-    draws = model.draws
-    region_ops = model.region_ops
-
-    snap_main = stage("phasor_init", phasor_init, case, main_pf, cfg.dt, cfg.t0,
-                      draws)
+    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, cfg.dt, cfg.t0,
+                      model.draws)
 
     ramp_cfg = SimConfig(
         dt=cfg.dt, duration=cfg.ramp_budget, record=[], ramp_sources=True,
@@ -826,13 +801,14 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     )
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
-        thev = thevenin_extract(case, main_pf, op.decl.boundary_bus)
+        thev = thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
         region_net = build_region_net(op, case.frequency_hz)
         return ramp_to_snapshot(region_net, thev, ramp_cfg,
                                 op.decl.boundary_bus, subsystem=op.decl.name)
 
     snapshots: dict[str, Snapshot] = {MAIN_SUBSYSTEM: snap_main}
-    for snap in stage("ramp_to_snapshot", lambda: [ramp_one(op) for op in region_ops]):
+    for snap in stage("ramp_to_snapshot",
+                      lambda: [ramp_one(op) for op in model.region_ops]):
         snapshots[snap.subsystem] = snap
 
     ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
@@ -841,21 +817,22 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
                      period_steps, cfg.schedule_factor)
 
     def advance_all():
-        for op in region_ops:
+        for op in model.region_ops:
             name = op.decl.name
-            thev = thevenin_extract(case, main_pf, op.decl.boundary_bus)
+            thev = thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
             net, _ = attach_thevenin(build_region_net(op, case.frequency_hz),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,
                                                schedule.t_adj_steps[name], cfg.dt)
     stage("advance", advance_all)
 
-    full_net = model.full_net
-    spliced, deviations = stage("splice", splice, snapshots, schedule, full_net, cfg.dt)
+    spliced, deviations = stage("splice", splice, snapshots, schedule, model.full_net,
+                                cfg.dt)
 
     adjusted = schedule.t_adj_steps
+    boundary_state = model.boundary_state
     report = PipelineReport(
-        ipf_trace=trace,
+        ipf_trace=model.ipf_trace,
         boundary=boundary_state.to_dict() if boundary_state is not None else None,
         ready_steps=ready_steps,
         adjusted_steps=dict(adjusted),
@@ -864,8 +841,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
         gis_total_steps=sum(adjusted.values()),
         dt=cfg.dt,
     )
-    return PipelineResult(spliced, report, main_pf, boundary_state, full_net,
-                          region_ops, subsystem_snapshots=snapshots)
+    return PipelineResult(model, spliced, report, snapshots)
 
 
 def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:

@@ -108,7 +108,7 @@ def hybrid_comparison(hybrid):
     probes = [b.id for b in hybrid.buses]
     settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes,
                               ramp_sources=True, t_ramp=0.5)
-    zero_state, zero_fired = sn.settle_from_zero(result.full_net, settle_cfg)
+    zero_state, zero_fired = sn.settle_from_zero(result.model.full_net, settle_cfg)
     return {
         "case": hybrid,
         "dt": dt,

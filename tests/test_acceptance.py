@@ -26,7 +26,6 @@ from conftest import (
 )
 from emtgis.coordinator import (
     JfngConfig,
-    Preconditioner,
     gmres_m,
     jfng_solve,
     precond_update,
@@ -128,8 +127,8 @@ def test_criterion_3_secant_property():
         dphi = rng.normal(size=n)
         if abs(dx @ (m @ dphi)) < 1e-6:  # keep the batch non-degenerate
             continue
-        out = precond_update(Preconditioner(m), dx, dphi)
-        err = np.linalg.norm(out.m_matrix @ dphi - dx) / np.linalg.norm(dx)
+        out = precond_update(m, dx, dphi)
+        err = np.linalg.norm(out @ dphi - dx) / np.linalg.norm(dx)
         worst = max(worst, err)
         trials += 1
     report("criterion-3 secant-property",
@@ -148,7 +147,7 @@ def test_criterion_4_gmres_linear_correctness():
         a = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n)
         r0 = rng.normal(size=n)
         cfg = JfngConfig(m_restart=40)
-        dx, _, info = gmres_m(-r0, lambda z: a @ z, Preconditioner(np.eye(n)),
+        dx, _, info = gmres_m(-r0, lambda z: a @ z, np.eye(n),
                               cfg)
         eps_g = cfg.eps2 * np.linalg.norm(r0)
         resid = np.linalg.norm(a @ dx - r0)
@@ -186,18 +185,18 @@ def test_criterion_5_steady_state_hold(hybrid_comparison):
     res, dt = c["result"], c["dt"]
     n_cycle = int(round(c["case"].period / dt))
 
-    waves, _ = ek.run(res.full_net,
+    waves, _ = ek.run(res.model.full_net,
                       ek.SimConfig(dt=dt, duration=0.5, record=c["probes"]),
                       init=res.snapshot.emt_state)
     worst_hold = 0.0
     for b in c["probes"]:
-        target = res.main_pf.voltage(b).magnitude
+        target = res.model.main_pf.voltage(b).magnitude
         rms = waves.cycle_rms(f"{b}.a", n_cycle, last_only=False)
         worst_hold = max(worst_hold, float(np.max(np.abs(rms - target)) / target))
 
     w0 = ((c["zero_state"].step // n_cycle) + 2) * n_cycle
     w1 = w0 + int(round(0.1 / dt))
-    devs = _window_deviations(res.full_net, c["probes"], dt, res.snapshot,
+    devs = _window_deviations(res.model.full_net, c["probes"], dt, res.snapshot,
                               c["zero_state"], w0, w1)
     worst_dev = max(devs.values())
     report("criterion-5 steady-state-hold",
@@ -213,7 +212,7 @@ def test_criterion_6_fault_response_equivalence(hybrid_comparison):
     w1 = fault_step + int(round(0.1 / dt))
     fault = ek.SimEvent(time=fault_step * dt, kind="fault", target="B7",
                         r_fault=0.05)
-    devs = _window_deviations(res.full_net, c["probes"], dt, res.snapshot,
+    devs = _window_deviations(res.model.full_net, c["probes"], dt, res.snapshot,
                               c["zero_state"], fault_step, w1, events=[fault])
     worst = max(devs.values())
     report("criterion-6 fault-response-equivalence",
@@ -237,9 +236,9 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     res = ninebus1_pipeline
     dt = 5e-5
     n_cycle = int(round(ninebus1.period / dt))
-    main_net = sn.build_main_net(ninebus1, res.main_pf)
-    region_net = sn.build_region_net(res.region_ops[0], 50.0)
-    full = res.full_net
+    main_net = sn.build_main_net(ninebus1, res.model.main_pf)
+    region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
+    full = res.model.full_net
 
     waves, _ = ek.run(full, ek.SimConfig(dt=dt, duration=0.02, record=["B10"]),
                       init=res.snapshot.emt_state)

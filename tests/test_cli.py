@@ -217,6 +217,21 @@ class TestFailureExits:
         assert_one_line_error(out)
 
 
+class TestInvalidCase:
+    @pytest.mark.parametrize("command", [("ipf",), ("init",),
+                                         ("simulate", "--zero-state"), ("compare",)])
+    def test_exits_1_with_one_line_naming_the_violations(self, tmp_path, command):
+        bad = tmp_path / "broken.json"
+        doc = read_json(case_path("twobus"))
+        doc["buses"].append(doc["buses"][0])
+        bad.write_text(json.dumps(doc))
+        out = run_cli(*command, bad, "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert out.stderr.strip() == \
+            "error: invalid case: DuplicateId(B1); SlackCount(B1,B2)"
+
+
 class TestDeterminism:
     def test_ipf_reruns_are_byte_identical(self, tmp_path):
         # identical manifests (same relative out dir) from two working copies

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import emtgis.coordinator as coordinator_module
 from emtgis.coordinator import (
     JfngConfig,
-    Preconditioner,
     directional_difference,
     gmres_m,
     jfng_solve,
@@ -100,22 +99,22 @@ class TestDirectionalDifference:
 
 class TestPrecondUpdate:
     def test_fixed_point_when_secant_already_holds(self):
-        m = Preconditioner(np.eye(2))
+        m = np.eye(2)
         out = precond_update(m, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        assert np.array_equal(out.m_matrix, np.eye(2))
+        assert np.array_equal(out, np.eye(2))
 
     def test_two_by_two_hand_case(self):
-        m = Preconditioner(np.eye(2))
+        m = np.eye(2)
         out = precond_update(m, np.array([1.0, 0.0]), np.array([2.0, 0.0]))
-        assert out.m_matrix == pytest.approx(np.array([[0.5, 0.0], [0.0, 1.0]]))
-        assert out.m_matrix @ np.array([2.0, 0.0]) == pytest.approx(
+        assert out == pytest.approx(np.array([[0.5, 0.0], [0.0, 1.0]]))
+        assert out @ np.array([2.0, 0.0]) == pytest.approx(
             np.array([1.0, 0.0]))
 
     def test_degenerate_denominator_skips(self):
         # M dphi orthogonal to dx -> guard path, M unchanged
-        m = Preconditioner(np.eye(2))
+        m = np.eye(2)
         out = precond_update(m, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.array_equal(out.m_matrix, np.eye(2))
+        assert np.array_equal(out, np.eye(2))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
@@ -125,16 +124,16 @@ class TestPrecondUpdate:
         m = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / math.sqrt(n)
         dx = rng.normal(size=n)
         dphi = rng.normal(size=n)
-        out = precond_update(Preconditioner(m), dx, dphi)
-        if not np.array_equal(out.m_matrix, m):  # skipped if degenerate
-            err = np.linalg.norm(out.m_matrix @ dphi - dx)
+        out = precond_update(m, dx, dphi)
+        if not np.array_equal(out, m):  # skipped if degenerate
+            err = np.linalg.norm(out @ dphi - dx)
             assert err <= 1e-10 * max(1.0, np.linalg.norm(dx))
 
 
 class TestGmres:
     def test_identity_probe_converges_in_one_step(self):
         phi = -np.array([1.0, 0.0, 0.0])
-        dx, m, info = gmres_m(phi, lambda z: z, Preconditioner(np.eye(3)),
+        dx, m, info = gmres_m(phi, lambda z: z, np.eye(3),
                               JfngConfig())
         assert info.converged and info.iterations == 1
         assert info.rho_history[-1] == pytest.approx(0.0, abs=1e-14)
@@ -143,7 +142,7 @@ class TestGmres:
     def test_diagonal_system_matches_direct_solve(self):
         a = np.diag([2.0, 4.0])
         r0 = np.array([2.0, 4.0])
-        dx, _, info = gmres_m(-r0, lambda z: a @ z, Preconditioner(np.eye(2)),
+        dx, _, info = gmres_m(-r0, lambda z: a @ z, np.eye(2),
                               JfngConfig(eps2=1e-12))
         assert info.converged
         assert dx == pytest.approx(np.linalg.solve(a, r0), abs=1e-10)
@@ -153,7 +152,7 @@ class TestGmres:
         # min_alpha ||r0 - alpha A r0||, computable by hand
         a = np.diag([2.0, 4.0])
         r0 = np.array([2.0, 4.0])
-        dx, _, info = gmres_m(-r0, lambda z: a @ z, Preconditioner(np.eye(2)),
+        dx, _, info = gmres_m(-r0, lambda z: a @ z, np.eye(2),
                               JfngConfig(m_restart=1))
         assert not info.converged and info.restarted
         ar0 = a @ r0
@@ -172,7 +171,7 @@ class TestGmres:
             r0 = rng.normal(size=n)
             cfg = JfngConfig(m_restart=40)
             dx, _, info = gmres_m(-r0, lambda z: a @ z,
-                                  Preconditioner(np.eye(n)), cfg)
+                                  np.eye(n), cfg)
             assert info.converged
             eps_g = cfg.eps2 * np.linalg.norm(r0)
             assert np.linalg.norm(a @ dx - r0) <= eps_g
@@ -307,7 +306,7 @@ class TestEdgePaths:
         a = np.outer(u, u)
         phi = -np.array([1.0, -1.0, 0.5])
         with pytest.raises(InnerBreakdown):
-            gmres_m(phi, lambda z: a @ z, Preconditioner(np.eye(3)),
+            gmres_m(phi, lambda z: a @ z, np.eye(3),
                     JfngConfig())
 
     def test_probe_retries_with_halved_step(self):

@@ -195,15 +195,6 @@ class TestMonolithic:
         assert first.split(",")[0] == "B1"
 
 
-class TestWarmStart:
-    def test_warm_start_reuses_previous_solution(self, ninebus1):
-        flat = inlineable(ninebus1)
-        cold = solve_main(flat)
-        warm = solve_main(flat, warm_start=cold)
-        assert warm.iterations <= 1
-        assert np.max(np.abs(warm.vm - cold.vm)) < 1e-9
-
-
 def random_meshed_case(rng):
     """Random meshed network with slack, PV, PQ and boundary buses.
 

@@ -2,6 +2,7 @@ import cmath
 import copy
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from emtgis.errors import (
     TopologyMismatch,
     ZeroFaultCurrentDelta,
 )
+from emtgis.grbc import GrbcKind, internal_pf_case
 from emtgis.netmodel import (
     BranchRecord,
     BusKind,
@@ -24,6 +26,7 @@ from emtgis.netmodel import (
     MachineKind,
     MachineRecord,
     Phasor,
+    inline_grbcs,
 )
 from emtgis.powerflow import solve_main
 
@@ -165,7 +168,7 @@ class TestThevenin:
 
     def test_equivalent_satisfies_measurement_identity(self, ninebus1,
                                                        ninebus1_pipeline):
-        pf = ninebus1_pipeline.main_pf
+        pf = ninebus1_pipeline.model.main_pf
         from emtgis.powerflow import boundary_injections
 
         th = sn.thevenin_extract(ninebus1, pf, "B10")
@@ -179,16 +182,16 @@ class TestThevenin:
         """Attaching the extracted source/impedance to the region's own
         phasor network reproduces the coordinated boundary state."""
         res = ninebus1_pipeline
-        op = res.region_ops[0]
-        th = sn.thevenin_extract(ninebus1, res.main_pf, "B10")
+        op = res.model.region_ops[0]
+        th = sn.thevenin_extract(ninebus1, res.model.main_pf, "B10")
         region = sn.build_region_net(op, 50.0)
         net, probe = sn.attach_thevenin(region, "B10", th)
         known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
         node_ph, elem_ph = ek.phasor_solve(net, known)
-        v_ipf = res.boundary_state.voltage(0).rect
+        v_ipf = res.model.boundary_state.voltage(0).rect
         assert node_ph["B10"] == pytest.approx(v_ipf, abs=1e-6)
         i_ipf = sn.machine_port_current(
-            complex(res.boundary_state.p[0], res.boundary_state.q[0]), v_ipf)
+            complex(res.model.boundary_state.p[0], res.model.boundary_state.q[0]), v_ipf)
         assert elem_ph[probe] == pytest.approx(i_ipf, abs=1e-6)
 
     def test_randomized_networks_match_injection_oracle(self):
@@ -304,9 +307,9 @@ def split_setup(ninebus1, ninebus1_pipeline):
     case = ninebus1
     dt = 5e-5
     n_cycle = int(round(case.period / dt))
-    main_net = sn.build_main_net(case, res.main_pf)
-    region_net = sn.build_region_net(res.region_ops[0], 50.0)
-    full = res.full_net
+    main_net = sn.build_main_net(case, res.model.main_pf)
+    region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
+    full = res.model.full_net
 
     # sample the settled whole system across one period, catching the
     # boundary-voltage peak for a worst-case opposite-phase splice
@@ -375,7 +378,7 @@ class TestSplice:
         _, good_dev = sn.splice({"main": main, "wind1": region_two}, sched,
                                 s["full"], s["dt"])
 
-        v_peak = ek.SQRT2 * s["res"].main_pf.voltage("B10").magnitude
+        v_peak = ek.SQRT2 * s["res"].model.main_pf.voltage("B10").magnitude
         assert max(bad_dev.values()) > 1.5 * v_peak  # near twice the peak
         assert max(good_dev.values()) <= max(bad_dev.values()) / 100.0
 
@@ -412,11 +415,11 @@ class TestPipeline:
         result = sn.run_emtgis(twobus, sn.PipelineConfig(dt=5e-5))
         assert result.snapshot.provenance == sn.PROVENANCE_PHASOR
         assert result.report.gis_cost_steps == 0
-        waves, _ = ek.run(result.full_net,
+        waves, _ = ek.run(result.model.full_net,
                           ek.SimConfig(dt=5e-5, duration=0.1, record=["B2"]),
                           init=result.snapshot.emt_state)
         rms = waves.cycle_rms("B2.a", 400, last_only=False)
-        target = result.main_pf.voltage("B2").magnitude
+        target = result.model.main_pf.voltage("B2").magnitude
         assert np.max(np.abs(rms - target)) / target < 1e-3
 
     def test_report_carries_all_stages(self, ninebus1_pipeline):
@@ -441,6 +444,36 @@ class TestPipeline:
         with pytest.raises(StageFailure) as exc:
             sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5))
         assert exc.value.stage == "validate"
+
+
+class TestRegionNamespace:
+    """`grbc.internal_pf_case` owns the '<region>/<id>' names that the
+    monolithic oracle and the region's EMT model both use."""
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_internal_buses_match_the_oracle_and_the_full_net(self, name, request):
+        case = request.getfixturevalue(name)
+        full_net = sn.system_model(case).full_net
+        white = [g for g in case.grbcs if g.kind is GrbcKind.WHITE_BOX_NETWORK]
+        assert white
+        flat = inline_grbcs(replace(case, grbcs=white))
+        for g in white:
+            internal = [b.id for b in internal_pf_case(g).buses
+                        if b.kind is not BusKind.BOUNDARY]
+            assert internal == [b.id for b in flat.buses
+                                if b.id.startswith(f"{g.name}/")]
+            assert set(internal) <= set(full_net.nodes)
+
+    def test_pipeline_builds_each_internal_case_once(self, ninebus1, monkeypatch):
+        calls = []
+
+        def counted(decl):
+            calls.append(decl.name)
+            return internal_pf_case(decl)
+
+        monkeypatch.setattr(sn, "internal_pf_case", counted)
+        sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=5e-5))
+        assert calls == ["wind1"]
 
 
 class TestPinnedStepCounts:
@@ -506,11 +539,11 @@ class TestSnapshotFile:
         path = tmp_path / "snap.json"
         sn.save_snapshot(ninebus1_pipeline.snapshot, path)
         back = sn.load_snapshot(path)
-        waves, _ = ek.run(ninebus1_pipeline.full_net,
+        waves, _ = ek.run(ninebus1_pipeline.model.full_net,
                           ek.SimConfig(dt=5e-5, duration=0.05, record=["B10"]),
                           init=back.emt_state)
         rms = waves.cycle_rms("B10.a", 400)
-        target = ninebus1_pipeline.main_pf.voltage("B10").magnitude
+        target = ninebus1_pipeline.model.main_pf.voltage("B10").magnitude
         assert rms == pytest.approx(target, rel=1e-3)
 
 
@@ -520,7 +553,7 @@ class TestAdvance:
 
         snap = ninebus1_pipeline.subsystem_snapshots["wind1"]
         with pytest.raises(ScheduleViolation):
-            sn.advance_snapshot(snap, ninebus1_pipeline.full_net,
+            sn.advance_snapshot(snap, ninebus1_pipeline.model.full_net,
                                 snap.timestamp_steps - 1, snap.dt)
 
     def test_snapshot_version_gate(self, tmp_path, ninebus1_pipeline):
