@@ -4,15 +4,22 @@ Forms the boundary coordination residual phi(x) = (p + p_tilde, q + q_tilde)
 over x = (V_1..V_n, theta_1..theta_n) and drives it to zero with a
 Jacobian-free Newton method: the linear correction at each outer step is
 solved by restarted GMRES whose operator action comes from directional
-differences of the residual, preconditioned by a rank-one-updated dense
-matrix that accumulates secant information as the iteration proceeds.
+differences of the residual, preconditioned by a dense matrix that
+accumulates rank-one secant updates as the iteration proceeds.
+
+The preconditioner starts as the inverse of an approximation of phi'(x0)
+built from the main system's physics and the regions' `evaluate`: the
+main side's analytic boundary sensitivity (powerflow.boundary_sensitivity)
+plus one 2x2 forward-difference block per region, two `evaluate` calls
+each.  If a region fails at its offset point, or the approximation is
+singular or not finite, it starts as the identity instead.  The GMRES
+operator itself still comes only from residual probes.
 
 A residual evaluation solves the torn main system, then each region in
 declaration order.  Outer steps, like probes, stay inside the voltage basin.
 
 The black-box region surface used here is exactly {evaluate,
-adapter_is_opaque}; nothing in this module inspects region internals and
-no code path assembles the residual Jacobian.
+adapter_is_opaque}; nothing in this module inspects region internals.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .errors import (
 )
 from .grbc import adapter_is_opaque, evaluate
 from .netmodel import AdmittanceMatrix, Phasor, build_admittance
-from .powerflow import boundary_injections, solve_main
+from .powerflow import boundary_injections, boundary_sensitivity, solve_main
 
 log = logging.getLogger(__name__)
 
@@ -87,10 +94,14 @@ class JfngConfig:
     eps_den: float = 1e-12    # rank-one update denominator guard
 
     def __post_init__(self):
-        if self.eps1 <= 0 or self.eps2 <= 0 or self.omega <= 0:
-            raise ValueError("eps1, eps2 and omega must be positive")
+        for name in ("eps1", "eps2", "omega"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.m_restart < 1:
             raise ValueError("m_restart must be >= 1")
+        if self.max_outer < 0:
+            raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
 
 
 @dataclass
@@ -231,6 +242,38 @@ def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray,
     return mat + np.outer(dx - m_dphi, dx @ mat) / den
 
 
+def _initial_preconditioner(case, grbcs, state: BoundaryState, omega: float,
+                            ybus: AdmittanceMatrix) -> np.ndarray:
+    """M0 = (S_main + R)^-1, the inverse of an approximation of phi'(x) at
+    `state`.
+
+    S_main is d(p, q)/d(x) of the main side at the state's main solution.
+    R is block-diagonal: region i's 2x2 block d(p_tilde_i, q_tilde_i) /
+    d(V_i, theta_i) is two forward differences of `evaluate`, at
+    (V_i + omega, theta_i) and (V_i, theta_i + omega), against the
+    state's own p_tilde and q_tilde.  If a region raises at its offset
+    point, or S_main + R is singular or not finite, M0 is the identity,
+    and a debug line says why.
+    """
+    n = len(grbcs)
+    try:
+        approx = boundary_sensitivity(case, state.main_solution, state.bus_ids, ybus)
+        for i, g in enumerate(grbcs):
+            v = state.voltage(i)
+            for col, point in ((i, Phasor(v.magnitude + omega, v.angle)),
+                               (n + i, Phasor(v.magnitude, v.angle + omega))):
+                e = evaluate(g, point)
+                approx[i, col] += (e.p_tilde - state.p_tilde[i]) / omega
+                approx[n + i, col] += (e.q_tilde - state.q_tilde[i]) / omega
+        if np.all(np.isfinite(approx)):
+            return np.linalg.inv(approx)
+        reason = "S_main + R is not finite"
+    except (InternalNonConvergence, InvalidVoltage, np.linalg.LinAlgError) as exc:
+        reason = str(exc)
+    log.debug("initial preconditioner falls back to the identity: %s", reason)
+    return np.eye(2 * n)
+
+
 @dataclass
 class GmresResult:
     converged: bool
@@ -332,7 +375,10 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
 
     Each outer step: evaluate phi, test ||phi||_2 against eps1, solve the
     correction with gmres_m, advance x, then give the preconditioner an
-    outer secant update from the realized (dx, dphi) pair.  A restarted
+    outer secant update from the realized (dx, dphi) pair.  The
+    preconditioner starts, before the first correction, from
+    `_initial_preconditioner` at x0 (the identity if that fails); nothing
+    carries over from one call to the next.  A restarted
     (non-converged) inner solve is still applied, damped by halving up to
     four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
@@ -341,7 +387,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
     cfg = cfg or JfngConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size // 2
-    M = np.eye(x.size)
+    M = None  # built before the first correction
     trace = IterationTrace()
     ybus = build_admittance(case)
 
@@ -374,6 +420,8 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
                 trace.status = "max_outer_exceeded"
                 raise MaxOuterExceeded(phi_norm, trace)
 
+            if M is None:
+                M = _initial_preconditioner(case, grbcs, state, cfg.omega, ybus)
             probe = _make_probe(x, state.phi, lambda xv: evaluate_at(xv).phi, cfg.omega)
             dx, M, info = gmres_m(state.phi, probe, M, cfg)
 

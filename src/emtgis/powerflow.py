@@ -71,6 +71,35 @@ def _scheduled_injections(case: CaseFile) -> np.ndarray:
     return s
 
 
+def _newton_indices(case: CaseFile) -> tuple[np.ndarray, np.ndarray]:
+    """(pvpq, pq): the buses whose theta, and whose |V|, Newton solves for."""
+    kinds = [b.kind for b in case.buses]
+    pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
+    pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
+    return np.concatenate([pv, pq]), pq
+
+
+def _fill_ds_dx(out: np.ndarray, ymat: np.ndarray, vm: np.ndarray, vhat: np.ndarray,
+                v: np.ndarray, ibus: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """[dS/dtheta | dS/d|V|] into the contiguous n x 2n complex buffer `out`
+    (MATPOWER's dSbus_dV, by broadcasting), at V = vm * vhat with the
+    I = Y V and S = V conj(I) the caller already formed:
+    dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)),
+    dS/d|V| = diag(V) conj(Y diag(Vhat)) + conj(diag(I)) diag(Vhat).
+    """
+    n = vm.size
+    ds_dva, ds_dvm = out[:, :n], out[:, n:]
+    np.multiply(ymat, vhat, out=ds_dvm)
+    np.conjugate(ds_dvm, out=ds_dvm)
+    ds_dvm *= v[:, None]
+    np.multiply(ds_dvm, -1j * vm, out=ds_dva)
+    # Strided views of both block diagonals.
+    flat = out.reshape(-1)
+    flat[::2 * n + 1] += 1j * s
+    flat[n::2 * n + 1] += np.conj(ibus) * vhat
+    return out
+
+
 def solve_main(
     case: CaseFile,
     boundary_voltages: dict[str, Phasor] | None = None,
@@ -85,15 +114,14 @@ def solve_main(
     from a flat start, so a solve is a pure function of its inputs (the
     coordinator's directional differences rely on that); `ybus` saves the
     admittance build.
-    An iteration is O(n^2): dS/dV by broadcasting (MATPOWER's dSbus_dV)
-    from the I = Y V the mismatch used, and one index gather for the
-    Jacobian.  A non-finite mismatch raises NonConvergence.
+    An iteration is O(n^2): dS/dV by `_fill_ds_dx` from the I = Y V the
+    mismatch used, and one index gather for the Jacobian.  A non-finite
+    mismatch raises NonConvergence.
     """
     boundary_voltages = boundary_voltages or {}
     y = ybus if ybus is not None else build_admittance(case)
     ids = y.bus_ids
     n = len(ids)
-    kinds = [b.kind for b in case.buses]
 
     missing = [
         b.id for b in case.buses
@@ -112,9 +140,7 @@ def solve_main(
             ph = boundary_voltages[b.id]
             vm[i], va[i] = ph.magnitude, ph.angle
 
-    pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
-    pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
-    pvpq = np.concatenate([pv, pq])
+    pvpq, pq = _newton_indices(case)
     unknowns = np.concatenate([pvpq, n + pq])
     s_sched = _scheduled_injections(case)
 
@@ -124,9 +150,6 @@ def solve_main(
     mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
     jac_idx = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])[:, None] + 2 * unknowns
     ds_dx = np.empty((n, 2 * n), dtype=complex)
-    ds_dva, ds_dvm = ds_dx[:, :n], ds_dx[:, n:]
-    # Strided views of both block diagonals (ds_dx is contiguous).
-    diag_va, diag_vm = ds_dx.reshape(-1)[::2 * n + 1], ds_dx.reshape(-1)[n::2 * n + 1]
 
     history: list[float] = []
     converged = False
@@ -147,14 +170,7 @@ def solve_main(
             break
         if it == max_iter:
             break
-        # dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)),
-        # dS/d|V| = diag(V) conj(Y diag(Vhat)) + conj(diag(I)) diag(Vhat).
-        np.multiply(y.mat, vhat, out=ds_dvm)
-        np.conjugate(ds_dvm, out=ds_dvm)
-        ds_dvm *= v[:, None]
-        np.multiply(ds_dvm, -1j * vm, out=ds_dva)
-        diag_va += 1j * s
-        diag_vm += np.conj(ibus) * vhat
+        _fill_ds_dx(ds_dx, y.mat, vm, vhat, v, ibus, s)
         jac = ds_dx.view(float).take(jac_idx)
         try:
             x[unknowns] += np.linalg.solve(jac, mismatch)
@@ -190,6 +206,48 @@ def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tup
             p_net, q_net = sol.injection(b.id)
             out[b.id] = (-p_net - b.p_load, -q_net - b.q_load)
     return out
+
+
+def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
+                         ybus: AdmittanceMatrix | None = None) -> np.ndarray:
+    """d(p, q)/d(|V|, theta) of `boundary_injections` at the converged
+    main solution `sol`: a 2n x 2n matrix over the boundary buses `bus_ids`,
+    rows all p then all q, columns all |V| then all theta, each in
+    `bus_ids` order (the coordinator's order).
+
+    While the boundary phasors b move, the mismatch rows [P over pvpq;
+    Q over pq] of `solve_main` stay zero, so its unknowns
+    u = [theta over pvpq; |V| over pq] follow du = -A_uu^-1 A_ub db, where
+    A is the real polar Jacobian d(P, Q)/d(theta, |V|).  The boundary rows
+    then move by the Schur complement A_bb - A_bu A_uu^-1 A_ub, negated
+    because `boundary_injections` is the power into the torn node.
+    A singular A_uu raises numpy's LinAlgError.
+    """
+    if not sol.converged:
+        raise NotConverged("boundary sensitivity needs a converged solution")
+    y = ybus if ybus is not None else build_admittance(case)
+    n = len(y.bus_ids)
+    pvpq, pq = _newton_indices(case)
+    bnd = np.array([y.index(b) for b in bus_ids], dtype=int)
+    vhat = np.exp(1j * sol.va)
+    v = sol.vm * vhat
+    ibus = y.mat @ v
+    ds_dx = _fill_ds_dx(np.empty((n, 2 * n), dtype=complex), y.mat, sol.vm, vhat,
+                        v, ibus, v * np.conj(ibus)).view(float)
+
+    # Float-view gathers as in solve_main: P rows are real parts, Q rows
+    # imaginary parts; theta columns come first in ds_dx, |V| columns second.
+    rows_u = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
+    rows_b = np.concatenate([4 * n * bnd, 4 * n * bnd + 1])
+    cols_u = 2 * np.concatenate([pvpq, n + pq])
+    cols_b = 2 * np.concatenate([n + bnd, bnd])
+
+    def block(rows, cols):
+        return ds_dx.take(rows[:, None] + cols)
+
+    schur = block(rows_b, cols_b) - block(rows_b, cols_u) @ np.linalg.solve(
+        block(rows_u, cols_u), block(rows_u, cols_b))
+    return -schur
 
 
 def solve_monolithic(case: CaseFile, tol: float = 1e-10, max_iter: int = 40) -> PowerFlowSolution:

@@ -232,6 +232,17 @@ class TestInvalidCase:
             "error: invalid case: DuplicateId(B1); SlackCount(B1,B2)"
 
 
+class TestInvalidCoordinatorFlags:
+    @pytest.mark.parametrize("flag, value", [("--tol-eps1", "inf"), ("--tol-eps2", "nan"),
+                                             ("--omega", "nan"), ("--max-outer", "-1")])
+    def test_exits_1_with_one_line(self, tmp_path, flag, value):
+        out = run_cli("ipf", case_path("ninebus1"), flag, value,
+                      "--out", tmp_path, "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert not (tmp_path / "trace.csv").exists()
+
+
 class TestDeterminism:
     def test_ipf_reruns_are_byte_identical(self, tmp_path):
         # identical manifests (same relative out dir) from two working copies
@@ -252,3 +263,15 @@ class TestDeterminism:
         assert doc["command"] == "ipf"
         assert doc["case"].endswith("twobus.json")
         assert "outputs" in doc and "flags" in doc
+
+    @pytest.mark.parametrize("name", ["ninebus2", "hybrid"])
+    def test_in_process_ipf_reruns_are_byte_identical(self, tmp_path, name):
+        # nothing may carry over from one coordination to the next
+        from emtgis.cli import main
+
+        for d in ("a", "b"):
+            assert main(["ipf", case_path(name), "--out", str(tmp_path / d),
+                         "--quiet"]) == 0
+        for artifact in ("boundary.json", "trace.csv", "main_pf.csv"):
+            assert (tmp_path / "a" / artifact).read_bytes() == \
+                   (tmp_path / "b" / artifact).read_bytes(), artifact

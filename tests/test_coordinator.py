@@ -18,7 +18,12 @@ from emtgis.coordinator import (
     residual,
 )
 from conftest import overloaded_hybrid_doc
-from emtgis.errors import MaxOuterExceeded, NonFinite, OuterStepRejected
+from emtgis.errors import (
+    InternalNonConvergence,
+    MaxOuterExceeded,
+    NonFinite,
+    OuterStepRejected,
+)
 from emtgis.grbc import parse_declaration
 from emtgis.netmodel import BusKind, BusRecord, Phasor, build_admittance, parse_case
 from emtgis.powerflow import solve_monolithic
@@ -226,6 +231,114 @@ class TestJfngSolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "outer_iter,inner_iters,phi_norm,rho_final"
         assert len(lines) == len(trace.rows) + 1
+
+
+def flat_start(case):
+    n = len(case.grbcs)
+    return np.concatenate([np.ones(n), np.zeros(n)])
+
+
+def scripted_twobus(twobus):
+    """twobus with B2 torn off behind a region drawing a constant 0.4 pu."""
+    case = copy.deepcopy(twobus)
+    case.buses[1] = BusRecord("B2", BusKind.BOUNDARY, 230.0)
+    case.grbcs = [parse_declaration({
+        "name": "s", "boundary_bus": "B2", "kind": "ScriptedResponse",
+        "payload": {"p": -0.4, "q": 0.0}})]
+    return case
+
+
+class TestInitialPreconditioner:
+    def test_inverts_the_residual_derivative_at_x0(self, hybrid):
+        # the main side's analytic sensitivity plus the regions' 2x2 blocks
+        # approximate phi'(x0); compare with forward differences of phi
+        x0 = flat_start(hybrid)
+        ybus = build_admittance(hybrid)
+        state = residual(hybrid, hybrid.grbcs, x0, ybus=ybus)
+        m0 = coordinator_module._initial_preconditioner(hybrid, hybrid.grbcs, state,
+                                                        1e-6, ybus)
+        h = 1e-6
+        cols = [(residual(hybrid, hybrid.grbcs, x0 + h * e, ybus=ybus).phi - state.phi) / h
+                for e in np.eye(x0.size)]
+        deriv = np.column_stack(cols)
+        assert np.max(np.abs(m0 @ deriv - np.eye(x0.size))) < 1e-4
+
+    @pytest.mark.parametrize("sensitivity", [np.zeros((2, 2)), np.full((2, 2), np.nan)],
+                             ids=["singular", "non-finite"])
+    def test_degenerate_approximation_falls_back_to_identity(self, twobus, monkeypatch,
+                                                             caplog, sensitivity):
+        # the constant region's block is exactly zero, so S_main + R is the
+        # patched sensitivity
+        case = scripted_twobus(twobus)
+        ybus = build_admittance(case)
+        state = residual(case, case.grbcs, np.array([1.0, 0.0]), ybus=ybus)
+        monkeypatch.setattr(coordinator_module, "boundary_sensitivity",
+                            lambda *args: sensitivity.copy())
+        with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
+            m0 = coordinator_module._initial_preconditioner(case, case.grbcs, state,
+                                                            1e-6, ybus)
+        assert np.array_equal(m0, np.eye(2))
+        assert "falls back to the identity" in caplog.text
+
+    def test_region_failing_at_its_offset_point_falls_back_to_identity(self, ninebus1,
+                                                                       monkeypatch, caplog):
+        cfg = JfngConfig()
+        x0 = flat_start(ninebus1)
+        offsets = {(1.0 + cfg.omega, 0.0), (1.0, cfg.omega)}
+        real_evaluate = coordinator_module.evaluate
+        raised = []
+
+        def failing_at_offsets(decl, v):
+            if (v.magnitude, v.angle) in offsets:
+                raised.append(v)
+                raise InternalNonConvergence("no internal solution at the offset point")
+            return real_evaluate(decl, v)
+
+        monkeypatch.setattr(coordinator_module, "evaluate", failing_at_offsets)
+        with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
+            state, trace = jfng_solve(ninebus1, ninebus1.grbcs, x0, cfg)
+        assert raised and "falls back to the identity" in caplog.text
+        assert trace.status == "converged"
+        mono = solve_monolithic(ninebus1, tol=1e-12)
+        assert np.max(np.abs(state.x - oracle_boundary_x(ninebus1, mono))) < 1e-6
+
+        # the fallback is exactly the identity start
+        monkeypatch.setattr(coordinator_module, "evaluate", real_evaluate)
+        monkeypatch.setattr(coordinator_module, "_initial_preconditioner",
+                            lambda case, grbcs, st, omega, ybus: np.eye(st.x.size))
+        _, identity_trace = jfng_solve(ninebus1, ninebus1.grbcs, x0, cfg)
+        assert trace.phi_norms() == identity_trace.phi_norms()
+        assert [r.inner_iters for r in trace.rows] == \
+            [r.inner_iters for r in identity_trace.rows]
+
+
+class TestCoordinatorWork:
+    """Residual evaluations of a flat-start solve on the bundled cases.
+
+    With M0 = I these read 9, 12, 15 and 18; the physics-based M0 cuts the
+    first correction to one inner iteration.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+        real_residual = coordinator_module.residual
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return real_residual(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "residual", counted)
+        return count
+
+    @pytest.mark.parametrize("name, expected", [("ninebus1", 8), ("ninebus2", 9),
+                                                ("ninebus3", 10), ("hybrid", 13)])
+    def test_residual_evaluations_from_a_flat_start(self, request, calls, name, expected):
+        case = request.getfixturevalue(name)
+        _, trace = jfng_solve(case, case.grbcs, flat_start(case), JfngConfig())
+        assert trace.status == "converged"
+        assert calls[0] == expected
+        assert trace.rows[0].inner_iters == 1
 
 
 class TestJacobianFreedom:

@@ -24,7 +24,12 @@ from emtgis.netmodel import (
     build_admittance,
     load_case,
 )
-from emtgis.powerflow import boundary_injections, solve_main, solve_monolithic
+from emtgis.powerflow import (
+    boundary_injections,
+    boundary_sensitivity,
+    solve_main,
+    solve_monolithic,
+)
 from reference_powerflow import reference_solve_main
 
 BUNDLED = ("twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid")
@@ -273,3 +278,74 @@ class TestReferenceEquivalence:
                                                {decl.boundary_bus: v_b}, tol=1e-12,
                                                max_iter=60)
                 assert sol is not None
+
+
+def boundary_x(volts, bus_ids):
+    return np.array([volts[b].magnitude for b in bus_ids] + [volts[b].angle for b in bus_ids])
+
+
+def injections_at(case, bus_ids, x):
+    """(p, q) of `boundary_injections` with the boundary held at x, and the solution."""
+    n = len(bus_ids)
+    volts = {b: Phasor(float(x[i]), float(x[n + i])) for i, b in enumerate(bus_ids)}
+    sol = solve_main(case, volts, tol=1e-12, max_iter=40)
+    inj = boundary_injections(sol, case)
+    return np.array([inj[b][0] for b in bus_ids] + [inj[b][1] for b in bus_ids]), sol
+
+
+def assert_sensitivity_matches_central_differences(case, bus_ids, x, h=1e-5):
+    """The analytic sensitivity against central differences of solve_main.
+
+    With step h the truncation error is O(h^2) and the rounding error of
+    the 1e-12 solves O(1e-12 / h), both far below the 1e-6 bound.
+    """
+    _, sol = injections_at(case, bus_ids, x)
+    got = boundary_sensitivity(case, sol, bus_ids)
+    cols = [(injections_at(case, bus_ids, x + h * e)[0]
+             - injections_at(case, bus_ids, x - h * e)[0]) / (2 * h)
+            for e in np.eye(x.size)]
+    want = np.column_stack(cols)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-6 * max(1.0, float(np.max(np.abs(want))))
+
+
+class TestBoundarySensitivity:
+    """d(p, q)/d(|V|, theta) of the main side, in the coordinator's order."""
+
+    @pytest.mark.parametrize("name", ("ninebus1", "ninebus2", "ninebus3", "hybrid"))
+    def test_bundled_main_systems(self, name):
+        case = load_case(case_path(name))
+        bus_ids = [g.boundary_bus for g in case.grbcs]
+        n = len(bus_ids)
+        if name == "hybrid":  # black-box regions: the coordinated point
+            from emtgis.coordinator import jfng_solve
+
+            state, _ = jfng_solve(case, case.grbcs,
+                                  np.concatenate([np.ones(n), np.zeros(n)]))
+            x = state.x
+        else:
+            mono = solve_monolithic(case, tol=1e-12)
+            x = boundary_x({b: mono.voltage(b) for b in bus_ids}, bus_ids)
+        off = x + np.concatenate([np.full(n, -0.03), np.full(n, 0.05)])
+        for point in (x, off):
+            assert_sensitivity_matches_central_differences(case, bus_ids, point)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_meshed_networks(self, seed):
+        case, volts = random_meshed_case(np.random.default_rng(seed))
+        bus_ids = list(volts)
+        if not bus_ids:
+            return
+        try:
+            injections_at(case, bus_ids, boundary_x(volts, bus_ids))
+        except (NonConvergence, SingularJacobian):
+            return
+        assert_sensitivity_matches_central_differences(case, bus_ids,
+                                                       boundary_x(volts, bus_ids))
+
+    def test_no_newton_unknowns(self):
+        # slack plus boundary only: the sensitivity is the boundary block alone
+        case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.2)
+        assert_sensitivity_matches_central_differences(case, ["B2"],
+                                                       np.array([0.98, -0.04]))
