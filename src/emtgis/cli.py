@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -45,6 +46,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PIPELINE = 3
 EXIT_SNAPSHOT = 4
 EXIT_NO_SETTLE = 5
+
+# Flags in seconds, of whichever subcommand has them; each must be finite
+# and positive.
+TIME_FLAGS = ("dt", "t_ramp", "ramp_budget", "duration", "settle_cap", "window")
 
 # Exit code of an error reaching `main`; the first matching type wins.
 EXIT_CODES = (
@@ -121,6 +126,7 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
     }[args.command]
     try:
+        _check_time_flags(args)
         return handler(args)
     except FileNotFoundError as exc:
         is_case = exc.filename is not None and Path(exc.filename) == Path(args.case)
@@ -134,6 +140,15 @@ def main(argv=None) -> int:
         _record_failure(args, exc)
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
+
+
+def _check_time_flags(args) -> None:
+    """Reject a time flag that is not finite and positive, before any work."""
+    for name in TIME_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
 
 
 def _record_failure(args, exc: EmtgisError) -> None:

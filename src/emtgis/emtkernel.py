@@ -15,16 +15,27 @@ voltages are u = D v, the step
     v'     = P [i_hist; v_k]          node voltages, v_k the known nodes
     i'     = g*(D v') + i_hist
 
-folds into x' = A x + f_c osc_c + f_s osc_s + B_e e_v, where
-osc = s(t) [cos(wt + phase); sin(wt + phase)] per phase with s(t) the
-source ramp.  Every source enters through the two fixed columns f_c, f_s
-by the angle-addition identity, the machine EMFs e_v through B_e, and the
-machine swing updates on top.
+folds into x' = A x + F s(t) r(t) + B_e e_v, where r = [cos(wt + phase);
+sin(wt + phase)] per phase and s(t) is the source ramp.  Every source
+enters through the two fixed columns of F by the angle-addition identity,
+the swinging machines' EMFs e_v through B_e.
 
-`CompiledNet` builds the map once per topology.  The stepping loops (`run`,
-`run_until_steady`) apply it to two preallocated buffers in turn and build
-an `EmtState` only at their edges: on return, and at a fault event, where
-the state migrates onto the faulted topology.
+The oscillator joins the state: r advances by the fixed rotation R by w*dt,
+and during the linear ramp s = n*dt/t_ramp the product q = n*r advances by
+q' = R (q + r), so the source input (dt/t_ramp) q is linear too.  A machine
+whose rotor is fixed (every machine during the ramp, a non-swinging one
+always) is a source at its own angle and folds into F.  One step is then
+one product z' = T z of the augmented state z = [x; q; r; e_v], with one
+map T for the ramp and one after it; only a swinging machine after the
+ramp still writes its EMF row and updates its swing per step.
+
+`CompiledNet` builds the network part once per topology and the two maps
+once per stepping loop.  The loops (`run`, `run_until_steady`) step through
+a cycle-long stack of buffers, gather the cycle's probe samples in one
+call, and re-anchor r and q from the clock at each cycle start, so the
+rotation's rounding drift never spans more than one cycle.  They build an
+`EmtState` only at their edges: on return, and at a fault event, where the
+state migrates onto the faulted topology.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -228,8 +239,13 @@ class SimConfig:
     settle_margin_cycles: int = 5   # extra cycles after detection before capture
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise InvalidParameter("dt must be positive")
+        for name in ("dt", "t_ramp"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidParameter(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise InvalidParameter(
+                f"duration must be finite and not negative, got {self.duration}")
         times = [e.time for e in self.events]
         if times != sorted(times):
             raise InvalidParameter("events must be sorted by time")
@@ -306,25 +322,36 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
 
 
 class CompiledNet:
-    """The step of one network at one dt as a fixed linear map.
+    """The step of one network at one dt as one square linear map.
 
     The state per phase is x = [v; i], the node voltages stacked on the
     element currents, shape (size, 3) with size = n_nodes + n_elements.  A
-    step buffer holds x followed by two oscillator rows, s*cos(wt + phase)
-    and s*sin(wt + phase) with s the source ramp factor, and one EMF row
-    e_v per machine.  A step writes those rows for the new time and is then
-    one product
+    step buffer z, shape (rows, 3), holds x, then two rows q = n*r, then
+    the oscillator r = [cos(wt + phase); sin(wt + phase)] at the buffer's
+    step n, then one EMF row e_v per swinging machine.  Its network part is
 
-        x' = A x + f_c osc_c + f_s osc_s + B_e e_v = M [x; osc; e_v]
-
-    with M = [A | f_c f_s | B_e] (size x (size + 2 + n_machines)):
+        x' = A x + F s r' + B_e e_v
 
     * A folds the companion history i_hist = h*(D v) + j*i, the node solve
       v' = P [i_hist; v_k] and the element currents i' = g*(D v') + i_hist
       into one square matrix.
-    * f_c and f_s carry every source through the angle-addition identity:
-      a source of peak a and angle t pins a*cos(t) osc_c - a*sin(t) osc_s.
-    * B_e carries the machine EMFs, whose angles move with the swing.
+    * F = [f_c f_s] carries every source through the angle-addition
+      identity: a source of peak a and angle t pins a*cos(t) r_c -
+      a*sin(t) r_s.  `buffers` folds the machines whose rotors are fixed
+      into F the same way, at the state's own angle and EMF.
+    * B_e carries the EMFs of the swinging machines, whose angles move.
+
+    With r' = R r, R the rotation by w*dt, a step is z' = T z with
+
+        ramp (s < 1):  T = [[A, k F_all R, k F_all R, 0], [0, R, R, 0],
+                            [0, 0, R, 0], [0, 0, 0, 0]],  k = dt/t_ramp
+        after it:      T = [[A, 0, F_fixed R, B_e], [0, 0, 0, 0],
+                            [0, 0, R, 0], [0, 0, 0, 0]]
+
+    where F_all folds every machine (no rotor moves during the ramp) and
+    F_fixed only the non-swinging ones.  The step after the ramp writes the
+    swinging machines' EMF rows before the product and advances their
+    swing after it.  `anchor` sets r and q from the clock.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
@@ -389,9 +416,13 @@ class CompiledNet:
         ns = len(net.sources)
         peak = SQRT2 * np.array([s.rms for s in net.sources])
         angle = np.array([s.angle for s in net.sources])
-        f_c = b[:, :ns] @ (peak * np.cos(angle))
-        f_s = -(b[:, :ns] @ (peak * np.sin(angle)))
-        self.step_matrix = np.hstack([a, f_c[:, None], f_s[:, None], b[:, ns:]])
+        self.a = a
+        self.f = np.column_stack([b[:, :ns] @ (peak * np.cos(angle)),
+                                  -(b[:, :ns] @ (peak * np.sin(angle)))])
+        self.b_machines = b[:, ns:]
+        wdt = self.omega * dt
+        self.rotation = np.array([[math.cos(wdt), -math.sin(wdt)],
+                                  [math.sin(wdt), math.cos(wdt)]])
 
         # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
         # on the active machines, as (machine, i' row, dt/2H, D, dt w).
@@ -400,6 +431,9 @@ class CompiledNet:
                           m.damping, dt * self.omega)
                          for k, m in enumerate(net.machines)
                          if m.swing and m.inertia_h > 0]
+        self.rows = self.size + 4 + len(self.swinging)
+        self.ramp_map: np.ndarray | None = None   # both set by `buffers`
+        self.post_map: np.ndarray | None = None
 
     # --- states at the edges of a stepping loop -----------------------------
 
@@ -428,15 +462,61 @@ class CompiledNet:
         out.hist_i = np.vstack([out.hist_i, pad])
         return out
 
-    def buffers(self, state: EmtState) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-        """Two step buffers, the first holding the state's [v; i], and one
-        [delta, speed_dev, emf, pm] list per machine."""
-        x = np.zeros((self.step_matrix.shape[1], 3))
+    def buffers(self, state: EmtState, t_ramp: float = SimConfig.t_ramp
+                ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+        """Two step buffers, the first holding the state's [v; i] and its
+        anchored oscillator, and one [delta, speed_dev, emf, pm] list per
+        machine.
+
+        Also builds the two step maps for this state's rotor angles and
+        EMFs and a source ramp of t_ramp seconds; they serve the steps
+        from this state on, up to the next `buffers` call.
+        """
+        x = np.zeros((self.rows, 3))
         x[:self.n_nodes] = state.v_nodes
         x[self.n_nodes:self.size] = state.elem_i
+        self.anchor(x, state.step)
+        self.ramp_map, self.post_map = self._step_maps(state, t_ramp)
         machines = np.array([state.machine_delta, state.machine_speed_dev,
                              state.machine_emf, state.machine_pm], dtype=float)
         return x, np.zeros_like(x), machines.reshape(4, self.n_machines).T.tolist()
+
+    def _step_maps(self, state: EmtState, t_ramp: float) -> tuple[np.ndarray, np.ndarray]:
+        """T during the ramp and after it (see the class docstring)."""
+        n, rot = self.size, self.rotation
+        # A machine at rotor angle d is a source of peak sqrt2*emf and angle
+        # d: sqrt2 emf cos(wt + d) = sqrt2 emf (cos d r_c - sin d r_s).
+        b_peak = self.b_machines * (SQRT2 * state.machine_emf)
+        emf_cols = np.stack([b_peak * np.cos(state.machine_delta),
+                             -b_peak * np.sin(state.machine_delta)], axis=-1)
+        swinging = [k for k, *_ in self.swinging]
+        fixed = np.ones(self.n_machines, dtype=bool)
+        fixed[swinging] = False
+        f_all = self.f + emf_cols.sum(axis=1)
+        f_fixed = self.f + emf_cols[:, fixed].sum(axis=1)
+
+        ramp, post = np.zeros((2, self.rows, self.rows))
+        for t in (ramp, post):
+            t[:n, :n] = self.a
+            t[n + 2:n + 4, n + 2:n + 4] = rot
+        ramp[n:n + 2, n:n + 2] = ramp[n:n + 2, n + 2:n + 4] = rot
+        ramp[:n, n:n + 2] = ramp[:n, n + 2:n + 4] = (self.dt / t_ramp) * (f_all @ rot)
+        post[:n, n + 2:n + 4] = f_fixed @ rot
+        post[:n, n + 4:] = self.b_machines[:, swinging]
+        return ramp, post
+
+    def anchor(self, x: np.ndarray, step: int) -> None:
+        """Set the oscillator rows of buffer x from the clock at `step`:
+        r = [cos(wt + phase); sin(wt + phase)] and q = step*r."""
+        # Phases a, b, c sit at 0, -120, +120 degrees (PHASE_SHIFT); b and c
+        # by angle addition: cos(t -+ 120) = cos t COS120 +- sin t SIN120,
+        # sin(t -+ 120) = sin t COS120 -+ cos t SIN120.
+        n = self.size
+        wt = self.omega * (step * self.dt)
+        c, s = math.cos(wt), math.sin(wt)
+        x[n + 2:n + 4] = [[c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s],
+                          [s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c]]
+        np.multiply(x[n + 2:n + 4], step, out=x[n:n + 2])
 
     def state(self, x: np.ndarray, prev: np.ndarray, step: int,
               machines: list[list[float]], scale: float) -> EmtState:
@@ -464,34 +544,36 @@ class CompiledNet:
 
     def step(self, x: np.ndarray, out: np.ndarray, step: int, scale: float,
              machines: list[list[float]]) -> None:
-        """Advance buffer x one dt to `step`, writing [v'; i'] into out.
+        """Advance buffer x one dt to `step`, writing the new buffer into out.
 
-        Writes the oscillator and EMF rows of x for the new time, then
-        out[:size] = M x.  With the ramp complete, the swinging machines
-        advance in place.  Those rows are few, so they are computed on
-        plain floats: a numpy call would cost more than the arithmetic.
+        During the ramp (scale < 1), and after it on a net without a
+        swinging machine, this is the one product out = T x.  After the
+        ramp, the swinging machines first write their EMF rows of x for the
+        new time and advance in place after the product.  Those rows are
+        few, so they are computed on plain floats: a numpy call would cost
+        more than the arithmetic.
         """
-        # Phases a, b, c sit at 0, -120, +120 degrees (PHASE_SHIFT); b and c
-        # by angle addition: cos(t -+ 120) = cos t COS120 +- sin t SIN120,
-        # sin(t -+ 120) = sin t COS120 -+ cos t SIN120.
+        if scale < 1.0:
+            np.dot(self.ramp_map, x, out=out)
+            return
+        if not self.swinging:
+            np.dot(self.post_map, x, out=out)
+            return
         wt = self.omega * (step * self.dt)
-        c, s = scale * math.cos(wt), scale * math.sin(wt)
-        rows = [[c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s],
-                [s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c]]
-        for delta, _, emf, _ in machines:
-            amp, theta = scale * SQRT2 * emf, wt + delta
+        rows = []
+        for k, *_ in self.swinging:
+            delta, _, emf, _ = machines[k]
+            amp, theta = SQRT2 * emf, wt + delta
             c, s = amp * math.cos(theta), amp * math.sin(theta)
             rows.append([c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s])
-        n = self.size
-        x[n:] = rows
-        np.dot(self.step_matrix, x, out=out[:n])
-        if self.swinging and scale >= 1.0:
-            for k, row, speed_gain, damping, angle_gain in self.swinging:
-                m = machines[k]
-                delta, dw, _, pm = m
-                pe = sum(map(operator.mul, rows[2 + k], out[row].tolist())) / 3.0
-                dw = dw + speed_gain * (pm - pe - damping * dw)
-                m[0], m[1] = delta + angle_gain * dw, dw
+        x[self.size + 4:] = rows
+        np.dot(self.post_map, x, out=out)
+        for (k, row, speed_gain, damping, angle_gain), e_v in zip(self.swinging, rows):
+            m = machines[k]
+            delta, dw, _, pm = m
+            pe = sum(map(operator.mul, e_v, out[row].tolist())) / 3.0
+            dw = dw + speed_gain * (pm - pe - damping * dw)
+            m[0], m[1] = delta + angle_gain * dw, dw
 
 
 # --- probes and waveform recording -----------------------------------------------
@@ -524,10 +606,12 @@ class ProbeSet:
 
     def sample(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The probe values of a step buffer (or any array in the [v; i]
-        row layout), written into out when given."""
+        row layout), or one row of them per buffer of a stack of shape
+        (steps, rows, 3), written into out when given."""
         # "clip" lets take write into out unbuffered; the indices are in
         # range by construction.
-        return x.take(self._flat, out=out, mode="clip")
+        flat = x.reshape(x.shape[:-2] + (-1,))
+        return flat.take(self._flat, axis=-1, out=out, mode="clip")
 
 
 @dataclass
@@ -543,12 +627,39 @@ class WaveformSet:
         return rms[-1] if last_only else rms
 
 
+def _whole_cycles(t: float, period: float, up: bool = False) -> int:
+    """Whole periods in t, rounded down (up with `up`).
+
+    A quotient within 1e-9 of a whole number counts as that number, as in
+    `snapshot._exact_steps`: 2.3 s / 0.02 s evaluates to 114.99999999999999,
+    which is 115 cycles, and 0.14 s / 0.02 s to 7.000000000000001, which
+    is 7.
+    """
+    q = t / period
+    return math.ceil(q - 1e-9) if up else math.floor(q + 1e-9)
+
+
+def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, t_ramp: float,
+                  ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
+                             list[list[float]]]:
+    """`length` + 1 step buffers stacked, the first holding the state; the
+    (buffer, next buffer) view pairs a loop steps through; the machines."""
+    x, _, machines = compiled.buffers(state, t_ramp)
+    stack = np.empty((length + 1,) + x.shape)
+    stack[0] = x
+    views = list(stack)
+    return stack, list(zip(views[:-1], views[1:])), machines
+
+
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
     """Fixed-duration simulation with event handling and probe recording.
 
-    Steps two buffers in turn; an EmtState is built only at a fault event
-    (to migrate it onto the faulted topology) and on return.
+    Steps a cycle at a time through a stack of buffers, re-anchoring the
+    oscillator at each chunk start and gathering the chunk's probe samples
+    in one call.  A chunk ends early at a fault event, where an EmtState
+    is built to migrate onto the faulted topology; otherwise one is built
+    only on return.
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
@@ -567,31 +678,45 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     probes = ProbeSet(compiled, cfg.record)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
     traces = np.zeros((n_steps + 1, len(probes.keys)))
-    x, prev, machines = compiled.buffers(state)
-    probes.sample(x, traces[0])
+    # One cycle per chunk; a DC net has no cycle and no rotation to drift.
+    cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
+    chunk = max(1, min(cycle, n_steps))
+    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg.t_ramp)
+    probes.sample(stack[0], traces[0])
 
     n, scale = start_step, 1.0
+    pos = 0  # stack index of the buffer at step n
     next_event = 0
     current_net = net
-    for k in range(1, n_steps + 1):
+    while n - start_step < n_steps:
         while next_event < len(events) and n >= event_steps[next_event]:
             ev = events[next_event]
             if n > state.step:
-                state = compiled.state(x, prev, n, machines, scale)
+                state = compiled.state(stack[pos], stack[pos - 1], n, machines, scale)
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
             compiled = CompiledNet(current_net, cfg.dt)
             state = compiled.migrate_state(state)
-            x, prev, machines = compiled.buffers(state)
+            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg.t_ramp)
             probes = ProbeSet(compiled, cfg.record)
+            pos = 0
             next_event += 1
-        n += 1
-        scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
-        compiled.step(x, prev, n, scale, machines)
-        x, prev = prev, x
-        probes.sample(x, traces[k])
+        done = n - start_step
+        length = min(chunk, n_steps - done)
+        if next_event < len(events):
+            length = min(length, event_steps[next_event] - n)
+        if pos:
+            stack[0] = stack[pos]
+        compiled.anchor(stack[0], n)
+        step = compiled.step
+        for x, out in pairs[:length]:
+            n += 1
+            scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
+            step(x, out, n, scale, machines)
+        probes.sample(stack[1:length + 1], traces[done + 1:done + length + 1])
+        pos = length
 
     if n > state.step:
-        state = compiled.state(x, prev, n, machines, scale)
+        state = compiled.state(stack[pos], stack[pos - 1], n, machines, scale)
     data = {key: traces[:, i].copy() for i, key in enumerate(probes.keys)}
     return WaveformSet(times, data), state
 
@@ -604,7 +729,9 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     changes below `rms_change_tol` on every probe (detector armed only
     after a ramp completes).  After detection, `settle_margin_cycles` more
     cycles run before the state is returned, and the samples of the final
-    full cycle come back for phasor extraction.
+    full cycle come back for phasor extraction.  Each cycle steps through
+    a cycle-long stack of buffers from an oscillator re-anchored at its
+    start, and gathers its samples in one call.
 
     Returns (state, ready_step or None, last cycle samples, probe keys).
     """
@@ -616,24 +743,27 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:
         raise InvalidParameter("period must be an integer multiple of dt")
     probes = ProbeSet(compiled, cfg.record)
-    max_cycles = int(cfg.duration / net.period)
-    arm_after = math.ceil(cfg.t_ramp / net.period) if cfg.ramp_sources else 0
+    max_cycles = _whole_cycles(cfg.duration, net.period)
+    arm_after = _whole_cycles(cfg.t_ramp, net.period, up=True) if cfg.ramp_sources else 0
 
     buf = np.zeros((n_cycle, len(probes.keys)))
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
-    x, prev, machines = compiled.buffers(state)
+    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg.t_ramp)
+    step = compiled.step
     n, scale = state.step, 1.0
     ready: int | None = None
 
     for c in range(max_cycles):
-        for k in range(n_cycle):
+        if c:
+            stack[0] = stack[n_cycle]
+        compiled.anchor(stack[0], n)
+        for x, out in pairs:
             n += 1
             scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
-            compiled.step(x, prev, n, scale, machines)
-            x, prev = prev, x
-            probes.sample(x, buf[k])
+            step(x, out, n, scale, machines)
+        probes.sample(stack[1:], buf)
         if fired_at is not None:
             if c - fired_at >= cfg.settle_margin_cycles:
                 ready = n
@@ -651,7 +781,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
         prev_rms = rms.copy()
 
     if n > state.step:
-        state = compiled.state(x, prev, n, machines, scale)
+        state = compiled.state(stack[n_cycle], stack[n_cycle - 1], n, machines, scale)
     return state, ready, buf.copy(), probes.keys
 
 

@@ -9,7 +9,8 @@ returns a fresh `EmtState`.
 
 `reference_run` and `reference_run_until_steady` are the stepping loops of
 `emtkernel.run` and `emtkernel.run_until_steady` as they were before the
-buffer loop: one `EmtState` per step of that stepper.
+buffer loop: one `EmtState` per step of that stepper.  Both count whole
+cycles of a duration or a ramp within rounding, as the kernel does.
 """
 
 import math
@@ -168,10 +169,11 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
     ref = ReferenceNet(net, cfg.dt)
     state = init.copy()
     n_cycle = int(round(net.period / cfg.dt))
-    arm_after = math.ceil(cfg.t_ramp / net.period) if cfg.ramp_sources else 0
+    # Whole cycles, read to 6 decimals: 2.3 / 0.02 evaluates to 114.99999999999999.
+    arm_after = math.ceil(round(cfg.t_ramp / net.period, 6)) if cfg.ramp_sources else 0
     buf = np.zeros((n_cycle, 3 * len(cfg.record)))
     prev_rms, stable_run, fired_at = None, 0, None
-    for c in range(int(cfg.duration / net.period)):
+    for c in range(int(round(cfg.duration / net.period, 6))):
         for k in range(n_cycle):
             state = ref.step(state, cfg.ramp_sources, cfg.t_ramp)
             buf[k] = reference_sample(state, cfg.record)

@@ -243,6 +243,29 @@ class TestInvalidCoordinatorFlags:
         assert not (tmp_path / "trace.csv").exists()
 
 
+class TestInvalidTimeFlags:
+    """A time flag that is not finite and positive is an input error, found
+    before the power flow runs: nothing is written."""
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (("init",), "--t-ramp", "0"),
+        (("init",), "--t-ramp", "nan"),
+        (("init",), "--ramp-budget", "inf"),
+        (("ipf",), "--dt", "-0.0001"),
+        (("simulate", "--zero-state"), "--duration", "-1"),
+        (("simulate", "--zero-state"), "--dt", "0"),
+        (("compare",), "--settle-cap", "0"),
+        (("compare",), "--window", "nan"),
+    ])
+    def test_exits_1_naming_the_flag(self, tmp_path, command, flag, value):
+        out = run_cli(*command, case_path("ninebus1"), flag, value,
+                      "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert flag in out.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestDeterminism:
     def test_ipf_reruns_are_byte_identical(self, tmp_path):
         # identical manifests (same relative out dir) from two working copies

@@ -30,7 +30,7 @@ from reference_kernel import (  # noqa: E402
 
 def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
     """The state `steps` buffer steps after `state`."""
-    x, prev, machines = compiled.buffers(state)
+    x, prev, machines = compiled.buffers(state, t_ramp)
     n = state.step
     for _ in range(steps):
         n += 1
@@ -410,6 +410,143 @@ class TestLoopEquivalence:
             diff = getattr(got, field) - getattr(want, field)
             assert np.max(np.abs(diff)) <= rel * scale, field
         assert np.array_equal(got.source_scale, want.source_scale)
+
+
+def region_net(case, model, name):
+    """A region behind its Thevenin equivalent, as the pipeline ramps it,
+    and the detector's probes."""
+    op = next(o for o in model.region_ops if o.decl.name == name)
+    thev = sn.thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
+    region = sn.build_region_net(op, case.frequency_hz)
+    net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
+    return net, list(region.nodes) + [f"i:{probe}"]
+
+
+def assert_machines_close(got, want):
+    """Rotor angles within 1e-12 rad and speed deviations within 1e-12 of
+    rated speed.  Relative to their own size they are ill-conditioned: a
+    speed deviation is (pm - pe) summed over steps, a small difference of
+    large terms."""
+    for field in ("machine_delta", "machine_speed_dev"):
+        np.testing.assert_allclose(getattr(got, field), getattr(want, field),
+                                   rtol=0.0, atol=1e-12, err_msg=field)
+
+
+class TestAugmentedLoops:
+    """The loops on the one-product augmented step against the reference
+    stepper where the ramp's end, the rotor angles and the oscillator's
+    re-anchoring do not line up with the cycles."""
+
+    DT = 5e-5
+
+    @pytest.mark.parametrize("t_ramp", [0.13, 0.1234567],
+                             ids=["ends-mid-cycle", "off-the-dt-grid"])
+    def test_run_until_steady(self, ninebus3, ninebus3_model, t_ramp):
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        assert [m.swing for m in net.machines] == [True]
+        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record,
+                           ramp_sources=True, t_ramp=t_ramp)
+        init = ek.zero_state(net, self.DT)
+        state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        assert ready is not None and ready == ref_ready == state.step
+        assert_close_to_reference(last, ref_last)
+        TestLoopEquivalence._assert_state_close(state, ref_state)
+        assert_machines_close(state, ref_state)
+
+    def test_swing_starts_at_the_step_the_ramp_ends(self, ninebus3, ninebus3_model):
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        t_ramp = 0.0123457  # mid-cycle, off the dt grid
+        end = math.ceil(t_ramp / self.DT)
+        assert ek.ramp_profile((end - 1) * self.DT, t_ramp) < 1.0
+        assert ek.ramp_profile(end * self.DT, t_ramp) == 1.0
+        init = ek.zero_state(net, self.DT)
+        finals = {}
+        for steps in (end - 1, end, end + 1):
+            cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record,
+                               ramp_sources=True, t_ramp=t_ramp)
+            waves, final = ek.run(net, cfg, init=init)
+            rows, ref_final, _ = reference_run(net, cfg, init)
+            assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
+            TestLoopEquivalence._assert_state_close(final, ref_final)
+            assert_machines_close(final, ref_final)
+            finals[steps] = final
+        before, at_end = finals[end - 1], finals[end]
+        assert np.array_equal(before.machine_delta, init.machine_delta)
+        assert np.array_equal(before.machine_speed_dev, [0.0])
+        assert at_end.machine_speed_dev[0] != 0.0
+        assert at_end.machine_delta[0] != init.machine_delta[0]
+
+    @pytest.mark.parametrize("swing", [True, False])
+    def test_run_from_rotor_angles_off_delta0(self, ninebus3, ninebus3_model, swing):
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        net = replace(net, machines=tuple(replace(m, swing=swing) for m in net.machines))
+        init = ek.zero_state(net, self.DT)
+        init.machine_delta = init.machine_delta + 0.4
+        cfg = ek.SimConfig(dt=self.DT, duration=700 * self.DT, record=record,
+                           ramp_sources=True, t_ramp=250 * self.DT)
+        waves, final = ek.run(net, cfg, init=init)
+        rows, ref_final, _ = reference_run(net, cfg, init)
+        assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
+        TestLoopEquivalence._assert_state_close(final, ref_final)
+        assert_machines_close(final, ref_final)
+        moved = not np.array_equal(final.machine_delta, init.machine_delta)
+        assert moved == swing
+
+    def test_run_until_steady_from_rotor_angles_off_delta0(self, ninebus3,
+                                                           ninebus3_model):
+        # A rotor that does not swing keeps its start angle for the whole
+        # run, so both step maps carry it.  (A swinging plant2 rotor started
+        # off delta0 takes over 7 s to settle.)
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        net = replace(net, machines=tuple(replace(m, swing=False) for m in net.machines))
+        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record,
+                           ramp_sources=True, t_ramp=0.3)
+        init = ek.zero_state(net, self.DT)
+        init.machine_delta = init.machine_delta + 0.4
+        state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        assert ready is not None and ready == ref_ready == state.step
+        assert_close_to_reference(last, ref_last)
+        TestLoopEquivalence._assert_state_close(state, ref_state)
+        assert np.array_equal(state.machine_delta, init.machine_delta)
+
+    def test_long_run_after_the_ramp(self, hybrid, hybrid_model):
+        net, record = region_net(hybrid, hybrid_model, "wind1")
+        t_ramp, steps = 0.05, 21_200
+        cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record,
+                           ramp_sources=True, t_ramp=t_ramp)
+        assert steps - t_ramp / self.DT >= 20_000
+        init = ek.zero_state(net, self.DT)
+        waves, final = ek.run(net, cfg, init=init)
+        rows, ref_final, _ = reference_run(net, cfg, init)
+        assert final.step == steps
+        assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
+        TestLoopEquivalence._assert_state_close(final, ref_final)
+
+
+class TestCycleCounts:
+    """`run_until_steady` counts whole cycles within rounding: 2.3/0.02 and
+    5.1/0.02 evaluate just below 115 and 255, 0.14/0.02 just above 7."""
+
+    DT = 1e-4  # 200 steps a cycle
+
+    @pytest.mark.parametrize("duration, cycles", [(2.3, 115), (5.1, 255)])
+    def test_budget_runs_every_whole_cycle(self, duration, cycles):
+        cfg = ek.SimConfig(dt=self.DT, duration=duration, record=["n2"],
+                           ramp_sources=True, t_ramp=10.0)  # never armed
+        state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        assert ready is None
+        assert state.step == cycles * 200
+
+    def test_detector_arms_in_the_first_cycle_after_the_ramp(self):
+        # With tolerance 1 every armed cycle counts as steady, so the
+        # detector fires in the cycle it arms in: cycle 7, (0.14, 0.16].
+        cfg = ek.SimConfig(dt=self.DT, duration=1.0, record=["n2"],
+                           ramp_sources=True, t_ramp=0.14, rms_change_tol=1.0,
+                           steady_cycles=1, settle_margin_cycles=0)
+        _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        assert ready == 8 * 200
 
 
 class TestStepCalls:
