@@ -5,37 +5,41 @@ matrix, solved per step for three decoupled phases (balanced operation,
 sources shifted by +-120 degrees).  Ideal voltage sources and machine
 internal EMF nodes are handled as known-voltage nodes.
 
-Between topology changes the network is linear and time-invariant, so one
-step is a fixed linear map of the stacked state x = [v; i], node voltages
-over element currents (Dommel's companion method in discrete state-space
-form).  With D the signed element-node incidence matrix, so that element
-voltages are u = D v, the step
+Between topology changes the network is linear and time-invariant, and
+its only memory is the companion history current of each inductor and
+capacitor (Dommel's companion method in discrete state-space form).  With
+D the signed element-node incidence matrix, so that element voltages are
+u = D v, the step
 
-    i_hist = h*u + j*i                companion history currents
-    v'     = P [i_hist; v_k]          node voltages, v_k the known nodes
-    i'     = g*(D v') + i_hist
+    ih = h*u + j*i                    history currents, zero on resistors
+    v' = P [ih; v_k]                  node voltages, v_k the known nodes
+    i' = g*(D v') + ih
 
-folds into x' = A x + F s(t) r(t) + B_e e_v, where r = [cos(wt + phase);
-sin(wt + phase)] per phase and s(t) is the source ramp.  Every source
-enters through the two fixed columns of F by the angle-addition identity,
-the swinging machines' EMFs e_v through B_e.
+makes the node voltages and element currents x' = [v'; i'] outputs of ih
+and of the known voltages: x' = W ih + F s(t) r(t) + B_e e_v, where r =
+[cos(wt + phase); sin(wt + phase)] per phase and s(t) is the source ramp.
+Every source enters through the two fixed columns of F by the
+angle-addition identity, the swinging machines' EMFs e_v through B_e.  So
+the kernel steps ih alone, one row per L/C element, and x is an output
+map O of the step buffer, not part of it.
 
 The oscillator joins the state: r advances by the fixed rotation R by w*dt,
 and during the linear ramp s = n*dt/t_ramp the product q = n*r advances by
 q' = R (q + r), so the source input (dt/t_ramp) q is linear too.  A machine
 whose rotor is fixed (every machine during the ramp, a non-swinging one
 always) is a source at its own angle and folds into F.  One step is then
-one product z' = T z of the augmented state z = [x; q; r; e_v], with one
-map T for the ramp and one after it; only a swinging machine after the
-ramp still writes its EMF row and updates its swing per step.
+one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
+for the ramp and one after it; only a swinging machine after the ramp
+still writes its EMF row and updates its swing per step, from its branch
+current, which T leaves in the same row.
 
-`CompiledNet` builds the network part once per topology and the two maps
-once per stepping loop.  The loops (`run`, `run_until_steady`) step through
-a cycle-long stack of buffers, gather the cycle's probe samples in one
-call, and re-anchor r and q from the clock at each cycle start, so the
-rotation's rounding drift never spans more than one cycle.  They build an
-`EmtState` only at their edges: on return, and at a fault event, where the
-state migrates onto the faulted topology.
+`CompiledNet` builds the network part once per topology and the maps once
+per stepping loop.  The loops (`run`, `run_until_steady`) step through a
+cycle-long stack of buffers, compute the cycle's probe samples in one
+product with the probes' rows of O, and re-anchor r and q from the clock
+at each cycle start, so the rotation's rounding drift never spans more
+than one cycle.  They build an `EmtState` only at their edges: on return,
+and at a fault event, where the state migrates onto the faulted topology.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -45,7 +49,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -322,44 +325,58 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
 
 
 class CompiledNet:
-    """The step of one network at one dt as one square linear map.
+    """The step of one network at one dt as one square linear map on the
+    history currents.
 
-    The state per phase is x = [v; i], the node voltages stacked on the
-    element currents, shape (size, 3) with size = n_nodes + n_elements.  A
-    step buffer z, shape (rows, 3), holds x, then two rows q = n*r, then
-    the oscillator r = [cos(wt + phase); sin(wt + phase)] at the buffer's
-    step n, then one EMF row e_v per swinging machine.  Its network part is
+    Per phase, the network's only memory is the history current ih =
+    h*(D v) + j*i of each inductor and capacitor (n_lc of them; a
+    resistor's is zero).  The node voltages and element currents x = [v; i]
+    of the next step are outputs of it and of the known voltages:
 
-        x' = A x + F s r' + B_e e_v
+        x' = W ih + F s r' + B_e e_v
 
-    * A folds the companion history i_hist = h*(D v) + j*i, the node solve
-      v' = P [i_hist; v_k] and the element currents i' = g*(D v') + i_hist
-      into one square matrix.
+    * W = [P_h; g*(D P_h) + I] on the L/C columns: the node solve v' =
+      P_h ih + P_k v_k and the element currents i' = g*(D v') + ih.
     * F = [f_c f_s] carries every source through the angle-addition
       identity: a source of peak a and angle t pins a*cos(t) r_c -
       a*sin(t) r_s.  `buffers` folds the machines whose rotors are fixed
       into F the same way, at the state's own angle and EMF.
     * B_e carries the EMFs of the swinging machines, whose angles move.
 
-    With r' = R r, R the rotation by w*dt, a step is z' = T z with
+    The step state z stacks ih, then two rows q = n*r, then the oscillator
+    r = [cos(wt + phase); sin(wt + phase)] at step n, then one row per
+    swinging machine: `rows` = n_lc + 4 + n_swinging rows per phase.  With
+    r' = R r, R the rotation by w*dt, x' is the output map O applied to z,
 
-        ramp (s < 1):  T = [[A, k F_all R, k F_all R, 0], [0, R, R, 0],
-                            [0, 0, R, 0], [0, 0, 0, 0]],  k = dt/t_ramp
-        after it:      T = [[A, 0, F_fixed R, B_e], [0, 0, 0, 0],
-                            [0, 0, R, 0], [0, 0, 0, 0]]
+        ramp (s < 1):  O = [W, k F_all R, k F_all R, 0],  k = dt/t_ramp
+        after it:      O = [W, 0, F_fixed R, B_e]
 
     where F_all folds every machine (no rotor moves during the ramp) and
-    F_fixed only the non-swinging ones.  The step after the ramp writes the
-    swinging machines' EMF rows before the product and advances their
-    swing after it.  `anchor` sets r and q from the clock.
+    F_fixed only the non-swinging ones.  A step is z' = T z with
+
+        T = [[H O], [0, R, R, 0] (ramp) or 0, [0, 0, R, 0], [O_m]]
+
+    H the L/C rows of the history map [h*D, diag(j)] and O_m the rows of O
+    that give the swinging machines' branch currents.  So a machine's row
+    holds its EMF e_v at the next step when the step reads it (the step
+    writes it before the product) and its branch current after it, which
+    the swing update reads.  `anchor` sets r and q from the clock.
+
+    A step buffer holds z with one phase per row, shape (3, rows), so a
+    step is out = x T^T, and a stack of buffers is, per phase, one matrix
+    for the probes' product.  Only the loop edges need x: the x of step n
+    is O z of the buffer at step n - 1, after its EMF rows are written.
+    `ProbeSet.sample` applies the probes' rows of O to a stack of buffers,
+    and `state` rebuilds x and the histories from the buffers one and two
+    steps back.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
-    unknown node's row holds G_uu^-1 (-A_u) and -G_uu^-1 W, with A_u = D^T
-    restricted to the unknown nodes and W the unknown-known block of the
-    nodal conductance matrix D^T diag(g) D; a known node's row holds a 1 in
-    the column of its source.  Known nodes are the source nodes in order,
-    then the machine EMF nodes.
+    unknown node's row holds G_uu^-1 (-A_u) and -G_uu^-1 W_uk, with A_u =
+    D^T restricted to the unknown nodes and W_uk the unknown-known block of
+    the nodal conductance matrix D^T diag(g) D; a known node's row holds a
+    1 in the column of its source.  Known nodes are the source nodes in
+    order, then the machine EMF nodes.
     """
 
     def __init__(self, net: EmtNet, dt: float):
@@ -407,16 +424,17 @@ class CompiledNet:
             p[node] = 0.0  # a node pinned twice follows its last source
             p[node, ne + c] = 1.0
 
-        # i_hist = H x, v' = P_h H x + P_k v_k, i' = g*(D v') + H x.
-        hist = np.hstack([h[:, None] * d, np.diag(j)])
-        p_h, p_k = p[:, :ne], p[:, ne:]
-        v_map = p_h @ hist
-        a = np.vstack([v_map, g[:, None] * (d @ v_map) + hist])
+        # ih = H x on the L/C elements; x' = W ih + B v_k.
+        lc = [k for k, e in enumerate(net.elements)
+              if e.kind in (ElementKind.INDUCTOR, ElementKind.CAPACITOR)]
+        self.n_lc = len(lc)
+        self.hist = np.hstack([h[:, None] * d, np.diag(j)])[lc]
+        p_h, p_k = p[:, lc], p[:, ne:]
+        self.w = np.vstack([p_h, g[:, None] * (d @ p_h) + np.eye(ne)[:, lc]])
         b = np.vstack([p_k, g[:, None] * (d @ p_k)])
         ns = len(net.sources)
         peak = SQRT2 * np.array([s.rms for s in net.sources])
         angle = np.array([s.angle for s in net.sources])
-        self.a = a
         self.f = np.column_stack([b[:, :ns] @ (peak * np.cos(angle)),
                                   -(b[:, :ns] @ (peak * np.sin(angle)))])
         self.b_machines = b[:, ns:]
@@ -425,15 +443,24 @@ class CompiledNet:
                                   [math.sin(wdt), math.cos(wdt)]])
 
         # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
-        # on the active machines, as (machine, i' row, dt/2H, D, dt w).
+        # on the active machines, as (machine, buffer row, dt/2H, D, dt w);
+        # the row is the machine's own, behind the oscillator.
         self.n_machines = len(net.machines)
-        self.swinging = [(k, nn + eids.index(m.branch_eid), dt / (2.0 * m.inertia_h),
+        active = [(k, m) for k, m in enumerate(net.machines)
+                  if m.swing and m.inertia_h > 0]
+        self.swinging = [(k, self.n_lc + 4 + c, dt / (2.0 * m.inertia_h),
                           m.damping, dt * self.omega)
-                         for k, m in enumerate(net.machines)
-                         if m.swing and m.inertia_h > 0]
-        self.rows = self.size + 4 + len(self.swinging)
-        self.ramp_map: np.ndarray | None = None   # both set by `buffers`
+                         for c, (k, m) in enumerate(active)]
+        self.branch_rows = [nn + eids.index(m.branch_eid) for _, m in active]
+        self.rows = self.n_lc + 4 + len(active)
+        # All set by `buffers`, for the loop from its state on.  The step
+        # maps are stored as T^T, the form `step` multiplies by.
+        self.ramp_map: np.ndarray | None = None
         self.post_map: np.ndarray | None = None
+        self.outputs: tuple[np.ndarray, np.ndarray] | None = None  # O ramp, after
+        self.t_ramp: float | None = None
+        self.ramp_end = 0
+        self._start: tuple[int, np.ndarray] | None = None
 
     # --- states at the edges of a stepping loop -----------------------------
 
@@ -462,28 +489,33 @@ class CompiledNet:
         out.hist_i = np.vstack([out.hist_i, pad])
         return out
 
-    def buffers(self, state: EmtState, t_ramp: float = SimConfig.t_ramp
+    def buffers(self, state: EmtState, t_ramp: float | None = None
                 ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-        """Two step buffers, the first holding the state's [v; i] and its
-        anchored oscillator, and one [delta, speed_dev, emf, pm] list per
-        machine.
+        """Two step buffers, the first holding the state's history currents
+        and its anchored oscillator, and one [delta, speed_dev, emf, pm]
+        list per machine.  A buffer holds one phase per row.
 
-        Also builds the two step maps for this state's rotor angles and
-        EMFs and a source ramp of t_ramp seconds; they serve the steps
-        from this state on, up to the next `buffers` call.
+        Also builds the step and output maps for this state's rotor angles
+        and EMFs and for sources that ramp linearly over t_ramp seconds
+        from t = 0 (None: sources at full scale throughout); they serve
+        the steps from this state on, up to the next `buffers` call.
         """
-        x = np.zeros((self.rows, 3))
-        x[:self.n_nodes] = state.v_nodes
-        x[self.n_nodes:self.size] = state.elem_i
-        self.anchor(x, state.step)
-        self.ramp_map, self.post_map = self._step_maps(state, t_ramp)
+        x = np.vstack([state.v_nodes, state.elem_i])
+        z = np.zeros((3, self.rows))
+        z[:, :self.n_lc] = (self.hist @ x).T
+        self.anchor(z, state.step)
+        self._start = (state.step, x)
+        self.t_ramp = t_ramp
+        self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
+        self._build_maps(state)
         machines = np.array([state.machine_delta, state.machine_speed_dev,
                              state.machine_emf, state.machine_pm], dtype=float)
-        return x, np.zeros_like(x), machines.reshape(4, self.n_machines).T.tolist()
+        return z, np.zeros_like(z), machines.reshape(4, self.n_machines).T.tolist()
 
-    def _step_maps(self, state: EmtState, t_ramp: float) -> tuple[np.ndarray, np.ndarray]:
-        """T during the ramp and after it (see the class docstring)."""
-        n, rot = self.size, self.rotation
+    def _build_maps(self, state: EmtState) -> None:
+        """T and O during the ramp and after it (see the class docstring);
+        without a ramp, both pairs are the maps after it."""
+        m, rot = self.n_lc, self.rotation
         # A machine at rotor angle d is a source of peak sqrt2*emf and angle
         # d: sqrt2 emf cos(wt + d) = sqrt2 emf (cos d r_c - sin d r_s).
         b_peak = self.b_machines * (SQRT2 * state.machine_emf)
@@ -492,50 +524,75 @@ class CompiledNet:
         swinging = [k for k, *_ in self.swinging]
         fixed = np.ones(self.n_machines, dtype=bool)
         fixed[swinging] = False
-        f_all = self.f + emf_cols.sum(axis=1)
-        f_fixed = self.f + emf_cols[:, fixed].sum(axis=1)
 
-        ramp, post = np.zeros((2, self.rows, self.rows))
-        for t in (ramp, post):
-            t[:n, :n] = self.a
-            t[n + 2:n + 4, n + 2:n + 4] = rot
-        ramp[n:n + 2, n:n + 2] = ramp[n:n + 2, n + 2:n + 4] = rot
-        ramp[:n, n:n + 2] = ramp[:n, n + 2:n + 4] = (self.dt / t_ramp) * (f_all @ rot)
-        post[:n, n + 2:n + 4] = f_fixed @ rot
-        post[:n, n + 4:] = self.b_machines[:, swinging]
-        return ramp, post
+        post = np.zeros((self.size, self.rows))
+        post[:, :m] = self.w
+        post[:, m + 2:m + 4] = (self.f + emf_cols[:, fixed].sum(axis=1)) @ rot
+        post[:, m + 4:] = self.b_machines[:, swinging]
+        self.outputs = (post, post)
+        self.ramp_map = self.post_map = self._step_map(post).T
+        if self.t_ramp is not None:
+            ramp = np.zeros_like(post)
+            ramp[:, :m] = self.w
+            ramp[:, m:m + 2] = ramp[:, m + 2:m + 4] = (
+                (self.dt / self.t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
+            t = self._step_map(ramp)
+            t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
+            self.outputs = (ramp, post)
+            self.ramp_map = t.T
+
+    def _step_map(self, out: np.ndarray) -> np.ndarray:
+        """T for the output map `out`, less the ramp's q rows."""
+        m = self.n_lc
+        t = np.zeros((self.rows, self.rows))
+        t[:m] = self.hist @ out
+        t[m + 2:m + 4, m + 2:m + 4] = self.rotation
+        t[m + 4:] = out[self.branch_rows]
+        return t
 
     def anchor(self, x: np.ndarray, step: int) -> None:
-        """Set the oscillator rows of buffer x from the clock at `step`:
-        r = [cos(wt + phase); sin(wt + phase)] and q = step*r."""
+        """Set the oscillator rows of the state in buffer x from the clock
+        at `step`: r = [cos(wt + phase); sin(wt + phase)] and q = step*r."""
         # Phases a, b, c sit at 0, -120, +120 degrees (PHASE_SHIFT); b and c
         # by angle addition: cos(t -+ 120) = cos t COS120 +- sin t SIN120,
         # sin(t -+ 120) = sin t COS120 -+ cos t SIN120.
-        n = self.size
+        n = self.n_lc
         wt = self.omega * (step * self.dt)
         c, s = math.cos(wt), math.sin(wt)
-        x[n + 2:n + 4] = [[c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s],
-                          [s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c]]
-        np.multiply(x[n + 2:n + 4], step, out=x[n:n + 2])
+        x[:, n + 2] = c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s
+        x[:, n + 3] = s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c
+        np.multiply(x[:, n + 2:n + 4], step, out=x[:, n:n + 2])
 
-    def state(self, x: np.ndarray, prev: np.ndarray, step: int,
-              machines: list[list[float]], scale: float) -> EmtState:
-        """The state at `step` from its buffer x and the buffer one step
-        behind it.
+    def scale(self, step: int) -> float:
+        """The source scale at `step` of the loop `buffers` set up."""
+        return 1.0 if step >= self.ramp_end else ramp_profile(step * self.dt, self.t_ramp)
 
-        The histories come from prev, and the element currents are
-        recomputed from them in companion form, so `companion_replay`
-        reproduces them bit for bit.  The state shares no array with the
-        buffers.
+    def output(self, z: np.ndarray, step: int) -> np.ndarray:
+        """[v; i] at `step` from the buffer one step behind it."""
+        return self.outputs[step >= self.ramp_end].dot(z.T)
+
+    def state(self, z: np.ndarray, z_prev: np.ndarray, step: int,
+              machines: list[list[float]]) -> EmtState:
+        """The state at `step` from the buffers one step (z) and two steps
+        (z_prev) behind it.
+
+        At the first step of a loop, the state `buffers` started from
+        stands in for z_prev's output.  The element currents are
+        recomputed from the histories in companion form, so
+        `companion_replay` reproduces them bit for bit.  The state shares
+        no array with the buffers.
         """
         nn, net = self.n_nodes, self.net
-        hist_i = prev[nn:self.size].copy()
+        x = self.output(z, step)
+        start, x_start = self._start
+        prev = x_start if step - 1 == start else self.output(z_prev, step - 1)
+        hist_i = prev[nn:].copy()
         delta, dw, emf, pm = np.array(machines, dtype=float).reshape(-1, 4).T.copy()
         state = EmtState(
             step, self.dt, net.nodes, self.element_ids,
             tuple(s.sid for s in net.sources), tuple(m.mid for m in net.machines),
             x[:nn].copy(), np.empty_like(hist_i), self.incidence.dot(prev[:nn]), hist_i,
-            delta, dw, emf, pm, np.full(len(net.sources), float(scale)),
+            delta, dw, emf, pm, np.full(len(net.sources), self.scale(step)),
         )
         state.elem_i = companion_replay(self, state)
         return state
@@ -547,33 +604,48 @@ class CompiledNet:
         """Advance buffer x one dt to `step`, writing the new buffer into out.
 
         During the ramp (scale < 1), and after it on a net without a
-        swinging machine, this is the one product out = T x.  After the
-        ramp, the swinging machines first write their EMF rows of x for the
-        new time and advance in place after the product.  Those rows are
-        few, so they are computed on plain floats: a numpy call would cost
-        more than the arithmetic.
+        swinging machine, this is the one product out = x T^T.  After the
+        ramp, the swinging machines first write their EMF rows of z in x
+        for the new time and advance in place after the product, from
+        their branch currents in the same rows of z in out.  Those rows
+        are few, so they are computed on plain floats: a numpy call would
+        cost more than the arithmetic.
         """
         if scale < 1.0:
-            np.dot(self.ramp_map, x, out=out)
+            np.dot(x, self.ramp_map, out=out)
             return
         if not self.swinging:
-            np.dot(self.post_map, x, out=out)
+            np.dot(x, self.post_map, out=out)
             return
         wt = self.omega * (step * self.dt)
-        rows = []
-        for k, *_ in self.swinging:
+        emfs = []
+        for k, row, *_ in self.swinging:
             delta, _, emf, _ = machines[k]
             amp, theta = SQRT2 * emf, wt + delta
             c, s = amp * math.cos(theta), amp * math.sin(theta)
-            rows.append([c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s])
-        x[self.size + 4:] = rows
-        np.dot(self.post_map, x, out=out)
-        for (k, row, speed_gain, damping, angle_gain), e_v in zip(self.swinging, rows):
+            e_v = (c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s)
+            x[:, row] = e_v
+            emfs.append(e_v)
+        np.dot(x, self.post_map, out=out)
+        for (k, row, speed_gain, damping, angle_gain), (ea, eb, ec) in zip(self.swinging,
+                                                                           emfs):
             m = machines[k]
             delta, dw, _, pm = m
-            pe = sum(map(operator.mul, e_v, out[row].tolist())) / 3.0
+            ia, ib, ic = out[:, row].tolist()
+            pe = (ea * ia + eb * ib + ec * ic) / 3.0
             dw = dw + speed_gain * (pm - pe - damping * dw)
             m[0], m[1] = delta + angle_gain * dw, dw
+
+
+def _first_full_step(t_ramp: float, dt: float) -> int:
+    """The first step whose time reaches t_ramp, where `ramp_profile` gives
+    1.0; every earlier step is scaled below it."""
+    n = math.ceil(t_ramp / dt)
+    while n * dt < t_ramp:
+        n += 1
+    while (n - 1) * dt >= t_ramp:
+        n -= 1
+    return n
 
 
 # --- probes and waveform recording -----------------------------------------------
@@ -582,12 +654,13 @@ class CompiledNet:
 class ProbeSet:
     """Resolved probe ids: node voltages and element currents, all phases.
 
-    Every key is one flat position in the node voltages stacked on the
-    element currents, the row layout of a step buffer, so a sample is a
-    single index gather.
+    Every probe is one row of [v; i], the node voltages stacked on the
+    element currents, so its samples are that row of the compiled net's
+    output map applied to step buffers (see `CompiledNet`).
     """
 
     def __init__(self, compiled: CompiledNet, record: list[str]):
+        self.compiled = compiled
         self.keys: list[str] = []
         eids = [e.eid for e in compiled.net.elements]
         rows: list[int] = []
@@ -602,16 +675,34 @@ class ProbeSet:
                     raise UnknownProbe(f"no node '{pid}' to record voltage from")
                 rows.append(compiled.node_index[pid])
             self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
-        self._flat = (3 * np.array(rows, dtype=int)[:, None] + np.arange(3)).ravel()
+        self.rows = np.array(rows, dtype=int)
 
-    def sample(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The probe values of a step buffer (or any array in the [v; i]
-        row layout), or one row of them per buffer of a stack of shape
-        (steps, rows, 3), written into out when given."""
-        # "clip" lets take write into out unbuffered; the indices are in
-        # range by construction.
-        flat = x.reshape(x.shape[:-2] + (-1,))
-        return flat.take(self._flat, axis=-1, out=out, mode="clip")
+    def read(self, state: EmtState) -> np.ndarray:
+        """The probe values of a state, one per key."""
+        return np.vstack([state.v_nodes, state.elem_i])[self.rows].ravel()
+
+    def sample(self, stack: np.ndarray, out: np.ndarray | None = None,
+               ramp_steps: int = 0) -> np.ndarray:
+        """The probe values at the steps after a stack of buffers (steps, 3,
+        rows), one row per key and one column per buffer, written into out
+        when given; of a single buffer (3, rows), one value per key.
+
+        The first `ramp_steps` buffers step into the ramp, the others after
+        it.  Each part is one product per phase with the probes' rows of
+        that output map, written straight into the rows of that phase's
+        keys.
+        """
+        if stack.ndim == 2:
+            return self.sample(stack[None], None, ramp_steps)[:, 0]
+        if out is None:
+            out = np.empty((len(self.keys), len(stack)))
+        for part, o in ((slice(None, ramp_steps), self.compiled.outputs[0]),
+                        (slice(ramp_steps, None), self.compiled.outputs[1])):
+            if len(stack[part]):
+                o_p = o[self.rows]
+                for ph in range(3):
+                    np.matmul(o_p, stack[part, ph].T, out=out[ph::3, part])
+        return out
 
 
 @dataclass
@@ -639,16 +730,18 @@ def _whole_cycles(t: float, period: float, up: bool = False) -> int:
     return math.ceil(q - 1e-9) if up else math.floor(q + 1e-9)
 
 
-def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, t_ramp: float,
+def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, cfg: SimConfig,
                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
                              list[list[float]]]:
-    """`length` + 1 step buffers stacked, the first holding the state; the
-    (buffer, next buffer) view pairs a loop steps through; the machines."""
-    x, _, machines = compiled.buffers(state, t_ramp)
-    stack = np.empty((length + 1,) + x.shape)
-    stack[0] = x
+    """`length` + 2 step buffers stacked: slot 1 holds the state, and slot
+    0 the buffer one step before slot 1 once a loop carries it over; the
+    (buffer, next buffer) view pairs a loop steps through from slot 1; the
+    machines."""
+    z, _, machines = compiled.buffers(state, cfg.t_ramp if cfg.ramp_sources else None)
+    stack = np.zeros((length + 2,) + z.shape)
+    stack[1] = z
     views = list(stack)
-    return stack, list(zip(views[:-1], views[1:])), machines
+    return stack, list(zip(views[1:-1], views[2:])), machines
 
 
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
@@ -656,10 +749,11 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     """Fixed-duration simulation with event handling and probe recording.
 
     Steps a cycle at a time through a stack of buffers, re-anchoring the
-    oscillator at each chunk start and gathering the chunk's probe samples
-    in one call.  A chunk ends early at a fault event, where an EmtState
+    oscillator at each chunk start and computing the chunk's probe samples
+    in one product.  A chunk ends early at a fault event, where an EmtState
     is built to migrate onto the faulted topology; otherwise one is built
-    only on return.
+    only on return.  The traces are recorded probe-major, so each waveform
+    is a row of one array.
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
@@ -677,48 +771,49 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
     probes = ProbeSet(compiled, cfg.record)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
-    traces = np.zeros((n_steps + 1, len(probes.keys)))
+    traces = np.zeros((len(probes.keys), n_steps + 1))
+    traces[:, 0] = probes.read(state)
     # One cycle per chunk; a DC net has no cycle and no rotation to drift.
     cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
     chunk = max(1, min(cycle, n_steps))
-    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg.t_ramp)
-    probes.sample(stack[0], traces[0])
+    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg)
 
-    n, scale = start_step, 1.0
-    pos = 0  # stack index of the buffer at step n
+    n, dt, t_ramp = start_step, cfg.dt, cfg.t_ramp
+    pos = 1  # stack index of the buffer at step n
     next_event = 0
     current_net = net
     while n - start_step < n_steps:
         while next_event < len(events) and n >= event_steps[next_event]:
             ev = events[next_event]
             if n > state.step:
-                state = compiled.state(stack[pos], stack[pos - 1], n, machines, scale)
+                state = compiled.state(stack[pos - 1], stack[pos - 2], n, machines)
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
             compiled = CompiledNet(current_net, cfg.dt)
             state = compiled.migrate_state(state)
-            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg.t_ramp)
+            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg)
             probes = ProbeSet(compiled, cfg.record)
-            pos = 0
+            pos = 1
             next_event += 1
         done = n - start_step
         length = min(chunk, n_steps - done)
         if next_event < len(events):
             length = min(length, event_steps[next_event] - n)
-        if pos:
-            stack[0] = stack[pos]
-        compiled.anchor(stack[0], n)
-        step = compiled.step
+        if pos > 1:
+            stack[:2] = stack[pos - 1:pos + 1]
+        compiled.anchor(stack[1], n)
+        step, ramp_end = compiled.step, compiled.ramp_end
+        ramp_steps = min(max(ramp_end - n - 1, 0), length)
         for x, out in pairs[:length]:
             n += 1
-            scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
+            scale = 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp)
             step(x, out, n, scale, machines)
-        probes.sample(stack[1:length + 1], traces[done + 1:done + length + 1])
-        pos = length
+        probes.sample(stack[1:length + 1], traces[:, done + 1:done + length + 1],
+                      ramp_steps)
+        pos = length + 1
 
     if n > state.step:
-        state = compiled.state(stack[pos], stack[pos - 1], n, machines, scale)
-    data = {key: traces[:, i].copy() for i, key in enumerate(probes.keys)}
-    return WaveformSet(times, data), state
+        state = compiled.state(stack[pos - 1], stack[pos - 2], n, machines)
+    return WaveformSet(times, dict(zip(probes.keys, traces))), state
 
 
 def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
@@ -731,9 +826,10 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     cycles run before the state is returned, and the samples of the final
     full cycle come back for phasor extraction.  Each cycle steps through
     a cycle-long stack of buffers from an oscillator re-anchored at its
-    start, and gathers its samples in one call.
+    start, and computes its samples in one product.
 
-    Returns (state, ready_step or None, last cycle samples, probe keys).
+    Returns (state, ready_step or None, last cycle samples one row per
+    step, probe keys).
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
@@ -746,30 +842,31 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     max_cycles = _whole_cycles(cfg.duration, net.period)
     arm_after = _whole_cycles(cfg.t_ramp, net.period, up=True) if cfg.ramp_sources else 0
 
-    buf = np.zeros((n_cycle, len(probes.keys)))
+    buf = np.zeros((len(probes.keys), n_cycle))
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
-    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg.t_ramp)
-    step = compiled.step
-    n, scale = state.step, 1.0
+    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg)
+    step, ramp_end = compiled.step, compiled.ramp_end
+    n, dt, t_ramp = state.step, cfg.dt, cfg.t_ramp
     ready: int | None = None
 
     for c in range(max_cycles):
         if c:
-            stack[0] = stack[n_cycle]
-        compiled.anchor(stack[0], n)
+            stack[:2] = stack[n_cycle:]
+        compiled.anchor(stack[1], n)
+        ramp_steps = min(max(ramp_end - n - 1, 0), n_cycle)
         for x, out in pairs:
             n += 1
-            scale = ramp_profile(n * cfg.dt, cfg.t_ramp) if cfg.ramp_sources else 1.0
+            scale = 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp)
             step(x, out, n, scale, machines)
-        probes.sample(stack[1:], buf)
+        probes.sample(stack[1:n_cycle + 1], buf, ramp_steps)
         if fired_at is not None:
             if c - fired_at >= cfg.settle_margin_cycles:
                 ready = n
                 break
             continue
-        rms = np.sqrt(np.mean(buf**2, axis=0))
+        rms = np.sqrt(np.mean(buf**2, axis=1))
         if prev_rms is not None and c >= arm_after:
             change = np.abs(rms - prev_rms) / np.maximum(rms, 1e-6)
             stable_run = stable_run + 1 if float(change.max()) <= cfg.rms_change_tol else 0
@@ -781,8 +878,8 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
         prev_rms = rms.copy()
 
     if n > state.step:
-        state = compiled.state(stack[n_cycle], stack[n_cycle - 1], n, machines, scale)
-    return state, ready, buf.copy(), probes.keys
+        state = compiled.state(stack[n_cycle], stack[n_cycle - 1], n, machines)
+    return state, ready, buf.T.copy(), probes.keys
 
 
 def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:

@@ -30,14 +30,14 @@ from reference_kernel import (  # noqa: E402
 
 def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
     """The state `steps` buffer steps after `state`."""
-    x, prev, machines = compiled.buffers(state, t_ramp)
+    z, out, machines = compiled.buffers(state, t_ramp if ramp else None)
+    bufs = [np.zeros_like(z), z, out]  # steps n - 1, n and n + 1
     n = state.step
     for _ in range(steps):
         n += 1
-        scale = ek.ramp_profile(n * compiled.dt, t_ramp) if ramp else 1.0
-        compiled.step(x, prev, n, scale, machines)
-        x, prev = prev, x
-    return compiled.state(x, prev, n, machines, scale)
+        compiled.step(bufs[1], bufs[2], n, compiled.scale(n), machines)
+        bufs = bufs[1:] + bufs[:1]
+    return compiled.state(bufs[0], bufs[2], n, machines)
 
 
 def rl_net(r=1.0, l_henry=0.01, rms=1.0):
@@ -322,10 +322,9 @@ class TestAffineStepEquivalence:
         net = hybrid_model.full_net
         compiled = ek.CompiledNet(net, 5e-5)
         before = ek.zero_state(net, 5e-5)
-        x, out, machines = compiled.buffers(before)
-        scale = ek.ramp_profile(5e-5, 0.5)
-        compiled.step(x, out, 1, scale, machines)
-        after = compiled.state(out, x, 1, machines, scale)
+        x, out, machines = compiled.buffers(before, 0.5)
+        compiled.step(x, out, 1, compiled.scale(1), machines)
+        after = compiled.state(x, None, 1, machines)
         fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
                   "machine_speed_dev", "machine_emf", "machine_pm", "source_scale")
         for a in fields:
@@ -525,6 +524,94 @@ class TestAugmentedLoops:
         TestLoopEquivalence._assert_state_close(final, ref_final)
 
 
+class TestHistoryCurrentState:
+    """The step buffer holds only what the network remembers: the L/C
+    history currents, the oscillator rows and one row per swinging
+    machine.  Node voltages and element currents are outputs of it, and a
+    state at a loop edge is rebuilt from the buffers one and two steps
+    back (or from the loop's start state)."""
+
+    DT = 5e-5  # 400 steps a cycle
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_step_map_has_one_column_per_memory_row(self, request, name):
+        case = request.getfixturevalue(name)
+        model = sn.system_model(case, sn.PipelineConfig(dt=self.DT))
+        nets = [model.full_net] + [region_net(case, model, op.decl.name)[0]
+                                   for op in model.region_ops]
+        for net in nets:
+            n_lc = sum(e.kind in (ek.ElementKind.INDUCTOR, ek.ElementKind.CAPACITOR)
+                       for e in net.elements)
+            n_swinging = sum(m.swing and m.inertia_h > 0 for m in net.machines)
+            compiled = ek.CompiledNet(net, self.DT)
+            compiled.buffers(ek.zero_state(net, self.DT), 0.5)
+            cols = n_lc + 4 + n_swinging
+            assert n_lc < len(net.nodes) + len(net.elements)
+            for t in (compiled.ramp_map, compiled.post_map):
+                assert t.shape == (cols, cols), net.name
+            for o in compiled.outputs:
+                assert o.shape == (len(net.nodes) + len(net.elements), cols)
+        if name == "hybrid":
+            # 32 L/C elements and one swinging machine; [v; i] has 80 rows.
+            full = ek.CompiledNet(model.full_net, self.DT)
+            full.buffers(ek.zero_state(model.full_net, self.DT))
+            assert full.post_map.shape == (37, 37) and full.size == 80
+
+    @pytest.mark.parametrize("fault_step", [1, 401, 800],
+                             ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
+    def test_fault_with_swinging_machine(self, hybrid, hybrid_model, fault_step):
+        net, dt = hybrid_model.full_net, self.DT
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net).emt_state
+        init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
+        record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
+        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
+                           events=[ek.SimEvent(fault_step * dt, "fault", "B7", 0.02)])
+        self._assert_run_matches_reference(net, cfg, init)
+
+    @pytest.mark.parametrize("fault_step", [1, 401, 800],
+                             ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
+    def test_fault_during_and_after_the_ramp(self, fault_step):
+        # The ramp ends mid-way through the second cycle, so the chunks
+        # around the fault mix ramp and post-ramp output maps.
+        net, far = random_linear_net(np.random.default_rng(7))
+        dt = self.DT
+        record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
+        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
+                           events=[ek.SimEvent(fault_step * dt, "fault", far, 0.05)],
+                           ramp_sources=True, t_ramp=600 * dt)
+        self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
+
+    def test_net_without_inductors_or_capacitors(self):
+        net = ek.EmtNet(
+            "resistive", 50.0, ("n1", "n2", "n3"),
+            (ek.Element("r1", ek.ElementKind.RESISTOR, "n1", "n2", 0.3),
+             ek.Element("r2", ek.ElementKind.RESISTOR, "n2", "n3", 0.2),
+             ek.Element("r3", ek.ElementKind.RESISTOR, "n3", None, 1.5)),
+            (ek.Source("src", "n1", 1.0, 0.4),),
+        )
+        dt = self.DT
+        compiled = ek.CompiledNet(net, dt)
+        compiled.buffers(ek.zero_state(net, dt), 0.01)
+        assert compiled.n_lc == 0 and compiled.post_map.shape == (4, 4)
+        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=["n2", "n3", "i:r1", "i:r3"],
+                           events=[ek.SimEvent(500 * dt, "fault", "n3", 0.1)],
+                           ramp_sources=True, t_ramp=300 * dt)
+        self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
+
+    @staticmethod
+    def _assert_run_matches_reference(net, cfg, init):
+        waves, final = ek.run(net, cfg, init=init)
+        rows, ref_final, _ = reference_run(net, cfg, init)
+        got = np.column_stack(list(waves.data.values()))
+        assert got.shape == rows.shape
+        assert_close_to_reference(got, rows)
+        TestLoopEquivalence._assert_state_close(final, ref_final)
+        assert_machines_close(final, ref_final)
+        assert np.array_equal(ek.companion_replay(ek.CompiledNet(
+            ek.apply_fault(net, cfg.events[0].target, cfg.events[0].r_fault), cfg.dt),
+            final), final.elem_i)
+
+
 class TestCycleCounts:
     """`run_until_steady` counts whole cycles within rounding: 2.3/0.02 and
     5.1/0.02 evaluate just below 115 and 255, 0.14/0.02 just above 7."""
@@ -581,24 +668,35 @@ class TestStepCalls:
 
 class TestProbeSet:
     def test_interleaved_probes_match_per_probe_lookup(self):
+        # A buffer with a single 1 in each phase column reads one entry of
+        # the output map per key, exactly, whatever the summation order.
         net = rl_net()
         compiled = ek.CompiledNet(net, 2e-5)
-        state = advance(compiled, ek.zero_state(net, 2e-5), 137)
-        x = np.vstack([state.v_nodes, state.elem_i])
+        compiled.buffers(advance(compiled, ek.zero_state(net, 2e-5), 137), 0.5)
         record = ["n2", "i:l1", "n1", "i:r1", "n2"]
         probes = ek.ProbeSet(compiled, record)
         assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
         eids = [e.eid for e in net.elements]
-        want = []
-        for pid in record:
-            if pid.startswith("i:"):
-                row = state.elem_i[eids.index(pid[2:])]
-            else:
-                row = state.v_nodes[compiled.node_index[pid]]
-            want += [row[ph] for ph in range(3)]
-        got = probes.sample(x)
-        assert np.array_equal(got, np.array(want))
-        assert got.shape == (len(probes.keys),)
+        cols = [0, compiled.n_lc + 2, compiled.n_lc + 3]  # ih, r_c, r_s
+        z = np.zeros((3, compiled.rows))
+        z[[0, 1, 2], cols] = 1.0
+        for ramp_steps, o in ((0, compiled.outputs[1]), (1, compiled.outputs[0])):
+            want = []
+            for pid in record:
+                if pid.startswith("i:"):
+                    row = compiled.n_nodes + eids.index(pid[2:])
+                else:
+                    row = compiled.node_index[pid]
+                want += [o[row, cols[ph]] for ph in range(3)]
+            got = probes.sample(z, ramp_steps=ramp_steps)
+            assert np.array_equal(got, np.array(want))
+            assert got.shape == (len(probes.keys),)
+        # A stack: one column per buffer, the first ramp_steps on the ramp map.
+        stack = np.stack([z, 2.0 * z, 4.0 * z])
+        got = probes.sample(stack, ramp_steps=1)
+        assert got.shape == (len(probes.keys), 3)
+        assert np.array_equal(got[:, 0], probes.sample(z, ramp_steps=1))
+        assert np.array_equal(got[:, 1:], np.outer(probes.sample(z), [2.0, 4.0]))
 
     def test_empty_record_samples_nothing(self):
         compiled = ek.CompiledNet(rl_net(), 2e-5)
