@@ -29,9 +29,21 @@ q' = R (q + r), so the source input (dt/t_ramp) q is linear too.  A machine
 whose rotor is fixed (every machine during the ramp, a non-swinging one
 always) is a source at its own angle and folds into F.  One step is then
 one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
-for the ramp and one after it; only a swinging machine after the ramp
-still writes its EMF row and updates its swing per step, from its branch
-current, which T leaves in the same row.
+for the ramp and one after it.
+
+After the ramp, a swinging machine's EMF row e_v = sqrt2 emf cos(wt +
+delta + phase) follows its rotor angle, which its electrical power moves:
+the only nonlinearity of the step.  The loops advance such a net in
+chunks of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation
+of the rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE
+Trans. CAD 1(3)).  Within a chunk the network is linear in the EMFs, so
+the machines' currents and the probe samples are fixed maps of the
+chunk's start buffer and its EMFs, and the swing recursion is a fixed
+affine map of the electrical power.  A sweep forms the EMFs from the
+angles of the last sweep, then the currents, the power and the angles; a
+chunk ends when its angles repeat bit for bit.  Each step's EMF reads the
+angle before it, so sweep k fixes step k for good, and a chunk of L steps
+stops within L + 1 sweeps.
 
 `CompiledNet` builds the network part once per topology and the maps once
 per stepping loop.  The loops (`run`, `run_until_steady`) step through a
@@ -53,6 +65,7 @@ import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,9 +78,16 @@ from .errors import (
 )
 
 SQRT2 = math.sqrt(2.0)
+# Steps per relaxed chunk of a net with swinging machines after the ramp:
+# longer chunks need fewer numpy calls per step but more sweeps per chunk.
+SWING_CHUNK = 100
+# Steps per block of a relaxed chunk's probe samples: one small map serves
+# every block, from the block's start buffer and its EMFs.
+PROBE_BLOCK = 20
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
+_ONES3 = np.ones(3)
 
 
 class ElementKind(str, Enum):
@@ -198,9 +218,6 @@ class EmtNet:
     def period(self) -> float:
         return 1.0 / self.frequency_hz
 
-    def with_sources_zeroed(self) -> "EmtNet":
-        return replace(self, sources=tuple(replace(s, rms=0.0) for s in self.sources))
-
 
 def apply_fault(net: EmtNet, bus: str, r_fault: float) -> EmtNet:
     """Three-phase-to-ground fault: a shunt fault resistance to ground on
@@ -324,6 +341,24 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
     )
 
 
+class _SwingMaps(NamedTuple):
+    """`CompiledNet.relax`'s maps over a chunk of N = SWING_CHUNK steps; a
+    shorter chunk uses their leading blocks.  w_0 is the chunk's start
+    buffer less its machine rows, and e stacks the EMFs of the chunk's
+    steps, step-major, as do the outputs and the rotor angles.  The probes
+    are sampled per block of B = PROBE_BLOCK steps."""
+
+    currents: np.ndarray    # (N*nsw, w + N*nsw): machine currents from [w_0; e]
+    starts: np.ndarray      # (N/B*w, w + N*nsw): w at each block start from [w_0; e]
+    probes: np.ndarray      # (B*n_probes, w + B*nsw): a block's samples from its
+    n_probes: int           # start's w and its EMFs
+    from_start: np.ndarray  # (N*nsw, 3*nsw): angles from [delta_0; dw_0; pm]
+    from_power: np.ndarray  # (N*nsw, N*nsw): angles from sum over phases of e*i
+    decay: np.ndarray       # (nsw, N + 1): r^k, the speed deviation's decay
+    amplitude: np.ndarray   # (N*nsw, 1): sqrt2 emf
+    ends: dict              # chunk length: map of [w_0; e] to the rebuilt buffers
+
+
 class CompiledNet:
     """The step of one network at one dt as one square linear map on the
     history currents.
@@ -358,9 +393,8 @@ class CompiledNet:
 
     H the L/C rows of the history map [h*D, diag(j)] and O_m the rows of O
     that give the swinging machines' branch currents.  So a machine's row
-    holds its EMF e_v at the next step when the step reads it (the step
-    writes it before the product) and its branch current after it, which
-    the swing update reads.  `anchor` sets r and q from the clock.
+    holds its EMF e_v at the next step before the product and its branch
+    current after it.  `anchor` sets r and q from the clock.
 
     A step buffer holds z with one phase per row, shape (3, rows), so a
     step is out = x T^T, and a stack of buffers is, per phase, one matrix
@@ -369,6 +403,17 @@ class CompiledNet:
     `ProbeSet.sample` applies the probes' rows of O to a stack of buffers,
     and `state` rebuilds x and the histories from the buffers one and two
     steps back.
+
+    `step` is the one product, for the ramp and for a net without a
+    swinging machine.  After the ramp, `relax` advances a net with
+    swinging machines a chunk at a time.  Split z into w, the rows before
+    the machines', and the machine rows; then w' = T_ww w + T_we e, and
+    every output, a machine's current or a probe, is o [w; e] at the step
+    the buffer's EMF rows serve.  Over a chunk from w_0 the outputs are
+    one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on the EMFs the
+    lower block-triangular Toeplitz matrix of the Markov parameters o_e
+    and o_w T_ww^d T_we, one block per machine.  `buffers` builds them, for
+    the machines' currents and the loop's probes.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
@@ -443,16 +488,19 @@ class CompiledNet:
                                   [math.sin(wdt), math.cos(wdt)]])
 
         # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
-        # on the active machines, as (machine, buffer row, dt/2H, D, dt w);
-        # the row is the machine's own, behind the oscillator.
+        # on the active machines, whose buffer rows follow the oscillator's
+        # in this order.
         self.n_machines = len(net.machines)
-        active = [(k, m) for k, m in enumerate(net.machines)
-                  if m.swing and m.inertia_h > 0]
-        self.swinging = [(k, self.n_lc + 4 + c, dt / (2.0 * m.inertia_h),
-                          m.damping, dt * self.omega)
-                         for c, (k, m) in enumerate(active)]
-        self.branch_rows = [nn + eids.index(m.branch_eid) for _, m in active]
+        self.swinging = [k for k, m in enumerate(net.machines)
+                         if m.swing and m.inertia_h > 0]
+        active = [net.machines[k] for k in self.swinging]
+        self.speed_gain = np.array([dt / (2.0 * m.inertia_h) for m in active])
+        self.damping = np.array([m.damping for m in active])
+        self.branch_rows = [nn + eids.index(m.branch_eid) for m in active]
         self.rows = self.n_lc + 4 + len(active)
+        # Work counters of `relax`.
+        self.chunks_relaxed = 0
+        self.sweeps = 0
         # All set by `buffers`, for the loop from its state on.  The step
         # maps are stored as T^T, the form `step` multiplies by.
         self.ramp_map: np.ndarray | None = None
@@ -461,6 +509,10 @@ class CompiledNet:
         self.t_ramp: float | None = None
         self.ramp_end = 0
         self._start: tuple[int, np.ndarray] | None = None
+        self.swing_maps: _SwingMaps | None = None
+        # The electrical power per swinging machine that the next chunk's
+        # first angle guess assumes over the whole chunk.
+        self.pe_guess = np.zeros(len(active))
 
     # --- states at the edges of a stepping loop -----------------------------
 
@@ -489,16 +541,19 @@ class CompiledNet:
         out.hist_i = np.vstack([out.hist_i, pad])
         return out
 
-    def buffers(self, state: EmtState, t_ramp: float | None = None
-                ) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    def buffers(self, state: EmtState, t_ramp: float | None = None,
+                probe_rows: np.ndarray | None = None,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Two step buffers, the first holding the state's history currents
-        and its anchored oscillator, and one [delta, speed_dev, emf, pm]
-        list per machine.  A buffer holds one phase per row.
+        and its anchored oscillator, and the machines, one row [delta,
+        speed_dev, emf, pm] each.  A buffer holds one phase per row.
 
         Also builds the step and output maps for this state's rotor angles
         and EMFs and for sources that ramp linearly over t_ramp seconds
         from t = 0 (None: sources at full scale throughout); they serve
-        the steps from this state on, up to the next `buffers` call.
+        the steps from this state on, up to the next `buffers` call.  On a
+        net with swinging machines it builds `relax`'s maps too, for the
+        probes at rows `probe_rows` of [v; i] (None: no probes).
         """
         x = np.vstack([state.v_nodes, state.elem_i])
         z = np.zeros((3, self.rows))
@@ -508,9 +563,13 @@ class CompiledNet:
         self.t_ramp = t_ramp
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
         self._build_maps(state)
-        machines = np.array([state.machine_delta, state.machine_speed_dev,
-                             state.machine_emf, state.machine_pm], dtype=float)
-        return z, np.zeros_like(z), machines.reshape(4, self.n_machines).T.tolist()
+        if self.swinging:
+            rows = np.zeros(0, dtype=int) if probe_rows is None else probe_rows
+            self.swing_maps = self._swing_maps(rows, state.machine_emf[self.swinging])
+            self.pe_guess = state.machine_pm[self.swinging].astype(float)
+        machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
+                                    state.machine_emf, state.machine_pm]).astype(float)
+        return z, np.zeros_like(z), machines
 
     def _build_maps(self, state: EmtState) -> None:
         """T and O during the ramp and after it (see the class docstring);
@@ -521,14 +580,13 @@ class CompiledNet:
         b_peak = self.b_machines * (SQRT2 * state.machine_emf)
         emf_cols = np.stack([b_peak * np.cos(state.machine_delta),
                              -b_peak * np.sin(state.machine_delta)], axis=-1)
-        swinging = [k for k, *_ in self.swinging]
         fixed = np.ones(self.n_machines, dtype=bool)
-        fixed[swinging] = False
+        fixed[self.swinging] = False
 
         post = np.zeros((self.size, self.rows))
         post[:, :m] = self.w
         post[:, m + 2:m + 4] = (self.f + emf_cols[:, fixed].sum(axis=1)) @ rot
-        post[:, m + 4:] = self.b_machines[:, swinging]
+        post[:, m + 4:] = self.b_machines[:, self.swinging]
         self.outputs = (post, post)
         self.ramp_map = self.post_map = self._step_map(post).T
         if self.t_ramp is not None:
@@ -549,6 +607,77 @@ class CompiledNet:
         t[m + 2:m + 4, m + 2:m + 4] = self.rotation
         t[m + 4:] = out[self.branch_rows]
         return t
+
+    def _swing_maps(self, probe_rows: np.ndarray, emf: np.ndarray) -> _SwingMaps:
+        """`relax`'s maps for the probes at `probe_rows` of [v; i] and the
+        swinging machines' EMF magnitudes (see the class docstring)."""
+        n, w, nsw = SWING_CHUNK, self.n_lc + 4, len(self.swinging)
+        t = self.post_map.T
+        rows = np.concatenate([self.branch_rows, probe_rows]).astype(int)
+        o = self.outputs[1][rows]
+        # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on w_0,
+        # and the Markov parameter d = k + 1 - j on e_j.
+        from_w = np.empty((n, len(rows), w))
+        markov = np.empty((n, len(rows), nsw))
+        markov[0] = o[:, w:]
+        power = np.eye(w)
+        for k in range(n):
+            np.dot(o[:, :w], power, out=from_w[k])
+            if k + 1 < n:
+                np.dot(from_w[k], t[:w, w:], out=markov[k + 1])
+                power = t[:w, :w] @ power
+
+        def chunk_map(part: slice, steps: int) -> np.ndarray:
+            r = len(rows[part])
+            lower = np.tril_indices(steps)
+            g = np.zeros((steps, r, w + steps * nsw))
+            g[:, :, :w] = from_w[:steps, part]
+            from_e = g[:, :, w:].reshape(steps, r, steps, nsw)  # a view
+            from_e[lower[0], :, lower[1]] = markov[:steps, part][lower[0] - lower[1]]
+            return g.reshape(steps * r, w + steps * nsw)
+
+        # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
+        # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
+        # sum_(i<=k) dw_i, which is linear in delta_0, dw_0, pm and pe.
+        decay = (1.0 - self.speed_gain * self.damping)[:, None] ** np.arange(n + 1)
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        tail = np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
+        angle_gain = self.dt * self.omega
+        to_angle = (angle_gain * self.speed_gain)[:, None, None] * np.cumsum(tail, axis=1)
+        own = np.arange(nsw)
+        from_power = np.zeros((n, nsw, n, nsw))
+        from_power[:, own, :, own] = to_angle / -3.0
+        from_start = np.zeros((n, nsw, 3, nsw))
+        from_start[:, own, 0, own] = 1.0
+        from_start[:, own, 1, own] = angle_gain * np.cumsum(decay[:, 1:], axis=1).T
+        from_start[:, own, 2, own] = to_angle.sum(axis=2).T
+        return _SwingMaps(
+            currents=chunk_map(slice(None, nsw), n),
+            starts=self._w_map(list(range(0, n, PROBE_BLOCK)), n),
+            probes=chunk_map(slice(nsw, None), PROBE_BLOCK),
+            n_probes=len(probe_rows),
+            from_start=from_start.reshape(n * nsw, 3 * nsw),
+            from_power=from_power.reshape(n * nsw, n * nsw),
+            decay=decay,
+            amplitude=np.tile(SQRT2 * emf, n)[:, None],
+            ends={},
+        )
+
+    def _w_map(self, steps: list[int], length: int) -> np.ndarray:
+        """The maps of [w_0; e_1 .. e_length] to w_k for k in `steps`,
+        ascending, stacked."""
+        w, nsw = self.n_lc + 4, len(self.swinging)
+        t = self.post_map.T
+        m = np.zeros((w, w + length * nsw))
+        m[:, :w] = np.eye(w)
+        maps = []
+        for k in range(steps[-1] + 1):
+            if k:
+                m = t[:w, :w] @ m
+                m[:, w + (k - 1) * nsw:w + k * nsw] += t[:w, w:]
+            if k in steps:
+                maps.append(m)
+        return np.vstack(maps)
 
     def anchor(self, x: np.ndarray, step: int) -> None:
         """Set the oscillator rows of the state in buffer x from the clock
@@ -572,7 +701,7 @@ class CompiledNet:
         return self.outputs[step >= self.ramp_end].dot(z.T)
 
     def state(self, z: np.ndarray, z_prev: np.ndarray, step: int,
-              machines: list[list[float]]) -> EmtState:
+              machines: np.ndarray) -> EmtState:
         """The state at `step` from the buffers one step (z) and two steps
         (z_prev) behind it.
 
@@ -587,7 +716,7 @@ class CompiledNet:
         start, x_start = self._start
         prev = x_start if step - 1 == start else self.output(z_prev, step - 1)
         hist_i = prev[nn:].copy()
-        delta, dw, emf, pm = np.array(machines, dtype=float).reshape(-1, 4).T.copy()
+        delta, dw, emf, pm = machines.T.copy()
         state = EmtState(
             step, self.dt, net.nodes, self.element_ids,
             tuple(s.sid for s in net.sources), tuple(m.mid for m in net.machines),
@@ -599,43 +728,89 @@ class CompiledNet:
 
     # --- stepping -----------------------------------------------------------
 
-    def step(self, x: np.ndarray, out: np.ndarray, step: int, scale: float,
-             machines: list[list[float]]) -> None:
-        """Advance buffer x one dt to `step`, writing the new buffer into out.
+    def step(self, x: np.ndarray, out: np.ndarray, scale: float) -> None:
+        """Advance buffer x one dt at source scale `scale`, writing the new
+        buffer into out: the one product out = x T^T.
 
-        During the ramp (scale < 1), and after it on a net without a
-        swinging machine, this is the one product out = x T^T.  After the
-        ramp, the swinging machines first write their EMF rows of z in x
-        for the new time and advance in place after the product, from
-        their branch currents in the same rows of z in out.  Those rows
-        are few, so they are computed on plain floats: a numpy call would
-        cost more than the arithmetic.
+        It serves the ramp (scale < 1), and every step of a net without a
+        swinging machine; after the ramp, `relax` advances the swinging
+        machines.
         """
-        if scale < 1.0:
-            np.dot(x, self.ramp_map, out=out)
-            return
-        if not self.swinging:
-            np.dot(x, self.post_map, out=out)
-            return
-        wt = self.omega * (step * self.dt)
-        emfs = []
-        for k, row, *_ in self.swinging:
-            delta, _, emf, _ = machines[k]
-            amp, theta = SQRT2 * emf, wt + delta
-            c, s = amp * math.cos(theta), amp * math.sin(theta)
-            e_v = (c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s)
-            x[:, row] = e_v
-            emfs.append(e_v)
-        np.dot(x, self.post_map, out=out)
-        for (k, row, speed_gain, damping, angle_gain), (ea, eb, ec) in zip(self.swinging,
-                                                                           emfs):
-            m = machines[k]
-            delta, dw, _, pm = m
-            ia, ib, ic = out[:, row].tolist()
-            pe = (ea * ia + eb * ib + ec * ic) / 3.0
-            dw = dw + speed_gain * (pm - pe - damping * dw)
-            m[0], m[1] = delta + angle_gain * dw, dw
+        np.dot(x, self.ramp_map if scale < 1.0 else self.post_map, out=out)
 
+    def relax(self, stack: np.ndarray, first: int, length: int, step: int,
+              machines: np.ndarray, samples: np.ndarray) -> None:
+        """Advance a net with swinging machines `length` <= SWING_CHUNK
+        steps after the ramp, from the buffer at `step` in stack[first], by
+        waveform relaxation of its rotors.
+
+        Writes the probe samples of steps step + 1 .. step + length into
+        samples, one column per step, and advances the machines in place.
+        Of the chunk's buffers it rebuilds only its last two, with their
+        EMF rows written, and its end buffer, whose machine rows hold the
+        currents: the loop's edges (`state`) and the next chunk read no
+        other.
+        """
+        maps, w, nsw = self.swing_maps, self.n_lc + 4, len(self.swinging)
+        ne = length * nsw
+        w0 = stack[first, :, :w].T
+        delta0, dw0, _, pm = machines[self.swinging].T
+        from_start = maps.from_start[:ne]
+        from_power = maps.from_power[:ne, :ne]
+        offset = from_start @ np.concatenate([delta0, dw0, pm])
+        delta = from_start @ np.concatenate([delta0, dw0, pm - self.pe_guess])
+        new = np.empty(ne)
+        currents_w0 = maps.currents[:ne, :w] @ w0
+        currents_e = maps.currents[:ne, w:w + ne]
+        amplitude = maps.amplitude[:ne]
+        wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
+        # Each step's EMF is formed at the angle before the step.
+        theta = np.empty((length, nsw))
+        theta[0] = wt[0] + delta0
+        e, y, ey, power = np.empty((ne, 3)), np.empty((ne, 3)), np.empty((ne, 3)), np.empty(ne)
+        for sweeps in range(1, length + 2):
+            np.add(wt[1:], delta.reshape(length, nsw)[:-1], out=theta[1:])
+            np.add(theta.reshape(ne, 1), PHASE_SHIFT, out=e)
+            np.cos(e, out=e)
+            e *= amplitude
+            np.matmul(currents_e, e, out=y)
+            y += currents_w0
+            np.dot(np.multiply(e, y, out=ey), _ONES3, out=power)
+            np.dot(from_power, power, out=new)
+            new += offset
+            if new.tobytes() == delta.tobytes():
+                break
+            delta, new = new, delta
+        self.chunks_relaxed += 1
+        self.sweeps += sweeps
+
+        pe = power.reshape(length, nsw) / 3.0
+        since = maps.decay[:, length - 1::-1] * (pm - pe).T  # r^(L-j) (pm - pe_j)
+        machines[self.swinging, 1] = (maps.decay[:, length] * dw0
+                                      + self.speed_gain * since.sum(axis=1))
+        machines[self.swinging, 0] = delta[ne - nsw:]
+        self.pe_guess = pe[-1]
+
+        x = np.concatenate([w0, e])
+        if maps.n_probes:
+            # w at each block start, then every block's samples in one product.
+            b, blocks = PROBE_BLOCK, -(-length // PROBE_BLOCK)
+            xb = np.zeros((w + b * nsw, blocks, 3))
+            starts = maps.starts[:blocks * w, :w + ne] @ x
+            xb[:w] = starts.reshape(blocks, w, 3).transpose(1, 0, 2)
+            padded = np.zeros((blocks * b * nsw, 3))
+            padded[:ne] = e
+            xb[w:] = padded.reshape(blocks, b * nsw, 3).transpose(1, 0, 2)
+            taken = maps.probes @ xb.reshape(w + b * nsw, blocks * 3)
+            samples[:] = taken.reshape(b, -1, blocks, 3).transpose(
+                1, 3, 2, 0).reshape(-1, blocks * b)[:, :length]
+        low = max(length - 2, 0)
+        if length not in maps.ends:
+            maps.ends[length] = self._w_map(list(range(low, length + 1)), length)
+        rebuilt = stack[first + low:first + length + 1]
+        rebuilt[:, :, :w] = (maps.ends[length] @ x).reshape(-1, w, 3).transpose(0, 2, 1)
+        rebuilt[:-1, :, w:] = e.reshape(length, nsw, 3)[low:].transpose(0, 2, 1)
+        rebuilt[-1, :, w:] = y[ne - nsw:].T
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
     """The first step whose time reaches t_ramp, where `ramp_profile` gives
@@ -721,8 +896,8 @@ class WaveformSet:
 def _whole_cycles(t: float, period: float, up: bool = False) -> int:
     """Whole periods in t, rounded down (up with `up`).
 
-    A quotient within 1e-9 of a whole number counts as that number, as in
-    `snapshot._exact_steps`: 2.3 s / 0.02 s evaluates to 114.99999999999999,
+    A quotient within 1e-9 of a whole number counts as that number: 2.3 s /
+    0.02 s evaluates to 114.99999999999999,
     which is 115 cycles, and 0.14 s / 0.02 s to 7.000000000000001, which
     is 7.
     """
@@ -731,17 +906,45 @@ def _whole_cycles(t: float, period: float, up: bool = False) -> int:
 
 
 def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, cfg: SimConfig,
+                  probes: ProbeSet,
                   ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
-                             list[list[float]]]:
+                             np.ndarray]:
     """`length` + 2 step buffers stacked: slot 1 holds the state, and slot
     0 the buffer one step before slot 1 once a loop carries it over; the
     (buffer, next buffer) view pairs a loop steps through from slot 1; the
     machines."""
-    z, _, machines = compiled.buffers(state, cfg.t_ramp if cfg.ramp_sources else None)
+    z, _, machines = compiled.buffers(state, cfg.t_ramp if cfg.ramp_sources else None,
+                                      probes.rows)
     stack = np.zeros((length + 2,) + z.shape)
     stack[1] = z
     views = list(stack)
     return stack, list(zip(views[1:-1], views[2:])), machines
+
+
+def _advance(compiled: CompiledNet, stack: np.ndarray,
+             pairs: list[tuple[np.ndarray, np.ndarray]], n: int, length: int,
+             machines: np.ndarray, probes: ProbeSet, samples: np.ndarray) -> int:
+    """Advance the buffer at step n in stack[1] `length` steps, writing the
+    probe samples of steps n + 1 .. n + length into samples, one column per
+    step; returns the step reached.
+
+    Ramp steps, and every step of a net without a swinging machine, take
+    one product each, and their samples one product per phase.  After the
+    ramp, a net with swinging machines advances in relaxed chunks of at
+    most SWING_CHUNK steps.
+    """
+    ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
+    stepped = ramp_steps if compiled.swinging else length
+    step, ramp_end, dt, t_ramp = compiled.step, compiled.ramp_end, compiled.dt, compiled.t_ramp
+    for x, out in pairs[:stepped]:
+        n += 1
+        step(x, out, 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp))
+    probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
+    for first in range(stepped, length, SWING_CHUNK):
+        size = min(SWING_CHUNK, length - first)
+        compiled.relax(stack, first + 1, size, n, machines, samples[:, first:first + size])
+        n += size
+    return n
 
 
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
@@ -776,9 +979,9 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     # One cycle per chunk; a DC net has no cycle and no rotation to drift.
     cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
     chunk = max(1, min(cycle, n_steps))
-    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg)
+    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg, probes)
 
-    n, dt, t_ramp = start_step, cfg.dt, cfg.t_ramp
+    n = start_step
     pos = 1  # stack index of the buffer at step n
     next_event = 0
     current_net = net
@@ -790,8 +993,8 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
             compiled = CompiledNet(current_net, cfg.dt)
             state = compiled.migrate_state(state)
-            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg)
             probes = ProbeSet(compiled, cfg.record)
+            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg, probes)
             pos = 1
             next_event += 1
         done = n - start_step
@@ -801,14 +1004,8 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         if pos > 1:
             stack[:2] = stack[pos - 1:pos + 1]
         compiled.anchor(stack[1], n)
-        step, ramp_end = compiled.step, compiled.ramp_end
-        ramp_steps = min(max(ramp_end - n - 1, 0), length)
-        for x, out in pairs[:length]:
-            n += 1
-            scale = 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp)
-            step(x, out, n, scale, machines)
-        probes.sample(stack[1:length + 1], traces[:, done + 1:done + length + 1],
-                      ramp_steps)
+        n = _advance(compiled, stack, pairs, n, length, machines, probes,
+                     traces[:, done + 1:done + length + 1])
         pos = length + 1
 
     if n > state.step:
@@ -846,21 +1043,15 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
-    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg)
-    step, ramp_end = compiled.step, compiled.ramp_end
-    n, dt, t_ramp = state.step, cfg.dt, cfg.t_ramp
+    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg, probes)
+    n = state.step
     ready: int | None = None
 
     for c in range(max_cycles):
         if c:
             stack[:2] = stack[n_cycle:]
         compiled.anchor(stack[1], n)
-        ramp_steps = min(max(ramp_end - n - 1, 0), n_cycle)
-        for x, out in pairs:
-            n += 1
-            scale = 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp)
-            step(x, out, n, scale, machines)
-        probes.sample(stack[1:n_cycle + 1], buf, ramp_steps)
+        n = _advance(compiled, stack, pairs, n, n_cycle, machines, probes, buf)
         if fired_at is not None:
             if c - fired_at >= cfg.settle_margin_cycles:
                 ready = n
@@ -903,20 +1094,6 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
     u_now = compiled.incidence.dot(state.v_nodes)
     i_hist = compiled.h * state.hist_u + compiled.j * state.hist_i
     return compiled.g * u_now + i_hist
-
-
-def stored_energy(net: EmtNet, state: EmtState) -> float:
-    """Total inductor + capacitor energy over all phases."""
-    total = 0.0
-    for k, e in enumerate(net.elements):
-        if e.kind is ElementKind.INDUCTOR:
-            total += 0.5 * e.value * float(np.sum(state.elem_i[k] ** 2))
-        elif e.kind is ElementKind.CAPACITOR:
-            f = state.node_ids.index(e.n_from)
-            vf = state.v_nodes[f]
-            vt = state.v_nodes[state.node_ids.index(e.n_to)] if e.n_to else 0.0
-            total += 0.5 * e.value * float(np.sum((vf - vt) ** 2))
-    return total
 
 
 # --- phasor-domain solves on the same network ------------------------------------
@@ -1018,22 +1195,3 @@ def write_waveforms_bin(path: str | Path, waves: WaveformSet) -> None:
             f.write(name)
             f.write(struct.pack("<Qdd", len(values), t0, dt))
             f.write(np.asarray(values, dtype="<f8").tobytes())
-
-
-def read_waveforms_bin(path: str | Path) -> WaveformSet:
-    with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError("not a waveform record")
-        version, n_probes = struct.unpack("<HI", f.read(6))
-        if version != _VERSION:
-            raise ValueError(f"unsupported waveform record version {version}")
-        data = {}
-        t0 = dt = 0.0
-        n = 0
-        for _ in range(n_probes):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            n, t0, dt = struct.unpack("<Qdd", f.read(24))
-            data[name] = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-        times = t0 + np.arange(n) * dt
-    return WaveformSet(times, data)

@@ -514,22 +514,6 @@ class SpliceSchedule:
         return self.t_adj_steps[subsystem] * dt
 
 
-def splice_schedule(ready_times: dict[str, float], period: float, dt: float,
-                    factor: int = 2) -> SpliceSchedule:
-    """Phase-aligned splice times: each subsystem waits to the next instant
-    separated from the reference by an integer number of factor*T periods.
-
-    All times are validated onto the step grid and the arithmetic is done
-    in integer step counts, so (t_adj - t_ref) mod (factor*T) is exactly 0.
-    """
-    if not ready_times:
-        raise ValueError("no subsystems to schedule")
-    period_steps = _exact_steps(period, dt, "period")
-    ready_steps = {name: _exact_steps(t, dt, f"ready time of '{name}'")
-                   for name, t in ready_times.items()}
-    return schedule_from_steps(ready_steps, period_steps, factor)
-
-
 def schedule_from_steps(ready_steps: dict[str, int], period_steps: int,
                         factor: int = 2) -> SpliceSchedule:
     names = list(ready_steps)
@@ -541,13 +525,6 @@ def schedule_from_steps(ready_steps: dict[str, int], period_steps: int,
         k = -((t_ref - t) // modulus)  # ceil((t - t_ref)/modulus)
         adj[name] = t_ref + k * modulus
     return SpliceSchedule(reference, t_ref, period_steps, factor, adj)
-
-
-def _exact_steps(t: float, dt: float, what: str) -> int:
-    steps = int(round(t / dt))
-    if abs(steps * dt - t) > 1e-9 * max(dt, abs(t)):
-        raise ValueError(f"{what} ({t}) is not on the dt={dt} step grid")
-    return steps
 
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,

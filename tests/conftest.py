@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import struct
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 import emtgis
 import emtgis.emtkernel as ek
+import emtgis.snapshot as sn
 from emtgis.netmodel import load_case
 
 OMEGA_50 = 2 * math.pi * 50.0
@@ -190,3 +193,62 @@ def subset_state(state, node_ids, element_ids, machine_ids=()):
         machine_pm=state.machine_pm[m_idx].copy(),
         source_scale=np.zeros(0),
     )
+
+
+def with_sources_zeroed(net: ek.EmtNet) -> ek.EmtNet:
+    """The net with every source at zero RMS."""
+    return replace(net, sources=tuple(replace(s, rms=0.0) for s in net.sources))
+
+
+def stored_energy(net: ek.EmtNet, state: ek.EmtState) -> float:
+    """Total inductor + capacitor energy over all phases."""
+    total = 0.0
+    for k, e in enumerate(net.elements):
+        if e.kind is ek.ElementKind.INDUCTOR:
+            total += 0.5 * e.value * float(np.sum(state.elem_i[k] ** 2))
+        elif e.kind is ek.ElementKind.CAPACITOR:
+            f = state.node_ids.index(e.n_from)
+            vf = state.v_nodes[f]
+            vt = state.v_nodes[state.node_ids.index(e.n_to)] if e.n_to else 0.0
+            total += 0.5 * e.value * float(np.sum((vf - vt) ** 2))
+    return total
+
+
+def read_waveforms_bin(path) -> ek.WaveformSet:
+    """Read back a record written by `emtkernel.write_waveforms_bin`."""
+    with open(path, "rb") as f:
+        if f.read(4) != ek._MAGIC:
+            raise ValueError("not a waveform record")
+        version, n_probes = struct.unpack("<HI", f.read(6))
+        if version != ek._VERSION:
+            raise ValueError(f"unsupported waveform record version {version}")
+        data = {}
+        t0 = dt = 0.0
+        n = 0
+        for _ in range(n_probes):
+            (name_len,) = struct.unpack("<H", f.read(2))
+            name = f.read(name_len).decode()
+            n, t0, dt = struct.unpack("<Qdd", f.read(24))
+            data[name] = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
+        times = t0 + np.arange(n) * dt
+    return ek.WaveformSet(times, data)
+
+
+def _exact_steps(t: float, dt: float, what: str) -> int:
+    steps = int(round(t / dt))
+    if abs(steps * dt - t) > 1e-9 * max(dt, abs(t)):
+        raise ValueError(f"{what} ({t}) is not on the dt={dt} step grid")
+    return steps
+
+
+def splice_schedule(ready_times: dict[str, float], period: float, dt: float,
+                    factor: int = 2) -> sn.SpliceSchedule:
+    """`snapshot.schedule_from_steps` on times: each must lie on the dt
+    grid, and the period too, so (t_adj - t_ref) mod (factor*T) is exactly
+    0 in integer steps."""
+    if not ready_times:
+        raise ValueError("no subsystems to schedule")
+    period_steps = _exact_steps(period, dt, "period")
+    ready_steps = {name: _exact_steps(t, dt, f"ready time of '{name}'")
+                   for name, t in ready_times.items()}
+    return sn.schedule_from_steps(ready_steps, period_steps, factor)

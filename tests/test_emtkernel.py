@@ -20,7 +20,12 @@ from emtgis.errors import (
 OMEGA = 2 * math.pi * 50.0
 DATA = Path(__file__).parent / "data"
 
-from conftest import random_linear_net  # noqa: E402
+from conftest import (  # noqa: E402
+    random_linear_net,
+    read_waveforms_bin,
+    stored_energy,
+    with_sources_zeroed,
+)
 from reference_kernel import (  # noqa: E402
     ReferenceNet,
     reference_run,
@@ -29,13 +34,15 @@ from reference_kernel import (  # noqa: E402
 
 
 def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
-    """The state `steps` buffer steps after `state`."""
+    """The state `steps` buffer steps after `state`, one `step` call each,
+    on a net without a swinging machine."""
+    assert not compiled.swinging
     z, out, machines = compiled.buffers(state, t_ramp if ramp else None)
     bufs = [np.zeros_like(z), z, out]  # steps n - 1, n and n + 1
     n = state.step
     for _ in range(steps):
         n += 1
-        compiled.step(bufs[1], bufs[2], n, compiled.scale(n), machines)
+        compiled.step(bufs[1], bufs[2], compiled.scale(n))
         bufs = bufs[1:] + bufs[:1]
     return compiled.state(bufs[0], bufs[2], n, machines)
 
@@ -220,9 +227,12 @@ class TestNumericalContracts:
     @staticmethod
     def _assert_replay_after_ramp(net):
         # the ramp ends at step 200, so the last 100 steps also swing the machines
-        compiled = ek.CompiledNet(net, 5e-5)
-        state = advance(compiled, ek.zero_state(net, 5e-5), 300, True, 200 * 5e-5)
-        assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
+        dt = 5e-5
+        _, state = ek.run(net, ek.SimConfig(dt=dt, duration=300 * dt, ramp_sources=True,
+                                            t_ramp=200 * dt))
+        assert state.step == 300
+        assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, dt), state),
+                              state.elem_i)
 
     def test_trapezoidal_order_by_dt_halving(self):
         # second-order accuracy: halving dt cuts the steady-state amplitude
@@ -248,13 +258,13 @@ class TestNumericalContracts:
             (ek.Source("src", "n1", 1.0, 0.3),),
         )
         _, charged = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.3))
-        dead = net.with_sources_zeroed()
+        dead = with_sources_zeroed(net)
         compiled = ek.CompiledNet(dead, 2e-5)
         state = charged
-        energies = [ek.stored_energy(dead, state)]
+        energies = [stored_energy(dead, state)]
         for _ in range(12000):
             state = advance(compiled, state, 1)
-            energies.append(ek.stored_energy(dead, state))
+            energies.append(stored_energy(dead, state))
         e = np.array(energies)
         assert e[0] > 1e-4
         assert np.all(np.diff(e) <= 1e-12 * e[0])
@@ -306,9 +316,9 @@ class TestAffineStepEquivalence:
         snap = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net)
         init = snap.emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
-        compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
-        fast = slow = init
-        fast = advance(compiled, fast, 200)
+        reference = ReferenceNet(net, dt)
+        slow = init
+        _, fast = ek.run(net, ek.SimConfig(dt=dt, duration=200 * dt), init=init)
         for _ in range(200):
             slow = reference.step(slow, False, 0.5)
         assert np.all(np.abs(fast.machine_delta - init.machine_delta) > 1e-6)
@@ -323,7 +333,7 @@ class TestAffineStepEquivalence:
         compiled = ek.CompiledNet(net, 5e-5)
         before = ek.zero_state(net, 5e-5)
         x, out, machines = compiled.buffers(before, 0.5)
-        compiled.step(x, out, 1, compiled.scale(1), machines)
+        compiled.step(x, out, compiled.scale(1))
         after = compiled.state(x, None, 1, machines)
         fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
                   "machine_speed_dev", "machine_emf", "machine_pm", "source_scale")
@@ -742,7 +752,7 @@ class TestWaveformExport:
                                             record=["n1", "n2", "i:l1"]))
         path = tmp_path / "w.emtw"
         ek.write_waveforms_bin(path, waves)
-        back = ek.read_waveforms_bin(path)
+        back = read_waveforms_bin(path)
         assert list(back.data) == list(waves.data)
         for k in waves.data:
             assert np.array_equal(back.data[k], waves.data[k])

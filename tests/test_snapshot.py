@@ -32,7 +32,12 @@ from emtgis.powerflow import solve_main
 
 OMEGA = 2 * math.pi * 50.0
 
-from conftest import injection_thevenin, random_linear_net, subset_state  # noqa: E402
+from conftest import (  # noqa: E402
+    injection_thevenin,
+    random_linear_net,
+    splice_schedule,
+    subset_state,
+)
 
 
 def machine_case():
@@ -263,26 +268,26 @@ class TestRamp:
 
 class TestSpliceSchedule:
     def test_next_even_period_boundary(self):
-        sched = sn.splice_schedule({"i": 1.0, "j": 1.013}, period=0.02, dt=1e-3)
+        sched = splice_schedule({"i": 1.0, "j": 1.013}, period=0.02, dt=1e-3)
         assert sched.reference == "i"
         assert sched.adjusted_time("j", 1e-3) == pytest.approx(1.04)
 
     def test_equal_ready_times_need_no_delay(self):
-        sched = sn.splice_schedule({"i": 1.0, "j": 1.0}, period=0.02, dt=1e-3)
+        sched = splice_schedule({"i": 1.0, "j": 1.0}, period=0.02, dt=1e-3)
         assert sched.t_adj_steps["j"] == sched.t_ref_steps
 
     def test_just_below_two_periods(self):
-        sched = sn.splice_schedule({"i": 1.0, "j": 1.0799}, period=0.02, dt=1e-4)
+        sched = splice_schedule({"i": 1.0, "j": 1.0799}, period=0.02, dt=1e-4)
         assert sched.adjusted_time("j", 1e-4) == pytest.approx(1.08)
 
     def test_single_period_factor_flag(self):
-        sched = sn.splice_schedule({"i": 1.0, "j": 1.013}, period=0.02,
+        sched = splice_schedule({"i": 1.0, "j": 1.013}, period=0.02,
                                    dt=1e-3, factor=1)
         assert sched.adjusted_time("j", 1e-3) == pytest.approx(1.02)
 
     def test_off_grid_ready_time_rejected(self):
         with pytest.raises(ValueError):
-            sn.splice_schedule({"i": 1.00003}, period=0.02, dt=1e-3)
+            splice_schedule({"i": 1.00003}, period=0.02, dt=1e-3)
 
     def test_modulus_and_ordering_properties(self):
         rng = np.random.default_rng(99)
@@ -569,4 +574,4 @@ class TestAdvance:
 
     def test_off_grid_period_rejected(self):
         with pytest.raises(ValueError):
-            sn.splice_schedule({"i": 1.0}, period=0.021305, dt=1e-4)
+            splice_schedule({"i": 1.0}, period=0.021305, dt=1e-4)
