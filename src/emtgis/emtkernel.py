@@ -345,18 +345,20 @@ class _SwingMaps(NamedTuple):
     """`CompiledNet.relax`'s maps over a chunk of N = SWING_CHUNK steps; a
     shorter chunk uses their leading blocks.  w_0 is the chunk's start
     buffer less its machine rows, and e stacks the EMFs of the chunk's
-    steps, step-major, as do the outputs and the rotor angles.  The probes
-    are sampled per block of B = PROBE_BLOCK steps."""
+    steps, step-major, as do the outputs, the rotor angles and the speed
+    deviations.  The probes are sampled per block of B = PROBE_BLOCK
+    steps."""
 
-    currents: np.ndarray    # (N*nsw, w + N*nsw): machine currents from [w_0; e]
-    starts: np.ndarray      # (N/B*w, w + N*nsw): w at each block start from [w_0; e]
-    probes: np.ndarray      # (B*n_probes, w + B*nsw): a block's samples from its
-    n_probes: int           # start's w and its EMFs
-    from_start: np.ndarray  # (N*nsw, 3*nsw): angles from [delta_0; dw_0; pm]
-    from_power: np.ndarray  # (N*nsw, N*nsw): angles from sum over phases of e*i
-    decay: np.ndarray       # (nsw, N + 1): r^k, the speed deviation's decay
+    currents_w: np.ndarray  # (N*nsw, w): machine currents from w_0
+    currents_e: np.ndarray  # (N*nsw, N*nsw): ... and from e
+    probes_w: np.ndarray    # (B*n_probes, w): a block's samples from its start's w
+    probes_e: np.ndarray    # (B*n_probes, B*nsw): ... and from its EMFs
+    from_start: np.ndarray  # (2*N*nsw, 4*nsw): angles, then speed deviations,
+    from_power: np.ndarray  # (2*N*nsw, N*nsw): from [delta_0; dw_0; emf; pm] and
+    #                         from the sum over phases of e*i
     amplitude: np.ndarray   # (N*nsw, 1): sqrt2 emf
-    ends: dict              # chunk length: map of [w_0; e] to the rebuilt buffers
+    w_maps: dict            # chunk length: map of [w_0; e] to w at every block
+    #                         start, then in the buffers the chunk rebuilds
 
 
 class CompiledNet:
@@ -491,8 +493,8 @@ class CompiledNet:
         # on the active machines, whose buffer rows follow the oscillator's
         # in this order.
         self.n_machines = len(net.machines)
-        self.swinging = [k for k, m in enumerate(net.machines)
-                         if m.swing and m.inertia_h > 0]
+        self.swinging = np.array([k for k, m in enumerate(net.machines)
+                                  if m.swing and m.inertia_h > 0], dtype=int)
         active = [net.machines[k] for k in self.swinging]
         self.speed_gain = np.array([dt / (2.0 * m.inertia_h) for m in active])
         self.damping = np.array([m.damping for m in active])
@@ -563,7 +565,7 @@ class CompiledNet:
         self.t_ramp = t_ramp
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
         self._build_maps(state)
-        if self.swinging:
+        if self.swinging.size:
             rows = np.zeros(0, dtype=int) if probe_rows is None else probe_rows
             self.swing_maps = self._swing_maps(rows, state.machine_emf[self.swinging])
             self.pe_guess = state.machine_pm[self.swinging].astype(float)
@@ -611,7 +613,7 @@ class CompiledNet:
     def _swing_maps(self, probe_rows: np.ndarray, emf: np.ndarray) -> _SwingMaps:
         """`relax`'s maps for the probes at `probe_rows` of [v; i] and the
         swinging machines' EMF magnitudes (see the class docstring)."""
-        n, w, nsw = SWING_CHUNK, self.n_lc + 4, len(self.swinging)
+        n, w, nsw = SWING_CHUNK, self.n_lc + 4, self.swinging.size
         t = self.post_map.T
         rows = np.concatenate([self.branch_rows, probe_rows]).astype(int)
         o = self.outputs[1][rows]
@@ -627,57 +629,55 @@ class CompiledNet:
                 np.dot(from_w[k], t[:w, w:], out=markov[k + 1])
                 power = t[:w, :w] @ power
 
-        def chunk_map(part: slice, steps: int) -> np.ndarray:
+        def chunk_map(part: slice, steps: int) -> tuple[np.ndarray, np.ndarray]:
             r = len(rows[part])
             lower = np.tril_indices(steps)
-            g = np.zeros((steps, r, w + steps * nsw))
-            g[:, :, :w] = from_w[:steps, part]
-            from_e = g[:, :, w:].reshape(steps, r, steps, nsw)  # a view
+            from_e = np.zeros((steps, r, steps, nsw))
             from_e[lower[0], :, lower[1]] = markov[:steps, part][lower[0] - lower[1]]
-            return g.reshape(steps * r, w + steps * nsw)
+            return (from_w[:steps, part].reshape(steps * r, w),
+                    from_e.reshape(steps * r, steps * nsw))
 
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
         # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
         # sum_(i<=k) dw_i, which is linear in delta_0, dw_0, pm and pe.
-        decay = (1.0 - self.speed_gain * self.damping)[:, None] ** np.arange(n + 1)
+        gain = self.speed_gain
+        decay = (1.0 - gain * self.damping)[:, None] ** np.arange(n + 1)
         lag = np.subtract.outer(np.arange(n), np.arange(n))
-        tail = np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
+        to_speed = gain[:, None, None] * np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
         angle_gain = self.dt * self.omega
-        to_angle = (angle_gain * self.speed_gain)[:, None, None] * np.cumsum(tail, axis=1)
+        to_angle = angle_gain * np.cumsum(to_speed, axis=1)
         own = np.arange(nsw)
-        from_power = np.zeros((n, nsw, n, nsw))
-        from_power[:, own, :, own] = to_angle / -3.0
-        from_start = np.zeros((n, nsw, 3, nsw))
-        from_start[:, own, 0, own] = 1.0
-        from_start[:, own, 1, own] = angle_gain * np.cumsum(decay[:, 1:], axis=1).T
-        from_start[:, own, 2, own] = to_angle.sum(axis=2).T
-        return _SwingMaps(
-            currents=chunk_map(slice(None, nsw), n),
-            starts=self._w_map(list(range(0, n, PROBE_BLOCK)), n),
-            probes=chunk_map(slice(nsw, None), PROBE_BLOCK),
-            n_probes=len(probe_rows),
-            from_start=from_start.reshape(n * nsw, 3 * nsw),
-            from_power=from_power.reshape(n * nsw, n * nsw),
-            decay=decay,
-            amplitude=np.tile(SQRT2 * emf, n)[:, None],
-            ends={},
-        )
+        from_power = np.zeros((2, n, nsw, n, nsw))
+        from_power[:, :, own, :, own] = np.stack([to_angle, to_speed], axis=1) / -3.0
+        from_start = np.zeros((2, n, nsw, 4, nsw))
+        from_start[0, :, own, 0, own] = 1.0
+        from_start[:, :, own, 1, own] = np.stack(
+            [angle_gain * np.cumsum(decay[:, 1:], axis=1).T, decay[:, 1:].T])
+        from_start[:, :, own, 3, own] = np.stack([to_angle.sum(axis=2).T,
+                                                  to_speed.sum(axis=2).T])
+        currents_w, currents_e = chunk_map(slice(None, nsw), n)
+        probes_w, probes_e = chunk_map(slice(nsw, None), PROBE_BLOCK)
+        return _SwingMaps(currents_w, currents_e, probes_w, probes_e,
+                          from_start.reshape(2 * n * nsw, 4 * nsw),
+                          from_power.reshape(2 * n * nsw, n * nsw),
+                          np.tile(SQRT2 * emf, n)[:, None], {})
 
-    def _w_map(self, steps: list[int], length: int) -> np.ndarray:
-        """The maps of [w_0; e_1 .. e_length] to w_k for k in `steps`,
-        ascending, stacked."""
-        w, nsw = self.n_lc + 4, len(self.swinging)
+    def _w_map(self, length: int) -> np.ndarray:
+        """The map of [w_0; e] to w at every block start of a chunk and in
+        the buffers a chunk of `length` steps rebuilds, stacked."""
+        n, w, nsw = SWING_CHUNK, self.n_lc + 4, self.swinging.size
+        steps = list(range(0, n, PROBE_BLOCK)) + list(range(max(length - 2, 0), length + 1))
         t = self.post_map.T
-        m = np.zeros((w, w + length * nsw))
+        m = np.zeros((w, w + n * nsw))
         m[:, :w] = np.eye(w)
-        maps = []
-        for k in range(steps[-1] + 1):
+        at = {}
+        for k in range(max(steps) + 1):
             if k:
                 m = t[:w, :w] @ m
                 m[:, w + (k - 1) * nsw:w + k * nsw] += t[:w, w:]
             if k in steps:
-                maps.append(m)
-        return np.vstack(maps)
+                at[k] = m
+        return np.vstack([at[k] for k in steps])
 
     def anchor(self, x: np.ndarray, step: int) -> None:
         """Set the oscillator rows of the state in buffer x from the clock
@@ -751,23 +751,26 @@ class CompiledNet:
         currents: the loop's edges (`state`) and the next chunk read no
         other.
         """
-        maps, w, nsw = self.swing_maps, self.n_lc + 4, len(self.swinging)
+        maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
         ne = length * nsw
-        w0 = stack[first, :, :w].T
-        delta0, dw0, _, pm = machines[self.swinging].T
-        from_start = maps.from_start[:ne]
-        from_power = maps.from_power[:ne, :ne]
-        offset = from_start @ np.concatenate([delta0, dw0, pm])
-        delta = from_start @ np.concatenate([delta0, dw0, pm - self.pe_guess])
+        # delta_0, dw_0, emf and pm per machine; the first guess takes the
+        # last chunk's electrical power for pm - pe over the whole chunk.
+        start = machines[self.swinging].T.ravel()
+        from_start, from_power = maps.from_start[:ne], maps.from_power[:ne, :ne]
+        offset = from_start @ start
+        start[3 * nsw:] -= self.pe_guess
+        delta = from_start @ start
         new = np.empty(ne)
-        currents_w0 = maps.currents[:ne, :w] @ w0
-        currents_e = maps.currents[:ne, w:w + ne]
+        w0 = stack[first, :, :w].T
+        currents_w0 = maps.currents_w[:ne] @ w0
+        currents_e = maps.currents_e[:ne, :ne]
         amplitude = maps.amplitude[:ne]
         wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
         # Each step's EMF is formed at the angle before the step.
         theta = np.empty((length, nsw))
-        theta[0] = wt[0] + delta0
-        e, y, ey, power = np.empty((ne, 3)), np.empty((ne, 3)), np.empty((ne, 3)), np.empty(ne)
+        theta[0] = wt[0] + start[:nsw]
+        e_all = np.zeros((n * nsw, 3))  # the EMFs of a whole chunk, zero past its end
+        e, y, ey, power = e_all[:ne], np.empty((ne, 3)), np.empty((ne, 3)), np.empty(ne)
         for sweeps in range(1, length + 2):
             np.add(wt[1:], delta.reshape(length, nsw)[:-1], out=theta[1:])
             np.add(theta.reshape(ne, 1), PHASE_SHIFT, out=e)
@@ -784,33 +787,28 @@ class CompiledNet:
         self.chunks_relaxed += 1
         self.sweeps += sweeps
 
-        pe = power.reshape(length, nsw) / 3.0
-        since = maps.decay[:, length - 1::-1] * (pm - pe).T  # r^(L-j) (pm - pe_j)
-        machines[self.swinging, 1] = (maps.decay[:, length] * dw0
-                                      + self.speed_gain * since.sum(axis=1))
+        end = slice(n * nsw + ne - nsw, n * nsw + ne)  # the speed rows of step `length`
+        machines[self.swinging, 1] = (maps.from_start[end] @ machines[self.swinging].T.ravel()
+                                      + maps.from_power[end, :ne] @ power)
         machines[self.swinging, 0] = delta[ne - nsw:]
-        self.pe_guess = pe[-1]
+        self.pe_guess = power[ne - nsw:] / 3.0
 
-        x = np.concatenate([w0, e])
-        if maps.n_probes:
-            # w at each block start, then every block's samples in one product.
-            b, blocks = PROBE_BLOCK, -(-length // PROBE_BLOCK)
-            xb = np.zeros((w + b * nsw, blocks, 3))
-            starts = maps.starts[:blocks * w, :w + ne] @ x
-            xb[:w] = starts.reshape(blocks, w, 3).transpose(1, 0, 2)
-            padded = np.zeros((blocks * b * nsw, 3))
-            padded[:ne] = e
-            xb[w:] = padded.reshape(blocks, b * nsw, 3).transpose(1, 0, 2)
-            taken = maps.probes @ xb.reshape(w + b * nsw, blocks * 3)
-            samples[:] = taken.reshape(b, -1, blocks, 3).transpose(
-                1, 3, 2, 0).reshape(-1, blocks * b)[:, :length]
+        if length not in maps.w_maps:
+            maps.w_maps[length] = self._w_map(length)
+        at = (maps.w_maps[length] @ np.concatenate([w0, e_all])).reshape(-1, w, 3)
+        blocks = -(-n // PROBE_BLOCK)
+        if len(maps.probes_w):
+            # Every block's samples from its start's w and its EMFs.
+            taken = (maps.probes_w @ at[:blocks]
+                     + maps.probes_e @ e_all.reshape(blocks, -1, 3))
+            samples.reshape(-1, 3, length)[:] = taken.reshape(n, -1, 3).transpose(
+                1, 2, 0)[:, :, :length]
         low = max(length - 2, 0)
-        if length not in maps.ends:
-            maps.ends[length] = self._w_map(list(range(low, length + 1)), length)
         rebuilt = stack[first + low:first + length + 1]
-        rebuilt[:, :, :w] = (maps.ends[length] @ x).reshape(-1, w, 3).transpose(0, 2, 1)
+        rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
         rebuilt[:-1, :, w:] = e.reshape(length, nsw, 3)[low:].transpose(0, 2, 1)
         rebuilt[-1, :, w:] = y[ne - nsw:].T
+
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
     """The first step whose time reaches t_ramp, where `ramp_profile` gives
@@ -934,7 +932,7 @@ def _advance(compiled: CompiledNet, stack: np.ndarray,
     most SWING_CHUNK steps.
     """
     ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
-    stepped = ramp_steps if compiled.swinging else length
+    stepped = ramp_steps if compiled.swinging.size else length
     step, ramp_end, dt, t_ramp = compiled.step, compiled.ramp_end, compiled.dt, compiled.t_ramp
     for x, out in pairs[:stepped]:
         n += 1

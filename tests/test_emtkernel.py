@@ -36,7 +36,7 @@ from reference_kernel import (  # noqa: E402
 def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
     """The state `steps` buffer steps after `state`, one `step` call each,
     on a net without a swinging machine."""
-    assert not compiled.swinging
+    assert not compiled.swinging.size
     z, out, machines = compiled.buffers(state, t_ramp if ramp else None)
     bufs = [np.zeros_like(z), z, out]  # steps n - 1, n and n + 1
     n = state.step
