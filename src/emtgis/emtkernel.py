@@ -84,6 +84,7 @@ SWING_CHUNK = 100
 # Steps per block of a relaxed chunk's probe samples: one small map serves
 # every block, from the block's start buffer and its EMFs.
 PROBE_BLOCK = 20
+assert SWING_CHUNK % PROBE_BLOCK == 0
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
@@ -351,8 +352,8 @@ class _SwingMaps(NamedTuple):
 
     currents_w: np.ndarray  # (N*nsw, w): machine currents from w_0
     currents_e: np.ndarray  # (N*nsw, N*nsw): ... and from e
-    probes_w: np.ndarray    # (B*n_probes, w): a block's samples from its start's w
-    probes_e: np.ndarray    # (B*n_probes, B*nsw): ... and from its EMFs
+    probes: np.ndarray      # (w + B*nsw, B*n_probes): a block's samples from its
+    n_probes: int           # start's w and its EMFs, transposed
     from_start: np.ndarray  # (2*N*nsw, 4*nsw): angles, then speed deviations,
     from_power: np.ndarray  # (2*N*nsw, N*nsw): from [delta_0; dw_0; emf; pm] and
     #                         from the sum over phases of e*i
@@ -629,13 +630,15 @@ class CompiledNet:
                 np.dot(from_w[k], t[:w, w:], out=markov[k + 1])
                 power = t[:w, :w] @ power
 
-        def chunk_map(part: slice, steps: int) -> tuple[np.ndarray, np.ndarray]:
+        def chunk_map(part: slice, steps: int) -> np.ndarray:
+            """(steps, rows, w + steps*nsw): the outputs from [w_0; e]."""
             r = len(rows[part])
             lower = np.tril_indices(steps)
-            from_e = np.zeros((steps, r, steps, nsw))
+            g = np.zeros((steps, r, w + steps * nsw))
+            g[:, :, :w] = from_w[:steps, part]
+            from_e = g[:, :, w:].reshape(steps, r, steps, nsw)  # a view
             from_e[lower[0], :, lower[1]] = markov[:steps, part][lower[0] - lower[1]]
-            return (from_w[:steps, part].reshape(steps * r, w),
-                    from_e.reshape(steps * r, steps * nsw))
+            return g
 
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
         # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
@@ -655,9 +658,10 @@ class CompiledNet:
             [angle_gain * np.cumsum(decay[:, 1:], axis=1).T, decay[:, 1:].T])
         from_start[:, :, own, 3, own] = np.stack([to_angle.sum(axis=2).T,
                                                   to_speed.sum(axis=2).T])
-        currents_w, currents_e = chunk_map(slice(None, nsw), n)
-        probes_w, probes_e = chunk_map(slice(nsw, None), PROBE_BLOCK)
-        return _SwingMaps(currents_w, currents_e, probes_w, probes_e,
+        currents = chunk_map(slice(None, nsw), n).reshape(n * nsw, -1)
+        probes = chunk_map(slice(nsw, None), PROBE_BLOCK).transpose(2, 0, 1).copy()
+        return _SwingMaps(currents[:, :w].copy(), currents[:, w:].copy(),
+                          probes.reshape(w + PROBE_BLOCK * nsw, -1), len(probe_rows),
                           from_start.reshape(2 * n * nsw, 4 * nsw),
                           from_power.reshape(2 * n * nsw, n * nsw),
                           np.tile(SQRT2 * emf, n)[:, None], {})
@@ -776,7 +780,7 @@ class CompiledNet:
             np.add(theta.reshape(ne, 1), PHASE_SHIFT, out=e)
             np.cos(e, out=e)
             e *= amplitude
-            np.matmul(currents_e, e, out=y)
+            np.dot(currents_e, e, out=y)
             y += currents_w0
             np.dot(np.multiply(e, y, out=ey), _ONES3, out=power)
             np.dot(from_power, power, out=new)
@@ -796,13 +800,16 @@ class CompiledNet:
         if length not in maps.w_maps:
             maps.w_maps[length] = self._w_map(length)
         at = (maps.w_maps[length] @ np.concatenate([w0, e_all])).reshape(-1, w, 3)
-        blocks = -(-n // PROBE_BLOCK)
-        if len(maps.probes_w):
-            # Every block's samples from its start's w and its EMFs.
-            taken = (maps.probes_w @ at[:blocks]
-                     + maps.probes_e @ e_all.reshape(blocks, -1, 3))
-            samples.reshape(-1, 3, length)[:] = taken.reshape(n, -1, 3).transpose(
-                1, 2, 0)[:, :, :length]
+        blocks = n // PROBE_BLOCK
+        if maps.n_probes:
+            # Every block's samples from its start's w and its EMFs, one
+            # block and phase per row.
+            xb = np.empty((3, blocks, w + PROBE_BLOCK * nsw))
+            xb[:, :, :w] = at[:blocks].transpose(2, 0, 1)
+            xb[:, :, w:] = e_all.reshape(blocks, -1, 3).transpose(2, 0, 1)
+            taken = np.dot(xb.reshape(3 * blocks, -1), maps.probes).reshape(
+                3, n, maps.n_probes)
+            samples.reshape(-1, 3, length)[:] = taken[:, :length].transpose(2, 0, 1)
         low = max(length - 2, 0)
         rebuilt = stack[first + low:first + length + 1]
         rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
