@@ -356,7 +356,7 @@ class _SwingMaps(NamedTuple):
     n_probes: int           # start's w and its EMFs, transposed
     from_start: np.ndarray  # (2*N*nsw, 4*nsw): angles, then speed deviations,
     from_power: np.ndarray  # (2*N*nsw, N*nsw): from [delta_0; dw_0; emf; pm] and
-    #                         from the sum over phases of e*i
+    #                         from p, the sum over phases of e*i (3 pe)
     amplitude: np.ndarray   # (N*nsw, 1): sqrt2 emf
     w_maps: dict            # chunk length: map of [w_0; e] to w at every block
     #                         start, then in the buffers the chunk rebuilds
@@ -757,13 +757,12 @@ class CompiledNet:
         """
         maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
         ne = length * nsw
-        # delta_0, dw_0, emf and pm per machine; the first guess takes the
-        # last chunk's electrical power for pm - pe over the whole chunk.
-        start = machines[self.swinging].T.ravel()
+        # The angles are offset + from_power @ p, p the sum over phases of
+        # e*i; the first guess holds pe at the last chunk's last value.
+        start = machines[self.swinging].T.ravel()  # delta_0, dw_0, emf, pm
         from_start, from_power = maps.from_start[:ne], maps.from_power[:ne, :ne]
         offset = from_start @ start
-        start[3 * nsw:] -= self.pe_guess
-        delta = from_start @ start
+        delta = offset - from_start[:, 3 * nsw:] @ self.pe_guess
         new = np.empty(ne)
         w0 = stack[first, :, :w].T
         currents_w0 = maps.currents_w[:ne] @ w0
@@ -792,7 +791,7 @@ class CompiledNet:
         self.sweeps += sweeps
 
         end = slice(n * nsw + ne - nsw, n * nsw + ne)  # the speed rows of step `length`
-        machines[self.swinging, 1] = (maps.from_start[end] @ machines[self.swinging].T.ravel()
+        machines[self.swinging, 1] = (maps.from_start[end] @ start
                                       + maps.from_power[end, :ne] @ power)
         machines[self.swinging, 0] = delta[ne - nsw:]
         self.pe_guess = power[ne - nsw:] / 3.0

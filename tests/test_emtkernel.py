@@ -622,6 +622,121 @@ class TestHistoryCurrentState:
             final), final.elem_i)
 
 
+def two_machine_net(net):
+    """The net with a second swinging machine at B9, of other inertia and
+    damping, whose EMF leads the bus by 0.1 rad."""
+    xd = 0.2
+    machine = ek.Machine("gen:B9", "B9", "gen:B9:emf", "gen:B9:xd", xd, inertia_h=2.0,
+                         damping=1.0, emf_rms=1.05, delta0=0.1, pm=0.3)
+    branch = ek.Element("gen:B9:xd", ek.ElementKind.INDUCTOR, "gen:B9:emf", "B9",
+                        xd / net.omega)
+    return replace(net, nodes=net.nodes + ("gen:B9:emf",),
+                   elements=net.elements + (branch,), machines=net.machines + (machine,))
+
+
+class TestSwingRelaxation:
+    """After the ramp, the loops advance a net with swinging machines in
+    chunks of at most SWING_CHUNK steps by waveform relaxation of the
+    rotors.  Its fixed point is the step loop's trajectory, so it holds the
+    reference stepper's bounds; faults end chunks anywhere."""
+
+    DT = 5e-5  # 400 steps a cycle, 4 chunks
+
+    @staticmethod
+    def gis_start(hybrid_comparison):
+        result = hybrid_comparison["result"]
+        return result.model.full_net, result.snapshot.emt_state
+
+    @pytest.mark.parametrize("offset", [101, 150, 200],
+                             ids=["first-of-a-chunk", "mid-chunk", "last-of-a-chunk"])
+    def test_fault_from_the_gis_snapshot(self, hybrid_comparison, offset):
+        net, init = self.gis_start(hybrid_comparison)
+        record = [b.id for b in hybrid_comparison["case"].buses]
+        record += [f"i:{m.branch_eid}" for m in net.machines]
+        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
+                           events=[ek.SimEvent((init.step + offset) * self.DT, "fault",
+                                               "B7", 1e-6)])
+        TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
+
+    def test_two_swinging_machines(self, hybrid, hybrid_model):
+        net = two_machine_net(hybrid_model.full_net)
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, self.DT, net=net).emt_state
+        record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
+        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
+                           events=[ek.SimEvent(250 * self.DT, "fault", "B7", 0.02)])
+        compiled = ek.CompiledNet(net, self.DT)
+        assert compiled.swinging.tolist() == [0, 1]
+        TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
+        _, final = ek.run(net, cfg, init=init)
+        assert np.all(np.abs(final.machine_delta - init.machine_delta) > 1e-6)
+
+    def test_work_counters_across_the_fault(self, hybrid_comparison, monkeypatch):
+        nets = []
+        build = ek.CompiledNet.__init__
+
+        def recorded(self, *args):
+            build(self, *args)
+            nets.append(self)
+
+        monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
+        net, init = self.gis_start(hybrid_comparison)
+        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=["B7"],
+                           events=[ek.SimEvent((init.step + 150) * self.DT, "fault",
+                                               "B7", 1e-6)])
+        ek.run(net, cfg, init=init)
+        # 150 steps before the fault: a chunk of 100 and one of 50; 750
+        # after it: one cycle of 4 chunks, then 350 steps in 4 chunks.
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 49)]
+
+    @pytest.mark.parametrize("length", [ek.SWING_CHUNK, 7])
+    def test_wrong_angle_guess_reaches_the_same_fixed_point(self, hybrid_comparison,
+                                                            length):
+        net, init = self.gis_start(hybrid_comparison)
+        record = [b.id for b in hybrid_comparison["case"].buses]
+        compiled = ek.CompiledNet(net, self.DT)
+        probes = ek.ProbeSet(compiled, record)
+        z, _, machines = compiled.buffers(init, None, probes.rows)
+        pm = machines[compiled.swinging, 3]
+
+        def relax(pe_guess):
+            stack = np.zeros((length + 2,) + z.shape)
+            stack[1] = z
+            moved = machines.copy()
+            samples = np.zeros((len(probes.keys), length))
+            compiled.pe_guess = pe_guess
+            before = compiled.sweeps
+            compiled.relax(stack, 1, length, init.step, moved, samples)
+            return stack, moved, samples, compiled.sweeps - before
+
+        stack, moved, samples, sweeps = relax(pm)
+        # pe held 1000 pu off over the chunk: angle guesses off by radians
+        wrong_stack, wrong_moved, wrong_samples, wrong_sweeps = relax(pm + 1000.0)
+        assert sweeps < wrong_sweeps <= length + 1
+        assert np.array_equal(wrong_samples, samples)
+        assert np.array_equal(wrong_moved, moved)
+        assert np.array_equal(wrong_stack[length - 1:], stack[length - 1:])
+
+        cfg = ek.SimConfig(dt=self.DT, duration=length * self.DT, record=record)
+        rows, ref_final, _ = reference_run(net, cfg, init)
+        assert_close_to_reference(samples.T, rows[1:])
+        final = compiled.state(stack[length], stack[length - 1], init.step + length, moved)
+        TestLoopEquivalence._assert_state_close(final, ref_final)
+        assert_machines_close(final, ref_final)
+
+    def test_rerun_is_bit_identical(self, hybrid_comparison):
+        net, init = self.gis_start(hybrid_comparison)
+        record = [b.id for b in hybrid_comparison["case"].buses]
+        cfg = ek.SimConfig(dt=self.DT, duration=2000 * self.DT, record=record,
+                           events=[ek.SimEvent((init.step + 730) * self.DT, "fault",
+                                               "B7", 1e-6)])
+        (w1, s1), (w2, s2) = ek.run(net, cfg, init=init), ek.run(net, cfg, init=init)
+        for k in w1.data:
+            assert np.array_equal(w1.data[k], w2.data[k]), k
+        for field in ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
+                      "machine_speed_dev"):
+            assert np.array_equal(getattr(s1, field), getattr(s2, field)), field
+
+
 class TestCycleCounts:
     """`run_until_steady` counts whole cycles within rounding: 2.3/0.02 and
     5.1/0.02 evaluate just below 115 and 255, 0.14/0.02 just above 7."""
@@ -647,8 +762,10 @@ class TestCycleCounts:
 
 
 class TestStepCalls:
-    """A loop calls `CompiledNet.step` exactly once per kernel step, which
-    is what per-layer step counts are measured by."""
+    """During the ramp, and on a net without a swinging machine, a loop
+    calls `CompiledNet.step` exactly once per kernel step, which is what
+    per-layer step counts are measured by.  After the ramp, a net with
+    swinging machines advances in relaxed chunks instead."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
