@@ -358,6 +358,8 @@ class _SwingMaps(NamedTuple):
     from_power: np.ndarray  # (2*N*nsw, N*nsw): from [delta_0; dw_0; emf; pm] and
     #                         from p, the sum over phases of e*i (3 pe)
     amplitude: np.ndarray   # (N*nsw, 1): sqrt2 emf
+    powers: np.ndarray      # (N + 1, w, w): T_ww^k
+    impulse: np.ndarray     # (N, w, nsw): T_ww^d T_we
     w_maps: dict            # chunk length: map of [w_0; e] to w at every block
     #                         start, then in the buffers the chunk rebuilds
 
@@ -392,12 +394,11 @@ class CompiledNet:
     where F_all folds every machine (no rotor moves during the ramp) and
     F_fixed only the non-swinging ones.  A step is z' = T z with
 
-        T = [[H O], [0, R, R, 0] (ramp) or 0, [0, 0, R, 0], [O_m]]
+        T = [[H O], [0, R, R, 0] (ramp) or 0, [0, 0, R, 0], 0]
 
-    H the L/C rows of the history map [h*D, diag(j)] and O_m the rows of O
-    that give the swinging machines' branch currents.  So a machine's row
-    holds its EMF e_v at the next step before the product and its branch
-    current after it.  `anchor` sets r and q from the clock.
+    H the L/C rows of the history map [h*D, diag(j)].  A machine's row
+    holds its EMF e_v at the next step, written before the product; the
+    product leaves it zero.  `anchor` sets r and q from the clock.
 
     A step buffer holds z with one phase per row, shape (3, rows), so a
     step is out = x T^T, and a stack of buffers is, per phase, one matrix
@@ -415,8 +416,11 @@ class CompiledNet:
     the buffer's EMF rows serve.  Over a chunk from w_0 the outputs are
     one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on the EMFs the
     lower block-triangular Toeplitz matrix of the Markov parameters o_e
-    and o_w T_ww^d T_we, one block per machine.  `buffers` builds them, for
-    the machines' currents and the loop's probes.
+    and o_w T_ww^d T_we, one block per machine.  The swing recursion is an
+    affine map of the electrical power.  `buffers` builds these maps for
+    the machines' currents over a chunk and for the loop's probes over a
+    block of PROBE_BLOCK steps, and maps of [w_0; e] to w at each block
+    start and in the buffers a chunk rebuilds.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
@@ -497,8 +501,6 @@ class CompiledNet:
         self.swinging = np.array([k for k, m in enumerate(net.machines)
                                   if m.swing and m.inertia_h > 0], dtype=int)
         active = [net.machines[k] for k in self.swinging]
-        self.speed_gain = np.array([dt / (2.0 * m.inertia_h) for m in active])
-        self.damping = np.array([m.damping for m in active])
         self.branch_rows = [nn + eids.index(m.branch_eid) for m in active]
         self.rows = self.n_lc + 4 + len(active)
         # Work counters of `relax`.
@@ -514,8 +516,8 @@ class CompiledNet:
         self._start: tuple[int, np.ndarray] | None = None
         self.swing_maps: _SwingMaps | None = None
         # The electrical power per swinging machine that the next chunk's
-        # first angle guess assumes over the whole chunk.
-        self.pe_guess = np.zeros(len(active))
+        # first angle guess assumes over the whole chunk; `relax` updates it.
+        self.pe_guess: np.ndarray | None = None
 
     # --- states at the edges of a stepping loop -----------------------------
 
@@ -545,7 +547,7 @@ class CompiledNet:
         return out
 
     def buffers(self, state: EmtState, t_ramp: float | None = None,
-                probe_rows: np.ndarray | None = None,
+                probe_rows: np.ndarray | tuple = (),
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Two step buffers, the first holding the state's history currents
         and its anchored oscillator, and the machines, one row [delta,
@@ -556,7 +558,7 @@ class CompiledNet:
         from t = 0 (None: sources at full scale throughout); they serve
         the steps from this state on, up to the next `buffers` call.  On a
         net with swinging machines it builds `relax`'s maps too, for the
-        probes at rows `probe_rows` of [v; i] (None: no probes).
+        probes at rows `probe_rows` of [v; i].
         """
         x = np.vstack([state.v_nodes, state.elem_i])
         z = np.zeros((3, self.rows))
@@ -567,8 +569,7 @@ class CompiledNet:
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
         self._build_maps(state)
         if self.swinging.size:
-            rows = np.zeros(0, dtype=int) if probe_rows is None else probe_rows
-            self.swing_maps = self._swing_maps(rows, state.machine_emf[self.swinging])
+            self.swing_maps = self._swing_maps(probe_rows, state.machine_emf[self.swinging])
             self.pe_guess = state.machine_pm[self.swinging].astype(float)
         machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
                                     state.machine_emf, state.machine_pm]).astype(float)
@@ -608,27 +609,26 @@ class CompiledNet:
         t = np.zeros((self.rows, self.rows))
         t[:m] = self.hist @ out
         t[m + 2:m + 4, m + 2:m + 4] = self.rotation
-        t[m + 4:] = out[self.branch_rows]
         return t
 
-    def _swing_maps(self, probe_rows: np.ndarray, emf: np.ndarray) -> _SwingMaps:
+    def _swing_maps(self, probe_rows: np.ndarray | tuple, emf: np.ndarray) -> _SwingMaps:
         """`relax`'s maps for the probes at `probe_rows` of [v; i] and the
         swinging machines' EMF magnitudes (see the class docstring)."""
         n, w, nsw = SWING_CHUNK, self.n_lc + 4, self.swinging.size
         t = self.post_map.T
+        powers = np.empty((n + 1, w, w))
+        powers[0] = np.eye(w)
+        for k in range(n):
+            np.dot(t[:w, :w], powers[k], out=powers[k + 1])
+        impulse = powers[:n] @ t[:w, w:]
         rows = np.concatenate([self.branch_rows, probe_rows]).astype(int)
         o = self.outputs[1][rows]
         # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on w_0,
         # and the Markov parameter d = k + 1 - j on e_j.
-        from_w = np.empty((n, len(rows), w))
+        from_w = o[:, :w] @ powers[:n]
         markov = np.empty((n, len(rows), nsw))
         markov[0] = o[:, w:]
-        power = np.eye(w)
-        for k in range(n):
-            np.dot(o[:, :w], power, out=from_w[k])
-            if k + 1 < n:
-                np.dot(from_w[k], t[:w, w:], out=markov[k + 1])
-                power = t[:w, :w] @ power
+        markov[1:] = o[:, :w] @ impulse[:-1]
 
         def chunk_map(part: slice, steps: int) -> np.ndarray:
             """(steps, rows, w + steps*nsw): the outputs from [w_0; e]."""
@@ -643,8 +643,10 @@ class CompiledNet:
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
         # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
         # sum_(i<=k) dw_i, which is linear in delta_0, dw_0, pm and pe.
-        gain = self.speed_gain
-        decay = (1.0 - gain * self.damping)[:, None] ** np.arange(n + 1)
+        active = [self.net.machines[k] for k in self.swinging]
+        gain = np.array([self.dt / (2.0 * m.inertia_h) for m in active])
+        damping = np.array([m.damping for m in active])
+        decay = (1.0 - gain * damping)[:, None] ** np.arange(n + 1)
         lag = np.subtract.outer(np.arange(n), np.arange(n))
         to_speed = gain[:, None, None] * np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
         angle_gain = self.dt * self.omega
@@ -664,24 +666,19 @@ class CompiledNet:
                           probes.reshape(w + PROBE_BLOCK * nsw, -1), len(probe_rows),
                           from_start.reshape(2 * n * nsw, 4 * nsw),
                           from_power.reshape(2 * n * nsw, n * nsw),
-                          np.tile(SQRT2 * emf, n)[:, None], {})
+                          np.tile(SQRT2 * emf, n)[:, None], powers, impulse, {})
 
     def _w_map(self, length: int) -> np.ndarray:
         """The map of [w_0; e] to w at every block start of a chunk and in
         the buffers a chunk of `length` steps rebuilds, stacked."""
-        n, w, nsw = SWING_CHUNK, self.n_lc + 4, self.swinging.size
+        maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
         steps = list(range(0, n, PROBE_BLOCK)) + list(range(max(length - 2, 0), length + 1))
-        t = self.post_map.T
-        m = np.zeros((w, w + n * nsw))
-        m[:, :w] = np.eye(w)
-        at = {}
-        for k in range(max(steps) + 1):
-            if k:
-                m = t[:w, :w] @ m
-                m[:, w + (k - 1) * nsw:w + k * nsw] += t[:w, w:]
-            if k in steps:
-                at[k] = m
-        return np.vstack([at[k] for k in steps])
+        m = np.zeros((len(steps), w, w + n * nsw))
+        for i, k in enumerate(steps):
+            # w_k = T_ww^k w_0 + sum_(j<=k) T_ww^(k-j) T_we e_j
+            m[i, :, :w] = maps.powers[k]
+            m[i, :, w:w + k * nsw] = maps.impulse[:k][::-1].transpose(1, 0, 2).reshape(w, -1)
+        return m.reshape(-1, w + n * nsw)
 
     def anchor(self, x: np.ndarray, step: int) -> None:
         """Set the oscillator rows of the state in buffer x from the clock
@@ -748,11 +745,16 @@ class CompiledNet:
         steps after the ramp, from the buffer at `step` in stack[first], by
         waveform relaxation of its rotors.
 
+        Each sweep forms the chunk's EMFs from the last sweep's angles, then
+        the machines' currents, their power and the angles.  The sweeps stop
+        when the angles repeat bit for bit, after at most length + 1 of
+        them; `chunks_relaxed` and `sweeps` count the work.
+
         Writes the probe samples of steps step + 1 .. step + length into
         samples, one column per step, and advances the machines in place.
-        Of the chunk's buffers it rebuilds only its last two, with their
-        EMF rows written, and its end buffer, whose machine rows hold the
-        currents: the loop's edges (`state`) and the next chunk read no
+        Of the chunk's buffers it rebuilds only the last two, with their
+        EMF rows written, and the rows before the machines' of its end
+        buffer: the loop's edges (`state`) and the next chunk read no
         other.
         """
         maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
@@ -813,7 +815,6 @@ class CompiledNet:
         rebuilt = stack[first + low:first + length + 1]
         rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
         rebuilt[:-1, :, w:] = e.reshape(length, nsw, 3)[low:].transpose(0, 2, 1)
-        rebuilt[-1, :, w:] = y[ne - nsw:].T
 
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
@@ -957,10 +958,11 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
     Steps a cycle at a time through a stack of buffers, re-anchoring the
     oscillator at each chunk start and computing the chunk's probe samples
-    in one product.  A chunk ends early at a fault event, where an EmtState
-    is built to migrate onto the faulted topology; otherwise one is built
-    only on return.  The traces are recorded probe-major, so each waveform
-    is a row of one array.
+    in one product; after the ramp, a net with swinging machines advances
+    in relaxed chunks within it (`CompiledNet.relax`).  A chunk ends early
+    at a fault event, where an EmtState is built to migrate onto the
+    faulted topology; otherwise one is built only on return.  The traces
+    are recorded probe-major, so each waveform is a row of one array.
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
@@ -1027,7 +1029,9 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     cycles run before the state is returned, and the samples of the final
     full cycle come back for phasor extraction.  Each cycle steps through
     a cycle-long stack of buffers from an oscillator re-anchored at its
-    start, and computes its samples in one product.
+    start, and computes its samples in one product; after the ramp, a net
+    with swinging machines advances in relaxed chunks within the cycle
+    (`CompiledNet.relax`).
 
     Returns (state, ready_step or None, last cycle samples one row per
     step, probe keys).
