@@ -810,7 +810,7 @@ class CompiledNet:
             xb[:, :, w:] = e_all.reshape(blocks, -1, 3).transpose(2, 0, 1)
             taken = np.dot(xb.reshape(3 * blocks, -1), maps.probes).reshape(
                 3, n, maps.n_probes)
-            samples.reshape(-1, 3, length)[:] = taken[:, :length].transpose(2, 0, 1)
+            samples[:] = taken[:, :length].transpose(2, 0, 1).reshape(-1, length)
         low = max(length - 2, 0)
         rebuilt = stack[first + low:first + length + 1]
         rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
