@@ -1,11 +1,18 @@
 """Command-line front end.
 
-Subcommands: validate, ipf, init, simulate, compare.  Every invocation
-writes a manifest next to its outputs; re-running a command from the same
-inputs reproduces every artifact byte-for-byte (nothing time- or
-host-dependent is ever serialized).
+Each subcommand takes a case file, --out, --quiet and only the flags it reads:
+  validate  no other
+  ipf       the coordinator's: --tol-eps1 --tol-eps2 --gmres-m --omega --max-outer
+  simulate  the coordinator's, --dt --t-ramp --snapshot --zero-state --duration
+            --fault --probes (--t-ramp ramps a --zero-state run)
+  init      the coordinator's, --dt --t-ramp --ramp-budget
+  compare   init's, --probes --window --settle-cap --fault --self-check
+Every invocation writes a manifest of these flags next to its outputs;
+re-running a command from the same inputs reproduces every artifact
+byte-for-byte (nothing time- or host-dependent is ever serialized).
 
-Exit codes: 0 ok, 1 input error, 2 coordination failed, 3 pipeline stage
+Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
+malformed value, no subcommand), 2 coordination failed, 3 pipeline stage
 failure or any other emtgis error, 4 incompatible snapshot, 5 zero-state
 comparison run failed to settle.  A failure prints one `error:` line, and
 leaves its trace.csv (coordination) or report.json (stage) if it has one.
@@ -47,10 +54,6 @@ EXIT_PIPELINE = 3
 EXIT_SNAPSHOT = 4
 EXIT_NO_SETTLE = 5
 
-# Flags in seconds, of whichever subcommand has them; each must be finite
-# and positive.
-TIME_FLAGS = ("dt", "t_ramp", "ramp_budget", "duration", "settle_cap", "window")
-
 # Exit code of an error reaching `main`; the first matching type wins.
 EXIT_CODES = (
     ((CaseFormatError, UnknownBus, UnknownProbe), EXIT_INPUT),
@@ -61,49 +64,74 @@ EXIT_CODES = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as the ValueError that `main` prints as one
+    `error:` line (exit 1); its subparsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def seconds(text: str) -> float:
+    """The value of a time flag: finite and positive, else a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="emtgis", description=__doc__)
+    p = _Parser(prog="emtgis", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"emtgis {__version__}")
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("case", help="case file (JSON)")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--dt", type=float, default=5e-5, help="EMT step size [s]")
-    common.add_argument("--tol-eps1", type=float, default=1e-6,
-                        help="outer residual tolerance")
-    common.add_argument("--tol-eps2", type=float, default=1e-3,
-                        help="inner relative tolerance")
-    common.add_argument("--gmres-m", type=int, default=20, help="restart dimension")
-    common.add_argument("--omega", type=float, default=1e-6,
-                        help="directional-difference scalar")
-    common.add_argument("--max-outer", type=int, default=40)
-    common.add_argument("--t-ramp", type=float, default=0.5,
-                        help="source ramp duration [s]")
-    common.add_argument("--ramp-budget", type=float, default=6.0,
-                        help="per-region steady-state search window [s]")
     common.add_argument("--quiet", action="store_true")
+
+    coord = argparse.ArgumentParser(add_help=False)
+    coord.add_argument("--tol-eps1", type=float, default=JfngConfig.eps1,
+                       help="outer residual tolerance")
+    coord.add_argument("--tol-eps2", type=float, default=JfngConfig.eps2,
+                       help="inner relative tolerance")
+    coord.add_argument("--gmres-m", type=int, default=JfngConfig.m_restart,
+                       help="restart dimension")
+    coord.add_argument("--omega", type=float, default=JfngConfig.omega,
+                       help="directional-difference scalar")
+    coord.add_argument("--max-outer", type=int, default=JfngConfig.max_outer)
+
+    emt = argparse.ArgumentParser(add_help=False, parents=[coord])
+    emt.add_argument("--dt", type=seconds, default=sn.PipelineConfig.dt,
+                     help="EMT step size [s]")
+    emt.add_argument("--t-ramp", type=seconds, default=sn.PipelineConfig.t_ramp,
+                     help="source ramp duration [s]")
+
+    pipeline = argparse.ArgumentParser(add_help=False, parents=[emt])
+    pipeline.add_argument("--ramp-budget", type=seconds, default=sn.PipelineConfig.ramp_budget,
+                          help="per-region steady-state search window [s]")
 
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("validate", parents=[common], help="check a case file")
-    sub.add_parser("ipf", parents=[common],
+    sub.add_parser("ipf", parents=[common, coord],
                    help="coordinated whole-system power flow")
-    sub.add_parser("init", parents=[common],
+    sub.add_parser("init", parents=[common, pipeline],
                    help="full steady-state initialization pipeline")
 
-    sim = sub.add_parser("simulate", parents=[common], help="run the EMT kernel")
+    sim = sub.add_parser("simulate", parents=[common, emt], help="run the EMT kernel")
     sim.add_argument("--snapshot", help="snapshot file to start from")
     sim.add_argument("--zero-state", action="store_true",
                      help="start de-energized and ramp sources")
-    sim.add_argument("--duration", type=float, default=0.5)
+    sim.add_argument("--duration", type=seconds, default=0.5)
     sim.add_argument("--fault", help="fault event BUS@TIME[@R]")
     sim.add_argument("--probes", help="comma-separated bus ids (default: all buses)")
 
-    cmp_ = sub.add_parser("compare", parents=[common],
+    cmp_ = sub.add_parser("compare", parents=[common, pipeline],
                           help="initialized vs zero-state-ramped comparison")
     cmp_.add_argument("--probes", help="comma-separated bus ids (default: all buses)")
-    cmp_.add_argument("--window", type=float, default=0.1,
+    cmp_.add_argument("--window", type=seconds, default=0.1,
                       help="deviation averaging window [s]")
-    cmp_.add_argument("--settle-cap", type=float, default=12.0,
+    cmp_.add_argument("--settle-cap", type=seconds, default=12.0,
                       help="budget for the zero-state scheme to settle [s]")
     cmp_.add_argument("--fault", help="apply BUS@TIME[@R] to both runs")
     cmp_.add_argument("--self-check", action="store_true",
@@ -112,21 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
-    handler = {
-        "validate": cmd_validate,
-        "ipf": cmd_ipf,
-        "init": cmd_init,
-        "simulate": cmd_simulate,
-        "compare": cmd_compare,
-    }[args.command]
     try:
-        _check_time_flags(args)
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+            stream=sys.stderr,
+        )
+        handler = {
+            "validate": cmd_validate,
+            "ipf": cmd_ipf,
+            "init": cmd_init,
+            "simulate": cmd_simulate,
+            "compare": cmd_compare,
+        }[args.command]
         return handler(args)
     except FileNotFoundError as exc:
         is_case = exc.filename is not None and Path(exc.filename) == Path(args.case)
@@ -140,15 +167,6 @@ def main(argv=None) -> int:
         _record_failure(args, exc)
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
-
-
-def _check_time_flags(args) -> None:
-    """Reject a time flag that is not finite and positive, before any work."""
-    for name in TIME_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None and not (math.isfinite(value) and value > 0):
-            flag = "--" + name.replace("_", "-")
-            raise ValueError(f"{flag} must be finite and positive, got {value}")
 
 
 def _record_failure(args, exc: EmtgisError) -> None:
@@ -180,15 +198,14 @@ def _outdir(args) -> Path:
     return out
 
 
+def _jfng_config(args) -> JfngConfig:
+    return JfngConfig(eps1=args.tol_eps1, eps2=args.tol_eps2, m_restart=args.gmres_m,
+                      omega=args.omega, max_outer=args.max_outer)
+
+
 def _pipeline_config(args) -> sn.PipelineConfig:
-    return sn.PipelineConfig(
-        dt=args.dt,
-        t_ramp=args.t_ramp,
-        ramp_budget=args.ramp_budget,
-        jfng=JfngConfig(eps1=args.tol_eps1, eps2=args.tol_eps2,
-                        m_restart=args.gmres_m, omega=args.omega,
-                        max_outer=args.max_outer),
-    )
+    return sn.PipelineConfig(dt=args.dt, t_ramp=args.t_ramp, ramp_budget=args.ramp_budget,
+                             jfng=_jfng_config(args))
 
 
 def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
@@ -213,7 +230,7 @@ def _parse_fault(spec: str) -> ek.SimEvent:
     if len(parts) not in (2, 3):
         raise ValueError(f"fault spec must be BUS@TIME[@R], got '{spec}'")
     r = float(parts[2]) if len(parts) == 3 else 0.05
-    return ek.SimEvent(time=float(parts[1]), kind="fault", target=parts[0], r_fault=r)
+    return ek.SimEvent(time=float(parts[1]), target=parts[0], r_fault=r)
 
 
 def cmd_validate(args) -> int:
@@ -238,13 +255,13 @@ def cmd_validate(args) -> int:
 def cmd_ipf(args) -> int:
     case = _load(args)
     outdir = _outdir(args)
-    cfg = _pipeline_config(args)
+    cfg = _jfng_config(args)
 
     from .coordinator import jfng_solve
 
     n = len(case.grbcs)
     x0 = np.concatenate([np.ones(n), np.zeros(n)])
-    state, trace = jfng_solve(case, case.grbcs, x0, cfg.jfng, pf_tol=cfg.pf_tol)
+    state, trace = jfng_solve(case, case.grbcs, x0, cfg)
 
     (outdir / "boundary.json").write_text(
         json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
@@ -282,12 +299,11 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
-    model = sn.system_model(case, _pipeline_config(args))
+    model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
 
     events = [_parse_fault(args.fault)] if args.fault else []
     sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=_probes(args, case),
-                       events=events, ramp_sources=args.zero_state,
-                       t_ramp=args.t_ramp)
+                       events=events, t_ramp=args.t_ramp if args.zero_state else None)
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     waves, _ = ek.run(model.full_net, sim, init=init)
 
@@ -316,7 +332,7 @@ def cmd_compare(args) -> int:
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net
     settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
-                              ramp_sources=True, t_ramp=args.t_ramp)
+                              t_ramp=args.t_ramp)
     zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)
 
     cycles = int(round(period / args.dt))

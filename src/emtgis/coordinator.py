@@ -49,7 +49,9 @@ from .powerflow import boundary_injections, boundary_sensitivity, solve_main
 log = logging.getLogger(__name__)
 
 VOLTAGE_FLOOR = 0.2  # pu; probe points and outer steps below this are out-of-basin
+EPS_DEN = 1e-12      # rank-one update denominator guard, relative to |dx||dphi|
 OUTER_HALVINGS = 6   # halvings of a rejected outer step before giving up
+MAIN_PF_TOL = 1e-10  # mismatch tolerance of the main-system power flow
 
 
 @dataclass
@@ -91,7 +93,6 @@ class JfngConfig:
     m_restart: int = 20
     omega: float = 1e-6       # base finite-difference scalar
     max_outer: int = 40
-    eps_den: float = 1e-12    # rank-one update denominator guard
 
     def __post_init__(self):
         for name in ("eps1", "eps2", "omega"):
@@ -135,7 +136,7 @@ class IterationTrace:
             f.write("\n".join(lines) + "\n")
 
 
-def residual(case, grbcs, x: np.ndarray, pf_tol: float = 1e-10,
+def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
              ybus: AdmittanceMatrix | None = None) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
@@ -223,20 +224,19 @@ def _make_probe(x: np.ndarray, phi_x: np.ndarray, residual_fn, omega_base: float
     return probe
 
 
-def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray,
-                   eps_den: float = 1e-12) -> np.ndarray:
+def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray) -> np.ndarray:
     """Rank-one secant correction of the preconditioner matrix,
     M <- M + (dx - M dphi)(dx)^T M / ((dx)^T M dphi).
 
     After an accepted update M @ dphi == dx holds to rounding; a
-    denominator below eps_den relative to |dx||dphi| skips the update and
+    denominator below EPS_DEN relative to |dx||dphi| skips the update and
     returns `mat` itself.
     """
     dx, dphi = np.asarray(dx, float), np.asarray(dphi, float)
     m_dphi = mat @ dphi
     den = float(dx @ m_dphi)
     scale = float(np.linalg.norm(dx) * np.linalg.norm(dphi))
-    if abs(den) < eps_den * max(scale, 1e-300):
+    if abs(den) < EPS_DEN * max(scale, 1e-300):
         log.debug("preconditioner update skipped: degenerate denominator")
         return mat
     return mat + np.outer(dx - m_dphi, dx @ mat) / den
@@ -324,7 +324,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
         z = mat @ basis[:, l]
         zdirs[:, l] = z
         w = probe(z)
-        mat = precond_update(mat, z, w, cfg.eps_den)
+        mat = precond_update(mat, z, w)
 
         # Arnoldi, modified Gram-Schmidt with one conditional re-pass.
         h = np.zeros(l + 2)
@@ -370,7 +370,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
 
 
 def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
-               pf_tol: float = 1e-10) -> tuple[BoundaryState, IterationTrace]:
+               pf_tol: float = MAIN_PF_TOL) -> tuple[BoundaryState, IterationTrace]:
     """Newton outer loop over the boundary coordination residual.
 
     Each outer step: evaluate phi, test ||phi||_2 against eps1, solve the
@@ -438,7 +438,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
                 trace.status = "step_rejected"
                 raise OuterStepRejected(OUTER_HALVINGS, reason)
 
-            M = precond_update(M, x_new - x, state_new.phi - state.phi, cfg.eps_den)
+            M = precond_update(M, x_new - x, state_new.phi - state.phi)
             trace.rows.append(OuterRecord(k, phi_norm, info.iterations, info.rho_history,
                                           info.restarted, time.perf_counter() - t0))
             x, state = x_new, state_new

@@ -26,8 +26,8 @@ map O of the step buffer, not part of it.
 The oscillator joins the state: r advances by the fixed rotation R by w*dt,
 and during the linear ramp s = n*dt/t_ramp the product q = n*r advances by
 q' = R (q + r), so the source input (dt/t_ramp) q is linear too.  A machine
-whose rotor is fixed (every machine during the ramp, a non-swinging one
-always) is a source at its own angle and folds into F.  One step is then
+whose rotor is fixed (every machine during the ramp, one with inertia_h =
+0 always) is a source at its own angle and folds into F.  One step is then
 one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
 for the ramp and one after it.
 
@@ -186,7 +186,7 @@ class Machine:
     The EMF node and series inductor are explicit members of the network;
     this record carries their ids plus the mechanical state parameters.
     delta0/emf_rms/pm are the build-time operating point; the dynamic copy
-    lives in EmtState.
+    lives in EmtState.  A machine with inertia_h = 0 has a fixed rotor.
     """
 
     mid: str
@@ -199,7 +199,6 @@ class Machine:
     emf_rms: float
     delta0: float
     pm: float
-    swing: bool = True
 
 
 @dataclass(frozen=True)
@@ -241,20 +240,27 @@ def apply_fault(net: EmtNet, bus: str, r_fault: float) -> EmtNet:
 
 @dataclass(frozen=True)
 class SimEvent:
+    """A three-phase fault at node `target` from `time` on, through r_fault
+    ohms per phase (`apply_fault`).  r_fault has no default here; the CLI's
+    is 0.05."""
+
     time: float
-    kind: str               # only "fault" is defined
     target: str
-    r_fault: float = 1e-6
+    r_fault: float
 
 
 @dataclass
 class SimConfig:
+    """One kernel run.  Sources ramp linearly from zero over the first
+    t_ramp seconds; t_ramp=None means no ramp, sources at full scale from
+    the first step.  The last three fields set the steadiness detector of
+    `run_until_steady`."""
+
     dt: float
     duration: float
     record: list[str] = field(default_factory=list)
     events: list[SimEvent] = field(default_factory=list)
-    ramp_sources: bool = False
-    t_ramp: float = 0.5
+    t_ramp: float | None = None
     rms_change_tol: float = 5e-4    # per-cycle relative RMS change for steadiness
     steady_cycles: int = 3          # consecutive stable cycle-to-cycle changes
     settle_margin_cycles: int = 5   # extra cycles after detection before capture
@@ -262,7 +268,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("dt", "t_ramp"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise InvalidParameter(f"{name} must be finite and positive, got {value}")
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise InvalidParameter(
@@ -300,10 +306,6 @@ class EmtState:
     machine_emf: np.ndarray
     machine_pm: np.ndarray
     source_scale: np.ndarray
-
-    @property
-    def time(self) -> float:
-        return self.step * self.dt
 
     def copy(self) -> "EmtState":
         return EmtState(
@@ -499,7 +501,7 @@ class CompiledNet:
         # in this order.
         self.n_machines = len(net.machines)
         self.swinging = np.array([k for k, m in enumerate(net.machines)
-                                  if m.swing and m.inertia_h > 0], dtype=int)
+                                  if m.inertia_h > 0], dtype=int)
         active = [net.machines[k] for k in self.swinging]
         self.branch_rows = [nn + eids.index(m.branch_eid) for m in active]
         self.rows = self.n_lc + 4 + len(active)
@@ -865,15 +867,13 @@ class ProbeSet:
                ramp_steps: int = 0) -> np.ndarray:
         """The probe values at the steps after a stack of buffers (steps, 3,
         rows), one row per key and one column per buffer, written into out
-        when given; of a single buffer (3, rows), one value per key.
+        when given.
 
         The first `ramp_steps` buffers step into the ramp, the others after
         it.  Each part is one product per phase with the probes' rows of
         that output map, written straight into the rows of that phase's
         keys.
         """
-        if stack.ndim == 2:
-            return self.sample(stack[None], None, ramp_steps)[:, 0]
         if out is None:
             out = np.empty((len(self.keys), len(stack)))
         for part, o in ((slice(None, ramp_steps), self.compiled.outputs[0]),
@@ -889,13 +889,6 @@ class ProbeSet:
 class WaveformSet:
     times: np.ndarray
     data: dict[str, np.ndarray]
-
-    def cycle_rms(self, key: str, samples_per_cycle: int, last_only: bool = True):
-        y = self.data[key]
-        usable = (len(y) - 1) // samples_per_cycle * samples_per_cycle
-        cycles = y[len(y) - usable:].reshape(-1, samples_per_cycle)
-        rms = np.sqrt(np.mean(cycles**2, axis=1))
-        return rms[-1] if last_only else rms
 
 
 def _whole_cycles(t: float, period: float, up: bool = False) -> int:
@@ -918,8 +911,7 @@ def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, cfg: SimC
     0 the buffer one step before slot 1 once a loop carries it over; the
     (buffer, next buffer) view pairs a loop steps through from slot 1; the
     machines."""
-    z, _, machines = compiled.buffers(state, cfg.t_ramp if cfg.ramp_sources else None,
-                                      probes.rows)
+    z, _, machines = compiled.buffers(state, cfg.t_ramp, probes.rows)
     stack = np.zeros((length + 2,) + z.shape)
     stack[1] = z
     views = list(stack)
@@ -973,8 +965,6 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     events = sorted(cfg.events, key=lambda e: e.time)
     event_steps = [int(round(e.time / cfg.dt)) for e in events]
     for e in events:
-        if e.kind != "fault":
-            raise InvalidParameter(f"unknown event kind '{e.kind}'")
         if e.target not in net.nodes:
             raise UnknownBus(f"event targets unknown node '{e.target}'")
 
@@ -1045,7 +1035,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
         raise InvalidParameter("period must be an integer multiple of dt")
     probes = ProbeSet(compiled, cfg.record)
     max_cycles = _whole_cycles(cfg.duration, net.period)
-    arm_after = _whole_cycles(cfg.t_ramp, net.period, up=True) if cfg.ramp_sources else 0
+    arm_after = 0 if cfg.t_ramp is None else _whole_cycles(cfg.t_ramp, net.period, up=True)
 
     buf = np.zeros((len(probes.keys), n_cycle))
     prev_rms: np.ndarray | None = None

@@ -48,9 +48,6 @@ class PowerFlowSolution:
         i = self.index(bus_id)
         return float(self.p_calc[i]), float(self.q_calc[i])
 
-    def complex_voltages(self) -> np.ndarray:
-        return self.vm * np.exp(1j * self.va)
-
     def to_csv(self, path: str | Path) -> None:
         lines = ["bus_id,v_pu,theta_deg,p_pu,q_pu"]
         for i, bid in enumerate(self.bus_ids):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import emtkernel as ek
-from .coordinator import BoundaryState, IterationTrace, JfngConfig, jfng_solve
+from .coordinator import MAIN_PF_TOL, BoundaryState, IterationTrace, JfngConfig, jfng_solve
 from .emtkernel import Element, ElementKind, EmtNet, EmtState, Machine, SimConfig, Source
 from .errors import (
     IncompatibleSnapshot,
@@ -147,7 +147,7 @@ class _NetBuilder:
         self.sources.append(Source(sid, node, abs(phasor), cmath.phase(phasor)))
 
     def machine(self, mid: str, bus: str, xd: float, inertia_h: float, damping: float,
-                emf: complex, pm: float, swing: bool):
+                emf: complex, pm: float):
         emf_node = self.node(f"{mid}:emf")
         self.node(bus)
         branch_eid = f"{mid}:xd"
@@ -156,7 +156,7 @@ class _NetBuilder:
         )
         self.machines.append(
             Machine(mid, bus, emf_node, branch_eid, xd, inertia_h, damping,
-                    abs(emf), cmath.phase(emf), pm, swing)
+                    abs(emf), cmath.phase(emf), pm)
         )
 
     def build(self) -> EmtNet:
@@ -228,7 +228,7 @@ def _add_case_parts(builder: _NetBuilder, case: CaseFile, pf: PowerFlowSolution,
             emf = machine_internal_emf(v, i, m.xd_transient)
             pm = (emf * i.conjugate()).real
             builder.machine(f"{ns}gen:{m.bus}", m.bus, m.xd_transient,
-                            m.inertia_h, m.damping, emf, pm, swing=True)
+                            m.inertia_h, m.damping, emf, pm)
 
 
 def build_main_net(case: CaseFile, pf: PowerFlowSolution) -> EmtNet:
@@ -476,14 +476,14 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     """Ramp a region net behind its boundary equivalent until steady.
 
     All sources (the equivalent and any internal ones) follow the same
-    linear ramp; the steady-state detector watches every node of the
-    region plus the boundary current.  Boundary phasors come from a
-    single-frequency Fourier integral over the final full cycle.
+    linear ramp over cfg.t_ramp; the steady-state detector watches every
+    node of the region plus the boundary current.  Boundary phasors come
+    from a single-frequency Fourier integral over the final full cycle.
     """
     subsystem = subsystem or grbc_net.name
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
     record = [n for n in grbc_net.nodes] + [f"i:{probe_eid}"]
-    cfg = replace(cfg, record=record, ramp_sources=True)
+    cfg = replace(cfg, record=record)
 
     state, ready_step, last_cycle, keys = ek.run_until_steady(net, cfg)
     if ready_step is None:
@@ -509,9 +509,6 @@ class SpliceSchedule:
     period_steps: int
     factor: int
     t_adj_steps: dict[str, int]
-
-    def adjusted_time(self, subsystem: str, dt: float) -> float:
-        return self.t_adj_steps[subsystem] * dt
 
 
 def schedule_from_steps(ready_steps: dict[str, int], period_steps: int,
@@ -647,15 +644,9 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
 @dataclass
 class PipelineConfig:
     dt: float = 5e-5
-    t0: float = 0.0
     t_ramp: float = 0.5
     ramp_budget: float = 6.0       # per-region steady-state search window
     jfng: JfngConfig = field(default_factory=JfngConfig)
-    pf_tol: float = 1e-10
-    schedule_factor: int = 2
-    rms_change_tol: float = 5e-4
-    steady_cycles: int = 3
-    settle_margin_cycles: int = 5
 
 
 @dataclass
@@ -739,13 +730,13 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
         def run_ipf():
             n = len(case.grbcs)
             x0 = np.concatenate([np.ones(n), np.zeros(n)])
-            return jfng_solve(case, case.grbcs, x0, cfg.jfng, pf_tol=cfg.pf_tol)
+            return jfng_solve(case, case.grbcs, x0, cfg.jfng)
         boundary_state, trace = _stage("ipf", run_ipf)
         main_pf = boundary_state.main_solution
         draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
                  for i, bid in enumerate(boundary_state.bus_ids)}
     else:
-        main_pf = _stage("ipf", solve_main, case, {}, cfg.pf_tol, 40)
+        main_pf = _stage("ipf", solve_main, case, {}, MAIN_PF_TOL, 40)
         draws = {}
 
     region_ops: list[RegionOperatingPoint] = []
@@ -767,15 +758,10 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     stage = _stage
 
     model = system_model(case, cfg)
-    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, cfg.dt, cfg.t0,
-                      model.draws)
+    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, cfg.dt,
+                      boundary_draw=model.draws)
 
-    ramp_cfg = SimConfig(
-        dt=cfg.dt, duration=cfg.ramp_budget, record=[], ramp_sources=True,
-        t_ramp=cfg.t_ramp, rms_change_tol=cfg.rms_change_tol,
-        steady_cycles=cfg.steady_cycles,
-        settle_margin_cycles=cfg.settle_margin_cycles,
-    )
+    ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=cfg.t_ramp)
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
         thev = thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
@@ -790,8 +776,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
 
     ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
     period_steps = int(round(case.period / cfg.dt))
-    schedule = stage("splice_schedule", schedule_from_steps, ready_steps,
-                     period_steps, cfg.schedule_factor)
+    schedule = stage("splice_schedule", schedule_from_steps, ready_steps, period_steps)
 
     def advance_all():
         for op in model.region_ops:
@@ -822,8 +807,9 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
 
 
 def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
-    """Zero-state ramping baseline on the whole net; returns the settled
-    state and the step at which steadiness was declared.
+    """Zero-state ramping baseline on the whole net, its sources ramped
+    over cfg.t_ramp; returns the settled state and the step at which
+    steadiness was declared.
 
     Rotor angles are dynamic states, not model parameters: machines start
     at zero angle and their swing dynamics (active once the ramp completes)
@@ -834,7 +820,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     record = list(cfg.record) or [n for n in full_net.nodes if ":" not in n]
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
-    cfg = replace(cfg, ramp_sources=True, record=record)
+    cfg = replace(cfg, record=record)
     init = ek.zero_state(full_net, cfg.dt)
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)

@@ -109,8 +109,7 @@ def hybrid_comparison(hybrid):
     dt = 5e-5
     result = sn.run_emtgis(hybrid, sn.PipelineConfig(dt=dt))
     probes = [b.id for b in hybrid.buses]
-    settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes,
-                              ramp_sources=True, t_ramp=0.5)
+    settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes, t_ramp=0.5)
     zero_state, zero_fired = sn.settle_from_zero(result.model.full_net, settle_cfg)
     return {
         "case": hybrid,
@@ -212,6 +211,22 @@ def stored_energy(net: ek.EmtNet, state: ek.EmtState) -> float:
             vt = state.v_nodes[state.node_ids.index(e.n_to)] if e.n_to else 0.0
             total += 0.5 * e.value * float(np.sum((vf - vt) ** 2))
     return total
+
+
+def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
+              last_only: bool = True):
+    """RMS of each whole cycle of one waveform, counted back from its last
+    sample; only the last cycle's with `last_only`."""
+    y = waves.data[key]
+    usable = (len(y) - 1) // samples_per_cycle * samples_per_cycle
+    cycles = y[len(y) - usable:].reshape(-1, samples_per_cycle)
+    rms = np.sqrt(np.mean(cycles**2, axis=1))
+    return rms[-1] if last_only else rms
+
+
+def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramp_steps: int = 0) -> np.ndarray:
+    """`ProbeSet.sample` of a single buffer (3, rows): one value per key."""
+    return probes.sample(z[None], None, ramp_steps)[:, 0]
 
 
 def read_waveforms_bin(path) -> ek.WaveformSet:

@@ -47,7 +47,7 @@ class ReferenceNet:
         self.known_idx = np.array(known, dtype=int)
         self.machine_branch = np.array([eids.index(m.branch_eid) for m in net.machines],
                                        dtype=int)
-        self.machine_swing = np.array([m.swing for m in net.machines], dtype=bool)
+        self.machine_swing = np.array([m.inertia_h > 0 for m in net.machines], dtype=bool)
         self.machine_2h = np.array([2.0 * m.inertia_h for m in net.machines])
         self.machine_damping = np.array([m.damping for m in net.machines])
         self.unknown_idx = np.array([i for i in range(n) if i not in set(known)], dtype=int)
@@ -158,7 +158,7 @@ def reference_run(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
             ref = ReferenceNet(net, cfg.dt)
             state = reference_migrate(state, net)
             migrated.append(state)
-        state = ref.step(state, cfg.ramp_sources, cfg.t_ramp)
+        state = ref.step(state, cfg.t_ramp is not None, cfg.t_ramp)
         rows.append(reference_sample(state, cfg.record))
     return np.array(rows), state, migrated
 
@@ -170,12 +170,12 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
     state = init.copy()
     n_cycle = int(round(net.period / cfg.dt))
     # Whole cycles, read to 6 decimals: 2.3 / 0.02 evaluates to 114.99999999999999.
-    arm_after = math.ceil(round(cfg.t_ramp / net.period, 6)) if cfg.ramp_sources else 0
+    arm_after = math.ceil(round(cfg.t_ramp / net.period, 6)) if cfg.t_ramp is not None else 0
     buf = np.zeros((n_cycle, 3 * len(cfg.record)))
     prev_rms, stable_run, fired_at = None, 0, None
     for c in range(int(round(cfg.duration / net.period, 6))):
         for k in range(n_cycle):
-            state = ref.step(state, cfg.ramp_sources, cfg.t_ramp)
+            state = ref.step(state, cfg.t_ramp is not None, cfg.t_ramp)
             buf[k] = reference_sample(state, cfg.record)
         if fired_at is not None:
             if c - fired_at >= cfg.settle_margin_cycles:

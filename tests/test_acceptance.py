@@ -20,6 +20,7 @@ import emtgis.snapshot as sn
 from conftest import (
     case_path,
     cli_env,
+    cycle_rms,
     injection_thevenin,
     random_linear_net,
     subset_state,
@@ -191,7 +192,7 @@ def test_criterion_5_steady_state_hold(hybrid_comparison):
     worst_hold = 0.0
     for b in c["probes"]:
         target = res.model.main_pf.voltage(b).magnitude
-        rms = waves.cycle_rms(f"{b}.a", n_cycle, last_only=False)
+        rms = cycle_rms(waves, f"{b}.a", n_cycle, last_only=False)
         worst_hold = max(worst_hold, float(np.max(np.abs(rms - target)) / target))
 
     w0 = ((c["zero_state"].step // n_cycle) + 2) * n_cycle
@@ -210,8 +211,7 @@ def test_criterion_6_fault_response_equivalence(hybrid_comparison):
     n_cycle = int(round(c["case"].period / dt))
     fault_step = ((c["zero_state"].step // n_cycle) + 3) * n_cycle
     w1 = fault_step + int(round(0.1 / dt))
-    fault = ek.SimEvent(time=fault_step * dt, kind="fault", target="B7",
-                        r_fault=0.05)
+    fault = ek.SimEvent(time=fault_step * dt, target="B7", r_fault=0.05)
     devs = _window_deviations(res.model.full_net, c["probes"], dt, res.snapshot,
                               c["zero_state"], fault_step, w1, events=[fault])
     worst = max(devs.values())

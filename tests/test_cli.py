@@ -251,7 +251,7 @@ class TestInvalidTimeFlags:
         (("init",), "--t-ramp", "0"),
         (("init",), "--t-ramp", "nan"),
         (("init",), "--ramp-budget", "inf"),
-        (("ipf",), "--dt", "-0.0001"),
+        (("init",), "--dt", "-0.0001"),
         (("simulate", "--zero-state"), "--duration", "-1"),
         (("simulate", "--zero-state"), "--dt", "0"),
         (("compare",), "--settle-cap", "0"),
@@ -264,6 +264,54 @@ class TestInvalidTimeFlags:
         assert_one_line_error(out)
         assert flag in out.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestUsageErrors:
+    """A usage error is an input error: exit 1, one `error:` line, nothing
+    written."""
+
+    @pytest.mark.parametrize("args", [
+        ("validate", case_path("twobus"), "--bogus"),
+        ("init", case_path("twobus"), "--dt", "abc"),
+        (),
+        ("validate", case_path("twobus"), "--gmres-m", "3"),
+    ], ids=["unknown-flag", "malformed-value", "no-subcommand", "flag-it-does-not-read"])
+    def test_exits_1_with_one_line(self, tmp_path, args):
+        out = run_cli(*args, cwd=tmp_path)
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag):
+        out = run_cli(flag)
+        assert out.returncode == 0 and out.stdout and not out.stderr
+
+
+COORDINATOR_FLAGS = {"tol_eps1", "tol_eps2", "gmres_m", "omega", "max_outer"}
+PIPELINE_FLAGS = COORDINATOR_FLAGS | {"dt", "t_ramp", "ramp_budget"}
+
+
+class TestManifestFlags:
+    """A manifest records exactly the flags its subcommand reads: every
+    optional flag is given, so none is left out for being unset."""
+
+    @pytest.mark.parametrize("command, reads", [
+        (("validate",), set()),
+        (("ipf",), COORDINATOR_FLAGS),
+        (("init",), PIPELINE_FLAGS),
+        (("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
+          "--probes", "B2"),
+         COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
+        (("compare", "--self-check", "--fault", "B2@1.0", "--probes", "B2"),
+         PIPELINE_FLAGS | {"window", "settle_cap", "fault", "probes", "self_check"}),
+    ], ids=["validate", "ipf", "init", "simulate", "compare"])
+    def test_flags_are_the_ones_read(self, tmp_path, command, reads):
+        out = run_cli(command[0], case_path("twobus"), *command[1:], "--out", tmp_path,
+                      "--quiet")
+        assert out.returncode == 0, out.stderr
+        flags = read_json(tmp_path / "manifest.json")["flags"]
+        assert set(flags) == {"out", "quiet"} | reads
 
 
 class TestDeterminism:

@@ -21,8 +21,10 @@ OMEGA = 2 * math.pi * 50.0
 DATA = Path(__file__).parent / "data"
 
 from conftest import (  # noqa: E402
+    cycle_rms,
     random_linear_net,
     read_waveforms_bin,
+    sample_one,
     stored_energy,
     with_sources_zeroed,
 )
@@ -99,7 +101,7 @@ class TestStep:
         net = rl_net()
         waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.3,
                                             record=["i:l1"]))
-        i_amp = ek.SQRT2 * waves.cycle_rms("i:l1.a", int(round(0.02 / 2e-5)))
+        i_amp = ek.SQRT2 * cycle_rms(waves, "i:l1.a", int(round(0.02 / 2e-5)))
         expect = ek.SQRT2 * 1.0 / abs(1.0 + 1j * OMEGA * 0.01)
         assert i_amp == pytest.approx(expect, rel=1e-3)
 
@@ -115,7 +117,7 @@ class TestStep:
         net = rl_net()
         waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.5, record=["n2"]))
         n = int(round(0.02 / 2e-5))
-        rms = [waves.cycle_rms(f"n2.{p}", n) for p in "abc"]
+        rms = [cycle_rms(waves, f"n2.{p}", n) for p in "abc"]
         assert max(rms) - min(rms) < 1e-9
         # instantaneous sum of a balanced set vanishes
         tail = sum(waves.data[f"n2.{p}"][-n:] for p in "abc")
@@ -144,7 +146,7 @@ class TestFault:
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
         cfg = ek.SimConfig(dt=1e-4, duration=0.2, record=["n2"],
-                           events=[ek.SimEvent(0.1, "fault", "n2", 1e-6)])
+                           events=[ek.SimEvent(0.1, "n2", 1e-6)])
         waves, _ = ek.run(net, cfg)
         k = int(0.1 / 1e-4)
         assert np.max(np.abs(waves.data["n2.a"][k - 200:k])) > 1.0
@@ -177,22 +179,21 @@ class TestFault:
     def test_unsorted_events_rejected(self):
         with pytest.raises(InvalidParameter):
             ek.SimConfig(dt=1e-4, duration=0.1,
-                         events=[ek.SimEvent(0.2, "fault", "n2"),
-                                 ek.SimEvent(0.1, "fault", "n2")])
+                         events=[ek.SimEvent(0.2, "n2", 1e-6),
+                                 ek.SimEvent(0.1, "n2", 1e-6)])
 
     def test_replaced_config_is_validated_again(self):
         cfg = ek.SimConfig(dt=1e-4, duration=0.1)
         with pytest.raises(InvalidParameter):
-            replace(cfg, events=[ek.SimEvent(0.2, "fault", "n2"),
-                                 ek.SimEvent(0.1, "fault", "n2")])
+            replace(cfg, events=[ek.SimEvent(0.2, "n2", 1e-6),
+                                 ek.SimEvent(0.1, "n2", 1e-6)])
 
     def test_post_fault_waveform_golden_regression(self):
         golden = json.loads((DATA / "golden_fault.json").read_text())
         net = rl_net()
         cfg = ek.SimConfig(dt=float(golden["dt"]), duration=float(golden["duration"]),
                            record=["n2"],
-                           events=[ek.SimEvent(float(golden["fault_time"]),
-                                               "fault", "n2",
+                           events=[ek.SimEvent(float(golden["fault_time"]), "n2",
                                                float(golden["r_fault"]))])
         waves, _ = ek.run(net, cfg)
         got = waves.data["n2.a"][golden["window"][0]:golden["window"][1]]
@@ -228,8 +229,7 @@ class TestNumericalContracts:
     def _assert_replay_after_ramp(net):
         # the ramp ends at step 200, so the last 100 steps also swing the machines
         dt = 5e-5
-        _, state = ek.run(net, ek.SimConfig(dt=dt, duration=300 * dt, ramp_sources=True,
-                                            t_ramp=200 * dt))
+        _, state = ek.run(net, ek.SimConfig(dt=dt, duration=300 * dt, t_ramp=200 * dt))
         assert state.step == 300
         assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, dt), state),
                               state.elem_i)
@@ -361,8 +361,8 @@ class TestLoopEquivalence:
         dt = 5e-5
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
         cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           events=[ek.SimEvent(150 * dt, "fault", far, 0.05)],
-                           ramp_sources=ramp, t_ramp=200 * dt)
+                           events=[ek.SimEvent(150 * dt, far, 0.05)],
+                           t_ramp=200 * dt if ramp else None)
         init = ek.zero_state(net, dt)
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, ref_migrated = reference_run(net, cfg, init)
@@ -383,7 +383,7 @@ class TestLoopEquivalence:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           events=[ek.SimEvent(100 * dt, "fault", "B7", 0.02)])
+                           events=[ek.SimEvent(100 * dt, "B7", 0.02)])
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
         got = np.column_stack([waves.data[k] for k in waves.data])
@@ -400,7 +400,7 @@ class TestLoopEquivalence:
         assert net.machines
         dt = 5e-5
         cfg = ek.SimConfig(dt=dt, duration=2.0, record=list(region.nodes) + [f"i:{probe}"],
-                           ramp_sources=True, t_ramp=0.5)
+                           t_ramp=0.5)
         init = ek.zero_state(net, dt)
         state, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
         ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
@@ -452,9 +452,8 @@ class TestAugmentedLoops:
                              ids=["ends-mid-cycle", "off-the-dt-grid"])
     def test_run_until_steady(self, ninebus3, ninebus3_model, t_ramp):
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        assert [m.swing for m in net.machines] == [True]
-        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record,
-                           ramp_sources=True, t_ramp=t_ramp)
+        assert [m.inertia_h > 0 for m in net.machines] == [True]
+        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record, t_ramp=t_ramp)
         init = ek.zero_state(net, self.DT)
         state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
         ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
@@ -473,7 +472,7 @@ class TestAugmentedLoops:
         finals = {}
         for steps in (end - 1, end, end + 1):
             cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record,
-                               ramp_sources=True, t_ramp=t_ramp)
+                               t_ramp=t_ramp)
             waves, final = ek.run(net, cfg, init=init)
             rows, ref_final, _ = reference_run(net, cfg, init)
             assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
@@ -489,11 +488,12 @@ class TestAugmentedLoops:
     @pytest.mark.parametrize("swing", [True, False])
     def test_run_from_rotor_angles_off_delta0(self, ninebus3, ninebus3_model, swing):
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        net = replace(net, machines=tuple(replace(m, swing=swing) for m in net.machines))
+        net = replace(net, machines=tuple(replace(m, inertia_h=m.inertia_h if swing else 0.0)
+                                          for m in net.machines))
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
         cfg = ek.SimConfig(dt=self.DT, duration=700 * self.DT, record=record,
-                           ramp_sources=True, t_ramp=250 * self.DT)
+                           t_ramp=250 * self.DT)
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
         assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
@@ -508,9 +508,8 @@ class TestAugmentedLoops:
         # run, so both step maps carry it.  (A swinging plant2 rotor started
         # off delta0 takes over 7 s to settle.)
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        net = replace(net, machines=tuple(replace(m, swing=False) for m in net.machines))
-        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record,
-                           ramp_sources=True, t_ramp=0.3)
+        net = replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
+        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record, t_ramp=0.3)
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
         state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
@@ -523,8 +522,7 @@ class TestAugmentedLoops:
     def test_long_run_after_the_ramp(self, hybrid, hybrid_model):
         net, record = region_net(hybrid, hybrid_model, "wind1")
         t_ramp, steps = 0.05, 21_200
-        cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record,
-                           ramp_sources=True, t_ramp=t_ramp)
+        cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record, t_ramp=t_ramp)
         assert steps - t_ramp / self.DT >= 20_000
         init = ek.zero_state(net, self.DT)
         waves, final = ek.run(net, cfg, init=init)
@@ -552,7 +550,7 @@ class TestHistoryCurrentState:
         for net in nets:
             n_lc = sum(e.kind in (ek.ElementKind.INDUCTOR, ek.ElementKind.CAPACITOR)
                        for e in net.elements)
-            n_swinging = sum(m.swing and m.inertia_h > 0 for m in net.machines)
+            n_swinging = sum(m.inertia_h > 0 for m in net.machines)
             compiled = ek.CompiledNet(net, self.DT)
             compiled.buffers(ek.zero_state(net, self.DT), 0.5)
             cols = n_lc + 4 + n_swinging
@@ -575,7 +573,7 @@ class TestHistoryCurrentState:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           events=[ek.SimEvent(fault_step * dt, "fault", "B7", 0.02)])
+                           events=[ek.SimEvent(fault_step * dt, "B7", 0.02)])
         self._assert_run_matches_reference(net, cfg, init)
 
     @pytest.mark.parametrize("fault_step", [1, 401, 800],
@@ -587,8 +585,7 @@ class TestHistoryCurrentState:
         dt = self.DT
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           events=[ek.SimEvent(fault_step * dt, "fault", far, 0.05)],
-                           ramp_sources=True, t_ramp=600 * dt)
+                           events=[ek.SimEvent(fault_step * dt, far, 0.05)], t_ramp=600 * dt)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     def test_net_without_inductors_or_capacitors(self):
@@ -604,8 +601,7 @@ class TestHistoryCurrentState:
         compiled.buffers(ek.zero_state(net, dt), 0.01)
         assert compiled.n_lc == 0 and compiled.post_map.shape == (4, 4)
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=["n2", "n3", "i:r1", "i:r3"],
-                           events=[ek.SimEvent(500 * dt, "fault", "n3", 0.1)],
-                           ramp_sources=True, t_ramp=300 * dt)
+                           events=[ek.SimEvent(500 * dt, "n3", 0.1)], t_ramp=300 * dt)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     @staticmethod
@@ -654,8 +650,7 @@ class TestSwingRelaxation:
         record = [b.id for b in hybrid_comparison["case"].buses]
         record += [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           events=[ek.SimEvent((init.step + offset) * self.DT, "fault",
-                                               "B7", 1e-6)])
+                           events=[ek.SimEvent((init.step + offset) * self.DT, "B7", 1e-6)])
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
@@ -663,7 +658,7 @@ class TestSwingRelaxation:
         init = sn.phasor_init(hybrid, hybrid_model.main_pf, self.DT, net=net).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           events=[ek.SimEvent(250 * self.DT, "fault", "B7", 0.02)])
+                           events=[ek.SimEvent(250 * self.DT, "B7", 0.02)])
         compiled = ek.CompiledNet(net, self.DT)
         assert compiled.swinging.tolist() == [0, 1]
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
@@ -681,8 +676,7 @@ class TestSwingRelaxation:
         monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
         net, init = self.gis_start(hybrid_comparison)
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=["B7"],
-                           events=[ek.SimEvent((init.step + 150) * self.DT, "fault",
-                                               "B7", 1e-6)])
+                           events=[ek.SimEvent((init.step + 150) * self.DT, "B7", 1e-6)])
         ek.run(net, cfg, init=init)
         # 150 steps before the fault: a chunk of 100 and one of 50; 750
         # after it: one cycle of 4 chunks, then 350 steps in 4 chunks.  The
@@ -729,8 +723,7 @@ class TestSwingRelaxation:
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid_comparison["case"].buses]
         cfg = ek.SimConfig(dt=self.DT, duration=2000 * self.DT, record=record,
-                           events=[ek.SimEvent((init.step + 730) * self.DT, "fault",
-                                               "B7", 1e-6)])
+                           events=[ek.SimEvent((init.step + 730) * self.DT, "B7", 1e-6)])
         (w1, s1), (w2, s2) = ek.run(net, cfg, init=init), ek.run(net, cfg, init=init)
         for k in w1.data:
             assert np.array_equal(w1.data[k], w2.data[k]), k
@@ -748,7 +741,7 @@ class TestCycleCounts:
     @pytest.mark.parametrize("duration, cycles", [(2.3, 115), (5.1, 255)])
     def test_budget_runs_every_whole_cycle(self, duration, cycles):
         cfg = ek.SimConfig(dt=self.DT, duration=duration, record=["n2"],
-                           ramp_sources=True, t_ramp=10.0)  # never armed
+                           t_ramp=10.0)  # never armed
         state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready is None
         assert state.step == cycles * 200
@@ -757,7 +750,7 @@ class TestCycleCounts:
         # With tolerance 1 every armed cycle counts as steady, so the
         # detector fires in the cycle it arms in: cycle 7, (0.14, 0.16].
         cfg = ek.SimConfig(dt=self.DT, duration=1.0, record=["n2"],
-                           ramp_sources=True, t_ramp=0.14, rms_change_tol=1.0,
+                           t_ramp=0.14, rms_change_tol=1.0,
                            steady_cycles=1, settle_margin_cycles=0)
         _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready == 8 * 200
@@ -783,13 +776,12 @@ class TestStepCalls:
 
     def test_run_steps_once_per_step_across_a_fault(self, calls):
         cfg = ek.SimConfig(dt=1e-4, duration=0.05, record=["n2"],
-                           events=[ek.SimEvent(0.02, "fault", "n2", 0.1)])
+                           events=[ek.SimEvent(0.02, "n2", 0.1)])
         waves, state = ek.run(rl_net(), cfg)
         assert calls[0] == 500 == state.step == len(waves.times) - 1
 
     def test_run_until_steady_steps_ready_step_times(self, calls):
-        cfg = ek.SimConfig(dt=2e-5, duration=2.0, record=["n2"],
-                           ramp_sources=True, t_ramp=0.1)
+        cfg = ek.SimConfig(dt=2e-5, duration=2.0, record=["n2"], t_ramp=0.1)
         state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready is not None
         assert calls[0] == ready == state.step
@@ -817,22 +809,22 @@ class TestProbeSet:
                 else:
                     row = compiled.node_index[pid]
                 want += [o[row, cols[ph]] for ph in range(3)]
-            got = probes.sample(z, ramp_steps=ramp_steps)
+            got = sample_one(probes, z, ramp_steps)
             assert np.array_equal(got, np.array(want))
             assert got.shape == (len(probes.keys),)
         # A stack: one column per buffer, the first ramp_steps on the ramp map.
         stack = np.stack([z, 2.0 * z, 4.0 * z])
         got = probes.sample(stack, ramp_steps=1)
         assert got.shape == (len(probes.keys), 3)
-        assert np.array_equal(got[:, 0], probes.sample(z, ramp_steps=1))
-        assert np.array_equal(got[:, 1:], np.outer(probes.sample(z), [2.0, 4.0]))
+        assert np.array_equal(got[:, 0], sample_one(probes, z, 1))
+        assert np.array_equal(got[:, 1:], np.outer(sample_one(probes, z), [2.0, 4.0]))
 
     def test_empty_record_samples_nothing(self):
         compiled = ek.CompiledNet(rl_net(), 2e-5)
         probes = ek.ProbeSet(compiled, [])
         assert probes.keys == []
         x, _, _ = compiled.buffers(ek.zero_state(rl_net(), 2e-5))
-        assert probes.sample(x).shape == (0,)
+        assert sample_one(probes, x).shape == (0,)
 
 
 class TestCompatibility:
@@ -890,8 +882,7 @@ class TestSteadyDetector:
 
     def test_detector_respects_budget(self):
         net = rl_net()
-        cfg = ek.SimConfig(dt=2e-5, duration=0.04, record=["n2"],
-                           ramp_sources=True, t_ramp=0.5)
+        cfg = ek.SimConfig(dt=2e-5, duration=0.04, record=["n2"], t_ramp=0.5)
         _, fired, _, _ = ek.run_until_steady(net, cfg)
         assert fired is None
 

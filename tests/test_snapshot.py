@@ -33,6 +33,7 @@ from emtgis.powerflow import solve_main
 OMEGA = 2 * math.pi * 50.0
 
 from conftest import (  # noqa: E402
+    cycle_rms,
     injection_thevenin,
     random_linear_net,
     splice_schedule,
@@ -121,7 +122,7 @@ class TestPhasorInit:
                           init=snap.emt_state)
         n = int(round(0.02 / 5e-5))
         for b in ("B1", "B2", "B3"):
-            rms = waves.cycle_rms(f"{b}.a", n, last_only=False)
+            rms = cycle_rms(waves, f"{b}.a", n, last_only=False)
             target = pf.voltage(b).magnitude
             assert np.max(np.abs(rms - target)) / target < 1e-3
 
@@ -228,8 +229,7 @@ class TestRamp:
     def test_rl_region_settles_to_divider_solution(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], ramp_sources=True,
-                           t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], t_ramp=0.3)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
         v, i = snap.boundary_phasors["B"]
         z_load = 0.5 + 1.0j
@@ -242,8 +242,7 @@ class TestRamp:
     def test_open_circuit_region_sees_source(self):
         region = ek.EmtNet("region:open", 50.0, ("B",), (), ())
         th = sn.TheveninEquivalent(Phasor(0.97, 0.2), 0.05 + 0.2j)
-        cfg = ek.SimConfig(dt=5e-5, duration=3.0, record=[], ramp_sources=True,
-                           t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, duration=3.0, record=[], t_ramp=0.3)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="open")
         v, i = snap.boundary_phasors["B"]
         assert abs(v.rect - th.e_eq.rect) < 1e-3
@@ -252,16 +251,14 @@ class TestRamp:
     def test_budget_shorter_than_ramp_times_out(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=0.2, record=[], ramp_sources=True,
-                           t_ramp=0.5)
+        cfg = ek.SimConfig(dt=5e-5, duration=0.2, record=[], t_ramp=0.5)
         with pytest.raises(SteadyStateTimeout):
             sn.ramp_to_snapshot(region, th, cfg, "B")
 
     def test_ramped_snapshot_phasor_consistency(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], ramp_sources=True,
-                           t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], t_ramp=0.3)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
         assert snap.phasor_consistency_error() < 1e-6
 
@@ -270,7 +267,7 @@ class TestSpliceSchedule:
     def test_next_even_period_boundary(self):
         sched = splice_schedule({"i": 1.0, "j": 1.013}, period=0.02, dt=1e-3)
         assert sched.reference == "i"
-        assert sched.adjusted_time("j", 1e-3) == pytest.approx(1.04)
+        assert sched.t_adj_steps["j"] * 1e-3 == pytest.approx(1.04)
 
     def test_equal_ready_times_need_no_delay(self):
         sched = splice_schedule({"i": 1.0, "j": 1.0}, period=0.02, dt=1e-3)
@@ -278,12 +275,12 @@ class TestSpliceSchedule:
 
     def test_just_below_two_periods(self):
         sched = splice_schedule({"i": 1.0, "j": 1.0799}, period=0.02, dt=1e-4)
-        assert sched.adjusted_time("j", 1e-4) == pytest.approx(1.08)
+        assert sched.t_adj_steps["j"] * 1e-4 == pytest.approx(1.08)
 
     def test_single_period_factor_flag(self):
         sched = splice_schedule({"i": 1.0, "j": 1.013}, period=0.02,
                                    dt=1e-3, factor=1)
-        assert sched.adjusted_time("j", 1e-3) == pytest.approx(1.02)
+        assert sched.t_adj_steps["j"] * 1e-3 == pytest.approx(1.02)
 
     def test_off_grid_ready_time_rejected(self):
         with pytest.raises(ValueError):
@@ -360,7 +357,7 @@ class TestSplice:
                                                   record=["B10", "B5"]),
                           init=merged.emt_state)
         for key in ("B10.a", "B5.a"):
-            rms = waves.cycle_rms(key, s["n_cycle"], last_only=False)
+            rms = cycle_rms(waves, key, s["n_cycle"], last_only=False)
             assert np.max(np.abs(rms - rms[-1])) / rms[-1] < 1e-3
 
     def test_opposite_phase_splice_and_adjustment(self, split_setup):
@@ -423,7 +420,7 @@ class TestPipeline:
         waves, _ = ek.run(result.model.full_net,
                           ek.SimConfig(dt=5e-5, duration=0.1, record=["B2"]),
                           init=result.snapshot.emt_state)
-        rms = waves.cycle_rms("B2.a", 400, last_only=False)
+        rms = cycle_rms(waves, "B2.a", 400, last_only=False)
         target = result.model.main_pf.voltage("B2").magnitude
         assert np.max(np.abs(rms - target)) / target < 1e-3
 
@@ -547,7 +544,7 @@ class TestSnapshotFile:
         waves, _ = ek.run(ninebus1_pipeline.model.full_net,
                           ek.SimConfig(dt=5e-5, duration=0.05, record=["B10"]),
                           init=back.emt_state)
-        rms = waves.cycle_rms("B10.a", 400)
+        rms = cycle_rms(waves, "B10.a", 400)
         target = ninebus1_pipeline.model.main_pf.voltage("B10").magnitude
         assert rms == pytest.approx(target, rel=1e-3)
 
