@@ -4,7 +4,7 @@ Each subcommand takes a case file, --out, --quiet and only the flags it reads:
   validate  no other
   ipf       the coordinator's: --tol-eps1 --tol-eps2 --gmres-m --omega --max-outer
   simulate  the coordinator's, --dt --t-ramp --snapshot --zero-state --duration
-            --fault --probes (--t-ramp ramps a --zero-state run)
+            --fault --probes (--t-ramp only with --zero-state)
   init      the coordinator's, --dt --t-ramp --ramp-budget
   compare   init's, --probes --window --settle-cap --fault --self-check
 Every invocation writes a manifest of these flags next to its outputs;
@@ -104,10 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     emt = argparse.ArgumentParser(add_help=False, parents=[coord])
     emt.add_argument("--dt", type=seconds, default=sn.PipelineConfig.dt,
                      help="EMT step size [s]")
-    emt.add_argument("--t-ramp", type=seconds, default=sn.PipelineConfig.t_ramp,
-                     help="source ramp duration [s]")
 
     pipeline = argparse.ArgumentParser(add_help=False, parents=[emt])
+    pipeline.add_argument("--t-ramp", type=seconds, default=sn.PipelineConfig.t_ramp,
+                          help="source ramp duration [s]")
     pipeline.add_argument("--ramp-budget", type=seconds, default=sn.PipelineConfig.ramp_budget,
                           help="per-region steady-state search window [s]")
 
@@ -122,6 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--snapshot", help="snapshot file to start from")
     sim.add_argument("--zero-state", action="store_true",
                      help="start de-energized and ramp sources")
+    sim.add_argument("--t-ramp", type=seconds,
+                     help="source ramp of a --zero-state run [s] "
+                          f"(default {sn.PipelineConfig.t_ramp})")
     sim.add_argument("--duration", type=seconds, default=0.5)
     sim.add_argument("--fault", help="fault event BUS@TIME[@R]")
     sim.add_argument("--probes", help="comma-separated bus ids (default: all buses)")
@@ -226,11 +229,18 @@ def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
 
 
 def _parse_fault(spec: str) -> ek.SimEvent:
+    """The event of a BUS@TIME[@R] spec, else a ValueError (exit 1): TIME
+    must be finite and >= 0, R positive (inf: no fault) and not NaN."""
     parts = spec.split("@")
     if len(parts) not in (2, 3):
         raise ValueError(f"fault spec must be BUS@TIME[@R], got '{spec}'")
+    time = float(parts[1])
     r = float(parts[2]) if len(parts) == 3 else 0.05
-    return ek.SimEvent(time=float(parts[1]), target=parts[0], r_fault=r)
+    if not (math.isfinite(time) and time >= 0.0):
+        raise ValueError(f"fault time must be finite and >= 0, got '{spec}'")
+    if not r > 0.0:
+        raise ValueError(f"fault resistance must be positive, got '{spec}'")
+    return ek.SimEvent(time=time, target=parts[0], r_fault=r)
 
 
 def cmd_validate(args) -> int:
@@ -296,14 +306,20 @@ def cmd_simulate(args) -> int:
     if bool(args.snapshot) == bool(args.zero_state):
         print("error: give exactly one of --snapshot or --zero-state", file=sys.stderr)
         return EXIT_INPUT
+    if args.snapshot and args.t_ramp is not None:
+        print("error: --t-ramp ramps a --zero-state run; a --snapshot run has no ramp",
+              file=sys.stderr)
+        return EXIT_INPUT
+    if args.zero_state and args.t_ramp is None:
+        args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
+    events = [_parse_fault(args.fault)] if args.fault else []
     outdir = _outdir(args)
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
 
-    events = [_parse_fault(args.fault)] if args.fault else []
     sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=_probes(args, case),
-                       events=events, t_ramp=args.t_ramp if args.zero_state else None)
+                       events=events, t_ramp=args.t_ramp)
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     waves, _ = ek.run(model.full_net, sim, init=init)
 
@@ -323,11 +339,10 @@ def average_relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 def cmd_compare(args) -> int:
     case = _load(args)
+    fault = _parse_fault(args.fault) if args.fault else None
     outdir = _outdir(args)
     probes = _probes(args, case)
     period = case.period
-
-    fault = _parse_fault(args.fault) if args.fault else None
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net

@@ -43,8 +43,8 @@ from .errors import (
     ResidualEvaluationError,
 )
 from .grbc import adapter_is_opaque, evaluate
-from .netmodel import AdmittanceMatrix, Phasor, build_admittance
-from .powerflow import boundary_injections, boundary_sensitivity, solve_main
+from .netmodel import Phasor
+from .powerflow import PowerFlowProblem, boundary_injections, boundary_sensitivity, solve_main
 
 log = logging.getLogger(__name__)
 
@@ -137,13 +137,15 @@ class IterationTrace:
 
 
 def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
-             ybus: AdmittanceMatrix | None = None) -> BoundaryState:
+             problem: PowerFlowProblem | None = None) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
     The main-system solve and every region evaluation see the *same*
     voltages and run one after another in declaration order, so the
-    assembled residual is deterministic.  `ybus` is the main system's
-    admittance matrix, for callers that evaluate the residual many times.
+    assembled residual is deterministic.  `problem` is the main system's
+    `PowerFlowProblem`, for callers that evaluate the residual many times;
+    without it the main solve builds its own.  Each white-box region
+    solves the problem its declaration holds.
     """
     n = len(grbcs)
     x = np.asarray(x, dtype=float)
@@ -156,7 +158,7 @@ def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
     volts = {bid: Phasor(float(x[i]), float(x[n + i])) for i, bid in enumerate(bus_ids)}
 
     try:
-        sol = solve_main(case, volts, tol=pf_tol, max_iter=40, ybus=ybus)
+        sol = solve_main(case, volts, tol=pf_tol, max_iter=40, problem=problem)
     except NonConvergence as exc:
         raise ResidualEvaluationError("main-system", exc) from exc
     evals = []
@@ -243,7 +245,7 @@ def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray) -> np.ndar
 
 
 def _initial_preconditioner(case, grbcs, state: BoundaryState, omega: float,
-                            ybus: AdmittanceMatrix) -> np.ndarray:
+                            problem: PowerFlowProblem) -> np.ndarray:
     """M0 = (S_main + R)^-1, the inverse of an approximation of phi'(x) at
     `state`.
 
@@ -257,7 +259,7 @@ def _initial_preconditioner(case, grbcs, state: BoundaryState, omega: float,
     """
     n = len(grbcs)
     try:
-        approx = boundary_sensitivity(case, state.main_solution, state.bus_ids, ybus)
+        approx = boundary_sensitivity(case, state.main_solution, state.bus_ids, problem)
         for i, g in enumerate(grbcs):
             v = state.voltage(i)
             for col, point in ((i, Phasor(v.magnitude + omega, v.angle)),
@@ -383,16 +385,18 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
     four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
     rejected.  Every CoordinationError raised here carries the trace.
+    The main system's PowerFlowProblem is built once per call; each
+    white-box region's comes from its declaration.
     """
     cfg = cfg or JfngConfig()
     x = np.asarray(x0, dtype=float).copy()
     n = x.size // 2
     M = None  # built before the first correction
     trace = IterationTrace()
-    ybus = build_admittance(case)
+    problem = PowerFlowProblem(case)
 
     def evaluate_at(xv: np.ndarray) -> BoundaryState:
-        return residual(case, grbcs, xv, pf_tol=pf_tol, ybus=ybus)
+        return residual(case, grbcs, xv, pf_tol=pf_tol, problem=problem)
 
     def guarded(xv: np.ndarray) -> tuple[BoundaryState | None, str]:
         """The state at xv, or None and why xv is rejected."""
@@ -421,7 +425,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
                 raise MaxOuterExceeded(phi_norm, trace)
 
             if M is None:
-                M = _initial_preconditioner(case, grbcs, state, cfg.omega, ybus)
+                M = _initial_preconditioner(case, grbcs, state, cfg.omega, problem)
             probe = _make_probe(x, state.phi, lambda xv: evaluate_at(xv).phi, cfg.omega)
             dx, M, info = gmres_m(state.phi, probe, M, cfg)
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
+from . import powerflow
 from .errors import (
     GrbcPayloadError,
     InternalNonConvergence,
@@ -78,6 +80,14 @@ class GrbcDeclaration:
     boundary_bus: str
     kind: GrbcKind
     payload: object
+
+    @cached_property
+    def pf_problem(self) -> powerflow.PowerFlowProblem:
+        """The power-flow problem of a white-box region's internal case
+        (`internal_pf_case`), built on first use and kept for the
+        declaration's lifetime: it depends on the declaration alone, which
+        is immutable.  Other kinds raise GrbcPayloadError."""
+        return powerflow.PowerFlowProblem(internal_pf_case(self))
 
 
 @dataclass(frozen=True)
@@ -242,7 +252,10 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
 
 def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     """Injected power of the region into its torn boundary node at the
-    supplied boundary voltage.  Pure function of (decl, v_boundary)."""
+    supplied boundary voltage.  Pure function of (decl, v_boundary): a
+    white-box region solves its internal power flow from a flat start
+    every call, reusing only `decl.pf_problem`, which depends on the
+    declaration alone."""
     if v_boundary.magnitude <= 0.0:
         raise InvalidVoltage(
             f"boundary voltage magnitude must be > 0, got {v_boundary.magnitude}"
@@ -261,15 +274,14 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
 
 
 def _evaluate_white_box(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
-    from . import powerflow  # deferred: powerflow imports netmodel only
-
-    case = internal_pf_case(decl)
+    problem = decl.pf_problem
     try:
         sol = powerflow.solve_main(
-            case,
+            problem.case,
             {decl.boundary_bus: v_boundary},
             tol=decl.payload.pf_tol,
             max_iter=60,
+            problem=problem,
         )
     except (NonConvergence, SingularJacobian) as exc:
         raise InternalNonConvergence(

@@ -2,7 +2,9 @@
 
 The torn main system is solved with its boundary buses held at
 coordinator-supplied phasors (slack-like), and the whole un-torn network
-can be solved monolithically as an independent reference.
+can be solved monolithically as an independent reference.  A
+PowerFlowProblem holds what a solve needs of its case alone, so a case
+solved many times is prepared once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import numpy as np
 
 from .errors import NonConvergence, NotConverged, SingularJacobian
 from .netmodel import (
-    AdmittanceMatrix,
     BusKind,
     CaseFile,
     Phasor,
@@ -76,6 +77,42 @@ def _newton_indices(case: CaseFile) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([pv, pq]), pq
 
 
+class PowerFlowProblem:
+    """What a power flow of `case` needs that depends on the case alone,
+    built once: the admittance matrix, the Newton index sets and gather
+    indices, the scheduled injections, the boundary rows and the flat
+    start.  `solve_main` reads it and never writes it, so one problem
+    serves every solve of its case; the case must not change after it.
+    """
+
+    def __init__(self, case: CaseFile):
+        self.case = case
+        self.ybus = build_admittance(case)
+        n = len(case.buses)
+        pvpq, pq = _newton_indices(case)
+        # Newton updates the polar state [theta; |V|] at `unknowns`.
+        self.unknowns = np.concatenate([pvpq, n + pq])
+        self.s_sched = _scheduled_injections(case)
+        self.boundary = tuple((i, b.id) for i, b in enumerate(case.buses)
+                              if b.kind is BusKind.BOUNDARY)
+        # Flat start: theta 0, |V| 1, held magnitudes at their set points;
+        # solve_main writes the boundary phasors into a copy.
+        self.flat_start = np.concatenate([np.zeros(n), np.ones(n)])
+        for i, b in enumerate(case.buses):
+            if b.kind in (BusKind.SLACK, BusKind.PV):
+                self.flat_start[n + i] = b.v_set
+        # Gathers from float views (a complex entry is real, imag): P rows
+        # are real parts over pvpq, Q rows imaginary parts over pq, of
+        # S_sched - S and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns'
+        # columns.
+        self.mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
+        self.jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
+        self.jac_idx = self.jac_rows[:, None] + 2 * self.unknowns
+        for arr in (self.ybus.mat, self.unknowns, self.s_sched, self.flat_start,
+                    self.mis_idx, self.jac_rows, self.jac_idx):
+            arr.flags.writeable = False
+
+
 def _fill_ds_dx(out: np.ndarray, ymat: np.ndarray, vm: np.ndarray, vhat: np.ndarray,
                 v: np.ndarray, ibus: np.ndarray, s: np.ndarray) -> np.ndarray:
     """[dS/dtheta | dS/d|V|] into the contiguous n x 2n complex buffer `out`
@@ -102,50 +139,37 @@ def solve_main(
     boundary_voltages: dict[str, Phasor] | None = None,
     tol: float = 1e-8,
     max_iter: int = 30,
-    ybus: AdmittanceMatrix | None = None,
+    problem: PowerFlowProblem | None = None,
 ) -> PowerFlowSolution:
     """Solve the main system with Boundary buses fixed at supplied phasors.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; full-Jacobian polar NR over the remaining unknowns, always
     from a flat start, so a solve is a pure function of its inputs (the
-    coordinator's directional differences rely on that); `ybus` saves the
-    admittance build.
+    coordinator's directional differences rely on that).  `problem` is
+    `PowerFlowProblem(case)`, for callers that solve one case many times;
+    without it the solve builds its own.
     An iteration is O(n^2): dS/dV by `_fill_ds_dx` from the I = Y V the
     mismatch used, and one index gather for the Jacobian.  A non-finite
     mismatch raises NonConvergence.
     """
     boundary_voltages = boundary_voltages or {}
-    y = ybus if ybus is not None else build_admittance(case)
+    pb = problem if problem is not None else PowerFlowProblem(case)
+    y = pb.ybus
     ids = y.bus_ids
     n = len(ids)
 
-    missing = [
-        b.id for b in case.buses
-        if b.kind is BusKind.BOUNDARY and b.id not in boundary_voltages
-    ]
+    missing = [bid for _, bid in pb.boundary if bid not in boundary_voltages]
     if missing:
         raise ValueError(f"no boundary voltage supplied for buses {missing}")
 
-    # Polar state [theta; |V|]; Newton updates it at [pvpq, n + pq].
-    x = np.concatenate([np.zeros(n), np.ones(n)])
+    x = pb.flat_start.copy()
     va, vm = x[:n], x[n:]
-    for i, b in enumerate(case.buses):
-        if b.kind in (BusKind.SLACK, BusKind.PV):
-            vm[i] = b.v_set
-        elif b.kind is BusKind.BOUNDARY:
-            ph = boundary_voltages[b.id]
-            vm[i], va[i] = ph.magnitude, ph.angle
+    for i, bid in pb.boundary:
+        ph = boundary_voltages[bid]
+        vm[i], va[i] = ph.magnitude, ph.angle
 
-    pvpq, pq = _newton_indices(case)
-    unknowns = np.concatenate([pvpq, n + pq])
-    s_sched = _scheduled_injections(case)
-
-    # Gathers from float views (a complex entry is real, imag): P rows are
-    # real parts over pvpq, Q rows imaginary parts over pq, of S_sched - S
-    # and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns' columns.
-    mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
-    jac_idx = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])[:, None] + 2 * unknowns
+    unknowns, s_sched, mis_idx, jac_idx = pb.unknowns, pb.s_sched, pb.mis_idx, pb.jac_idx
     ds_dx = np.empty((n, 2 * n), dtype=complex)
 
     history: list[float] = []
@@ -206,11 +230,12 @@ def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tup
 
 
 def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
-                         ybus: AdmittanceMatrix | None = None) -> np.ndarray:
+                         problem: PowerFlowProblem | None = None) -> np.ndarray:
     """d(p, q)/d(|V|, theta) of `boundary_injections` at the converged
     main solution `sol`: a 2n x 2n matrix over the boundary buses `bus_ids`,
     rows all p then all q, columns all |V| then all theta, each in
-    `bus_ids` order (the coordinator's order).
+    `bus_ids` order (the coordinator's order).  `problem` is
+    `PowerFlowProblem(case)`, as in `solve_main`; without it one is built.
 
     While the boundary phasors b move, the mismatch rows [P over pvpq;
     Q over pq] of `solve_main` stay zero, so its unknowns
@@ -222,9 +247,9 @@ def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
     """
     if not sol.converged:
         raise NotConverged("boundary sensitivity needs a converged solution")
-    y = ybus if ybus is not None else build_admittance(case)
+    pb = problem if problem is not None else PowerFlowProblem(case)
+    y = pb.ybus
     n = len(y.bus_ids)
-    pvpq, pq = _newton_indices(case)
     bnd = np.array([y.index(b) for b in bus_ids], dtype=int)
     vhat = np.exp(1j * sol.va)
     v = sol.vm * vhat
@@ -234,9 +259,8 @@ def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
 
     # Float-view gathers as in solve_main: P rows are real parts, Q rows
     # imaginary parts; theta columns come first in ds_dx, |V| columns second.
-    rows_u = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
+    rows_u, cols_u = pb.jac_rows, 2 * pb.unknowns
     rows_b = np.concatenate([4 * n * bnd, 4 * n * bnd + 1])
-    cols_u = 2 * np.concatenate([pvpq, n + pq])
     cols_b = 2 * np.concatenate([n + bnd, bnd])
 
     def block(rows, cols):

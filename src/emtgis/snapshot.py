@@ -33,7 +33,7 @@ from .errors import (
     UnsupportedElement,
     ZeroFaultCurrentDelta,
 )
-from .grbc import GrbcKind, internal_pf_case
+from .grbc import GrbcKind
 from .netmodel import CaseFile, MachineKind, Phasor, validate_case
 from .powerflow import PowerFlowSolution, boundary_injections, solve_main
 
@@ -243,7 +243,8 @@ class RegionOperatingPoint:
     """Everything needed to build and initialize one region's EMT model.
 
     A white-box region carries its internal case (`grbc.internal_pf_case`,
-    ids '<region>/<id>') and that case's power flow at v_boundary.
+    ids '<region>/<id>', the one its declaration's `pf_problem` holds) and
+    that case's power flow at v_boundary.
     """
 
     decl: object
@@ -257,9 +258,10 @@ def region_operating_point(decl, v_boundary: Phasor,
                            p_tilde: float, q_tilde: float) -> RegionOperatingPoint:
     icase = internal = None
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
-        icase = internal_pf_case(decl)
+        problem = decl.pf_problem
+        icase = problem.case
         internal = solve_main(icase, {decl.boundary_bus: v_boundary},
-                              tol=decl.payload.pf_tol, max_iter=60)
+                              tol=decl.payload.pf_tol, max_iter=60, problem=problem)
     return RegionOperatingPoint(decl, v_boundary, complex(p_tilde, q_tilde),
                                 icase, internal)
 
@@ -306,10 +308,10 @@ def build_full_net(case: CaseFile, pf: PowerFlowSolution,
 # --- phasor-based initialization of a white-box network -------------------------
 
 
-def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float, t0: float = 0.0,
+def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float,
                 boundary_draw: dict[str, tuple[float, float]] | None = None,
                 net: EmtNet | None = None) -> Snapshot:
-    """Snapshot of the main system at time t0 straight from power-flow phasors.
+    """Snapshot of the main system at step 0 straight from power-flow phasors.
 
     Per component the port current phasor is conj(S/V); machine EMFs come
     from the phasor diagram; histories are instantaneous values one step
@@ -326,10 +328,6 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float, t0: float = 0.
     except UnsupportedElement as exc:
         raise MissingComponentModel(str(exc)) from exc
 
-    t0_steps = int(round(t0 / dt))
-    if abs(t0_steps * dt - t0) > 1e-9 * max(dt, abs(t0)):
-        raise ValueError("t0 must be an integer multiple of dt")
-
     known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
     for m in net.machines:
         known[m.emf_node] = cmath.rect(m.emf_rms, m.delta0)
@@ -340,7 +338,7 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float, t0: float = 0.
         injections[bus] = -machine_port_current(complex(p, q), v_b)
 
     node_ph, elem_ph = ek.phasor_solve(net, known, injections, dt=dt)
-    state = _state_from_phasors(net, node_ph, elem_ph, dt, t0_steps)
+    state = _state_from_phasors(net, node_ph, elem_ph, dt)
 
     boundary_phasors = {
         bus: (
@@ -349,31 +347,30 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float, t0: float = 0.
         )
         for bus, (p, q) in draws.items()
     }
-    return Snapshot(MAIN_SUBSYSTEM, t0_steps, dt, case.frequency_hz, state,
+    return Snapshot(MAIN_SUBSYSTEM, 0, dt, case.frequency_hz, state,
                     boundary_phasors, PROVENANCE_PHASOR,
                     parts={MAIN_SUBSYSTEM: PROVENANCE_PHASOR})
 
 
 def _state_from_phasors(net: EmtNet, node_ph: dict[str, complex],
-                        elem_ph: dict[str, complex], dt: float, t0_steps: int) -> EmtState:
+                        elem_ph: dict[str, complex], dt: float) -> EmtState:
+    """The state at step 0 (t = 0) of the given phasors, histories at -dt."""
     state = ek.zero_state(net, dt)
-    state.step = t0_steps
     omega = net.omega
-    t0 = t0_steps * dt
 
     def inst(ph: complex, t: float) -> np.ndarray:
         return SQRT2 * np.real(ph * np.exp(1j * (omega * t + ek.PHASE_SHIFT)))
 
     for i, nid in enumerate(net.nodes):
-        state.v_nodes[i] = inst(node_ph[nid], t0)
+        state.v_nodes[i] = inst(node_ph[nid], 0.0)
     for k, e in enumerate(net.elements):
         vf = node_ph[e.n_from]
         vt = 0.0 if e.n_to is None else node_ph[e.n_to]
         du = vf - vt
         cur = elem_ph[e.eid]
-        state.hist_u[k] = inst(du, t0 - dt)
-        state.hist_i[k] = inst(cur, t0 - dt)
-        state.elem_i[k] = inst(cur, t0)
+        state.hist_u[k] = inst(du, -dt)
+        state.hist_i[k] = inst(cur, -dt)
+        state.elem_i[k] = inst(cur, 0.0)
     for j, m in enumerate(net.machines):
         emf_ph = cmath.rect(m.emf_rms, m.delta0)
         i_ph = elem_ph[m.branch_eid]

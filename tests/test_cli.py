@@ -172,6 +172,27 @@ class TestSimulate:
         out = run_cli("simulate", case_path("twobus"), "--out", tmp_path)
         assert out.returncode == 1
 
+    def test_t_ramp_with_snapshot_is_an_input_error(self, initialized, tmp_path):
+        out = run_cli("simulate", case_path("ninebus1"),
+                      "--snapshot", initialized / "snapshot.json", "--t-ramp", "0.5",
+                      "--duration", "0.05", "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert "--t-ramp" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_only_a_zero_state_manifest_records_the_ramp(self, initialized, tmp_path):
+        starts = {"snapshot": ("--snapshot", initialized / "snapshot.json"),
+                  "zero": ("--zero-state",)}
+        flags = {}
+        for name, start in starts.items():
+            out = run_cli("simulate", case_path("ninebus1"), *start, "--duration", "0.05",
+                          "--out", tmp_path / name, "--quiet")
+            assert out.returncode == 0, out.stderr
+            flags[name] = read_json(tmp_path / name / "manifest.json")["flags"]
+        assert "t_ramp" not in flags["snapshot"]
+        assert flags["zero"]["t_ramp"] == 0.5
+
 
 class TestCompare:
     def test_self_check_is_exactly_zero(self, tmp_path):
@@ -264,6 +285,35 @@ class TestInvalidTimeFlags:
         assert_one_line_error(out)
         assert flag in out.stderr
         assert not (tmp_path / "out").exists()
+
+
+class TestInvalidFaultSpecs:
+    """A fault time must be finite and >= 0, a fault resistance positive
+    (inf: no fault) and not NaN.  A bad spec is an input error found before
+    the power flow runs: exit 1, one `error:` line, nothing written."""
+
+    @pytest.mark.parametrize("spec", ["B7@inf", "B7@0.02@nan", "B7@-1", "B7@0.02@-1"])
+    @pytest.mark.parametrize("command", [("simulate", "--zero-state", "--duration", "0.05"),
+                                         ("compare",)], ids=["simulate", "compare"])
+    def test_exits_1_with_one_line(self, tmp_path, command, spec):
+        out = run_cli(command[0], case_path("ninebus1"), *command[1:], "--fault", spec,
+                      "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert spec in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_resistance_is_no_fault(self, tmp_path):
+        waves = []
+        for name, fault in (("none", ()), ("inf", ("--fault", "B7@0.02@inf"))):
+            out = run_cli("simulate", case_path("ninebus1"), "--zero-state",
+                          "--duration", "0.05", "--probes", "B7", *fault,
+                          "--out", tmp_path / name, "--quiet")
+            assert out.returncode == 0, out.stderr
+            waves.append(np.loadtxt(tmp_path / name / "waveforms.csv", delimiter=",",
+                                    skiprows=1))
+        # the event still migrates the state onto a rebuilt net: rounding only
+        assert np.max(np.abs(waves[0] - waves[1])) < 1e-12
 
 
 class TestUsageErrors:

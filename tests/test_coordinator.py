@@ -25,8 +25,8 @@ from emtgis.errors import (
     OuterStepRejected,
 )
 from emtgis.grbc import parse_declaration
-from emtgis.netmodel import BusKind, BusRecord, Phasor, build_admittance, parse_case
-from emtgis.powerflow import solve_monolithic
+from emtgis.netmodel import BusKind, BusRecord, Phasor, parse_case
+from emtgis.powerflow import PowerFlowProblem, solve_monolithic
 
 
 def oracle_boundary_x(case, mono):
@@ -69,7 +69,7 @@ class TestResidual:
     def test_shared_admittance_matrix_gives_the_same_residual(self, ninebus3):
         x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
         a = residual(ninebus3, ninebus3.grbcs, x)
-        b = residual(ninebus3, ninebus3.grbcs, x, ybus=build_admittance(ninebus3))
+        b = residual(ninebus3, ninebus3.grbcs, x, problem=PowerFlowProblem(ninebus3))
         assert np.array_equal(a.phi, b.phi)
 
 
@@ -253,12 +253,13 @@ class TestInitialPreconditioner:
         # the main side's analytic sensitivity plus the regions' 2x2 blocks
         # approximate phi'(x0); compare with forward differences of phi
         x0 = flat_start(hybrid)
-        ybus = build_admittance(hybrid)
-        state = residual(hybrid, hybrid.grbcs, x0, ybus=ybus)
+        problem = PowerFlowProblem(hybrid)
+        state = residual(hybrid, hybrid.grbcs, x0, problem=problem)
         m0 = coordinator_module._initial_preconditioner(hybrid, hybrid.grbcs, state,
-                                                        1e-6, ybus)
+                                                        1e-6, problem)
         h = 1e-6
-        cols = [(residual(hybrid, hybrid.grbcs, x0 + h * e, ybus=ybus).phi - state.phi) / h
+        cols = [(residual(hybrid, hybrid.grbcs, x0 + h * e, problem=problem).phi
+                 - state.phi) / h
                 for e in np.eye(x0.size)]
         deriv = np.column_stack(cols)
         assert np.max(np.abs(m0 @ deriv - np.eye(x0.size))) < 1e-4
@@ -270,13 +271,13 @@ class TestInitialPreconditioner:
         # the constant region's block is exactly zero, so S_main + R is the
         # patched sensitivity
         case = scripted_twobus(twobus)
-        ybus = build_admittance(case)
-        state = residual(case, case.grbcs, np.array([1.0, 0.0]), ybus=ybus)
+        problem = PowerFlowProblem(case)
+        state = residual(case, case.grbcs, np.array([1.0, 0.0]), problem=problem)
         monkeypatch.setattr(coordinator_module, "boundary_sensitivity",
                             lambda *args: sensitivity.copy())
         with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
             m0 = coordinator_module._initial_preconditioner(case, case.grbcs, state,
-                                                            1e-6, ybus)
+                                                            1e-6, problem)
         assert np.array_equal(m0, np.eye(2))
         assert "falls back to the identity" in caplog.text
 
@@ -305,7 +306,7 @@ class TestInitialPreconditioner:
         # the fallback is exactly the identity start
         monkeypatch.setattr(coordinator_module, "evaluate", real_evaluate)
         monkeypatch.setattr(coordinator_module, "_initial_preconditioner",
-                            lambda case, grbcs, st, omega, ybus: np.eye(st.x.size))
+                            lambda case, grbcs, st, omega, problem: np.eye(st.x.size))
         _, identity_trace = jfng_solve(ninebus1, ninebus1.grbcs, x0, cfg)
         assert trace.phi_norms() == identity_trace.phi_norms()
         assert [r.inner_iters for r in trace.rows] == \

@@ -1,18 +1,29 @@
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from conftest import case_path
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emtgis.errors import GrbcPayloadError, InvalidVoltage
+import emtgis.cli as cli
+import emtgis.grbc as grbc_module
+import emtgis.netmodel as netmodel_module
+import emtgis.powerflow as powerflow_module
+from emtgis.errors import GrbcPayloadError, InternalNonConvergence, InvalidVoltage, NonConvergence
 from emtgis.grbc import (
+    GrbcKind,
     adapter_is_opaque,
     evaluate,
     eval_expr,
+    internal_pf_case,
     parse_declaration,
     validate_expr,
 )
-from emtgis.netmodel import Phasor
-from emtgis.powerflow import solve_monolithic
+from emtgis.netmodel import Phasor, load_case
+from emtgis.powerflow import solve_main, solve_monolithic
+from emtgis.snapshot import region_operating_point
 
 
 def scripted(name="s1", p=None, q=None, bus="B2"):
@@ -166,3 +177,74 @@ class TestInternalFailure:
     def test_white_box_cost_counts_inner_iterations(self):
         out = evaluate(white_box(), Phasor(1.0, 0.0))
         assert out.evaluation_cost >= 1
+
+
+BUNDLED = ("ninebus1", "ninebus2", "ninebus3", "hybrid")
+
+
+def white_box_regions(name):
+    return [g for g in load_case(case_path(name)).grbcs
+            if g.kind is GrbcKind.WHITE_BOX_NETWORK]
+
+
+class TestStoredProblem:
+    """A white-box declaration builds its power-flow problem once and every
+    internal solve reuses it; results equal the reference path, a fresh
+    `internal_pf_case` solved by `solve_main` with no problem passed."""
+
+    REGIONS = [g for name in BUNDLED for g in white_box_regions(name)]
+
+    @given(st.floats(0.8, 1.2), st.floats(-1.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_equals_the_reference_path_bitwise(self, vm, va):
+        v = Phasor(vm, va)
+        for decl in self.REGIONS:
+            try:
+                ref = solve_main(internal_pf_case(decl), {decl.boundary_bus: v},
+                                 tol=decl.payload.pf_tol, max_iter=60)
+            except NonConvergence:
+                with pytest.raises(InternalNonConvergence):
+                    evaluate(decl, v)
+                continue
+            out = evaluate(decl, v)
+            p, q = ref.injection(decl.boundary_bus)
+            assert (out.p_tilde, out.q_tilde, out.evaluation_cost) == \
+                (-p, -q, ref.iterations)
+            internal = region_operating_point(decl, v, out.p_tilde, out.q_tilde).internal_pf
+            for field in ("vm", "va", "p_calc", "q_calc"):
+                assert np.array_equal(getattr(internal, field), getattr(ref, field))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_evaluate_keeps_no_state_between_calls(self, name):
+        v1, v2 = Phasor(1.02, 0.1), Phasor(0.93, -0.35)
+        for decl in white_box_regions(name):
+            first = evaluate(decl, v1)
+            problem = decl.pf_problem
+            evaluate(decl, v2)
+            assert evaluate(decl, v1) == first
+            assert decl.pf_problem is problem
+
+    def test_other_kinds_have_no_problem(self):
+        with pytest.raises(GrbcPayloadError):
+            scripted().pf_problem
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_ipf_builds_each_problem_once(self, name, monkeypatch, tmp_path):
+        cases, admittances = [], []
+        real_case, real_admittance = internal_pf_case, powerflow_module.build_admittance
+
+        def counted_case(decl):
+            cases.append(decl.name)
+            return real_case(decl)
+
+        def counted_admittance(case):
+            admittances.append(case.name)
+            return real_admittance(case)
+
+        monkeypatch.setattr(grbc_module, "internal_pf_case", counted_case)
+        for mod in (powerflow_module, netmodel_module):
+            monkeypatch.setattr(mod, "build_admittance", counted_admittance)
+        assert cli.main(["ipf", case_path(name), "--out", str(tmp_path), "--quiet"]) == 0
+        white = [g.name for g in white_box_regions(name)]
+        assert cases == white
+        assert sorted(admittances) == sorted([name, *(f"{w}-internal" for w in white)])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import emtgis.emtkernel as ek
+import emtgis.grbc as grbc_module
 import emtgis.snapshot as sn
 from emtgis.errors import (
     NotConverged,
@@ -27,12 +28,14 @@ from emtgis.netmodel import (
     MachineRecord,
     Phasor,
     inline_grbcs,
+    load_case,
 )
 from emtgis.powerflow import solve_main
 
 OMEGA = 2 * math.pi * 50.0
 
 from conftest import (  # noqa: E402
+    case_path,
     cycle_rms,
     injection_thevenin,
     random_linear_net,
@@ -102,7 +105,7 @@ class TestPhasorInit:
         # component with V = 1 angle 0 carrying S = P: history current is
         # sqrt(2) |I| cos(omega (t0 - dt)) per the port-current rule
         pf = solve_main(twobus, {}, tol=1e-12)
-        snap = sn.phasor_init(twobus, pf, dt=5e-5, t0=0.0)
+        snap = sn.phasor_init(twobus, pf, dt=5e-5)
         st = snap.emt_state
         net = sn.build_main_net(twobus, pf)
         _, elem_ph = ek.phasor_solve(net, {
@@ -136,11 +139,6 @@ class TestPhasorInit:
         assert fin.machine_delta[0] == pytest.approx(
             snap.emt_state.machine_delta[0], abs=1e-9)
         assert abs(fin.machine_speed_dev[0]) < 1e-10
-
-    def test_off_grid_t0_rejected(self, twobus):
-        pf = solve_main(twobus, {}, tol=1e-12)
-        with pytest.raises(ValueError):
-            sn.phasor_init(twobus, pf, dt=5e-5, t0=1.23e-5)
 
     def test_snapshot_phasor_consistency_both_provenances(self, ninebus1_pipeline):
         for name, snap in ninebus1_pipeline.subsystem_snapshots.items():
@@ -466,15 +464,17 @@ class TestRegionNamespace:
                                 if b.id.startswith(f"{g.name}/")]
             assert set(internal) <= set(full_net.nodes)
 
-    def test_pipeline_builds_each_internal_case_once(self, ninebus1, monkeypatch):
+    def test_pipeline_builds_each_internal_case_once(self, monkeypatch):
+        # over the whole run, coordination included; a freshly loaded case,
+        # since a declaration keeps the problem it built
         calls = []
 
         def counted(decl):
             calls.append(decl.name)
             return internal_pf_case(decl)
 
-        monkeypatch.setattr(sn, "internal_pf_case", counted)
-        sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=5e-5))
+        monkeypatch.setattr(grbc_module, "internal_pf_case", counted)
+        sn.run_emtgis(load_case(case_path("ninebus1")), sn.PipelineConfig(dt=5e-5))
         assert calls == ["wind1"]
 
 
