@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +43,20 @@ from .errors import (
 )
 from .grbc import adapter_is_opaque, evaluate
 from .netmodel import Phasor
-from .powerflow import PowerFlowProblem, boundary_injections, boundary_sensitivity, solve_main
+from .powerflow import (
+    MAIN_PF_MAX_ITER,
+    MAIN_PF_TOL,
+    PowerFlowProblem,
+    boundary_injections,
+    boundary_sensitivity,
+    solve_main,
+)
 
 log = logging.getLogger(__name__)
 
 VOLTAGE_FLOOR = 0.2  # pu; probe points and outer steps below this are out-of-basin
 EPS_DEN = 1e-12      # rank-one update denominator guard, relative to |dx||dphi|
 OUTER_HALVINGS = 6   # halvings of a rejected outer step before giving up
-MAIN_PF_TOL = 1e-10  # mismatch tolerance of the main-system power flow
 
 
 @dataclass
@@ -112,7 +117,6 @@ class OuterRecord:
     inner_iters: int
     rho_history: list[float]
     restarted: bool
-    wall_s: float
 
 
 @dataclass
@@ -136,16 +140,14 @@ class IterationTrace:
             f.write("\n".join(lines) + "\n")
 
 
-def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
-             problem: PowerFlowProblem | None = None) -> BoundaryState:
+def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
-    The main-system solve and every region evaluation see the *same*
-    voltages and run one after another in declaration order, so the
-    assembled residual is deterministic.  `problem` is the main system's
-    `PowerFlowProblem`, for callers that evaluate the residual many times;
-    without it the main solve builds its own.  Each white-box region
-    solves the problem its declaration holds.
+    `problem` is the torn main system's PowerFlowProblem, solved to
+    MAIN_PF_TOL; each white-box region solves the problem its declaration
+    holds.  The main-system solve and every region evaluation see the
+    *same* voltages and run one after another in declaration order, so the
+    assembled residual is deterministic.
     """
     n = len(grbcs)
     x = np.asarray(x, dtype=float)
@@ -158,7 +160,7 @@ def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
     volts = {bid: Phasor(float(x[i]), float(x[n + i])) for i, bid in enumerate(bus_ids)}
 
     try:
-        sol = solve_main(case, volts, tol=pf_tol, max_iter=40, problem=problem)
+        sol = solve_main(problem, volts, MAIN_PF_TOL, MAIN_PF_MAX_ITER)
     except NonConvergence as exc:
         raise ResidualEvaluationError("main-system", exc) from exc
     evals = []
@@ -168,7 +170,7 @@ def residual(case, grbcs, x: np.ndarray, pf_tol: float = MAIN_PF_TOL,
         except (InternalNonConvergence, InvalidVoltage) as exc:
             raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
 
-    inj = boundary_injections(sol, case)
+    inj = boundary_injections(sol, problem.case)
     p = np.array([inj[b][0] for b in bus_ids])
     q = np.array([inj[b][1] for b in bus_ids])
     pt = np.array([e.p_tilde for e in evals])
@@ -244,12 +246,13 @@ def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray) -> np.ndar
     return mat + np.outer(dx - m_dphi, dx @ mat) / den
 
 
-def _initial_preconditioner(case, grbcs, state: BoundaryState, omega: float,
-                            problem: PowerFlowProblem) -> np.ndarray:
+def _initial_preconditioner(problem: PowerFlowProblem, grbcs, state: BoundaryState,
+                            omega: float) -> np.ndarray:
     """M0 = (S_main + R)^-1, the inverse of an approximation of phi'(x) at
     `state`.
 
-    S_main is d(p, q)/d(x) of the main side at the state's main solution.
+    S_main is d(p, q)/d(x) of the main side, whose problem is `problem`,
+    at the state's main solution.
     R is block-diagonal: region i's 2x2 block d(p_tilde_i, q_tilde_i) /
     d(V_i, theta_i) is two forward differences of `evaluate`, at
     (V_i + omega, theta_i) and (V_i, theta_i + omega), against the
@@ -259,7 +262,7 @@ def _initial_preconditioner(case, grbcs, state: BoundaryState, omega: float,
     """
     n = len(grbcs)
     try:
-        approx = boundary_sensitivity(case, state.main_solution, state.bus_ids, problem)
+        approx = boundary_sensitivity(problem, state.main_solution, state.bus_ids)
         for i, g in enumerate(grbcs):
             v = state.voltage(i)
             for col, point in ((i, Phasor(v.magnitude + omega, v.angle)),
@@ -371,8 +374,8 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
     return correction(m - 1), mat, GmresResult(False, m, rho_hist, True)
 
 
-def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
-               pf_tol: float = MAIN_PF_TOL) -> tuple[BoundaryState, IterationTrace]:
+def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None
+               ) -> tuple[BoundaryState, IterationTrace]:
     """Newton outer loop over the boundary coordination residual.
 
     Each outer step: evaluate phi, test ||phi||_2 against eps1, solve the
@@ -396,7 +399,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
     problem = PowerFlowProblem(case)
 
     def evaluate_at(xv: np.ndarray) -> BoundaryState:
-        return residual(case, grbcs, xv, pf_tol=pf_tol, problem=problem)
+        return residual(problem, grbcs, xv)
 
     def guarded(xv: np.ndarray) -> tuple[BoundaryState | None, str]:
         """The state at xv, or None and why xv is rejected."""
@@ -413,11 +416,9 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
     try:
         state = evaluate_at(x)
         for k in range(cfg.max_outer + 1):
-            t0 = time.perf_counter()
             phi_norm = float(np.linalg.norm(state.phi))
             if phi_norm <= cfg.eps1:
-                trace.rows.append(OuterRecord(k, phi_norm, 0, [], False,
-                                              time.perf_counter() - t0))
+                trace.rows.append(OuterRecord(k, phi_norm, 0, [], False))
                 trace.status = "converged"
                 return state, trace
             if k == cfg.max_outer:
@@ -425,7 +426,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
                 raise MaxOuterExceeded(phi_norm, trace)
 
             if M is None:
-                M = _initial_preconditioner(case, grbcs, state, cfg.omega, problem)
+                M = _initial_preconditioner(problem, grbcs, state, cfg.omega)
             probe = _make_probe(x, state.phi, lambda xv: evaluate_at(xv).phi, cfg.omega)
             dx, M, info = gmres_m(state.phi, probe, M, cfg)
 
@@ -444,7 +445,7 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None,
 
             M = precond_update(M, x_new - x, state_new.phi - state.phi)
             trace.rows.append(OuterRecord(k, phi_norm, info.iterations, info.rho_history,
-                                          info.restarted, time.perf_counter() - t0))
+                                          info.restarted))
             x, state = x_new, state_new
     except CoordinationError as exc:
         exc.trace = trace

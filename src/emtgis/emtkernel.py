@@ -95,7 +95,6 @@ class ElementKind(str, Enum):
     RESISTOR = "Resistor"
     INDUCTOR = "Inductor"
     CAPACITOR = "Capacitor"
-    SOURCE = "Source"
 
 
 @dataclass(frozen=True)
@@ -112,8 +111,6 @@ def companion_coefficients(kind: ElementKind, value: float, dt: float) -> Compan
     """Trapezoidal companion coefficients for one element."""
     if dt <= 0.0:
         raise InvalidParameter("dt must be positive")
-    if kind is ElementKind.SOURCE:
-        return CompanionModel(kind, 0.0, 0.0, 0.0)
     if value <= 0.0:
         raise InvalidParameter(f"{kind.value} parameter must be positive, got {value}")
     if kind is ElementKind.RESISTOR:
@@ -731,15 +728,16 @@ class CompiledNet:
 
     # --- stepping -----------------------------------------------------------
 
-    def step(self, x: np.ndarray, out: np.ndarray, scale: float) -> None:
-        """Advance buffer x one dt at source scale `scale`, writing the new
-        buffer into out: the one product out = x T^T.
+    def step(self, x: np.ndarray, out: np.ndarray, ramp: bool) -> None:
+        """Advance buffer x one dt, writing the new buffer into out: the one
+        product out = x T^T, with the ramp's T when `ramp` (the new step is
+        before `ramp_end`, so its source scale is below 1) and the
+        post-ramp T otherwise.
 
-        It serves the ramp (scale < 1), and every step of a net without a
-        swinging machine; after the ramp, `relax` advances the swinging
-        machines.
+        It serves the ramp, and every step of a net without a swinging
+        machine; after the ramp, `relax` advances the swinging machines.
         """
-        np.dot(x, self.ramp_map if scale < 1.0 else self.post_map, out=out)
+        np.dot(x, self.ramp_map if ramp else self.post_map, out=out)
 
     def relax(self, stack: np.ndarray, first: int, length: int, step: int,
               machines: np.ndarray, samples: np.ndarray) -> None:
@@ -930,12 +928,15 @@ def _advance(compiled: CompiledNet, stack: np.ndarray,
     ramp, a net with swinging machines advances in relaxed chunks of at
     most SWING_CHUNK steps.
     """
+    # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
     ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
     stepped = ramp_steps if compiled.swinging.size else length
-    step, ramp_end, dt, t_ramp = compiled.step, compiled.ramp_end, compiled.dt, compiled.t_ramp
-    for x, out in pairs[:stepped]:
-        n += 1
-        step(x, out, 1.0 if n >= ramp_end else ramp_profile(n * dt, t_ramp))
+    step = compiled.step
+    for x, out in pairs[:ramp_steps]:
+        step(x, out, True)
+    for x, out in pairs[ramp_steps:stepped]:
+        step(x, out, False)
+    n += stepped
     probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
     for first in range(stepped, length, SWING_CHUNK):
         size = min(SWING_CHUNK, length - first)
@@ -962,11 +963,14 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
     n_steps = int(round(cfg.duration / cfg.dt))
     start_step = state.step
-    events = sorted(cfg.events, key=lambda e: e.time)
-    event_steps = [int(round(e.time / cfg.dt)) for e in events]
-    for e in events:
+    for e in cfg.events:
         if e.target not in net.nodes:
             raise UnknownBus(f"event targets unknown node '{e.target}'")
+    # An infinite fault resistance is no fault (`apply_fault`): such an
+    # event would only end a chunk and rebuild the same net.
+    events = sorted((e for e in cfg.events if not math.isinf(e.r_fault)),
+                    key=lambda e: e.time)
+    event_steps = [int(round(e.time / cfg.dt)) for e in events]
 
     probes = ProbeSet(compiled, cfg.record)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt

@@ -133,10 +133,6 @@ class UnsupportedElement(EmtgisError):
 # --- snapshots and splicing ------------------------------------------------
 
 
-class MissingComponentModel(EmtgisError):
-    """No phasor-initialization rule exists for a component."""
-
-
 class ZeroFaultCurrentDelta(EmtgisError):
     """Fault and steady currents coincide; equivalent impedance undefined."""
 

@@ -94,7 +94,6 @@ class GrbcDeclaration:
 class GrbcEvaluation:
     p_tilde: float
     q_tilde: float
-    evaluation_cost: int = 1
 
 
 # --- expression grammar for scripted responses -------------------------------
@@ -168,11 +167,8 @@ def parse_declaration(d: dict) -> GrbcDeclaration:
             branches=tuple(_parse_branch(b) for b in raw.get("branches", [])),
             machines=tuple(_parse_machine(m) for m in raw.get("machines", [])),
         )
-        payload = WhiteBoxPayload(
-            network=net,
-            oracle=bool(raw.get("oracle", True)),
-            pf_tol=float(raw.get("pf_tol", 1e-12)),
-        )
+        payload = WhiteBoxPayload(net, bool(raw.get("oracle", True)),
+                                  float(raw.get("pf_tol", 1e-12)))
     elif kind is GrbcKind.SCRIPTED_RESPONSE:
         payload = ScriptedPayload(p_expr=raw["p"], q_expr=raw["q"])
     else:
@@ -270,30 +266,26 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
         v = v_boundary.magnitude
         p_eff = decl.payload.p_dc * (v / 0.9 if v < 0.9 else 1.0)
         return GrbcEvaluation(p_tilde=-p_eff, q_tilde=-p_eff * decl.payload.tan_phi)
-    return _evaluate_white_box(decl, v_boundary)
+    # Injection into the torn node from the region side is the negative of
+    # the network injection computed at the boundary row (no region-side
+    # load sits on the boundary bus itself).
+    p, q = internal_power_flow(decl, v_boundary).injection(decl.boundary_bus)
+    return GrbcEvaluation(p_tilde=-p, q_tilde=-q)
 
 
-def _evaluate_white_box(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
-    problem = decl.pf_problem
+def internal_power_flow(decl: GrbcDeclaration,
+                        v_boundary: Phasor) -> powerflow.PowerFlowSolution:
+    """The internal power flow of a white-box region at its boundary
+    voltage: `decl.pf_problem` solved from a flat start to the payload's
+    pf_tol in at most 60 iterations.  A failed solve raises
+    InternalNonConvergence."""
     try:
-        sol = powerflow.solve_main(
-            problem.case,
-            {decl.boundary_bus: v_boundary},
-            tol=decl.payload.pf_tol,
-            max_iter=60,
-            problem=problem,
-        )
+        return powerflow.solve_main(decl.pf_problem, {decl.boundary_bus: v_boundary},
+                                    tol=decl.payload.pf_tol, max_iter=60)
     except (NonConvergence, SingularJacobian) as exc:
         raise InternalNonConvergence(
             f"internal power flow of region '{decl.name}' failed: {exc}"
         ) from exc
-    # Injection into the torn node from the region side is the negative of
-    # the network injection computed at the boundary row (no region-side
-    # load sits on the boundary bus itself).
-    s = sol.injection(decl.boundary_bus)
-    return GrbcEvaluation(
-        p_tilde=-s[0], q_tilde=-s[1], evaluation_cost=sol.iterations
-    )
 
 
 def adapter_is_opaque(decl: GrbcDeclaration) -> bool:

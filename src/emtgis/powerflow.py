@@ -2,9 +2,10 @@
 
 The torn main system is solved with its boundary buses held at
 coordinator-supplied phasors (slack-like), and the whole un-torn network
-can be solved monolithically as an independent reference.  A
-PowerFlowProblem holds what a solve needs of its case alone, so a case
-solved many times is prepared once.
+can be solved monolithically as an independent reference.  Every solve
+takes a PowerFlowProblem, which holds what a solve needs of its case
+alone: the caller builds it once and passes it to every solve of that
+case.
 """
 
 from __future__ import annotations
@@ -134,42 +135,47 @@ def _fill_ds_dx(out: np.ndarray, ymat: np.ndarray, vm: np.ndarray, vhat: np.ndar
     return out
 
 
+# The main system's solve inside the coordinator's residual, and of a case
+# without regions: mismatch tolerance and Newton iteration cap.
+MAIN_PF_TOL = 1e-10
+MAIN_PF_MAX_ITER = 40
+
+
 def solve_main(
-    case: CaseFile,
+    problem: PowerFlowProblem,
     boundary_voltages: dict[str, Phasor] | None = None,
     tol: float = 1e-8,
     max_iter: int = 30,
-    problem: PowerFlowProblem | None = None,
 ) -> PowerFlowSolution:
-    """Solve the main system with Boundary buses fixed at supplied phasors.
+    """Solve the case of `problem` with its Boundary buses fixed at the
+    supplied phasors.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; full-Jacobian polar NR over the remaining unknowns, always
     from a flat start, so a solve is a pure function of its inputs (the
-    coordinator's directional differences rely on that).  `problem` is
-    `PowerFlowProblem(case)`, for callers that solve one case many times;
-    without it the solve builds its own.
+    coordinator's directional differences rely on that).  The problem is
+    only read, so one serves every solve of its case.
     An iteration is O(n^2): dS/dV by `_fill_ds_dx` from the I = Y V the
     mismatch used, and one index gather for the Jacobian.  A non-finite
     mismatch raises NonConvergence.
     """
     boundary_voltages = boundary_voltages or {}
-    pb = problem if problem is not None else PowerFlowProblem(case)
-    y = pb.ybus
+    y = problem.ybus
     ids = y.bus_ids
     n = len(ids)
 
-    missing = [bid for _, bid in pb.boundary if bid not in boundary_voltages]
+    missing = [bid for _, bid in problem.boundary if bid not in boundary_voltages]
     if missing:
         raise ValueError(f"no boundary voltage supplied for buses {missing}")
 
-    x = pb.flat_start.copy()
+    x = problem.flat_start.copy()
     va, vm = x[:n], x[n:]
-    for i, bid in pb.boundary:
+    for i, bid in problem.boundary:
         ph = boundary_voltages[bid]
         vm[i], va[i] = ph.magnitude, ph.angle
 
-    unknowns, s_sched, mis_idx, jac_idx = pb.unknowns, pb.s_sched, pb.mis_idx, pb.jac_idx
+    unknowns, s_sched = problem.unknowns, problem.s_sched
+    mis_idx, jac_idx = problem.mis_idx, problem.jac_idx
     ds_dx = np.empty((n, 2 * n), dtype=complex)
 
     history: list[float] = []
@@ -229,13 +235,12 @@ def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tup
     return out
 
 
-def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
-                         problem: PowerFlowProblem | None = None) -> np.ndarray:
-    """d(p, q)/d(|V|, theta) of `boundary_injections` at the converged
-    main solution `sol`: a 2n x 2n matrix over the boundary buses `bus_ids`,
-    rows all p then all q, columns all |V| then all theta, each in
-    `bus_ids` order (the coordinator's order).  `problem` is
-    `PowerFlowProblem(case)`, as in `solve_main`; without it one is built.
+def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
+                         bus_ids) -> np.ndarray:
+    """d(p, q)/d(|V|, theta) of `boundary_injections` at `sol`, the
+    converged solution of `problem`: a 2n x 2n matrix over the boundary
+    buses `bus_ids`, rows all p then all q, columns all |V| then all
+    theta, each in `bus_ids` order (the coordinator's order).
 
     While the boundary phasors b move, the mismatch rows [P over pvpq;
     Q over pq] of `solve_main` stay zero, so its unknowns
@@ -247,8 +252,7 @@ def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
     """
     if not sol.converged:
         raise NotConverged("boundary sensitivity needs a converged solution")
-    pb = problem if problem is not None else PowerFlowProblem(case)
-    y = pb.ybus
+    y = problem.ybus
     n = len(y.bus_ids)
     bnd = np.array([y.index(b) for b in bus_ids], dtype=int)
     vhat = np.exp(1j * sol.va)
@@ -259,7 +263,7 @@ def boundary_sensitivity(case: CaseFile, sol: PowerFlowSolution, bus_ids,
 
     # Float-view gathers as in solve_main: P rows are real parts, Q rows
     # imaginary parts; theta columns come first in ds_dx, |V| columns second.
-    rows_u, cols_u = pb.jac_rows, 2 * pb.unknowns
+    rows_u, cols_u = problem.jac_rows, 2 * problem.unknowns
     rows_b = np.concatenate([4 * n * bnd, 4 * n * bnd + 1])
     cols_b = 2 * np.concatenate([n + bnd, bnd])
 
@@ -277,5 +281,4 @@ def solve_monolithic(case: CaseFile, tol: float = 1e-10, max_iter: int = 40) -> 
     Serves as the independent reference the torn coordination must match.
     Raises OracleUnavailable if any region is opaque.
     """
-    flat = inline_grbcs(case)
-    return solve_main(flat, {}, tol=tol, max_iter=max_iter)
+    return solve_main(PowerFlowProblem(inline_grbcs(case)), {}, tol=tol, max_iter=max_iter)

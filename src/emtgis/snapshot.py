@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import emtkernel as ek
-from .coordinator import MAIN_PF_TOL, BoundaryState, IterationTrace, JfngConfig, jfng_solve
+from .coordinator import BoundaryState, IterationTrace, JfngConfig, jfng_solve
 from .emtkernel import Element, ElementKind, EmtNet, EmtState, Machine, SimConfig, Source
 from .errors import (
     IncompatibleSnapshot,
-    MissingComponentModel,
     NotConverged,
     ScheduleViolation,
     StageFailure,
@@ -33,9 +32,16 @@ from .errors import (
     UnsupportedElement,
     ZeroFaultCurrentDelta,
 )
-from .grbc import GrbcKind
+from .grbc import GrbcKind, internal_power_flow
 from .netmodel import CaseFile, MachineKind, Phasor, validate_case
-from .powerflow import PowerFlowSolution, boundary_injections, solve_main
+from .powerflow import (
+    MAIN_PF_MAX_ITER,
+    MAIN_PF_TOL,
+    PowerFlowProblem,
+    PowerFlowSolution,
+    boundary_injections,
+    solve_main,
+)
 
 log = logging.getLogger(__name__)
 
@@ -66,19 +72,6 @@ class Snapshot:
     @property
     def timestamp(self) -> float:
         return self.timestamp_steps * self.dt
-
-    def phasor_consistency_error(self) -> float:
-        """Max |v(t) - Re(sqrt2 V e^{jwt})| over boundary buses and phases."""
-        omega = 2.0 * math.pi * self.frequency_hz
-        t = self.timestamp
-        worst = 0.0
-        for bus, (vph, _) in self.boundary_phasors.items():
-            node = self.emt_state.node_ids.index(bus)
-            for ph in range(3):
-                expect = SQRT2 * (vph.rect * cmath.exp(
-                    1j * (omega * t + ek.PHASE_SHIFT[ph]))).real
-                worst = max(worst, abs(self.emt_state.v_nodes[node, ph] - expect))
-        return worst
 
 
 # --- network construction from the grid model ---------------------------------
@@ -244,7 +237,7 @@ class RegionOperatingPoint:
 
     A white-box region carries its internal case (`grbc.internal_pf_case`,
     ids '<region>/<id>', the one its declaration's `pf_problem` holds) and
-    that case's power flow at v_boundary.
+    that case's power flow at v_boundary (`grbc.internal_power_flow`).
     """
 
     decl: object
@@ -258,10 +251,8 @@ def region_operating_point(decl, v_boundary: Phasor,
                            p_tilde: float, q_tilde: float) -> RegionOperatingPoint:
     icase = internal = None
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
-        problem = decl.pf_problem
-        icase = problem.case
-        internal = solve_main(icase, {decl.boundary_bus: v_boundary},
-                              tol=decl.payload.pf_tol, max_iter=60, problem=problem)
+        icase = decl.pf_problem.case
+        internal = internal_power_flow(decl, v_boundary)
     return RegionOperatingPoint(decl, v_boundary, complex(p_tilde, q_tilde),
                                 icase, internal)
 
@@ -308,26 +299,22 @@ def build_full_net(case: CaseFile, pf: PowerFlowSolution,
 # --- phasor-based initialization of a white-box network -------------------------
 
 
-def phasor_init(case: CaseFile, pf: PowerFlowSolution, dt: float,
-                boundary_draw: dict[str, tuple[float, float]] | None = None,
-                net: EmtNet | None = None) -> Snapshot:
+def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
+                boundary_draw: dict[str, tuple[float, float]] | None = None) -> Snapshot:
     """Snapshot of the main system at step 0 straight from power-flow phasors.
 
-    Per component the port current phasor is conj(S/V); machine EMFs come
-    from the phasor diagram; histories are instantaneous values one step
-    back, peak-scaled.  Node and element phasors come from a nodal solve
-    with the discrete-companion admittances, so the kernel continues the
-    periodic steady state without any startup transient.  boundary_draw
-    carries the power each region pulls from its torn node so the state is
-    consistent once regions are reconnected.
+    `net` is the EMT model to initialize, `build_main_net(case, pf)` in
+    the pipeline, built once by the caller.  Per component the port
+    current phasor is conj(S/V); machine EMFs come from the phasor diagram;
+    histories are instantaneous values one step back, peak-scaled.  Node
+    and element phasors come from a nodal solve with the
+    discrete-companion admittances, so the kernel continues the periodic
+    steady state without any startup transient.  boundary_draw carries the
+    power each region pulls from its torn node so the state is consistent
+    once regions are reconnected.
     """
     if not pf.converged:
         raise NotConverged("phasor initialization needs a converged power flow")
-    try:
-        net = net or build_main_net(case, pf)
-    except UnsupportedElement as exc:
-        raise MissingComponentModel(str(exc)) from exc
-
     known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
     for m in net.machines:
         known[m.emf_node] = cmath.rect(m.emf_rms, m.delta0)
@@ -435,9 +422,10 @@ def extract_thevenin_from_net(net: EmtNet, boundary: str, v_b: complex,
     return thevenin_from_measurements(v_b, i_into_attachment, -i_into_b)
 
 
-def thevenin_extract(case: CaseFile, pf: PowerFlowSolution,
+def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, net: EmtNet,
                      boundary: str) -> TheveninEquivalent:
-    """Boundary equivalent of the main system seen from one region."""
+    """Boundary equivalent of the main system seen from one region.  `net`
+    is `build_main_net(case, pf)`, built once by the caller."""
     if not pf.converged:
         raise NotConverged("Thevenin extraction needs a converged power flow")
     inj = boundary_injections(pf, case)
@@ -446,7 +434,6 @@ def thevenin_extract(case: CaseFile, pf: PowerFlowSolution,
     v_b = pf.voltage(boundary).rect
     p, q = inj[boundary]
     i_b = machine_port_current(complex(p, q), v_b)
-    net = build_main_net(case, pf)
     return extract_thevenin_from_net(net, boundary, v_b, i_b)
 
 
@@ -733,7 +720,8 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
         draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
                  for i, bid in enumerate(boundary_state.bus_ids)}
     else:
-        main_pf = _stage("ipf", solve_main, case, {}, MAIN_PF_TOL, 40)
+        main_pf = _stage("ipf", lambda: solve_main(PowerFlowProblem(case), {}, MAIN_PF_TOL,
+                                                   MAIN_PF_MAX_ITER))
         draws = {}
 
     region_ops: list[RegionOperatingPoint] = []
@@ -755,13 +743,14 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     stage = _stage
 
     model = system_model(case, cfg)
-    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, cfg.dt,
+    main_net = stage("phasor_init", build_main_net, case, model.main_pf)
+    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, main_net, cfg.dt,
                       boundary_draw=model.draws)
 
     ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=cfg.t_ramp)
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
-        thev = thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
+        thev = thevenin_extract(case, model.main_pf, main_net, op.decl.boundary_bus)
         region_net = build_region_net(op, case.frequency_hz)
         return ramp_to_snapshot(region_net, thev, ramp_cfg,
                                 op.decl.boundary_bus, subsystem=op.decl.name)
@@ -778,7 +767,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     def advance_all():
         for op in model.region_ops:
             name = op.decl.name
-            thev = thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
+            thev = thevenin_extract(case, model.main_pf, main_net, op.decl.boundary_bus)
             net, _ = attach_thevenin(build_region_net(op, case.frequency_hz),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,

@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import os
@@ -211,6 +212,21 @@ def stored_energy(net: ek.EmtNet, state: ek.EmtState) -> float:
             vt = state.v_nodes[state.node_ids.index(e.n_to)] if e.n_to else 0.0
             total += 0.5 * e.value * float(np.sum((vf - vt) ** 2))
     return total
+
+
+def phasor_consistency_error(snap: sn.Snapshot) -> float:
+    """Max |v(t) - Re(sqrt2 V e^{jwt})| over a snapshot's boundary buses
+    and phases."""
+    omega = 2.0 * math.pi * snap.frequency_hz
+    t = snap.timestamp
+    worst = 0.0
+    for bus, (vph, _) in snap.boundary_phasors.items():
+        node = snap.emt_state.node_ids.index(bus)
+        for ph in range(3):
+            expect = ek.SQRT2 * (vph.rect * cmath.exp(
+                1j * (omega * t + ek.PHASE_SHIFT[ph]))).real
+            worst = max(worst, abs(snap.emt_state.v_nodes[node, ph] - expect))
+    return worst
 
 
 def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,

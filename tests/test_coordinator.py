@@ -42,7 +42,7 @@ class TestResidual:
     def test_consistent_tearing_gives_zero_residual(self, ninebus1):
         mono = solve_monolithic(ninebus1, tol=1e-12)
         x = oracle_boundary_x(ninebus1, mono)
-        state = residual(ninebus1, ninebus1.grbcs, x, pf_tol=1e-12)
+        state = residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, x)
         assert np.linalg.norm(state.phi) < 1e-8
 
     def test_phi_is_sum_of_both_sides(self, twobus):
@@ -54,23 +54,19 @@ class TestResidual:
             "name": "s", "boundary_bus": "B2", "kind": "ScriptedResponse",
             "payload": {"p": -0.4, "q": 0.0}})]
         x = np.array([0.98, -0.03])
-        state = residual(case, case.grbcs, x, pf_tol=1e-12)
+        state = residual(PowerFlowProblem(case), case.grbcs, x)
         assert state.phi[0] == pytest.approx(state.p[0] - 0.4, abs=1e-14)
         assert state.phi[1] == pytest.approx(state.q[0] + 0.0, abs=1e-14)
 
     def test_repeated_evaluations_agree_bitwise(self, ninebus3):
+        # both evaluations share one problem: a solve only reads it
         x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
-        a = residual(ninebus3, ninebus3.grbcs, x)
-        b = residual(ninebus3, ninebus3.grbcs, x)
+        problem = PowerFlowProblem(ninebus3)
+        a = residual(problem, ninebus3.grbcs, x)
+        b = residual(problem, ninebus3.grbcs, x)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.main_solution.vm, b.main_solution.vm)
         assert np.array_equal(a.main_solution.va, b.main_solution.va)
-
-    def test_shared_admittance_matrix_gives_the_same_residual(self, ninebus3):
-        x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
-        a = residual(ninebus3, ninebus3.grbcs, x)
-        b = residual(ninebus3, ninebus3.grbcs, x, problem=PowerFlowProblem(ninebus3))
-        assert np.array_equal(a.phi, b.phi)
 
 
 class TestDirectionalDifference:
@@ -186,8 +182,7 @@ class TestJfngSolve:
     def test_preconverged_start_exits_without_corrections(self, ninebus1):
         mono = solve_monolithic(ninebus1, tol=1e-12)
         x0 = oracle_boundary_x(ninebus1, mono)
-        state, trace = jfng_solve(ninebus1, ninebus1.grbcs, x0,
-                                  JfngConfig(), pf_tol=1e-12)
+        state, trace = jfng_solve(ninebus1, ninebus1.grbcs, x0, JfngConfig())
         assert trace.status == "converged"
         assert len(trace.rows) == 1 and trace.rows[0].inner_iters == 0
         assert np.array_equal(state.x, x0)
@@ -254,11 +249,10 @@ class TestInitialPreconditioner:
         # approximate phi'(x0); compare with forward differences of phi
         x0 = flat_start(hybrid)
         problem = PowerFlowProblem(hybrid)
-        state = residual(hybrid, hybrid.grbcs, x0, problem=problem)
-        m0 = coordinator_module._initial_preconditioner(hybrid, hybrid.grbcs, state,
-                                                        1e-6, problem)
+        state = residual(problem, hybrid.grbcs, x0)
+        m0 = coordinator_module._initial_preconditioner(problem, hybrid.grbcs, state, 1e-6)
         h = 1e-6
-        cols = [(residual(hybrid, hybrid.grbcs, x0 + h * e, problem=problem).phi
+        cols = [(residual(problem, hybrid.grbcs, x0 + h * e).phi
                  - state.phi) / h
                 for e in np.eye(x0.size)]
         deriv = np.column_stack(cols)
@@ -272,12 +266,12 @@ class TestInitialPreconditioner:
         # patched sensitivity
         case = scripted_twobus(twobus)
         problem = PowerFlowProblem(case)
-        state = residual(case, case.grbcs, np.array([1.0, 0.0]), problem=problem)
+        state = residual(problem, case.grbcs, np.array([1.0, 0.0]))
         monkeypatch.setattr(coordinator_module, "boundary_sensitivity",
                             lambda *args: sensitivity.copy())
         with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
-            m0 = coordinator_module._initial_preconditioner(case, case.grbcs, state,
-                                                            1e-6, problem)
+            m0 = coordinator_module._initial_preconditioner(problem, case.grbcs, state,
+                                                            1e-6)
         assert np.array_equal(m0, np.eye(2))
         assert "falls back to the identity" in caplog.text
 
@@ -306,7 +300,7 @@ class TestInitialPreconditioner:
         # the fallback is exactly the identity start
         monkeypatch.setattr(coordinator_module, "evaluate", real_evaluate)
         monkeypatch.setattr(coordinator_module, "_initial_preconditioner",
-                            lambda case, grbcs, st, omega, problem: np.eye(st.x.size))
+                            lambda problem, grbcs, st, omega: np.eye(st.x.size))
         _, identity_trace = jfng_solve(ninebus1, ninebus1.grbcs, x0, cfg)
         assert trace.phi_norms() == identity_trace.phi_norms()
         assert [r.inner_iters for r in trace.rows] == \
@@ -479,9 +473,9 @@ class TestOuterStepGuard:
             calls.append(dx)
             return dx, M, info
 
-        def recording_residual(case, grbcs, x, **kw):
+        def recording_residual(problem, grbcs, x):
             seen.append(np.array(x))
-            return real_residual(case, grbcs, x, **kw)
+            return real_residual(problem, grbcs, x)
 
         monkeypatch.setattr(coordinator_module, "gmres_m", stretched_gmres)
         monkeypatch.setattr(coordinator_module, "residual", recording_residual)

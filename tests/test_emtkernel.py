@@ -44,7 +44,7 @@ def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
     n = state.step
     for _ in range(steps):
         n += 1
-        compiled.step(bufs[1], bufs[2], compiled.scale(n))
+        compiled.step(bufs[1], bufs[2], n < compiled.ramp_end)
         bufs = bufs[1:] + bufs[:1]
     return compiled.state(bufs[0], bufs[2], n, machines)
 
@@ -160,6 +160,24 @@ class TestFault:
         with pytest.raises(UnknownBus):
             ek.apply_fault(rl_net(), "nope", 0.1)
 
+    def test_run_drops_infinite_resistance_events(self):
+        # mid-cycle in the ramp and after it: the run is the fault-free one,
+        # bit for bit
+        cfg = ek.SimConfig(dt=1e-4, duration=0.1, record=["n2", "i:l1"], t_ramp=0.05)
+        want_waves, want = ek.run(rl_net(), cfg)
+        events = [ek.SimEvent(0.0213, "n2", math.inf), ek.SimEvent(0.0731, "n1", math.inf)]
+        waves, got = ek.run(rl_net(), replace(cfg, events=events))
+        for key, trace in want_waves.data.items():
+            assert np.array_equal(waves.data[key], trace), key
+        for field in ("v_nodes", "elem_i", "hist_u", "hist_i"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_infinite_resistance_event_at_unknown_node_rejected(self):
+        cfg = ek.SimConfig(dt=1e-4, duration=0.01,
+                           events=[ek.SimEvent(0.005, "nope", math.inf)])
+        with pytest.raises(UnknownBus):
+            ek.run(rl_net(), cfg)
+
     def test_fault_current_matches_phasor_oracle(self):
         # source 1.0 behind x = 0.1; resistive fault at the far bus:
         # |I| = |E| / |Z + R| in sinusoidal steady state
@@ -215,7 +233,9 @@ class TestNumericalContracts:
     def test_companion_replay_is_bit_exact_on_region_with_machine(self, ninebus3,
                                                                     ninebus3_model):
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
-        thev = sn.thevenin_extract(ninebus3, ninebus3_model.main_pf, op.decl.boundary_bus)
+        pf = ninebus3_model.main_pf
+        thev = sn.thevenin_extract(ninebus3, pf, sn.build_main_net(ninebus3, pf),
+                                   op.decl.boundary_bus)
         net, _ = sn.attach_thevenin(sn.build_region_net(op, ninebus3.frequency_hz),
                                     op.decl.boundary_bus, thev)
         assert net.machines
@@ -313,7 +333,7 @@ class TestAffineStepEquivalence:
     def test_matches_reference_with_swinging_machine(self, hybrid, hybrid_model):
         net = hybrid_model.full_net
         dt = 5e-5
-        snap = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net)
+        snap = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt)
         init = snap.emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         reference = ReferenceNet(net, dt)
@@ -333,7 +353,7 @@ class TestAffineStepEquivalence:
         compiled = ek.CompiledNet(net, 5e-5)
         before = ek.zero_state(net, 5e-5)
         x, out, machines = compiled.buffers(before, 0.5)
-        compiled.step(x, out, compiled.scale(1))
+        compiled.step(x, out, 1 < compiled.ramp_end)
         after = compiled.state(x, None, 1, machines)
         fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
                   "machine_speed_dev", "machine_emf", "machine_pm", "source_scale")
@@ -379,7 +399,7 @@ class TestLoopEquivalence:
 
     def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
         net, dt = hybrid_model.full_net, 5e-5
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
@@ -394,7 +414,9 @@ class TestLoopEquivalence:
 
     def test_run_until_steady_with_ramp_on_region_net(self, ninebus3, ninebus3_model):
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
-        thev = sn.thevenin_extract(ninebus3, ninebus3_model.main_pf, op.decl.boundary_bus)
+        pf = ninebus3_model.main_pf
+        thev = sn.thevenin_extract(ninebus3, pf, sn.build_main_net(ninebus3, pf),
+                                   op.decl.boundary_bus)
         region = sn.build_region_net(op, ninebus3.frequency_hz)
         net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
         assert net.machines
@@ -425,7 +447,8 @@ def region_net(case, model, name):
     """A region behind its Thevenin equivalent, as the pipeline ramps it,
     and the detector's probes."""
     op = next(o for o in model.region_ops if o.decl.name == name)
-    thev = sn.thevenin_extract(case, model.main_pf, op.decl.boundary_bus)
+    pf = model.main_pf
+    thev = sn.thevenin_extract(case, pf, sn.build_main_net(case, pf), op.decl.boundary_bus)
     region = sn.build_region_net(op, case.frequency_hz)
     net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
     return net, list(region.nodes) + [f"i:{probe}"]
@@ -569,7 +592,7 @@ class TestHistoryCurrentState:
                              ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
     def test_fault_with_swinging_machine(self, hybrid, hybrid_model, fault_step):
         net, dt = hybrid_model.full_net, self.DT
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, dt, net=net).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
@@ -655,7 +678,7 @@ class TestSwingRelaxation:
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
         net = two_machine_net(hybrid_model.full_net)
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, self.DT, net=net).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, self.DT).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
                            events=[ek.SimEvent(250 * self.DT, "B7", 0.02)])

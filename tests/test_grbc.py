@@ -22,7 +22,7 @@ from emtgis.grbc import (
     validate_expr,
 )
 from emtgis.netmodel import Phasor, load_case
-from emtgis.powerflow import solve_main, solve_monolithic
+from emtgis.powerflow import PowerFlowProblem, solve_main, solve_monolithic
 from emtgis.snapshot import region_operating_point
 
 
@@ -109,9 +109,9 @@ class TestEvaluate:
         out = evaluate(decl, v_b)
         # oracle: whatever the whole solve says flows region -> boundary,
         # which must cancel the main-side delivery at the torn node
-        from emtgis.powerflow import boundary_injections, solve_main
+        from emtgis.powerflow import boundary_injections
 
-        torn = solve_main(case, {"B2": v_b}, tol=1e-12)
+        torn = solve_main(PowerFlowProblem(case), {"B2": v_b}, tol=1e-12)
         p_main, q_main = boundary_injections(torn, case)["B2"]
         assert out.p_tilde == pytest.approx(-p_main, abs=1e-8)
         assert out.q_tilde == pytest.approx(-q_main, abs=1e-8)
@@ -174,10 +174,6 @@ class TestInternalFailure:
         with pytest.raises(InternalNonConvergence):
             evaluate(decl, Phasor(1.0, 0.0))
 
-    def test_white_box_cost_counts_inner_iterations(self):
-        out = evaluate(white_box(), Phasor(1.0, 0.0))
-        assert out.evaluation_cost >= 1
-
 
 BUNDLED = ("ninebus1", "ninebus2", "ninebus3", "hybrid")
 
@@ -190,7 +186,7 @@ def white_box_regions(name):
 class TestStoredProblem:
     """A white-box declaration builds its power-flow problem once and every
     internal solve reuses it; results equal the reference path, a fresh
-    `internal_pf_case` solved by `solve_main` with no problem passed."""
+    `internal_pf_case` solved by `solve_main` through a fresh problem."""
 
     REGIONS = [g for name in BUNDLED for g in white_box_regions(name)]
 
@@ -200,16 +196,15 @@ class TestStoredProblem:
         v = Phasor(vm, va)
         for decl in self.REGIONS:
             try:
-                ref = solve_main(internal_pf_case(decl), {decl.boundary_bus: v},
-                                 tol=decl.payload.pf_tol, max_iter=60)
+                ref = solve_main(PowerFlowProblem(internal_pf_case(decl)),
+                                 {decl.boundary_bus: v}, tol=decl.payload.pf_tol, max_iter=60)
             except NonConvergence:
                 with pytest.raises(InternalNonConvergence):
                     evaluate(decl, v)
                 continue
             out = evaluate(decl, v)
             p, q = ref.injection(decl.boundary_bus)
-            assert (out.p_tilde, out.q_tilde, out.evaluation_cost) == \
-                (-p, -q, ref.iterations)
+            assert (out.p_tilde, out.q_tilde) == (-p, -q)
             internal = region_operating_point(decl, v, out.p_tilde, out.q_tilde).internal_pf
             for field in ("vm", "va", "p_calc", "q_calc"):
                 assert np.array_equal(getattr(internal, field), getattr(ref, field))

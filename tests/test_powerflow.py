@@ -25,6 +25,7 @@ from emtgis.netmodel import (
     load_case,
 )
 from emtgis.powerflow import (
+    PowerFlowProblem,
     boundary_injections,
     boundary_sensitivity,
     solve_main,
@@ -59,7 +60,7 @@ def gauss_seidel_two_bus(case, tol=1e-12, max_iter=5000):
 
 class TestSolveMain:
     def test_no_load_network_stays_flat(self):
-        sol = solve_main(two_bus(load_p=0.0))
+        sol = solve_main(PowerFlowProblem(two_bus(load_p=0.0)))
         assert sol.voltage("B2").magnitude == pytest.approx(1.0, abs=1e-12)
         assert sol.voltage("B2").angle == pytest.approx(0.0, abs=1e-12)
         p, q = sol.injection("B2")
@@ -67,7 +68,7 @@ class TestSolveMain:
 
     def test_loaded_two_bus_matches_gauss_seidel_oracle(self):
         case = two_bus()
-        sol = solve_main(case, tol=1e-12)
+        sol = solve_main(PowerFlowProblem(case), tol=1e-12)
         v2 = gauss_seidel_two_bus(case)
         # closed form for this lossless line: V2 = a + jb with
         # 10 b = -0.5 and a^2 - a + b^2 = 0
@@ -79,33 +80,33 @@ class TestSolveMain:
     def test_boundary_bus_keeps_supplied_phasor_exactly(self):
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
         ph = Phasor(1.02, 0.05)
-        sol = solve_main(case, {"B2": ph})
+        sol = solve_main(PowerFlowProblem(case), {"B2": ph})
         assert sol.voltage("B2").magnitude == ph.magnitude
         assert sol.voltage("B2").angle == ph.angle
 
     def test_missing_boundary_voltage_rejected(self):
-        case = two_bus(bus2_kind=BusKind.BOUNDARY)
+        problem = PowerFlowProblem(two_bus(bus2_kind=BusKind.BOUNDARY))
         with pytest.raises(ValueError):
-            solve_main(case, {})
+            solve_main(problem, {})
 
     def test_non_finite_mismatch_raises_nonconvergence(self):
-        case = two_bus(load_p=float("nan"))
+        problem = PowerFlowProblem(two_bus(load_p=float("nan")))
         with pytest.raises(NonConvergence) as exc:
-            solve_main(case)
+            solve_main(problem)
         assert exc.value.max_iter == 0
         assert exc.value.final_mismatch == float("inf")
 
     def test_nonconvergence_reports_limits(self):
         # impossible load far beyond the line's transfer capability
-        case = two_bus(load_p=50.0)
+        problem = PowerFlowProblem(two_bus(load_p=50.0))
         with pytest.raises(NonConvergence) as exc:
-            solve_main(case)
+            solve_main(problem)
         assert exc.value.max_iter == 30
         assert exc.value.final_mismatch > 0
 
     def test_flat_start_determinism_is_bitwise(self, ninebus1):
-        a = solve_main(inlineable(ninebus1))
-        b = solve_main(inlineable(ninebus1))
+        a = solve_main(PowerFlowProblem(inlineable(ninebus1)))
+        b = solve_main(PowerFlowProblem(inlineable(ninebus1)))
         assert a.iterations == b.iterations
         assert np.array_equal(a.vm, b.vm) and np.array_equal(a.va, b.va)
 
@@ -125,16 +126,16 @@ def inlineable(case):
 class TestBoundaryInjections:
     def test_no_load_boundary_sees_zero(self):
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(case, {"B2": Phasor(1.0, 0.0)})
+        sol = solve_main(PowerFlowProblem(case), {"B2": Phasor(1.0, 0.0)})
         p, q = boundary_injections(sol, case)["B2"]
         assert abs(p) < 1e-12 and abs(q) < 1e-12
 
     def test_boundary_absorbing_half_pu(self):
         # hold the boundary at the voltage the loaded solution produces;
         # the lossless line then delivers exactly the oracle load
-        loaded = solve_main(two_bus(), tol=1e-12)
+        loaded = solve_main(PowerFlowProblem(two_bus()), tol=1e-12)
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(case, {"B2": loaded.voltage("B2")}, tol=1e-12)
+        sol = solve_main(PowerFlowProblem(case), {"B2": loaded.voltage("B2")}, tol=1e-12)
         p, _ = boundary_injections(sol, case)["B2"]
         assert p == pytest.approx(0.5, abs=1e-9)
 
@@ -156,7 +157,7 @@ class TestBoundaryInjections:
 
     def test_requires_converged_solution(self):
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(case, {"B2": Phasor(1.0, 0.0)})
+        sol = solve_main(PowerFlowProblem(case), {"B2": Phasor(1.0, 0.0)})
         sol.converged = False
         with pytest.raises(NotConverged):
             boundary_injections(sol, case)
@@ -186,7 +187,7 @@ class TestMonolithic:
         mono = solve_monolithic(ninebus1)
         volts = {g.boundary_bus: mono.voltage(g.boundary_bus)
                  for g in ninebus1.grbcs}
-        torn = solve_main(ninebus1, volts, tol=1e-12)
+        torn = solve_main(PowerFlowProblem(ninebus1), volts, tol=1e-12)
         for b in ninebus1.buses:
             assert torn.voltage(b.id).rect == pytest.approx(
                 mono.voltage(b.id).rect, abs=1e-9)
@@ -238,13 +239,14 @@ def random_meshed_case(rng):
 
 
 def assert_matches_reference(case, volts, tol=1e-10, max_iter=40):
+    problem = PowerFlowProblem(case)
     try:
         ref = reference_solve_main(case, volts, tol=tol, max_iter=max_iter)
     except (NonConvergence, SingularJacobian) as exc:
         with pytest.raises(type(exc)):
-            solve_main(case, volts, tol=tol, max_iter=max_iter)
+            solve_main(problem, volts, tol=tol, max_iter=max_iter)
         return None
-    sol = solve_main(case, volts, tol=tol, max_iter=max_iter)
+    sol = solve_main(problem, volts, tol=tol, max_iter=max_iter)
     assert sol.iterations == ref.iterations
     assert len(sol.mismatch_history) == len(ref.mismatch_history)
     assert np.max(np.abs(sol.vm - ref.vm)) <= 1e-10
@@ -288,7 +290,7 @@ def injections_at(case, bus_ids, x):
     """(p, q) of `boundary_injections` with the boundary held at x, and the solution."""
     n = len(bus_ids)
     volts = {b: Phasor(float(x[i]), float(x[n + i])) for i, b in enumerate(bus_ids)}
-    sol = solve_main(case, volts, tol=1e-12, max_iter=40)
+    sol = solve_main(PowerFlowProblem(case), volts, tol=1e-12, max_iter=40)
     inj = boundary_injections(sol, case)
     return np.array([inj[b][0] for b in bus_ids] + [inj[b][1] for b in bus_ids]), sol
 
@@ -300,7 +302,7 @@ def assert_sensitivity_matches_central_differences(case, bus_ids, x, h=1e-5):
     the 1e-12 solves O(1e-12 / h), both far below the 1e-6 bound.
     """
     _, sol = injections_at(case, bus_ids, x)
-    got = boundary_sensitivity(case, sol, bus_ids)
+    got = boundary_sensitivity(PowerFlowProblem(case), sol, bus_ids)
     cols = [(injections_at(case, bus_ids, x + h * e)[0]
              - injections_at(case, bus_ids, x - h * e)[0]) / (2 * h)
             for e in np.eye(x.size)]

@@ -30,7 +30,7 @@ from emtgis.netmodel import (
     inline_grbcs,
     load_case,
 )
-from emtgis.powerflow import solve_main
+from emtgis.powerflow import PowerFlowProblem, solve_main
 
 OMEGA = 2 * math.pi * 50.0
 
@@ -38,6 +38,7 @@ from conftest import (  # noqa: E402
     case_path,
     cycle_rms,
     injection_thevenin,
+    phasor_consistency_error,
     random_linear_net,
     splice_schedule,
     subset_state,
@@ -79,10 +80,11 @@ class TestPhasorDiagram:
 
 class TestPhasorInit:
     def test_requires_converged_solution(self, twobus):
-        pf = solve_main(twobus, {}, tol=1e-12)
+        pf = solve_main(PowerFlowProblem(twobus), {}, tol=1e-12)
+        net = sn.build_main_net(twobus, pf)
         pf.converged = False
         with pytest.raises(NotConverged):
-            sn.phasor_init(twobus, pf, dt=5e-5)
+            sn.phasor_init(twobus, pf, net, dt=5e-5)
 
     def test_unloaded_network_has_zero_current_histories(self):
         case = CaseFile(
@@ -92,8 +94,8 @@ class TestPhasorInit:
             [BranchRecord("B1", "B2", 0.0, 0.1)],
             [MachineRecord("B1", MachineKind.IDEAL_SOURCE)],
         )
-        pf = solve_main(case, {}, tol=1e-12)
-        snap = sn.phasor_init(case, pf, dt=5e-5)
+        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
+        snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), dt=5e-5)
         st = snap.emt_state
         assert np.max(np.abs(st.elem_i)) < 1e-12
         assert np.max(np.abs(st.hist_i)) < 1e-12
@@ -104,10 +106,9 @@ class TestPhasorInit:
     def test_history_currents_are_peak_scaled_phasors(self, twobus):
         # component with V = 1 angle 0 carrying S = P: history current is
         # sqrt(2) |I| cos(omega (t0 - dt)) per the port-current rule
-        pf = solve_main(twobus, {}, tol=1e-12)
-        snap = sn.phasor_init(twobus, pf, dt=5e-5)
-        st = snap.emt_state
+        pf = solve_main(PowerFlowProblem(twobus), {}, tol=1e-12)
         net = sn.build_main_net(twobus, pf)
+        st = sn.phasor_init(twobus, pf, net, dt=5e-5).emt_state
         _, elem_ph = ek.phasor_solve(net, {
             s.node: cmath.rect(s.rms, s.angle) for s in net.sources}, dt=5e-5)
         for k, e in enumerate(net.elements):
@@ -117,9 +118,9 @@ class TestPhasorInit:
 
     def test_machine_case_holds_steady_two_cycles(self):
         case = machine_case()
-        pf = solve_main(case, {}, tol=1e-12)
-        snap = sn.phasor_init(case, pf, dt=5e-5)
+        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
         net = sn.build_main_net(case, pf)
+        snap = sn.phasor_init(case, pf, net, dt=5e-5)
         waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.04,
                                             record=["B1", "B2", "B3"]),
                           init=snap.emt_state)
@@ -131,9 +132,9 @@ class TestPhasorInit:
 
     def test_machine_stays_at_equilibrium(self):
         case = machine_case()
-        pf = solve_main(case, {}, tol=1e-12)
-        snap = sn.phasor_init(case, pf, dt=5e-5)
+        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
         net = sn.build_main_net(case, pf)
+        snap = sn.phasor_init(case, pf, net, dt=5e-5)
         _, fin = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.5),
                         init=snap.emt_state)
         assert fin.machine_delta[0] == pytest.approx(
@@ -142,10 +143,10 @@ class TestPhasorInit:
 
     def test_snapshot_phasor_consistency_both_provenances(self, ninebus1_pipeline):
         for name, snap in ninebus1_pipeline.subsystem_snapshots.items():
-            assert snap.phasor_consistency_error() < 1e-6, name
+            assert phasor_consistency_error(snap) < 1e-6, name
         # the merged snapshot can only disagree by the splicing deviation
         dev = max(ninebus1_pipeline.report.splice_deviations.values())
-        merged = ninebus1_pipeline.snapshot.phasor_consistency_error()
+        merged = phasor_consistency_error(ninebus1_pipeline.snapshot)
         assert merged <= dev + 1e-6
 
 
@@ -175,7 +176,7 @@ class TestThevenin:
         pf = ninebus1_pipeline.model.main_pf
         from emtgis.powerflow import boundary_injections
 
-        th = sn.thevenin_extract(ninebus1, pf, "B10")
+        th = sn.thevenin_extract(ninebus1, pf, sn.build_main_net(ninebus1, pf), "B10")
         p, q = boundary_injections(pf, ninebus1)["B10"]
         v_b = pf.voltage("B10").rect
         i_b = sn.machine_port_current(complex(p, q), v_b)
@@ -187,7 +188,8 @@ class TestThevenin:
         phasor network reproduces the coordinated boundary state."""
         res = ninebus1_pipeline
         op = res.model.region_ops[0]
-        th = sn.thevenin_extract(ninebus1, res.model.main_pf, "B10")
+        pf = res.model.main_pf
+        th = sn.thevenin_extract(ninebus1, pf, sn.build_main_net(ninebus1, pf), "B10")
         region = sn.build_region_net(op, 50.0)
         net, probe = sn.attach_thevenin(region, "B10", th)
         known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
@@ -258,7 +260,7 @@ class TestRamp:
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
         cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], t_ramp=0.3)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
-        assert snap.phasor_consistency_error() < 1e-6
+        assert phasor_consistency_error(snap) < 1e-6
 
 
 class TestSpliceSchedule:
@@ -444,6 +446,20 @@ class TestPipeline:
         with pytest.raises(StageFailure) as exc:
             sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5))
         assert exc.value.stage == "validate"
+
+    def test_pipeline_builds_the_main_net_once(self, hybrid, monkeypatch):
+        # the phasor snapshot and each of the three regions' Thevenin
+        # extractions, for the ramp and for the advance, share one main net
+        calls = []
+        real_build = sn.build_main_net
+
+        def counted(case, pf):
+            calls.append(case.name)
+            return real_build(case, pf)
+
+        monkeypatch.setattr(sn, "build_main_net", counted)
+        sn.run_emtgis(hybrid, sn.PipelineConfig(dt=5e-5))
+        assert calls == [hybrid.name]
 
 
 class TestRegionNamespace:
