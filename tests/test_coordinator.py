@@ -68,6 +68,16 @@ class TestResidual:
         assert np.array_equal(a.main_solution.vm, b.main_solution.vm)
         assert np.array_equal(a.main_solution.va, b.main_solution.va)
 
+    def test_shared_admittance_matrix_gives_the_same_residual(self, ninebus3):
+        # a problem that already served a solve at other voltages gives the
+        # residual of a freshly built one
+        x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
+        shared = PowerFlowProblem(ninebus3)
+        residual(shared, ninebus3.grbcs, np.array([0.97, 1.02, 1.0, -0.05, 0.04, 0.0]))
+        a = residual(PowerFlowProblem(ninebus3), ninebus3.grbcs, x)
+        b = residual(shared, ninebus3.grbcs, x)
+        assert np.array_equal(a.phi, b.phi)
+
 
 class TestDirectionalDifference:
     def test_zero_direction_returns_zero(self):
