@@ -13,9 +13,10 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand), 2 coordination failed, 3 pipeline stage
-failure or any other emtgis error, 4 incompatible snapshot, 5 zero-state
-comparison run failed to settle.  A failure prints one `error:` line, and
-leaves its trace.csv (coordination) or report.json (stage) if it has one.
+failure or any other emtgis error, 4 incompatible or unreadable snapshot,
+5 zero-state comparison run failed to settle.  A failure prints one
+`error:` line, and leaves its trace.csv (coordination) or report.json
+(stage) if it has one.
 """
 
 from __future__ import annotations

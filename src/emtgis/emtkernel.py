@@ -141,17 +141,6 @@ def continuous_admittance(kind: ElementKind, value: float, omega: float) -> comp
     return 1j * omega * value
 
 
-def ramp_profile(t: float, t_ramp: float) -> float:
-    """Linear source ramp: 0 for t <= 0, t/t_ramp inside, 1 after."""
-    if t_ramp <= 0.0:
-        raise InvalidParameter("t_ramp must be positive")
-    if t <= 0.0:
-        return 0.0
-    if t >= t_ramp:
-        return 1.0
-    return t / t_ramp
-
-
 # --- network description ------------------------------------------------------
 
 
@@ -249,8 +238,9 @@ class SimEvent:
 @dataclass
 class SimConfig:
     """One kernel run.  Sources ramp linearly from zero over the first
-    t_ramp seconds; t_ramp=None means no ramp, sources at full scale from
-    the first step.  The last three fields set the steadiness detector of
+    t_ramp seconds of step * dt; t_ramp=None means no ramp, sources at full
+    scale from the first step.  The ramp belongs to the run, not to its
+    start state.  The last three fields set the steadiness detector of
     `run_until_steady`."""
 
     dt: float
@@ -285,14 +275,14 @@ class EmtState:
     v_nodes/elem_i are the instantaneous values at the stamped time;
     hist_u/hist_i are the per-element histories one step behind it, so the
     companion relation i = G u + H hist_u + J hist_i holds exactly at every
-    stamped state (element voltages u recompute from v_nodes).
+    stamped state (element voltages u recompute from v_nodes).  The run
+    that steps it sets the source ramp (`SimConfig.t_ramp`).
     """
 
     step: int
     dt: float
     node_ids: tuple[str, ...]
     element_ids: tuple[str, ...]
-    source_ids: tuple[str, ...]
     machine_ids: tuple[str, ...]
     v_nodes: np.ndarray        # (n_nodes, 3)
     elem_i: np.ndarray         # (n_elements, 3) element current at t
@@ -302,17 +292,10 @@ class EmtState:
     machine_speed_dev: np.ndarray
     machine_emf: np.ndarray
     machine_pm: np.ndarray
-    source_scale: np.ndarray
 
     def copy(self) -> "EmtState":
-        return EmtState(
-            self.step, self.dt, self.node_ids, self.element_ids,
-            self.source_ids, self.machine_ids,
-            self.v_nodes.copy(), self.elem_i.copy(), self.hist_u.copy(),
-            self.hist_i.copy(), self.machine_delta.copy(),
-            self.machine_speed_dev.copy(), self.machine_emf.copy(),
-            self.machine_pm.copy(), self.source_scale.copy(),
-        )
+        return replace(self, **{k: v.copy() for k, v in vars(self).items()
+                                if isinstance(v, np.ndarray)})
 
 
 # --- compiled network ------------------------------------------------------------
@@ -321,13 +304,12 @@ class EmtState:
 def zero_state(net: EmtNet, dt: float) -> EmtState:
     """De-energized state of a network at step 0; machines at their
     build-time angle, EMF and mechanical power."""
-    ne, nm, ns = len(net.elements), len(net.machines), len(net.sources)
+    ne, nm = len(net.elements), len(net.machines)
     return EmtState(
         step=0,
         dt=dt,
         node_ids=net.nodes,
         element_ids=tuple(e.eid for e in net.elements),
-        source_ids=tuple(s.sid for s in net.sources),
         machine_ids=tuple(m.mid for m in net.machines),
         v_nodes=np.zeros((len(net.nodes), 3)),
         elem_i=np.zeros((ne, 3)),
@@ -337,7 +319,6 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
         machine_speed_dev=np.zeros(nm),
         machine_emf=np.array([m.emf_rms for m in net.machines], dtype=float),
         machine_pm=np.array([m.pm for m in net.machines], dtype=float),
-        source_scale=np.zeros(ns),
     )
 
 
@@ -510,7 +491,6 @@ class CompiledNet:
         self.ramp_map: np.ndarray | None = None
         self.post_map: np.ndarray | None = None
         self.outputs: tuple[np.ndarray, np.ndarray] | None = None  # O ramp, after
-        self.t_ramp: float | None = None
         self.ramp_end = 0
         self._start: tuple[int, np.ndarray] | None = None
         self.swing_maps: _SwingMaps | None = None
@@ -564,9 +544,8 @@ class CompiledNet:
         z[:, :self.n_lc] = (self.hist @ x).T
         self.anchor(z, state.step)
         self._start = (state.step, x)
-        self.t_ramp = t_ramp
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
-        self._build_maps(state)
+        self._build_maps(state, t_ramp)
         if self.swinging.size:
             self.swing_maps = self._swing_maps(probe_rows, state.machine_emf[self.swinging])
             self.pe_guess = state.machine_pm[self.swinging].astype(float)
@@ -574,9 +553,9 @@ class CompiledNet:
                                     state.machine_emf, state.machine_pm]).astype(float)
         return z, np.zeros_like(z), machines
 
-    def _build_maps(self, state: EmtState) -> None:
-        """T and O during the ramp and after it (see the class docstring);
-        without a ramp, both pairs are the maps after it."""
+    def _build_maps(self, state: EmtState, t_ramp: float | None) -> None:
+        """T and O during a ramp over t_ramp seconds and after it (see the
+        class docstring); without a ramp, both pairs are the maps after it."""
         m, rot = self.n_lc, self.rotation
         # A machine at rotor angle d is a source of peak sqrt2*emf and angle
         # d: sqrt2 emf cos(wt + d) = sqrt2 emf (cos d r_c - sin d r_s).
@@ -592,11 +571,11 @@ class CompiledNet:
         post[:, m + 4:] = self.b_machines[:, self.swinging]
         self.outputs = (post, post)
         self.ramp_map = self.post_map = self._step_map(post).T
-        if self.t_ramp is not None:
+        if t_ramp is not None:
             ramp = np.zeros_like(post)
             ramp[:, :m] = self.w
             ramp[:, m:m + 2] = ramp[:, m + 2:m + 4] = (
-                (self.dt / self.t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
+                (self.dt / t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
             t = self._step_map(ramp)
             t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
             self.outputs = (ramp, post)
@@ -692,10 +671,6 @@ class CompiledNet:
         x[:, n + 3] = s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c
         np.multiply(x[:, n + 2:n + 4], step, out=x[:, n:n + 2])
 
-    def scale(self, step: int) -> float:
-        """The source scale at `step` of the loop `buffers` set up."""
-        return 1.0 if step >= self.ramp_end else ramp_profile(step * self.dt, self.t_ramp)
-
     def output(self, z: np.ndarray, step: int) -> np.ndarray:
         """[v; i] at `step` from the buffer one step behind it."""
         return self.outputs[step >= self.ramp_end].dot(z.T)
@@ -718,10 +693,9 @@ class CompiledNet:
         hist_i = prev[nn:].copy()
         delta, dw, emf, pm = machines.T.copy()
         state = EmtState(
-            step, self.dt, net.nodes, self.element_ids,
-            tuple(s.sid for s in net.sources), tuple(m.mid for m in net.machines),
+            step, self.dt, net.nodes, self.element_ids, tuple(m.mid for m in net.machines),
             x[:nn].copy(), np.empty_like(hist_i), self.incidence.dot(prev[:nn]), hist_i,
-            delta, dw, emf, pm, np.full(len(net.sources), self.scale(step)),
+            delta, dw, emf, pm,
         )
         state.elem_i = companion_replay(self, state)
         return state
@@ -818,8 +792,8 @@ class CompiledNet:
 
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
-    """The first step whose time reaches t_ramp, where `ramp_profile` gives
-    1.0; every earlier step is scaled below it."""
+    """The first step whose time reaches t_ramp, where the ramp's scale
+    n*dt/t_ramp reaches 1.0; every earlier step is scaled below it."""
     n = math.ceil(t_ramp / dt)
     while n * dt < t_ramp:
         n += 1
@@ -1138,7 +1112,8 @@ def phasor_solve(net: EmtNet, known_phasors: dict[str, complex],
         ymat[f, t] -= yv
         ymat[t, f] -= yv
 
-    known_idx = np.array(sorted(index[nid] for nid in known_phasors), dtype=int)
+    known = {index[nid] for nid in known_phasors}
+    known_idx = np.array(sorted(known), dtype=int)
     v = np.zeros(n + 1, dtype=complex)
     for nid, ph in known_phasors.items():
         v[index[nid]] = ph
@@ -1146,8 +1121,7 @@ def phasor_solve(net: EmtNet, known_phasors: dict[str, complex],
     for nid, cur in injections.items():
         inj[index[nid]] += cur
 
-    unknown = np.array([i for i in range(n) if i not in set(known_idx.tolist())],
-                       dtype=int)
+    unknown = np.array([i for i in range(n) if i not in known], dtype=int)
     if unknown.size:
         y_uu = ymat[np.ix_(unknown, unknown)]
         rhs = inj[unknown]

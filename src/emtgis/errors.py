@@ -123,7 +123,7 @@ class UnknownProbe(EmtgisError):
 
 
 class IncompatibleSnapshot(EmtgisError):
-    """Snapshot does not describe the same network/step size."""
+    """Snapshot does not fit the network or step size, or is no version-2 snapshot file."""
 
 
 class UnsupportedElement(EmtgisError):

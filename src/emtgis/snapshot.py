@@ -14,6 +14,7 @@ import cmath
 import json
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -68,10 +69,6 @@ class Snapshot:
     boundary_phasors: dict[str, tuple[Phasor, Phasor]]  # bus -> (V, I into region)
     provenance: str
     parts: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def timestamp(self) -> float:
-        return self.timestamp_steps * self.dt
 
 
 # --- network construction from the grid model ---------------------------------
@@ -341,7 +338,8 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
 
 def _state_from_phasors(net: EmtNet, node_ph: dict[str, complex],
                         elem_ph: dict[str, complex], dt: float) -> EmtState:
-    """The state at step 0 (t = 0) of the given phasors, histories at -dt."""
+    """The state at step 0 (t = 0) of the given phasors, histories at -dt;
+    machines keep `zero_state`'s rotors and take the phasors' power."""
     state = ek.zero_state(net, dt)
     omega = net.omega
 
@@ -361,11 +359,7 @@ def _state_from_phasors(net: EmtNet, node_ph: dict[str, complex],
     for j, m in enumerate(net.machines):
         emf_ph = cmath.rect(m.emf_rms, m.delta0)
         i_ph = elem_ph[m.branch_eid]
-        state.machine_delta[j] = m.delta0
-        state.machine_emf[j] = m.emf_rms
         state.machine_pm[j] = (emf_ph * i_ph.conjugate()).real
-        state.machine_speed_dev[j] = 0.0
-    state.source_scale[:] = 1.0
     return state
 
 
@@ -561,7 +555,6 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
 
     merged = ek.zero_state(full_net, dt)
     merged.step = schedule.t_ref_steps
-    merged.source_scale[:] = 1.0
 
     elem_owner: dict[str, tuple[str, int]] = {}
     node_owner: dict[str, list[tuple[str, int]]] = {}
@@ -817,123 +810,63 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
 
 # --- snapshot file round trip ------------------------------------------------------
 
+# The `EmtState` fields under a snapshot file's "state": three id lists, then
+# v_nodes (phases a, b, c per node), elem_i, hist_u and hist_i (per element)
+# and one value per machine.  Its step and dt are "timestamp_steps" and "dt".
+STATE_FIELDS = ("node_ids", "element_ids", "machine_ids", "v_nodes", "elem_i",
+                "hist_u", "hist_i", "machine_delta", "machine_speed_dev",
+                "machine_emf", "machine_pm")
+
 
 def save_snapshot(snap: Snapshot, path: str | Path) -> None:
+    """Write a snapshot file (version 2): one JSON object of "version",
+    "subsystem", "timestamp_steps", "dt", "frequency_hz", "provenance",
+    "parts", "state" (each of STATE_FIELDS as nested lists) and
+    "boundary_phasors" (bus: [|V|, angle V, |I|, angle I]).  json writes
+    every float in its shortest exact form, -0.0 and NaN included."""
     st = snap.emt_state
-    doc = {
-        "version": 1,
-        "subsystem": snap.subsystem,
-        "timestamp_steps": snap.timestamp_steps,
-        "dt": st.dt,
-        "frequency_hz": snap.frequency_hz,
-        "provenance": snap.provenance,
-        "parts": snap.parts,
-        "node_voltages": [
-            {"node": nid, "phases": list(st.v_nodes[i])}
-            for i, nid in enumerate(st.node_ids)
-        ],
-        "branch_currents": [
-            {"element": eid, "phases": list(st.elem_i[i])}
-            for i, eid in enumerate(st.element_ids)
-        ],
-        "histories": [
-            {"element": eid, "u_prev": list(st.hist_u[i]), "i_prev": list(st.hist_i[i])}
-            for i, eid in enumerate(st.element_ids)
-        ],
-        "machine_states": [
-            {
-                "machine": mid,
-                "delta": st.machine_delta[i],
-                "speed_dev": st.machine_speed_dev[i],
-                "emf": st.machine_emf[i],
-                "pm": st.machine_pm[i],
-            }
-            for i, mid in enumerate(st.machine_ids)
-        ],
-        "source_states": [
-            {"source": sid, "scale": st.source_scale[i]}
-            for i, sid in enumerate(st.source_ids)
-        ],
-        "boundary_phasors": {
-            bus: {
-                "v_mag": v.magnitude, "v_angle": v.angle,
-                "i_mag": i.magnitude, "i_angle": i.angle,
-            }
-            for bus, (v, i) in snap.boundary_phasors.items()
-        },
-    }
-    Path(path).write_text(dumps_17g(doc) + "\n")
+    doc = {"version": 2, "subsystem": snap.subsystem,
+           "timestamp_steps": int(snap.timestamp_steps), "dt": st.dt,
+           "frequency_hz": snap.frequency_hz, "provenance": snap.provenance,
+           "parts": snap.parts,
+           "state": {f: np.asarray(getattr(st, f)).tolist() for f in STATE_FIELDS},
+           "boundary_phasors": {bus: [v.magnitude, v.angle, i.magnitude, i.angle]
+                                for bus, (v, i) in snap.boundary_phasors.items()}}
+    Path(path).write_text(json.dumps(doc) + "\n")
 
 
 def load_snapshot(path: str | Path) -> Snapshot:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("version") != 1:
-        raise IncompatibleSnapshot(f"unsupported snapshot version {doc.get('version')}")
-    nodes = [d["node"] for d in doc["node_voltages"]]
-    elems = [d["element"] for d in doc["branch_currents"]]
-    machines = [d["machine"] for d in doc["machine_states"]]
-    sources = [d["source"] for d in doc["source_states"]]
-    nm = len(machines)
-    state = EmtState(
-        step=int(doc["timestamp_steps"]),
-        dt=float(doc["dt"]),
-        node_ids=tuple(nodes),
-        element_ids=tuple(elems),
-        source_ids=tuple(sources),
-        machine_ids=tuple(machines),
-        v_nodes=np.array([d["phases"] for d in doc["node_voltages"]], dtype=float
-                         ).reshape(len(nodes), 3),
-        elem_i=np.array([d["phases"] for d in doc["branch_currents"]], dtype=float
-                        ).reshape(len(elems), 3),
-        hist_u=np.array([d["u_prev"] for d in doc["histories"]], dtype=float
-                        ).reshape(len(elems), 3),
-        hist_i=np.array([d["i_prev"] for d in doc["histories"]], dtype=float
-                        ).reshape(len(elems), 3),
-        machine_delta=np.array([d["delta"] for d in doc["machine_states"]], dtype=float),
-        machine_speed_dev=np.array([d["speed_dev"] for d in doc["machine_states"]],
-                                   dtype=float),
-        machine_emf=np.array([d["emf"] for d in doc["machine_states"]], dtype=float),
-        machine_pm=np.array([d["pm"] for d in doc["machine_states"]], dtype=float),
-        source_scale=np.array([d["scale"] for d in doc["source_states"]], dtype=float),
-    )
-    boundary = {
-        bus: (Phasor(d["v_mag"], d["v_angle"]), Phasor(d["i_mag"], d["i_angle"]))
-        for bus, d in doc["boundary_phasors"].items()
-    }
-    return Snapshot(doc["subsystem"], int(doc["timestamp_steps"]), float(doc["dt"]),
-                    float(doc["frequency_hz"]), state, boundary,
-                    doc["provenance"], dict(doc.get("parts", {})))
+    """Read a file `save_snapshot` wrote.  A missing file raises
+    FileNotFoundError; any other that is not a version-2 snapshot (not a
+    JSON object, a key missing, a value of the wrong type, an array whose
+    shape disagrees with its ids) raises IncompatibleSnapshot."""
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        if doc.get("version") != 2:
+            raise IncompatibleSnapshot(f"{path}: snapshot version {doc.get('version')!r}, not 2")
+        state, parts = doc["state"], dict(doc["parts"])
+        ids = [tuple(state[f]) for f in STATE_FIELDS[:3]]
+        strings = [doc["subsystem"], doc["provenance"], *parts.values(), *sum(ids, ())]
+        if not all(isinstance(s, str) for s in strings):
+            raise TypeError("an id, part, subsystem or provenance is not a string")
+        n, e, m = map(len, ids)
+        shapes = [(n, 3), (e, 3), (e, 3), (e, 3), (m,), (m,), (m,), (m,)]
+        fields = dict(zip(STATE_FIELDS, ids))
+        fields.update((f, _floats(f, state[f], shape))
+                      for f, shape in zip(STATE_FIELDS[3:], shapes))
+        step = operator.index(doc["timestamp_steps"])
+        dt, frequency_hz = (float(_floats(k, doc[k], ())) for k in ("dt", "frequency_hz"))
+        boundary = {bus: tuple(Phasor(*vi) for vi in _floats(bus, ph, (4,)).reshape(2, 2).tolist())
+                    for bus, ph in doc["boundary_phasors"].items()}
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise IncompatibleSnapshot(f"{path} is not a version-2 snapshot: {exc!r}") from exc
+    return Snapshot(doc["subsystem"], step, dt, frequency_hz,
+                    EmtState(step=step, dt=dt, **fields), boundary, doc["provenance"], parts)
 
 
-def dumps_17g(obj) -> str:
-    """JSON text with every float at 17 significant digits (round-trip exact)."""
-    parts: list[str] = []
-    _write_json(obj, parts)
-    return "".join(parts)
-
-
-def _write_json(obj, out: list[str]) -> None:
-    if isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(k)))
-            out.append(":")
-            _write_json(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(",")
-            _write_json(v, out)
-        out.append("]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(f"{float(obj):.17g}")
-    else:
-        out.append(json.dumps(obj))
+def _floats(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """A snapshot file's numbers as a float array of the given shape."""
+    out = np.array(value)
+    if out.dtype.kind not in "fi" or out.shape != shape:
+        raise TypeError(f"{name} is not numbers of shape {shape}")
+    return out.astype(float)

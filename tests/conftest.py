@@ -182,7 +182,7 @@ def subset_state(state, node_ids, element_ids, machine_ids=()):
     return ek.EmtState(
         step=state.step, dt=state.dt,
         node_ids=tuple(node_ids), element_ids=tuple(element_ids),
-        source_ids=(), machine_ids=tuple(machine_ids),
+        machine_ids=tuple(machine_ids),
         v_nodes=state.v_nodes[n_idx].copy(),
         elem_i=state.elem_i[e_idx].copy(),
         hist_u=state.hist_u[e_idx].copy(),
@@ -191,7 +191,6 @@ def subset_state(state, node_ids, element_ids, machine_ids=()):
         machine_speed_dev=state.machine_speed_dev[m_idx].copy(),
         machine_emf=state.machine_emf[m_idx].copy(),
         machine_pm=state.machine_pm[m_idx].copy(),
-        source_scale=np.zeros(0),
     )
 
 
@@ -218,7 +217,7 @@ def phasor_consistency_error(snap: sn.Snapshot) -> float:
     """Max |v(t) - Re(sqrt2 V e^{jwt})| over a snapshot's boundary buses
     and phases."""
     omega = 2.0 * math.pi * snap.frequency_hz
-    t = snap.timestamp
+    t = snap.timestamp_steps * snap.dt
     worst = 0.0
     for bus, (vph, _) in snap.boundary_phasors.items():
         node = snap.emt_state.node_ids.index(bus)

@@ -18,6 +18,18 @@ import math
 import numpy as np
 
 import emtgis.emtkernel as ek
+from emtgis.errors import InvalidParameter
+
+
+def ramp_profile(t: float, t_ramp: float) -> float:
+    """Linear source ramp: 0 for t <= 0, t/t_ramp inside, 1 after."""
+    if t_ramp <= 0.0:
+        raise InvalidParameter("t_ramp must be positive")
+    if t <= 0.0:
+        return 0.0
+    if t >= t_ramp:
+        return 1.0
+    return t / t_ramp
 
 
 class ReferenceNet:
@@ -74,7 +86,7 @@ class ReferenceNet:
     def step(self, state: ek.EmtState, ramp: bool, t_ramp: float) -> ek.EmtState:
         dt = self.dt
         t_new = (state.step + 1) * dt
-        scale = ek.ramp_profile(t_new, t_ramp) if ramp else 1.0
+        scale = ramp_profile(t_new, t_ramp) if ramp else 1.0
 
         v_pad = np.vstack([state.v_nodes, np.zeros((1, 3))])
         u_now = v_pad[self.ef] - v_pad[self.et]
@@ -99,7 +111,6 @@ class ReferenceNet:
         out.elem_i = i_new
         out.hist_u = u_now
         out.hist_i = state.elem_i.copy()
-        out.source_scale = np.full_like(state.source_scale, scale)
 
         if len(self.machine_branch):
             e_v = v_full[self.known_idx[self.machine_emf_pos]]

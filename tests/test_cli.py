@@ -168,6 +168,32 @@ class TestSimulate:
         assert out.returncode == 4
         assert_one_line_error(out)
 
+    @pytest.mark.parametrize("malform", [
+        lambda doc: "{not json",
+        lambda doc: "[1, 2]",
+        lambda doc: {"version": 1, "subsystem": "x"},
+        lambda doc: {**doc, "version": 1},
+        lambda doc: {k: v for k, v in doc.items() if k != "parts"},
+        lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items() if k != "hist_u"}},
+        lambda doc: {**doc, "dt": "5e-05"},
+        lambda doc: {**doc, "timestamp_steps": 1.5},
+        lambda doc: {**doc, "state": {**doc["state"], "node_ids": 5}},
+        lambda doc: {**doc, "state": {**doc["state"], "v_nodes": doc["state"]["v_nodes"][1:]}},
+        lambda doc: {**doc, "state": {**doc["state"], "elem_i": [[0.0, 0.0]]}},
+        lambda doc: {**doc, "state": {**doc["state"], "machine_pm": [1.0]}},
+        lambda doc: {**doc, "boundary_phasors": {"B10": [1.0, 0.0]}},
+    ], ids=["not-json", "not-an-object", "version-1-stub", "version-1", "missing-key",
+            "missing-field", "string-dt", "fractional-step", "ids-not-a-list",
+            "rows-short-of-ids", "ragged-phases", "machine-without-id", "phasor-short"])
+    def test_malformed_snapshot_maps_to_exit_4(self, initialized, tmp_path, malform):
+        bad = malform(read_json(initialized / "snapshot.json"))
+        path = tmp_path / "bad.json"
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        out = run_cli("simulate", case_path("twobus"), "--snapshot", path,
+                      "--duration", "0.01", "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 4
+        assert_one_line_error(out)
+
     def test_requires_exactly_one_start_mode(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--out", tmp_path)
         assert out.returncode == 1

@@ -1,5 +1,6 @@
 import cmath
 import copy
+import dataclasses
 import json
 import math
 from dataclasses import replace
@@ -534,24 +535,47 @@ class TestPinnedStepCounts:
         assert zero / gis == 6.944444444444445
 
 
+def bits(value):
+    """A field's value in a form that compares bit for bit: arrays and
+    floats by their bytes (so -0.0 differs from 0.0), phasors by theirs."""
+    if isinstance(value, tuple) and value and isinstance(value[0], Phasor):
+        return [bits(np.array([p.magnitude, p.angle])) for p in value]
+    if isinstance(value, (np.ndarray, float)):
+        value = np.asarray(value)
+        return value.dtype, value.shape, value.tobytes()
+    return type(value), value
+
+
 class TestSnapshotFile:
-    def test_round_trip_is_exact(self, ninebus1_pipeline, tmp_path):
-        snap = ninebus1_pipeline.snapshot
-        path = tmp_path / "snap.json"
-        sn.save_snapshot(snap, path)
-        back = sn.load_snapshot(path)
-        a, b = snap.emt_state, back.emt_state
-        assert back.subsystem == snap.subsystem
-        assert back.timestamp_steps == snap.timestamp_steps
-        assert back.provenance == snap.provenance
-        assert a.node_ids == b.node_ids and a.element_ids == b.element_ids
-        for field in ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
-                      "machine_pm", "source_scale"):
-            assert np.array_equal(getattr(a, field), getattr(b, field)), field
-        for bus, (v, i) in snap.boundary_phasors.items():
-            bv, bi = back.boundary_phasors[bus]
-            assert (bv.magnitude, bv.angle) == (v.magnitude, v.angle)
-            assert (bi.magnitude, bi.angle) == (i.magnitude, i.angle)
+    def test_round_trip_is_exact(self, ninebus1_pipeline, hybrid_comparison, tmp_path):
+        """Every Snapshot and EmtState field reads back bit for bit, and a
+        second save writes the same bytes: on the spliced ninebus1 and
+        hybrid states, and on the hybrid's settled zero-state run, whose
+        swinging machine has moved off its initial angle and speed."""
+        hybrid = hybrid_comparison["result"].snapshot
+        settled = hybrid_comparison["zero_state"]
+        assert np.all(settled.machine_speed_dev != 0.0) and settled.machine_ids
+        for name, snap in (("ninebus1", ninebus1_pipeline.snapshot), ("hybrid", hybrid),
+                           ("settled", replace(hybrid, timestamp_steps=settled.step,
+                                               emt_state=settled))):
+            state = snap.emt_state.copy()
+            state.v_nodes[0, 0] = -0.0
+            snap = replace(snap, emt_state=state)
+            path, again = tmp_path / f"{name}.json", tmp_path / f"{name}-again.json"
+            sn.save_snapshot(snap, path)
+            back = sn.load_snapshot(path)
+            for field in dataclasses.fields(sn.Snapshot):
+                if field.name not in ("emt_state", "boundary_phasors"):
+                    assert bits(getattr(back, field.name)) == bits(getattr(snap, field.name))
+            for field in dataclasses.fields(ek.EmtState):
+                got, want = getattr(back.emt_state, field.name), getattr(state, field.name)
+                assert bits(got) == bits(want), (name, field.name)
+            assert list(back.boundary_phasors) == list(snap.boundary_phasors)
+            for bus, phasors in snap.boundary_phasors.items():
+                assert bits(back.boundary_phasors[bus]) == bits(phasors), (name, bus)
+            assert np.signbit(back.emt_state.v_nodes[0, 0])
+            sn.save_snapshot(back, again)
+            assert again.read_bytes() == path.read_bytes(), name
 
     def test_loaded_snapshot_resumes_simulation(self, ninebus1_pipeline, tmp_path):
         path = tmp_path / "snap.json"
