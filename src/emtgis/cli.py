@@ -7,16 +7,19 @@ Each subcommand takes a case file, --out, --quiet and only the flags it reads:
             --fault --probes (--t-ramp only with --zero-state)
   init      the coordinator's, --dt --t-ramp --ramp-budget
   compare   init's, --probes --window --settle-cap --fault --self-check
-Every invocation writes a manifest of these flags next to its outputs;
+Every invocation writes a manifest of the flags it read next to its
+outputs (a case without regions runs no coordination, so its manifest
+leaves out the coordinator's);
 re-running a command from the same inputs reproduces every artifact
 byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
-malformed value, no subcommand), 2 coordination failed, 3 pipeline stage
-failure or any other emtgis error, 4 incompatible or unreadable snapshot,
-5 zero-state comparison run failed to settle.  A failure prints one
-`error:` line, and leaves its trace.csv (coordination) or report.json
-(stage) if it has one.
+malformed value, no subcommand; a path that cannot be opened; a compare
+window that starts before its initialized snapshot), 2 coordination
+failed, 3 pipeline stage failure or any other emtgis error, 4 incompatible
+or unreadable snapshot, 5 zero-state comparison run failed to settle.  A
+failure prints one `error:` line, and leaves its trace.csv (coordination)
+or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PIPELINE = 3
 EXIT_SNAPSHOT = 4
 EXIT_NO_SETTLE = 5
+
+# The flags of the coordinator, which only a case with regions runs.
+COORDINATOR_FLAGS = ("tol_eps1", "tol_eps2", "gmres_m", "omega", "max_outer")
 
 # Exit code of an error reaching `main`; the first matching type wins.
 EXIT_CODES = (
@@ -134,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="initialized vs zero-state-ramped comparison")
     cmp_.add_argument("--probes", help="comma-separated bus ids (default: all buses)")
     cmp_.add_argument("--window", type=seconds, default=0.1,
-                      help="deviation averaging window [s]")
+                      help="length of the window [w0, w1] the deviations average "
+                           "over, the only steps recorded [s]")
     cmp_.add_argument("--settle-cap", type=seconds, default=12.0,
                       help="budget for the zero-state scheme to settle [s]")
     cmp_.add_argument("--fault", help="apply BUS@TIME[@R] to both runs")
@@ -163,6 +170,9 @@ def main(argv=None) -> int:
         is_case = exc.filename is not None and Path(exc.filename) == Path(args.case)
         what = "case file" if is_case else "file"
         print(f"error: {what} not found: {exc.filename}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:
+        print(f"error: cannot open {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -193,6 +203,7 @@ def _load(args):
     violation, which `main` prints as one `error:` line (exit 1)."""
     case = load_case(args.case)
     validate_case(case).raise_if_invalid()
+    args.coordinated = bool(case.grbcs)  # read by `_write_manifest`
     return case
 
 
@@ -213,10 +224,11 @@ def _pipeline_config(args) -> sn.PipelineConfig:
 
 
 def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
-    flags = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in ("command", "case") and v is not None
-    }
+    unread = {"command", "case", "coordinated"}
+    if not getattr(args, "coordinated", True):
+        unread.update(COORDINATOR_FLAGS)
+    flags = {k: v for k, v in sorted(vars(args).items())
+             if k not in unread and v is not None}
     doc = {
         "tool": "emtgis",
         "version": __version__,
@@ -339,6 +351,20 @@ def average_relative_deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def cmd_compare(args) -> int:
+    """The initialized run against the zero-state run over one window.
+
+    Both runs step the system model's full net: the initialized one from
+    the `init` snapshot, the zero-state one from the state where its ramp
+    settled (`sn.settle_from_zero`).  The window [w0, w1] is --window
+    long.  Without a fault, w0 is the second cycle start after the
+    zero-state run settles; a --fault moves w0 to its own step, which must
+    not come before that.  Each run steps from its start state to w0
+    recording nothing, then from w0 to w1 with the probes and the fault:
+    only [w0, w1] is recorded, so a run's memory grows with the window,
+    not with its steps to steady.  An initialized snapshot past w0 leaves
+    no window to compare, an input error (exit 1).  The deviations are
+    `average_relative_deviation` per probe key over the window.
+    """
     case = _load(args)
     fault = _parse_fault(args.fault) if args.fault else None
     outdir = _outdir(args)
@@ -361,30 +387,26 @@ def cmd_compare(args) -> int:
             return EXIT_INPUT
         w0_step = fault_step
     w1_step = w0_step + int(round(args.window / args.dt))
+    gis_state = gis.snapshot.emt_state
+    if not args.self_check and gis_state.step > w0_step:
+        print(f"error: the window starts at step {w0_step}, before the initialized "
+              f"snapshot at step {gis_state.step}", file=sys.stderr)
+        return EXIT_INPUT
 
     events = [fault] if fault else []
-    sim_zero = ek.SimConfig(dt=args.dt, duration=(w1_step - zero_state.step) * args.dt,
-                            record=probes, events=events)
-    waves_zero, _ = ek.run(full_net, sim_zero, init=zero_state)
-    if args.self_check:
-        waves_gis = waves_zero
-        gis_start = zero_state.step
-    else:
-        sim_gis = ek.SimConfig(
-            dt=args.dt,
-            duration=(w1_step - gis.snapshot.timestamp_steps) * args.dt,
-            record=probes, events=events)
-        waves_gis, _ = ek.run(full_net, sim_gis, init=gis.snapshot.emt_state)
-        gis_start = gis.snapshot.timestamp_steps
 
-    deviations = {}
-    for key in waves_zero.data:
-        z0 = w0_step - zero_state.step
-        z1 = w1_step - zero_state.step
-        g0 = w0_step - gis_start
-        g1 = w1_step - gis_start
-        deviations[key] = average_relative_deviation(
-            waves_gis.data[key][g0:g1 + 1], waves_zero.data[key][z0:z1 + 1])
+    def window(start: ek.EmtState) -> dict[str, np.ndarray]:
+        lead_in = ek.SimConfig(dt=args.dt, duration=(w0_step - start.step) * args.dt,
+                               record=[])
+        _, at_w0 = ek.run(full_net, lead_in, init=start)
+        sim = ek.SimConfig(dt=args.dt, duration=(w1_step - w0_step) * args.dt,
+                           record=probes, events=events)
+        return ek.run(full_net, sim, init=at_w0)[0].data
+
+    waves_zero = window(zero_state)
+    waves_gis = waves_zero if args.self_check else window(gis_state)
+    deviations = {key: average_relative_deviation(waves_gis[key], waves_zero[key])
+                  for key in waves_zero}
 
     gis_steps = max(gis.report.gis_cost_steps, 1)
     doc = {

@@ -599,23 +599,24 @@ class CompiledNet:
         for k in range(n):
             np.dot(t[:w, :w], powers[k], out=powers[k + 1])
         impulse = powers[:n] @ t[:w, w:]
-        rows = np.concatenate([self.branch_rows, probe_rows]).astype(int)
-        o = self.outputs[1][rows]
-        # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on w_0,
-        # and the Markov parameter d = k + 1 - j on e_j.
-        from_w = o[:, :w] @ powers[:n]
-        markov = np.empty((n, len(rows), nsw))
-        markov[0] = o[:, w:]
-        markov[1:] = o[:, :w] @ impulse[:-1]
 
-        def chunk_map(part: slice, steps: int) -> np.ndarray:
-            """(steps, rows, w + steps*nsw): the outputs from [w_0; e]."""
-            r = len(rows[part])
+        def chunk_map(rows: np.ndarray | list | tuple, steps: int) -> np.ndarray:
+            """(steps, rows, w + steps*nsw): the outputs at `rows` of [v; i]
+            from [w_0; e].  Each row set has its own products, so the
+            machines' currents, and with them the trajectory, round the
+            same whatever the probes."""
+            rows = np.asarray(rows, dtype=int)
+            o = self.outputs[1][rows]
+            # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
+            # w_0, and the Markov parameter d = k + 1 - j on e_j.
+            markov = np.empty((steps, len(rows), nsw))
+            markov[0] = o[:, w:]
+            markov[1:] = o[:, :w] @ impulse[:steps - 1]
             lower = np.tril_indices(steps)
-            g = np.zeros((steps, r, w + steps * nsw))
-            g[:, :, :w] = from_w[:steps, part]
-            from_e = g[:, :, w:].reshape(steps, r, steps, nsw)  # a view
-            from_e[lower[0], :, lower[1]] = markov[:steps, part][lower[0] - lower[1]]
+            g = np.zeros((steps, len(rows), w + steps * nsw))
+            g[:, :, :w] = o[:, :w] @ powers[:steps]
+            from_e = g[:, :, w:].reshape(steps, len(rows), steps, nsw)  # a view
+            from_e[lower[0], :, lower[1]] = markov[lower[0] - lower[1]]
             return g
 
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
@@ -638,8 +639,8 @@ class CompiledNet:
             [angle_gain * np.cumsum(decay[:, 1:], axis=1).T, decay[:, 1:].T])
         from_start[:, :, own, 3, own] = np.stack([to_angle.sum(axis=2).T,
                                                   to_speed.sum(axis=2).T])
-        currents = chunk_map(slice(None, nsw), n).reshape(n * nsw, -1)
-        probes = chunk_map(slice(nsw, None), PROBE_BLOCK).transpose(2, 0, 1).copy()
+        currents = chunk_map(self.branch_rows, n).reshape(n * nsw, -1)
+        probes = chunk_map(probe_rows, PROBE_BLOCK).transpose(2, 0, 1).copy()
         return _SwingMaps(currents[:, :w].copy(), currents[:, w:].copy(),
                           probes.reshape(w + PROBE_BLOCK * nsw, -1), len(probe_rows),
                           from_start.reshape(2 * n * nsw, 4 * nsw),

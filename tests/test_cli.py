@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emtgis.emtkernel as ek
+from emtgis import snapshot as sn
+
 from conftest import case_path, cli_env, overloaded_hybrid_doc, phasor_consistency_error
+from reference_compare import reference_deviations, reference_window
 
 
 def run_cli(*args, cwd=None) -> subprocess.CompletedProcess:
@@ -48,6 +53,12 @@ class TestValidate:
         out = run_cli("validate", bad, "--out", tmp_path / "v")
         assert out.returncode == 1
         assert "DuplicateId" in out.stderr
+
+    def test_directory_as_case_is_one_line(self, tmp_path):
+        out = run_cli("validate", tmp_path, "--out", tmp_path / "v", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert out.stderr.strip() == f"error: cannot open {tmp_path}: Is a directory"
 
 
 class TestIpf:
@@ -143,6 +154,13 @@ class TestSimulate:
         assert_one_line_error(out)
         assert out.stderr.strip() == f"error: file not found: {missing}"
 
+    def test_directory_as_snapshot_is_one_line(self, tmp_path):
+        out = run_cli("simulate", case_path("twobus"), "--snapshot", tmp_path,
+                      "--out", tmp_path / "out", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert out.stderr.strip() == f"error: cannot open {tmp_path}: Is a directory"
+
     def test_zero_state_run(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--zero-state",
                       "--duration", "0.1", "--out", tmp_path, "--quiet")
@@ -234,6 +252,77 @@ class TestCompare:
                       "--out", tmp_path, "--quiet")
         assert out.returncode == 5
         assert_one_line_error(out)
+
+
+class TestCompareWindow:
+    """Each run of `compare` steps to w0 recording nothing, then records
+    the window [w0, w1] with the fault.  The record-every-step-then-slice
+    comparison of `reference_compare` is its oracle."""
+
+    @staticmethod
+    def compare(tmp_path, *flags):
+        from emtgis.cli import main
+
+        code = main(["compare", case_path("hybrid"), *flags, "--out", str(tmp_path),
+                     "--quiet"])
+        return code, tmp_path / "compare.json"
+
+    @pytest.mark.parametrize("fault", [None, "B7@5.5"], ids=["no-fault", "fault"])
+    def test_matches_the_record_all_reference(self, hybrid_comparison, tmp_path, fault):
+        from emtgis.cli import _parse_fault
+
+        c = hybrid_comparison
+        code, path = self.compare(tmp_path, *(("--fault", fault) if fault else ()))
+        assert code == 0
+        doc = read_json(path)
+        # the reference starts from the same two states
+        assert doc["steps_to_steady"]["gis"] == c["result"].report.gis_cost_steps
+        assert doc["steps_to_steady"]["zero_state"] == c["zero_fired"]
+        events = [_parse_fault(fault)] if fault else []
+        w0, w1 = reference_window(c["zero_state"].step, c["dt"], c["case"].period, 0.1,
+                                  *events)
+        assert doc["window_steps"] == [w0, w1]
+        expected = reference_deviations(c["result"].model.full_net,
+                                        c["result"].snapshot.emt_state, c["zero_state"],
+                                        c["probes"], c["dt"], w0, w1, events)
+        assert doc["deviations"].keys() == expected.keys()
+        assert max(expected.values()) > 1e-5
+        # A deviation is a mean |a - b| over a mean |b|, already relative to
+        # the waveforms' size.  Splitting a run at w0 rebuilds its step
+        # buffer from the state there, which moves the window's samples by
+        # rounding (about 3e-14 of their peak here), and a deviation by
+        # about as much.  A window slipped by one step moves some deviation
+        # by 6e-8 or more.
+        for key, value in expected.items():
+            assert abs(doc["deviations"][key] - value) <= 1e-12, key
+
+    def test_only_the_window_is_recorded(self, tmp_path, monkeypatch):
+        configs = []
+        run = ek.run
+
+        def recorded(net, cfg, init=None):
+            configs.append(cfg)
+            return run(net, cfg, init)
+
+        monkeypatch.setattr(ek, "run", recorded)
+        code, path = self.compare(tmp_path, "--fault", "B7@5.5")
+        assert code == 0
+        w0, w1 = read_json(path)["window_steps"]
+        recording = [cfg for cfg in configs if cfg.record]
+        assert len(recording) == 2
+        assert all(round(cfg.duration / cfg.dt) <= w1 - w0 for cfg in recording)
+
+    def test_snapshot_past_the_window_is_an_input_error(self, hybrid_comparison, tmp_path,
+                                                        monkeypatch, capsys):
+        result = hybrid_comparison["result"]
+        late = replace(result.snapshot.emt_state, step=10**7)
+        monkeypatch.setattr(sn, "run_emtgis", lambda case, cfg: replace(
+            result, snapshot=replace(result.snapshot, emt_state=late)))
+        code, path = self.compare(tmp_path)
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: the window starts at step")
+        assert not path.exists()
 
 
 class TestFailureExits:
@@ -370,20 +459,25 @@ PIPELINE_FLAGS = COORDINATOR_FLAGS | {"dt", "t_ramp", "ramp_budget"}
 
 class TestManifestFlags:
     """A manifest records exactly the flags its subcommand reads: every
-    optional flag is given, so none is left out for being unset."""
+    optional flag is given, so none is left out for being unset.  A case
+    without regions (twobus) runs no coordination and reads none of the
+    coordinator's flags; one with a region (ninebus1) reads them all."""
 
-    @pytest.mark.parametrize("command, reads", [
-        (("validate",), set()),
-        (("ipf",), COORDINATOR_FLAGS),
-        (("init",), PIPELINE_FLAGS),
-        (("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
-          "--probes", "B2"),
-         COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
-        (("compare", "--self-check", "--fault", "B2@1.0", "--probes", "B2"),
-         PIPELINE_FLAGS | {"window", "settle_cap", "fault", "probes", "self_check"}),
-    ], ids=["validate", "ipf", "init", "simulate", "compare"])
-    def test_flags_are_the_ones_read(self, tmp_path, command, reads):
-        out = run_cli(command[0], case_path("twobus"), *command[1:], "--out", tmp_path,
+    @pytest.mark.parametrize("case, command, reads", [
+        ("twobus", ("validate",), set()),
+        ("twobus", ("ipf",), set()),
+        ("twobus", ("init",), PIPELINE_FLAGS - COORDINATOR_FLAGS),
+        ("twobus", ("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
+                    "--probes", "B2"),
+         {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
+        ("twobus", ("compare", "--self-check", "--fault", "B2@1.0", "--probes", "B2"),
+         PIPELINE_FLAGS - COORDINATOR_FLAGS
+         | {"window", "settle_cap", "fault", "probes", "self_check"}),
+        ("ninebus1", ("simulate", "--zero-state", "--duration", "0.01", "--probes", "B7"),
+         COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "probes"}),
+    ], ids=["validate", "ipf", "init", "simulate", "compare", "simulate-with-a-region"])
+    def test_flags_are_the_ones_read(self, tmp_path, case, command, reads):
+        out = run_cli(command[0], case_path(case), *command[1:], "--out", tmp_path,
                       "--quiet")
         assert out.returncode == 0, out.stderr
         flags = read_json(tmp_path / "manifest.json")["flags"]

@@ -687,6 +687,20 @@ class TestSwingRelaxation:
         _, final = ek.run(net, cfg, init=init)
         assert np.all(np.abs(final.machine_delta - init.machine_delta) > 1e-6)
 
+    def test_trajectory_does_not_depend_on_the_probes(self, hybrid_comparison):
+        # The machines' current maps are their own products, so the probes'
+        # count cannot move their rounding.
+        net, init = self.gis_start(hybrid_comparison)
+        ends = [ek.run(net, ek.SimConfig(dt=self.DT, duration=0.5, record=record),
+                       init=init)[1]
+                for record in ([], ["B1"], [b.id for b in hybrid_comparison["case"].buses])]
+        for end in ends[1:]:
+            for name, value in vars(ends[0]).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(end, name).tobytes() == value.tobytes(), name
+                else:
+                    assert getattr(end, name) == value, name
+
     def test_work_counters_across_the_fault(self, hybrid_comparison, monkeypatch):
         nets = []
         build = ek.CompiledNet.__init__
@@ -704,7 +718,7 @@ class TestSwingRelaxation:
         # after it: one cycle of 4 chunks, then 350 steps in 4 chunks.  The
         # sweeps are exact for this arithmetic: a BLAS that rounds the maps
         # differently can move a chunk's fixed point, and its count, by one.
-        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 8), (8, 49)]
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 51)]
 
     @pytest.mark.parametrize("length", [ek.SWING_CHUNK, 7])
     def test_wrong_angle_guess_reaches_the_same_fixed_point(self, hybrid_comparison,
