@@ -122,15 +122,11 @@ def companion_coefficients(kind: ElementKind, value: float, dt: float) -> Compan
     return CompanionModel(kind, g, -g, -1.0)
 
 
-def effective_admittance(model: CompanionModel, omega: float, dt: float) -> complex:
-    """Admittance seen by a pure discrete sinusoid at omega.
-
-    Derived from the companion recursion with v, i sampled sinusoids;
-    initializing states from these values puts the kernel exactly on its
-    discrete periodic steady state.
-    """
-    z = cmath.exp(-1j * omega * dt)
-    return (model.g_coef + model.h_coef * z) / (1.0 - model.j_coef * z)
+def companion_arrays(net: EmtNet, dt: float) -> np.ndarray:
+    """(3, n_elements): every element's g, h and j at dt, in net order."""
+    models = [companion_coefficients(e.kind, e.value, dt) for e in net.elements]
+    return np.array([[m.g_coef for m in models], [m.h_coef for m in models],
+                     [m.j_coef for m in models]], dtype=float)
 
 
 def continuous_admittance(kind: ElementKind, value: float, omega: float) -> complex:
@@ -219,6 +215,23 @@ def apply_fault(net: EmtNet, bus: str, r_fault: float) -> EmtNet:
         raise InvalidParameter("fault resistance must be positive or infinite")
     fault = Element(f"fault:{bus}", ElementKind.RESISTOR, bus, None, r_fault)
     return replace(net, elements=net.elements + (fault,))
+
+
+def element_terminals(net: EmtNet) -> tuple[np.ndarray, np.ndarray]:
+    """Each element's from-node and to-node index in net.nodes; ground, the
+    to-node of a grounded element, is len(net.nodes), one past the last."""
+    index = {nid: i for i, nid in enumerate(net.nodes)}
+    index[None] = len(net.nodes)
+    return (np.array([index[e.n_from] for e in net.elements], dtype=int),
+            np.array([index[e.n_to] for e in net.elements], dtype=int))
+
+
+def pinned_nodes(net: EmtNet) -> list[int]:
+    """Indices in net.nodes of the nodes the net pins: its sources' nodes in
+    order, then its machines' EMF nodes.  A node may appear twice."""
+    index = {nid: i for i, nid in enumerate(net.nodes)}
+    return ([index[s.node] for s in net.sources]
+            + [index[m.emf_node] for m in net.machines])
 
 
 # --- events and run configuration ----------------------------------------------
@@ -403,12 +416,14 @@ class CompiledNet:
     start and in the buffers a chunk rebuilds.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
-    and -1 at its to-node.  P = [P_h | P_k] is built in node order: an
-    unknown node's row holds G_uu^-1 (-A_u) and -G_uu^-1 W_uk, with A_u =
-    D^T restricted to the unknown nodes and W_uk the unknown-known block of
-    the nodal conductance matrix D^T diag(g) D; a known node's row holds a
-    1 in the column of its source.  Known nodes are the source nodes in
-    order, then the machine EMF nodes.
+    and -1 at its to-node, both from `element_terminals`, the function
+    `phasor_solve` stamps its Y from.  P = [P_h | P_k] is built in node
+    order: an unknown node's row holds G_uu^-1 (-A_u) and -G_uu^-1 W_uk,
+    with A_u = D^T restricted to the unknown nodes and W_uk the
+    unknown-known block of the nodal conductance matrix D^T diag(g) D; a
+    known node's row holds a 1 in the column of its source.  The known
+    nodes are `pinned_nodes`, the nodes `phasor_solve` pins too: the
+    source nodes in order, then the machine EMF nodes.
     """
 
     def __init__(self, net: EmtNet, dt: float):
@@ -422,23 +437,19 @@ class CompiledNet:
         self.size = nn + ne
 
         # Companion coefficients, repeated over the three phases: (ne, 3).
-        models = [companion_coefficients(e.kind, e.value, dt) for e in net.elements]
-        g = np.array([m.g_coef for m in models], dtype=float)
-        h = np.array([m.h_coef for m in models], dtype=float)
-        j = np.array([m.j_coef for m in models], dtype=float)
+        g, h, j = companion_arrays(net, dt)
         self.g = np.outer(g, np.ones(3))
         self.h = np.outer(h, np.ones(3))
         self.j = np.outer(j, np.ones(3))
 
-        d = np.zeros((ne, nn))
-        for k, e in enumerate(net.elements):
-            d[k, self.node_index[e.n_from]] += 1.0
-            if e.n_to is not None:
-                d[k, self.node_index[e.n_to]] -= 1.0
-        self.incidence = d
+        # D with a ground column, dropped after.
+        d = np.zeros((ne, nn + 1))
+        n_from, n_to = element_terminals(net)
+        d[np.arange(ne), n_from] += 1.0
+        d[np.arange(ne), n_to] -= 1.0
+        self.incidence = d = d[:, :nn].copy()
 
-        known = [self.node_index[s.node] for s in net.sources]
-        known += [self.node_index[m.emf_node] for m in net.machines]
+        known = pinned_nodes(net)
         known_set = set(known)
         unknown = [i for i in range(nn) if i not in known_set]
         p = np.zeros((nn, ne + len(known)))
@@ -1076,70 +1087,60 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
 # --- phasor-domain solves on the same network ------------------------------------
 
 
-def phasor_solve(net: EmtNet, known_phasors: dict[str, complex],
+def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
                  injections: dict[str, complex] | None = None,
-                 dt: float | None = None) -> tuple[dict[str, complex], dict[str, complex]]:
+                 dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Single-frequency nodal solve of the network at its fundamental.
 
-    known_phasors pin nodes (RMS); injections add RMS current sources into
-    nodes.  With dt given, element admittances are the discrete-companion
-    effective values, so the result is the exact periodic steady state of
-    the stepped kernel; otherwise continuous jw admittances are used.
+    The net pins its own nodes (`pinned_nodes`): each source's node at the
+    source's RMS phasor, then each machine's EMF node at its build-time
+    EMF; a node pinned twice takes its last value.  `pinned` only adds
+    nodes, node id to RMS phasor, after them.  injections add RMS current
+    sources into nodes.  With dt given, element admittances are the
+    discrete-companion effective values (g + h z)/(1 - j z), z =
+    exp(-j w dt), so the result is the exact periodic steady state of the
+    stepped kernel; otherwise continuous jw admittances are used.  Y is
+    stamped from `element_terminals` in element order.
 
-    Returns (node phasors, element current phasors) with element currents
-    oriented from n_from to n_to.
+    Returns (node phasors, element current phasors) as arrays in net.nodes
+    and net.elements order, element currents oriented from n_from to
+    n_to.
     """
-    injections = injections or {}
     omega = net.omega
-    nodes = list(net.nodes)
-    index = {nid: i for i, nid in enumerate(nodes)}
-    n = len(nodes)
-    ground = n
+    index = {nid: i for i, nid in enumerate(net.nodes)}
+    n = len(net.nodes)
+    if dt is None:
+        y = np.array([continuous_admittance(e.kind, e.value, omega) for e in net.elements],
+                     dtype=complex)
+    else:
+        g, h, j = companion_arrays(net, dt)
+        z = cmath.exp(-1j * omega * dt)
+        y = (g + h * z) / (1.0 - j * z)
 
-    yvals = []
-    for e in net.elements:
-        if dt is None:
-            yvals.append(continuous_admittance(e.kind, e.value, omega))
-        else:
-            yvals.append(effective_admittance(
-                companion_coefficients(e.kind, e.value, dt), omega, dt))
-
+    f, t = element_terminals(net)
     ymat = np.zeros((n + 1, n + 1), dtype=complex)
-    for e, yv in zip(net.elements, yvals):
-        f = index[e.n_from]
-        t = ground if e.n_to is None else index[e.n_to]
-        ymat[f, f] += yv
-        ymat[t, t] += yv
-        ymat[f, t] -= yv
-        ymat[t, f] -= yv
+    np.add.at(ymat, (np.column_stack([f, t, f, t]).ravel(), np.column_stack([f, t, t, f]).ravel()),
+              np.column_stack([y, y, -y, -y]).ravel())
 
-    known = {index[nid] for nid in known_phasors}
-    known_idx = np.array(sorted(known), dtype=int)
+    values = ([cmath.rect(s.rms, s.angle) for s in net.sources]
+              + [cmath.rect(m.emf_rms, m.delta0) for m in net.machines])
+    pins = dict(zip(pinned_nodes(net), values))
+    pins.update((index[nid], ph) for nid, ph in (pinned or {}).items())
+    known = np.array(sorted(pins), dtype=int)
     v = np.zeros(n + 1, dtype=complex)
-    for nid, ph in known_phasors.items():
-        v[index[nid]] = ph
+    v[known] = [pins[k] for k in known]
     inj = np.zeros(n + 1, dtype=complex)
-    for nid, cur in injections.items():
+    for nid, cur in (injections or {}).items():
         inj[index[nid]] += cur
 
-    unknown = np.array([i for i in range(n) if i not in known], dtype=int)
+    unknown = np.delete(np.arange(n), known)
     if unknown.size:
-        y_uu = ymat[np.ix_(unknown, unknown)]
-        rhs = inj[unknown]
-        if known_idx.size:
-            rhs = rhs - ymat[np.ix_(unknown, known_idx)] @ v[known_idx]
+        rhs = inj[unknown] - ymat[np.ix_(unknown, known)] @ v[known]
         try:
-            v[unknown] = np.linalg.solve(y_uu, rhs)
+            v[unknown] = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularConductance("phasor nodal matrix is singular") from exc
-
-    node_ph = {nid: complex(v[index[nid]]) for nid in nodes}
-    elem_ph = {}
-    for e, yv in zip(net.elements, yvals):
-        vf = v[index[e.n_from]]
-        vt = 0.0 if e.n_to is None else v[index[e.n_to]]
-        elem_ph[e.eid] = complex(yv * (vf - vt))
-    return node_ph, elem_ph
+    return v[:n], y * (v[f] - v[t])
 
 
 # --- waveform export --------------------------------------------------------------

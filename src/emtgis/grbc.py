@@ -113,6 +113,8 @@ def validate_expr(node) -> None:
         return
     if isinstance(node, list) and node:
         op, *args = node
+        if not isinstance(op, str):
+            raise GrbcPayloadError(f"operator {op!r} is not a string")
         if op in _UNARY:
             if len(args) != 1:
                 raise GrbcPayloadError(f"'{op}' takes 1 argument, got {len(args)}")
@@ -161,6 +163,8 @@ def parse_declaration(d: dict) -> GrbcDeclaration:
     boundary = str(d["boundary_bus"])
     kind = GrbcKind(d["kind"])
     raw = d.get("payload", {})
+    if not isinstance(raw, dict):
+        raise TypeError(f"payload of region '{name}' is not an object")
     if kind is GrbcKind.WHITE_BOX_NETWORK:
         net = Subnetwork(
             buses=tuple(_parse_bus(b) for b in raw.get("buses", [])),

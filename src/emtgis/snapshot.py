@@ -312,54 +312,42 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
     """
     if not pf.converged:
         raise NotConverged("phasor initialization needs a converged power flow")
-    known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
-    for m in net.machines:
-        known[m.emf_node] = cmath.rect(m.emf_rms, m.delta0)
-    injections: dict[str, complex] = {}
     draws = boundary_draw or {}
-    for bus, (p, q) in draws.items():
-        v_b = pf.voltage(bus).rect
-        injections[bus] = -machine_port_current(complex(p, q), v_b)
-
-    node_ph, elem_ph = ek.phasor_solve(net, known, injections, dt=dt)
+    injections = {bus: -machine_port_current(complex(p, q), pf.voltage(bus).rect)
+                  for bus, (p, q) in draws.items()}
+    node_ph, elem_ph = ek.phasor_solve(net, injections=injections, dt=dt)
     state = _state_from_phasors(net, node_ph, elem_ph, dt)
 
-    boundary_phasors = {
-        bus: (
-            Phasor.from_complex(node_ph[bus]),
-            Phasor.from_complex(machine_port_current(complex(p, q), node_ph[bus])),
-        )
-        for bus, (p, q) in draws.items()
-    }
+    boundary_phasors = {}
+    for bus, (p, q) in draws.items():
+        v_b = complex(node_ph[net.nodes.index(bus)])
+        boundary_phasors[bus] = (Phasor.from_complex(v_b),
+                                 Phasor.from_complex(machine_port_current(complex(p, q), v_b)))
     return Snapshot(MAIN_SUBSYSTEM, 0, dt, case.frequency_hz, state,
                     boundary_phasors, PROVENANCE_PHASOR,
                     parts={MAIN_SUBSYSTEM: PROVENANCE_PHASOR})
 
 
-def _state_from_phasors(net: EmtNet, node_ph: dict[str, complex],
-                        elem_ph: dict[str, complex], dt: float) -> EmtState:
-    """The state at step 0 (t = 0) of the given phasors, histories at -dt;
-    machines keep `zero_state`'s rotors and take the phasors' power."""
+def _state_from_phasors(net: EmtNet, node_ph: np.ndarray, elem_ph: np.ndarray,
+                        dt: float) -> EmtState:
+    """The state at step 0 (t = 0) of the phasors `phasor_solve` returns,
+    histories at -dt; machines keep `zero_state`'s rotors and take the
+    phasors' power, the EMF node's phasor times its branch current."""
     state = ek.zero_state(net, dt)
-    omega = net.omega
 
-    def inst(ph: complex, t: float) -> np.ndarray:
-        return SQRT2 * np.real(ph * np.exp(1j * (omega * t + ek.PHASE_SHIFT)))
+    def inst(ph: np.ndarray, t: float) -> np.ndarray:
+        return SQRT2 * np.real(ph[:, None] * np.exp(1j * (net.omega * t + ek.PHASE_SHIFT)))
 
-    for i, nid in enumerate(net.nodes):
-        state.v_nodes[i] = inst(node_ph[nid], 0.0)
-    for k, e in enumerate(net.elements):
-        vf = node_ph[e.n_from]
-        vt = 0.0 if e.n_to is None else node_ph[e.n_to]
-        du = vf - vt
-        cur = elem_ph[e.eid]
-        state.hist_u[k] = inst(du, -dt)
-        state.hist_i[k] = inst(cur, -dt)
-        state.elem_i[k] = inst(cur, 0.0)
-    for j, m in enumerate(net.machines):
-        emf_ph = cmath.rect(m.emf_rms, m.delta0)
-        i_ph = elem_ph[m.branch_eid]
-        state.machine_pm[j] = (emf_ph * i_ph.conjugate()).real
+    n_from, n_to = ek.element_terminals(net)
+    du = np.append(node_ph, 0.0)
+    du = du[n_from] - du[n_to]
+    state.v_nodes[:] = inst(node_ph, 0.0)
+    state.hist_u[:] = inst(du, -dt)
+    state.hist_i[:] = inst(elem_ph, -dt)
+    state.elem_i[:] = inst(elem_ph, 0.0)
+    emf = [net.nodes.index(m.emf_node) for m in net.machines]
+    branch = [state.element_ids.index(m.branch_eid) for m in net.machines]
+    state.machine_pm[:] = (node_ph[emf] * elem_ph[branch].conj()).real
     return state
 
 
@@ -401,18 +389,10 @@ def thevenin_from_measurements(v_b: complex, i_b: complex,
 def extract_thevenin_from_net(net: EmtNet, boundary: str, v_b: complex,
                               i_into_attachment: complex) -> TheveninEquivalent:
     """Two-measurement extraction: operating point plus solid-fault solve."""
-    known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
-    for m in net.machines:
-        known[m.emf_node] = cmath.rect(m.emf_rms, m.delta0)
-    known[boundary] = 0.0 + 0.0j
-    _, elem_ph = ek.phasor_solve(net, known)
-
-    i_into_b = 0.0 + 0.0j
-    for e in net.elements:
-        if e.n_to == boundary:
-            i_into_b += elem_ph[e.eid]
-        if e.n_from == boundary:
-            i_into_b -= elem_ph[e.eid]
+    _, elem_ph = ek.phasor_solve(net, {boundary: 0j})
+    n_from, n_to = ek.element_terminals(net)
+    b = net.nodes.index(boundary)
+    i_into_b = complex(elem_ph[n_to == b].sum() - elem_ph[n_from == b].sum())
     return thevenin_from_measurements(v_b, i_into_attachment, -i_into_b)
 
 

@@ -60,6 +60,29 @@ class TestValidate:
         assert_one_line_error(out)
         assert out.stderr.strip() == f"error: cannot open {tmp_path}: Is a directory"
 
+    def test_non_object_payload_is_one_line(self, tmp_path):
+        doc = read_json(case_path("ninebus1"))
+        doc["grbcs"][0]["payload"] = 1.5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = run_cli("validate", bad, "--out", tmp_path / "v", "--quiet")
+        assert out.returncode == 1
+        assert_one_line_error(out)
+        assert "payload of region 'wind1' is not an object" in out.stderr
+
+    def test_non_string_operator_is_bad_expression(self, tmp_path):
+        doc = read_json(case_path("hybrid"))
+        scripted = next(g for g in doc["grbcs"] if g["kind"] == "ScriptedResponse")
+        scripted["payload"]["p"] = [["V"], "V"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = run_cli("validate", bad, "--out", tmp_path / "v", "--quiet")
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        violations = read_json(tmp_path / "v" / "validation.json")["violations"]
+        assert [(v["code"], v["subject"]) for v in violations] == [
+            ("BadExpression", f"{scripted['name']}.p")]
+
 
 class TestIpf:
     def test_bundled_case_converges(self, tmp_path):

@@ -44,6 +44,7 @@ from conftest import (  # noqa: E402
     splice_schedule,
     subset_state,
 )
+from reference_phasor import reference_phasor_solve  # noqa: E402
 
 
 def machine_case():
@@ -110,10 +111,9 @@ class TestPhasorInit:
         pf = solve_main(PowerFlowProblem(twobus), {}, tol=1e-12)
         net = sn.build_main_net(twobus, pf)
         st = sn.phasor_init(twobus, pf, net, dt=5e-5).emt_state
-        _, elem_ph = ek.phasor_solve(net, {
-            s.node: cmath.rect(s.rms, s.angle) for s in net.sources}, dt=5e-5)
+        _, elem_ph = ek.phasor_solve(net, dt=5e-5)
         for k, e in enumerate(net.elements):
-            expect = ek.SQRT2 * (elem_ph[e.eid]
+            expect = ek.SQRT2 * (complex(elem_ph[k])
                                  * cmath.exp(1j * OMEGA * (-5e-5))).real
             assert st.hist_i[k, 0] == pytest.approx(expect, abs=1e-12)
 
@@ -149,6 +149,66 @@ class TestPhasorInit:
         dev = max(ninebus1_pipeline.report.splice_deviations.values())
         merged = phasor_consistency_error(ninebus1_pipeline.snapshot)
         assert merged <= dev + 1e-6
+
+
+@pytest.fixture(scope="module")
+def bundled_models(ninebus1, ninebus2, ninebus3, hybrid):
+    return {case.name: (case, sn.system_model(case))
+            for case in (ninebus1, ninebus2, ninebus3, hybrid)}
+
+
+def assert_matches_reference(net, pinned=None, injections=None, dt=None):
+    """The array solve against the element-by-element one, which is told
+    every pin: the net's sources, then its machines' EMFs, then `pinned`."""
+    known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
+    known.update((m.emf_node, cmath.rect(m.emf_rms, m.delta0)) for m in net.machines)
+    ref_nodes, ref_elems = reference_phasor_solve(net, {**known, **(pinned or {})},
+                                                  injections, dt)
+    nodes, elems = ek.phasor_solve(net, pinned, injections, dt)
+    ref = np.array([ref_nodes[nid] for nid in net.nodes]
+                   + [ref_elems[e.eid] for e in net.elements])
+    got = np.concatenate([nodes, elems])
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+class TestPhasorSolveReference:
+    @pytest.mark.parametrize("dt", [None, 5e-5])
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_bundled_nets_match_reference(self, bundled_models, name, dt):
+        """Main and full nets, the main net with its boundary draws as
+        injections, and each net with one boundary pinned to ground as the
+        Thevenin solve pins it."""
+        case, model = bundled_models[name]
+        pf = model.main_pf
+        draws = {bus: -sn.machine_port_current(complex(p, q), pf.voltage(bus).rect)
+                 for bus, (p, q) in model.draws.items()}
+        assert draws
+        for net, injections in ((sn.build_main_net(case, pf), draws),
+                                (model.full_net, None)):
+            assert_matches_reference(net, injections=injections, dt=dt)
+            for bus in draws:
+                assert_matches_reference(net, {bus: 0j}, injections, dt)
+
+    def test_random_nets_match_reference(self):
+        rng = np.random.default_rng(271)
+        for _ in range(10):
+            net, boundary = random_linear_net(rng)
+            for dt in (None, 5e-5):
+                assert_matches_reference(net, dt=dt)
+                assert_matches_reference(net, {boundary: 0j}, dt=dt)
+                assert_matches_reference(net, injections={boundary: 0.3 - 0.1j}, dt=dt)
+
+    def test_node_pinned_twice_takes_last_value(self):
+        net = ek.EmtNet("pins", 50.0, ("a", "b"),
+                        (ek.Element("r", ek.ElementKind.RESISTOR, "a", "b", 2.0),
+                         ek.Element("l", ek.ElementKind.INDUCTOR, "b", None, 0.01)),
+                        (ek.Source("s1", "a", 1.0, 0.0), ek.Source("s2", "a", 0.5, 0.0)))
+        nodes, _ = ek.phasor_solve(net)
+        assert nodes[0] == 0.5
+        nodes, elems = ek.phasor_solve(net, {"b": 0.2j})
+        assert list(nodes) == [0.5, 0.2j]
+        assert elems[0] == (0.5 - 0.2j) / 2.0
 
 
 class TestThevenin:
@@ -193,13 +253,14 @@ class TestThevenin:
         th = sn.thevenin_extract(ninebus1, pf, sn.build_main_net(ninebus1, pf), "B10")
         region = sn.build_region_net(op, 50.0)
         net, probe = sn.attach_thevenin(region, "B10", th)
-        known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
-        node_ph, elem_ph = ek.phasor_solve(net, known)
+        assert not net.machines  # the solve pins the sources alone, as the ramp does
+        node_ph, elem_ph = ek.phasor_solve(net)
         v_ipf = res.model.boundary_state.voltage(0).rect
-        assert node_ph["B10"] == pytest.approx(v_ipf, abs=1e-6)
+        assert node_ph[net.nodes.index("B10")] == pytest.approx(v_ipf, abs=1e-6)
         i_ipf = sn.machine_port_current(
             complex(res.model.boundary_state.p[0], res.model.boundary_state.q[0]), v_ipf)
-        assert elem_ph[probe] == pytest.approx(i_ipf, abs=1e-6)
+        probe_k = [e.eid for e in net.elements].index(probe)
+        assert elem_ph[probe_k] == pytest.approx(i_ipf, abs=1e-6)
 
     def test_randomized_networks_match_injection_oracle(self):
         """Extracted impedance equals the Thevenin impedance computed by the
@@ -208,10 +269,9 @@ class TestThevenin:
         for trial in range(3):
             net, boundary = random_linear_net(rng)
             z_direct = injection_thevenin(net, boundary)
-            known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
-            node_ph, _ = ek.phasor_solve(net, known)
+            node_ph, _ = ek.phasor_solve(net)
             th = sn.extract_thevenin_from_net(net, boundary,
-                                              node_ph[boundary], 0j)
+                                              node_ph[net.nodes.index(boundary)], 0j)
             assert th.z_eq == pytest.approx(z_direct, rel=1e-9)
 
 
