@@ -33,7 +33,7 @@ for the ramp and one after it.
 
 After the ramp, a swinging machine's EMF row e_v = sqrt2 emf cos(wt +
 delta + phase) follows its rotor angle, which its electrical power moves:
-the only nonlinearity of the step.  The loops advance such a net in
+the only nonlinearity of the step.  A `_Loop` advances such a net in
 chunks of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation
 of the rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE
 Trans. CAD 1(3)).  Within a chunk the network is linear in the EMFs, so
@@ -46,12 +46,13 @@ angle before it, so sweep k fixes step k for good, and a chunk of L steps
 stops within L + 1 sweeps.
 
 `CompiledNet` builds the network part once per topology and the maps once
-per stepping loop.  The loops (`run`, `run_until_steady`) step through a
-cycle-long stack of buffers, compute the cycle's probe samples in one
-product with the probes' rows of O, and re-anchor r and q from the clock
-at each cycle start, so the rotation's rounding drift never spans more
-than one cycle.  They build an `EmtState` only at their edges: on return,
-and at a fault event, where the state migrates onto the faulted topology.
+per stepping loop, a `_Loop`, which `run` and `run_until_steady` drive.  A
+loop steps through a cycle-long stack of buffers, computes the cycle's
+probe samples in one product with the probes' rows of O, and re-anchors r
+and q from the clock at each cycle start, so the rotation's rounding drift
+never spans more than one cycle.  It builds an `EmtState` only at its
+edges: on return, and at a fault event, where `run` migrates the state
+onto the faulted topology and starts a new loop from it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -85,6 +86,10 @@ SWING_CHUNK = 100
 # every block, from the block's start buffer and its EMFs.
 PROBE_BLOCK = 20
 assert SWING_CHUNK % PROBE_BLOCK == 0
+# The steadiness rule of `run_until_steady` (see its docstring).
+RMS_CHANGE_TOL = 5e-4
+STEADY_CYCLES = 3
+SETTLE_MARGIN_CYCLES = 5
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
@@ -253,17 +258,13 @@ class SimConfig:
     """One kernel run.  Sources ramp linearly from zero over the first
     t_ramp seconds of step * dt; t_ramp=None means no ramp, sources at full
     scale from the first step.  The ramp belongs to the run, not to its
-    start state.  The last three fields set the steadiness detector of
-    `run_until_steady`."""
+    start state."""
 
     dt: float
     duration: float
     record: list[str] = field(default_factory=list)
     events: list[SimEvent] = field(default_factory=list)
     t_ramp: float | None = None
-    rms_change_tol: float = 5e-4    # per-cycle relative RMS change for steadiness
-    steady_cycles: int = 3          # consecutive stable cycle-to-cycle changes
-    settle_margin_cycles: int = 5   # extra cycles after detection before capture
 
     def __post_init__(self):
         for name in ("dt", "t_ramp"):
@@ -395,7 +396,7 @@ class CompiledNet:
 
     A step buffer holds z with one phase per row, shape (3, rows), so a
     step is out = x T^T, and a stack of buffers is, per phase, one matrix
-    for the probes' product.  Only the loop edges need x: the x of step n
+    for the probes' product.  Only a `_Loop`'s edges need x: the x of step n
     is O z of the buffer at step n - 1, after its EMF rows are written.
     `ProbeSet.sample` applies the probes' rows of O to a stack of buffers,
     and `state` rebuilds x and the histories from the buffers one and two
@@ -411,7 +412,7 @@ class CompiledNet:
     lower block-triangular Toeplitz matrix of the Markov parameters o_e
     and o_w T_ww^d T_we, one block per machine.  The swing recursion is an
     affine map of the electrical power.  `buffers` builds these maps for
-    the machines' currents over a chunk and for the loop's probes over a
+    the machines' currents over a chunk and for a `_Loop`'s probes over a
     block of PROBE_BLOCK steps, and maps of [w_0; e] to w at each block
     start and in the buffers a chunk rebuilds.
 
@@ -497,7 +498,7 @@ class CompiledNet:
         # Work counters of `relax`.
         self.chunks_relaxed = 0
         self.sweeps = 0
-        # All set by `buffers`, for the loop from its state on.  The step
+        # All set by `buffers`, for the `_Loop` from its state on.  The step
         # maps are stored as T^T, the form `step` multiplies by.
         self.ramp_map: np.ndarray | None = None
         self.post_map: np.ndarray | None = None
@@ -887,61 +888,71 @@ def _whole_cycles(t: float, period: float, up: bool = False) -> int:
     return math.ceil(q - 1e-9) if up else math.floor(q + 1e-9)
 
 
-def _buffer_stack(compiled: CompiledNet, state: EmtState, length: int, cfg: SimConfig,
-                  probes: ProbeSet,
-                  ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]],
-                             np.ndarray]:
-    """`length` + 2 step buffers stacked: slot 1 holds the state, and slot
-    0 the buffer one step before slot 1 once a loop carries it over; the
-    (buffer, next buffer) view pairs a loop steps through from slot 1; the
-    machines."""
-    z, _, machines = compiled.buffers(state, cfg.t_ramp, probes.rows)
-    stack = np.zeros((length + 2,) + z.shape)
-    stack[1] = z
-    views = list(stack)
-    return stack, list(zip(views[1:-1], views[2:])), machines
-
-
-def _advance(compiled: CompiledNet, stack: np.ndarray,
-             pairs: list[tuple[np.ndarray, np.ndarray]], n: int, length: int,
-             machines: np.ndarray, probes: ProbeSet, samples: np.ndarray) -> int:
-    """Advance the buffer at step n in stack[1] `length` steps, writing the
-    probe samples of steps n + 1 .. n + length into samples, one column per
-    step; returns the step reached.
-
-    Ramp steps, and every step of a net without a swinging machine, take
-    one product each, and their samples one product per phase.  After the
-    ramp, a net with swinging machines advances in relaxed chunks of at
-    most SWING_CHUNK steps.
+class _Loop:
+    """A stepping loop from one start state on, through `length` + 2 step
+    buffers stacked.  Slot 1 holds the buffer at step n, and slot 0 the
+    one a step before it once the loop has carried it over; `advance`
+    steps from slot 1 through the (buffer, next buffer) view pairs.
     """
-    # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
-    ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
-    stepped = ramp_steps if compiled.swinging.size else length
-    step = compiled.step
-    for x, out in pairs[:ramp_steps]:
-        step(x, out, True)
-    for x, out in pairs[ramp_steps:stepped]:
-        step(x, out, False)
-    n += stepped
-    probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
-    for first in range(stepped, length, SWING_CHUNK):
-        size = min(SWING_CHUNK, length - first)
-        compiled.relax(stack, first + 1, size, n, machines, samples[:, first:first + size])
-        n += size
-    return n
+
+    def __init__(self, compiled: CompiledNet, state: EmtState, length: int,
+                 t_ramp: float | None, probes: ProbeSet):
+        self.compiled, self.probes, self.start = compiled, probes, state
+        z, _, self.machines = compiled.buffers(state, t_ramp, probes.rows)
+        self.stack = np.zeros((length + 2,) + z.shape)
+        self.stack[1] = z
+        self.pairs = list(zip(self.stack[1:-1], self.stack[2:]))
+        self.n = state.step
+        self.pos = 1  # stack index of the buffer at step n
+
+    def advance(self, length: int, samples: np.ndarray) -> None:
+        """Advance `length` steps from step n, writing the probe samples of
+        steps n + 1 .. n + length into samples, one column per step.
+
+        The buffers at steps n - 1 and n carry over to slots 0 and 1, and
+        the oscillator is re-anchored from the clock at step n.  Ramp
+        steps, and every step of a net without a swinging machine, take
+        one product each, and their samples one product per phase.  After
+        the ramp, a net with swinging machines advances in relaxed chunks
+        of at most SWING_CHUNK steps (`CompiledNet.relax`).
+        """
+        compiled, stack, n = self.compiled, self.stack, self.n
+        if self.pos > 1:
+            stack[:2] = stack[self.pos - 1:self.pos + 1]
+        compiled.anchor(stack[1], n)
+        # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
+        ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
+        stepped = ramp_steps if compiled.swinging.size else length
+        step = compiled.step
+        for x, out in self.pairs[:ramp_steps]:
+            step(x, out, True)
+        for x, out in self.pairs[ramp_steps:stepped]:
+            step(x, out, False)
+        n += stepped
+        self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
+        for first in range(stepped, length, SWING_CHUNK):
+            size = min(SWING_CHUNK, length - first)
+            compiled.relax(stack, first + 1, size, n, self.machines,
+                           samples[:, first:first + size])
+            n += size
+        self.n, self.pos = n, length + 1
+
+    def state(self) -> EmtState:
+        """The state at step n: the start state itself before any step."""
+        if self.n == self.start.step:
+            return self.start
+        return self.compiled.state(self.stack[self.pos - 1], self.stack[self.pos - 2],
+                                   self.n, self.machines)
 
 
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
     """Fixed-duration simulation with event handling and probe recording.
 
-    Steps a cycle at a time through a stack of buffers, re-anchoring the
-    oscillator at each chunk start and computing the chunk's probe samples
-    in one product; after the ramp, a net with swinging machines advances
-    in relaxed chunks within it (`CompiledNet.relax`).  A chunk ends early
-    at a fault event, where an EmtState is built to migrate onto the
-    faulted topology; otherwise one is built only on return.  The traces
-    are recorded probe-major, so each waveform is a row of one array.
+    Advances a `_Loop` a cycle at a time.  A chunk ends early at a fault
+    event, where the loop's state migrates onto the faulted topology and
+    a new loop starts from it.  The traces are recorded probe-major, so
+    each waveform is a row of one array.
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
@@ -965,53 +976,37 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     # One cycle per chunk; a DC net has no cycle and no rotation to drift.
     cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
     chunk = max(1, min(cycle, n_steps))
-    stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg, probes)
+    loop = _Loop(compiled, state, chunk, cfg.t_ramp, probes)
 
-    n = start_step
-    pos = 1  # stack index of the buffer at step n
     next_event = 0
     current_net = net
-    while n - start_step < n_steps:
-        while next_event < len(events) and n >= event_steps[next_event]:
+    while (done := loop.n - start_step) < n_steps:
+        while next_event < len(events) and loop.n >= event_steps[next_event]:
             ev = events[next_event]
-            if n > state.step:
-                state = compiled.state(stack[pos - 1], stack[pos - 2], n, machines)
+            state = loop.state()
+            del loop, compiled, probes  # the pre-fault buffers and maps go first
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
             compiled = CompiledNet(current_net, cfg.dt)
-            state = compiled.migrate_state(state)
             probes = ProbeSet(compiled, cfg.record)
-            stack, pairs, machines = _buffer_stack(compiled, state, chunk, cfg, probes)
-            pos = 1
+            loop = _Loop(compiled, compiled.migrate_state(state), chunk, cfg.t_ramp, probes)
             next_event += 1
-        done = n - start_step
         length = min(chunk, n_steps - done)
         if next_event < len(events):
-            length = min(length, event_steps[next_event] - n)
-        if pos > 1:
-            stack[:2] = stack[pos - 1:pos + 1]
-        compiled.anchor(stack[1], n)
-        n = _advance(compiled, stack, pairs, n, length, machines, probes,
-                     traces[:, done + 1:done + length + 1])
-        pos = length + 1
-
-    if n > state.step:
-        state = compiled.state(stack[pos - 1], stack[pos - 2], n, machines)
-    return WaveformSet(times, dict(zip(probes.keys, traces))), state
+            length = min(length, event_steps[next_event] - loop.n)
+        loop.advance(length, traces[:, done + 1:done + length + 1])
+    return WaveformSet(times, dict(zip(probes.keys, traces))), loop.state()
 
 
 def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
                      ) -> tuple[EmtState, int | None, np.ndarray, list[str]]:
     """Step cycle-by-cycle until every probe's cycle RMS stops changing.
 
-    Steadiness: `steady_cycles` consecutive cycle-over-cycle relative RMS
-    changes below `rms_change_tol` on every probe (detector armed only
-    after a ramp completes).  After detection, `settle_margin_cycles` more
+    Steadiness: STEADY_CYCLES consecutive cycle-over-cycle relative RMS
+    changes of at most RMS_CHANGE_TOL on every probe (detector armed only
+    after a ramp completes).  After detection, SETTLE_MARGIN_CYCLES more
     cycles run before the state is returned, and the samples of the final
-    full cycle come back for phasor extraction.  Each cycle steps through
-    a cycle-long stack of buffers from an oscillator re-anchored at its
-    start, and computes its samples in one product; after the ramp, a net
-    with swinging machines advances in relaxed chunks within the cycle
-    (`CompiledNet.relax`).
+    full cycle come back for phasor extraction.  The three constants are
+    read at call time.  Each cycle is one `_Loop.advance`.
 
     Returns (state, ready_step or None, last cycle samples one row per
     step, probe keys).
@@ -1031,34 +1026,25 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
-    stack, pairs, machines = _buffer_stack(compiled, state, n_cycle, cfg, probes)
-    n = state.step
     ready: int | None = None
+    loop = _Loop(compiled, state, n_cycle, cfg.t_ramp, probes)
 
     for c in range(max_cycles):
-        if c:
-            stack[:2] = stack[n_cycle:]
-        compiled.anchor(stack[1], n)
-        n = _advance(compiled, stack, pairs, n, n_cycle, machines, probes, buf)
+        loop.advance(n_cycle, buf)
         if fired_at is not None:
-            if c - fired_at >= cfg.settle_margin_cycles:
-                ready = n
+            if c - fired_at >= SETTLE_MARGIN_CYCLES:
+                ready = loop.n
                 break
             continue
         rms = np.sqrt(np.mean(buf**2, axis=1))
         if prev_rms is not None and c >= arm_after:
             change = np.abs(rms - prev_rms) / np.maximum(rms, 1e-6)
-            stable_run = stable_run + 1 if float(change.max()) <= cfg.rms_change_tol else 0
-            if stable_run >= cfg.steady_cycles:
+            stable_run = stable_run + 1 if float(change.max()) <= RMS_CHANGE_TOL else 0
+            if stable_run >= STEADY_CYCLES:
                 fired_at = c
-                if cfg.settle_margin_cycles == 0:
-                    ready = n
-                    break
-        prev_rms = rms.copy()
+        prev_rms = rms
 
-    if n > state.step:
-        state = compiled.state(stack[n_cycle], stack[n_cycle - 1], n, machines)
-    return state, ready, buf.T.copy(), probes.keys
+    return loop.state(), ready, buf.T.copy(), probes.keys
 
 
 def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:

@@ -331,19 +331,11 @@ def _check_islands(case: CaseFile, rep: ValidationReport):
 # --- nodal admittance -------------------------------------------------------
 
 
-@dataclass
-class AdmittanceMatrix:
-    bus_ids: tuple[str, ...]
-    mat: np.ndarray  # dense complex, (n, n)
-
-    def index(self, bus_id: str) -> int:
-        return self.bus_ids.index(bus_id)
-
-
-def build_admittance(case: CaseFile) -> AdmittanceMatrix:
-    """Assemble the nodal admittance matrix of the case's own buses and
-    branches; boundary buses are ordinary rows and region internals are
-    absent (pass `inline_grbcs(case)` for the whole system).
+def build_admittance(case: CaseFile) -> np.ndarray:
+    """Assemble the dense complex nodal admittance matrix of the case's own
+    buses, in case.buses order, and branches; boundary buses are ordinary
+    rows and region internals are absent (pass `inline_grbcs(case)` for
+    the whole system).
     """
     ids = tuple(b.id for b in case.buses)
     index = {bid: i for i, bid in enumerate(ids)}
@@ -367,7 +359,7 @@ def build_admittance(case: CaseFile) -> AdmittanceMatrix:
     for i, bid in enumerate(ids):
         if np.all(y[i] == 0.0):
             raise SingularNetwork(f"bus '{bid}' has no admittance connection")
-    return AdmittanceMatrix(ids, y)
+    return y
 
 
 def inline_grbcs(case: CaseFile) -> CaseFile:

@@ -80,14 +80,16 @@ def _newton_indices(case: CaseFile) -> tuple[np.ndarray, np.ndarray]:
 
 class PowerFlowProblem:
     """What a power flow of `case` needs that depends on the case alone,
-    built once: the admittance matrix, the Newton index sets and gather
-    indices, the scheduled injections, the boundary rows and the flat
-    start.  `solve_main` reads it and never writes it, so one problem
-    serves every solve of its case; the case must not change after it.
+    built once: the bus ids, the admittance matrix, the Newton index sets
+    and gather indices, the scheduled injections, the boundary rows and
+    the flat start.  `solve_main` reads it and never writes it, so one
+    problem serves every solve of its case; the case must not change
+    after it.
     """
 
     def __init__(self, case: CaseFile):
         self.case = case
+        self.bus_ids = tuple(b.id for b in case.buses)
         self.ybus = build_admittance(case)
         n = len(case.buses)
         pvpq, pq = _newton_indices(case)
@@ -109,7 +111,7 @@ class PowerFlowProblem:
         self.mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
         self.jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
         self.jac_idx = self.jac_rows[:, None] + 2 * self.unknowns
-        for arr in (self.ybus.mat, self.unknowns, self.s_sched, self.flat_start,
+        for arr in (self.ybus, self.unknowns, self.s_sched, self.flat_start,
                     self.mis_idx, self.jac_rows, self.jac_idx):
             arr.flags.writeable = False
 
@@ -160,8 +162,7 @@ def solve_main(
     mismatch raises NonConvergence.
     """
     boundary_voltages = boundary_voltages or {}
-    y = problem.ybus
-    ids = y.bus_ids
+    y, ids = problem.ybus, problem.bus_ids
     n = len(ids)
 
     missing = [bid for _, bid in problem.boundary if bid not in boundary_voltages]
@@ -184,7 +185,7 @@ def solve_main(
     for it in range(max_iter + 1):
         vhat = np.exp(1j * va)
         v = vm * vhat
-        ibus = y.mat @ v
+        ibus = y @ v
         s = v * np.conj(ibus)
         mismatch = (s_sched - s).view(float).take(mis_idx)
         max_mis = float(abs(mismatch).max(initial=0.0))
@@ -197,7 +198,7 @@ def solve_main(
             break
         if it == max_iter:
             break
-        _fill_ds_dx(ds_dx, y.mat, vm, vhat, v, ibus, s)
+        _fill_ds_dx(ds_dx, y, vm, vhat, v, ibus, s)
         jac = ds_dx.view(float).take(jac_idx)
         try:
             x[unknowns] += np.linalg.solve(jac, mismatch)
@@ -207,7 +208,7 @@ def solve_main(
     if not converged:
         raise NonConvergence(max_iter, history[-1])
     return PowerFlowSolution(
-        bus_ids=tuple(ids),
+        bus_ids=ids,
         vm=vm,
         va=va,
         p_calc=s.real.copy(),
@@ -253,12 +254,12 @@ def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
     if not sol.converged:
         raise NotConverged("boundary sensitivity needs a converged solution")
     y = problem.ybus
-    n = len(y.bus_ids)
-    bnd = np.array([y.index(b) for b in bus_ids], dtype=int)
+    n = len(problem.bus_ids)
+    bnd = np.array([problem.bus_ids.index(b) for b in bus_ids], dtype=int)
     vhat = np.exp(1j * sol.va)
     v = sol.vm * vhat
-    ibus = y.mat @ v
-    ds_dx = _fill_ds_dx(np.empty((n, 2 * n), dtype=complex), y.mat, sol.vm, vhat,
+    ibus = y @ v
+    ds_dx = _fill_ds_dx(np.empty((n, 2 * n), dtype=complex), y, sol.vm, vhat,
                         v, ibus, v * np.conj(ibus)).view(float)
 
     # Float-view gathers as in solve_main: P rows are real parts, Q rows

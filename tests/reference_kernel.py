@@ -195,16 +195,14 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
             state = ref.step(state, cfg.t_ramp is not None, cfg.t_ramp)
             buf[k] = reference_sample(state, cfg.record)
         if fired_at is not None:
-            if c - fired_at >= cfg.settle_margin_cycles:
+            if c - fired_at >= ek.SETTLE_MARGIN_CYCLES:
                 return state, state.step, buf
             continue
         rms = np.sqrt(np.mean(buf**2, axis=0))
         if prev_rms is not None and c >= arm_after:
             change = np.abs(rms - prev_rms) / np.maximum(rms, 1e-6)
-            stable_run = stable_run + 1 if float(change.max()) <= cfg.rms_change_tol else 0
-            if stable_run >= cfg.steady_cycles:
+            stable_run = stable_run + 1 if float(change.max()) <= ek.RMS_CHANGE_TOL else 0
+            if stable_run >= ek.STEADY_CYCLES:
                 fired_at = c
-                if cfg.settle_margin_cycles == 0:
-                    return state, state.step, buf
         prev_rms = rms
     return state, None, buf

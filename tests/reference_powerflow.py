@@ -17,7 +17,7 @@ from emtgis.powerflow import PowerFlowSolution
 def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
     boundary_voltages = boundary_voltages or {}
     y = build_admittance(case)
-    ids = y.bus_ids
+    ids = tuple(b.id for b in case.buses)
     n = len(ids)
     kinds = [b.kind for b in case.buses]
 
@@ -46,7 +46,7 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
 
     def calc_powers():
         v = vm * np.exp(1j * va)
-        s = v * np.conj(y.mat @ v)
+        s = v * np.conj(y @ v)
         return v, s
 
     history = []
@@ -67,12 +67,12 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
             break
         if it == max_iter:
             break
-        ibus = y.mat @ v
+        ibus = y @ v
         diag_v = np.diag(v)
         diag_i = np.diag(ibus)
         diag_vnorm = np.diag(np.exp(1j * va))
-        ds_dva = 1j * diag_v @ np.conj(diag_i - y.mat @ diag_v)
-        ds_dvm = diag_v @ np.conj(y.mat @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+        ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
+        ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
         j11 = ds_dva[np.ix_(pvpq, pvpq)].real
         j12 = ds_dvm[np.ix_(pvpq, pq)].real
         j21 = ds_dva[np.ix_(pq, pvpq)].imag

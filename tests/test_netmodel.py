@@ -116,19 +116,19 @@ class TestAdmittance:
             [BranchRecord("B1", "B2", 0.0, 0.1)],
         )
         y = build_admittance(case)
-        assert y.mat[0, 0] == pytest.approx(-10j, abs=1e-12)
-        assert y.mat[0, 1] == pytest.approx(10j, abs=1e-12)
-        assert y.mat[1, 1] == pytest.approx(-10j, abs=1e-12)
+        assert y[0, 0] == pytest.approx(-10j, abs=1e-12)
+        assert y[0, 1] == pytest.approx(10j, abs=1e-12)
+        assert y[1, 1] == pytest.approx(-10j, abs=1e-12)
 
     def test_single_bus_pure_shunt(self):
         case = make_case([BusRecord("B1", BusKind.SLACK, 230.0, v_set=1.0,
                                     shunt_b=0.5)], [])
         y = build_admittance(case)
-        assert y.mat[0, 0] == pytest.approx(0.5j, abs=1e-15)
+        assert y[0, 0] == pytest.approx(0.5j, abs=1e-15)
 
     def test_unit_tap_symmetry(self, ninebus1):
         y = build_admittance(ninebus1)
-        assert np.max(np.abs(y.mat - y.mat.T)) < 1e-12
+        assert np.max(np.abs(y - y.T)) < 1e-12
 
     def test_series_only_rows_sum_to_zero(self):
         case = make_case(
@@ -139,7 +139,7 @@ class TestAdmittance:
              BranchRecord("B2", "B3", 0.02, 0.2)],
         )
         y = build_admittance(case)
-        assert np.max(np.abs(y.mat.sum(axis=1))) < 1e-9
+        assert np.max(np.abs(y.sum(axis=1))) < 1e-9
 
     def test_isolated_bus_raises(self):
         case = make_case(
@@ -159,8 +159,9 @@ class TestAdmittance:
             ninebus1.machines, ninebus1.grbcs,
         )
         y2 = build_admittance(shuffled)
-        perm = [y2.bus_ids.index(b) for b in y.bus_ids]
-        assert np.max(np.abs(y2.mat[np.ix_(perm, perm)] - y.mat)) < 1e-15
+        ids, ids2 = [b.id for b in ninebus1.buses], [b.id for b in shuffled.buses]
+        perm = [ids2.index(b) for b in ids]
+        assert np.max(np.abs(y2[np.ix_(perm, perm)] - y)) < 1e-15
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -182,7 +183,7 @@ class TestAdmittance:
         y = build_admittance(make_case(buses, branches))
         for _ in range(5):
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
-            assert np.real(np.vdot(v, y.mat @ v)) >= -1e-12
+            assert np.real(np.vdot(v, y @ v)) >= -1e-12
 
 
 class TestInline:
