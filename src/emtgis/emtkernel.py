@@ -315,6 +315,18 @@ class EmtState:
 # --- compiled network ------------------------------------------------------------
 
 
+def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
+    """Raise IncompatibleSnapshot unless `state` is a state of `net` at dt."""
+    if state.node_ids != net.nodes:
+        raise IncompatibleSnapshot("node set differs from network")
+    if state.element_ids != tuple(e.eid for e in net.elements):
+        raise IncompatibleSnapshot("element set differs from network")
+    if abs(state.dt - dt) > 1e-18:
+        raise IncompatibleSnapshot(
+            f"snapshot dt {state.dt} differs from configured dt {dt}"
+        )
+
+
 def zero_state(net: EmtNet, dt: float) -> EmtState:
     """De-energized state of a network at step 0; machines at their
     build-time angle, EMF and mechanical power."""
@@ -511,16 +523,6 @@ class CompiledNet:
         self.pe_guess: np.ndarray | None = None
 
     # --- states at the edges of a stepping loop -----------------------------
-
-    def check_compatible(self, state: EmtState) -> None:
-        if state.node_ids != self.net.nodes:
-            raise IncompatibleSnapshot("node set differs from network")
-        if state.element_ids != self.element_ids:
-            raise IncompatibleSnapshot("element set differs from network")
-        if abs(state.dt - self.dt) > 1e-18:
-            raise IncompatibleSnapshot(
-                f"snapshot dt {state.dt} differs from configured dt {self.dt}"
-            )
 
     def migrate_state(self, state: EmtState) -> EmtState:
         """Carry a state onto this topology after appended elements (faults)."""
@@ -949,14 +951,15 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
     """Fixed-duration simulation with event handling and probe recording.
 
-    Advances a `_Loop` a cycle at a time.  A chunk ends early at a fault
-    event, where the loop's state migrates onto the faulted topology and
-    a new loop starts from it.  The traces are recorded probe-major, so
-    each waveform is a row of one array.
+    Advances a `_Loop` a cycle at a time.  Events at or before the start
+    step apply before the first net is built, and the start state
+    migrates onto that net.  A chunk ends early at a later fault event,
+    where the loop's state migrates onto the faulted topology and a new
+    loop starts from it.  The traces are recorded probe-major, so each
+    waveform is a row of one array.
     """
-    compiled = CompiledNet(net, cfg.dt)
-    state = zero_state(net, cfg.dt) if init is None else init.copy()
-    compiled.check_compatible(state)
+    state = zero_state(net, cfg.dt) if init is None else init
+    check_compatible(net, cfg.dt, state)
 
     n_steps = int(round(cfg.duration / cfg.dt))
     start_step = state.step
@@ -969,6 +972,14 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
                     key=lambda e: e.time)
     event_steps = [int(round(e.time / cfg.dt)) for e in events]
 
+    next_event = 0
+    current_net = net
+    while next_event < len(events) and event_steps[next_event] <= start_step:
+        ev = events[next_event]
+        current_net = apply_fault(current_net, ev.target, ev.r_fault)
+        next_event += 1
+    compiled = CompiledNet(current_net, cfg.dt)
+    state = compiled.migrate_state(state)
     probes = ProbeSet(compiled, cfg.record)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
     traces = np.zeros((len(probes.keys), n_steps + 1))
@@ -978,8 +989,6 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     chunk = max(1, min(cycle, n_steps))
     loop = _Loop(compiled, state, chunk, cfg.t_ramp, probes)
 
-    next_event = 0
-    current_net = net
     while (done := loop.n - start_step) < n_steps:
         while next_event < len(events) and loop.n >= event_steps[next_event]:
             ev = events[next_event]
@@ -1013,7 +1022,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     """
     compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
-    compiled.check_compatible(state)
+    check_compatible(net, cfg.dt, state)
 
     n_cycle = int(round(net.period / cfg.dt))
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:

@@ -253,8 +253,9 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
 def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     """Injected power of the region into its torn boundary node at the
     supplied boundary voltage.  Pure function of (decl, v_boundary): a
-    white-box region solves its internal power flow from a flat start
-    every call, reusing only `decl.pf_problem`, which depends on the
+    white-box region solves its internal power flow every call from the
+    DC-angle start at v_boundary's angle (flat angles if its B_uu is
+    singular), reusing only `decl.pf_problem`, which depends on the
     declaration alone."""
     if v_boundary.magnitude <= 0.0:
         raise InvalidVoltage(
@@ -280,9 +281,10 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
 def internal_power_flow(decl: GrbcDeclaration,
                         v_boundary: Phasor) -> powerflow.PowerFlowSolution:
     """The internal power flow of a white-box region at its boundary
-    voltage: `decl.pf_problem` solved from a flat start to the payload's
-    pf_tol in at most 60 iterations.  A failed solve raises
-    InternalNonConvergence."""
+    voltage: `decl.pf_problem` solved from its DC-angle start (flat
+    angles if its B_uu is singular; see `powerflow.PowerFlowProblem`) to
+    the payload's pf_tol in at most 60 iterations, a pure function of
+    (decl, v_boundary).  A failed solve raises InternalNonConvergence."""
     try:
         return powerflow.solve_main(decl.pf_problem, {decl.boundary_bus: v_boundary},
                                     tol=decl.payload.pf_tol, max_iter=60)

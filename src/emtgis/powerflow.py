@@ -82,9 +82,17 @@ class PowerFlowProblem:
     """What a power flow of `case` needs that depends on the case alone,
     built once: the bus ids, the admittance matrix, the Newton index sets
     and gather indices, the scheduled injections, the boundary rows and
-    the flat start.  `solve_main` reads it and never writes it, so one
+    the DC-angle start.  `solve_main` reads it and never writes it, so one
     problem serves every solve of its case; the case must not change
     after it.
+
+    The start is a DC power flow (Stott, Jardim and Alsac, "DC power flow
+    revisited", 2009): with B = -Im(Y), the PV and PQ angles u solve
+    B_uu theta_u = P_u - B_ub theta_b, P the scheduled real injections,
+    the slack angles 0 and the boundary angles b as a solve supplies them.
+    So theta_u = theta_0 + dc_gain @ theta_b: `start` holds theta_0, the
+    angles at zero boundary angles.  Where B_uu is singular both are
+    zero, the flat start.
     """
 
     def __init__(self, case: CaseFile):
@@ -98,12 +106,23 @@ class PowerFlowProblem:
         self.s_sched = _scheduled_injections(case)
         self.boundary = tuple((i, b.id) for i, b in enumerate(case.buses)
                               if b.kind is BusKind.BOUNDARY)
-        # Flat start: theta 0, |V| 1, held magnitudes at their set points;
-        # solve_main writes the boundary phasors into a copy.
-        self.flat_start = np.concatenate([np.zeros(n), np.ones(n)])
+        # Start: theta_0, |V| 1, held magnitudes at their set points;
+        # solve_main writes the boundary phasors into a copy, then adds
+        # dc_gain @ theta_b to the PV and PQ angles.
+        self.start = np.concatenate([np.zeros(n), np.ones(n)])
         for i, b in enumerate(case.buses):
             if b.kind in (BusKind.SLACK, BusKind.PV):
-                self.flat_start[n + i] = b.v_set
+                self.start[n + i] = b.v_set
+        self.pvpq = pvpq
+        self.boundary_idx = np.array([i for i, _ in self.boundary], dtype=int)
+        bmat = -self.ybus.imag
+        try:
+            dc = np.linalg.solve(bmat[np.ix_(pvpq, pvpq)], np.column_stack(
+                [self.s_sched.real[pvpq], -bmat[np.ix_(pvpq, self.boundary_idx)]]))
+        except np.linalg.LinAlgError:
+            dc = np.zeros((pvpq.size, 1 + self.boundary_idx.size))
+        self.start[pvpq] = dc[:, 0]
+        self.dc_gain = dc[:, 1:]
         # Gathers from float views (a complex entry is real, imag): P rows
         # are real parts over pvpq, Q rows imaginary parts over pq, of
         # S_sched - S and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns'
@@ -111,7 +130,8 @@ class PowerFlowProblem:
         self.mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
         self.jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
         self.jac_idx = self.jac_rows[:, None] + 2 * self.unknowns
-        for arr in (self.ybus, self.unknowns, self.s_sched, self.flat_start,
+        for arr in (self.ybus, self.unknowns, self.s_sched, self.start,
+                    self.pvpq, self.boundary_idx, self.dc_gain,
                     self.mis_idx, self.jac_rows, self.jac_idx):
             arr.flags.writeable = False
 
@@ -154,9 +174,11 @@ def solve_main(
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; full-Jacobian polar NR over the remaining unknowns, always
-    from a flat start, so a solve is a pure function of its inputs (the
-    coordinator's directional differences rely on that).  The problem is
-    only read, so one serves every solve of its case.
+    from the problem's DC-angle start at the supplied boundary angles
+    (flat angles where B_uu is singular; see `PowerFlowProblem`) and
+    |V| 1 or the set point, so a solve is a pure function of its inputs
+    (the coordinator's directional differences rely on that).  The
+    problem is only read, so one serves every solve of its case.
     An iteration is O(n^2): dS/dV by `_fill_ds_dx` from the I = Y V the
     mismatch used, and one index gather for the Jacobian.  A non-finite
     mismatch raises NonConvergence.
@@ -169,11 +191,12 @@ def solve_main(
     if missing:
         raise ValueError(f"no boundary voltage supplied for buses {missing}")
 
-    x = problem.flat_start.copy()
+    x = problem.start.copy()
     va, vm = x[:n], x[n:]
     for i, bid in problem.boundary:
         ph = boundary_voltages[bid]
         vm[i], va[i] = ph.magnitude, ph.angle
+    va[problem.pvpq] += problem.dc_gain @ va[problem.boundary_idx]
 
     unknowns, s_sched = problem.unknowns, problem.s_sched
     mis_idx, jac_idx = problem.mis_idx, problem.jac_idx

@@ -35,15 +35,17 @@ def cli_env() -> dict:
 
 
 def overloaded_hybrid_doc() -> dict:
-    """The hybrid case with region plant2 scripted to draw 50 + j30 pu.
+    """The hybrid case with region plant2 scripted to draw 50 + j40 pu.
 
-    No operating point exists near the flat start: an unguarded Newton step
-    takes a boundary voltage magnitude below zero.
+    No operating point exists near the start: the first unguarded Newton
+    step takes plant2's boundary voltage magnitude below zero, and the
+    second leaves the basin at every halving, so the coordinator rejects
+    its second outer step.
     """
     doc = json.loads(Path(case_path("hybrid")).read_text())
     for region in doc["grbcs"]:
         if region["name"] == "plant2":
-            region["payload"] = {"p": -50, "q": -30}
+            region["payload"] = {"p": -50, "q": -40}
     return doc
 
 

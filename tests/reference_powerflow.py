@@ -1,7 +1,8 @@
 """Reference Newton-Raphson power flow: dense diagonal-matrix Jacobian.
 
 This is the iteration the broadcast `powerflow.solve_main` replaced, kept
-as an oracle for equivalence tests.  Per iteration it forms dS/dtheta and
+as an oracle for equivalence tests; it takes the same DC-angle start,
+solved per call from its own B blocks.  Per iteration it forms dS/dtheta and
 dS/d|V| from products with the dense matrices diag(V), diag(I) and
 diag(V/|V|), which costs O(n^3), then assembles the four Jacobian blocks
 with `np.ix_` and `np.block`.
@@ -43,6 +44,18 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
         for i, b in enumerate(case.buses):
             if b.id == m.bus:
                 p_sched[i] += m.p_set
+
+    # The same DC-angle start as solve_main, solved directly: B = -Im(Y),
+    # B_uu theta_u = P_u - B_uk theta_k over the PV and PQ buses u, with
+    # the slack and boundary angles k as set above; flat if B_uu is
+    # singular.
+    known = np.setdiff1d(np.arange(n), pvpq)
+    b_dc = -y.imag
+    try:
+        va[pvpq] = np.linalg.solve(b_dc[np.ix_(pvpq, pvpq)],
+                                   p_sched[pvpq] - b_dc[np.ix_(pvpq, known)] @ va[known])
+    except np.linalg.LinAlgError:
+        pass
 
     def calc_powers():
         v = vm * np.exp(1j * va)

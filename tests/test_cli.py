@@ -349,7 +349,7 @@ class TestCompareWindow:
 
 
 class TestFailureExits:
-    """The overloaded hybrid case has no operating point near the flat start."""
+    """The overloaded hybrid case has no operating point near the start."""
 
     def test_ipf_coordination_failure_exits_2_with_its_trace(self, overloaded, tmp_path):
         out = run_cli("ipf", overloaded, "--out", tmp_path, "--quiet")

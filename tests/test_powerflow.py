@@ -111,9 +111,12 @@ class TestSolveMain:
         assert np.array_equal(a.vm, b.vm) and np.array_equal(a.va, b.va)
 
     def test_quadratic_convergence_tail(self, ninebus1, ninebus2, ninebus3):
+        # On the last pair of mismatches above the rounding floor: the last
+        # iterates read 5e-15 to 1.5e-14, rounding of O(1) injections, and
+        # a mismatch that low no longer measures a Newton step's error.
         for case in (ninebus1, ninebus2, ninebus3):
-            sol = solve_monolithic(case)
-            hist = sol.mismatch_history
+            hist = [m for m in solve_monolithic(case).mismatch_history if m > 1e-12]
+            assert len(hist) >= 2
             assert hist[-1] < hist[-2] ** 2 * 10
 
 
