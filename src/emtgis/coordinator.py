@@ -36,7 +36,6 @@ from .errors import (
     InternalNonConvergence,
     InvalidVoltage,
     MaxOuterExceeded,
-    NonConvergence,
     NonFinite,
     OuterStepRejected,
     ResidualEvaluationError,
@@ -46,6 +45,7 @@ from .netmodel import Phasor
 from .powerflow import (
     MAIN_PF_MAX_ITER,
     MAIN_PF_TOL,
+    SOLVE_FAILURES,
     PowerFlowProblem,
     boundary_injections,
     boundary_sensitivity,
@@ -161,7 +161,7 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
 
     try:
         sol = solve_main(problem, volts, MAIN_PF_TOL, MAIN_PF_MAX_ITER)
-    except NonConvergence as exc:
+    except SOLVE_FAILURES as exc:
         raise ResidualEvaluationError("main-system", exc) from exc
     evals = []
     for g in grbcs:
@@ -200,7 +200,7 @@ def directional_difference(probe_base: np.ndarray, x: np.ndarray, z: np.ndarray,
         raise NonFinite("probe point leaves the voltage basin")
     try:
         phi_p = residual_fn(xp)
-    except (ResidualEvaluationError, NonConvergence, InternalNonConvergence) as exc:
+    except ResidualEvaluationError as exc:
         raise NonFinite(f"probe point broke the residual: {exc}") from exc
     if not np.all(np.isfinite(phi_p)):
         raise NonFinite("residual non-finite at probe point")

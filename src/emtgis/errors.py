@@ -37,10 +37,6 @@ class SingularJacobian(EmtgisError):
         self.iteration = iteration
 
 
-class NotConverged(EmtgisError):
-    """An operation required a converged power-flow solution."""
-
-
 class OracleUnavailable(EmtgisError):
     """Whole-network reference solve requested but a region is opaque."""
 

@@ -21,8 +21,6 @@ from .errors import (
     GrbcPayloadError,
     InternalNonConvergence,
     InvalidVoltage,
-    NonConvergence,
-    SingularJacobian,
 )
 from .netmodel import (
     BranchRecord,
@@ -288,7 +286,7 @@ def internal_power_flow(decl: GrbcDeclaration,
     try:
         return powerflow.solve_main(decl.pf_problem, {decl.boundary_bus: v_boundary},
                                     tol=decl.payload.pf_tol, max_iter=60)
-    except (NonConvergence, SingularJacobian) as exc:
+    except powerflow.SOLVE_FAILURES as exc:
         raise InternalNonConvergence(
             f"internal power flow of region '{decl.name}' failed: {exc}"
         ) from exc

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NonConvergence, NotConverged, SingularJacobian
+from .errors import NonConvergence, SingularJacobian
 from .netmodel import (
     BusKind,
     CaseFile,
@@ -161,6 +161,8 @@ def _fill_ds_dx(out: np.ndarray, ymat: np.ndarray, vm: np.ndarray, vhat: np.ndar
 # without regions: mismatch tolerance and Newton iteration cap.
 MAIN_PF_TOL = 1e-10
 MAIN_PF_MAX_ITER = 40
+# What `solve_main` raises when it finds no solution.
+SOLVE_FAILURES = (NonConvergence, SingularJacobian)
 
 
 def solve_main(
@@ -249,8 +251,6 @@ def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tup
     Positive means flowing into the boundary node; the boundary bus's own
     load belongs to the main side and is netted off here.
     """
-    if not sol.converged:
-        raise NotConverged("boundary injections need a converged solution")
     out: dict[str, tuple[float, float]] = {}
     for b in case.buses:
         if b.kind is BusKind.BOUNDARY:
@@ -274,8 +274,6 @@ def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
     because `boundary_injections` is the power into the torn node.
     A singular A_uu raises numpy's LinAlgError.
     """
-    if not sol.converged:
-        raise NotConverged("boundary sensitivity needs a converged solution")
     y = problem.ybus
     n = len(problem.bus_ids)
     bnd = np.array([problem.bus_ids.index(b) for b in bus_ids], dtype=int)

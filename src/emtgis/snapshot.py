@@ -25,7 +25,6 @@ from .coordinator import BoundaryState, IterationTrace, JfngConfig, jfng_solve
 from .emtkernel import Element, ElementKind, EmtNet, EmtState, Machine, SimConfig, Source
 from .errors import (
     IncompatibleSnapshot,
-    NotConverged,
     ScheduleViolation,
     StageFailure,
     SteadyStateTimeout,
@@ -62,13 +61,15 @@ class Snapshot:
     """Complete instantaneous subsystem state plus its boundary phasors."""
 
     subsystem: str
-    timestamp_steps: int
-    dt: float
     frequency_hz: float
-    emt_state: EmtState
+    emt_state: EmtState        # its step and dt are the snapshot's
     boundary_phasors: dict[str, tuple[Phasor, Phasor]]  # bus -> (V, I into region)
     provenance: str
     parts: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def timestamp_steps(self) -> int:
+        return self.emt_state.step
 
 
 # --- network construction from the grid model ---------------------------------
@@ -310,8 +311,6 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
     power each region pulls from its torn node so the state is consistent
     once regions are reconnected.
     """
-    if not pf.converged:
-        raise NotConverged("phasor initialization needs a converged power flow")
     draws = boundary_draw or {}
     injections = {bus: -machine_port_current(complex(p, q), pf.voltage(bus).rect)
                   for bus, (p, q) in draws.items()}
@@ -323,7 +322,7 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
         v_b = complex(node_ph[net.nodes.index(bus)])
         boundary_phasors[bus] = (Phasor.from_complex(v_b),
                                  Phasor.from_complex(machine_port_current(complex(p, q), v_b)))
-    return Snapshot(MAIN_SUBSYSTEM, 0, dt, case.frequency_hz, state,
+    return Snapshot(MAIN_SUBSYSTEM, case.frequency_hz, state,
                     boundary_phasors, PROVENANCE_PHASOR,
                     parts={MAIN_SUBSYSTEM: PROVENANCE_PHASOR})
 
@@ -400,8 +399,6 @@ def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, net: EmtNet,
                      boundary: str) -> TheveninEquivalent:
     """Boundary equivalent of the main system seen from one region.  `net`
     is `build_main_net(case, pf)`, built once by the caller."""
-    if not pf.converged:
-        raise NotConverged("Thevenin extraction needs a converged power flow")
     inj = boundary_injections(pf, case)
     if boundary not in inj:
         raise KeyError(f"'{boundary}' is not a boundary bus")
@@ -452,7 +449,7 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
                              state.step, cfg.dt, omega)
     i_ph = ek.fourier_phasor(last_cycle[:, keys.index(f"i:{probe_eid}.a")],
                              state.step, cfg.dt, omega)
-    return Snapshot(subsystem, state.step, cfg.dt, net.frequency_hz, state,
+    return Snapshot(subsystem, net.frequency_hz, state,
                     {boundary_bus: (Phasor.from_complex(v_ph), Phasor.from_complex(i_ph))},
                     PROVENANCE_RAMP, parts={subsystem: PROVENANCE_RAMP})
 
@@ -498,7 +495,7 @@ def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
         return snap
     cfg = SimConfig(dt=dt, duration=extra * dt, record=[])
     _, state = ek.run(net, cfg, init=snap.emt_state)
-    return replace(snap, timestamp_steps=state.step, emt_state=state)
+    return replace(snap, emt_state=state)
 
 
 # --- splicing -----------------------------------------------------------------------
@@ -508,10 +505,11 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
            full_net: EmtNet, dt: float) -> tuple[Snapshot, dict[str, float]]:
     """Merge subsystem snapshots into one whole-system state.
 
-    Equivalent sources disappear simply by not existing in the full net;
-    every full-net element and node must be covered by exactly one
-    subsystem (boundary nodes by two: main wins, and the disagreement is
-    the reported per-boundary splicing deviation, instantaneous pu-peak).
+    Equivalent sources disappear simply by not existing in the full net.
+    Each full-net element, node and machine takes its row from the first
+    subsystem, main first, whose snapshot has it; a node that a later
+    subsystem shares (a boundary node) records that subsystem's largest
+    disagreement as its splicing deviation, instantaneous pu-peak.
     """
     for name in schedule.t_adj_steps:
         if name not in snapshots:
@@ -522,7 +520,7 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
                 f"subsystem '{name}' captured at step {snap.timestamp_steps}, "
                 f"scheduled {schedule.t_adj_steps[name]}"
             )
-        if abs(snap.dt - dt) > 1e-18:
+        if abs(snap.emt_state.dt - dt) > 1e-18:
             raise IncompatibleSnapshot(f"subsystem '{name}' uses a different dt")
 
     if len(snapshots) == 1:
@@ -535,51 +533,34 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
 
     merged = ek.zero_state(full_net, dt)
     merged.step = schedule.t_ref_steps
-
-    elem_owner: dict[str, tuple[str, int]] = {}
-    node_owner: dict[str, list[tuple[str, int]]] = {}
-    mach_owner: dict[str, tuple[str, int]] = {}
-    for name, snap in snapshots.items():
-        for k, eid in enumerate(snap.emt_state.element_ids):
-            elem_owner.setdefault(eid, (name, k))
-        for k, nid in enumerate(snap.emt_state.node_ids):
-            node_owner.setdefault(nid, []).append((name, k))
-        for k, mid in enumerate(snap.emt_state.machine_ids):
-            mach_owner[mid] = (name, k)
-
-    for k, e in enumerate(full_net.elements):
-        if e.eid not in elem_owner:
-            raise TopologyMismatch(f"element '{e.eid}' missing from all snapshots")
-        name, src_k = elem_owner[e.eid]
-        st = snapshots[name].emt_state
-        merged.elem_i[k] = st.elem_i[src_k]
-        merged.hist_u[k] = st.hist_u[src_k]
-        merged.hist_i[k] = st.hist_i[src_k]
-
-    deviations: dict[str, float] = {}
-    for k, nid in enumerate(full_net.nodes):
-        owners = node_owner.get(nid)
-        if not owners:
-            raise TopologyMismatch(f"node '{nid}' missing from all snapshots")
-        main_first = sorted(owners, key=lambda o: 0 if o[0] == MAIN_SUBSYSTEM else 1)
-        name, src_k = main_first[0]
-        merged.v_nodes[k] = snapshots[name].emt_state.v_nodes[src_k]
-        if len(owners) > 1:
-            vals = [snapshots[n].emt_state.v_nodes[i] for n, i in main_first]
-            dev = max(
-                float(np.max(np.abs(vals[0] - v))) for v in vals[1:]
-            )
-            deviations[nid] = dev
-
-    for k, m in enumerate(full_net.machines):
-        if m.mid not in mach_owner:
-            raise TopologyMismatch(f"machine '{m.mid}' missing from all snapshots")
-        name, src_k = mach_owner[m.mid]
-        st = snapshots[name].emt_state
-        merged.machine_delta[k] = st.machine_delta[src_k]
-        merged.machine_speed_dev[k] = st.machine_speed_dev[src_k]
-        merged.machine_emf[k] = st.machine_emf[src_k]
-        merged.machine_pm[k] = st.machine_pm[src_k]
+    states = [snapshots[name].emt_state
+              for name in sorted(snapshots, key=lambda n: n != MAIN_SUBSYSTEM)]
+    deviation = np.zeros(len(merged.node_ids))
+    shared = np.zeros(len(merged.node_ids), dtype=bool)
+    for ids, fields in (("element_ids", ("elem_i", "hist_u", "hist_i")),
+                        ("node_ids", ("v_nodes",)),
+                        ("machine_ids", ("machine_delta", "machine_speed_dev",
+                                         "machine_emf", "machine_pm"))):
+        index = {x: k for k, x in enumerate(getattr(merged, ids))}
+        owned = np.zeros(len(index), dtype=bool)
+        for st in states:
+            rows = np.array([index.get(x, -1) for x in getattr(st, ids)], dtype=int)
+            src = np.flatnonzero(rows >= 0)
+            dst = rows[src]
+            new = ~owned[dst]
+            for f in fields:
+                getattr(merged, f)[dst[new]] = getattr(st, f)[src[new]]
+            if ids == "node_ids":
+                old = dst[~new]
+                gap = np.abs(merged.v_nodes[old] - st.v_nodes[src[~new]]).max(axis=1)
+                deviation[old] = np.maximum(deviation[old], gap)
+                shared[old] = True
+            owned[dst] = True
+        if not owned.all():
+            missing = getattr(merged, ids)[np.argmin(owned)]
+            raise TopologyMismatch(
+                f"{ids.removesuffix('_ids')} '{missing}' missing from all snapshots")
+    deviations = {merged.node_ids[k]: float(deviation[k]) for k in np.flatnonzero(shared)}
 
     boundary_phasors = {}
     parts = {}
@@ -590,8 +571,7 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
     if set(parts.values()) == {PROVENANCE_PHASOR}:
         provenance = PROVENANCE_PHASOR
     freq = next(iter(snapshots.values())).frequency_hz
-    out = Snapshot("whole", schedule.t_ref_steps, dt, freq, merged,
-                   boundary_phasors, provenance, parts)
+    out = Snapshot("whole", freq, merged, boundary_phasors, provenance, parts)
     return out, deviations
 
 
@@ -840,8 +820,8 @@ def load_snapshot(path: str | Path) -> Snapshot:
                     for bus, ph in doc["boundary_phasors"].items()}
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise IncompatibleSnapshot(f"{path} is not a version-2 snapshot: {exc!r}") from exc
-    return Snapshot(doc["subsystem"], step, dt, frequency_hz,
-                    EmtState(step=step, dt=dt, **fields), boundary, doc["provenance"], parts)
+    return Snapshot(doc["subsystem"], frequency_hz, EmtState(step=step, dt=dt, **fields),
+                    boundary, doc["provenance"], parts)
 
 
 def _floats(name: str, value, shape: tuple[int, ...]) -> np.ndarray:

@@ -219,7 +219,7 @@ def phasor_consistency_error(snap: sn.Snapshot) -> float:
     """Max |v(t) - Re(sqrt2 V e^{jwt})| over a snapshot's boundary buses
     and phases."""
     omega = 2.0 * math.pi * snap.frequency_hz
-    t = snap.timestamp_steps * snap.dt
+    t = snap.timestamp_steps * snap.emt_state.dt
     worst = 0.0
     for bus, (vph, _) in snap.boundary_phasors.items():
         node = snap.emt_state.node_ids.index(bus)

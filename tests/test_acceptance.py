@@ -261,8 +261,8 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     main, _ = parts(at_peak)
     _, region_half = parts(at_half)
     _, region_two = parts(at_two)
-    snap = lambda name, st: sn.Snapshot(name, st.step, dt, 50.0, st, {},
-                                        sn.PROVENANCE_RAMP, {name: "x"})
+    snap = lambda name, st: sn.Snapshot(name, 50.0, st, {}, sn.PROVENANCE_RAMP,
+                                        {name: "x"})
     unadjusted = sn.SpliceSchedule("main", main.step, n_cycle, 2,
                                    {"main": main.step, "wind1": region_half.step})
     _, bad = sn.splice({"main": snap("main", main),

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emtgis.cli as cli
 import emtgis.coordinator as coordinator_module
 from emtgis.coordinator import (
     JfngConfig,
@@ -26,6 +27,8 @@ from emtgis.errors import (
     MaxOuterExceeded,
     NonFinite,
     OuterStepRejected,
+    ResidualEvaluationError,
+    SingularJacobian,
 )
 from emtgis.grbc import parse_declaration
 from emtgis.netmodel import BusKind, BusRecord, Phasor, parse_case
@@ -80,6 +83,21 @@ class TestResidual:
         a = residual(PowerFlowProblem(ninebus3), ninebus3.grbcs, x)
         b = residual(shared, ninebus3.grbcs, x)
         assert np.array_equal(a.phi, b.phi)
+
+    def test_singular_main_jacobian_is_a_residual_error(self, ninebus1, monkeypatch,
+                                                         tmp_path):
+        # a residual failure: a probe halves, and `ipf` exits 2 with its trace
+        def singular(*args, **kwargs):
+            raise SingularJacobian(3)
+
+        monkeypatch.setattr(coordinator_module, "solve_main", singular)
+        with pytest.raises(ResidualEvaluationError) as exc:
+            residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, np.array([1.0, 0.0]))
+        assert exc.value.side == "main-system"
+        assert isinstance(exc.value.cause, SingularJacobian)
+        out = tmp_path / "ipf"
+        assert cli.main(["ipf", case_path("ninebus1"), "--out", str(out), "--quiet"]) == 2
+        assert (out / "trace.csv").read_text().startswith("outer_iter,")
 
 
 class TestDirectionalDifference:

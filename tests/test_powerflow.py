@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import case_path
 from emtgis.errors import (
     NonConvergence,
-    NotConverged,
     OracleUnavailable,
     SingularJacobian,
 )
@@ -156,13 +155,6 @@ class TestBoundaryInjections:
         for b in flat.buses:
             losses += b.shunt_g * abs(v[sol.index(b.id)]) ** 2
         assert float(np.sum(sol.p_calc)) == pytest.approx(losses, abs=1e-8)
-
-    def test_requires_converged_solution(self):
-        case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(PowerFlowProblem(case), {"B2": Phasor(1.0, 0.0)})
-        sol.converged = False
-        with pytest.raises(NotConverged):
-            boundary_injections(sol, case)
 
 
 class TestMonolithic:

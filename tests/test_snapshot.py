@@ -12,7 +12,6 @@ import emtgis.emtkernel as ek
 import emtgis.grbc as grbc_module
 import emtgis.snapshot as sn
 from emtgis.errors import (
-    NotConverged,
     ScheduleViolation,
     StageFailure,
     SteadyStateTimeout,
@@ -45,6 +44,7 @@ from conftest import (  # noqa: E402
     subset_state,
 )
 from reference_phasor import reference_phasor_solve  # noqa: E402
+from reference_splice import reference_splice  # noqa: E402
 
 
 def machine_case():
@@ -81,13 +81,6 @@ class TestPhasorDiagram:
 
 
 class TestPhasorInit:
-    def test_requires_converged_solution(self, twobus):
-        pf = solve_main(PowerFlowProblem(twobus), {}, tol=1e-12)
-        net = sn.build_main_net(twobus, pf)
-        pf.converged = False
-        with pytest.raises(NotConverged):
-            sn.phasor_init(twobus, pf, net, dt=5e-5)
-
     def test_unloaded_network_has_zero_current_histories(self):
         case = CaseFile(
             100.0, 50.0,
@@ -392,8 +385,8 @@ def split_setup(ninebus1, ninebus1_pipeline):
                             [m.mid for m in main_net.machines])
         region = subset_state(state, region_net.nodes,
                               [e.eid for e in region_net.elements])
-        mk = lambda name, st, prov: sn.Snapshot(
-            name, st.step, dt, 50.0, st, {}, prov, parts={name: prov})
+        mk = lambda name, st, prov: sn.Snapshot(name, 50.0, st, {}, prov,
+                                                parts={name: prov})
         return (mk("main", main, sn.PROVENANCE_PHASOR),
                 mk("wind1", region, sn.PROVENANCE_RAMP))
 
@@ -471,6 +464,70 @@ class TestSplice:
                                 split_setup["dt"])
         assert merged is whole
         assert all(v == 0.0 for v in dev.values())
+
+
+def assert_splices_agree(snapshots, schedule, full_net, dt):
+    """`splice` and the owner-dict reference give the same snapshot and
+    deviations bit for bit, or raise the same TopologyMismatch."""
+    try:
+        want, want_dev = reference_splice(snapshots, schedule, full_net, dt)
+    except TopologyMismatch as exc:
+        with pytest.raises(TopologyMismatch) as got:
+            sn.splice(snapshots, schedule, full_net, dt)
+        assert str(got.value) == str(exc)
+        return
+    got, got_dev = sn.splice(snapshots, schedule, full_net, dt)
+    for f in dataclasses.fields(ek.EmtState):
+        assert bits(getattr(got.emt_state, f.name)) == bits(getattr(want.emt_state, f.name)), f.name
+    assert [(k, bits(v)) for k, v in got_dev.items()] == \
+        [(k, bits(v)) for k, v in want_dev.items()]
+    assert list(got.parts.items()) == list(want.parts.items())
+    assert (got.subsystem, got.provenance, got.frequency_hz) == \
+        (want.subsystem, want.provenance, want.frequency_hz)
+    assert list(got.boundary_phasors) == list(want.boundary_phasors)
+
+
+def pipeline_schedule(result, case, dt=5e-5):
+    """The splice schedule `run_emtgis` built for `result`."""
+    return sn.schedule_from_steps(result.report.ready_steps,
+                                  int(round(case.period / dt)))
+
+
+class TestSpliceMatchesReference:
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_pipeline_subsystems(self, name, request):
+        result = pipeline_result(request, name)
+        case = request.getfixturevalue(name)
+        assert_splices_agree(result.subsystem_snapshots, pipeline_schedule(result, case),
+                             result.model.full_net, 5e-5)
+
+    def test_split_main_and_region(self, split_setup):
+        # the region captured in phase, half a period later and two later
+        s = split_setup
+        main, _ = s["split"](s["at_peak"])
+        for at in ("at_peak", "at_half", "at_two"):
+            _, region = s["split"](s[at])
+            sched = sn.SpliceSchedule("main", main.timestamp_steps, s["n_cycle"], 2,
+                                      {"main": main.timestamp_steps,
+                                       "wind1": region.timestamp_steps})
+            assert_splices_agree({"main": main, "wind1": region}, sched, s["full"], s["dt"])
+
+    @pytest.mark.parametrize("kind", ["element", "node", "machine"])
+    def test_id_missing_from_every_snapshot(self, kind, hybrid, request):
+        res = pipeline_result(request, "hybrid")
+        full = res.model.full_net
+        gone = {"element": full.elements[len(full.elements) // 2].eid,
+                "node": full.nodes[len(full.nodes) // 2],
+                "machine": full.machines[0].mid}[kind]
+        keep = lambda ids: [x for x in ids if x != gone]
+        snapshots = {
+            name: replace(snap, emt_state=subset_state(
+                snap.emt_state, keep(snap.emt_state.node_ids),
+                keep(snap.emt_state.element_ids), keep(snap.emt_state.machine_ids)))
+            for name, snap in res.subsystem_snapshots.items()}
+        with pytest.raises(TopologyMismatch, match=f"{kind} '{gone}' missing"):
+            sn.splice(snapshots, pipeline_schedule(res, hybrid), full, 5e-5)
+        assert_splices_agree(snapshots, pipeline_schedule(res, hybrid), full, 5e-5)
 
 
 class TestPipeline:
@@ -575,13 +632,7 @@ class TestPinnedStepCounts:
 
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
     def test_init_ready_and_adjusted_steps(self, name, request):
-        if name == "ninebus1":
-            result = request.getfixturevalue("ninebus1_pipeline")
-        elif name == "hybrid":
-            result = request.getfixturevalue("hybrid_comparison")["result"]
-        else:
-            result = sn.run_emtgis(request.getfixturevalue(name),
-                                   sn.PipelineConfig(dt=5e-5))
+        result = pipeline_result(request, name)
         assert result.report.ready_steps == self.READY[name]
         assert result.report.adjusted_steps == self.ADJUSTED[name]
         assert result.report.gis_cost_steps == 14400
@@ -593,6 +644,16 @@ class TestPinnedStepCounts:
         zero = hybrid_comparison["zero_fired"]
         assert (gis, zero) == (14400, 100000)
         assert zero / gis == 6.944444444444445
+
+
+def pipeline_result(request, name):
+    """`run_emtgis` of a bundled case at dt = 5e-5, from the shared
+    fixtures where one exists."""
+    if name == "ninebus1":
+        return request.getfixturevalue("ninebus1_pipeline")
+    if name == "hybrid":
+        return request.getfixturevalue("hybrid_comparison")["result"]
+    return sn.run_emtgis(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
 
 
 def bits(value):
@@ -616,8 +677,7 @@ class TestSnapshotFile:
         settled = hybrid_comparison["zero_state"]
         assert np.all(settled.machine_speed_dev != 0.0) and settled.machine_ids
         for name, snap in (("ninebus1", ninebus1_pipeline.snapshot), ("hybrid", hybrid),
-                           ("settled", replace(hybrid, timestamp_steps=settled.step,
-                                               emt_state=settled))):
+                           ("settled", replace(hybrid, emt_state=settled))):
             state = snap.emt_state.copy()
             state.v_nodes[0, 0] = -0.0
             snap = replace(snap, emt_state=state)
@@ -656,7 +716,7 @@ class TestAdvance:
         snap = ninebus1_pipeline.subsystem_snapshots["wind1"]
         with pytest.raises(ScheduleViolation):
             sn.advance_snapshot(snap, ninebus1_pipeline.model.full_net,
-                                snap.timestamp_steps - 1, snap.dt)
+                                snap.timestamp_steps - 1, snap.emt_state.dt)
 
     def test_snapshot_version_gate(self, tmp_path, ninebus1_pipeline):
         from emtgis.errors import IncompatibleSnapshot
