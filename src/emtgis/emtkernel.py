@@ -39,11 +39,15 @@ of the rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE
 Trans. CAD 1(3)).  Within a chunk the network is linear in the EMFs, so
 the machines' currents and the probe samples are fixed maps of the
 chunk's start buffer and its EMFs, and the swing recursion is a fixed
-affine map of the electrical power.  A sweep forms the EMFs from the
-angles of the last sweep, then the currents, the power and the angles; a
-chunk ends when its angles repeat bit for bit.  Each step's EMF reads the
-angle before it, so sweep k fixes step k for good, and a chunk of L steps
-stops within L + 1 sweeps.
+affine map of the electrical power.  That power is a two-axis quantity
+(Park 1929, AIEE Trans. 48): the phases' EMFs amp cos(theta + phase) are
+amp [cos theta, sin theta] K, so a sweep runs on u = [cos theta; sin
+theta], two columns in place of three phases.  From the last sweep's
+angles it forms u, then the machines' currents in that frame, the power
+and, in one product, the angles; a chunk ends when its angles repeat bit
+for bit.  Each step's EMF reads the angle before it, so sweep k fixes
+step k for good, and a chunk of L steps stops within L + 1 sweeps.  The
+phases' EMFs are formed once per chunk, after the sweeps.
 
 `CompiledNet` builds the network part once per topology and the maps once
 per stepping loop, a `_Loop`, which `run` and `run_until_steady` drive.  A
@@ -80,7 +84,8 @@ from .errors import (
 
 SQRT2 = math.sqrt(2.0)
 # Steps per relaxed chunk of a net with swinging machines after the ramp:
-# longer chunks need fewer numpy calls per step but more sweeps per chunk.
+# longer chunks need fewer numpy calls per step but more sweeps per chunk,
+# each through maps of side length * n_swinging, built once per length.
 SWING_CHUNK = 100
 # Steps per block of a relaxed chunk's probe samples: one small map serves
 # every block, from the block's start buffer and its EMFs.
@@ -93,7 +98,9 @@ SETTLE_MARGIN_CYCLES = 5
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
 COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
-_ONES3 = np.ones(3)
+# K: the phases' EMFs amp cos(theta + phase) are amp [cos theta, sin theta] K,
+# and K K^T = 3/2 I.
+TWO_AXIS = np.array([np.cos(PHASE_SHIFT), -np.sin(PHASE_SHIFT)])
 
 
 class ElementKind(str, Enum):
@@ -349,25 +356,22 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
 
 
 class _SwingMaps(NamedTuple):
-    """`CompiledNet.relax`'s maps over a chunk of N = SWING_CHUNK steps; a
-    shorter chunk uses their leading blocks.  w_0 is the chunk's start
-    buffer less its machine rows, and e stacks the EMFs of the chunk's
-    steps, step-major, as do the outputs, the rotor angles and the speed
-    deviations.  The probes are sampled per block of B = PROBE_BLOCK
-    steps."""
+    """`CompiledNet.relax`'s maps for chunks of one length L in a loop, each
+    in the form the chunk multiplies by.  w_0 is the chunk's start buffer
+    less its machine rows; e stacks the EMFs of its steps and u = [cos
+    theta; sin theta] their angles, one row per phase or axis, step-major
+    over ne = L*nsw columns."""
 
-    currents_w: np.ndarray  # (N*nsw, w): machine currents from w_0
-    currents_e: np.ndarray  # (N*nsw, N*nsw): ... and from e
-    probes: np.ndarray      # (w + B*nsw, B*n_probes): a block's samples from its
-    n_probes: int           # start's w and its EMFs, transposed
-    from_start: np.ndarray  # (2*N*nsw, 4*nsw): angles, then speed deviations,
-    from_power: np.ndarray  # (2*N*nsw, N*nsw): from [delta_0; dw_0; emf; pm] and
-    #                         from p, the sum over phases of e*i (3 pe)
-    amplitude: np.ndarray   # (N*nsw, 1): sqrt2 emf
-    powers: np.ndarray      # (N + 1, w, w): T_ww^k
-    impulse: np.ndarray     # (N, w, nsw): T_ww^d T_we
-    w_maps: dict            # chunk length: map of [w_0; e] to w at every block
-    #                         start, then in the buffers the chunk rebuilds
+    currents_w: np.ndarray  # (w, ne): C_w^T, the machines' currents from w_0
+    currents: np.ndarray    # (ne, ne): (3/2 C_e diag(amp))^T, y from u
+    swing: np.ndarray       # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the
+    #                         angles and end speed deviations from [sum(u*y);
+    #                         delta_0, dw_0, emf, pm]
+    amplitude: np.ndarray   # (ne,): sqrt2 emf
+    handed_on: np.ndarray   # (w + ne, w): w in the first buffer the chunk
+    #                         hands on, from [w_0; e]
+    blocks: np.ndarray      # (w + ne, (b - 1)*w): w at its b probe blocks'
+    #                         starts after the first; no columns without probes
 
 
 class CompiledNet:
@@ -422,11 +426,16 @@ class CompiledNet:
     the buffer's EMF rows serve.  Over a chunk from w_0 the outputs are
     one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on the EMFs the
     lower block-triangular Toeplitz matrix of the Markov parameters o_e
-    and o_w T_ww^d T_we, one block per machine.  The swing recursion is an
-    affine map of the electrical power.  `buffers` builds these maps for
-    the machines' currents over a chunk and for a `_Loop`'s probes over a
-    block of PROBE_BLOCK steps, and maps of [w_0; e] to w at each block
-    start and in the buffers a chunk rebuilds.
+    and o_w T_ww^d T_we, one block per machine: C_w and C_e for the
+    machines' currents.  As e = amp u K and K K^T = 3/2 I (`TWO_AXIS`),
+    the currents in the two-axis frame are y = 3/2 C_e diag(amp) u + i_0
+    K^T, i_0 = C_w w_0 formed once per chunk, and the power is amp sum(u*y)
+    over the axes.  The swing recursion is affine in that power, so one
+    product [F diag(amp) | S] [sum(u*y); delta_0, dw_0, emf, pm] gives the
+    angles and the end step's speed deviations.  `relax` builds these
+    maps, and those of [w_0; e] to w in the first buffer a chunk hands on
+    and at its probe blocks' starts, once per chunk length in a `_Loop`;
+    `buffers` builds the probes' map over a block of PROBE_BLOCK steps.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -517,7 +526,11 @@ class CompiledNet:
         self.outputs: tuple[np.ndarray, np.ndarray] | None = None  # O ramp, after
         self.ramp_end = 0
         self._start: tuple[int, np.ndarray] | None = None
-        self.swing_maps: _SwingMaps | None = None
+        # `relax`'s maps per chunk length, and the probes' per block (None:
+        # no probes): a block's samples from its start's w and its EMFs.
+        self.swing_maps: dict[int, _SwingMaps] = {}
+        self.probe_map: np.ndarray | None = None
+        self.amplitude: np.ndarray | None = None  # sqrt2 emf per swinging machine
         # The electrical power per swinging machine that the next chunk's
         # first angle guess assumes over the whole chunk; `relax` updates it.
         self.pe_guess: np.ndarray | None = None
@@ -561,7 +574,11 @@ class CompiledNet:
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
         self._build_maps(state, t_ramp)
         if self.swinging.size:
-            self.swing_maps = self._swing_maps(probe_rows, state.machine_emf[self.swinging])
+            self.swing_maps, self.probe_map = {}, None
+            self.amplitude = SQRT2 * state.machine_emf[self.swinging]
+            if len(probe_rows):
+                g = self._chunk_map(probe_rows, PROBE_BLOCK)
+                self.probe_map = g.transpose(2, 0, 1).reshape(g.shape[2], -1)
             self.pe_guess = state.machine_pm[self.swinging].astype(float)
         machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
                                     state.machine_emf, state.machine_pm]).astype(float)
@@ -603,75 +620,72 @@ class CompiledNet:
         t[m + 2:m + 4, m + 2:m + 4] = self.rotation
         return t
 
-    def _swing_maps(self, probe_rows: np.ndarray | tuple, emf: np.ndarray) -> _SwingMaps:
-        """`relax`'s maps for the probes at `probe_rows` of [v; i] and the
-        swinging machines' EMF magnitudes (see the class docstring)."""
-        n, w, nsw = SWING_CHUNK, self.n_lc + 4, self.swinging.size
-        t = self.post_map.T
-        powers = np.empty((n + 1, w, w))
-        powers[0] = np.eye(w)
-        for k in range(n):
-            np.dot(t[:w, :w], powers[k], out=powers[k + 1])
-        impulse = powers[:n] @ t[:w, w:]
+    def _chunk_map(self, rows: np.ndarray | list | tuple, steps: int) -> np.ndarray:
+        """(steps, rows, w + steps*nsw): the outputs at `rows` of [v; i]
+        over a chunk from [w_0; e].  Each row set has its own products, so
+        the machines' currents, and with them the trajectory, round the
+        same whatever the probes."""
+        w, nsw, t = self.n_lc + 4, self.swinging.size, self.post_map.T
+        o = self.outputs[1][np.asarray(rows, dtype=int)]
+        # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
+        # w_0, and the Markov parameter d = k + 1 - j on e_j.
+        g = np.zeros((steps, len(o), w + steps * nsw))
+        g[0, :, :w] = o[:, :w]
+        for k in range(1, steps):
+            g[k, :, :w] = g[k - 1, :, :w] @ t[:w, :w]
+        markov = np.concatenate([o[None, :, w:], g[:-1, :, :w] @ t[:w, w:]])
+        lower = np.tril_indices(steps)
+        from_e = g[:, :, w:].reshape(steps, len(o), steps, nsw)  # a view
+        from_e[lower[0], :, lower[1]] = markov[lower[0] - lower[1]]
+        return g
 
-        def chunk_map(rows: np.ndarray | list | tuple, steps: int) -> np.ndarray:
-            """(steps, rows, w + steps*nsw): the outputs at `rows` of [v; i]
-            from [w_0; e].  Each row set has its own products, so the
-            machines' currents, and with them the trajectory, round the
-            same whatever the probes."""
-            rows = np.asarray(rows, dtype=int)
-            o = self.outputs[1][rows]
-            # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
-            # w_0, and the Markov parameter d = k + 1 - j on e_j.
-            markov = np.empty((steps, len(rows), nsw))
-            markov[0] = o[:, w:]
-            markov[1:] = o[:, :w] @ impulse[:steps - 1]
-            lower = np.tril_indices(steps)
-            g = np.zeros((steps, len(rows), w + steps * nsw))
-            g[:, :, :w] = o[:, :w] @ powers[:steps]
-            from_e = g[:, :, w:].reshape(steps, len(rows), steps, nsw)  # a view
-            from_e[lower[0], :, lower[1]] = markov[lower[0] - lower[1]]
-            return g
-
-        # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
-        # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
-        # sum_(i<=k) dw_i, which is linear in delta_0, dw_0, pm and pe.
-        active = [self.net.machines[k] for k in self.swinging]
-        gain = np.array([self.dt / (2.0 * m.inertia_h) for m in active])
-        damping = np.array([m.damping for m in active])
-        decay = (1.0 - gain * damping)[:, None] ** np.arange(n + 1)
-        lag = np.subtract.outer(np.arange(n), np.arange(n))
-        to_speed = gain[:, None, None] * np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
-        angle_gain = self.dt * self.omega
-        to_angle = angle_gain * np.cumsum(to_speed, axis=1)
-        own = np.arange(nsw)
-        from_power = np.zeros((2, n, nsw, n, nsw))
-        from_power[:, :, own, :, own] = np.stack([to_angle, to_speed], axis=1) / -3.0
-        from_start = np.zeros((2, n, nsw, 4, nsw))
-        from_start[0, :, own, 0, own] = 1.0
-        from_start[:, :, own, 1, own] = np.stack(
-            [angle_gain * np.cumsum(decay[:, 1:], axis=1).T, decay[:, 1:].T])
-        from_start[:, :, own, 3, own] = np.stack([to_angle.sum(axis=2).T,
-                                                  to_speed.sum(axis=2).T])
-        currents = chunk_map(self.branch_rows, n).reshape(n * nsw, -1)
-        probes = chunk_map(probe_rows, PROBE_BLOCK).transpose(2, 0, 1).copy()
-        return _SwingMaps(currents[:, :w].copy(), currents[:, w:].copy(),
-                          probes.reshape(w + PROBE_BLOCK * nsw, -1), len(probe_rows),
-                          from_start.reshape(2 * n * nsw, 4 * nsw),
-                          from_power.reshape(2 * n * nsw, n * nsw),
-                          np.tile(SQRT2 * emf, n)[:, None], powers, impulse, {})
-
-    def _w_map(self, length: int) -> np.ndarray:
-        """The map of [w_0; e] to w at every block start of a chunk and in
-        the buffers a chunk of `length` steps rebuilds, stacked."""
-        maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
-        steps = list(range(0, n, PROBE_BLOCK)) + list(range(max(length - 2, 0), length + 1))
-        m = np.zeros((len(steps), w, w + n * nsw))
+    def _w_map(self, length: int, steps: range) -> np.ndarray:
+        """[w_0; e] to w at `steps` of a chunk of `length`, stacked, transposed."""
+        w, nsw, t = self.n_lc + 4, self.swinging.size, self.post_map.T
+        impulse = [t[:w, w:]]
+        for _ in range(1, max(steps, default=0)):
+            impulse.append(t[:w, :w] @ impulse[-1])  # T_ww^d T_we
+        from_e = np.hstack(impulse[::-1])
+        m = np.zeros((len(steps), w, w + length * nsw))
+        power, last = np.eye(w), 0
         for i, k in enumerate(steps):
             # w_k = T_ww^k w_0 + sum_(j<=k) T_ww^(k-j) T_we e_j
-            m[i, :, :w] = maps.powers[k]
-            m[i, :, w:w + k * nsw] = maps.impulse[:k][::-1].transpose(1, 0, 2).reshape(w, -1)
-        return m.reshape(-1, w + n * nsw)
+            power = np.linalg.matrix_power(t[:w, :w], k - last) @ power
+            m[i, :, :w], last = power, k
+            m[i, :, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
+        return m.reshape(-1, m.shape[2]).T
+
+    def _swing_maps(self, length: int) -> _SwingMaps:
+        """`relax`'s maps for chunks of `length` steps (see the class docstring)."""
+        w, nsw = self.n_lc + 4, self.swinging.size
+        ne = length * nsw
+        currents = self._chunk_map(self.branch_rows, length).reshape(ne, -1)
+        amplitude = np.tile(self.amplitude, length)
+        # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
+        # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
+        # sum_(i<=k) dw_i, per machine affine in [delta_0, dw_0, emf, pm]
+        # and in the sums s_j over the axes of u*y, pe_j = amp s_j / 3.
+        active = [self.net.machines[k] for k in self.swinging]
+        gain = np.array([self.dt / (2.0 * m.inertia_h) for m in active])
+        decay = (1.0 - gain * [m.damping for m in active])[:, None] ** np.arange(length + 1)
+        lag = np.subtract.outer(np.arange(length), np.arange(length))
+        to_speed = gain[:, None, None] * np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
+        speed = np.zeros((nsw, length, length + 4))  # from [s; delta_0, dw_0, emf, pm]
+        speed[:, :, :length] = to_speed * (self.amplitude / -3.0)[:, None, None]
+        speed[:, :, length + 1] = decay[:, 1:]
+        speed[:, :, length + 3] = to_speed.sum(axis=2)
+        angle = self.dt * self.omega * np.cumsum(speed, axis=1)
+        angle[:, :, length] = 1.0
+        swing = np.zeros((length + 1, nsw, length + 4, nsw))
+        own = np.arange(nsw)
+        swing[:, own, :, own] = np.concatenate([angle, speed[:, -1:]], axis=1)
+        low = max(length - 2, 0)  # the first buffer a chunk hands on
+        blocks = range(PROBE_BLOCK, length if self.probe_map is not None else 0, PROBE_BLOCK)
+        self.swing_maps[length] = maps = _SwingMaps(
+            currents[:, :w].T, 1.5 * (currents[:, w:] * amplitude).T,
+            swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
+            self._w_map(length, range(low, low + 1)), self._w_map(length, blocks))
+        return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
         """Set the oscillator rows of the state in buffer x from the clock
@@ -734,8 +748,10 @@ class CompiledNet:
         steps after the ramp, from the buffer at `step` in stack[first], by
         waveform relaxation of its rotors.
 
-        Each sweep forms the chunk's EMFs from the last sweep's angles, then
-        the machines' currents, their power and the angles.  The sweeps stop
+        Each sweep runs in the rotors' two-axis frame: from the last
+        sweep's angles it forms u = [cos theta; sin theta], then the
+        two-axis currents y, the power amp * sum(u*y) and, in one product,
+        the angles and the end step's speed deviations.  The sweeps stop
         when the angles repeat bit for bit, after at most length + 1 of
         them; `chunks_relaxed` and `sweeps` count the work.
 
@@ -744,66 +760,68 @@ class CompiledNet:
         Of the chunk's buffers it rebuilds only the last two, with their
         EMF rows written, and the rows before the machines' of its end
         buffer: the loop's edges (`state`) and the next chunk read no
-        other.
+        other.  The first of them comes from [w_0; e] by its own map, the
+        others by `step`'s product, so no probe moves their rounding.
         """
-        maps, n, w, nsw = self.swing_maps, SWING_CHUNK, self.n_lc + 4, self.swinging.size
-        ne = length * nsw
-        # The angles are offset + from_power @ p, p the sum over phases of
-        # e*i; the first guess holds pe at the last chunk's last value.
-        start = machines[self.swinging].T.ravel()  # delta_0, dw_0, emf, pm
-        from_start, from_power = maps.from_start[:ne], maps.from_power[:ne, :ne]
-        offset = from_start @ start
-        delta = offset - from_start[:, 3 * nsw:] @ self.pe_guess
-        new = np.empty(ne)
-        w0 = stack[first, :, :w].T
-        currents_w0 = maps.currents_w[:ne] @ w0
-        currents_e = maps.currents_e[:ne, :ne]
-        amplitude = maps.amplitude[:ne]
+        maps = self.swing_maps.get(length) or self._swing_maps(length)
+        w, nsw, ne = self.n_lc + 4, self.swinging.size, length * self.swinging.size
+        # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
+        # guess holds pe at the last chunk's last value.
+        x = np.empty(ne + 4 * nsw)
+        x[ne:] = machines[self.swinging].T.ravel()
+        guess = x[ne:].copy()
+        guess[3 * nsw:] -= self.pe_guess
+        delta, new = np.empty(ne + nsw), np.empty(ne + nsw)  # angles, end speeds
+        np.dot(maps.swing[:ne, ne:], guess, out=delta[:ne])
+        w0 = stack[first, :, :w]
+        i0 = (TWO_AXIS @ w0) @ maps.currents_w  # i_0 K^T, one row per axis
         wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
         # Each step's EMF is formed at the angle before the step.
         theta = np.empty((length, nsw))
-        theta[0] = wt[0] + start[:nsw]
-        e_all = np.zeros((n * nsw, 3))  # the EMFs of a whole chunk, zero past its end
-        e, y, ey, power = e_all[:ne], np.empty((ne, 3)), np.empty((ne, 3)), np.empty(ne)
+        theta[0] = wt[0] + x[ne:ne + nsw]
+        u, y = np.empty((2, ne)), np.empty((2, ne))
         for sweeps in range(1, length + 2):
-            np.add(wt[1:], delta.reshape(length, nsw)[:-1], out=theta[1:])
-            np.add(theta.reshape(ne, 1), PHASE_SHIFT, out=e)
-            np.cos(e, out=e)
-            e *= amplitude
-            np.dot(currents_e, e, out=y)
-            y += currents_w0
-            np.dot(np.multiply(e, y, out=ey), _ONES3, out=power)
-            np.dot(from_power, power, out=new)
-            new += offset
-            if new.tobytes() == delta.tobytes():
-                break
+            np.add(wt[1:], delta[:ne - nsw].reshape(length - 1, nsw), out=theta[1:])
+            np.cos(theta.reshape(ne), out=u[0])
+            np.sin(theta.reshape(ne), out=u[1])
+            np.dot(u, maps.currents, out=y)
+            y += i0
+            y *= u
+            np.add(y[0], y[1], out=x[:ne])
+            np.dot(maps.swing, x, out=new)
             delta, new = new, delta
+            if delta[:ne].tobytes() == new[:ne].tobytes():
+                break
         self.chunks_relaxed += 1
         self.sweeps += sweeps
+        machines[self.swinging, 0] = delta[ne - nsw:ne]
+        machines[self.swinging, 1] = delta[ne:]
+        self.pe_guess = maps.amplitude[ne - nsw:] * x[ne - nsw:ne] / 3.0
 
-        end = slice(n * nsw + ne - nsw, n * nsw + ne)  # the speed rows of step `length`
-        machines[self.swinging, 1] = (maps.from_start[end] @ start
-                                      + maps.from_power[end, :ne] @ power)
-        machines[self.swinging, 0] = delta[ne - nsw:]
-        self.pe_guess = power[ne - nsw:] / 3.0
-
-        if length not in maps.w_maps:
-            maps.w_maps[length] = self._w_map(length)
-        at = (maps.w_maps[length] @ np.concatenate([w0, e_all])).reshape(-1, w, 3)
-        blocks = n // PROBE_BLOCK
-        if maps.n_probes:
+        # [w_0; e], zero past the chunk's end up to a whole probe block:
+        # each phase's EMFs amp cos(theta + phase) are amp u^T K, the EMFs
+        # the sweeps assumed.
+        blocks = -(-length // PROBE_BLOCK)
+        v = np.zeros((3, w + blocks * PROBE_BLOCK * nsw))
+        v[:, :w] = w0
+        v[:, w:w + ne] = e = TWO_AXIS.T @ (u * maps.amplitude)
+        we = v[:, :w + ne]
+        if self.probe_map is not None:
             # Every block's samples from its start's w and its EMFs, one
             # block and phase per row.
             xb = np.empty((3, blocks, w + PROBE_BLOCK * nsw))
-            xb[:, :, :w] = at[:blocks].transpose(2, 0, 1)
-            xb[:, :, w:] = e_all.reshape(blocks, -1, 3).transpose(2, 0, 1)
-            taken = np.dot(xb.reshape(3 * blocks, -1), maps.probes).reshape(
-                3, n, maps.n_probes)
-            samples[:] = taken[:, :length].transpose(2, 0, 1).reshape(-1, length)
+            xb[:, 0, :w] = w0
+            xb[:, 1:, :w] = (we @ maps.blocks).reshape(3, blocks - 1, w)
+            xb[:, :, w:] = v[:, w:].reshape(3, blocks, -1)
+            taken = np.dot(xb.reshape(3 * blocks, -1), self.probe_map).reshape(
+                3, blocks * PROBE_BLOCK, -1)
+            samples.reshape(-1, 3, length)[:] = taken[:, :length].transpose(2, 0, 1)
         low = max(length - 2, 0)
         rebuilt = stack[first + low:first + length + 1]
-        rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
-        rebuilt[:-1, :, w:] = e.reshape(length, nsw, 3)[low:].transpose(0, 2, 1)
+        rebuilt[0, :, :w] = we @ maps.handed_on
+        for k, emf in enumerate(e.reshape(3, length, nsw)[:, low:].transpose(1, 0, 2)):
+            rebuilt[k, :, w:] = emf
+            np.dot(rebuilt[k], self.post_map, out=rebuilt[k + 1])
 
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
