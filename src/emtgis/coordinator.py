@@ -144,10 +144,10 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
     `problem` is the torn main system's PowerFlowProblem, solved to
-    MAIN_PF_TOL; each white-box region solves the problem its declaration
-    holds.  The main-system solve and every region evaluation see the
-    *same* voltages and run one after another in declaration order, so the
-    assembled residual is deterministic.
+    MAIN_PF_TOL at x's angles as they are; each white-box region solves
+    the problem its declaration holds, at `evaluate`'s wrapped angle.
+    Both sides see the *same* voltages and run one after another in
+    declaration order, so the assembled residual is deterministic.
     """
     n = len(grbcs)
     x = np.asarray(x, dtype=float)
@@ -157,16 +157,17 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
         raise InvalidVoltage("all boundary voltage magnitudes must be positive")
 
     bus_ids = tuple(g.boundary_bus for g in grbcs)
-    volts = {bid: Phasor(float(x[i]), float(x[n + i])) for i, bid in enumerate(bus_ids)}
+    pos = {bid: i for i, bid in enumerate(bus_ids)}
+    order = np.array([pos[bid] for _, bid in problem.boundary if bid in pos], dtype=int)
 
     try:
-        sol = solve_main(problem, volts, MAIN_PF_TOL, MAIN_PF_MAX_ITER)
+        sol = solve_main(problem, x[order], x[n + order], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
     except SOLVE_FAILURES as exc:
         raise ResidualEvaluationError("main-system", exc) from exc
     evals = []
-    for g in grbcs:
+    for i, g in enumerate(grbcs):
         try:
-            evals.append(evaluate(g, volts[g.boundary_bus]))
+            evals.append(evaluate(g, Phasor(float(x[i]), float(x[n + i]))))
         except (InternalNonConvergence, InvalidVoltage) as exc:
             raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
 
@@ -252,21 +253,22 @@ def _initial_preconditioner(problem: PowerFlowProblem, grbcs, state: BoundarySta
     `state`.
 
     S_main is d(p, q)/d(x) of the main side, whose problem is `problem`,
-    at the state's main solution.
+    at the state's main solution, solved at x's angles as they are.
     R is block-diagonal: region i's 2x2 block d(p_tilde_i, q_tilde_i) /
     d(V_i, theta_i) is two forward differences of `evaluate`, at
-    (V_i + omega, theta_i) and (V_i, theta_i + omega), against the
-    state's own p_tilde and q_tilde.  If a region raises at its offset
-    point, or S_main + R is singular or not finite, M0 is the identity,
-    and a debug line says why.
+    (V_i + omega, theta_i) and (V_i, theta_i + omega) offset on x, against
+    the state's own p_tilde and q_tilde; `evaluate` sees theta_i + omega
+    wrapped, which is harmless (see there).  If a region raises at its
+    offset point, or S_main + R is singular or not finite, M0 is the
+    identity, and a debug line says why.
     """
     n = len(grbcs)
+    x = state.x
     try:
         approx = boundary_sensitivity(problem, state.main_solution, state.bus_ids)
         for i, g in enumerate(grbcs):
-            v = state.voltage(i)
-            for col, point in ((i, Phasor(v.magnitude + omega, v.angle)),
-                               (n + i, Phasor(v.magnitude, v.angle + omega))):
+            for col, point in ((i, Phasor(x[i] + omega, x[n + i])),
+                               (n + i, Phasor(x[i], x[n + i] + omega))):
                 e = evaluate(g, point)
                 approx[i, col] += (e.p_tilde - state.p_tilde[i]) / omega
                 approx[n + i, col] += (e.q_tilde - state.q_tilde[i]) / omega

@@ -254,7 +254,12 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     white-box region solves its internal power flow every call from the
     DC-angle start at v_boundary's angle (flat angles if its B_uu is
     singular), reusing only `decl.pf_problem`, which depends on the
-    declaration alone."""
+    declaration alone.
+
+    The angle arrives wrapped into (-pi, pi], as `Phasor` keeps it; a
+    ScriptedResponse expression sees it so too.  That is harmless for a
+    white-box region: its solution starts from, and so shifts with, the
+    boundary angle, and its injections depend on angle differences only."""
     if v_boundary.magnitude <= 0.0:
         raise InvalidVoltage(
             f"boundary voltage magnitude must be > 0, got {v_boundary.magnitude}"
@@ -284,8 +289,8 @@ def internal_power_flow(decl: GrbcDeclaration,
     the payload's pf_tol in at most 60 iterations, a pure function of
     (decl, v_boundary).  A failed solve raises InternalNonConvergence."""
     try:
-        return powerflow.solve_main(decl.pf_problem, {decl.boundary_bus: v_boundary},
-                                    tol=decl.payload.pf_tol, max_iter=60)
+        return powerflow.solve_main(decl.pf_problem, [v_boundary.magnitude],
+                                    [v_boundary.angle], decl.payload.pf_tol, 60)
     except powerflow.SOLVE_FAILURES as exc:
         raise InternalNonConvergence(
             f"internal power flow of region '{decl.name}' failed: {exc}"

@@ -60,24 +60,6 @@ class PowerFlowSolution:
         Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _scheduled_injections(case: CaseFile) -> np.ndarray:
-    """Scheduled complex injection per bus: machine set points less loads."""
-    index = {b.id: i for i, b in enumerate(case.buses)}
-    s = np.array([complex(-b.p_load, -b.q_load) for b in case.buses])
-    for m in case.machines:
-        if m.bus in index:
-            s[index[m.bus]] += m.p_set
-    return s
-
-
-def _newton_indices(case: CaseFile) -> tuple[np.ndarray, np.ndarray]:
-    """(pvpq, pq): the buses whose theta, and whose |V|, Newton solves for."""
-    kinds = [b.kind for b in case.buses]
-    pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
-    pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
-    return np.concatenate([pv, pq]), pq
-
-
 class PowerFlowProblem:
     """What a power flow of `case` needs that depends on the case alone,
     built once: the bus ids, the admittance matrix, the Newton index sets
@@ -100,20 +82,28 @@ class PowerFlowProblem:
         self.bus_ids = tuple(b.id for b in case.buses)
         self.ybus = build_admittance(case)
         n = len(case.buses)
-        pvpq, pq = _newton_indices(case)
-        # Newton updates the polar state [theta; |V|] at `unknowns`.
+        kinds = [b.kind for b in case.buses]
+        pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
+        pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
+        # Newton solves for theta over pvpq and |V| over pq, the polar
+        # state [theta; |V|] at `unknowns`.
+        self.pvpq = pvpq = np.concatenate([pv, pq])
         self.unknowns = np.concatenate([pvpq, n + pq])
-        self.s_sched = _scheduled_injections(case)
+        # Scheduled complex injection per bus: machine set points less loads.
+        self.s_sched = np.array([complex(-b.p_load, -b.q_load) for b in case.buses])
+        index = {bid: i for i, bid in enumerate(self.bus_ids)}
+        for m in case.machines:
+            if m.bus in index:
+                self.s_sched[index[m.bus]] += m.p_set
         self.boundary = tuple((i, b.id) for i, b in enumerate(case.buses)
                               if b.kind is BusKind.BOUNDARY)
         # Start: theta_0, |V| 1, held magnitudes at their set points;
-        # solve_main writes the boundary phasors into a copy, then adds
+        # solve_main writes the boundary voltages into a copy, then adds
         # dc_gain @ theta_b to the PV and PQ angles.
         self.start = np.concatenate([np.zeros(n), np.ones(n)])
         for i, b in enumerate(case.buses):
             if b.kind in (BusKind.SLACK, BusKind.PV):
                 self.start[n + i] = b.v_set
-        self.pvpq = pvpq
         self.boundary_idx = np.array([i for i, _ in self.boundary], dtype=int)
         bmat = -self.ybus.imag
         try:
@@ -165,14 +155,12 @@ MAIN_PF_MAX_ITER = 40
 SOLVE_FAILURES = (NonConvergence, SingularJacobian)
 
 
-def solve_main(
-    problem: PowerFlowProblem,
-    boundary_voltages: dict[str, Phasor] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 30,
-) -> PowerFlowSolution:
-    """Solve the case of `problem` with its Boundary buses fixed at the
-    supplied phasors.
+def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
+               max_iter: int = 30) -> PowerFlowSolution:
+    """Solve the case of `problem` with its Boundary buses held at the
+    magnitudes `vm_b` and angles `va_b`, in `problem.boundary` order (both
+    empty without Boundary buses).  The angles are taken as given, not
+    wrapped: the DC-angle start adds dc_gain @ va_b.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; full-Jacobian polar NR over the remaining unknowns, always
@@ -185,20 +173,15 @@ def solve_main(
     mismatch used, and one index gather for the Jacobian.  A non-finite
     mismatch raises NonConvergence.
     """
-    boundary_voltages = boundary_voltages or {}
-    y, ids = problem.ybus, problem.bus_ids
+    y, ids, bnd = problem.ybus, problem.bus_ids, problem.boundary_idx
     n = len(ids)
-
-    missing = [bid for _, bid in problem.boundary if bid not in boundary_voltages]
-    if missing:
-        raise ValueError(f"no boundary voltage supplied for buses {missing}")
-
+    if len(vm_b) != bnd.size or len(va_b) != bnd.size:
+        raise ValueError(f"boundary buses {[bid for _, bid in problem.boundary]} need "
+                         f"{bnd.size} magnitudes and angles, got {len(vm_b)} and {len(va_b)}")
     x = problem.start.copy()
     va, vm = x[:n], x[n:]
-    for i, bid in problem.boundary:
-        ph = boundary_voltages[bid]
-        vm[i], va[i] = ph.magnitude, ph.angle
-    va[problem.pvpq] += problem.dc_gain @ va[problem.boundary_idx]
+    vm[bnd], va[bnd] = vm_b, va_b
+    va[problem.pvpq] += problem.dc_gain @ va[bnd]
 
     unknowns, s_sched = problem.unknowns, problem.s_sched
     mis_idx, jac_idx = problem.mis_idx, problem.jac_idx
@@ -251,12 +234,8 @@ def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tup
     Positive means flowing into the boundary node; the boundary bus's own
     load belongs to the main side and is netted off here.
     """
-    out: dict[str, tuple[float, float]] = {}
-    for b in case.buses:
-        if b.kind is BusKind.BOUNDARY:
-            p_net, q_net = sol.injection(b.id)
-            out[b.id] = (-p_net - b.p_load, -q_net - b.q_load)
-    return out
+    return {b.id: (-float(sol.p_calc[i]) - b.p_load, -float(sol.q_calc[i]) - b.q_load)
+            for i, b in enumerate(case.buses) if b.kind is BusKind.BOUNDARY}
 
 
 def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
@@ -303,4 +282,4 @@ def solve_monolithic(case: CaseFile, tol: float = 1e-10, max_iter: int = 40) -> 
     Serves as the independent reference the torn coordination must match.
     Raises OracleUnavailable if any region is opaque.
     """
-    return solve_main(PowerFlowProblem(inline_grbcs(case)), {}, tol=tol, max_iter=max_iter)
+    return solve_main(PowerFlowProblem(inline_grbcs(case)), tol=tol, max_iter=max_iter)

@@ -673,8 +673,8 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
         draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
                  for i, bid in enumerate(boundary_state.bus_ids)}
     else:
-        main_pf = _stage("ipf", lambda: solve_main(PowerFlowProblem(case), {}, MAIN_PF_TOL,
-                                                   MAIN_PF_MAX_ITER))
+        main_pf = _stage("ipf", lambda: solve_main(PowerFlowProblem(case), tol=MAIN_PF_TOL,
+                                                   max_iter=MAIN_PF_MAX_ITER))
         draws = {}
 
     region_ops: list[RegionOperatingPoint] = []

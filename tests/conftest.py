@@ -1,4 +1,5 @@
 import cmath
+import importlib.util
 import json
 import math
 import os
@@ -13,7 +14,7 @@ import pytest
 import emtgis
 import emtgis.emtkernel as ek
 import emtgis.snapshot as sn
-from emtgis.netmodel import load_case
+from emtgis.netmodel import load_case, parse_case
 
 OMEGA_50 = 2 * math.pi * 50.0
 
@@ -47,6 +48,23 @@ def overloaded_hybrid_doc() -> dict:
         if region["name"] == "plant2":
             region["payload"] = {"p": -50, "q": -40}
     return doc
+
+
+def scaled_case(k, seed, idle_b1=False):
+    """k tied copies of ninebus3 by the benchmark's `scaled_case_doc`,
+    loaded from bench/scaled.py and only read.  With `idle_b1`, B1 of
+    every copy after the first dispatches nothing: the unbalanced chain,
+    whose later copies draw their output from the one slack."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "scaled.py"
+    spec = importlib.util.spec_from_file_location("scaled", path)
+    scaled = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaled)
+    doc = scaled.scaled_case_doc(json.loads(Path(case_path("ninebus3")).read_text()), k, seed)
+    if idle_b1:
+        for m in doc["machines"]:
+            if m["bus"].endswith("_B1") and m["bus"] != "c0_B1":
+                m["p_set"] = 0.0
+    return parse_case(doc, name=f"scaled{k}")
 
 
 @pytest.fixture(scope="session")

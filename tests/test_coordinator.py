@@ -1,10 +1,7 @@
 import ast
 import copy
-import importlib.util
 import inspect
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +18,7 @@ from emtgis.coordinator import (
     precond_update,
     residual,
 )
-from conftest import case_path, overloaded_hybrid_doc
+from conftest import case_path, overloaded_hybrid_doc, scaled_case
 from emtgis.errors import (
     InternalNonConvergence,
     MaxOuterExceeded,
@@ -36,12 +33,10 @@ from emtgis.powerflow import PowerFlowProblem, solve_monolithic
 
 
 def oracle_boundary_x(case, mono):
-    n = len(case.grbcs)
-    x = np.zeros(2 * n)
-    for i, g in enumerate(case.grbcs):
-        ph = mono.voltage(g.boundary_bus)
-        x[i], x[n + i] = ph.magnitude, ph.angle
-    return x
+    """The boundary voltages of the monolithic solution `mono` as x, its
+    angles as solved, not wrapped into (-pi, pi]."""
+    bnd = [mono.index(g.boundary_bus) for g in case.grbcs]
+    return np.concatenate([mono.vm[bnd], mono.va[bnd]])
 
 
 class TestResidual:
@@ -264,31 +259,18 @@ def flat_start(case):
     return np.concatenate([np.ones(n), np.zeros(n)])
 
 
-def scaled_case(k, seed, idle_b1=False):
-    """k tied copies of ninebus3 by the benchmark's `scaled_case_doc`,
-    loaded from bench/scaled.py and only read.  With `idle_b1`, B1 of
-    every copy after the first dispatches nothing: the unbalanced chain,
-    whose later copies draw their output from the one slack."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "scaled.py"
-    spec = importlib.util.spec_from_file_location("scaled", path)
-    scaled = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(scaled)
-    doc = scaled.scaled_case_doc(json.loads(Path(case_path("ninebus3")).read_text()), k, seed)
-    if idle_b1:
-        for m in doc["machines"]:
-            if m["bus"].endswith("_B1") and m["bus"] != "c0_B1":
-                m["p_set"] = 0.0
-    return parse_case(doc, name=f"scaled{k}")
-
-
 class TestCoordinationAtScale:
     """Cases whose boundary angles reach about 1 rad and beyond (the chain
     spreads 138 degrees): the main power flow diverged from flat angles at
     the monolithic solution's own boundary voltages, and the coordinator
-    failed (OuterStepRejected at k=16 seed 7, NonFinite on the chain)."""
+    failed (OuterStepRejected at k=16 seed 7, NonFinite on the chain).
+    At k=32 seed 2 boundary angles pass pi: wrapped on their way to the
+    main power flow, they moved its DC-angle start by 2 pi jumps and the
+    probes failed."""
 
-    @pytest.mark.parametrize("k, seed, idle_b1", [(16, 7, False), (4, 1, True)],
-                             ids=["k16-seed7", "unbalanced-chain-k4"])
+    @pytest.mark.parametrize("k, seed, idle_b1",
+                             [(16, 7, False), (4, 1, True), (32, 2, False)],
+                             ids=["k16-seed7", "unbalanced-chain-k4", "k32-seed2"])
     def test_matches_monolithic(self, k, seed, idle_b1):
         case = scaled_case(k, seed, idle_b1)
         state, trace = jfng_solve(case, case.grbcs, flat_start(case), JfngConfig())

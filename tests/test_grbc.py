@@ -111,7 +111,7 @@ class TestEvaluate:
         # which must cancel the main-side delivery at the torn node
         from emtgis.powerflow import boundary_injections
 
-        torn = solve_main(PowerFlowProblem(case), {"B2": v_b}, tol=1e-12)
+        torn = solve_main(PowerFlowProblem(case), [v_b.magnitude], [v_b.angle], tol=1e-12)
         p_main, q_main = boundary_injections(torn, case)["B2"]
         assert out.p_tilde == pytest.approx(-p_main, abs=1e-8)
         assert out.q_tilde == pytest.approx(-q_main, abs=1e-8)
@@ -196,8 +196,8 @@ class TestStoredProblem:
         v = Phasor(vm, va)
         for decl in self.REGIONS:
             try:
-                ref = solve_main(PowerFlowProblem(internal_pf_case(decl)),
-                                 {decl.boundary_bus: v}, tol=decl.payload.pf_tol, max_iter=60)
+                ref = solve_main(PowerFlowProblem(internal_pf_case(decl)), [v.magnitude],
+                                 [v.angle], tol=decl.payload.pf_tol, max_iter=60)
             except NonConvergence:
                 with pytest.raises(InternalNonConvergence):
                     evaluate(decl, v)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case_path
+from conftest import case_path, scaled_case
 from emtgis.errors import (
     NonConvergence,
     OracleUnavailable,
@@ -79,14 +79,15 @@ class TestSolveMain:
     def test_boundary_bus_keeps_supplied_phasor_exactly(self):
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
         ph = Phasor(1.02, 0.05)
-        sol = solve_main(PowerFlowProblem(case), {"B2": ph})
+        sol = solve_main(PowerFlowProblem(case), [ph.magnitude], [ph.angle])
         assert sol.voltage("B2").magnitude == ph.magnitude
         assert sol.voltage("B2").angle == ph.angle
 
     def test_missing_boundary_voltage_rejected(self):
         problem = PowerFlowProblem(two_bus(bus2_kind=BusKind.BOUNDARY))
-        with pytest.raises(ValueError):
-            solve_main(problem, {})
+        for vm_b, va_b in (([], []), ([1.0], []), ([1.0, 1.0], [0.0, 0.0])):
+            with pytest.raises(ValueError):
+                solve_main(problem, vm_b, va_b)
 
     def test_non_finite_mismatch_raises_nonconvergence(self):
         problem = PowerFlowProblem(two_bus(load_p=float("nan")))
@@ -128,7 +129,7 @@ def inlineable(case):
 class TestBoundaryInjections:
     def test_no_load_boundary_sees_zero(self):
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(PowerFlowProblem(case), {"B2": Phasor(1.0, 0.0)})
+        sol = solve_main(PowerFlowProblem(case), [1.0], [0.0])
         p, q = boundary_injections(sol, case)["B2"]
         assert abs(p) < 1e-12 and abs(q) < 1e-12
 
@@ -137,7 +138,8 @@ class TestBoundaryInjections:
         # the lossless line then delivers exactly the oracle load
         loaded = solve_main(PowerFlowProblem(two_bus()), tol=1e-12)
         case = two_bus(bus2_kind=BusKind.BOUNDARY, load_p=0.0)
-        sol = solve_main(PowerFlowProblem(case), {"B2": loaded.voltage("B2")}, tol=1e-12)
+        v2 = loaded.voltage("B2")
+        sol = solve_main(PowerFlowProblem(case), [v2.magnitude], [v2.angle], tol=1e-12)
         p, _ = boundary_injections(sol, case)["B2"]
         assert p == pytest.approx(0.5, abs=1e-9)
 
@@ -179,12 +181,27 @@ class TestMonolithic:
         # solving the whole net, then re-solving the torn main system at the
         # whole-net boundary voltage, reproduces main-system voltages
         mono = solve_monolithic(ninebus1)
-        volts = {g.boundary_bus: mono.voltage(g.boundary_bus)
-                 for g in ninebus1.grbcs}
-        torn = solve_main(PowerFlowProblem(ninebus1), volts, tol=1e-12)
+        problem = PowerFlowProblem(ninebus1)
+        bnd = [mono.index(bid) for _, bid in problem.boundary]
+        torn = solve_main(problem, mono.vm[bnd], mono.va[bnd], tol=1e-12)
         for b in ninebus1.buses:
             assert torn.voltage(b.id).rect == pytest.approx(
                 mono.voltage(b.id).rect, abs=1e-9)
+
+    def test_boundary_angles_beyond_pi(self):
+        # k=32 seed 2 of the scaled family: 17 of the monolithic solution's
+        # boundary angles pass pi.  Held as solved, they give the torn main
+        # system the monolithic solution back; wrapped into (-pi, pi], they
+        # moved the DC-angle start by 2 pi jumps and Newton diverged.
+        case = scaled_case(32, 2)
+        mono = solve_monolithic(case)
+        problem = PowerFlowProblem(case)
+        bnd = [mono.index(bid) for _, bid in problem.boundary]
+        assert np.max(np.abs(mono.va[bnd])) > math.pi
+        torn = solve_main(problem, mono.vm[bnd], mono.va[bnd], tol=1e-10, max_iter=40)
+        idx = [mono.index(bid) for bid in torn.bus_ids]
+        assert np.max(np.abs(torn.vm - mono.vm[idx])) < 1e-9
+        assert np.max(np.abs(torn.va - mono.va[idx])) < 1e-9
 
     def test_csv_export_schema(self, ninebus1, tmp_path):
         sol = solve_monolithic(ninebus1)
@@ -232,15 +249,23 @@ def random_meshed_case(rng):
     return CaseFile(100.0, 50.0, buses, branches, machines, name="meshed"), volts
 
 
+def boundary_arrays(problem, volts):
+    """The magnitudes and angles of `volts`, {bus: Phasor}, in the order
+    of `problem.boundary`, as `solve_main` takes them."""
+    return ([volts[bid].magnitude for _, bid in problem.boundary],
+            [volts[bid].angle for _, bid in problem.boundary])
+
+
 def assert_matches_reference(case, volts, tol=1e-10, max_iter=40):
     problem = PowerFlowProblem(case)
+    vm_b, va_b = boundary_arrays(problem, volts)
     try:
         ref = reference_solve_main(case, volts, tol=tol, max_iter=max_iter)
     except (NonConvergence, SingularJacobian) as exc:
         with pytest.raises(type(exc)):
-            solve_main(problem, volts, tol=tol, max_iter=max_iter)
+            solve_main(problem, vm_b, va_b, tol=tol, max_iter=max_iter)
         return None
-    sol = solve_main(problem, volts, tol=tol, max_iter=max_iter)
+    sol = solve_main(problem, vm_b, va_b, tol=tol, max_iter=max_iter)
     assert sol.iterations == ref.iterations
     assert len(sol.mismatch_history) == len(ref.mismatch_history)
     assert np.max(np.abs(sol.vm - ref.vm)) <= 1e-10
@@ -283,8 +308,10 @@ def boundary_x(volts, bus_ids):
 def injections_at(case, bus_ids, x):
     """(p, q) of `boundary_injections` with the boundary held at x, and the solution."""
     n = len(bus_ids)
-    volts = {b: Phasor(float(x[i]), float(x[n + i])) for i, b in enumerate(bus_ids)}
-    sol = solve_main(PowerFlowProblem(case), volts, tol=1e-12, max_iter=40)
+    problem = PowerFlowProblem(case)
+    pos = {b: i for i, b in enumerate(bus_ids)}
+    order = np.array([pos[bid] for _, bid in problem.boundary], dtype=int)
+    sol = solve_main(problem, x[order], x[n + order], tol=1e-12, max_iter=40)
     inj = boundary_injections(sol, case)
     return np.array([inj[b][0] for b in bus_ids] + [inj[b][1] for b in bus_ids]), sol
 

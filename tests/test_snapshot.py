@@ -89,7 +89,7 @@ class TestPhasorInit:
             [BranchRecord("B1", "B2", 0.0, 0.1)],
             [MachineRecord("B1", MachineKind.IDEAL_SOURCE)],
         )
-        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
+        pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), dt=5e-5)
         st = snap.emt_state
         assert np.max(np.abs(st.elem_i)) < 1e-12
@@ -101,7 +101,7 @@ class TestPhasorInit:
     def test_history_currents_are_peak_scaled_phasors(self, twobus):
         # component with V = 1 angle 0 carrying S = P: history current is
         # sqrt(2) |I| cos(omega (t0 - dt)) per the port-current rule
-        pf = solve_main(PowerFlowProblem(twobus), {}, tol=1e-12)
+        pf = solve_main(PowerFlowProblem(twobus), tol=1e-12)
         net = sn.build_main_net(twobus, pf)
         st = sn.phasor_init(twobus, pf, net, dt=5e-5).emt_state
         _, elem_ph = ek.phasor_solve(net, dt=5e-5)
@@ -112,7 +112,7 @@ class TestPhasorInit:
 
     def test_machine_case_holds_steady_two_cycles(self):
         case = machine_case()
-        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
+        pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
         snap = sn.phasor_init(case, pf, net, dt=5e-5)
         waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.04,
@@ -126,7 +126,7 @@ class TestPhasorInit:
 
     def test_machine_stays_at_equilibrium(self):
         case = machine_case()
-        pf = solve_main(PowerFlowProblem(case), {}, tol=1e-12)
+        pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
         snap = sn.phasor_init(case, pf, net, dt=5e-5)
         _, fin = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.5),
