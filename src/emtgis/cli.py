@@ -25,6 +25,7 @@ or report.json (stage) if it has one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -87,7 +88,10 @@ def seconds(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing leaves it unchanged, so every
+    `main` call reuses it."""
     p = _Parser(prog="emtgis", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=f"emtgis {__version__}")

@@ -69,6 +69,7 @@ import math
 import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -739,8 +740,10 @@ class CompiledNet:
 
         It serves the ramp, and every step of a net without a swinging
         machine; after the ramp, `relax` advances the swinging machines.
+        The kernel's products call the ndarray method: np.dot's C routine,
+        without the array-function dispatch around it.
         """
-        np.dot(x, self.ramp_map if ramp else self.post_map, out=out)
+        x.dot(self.ramp_map if ramp else self.post_map, out)
 
     def relax(self, stack: np.ndarray, first: int, length: int, step: int,
               machines: np.ndarray, samples: np.ndarray) -> None:
@@ -771,8 +774,12 @@ class CompiledNet:
         x[ne:] = machines[self.swinging].T.ravel()
         guess = x[ne:].copy()
         guess[3 * nsw:] -= self.pe_guess
-        delta, new = np.empty(ne + nsw), np.empty(ne + nsw)  # angles, end speeds
-        np.dot(maps.swing[:ne, ne:], guess, out=delta[:ne])
+        # The angles and end speeds of the last sweep and of the new one,
+        # each with its views the sweeps read: all, the steps after the
+        # first, the chunk's angles.
+        last, new = ((a, a[:ne - nsw].reshape(length - 1, nsw), a[:ne])
+                     for a in (np.empty(ne + nsw), np.empty(ne + nsw)))
+        maps.swing[:ne, ne:].dot(guess, last[2])
         w0 = stack[first, :, :w]
         i0 = (TWO_AXIS @ w0) @ maps.currents_w  # i_0 K^T, one row per axis
         wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
@@ -780,18 +787,21 @@ class CompiledNet:
         theta = np.empty((length, nsw))
         theta[0] = wt[0] + x[ne:ne + nsw]
         u, y = np.empty((2, ne)), np.empty((2, ne))
+        wt_on, theta_on, theta_all = wt[1:], theta[1:], theta.reshape(ne)
+        cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], x[:ne]
         for sweeps in range(1, length + 2):
-            np.add(wt[1:], delta[:ne - nsw].reshape(length - 1, nsw), out=theta[1:])
-            np.cos(theta.reshape(ne), out=u[0])
-            np.sin(theta.reshape(ne), out=u[1])
-            np.dot(u, maps.currents, out=y)
+            np.add(wt_on, last[1], out=theta_on)
+            np.cos(theta_all, out=cos_u)
+            np.sin(theta_all, out=sin_u)
+            u.dot(maps.currents, y)
             y += i0
             y *= u
-            np.add(y[0], y[1], out=x[:ne])
-            np.dot(maps.swing, x, out=new)
-            delta, new = new, delta
-            if delta[:ne].tobytes() == new[:ne].tobytes():
+            np.add(y_d, y_q, out=power)
+            maps.swing.dot(x, new[0])
+            last, new = new, last
+            if last[2].tobytes() == new[2].tobytes():
                 break
+        delta = last[0]
         self.chunks_relaxed += 1
         self.sweeps += sweeps
         machines[self.swinging, 0] = delta[ne - nsw:ne]
@@ -813,7 +823,7 @@ class CompiledNet:
             xb[:, 0, :w] = w0
             xb[:, 1:, :w] = (we @ maps.blocks).reshape(3, blocks - 1, w)
             xb[:, :, w:] = v[:, w:].reshape(3, blocks, -1)
-            taken = np.dot(xb.reshape(3 * blocks, -1), self.probe_map).reshape(
+            taken = xb.reshape(3 * blocks, -1).dot(self.probe_map).reshape(
                 3, blocks * PROBE_BLOCK, -1)
             samples.reshape(-1, 3, length)[:] = taken[:, :length].transpose(2, 0, 1)
         low = max(length - 2, 0)
@@ -821,7 +831,7 @@ class CompiledNet:
         rebuilt[0, :, :w] = we @ maps.handed_on
         for k, emf in enumerate(e.reshape(3, length, nsw)[:, low:].transpose(1, 0, 2)):
             rebuilt[k, :, w:] = emf
-            np.dot(rebuilt[k], self.post_map, out=rebuilt[k + 1])
+            rebuilt[k].dot(self.post_map, rebuilt[k + 1])
 
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
@@ -863,6 +873,7 @@ class ProbeSet:
                 rows.append(compiled.node_index[pid])
             self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
         self.rows = np.array(rows, dtype=int)
+        self._maps: tuple = ((), ())  # compiled.outputs, and their probe rows
 
     def read(self, state: EmtState) -> np.ndarray:
         """The probe values of a state, one per key."""
@@ -881,10 +892,12 @@ class ProbeSet:
         """
         if out is None:
             out = np.empty((len(self.keys), len(stack)))
-        for part, o in ((slice(None, ramp_steps), self.compiled.outputs[0]),
-                        (slice(ramp_steps, None), self.compiled.outputs[1])):
+        outputs = self.compiled.outputs
+        if self._maps[0] is not outputs:  # new maps since the last call
+            self._maps = outputs, tuple(o[self.rows] for o in outputs)
+        for part, o_p in zip((slice(None, ramp_steps), slice(ramp_steps, None)),
+                             self._maps[1]):
             if len(stack[part]):
-                o_p = o[self.rows]
                 for ph in range(3):
                     np.matmul(o_p, stack[part, ph].T, out=out[ph::3, part])
         return out
@@ -943,10 +956,10 @@ class _Loop:
         # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
         ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
         stepped = ramp_steps if compiled.swinging.size else length
-        step = compiled.step
-        for x, out in self.pairs[:ramp_steps]:
+        step, pairs = compiled.step, iter(self.pairs)
+        for x, out in islice(pairs, ramp_steps):
             step(x, out, True)
-        for x, out in self.pairs[ramp_steps:stepped]:
+        for x, out in islice(pairs, stepped - ramp_steps):
             step(x, out, False)
         n += stepped
         self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
@@ -1063,7 +1076,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
                 ready = loop.n
                 break
             continue
-        rms = np.sqrt(np.mean(buf**2, axis=1))
+        rms = np.sqrt(np.add.reduce(buf**2, axis=1) / n_cycle)  # np.mean, undispatched
         if prev_rms is not None and c >= arm_after:
             change = np.abs(rms - prev_rms) / np.maximum(rms, 1e-6)
             stable_run = stable_run + 1 if float(change.max()) <= RMS_CHANGE_TOL else 0

@@ -539,3 +539,31 @@ class TestDeterminism:
         for artifact in ("boundary.json", "trace.csv", "main_pf.csv"):
             assert (tmp_path / "a" / artifact).read_bytes() == \
                    (tmp_path / "b" / artifact).read_bytes(), artifact
+
+    def test_in_process_mains_share_one_parser(self, tmp_path, monkeypatch):
+        # `main` reuses one parser per process.  A usage error, then init
+        # at another dt, then init at the defaults: each run reads its own
+        # flags, and writes the bytes a fresh process writes.
+        from emtgis.cli import build_parser, main
+
+        runs = {"dt": ("--dt", "1e-4"), "defaults": ()}
+        (tmp_path / "in").mkdir()
+        monkeypatch.chdir(tmp_path / "in")
+        assert main(["init", case_path("ninebus1"), "--dt", "2e-4", "--bogus"]) == 1
+        for name, flags in runs.items():
+            assert main(["init", case_path("ninebus1"), *flags, "--out", name,
+                         "--quiet"]) == 0
+        assert build_parser.cache_info().misses <= 1
+        assert not (tmp_path / "in" / "out").exists()
+        for name, flags in runs.items():
+            proc = run_cli("init", case_path("ninebus1"), *flags, "--out", name,
+                           "--quiet", cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+        for name in runs:
+            manifest = read_json(tmp_path / "in" / name / "manifest.json")
+            assert manifest["flags"]["dt"] == (1e-4 if name == "dt" else sn.PipelineConfig.dt)
+            written = sorted(p.name for p in (tmp_path / name).iterdir())
+            assert written == sorted(p.name for p in (tmp_path / "in" / name).iterdir())
+            for artifact in written:
+                assert (tmp_path / "in" / name / artifact).read_bytes() == \
+                       (tmp_path / name / artifact).read_bytes(), (name, artifact)

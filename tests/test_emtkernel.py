@@ -952,6 +952,55 @@ class TestStepCalls:
         assert calls[0] == ready == state.step
 
 
+class TestHotPathProducts:
+    """The stepping path calls the ndarray methods, not np.dot, whose
+    array-function dispatch costs about as much as a region step's product.
+    np.matmul serves the probe samples: one call per phase and output map a
+    cycle's steps use, so three a cycle, and six in the one cycle that
+    crosses the ramp's end.  Per-step or per-sweep dispatch fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """np.dot and np.matmul calls, counted per `_Loop.advance` call."""
+        count = {"dot": 0, "matmul": 0}
+        per_cycle = []
+        for name in count:
+            def counted(*args, _name=name, _fn=getattr(np, name), **kwargs):
+                count[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        advance = ek._Loop.advance
+
+        def cycle(self, *args):
+            before = dict(count)
+            advance(self, *args)
+            per_cycle.append({k: count[k] - before[k] for k in count})
+
+        monkeypatch.setattr(ek._Loop, "advance", cycle)
+        return per_cycle
+
+    def test_ramped_detector_loop(self, calls):
+        dt, t_ramp = 2e-5, 0.1
+        cfg = ek.SimConfig(dt=dt, duration=2.0, record=["n2", "i:l1"], t_ramp=t_ramp)
+        _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        n_cycle = round(0.02 / dt)
+        assert ready is not None and len(calls) == ready // n_cycle
+        crossing = (ek._first_full_step(t_ramp, dt) - 1) // n_cycle
+        assert all(c["dot"] == 0 for c in calls)
+        assert [c["matmul"] for c in calls] == [
+            6 if k == crossing else 3 for k in range(len(calls))]
+
+    def test_relaxed_full_net(self, calls, hybrid, hybrid_comparison):
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        dt = TestSwingRelaxation.DT
+        cfg = ek.SimConfig(dt=dt, duration=4000 * dt, record=[b.id for b in hybrid.buses])
+        ek.run(net, cfg, init=init)
+        assert ek.CompiledNet(net, dt).swinging.size
+        assert len(calls) == 10
+        assert all(c["dot"] == 0 and c["matmul"] <= 3 for c in calls)
+
+
 class TestProbeSet:
     def test_interleaved_probes_match_per_probe_lookup(self):
         # A buffer with a single 1 in each phase column reads one entry of
