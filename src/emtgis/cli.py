@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Each subcommand takes a case file, --out, --quiet and only the flags it reads:
+Each subcommand takes a case file, --out and only the flags it reads:
   validate  no other
   ipf       the coordinator's: --tol-eps1 --tol-eps2 --gmres-m --omega --max-outer
   simulate  the coordinator's, --dt --t-ramp --snapshot --zero-state --duration
             --fault --probes (--t-ramp only with --zero-state)
   init      the coordinator's, --dt --t-ramp --ramp-budget
-  compare   init's, --probes --window --settle-cap --fault --self-check
+  compare   init's, --probes --window --settle-cap --fault
 Every invocation writes a manifest of the flags it read next to its
 outputs (a case without regions runs no coordination, so its manifest
 leaves out the coordinator's);
@@ -15,11 +15,11 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a compare
-window that starts before its initialized snapshot), 2 coordination
-failed, 3 pipeline stage failure or any other emtgis error, 4 incompatible
-or unreadable snapshot, 5 zero-state comparison run failed to settle.  A
-failure prints one `error:` line, and leaves its trace.csv (coordination)
-or report.json (stage) if it has one.
+window that starts before its initialized snapshot; a run too large for
+memory), 2 coordination failed, 3 pipeline stage failure or any other
+emtgis error, 4 incompatible or unreadable snapshot, 5 zero-state
+comparison run failed to settle.  A failure prints one `error:` line, and
+leaves its trace.csv (coordination) or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import logging
 import math
 import sys
 from pathlib import Path
@@ -49,8 +48,6 @@ from .errors import (
     UnknownProbe,
 )
 from .netmodel import load_case, validate_case
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -99,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("case", help="case file (JSON)")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--quiet", action="store_true")
 
     coord = argparse.ArgumentParser(add_help=False)
     coord.add_argument("--tol-eps1", type=float, default=JfngConfig.eps1,
@@ -149,19 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--settle-cap", type=seconds, default=12.0,
                       help="budget for the zero-state scheme to settle [s]")
     cmp_.add_argument("--fault", help="apply BUS@TIME[@R] to both runs")
-    cmp_.add_argument("--self-check", action="store_true",
-                      help="compare the zero-state run against itself")
     return p
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        logging.basicConfig(
-            level=logging.WARNING if args.quiet else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-            stream=sys.stderr,
-        )
         handler = {
             "validate": cmd_validate,
             "ipf": cmd_ipf,
@@ -180,6 +169,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EmtgisError as exc:
         _record_failure(args, exc)
@@ -341,8 +333,7 @@ def cmd_simulate(args) -> int:
     waves, _ = ek.run(model.full_net, sim, init=init)
 
     ek.write_waveforms_csv(outdir / "waveforms.csv", waves)
-    ek.write_waveforms_bin(outdir / "waveforms.emtw", waves)
-    _write_manifest(args, outdir, ["waveforms.csv", "waveforms.emtw"])
+    _write_manifest(args, outdir, ["waveforms.csv"])
     return EXIT_OK
 
 
@@ -392,7 +383,7 @@ def cmd_compare(args) -> int:
         w0_step = fault_step
     w1_step = w0_step + int(round(args.window / args.dt))
     gis_state = gis.snapshot.emt_state
-    if not args.self_check and gis_state.step > w0_step:
+    if gis_state.step > w0_step:
         print(f"error: the window starts at step {w0_step}, before the initialized "
               f"snapshot at step {gis_state.step}", file=sys.stderr)
         return EXIT_INPUT
@@ -408,7 +399,7 @@ def cmd_compare(args) -> int:
         return ek.run(full_net, sim, init=at_w0)[0].data
 
     waves_zero = window(zero_state)
-    waves_gis = waves_zero if args.self_check else window(gis_state)
+    waves_gis = window(gis_state)
     deviations = {key: average_relative_deviation(waves_gis[key], waves_zero[key])
                   for key in waves_zero}
 
@@ -417,7 +408,6 @@ def cmd_compare(args) -> int:
         "window_steps": [w0_step, w1_step],
         "dt": args.dt,
         "fault": args.fault,
-        "self_check": bool(args.self_check),
         "deviations": deviations,
         "steps_to_steady": {
             "gis": gis.report.gis_cost_steps,

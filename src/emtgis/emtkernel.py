@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
@@ -188,7 +187,6 @@ class Machine:
     bus: str
     emf_node: str
     branch_eid: str
-    xd: float
     inertia_h: float
     damping: float
     emf_rms: float
@@ -1180,22 +1178,3 @@ def write_waveforms_csv(path: str | Path, waves: WaveformSet) -> None:
         row = ",".join(f"{c[i]:.17g}" for c in cols)
         lines.append(f"{t:.17g},{row}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-_MAGIC = b"EMTW"
-_VERSION = 1
-
-
-def write_waveforms_bin(path: str | Path, waves: WaveformSet) -> None:
-    """Compact binary record: magic, u16 version, probe table, f64 samples."""
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<HI", _VERSION, len(waves.data)))
-        t0 = float(waves.times[0]) if len(waves.times) else 0.0
-        dt = float(waves.times[1] - waves.times[0]) if len(waves.times) > 1 else 0.0
-        for key, values in waves.data.items():
-            name = key.encode()
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            f.write(struct.pack("<Qdd", len(values), t0, dt))
-            f.write(np.asarray(values, dtype="<f8").tobytes())

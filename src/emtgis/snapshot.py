@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import json
-import logging
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -43,7 +42,6 @@ from .powerflow import (
     solve_main,
 )
 
-log = logging.getLogger(__name__)
 
 MAIN_SUBSYSTEM = "main"
 SQRT2 = ek.SQRT2
@@ -146,7 +144,7 @@ class _NetBuilder:
             Element(branch_eid, ElementKind.INDUCTOR, emf_node, bus, xd / self.omega)
         )
         self.machines.append(
-            Machine(mid, bus, emf_node, branch_eid, xd, inertia_h, damping,
+            Machine(mid, bus, emf_node, branch_eid, inertia_h, damping,
                     abs(emf), cmath.phase(emf), pm)
         )
 
@@ -408,8 +406,8 @@ def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, net: EmtNet,
     return extract_thevenin_from_net(net, boundary, v_b, i_b)
 
 
-def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent,
-                    name: str = "thev") -> tuple[EmtNet, str]:
+def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
+                    ) -> tuple[EmtNet, str]:
     """Region net plus the equivalent source; returns the net and the id of
     the series element whose current flows into the subsystem."""
     b = _NetBuilder(net.name + "+thev", net.frequency_hz)
@@ -417,12 +415,11 @@ def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent,
     b.elements = list(net.elements)
     b.sources = list(net.sources)
     b.machines = list(net.machines)
-    src_node = b.node(f"{name}:src")
+    src_node = b.node("thev:src")
     z = thevenin.z_eq
-    b.series_rx(f"{name}:z", src_node, boundary, z.real, z.imag)
-    b.ideal_source(f"{name}:e", src_node, thevenin.e_eq.rect)
-    branch_elems = [e.eid for e in b.elements if e.eid.startswith(f"{name}:z")]
-    probe_eid = branch_elems[-1]  # element adjacent to the boundary node
+    b.series_rx("thev:z", src_node, boundary, z.real, z.imag)
+    probe_eid = b.elements[-1].eid  # the series part adjacent to the boundary node
+    b.ideal_source("thev:e", src_node, thevenin.e_eq.rect)
     return b.build(), probe_eid
 
 

@@ -3,7 +3,6 @@ import importlib.util
 import json
 import math
 import os
-import struct
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -262,26 +261,6 @@ def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
 def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramp_steps: int = 0) -> np.ndarray:
     """`ProbeSet.sample` of a single buffer (3, rows): one value per key."""
     return probes.sample(z[None], None, ramp_steps)[:, 0]
-
-
-def read_waveforms_bin(path) -> ek.WaveformSet:
-    """Read back a record written by `emtkernel.write_waveforms_bin`."""
-    with open(path, "rb") as f:
-        if f.read(4) != ek._MAGIC:
-            raise ValueError("not a waveform record")
-        version, n_probes = struct.unpack("<HI", f.read(6))
-        if version != ek._VERSION:
-            raise ValueError(f"unsupported waveform record version {version}")
-        data = {}
-        t0 = dt = 0.0
-        n = 0
-        for _ in range(n_probes):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode()
-            n, t0, dt = struct.unpack("<Qdd", f.read(24))
-            data[name] = np.frombuffer(f.read(8 * n), dtype="<f8").copy()
-        times = t0 + np.arange(n) * dt
-    return ek.WaveformSet(times, data)
 
 
 def _exact_steps(t: float, dt: float, what: str) -> int:

@@ -343,7 +343,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         ("init", [case_path("ninebus1")]),
         ("simulate", [case_path("twobus"), "--zero-state",
                       "--duration", "0.1"]),
-        ("compare", [case_path("ninebus1"), "--self-check"]),
+        ("compare", [case_path("ninebus1")]),
     ]
     mismatches = []
     for cmd, extra in commands:
@@ -353,7 +353,7 @@ def test_criterion_11_cli_determinism(tmp_path):
             cwd.mkdir(parents=True)
             proc = subprocess.run(
                 [sys.executable, "-m", "emtgis", cmd, *extra,
-                 "--out", "out", "--quiet"],
+                 "--out", "out"],
                 capture_output=True, text=True, cwd=cwd, env=cli_env(),
                 timeout=300)
             assert proc.returncode == 0, (cmd, proc.stderr)

@@ -9,6 +9,7 @@ import pytest
 
 import emtgis.emtkernel as ek
 from emtgis import snapshot as sn
+from emtgis.cli import average_relative_deviation
 
 from conftest import case_path, cli_env, overloaded_hybrid_doc, phasor_consistency_error
 from reference_compare import reference_deviations, reference_window
@@ -55,7 +56,7 @@ class TestValidate:
         assert "DuplicateId" in out.stderr
 
     def test_directory_as_case_is_one_line(self, tmp_path):
-        out = run_cli("validate", tmp_path, "--out", tmp_path / "v", "--quiet")
+        out = run_cli("validate", tmp_path, "--out", tmp_path / "v")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert out.stderr.strip() == f"error: cannot open {tmp_path}: Is a directory"
@@ -65,7 +66,7 @@ class TestValidate:
         doc["grbcs"][0]["payload"] = 1.5
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        out = run_cli("validate", bad, "--out", tmp_path / "v", "--quiet")
+        out = run_cli("validate", bad, "--out", tmp_path / "v")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert "payload of region 'wind1' is not an object" in out.stderr
@@ -76,7 +77,7 @@ class TestValidate:
         scripted["payload"]["p"] = [["V"], "V"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        out = run_cli("validate", bad, "--out", tmp_path / "v", "--quiet")
+        out = run_cli("validate", bad, "--out", tmp_path / "v")
         assert out.returncode == 1
         assert "Traceback" not in out.stderr
         violations = read_json(tmp_path / "v" / "validation.json")["violations"]
@@ -86,7 +87,7 @@ class TestValidate:
 
 class TestIpf:
     def test_bundled_case_converges(self, tmp_path):
-        out = run_cli("ipf", case_path("ninebus1"), "--out", tmp_path, "--quiet")
+        out = run_cli("ipf", case_path("ninebus1"), "--out", tmp_path)
         assert out.returncode == 0
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "outer_iter,inner_iters,phi_norm,rho_final"
@@ -106,20 +107,20 @@ class TestIpf:
 
     def test_outer_budget_exhaustion_maps_to_exit_2(self, tmp_path):
         out = run_cli("ipf", case_path("ninebus1"), "--out", tmp_path,
-                      "--max-outer", "0", "--quiet")
+                      "--max-outer", "0")
         assert out.returncode == 2
         assert_one_line_error(out)
         assert (tmp_path / "trace.csv").exists()
 
     def test_zero_region_case(self, tmp_path):
-        out = run_cli("ipf", case_path("twobus"), "--out", tmp_path, "--quiet")
+        out = run_cli("ipf", case_path("twobus"), "--out", tmp_path)
         assert out.returncode == 0
         assert read_json(tmp_path / "boundary.json") == {}
 
 
 class TestInit:
     def test_bundled_case_produces_consistent_snapshot(self, tmp_path):
-        out = run_cli("init", case_path("ninebus1"), "--out", tmp_path, "--quiet")
+        out = run_cli("init", case_path("ninebus1"), "--out", tmp_path)
         assert out.returncode == 0
         from emtgis.snapshot import load_snapshot
 
@@ -131,14 +132,14 @@ class TestInit:
 
     def test_region_timeout_maps_to_exit_3(self, tmp_path):
         out = run_cli("init", case_path("ninebus1"), "--out", tmp_path,
-                      "--ramp-budget", "0.2", "--quiet")
+                      "--ramp-budget", "0.2")
         assert out.returncode == 3
         assert_one_line_error(out)
         report = read_json(tmp_path / "report.json")
         assert report["failed_stage"] == "ramp_to_snapshot"
 
     def test_zero_region_case_is_phasor_only(self, tmp_path):
-        out = run_cli("init", case_path("twobus"), "--out", tmp_path, "--quiet")
+        out = run_cli("init", case_path("twobus"), "--out", tmp_path)
         assert out.returncode == 0
         snap = read_json(tmp_path / "snapshot.json")
         assert snap["provenance"] == "PhasorInit"
@@ -147,8 +148,7 @@ class TestInit:
 @pytest.fixture(scope="module")
 def initialized(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("init")
-    assert run_cli("init", case_path("ninebus1"), "--out", out_dir,
-                   "--quiet").returncode == 0
+    assert run_cli("init", case_path("ninebus1"), "--out", out_dir).returncode == 0
     return out_dir
 
 
@@ -158,7 +158,7 @@ class TestSimulate:
         out = run_cli("simulate", case_path("ninebus1"),
                       "--snapshot", initialized / "snapshot.json",
                       "--duration", "0.2", "--probes", "B5,B10",
-                      "--out", tmp_path, "--quiet")
+                      "--out", tmp_path)
         assert out.returncode == 0
         rows = (tmp_path / "waveforms.csv").read_text().splitlines()
         header = rows[0].split(",")
@@ -172,29 +172,29 @@ class TestSimulate:
     def test_missing_snapshot_is_not_called_a_case_file(self, tmp_path):
         missing = tmp_path / "missing.json"
         out = run_cli("simulate", case_path("twobus"), "--snapshot", missing,
-                      "--out", tmp_path, "--quiet")
+                      "--out", tmp_path)
         assert out.returncode == 1
         assert_one_line_error(out)
         assert out.stderr.strip() == f"error: file not found: {missing}"
 
     def test_directory_as_snapshot_is_one_line(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--snapshot", tmp_path,
-                      "--out", tmp_path / "out", "--quiet")
+                      "--out", tmp_path / "out")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert out.stderr.strip() == f"error: cannot open {tmp_path}: Is a directory"
 
     def test_zero_state_run(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--zero-state",
-                      "--duration", "0.1", "--out", tmp_path, "--quiet")
+                      "--duration", "0.1", "--out", tmp_path)
         assert out.returncode == 0
-        assert (tmp_path / "waveforms.emtw").exists()
+        assert read_json(tmp_path / "manifest.json")["outputs"] == ["waveforms.csv"]
 
     def test_fault_flag_produces_transient(self, initialized, tmp_path):
         out = run_cli("simulate", case_path("ninebus1"),
                       "--snapshot", initialized / "snapshot.json",
                       "--duration", "0.2", "--fault", "B7@0.1@0.02",
-                      "--probes", "B7", "--out", tmp_path, "--quiet")
+                      "--probes", "B7", "--out", tmp_path)
         assert out.returncode == 0
         rows = (tmp_path / "waveforms.csv").read_text().splitlines()
         y = np.array([float(r.split(",")[1]) for r in rows[1:]])
@@ -205,7 +205,7 @@ class TestSimulate:
         out = run_cli("simulate", case_path("ninebus1"),
                       "--snapshot", initialized / "snapshot.json",
                       "--dt", "1e-4", "--duration", "0.05",
-                      "--out", tmp_path, "--quiet")
+                      "--out", tmp_path)
         assert out.returncode == 4
         assert_one_line_error(out)
 
@@ -231,7 +231,7 @@ class TestSimulate:
         path = tmp_path / "bad.json"
         path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
         out = run_cli("simulate", case_path("twobus"), "--snapshot", path,
-                      "--duration", "0.01", "--out", tmp_path / "out", "--quiet")
+                      "--duration", "0.01", "--out", tmp_path / "out")
         assert out.returncode == 4
         assert_one_line_error(out)
 
@@ -242,7 +242,7 @@ class TestSimulate:
     def test_t_ramp_with_snapshot_is_an_input_error(self, initialized, tmp_path):
         out = run_cli("simulate", case_path("ninebus1"),
                       "--snapshot", initialized / "snapshot.json", "--t-ramp", "0.5",
-                      "--duration", "0.05", "--out", tmp_path / "out", "--quiet")
+                      "--duration", "0.05", "--out", tmp_path / "out")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert "--t-ramp" in out.stderr
@@ -254,25 +254,32 @@ class TestSimulate:
         flags = {}
         for name, start in starts.items():
             out = run_cli("simulate", case_path("ninebus1"), *start, "--duration", "0.05",
-                          "--out", tmp_path / name, "--quiet")
+                          "--out", tmp_path / name)
             assert out.returncode == 0, out.stderr
             flags[name] = read_json(tmp_path / name / "manifest.json")["flags"]
         assert "t_ramp" not in flags["snapshot"]
         assert flags["zero"]["t_ramp"] == 0.5
 
 
-class TestCompare:
-    def test_self_check_is_exactly_zero(self, tmp_path):
-        out = run_cli("compare", case_path("ninebus1"), "--self-check",
-                      "--out", tmp_path, "--quiet")
-        assert out.returncode == 0
-        doc = read_json(tmp_path / "compare.json")
-        assert doc["self_check"] is True
-        assert all(v == 0.0 for v in doc["deviations"].values())
+class TestAverageRelativeDeviation:
+    def test_identical_waveforms_deviate_by_exactly_zero(self):
+        a = np.sin(np.linspace(0.0, 7.0, 101))
+        assert average_relative_deviation(a, a.copy()) == 0.0
 
+    def test_sum_of_deviations_over_sum_of_the_reference(self):
+        # |a - b| sums to 3, |b| to 5
+        got = average_relative_deviation(np.array([1.0, -2.0, 3.0]),
+                                         np.array([2.0, -2.0, 1.0]))
+        assert got == 3.0 / 5.0
+
+    def test_all_zero_reference_takes_the_plain_sum(self):
+        assert average_relative_deviation(np.array([1.0, -2.0]), np.zeros(2)) == 3.0
+
+
+class TestCompare:
     def test_unsettleable_budget_maps_to_exit_5(self, tmp_path):
         out = run_cli("compare", case_path("ninebus1"), "--settle-cap", "0.1",
-                      "--out", tmp_path, "--quiet")
+                      "--out", tmp_path)
         assert out.returncode == 5
         assert_one_line_error(out)
 
@@ -286,8 +293,7 @@ class TestCompareWindow:
     def compare(tmp_path, *flags):
         from emtgis.cli import main
 
-        code = main(["compare", case_path("hybrid"), *flags, "--out", str(tmp_path),
-                     "--quiet"])
+        code = main(["compare", case_path("hybrid"), *flags, "--out", str(tmp_path)])
         return code, tmp_path / "compare.json"
 
     @pytest.mark.parametrize("fault", [None, "B7@5.5"], ids=["no-fault", "fault"])
@@ -352,7 +358,7 @@ class TestFailureExits:
     """The overloaded hybrid case has no operating point near the start."""
 
     def test_ipf_coordination_failure_exits_2_with_its_trace(self, overloaded, tmp_path):
-        out = run_cli("ipf", overloaded, "--out", tmp_path, "--quiet")
+        out = run_cli("ipf", overloaded, "--out", tmp_path)
         assert out.returncode == 2
         assert_one_line_error(out)
         assert "outer Newton step rejected" in out.stderr
@@ -364,16 +370,36 @@ class TestFailureExits:
                                          ("simulate", "--zero-state")])
     def test_pipeline_commands_exit_3_naming_the_failed_stage(self, overloaded,
                                                              tmp_path, command):
-        out = run_cli(*command, overloaded, "--out", tmp_path, "--quiet")
+        out = run_cli(*command, overloaded, "--out", tmp_path)
         assert out.returncode == 3
         assert_one_line_error(out)
         assert read_json(tmp_path / "report.json")["failed_stage"] == "ipf"
 
     def test_unknown_probe_is_an_input_error(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--zero-state", "--probes", "NOPE",
-                      "--duration", "0.01", "--out", tmp_path, "--quiet")
+                      "--duration", "0.01", "--out", tmp_path)
         assert out.returncode == 1
         assert_one_line_error(out)
+
+
+class TestOutOfMemory:
+    """A run too large for memory is an input error: exit 1, one `error:`
+    line.  1e9 s at the default dt is 2e13 steps, whose array of times
+    alone takes more than 2**47 bytes: no host's address space holds it,
+    so the allocation fails at once."""
+
+    @pytest.mark.parametrize("command", [("simulate", "--zero-state", "--duration", "1e9"),
+                                         ("compare", "--window", "1e9")],
+                             ids=["simulate", "compare"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, command):
+        from emtgis.cli import main
+
+        assert 1e9 / sn.PipelineConfig.dt * 8 > 2**47
+        code = main([command[0], case_path("twobus"), *command[1:],
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: not enough memory: "), err
 
 
 class TestInvalidCase:
@@ -384,7 +410,7 @@ class TestInvalidCase:
         doc = read_json(case_path("twobus"))
         doc["buses"].append(doc["buses"][0])
         bad.write_text(json.dumps(doc))
-        out = run_cli(*command, bad, "--out", tmp_path / "out", "--quiet")
+        out = run_cli(*command, bad, "--out", tmp_path / "out")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert out.stderr.strip() == \
@@ -396,7 +422,7 @@ class TestInvalidCoordinatorFlags:
                                              ("--omega", "nan"), ("--max-outer", "-1")])
     def test_exits_1_with_one_line(self, tmp_path, flag, value):
         out = run_cli("ipf", case_path("ninebus1"), flag, value,
-                      "--out", tmp_path, "--quiet")
+                      "--out", tmp_path)
         assert out.returncode == 1
         assert_one_line_error(out)
         assert not (tmp_path / "trace.csv").exists()
@@ -418,7 +444,7 @@ class TestInvalidTimeFlags:
     ])
     def test_exits_1_naming_the_flag(self, tmp_path, command, flag, value):
         out = run_cli(*command, case_path("ninebus1"), flag, value,
-                      "--out", tmp_path / "out", "--quiet")
+                      "--out", tmp_path / "out")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert flag in out.stderr
@@ -435,7 +461,7 @@ class TestInvalidFaultSpecs:
                                          ("compare",)], ids=["simulate", "compare"])
     def test_exits_1_with_one_line(self, tmp_path, command, spec):
         out = run_cli(command[0], case_path("ninebus1"), *command[1:], "--fault", spec,
-                      "--out", tmp_path / "out", "--quiet")
+                      "--out", tmp_path / "out")
         assert out.returncode == 1
         assert_one_line_error(out)
         assert spec in out.stderr
@@ -448,7 +474,7 @@ class TestInvalidFaultSpecs:
                             ("inf-mid", ("--fault", "B7@0.0213@inf"))):
             out = run_cli("simulate", case_path("ninebus1"), "--zero-state",
                           "--duration", "0.05", "--probes", "B7", *fault,
-                          "--out", tmp_path / name, "--quiet")
+                          "--out", tmp_path / name)
             assert out.returncode == 0, out.stderr
             waves.append((tmp_path / name / "waveforms.csv").read_bytes())
         assert waves[1] == waves[0] and waves[2] == waves[0]
@@ -463,7 +489,12 @@ class TestUsageErrors:
         ("init", case_path("twobus"), "--dt", "abc"),
         (),
         ("validate", case_path("twobus"), "--gmres-m", "3"),
-    ], ids=["unknown-flag", "malformed-value", "no-subcommand", "flag-it-does-not-read"])
+        *((*command, case_path("twobus"), "--quiet") for command in
+          (("validate",), ("ipf",), ("init",), ("simulate", "--zero-state"), ("compare",))),
+        ("compare", case_path("twobus"), "--self-check"),
+    ], ids=["unknown-flag", "malformed-value", "no-subcommand", "flag-it-does-not-read",
+            "removed-quiet-validate", "removed-quiet-ipf", "removed-quiet-init",
+            "removed-quiet-simulate", "removed-quiet-compare", "removed-self-check"])
     def test_exits_1_with_one_line(self, tmp_path, args):
         out = run_cli(*args, cwd=tmp_path)
         assert out.returncode == 1
@@ -493,18 +524,16 @@ class TestManifestFlags:
         ("twobus", ("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
                     "--probes", "B2"),
          {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
-        ("twobus", ("compare", "--self-check", "--fault", "B2@1.0", "--probes", "B2"),
-         PIPELINE_FLAGS - COORDINATOR_FLAGS
-         | {"window", "settle_cap", "fault", "probes", "self_check"}),
+        ("twobus", ("compare", "--fault", "B2@1.0", "--probes", "B2"),
+         PIPELINE_FLAGS - COORDINATOR_FLAGS | {"window", "settle_cap", "fault", "probes"}),
         ("ninebus1", ("simulate", "--zero-state", "--duration", "0.01", "--probes", "B7"),
          COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "probes"}),
     ], ids=["validate", "ipf", "init", "simulate", "compare", "simulate-with-a-region"])
     def test_flags_are_the_ones_read(self, tmp_path, case, command, reads):
-        out = run_cli(command[0], case_path(case), *command[1:], "--out", tmp_path,
-                      "--quiet")
+        out = run_cli(command[0], case_path(case), *command[1:], "--out", tmp_path)
         assert out.returncode == 0, out.stderr
         flags = read_json(tmp_path / "manifest.json")["flags"]
-        assert set(flags) == {"out", "quiet"} | reads
+        assert set(flags) == {"out"} | reads
 
 
 class TestDeterminism:
@@ -512,8 +541,7 @@ class TestDeterminism:
         # identical manifests (same relative out dir) from two working copies
         for d in ("a", "b"):
             (tmp_path / d).mkdir()
-            proc = run_cli("ipf", case_path("ninebus2"), "--out", "out",
-                           "--quiet", cwd=tmp_path / d)
+            proc = run_cli("ipf", case_path("ninebus2"), "--out", "out", cwd=tmp_path / d)
             assert proc.returncode == 0, proc.stderr
         for name in ("manifest.json", "boundary.json", "trace.csv",
                      "main_pf.csv"):
@@ -521,7 +549,7 @@ class TestDeterminism:
                    (tmp_path / "b" / "out" / name).read_bytes(), name
 
     def test_manifest_records_command_and_flags(self, tmp_path):
-        run_cli("ipf", case_path("twobus"), "--out", tmp_path, "--quiet")
+        run_cli("ipf", case_path("twobus"), "--out", tmp_path)
         doc = read_json(tmp_path / "manifest.json")
         assert doc["tool"] == "emtgis"
         assert doc["command"] == "ipf"
@@ -534,8 +562,7 @@ class TestDeterminism:
         from emtgis.cli import main
 
         for d in ("a", "b"):
-            assert main(["ipf", case_path(name), "--out", str(tmp_path / d),
-                         "--quiet"]) == 0
+            assert main(["ipf", case_path(name), "--out", str(tmp_path / d)]) == 0
         for artifact in ("boundary.json", "trace.csv", "main_pf.csv"):
             assert (tmp_path / "a" / artifact).read_bytes() == \
                    (tmp_path / "b" / artifact).read_bytes(), artifact
@@ -551,13 +578,11 @@ class TestDeterminism:
         monkeypatch.chdir(tmp_path / "in")
         assert main(["init", case_path("ninebus1"), "--dt", "2e-4", "--bogus"]) == 1
         for name, flags in runs.items():
-            assert main(["init", case_path("ninebus1"), *flags, "--out", name,
-                         "--quiet"]) == 0
+            assert main(["init", case_path("ninebus1"), *flags, "--out", name]) == 0
         assert build_parser.cache_info().misses <= 1
         assert not (tmp_path / "in" / "out").exists()
         for name, flags in runs.items():
-            proc = run_cli("init", case_path("ninebus1"), *flags, "--out", name,
-                           "--quiet", cwd=tmp_path)
+            proc = run_cli("init", case_path("ninebus1"), *flags, "--out", name, cwd=tmp_path)
             assert proc.returncode == 0, proc.stderr
         for name in runs:
             manifest = read_json(tmp_path / "in" / name / "manifest.json")

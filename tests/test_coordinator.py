@@ -91,7 +91,7 @@ class TestResidual:
         assert exc.value.side == "main-system"
         assert isinstance(exc.value.cause, SingularJacobian)
         out = tmp_path / "ipf"
-        assert cli.main(["ipf", case_path("ninebus1"), "--out", str(out), "--quiet"]) == 2
+        assert cli.main(["ipf", case_path("ninebus1"), "--out", str(out)]) == 2
         assert (out / "trace.csv").read_text().startswith("outer_iter,")
 
 

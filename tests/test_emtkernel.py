@@ -24,7 +24,6 @@ DATA = Path(__file__).parent / "data"
 from conftest import (  # noqa: E402
     cycle_rms,
     random_linear_net,
-    read_waveforms_bin,
     sample_one,
     stored_energy,
     with_sources_zeroed,
@@ -665,11 +664,10 @@ class TestHistoryCurrentState:
 def two_machine_net(net):
     """The net with a second swinging machine at B9, of other inertia and
     damping, whose EMF leads the bus by 0.1 rad."""
-    xd = 0.2
-    machine = ek.Machine("gen:B9", "B9", "gen:B9:emf", "gen:B9:xd", xd, inertia_h=2.0,
+    machine = ek.Machine("gen:B9", "B9", "gen:B9:emf", "gen:B9:xd", inertia_h=2.0,
                          damping=1.0, emf_rms=1.05, delta0=0.1, pm=0.3)
     branch = ek.Element("gen:B9:xd", ek.ElementKind.INDUCTOR, "gen:B9:emf", "B9",
-                        xd / net.omega)
+                        0.2 / net.omega)
     return replace(net, nodes=net.nodes + ("gen:B9:emf",),
                    elements=net.elements + (branch,), machines=net.machines + (machine,))
 
@@ -1071,18 +1069,18 @@ class TestWaveformExport:
         assert lines[0] == "time,n2.a,n2.b,n2.c"
         assert len(lines) == len(waves.times) + 1
 
-    def test_binary_round_trip_is_exact(self, tmp_path):
+    def test_csv_round_trip_is_exact(self, tmp_path):
         net = rl_net()
         waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, duration=0.02,
                                             record=["n1", "n2", "i:l1"]))
-        path = tmp_path / "w.emtw"
-        ek.write_waveforms_bin(path, waves)
-        back = read_waveforms_bin(path)
-        assert list(back.data) == list(waves.data)
-        for k in waves.data:
-            assert np.array_equal(back.data[k], waves.data[k])
-        assert back.times == pytest.approx(waves.times, abs=1e-15)
-        assert path.read_bytes()[:4] == b"EMTW"
+        path = tmp_path / "w.csv"
+        ek.write_waveforms_csv(path, waves)
+        header, *rows = path.read_text().splitlines()
+        assert header.split(",") == ["time", *waves.data]
+        back = np.array([[float(x) for x in row.split(",")] for row in rows])
+        assert np.array_equal(back[:, 0], waves.times)
+        for col, k in enumerate(waves.data, start=1):
+            assert np.array_equal(back[:, col], waves.data[k])
 
 
 class TestSteadyDetector:

@@ -239,7 +239,7 @@ class TestStoredProblem:
         monkeypatch.setattr(grbc_module, "internal_pf_case", counted_case)
         for mod in (powerflow_module, netmodel_module):
             monkeypatch.setattr(mod, "build_admittance", counted_admittance)
-        assert cli.main(["ipf", case_path(name), "--out", str(tmp_path), "--quiet"]) == 0
+        assert cli.main(["ipf", case_path(name), "--out", str(tmp_path)]) == 0
         white = [g.name for g in white_box_regions(name)]
         assert cases == white
         assert sorted(admittances) == sorted([name, *(f"{w}-internal" for w in white)])
