@@ -14,12 +14,13 @@ re-running a command from the same inputs reproduces every artifact
 byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
-malformed value, no subcommand; a path that cannot be opened; a compare
-window that starts before its initialized snapshot; a run too large for
-memory), 2 coordination failed, 3 pipeline stage failure or any other
-emtgis error, 4 incompatible or unreadable snapshot, 5 zero-state
-comparison run failed to settle.  A failure prints one `error:` line, and
-leaves its trace.csv (coordination) or report.json (stage) if it has one.
+malformed value, no subcommand; a path that cannot be opened; a --dt that
+does not divide the period; a compare window that starts before its
+initialized snapshot; a run too large for memory), 2 coordination failed,
+3 pipeline stage failure or any other emtgis error, 4 incompatible or
+unreadable snapshot, 5 zero-state comparison run failed to settle.  A
+failure prints one `error:` line, and leaves its trace.csv (coordination)
+or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -313,12 +314,9 @@ def _probes(args, case) -> list[str]:
 def cmd_simulate(args) -> int:
     case = _load(args)
     if bool(args.snapshot) == bool(args.zero_state):
-        print("error: give exactly one of --snapshot or --zero-state", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("give exactly one of --snapshot or --zero-state")
     if args.snapshot and args.t_ramp is not None:
-        print("error: --t-ramp ramps a --zero-state run; a --snapshot run has no ramp",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--t-ramp ramps a --zero-state run; a --snapshot run has no ramp")
     if args.zero_state and args.t_ramp is None:
         args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
     events = [_parse_fault(args.fault)] if args.fault else []
@@ -377,16 +375,13 @@ def cmd_compare(args) -> int:
     if fault is not None:
         fault_step = int(round(fault.time / args.dt))
         if fault_step * args.dt < w0_step * args.dt:
-            print("error: fault must come after the zero-state run settles",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ValueError("fault must come after the zero-state run settles")
         w0_step = fault_step
     w1_step = w0_step + int(round(args.window / args.dt))
     gis_state = gis.snapshot.emt_state
     if gis_state.step > w0_step:
-        print(f"error: the window starts at step {w0_step}, before the initialized "
-              f"snapshot at step {gis_state.step}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError(f"the window starts at step {w0_step}, before the initialized "
+                         f"snapshot at step {gis_state.step}")
 
     events = [fault] if fault else []
 

@@ -33,7 +33,7 @@ for the ramp and one after it.
 
 After the ramp, a swinging machine's EMF row e_v = sqrt2 emf cos(wt +
 delta + phase) follows its rotor angle, which its electrical power moves:
-the only nonlinearity of the step.  A `_Loop` advances such a net in
+the only nonlinearity of the step.  The loop advances such a net in
 chunks of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation
 of the rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE
 Trans. CAD 1(3)).  Within a chunk the network is linear in the EMFs, so
@@ -49,14 +49,17 @@ for bit.  Each step's EMF reads the angle before it, so sweep k fixes
 step k for good, and a chunk of L steps stops within L + 1 sweeps.  The
 phases' EMFs are formed once per chunk, after the sweeps.
 
-`CompiledNet` builds the network part once per topology and the maps once
-per stepping loop, a `_Loop`, which `run` and `run_until_steady` drive.  A
-loop steps through a cycle-long stack of buffers, computes the cycle's
-probe samples in one product with the probes' rows of O, and re-anchors r
-and q from the clock at each cycle start, so the rotation's rounding drift
-never spans more than one cycle.  It builds an `EmtState` only at its
-edges: on return, and at a fault event, where `run` migrates the state
-onto the faulted topology and starts a new loop from it.
+A `CompiledNet` is one stepping loop.  From a net, a dt, a start state, a
+source ramp and the probes, its constructor compiles the topology, builds
+the step, output and relax maps for that start, resolves the probes and
+allocates a cycle-long stack of buffers, all once.  `run` and
+`run_until_steady` build one per loop, so one per fault segment, and call
+its `advance` a cycle at a time.  `advance` computes the cycle's probe
+samples in one product with the probes' rows of O, and re-anchors r and q
+from the clock at each cycle start, so the rotation's rounding drift never
+spans more than one cycle.  The loop builds an `EmtState` only at its
+edges (`state`): on return, and at a fault event, where `run` migrates the
+state onto the faulted topology and builds the next loop from it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -333,6 +336,21 @@ def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
         )
 
 
+def migrate_state(net: EmtNet, state: EmtState) -> EmtState:
+    """Carry a state onto `net`, whose elements append to the state's
+    (faults); the appended elements start with zero currents."""
+    eids = tuple(e.eid for e in net.elements)
+    if eids[:len(state.element_ids)] != state.element_ids:
+        raise IncompatibleSnapshot("topology change is not an element append")
+    pad = np.zeros((len(eids) - len(state.element_ids), 3))
+    out = state.copy()
+    out.element_ids = eids
+    out.elem_i = np.vstack([out.elem_i, pad])
+    out.hist_u = np.vstack([out.hist_u, pad])
+    out.hist_i = np.vstack([out.hist_i, pad])
+    return out
+
+
 def zero_state(net: EmtNet, dt: float) -> EmtState:
     """De-energized state of a network at step 0; machines at their
     build-time angle, EMF and mechanical power."""
@@ -374,8 +392,19 @@ class _SwingMaps(NamedTuple):
 
 
 class CompiledNet:
-    """The step of one network at one dt as one square linear map on the
-    history currents.
+    """One stepping loop of one network at one dt, from one start state:
+    the step as one square linear map on the history currents, and the
+    stack of buffers it steps through.
+
+    The constructor does all the set-up, once: it compiles the topology,
+    builds the step and output maps for the start state's rotor angles and
+    EMFs and for sources that ramp linearly over t_ramp seconds from t = 0
+    (None: sources at full scale throughout), resolves the probes
+    (`probes`), builds the probes' map of `relax`, and allocates `length`
+    + 2 buffers.  Slot 1 holds the buffer at step n, and slot 0 the one a
+    step before it once the loop has carried it over; `advance` steps from
+    slot 1 through the (buffer, next buffer) view pairs, and `state`
+    rebuilds the state at step n.
 
     Per phase, the network's only memory is the history current ih =
     h*(D v) + j*i of each inductor and capacitor (n_lc of them; a
@@ -388,8 +417,8 @@ class CompiledNet:
       P_h ih + P_k v_k and the element currents i' = g*(D v') + ih.
     * F = [f_c f_s] carries every source through the angle-addition
       identity: a source of peak a and angle t pins a*cos(t) r_c -
-      a*sin(t) r_s.  `buffers` folds the machines whose rotors are fixed
-      into F the same way, at the state's own angle and EMF.
+      a*sin(t) r_s.  The machines whose rotors are fixed fold into F the
+      same way, at the start state's own angle and EMF.
     * B_e carries the EMFs of the swinging machines, whose angles move.
 
     The step state z stacks ih, then two rows q = n*r, then the oscillator
@@ -411,7 +440,7 @@ class CompiledNet:
 
     A step buffer holds z with one phase per row, shape (3, rows), so a
     step is out = x T^T, and a stack of buffers is, per phase, one matrix
-    for the probes' product.  Only a `_Loop`'s edges need x: the x of step n
+    for the probes' product.  Only the loop's edges need x: the x of step n
     is O z of the buffer at step n - 1, after its EMF rows are written.
     `ProbeSet.sample` applies the probes' rows of O to a stack of buffers,
     and `state` rebuilds x and the histories from the buffers one and two
@@ -433,8 +462,8 @@ class CompiledNet:
     product [F diag(amp) | S] [sum(u*y); delta_0, dw_0, emf, pm] gives the
     angles and the end step's speed deviations.  `relax` builds these
     maps, and those of [w_0; e] to w in the first buffer a chunk hands on
-    and at its probe blocks' starts, once per chunk length in a `_Loop`;
-    `buffers` builds the probes' map over a block of PROBE_BLOCK steps.
+    and at its probe blocks' starts, once per chunk length in the loop; the
+    constructor builds the probes' map over a block of PROBE_BLOCK steps.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -447,7 +476,9 @@ class CompiledNet:
     source nodes in order, then the machine EMF nodes.
     """
 
-    def __init__(self, net: EmtNet, dt: float):
+    def __init__(self, net: EmtNet, dt: float, state: EmtState,
+                 t_ramp: float | None = None, record: list[str] | tuple = (),
+                 length: int = 1):
         self.net = net
         self.dt = dt
         self.omega = net.omega
@@ -518,74 +549,43 @@ class CompiledNet:
         # Work counters of `relax`.
         self.chunks_relaxed = 0
         self.sweeps = 0
-        # All set by `buffers`, for the `_Loop` from its state on.  The step
-        # maps are stored as T^T, the form `step` multiplies by.
-        self.ramp_map: np.ndarray | None = None
-        self.post_map: np.ndarray | None = None
-        self.outputs: tuple[np.ndarray, np.ndarray] | None = None  # O ramp, after
-        self.ramp_end = 0
-        self._start: tuple[int, np.ndarray] | None = None
-        # `relax`'s maps per chunk length, and the probes' per block (None:
-        # no probes): a block's samples from its start's w and its EMFs.
+
+        # The loop from the start state on.  The step maps are stored as
+        # T^T, the form `step` multiplies by; `ramp_end` is the first step
+        # at full source scale (0 without a ramp).
+        self.start = state
+        self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, dt)
+        self.outputs, self.ramp_map, self.post_map = self._step_maps(state, t_ramp)
+        self.probes = ProbeSet(self, record)
+        # `relax`'s EMF amplitudes sqrt2 emf, one per swinging machine, and
+        # its maps per chunk length.  The probes' map gives a block's
+        # samples from its start's w and its EMFs; it has no columns without
+        # swinging machines or probes.
+        self.amplitude = SQRT2 * state.machine_emf[self.swinging]
         self.swing_maps: dict[int, _SwingMaps] = {}
-        self.probe_map: np.ndarray | None = None
-        self.amplitude: np.ndarray | None = None  # sqrt2 emf per swinging machine
+        self.probe_map = np.zeros((0, 0))
+        if self.swinging.size and self.probes.rows.size:
+            g = self._chunk_map(self.probes.rows, PROBE_BLOCK)
+            self.probe_map = g.transpose(2, 0, 1).reshape(g.shape[2], -1)
         # The electrical power per swinging machine that the next chunk's
         # first angle guess assumes over the whole chunk; `relax` updates it.
-        self.pe_guess: np.ndarray | None = None
+        self.pe_guess = state.machine_pm[self.swinging].astype(float)
+        # The machines, one row [delta, speed_dev, emf, pm] each, and the
+        # stack, whose slot 1 holds the start's history currents and its
+        # anchored oscillator.
+        self.machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
+                                         state.machine_emf, state.machine_pm]).astype(float)
+        self.stack = np.zeros((length + 2, 3, self.rows))
+        self.stack[1, :, :self.n_lc] = (self.hist @ np.vstack([state.v_nodes, state.elem_i])).T
+        self.anchor(self.stack[1], state.step)
+        self.pairs = list(zip(self.stack[1:-1], self.stack[2:]))
+        self.n = state.step
+        self.pos = 1  # stack index of the buffer at step n
 
-    # --- states at the edges of a stepping loop -----------------------------
-
-    def migrate_state(self, state: EmtState) -> EmtState:
-        """Carry a state onto this topology after appended elements (faults)."""
-        have = len(state.element_ids)
-        want = len(self.element_ids)
-        if self.element_ids[:have] != state.element_ids or want < have:
-            raise IncompatibleSnapshot("topology change is not an element append")
-        extra = want - have
-        pad = np.zeros((extra, 3))
-        out = state.copy()
-        out.element_ids = self.element_ids
-        out.elem_i = np.vstack([out.elem_i, pad])
-        out.hist_u = np.vstack([out.hist_u, pad])
-        out.hist_i = np.vstack([out.hist_i, pad])
-        return out
-
-    def buffers(self, state: EmtState, t_ramp: float | None = None,
-                probe_rows: np.ndarray | tuple = (),
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Two step buffers, the first holding the state's history currents
-        and its anchored oscillator, and the machines, one row [delta,
-        speed_dev, emf, pm] each.  A buffer holds one phase per row.
-
-        Also builds the step and output maps for this state's rotor angles
-        and EMFs and for sources that ramp linearly over t_ramp seconds
-        from t = 0 (None: sources at full scale throughout); they serve
-        the steps from this state on, up to the next `buffers` call.  On a
-        net with swinging machines it builds `relax`'s maps too, for the
-        probes at rows `probe_rows` of [v; i].
-        """
-        x = np.vstack([state.v_nodes, state.elem_i])
-        z = np.zeros((3, self.rows))
-        z[:, :self.n_lc] = (self.hist @ x).T
-        self.anchor(z, state.step)
-        self._start = (state.step, x)
-        self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, self.dt)
-        self._build_maps(state, t_ramp)
-        if self.swinging.size:
-            self.swing_maps, self.probe_map = {}, None
-            self.amplitude = SQRT2 * state.machine_emf[self.swinging]
-            if len(probe_rows):
-                g = self._chunk_map(probe_rows, PROBE_BLOCK)
-                self.probe_map = g.transpose(2, 0, 1).reshape(g.shape[2], -1)
-            self.pe_guess = state.machine_pm[self.swinging].astype(float)
-        machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
-                                    state.machine_emf, state.machine_pm]).astype(float)
-        return z, np.zeros_like(z), machines
-
-    def _build_maps(self, state: EmtState, t_ramp: float | None) -> None:
-        """T and O during a ramp over t_ramp seconds and after it (see the
-        class docstring); without a ramp, both pairs are the maps after it."""
+    def _step_maps(self, state: EmtState, t_ramp: float | None) -> tuple:
+        """O during a ramp over t_ramp seconds and after it, and T^T for
+        the same two (see the class docstring); without a ramp, both are
+        the maps after it."""
         m, rot = self.n_lc, self.rotation
         # A machine at rotor angle d is a source of peak sqrt2*emf and angle
         # d: sqrt2 emf cos(wt + d) = sqrt2 emf (cos d r_c - sin d r_s).
@@ -599,17 +599,16 @@ class CompiledNet:
         post[:, :m] = self.w
         post[:, m + 2:m + 4] = (self.f + emf_cols[:, fixed].sum(axis=1)) @ rot
         post[:, m + 4:] = self.b_machines[:, self.swinging]
-        self.outputs = (post, post)
-        self.ramp_map = self.post_map = self._step_map(post).T
-        if t_ramp is not None:
-            ramp = np.zeros_like(post)
-            ramp[:, :m] = self.w
-            ramp[:, m:m + 2] = ramp[:, m + 2:m + 4] = (
-                (self.dt / t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
-            t = self._step_map(ramp)
-            t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
-            self.outputs = (ramp, post)
-            self.ramp_map = t.T
+        post_map = self._step_map(post).T
+        if t_ramp is None:
+            return (post, post), post_map, post_map
+        ramp = np.zeros_like(post)
+        ramp[:, :m] = self.w
+        ramp[:, m:m + 2] = ramp[:, m + 2:m + 4] = (
+            (self.dt / t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
+        t = self._step_map(ramp)
+        t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
+        return (ramp, post), t.T, post_map
 
     def _step_map(self, out: np.ndarray) -> np.ndarray:
         """T for the output map `out`, less the ramp's q rows."""
@@ -679,7 +678,7 @@ class CompiledNet:
         own = np.arange(nsw)
         swing[:, own, :, own] = np.concatenate([angle, speed[:, -1:]], axis=1)
         low = max(length - 2, 0)  # the first buffer a chunk hands on
-        blocks = range(PROBE_BLOCK, length if self.probe_map is not None else 0, PROBE_BLOCK)
+        blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             currents[:, :w].T, 1.5 * (currents[:, w:] * amplitude).T,
             swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
@@ -703,25 +702,27 @@ class CompiledNet:
         """[v; i] at `step` from the buffer one step behind it."""
         return self.outputs[step >= self.ramp_end].dot(z.T)
 
-    def state(self, z: np.ndarray, z_prev: np.ndarray, step: int,
-              machines: np.ndarray) -> EmtState:
-        """The state at `step` from the buffers one step (z) and two steps
-        (z_prev) behind it.
+    def state(self) -> EmtState:
+        """The state at step n, the start state itself before any step.
 
-        At the first step of a loop, the state `buffers` started from
-        stands in for z_prev's output.  The element currents are
-        recomputed from the histories in companion form, so
-        `companion_replay` reproduces them bit for bit.  The state shares
-        no array with the buffers.
+        It is rebuilt from the buffers one step (z) and two steps (z_prev)
+        behind it; at the first step of the loop, the start state stands
+        in for z_prev's output.  The element currents are recomputed from
+        the histories in companion form, so `companion_replay` reproduces
+        them bit for bit.  The state shares no array with the loop.
         """
-        nn, net = self.n_nodes, self.net
-        x = self.output(z, step)
-        start, x_start = self._start
-        prev = x_start if step - 1 == start else self.output(z_prev, step - 1)
+        n, start, nn, net = self.n, self.start, self.n_nodes, self.net
+        if n == start.step:
+            return start
+        x = self.output(self.stack[self.pos - 1], n)
+        if n - 1 == start.step:
+            prev = np.vstack([start.v_nodes, start.elem_i])
+        else:
+            prev = self.output(self.stack[self.pos - 2], n - 1)
         hist_i = prev[nn:].copy()
-        delta, dw, emf, pm = machines.T.copy()
+        delta, dw, emf, pm = self.machines.T.copy()
         state = EmtState(
-            step, self.dt, net.nodes, self.element_ids, tuple(m.mid for m in net.machines),
+            n, self.dt, net.nodes, self.element_ids, tuple(m.mid for m in net.machines),
             x[:nn].copy(), np.empty_like(hist_i), self.incidence.dot(prev[:nn]), hist_i,
             delta, dw, emf, pm,
         )
@@ -742,6 +743,39 @@ class CompiledNet:
         without the array-function dispatch around it.
         """
         x.dot(self.ramp_map if ramp else self.post_map, out)
+
+    def advance(self, length: int, samples: np.ndarray) -> None:
+        """Advance `length` <= the stack's length steps from step n,
+        writing the probe samples of steps n + 1 .. n + length into
+        samples, one column per step.
+
+        The buffers at steps n - 1 and n carry over to slots 0 and 1, and
+        the oscillator is re-anchored from the clock at step n.  Ramp
+        steps, and every step of a net without a swinging machine, take
+        one `step` each, and their samples one product per phase.  After
+        the ramp, a net with swinging machines advances in relaxed chunks
+        of at most SWING_CHUNK steps (`relax`).
+        """
+        stack, n = self.stack, self.n
+        if self.pos > 1:
+            stack[:2] = stack[self.pos - 1:self.pos + 1]
+        self.anchor(stack[1], n)
+        # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
+        ramp_steps = min(max(self.ramp_end - n - 1, 0), length)
+        stepped = ramp_steps if self.swinging.size else length
+        step, pairs = self.step, iter(self.pairs)
+        for x, out in islice(pairs, ramp_steps):
+            step(x, out, True)
+        for x, out in islice(pairs, stepped - ramp_steps):
+            step(x, out, False)
+        n += stepped
+        self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
+        for first in range(stepped, length, SWING_CHUNK):
+            size = min(SWING_CHUNK, length - first)
+            self.relax(stack, first + 1, size, n, self.machines,
+                       samples[:, first:first + size])
+            n += size
+        self.n, self.pos = n, length + 1
 
     def relax(self, stack: np.ndarray, first: int, length: int, step: int,
               machines: np.ndarray, samples: np.ndarray) -> None:
@@ -814,7 +848,7 @@ class CompiledNet:
         v[:, :w] = w0
         v[:, w:w + ne] = e = TWO_AXIS.T @ (u * maps.amplitude)
         we = v[:, :w + ne]
-        if self.probe_map is not None:
+        if self.probe_map.size:
             # Every block's samples from its start's w and its EMFs, one
             # block and phase per row.
             xb = np.empty((3, blocks, w + PROBE_BLOCK * nsw))
@@ -854,8 +888,7 @@ class ProbeSet:
     output map applied to step buffers (see `CompiledNet`).
     """
 
-    def __init__(self, compiled: CompiledNet, record: list[str]):
-        self.compiled = compiled
+    def __init__(self, compiled: CompiledNet, record: list[str] | tuple):
         self.keys: list[str] = []
         eids = [e.eid for e in compiled.net.elements]
         rows: list[int] = []
@@ -871,7 +904,8 @@ class ProbeSet:
                 rows.append(compiled.node_index[pid])
             self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
         self.rows = np.array(rows, dtype=int)
-        self._maps: tuple = ((), ())  # compiled.outputs, and their probe rows
+        # The probes' rows of the output maps during the ramp and after it.
+        self.maps = tuple(o[self.rows] for o in compiled.outputs)
 
     def read(self, state: EmtState) -> np.ndarray:
         """The probe values of a state, one per key."""
@@ -890,11 +924,8 @@ class ProbeSet:
         """
         if out is None:
             out = np.empty((len(self.keys), len(stack)))
-        outputs = self.compiled.outputs
-        if self._maps[0] is not outputs:  # new maps since the last call
-            self._maps = outputs, tuple(o[self.rows] for o in outputs)
         for part, o_p in zip((slice(None, ramp_steps), slice(ramp_steps, None)),
-                             self._maps[1]):
+                             self.maps):
             if len(stack[part]):
                 for ph in range(3):
                     np.matmul(o_p, stack[part, ph].T, out=out[ph::3, part])
@@ -919,70 +950,13 @@ def _whole_cycles(t: float, period: float, up: bool = False) -> int:
     return math.ceil(q - 1e-9) if up else math.floor(q + 1e-9)
 
 
-class _Loop:
-    """A stepping loop from one start state on, through `length` + 2 step
-    buffers stacked.  Slot 1 holds the buffer at step n, and slot 0 the
-    one a step before it once the loop has carried it over; `advance`
-    steps from slot 1 through the (buffer, next buffer) view pairs.
-    """
-
-    def __init__(self, compiled: CompiledNet, state: EmtState, length: int,
-                 t_ramp: float | None, probes: ProbeSet):
-        self.compiled, self.probes, self.start = compiled, probes, state
-        z, _, self.machines = compiled.buffers(state, t_ramp, probes.rows)
-        self.stack = np.zeros((length + 2,) + z.shape)
-        self.stack[1] = z
-        self.pairs = list(zip(self.stack[1:-1], self.stack[2:]))
-        self.n = state.step
-        self.pos = 1  # stack index of the buffer at step n
-
-    def advance(self, length: int, samples: np.ndarray) -> None:
-        """Advance `length` steps from step n, writing the probe samples of
-        steps n + 1 .. n + length into samples, one column per step.
-
-        The buffers at steps n - 1 and n carry over to slots 0 and 1, and
-        the oscillator is re-anchored from the clock at step n.  Ramp
-        steps, and every step of a net without a swinging machine, take
-        one product each, and their samples one product per phase.  After
-        the ramp, a net with swinging machines advances in relaxed chunks
-        of at most SWING_CHUNK steps (`CompiledNet.relax`).
-        """
-        compiled, stack, n = self.compiled, self.stack, self.n
-        if self.pos > 1:
-            stack[:2] = stack[self.pos - 1:self.pos + 1]
-        compiled.anchor(stack[1], n)
-        # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
-        ramp_steps = min(max(compiled.ramp_end - n - 1, 0), length)
-        stepped = ramp_steps if compiled.swinging.size else length
-        step, pairs = compiled.step, iter(self.pairs)
-        for x, out in islice(pairs, ramp_steps):
-            step(x, out, True)
-        for x, out in islice(pairs, stepped - ramp_steps):
-            step(x, out, False)
-        n += stepped
-        self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
-        for first in range(stepped, length, SWING_CHUNK):
-            size = min(SWING_CHUNK, length - first)
-            compiled.relax(stack, first + 1, size, n, self.machines,
-                           samples[:, first:first + size])
-            n += size
-        self.n, self.pos = n, length + 1
-
-    def state(self) -> EmtState:
-        """The state at step n: the start state itself before any step."""
-        if self.n == self.start.step:
-            return self.start
-        return self.compiled.state(self.stack[self.pos - 1], self.stack[self.pos - 2],
-                                   self.n, self.machines)
-
-
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
     """Fixed-duration simulation with event handling and probe recording.
 
-    Advances a `_Loop` a cycle at a time.  Events at or before the start
-    step apply before the first net is built, and the start state
-    migrates onto that net.  A chunk ends early at a later fault event,
+    Advances a `CompiledNet` a cycle at a time.  Events at or before the
+    start step apply before the first loop is built, and the start state
+    migrates onto its net.  A chunk ends early at a later fault event,
     where the loop's state migrates onto the faulted topology and a new
     loop starts from it.  The traces are recorded probe-major, so each
     waveform is a row of one array.
@@ -1001,38 +975,36 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
                     key=lambda e: e.time)
     event_steps = [int(round(e.time / cfg.dt)) for e in events]
 
+    # One cycle per chunk; a DC net has no cycle and no rotation to drift.
+    cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
+    chunk = max(1, min(cycle, n_steps))
+
     next_event = 0
     current_net = net
     while next_event < len(events) and event_steps[next_event] <= start_step:
         ev = events[next_event]
         current_net = apply_fault(current_net, ev.target, ev.r_fault)
         next_event += 1
-    compiled = CompiledNet(current_net, cfg.dt)
-    state = compiled.migrate_state(state)
-    probes = ProbeSet(compiled, cfg.record)
+    compiled = CompiledNet(current_net, cfg.dt, migrate_state(current_net, state),
+                           cfg.t_ramp, cfg.record, chunk)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
-    traces = np.zeros((len(probes.keys), n_steps + 1))
-    traces[:, 0] = probes.read(state)
-    # One cycle per chunk; a DC net has no cycle and no rotation to drift.
-    cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
-    chunk = max(1, min(cycle, n_steps))
-    loop = _Loop(compiled, state, chunk, cfg.t_ramp, probes)
+    traces = np.zeros((len(compiled.probes.keys), n_steps + 1))
+    traces[:, 0] = compiled.probes.read(compiled.start)
 
-    while (done := loop.n - start_step) < n_steps:
-        while next_event < len(events) and loop.n >= event_steps[next_event]:
+    while (done := compiled.n - start_step) < n_steps:
+        while next_event < len(events) and compiled.n >= event_steps[next_event]:
             ev = events[next_event]
-            state = loop.state()
-            del loop, compiled, probes  # the pre-fault buffers and maps go first
+            state = compiled.state()
+            del compiled  # the pre-fault buffers and maps go first
             current_net = apply_fault(current_net, ev.target, ev.r_fault)
-            compiled = CompiledNet(current_net, cfg.dt)
-            probes = ProbeSet(compiled, cfg.record)
-            loop = _Loop(compiled, compiled.migrate_state(state), chunk, cfg.t_ramp, probes)
+            compiled = CompiledNet(current_net, cfg.dt, migrate_state(current_net, state),
+                                   cfg.t_ramp, cfg.record, chunk)
             next_event += 1
         length = min(chunk, n_steps - done)
         if next_event < len(events):
-            length = min(length, event_steps[next_event] - loop.n)
-        loop.advance(length, traces[:, done + 1:done + length + 1])
-    return WaveformSet(times, dict(zip(probes.keys, traces))), loop.state()
+            length = min(length, event_steps[next_event] - compiled.n)
+        compiled.advance(length, traces[:, done + 1:done + length + 1])
+    return WaveformSet(times, dict(zip(compiled.probes.keys, traces))), compiled.state()
 
 
 def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
@@ -1044,34 +1016,33 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     after a ramp completes).  After detection, SETTLE_MARGIN_CYCLES more
     cycles run before the state is returned, and the samples of the final
     full cycle come back for phasor extraction.  The three constants are
-    read at call time.  Each cycle is one `_Loop.advance`.
+    read at call time.  Each cycle is one `CompiledNet.advance`.
 
     Returns (state, ready_step or None, last cycle samples one row per
     step, probe keys).
     """
-    compiled = CompiledNet(net, cfg.dt)
     state = zero_state(net, cfg.dt) if init is None else init.copy()
     check_compatible(net, cfg.dt, state)
 
     n_cycle = int(round(net.period / cfg.dt))
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:
         raise InvalidParameter("period must be an integer multiple of dt")
-    probes = ProbeSet(compiled, cfg.record)
+    compiled = CompiledNet(net, cfg.dt, state, cfg.t_ramp, cfg.record, n_cycle)
+    keys = compiled.probes.keys
     max_cycles = _whole_cycles(cfg.duration, net.period)
     arm_after = 0 if cfg.t_ramp is None else _whole_cycles(cfg.t_ramp, net.period, up=True)
 
-    buf = np.zeros((len(probes.keys), n_cycle))
+    buf = np.zeros((len(keys), n_cycle))
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
     ready: int | None = None
-    loop = _Loop(compiled, state, n_cycle, cfg.t_ramp, probes)
 
     for c in range(max_cycles):
-        loop.advance(n_cycle, buf)
+        compiled.advance(n_cycle, buf)
         if fired_at is not None:
             if c - fired_at >= SETTLE_MARGIN_CYCLES:
-                ready = loop.n
+                ready = compiled.n
                 break
             continue
         rms = np.sqrt(np.add.reduce(buf**2, axis=1) / n_cycle)  # np.mean, undispatched
@@ -1082,7 +1053,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
                 fired_at = c
         prev_rms = rms
 
-    return loop.state(), ready, buf.T.copy(), probes.keys
+    return compiled.state(), ready, buf.T.copy(), keys
 
 
 def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:

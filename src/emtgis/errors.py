@@ -49,7 +49,9 @@ class InvalidVoltage(EmtgisError):
 
 
 class InternalNonConvergence(EmtgisError):
-    """A white-box region's internal power flow failed to converge."""
+    """A region is not evaluable at its boundary voltage: a white-box
+    region's internal power flow failed to converge, or a region's
+    injection is not a finite real number."""
 
 
 class GrbcPayloadError(CaseFormatError):

@@ -259,26 +259,39 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     The angle arrives wrapped into (-pi, pi], as `Phasor` keeps it; a
     ScriptedResponse expression sees it so too.  That is harmless for a
     white-box region: its solution starts from, and so shifts with, the
-    boundary angle, and its injections depend on angle differences only."""
-    if v_boundary.magnitude <= 0.0:
-        raise InvalidVoltage(
-            f"boundary voltage magnitude must be > 0, got {v_boundary.magnitude}"
-        )
+    boundary angle, and its injections depend on angle differences only.
+
+    A region that has no finite real injection at v_boundary raises
+    InternalNonConvergence: a white-box internal power flow that fails,
+    or a scripted expression that divides by zero, overflows or leaves
+    the reals."""
+    v, th = v_boundary.magnitude, v_boundary.angle
+    if v <= 0.0:
+        raise InvalidVoltage(f"boundary voltage magnitude must be > 0, got {v}")
     if decl.kind is GrbcKind.SCRIPTED_RESPONSE:
-        v, th = v_boundary.magnitude, v_boundary.angle
-        return GrbcEvaluation(
-            p_tilde=eval_expr(decl.payload.p_expr, v, th),
-            q_tilde=eval_expr(decl.payload.q_expr, v, th),
-        )
-    if decl.kind is GrbcKind.SIMPLIFIED_HVDC_TERMINAL:
-        v = v_boundary.magnitude
+        try:
+            p, q = (eval_expr(e, v, th) for e in (decl.payload.p_expr, decl.payload.q_expr))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise _not_evaluable(decl, v_boundary, exc) from exc
+    elif decl.kind is GrbcKind.SIMPLIFIED_HVDC_TERMINAL:
         p_eff = decl.payload.p_dc * (v / 0.9 if v < 0.9 else 1.0)
-        return GrbcEvaluation(p_tilde=-p_eff, q_tilde=-p_eff * decl.payload.tan_phi)
-    # Injection into the torn node from the region side is the negative of
-    # the network injection computed at the boundary row (no region-side
-    # load sits on the boundary bus itself).
-    p, q = internal_power_flow(decl, v_boundary).injection(decl.boundary_bus)
-    return GrbcEvaluation(p_tilde=-p, q_tilde=-q)
+        p, q = -p_eff, -p_eff * decl.payload.tan_phi
+    else:
+        # Injection into the torn node from the region side is the negative
+        # of the network injection computed at the boundary row (no
+        # region-side load sits on the boundary bus itself).
+        p, q = internal_power_flow(decl, v_boundary).injection(decl.boundary_bus)
+        p, q = -p, -q
+    if not (isinstance(p, float) and isinstance(q, float)
+            and math.isfinite(p) and math.isfinite(q)):
+        raise _not_evaluable(decl, v_boundary, f"it injects p = {p!r}, q = {q!r}")
+    return GrbcEvaluation(p_tilde=p, q_tilde=q)
+
+
+def _not_evaluable(decl: GrbcDeclaration, v_boundary: Phasor, why) -> InternalNonConvergence:
+    return InternalNonConvergence(
+        f"region '{decl.name}' is not evaluable at |V| = {v_boundary.magnitude!r}, "
+        f"angle {v_boundary.angle!r}: {why}")
 
 
 def internal_power_flow(decl: GrbcDeclaration,

@@ -520,14 +520,6 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
         if abs(snap.emt_state.dt - dt) > 1e-18:
             raise IncompatibleSnapshot(f"subsystem '{name}' uses a different dt")
 
-    if len(snapshots) == 1:
-        (only,) = snapshots.values()
-        covered = set(only.emt_state.element_ids)
-        missing = [e.eid for e in full_net.elements if e.eid not in covered]
-        if missing:
-            raise TopologyMismatch(f"elements missing from snapshot: {missing[:4]}")
-        return only, {bus: 0.0 for bus in only.boundary_phasors}
-
     merged = ek.zero_state(full_net, dt)
     merged.step = schedule.t_ref_steps
     states = [snapshots[name].emt_state
@@ -639,24 +631,27 @@ class PipelineResult:
 
 
 def _stage(name, fn, *args, **kw):
+    """fn(*args, **kw), its failure tagged with the stage name; a
+    MemoryError passes through as it is, a run too large for memory."""
     try:
         return fn(*args, **kw)
+    except MemoryError:
+        raise
     except Exception as exc:
         raise StageFailure(name, exc) from exc
 
 
 def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemModel:
     """Validate, coordinate the whole-system power flow, resolve every
-    region's operating point and assemble the whole-system EMT model."""
+    region's operating point and assemble the whole-system EMT model.  An
+    invalid case, or a dt that does not divide the period, raises
+    ValueError, an input error, not a stage failure."""
     cfg = cfg or PipelineConfig()
-
-    def check_valid():
-        validate_case(case).raise_if_invalid()
-        period_steps = case.period / cfg.dt
-        if abs(period_steps - round(period_steps)) > 1e-9:
-            raise ValueError("period must be an integer multiple of dt")
-
-    _stage("validate", check_valid)
+    validate_case(case).raise_if_invalid()
+    period_steps = case.period / cfg.dt
+    if abs(period_steps - round(period_steps)) > 1e-9:
+        raise ValueError(f"the period {case.period} s is not an integer multiple "
+                         f"of dt {cfg.dt} s")
 
     boundary_state = None
     trace = None

@@ -42,7 +42,7 @@ class ReferenceSwingMaps(NamedTuple):
 
 def reference_swing_maps(compiled: ek.CompiledNet, probe_rows, emf) -> ReferenceSwingMaps:
     """The maps for the probes at `probe_rows` of [v; i] and the swinging
-    machines' EMF magnitudes, after `compiled.buffers`."""
+    machines' EMF magnitudes, from the maps of the loop `compiled`."""
     n, w, nsw = SWING_CHUNK, compiled.n_lc + 4, compiled.swinging.size
     t = compiled.post_map.T
     powers = np.empty((n + 1, w, w))

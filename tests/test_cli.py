@@ -375,6 +375,25 @@ class TestFailureExits:
         assert_one_line_error(out)
         assert read_json(tmp_path / "report.json")["failed_stage"] == "ipf"
 
+    @pytest.mark.parametrize("p", [["/", 1, ["-", "V", 1]], ["pow", 10, 400],
+                                   ["pow", -1, 0.5]],
+                             ids=["zero-division", "overflow", "complex"])
+    def test_unevaluable_scripted_region_exits_2_with_its_trace(self, tmp_path, capsys, p):
+        # plant2's p has no finite real value at the flat start: the
+        # coordinator fails at once, naming the region.
+        from emtgis.cli import main
+
+        doc = read_json(case_path("hybrid"))
+        (plant2,) = [g for g in doc["grbcs"] if g["name"] == "plant2"]
+        plant2["payload"]["p"] = p
+        path = tmp_path / "scripted.json"
+        path.write_text(json.dumps(doc))
+        assert main(["ipf", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "region 'plant2' is not evaluable" in err[0]
+        assert (tmp_path / "out" / "trace.csv").exists()
+
     def test_unknown_probe_is_an_input_error(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--zero-state", "--probes", "NOPE",
                       "--duration", "0.01", "--out", tmp_path)
@@ -385,17 +404,22 @@ class TestFailureExits:
 class TestOutOfMemory:
     """A run too large for memory is an input error: exit 1, one `error:`
     line.  1e9 s at the default dt is 2e13 steps, whose array of times
-    alone takes more than 2**47 bytes: no host's address space holds it,
-    so the allocation fails at once."""
+    alone takes more than 2**47 bytes; a cycle at dt 1e-14 s is 2e12
+    steps, whose region ramp's stack of buffers takes more than that too.
+    No host's address space holds them, so the allocation fails at once,
+    inside a pipeline stage for `init`."""
 
-    @pytest.mark.parametrize("command", [("simulate", "--zero-state", "--duration", "1e9"),
-                                         ("compare", "--window", "1e9")],
-                             ids=["simulate", "compare"])
-    def test_exits_1_with_one_line(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("case, command", [
+        ("twobus", ("simulate", "--zero-state", "--duration", "1e9")),
+        ("twobus", ("compare", "--window", "1e9")),
+        ("ninebus1", ("init", "--dt", "1e-14")),
+    ], ids=["simulate", "compare", "init"])
+    def test_exits_1_with_one_line(self, tmp_path, capsys, case, command):
         from emtgis.cli import main
 
         assert 1e9 / sn.PipelineConfig.dt * 8 > 2**47
-        code = main([command[0], case_path("twobus"), *command[1:],
+        assert 0.02 / 1e-14 * 3 * 4 * 8 > 2**47  # buffers of at least the oscillator's 4 rows
+        code = main([command[0], case_path(case), *command[1:],
                      "--out", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -415,6 +439,20 @@ class TestInvalidCase:
         assert_one_line_error(out)
         assert out.stderr.strip() == \
             "error: invalid case: DuplicateId(B1); SlackCount(B1,B2)"
+
+
+class TestInvalidDt:
+    @pytest.mark.parametrize("command", [("init",), ("simulate", "--zero-state"),
+                                         ("compare",)], ids=["init", "simulate", "compare"])
+    def test_dt_that_does_not_divide_the_period_exits_1(self, tmp_path, capsys, command):
+        from emtgis.cli import main
+
+        code = main([command[0], case_path("ninebus1"), *command[1:], "--dt", "3e-5",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: the period 0.02 s is not an integer multiple of dt 3e-05 s"]
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestInvalidCoordinatorFlags:

@@ -37,18 +37,13 @@ from reference_kernel import (  # noqa: E402
 from reference_relax import reference_relax, reference_swing_maps  # noqa: E402
 
 
-def advance(compiled, state, steps, ramp=False, t_ramp=0.5):
-    """The state `steps` buffer steps after `state`, one `step` call each,
-    on a net without a swinging machine."""
+def advance(net, state, steps, t_ramp=None):
+    """The state `steps` steps after `state` on a net without a swinging
+    machine: one loop from `state`, one `step` call per step."""
+    compiled = ek.CompiledNet(net, state.dt, state, t_ramp, (), steps)
     assert not compiled.swinging.size
-    z, out, machines = compiled.buffers(state, t_ramp if ramp else None)
-    bufs = [np.zeros_like(z), z, out]  # steps n - 1, n and n + 1
-    n = state.step
-    for _ in range(steps):
-        n += 1
-        compiled.step(bufs[1], bufs[2], n < compiled.ramp_end)
-        bufs = bufs[1:] + bufs[:1]
-    return compiled.state(bufs[0], bufs[2], n, machines)
+    compiled.advance(steps, np.empty((0, steps)))
+    return compiled.state()
 
 
 def rl_net(r=1.0, l_henry=0.01, rms=1.0):
@@ -228,9 +223,9 @@ class TestFault:
 class TestNumericalContracts:
     def test_companion_replay_is_bit_exact(self):
         net = rl_net()
-        compiled = ek.CompiledNet(net, 2e-5)
-        state = advance(compiled, ek.zero_state(net, 2e-5), 500)
-        assert np.array_equal(ek.companion_replay(compiled, state), state.elem_i)
+        state = advance(net, ek.zero_state(net, 2e-5), 500)
+        assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, 2e-5, state), state),
+                              state.elem_i)
 
     def test_companion_replay_is_bit_exact_on_region_with_machine(self, ninebus3,
                                                                     ninebus3_model):
@@ -253,7 +248,7 @@ class TestNumericalContracts:
         dt = 5e-5
         _, state = ek.run(net, ek.SimConfig(dt=dt, duration=300 * dt, t_ramp=200 * dt))
         assert state.step == 300
-        assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, dt), state),
+        assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, dt, state), state),
                               state.elem_i)
 
     def test_trapezoidal_order_by_dt_halving(self):
@@ -281,12 +276,11 @@ class TestNumericalContracts:
         )
         _, charged = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.3))
         dead = with_sources_zeroed(net)
-        compiled = ek.CompiledNet(dead, 2e-5)
-        state = charged
-        energies = [stored_energy(dead, state)]
+        compiled = ek.CompiledNet(dead, 2e-5, charged)
+        energies = [stored_energy(dead, charged)]
         for _ in range(12000):
-            state = advance(compiled, state, 1)
-            energies.append(stored_energy(dead, state))
+            compiled.advance(1, np.empty((0, 1)))
+            energies.append(stored_energy(dead, compiled.state()))
         e = np.array(energies)
         assert e[0] > 1e-4
         assert np.all(np.diff(e) <= 1e-12 * e[0])
@@ -323,9 +317,9 @@ class TestAffineStepEquivalence:
     def test_matches_reference_on_random_nets(self, seed, ramp):
         net, _ = random_linear_net(np.random.default_rng(seed))
         dt, t_ramp = 5e-5, 100 * 5e-5
-        compiled, reference = ek.CompiledNet(net, dt), ReferenceNet(net, dt)
+        reference = ReferenceNet(net, dt)
         fast = slow = ek.zero_state(net, dt)
-        fast = advance(compiled, fast, 200, ramp, t_ramp)
+        fast = advance(net, fast, 200, t_ramp if ramp else None)
         for _ in range(200):
             slow = reference.step(slow, ramp, t_ramp)
         assert fast.step == slow.step == 200
@@ -351,17 +345,17 @@ class TestAffineStepEquivalence:
 
     def test_step_shares_no_array_with_its_input(self, hybrid_model):
         net = hybrid_model.full_net
-        compiled = ek.CompiledNet(net, 5e-5)
         before = ek.zero_state(net, 5e-5)
-        x, out, machines = compiled.buffers(before, 0.5)
-        compiled.step(x, out, 1 < compiled.ramp_end)
-        after = compiled.state(x, None, 1, machines)
+        compiled = ek.CompiledNet(net, 5e-5, before, 0.5)
+        compiled.advance(1, np.empty((0, 1)))
+        after = compiled.state()
+        assert after.step == 1
         fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
                   "machine_speed_dev", "machine_emf", "machine_pm")
         for a in fields:
             for b in fields:
                 assert not np.shares_memory(getattr(after, a), getattr(before, b)), (a, b)
-            for buf in (x, out):
+            for buf in (compiled.stack, compiled.machines):
                 assert not np.shares_memory(getattr(after, a), buf), a
 
 
@@ -415,7 +409,7 @@ class TestLoopEquivalence:
         # The state materialized at the fault and carried onto the faulted net.
         _, pre = ek.run(net, replace(cfg, duration=150 * dt, events=[]), init=init)
         faulted = ek.apply_fault(net, far, 0.05)
-        self._assert_state_close(ek.CompiledNet(faulted, dt).migrate_state(pre),
+        self._assert_state_close(ek.migrate_state(faulted, pre),
                                  ref_migrated[0])
 
     def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
@@ -594,8 +588,7 @@ class TestHistoryCurrentState:
             n_lc = sum(e.kind in (ek.ElementKind.INDUCTOR, ek.ElementKind.CAPACITOR)
                        for e in net.elements)
             n_swinging = sum(m.inertia_h > 0 for m in net.machines)
-            compiled = ek.CompiledNet(net, self.DT)
-            compiled.buffers(ek.zero_state(net, self.DT), 0.5)
+            compiled = ek.CompiledNet(net, self.DT, ek.zero_state(net, self.DT), 0.5)
             cols = n_lc + 4 + n_swinging
             assert n_lc < len(net.nodes) + len(net.elements)
             for t in (compiled.ramp_map, compiled.post_map):
@@ -604,8 +597,8 @@ class TestHistoryCurrentState:
                 assert o.shape == (len(net.nodes) + len(net.elements), cols)
         if name == "hybrid":
             # 32 L/C elements and one swinging machine; [v; i] has 80 rows.
-            full = ek.CompiledNet(model.full_net, self.DT)
-            full.buffers(ek.zero_state(model.full_net, self.DT))
+            full = ek.CompiledNet(model.full_net, self.DT,
+                                  ek.zero_state(model.full_net, self.DT))
             assert full.post_map.shape == (37, 37) and full.size == 80
 
     @pytest.mark.parametrize("fault_step", [1, 401, 800],
@@ -640,8 +633,7 @@ class TestHistoryCurrentState:
             (ek.Source("src", "n1", 1.0, 0.4),),
         )
         dt = self.DT
-        compiled = ek.CompiledNet(net, dt)
-        compiled.buffers(ek.zero_state(net, dt), 0.01)
+        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 0.01)
         assert compiled.n_lc == 0 and compiled.post_map.shape == (4, 4)
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=["n2", "n3", "i:r1", "i:r3"],
                            events=[ek.SimEvent(500 * dt, "n3", 0.1)], t_ramp=300 * dt)
@@ -656,9 +648,9 @@ class TestHistoryCurrentState:
         assert_close_to_reference(got, rows)
         TestLoopEquivalence._assert_state_close(final, ref_final)
         assert_machines_close(final, ref_final)
-        assert np.array_equal(ek.companion_replay(ek.CompiledNet(
-            ek.apply_fault(net, cfg.events[0].target, cfg.events[0].r_fault), cfg.dt),
-            final), final.elem_i)
+        faulted = ek.apply_fault(net, cfg.events[0].target, cfg.events[0].r_fault)
+        assert np.array_equal(ek.companion_replay(ek.CompiledNet(faulted, cfg.dt, final),
+                                                  final), final.elem_i)
 
 
 def two_machine_net(net):
@@ -701,7 +693,7 @@ class TestSwingRelaxation:
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
                            events=[ek.SimEvent(250 * self.DT, "B7", 0.02)])
-        compiled = ek.CompiledNet(net, self.DT)
+        compiled = ek.CompiledNet(net, self.DT, init)
         assert compiled.swinging.tolist() == [0, 1]
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
         _, final = ek.run(net, cfg, init=init)
@@ -758,7 +750,7 @@ class TestSwingRelaxation:
         cfg = ek.SimConfig(dt=self.DT, duration=500 * self.DT,
                            record=["B7"] + [f"i:{m.branch_eid}" for m in net.machines])
         want_waves, want = ek.run(faulted, cfg,
-                                  init=ek.CompiledNet(faulted, self.DT).migrate_state(init))
+                                  init=ek.migrate_state(faulted, init))
         nets = []
         build = ek.CompiledNet.__init__
 
@@ -784,33 +776,29 @@ class TestSwingRelaxation:
                                                             length):
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid_comparison["case"].buses]
-        compiled = ek.CompiledNet(net, self.DT)
-        probes = ek.ProbeSet(compiled, record)
-        z, _, machines = compiled.buffers(init, None, probes.rows)
-        pm = machines[compiled.swinging, 3]
 
-        def relax(pe_guess):
-            stack = np.zeros((length + 2,) + z.shape)
-            stack[1] = z
-            moved = machines.copy()
-            samples = np.zeros((len(probes.keys), length))
-            compiled.pe_guess = pe_guess
-            before = compiled.sweeps
-            compiled.relax(stack, 1, length, init.step, moved, samples)
-            return stack, moved, samples, compiled.sweeps - before
+        def relax(offset):
+            # One chunk from the start state, the first guess holding pe
+            # `offset` pu off the mechanical power.
+            compiled = ek.CompiledNet(net, self.DT, init, None, record, length)
+            compiled.pe_guess = compiled.pe_guess + offset
+            samples = np.zeros((len(compiled.probes.keys), length))
+            compiled.advance(length, samples)
+            return compiled, samples
 
-        stack, moved, samples, sweeps = relax(pm)
+        right, samples = relax(0.0)
         # pe held 1000 pu off over the chunk: angle guesses off by radians
-        wrong_stack, wrong_moved, wrong_samples, wrong_sweeps = relax(pm + 1000.0)
-        assert sweeps < wrong_sweeps <= length + 1
+        wrong, wrong_samples = relax(1000.0)
+        assert right.chunks_relaxed == wrong.chunks_relaxed == 1
+        assert right.sweeps < wrong.sweeps <= length + 1
         assert np.array_equal(wrong_samples, samples)
-        assert np.array_equal(wrong_moved, moved)
-        assert np.array_equal(wrong_stack[length - 1:], stack[length - 1:])
+        assert np.array_equal(wrong.machines, right.machines)
+        assert np.array_equal(wrong.stack[length - 1:], right.stack[length - 1:])
 
         cfg = ek.SimConfig(dt=self.DT, duration=length * self.DT, record=record)
         rows, ref_final, _ = reference_run(net, cfg, init)
         assert_close_to_reference(samples.T, rows[1:])
-        final = compiled.state(stack[length], stack[length - 1], init.step + length, moved)
+        final = right.state()
         TestLoopEquivalence._assert_state_close(final, ref_final)
         assert_machines_close(final, ref_final)
 
@@ -850,9 +838,10 @@ class TestRelaxMatchesReference:
     @pytest.mark.parametrize("probed", [True, False], ids=["probes", "no-probes"])
     def test_relax_matches_reference(self, start, hybrid, length, probed):
         net, init = start
-        compiled = ek.CompiledNet(net, self.DT)
-        probes = ek.ProbeSet(compiled, [b.id for b in hybrid.buses] if probed else [])
-        z, _, machines = compiled.buffers(init, None, probes.rows)
+        compiled = ek.CompiledNet(net, self.DT, init, None,
+                                  [b.id for b in hybrid.buses] if probed else [])
+        probes = compiled.probes
+        z, machines = compiled.stack[1].copy(), compiled.machines.copy()
         machines[compiled.swinging, 1] = 2e-3  # rotors off their steady speed
         maps = reference_swing_maps(compiled, probes.rows, machines[compiled.swinging, 2])
         pe_guess = compiled.pe_guess.copy()
@@ -959,7 +948,7 @@ class TestHotPathProducts:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """np.dot and np.matmul calls, counted per `_Loop.advance` call."""
+        """np.dot and np.matmul calls, counted per `CompiledNet.advance` call."""
         count = {"dot": 0, "matmul": 0}
         per_cycle = []
         for name in count:
@@ -968,14 +957,14 @@ class TestHotPathProducts:
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(np, name, counted)
-        advance = ek._Loop.advance
+        advance = ek.CompiledNet.advance
 
         def cycle(self, *args):
             before = dict(count)
             advance(self, *args)
             per_cycle.append({k: count[k] - before[k] for k in count})
 
-        monkeypatch.setattr(ek._Loop, "advance", cycle)
+        monkeypatch.setattr(ek.CompiledNet, "advance", cycle)
         return per_cycle
 
     def test_ramped_detector_loop(self, calls):
@@ -994,7 +983,7 @@ class TestHotPathProducts:
         dt = TestSwingRelaxation.DT
         cfg = ek.SimConfig(dt=dt, duration=4000 * dt, record=[b.id for b in hybrid.buses])
         ek.run(net, cfg, init=init)
-        assert ek.CompiledNet(net, dt).swinging.size
+        assert ek.CompiledNet(net, dt, init).swinging.size
         assert len(calls) == 10
         assert all(c["dot"] == 0 and c["matmul"] <= 3 for c in calls)
 
@@ -1004,10 +993,10 @@ class TestProbeSet:
         # A buffer with a single 1 in each phase column reads one entry of
         # the output map per key, exactly, whatever the summation order.
         net = rl_net()
-        compiled = ek.CompiledNet(net, 2e-5)
-        compiled.buffers(advance(compiled, ek.zero_state(net, 2e-5), 137), 0.5)
         record = ["n2", "i:l1", "n1", "i:r1", "n2"]
-        probes = ek.ProbeSet(compiled, record)
+        start = advance(net, ek.zero_state(net, 2e-5), 137)
+        compiled = ek.CompiledNet(net, 2e-5, start, 0.5, record)
+        probes = compiled.probes
         assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
         eids = [e.eid for e in net.elements]
         cols = [0, compiled.n_lc + 2, compiled.n_lc + 3]  # ih, r_c, r_s
@@ -1032,11 +1021,10 @@ class TestProbeSet:
         assert np.array_equal(got[:, 1:], np.outer(sample_one(probes, z), [2.0, 4.0]))
 
     def test_empty_record_samples_nothing(self):
-        compiled = ek.CompiledNet(rl_net(), 2e-5)
-        probes = ek.ProbeSet(compiled, [])
+        compiled = ek.CompiledNet(rl_net(), 2e-5, ek.zero_state(rl_net(), 2e-5))
+        probes = compiled.probes
         assert probes.keys == []
-        x, _, _ = compiled.buffers(ek.zero_state(rl_net(), 2e-5))
-        assert sample_one(probes, x).shape == (0,)
+        assert sample_one(probes, compiled.stack[1]).shape == (0,)
 
 
 class TestCompatibility:
@@ -1109,4 +1097,4 @@ class TestSingularTopology:
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
         with pytest.raises(SingularConductance):
-            ek.CompiledNet(net, 1e-4)
+            ek.CompiledNet(net, 1e-4, ek.zero_state(net, 1e-4))

@@ -174,6 +174,16 @@ class TestInternalFailure:
         with pytest.raises(InternalNonConvergence):
             evaluate(decl, Phasor(1.0, 0.0))
 
+    @pytest.mark.parametrize("p", [["/", 1, ["-", "V", 1]], ["pow", 10, 400],
+                                   ["pow", -1, 0.5], ["*", 1e308, 10],
+                                   ["sin", ["*", 1e308, 10]]],
+                             ids=["zero-division", "overflow", "complex", "inf", "sin-inf"])
+    def test_scripted_response_without_a_finite_real_value(self, p):
+        decl = parse_declaration({"name": "s", "boundary_bus": "B2",
+                                  "kind": "ScriptedResponse", "payload": {"p": p, "q": 0.1}})
+        with pytest.raises(InternalNonConvergence, match="region 's' is not evaluable"):
+            evaluate(decl, Phasor(1.0, 0.0))
+
 
 BUNDLED = ("ninebus1", "ninebus2", "ninebus3", "hybrid")
 

@@ -457,13 +457,18 @@ class TestSplice:
 
     def test_single_subsystem_splice_is_identity(self, split_setup):
         # a lone snapshot that covers the entire network passes through
+        # row for row, with no shared node to deviate at
         whole = split_setup["res"].snapshot
         sched = sn.schedule_from_steps({"whole": whole.timestamp_steps},
                                        split_setup["n_cycle"])
         merged, dev = sn.splice({"whole": whole}, sched, split_setup["full"],
                                 split_setup["dt"])
-        assert merged is whole
-        assert all(v == 0.0 for v in dev.values())
+        for f in dataclasses.fields(ek.EmtState):
+            assert bits(getattr(merged.emt_state, f.name)) == \
+                bits(getattr(whole.emt_state, f.name)), f.name
+        assert (merged.subsystem, merged.provenance, merged.parts, merged.boundary_phasors) \
+            == (whole.subsystem, whole.provenance, whole.parts, whole.boundary_phasors)
+        assert dev == {}
 
 
 def assert_splices_agree(snapshots, schedule, full_net, dt):
@@ -558,12 +563,15 @@ class TestPipeline:
             sn.run_emtgis(ninebus1, cfg)
         assert exc.value.stage == "ramp_to_snapshot"
 
-    def test_invalid_case_fails_validate_stage(self, ninebus1):
+    def test_invalid_input_fails_before_any_stage(self, ninebus1):
+        # an invalid case, or a dt that does not divide the period, is an
+        # input error (ValueError), not a stage failure
         case = copy.deepcopy(ninebus1)
         case.buses.append(case.buses[0])
-        with pytest.raises(StageFailure) as exc:
+        with pytest.raises(ValueError, match=r"^invalid case: DuplicateId\(B1\)"):
             sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5))
-        assert exc.value.stage == "validate"
+        with pytest.raises(ValueError, match="not an integer multiple of dt 3e-05 s"):
+            sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=3e-5))
 
     def test_pipeline_builds_the_main_net_once(self, hybrid, monkeypatch):
         # the phasor snapshot and each of the three regions' Thevenin
