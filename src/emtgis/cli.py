@@ -18,9 +18,10 @@ malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period; a compare window that starts before its
 initialized snapshot; a run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
-unreadable snapshot, 5 zero-state comparison run failed to settle.  A
-failure prints one `error:` line, and leaves its trace.csv (coordination)
-or report.json (stage) if it has one.
+unreadable snapshot or a start state whose phases are not a balanced set,
+5 zero-state comparison run failed to settle.  A failure prints one
+`error:` line; an input error writes nothing, not even --out, a failed run
+its trace.csv (coordination) or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -196,10 +197,8 @@ def _record_failure(args, exc: EmtgisError) -> None:
 
 
 def _load(args):
-    """The case, validated: an invalid one raises ValueError naming every
-    violation, which `main` prints as one `error:` line (exit 1)."""
+    """The case, unvalidated: `sn.system_model` validates it (`cmd_ipf` itself)."""
     case = load_case(args.case)
-    validate_case(case).raise_if_invalid()
     args.coordinated = bool(case.grbcs)  # read by `_write_manifest`
     return case
 
@@ -274,7 +273,7 @@ def cmd_validate(args) -> int:
 
 def cmd_ipf(args) -> int:
     case = _load(args)
-    outdir = _outdir(args)
+    validate_case(case).raise_if_invalid()
     cfg = _jfng_config(args)
 
     from .coordinator import jfng_solve
@@ -283,6 +282,7 @@ def cmd_ipf(args) -> int:
     x0 = np.concatenate([np.ones(n), np.zeros(n)])
     state, trace = jfng_solve(case, case.grbcs, x0, cfg)
 
+    outdir = _outdir(args)
     (outdir / "boundary.json").write_text(
         json.dumps(state.to_dict(), sort_keys=True, indent=1) + "\n")
     trace.to_csv(outdir / "trace.csv")
@@ -293,9 +293,9 @@ def cmd_ipf(args) -> int:
 
 def cmd_init(args) -> int:
     case = _load(args)
-    outdir = _outdir(args)
     result = sn.run_emtgis(case, _pipeline_config(args))
 
+    outdir = _outdir(args)
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
     (outdir / "report.json").write_text(
         json.dumps(result.report.to_json_dict(), sort_keys=True, indent=1) + "\n")
@@ -320,7 +320,6 @@ def cmd_simulate(args) -> int:
     if args.zero_state and args.t_ramp is None:
         args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
     events = [_parse_fault(args.fault)] if args.fault else []
-    outdir = _outdir(args)
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
@@ -330,6 +329,7 @@ def cmd_simulate(args) -> int:
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     waves, _ = ek.run(model.full_net, sim, init=init)
 
+    outdir = _outdir(args)
     ek.write_waveforms_csv(outdir / "waveforms.csv", waves)
     _write_manifest(args, outdir, ["waveforms.csv"])
     return EXIT_OK
@@ -360,9 +360,7 @@ def cmd_compare(args) -> int:
     """
     case = _load(args)
     fault = _parse_fault(args.fault) if args.fault else None
-    outdir = _outdir(args)
     probes = _probes(args, case)
-    period = case.period
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net
@@ -370,7 +368,7 @@ def cmd_compare(args) -> int:
                               t_ramp=args.t_ramp)
     zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)
 
-    cycles = int(round(period / args.dt))
+    cycles = int(round(case.period / args.dt))
     w0_step = ((zero_state.step // cycles) + 2) * cycles
     if fault is not None:
         fault_step = int(round(fault.time / args.dt))
@@ -410,6 +408,7 @@ def cmd_compare(args) -> int:
             "ratio": zero_fired / gis_steps,
         },
     }
+    outdir = _outdir(args)
     (outdir / "compare.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
     _write_manifest(args, outdir, ["compare.json"])
     return EXIT_OK

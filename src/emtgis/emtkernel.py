@@ -1,9 +1,15 @@
 """Desk-scale EMT kernel.
 
-Fixed-step trapezoidal companion models assembled into a nodal conductance
-matrix, solved per step for three decoupled phases (balanced operation,
-sources shifted by +-120 degrees).  Ideal voltage sources and machine
-internal EMF nodes are handled as known-voltage nodes.
+Fixed-step trapezoidal companion models in a nodal conductance matrix,
+with ideal voltage sources and machine EMF nodes as known-voltage nodes.
+
+The grid is balanced: every source, machine EMF and the oscillator is a
+balanced set over phases a, b, c at 0, -120, +120 degrees (`PHASE_SHIFT`),
+and a fault grounds all three.  Such a set x cos(theta + phase) is [x cos
+theta, x sin theta] K, K = `TWO_AXIS`, K K^T = 3/2 I (Park 1929, AIEE
+Trans. 48).  So the kernel steps two axes, and phases appear only at a
+loop's edges: the start state projects with (2/3) K, and states and
+probe samples expand with K^T.
 
 Between topology changes the network is linear and time-invariant, and
 its only memory is the companion history current of each inductor and
@@ -17,11 +23,11 @@ u = D v, the step
 
 makes the node voltages and element currents x' = [v'; i'] outputs of ih
 and of the known voltages: x' = W ih + F s(t) r(t) + B_e e_v, where r =
-[cos(wt + phase); sin(wt + phase)] per phase and s(t) is the source ramp.
-Every source enters through the two fixed columns of F by the
-angle-addition identity, the swinging machines' EMFs e_v through B_e.  So
-the kernel steps ih alone, one row per L/C element, and x is an output
-map O of the step buffer, not part of it.
+[cos(wt + phase); sin(wt + phase)] and s(t) is the source ramp.  Every
+source enters through the two fixed columns of F by the angle-addition
+identity, the swinging machines' EMFs e_v through B_e.  So the kernel
+steps ih alone, one row per L/C element, and x is an output map O of the
+step buffer, not part of it.
 
 The oscillator joins the state: r advances by the fixed rotation R by w*dt,
 and during the linear ramp s = n*dt/t_ramp the product q = n*r advances by
@@ -31,23 +37,19 @@ whose rotor is fixed (every machine during the ramp, one with inertia_h =
 one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
 for the ramp and one after it.
 
-After the ramp, a swinging machine's EMF row e_v = sqrt2 emf cos(wt +
-delta + phase) follows its rotor angle, which its electrical power moves:
-the only nonlinearity of the step.  The loop advances such a net in
-chunks of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation
-of the rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE
-Trans. CAD 1(3)).  Within a chunk the network is linear in the EMFs, so
-the machines' currents and the probe samples are fixed maps of the
-chunk's start buffer and its EMFs, and the swing recursion is a fixed
-affine map of the electrical power.  That power is a two-axis quantity
-(Park 1929, AIEE Trans. 48): the phases' EMFs amp cos(theta + phase) are
-amp [cos theta, sin theta] K, so a sweep runs on u = [cos theta; sin
-theta], two columns in place of three phases.  From the last sweep's
-angles it forms u, then the machines' currents in that frame, the power
-and, in one product, the angles; a chunk ends when its angles repeat bit
-for bit.  Each step's EMF reads the angle before it, so sweep k fixes
-step k for good, and a chunk of L steps stops within L + 1 sweeps.  The
-phases' EMFs are formed once per chunk, after the sweeps.
+After the ramp, a swinging machine's EMF e_v = sqrt2 emf cos(wt + delta +
+phase) follows its rotor angle, which its electrical power moves: the
+only nonlinearity of the step.  The loop advances such a net in chunks
+of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation of the
+rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE Trans.
+CAD 1(3)).  Within a chunk the network is linear in the EMFs, whose axis
+values are amp [cos theta, sin theta], so the machines' currents and the
+probe samples are fixed maps of the chunk's start buffer and its EMFs,
+and the swing recursion is a fixed affine map of the electrical power.
+From the last sweep's angles a sweep forms the currents, the power and,
+in one product, the angles; a chunk ends when its angles repeat bit for
+bit.  Each step's EMF reads the angle before it, so sweep k fixes step k
+for good, and a chunk of L steps stops within L + 1 sweeps.
 
 A `CompiledNet` is one stepping loop.  From a net, a dt, a start state, a
 source ramp and the probes, its constructor compiles the topology, builds
@@ -98,11 +100,12 @@ assert SWING_CHUNK % PROBE_BLOCK == 0
 RMS_CHANGE_TOL = 5e-4
 STEADY_CYCLES = 3
 SETTLE_MARGIN_CYCLES = 5
+# A start state's largest zero-sequence part, as a share of its peak.
+ZERO_SEQUENCE_TOL = 1e-9
 PHASE_SHIFT = np.array([0.0, -2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0])
-COS120, SIN120 = -0.5, math.sqrt(3.0) / 2.0
 PHASE_NAMES = ("a", "b", "c")
-# K: the phases' EMFs amp cos(theta + phase) are amp [cos theta, sin theta] K,
-# and K K^T = 3/2 I.
+# K: x cos(theta + phase) over the phases is x [cos theta, sin theta] K, and
+# K K^T = 3/2 I.
 TWO_AXIS = np.array([np.cos(PHASE_SHIFT), -np.sin(PHASE_SHIFT)])
 
 
@@ -325,7 +328,10 @@ class EmtState:
 
 
 def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
-    """Raise IncompatibleSnapshot unless `state` is a state of `net` at dt."""
+    """Raise IncompatibleSnapshot unless `state` is a state of `net` at dt
+    whose phases are balanced sets: the zero-sequence part (sum over the
+    phases) of v_nodes and of elem_i may reach ZERO_SEQUENCE_TOL = 1e-9 of
+    the array's peak, no more, as a loop's two axes drop it."""
     if state.node_ids != net.nodes:
         raise IncompatibleSnapshot("node set differs from network")
     if state.element_ids != tuple(e.eid for e in net.elements):
@@ -334,6 +340,9 @@ def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
         raise IncompatibleSnapshot(
             f"snapshot dt {state.dt} differs from configured dt {dt}"
         )
+    for name, x in (("v_nodes", state.v_nodes), ("elem_i", state.elem_i)):
+        if np.abs(x.sum(axis=1)).max(initial=0.0) > ZERO_SEQUENCE_TOL * np.abs(x).max(initial=0.0):
+            raise IncompatibleSnapshot(f"the phases of {name} are not a balanced set")
 
 
 def migrate_state(net: EmtNet, state: EmtState) -> EmtState:
@@ -343,12 +352,8 @@ def migrate_state(net: EmtNet, state: EmtState) -> EmtState:
     if eids[:len(state.element_ids)] != state.element_ids:
         raise IncompatibleSnapshot("topology change is not an element append")
     pad = np.zeros((len(eids) - len(state.element_ids), 3))
-    out = state.copy()
-    out.element_ids = eids
-    out.elem_i = np.vstack([out.elem_i, pad])
-    out.hist_u = np.vstack([out.hist_u, pad])
-    out.hist_i = np.vstack([out.hist_i, pad])
-    return out
+    return replace(state.copy(), element_ids=eids, **{
+        f: np.vstack([getattr(state, f), pad]) for f in ("elem_i", "hist_u", "hist_i")})
 
 
 def zero_state(net: EmtNet, dt: float) -> EmtState:
@@ -376,11 +381,11 @@ class _SwingMaps(NamedTuple):
     """`CompiledNet.relax`'s maps for chunks of one length L in a loop, each
     in the form the chunk multiplies by.  w_0 is the chunk's start buffer
     less its machine rows; e stacks the EMFs of its steps and u = [cos
-    theta; sin theta] their angles, one row per phase or axis, step-major
-    over ne = L*nsw columns."""
+    theta; sin theta] their angles, one row per axis, step-major over ne =
+    L*nsw columns."""
 
     currents_w: np.ndarray  # (w, ne): C_w^T, the machines' currents from w_0
-    currents: np.ndarray    # (ne, ne): (3/2 C_e diag(amp))^T, y from u
+    currents: np.ndarray    # (ne, ne): (C_e diag(amp))^T, the currents y from u
     swing: np.ndarray       # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the
     #                         angles and end speed deviations from [sum(u*y);
     #                         delta_0, dw_0, emf, pm]
@@ -406,10 +411,10 @@ class CompiledNet:
     slot 1 through the (buffer, next buffer) view pairs, and `state`
     rebuilds the state at step n.
 
-    Per phase, the network's only memory is the history current ih =
-    h*(D v) + j*i of each inductor and capacitor (n_lc of them; a
-    resistor's is zero).  The node voltages and element currents x = [v; i]
-    of the next step are outputs of it and of the known voltages:
+    The network's only memory is the history current ih = h*(D v) + j*i
+    of each inductor and capacitor (n_lc of them; a resistor's is zero).
+    The node voltages and element currents x = [v; i] of the next step are
+    outputs of it and of the known voltages:
 
         x' = W ih + F s r' + B_e e_v
 
@@ -423,7 +428,7 @@ class CompiledNet:
 
     The step state z stacks ih, then two rows q = n*r, then the oscillator
     r = [cos(wt + phase); sin(wt + phase)] at step n, then one row per
-    swinging machine: `rows` = n_lc + 4 + n_swinging rows per phase.  With
+    swinging machine: `rows` = n_lc + 4 + n_swinging rows per axis.  With
     r' = R r, R the rotation by w*dt, x' is the output map O applied to z,
 
         ramp (s < 1):  O = [W, k F_all R, k F_all R, 0],  k = dt/t_ramp
@@ -438,11 +443,11 @@ class CompiledNet:
     holds its EMF e_v at the next step, written before the product; the
     product leaves it zero.  `anchor` sets r and q from the clock.
 
-    A step buffer holds z with one phase per row, shape (3, rows), so a
-    step is out = x T^T, and a stack of buffers is, per phase, one matrix
-    for the probes' product.  Only the loop's edges need x: the x of step n
-    is O z of the buffer at step n - 1, after its EMF rows are written.
-    `ProbeSet.sample` applies the probes' rows of O to a stack of buffers,
+    A buffer holds z with one axis per row, shape (2, rows), so a step is
+    out = x T^T; the start state's ih enters projected with (2/3) K.  Only
+    the loop's edges need x, in phases: the x of step n is (O z^T) K of the
+    buffer at step n - 1, after its EMF rows are written.  `ProbeSet.sample`
+    applies the probes' rows of O, K^T folded in, to a stack of buffers,
     and `state` rebuilds x and the histories from the buffers one and two
     steps back.
 
@@ -455,15 +460,15 @@ class CompiledNet:
     one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on the EMFs the
     lower block-triangular Toeplitz matrix of the Markov parameters o_e
     and o_w T_ww^d T_we, one block per machine: C_w and C_e for the
-    machines' currents.  As e = amp u K and K K^T = 3/2 I (`TWO_AXIS`),
-    the currents in the two-axis frame are y = 3/2 C_e diag(amp) u + i_0
-    K^T, i_0 = C_w w_0 formed once per chunk, and the power is amp sum(u*y)
-    over the axes.  The swing recursion is affine in that power, so one
-    product [F diag(amp) | S] [sum(u*y); delta_0, dw_0, emf, pm] gives the
-    angles and the end step's speed deviations.  `relax` builds these
-    maps, and those of [w_0; e] to w in the first buffer a chunk hands on
-    and at its probe blocks' starts, once per chunk length in the loop; the
-    constructor builds the probes' map over a block of PROBE_BLOCK steps.
+    machines' currents.  The EMF rows are e = amp u, so the currents are y
+    = C_e diag(amp) u + C_w w_0, the last term formed once per chunk, and
+    the power is amp/2 sum(u*y) over the axes.  The swing recursion is
+    affine in that power, so one product [F diag(amp) | S] [sum(u*y);
+    delta_0, dw_0, emf, pm] gives the angles and the end step's speed
+    deviations.  `relax` builds these maps, and those of [w_0; e] to w in
+    the first buffer a chunk hands on and at its probe blocks' starts, once
+    per chunk length in the loop; the constructor builds the probes' map
+    over a block of PROBE_BLOCK steps.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -488,11 +493,9 @@ class CompiledNet:
         ne = len(eids)
         self.size = nn + ne
 
-        # Companion coefficients, repeated over the three phases: (ne, 3).
+        # Companion coefficients; kept as columns (ne, 1) for `companion_replay`.
         g, h, j = companion_arrays(net, dt)
-        self.g = np.outer(g, np.ones(3))
-        self.h = np.outer(h, np.ones(3))
-        self.j = np.outer(j, np.ones(3))
+        self.g, self.h, self.j = g[:, None], h[:, None], j[:, None]
 
         # D with a ground column, dropped after.
         d = np.zeros((ne, nn + 1))
@@ -540,7 +543,6 @@ class CompiledNet:
         # Swing: dw' = dw + dt/2H (pm - pe - D dw), delta' = delta + dt w dw'
         # on the active machines, whose buffer rows follow the oscillator's
         # in this order.
-        self.n_machines = len(net.machines)
         self.swinging = np.array([k for k, m in enumerate(net.machines)
                                   if m.inertia_h > 0], dtype=int)
         active = [net.machines[k] for k in self.swinging]
@@ -575,8 +577,9 @@ class CompiledNet:
         # anchored oscillator.
         self.machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
                                          state.machine_emf, state.machine_pm]).astype(float)
-        self.stack = np.zeros((length + 2, 3, self.rows))
-        self.stack[1, :, :self.n_lc] = (self.hist @ np.vstack([state.v_nodes, state.elem_i])).T
+        self.stack = np.zeros((length + 2, 2, self.rows))
+        ih = self.hist @ np.vstack([state.v_nodes, state.elem_i])
+        self.stack[1, :, :self.n_lc] = TWO_AXIS.dot(ih.T) / 1.5
         self.anchor(self.stack[1], state.step)
         self.pairs = list(zip(self.stack[1:-1], self.stack[2:]))
         self.n = state.step
@@ -592,8 +595,7 @@ class CompiledNet:
         b_peak = self.b_machines * (SQRT2 * state.machine_emf)
         emf_cols = np.stack([b_peak * np.cos(state.machine_delta),
                              -b_peak * np.sin(state.machine_delta)], axis=-1)
-        fixed = np.ones(self.n_machines, dtype=bool)
-        fixed[self.swinging] = False
+        fixed = np.isin(np.arange(len(self.net.machines)), self.swinging, invert=True)
 
         post = np.zeros((self.size, self.rows))
         post[:, :m] = self.w
@@ -662,14 +664,14 @@ class CompiledNet:
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
         # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
         # sum_(i<=k) dw_i, per machine affine in [delta_0, dw_0, emf, pm]
-        # and in the sums s_j over the axes of u*y, pe_j = amp s_j / 3.
+        # and in the sums s_j over the axes of u*y, pe_j = amp s_j / 2.
         active = [self.net.machines[k] for k in self.swinging]
         gain = np.array([self.dt / (2.0 * m.inertia_h) for m in active])
         decay = (1.0 - gain * [m.damping for m in active])[:, None] ** np.arange(length + 1)
         lag = np.subtract.outer(np.arange(length), np.arange(length))
         to_speed = gain[:, None, None] * np.where(lag >= 0, decay[:, np.maximum(lag, 0)], 0.0)
         speed = np.zeros((nsw, length, length + 4))  # from [s; delta_0, dw_0, emf, pm]
-        speed[:, :, :length] = to_speed * (self.amplitude / -3.0)[:, None, None]
+        speed[:, :, :length] = to_speed * (self.amplitude / -2.0)[:, None, None]
         speed[:, :, length + 1] = decay[:, 1:]
         speed[:, :, length + 3] = to_speed.sum(axis=2)
         angle = self.dt * self.omega * np.cumsum(speed, axis=1)
@@ -680,27 +682,25 @@ class CompiledNet:
         low = max(length - 2, 0)  # the first buffer a chunk hands on
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
-            currents[:, :w].T, 1.5 * (currents[:, w:] * amplitude).T,
+            currents[:, :w].T, (currents[:, w:] * amplitude).T,
             swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
             self._w_map(length, range(low, low + 1)), self._w_map(length, blocks))
         return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
         """Set the oscillator rows of the state in buffer x from the clock
-        at `step`: r = [cos(wt + phase); sin(wt + phase)] and q = step*r."""
-        # Phases a, b, c sit at 0, -120, +120 degrees (PHASE_SHIFT); b and c
-        # by angle addition: cos(t -+ 120) = cos t COS120 +- sin t SIN120,
-        # sin(t -+ 120) = sin t COS120 -+ cos t SIN120.
+        at `step`: r = [cos(wt + phase); sin(wt + phase)], whose axis values
+        are (cos wt, sin wt) and (sin wt, -cos wt), and q = step*r."""
         n = self.n_lc
         wt = self.omega * (step * self.dt)
         c, s = math.cos(wt), math.sin(wt)
-        x[:, n + 2] = c, COS120 * c + SIN120 * s, COS120 * c - SIN120 * s
-        x[:, n + 3] = s, COS120 * s - SIN120 * c, COS120 * s + SIN120 * c
+        x[:, n + 2] = c, s
+        x[:, n + 3] = s, -c
         np.multiply(x[:, n + 2:n + 4], step, out=x[:, n:n + 2])
 
     def output(self, z: np.ndarray, step: int) -> np.ndarray:
-        """[v; i] at `step` from the buffer one step behind it."""
-        return self.outputs[step >= self.ramp_end].dot(z.T)
+        """[v; i] at `step`, phases a, b, c, from the buffer one step behind."""
+        return self.outputs[step >= self.ramp_end].dot(z.T).dot(TWO_AXIS)
 
     def state(self) -> EmtState:
         """The state at step n, the start state itself before any step.
@@ -752,7 +752,7 @@ class CompiledNet:
         The buffers at steps n - 1 and n carry over to slots 0 and 1, and
         the oscillator is re-anchored from the clock at step n.  Ramp
         steps, and every step of a net without a swinging machine, take
-        one `step` each, and their samples one product per phase.  After
+        one `step` each, and their samples one product.  After
         the ramp, a net with swinging machines advances in relaxed chunks
         of at most SWING_CHUNK steps (`relax`).
         """
@@ -783,10 +783,10 @@ class CompiledNet:
         steps after the ramp, from the buffer at `step` in stack[first], by
         waveform relaxation of its rotors.
 
-        Each sweep runs in the rotors' two-axis frame: from the last
-        sweep's angles it forms u = [cos theta; sin theta], then the
-        two-axis currents y, the power amp * sum(u*y) and, in one product,
-        the angles and the end step's speed deviations.  The sweeps stop
+        From the last sweep's angles, each sweep forms u = [cos theta; sin
+        theta], then the machines' currents y, the power amp/2 * sum(u*y)
+        over the axes and, in one product, the angles and the end step's
+        speed deviations.  The sweeps stop
         when the angles repeat bit for bit, after at most length + 1 of
         them; `chunks_relaxed` and `sweeps` count the work.
 
@@ -813,7 +813,7 @@ class CompiledNet:
                      for a in (np.empty(ne + nsw), np.empty(ne + nsw)))
         maps.swing[:ne, ne:].dot(guess, last[2])
         w0 = stack[first, :, :w]
-        i0 = (TWO_AXIS @ w0) @ maps.currents_w  # i_0 K^T, one row per axis
+        i0 = w0.dot(maps.currents_w)  # the currents' part from w_0
         wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
         # Each step's EMF is formed at the angle before the step.
         theta = np.empty((length, nsw))
@@ -838,30 +838,29 @@ class CompiledNet:
         self.sweeps += sweeps
         machines[self.swinging, 0] = delta[ne - nsw:ne]
         machines[self.swinging, 1] = delta[ne:]
-        self.pe_guess = maps.amplitude[ne - nsw:] * x[ne - nsw:ne] / 3.0
+        self.pe_guess = maps.amplitude[ne - nsw:] * x[ne - nsw:ne] / 2.0
 
-        # [w_0; e], zero past the chunk's end up to a whole probe block:
-        # each phase's EMFs amp cos(theta + phase) are amp u^T K, the EMFs
-        # the sweeps assumed.
+        # [w_0; e], zero past the chunk's end up to a whole probe block: the
+        # EMF rows amp u the sweeps assumed.
         blocks = -(-length // PROBE_BLOCK)
-        v = np.zeros((3, w + blocks * PROBE_BLOCK * nsw))
+        v = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
         v[:, :w] = w0
-        v[:, w:w + ne] = e = TWO_AXIS.T @ (u * maps.amplitude)
+        v[:, w:w + ne] = e = u * maps.amplitude
         we = v[:, :w + ne]
         if self.probe_map.size:
             # Every block's samples from its start's w and its EMFs, one
-            # block and phase per row.
-            xb = np.empty((3, blocks, w + PROBE_BLOCK * nsw))
+            # block and axis per row, then K^T for the phases.
+            xb = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
             xb[:, 0, :w] = w0
-            xb[:, 1:, :w] = (we @ maps.blocks).reshape(3, blocks - 1, w)
-            xb[:, :, w:] = v[:, w:].reshape(3, blocks, -1)
-            taken = xb.reshape(3 * blocks, -1).dot(self.probe_map).reshape(
-                3, blocks * PROBE_BLOCK, -1)
-            samples.reshape(-1, 3, length)[:] = taken[:, :length].transpose(2, 0, 1)
+            xb[:, 1:, :w] = (we @ maps.blocks).reshape(2, blocks - 1, w)
+            xb[:, :, w:] = v[:, w:].reshape(2, blocks, -1)
+            taken = xb.reshape(2 * blocks, -1).dot(self.probe_map).reshape(2, -1)
+            samples.reshape(-1, 3, length)[:] = TWO_AXIS.T.dot(taken).reshape(
+                3, blocks * PROBE_BLOCK, -1)[:, :length].transpose(2, 0, 1)
         low = max(length - 2, 0)
         rebuilt = stack[first + low:first + length + 1]
         rebuilt[0, :, :w] = we @ maps.handed_on
-        for k, emf in enumerate(e.reshape(3, length, nsw)[:, low:].transpose(1, 0, 2)):
+        for k, emf in enumerate(e.reshape(2, length, nsw)[:, low:].transpose(1, 0, 2)):
             rebuilt[k, :, w:] = emf
             rebuilt[k].dot(self.post_map, rebuilt[k + 1])
 
@@ -885,7 +884,8 @@ class ProbeSet:
 
     Every probe is one row of [v; i], the node voltages stacked on the
     element currents, so its samples are that row of the compiled net's
-    output map applied to step buffers (see `CompiledNet`).
+    output map applied to step buffers, then K^T for the phases (see
+    `CompiledNet`).
     """
 
     def __init__(self, compiled: CompiledNet, record: list[str] | tuple):
@@ -904,8 +904,10 @@ class ProbeSet:
                 rows.append(compiled.node_index[pid])
             self.keys += [f"{pid}.{name}" for name in PHASE_NAMES]
         self.rows = np.array(rows, dtype=int)
-        # The probes' rows of the output maps during the ramp and after it.
-        self.maps = tuple(o[self.rows] for o in compiled.outputs)
+        # The probes' rows of the output maps during the ramp and after it,
+        # K^T folded in: one row per key, one column per axis and buffer row.
+        self.maps = tuple((TWO_AXIS.T[:, :, None] * o[self.rows, None, None]).reshape(
+            len(self.keys), 2 * compiled.rows) for o in compiled.outputs)
 
     def read(self, state: EmtState) -> np.ndarray:
         """The probe values of a state, one per key."""
@@ -913,22 +915,19 @@ class ProbeSet:
 
     def sample(self, stack: np.ndarray, out: np.ndarray | None = None,
                ramp_steps: int = 0) -> np.ndarray:
-        """The probe values at the steps after a stack of buffers (steps, 3,
+        """The probe values at the steps after a stack of buffers (steps, 2,
         rows), one row per key and one column per buffer, written into out
         when given.
 
         The first `ramp_steps` buffers step into the ramp, the others after
-        it.  Each part is one product per phase with the probes' rows of
-        that output map, written straight into the rows of that phase's
-        keys.
+        it.  Each part is one product with that output map's probe rows.
         """
         if out is None:
             out = np.empty((len(self.keys), len(stack)))
         for part, o_p in zip((slice(None, ramp_steps), slice(ramp_steps, None)),
                              self.maps):
             if len(stack[part]):
-                for ph in range(3):
-                    np.matmul(o_p, stack[part, ph].T, out=out[ph::3, part])
+                np.matmul(o_p, stack[part].reshape(-1, o_p.shape[1]).T, out=out[:, part])
         return out
 
 

@@ -78,6 +78,8 @@ class GrbcDeclaration:
     boundary_bus: str
     kind: GrbcKind
     payload: object
+    base_mva: float  # of the declaring case; `internal_pf_case` carries both
+    frequency_hz: float
 
     @cached_property
     def pf_problem(self) -> powerflow.PowerFlowProblem:
@@ -156,7 +158,7 @@ def eval_expr(node, v: float, theta: float) -> float:
 # --- declaration parsing ------------------------------------------------------
 
 
-def parse_declaration(d: dict) -> GrbcDeclaration:
+def parse_declaration(d: dict, base_mva: float, frequency_hz: float) -> GrbcDeclaration:
     name = str(d["name"])
     boundary = str(d["boundary_bus"])
     kind = GrbcKind(d["kind"])
@@ -175,7 +177,7 @@ def parse_declaration(d: dict) -> GrbcDeclaration:
         payload = ScriptedPayload(p_expr=raw["p"], q_expr=raw["q"])
     else:
         payload = HvdcPayload(p_dc=float(raw["p_dc"]), tan_phi=float(raw["tan_phi"]))
-    return GrbcDeclaration(name, boundary, kind, payload)
+    return GrbcDeclaration(name, boundary, kind, payload, base_mva, frequency_hz)
 
 
 def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
@@ -224,8 +226,8 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
 
     Internal buses, and the branch ends and machines on them, are named
     '<region>/<id>', the one namespace every whole-system view of the
-    region shares; the boundary bus keeps its own id.  Base values are
-    placeholders; per-unit power-flow math never uses them.
+    region shares; the boundary bus keeps its own id.  Base power and
+    frequency are those of the case that declares the region.
     """
     if decl.kind is not GrbcKind.WHITE_BOX_NETWORK:
         raise GrbcPayloadError(f"region '{decl.name}' has no internal network")
@@ -234,8 +236,8 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
     rename[decl.boundary_bus] = decl.boundary_bus
     boundary = BusRecord(decl.boundary_bus, BusKind.BOUNDARY, base_kv=1.0)
     return CaseFile(
-        base_mva=100.0,
-        frequency_hz=50.0,
+        base_mva=decl.base_mva,
+        frequency_hz=decl.frequency_hz,
         buses=[boundary, *(replace(b, id=rename[b.id]) for b in net.buses)],
         branches=[replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
                   for br in net.branches],

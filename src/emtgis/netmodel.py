@@ -148,7 +148,7 @@ def parse_case(doc: dict, name: str = "case") -> CaseFile:
         buses = [_parse_bus(d) for d in doc["buses"]]
         branches = [_parse_branch(d) for d in doc["branches"]]
         machines = [_parse_machine(d) for d in doc.get("machines", [])]
-        grbcs = [grbc.parse_declaration(d) for d in doc.get("grbcs", [])]
+        grbcs = [grbc.parse_declaration(d, base_mva, frequency_hz) for d in doc.get("grbcs", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise CaseFormatError(f"malformed case document: {exc}") from exc
     return CaseFile(base_mva, frequency_hz, buses, branches, machines, grbcs, name)

@@ -259,7 +259,7 @@ def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
 
 
 def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramp_steps: int = 0) -> np.ndarray:
-    """`ProbeSet.sample` of a single buffer (3, rows): one value per key."""
+    """`ProbeSet.sample` of a single buffer (2, rows): one value per key."""
     return probes.sample(z[None], None, ramp_steps)[:, 0]
 
 

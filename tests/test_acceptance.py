@@ -94,12 +94,12 @@ def test_criterion_2_jacobian_freedom(twobus):
                        "shunt_g": 1.0, "shunt_b": -0.5}],
             "branches": [{"from": "B2", "to": "W", "r": 0.02, "x": 0.1}],
         },
-    })
+    }, case.base_mva, case.frequency_hz)
     sc = parse_declaration({
         "name": "r", "boundary_bus": "B2", "kind": "ScriptedResponse",
         "payload": {"p": ["*", -y_region.real, ["pow", "V", 2]],
                     "q": ["*", y_region.imag, ["pow", "V", 2]]},
-    })
+    }, case.base_mva, case.frequency_hz)
     outs = []
     for decl in (wb, sc):
         c = copy.deepcopy(case)

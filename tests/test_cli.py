@@ -209,6 +209,21 @@ class TestSimulate:
         assert out.returncode == 4
         assert_one_line_error(out)
 
+    def test_unbalanced_snapshot_maps_to_exit_4(self, hybrid_comparison, tmp_path):
+        # Phase a of one node voltage moved by 1e-6 pu: a zero-sequence part
+        # far above ZERO_SEQUENCE_TOL of the peak, which two axes cannot hold.
+        path = tmp_path / "snapshot.json"
+        sn.save_snapshot(hybrid_comparison["result"].snapshot, path)
+        doc = read_json(path)
+        doc["state"]["v_nodes"][3][0] += 1e-6
+        path.write_text(json.dumps(doc))
+        out = run_cli("simulate", case_path("hybrid"), "--snapshot", path,
+                      "--duration", "0.01", "--out", tmp_path / "out")
+        assert out.returncode == 4
+        assert_one_line_error(out)
+        assert "not a balanced set" in out.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("malform", [
         lambda doc: "{not json",
         lambda doc: "[1, 2]",
@@ -453,6 +468,57 @@ class TestInvalidDt:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: the period 0.02 s is not an integer multiple of dt 3e-05 s"]
         assert not (tmp_path / "report.json").exists()
+
+
+class TestInputErrorWritesNothing:
+    """An input error found in the pipeline exits 1 with one `error:` line
+    and leaves no --out directory: a command creates it only to write its
+    outputs."""
+
+    @pytest.mark.parametrize("command", [("init",), ("simulate", "--zero-state"),
+                                         ("compare",)], ids=["init", "simulate", "compare"])
+    @pytest.mark.parametrize("error", ["dt", "invalid-case"])
+    def test_exits_1_and_leaves_no_directory(self, tmp_path, capsys, command, error):
+        from emtgis.cli import main
+
+        case, extra = case_path("ninebus1"), ["--dt", "3e-5"]
+        if error == "invalid-case":
+            doc = read_json(case_path("twobus"))
+            doc["buses"].append(doc["buses"][0])
+            case, extra = tmp_path / "broken.json", []
+            case.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command[0], str(case), *command[1:], *extra, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
+
+
+class TestValidateOnce:
+    """Each command validates its case once: `snapshot.system_model` does
+    for init, simulate and compare, and `cmd_ipf`, which runs no system
+    model, does for ipf."""
+
+    @pytest.mark.parametrize("command", [
+        ("ipf",), ("init",), ("simulate", "--zero-state", "--duration", "0.01"), ("compare",),
+    ], ids=["ipf", "init", "simulate", "compare"])
+    def test_one_validate_case_call(self, tmp_path, monkeypatch, command):
+        import emtgis.cli as cli
+        import emtgis.netmodel as nm
+
+        calls = []
+
+        def counted(case, _validate=nm.validate_case):
+            calls.append(case.name)
+            return _validate(case)
+
+        for module in (cli, sn, nm):
+            monkeypatch.setattr(module, "validate_case", counted)
+        code = cli.main([command[0], case_path("hybrid"), *command[1:],
+                         "--out", str(tmp_path)])
+        assert code == 0
+        assert calls == ["hybrid"]
 
 
 class TestInvalidCoordinatorFlags:

@@ -53,7 +53,7 @@ class TestResidual:
         case.buses[1] = BusRecord("B2", BusKind.BOUNDARY, 230.0)
         case.grbcs = [parse_declaration({
             "name": "s", "boundary_bus": "B2", "kind": "ScriptedResponse",
-            "payload": {"p": -0.4, "q": 0.0}})]
+            "payload": {"p": -0.4, "q": 0.0}}, case.base_mva, case.frequency_hz)]
         x = np.array([0.98, -0.03])
         state = residual(PowerFlowProblem(case), case.grbcs, x)
         assert state.phi[0] == pytest.approx(state.p[0] - 0.4, abs=1e-14)
@@ -285,7 +285,7 @@ def scripted_twobus(twobus):
     case.buses[1] = BusRecord("B2", BusKind.BOUNDARY, 230.0)
     case.grbcs = [parse_declaration({
         "name": "s", "boundary_bus": "B2", "kind": "ScriptedResponse",
-        "payload": {"p": -0.4, "q": 0.0}})]
+        "payload": {"p": -0.4, "q": 0.0}}, case.base_mva, case.frequency_hz)]
     return case
 
 
@@ -429,14 +429,14 @@ class TestJacobianFreedom:
                            "shunt_g": 1.0, "shunt_b": -0.5}],
                 "branches": [{"from": "B2", "to": "W", "r": 0.02, "x": 0.1}],
             },
-        })
+        }, case.base_mva, case.frequency_hz)
         sc = parse_declaration({
             "name": "r", "boundary_bus": "B2", "kind": "ScriptedResponse",
             "payload": {
                 "p": ["*", -y_region.real, ["pow", "V", 2]],
                 "q": ["*", y_region.imag, ["pow", "V", 2]],
             },
-        })
+        }, case.base_mva, case.frequency_hz)
         results = []
         for decl in (wb, sc):
             c = copy.deepcopy(case)

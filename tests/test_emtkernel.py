@@ -738,7 +738,7 @@ class TestSwingRelaxation:
         # rounds the maps differently, or a power flow that rounds the GIS
         # snapshot differently, can move a chunk's fixed point, and its
         # count, by one.
-        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 49)]
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 8), (8, 49)]
 
     def test_fault_on_the_start_step_builds_only_the_faulted_net(self, hybrid_comparison,
                                                                  monkeypatch):
@@ -818,10 +818,11 @@ class TestSwingRelaxation:
 class TestRelaxMatchesReference:
     """`CompiledNet.relax` sweeps in the rotors' two-axis frame with maps
     built per chunk length; `reference_relax` is the per-phase relax it
-    replaced.  From the same stack, machines and power guess, both give the
-    same samples, machines, rebuilt buffers and next guess within 1e-12 of
-    each field's largest value.  Measured, as a share of that value: 4.4e-14
-    on the samples, 5.6e-15 on the buffers, 3.5e-15 on the guess and
+    replaced.  From the same stack (two-axis buffers z, and K^T z for the
+    reference), machines and power guess, both give the same samples,
+    machines, rebuilt buffers (in phases) and next guess within 1e-12 of
+    each field's largest value.  Measured, as a share of that value: 4.6e-14
+    on the samples, 5.7e-15 on the buffers, 2.7e-15 on the guess and
     1.1e-17 on the machines."""
 
     DT = 5e-5
@@ -847,13 +848,16 @@ class TestRelaxMatchesReference:
         pe_guess = compiled.pe_guess.copy()
         got, want = [], []
         for out in (got, want):
-            stack = np.zeros((length + 2,) + z.shape)
-            stack[1] = z
+            # relax steps the two-axis buffer z, the reference the phases' K^T z.
+            start = z if out is got else ek.TWO_AXIS.T @ z
+            stack = np.zeros((length + 2,) + start.shape)
+            stack[1] = start
             moved = machines.copy()
             samples = np.zeros((len(probes.keys), length))
             if out is got:
                 compiled.relax(stack, 1, length, init.step, moved, samples)
                 guess = compiled.pe_guess
+                stack = ek.TWO_AXIS.T @ stack  # compared in phases
             else:
                 guess, _ = reference_relax(compiled, maps, stack, 1, length, init.step,
                                            moved, samples, pe_guess)
@@ -942,9 +946,10 @@ class TestStepCalls:
 class TestHotPathProducts:
     """The stepping path calls the ndarray methods, not np.dot, whose
     array-function dispatch costs about as much as a region step's product.
-    np.matmul serves the probe samples: one call per phase and output map a
-    cycle's steps use, so three a cycle, and six in the one cycle that
-    crosses the ramp's end.  Per-step or per-sweep dispatch fails here."""
+    np.matmul serves the samples of stepped buffers: one call per output map
+    a cycle's steps use, so one a cycle, and two in the one cycle that
+    crosses the ramp's end; `relax` samples its chunks without it.
+    Per-step or per-sweep dispatch fails here."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -976,7 +981,7 @@ class TestHotPathProducts:
         crossing = (ek._first_full_step(t_ramp, dt) - 1) // n_cycle
         assert all(c["dot"] == 0 for c in calls)
         assert [c["matmul"] for c in calls] == [
-            6 if k == crossing else 3 for k in range(len(calls))]
+            2 if k == crossing else 1 for k in range(len(calls))]
 
     def test_relaxed_full_net(self, calls, hybrid, hybrid_comparison):
         net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
@@ -985,13 +990,14 @@ class TestHotPathProducts:
         ek.run(net, cfg, init=init)
         assert ek.CompiledNet(net, dt, init).swinging.size
         assert len(calls) == 10
-        assert all(c["dot"] == 0 and c["matmul"] <= 3 for c in calls)
+        assert all(c["dot"] == 0 and c["matmul"] == 0 for c in calls)
 
 
 class TestProbeSet:
     def test_interleaved_probes_match_per_probe_lookup(self):
-        # A buffer with a single 1 in each phase column reads one entry of
-        # the output map per key, exactly, whatever the summation order.
+        # A two-axis buffer with a single 1 reads, per key, one entry of the
+        # output map times one entry of K^T, exactly, whatever the
+        # summation order.
         net = rl_net()
         record = ["n2", "i:l1", "n1", "i:r1", "n2"]
         start = advance(net, ek.zero_state(net, 2e-5), 137)
@@ -1000,20 +1006,23 @@ class TestProbeSet:
         assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
         eids = [e.eid for e in net.elements]
         cols = [0, compiled.n_lc + 2, compiled.n_lc + 3]  # ih, r_c, r_s
-        z = np.zeros((3, compiled.rows))
-        z[[0, 1, 2], cols] = 1.0
         for ramp_steps, o in ((0, compiled.outputs[1]), (1, compiled.outputs[0])):
-            want = []
-            for pid in record:
-                if pid.startswith("i:"):
-                    row = compiled.n_nodes + eids.index(pid[2:])
-                else:
-                    row = compiled.node_index[pid]
-                want += [o[row, cols[ph]] for ph in range(3)]
-            got = sample_one(probes, z, ramp_steps)
-            assert np.array_equal(got, np.array(want))
-            assert got.shape == (len(probes.keys),)
+            for axis, col in itertools.product(range(2), cols):
+                z = np.zeros((2, compiled.rows))
+                z[axis, col] = 1.0
+                want = []
+                for pid in record:
+                    if pid.startswith("i:"):
+                        row = compiled.n_nodes + eids.index(pid[2:])
+                    else:
+                        row = compiled.node_index[pid]
+                    want += [o[row, col] * ek.TWO_AXIS[axis, ph] for ph in range(3)]
+                got = sample_one(probes, z, ramp_steps)
+                assert np.array_equal(got, np.array(want))
+                assert got.shape == (len(probes.keys),)
         # A stack: one column per buffer, the first ramp_steps on the ramp map.
+        z = np.zeros((2, compiled.rows))
+        z[1, cols[1]] = 1.0
         stack = np.stack([z, 2.0 * z, 4.0 * z])
         got = probes.sample(stack, ramp_steps=1)
         assert got.shape == (len(probes.keys), 3)
@@ -1045,6 +1054,52 @@ class TestCompatibility:
         with pytest.raises(UnknownProbe):
             ek.run(rl_net(), ek.SimConfig(dt=5e-5, duration=0.01,
                                           record=["ghost"]))
+
+    @pytest.mark.parametrize("field", ["v_nodes", "elem_i"])
+    @pytest.mark.parametrize("loop", [ek.run, ek.run_until_steady],
+                             ids=["run", "run_until_steady"])
+    def test_unbalanced_start_state_rejected(self, field, loop):
+        # Two axes hold no zero-sequence part: one above ZERO_SEQUENCE_TOL of
+        # the peak is rejected, one below it passes (the loop drops it).
+        net = rl_net()
+        _, state = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.013))
+        peak = np.abs(getattr(state, field)).max()
+        cfg = ek.SimConfig(dt=5e-5, duration=0.02, record=["n2"])
+        moved = state.copy()
+        getattr(moved, field)[0, 0] += 0.5 * ek.ZERO_SEQUENCE_TOL * peak
+        loop(net, cfg, init=moved)
+        getattr(moved, field)[0, 0] += 1.5 * ek.ZERO_SEQUENCE_TOL * peak
+        with pytest.raises(IncompatibleSnapshot, match="not a balanced set"):
+            loop(net, cfg, init=moved)
+
+
+class TestTwoAxisFrame:
+    """A loop steps two axes and expands with K^T at its edges, so every
+    state it hands out is a balanced set: its zero-sequence part stays
+    within 1e-12 of its peak."""
+
+    @staticmethod
+    def assert_balanced(state):
+        for name in ("v_nodes", "elem_i", "hist_u", "hist_i"):
+            x = getattr(state, name)
+            assert np.abs(x.sum(axis=1)).max() <= 1e-12 * np.abs(x).max(), name
+
+    def test_every_step_across_the_ramp(self):
+        net, dt = rl_net(), 2e-5
+        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 100 * dt, ["n2"], 1)
+        for _ in range(300):
+            compiled.advance(1, np.empty((3, 1)))
+            self.assert_balanced(compiled.state())
+
+    @pytest.mark.parametrize("steps", [1, 99, 100, 101, 450])
+    def test_relaxed_loops_across_a_fault(self, hybrid_comparison, steps):
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        dt = TestSwingRelaxation.DT
+        cfg = ek.SimConfig(dt=dt, duration=steps * dt, record=["B7"],
+                           events=[ek.SimEvent((init.step + 50) * dt, "B7", 0.02)])
+        _, final = ek.run(net, cfg, init=init)
+        assert final.step == init.step + steps
+        self.assert_balanced(final)
 
 
 class TestWaveformExport:

@@ -1,5 +1,7 @@
+import json
 import math
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ def scripted(name="s1", p=None, q=None, bus="B2"):
         "name": name, "boundary_bus": bus, "kind": "ScriptedResponse",
         "payload": {"p": p if p is not None else -0.5,
                     "q": q if q is not None else -0.1},
-    })
+    }, 100.0, 50.0)
 
 
 def white_box(bus="B2", oracle=True):
@@ -47,14 +49,14 @@ def white_box(bus="B2", oracle=True):
                           "xd_transient": 0.1, "p_set": 0.3, "v_set": 1.05,
                           "inertia_h": 1.0}],
         },
-    })
+    }, 100.0, 50.0)
 
 
 def hvdc(p_dc=1.0, tan_phi=0.5):
     return parse_declaration({
         "name": "dc", "boundary_bus": "B2", "kind": "SimplifiedHvdcTerminal",
         "payload": {"p_dc": p_dc, "tan_phi": tan_phi},
-    })
+    }, 100.0, 50.0)
 
 
 class TestExpressionGrammar:
@@ -170,7 +172,7 @@ class TestInternalFailure:
                            "p_load": 50.0}],
                 "branches": [{"from": "B2", "to": "W", "r": 0.02, "x": 0.3}],
             },
-        })
+        }, 100.0, 50.0)
         with pytest.raises(InternalNonConvergence):
             evaluate(decl, Phasor(1.0, 0.0))
 
@@ -180,12 +182,30 @@ class TestInternalFailure:
                              ids=["zero-division", "overflow", "complex", "inf", "sin-inf"])
     def test_scripted_response_without_a_finite_real_value(self, p):
         decl = parse_declaration({"name": "s", "boundary_bus": "B2",
-                                  "kind": "ScriptedResponse", "payload": {"p": p, "q": 0.1}})
+                                  "kind": "ScriptedResponse", "payload": {"p": p, "q": 0.1}},
+                                 100.0, 50.0)
         with pytest.raises(InternalNonConvergence, match="region 's' is not evaluable"):
             evaluate(decl, Phasor(1.0, 0.0))
 
 
 BUNDLED = ("ninebus1", "ninebus2", "ninebus3", "hybrid")
+
+
+class TestInternalCase:
+    def test_base_and_frequency_come_from_the_declaring_case(self, tmp_path):
+        # A bundled case edited to 60 Hz and 50 MVA: every region's internal
+        # case, and the power-flow problem built from it, reads the edits.
+        doc = json.loads(Path(case_path("ninebus3")).read_text())
+        doc["frequency_hz"], doc["base_mva"] = 60.0, 50.0
+        path = tmp_path / "ninebus3-60hz.json"
+        path.write_text(json.dumps(doc))
+        regions = [g for g in load_case(path).grbcs if g.kind is GrbcKind.WHITE_BOX_NETWORK]
+        assert len(regions) == 3
+        for decl in regions:
+            internal = internal_pf_case(decl)
+            assert (internal.frequency_hz, internal.base_mva) == (60.0, 50.0)
+            assert (decl.pf_problem.case.frequency_hz, decl.pf_problem.case.base_mva) == (
+                60.0, 50.0)
 
 
 def white_box_regions(name):
