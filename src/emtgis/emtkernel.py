@@ -56,12 +56,13 @@ source ramp and the probes, its constructor compiles the topology, builds
 the step, output and relax maps for that start, resolves the probes and
 allocates a cycle-long stack of buffers, all once.  `run` and
 `run_until_steady` build one per loop, so one per fault segment, and call
-its `advance` a cycle at a time.  `advance` computes the cycle's probe
-samples in one product with the probes' rows of O, and re-anchors r and q
-from the clock at each cycle start, so the rotation's rounding drift never
-spans more than one cycle.  The loop builds an `EmtState` only at its
-edges (`state`): on return, and at a fault event, where `run` migrates the
-state onto the faulted topology and builds the next loop from it.
+its `advance` a cycle at a time.  `advance` computes the probe samples of
+the cycle's stepped buffers in one product with the probes' rows of O (a
+relaxed chunk forms its own), and re-anchors r and q from the clock at
+each cycle start, so the rotation's rounding drift never spans more than
+one cycle.  The loop builds an `EmtState` only at its edges (`state`): on
+return, and at a fault event, where `run` migrates the state onto the
+faulted topology and builds the next loop from it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -75,7 +76,6 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -377,23 +377,74 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
     )
 
 
-class _SwingMaps(NamedTuple):
+class _SwingMaps:
     """`CompiledNet.relax`'s maps for chunks of one length L in a loop, each
-    in the form the chunk multiplies by.  w_0 is the chunk's start buffer
-    less its machine rows; e stacks the EMFs of its steps and u = [cos
-    theta; sin theta] their angles, one row per axis, step-major over ne =
-    L*nsw columns."""
+    in the form the chunk multiplies by, and the chunk's work buffers.
 
-    currents_w: np.ndarray  # (w, ne): C_w^T, the machines' currents from w_0
-    currents: np.ndarray    # (ne, ne): (C_e diag(amp))^T, the currents y from u
-    swing: np.ndarray       # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the
-    #                         angles and end speed deviations from [sum(u*y);
-    #                         delta_0, dw_0, emf, pm]
-    amplitude: np.ndarray   # (ne,): sqrt2 emf
-    handed_on: np.ndarray   # (w + ne, w): w in the first buffer the chunk
-    #                         hands on, from [w_0; e]
-    blocks: np.ndarray      # (w + ne, (b - 1)*w): w at its b probe blocks'
-    #                         starts after the first; no columns without probes
+    w_0 is the chunk's start buffer less its machine rows; e stacks the
+    EMFs of its steps and u = [cos theta; sin theta] their angles, one row
+    per axis, step-major over ne = L*nsw columns.  The buffers, and the
+    views the chunk reads them through, are built with the maps, so a chunk
+    allocates nothing.  A chunk writes every buffer before it reads it;
+    only the zero padding of [w_0; e] to whole probe blocks carries over.
+    Without probes, the samples' buffers have no columns."""
+
+    def __init__(self, length: int, w: int, nsw: int, currents_w: np.ndarray,
+                 currents: np.ndarray, swing: np.ndarray, amplitude: np.ndarray,
+                 w_at: np.ndarray, probe_map: np.ndarray):
+        ne = length * nsw
+        self.currents_w = currents_w  # (w, ne): C_w^T, the currents from w_0
+        self.currents = currents      # (ne, ne): (C_e diag(amp))^T, y from u
+        # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the angles and end speed
+        # deviations from x = [sum(u*y); delta_0, dw_0, emf, pm]; a
+        # contiguous copy of its angles' block on [delta_0, dw_0, emf, pm]
+        # gives the first guess.
+        self.swing = swing
+        self.guess_map = swing[:ne, ne:].copy()
+        self.amplitude = amplitude    # (ne,): sqrt2 emf
+        # (w + ne, b*w): from [w_0; e], w at the chunk's b - 1 probe blocks'
+        # starts after the first (none without probes), then w in the first
+        # buffer the chunk hands on.
+        self.w_at = w_at
+
+        self.x = np.empty(ne + 4 * nsw)
+        self.power, self.start = self.x[:ne], self.x[ne:]
+        self.delta_0 = self.x[ne:ne + nsw]
+        self.machine_rows = self.start.reshape(4, nsw).T  # one row per machine
+        self.guess = np.empty(4 * nsw)
+        self.guess_pm = self.guess[3 * nsw:]
+        # The angles and end speeds of the last sweep and of the new one, each
+        # with its views: all, the steps after the first, the chunk's angles,
+        # and the end step's [delta, speed_dev] per machine.
+        self.sweep = tuple(
+            (a, a[:ne - nsw].reshape(length - 1, nsw), a[:ne],
+             a[ne - nsw:].reshape(2, nsw).T)
+            for a in (np.empty(ne + nsw), np.empty(ne + nsw)))
+        self.theta = np.empty((length, nsw))
+        self.theta_on, self.theta_all = self.theta[1:], self.theta.reshape(ne)
+        self.u, self.y, self.i0 = np.empty((3, 2, ne))
+        # [w_0; e], zero past the chunk's end up to a whole probe block.
+        blocks = -(-length // PROBE_BLOCK)
+        we_padded = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
+        self.w0, self.e = we_padded[:, :w], we_padded[:, w:w + ne]
+        self.we, self.e_blocks = we_padded[:, :w + ne], we_padded[:, w:].reshape(2, blocks, -1)
+        self.at = np.empty((2, w_at.shape[1]))
+        self.block_starts = self.at[:, :-w].reshape(2, -1, w)
+        self.handed = self.at[:, -w:]
+        # The chunk's probe blocks, each block's start w and its EMFs, one
+        # block and axis per row; their samples, then K^T for the phases,
+        # and the phases' view in the samples' order.
+        self.probe_blocks = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
+        self.probe_rows = self.probe_blocks.reshape(2 * blocks, -1)
+        self.taken = np.empty((2, blocks * probe_map.shape[1]))
+        self.taken_rows = self.taken.reshape(2 * blocks, -1)
+        self.phases = np.empty((3, self.taken.shape[1]))
+        self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
+            :, :length].transpose(2, 0, 1)
+        low = max(length - 2, 0)  # the first buffer a chunk hands on
+        self.handed_emfs = list(self.e.reshape(2, length, nsw)[:, low:].transpose(1, 0, 2))
+        # The end step's amplitudes and power sums: the next chunk's guess.
+        self.amplitude_end, self.power_end = amplitude[ne - nsw:], self.power[ne - nsw:]
 
 
 class CompiledNet:
@@ -406,10 +457,10 @@ class CompiledNet:
     EMFs and for sources that ramp linearly over t_ramp seconds from t = 0
     (None: sources at full scale throughout), resolves the probes
     (`probes`), builds the probes' map of `relax`, and allocates `length`
-    + 2 buffers.  Slot 1 holds the buffer at step n, and slot 0 the one a
-    step before it once the loop has carried it over; `advance` steps from
-    slot 1 through the (buffer, next buffer) view pairs, and `state`
-    rebuilds the state at step n.
+    + 2 buffers, with room for w*t at the step after each.  Slot 1 holds
+    the buffer at step n, and slot 0 the one a step before it once the loop
+    has carried it over; `advance` steps from slot 1 through the (buffer,
+    next buffer) view pairs, and `state` rebuilds the state at step n.
 
     The network's only memory is the history current ih = h*(D v) + j*i
     of each inductor and capacitor (n_lc of them; a resistor's is zero).
@@ -465,10 +516,15 @@ class CompiledNet:
     the power is amp/2 sum(u*y) over the axes.  The swing recursion is
     affine in that power, so one product [F diag(amp) | S] [sum(u*y);
     delta_0, dw_0, emf, pm] gives the angles and the end step's speed
-    deviations.  `relax` builds these maps, and those of [w_0; e] to w in
-    the first buffer a chunk hands on and at its probe blocks' starts, once
-    per chunk length in the loop; the constructor builds the probes' map
-    over a block of PROBE_BLOCK steps.
+    deviations.  `relax` builds these maps, and one of [w_0; e] to w at its
+    probe blocks' starts and in the first buffer a chunk hands on, once per
+    chunk length in the loop, together with the chunk's work buffers and
+    their views (`_SwingMaps`), so a chunk allocates nothing.  The
+    constructor builds the probes' map over a block of PROBE_BLOCK steps.
+    A relaxed chunk fills its probe blocks, each block's start w and its
+    EMFs, in place, and forms its samples in one product with that map,
+    then K^T.  K^T stays out of the map: folded in, as in `ProbeSet.maps`,
+    it would triple the product's work.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -560,9 +616,9 @@ class CompiledNet:
         self.outputs, self.ramp_map, self.post_map = self._step_maps(state, t_ramp)
         self.probes = ProbeSet(self, record)
         # `relax`'s EMF amplitudes sqrt2 emf, one per swinging machine, and
-        # its maps per chunk length.  The probes' map gives a block's
-        # samples from its start's w and its EMFs; it has no columns without
-        # swinging machines or probes.
+        # its maps and buffers per chunk length.  The probes' map gives a
+        # block's samples from its start's w and its EMFs; it has no columns
+        # without swinging machines or probes.
         self.amplitude = SQRT2 * state.machine_emf[self.swinging]
         self.swing_maps: dict[int, _SwingMaps] = {}
         self.probe_map = np.zeros((0, 0))
@@ -578,6 +634,10 @@ class CompiledNet:
         self.machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
                                          state.machine_emf, state.machine_pm]).astype(float)
         self.stack = np.zeros((length + 2, 2, self.rows))
+        # For `relax`, w*t at the step after the one each slot of the stack
+        # holds; `advance` sets it from the clock.
+        self.slots = np.arange(length + 2.0)[:, None]
+        self.wt = np.empty_like(self.slots)
         ih = self.hist @ np.vstack([state.v_nodes, state.elem_i])
         self.stack[1, :, :self.n_lc] = TWO_AXIS.dot(ih.T) / 1.5
         self.anchor(self.stack[1], state.step)
@@ -682,9 +742,10 @@ class CompiledNet:
         low = max(length - 2, 0)  # the first buffer a chunk hands on
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
-            currents[:, :w].T, (currents[:, w:] * amplitude).T,
+            length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T,
             swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
-            self._w_map(length, range(low, low + 1)), self._w_map(length, blocks))
+            np.hstack([self._w_map(length, blocks),
+                       self._w_map(length, range(low, low + 1))]), self.probe_map)
         return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
@@ -768,99 +829,93 @@ class CompiledNet:
             step(x, out, True)
         for x, out in islice(pairs, stepped - ramp_steps):
             step(x, out, False)
-        n += stepped
         self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
-        for first in range(stepped, length, SWING_CHUNK):
-            size = min(SWING_CHUNK, length - first)
-            self.relax(stack, first + 1, size, n, self.machines,
-                       samples[:, first:first + size])
-            n += size
-        self.n, self.pos = n, length + 1
+        if stepped < length:
+            # Slot k holds step n + k - 1, the step before n + k.
+            wt = self.wt
+            np.add(self.slots, n, out=wt)
+            wt *= self.dt
+            wt *= self.omega
+        for first in range(stepped + 1, length + 1, SWING_CHUNK):
+            size = min(SWING_CHUNK, length + 1 - first)
+            self.relax(first, size, samples[:, first - 1:first - 1 + size])
+        self.n, self.pos = n + length, length + 1
 
-    def relax(self, stack: np.ndarray, first: int, length: int, step: int,
-              machines: np.ndarray, samples: np.ndarray) -> None:
+    def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= SWING_CHUNK
-        steps after the ramp, from the buffer at `step` in stack[first], by
-        waveform relaxation of its rotors.
+        steps after the ramp, from the buffer in stack[first], by waveform
+        relaxation of its rotors.
 
         From the last sweep's angles, each sweep forms u = [cos theta; sin
         theta], then the machines' currents y, the power amp/2 * sum(u*y)
         over the axes and, in one product, the angles and the end step's
-        speed deviations.  The sweeps stop
-        when the angles repeat bit for bit, after at most length + 1 of
-        them; `chunks_relaxed` and `sweeps` count the work.
+        speed deviations.  The sweeps stop when the angles repeat bit for
+        bit, after at most length + 1 of them; `chunks_relaxed` and
+        `sweeps` count the work.  The maps and work buffers of chunks of
+        this length are built once in the loop (`_SwingMaps`).
 
-        Writes the probe samples of steps step + 1 .. step + length into
-        samples, one column per step, and advances the machines in place.
+        Writes the probe samples of the chunk's steps into samples, one
+        column per step, and advances the machines in place.  The samples
+        come from one product of the probes' map with the chunk's probe
+        blocks, each block's start w and its EMFs, then K^T.
         Of the chunk's buffers it rebuilds only the last two, with their
         EMF rows written, and the rows before the machines' of its end
         buffer: the loop's edges (`state`) and the next chunk read no
         other.  The first of them comes from [w_0; e] by its own map, the
         others by `step`'s product, so no probe moves their rounding.
         """
-        maps = self.swing_maps.get(length) or self._swing_maps(length)
-        w, nsw, ne = self.n_lc + 4, self.swinging.size, length * self.swinging.size
+        m = self.swing_maps.get(length) or self._swing_maps(length)
+        w, stack, swinging = self.n_lc + 4, self.stack, self.swinging
         # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
         # guess holds pe at the last chunk's last value.
-        x = np.empty(ne + 4 * nsw)
-        x[ne:] = machines[self.swinging].T.ravel()
-        guess = x[ne:].copy()
-        guess[3 * nsw:] -= self.pe_guess
-        # The angles and end speeds of the last sweep and of the new one,
-        # each with its views the sweeps read: all, the steps after the
-        # first, the chunk's angles.
-        last, new = ((a, a[:ne - nsw].reshape(length - 1, nsw), a[:ne])
-                     for a in (np.empty(ne + nsw), np.empty(ne + nsw)))
-        maps.swing[:ne, ne:].dot(guess, last[2])
-        w0 = stack[first, :, :w]
-        i0 = w0.dot(maps.currents_w)  # the currents' part from w_0
-        wt = self.omega * (np.arange(step + 1, step + length + 1) * self.dt)[:, None]
+        self.machines.take(swinging, 0, m.machine_rows)
+        m.guess[:] = m.start
+        m.guess_pm -= self.pe_guess
+        last, new = m.sweep
+        m.guess_map.dot(m.guess, last[2])
+        m.w0[:] = stack[first, :, :w]
+        m.w0.dot(m.currents_w, m.i0)  # the currents' part from w_0
         # Each step's EMF is formed at the angle before the step.
-        theta = np.empty((length, nsw))
-        theta[0] = wt[0] + x[ne:ne + nsw]
-        u, y = np.empty((2, ne)), np.empty((2, ne))
-        wt_on, theta_on, theta_all = wt[1:], theta[1:], theta.reshape(ne)
-        cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], x[:ne]
+        wt = self.wt[first:first + length]
+        np.add(wt[0], m.delta_0, out=m.theta[0])
+        wt_on, theta_on, theta_all, currents, swing = (
+            wt[1:], m.theta_on, m.theta_all, m.currents, m.swing)
+        u, y, x, i0 = m.u, m.y, m.x, m.i0
+        cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], m.power
         for sweeps in range(1, length + 2):
             np.add(wt_on, last[1], out=theta_on)
             np.cos(theta_all, out=cos_u)
             np.sin(theta_all, out=sin_u)
-            u.dot(maps.currents, y)
+            u.dot(currents, y)
             y += i0
             y *= u
             np.add(y_d, y_q, out=power)
-            maps.swing.dot(x, new[0])
+            swing.dot(x, new[0])
             last, new = new, last
             if last[2].tobytes() == new[2].tobytes():
                 break
-        delta = last[0]
         self.chunks_relaxed += 1
         self.sweeps += sweeps
-        machines[self.swinging, 0] = delta[ne - nsw:ne]
-        machines[self.swinging, 1] = delta[ne:]
-        self.pe_guess = maps.amplitude[ne - nsw:] * x[ne - nsw:ne] / 2.0
+        self.machines[swinging, :2] = last[3]
+        np.multiply(m.amplitude_end, m.power_end, out=self.pe_guess)
+        self.pe_guess /= 2.0
 
-        # [w_0; e], zero past the chunk's end up to a whole probe block: the
-        # EMF rows amp u the sweeps assumed.
-        blocks = -(-length // PROBE_BLOCK)
-        v = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
-        v[:, :w] = w0
-        v[:, w:w + ne] = e = u * maps.amplitude
-        we = v[:, :w + ne]
+        # The EMF rows amp u the sweeps assumed, then w at the probe blocks'
+        # starts and in the first buffer the chunk hands on.
+        np.multiply(u, m.amplitude, out=m.e)
+        m.we.dot(m.w_at, m.at)
         if self.probe_map.size:
-            # Every block's samples from its start's w and its EMFs, one
-            # block and axis per row, then K^T for the phases.
-            xb = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
-            xb[:, 0, :w] = w0
-            xb[:, 1:, :w] = (we @ maps.blocks).reshape(2, blocks - 1, w)
-            xb[:, :, w:] = v[:, w:].reshape(2, blocks, -1)
-            taken = xb.reshape(2 * blocks, -1).dot(self.probe_map).reshape(2, -1)
-            samples.reshape(-1, 3, length)[:] = TWO_AXIS.T.dot(taken).reshape(
-                3, blocks * PROBE_BLOCK, -1)[:, :length].transpose(2, 0, 1)
+            xb = m.probe_blocks
+            xb[:, 0, :w] = m.w0
+            xb[:, 1:, :w] = m.block_starts
+            xb[:, :, w:] = m.e_blocks
+            m.probe_rows.dot(self.probe_map, m.taken_rows)
+            TWO_AXIS.T.dot(m.taken, m.phases)
+            samples.reshape(-1, 3, length)[:] = m.phase_samples
         low = max(length - 2, 0)
         rebuilt = stack[first + low:first + length + 1]
-        rebuilt[0, :, :w] = we @ maps.handed_on
-        for k, emf in enumerate(e.reshape(2, length, nsw)[:, low:].transpose(1, 0, 2)):
+        rebuilt[0, :, :w] = m.handed
+        for k, emf in enumerate(m.handed_emfs):
             rebuilt[k, :, w:] = emf
             rebuilt[k].dot(self.post_map, rebuilt[k + 1])
 

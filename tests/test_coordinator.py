@@ -263,14 +263,14 @@ class TestCoordinationAtScale:
     """Cases whose boundary angles reach about 1 rad and beyond (the chain
     spreads 138 degrees): the main power flow diverged from flat angles at
     the monolithic solution's own boundary voltages, and the coordinator
-    failed (OuterStepRejected at k=16 seed 7, NonFinite on the chain).
-    At k=32 seed 2 boundary angles pass pi: wrapped on their way to the
-    main power flow, they moved its DC-angle start by 2 pi jumps and the
-    probes failed."""
+    failed (OuterStepRejected at k=16 seeds 7 and 11, NonFinite on the
+    chain).  At k=32 seed 2 boundary angles pass pi: wrapped on their way
+    to the main power flow, they moved its DC-angle start by 2 pi jumps and
+    the probes failed."""
 
     @pytest.mark.parametrize("k, seed, idle_b1",
-                             [(16, 7, False), (4, 1, True), (32, 2, False)],
-                             ids=["k16-seed7", "unbalanced-chain-k4", "k32-seed2"])
+                             [(16, 7, False), (16, 11, False), (4, 1, True), (32, 2, False)],
+                             ids=["k16-seed7", "k16-seed11", "unbalanced-chain-k4", "k32-seed2"])
     def test_matches_monolithic(self, k, seed, idle_b1):
         case = scaled_case(k, seed, idle_b1)
         state, trace = jfng_solve(case, case.grbcs, flat_start(case), JfngConfig())

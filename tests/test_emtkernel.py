@@ -838,27 +838,29 @@ class TestRelaxMatchesReference:
     @pytest.mark.parametrize("length", [ek.SWING_CHUNK, 7])
     @pytest.mark.parametrize("probed", [True, False], ids=["probes", "no-probes"])
     def test_relax_matches_reference(self, start, hybrid, length, probed):
+        # The loop relaxes one chunk of `length` steps in one `advance`,
+        # which also forms the chunk's samples.
         net, init = start
         compiled = ek.CompiledNet(net, self.DT, init, None,
-                                  [b.id for b in hybrid.buses] if probed else [])
+                                  [b.id for b in hybrid.buses] if probed else [], length)
         probes = compiled.probes
+        compiled.machines[compiled.swinging, 1] = 2e-3  # rotors off their steady speed
         z, machines = compiled.stack[1].copy(), compiled.machines.copy()
-        machines[compiled.swinging, 1] = 2e-3  # rotors off their steady speed
         maps = reference_swing_maps(compiled, probes.rows, machines[compiled.swinging, 2])
         pe_guess = compiled.pe_guess.copy()
         got, want = [], []
         for out in (got, want):
-            # relax steps the two-axis buffer z, the reference the phases' K^T z.
-            start = z if out is got else ek.TWO_AXIS.T @ z
-            stack = np.zeros((length + 2,) + start.shape)
-            stack[1] = start
-            moved = machines.copy()
             samples = np.zeros((len(probes.keys), length))
             if out is got:
-                compiled.relax(stack, 1, length, init.step, moved, samples)
-                guess = compiled.pe_guess
-                stack = ek.TWO_AXIS.T @ stack  # compared in phases
+                compiled.advance(length, samples)
+                assert compiled.chunks_relaxed == 1
+                moved, guess = compiled.machines, compiled.pe_guess
+                stack = ek.TWO_AXIS.T @ compiled.stack  # compared in phases
             else:
+                # The reference steps the phases' K^T z.
+                stack = np.zeros((length + 2, 3, z.shape[1]))
+                stack[1] = ek.TWO_AXIS.T @ z
+                moved = machines.copy()
                 guess, _ = reference_relax(compiled, maps, stack, 1, length, init.step,
                                            moved, samples, pe_guess)
             out += [samples, moved, stack[max(length - 2, 0) + 1:], guess]
@@ -991,6 +993,76 @@ class TestHotPathProducts:
         assert ek.CompiledNet(net, dt, init).swinging.size
         assert len(calls) == 10
         assert all(c["dot"] == 0 and c["matmul"] == 0 for c in calls)
+
+
+class TestRelaxedChunkSetUp:
+    """A loop builds a relaxed chunk's maps and work buffers once per chunk
+    length, so after its first cycle a chunk allocates no array: a call of
+    np.empty, np.zeros or np.arange per chunk fails here.  The buffers
+    belong to the loop, so loops advanced in turn give what each gives
+    alone."""
+
+    DT = TestSwingRelaxation.DT  # 400 steps a cycle, 4 chunks
+
+    @pytest.mark.parametrize("probed", [True, False], ids=["probes", "no-probes"])
+    def test_no_array_built_after_the_first_cycle(self, monkeypatch, hybrid,
+                                                  hybrid_comparison, probed):
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        cycle = round(net.period / self.DT)
+        compiled = ek.CompiledNet(net, self.DT, init, None,
+                                  [b.id for b in hybrid.buses] if probed else [], cycle)
+        samples = np.zeros((len(compiled.probes.keys), cycle))
+        count = [0]
+        for name in ("empty", "zeros", "arange"):
+            def counted(*args, _fn=getattr(np, name), **kwargs):
+                count[0] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        per_cycle = []
+        for _ in range(4):
+            before = count[0]
+            compiled.advance(cycle, samples)
+            per_cycle.append(count[0] - before)
+        assert compiled.chunks_relaxed == 4 * cycle // ek.SWING_CHUNK
+        assert per_cycle[0] > 0  # the first chunk builds the maps
+        assert per_cycle[1:] == [0, 0, 0]
+
+    def test_loops_advanced_in_turn_match_each_alone(self, hybrid, hybrid_comparison):
+        # From the GIS snapshot with probes and without, and faulted from it:
+        # cycles, then 150 steps (a chunk of 100 and one of 50), then cycles.
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        record = [b.id for b in hybrid.buses]
+        faulted = ek.apply_fault(net, "B7", 1e-6)
+        starts = [(net, init, record), (net, init, []),
+                  (faulted, ek.migrate_state(faulted, init), record)]
+        lengths = [400, 400, 150, 400]
+
+        def loop(net, state, record):
+            return ek.CompiledNet(net, self.DT, state, None, record, 400)
+
+        def advance(compiled, length):
+            samples = np.zeros((len(compiled.probes.keys), length))
+            compiled.advance(length, samples)
+            return samples
+
+        alone = []
+        for start in starts:
+            compiled = loop(*start)
+            alone.append(([advance(compiled, n) for n in lengths], compiled.state()))
+        loops = [loop(*start) for start in starts]
+        in_turn = [[] for _ in loops]
+        for n in lengths:
+            for compiled, out in zip(loops, in_turn):
+                out.append(advance(compiled, n))
+        for compiled, got, (want, want_state) in zip(loops, in_turn, alone):
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+            state = compiled.state()
+            for name, value in vars(want_state).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(state, name).tobytes() == value.tobytes(), name
+                else:
+                    assert getattr(state, name) == value, name
 
 
 class TestProbeSet:
