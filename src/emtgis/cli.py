@@ -18,10 +18,12 @@ malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period; a compare window that starts before its
 initialized snapshot; a run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
-unreadable snapshot or a start state whose phases are not a balanced set,
-5 zero-state comparison run failed to settle.  A failure prints one
-`error:` line; an input error writes nothing, not even --out, a failed run
-its trace.csv (coordination) or report.json (stage) if it has one.
+unreadable snapshot (its nodes, elements, machines or dt differ from the
+case's, or it is no version-3 snapshot file) or a start state whose phases
+are not a balanced set, 5 zero-state comparison run failed to settle.  A
+failure prints one `error:` line; an input error writes nothing, not even
+--out, a failed run its trace.csv (coordination) or report.json (stage)
+if it has one.
 """
 
 from __future__ import annotations

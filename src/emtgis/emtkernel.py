@@ -185,8 +185,9 @@ class Machine:
 
     The EMF node and series inductor are explicit members of the network;
     this record carries their ids plus the mechanical state parameters.
-    delta0/emf_rms/pm are the build-time operating point; the dynamic copy
-    lives in EmtState.  A machine with inertia_h = 0 has a fixed rotor.
+    delta0/emf_rms/pm are the build-time operating point; EmtState carries
+    delta and pm on from it, and the EMF never changes.  A machine with
+    inertia_h = 0 has a fixed rotor.
     """
 
     mid: str
@@ -299,10 +300,10 @@ class EmtState:
     """Complete instantaneous state of one network at one step.
 
     v_nodes/elem_i are the instantaneous values at the stamped time;
-    hist_u/hist_i are the per-element histories one step behind it, so the
-    companion relation i = G u + H hist_u + J hist_i holds exactly at every
-    stamped state (element voltages u recompute from v_nodes).  The run
-    that steps it sets the source ramp (`SimConfig.t_ramp`).
+    i_hist is each element's history current h u(t-dt) + j i(t-dt), zero
+    on resistors, so the companion relation i = g u + i_hist holds exactly
+    at every stamped state (u recomputes from v_nodes); the EMFs are the
+    net's.  The run that steps it sets the source ramp (`SimConfig.t_ramp`).
     """
 
     step: int
@@ -312,11 +313,9 @@ class EmtState:
     machine_ids: tuple[str, ...]
     v_nodes: np.ndarray        # (n_nodes, 3)
     elem_i: np.ndarray         # (n_elements, 3) element current at t
-    hist_u: np.ndarray         # (n_elements, 3) element voltage at t - dt
-    hist_i: np.ndarray         # (n_elements, 3) element current at t - dt
+    i_hist: np.ndarray         # (n_elements, 3) history current from t - dt
     machine_delta: np.ndarray
     machine_speed_dev: np.ndarray
-    machine_emf: np.ndarray
     machine_pm: np.ndarray
 
     def copy(self) -> "EmtState":
@@ -336,6 +335,8 @@ def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
         raise IncompatibleSnapshot("node set differs from network")
     if state.element_ids != tuple(e.eid for e in net.elements):
         raise IncompatibleSnapshot("element set differs from network")
+    if state.machine_ids != tuple(m.mid for m in net.machines):
+        raise IncompatibleSnapshot("machine set differs from network")
     if abs(state.dt - dt) > 1e-18:
         raise IncompatibleSnapshot(
             f"snapshot dt {state.dt} differs from configured dt {dt}"
@@ -353,12 +354,12 @@ def migrate_state(net: EmtNet, state: EmtState) -> EmtState:
         raise IncompatibleSnapshot("topology change is not an element append")
     pad = np.zeros((len(eids) - len(state.element_ids), 3))
     return replace(state.copy(), element_ids=eids, **{
-        f: np.vstack([getattr(state, f), pad]) for f in ("elem_i", "hist_u", "hist_i")})
+        f: np.vstack([getattr(state, f), pad]) for f in ("elem_i", "i_hist")})
 
 
 def zero_state(net: EmtNet, dt: float) -> EmtState:
     """De-energized state of a network at step 0; machines at their
-    build-time angle, EMF and mechanical power."""
+    build-time angle and mechanical power."""
     ne, nm = len(net.elements), len(net.machines)
     return EmtState(
         step=0,
@@ -368,11 +369,9 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
         machine_ids=tuple(m.mid for m in net.machines),
         v_nodes=np.zeros((len(net.nodes), 3)),
         elem_i=np.zeros((ne, 3)),
-        hist_u=np.zeros((ne, 3)),
-        hist_i=np.zeros((ne, 3)),
+        i_hist=np.zeros((ne, 3)),
         machine_delta=np.array([m.delta0 for m in net.machines], dtype=float),
         machine_speed_dev=np.zeros(nm),
-        machine_emf=np.array([m.emf_rms for m in net.machines], dtype=float),
         machine_pm=np.array([m.pm for m in net.machines], dtype=float),
     )
 
@@ -403,8 +402,8 @@ class _SwingMaps:
         self.guess_map = swing[:ne, ne:].copy()
         self.amplitude = amplitude    # (ne,): sqrt2 emf
         # (w + ne, b*w): from [w_0; e], w at the chunk's b - 1 probe blocks'
-        # starts after the first (none without probes), then w in the first
-        # buffer the chunk hands on.
+        # starts after the first (none without probes), then w in the buffer
+        # a step before the chunk's end, the first one it hands on.
         self.w_at = w_at
 
         self.x = np.empty(ne + 4 * nsw)
@@ -441,8 +440,7 @@ class _SwingMaps:
         self.phases = np.empty((3, self.taken.shape[1]))
         self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
             :, :length].transpose(2, 0, 1)
-        low = max(length - 2, 0)  # the first buffer a chunk hands on
-        self.handed_emfs = list(self.e.reshape(2, length, nsw)[:, low:].transpose(1, 0, 2))
+        self.handed_emf = self.e[:, ne - nsw:]  # the EMFs of the last step
         # The end step's amplitudes and power sums: the next chunk's guess.
         self.amplitude_end, self.power_end = amplitude[ne - nsw:], self.power[ne - nsw:]
 
@@ -457,10 +455,10 @@ class CompiledNet:
     EMFs and for sources that ramp linearly over t_ramp seconds from t = 0
     (None: sources at full scale throughout), resolves the probes
     (`probes`), builds the probes' map of `relax`, and allocates `length`
-    + 2 buffers, with room for w*t at the step after each.  Slot 1 holds
-    the buffer at step n, and slot 0 the one a step before it once the loop
-    has carried it over; `advance` steps from slot 1 through the (buffer,
-    next buffer) view pairs, and `state` rebuilds the state at step n.
+    + 1 buffers, with room for w*t at the step after each.  Slot 0 holds
+    the buffer at step n; `advance` steps from it through the (buffer, next
+    buffer) view pairs, and `state` rebuilds the state at step n from the
+    buffer a step before it.
 
     The network's only memory is the history current ih = h*(D v) + j*i
     of each inductor and capacitor (n_lc of them; a resistor's is zero).
@@ -499,8 +497,8 @@ class CompiledNet:
     the loop's edges need x, in phases: the x of step n is (O z^T) K of the
     buffer at step n - 1, after its EMF rows are written.  `ProbeSet.sample`
     applies the probes' rows of O, K^T folded in, to a stack of buffers,
-    and `state` rebuilds x and the histories from the buffers one and two
-    steps back.
+    and `state` rebuilds x and the history currents, K^T of its ih rows,
+    from that one buffer.
 
     `step` is the one product, for the ramp and for a net without a
     swinging machine.  After the ramp, `relax` advances a net with
@@ -579,8 +577,8 @@ class CompiledNet:
             p[node, ne + c] = 1.0
 
         # ih = H x on the L/C elements; x' = W ih + B v_k.
-        lc = [k for k, e in enumerate(net.elements)
-              if e.kind in (ElementKind.INDUCTOR, ElementKind.CAPACITOR)]
+        self.lc = lc = [k for k, e in enumerate(net.elements)
+                        if e.kind in (ElementKind.INDUCTOR, ElementKind.CAPACITOR)]
         self.n_lc = len(lc)
         self.hist = np.hstack([h[:, None] * d, np.diag(j)])[lc]
         p_h, p_k = p[:, lc], p[:, ne:]
@@ -613,13 +611,18 @@ class CompiledNet:
         # at full source scale (0 without a ramp).
         self.start = state
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, dt)
-        self.outputs, self.ramp_map, self.post_map = self._step_maps(state, t_ramp)
+        # The machines, one row [delta, speed_dev, emf, pm] each, the EMFs
+        # the net's.
+        self.machines = np.column_stack([
+            state.machine_delta, state.machine_speed_dev,
+            [m.emf_rms for m in net.machines], state.machine_pm]).astype(float)
+        self.outputs, self.ramp_map, self.post_map = self._step_maps(t_ramp)
         self.probes = ProbeSet(self, record)
         # `relax`'s EMF amplitudes sqrt2 emf, one per swinging machine, and
         # its maps and buffers per chunk length.  The probes' map gives a
         # block's samples from its start's w and its EMFs; it has no columns
         # without swinging machines or probes.
-        self.amplitude = SQRT2 * state.machine_emf[self.swinging]
+        self.amplitude = SQRT2 * self.machines[self.swinging, 2]
         self.swing_maps: dict[int, _SwingMaps] = {}
         self.probe_map = np.zeros((0, 0))
         if self.swinging.size and self.probes.rows.size:
@@ -628,33 +631,30 @@ class CompiledNet:
         # The electrical power per swinging machine that the next chunk's
         # first angle guess assumes over the whole chunk; `relax` updates it.
         self.pe_guess = state.machine_pm[self.swinging].astype(float)
-        # The machines, one row [delta, speed_dev, emf, pm] each, and the
-        # stack, whose slot 1 holds the start's history currents and its
+        # The stack, whose slot 0 holds the start's history currents and its
         # anchored oscillator.
-        self.machines = np.column_stack([state.machine_delta, state.machine_speed_dev,
-                                         state.machine_emf, state.machine_pm]).astype(float)
-        self.stack = np.zeros((length + 2, 2, self.rows))
+        self.stack = np.zeros((length + 1, 2, self.rows))
         # For `relax`, w*t at the step after the one each slot of the stack
         # holds; `advance` sets it from the clock.
-        self.slots = np.arange(length + 2.0)[:, None]
+        self.slots = np.arange(1, length + 2.0)[:, None]
         self.wt = np.empty_like(self.slots)
         ih = self.hist @ np.vstack([state.v_nodes, state.elem_i])
-        self.stack[1, :, :self.n_lc] = TWO_AXIS.dot(ih.T) / 1.5
-        self.anchor(self.stack[1], state.step)
-        self.pairs = list(zip(self.stack[1:-1], self.stack[2:]))
+        self.stack[0, :, :self.n_lc] = TWO_AXIS.dot(ih.T) / 1.5
+        self.anchor(self.stack[0], state.step)
+        self.pairs = list(zip(self.stack[:-1], self.stack[1:]))
         self.n = state.step
-        self.pos = 1  # stack index of the buffer at step n
+        self.pos = 0  # stack index of the buffer at step n
 
-    def _step_maps(self, state: EmtState, t_ramp: float | None) -> tuple:
+    def _step_maps(self, t_ramp: float | None) -> tuple:
         """O during a ramp over t_ramp seconds and after it, and T^T for
-        the same two (see the class docstring); without a ramp, both are
-        the maps after it."""
+        the same two (see the class docstring), at the start's rotor
+        angles; without a ramp, both are the maps after it."""
         m, rot = self.n_lc, self.rotation
         # A machine at rotor angle d is a source of peak sqrt2*emf and angle
         # d: sqrt2 emf cos(wt + d) = sqrt2 emf (cos d r_c - sin d r_s).
-        b_peak = self.b_machines * (SQRT2 * state.machine_emf)
-        emf_cols = np.stack([b_peak * np.cos(state.machine_delta),
-                             -b_peak * np.sin(state.machine_delta)], axis=-1)
+        delta, emf = self.machines[:, 0], self.machines[:, 2]
+        b_peak = self.b_machines * (SQRT2 * emf)
+        emf_cols = np.stack([b_peak * np.cos(delta), -b_peak * np.sin(delta)], axis=-1)
         fixed = np.isin(np.arange(len(self.net.machines)), self.swinging, invert=True)
 
         post = np.zeros((self.size, self.rows))
@@ -739,13 +739,12 @@ class CompiledNet:
         swing = np.zeros((length + 1, nsw, length + 4, nsw))
         own = np.arange(nsw)
         swing[:, own, :, own] = np.concatenate([angle, speed[:, -1:]], axis=1)
-        low = max(length - 2, 0)  # the first buffer a chunk hands on
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T,
             swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
             np.hstack([self._w_map(length, blocks),
-                       self._w_map(length, range(low, low + 1))]), self.probe_map)
+                       self._w_map(length, range(length - 1, length))]), self.probe_map)
         return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
@@ -766,27 +765,23 @@ class CompiledNet:
     def state(self) -> EmtState:
         """The state at step n, the start state itself before any step.
 
-        It is rebuilt from the buffers one step (z) and two steps (z_prev)
-        behind it; at the first step of the loop, the start state stands
-        in for z_prev's output.  The element currents are recomputed from
-        the histories in companion form, so `companion_replay` reproduces
-        them bit for bit.  The state shares no array with the loop.
+        It is rebuilt from the buffer z one step behind it, whose L/C rows
+        hold the history currents that step n was computed from: the node
+        voltages of x = (O z^T) K, and i_hist = K^T of those rows.  The
+        element currents are recomputed in companion form, g*(D v) +
+        i_hist, so `companion_replay` reproduces them bit for bit.  The
+        state shares no array with the loop.
         """
-        n, start, nn, net = self.n, self.start, self.n_nodes, self.net
-        if n == start.step:
-            return start
-        x = self.output(self.stack[self.pos - 1], n)
-        if n - 1 == start.step:
-            prev = np.vstack([start.v_nodes, start.elem_i])
-        else:
-            prev = self.output(self.stack[self.pos - 2], n - 1)
-        hist_i = prev[nn:].copy()
-        delta, dw, emf, pm = self.machines.T.copy()
+        if self.n == self.start.step:
+            return self.start
+        z, net = self.stack[self.pos - 1], self.net
+        i_hist = np.zeros((len(self.element_ids), 3))
+        i_hist[self.lc] = z[:, :self.n_lc].T.dot(TWO_AXIS)
+        delta, dw, _, pm = self.machines.T.copy()
         state = EmtState(
-            n, self.dt, net.nodes, self.element_ids, tuple(m.mid for m in net.machines),
-            x[:nn].copy(), np.empty_like(hist_i), self.incidence.dot(prev[:nn]), hist_i,
-            delta, dw, emf, pm,
-        )
+            self.n, self.dt, net.nodes, self.element_ids, tuple(m.mid for m in net.machines),
+            self.output(z, self.n)[:self.n_nodes].copy(), np.empty_like(i_hist), i_hist,
+            delta, dw, pm)
         state.elem_i = companion_replay(self, state)
         return state
 
@@ -806,21 +801,21 @@ class CompiledNet:
         x.dot(self.ramp_map if ramp else self.post_map, out)
 
     def advance(self, length: int, samples: np.ndarray) -> None:
-        """Advance `length` <= the stack's length steps from step n,
+        """Advance 1 <= `length` <= the stack's length steps from step n,
         writing the probe samples of steps n + 1 .. n + length into
         samples, one column per step.
 
-        The buffers at steps n - 1 and n carry over to slots 0 and 1, and
-        the oscillator is re-anchored from the clock at step n.  Ramp
-        steps, and every step of a net without a swinging machine, take
-        one `step` each, and their samples one product.  After
-        the ramp, a net with swinging machines advances in relaxed chunks
-        of at most SWING_CHUNK steps (`relax`).
+        The buffer at step n carries over to slot 0, and the oscillator is
+        re-anchored from the clock at step n.  Ramp steps, and every step
+        of a net without a swinging machine, take one `step` each, and
+        their samples one product.  After the ramp, a net with swinging
+        machines advances in relaxed chunks of at most SWING_CHUNK steps
+        (`relax`).
         """
         stack, n = self.stack, self.n
-        if self.pos > 1:
-            stack[:2] = stack[self.pos - 1:self.pos + 1]
-        self.anchor(stack[1], n)
+        if self.pos:
+            stack[0] = stack[self.pos]
+        self.anchor(stack[0], n)
         # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
         ramp_steps = min(max(self.ramp_end - n - 1, 0), length)
         stepped = ramp_steps if self.swinging.size else length
@@ -829,17 +824,17 @@ class CompiledNet:
             step(x, out, True)
         for x, out in islice(pairs, stepped - ramp_steps):
             step(x, out, False)
-        self.probes.sample(stack[1:stepped + 1], samples[:, :stepped], ramp_steps)
+        self.probes.sample(stack[:stepped], samples[:, :stepped], ramp_steps)
         if stepped < length:
-            # Slot k holds step n + k - 1, the step before n + k.
+            # Slot k holds step n + k, the step before n + k + 1.
             wt = self.wt
             np.add(self.slots, n, out=wt)
             wt *= self.dt
             wt *= self.omega
-        for first in range(stepped + 1, length + 1, SWING_CHUNK):
-            size = min(SWING_CHUNK, length + 1 - first)
-            self.relax(first, size, samples[:, first - 1:first - 1 + size])
-        self.n, self.pos = n + length, length + 1
+        for first in range(stepped, length, SWING_CHUNK):
+            size = min(SWING_CHUNK, length - first)
+            self.relax(first, size, samples[:, first:first + size])
+        self.n, self.pos = n + length, length
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= SWING_CHUNK
@@ -858,11 +853,11 @@ class CompiledNet:
         column per step, and advances the machines in place.  The samples
         come from one product of the probes' map with the chunk's probe
         blocks, each block's start w and its EMFs, then K^T.
-        Of the chunk's buffers it rebuilds only the last two, with their
-        EMF rows written, and the rows before the machines' of its end
-        buffer: the loop's edges (`state`) and the next chunk read no
-        other.  The first of them comes from [w_0; e] by its own map, the
-        others by `step`'s product, so no probe moves their rounding.
+        Of the chunk's buffers it hands on two: the one a step before its
+        end, with its EMF rows written, and the rows before the machines'
+        of its end buffer.  The loop's edges (`state`) and the next chunk
+        read no other.  The first comes from [w_0; e] by its own map, the
+        second by `step`'s product, so no probe moves their rounding.
         """
         m = self.swing_maps.get(length) or self._swing_maps(length)
         w, stack, swinging = self.n_lc + 4, self.stack, self.swinging
@@ -912,12 +907,10 @@ class CompiledNet:
             m.probe_rows.dot(self.probe_map, m.taken_rows)
             TWO_AXIS.T.dot(m.taken, m.phases)
             samples.reshape(-1, 3, length)[:] = m.phase_samples
-        low = max(length - 2, 0)
-        rebuilt = stack[first + low:first + length + 1]
-        rebuilt[0, :, :w] = m.handed
-        for k, emf in enumerate(m.handed_emfs):
-            rebuilt[k, :, w:] = emf
-            rebuilt[k].dot(self.post_map, rebuilt[k + 1])
+        before_end = stack[first + length - 1]
+        before_end[:, :w] = m.handed
+        before_end[:, w:] = m.handed_emf
+        before_end.dot(self.post_map, stack[first + length])
 
 
 def _first_full_step(t_ramp: float, dt: float) -> int:
@@ -1129,8 +1122,7 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
     state.elem_i bit for bit.
     """
     u_now = compiled.incidence.dot(state.v_nodes)
-    i_hist = compiled.h * state.hist_u + compiled.j * state.hist_i
-    return compiled.g * u_now + i_hist
+    return compiled.g * u_now + state.i_hist
 
 
 # --- phasor-domain solves on the same network ------------------------------------

@@ -121,7 +121,7 @@ class UnknownProbe(EmtgisError):
 
 
 class IncompatibleSnapshot(EmtgisError):
-    """Snapshot does not fit the network or step size, or is no version-2 snapshot file."""
+    """Snapshot does not fit the network or step size, or is no version-3 snapshot file."""
 
 
 class UnsupportedElement(EmtgisError):

@@ -302,8 +302,8 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
     `net` is the EMT model to initialize, `build_main_net(case, pf)` in
     the pipeline, built once by the caller.  Per component the port
     current phasor is conj(S/V); machine EMFs come from the phasor diagram;
-    histories are instantaneous values one step back, peak-scaled.  Node
-    and element phasors come from a nodal solve with the
+    history currents are instantaneous values one step back, peak-scaled.
+    Node and element phasors come from a nodal solve with the
     discrete-companion admittances, so the kernel continues the periodic
     steady state without any startup transient.  boundary_draw carries the
     power each region pulls from its torn node so the state is consistent
@@ -328,8 +328,8 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
 def _state_from_phasors(net: EmtNet, node_ph: np.ndarray, elem_ph: np.ndarray,
                         dt: float) -> EmtState:
     """The state at step 0 (t = 0) of the phasors `phasor_solve` returns,
-    histories at -dt; machines keep `zero_state`'s rotors and take the
-    phasors' power, the EMF node's phasor times its branch current."""
+    history currents h u + j i at -dt; machines keep `zero_state`'s rotors
+    and take the phasors' power, EMF node phasor times branch current."""
     state = ek.zero_state(net, dt)
 
     def inst(ph: np.ndarray, t: float) -> np.ndarray:
@@ -338,9 +338,9 @@ def _state_from_phasors(net: EmtNet, node_ph: np.ndarray, elem_ph: np.ndarray,
     n_from, n_to = ek.element_terminals(net)
     du = np.append(node_ph, 0.0)
     du = du[n_from] - du[n_to]
+    _, h, j = ek.companion_arrays(net, dt)
     state.v_nodes[:] = inst(node_ph, 0.0)
-    state.hist_u[:] = inst(du, -dt)
-    state.hist_i[:] = inst(elem_ph, -dt)
+    state.i_hist[:] = inst(h * du + j * elem_ph, -dt)
     state.elem_i[:] = inst(elem_ph, 0.0)
     emf = [net.nodes.index(m.emf_node) for m in net.machines]
     branch = [state.element_ids.index(m.branch_eid) for m in net.machines]
@@ -526,10 +526,10 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
               for name in sorted(snapshots, key=lambda n: n != MAIN_SUBSYSTEM)]
     deviation = np.zeros(len(merged.node_ids))
     shared = np.zeros(len(merged.node_ids), dtype=bool)
-    for ids, fields in (("element_ids", ("elem_i", "hist_u", "hist_i")),
+    for ids, fields in (("element_ids", ("elem_i", "i_hist")),
                         ("node_ids", ("v_nodes",)),
                         ("machine_ids", ("machine_delta", "machine_speed_dev",
-                                         "machine_emf", "machine_pm"))):
+                                         "machine_pm"))):
         index = {x: k for k, x in enumerate(getattr(merged, ids))}
         owned = np.zeros(len(index), dtype=bool)
         for st in states:
@@ -763,21 +763,20 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
 # --- snapshot file round trip ------------------------------------------------------
 
 # The `EmtState` fields under a snapshot file's "state": three id lists, then
-# v_nodes (phases a, b, c per node), elem_i, hist_u and hist_i (per element)
-# and one value per machine.  Its step and dt are "timestamp_steps" and "dt".
+# v_nodes (phases a, b, c per node), elem_i and i_hist (per element) and one
+# value per machine.  Its step and dt are "timestamp_steps" and "dt".
 STATE_FIELDS = ("node_ids", "element_ids", "machine_ids", "v_nodes", "elem_i",
-                "hist_u", "hist_i", "machine_delta", "machine_speed_dev",
-                "machine_emf", "machine_pm")
+                "i_hist", "machine_delta", "machine_speed_dev", "machine_pm")
 
 
 def save_snapshot(snap: Snapshot, path: str | Path) -> None:
-    """Write a snapshot file (version 2): one JSON object of "version",
+    """Write a snapshot file (version 3): one JSON object of "version",
     "subsystem", "timestamp_steps", "dt", "frequency_hz", "provenance",
     "parts", "state" (each of STATE_FIELDS as nested lists) and
     "boundary_phasors" (bus: [|V|, angle V, |I|, angle I]).  json writes
     every float in its shortest exact form, -0.0 and NaN included."""
     st = snap.emt_state
-    doc = {"version": 2, "subsystem": snap.subsystem,
+    doc = {"version": 3, "subsystem": snap.subsystem,
            "timestamp_steps": int(snap.timestamp_steps), "dt": st.dt,
            "frequency_hz": snap.frequency_hz, "provenance": snap.provenance,
            "parts": snap.parts,
@@ -789,20 +788,21 @@ def save_snapshot(snap: Snapshot, path: str | Path) -> None:
 
 def load_snapshot(path: str | Path) -> Snapshot:
     """Read a file `save_snapshot` wrote.  A missing file raises
-    FileNotFoundError; any other that is not a version-2 snapshot (not a
-    JSON object, a key missing, a value of the wrong type, an array whose
-    shape disagrees with its ids) raises IncompatibleSnapshot."""
+    FileNotFoundError; any other that is not a version-3 snapshot (not a
+    JSON object, an earlier version, a key missing, a value of the wrong
+    type, an array whose shape disagrees with its ids) raises
+    IncompatibleSnapshot."""
     try:
         doc = json.loads(Path(path).read_bytes())
-        if doc.get("version") != 2:
-            raise IncompatibleSnapshot(f"{path}: snapshot version {doc.get('version')!r}, not 2")
+        if doc.get("version") != 3:
+            raise IncompatibleSnapshot(f"{path}: snapshot version {doc.get('version')!r}, not 3")
         state, parts = doc["state"], dict(doc["parts"])
         ids = [tuple(state[f]) for f in STATE_FIELDS[:3]]
         strings = [doc["subsystem"], doc["provenance"], *parts.values(), *sum(ids, ())]
         if not all(isinstance(s, str) for s in strings):
             raise TypeError("an id, part, subsystem or provenance is not a string")
         n, e, m = map(len, ids)
-        shapes = [(n, 3), (e, 3), (e, 3), (e, 3), (m,), (m,), (m,), (m,)]
+        shapes = [(n, 3), (e, 3), (e, 3), (m,), (m,), (m,)]
         fields = dict(zip(STATE_FIELDS, ids))
         fields.update((f, _floats(f, state[f], shape))
                       for f, shape in zip(STATE_FIELDS[3:], shapes))
@@ -811,7 +811,7 @@ def load_snapshot(path: str | Path) -> Snapshot:
         boundary = {bus: tuple(Phasor(*vi) for vi in _floats(bus, ph, (4,)).reshape(2, 2).tolist())
                     for bus, ph in doc["boundary_phasors"].items()}
     except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        raise IncompatibleSnapshot(f"{path} is not a version-2 snapshot: {exc!r}") from exc
+        raise IncompatibleSnapshot(f"{path} is not a version-3 snapshot: {exc!r}") from exc
     return Snapshot(doc["subsystem"], frequency_hz, EmtState(step=step, dt=dt, **fields),
                     boundary, doc["provenance"], parts)
 

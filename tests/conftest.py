@@ -204,11 +204,9 @@ def subset_state(state, node_ids, element_ids, machine_ids=()):
         machine_ids=tuple(machine_ids),
         v_nodes=state.v_nodes[n_idx].copy(),
         elem_i=state.elem_i[e_idx].copy(),
-        hist_u=state.hist_u[e_idx].copy(),
-        hist_i=state.hist_i[e_idx].copy(),
+        i_hist=state.i_hist[e_idx].copy(),
         machine_delta=state.machine_delta[m_idx].copy(),
         machine_speed_dev=state.machine_speed_dev[m_idx].copy(),
-        machine_emf=state.machine_emf[m_idx].copy(),
         machine_pm=state.machine_pm[m_idx].copy(),
     )
 

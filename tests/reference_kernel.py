@@ -81,13 +81,11 @@ class ReferenceNet:
         self.w_mat = gmat[np.ix_(u, self.known_idx)]
         self.g_red = gmat[np.ix_(u, u)]
 
-    def known_voltages(self, t, scale, machine_delta, machine_emf):
-        rms = self.known_rms.copy()
+    def known_voltages(self, t, scale, machine_delta):
         ang = self.known_angle.copy()
-        rms[self.machine_emf_pos] = machine_emf
         ang[self.machine_emf_pos] = machine_delta
         arg = self.omega * t + ang[:, None] + ek.PHASE_SHIFT[None, :]
-        return ek.SQRT2 * scale * rms[:, None] * np.cos(arg)
+        return ek.SQRT2 * scale * self.known_rms[:, None] * np.cos(arg)
 
     def step(self, state: ek.EmtState, ramp: bool, t_ramp: float) -> ek.EmtState:
         dt = self.dt
@@ -102,7 +100,7 @@ class ReferenceNet:
         np.add.at(inj, self.ef, -i_hist)
         np.add.at(inj, self.et, i_hist)
 
-        v_k = self.known_voltages(t_new, scale, state.machine_delta, state.machine_emf)
+        v_k = self.known_voltages(t_new, scale, state.machine_delta)
         v_full = np.zeros((self.n_nodes + 1, 3))
         v_full[self.known_idx] = v_k
         rhs = inj[self.unknown_idx] - self.w_mat @ v_k
@@ -115,8 +113,7 @@ class ReferenceNet:
         out.step = state.step + 1
         out.v_nodes = v_full[: self.n_nodes]
         out.elem_i = i_new
-        out.hist_u = u_now
-        out.hist_i = state.elem_i.copy()
+        out.i_hist = i_hist
 
         if len(self.machine_branch):
             e_v = v_full[self.known_idx[self.machine_emf_pos]]
@@ -152,8 +149,7 @@ def reference_migrate(state: ek.EmtState, net: ek.EmtNet) -> ek.EmtState:
     out = state.copy()
     out.element_ids = tuple(e.eid for e in net.elements)
     out.elem_i = np.vstack([out.elem_i, pad])
-    out.hist_u = np.vstack([out.hist_u, pad])
-    out.hist_i = np.vstack([out.hist_i, pad])
+    out.i_hist = np.vstack([out.i_hist, pad])
     return out
 
 

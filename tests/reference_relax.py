@@ -5,10 +5,12 @@ the rotors' two-axis frame.  Its maps cover a whole chunk of SWING_CHUNK
 steps, a shorter chunk takes their leading blocks, and a sweep forms the
 three phases' EMFs, then the machines' currents, the power summed over the
 phases and the angles.  After the sweeps, one map of [w_0; e] gives w at
-every probe block start and in the buffers the chunk rebuilds.  The only
-edits are the ones its move out of the class forces: the compiled net,
-its probe rows and the power guess are arguments.  Kept as the oracle of
-the two-axis relax's equivalence test.
+every probe block start and in the two buffers the chunk hands on.  The
+only edits are the ones its move out of the class forces (the compiled
+net, its probe rows and the power guess are arguments), and one a loop's
+state forces: it hands on the buffers a step before the chunk's end and
+at its end, as a state is rebuilt from the buffer a step back.  Kept as
+the oracle of the two-axis relax's equivalence test.
 """
 
 from typing import NamedTuple
@@ -37,7 +39,7 @@ class ReferenceSwingMaps(NamedTuple):
     powers: np.ndarray      # (N + 1, w, w): T_ww^k
     impulse: np.ndarray     # (N, w, nsw): T_ww^d T_we
     w_maps: dict            # chunk length: map of [w_0; e] to w at every block
-    #                         start, then in the buffers the chunk rebuilds
+    #                         start, then in the buffers the chunk hands on
 
 
 def reference_swing_maps(compiled: ek.CompiledNet, probe_rows, emf) -> ReferenceSwingMaps:
@@ -93,7 +95,7 @@ def reference_swing_maps(compiled: ek.CompiledNet, probe_rows, emf) -> Reference
 
 def _w_map(maps: ReferenceSwingMaps, w: int, nsw: int, length: int) -> np.ndarray:
     n = SWING_CHUNK
-    steps = list(range(0, n, PROBE_BLOCK)) + list(range(max(length - 2, 0), length + 1))
+    steps = list(range(0, n, PROBE_BLOCK)) + [length - 1, length]
     m = np.zeros((len(steps), w, w + n * nsw))
     for i, k in enumerate(steps):
         m[i, :, :w] = maps.powers[k]
@@ -152,8 +154,7 @@ def reference_relax(compiled: ek.CompiledNet, maps: ReferenceSwingMaps, stack, f
         taken = np.dot(xb.reshape(3 * blocks, -1), maps.probes).reshape(
             3, n, maps.n_probes)
         samples[:] = taken[:, :length].transpose(2, 0, 1).reshape(-1, length)
-    low = max(length - 2, 0)
-    rebuilt = stack[first + low:first + length + 1]
-    rebuilt[:, :, :w] = at[blocks:].transpose(0, 2, 1)
-    rebuilt[:-1, :, w:] = e.reshape(length, nsw, 3)[low:].transpose(0, 2, 1)
+    handed = stack[first + length - 1:first + length + 1]
+    handed[:, :, :w] = at[blocks:].transpose(0, 2, 1)
+    handed[0, :, w:] = e[ne - nsw:].T
     return power[ne - nsw:] / 3.0, sweeps

@@ -5,9 +5,11 @@ by one index of the full net's ids.  Every element and machine id maps to
 one (subsystem, row) owner, the element's first and the machine's last in
 snapshot order; every node id maps to all its owners, main first.  The
 merged state is filled one full-net id at a time.  The only edits are the
-ones the `Snapshot` type forces: a snapshot's dt is its state's, and its
-step is no constructor argument.  Kept as the oracle of the indexed
-splice's equivalence test.
+ones the `Snapshot` and `EmtState` types force: a snapshot's dt is its
+state's, its step is no constructor argument, and an element carries one
+history current where it carried a voltage and a current one step back,
+and a machine no EMF.  Kept as the oracle of the indexed splice's
+equivalence test.
 """
 
 import numpy as np
@@ -61,8 +63,7 @@ def reference_splice(snapshots: dict[str, sn.Snapshot], schedule: sn.SpliceSched
         name, src_k = elem_owner[e.eid]
         st = snapshots[name].emt_state
         merged.elem_i[k] = st.elem_i[src_k]
-        merged.hist_u[k] = st.hist_u[src_k]
-        merged.hist_i[k] = st.hist_i[src_k]
+        merged.i_hist[k] = st.i_hist[src_k]
 
     deviations: dict[str, float] = {}
     for k, nid in enumerate(full_net.nodes):
@@ -86,7 +87,6 @@ def reference_splice(snapshots: dict[str, sn.Snapshot], schedule: sn.SpliceSched
         st = snapshots[name].emt_state
         merged.machine_delta[k] = st.machine_delta[src_k]
         merged.machine_speed_dev[k] = st.machine_speed_dev[src_k]
-        merged.machine_emf[k] = st.machine_emf[src_k]
         merged.machine_pm[k] = st.machine_pm[src_k]
 
     boundary_phasors = {}

@@ -152,6 +152,15 @@ def initialized(tmp_path_factory):
     return out_dir
 
 
+def version_2(doc):
+    """A snapshot file in version 2's layout: hist_u, hist_i and
+    machine_emf where version 3 holds i_hist."""
+    state = {k: v for k, v in doc["state"].items() if k != "i_hist"}
+    state.update(hist_u=[[0.0] * 3 for _ in state["element_ids"]],
+                 hist_i=state["elem_i"], machine_emf=[1.0 for _ in state["machine_ids"]])
+    return {**doc, "version": 2, "state": state}
+
+
 class TestSimulate:
 
     def test_from_snapshot_holds_flat_rms(self, initialized, tmp_path):
@@ -224,13 +233,34 @@ class TestSimulate:
         assert "not a balanced set" in out.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("machines", [
+        lambda state: {"machine_ids": ["ghost"] + state["machine_ids"][1:]},
+        lambda state: {f: [] for f in ("machine_ids", "machine_delta",
+                                       "machine_speed_dev", "machine_pm")},
+    ], ids=["renamed", "emptied"])
+    def test_foreign_machine_set_maps_to_exit_4(self, hybrid_comparison, tmp_path,
+                                                machines):
+        # Nodes, elements and dt fit the case; its machines do not.
+        path = tmp_path / "snapshot.json"
+        sn.save_snapshot(hybrid_comparison["result"].snapshot, path)
+        doc = read_json(path)
+        doc["state"].update(machines(doc["state"]))
+        path.write_text(json.dumps(doc))
+        out = run_cli("simulate", case_path("hybrid"), "--snapshot", path,
+                      "--duration", "0.01", "--out", tmp_path / "out")
+        assert out.returncode == 4
+        assert_one_line_error(out)
+        assert "machine set differs" in out.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("malform", [
         lambda doc: "{not json",
         lambda doc: "[1, 2]",
         lambda doc: {"version": 1, "subsystem": "x"},
         lambda doc: {**doc, "version": 1},
         lambda doc: {k: v for k, v in doc.items() if k != "parts"},
-        lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items() if k != "hist_u"}},
+        lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items() if k != "i_hist"}},
+        version_2,
         lambda doc: {**doc, "dt": "5e-05"},
         lambda doc: {**doc, "timestamp_steps": 1.5},
         lambda doc: {**doc, "state": {**doc["state"], "node_ids": 5}},
@@ -239,16 +269,18 @@ class TestSimulate:
         lambda doc: {**doc, "state": {**doc["state"], "machine_pm": [1.0]}},
         lambda doc: {**doc, "boundary_phasors": {"B10": [1.0, 0.0]}},
     ], ids=["not-json", "not-an-object", "version-1-stub", "version-1", "missing-key",
-            "missing-field", "string-dt", "fractional-step", "ids-not-a-list",
+            "missing-field", "version-2", "string-dt", "fractional-step", "ids-not-a-list",
             "rows-short-of-ids", "ragged-phases", "machine-without-id", "phasor-short"])
     def test_malformed_snapshot_maps_to_exit_4(self, initialized, tmp_path, malform):
+        # On the snapshot's own case, so only the malformation can fail it.
         bad = malform(read_json(initialized / "snapshot.json"))
         path = tmp_path / "bad.json"
         path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
-        out = run_cli("simulate", case_path("twobus"), "--snapshot", path,
+        out = run_cli("simulate", case_path("ninebus1"), "--snapshot", path,
                       "--duration", "0.01", "--out", tmp_path / "out")
         assert out.returncode == 4
         assert_one_line_error(out)
+        assert not (tmp_path / "out").exists()
 
     def test_requires_exactly_one_start_mode(self, tmp_path):
         out = run_cli("simulate", case_path("twobus"), "--out", tmp_path)

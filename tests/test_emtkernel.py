@@ -166,7 +166,7 @@ class TestFault:
         waves, got = ek.run(rl_net(), replace(cfg, events=events))
         for key, trace in want_waves.data.items():
             assert np.array_equal(waves.data[key], trace), key
-        for field in ("v_nodes", "elem_i", "hist_u", "hist_i"):
+        for field in ("v_nodes", "elem_i", "i_hist"):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
     def test_infinite_resistance_event_at_unknown_node_rejected(self):
@@ -350,8 +350,8 @@ class TestAffineStepEquivalence:
         compiled.advance(1, np.empty((0, 1)))
         after = compiled.state()
         assert after.step == 1
-        fields = ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
-                  "machine_speed_dev", "machine_emf", "machine_pm")
+        fields = ("v_nodes", "elem_i", "i_hist", "machine_delta",
+                  "machine_speed_dev", "machine_pm")
         for a in fields:
             for b in fields:
                 assert not np.shares_memory(getattr(after, a), getattr(before, b)), (a, b)
@@ -452,9 +452,7 @@ class TestLoopEquivalence:
         assert got.element_ids == want.element_ids
         assert_states_close(got, want, rel)
         scale = max(np.max(np.abs(want.v_nodes)), np.max(np.abs(want.elem_i)))
-        for field in ("hist_u", "hist_i"):
-            diff = getattr(got, field) - getattr(want, field)
-            assert np.max(np.abs(diff)) <= rel * scale, field
+        assert np.max(np.abs(got.i_hist - want.i_hist)) <= rel * scale
 
 
 def region_net(case, model, name):
@@ -573,8 +571,8 @@ class TestHistoryCurrentState:
     """The step buffer holds only what the network remembers: the L/C
     history currents, the oscillator rows and one row per swinging
     machine.  Node voltages and element currents are outputs of it, and a
-    state at a loop edge is rebuilt from the buffers one and two steps
-    back (or from the loop's start state)."""
+    state at a loop edge is rebuilt from the one buffer a step back, whose
+    L/C rows are the state's history currents i_hist."""
 
     DT = 5e-5  # 400 steps a cycle
 
@@ -738,7 +736,7 @@ class TestSwingRelaxation:
         # rounds the maps differently, or a power flow that rounds the GIS
         # snapshot differently, can move a chunk's fixed point, and its
         # count, by one.
-        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 8), (8, 49)]
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 48)]
 
     def test_fault_on_the_start_step_builds_only_the_faulted_net(self, hybrid_comparison,
                                                                  monkeypatch):
@@ -810,7 +808,7 @@ class TestSwingRelaxation:
         (w1, s1), (w2, s2) = ek.run(net, cfg, init=init), ek.run(net, cfg, init=init)
         for k in w1.data:
             assert np.array_equal(w1.data[k], w2.data[k]), k
-        for field in ("v_nodes", "elem_i", "hist_u", "hist_i", "machine_delta",
+        for field in ("v_nodes", "elem_i", "i_hist", "machine_delta",
                       "machine_speed_dev"):
             assert np.array_equal(getattr(s1, field), getattr(s2, field)), field
 
@@ -820,9 +818,10 @@ class TestRelaxMatchesReference:
     built per chunk length; `reference_relax` is the per-phase relax it
     replaced.  From the same stack (two-axis buffers z, and K^T z for the
     reference), machines and power guess, both give the same samples,
-    machines, rebuilt buffers (in phases) and next guess within 1e-12 of
+    machines, handed-on buffers at steps L - 1 and L of a chunk of L (in
+    phases) and next guess within 1e-12 of
     each field's largest value.  Measured, as a share of that value: 4.6e-14
-    on the samples, 5.7e-15 on the buffers, 2.7e-15 on the guess and
+    on the samples, 6.1e-15 on the buffers, 2.7e-15 on the guess and
     1.1e-17 on the machines."""
 
     DT = 5e-5
@@ -845,7 +844,7 @@ class TestRelaxMatchesReference:
                                   [b.id for b in hybrid.buses] if probed else [], length)
         probes = compiled.probes
         compiled.machines[compiled.swinging, 1] = 2e-3  # rotors off their steady speed
-        z, machines = compiled.stack[1].copy(), compiled.machines.copy()
+        z, machines = compiled.stack[0].copy(), compiled.machines.copy()
         maps = reference_swing_maps(compiled, probes.rows, machines[compiled.swinging, 2])
         pe_guess = compiled.pe_guess.copy()
         got, want = [], []
@@ -858,12 +857,12 @@ class TestRelaxMatchesReference:
                 stack = ek.TWO_AXIS.T @ compiled.stack  # compared in phases
             else:
                 # The reference steps the phases' K^T z.
-                stack = np.zeros((length + 2, 3, z.shape[1]))
-                stack[1] = ek.TWO_AXIS.T @ z
+                stack = np.zeros((length + 1, 3, z.shape[1]))
+                stack[0] = ek.TWO_AXIS.T @ z
                 moved = machines.copy()
-                guess, _ = reference_relax(compiled, maps, stack, 1, length, init.step,
+                guess, _ = reference_relax(compiled, maps, stack, 0, length, init.step,
                                            moved, samples, pe_guess)
-            out += [samples, moved, stack[max(length - 2, 0) + 1:], guess]
+            out += [samples, moved, stack[length - 1:], guess]
         assert np.any(got[1][:, 0] != machines[:, 0])
         for name, g, w in zip(["samples", "machines", "buffers", "pe_guess"], got, want):
             assert g.shape == w.shape, name
@@ -1105,7 +1104,7 @@ class TestProbeSet:
         compiled = ek.CompiledNet(rl_net(), 2e-5, ek.zero_state(rl_net(), 2e-5))
         probes = compiled.probes
         assert probes.keys == []
-        assert sample_one(probes, compiled.stack[1]).shape == (0,)
+        assert sample_one(probes, compiled.stack[0]).shape == (0,)
 
 
 class TestCompatibility:
@@ -1121,6 +1120,21 @@ class TestCompatibility:
         _, state = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.01))
         with pytest.raises(IncompatibleSnapshot):
             ek.run(net, ek.SimConfig(dt=1e-4, duration=0.01), init=state)
+
+    @pytest.mark.parametrize("machines", [
+        lambda s: replace(s, machine_ids=("ghost",) + s.machine_ids[1:]),
+        lambda s: replace(s, machine_ids=(), machine_delta=np.zeros(0),
+                          machine_speed_dev=np.zeros(0), machine_pm=np.zeros(0)),
+    ], ids=["renamed", "emptied"])
+    @pytest.mark.parametrize("loop", [ek.run, ek.run_until_steady],
+                             ids=["run", "run_until_steady"])
+    def test_foreign_machine_set_rejected(self, hybrid_model, machines, loop):
+        # Nodes, elements and dt fit; the machines, whose EMFs the loop
+        # takes from the net, do not.
+        net = hybrid_model.full_net
+        state = machines(ek.zero_state(net, 5e-5))
+        with pytest.raises(IncompatibleSnapshot, match="machine set differs"):
+            loop(net, ek.SimConfig(dt=5e-5, duration=0.02), init=state)
 
     def test_unknown_probe_rejected(self):
         with pytest.raises(UnknownProbe):
@@ -1152,7 +1166,7 @@ class TestTwoAxisFrame:
 
     @staticmethod
     def assert_balanced(state):
-        for name in ("v_nodes", "elem_i", "hist_u", "hist_i"):
+        for name in ("v_nodes", "elem_i", "i_hist"):
             x = getattr(state, name)
             assert np.abs(x.sum(axis=1)).max() <= 1e-12 * np.abs(x).max(), name
 

@@ -93,22 +93,28 @@ class TestPhasorInit:
         snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), dt=5e-5)
         st = snap.emt_state
         assert np.max(np.abs(st.elem_i)) < 1e-12
-        assert np.max(np.abs(st.hist_i)) < 1e-12
-        # voltage histories follow the phasor one step back
+        assert np.max(np.abs(st.i_hist)) < 1e-12
+        # the node voltages are the phasors at t = 0
         k = st.node_ids.index("B2")
         assert st.v_nodes[k, 0] == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
     def test_history_currents_are_peak_scaled_phasors(self, twobus):
-        # component with V = 1 angle 0 carrying S = P: history current is
-        # sqrt(2) |I| cos(omega (t0 - dt)) per the port-current rule
+        # an element of voltage phasor U carrying I has the history current
+        # h U + j I one step back: sqrt(2) |h U + j I| cos(omega (t0 - dt)
+        # + its angle), zero on a resistor
         pf = solve_main(PowerFlowProblem(twobus), tol=1e-12)
         net = sn.build_main_net(twobus, pf)
         st = sn.phasor_init(twobus, pf, net, dt=5e-5).emt_state
-        _, elem_ph = ek.phasor_solve(net, dt=5e-5)
+        node_ph, elem_ph = ek.phasor_solve(net, dt=5e-5)
+        _, h, j = ek.companion_arrays(net, 5e-5)
+        v = dict(zip(net.nodes, node_ph))
         for k, e in enumerate(net.elements):
-            expect = ek.SQRT2 * (complex(elem_ph[k])
+            u = v[e.n_from] - (v[e.n_to] if e.n_to else 0.0)
+            expect = ek.SQRT2 * ((h[k] * u + j[k] * complex(elem_ph[k]))
                                  * cmath.exp(1j * OMEGA * (-5e-5))).real
-            assert st.hist_i[k, 0] == pytest.approx(expect, abs=1e-12)
+            assert st.i_hist[k, 0] == pytest.approx(expect, rel=1e-12, abs=1e-12)
+            if e.kind is ek.ElementKind.RESISTOR:
+                assert not st.i_hist[k].any()
 
     def test_machine_case_holds_steady_two_cycles(self):
         case = machine_case()
