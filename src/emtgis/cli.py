@@ -15,8 +15,9 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
-does not divide the period; a compare window that starts before its
-initialized snapshot; a run too large for memory), 2 coordination failed,
+does not divide the period; a --window or --duration that rounds to 0
+steps; a compare window that starts before its initialized snapshot; a
+run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
 unreadable snapshot (its nodes, elements, machines or dt differ from the
 case's, or it is no version-3 snapshot file) or a start state whose phases
@@ -239,6 +240,13 @@ def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
         json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
+def _steps(args, flag: str) -> int:
+    """A time flag's steps at --dt, rounded as `ek.run` rounds; none is an input error."""
+    if (steps := int(round(getattr(args, flag) / args.dt))) < 1:
+        raise ValueError(f"--{flag} {getattr(args, flag)} s rounds to 0 steps of dt {args.dt} s")
+    return steps
+
+
 def _parse_fault(spec: str) -> ek.SimEvent:
     """The event of a BUS@TIME[@R] spec, else a ValueError (exit 1): TIME
     must be finite and >= 0, R positive (inf: no fault) and not NaN."""
@@ -322,6 +330,7 @@ def cmd_simulate(args) -> int:
     if args.zero_state and args.t_ramp is None:
         args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
     events = [_parse_fault(args.fault)] if args.fault else []
+    _steps(args, "duration")
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
@@ -363,6 +372,7 @@ def cmd_compare(args) -> int:
     case = _load(args)
     fault = _parse_fault(args.fault) if args.fault else None
     probes = _probes(args, case)
+    window_steps = _steps(args, "window")
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net
@@ -377,7 +387,7 @@ def cmd_compare(args) -> int:
         if fault_step * args.dt < w0_step * args.dt:
             raise ValueError("fault must come after the zero-state run settles")
         w0_step = fault_step
-    w1_step = w0_step + int(round(args.window / args.dt))
+    w1_step = w0_step + window_steps
     gis_state = gis.snapshot.emt_state
     if gis_state.step > w0_step:
         raise ValueError(f"the window starts at step {w0_step}, before the initialized "

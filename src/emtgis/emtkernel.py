@@ -49,7 +49,11 @@ and the swing recursion is a fixed affine map of the electrical power.
 From the last sweep's angles a sweep forms the currents, the power and,
 in one product, the angles; a chunk ends when its angles repeat bit for
 bit.  Each step's EMF reads the angle before it, so sweep k fixes step k
-for good, and a chunk of L steps stops within L + 1 sweeps.
+for good, and a chunk of L steps stops within L + 1 sweeps, whatever
+the first sweep's angles.  As windowed relaxation seeds each window from
+the last (White and Sangiovanni-Vincentelli 1987, Kluwer), they come from
+the power of the chunk before, extrapolated across the chunk; a loop's
+first chunk, and a chunk after a shorter one, hold the power constant.
 
 A `CompiledNet` is one stepping loop.  From a net, a dt, a start state, a
 source ramp and the probes, its constructor compiles the topology, builds
@@ -91,6 +95,8 @@ SQRT2 = math.sqrt(2.0)
 # Steps per relaxed chunk of a net with swinging machines after the ramp:
 # longer chunks need fewer numpy calls per step but more sweeps per chunk,
 # each through maps of side length * n_swinging, built once per length.
+# The chunks of one `compare hybrid.json --fault B7@5.5` take 2.29 sweeps
+# each at 50 steps, 2.74 at 100 and 3.33 at 200.
 SWING_CHUNK = 100
 # Steps per block of a relaxed chunk's probe samples: one small map serves
 # every block, from the block's start buffer and its EMFs.
@@ -389,29 +395,26 @@ class _SwingMaps:
     Without probes, the samples' buffers have no columns."""
 
     def __init__(self, length: int, w: int, nsw: int, currents_w: np.ndarray,
-                 currents: np.ndarray, swing: np.ndarray, amplitude: np.ndarray,
-                 w_at: np.ndarray, probe_map: np.ndarray):
+                 currents: np.ndarray, swing: np.ndarray, guess_map: np.ndarray,
+                 history_at: np.ndarray, amplitude: np.ndarray, w_at: np.ndarray,
+                 x: np.ndarray, probe_map: np.ndarray):
         ne = length * nsw
         self.currents_w = currents_w  # (w, ne): C_w^T, the currents from w_0
         self.currents = currents      # (ne, ne): (C_e diag(amp))^T, y from u
         # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the angles and end speed
-        # deviations from x = [sum(u*y); delta_0, dw_0, emf, pm]; a
-        # contiguous copy of its angles' block on [delta_0, dw_0, emf, pm]
-        # gives the first guess.
+        # deviations from x = [sum(u*y); delta_0, dw_0, emf, pm].
         self.swing = swing
-        self.guess_map = swing[:ne, ne:].copy()
+        # (ne, 4*nsw + k*nsw): the first guess's angles from [delta_0, dw_0,
+        # emf, pm; the power sums at the k guess nodes], and where in
+        # sum(u*y) the next chunk's guess nodes are.
+        self.guess_map, self.history_at = guess_map, history_at
         self.amplitude = amplitude    # (ne,): sqrt2 emf
         # (w + ne, b*w): from [w_0; e], w at the chunk's b - 1 probe blocks'
         # starts after the first (none without probes), then w in the buffer
         # a step before the chunk's end, the first one it hands on.
         self.w_at = w_at
 
-        self.x = np.empty(ne + 4 * nsw)
-        self.power, self.start = self.x[:ne], self.x[ne:]
-        self.delta_0 = self.x[ne:ne + nsw]
-        self.machine_rows = self.start.reshape(4, nsw).T  # one row per machine
-        self.guess = np.empty(4 * nsw)
-        self.guess_pm = self.guess[3 * nsw:]
+        self.x, self.power = x, x[:ne]  # x: a view of the loop's `relaxed`
         # The angles and end speeds of the last sweep and of the new one, each
         # with its views: all, the steps after the first, the chunk's angles,
         # and the end step's [delta, speed_dev] per machine.
@@ -441,8 +444,6 @@ class _SwingMaps:
         self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
             :, :length].transpose(2, 0, 1)
         self.handed_emf = self.e[:, ne - nsw:]  # the EMFs of the last step
-        # The end step's amplitudes and power sums: the next chunk's guess.
-        self.amplitude_end, self.power_end = amplitude[ne - nsw:], self.power[ne - nsw:]
 
 
 class CompiledNet:
@@ -514,7 +515,11 @@ class CompiledNet:
     the power is amp/2 sum(u*y) over the axes.  The swing recursion is
     affine in that power, so one product [F diag(amp) | S] [sum(u*y);
     delta_0, dw_0, emf, pm] gives the angles and the end step's speed
-    deviations.  `relax` builds these maps, and one of [w_0; e] to w at its
+    deviations.  The first sweep's angles are one product too, [S_a | F
+    diag(amp) E] on [delta_0, dw_0, emf, pm; sum(u*y) at the last chunk's
+    guess nodes], E the Lagrange weights at the chunk's steps and S_a the
+    angles' rows of S; a chunk hands on its sums at the nodes with one
+    take.  `relax` builds these maps, and one of [w_0; e] to w at its
     probe blocks' starts and in the first buffer a chunk hands on, once per
     chunk length in the loop, together with the chunk's work buffers and
     their views (`_SwingMaps`), so a chunk allocates nothing.  The
@@ -628,9 +633,19 @@ class CompiledNet:
         if self.swinging.size and self.probes.rows.size:
             g = self._chunk_map(self.probes.rows, PROBE_BLOCK)
             self.probe_map = g.transpose(2, 0, 1).reshape(g.shape[2], -1)
-        # The electrical power per swinging machine that the next chunk's
-        # first angle guess assumes over the whole chunk; `relax` updates it.
-        self.pe_guess = state.machine_pm[self.swinging].astype(float)
+        # `relax`'s x = [sum(u*y); delta_0, dw_0, emf, pm] ends where its
+        # first guess's input starts: [delta_0, dw_0, emf, pm; sum(u*y) at
+        # steps 0, 24, 49, 74 and 99 of the last chunk, the guess nodes, of
+        # 3 to 7 equally spaced ones the fewest sweeps on a compare job].  A
+        # loop starts from pe = amp s / 2 = pm.
+        self.guess_nodes = nodes = np.linspace(0, SWING_CHUNK - 1, 5).astype(int)
+        nsw, c = self.swinging.size, SWING_CHUNK * self.swinging.size
+        self.relaxed = np.zeros(c + (4 + len(nodes)) * nsw)
+        self.guess_in, self.power_history = self.relaxed[c:], self.relaxed[c + 4 * nsw:]
+        self.machine_rows = self.guess_in[:4 * nsw].reshape(4, nsw).T  # one row per machine
+        self.delta_0 = self.guess_in[:nsw]
+        np.divide(2.0 * self.machines[self.swinging, 3], self.amplitude,
+                  out=self.power_history.reshape(len(nodes), nsw))
         # The stack, whose slot 0 holds the start's history currents and its
         # anchored oscillator.
         self.stack = np.zeros((length + 1, 2, self.rows))
@@ -739,12 +754,26 @@ class CompiledNet:
         swing = np.zeros((length + 1, nsw, length + 4, nsw))
         own = np.arange(nsw)
         swing[:, own, :, own] = np.concatenate([angle, speed[:, -1:]], axis=1)
+        swing = swing.reshape(ne + nsw, ne + 4 * nsw)
+        # The guess's angles from the sums at the nodes: the angles' block on
+        # sum(u*y) times the Lagrange weights at each step, (k, length), from
+        # Vandermonde matrices in full chunks from this chunk's start.  A
+        # shorter chunk hands on its last step's sums at every node: as the
+        # weights sum to 1, a constant power.
+        span, k = self.guess_nodes / SWING_CHUNK - 1.0, len(self.guess_nodes)
+        weights = np.linalg.solve(np.vander(span).T,
+                                  np.vander(np.arange(length) / SWING_CHUNK, k).T)
+        from_nodes = np.einsum("rjm,ij->rim", swing[:ne, :ne].reshape(ne, length, nsw),
+                               weights).reshape(ne, -1)
+        nodes = self.guess_nodes if length == SWING_CHUNK else [length - 1] * k
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T,
-            swing.reshape(ne + nsw, ne + 4 * nsw), amplitude,
+            swing, np.hstack([swing[:ne, ne:], from_nodes]),
+            np.add.outer(np.multiply(nodes, nsw), own).ravel(), amplitude,
             np.hstack([self._w_map(length, blocks),
-                       self._w_map(length, range(length - 1, length))]), self.probe_map)
+                       self._w_map(length, range(length - 1, length))]),
+            self.relaxed[(SWING_CHUNK - length) * nsw:(SWING_CHUNK + 4) * nsw], self.probe_map)
         return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
@@ -841,11 +870,13 @@ class CompiledNet:
         steps after the ramp, from the buffer in stack[first], by waveform
         relaxation of its rotors.
 
-        From the last sweep's angles, each sweep forms u = [cos theta; sin
-        theta], then the machines' currents y, the power amp/2 * sum(u*y)
-        over the axes and, in one product, the angles and the end step's
-        speed deviations.  The sweeps stop when the angles repeat bit for
-        bit, after at most length + 1 of them; `chunks_relaxed` and
+        The first guess of the angles extrapolates the power sums at the
+        last chunk's guess nodes (`power_history`).  From the last sweep's
+        angles, each sweep forms u = [cos theta; sin theta], then the
+        machines' currents y, the power amp/2 * sum(u*y) over the axes and,
+        in one product, the angles and the end step's speed deviations.
+        The sweeps stop when the angles repeat bit for bit, after at most
+        length + 1 of them, whatever the guess; `chunks_relaxed` and
         `sweeps` count the work.  The maps and work buffers of chunks of
         this length are built once in the loop (`_SwingMaps`).
 
@@ -862,17 +893,15 @@ class CompiledNet:
         m = self.swing_maps.get(length) or self._swing_maps(length)
         w, stack, swinging = self.n_lc + 4, self.stack, self.swinging
         # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
-        # guess holds pe at the last chunk's last value.
-        self.machines.take(swinging, 0, m.machine_rows)
-        m.guess[:] = m.start
-        m.guess_pm -= self.pe_guess
+        # guess extrapolates the power sums of the last chunk.
+        self.machines.take(swinging, 0, self.machine_rows)
         last, new = m.sweep
-        m.guess_map.dot(m.guess, last[2])
+        m.guess_map.dot(self.guess_in, last[2])
         m.w0[:] = stack[first, :, :w]
         m.w0.dot(m.currents_w, m.i0)  # the currents' part from w_0
         # Each step's EMF is formed at the angle before the step.
         wt = self.wt[first:first + length]
-        np.add(wt[0], m.delta_0, out=m.theta[0])
+        np.add(wt[0], self.delta_0, out=m.theta[0])
         wt_on, theta_on, theta_all, currents, swing = (
             wt[1:], m.theta_on, m.theta_all, m.currents, m.swing)
         u, y, x, i0 = m.u, m.y, m.x, m.i0
@@ -892,8 +921,7 @@ class CompiledNet:
         self.chunks_relaxed += 1
         self.sweeps += sweeps
         self.machines[swinging, :2] = last[3]
-        np.multiply(m.amplitude_end, m.power_end, out=self.pe_guess)
-        self.pe_guess /= 2.0
+        m.power.take(m.history_at, out=self.power_history, mode="clip")  # unbuffered
 
         # The EMF rows amp u the sweeps assumed, then w at the probe blocks'
         # starts and in the first buffer the chunk hands on.

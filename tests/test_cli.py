@@ -587,6 +587,36 @@ class TestInvalidTimeFlags:
         assert not (tmp_path / "out").exists()
 
 
+class TestSpanShorterThanAStep:
+    """A --window or --duration that rounds to 0 steps at --dt is an input
+    error, found before the power flow and any stepping: exit 1, one
+    `error:` line naming the flag, no --out."""
+
+    @staticmethod
+    def _exits_1_before_the_model(tmp_path, capsys, monkeypatch, argv, flag):
+        import emtgis.snapshot as sn
+        from emtgis.cli import main
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the system model was built")
+
+        monkeypatch.setattr(sn, "system_model", no_model)
+        out = tmp_path / "out"
+        assert main([*argv, flag, "1e-9", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {flag} 1e-09 s rounds to 0 steps of dt 5e-05 s"]
+        assert not out.exists()
+
+    def test_window_shorter_than_a_step_exits_1(self, tmp_path, capsys, monkeypatch):
+        self._exits_1_before_the_model(tmp_path, capsys, monkeypatch,
+                                       ["compare", case_path("hybrid")], "--window")
+
+    def test_duration_shorter_than_a_step_exits_1(self, tmp_path, capsys, monkeypatch):
+        self._exits_1_before_the_model(tmp_path, capsys, monkeypatch,
+                                       ["simulate", case_path("hybrid"), "--zero-state"],
+                                       "--duration")
+
+
 class TestInvalidFaultSpecs:
     """A fault time must be finite and >= 0, a fault resistance positive
     (inf: no fault) and not NaN.  A bad spec is an input error found before

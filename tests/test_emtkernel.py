@@ -730,13 +730,59 @@ class TestSwingRelaxation:
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=["B7"],
                            events=[ek.SimEvent((init.step + 150) * self.DT, "B7", 1e-6)])
         ek.run(net, cfg, init=init)
-        # 150 steps before the fault: a chunk of 100 and one of 50; 750
-        # after it: one cycle of 4 chunks, then 350 steps in 4 chunks.  The
-        # sweeps are exact for this arithmetic and this start: a BLAS that
-        # rounds the maps differently, or a power flow that rounds the GIS
-        # snapshot differently, can move a chunk's fixed point, and its
-        # count, by one.
-        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 48)]
+        # 150 steps before the fault: a chunk of 100 and one of 50, which
+        # extrapolates the first chunk's start transient; 750 after it: one
+        # cycle of 4 chunks, then 350 steps in 4 chunks.  The sweeps are
+        # exact for this arithmetic and this start: a BLAS that rounds the
+        # maps differently, or a power flow that rounds the GIS snapshot
+        # differently, can move a chunk's fixed point, and its count, by one.
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 8), (8, 46)]
+
+    def test_extrapolated_guess_changes_no_bit(self, hybrid, hybrid_model,
+                                               hybrid_comparison, monkeypatch):
+        # A chunk's first guess only sets where its sweeps start.  Forced to
+        # the constant guess on every chunk, each chunk handing on its last
+        # step's power at every guess node, a run reaches the same bits in
+        # more sweeps: from the GIS snapshot over 10000 steps, and from the
+        # zero state through the ramp and a B7 fault, on one swinging
+        # machine and on two.
+        net, init = self.gis_start(hybrid_comparison)
+        record = [b.id for b in hybrid.buses]
+        ramped = dict(duration=0.2, record=record, t_ramp=0.05,
+                      events=[ek.SimEvent(0.15, "B7", 0.02)])
+        runs = [(net, init, ek.SimConfig(dt=self.DT, duration=10000 * self.DT, record=record)),
+                (net, None, ek.SimConfig(dt=self.DT, **ramped)),
+                (two_machine_net(hybrid_model.full_net), None,
+                 ek.SimConfig(dt=self.DT, **ramped))]
+        nets = []
+        build, extrapolated = ek.CompiledNet.__init__, ek.CompiledNet._swing_maps
+
+        def recorded(self, *args):
+            build(self, *args)
+            nets.append(self)
+
+        def constant(self, length):
+            maps = extrapolated(self, length)
+            maps.history_at = np.tile(maps.history_at[-self.swinging.size:],
+                                      len(self.guess_nodes))
+            return maps
+
+        monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
+        for net, init, cfg in runs:
+            got = []
+            for guess in (extrapolated, constant):
+                monkeypatch.setattr(ek.CompiledNet, "_swing_maps", guess)
+                nets.clear()
+                got.append((*ek.run(net, cfg, init=init), sum(c.sweeps for c in nets)))
+            (waves, end, sweeps), (want_waves, want, want_sweeps) = got
+            assert sweeps < want_sweeps
+            for key, trace in want_waves.data.items():
+                assert waves.data[key].tobytes() == trace.tobytes(), key
+            for name, value in vars(want).items():
+                if isinstance(value, np.ndarray):
+                    assert getattr(end, name).tobytes() == value.tobytes(), name
+                else:
+                    assert getattr(end, name) == value, name
 
     def test_fault_on_the_start_step_builds_only_the_faulted_net(self, hybrid_comparison,
                                                                  monkeypatch):
@@ -777,9 +823,10 @@ class TestSwingRelaxation:
 
         def relax(offset):
             # One chunk from the start state, the first guess holding pe
-            # `offset` pu off the mechanical power.
+            # `offset` pu off the mechanical power at every guess node.
             compiled = ek.CompiledNet(net, self.DT, init, None, record, length)
-            compiled.pe_guess = compiled.pe_guess + offset
+            history = compiled.power_history.reshape(-1, compiled.swinging.size)
+            history += 2.0 * offset / compiled.amplitude  # pe = amp s / 2
             samples = np.zeros((len(compiled.probes.keys), length))
             compiled.advance(length, samples)
             return compiled, samples
@@ -817,12 +864,13 @@ class TestRelaxMatchesReference:
     """`CompiledNet.relax` sweeps in the rotors' two-axis frame with maps
     built per chunk length; `reference_relax` is the per-phase relax it
     replaced.  From the same stack (two-axis buffers z, and K^T z for the
-    reference), machines and power guess, both give the same samples,
-    machines, handed-on buffers at steps L - 1 and L of a chunk of L (in
-    phases) and next guess within 1e-12 of
-    each field's largest value.  Measured, as a share of that value: 4.6e-14
-    on the samples, 6.1e-15 on the buffers, 2.7e-15 on the guess and
-    1.1e-17 on the machines."""
+    reference), machines and power guess (a loop's first, pe = pm), both
+    give the same samples, machines, handed-on buffers at steps L - 1 and L
+    of a chunk of L (in phases) and power at the chunk's last step, the
+    last guess node it hands on, within 1e-12 of each field's largest
+    value.  Measured, as a share of that value: 4.6e-14 on the samples,
+    6.1e-15 on the buffers, 2.7e-15 on the power and 1.1e-17 on the
+    machines."""
 
     DT = 5e-5
 
@@ -846,14 +894,16 @@ class TestRelaxMatchesReference:
         compiled.machines[compiled.swinging, 1] = 2e-3  # rotors off their steady speed
         z, machines = compiled.stack[0].copy(), compiled.machines.copy()
         maps = reference_swing_maps(compiled, probes.rows, machines[compiled.swinging, 2])
-        pe_guess = compiled.pe_guess.copy()
+        pe_guess = machines[compiled.swinging, 3]
+        nsw = compiled.swinging.size
         got, want = [], []
         for out in (got, want):
             samples = np.zeros((len(probes.keys), length))
             if out is got:
                 compiled.advance(length, samples)
                 assert compiled.chunks_relaxed == 1
-                moved, guess = compiled.machines, compiled.pe_guess
+                moved = compiled.machines
+                guess = compiled.amplitude * compiled.power_history[-nsw:] / 2.0
                 stack = ek.TWO_AXIS.T @ compiled.stack  # compared in phases
             else:
                 # The reference steps the phases' K^T z.
@@ -864,7 +914,7 @@ class TestRelaxMatchesReference:
                                            moved, samples, pe_guess)
             out += [samples, moved, stack[length - 1:], guess]
         assert np.any(got[1][:, 0] != machines[:, 0])
-        for name, g, w in zip(["samples", "machines", "buffers", "pe_guess"], got, want):
+        for name, g, w in zip(["samples", "machines", "buffers", "power"], got, want):
             assert g.shape == w.shape, name
             scale = max(np.abs(w).max(initial=0.0), 1e-300)
             assert np.abs(g - w).max(initial=0.0) <= 1e-12 * scale, name
