@@ -16,8 +16,9 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period; a --window or --duration that rounds to 0
-steps; a compare window that starts before its initialized snapshot; a
-run too large for memory), 2 coordination failed,
+steps; a simulate --fault at or after the run's end; a compare window
+that starts before its initialized snapshot; a run too large for
+memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
 unreadable snapshot (its nodes, elements, machines or dt differ from the
 case's, or it is no version-3 snapshot file) or a start state whose phases
@@ -330,14 +331,17 @@ def cmd_simulate(args) -> int:
     if args.zero_state and args.t_ramp is None:
         args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
     events = [_parse_fault(args.fault)] if args.fault else []
-    _steps(args, "duration")
+    init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
+    # A fault at the run's last step or after it would change no sample.
+    end = (0 if init is None else init.step) + _steps(args, "duration")
+    if events and int(round(events[0].time / args.dt)) >= end:
+        raise ValueError(f"--fault {args.fault} is not before the run's end at {end * args.dt:g} s")
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
 
     sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=_probes(args, case),
                        events=events, t_ramp=args.t_ramp)
-    init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     waves, _ = ek.run(model.full_net, sim, init=init)
 
     outdir = _outdir(args)

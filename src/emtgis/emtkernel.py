@@ -383,8 +383,8 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
 
 
 class _SwingMaps:
-    """`CompiledNet.relax`'s maps for chunks of one length L in a loop, each
-    in the form the chunk multiplies by, and the chunk's work buffers.
+    """`CompiledNet.relax`'s maps for chunks of one length L in a loop, and
+    the chunk's work buffers.
 
     w_0 is the chunk's start buffer less its machine rows; e stacks the
     EMFs of its steps and u = [cos theta; sin theta] their angles, one row
@@ -392,7 +392,10 @@ class _SwingMaps:
     views the chunk reads them through, are built with the maps, so a chunk
     allocates nothing.  A chunk writes every buffer before it reads it;
     only the zero padding of [w_0; e] to whole probe blocks carries over.
-    Without probes, the samples' buffers have no columns."""
+    Without probes, the samples' buffers have no columns.  Each map is
+    stored C-contiguous, in the form its product reads, and so are the
+    left-hand buffers u and the probe blocks; w_0 stays a strided view of
+    [w_0; e], as a contiguous copy of it costs more than it saves."""
 
     def __init__(self, length: int, w: int, nsw: int, currents_w: np.ndarray,
                  currents: np.ndarray, swing: np.ndarray, guess_map: np.ndarray,
@@ -494,7 +497,10 @@ class CompiledNet:
     product leaves it zero.  `anchor` sets r and q from the clock.
 
     A buffer holds z with one axis per row, shape (2, rows), so a step is
-    out = x T^T; the start state's ih enters projected with (2/3) K.  Only
+    out = x T^T; the start state's ih enters projected with (2/3) K.  Every
+    map a product multiplies by, the step's, `relax`'s and the probes', is
+    stored C-contiguous, in the form its product reads: at these sizes
+    OpenBLAS takes 15-125% longer on a transposed operand.  Only
     the loop's edges need x, in phases: the x of step n is (O z^T) K of the
     buffer at step n - 1, after its EMF rows are written.  `ProbeSet.sample`
     applies the probes' rows of O, K^T folded in, to a stack of buffers,
@@ -612,8 +618,8 @@ class CompiledNet:
         self.sweeps = 0
 
         # The loop from the start state on.  The step maps are stored as
-        # T^T, the form `step` multiplies by; `ramp_end` is the first step
-        # at full source scale (0 without a ramp).
+        # C-contiguous T^T, the form `step` multiplies by; `ramp_end` is the
+        # first step at full source scale (0 without a ramp).
         self.start = state
         self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, dt)
         # The machines, one row [delta, speed_dev, emf, pm] each, the EMFs
@@ -632,7 +638,7 @@ class CompiledNet:
         self.probe_map = np.zeros((0, 0))
         if self.swinging.size and self.probes.rows.size:
             g = self._chunk_map(self.probes.rows, PROBE_BLOCK)
-            self.probe_map = g.transpose(2, 0, 1).reshape(g.shape[2], -1)
+            self.probe_map = g.reshape(-1, g.shape[2]).T.copy()
         # `relax`'s x = [sum(u*y); delta_0, dw_0, emf, pm] ends where its
         # first guess's input starts: [delta_0, dw_0, emf, pm; sum(u*y) at
         # steps 0, 24, 49, 74 and 99 of the last chunk, the guess nodes, of
@@ -676,7 +682,7 @@ class CompiledNet:
         post[:, :m] = self.w
         post[:, m + 2:m + 4] = (self.f + emf_cols[:, fixed].sum(axis=1)) @ rot
         post[:, m + 4:] = self.b_machines[:, self.swinging]
-        post_map = self._step_map(post).T
+        post_map = self._step_map(post).T.copy()
         if t_ramp is None:
             return (post, post), post_map, post_map
         ramp = np.zeros_like(post)
@@ -685,7 +691,7 @@ class CompiledNet:
             (self.dt / t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
         t = self._step_map(ramp)
         t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
-        return (ramp, post), t.T, post_map
+        return (ramp, post), t.T.copy(), post_map
 
     def _step_map(self, out: np.ndarray) -> np.ndarray:
         """T for the output map `out`, less the ramp's q rows."""
@@ -715,7 +721,7 @@ class CompiledNet:
         return g
 
     def _w_map(self, length: int, steps: range) -> np.ndarray:
-        """[w_0; e] to w at `steps` of a chunk of `length`, stacked, transposed."""
+        """[w_0; e] to w at `steps` of a chunk of `length`, stacked."""
         w, nsw, t = self.n_lc + 4, self.swinging.size, self.post_map.T
         impulse = [t[:w, w:]]
         for _ in range(1, max(steps, default=0)):
@@ -728,7 +734,7 @@ class CompiledNet:
             power = np.linalg.matrix_power(t[:w, :w], k - last) @ power
             m[i, :, :w], last = power, k
             m[i, :, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
-        return m.reshape(-1, m.shape[2]).T
+        return m.reshape(-1, m.shape[2])
 
     def _swing_maps(self, length: int) -> _SwingMaps:
         """`relax`'s maps for chunks of `length` steps (see the class docstring)."""
@@ -768,11 +774,11 @@ class CompiledNet:
         nodes = self.guess_nodes if length == SWING_CHUNK else [length - 1] * k
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
-            length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T,
+            length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T.copy(),
             swing, np.hstack([swing[:ne, ne:], from_nodes]),
             np.add.outer(np.multiply(nodes, nsw), own).ravel(), amplitude,
-            np.hstack([self._w_map(length, blocks),
-                       self._w_map(length, range(length - 1, length))]),
+            np.vstack([self._w_map(length, blocks),
+                       self._w_map(length, range(length - 1, length))]).T.copy(),
             self.relaxed[(SWING_CHUNK - length) * nsw:(SWING_CHUNK + 4) * nsw], self.probe_map)
         return maps
 

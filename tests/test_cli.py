@@ -617,6 +617,57 @@ class TestSpanShorterThanAStep:
                                        "--duration")
 
 
+class TestFaultAfterTheRun:
+    """A simulate --fault at the run's last step or after it would change no
+    sample, so it is an input error found before the power flow: exit 1,
+    one `error:` line, no --out.  The run ends --duration after its start
+    step, the snapshot's step on a --snapshot run."""
+
+    @staticmethod
+    def _exits_1_before_the_model(tmp_path, capsys, monkeypatch, argv, end):
+        import emtgis.snapshot as sn
+        from emtgis.cli import main
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the system model was built")
+
+        monkeypatch.setattr(sn, "system_model", no_model)
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        fault = argv[argv.index("--fault") + 1]
+        assert err == [f"error: --fault {fault} is not before the run's end at {end} s"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", ["B2@0.5", "B2@0.02"], ids=["past-the-end", "at-the-end"])
+    def test_fault_after_a_zero_state_run_exits_1(self, tmp_path, capsys, monkeypatch, fault):
+        self._exits_1_before_the_model(
+            tmp_path, capsys, monkeypatch,
+            ["simulate", case_path("twobus"), "--zero-state", "--duration", "0.02",
+             "--fault", fault], "0.02")
+
+    def test_fault_after_a_snapshot_run_exits_1(self, initialized, tmp_path, capsys,
+                                                 monkeypatch):
+        snapshot = initialized / "snapshot.json"
+        start = sn.load_snapshot(snapshot).emt_state.step
+        end = f"{(start + 200) * 5e-5:g}"
+        self._exits_1_before_the_model(
+            tmp_path, capsys, monkeypatch,
+            ["simulate", case_path("ninebus1"), "--snapshot", str(snapshot),
+             "--duration", "0.01", "--fault", f"B7@{end}"], end)
+
+    def test_fault_a_step_before_the_end_moves_the_last_sample(self, tmp_path):
+        runs = {}
+        for name, fault in (("clear", []), ("faulted", ["--fault", "B2@0.01995@0.01"])):
+            out = run_cli("simulate", case_path("twobus"), "--zero-state", "--duration",
+                          "0.02", *fault, "--out", tmp_path / name)
+            assert out.returncode == 0, out.stderr
+            runs[name] = (tmp_path / name / "waveforms.csv").read_text().splitlines()
+        clear, faulted = runs["clear"], runs["faulted"]
+        assert len(clear) == len(faulted) == 402  # the header and steps 0 .. 400
+        assert clear[:-1] == faulted[:-1] and clear[-1] != faulted[-1]
+
+
 class TestInvalidFaultSpecs:
     """A fault time must be finite and >= 0, a fault resistance positive
     (inf: no fault) and not NaN.  A bad spec is an input error found before

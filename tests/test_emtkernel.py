@@ -868,8 +868,8 @@ class TestRelaxMatchesReference:
     give the same samples, machines, handed-on buffers at steps L - 1 and L
     of a chunk of L (in phases) and power at the chunk's last step, the
     last guess node it hands on, within 1e-12 of each field's largest
-    value.  Measured, as a share of that value: 4.6e-14 on the samples,
-    6.1e-15 on the buffers, 2.7e-15 on the power and 1.1e-17 on the
+    value.  Measured, as a share of that value: 3.0e-14 on the samples,
+    6.6e-15 on the buffers, 4.3e-15 on the power and 1.1e-17 on the
     machines."""
 
     DT = 5e-5
@@ -1042,6 +1042,34 @@ class TestHotPathProducts:
         assert ek.CompiledNet(net, dt, init).swinging.size
         assert len(calls) == 10
         assert all(c["dot"] == 0 and c["matmul"] == 0 for c in calls)
+
+    def test_maps_are_stored_in_the_form_their_product_reads(self, ninebus3, ninebus3_model,
+                                                             hybrid, hybrid_comparison):
+        """Every map a step, a sweep, a hand-on or a probe sample multiplies
+        by is C-contiguous, and so are the left-hand buffers u, the probe
+        blocks and the stack's: at these sizes OpenBLAS takes 15-125% longer
+        on a transposed operand.  w_0 stays a strided view of [w_0; e] (a
+        contiguous copy costs more than it saves), and TWO_AXIS.T, K^T of the
+        phases' product, gains nothing from a copy."""
+        dt = TestSwingRelaxation.DT
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        cycle = round(net.period / dt)
+        region = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 0.13, record, cycle)
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        full = ek.CompiledNet(net, dt, init, None, [b.id for b in hybrid.buses], cycle)
+        for compiled in (region, full):
+            compiled.advance(cycle, np.zeros((len(compiled.probes.keys), cycle)))
+        assert region.n < region.ramp_end and full.chunks_relaxed == cycle // ek.SWING_CHUNK
+        swing_maps = list(full.swing_maps.values())
+        assert swing_maps
+        named = {"stack": full.stack, "region stack": region.stack,
+                 "probe_map": full.probe_map}
+        for name in ("ramp_map", "post_map"):
+            named |= {f"region {name}": getattr(region, name), name: getattr(full, name)}
+        for m in swing_maps:
+            named |= {f"{name} ({len(m.theta)} steps)": getattr(m, name) for name in (
+                "currents_w", "currents", "swing", "guess_map", "w_at", "u", "probe_rows")}
+        assert [name for name, a in named.items() if not a.flags.c_contiguous] == []
 
 
 class TestRelaxedChunkSetUp:
