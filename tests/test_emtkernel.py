@@ -1049,8 +1049,8 @@ class TestHotPathProducts:
         by is C-contiguous, and so are the left-hand buffers u, the probe
         blocks and the stack's: at these sizes OpenBLAS takes 15-125% longer
         on a transposed operand.  w_0 stays a strided view of [w_0; e] (a
-        contiguous copy costs more than it saves), and TWO_AXIS.T, K^T of the
-        phases' product, gains nothing from a copy."""
+        contiguous copy costs more than it saves), and K^T, the left-hand
+        operand of the phases' product, gains nothing from a copy."""
         dt = TestSwingRelaxation.DT
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
         cycle = round(net.period / dt)
@@ -1060,13 +1060,11 @@ class TestHotPathProducts:
         for compiled in (region, full):
             compiled.advance(cycle, np.zeros((len(compiled.probes.keys), cycle)))
         assert region.n < region.ramp_end and full.chunks_relaxed == cycle // ek.SWING_CHUNK
-        swing_maps = list(full.swing_maps.values())
-        assert swing_maps
         named = {"stack": full.stack, "region stack": region.stack,
                  "probe_map": full.probe_map}
         for name in ("ramp_map", "post_map"):
             named |= {f"region {name}": getattr(region, name), name: getattr(full, name)}
-        for m in swing_maps:
+        for m in full.swing_maps.values():
             named |= {f"{name} ({len(m.theta)} steps)": getattr(m, name) for name in (
                 "currents_w", "currents", "swing", "guess_map", "w_at", "u", "probe_rows")}
         assert [name for name, a in named.items() if not a.flags.c_contiguous] == []
