@@ -15,7 +15,8 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
-does not divide the period; a --window or --duration that rounds to 0
+does not divide the period or leaves fewer than 4 steps per period; a
+--probes that names no probe; a --window or --duration that rounds to 0
 steps; a simulate --fault at or after the run's end; a compare window
 that starts before its initialized snapshot; a run too large for
 memory), 2 coordination failed,
@@ -42,7 +43,7 @@ import numpy as np
 from . import __version__
 from . import emtkernel as ek
 from . import snapshot as sn
-from .coordinator import JfngConfig
+from .coordinator import JfngConfig, jfng_solve
 from .errors import (
     CaseFormatError,
     CoordinationError,
@@ -285,13 +286,7 @@ def cmd_validate(args) -> int:
 def cmd_ipf(args) -> int:
     case = _load(args)
     validate_case(case).raise_if_invalid()
-    cfg = _jfng_config(args)
-
-    from .coordinator import jfng_solve
-
-    n = len(case.grbcs)
-    x0 = np.concatenate([np.ones(n), np.zeros(n)])
-    state, trace = jfng_solve(case, case.grbcs, x0, cfg)
+    state, trace = jfng_solve(case, case.grbcs, cfg=_jfng_config(args))
 
     outdir = _outdir(args)
     (outdir / "boundary.json").write_text(
@@ -309,17 +304,20 @@ def cmd_init(args) -> int:
     outdir = _outdir(args)
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
     (outdir / "report.json").write_text(
-        json.dumps(result.report.to_json_dict(), sort_keys=True, indent=1) + "\n")
-    if result.model.boundary_state is not None:
-        result.report.ipf_trace.to_csv(outdir / "trace.csv")
+        json.dumps(result.report, sort_keys=True, indent=1) + "\n")
+    if result.model.ipf_trace is not None:
+        result.model.ipf_trace.to_csv(outdir / "trace.csv")
     _write_manifest(args, outdir, ["snapshot.json", "report.json"])
     return EXIT_OK
 
 
 def _probes(args, case) -> list[str]:
-    if args.probes:
-        return [p.strip() for p in args.probes.split(",") if p.strip()]
-    return [b.id for b in case.buses]
+    """The ids --probes names, at least one, else every bus."""
+    if args.probes is None:
+        return [b.id for b in case.buses]
+    if not (probes := [p.strip() for p in args.probes.split(",") if p.strip()]):
+        raise ValueError(f"--probes '{args.probes}' names no probe")
+    return probes
 
 
 def cmd_simulate(args) -> int:
@@ -330,18 +328,19 @@ def cmd_simulate(args) -> int:
         raise ValueError("--t-ramp ramps a --zero-state run; a --snapshot run has no ramp")
     if args.zero_state and args.t_ramp is None:
         args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
-    events = [_parse_fault(args.fault)] if args.fault else []
+    fault = _parse_fault(args.fault) if args.fault else None
+    probes = _probes(args, case)
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     # A fault at the run's last step or after it would change no sample.
     end = (0 if init is None else init.step) + _steps(args, "duration")
-    if events and int(round(events[0].time / args.dt)) >= end:
+    if fault is not None and int(round(fault.time / args.dt)) >= end:
         raise ValueError(f"--fault {args.fault} is not before the run's end at {end * args.dt:g} s")
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
 
-    sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=_probes(args, case),
-                       events=events, t_ramp=args.t_ramp)
+    sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=probes, fault=fault,
+                       t_ramp=args.t_ramp)
     waves, _ = ek.run(model.full_net, sim, init=init)
 
     outdir = _outdir(args)
@@ -397,14 +396,12 @@ def cmd_compare(args) -> int:
         raise ValueError(f"the window starts at step {w0_step}, before the initialized "
                          f"snapshot at step {gis_state.step}")
 
-    events = [fault] if fault else []
-
     def window(start: ek.EmtState) -> dict[str, np.ndarray]:
         lead_in = ek.SimConfig(dt=args.dt, duration=(w0_step - start.step) * args.dt,
                                record=[])
         _, at_w0 = ek.run(full_net, lead_in, init=start)
         sim = ek.SimConfig(dt=args.dt, duration=(w1_step - w0_step) * args.dt,
-                           record=probes, events=events)
+                           record=probes, fault=fault)
         return ek.run(full_net, sim, init=at_w0)[0].data
 
     waves_zero = window(zero_state)
@@ -412,14 +409,14 @@ def cmd_compare(args) -> int:
     deviations = {key: average_relative_deviation(waves_gis[key], waves_zero[key])
                   for key in waves_zero}
 
-    gis_steps = max(gis.report.gis_cost_steps, 1)
+    gis_steps = max(gis.report["gis_cost_steps"], 1)
     doc = {
         "window_steps": [w0_step, w1_step],
         "dt": args.dt,
         "fault": args.fault,
         "deviations": deviations,
         "steps_to_steady": {
-            "gis": gis.report.gis_cost_steps,
+            "gis": gis.report["gis_cost_steps"],
             "zero_state": zero_fired,
             "ratio": zero_fired / gis_steps,
         },

@@ -376,7 +376,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
     return correction(m - 1), mat, GmresResult(False, m, rho_hist, True)
 
 
-def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None
+def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
                ) -> tuple[BoundaryState, IterationTrace]:
     """Newton outer loop over the boundary coordination residual.
 
@@ -391,9 +391,12 @@ def jfng_solve(case, grbcs, x0, cfg: JfngConfig | None = None
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
     rejected.  Every CoordinationError raised here carries the trace.
     The main system's PowerFlowProblem is built once per call; each
-    white-box region's comes from its declaration.
+    white-box region's comes from its declaration.  Without x0 the
+    iteration takes the flat start: every boundary voltage 1 pu at angle 0.
     """
     cfg = cfg or JfngConfig()
+    if x0 is None:
+        x0 = np.concatenate([np.ones(len(grbcs)), np.zeros(len(grbcs))])
     x = np.asarray(x0, dtype=float).copy()
     n = x.size // 2
     M = None  # built before the first correction

@@ -121,36 +121,24 @@ class ElementKind(str, Enum):
     CAPACITOR = "Capacitor"
 
 
-@dataclass(frozen=True)
-class CompanionModel:
-    """Discrete-time equivalent i(t) = G u(t) + H u(t-dt) + J i(t-dt)."""
-
-    kind: ElementKind
-    g_coef: float
-    h_coef: float
-    j_coef: float
-
-
-def companion_coefficients(kind: ElementKind, value: float, dt: float) -> CompanionModel:
-    """Trapezoidal companion coefficients for one element."""
+def companion_arrays(net: EmtNet, dt: float) -> np.ndarray:
+    """(3, n_elements): every element's trapezoidal companion coefficients g,
+    h and j at dt, in net order: i(t) = g u(t) + h u(t-dt) + j i(t-dt)."""
     if dt <= 0.0:
         raise InvalidParameter("dt must be positive")
-    if value <= 0.0:
-        raise InvalidParameter(f"{kind.value} parameter must be positive, got {value}")
-    if kind is ElementKind.RESISTOR:
-        return CompanionModel(kind, 1.0 / value, 0.0, 0.0)
-    if kind is ElementKind.INDUCTOR:
-        g = dt / (2.0 * value)
-        return CompanionModel(kind, g, g, 1.0)
-    g = 2.0 * value / dt
-    return CompanionModel(kind, g, -g, -1.0)
-
-
-def companion_arrays(net: EmtNet, dt: float) -> np.ndarray:
-    """(3, n_elements): every element's g, h and j at dt, in net order."""
-    models = [companion_coefficients(e.kind, e.value, dt) for e in net.elements]
-    return np.array([[m.g_coef for m in models], [m.h_coef for m in models],
-                     [m.j_coef for m in models]], dtype=float)
+    coef = np.zeros((3, len(net.elements)))
+    for k, e in enumerate(net.elements):
+        if e.value <= 0.0:
+            raise InvalidParameter(f"{e.kind.value} parameter must be positive, got {e.value}")
+        if e.kind is ElementKind.RESISTOR:
+            coef[0, k] = 1.0 / e.value
+        elif e.kind is ElementKind.INDUCTOR:
+            g = dt / (2.0 * e.value)
+            coef[:, k] = g, g, 1.0
+        else:
+            g = 2.0 * e.value / dt
+            coef[:, k] = g, -g, -1.0
+    return coef
 
 
 def continuous_admittance(kind: ElementKind, value: float, omega: float) -> complex:
@@ -258,14 +246,14 @@ def pinned_nodes(net: EmtNet) -> list[int]:
             + [index[m.emf_node] for m in net.machines])
 
 
-# --- events and run configuration ----------------------------------------------
+# --- fault and run configuration -----------------------------------------------
 
 
 @dataclass(frozen=True)
 class SimEvent:
-    """A three-phase fault at node `target` from `time` on, through r_fault
-    ohms per phase (`apply_fault`).  r_fault has no default here; the CLI's
-    is 0.05."""
+    """The one fault of a run: three-phase at node `target` from `time` on,
+    through r_fault ohms per phase (`apply_fault`).  r_fault has no default
+    here; the CLI's is 0.05."""
 
     time: float
     target: str
@@ -274,15 +262,15 @@ class SimEvent:
 
 @dataclass
 class SimConfig:
-    """One kernel run.  Sources ramp linearly from zero over the first
-    t_ramp seconds of step * dt; t_ramp=None means no ramp, sources at full
-    scale from the first step.  The ramp belongs to the run, not to its
-    start state."""
+    """One kernel run, with at most one fault.  Sources ramp linearly from
+    zero over the first t_ramp seconds of step * dt; t_ramp=None means no
+    ramp, sources at full scale from the first step.  The ramp belongs to
+    the run, not to its start state."""
 
     dt: float
     duration: float
     record: list[str] = field(default_factory=list)
-    events: list[SimEvent] = field(default_factory=list)
+    fault: SimEvent | None = None
     t_ramp: float | None = None
 
     def __post_init__(self):
@@ -293,9 +281,6 @@ class SimConfig:
         if not (math.isfinite(self.duration) and self.duration >= 0.0):
             raise InvalidParameter(
                 f"duration must be finite and not negative, got {self.duration}")
-        times = [e.time for e in self.events]
-        if times != sorted(times):
-            raise InvalidParameter("events must be sorted by time")
 
 
 # --- simulation state -----------------------------------------------------------
@@ -1033,13 +1018,13 @@ def _whole_cycles(t: float, period: float, up: bool = False) -> int:
 
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
-    """Fixed-duration simulation with event handling and probe recording.
+    """Fixed-duration simulation with probe recording and at most one fault.
 
-    Advances a `CompiledNet` a cycle at a time.  Events at or before the
-    start step apply before the first loop is built, and the start state
-    migrates onto its net.  A chunk ends early at a later fault event,
-    where the loop's state migrates onto the faulted topology and a new
-    loop starts from it.  The traces are recorded probe-major, so each
+    Advances a `CompiledNet` a cycle at a time.  A fault at or before the
+    start step applies before the loop is built, and the start state
+    migrates onto its net.  A later fault ends a chunk at its step, where
+    the loop's state migrates onto the faulted topology and a new loop
+    starts from it.  The traces are recorded probe-major, so each
     waveform is a row of one array.
     """
     state = zero_state(net, cfg.dt) if init is None else init
@@ -1047,43 +1032,34 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
     n_steps = int(round(cfg.duration / cfg.dt))
     start_step = state.step
-    for e in cfg.events:
-        if e.target not in net.nodes:
-            raise UnknownBus(f"event targets unknown node '{e.target}'")
-    # An infinite fault resistance is no fault (`apply_fault`): such an
-    # event would only end a chunk and rebuild the same net.
-    events = sorted((e for e in cfg.events if not math.isinf(e.r_fault)),
-                    key=lambda e: e.time)
-    event_steps = [int(round(e.time / cfg.dt)) for e in events]
+    fault = cfg.fault
+    if fault is not None and fault.target not in net.nodes:
+        raise UnknownBus(f"fault targets unknown node '{fault.target}'")
+    # An infinite fault resistance is no fault (`apply_fault`): it would
+    # only end a chunk and rebuild the same net.
+    no_fault = fault is None or math.isinf(fault.r_fault)
+    fault_step = math.inf if no_fault else int(round(fault.time / cfg.dt))
 
     # One cycle per chunk; a DC net has no cycle and no rotation to drift.
     cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
     chunk = max(1, min(cycle, n_steps))
 
-    next_event = 0
-    current_net = net
-    while next_event < len(events) and event_steps[next_event] <= start_step:
-        ev = events[next_event]
-        current_net = apply_fault(current_net, ev.target, ev.r_fault)
-        next_event += 1
-    compiled = CompiledNet(current_net, cfg.dt, migrate_state(current_net, state),
-                           cfg.t_ramp, cfg.record, chunk)
+    if fault_step <= start_step:
+        net, fault_step = apply_fault(net, fault.target, fault.r_fault), math.inf
+    compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.t_ramp, cfg.record,
+                           chunk)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
     traces = np.zeros((len(compiled.probes.keys), n_steps + 1))
     traces[:, 0] = compiled.probes.read(compiled.start)
 
     while (done := compiled.n - start_step) < n_steps:
-        while next_event < len(events) and compiled.n >= event_steps[next_event]:
-            ev = events[next_event]
+        if compiled.n >= fault_step:
             state = compiled.state()
             del compiled  # the pre-fault buffers and maps go first
-            current_net = apply_fault(current_net, ev.target, ev.r_fault)
-            compiled = CompiledNet(current_net, cfg.dt, migrate_state(current_net, state),
-                                   cfg.t_ramp, cfg.record, chunk)
-            next_event += 1
-        length = min(chunk, n_steps - done)
-        if next_event < len(events):
-            length = min(length, event_steps[next_event] - compiled.n)
+            net, fault_step = apply_fault(net, fault.target, fault.r_fault), math.inf
+            compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.t_ramp,
+                                   cfg.record, chunk)
+        length = min(chunk, n_steps - done, fault_step - compiled.n)
         compiled.advance(length, traces[:, done + 1:done + length + 1])
     return WaveformSet(times, dict(zip(compiled.probes.keys, traces))), compiled.state()
 
@@ -1107,7 +1083,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
 
     n_cycle = int(round(net.period / cfg.dt))
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:
-        raise InvalidParameter("period must be an integer multiple of dt")
+        raise InvalidParameter("period must be an integer multiple of dt, 4 steps or more")
     compiled = CompiledNet(net, cfg.dt, state, cfg.t_ramp, cfg.record, n_cycle)
     keys = compiled.probes.keys
     max_cycles = _whole_cycles(cfg.duration, net.period)

@@ -52,6 +52,8 @@ PROVENANCE_SPLICED = "Spliced"
 
 # Source-behind-impedance stand-in for regions without a visible EMT model.
 OPAQUE_EQUIVALENT_Z = 0.05 + 0.25j
+# Periods in the splice modulus of `schedule_from_steps`.
+SPLICE_PERIODS = 2
 
 
 @dataclass
@@ -459,21 +461,24 @@ class SpliceSchedule:
     reference: str
     t_ref_steps: int
     period_steps: int
-    factor: int
     t_adj_steps: dict[str, int]
 
 
-def schedule_from_steps(ready_steps: dict[str, int], period_steps: int,
-                        factor: int = 2) -> SpliceSchedule:
+def schedule_from_steps(ready_steps: dict[str, int], period_steps: int) -> SpliceSchedule:
+    """Each subsystem's splice step: its first step at or after its ready
+    step that lies a whole number of SPLICE_PERIODS periods after the
+    subsystem ready first.  Any whole number of periods splices every
+    subsystem at one phase of its periodic steady state; two is the one
+    value the pipeline ever used, the one its adjusted steps are pinned at."""
     names = list(ready_steps)
     reference = min(names, key=lambda n: (ready_steps[n], names.index(n)))
     t_ref = ready_steps[reference]
-    modulus = factor * period_steps
+    modulus = SPLICE_PERIODS * period_steps
     adj = {}
     for name, t in ready_steps.items():
         k = -((t_ref - t) // modulus)  # ceil((t - t_ref)/modulus)
         adj[name] = t_ref + k * modulus
-    return SpliceSchedule(reference, t_ref, period_steps, factor, adj)
+    return SpliceSchedule(reference, t_ref, period_steps, adj)
 
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
@@ -576,38 +581,6 @@ class PipelineConfig:
 
 
 @dataclass
-class PipelineReport:
-    ipf_trace: IterationTrace | None
-    boundary: dict | None
-    ready_steps: dict[str, int]
-    adjusted_steps: dict[str, int]
-    splice_deviations: dict[str, float]
-    gis_cost_steps: int
-    gis_total_steps: int
-    dt: float
-
-    def to_json_dict(self) -> dict:
-        trace = None
-        if self.ipf_trace is not None:
-            trace = {
-                "status": self.ipf_trace.status,
-                "outer_iterations": len(self.ipf_trace.rows),
-                "phi_norms": [r.phi_norm for r in self.ipf_trace.rows],
-                "inner_iterations": [r.inner_iters for r in self.ipf_trace.rows],
-            }
-        return {
-            "ipf": trace,
-            "boundary": self.boundary,
-            "ready_steps": self.ready_steps,
-            "adjusted_steps": self.adjusted_steps,
-            "splice_deviations": self.splice_deviations,
-            "gis_cost_steps": self.gis_cost_steps,
-            "gis_total_steps": self.gis_total_steps,
-            "dt": self.dt,
-        }
-
-
-@dataclass
 class SystemModel:
     """Coordinated operating point plus the whole-system EMT model."""
 
@@ -622,11 +595,12 @@ class SystemModel:
 @dataclass
 class PipelineResult:
     """The system model plus what the pipeline adds: the spliced snapshot,
-    its report and the per-subsystem snapshots it was spliced from."""
+    its report and the per-subsystem snapshots it was spliced from.  The
+    report is the report.json document `emtgis init` writes, built once."""
 
     model: SystemModel
     snapshot: Snapshot
-    report: PipelineReport
+    report: dict
     subsystem_snapshots: dict[str, Snapshot]
 
 
@@ -644,23 +618,23 @@ def _stage(name, fn, *args, **kw):
 def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemModel:
     """Validate, coordinate the whole-system power flow, resolve every
     region's operating point and assemble the whole-system EMT model.  An
-    invalid case, or a dt that does not divide the period, raises
-    ValueError, an input error, not a stage failure."""
+    invalid case, or a dt that does not divide the period or leaves fewer
+    than 4 steps per period, raises ValueError, an input error, not a stage
+    failure."""
     cfg = cfg or PipelineConfig()
     validate_case(case).raise_if_invalid()
     period_steps = case.period / cfg.dt
     if abs(period_steps - round(period_steps)) > 1e-9:
         raise ValueError(f"the period {case.period} s is not an integer multiple "
                          f"of dt {cfg.dt} s")
+    if round(period_steps) < 4:
+        raise ValueError(f"dt {cfg.dt} s leaves {round(period_steps)} steps per period "
+                         f"{case.period} s, fewer than 4")
 
     boundary_state = None
     trace = None
     if case.grbcs:
-        def run_ipf():
-            n = len(case.grbcs)
-            x0 = np.concatenate([np.ones(n), np.zeros(n)])
-            return jfng_solve(case, case.grbcs, x0, cfg.jfng)
-        boundary_state, trace = _stage("ipf", run_ipf)
+        boundary_state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
         main_pf = boundary_state.main_solution
         draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
                  for i, bid in enumerate(boundary_state.bus_ids)}
@@ -723,17 +697,20 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
                                 cfg.dt)
 
     adjusted = schedule.t_adj_steps
-    boundary_state = model.boundary_state
-    report = PipelineReport(
-        ipf_trace=model.ipf_trace,
-        boundary=boundary_state.to_dict() if boundary_state is not None else None,
-        ready_steps=ready_steps,
-        adjusted_steps=dict(adjusted),
-        splice_deviations=deviations,
-        gis_cost_steps=max(adjusted.values()) if adjusted else 0,
-        gis_total_steps=sum(adjusted.values()),
-        dt=cfg.dt,
-    )
+    trace = model.ipf_trace
+    report = {
+        "ipf": None if trace is None else {
+            "status": trace.status, "outer_iterations": trace.outer_iterations,
+            "phi_norms": trace.phi_norms(),
+            "inner_iterations": [r.inner_iters for r in trace.rows]},
+        "boundary": None if model.boundary_state is None else model.boundary_state.to_dict(),
+        "ready_steps": ready_steps,
+        "adjusted_steps": dict(adjusted),
+        "splice_deviations": deviations,
+        "gis_cost_steps": max(adjusted.values()) if adjusted else 0,
+        "gis_total_steps": sum(adjusted.values()),
+        "dt": cfg.dt,
+    }
     return PipelineResult(model, spliced, report, snapshots)
 
 

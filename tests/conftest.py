@@ -268,14 +268,14 @@ def _exact_steps(t: float, dt: float, what: str) -> int:
     return steps
 
 
-def splice_schedule(ready_times: dict[str, float], period: float, dt: float,
-                    factor: int = 2) -> sn.SpliceSchedule:
+def splice_schedule(ready_times: dict[str, float], period: float,
+                    dt: float) -> sn.SpliceSchedule:
     """`snapshot.schedule_from_steps` on times: each must lie on the dt
-    grid, and the period too, so (t_adj - t_ref) mod (factor*T) is exactly
+    grid, and the period too, so (t_adj - t_ref) mod (2T) is exactly
     0 in integer steps."""
     if not ready_times:
         raise ValueError("no subsystems to schedule")
     period_steps = _exact_steps(period, dt, "period")
     ready_steps = {name: _exact_steps(t, dt, f"ready time of '{name}'")
                    for name, t in ready_times.items()}
-    return sn.schedule_from_steps(ready_steps, period_steps, factor)
+    return sn.schedule_from_steps(ready_steps, period_steps)

@@ -24,13 +24,13 @@ def reference_window(zero_step: int, dt: float, period: float, window: float,
 
 def reference_deviations(full_net: ek.EmtNet, gis_state: ek.EmtState,
                          zero_state: ek.EmtState, probes: list[str], dt: float,
-                         w0: int, w1: int, events: list[ek.SimEvent]) -> dict[str, float]:
+                         w0: int, w1: int, fault: ek.SimEvent | None) -> dict[str, float]:
     """Per probe key, the deviation of the run from `gis_state` from the run
     from `zero_state` over [w0, w1], each run recorded from its start."""
     waves = []
     for start in (zero_state, gis_state):
         sim = ek.SimConfig(dt=dt, duration=(w1 - start.step) * dt, record=probes,
-                           events=events)
+                           fault=fault)
         waves.append((start.step, ek.run(full_net, sim, init=start)[0].data))
     (z, zero), (g, gis) = waves
     return {key: average_relative_deviation(gis[key][w0 - g:w1 - g + 1],

@@ -38,6 +38,20 @@ def ramp_profile(t: float, t_ramp: float) -> float:
     return t / t_ramp
 
 
+def companion(kind: ek.ElementKind, value: float, dt: float) -> tuple[float, float, float]:
+    """Trapezoidal companion coefficients (g, h, j) of one element, for
+    i(t) = g u(t) + h u(t-dt) + j i(t-dt).  A resistor has g = 1/R; the
+    trapezoid gives an inductor g = h = dt/2L and j = 1 (from L di/dt = u),
+    a capacitor g = -h = 2C/dt and j = -1 (from C du/dt = i)."""
+    if kind is ek.ElementKind.RESISTOR:
+        return 1.0 / value, 0.0, 0.0
+    if kind is ek.ElementKind.INDUCTOR:
+        g = dt / (2.0 * value)
+        return g, g, 1.0
+    g = 2.0 * value / dt
+    return g, -g, -1.0
+
+
 class ReferenceNet:
     def __init__(self, net: ek.EmtNet, dt: float):
         self.net = net
@@ -49,10 +63,8 @@ class ReferenceNet:
         self.ef = np.array([index[e.n_from] for e in net.elements], dtype=int)
         self.et = np.array([ground if e.n_to is None else index[e.n_to]
                             for e in net.elements], dtype=int)
-        models = [ek.companion_coefficients(e.kind, e.value, dt) for e in net.elements]
-        self.g = np.array([m.g_coef for m in models])
-        self.h = np.array([m.h_coef for m in models])
-        self.j = np.array([m.j_coef for m in models])
+        self.g, self.h, self.j = np.array(
+            [companion(e.kind, e.value, dt) for e in net.elements]).reshape(-1, 3).T
 
         eids = [e.eid for e in net.elements]
         known = [index[s.node] for s in net.sources]
@@ -154,14 +166,14 @@ def reference_migrate(state: ek.EmtState, net: ek.EmtNet) -> ek.EmtState:
 
 
 def reference_run(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
-    """Fixed-duration run with fault events on the reference stepper.
+    """Fixed-duration run with its fault on the reference stepper.
 
-    Returns (samples per step, final state, migrated state per event).
+    Returns (samples per step, final state, migrated state per fault).
     """
     ref = ReferenceNet(net, cfg.dt)
     state = init.copy()
     n_steps = int(round(cfg.duration / cfg.dt))
-    pending = [(int(round(e.time / cfg.dt)), e) for e in cfg.events]
+    pending = [] if cfg.fault is None else [(int(round(cfg.fault.time / cfg.dt)), cfg.fault)]
     rows = [reference_sample(state, cfg.record)]
     migrated = []
     for _ in range(n_steps):

@@ -14,17 +14,20 @@ import numpy as np
 
 import emtgis.emtkernel as ek
 from emtgis.errors import SingularConductance
+from reference_kernel import companion
 
 
-def effective_admittance(model: ek.CompanionModel, omega: float, dt: float) -> complex:
+def effective_admittance(coef: tuple[float, float, float], omega: float,
+                         dt: float) -> complex:
     """Admittance seen by a pure discrete sinusoid at omega.
 
     Derived from the companion recursion with v, i sampled sinusoids;
     initializing states from these values puts the kernel exactly on its
     discrete periodic steady state.
     """
+    g, h, j = coef
     z = cmath.exp(-1j * omega * dt)
-    return (model.g_coef + model.h_coef * z) / (1.0 - model.j_coef * z)
+    return (g + h * z) / (1.0 - j * z)
 
 
 def reference_phasor_solve(net: ek.EmtNet, known_phasors: dict[str, complex],
@@ -53,8 +56,7 @@ def reference_phasor_solve(net: ek.EmtNet, known_phasors: dict[str, complex],
         if dt is None:
             yvals.append(ek.continuous_admittance(e.kind, e.value, omega))
         else:
-            yvals.append(effective_admittance(
-                ek.companion_coefficients(e.kind, e.value, dt), omega, dt))
+            yvals.append(effective_admittance(companion(e.kind, e.value, dt), omega, dt))
 
     ymat = np.zeros((n + 1, n + 1), dtype=complex)
     for e, yv in zip(net.elements, yvals):

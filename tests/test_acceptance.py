@@ -163,13 +163,13 @@ def test_criterion_4_gmres_linear_correctness():
 
 
 def _window_deviations(full_net, probes, dt, gis_snap, zero_state, w0, w1,
-                       events=()):
+                       fault=None):
     """Average relative deviation per probe over [w0, w1] (absolute steps)."""
     sim_z = ek.SimConfig(dt=dt, duration=(w1 - zero_state.step) * dt,
-                         record=probes, events=list(events))
+                         record=probes, fault=fault)
     waves_z, _ = ek.run(full_net, sim_z, init=zero_state)
     sim_g = ek.SimConfig(dt=dt, duration=(w1 - gis_snap.emt_state.step) * dt,
-                         record=probes, events=list(events))
+                         record=probes, fault=fault)
     waves_g, _ = ek.run(full_net, sim_g, init=gis_snap.emt_state)
     out = {}
     z_off = zero_state.step
@@ -213,7 +213,7 @@ def test_criterion_6_fault_response_equivalence(hybrid_comparison):
     w1 = fault_step + int(round(0.1 / dt))
     fault = ek.SimEvent(time=fault_step * dt, target="B7", r_fault=0.05)
     devs = _window_deviations(res.model.full_net, c["probes"], dt, res.snapshot,
-                              c["zero_state"], fault_step, w1, events=[fault])
+                              c["zero_state"], fault_step, w1, fault=fault)
     worst = max(devs.values())
     report("criterion-6 fault-response-equivalence",
            f"post-fault deviation {worst:.2e}", "1e-2", worst < 1e-2)
@@ -221,7 +221,7 @@ def test_criterion_6_fault_response_equivalence(hybrid_comparison):
 
 def test_criterion_7_initialization_efficiency(hybrid_comparison):
     c = hybrid_comparison
-    gis_steps = c["result"].report.gis_cost_steps
+    gis_steps = c["result"].report["gis_cost_steps"]
     zero_steps = c["zero_fired"]
     ratio = zero_steps / max(gis_steps, 1)
     report("criterion-7 initialization-efficiency",
@@ -263,7 +263,7 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     _, region_two = parts(at_two)
     snap = lambda name, st: sn.Snapshot(name, 50.0, st, {}, sn.PROVENANCE_RAMP,
                                         {name: "x"})
-    unadjusted = sn.SpliceSchedule("main", main.step, n_cycle, 2,
+    unadjusted = sn.SpliceSchedule("main", main.step, n_cycle,
                                    {"main": main.step, "wind1": region_half.step})
     _, bad = sn.splice({"main": snap("main", main),
                         "wind1": snap("wind1", region_half)},
@@ -281,7 +281,7 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
         period_steps = int(rng.integers(2, 400))
         ready = {f"s{i}": int(rng.integers(0, 10**6))
                  for i in range(int(rng.integers(1, 6)))}
-        sched = sn.schedule_from_steps(ready, period_steps, 2)
+        sched = sn.schedule_from_steps(ready, period_steps)
         for name, adj in sched.t_adj_steps.items():
             if (adj - sched.t_ref_steps) % (2 * period_steps) != 0 or \
                     adj < ready[name]:

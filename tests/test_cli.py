@@ -352,15 +352,15 @@ class TestCompareWindow:
         assert code == 0
         doc = read_json(path)
         # the reference starts from the same two states
-        assert doc["steps_to_steady"]["gis"] == c["result"].report.gis_cost_steps
+        assert doc["steps_to_steady"]["gis"] == c["result"].report["gis_cost_steps"]
         assert doc["steps_to_steady"]["zero_state"] == c["zero_fired"]
-        events = [_parse_fault(fault)] if fault else []
+        event = _parse_fault(fault) if fault else None
         w0, w1 = reference_window(c["zero_state"].step, c["dt"], c["case"].period, 0.1,
-                                  *events)
+                                  event)
         assert doc["window_steps"] == [w0, w1]
         expected = reference_deviations(c["result"].model.full_net,
                                         c["result"].snapshot.emt_state, c["zero_state"],
-                                        c["probes"], c["dt"], w0, w1, events)
+                                        c["probes"], c["dt"], w0, w1, event)
         assert doc["deviations"].keys() == expected.keys()
         assert max(expected.values()) > 1e-5
         # A deviation is a mean |a - b| over a mean |b|, already relative to
@@ -500,6 +500,54 @@ class TestInvalidDt:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["error: the period 0.02 s is not an integer multiple of dt 3e-05 s"]
         assert not (tmp_path / "report.json").exists()
+
+
+class TestTooFewStepsPerPeriod:
+    """A --dt that divides the period into fewer than 4 steps is an input
+    error with a true message: exit 1, one `error:` line, no --out, no
+    report.json.  0.02 s is exactly 2 steps of 0.01 s."""
+
+    @pytest.mark.parametrize("case, command", [
+        ("ninebus1", ("init",)),
+        ("twobus", ("init",)),
+        ("twobus", ("simulate", "--zero-state")),
+        ("twobus", ("compare",)),
+    ], ids=["init", "init-region-free", "simulate", "compare"])
+    def test_exits_1_and_leaves_no_directory(self, tmp_path, capsys, case, command):
+        from emtgis.cli import main
+
+        out = tmp_path / "out"
+        code = main([command[0], case_path(case), *command[1:], "--dt", "0.01",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: dt 0.01 s leaves 2 steps per period 0.02 s, fewer than 4"]
+        assert not out.exists()
+
+
+class TestProbesNamingNone:
+    """A --probes that names no probe is an input error: exit 1, one
+    `error:` line, no --out."""
+
+    @pytest.mark.parametrize("probes", [",,", ""], ids=["commas", "empty"])
+    def test_simulate_exits_1(self, tmp_path, capsys, probes):
+        self._exits_1(tmp_path, capsys, ["simulate", case_path("twobus"), "--zero-state",
+                                         "--duration", "0.02", "--probes", probes])
+
+    @pytest.mark.parametrize("probes", [",,", " , "], ids=["commas", "blanks"])
+    def test_compare_exits_1(self, tmp_path, capsys, probes):
+        self._exits_1(tmp_path, capsys, ["compare", case_path("twobus"), "--window", "0.02",
+                                         "--probes", probes])
+
+    @staticmethod
+    def _exits_1(tmp_path, capsys, argv):
+        from emtgis.cli import main
+
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: --probes '{argv[-1]}' names no probe"]
+        assert not out.exists()
 
 
 class TestInputErrorWritesNothing:

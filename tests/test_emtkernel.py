@@ -30,6 +30,7 @@ from conftest import (  # noqa: E402
 )
 from reference_kernel import (  # noqa: E402
     ReferenceNet,
+    companion,
     ramp_profile,
     reference_run,
     reference_run_until_steady,
@@ -56,29 +57,45 @@ def rl_net(r=1.0, l_henry=0.01, rms=1.0):
 
 
 class TestCompanionCoefficients:
+    @staticmethod
+    def coefficients(kind, value, dt=20e-6):
+        net = ek.EmtNet("one", 50.0, ("n1",), (ek.Element("x", kind, "n1", None, value),), ())
+        return tuple(ek.companion_arrays(net, dt)[:, 0])
+
     def test_resistor(self):
-        m = ek.companion_coefficients(ek.ElementKind.RESISTOR, 2.0, 20e-6)
-        assert (m.g_coef, m.h_coef, m.j_coef) == (0.5, 0.0, 0.0)
+        assert self.coefficients(ek.ElementKind.RESISTOR, 2.0) == (0.5, 0.0, 0.0)
 
     def test_inductor_trapezoidal(self):
         # di/dt = v/L discretized by the trapezoid: G = H = dt/2L, J = 1
-        m = ek.companion_coefficients(ek.ElementKind.INDUCTOR, 0.1, 20e-6)
-        assert m.g_coef == pytest.approx(1e-4)
-        assert m.h_coef == pytest.approx(1e-4)
-        assert m.j_coef == 1.0
+        g, h, j = self.coefficients(ek.ElementKind.INDUCTOR, 0.1)
+        assert g == pytest.approx(1e-4)
+        assert h == pytest.approx(1e-4)
+        assert j == 1.0
 
     def test_capacitor_trapezoidal(self):
-        m = ek.companion_coefficients(ek.ElementKind.CAPACITOR, 1e-3, 20e-6)
-        assert m.g_coef == pytest.approx(100.0)
-        assert m.h_coef == pytest.approx(-100.0)
-        assert m.j_coef == -1.0
+        g, h, j = self.coefficients(ek.ElementKind.CAPACITOR, 1e-3)
+        assert g == pytest.approx(100.0)
+        assert h == pytest.approx(-100.0)
+        assert j == -1.0
 
     @pytest.mark.parametrize("kind", [ek.ElementKind.RESISTOR,
                                       ek.ElementKind.INDUCTOR,
                                       ek.ElementKind.CAPACITOR])
     def test_nonpositive_value_rejected(self, kind):
-        with pytest.raises(InvalidParameter):
-            ek.companion_coefficients(kind, 0.0, 20e-6)
+        for value in (0.0, -1.0):
+            with pytest.raises(InvalidParameter,
+                               match=f"{kind.value} parameter must be positive, got {value}"):
+                self.coefficients(kind, value)
+
+    @pytest.mark.parametrize("dt", [0.0, -20e-6])
+    def test_nonpositive_dt_rejected(self, dt):
+        with pytest.raises(InvalidParameter, match="dt must be positive"):
+            self.coefficients(ek.ElementKind.RESISTOR, 2.0, dt)
+
+    def test_matches_the_oracle_on_the_hybrid_full_net(self, hybrid_model):
+        net = hybrid_model.full_net
+        want = np.array([companion(e.kind, e.value, 5e-5) for e in net.elements]).T
+        assert ek.companion_arrays(net, 5e-5).tobytes() == want.tobytes()
 
 
 class TestStep:
@@ -134,6 +151,15 @@ class TestRampProfile:
             ramp_profile(0.1, 0.0)
 
 
+class TestRunUntilSteadyCycle:
+    @pytest.mark.parametrize("dt", [3e-5, 0.01, 0.02], ids=["not-whole", "2-steps", "1-step"])
+    def test_guard_names_both_conditions(self, dt):
+        cfg = ek.SimConfig(dt=dt, duration=1.0, record=["n2"])
+        with pytest.raises(InvalidParameter,
+                           match="^period must be an integer multiple of dt, 4 steps or more$"):
+            ek.run_until_steady(rl_net(), cfg)
+
+
 class TestFault:
     def test_near_solid_fault_collapses_voltage(self):
         net = ek.EmtNet(
@@ -143,7 +169,7 @@ class TestFault:
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
         cfg = ek.SimConfig(dt=1e-4, duration=0.2, record=["n2"],
-                           events=[ek.SimEvent(0.1, "n2", 1e-6)])
+                           fault=ek.SimEvent(0.1, "n2", 1e-6))
         waves, _ = ek.run(net, cfg)
         k = int(0.1 / 1e-4)
         assert np.max(np.abs(waves.data["n2.a"][k - 200:k])) > 1.0
@@ -162,16 +188,16 @@ class TestFault:
         # bit for bit
         cfg = ek.SimConfig(dt=1e-4, duration=0.1, record=["n2", "i:l1"], t_ramp=0.05)
         want_waves, want = ek.run(rl_net(), cfg)
-        events = [ek.SimEvent(0.0213, "n2", math.inf), ek.SimEvent(0.0731, "n1", math.inf)]
-        waves, got = ek.run(rl_net(), replace(cfg, events=events))
-        for key, trace in want_waves.data.items():
-            assert np.array_equal(waves.data[key], trace), key
-        for field in ("v_nodes", "elem_i", "i_hist"):
-            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for fault in (ek.SimEvent(0.0213, "n2", math.inf), ek.SimEvent(0.0731, "n1", math.inf)):
+            waves, got = ek.run(rl_net(), replace(cfg, fault=fault))
+            for key, trace in want_waves.data.items():
+                assert np.array_equal(waves.data[key], trace), (fault, key)
+            for field in ("v_nodes", "elem_i", "i_hist"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), (fault, field)
 
     def test_infinite_resistance_event_at_unknown_node_rejected(self):
         cfg = ek.SimConfig(dt=1e-4, duration=0.01,
-                           events=[ek.SimEvent(0.005, "nope", math.inf)])
+                           fault=ek.SimEvent(0.005, "nope", math.inf))
         with pytest.raises(UnknownBus):
             ek.run(rl_net(), cfg)
 
@@ -191,25 +217,18 @@ class TestFault:
         i_ph = ek.fourier_phasor(col[-1000:], st.step, 2e-5, OMEGA)
         assert abs(i_ph) == pytest.approx(1.0 / abs(rf + 1j * x), rel=2e-3)
 
-    def test_unsorted_events_rejected(self):
-        with pytest.raises(InvalidParameter):
-            ek.SimConfig(dt=1e-4, duration=0.1,
-                         events=[ek.SimEvent(0.2, "n2", 1e-6),
-                                 ek.SimEvent(0.1, "n2", 1e-6)])
-
     def test_replaced_config_is_validated_again(self):
         cfg = ek.SimConfig(dt=1e-4, duration=0.1)
         with pytest.raises(InvalidParameter):
-            replace(cfg, events=[ek.SimEvent(0.2, "n2", 1e-6),
-                                 ek.SimEvent(0.1, "n2", 1e-6)])
+            replace(cfg, duration=-0.1)
 
     def test_post_fault_waveform_golden_regression(self):
         golden = json.loads((DATA / "golden_fault.json").read_text())
         net = rl_net()
         cfg = ek.SimConfig(dt=float(golden["dt"]), duration=float(golden["duration"]),
                            record=["n2"],
-                           events=[ek.SimEvent(float(golden["fault_time"]), "n2",
-                                               float(golden["r_fault"]))])
+                           fault=ek.SimEvent(float(golden["fault_time"]), "n2",
+                                             float(golden["r_fault"])))
         waves, _ = ek.run(net, cfg)
         got = waves.data["n2.a"][golden["window"][0]:golden["window"][1]]
         want = np.array(golden["samples"])
@@ -396,7 +415,7 @@ class TestLoopEquivalence:
         dt = 5e-5
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
         cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           events=[ek.SimEvent(150 * dt, far, 0.05)],
+                           fault=ek.SimEvent(150 * dt, far, 0.05),
                            t_ramp=200 * dt if ramp else None)
         init = ek.zero_state(net, dt)
         waves, final = ek.run(net, cfg, init=init)
@@ -407,7 +426,7 @@ class TestLoopEquivalence:
         self._assert_state_close(final, ref_final)
 
         # The state materialized at the fault and carried onto the faulted net.
-        _, pre = ek.run(net, replace(cfg, duration=150 * dt, events=[]), init=init)
+        _, pre = ek.run(net, replace(cfg, duration=150 * dt, fault=None), init=init)
         faulted = ek.apply_fault(net, far, 0.05)
         self._assert_state_close(ek.migrate_state(faulted, pre),
                                  ref_migrated[0])
@@ -418,7 +437,7 @@ class TestLoopEquivalence:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           events=[ek.SimEvent(100 * dt, "B7", 0.02)])
+                           fault=ek.SimEvent(100 * dt, "B7", 0.02))
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
         got = np.column_stack([waves.data[k] for k in waves.data])
@@ -607,7 +626,7 @@ class TestHistoryCurrentState:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           events=[ek.SimEvent(fault_step * dt, "B7", 0.02)])
+                           fault=ek.SimEvent(fault_step * dt, "B7", 0.02))
         self._assert_run_matches_reference(net, cfg, init)
 
     @pytest.mark.parametrize("fault_step", [1, 401, 800],
@@ -619,7 +638,7 @@ class TestHistoryCurrentState:
         dt = self.DT
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           events=[ek.SimEvent(fault_step * dt, far, 0.05)], t_ramp=600 * dt)
+                           fault=ek.SimEvent(fault_step * dt, far, 0.05), t_ramp=600 * dt)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     def test_net_without_inductors_or_capacitors(self):
@@ -634,7 +653,7 @@ class TestHistoryCurrentState:
         compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 0.01)
         assert compiled.n_lc == 0 and compiled.post_map.shape == (4, 4)
         cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=["n2", "n3", "i:r1", "i:r3"],
-                           events=[ek.SimEvent(500 * dt, "n3", 0.1)], t_ramp=300 * dt)
+                           fault=ek.SimEvent(500 * dt, "n3", 0.1), t_ramp=300 * dt)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     @staticmethod
@@ -646,7 +665,7 @@ class TestHistoryCurrentState:
         assert_close_to_reference(got, rows)
         TestLoopEquivalence._assert_state_close(final, ref_final)
         assert_machines_close(final, ref_final)
-        faulted = ek.apply_fault(net, cfg.events[0].target, cfg.events[0].r_fault)
+        faulted = ek.apply_fault(net, cfg.fault.target, cfg.fault.r_fault)
         assert np.array_equal(ek.companion_replay(ek.CompiledNet(faulted, cfg.dt, final),
                                                   final), final.elem_i)
 
@@ -682,7 +701,7 @@ class TestSwingRelaxation:
         record = [b.id for b in hybrid_comparison["case"].buses]
         record += [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           events=[ek.SimEvent((init.step + offset) * self.DT, "B7", 1e-6)])
+                           fault=ek.SimEvent((init.step + offset) * self.DT, "B7", 1e-6))
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
@@ -690,7 +709,7 @@ class TestSwingRelaxation:
         init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, self.DT).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           events=[ek.SimEvent(250 * self.DT, "B7", 0.02)])
+                           fault=ek.SimEvent(250 * self.DT, "B7", 0.02))
         compiled = ek.CompiledNet(net, self.DT, init)
         assert compiled.swinging.tolist() == [0, 1]
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
@@ -728,7 +747,7 @@ class TestSwingRelaxation:
         monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
         net, init = self.gis_start(hybrid_comparison)
         cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=["B7"],
-                           events=[ek.SimEvent((init.step + 150) * self.DT, "B7", 1e-6)])
+                           fault=ek.SimEvent((init.step + 150) * self.DT, "B7", 1e-6))
         ek.run(net, cfg, init=init)
         # 150 steps before the fault: a chunk of 100 and one of 50, which
         # extrapolates the first chunk's start transient; 750 after it: one
@@ -749,7 +768,7 @@ class TestSwingRelaxation:
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid.buses]
         ramped = dict(duration=0.2, record=record, t_ramp=0.05,
-                      events=[ek.SimEvent(0.15, "B7", 0.02)])
+                      fault=ek.SimEvent(0.15, "B7", 0.02))
         runs = [(net, init, ek.SimConfig(dt=self.DT, duration=10000 * self.DT, record=record)),
                 (net, None, ek.SimConfig(dt=self.DT, **ramped)),
                 (two_machine_net(hybrid_model.full_net), None,
@@ -803,8 +822,8 @@ class TestSwingRelaxation:
             nets.append(self)
 
         monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
-        events = [ek.SimEvent(init.step * self.DT, "B7", 1e-6)]
-        waves, got = ek.run(net, replace(cfg, events=events), init=init)
+        fault = ek.SimEvent(init.step * self.DT, "B7", 1e-6)
+        waves, got = ek.run(net, replace(cfg, fault=fault), init=init)
         assert [c.net for c in nets] == [faulted]
         assert np.array_equal(waves.times, want_waves.times)
         for key, trace in want_waves.data.items():
@@ -851,7 +870,7 @@ class TestSwingRelaxation:
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid_comparison["case"].buses]
         cfg = ek.SimConfig(dt=self.DT, duration=2000 * self.DT, record=record,
-                           events=[ek.SimEvent((init.step + 730) * self.DT, "B7", 1e-6)])
+                           fault=ek.SimEvent((init.step + 730) * self.DT, "B7", 1e-6))
         (w1, s1), (w2, s2) = ek.run(net, cfg, init=init), ek.run(net, cfg, init=init)
         for k in w1.data:
             assert np.array_equal(w1.data[k], w2.data[k]), k
@@ -983,7 +1002,7 @@ class TestStepCalls:
 
     def test_run_steps_once_per_step_across_a_fault(self, calls):
         cfg = ek.SimConfig(dt=1e-4, duration=0.05, record=["n2"],
-                           events=[ek.SimEvent(0.02, "n2", 0.1)])
+                           fault=ek.SimEvent(0.02, "n2", 0.1))
         waves, state = ek.run(rl_net(), cfg)
         assert calls[0] == 500 == state.step == len(waves.times) - 1
 
@@ -1258,7 +1277,7 @@ class TestTwoAxisFrame:
         net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
         dt = TestSwingRelaxation.DT
         cfg = ek.SimConfig(dt=dt, duration=steps * dt, record=["B7"],
-                           events=[ek.SimEvent((init.step + 50) * dt, "B7", 0.02)])
+                           fault=ek.SimEvent((init.step + 50) * dt, "B7", 0.02))
         _, final = ek.run(net, cfg, init=init)
         assert final.step == init.step + steps
         self.assert_balanced(final)
