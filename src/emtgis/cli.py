@@ -17,9 +17,10 @@ Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period or leaves fewer than 4 steps per period; a
 --probes that names no probe; a --window or --duration that rounds to 0
-steps; a simulate --fault at or after the run's end; a compare window
-that starts before its initialized snapshot; a run too large for
-memory), 2 coordination failed,
+steps; a simulate --fault at or after the run's end; a --t-ramp at or
+past --ramp-budget or past --settle-cap; a compare --fault on a bus the
+case lacks; a compare window that starts before its initialized
+snapshot; a run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
 unreadable snapshot (its nodes, elements, machines or dt differ from the
 case's, or it is no version-3 snapshot file) or a start state whose phases
@@ -120,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="EMT step size [s]")
 
     pipeline = argparse.ArgumentParser(add_help=False, parents=[emt])
-    pipeline.add_argument("--t-ramp", type=seconds, default=sn.PipelineConfig.t_ramp,
-                          help="source ramp duration [s]")
+    pipeline.add_argument("--t-ramp", type=seconds,
+                          help="source ramp of every region, shorter than --ramp-budget [s] "
+                               "(default: two cycles, 0.5 s with a swinging machine)")
     pipeline.add_argument("--ramp-budget", type=seconds, default=sn.PipelineConfig.ramp_budget,
                           help="per-region steady-state search window [s]")
 
@@ -138,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="start de-energized and ramp sources")
     sim.add_argument("--t-ramp", type=seconds,
                      help="source ramp of a --zero-state run [s] "
-                          f"(default {sn.PipelineConfig.t_ramp})")
+                          "(default: two cycles, 0.5 s with a swinging machine)")
     sim.add_argument("--duration", type=seconds, default=0.5)
     sim.add_argument("--fault", help="fault event BUS@TIME[@R]")
     sim.add_argument("--probes", help="comma-separated bus ids (default: all buses)")
@@ -220,6 +222,9 @@ def _jfng_config(args) -> JfngConfig:
 
 
 def _pipeline_config(args) -> sn.PipelineConfig:
+    if args.t_ramp is not None and args.t_ramp >= args.ramp_budget:
+        raise ValueError(f"--t-ramp {args.t_ramp} s is not shorter than "
+                         f"--ramp-budget {args.ramp_budget} s")
     return sn.PipelineConfig(dt=args.dt, t_ramp=args.t_ramp, ramp_budget=args.ramp_budget,
                              jfng=_jfng_config(args))
 
@@ -326,8 +331,6 @@ def cmd_simulate(args) -> int:
         raise ValueError("give exactly one of --snapshot or --zero-state")
     if args.snapshot and args.t_ramp is not None:
         raise ValueError("--t-ramp ramps a --zero-state run; a --snapshot run has no ramp")
-    if args.zero_state and args.t_ramp is None:
-        args.t_ramp = sn.PipelineConfig.t_ramp  # recorded in the manifest
     fault = _parse_fault(args.fault) if args.fault else None
     probes = _probes(args, case)
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
@@ -338,6 +341,8 @@ def cmd_simulate(args) -> int:
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
+    if args.zero_state:
+        args.t_ramp = sn.ramp_length(model.full_net, args.t_ramp)  # recorded in the manifest
 
     sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=probes, fault=fault,
                        t_ramp=args.t_ramp)
@@ -376,9 +381,13 @@ def cmd_compare(args) -> int:
     fault = _parse_fault(args.fault) if args.fault else None
     probes = _probes(args, case)
     window_steps = _steps(args, "window")
+    if args.t_ramp is not None and args.t_ramp > args.settle_cap:
+        raise ValueError(f"--t-ramp {args.t_ramp} s is past --settle-cap {args.settle_cap} s")
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net
+    if fault is not None and fault.target not in full_net.nodes:
+        raise UnknownBus(f"fault targets unknown node '{fault.target}'")
     settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
                               t_ramp=args.t_ramp)
     zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)

@@ -425,14 +425,26 @@ def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
     return b.build(), probe_eid
 
 
+def ramp_length(net: EmtNet, t_ramp: float | None = None) -> float:
+    """The source ramp of a start from zero on `net`: t_ramp if given, else
+    two periods where no machine swings (inertia_h > 0), which gets a region
+    ready in about a third of the steps 0.5 s takes, as close to the exact
+    steady state; 0.5 s where one swings, as a fast ramp excites its swing
+    (ninebus3's plant2: 54,400 steps at 0.04 s, 14,000 at 0.5 s)."""
+    if t_ramp is not None:
+        return t_ramp
+    return 0.5 if any(m.inertia_h > 0 for m in net.machines) else 2 * net.period
+
+
 def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimConfig,
                      boundary_bus: str, subsystem: str | None = None) -> Snapshot:
     """Ramp a region net behind its boundary equivalent until steady.
 
     All sources (the equivalent and any internal ones) follow the same
-    linear ramp over cfg.t_ramp; the steady-state detector watches every
-    node of the region plus the boundary current.  Boundary phasors come
-    from a single-frequency Fourier integral over the final full cycle.
+    linear ramp over cfg.t_ramp, the region's `ramp_length` in the pipeline;
+    the steady-state detector watches every node of the region plus the
+    boundary current.  Boundary phasors come from a single-frequency
+    Fourier integral over the final full cycle.
     """
     subsystem = subsystem or grbc_net.name
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
@@ -460,7 +472,6 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
 class SpliceSchedule:
     reference: str
     t_ref_steps: int
-    period_steps: int
     t_adj_steps: dict[str, int]
 
 
@@ -478,7 +489,7 @@ def schedule_from_steps(ready_steps: dict[str, int], period_steps: int) -> Splic
     for name, t in ready_steps.items():
         k = -((t_ref - t) // modulus)  # ceil((t - t_ref)/modulus)
         adj[name] = t_ref + k * modulus
-    return SpliceSchedule(reference, t_ref, period_steps, adj)
+    return SpliceSchedule(reference, t_ref, adj)
 
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
@@ -574,8 +585,10 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
 
 @dataclass
 class PipelineConfig:
+    """t_ramp, if given, ramps every region; None, each its `ramp_length`."""
+
     dt: float = 5e-5
-    t_ramp: float = 0.5
+    t_ramp: float | None = None
     ramp_budget: float = 6.0       # per-region steady-state search window
     jfng: JfngConfig = field(default_factory=JfngConfig)
 
@@ -666,11 +679,13 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     snap_main = stage("phasor_init", phasor_init, case, model.main_pf, main_net, cfg.dt,
                       boundary_draw=model.draws)
 
-    ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=cfg.t_ramp)
+    t_ramps: dict[str, float] = {}
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
         thev = thevenin_extract(case, model.main_pf, main_net, op.decl.boundary_bus)
         region_net = build_region_net(op, case.frequency_hz)
+        t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
+        ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=t_ramp)
         return ramp_to_snapshot(region_net, thev, ramp_cfg,
                                 op.decl.boundary_bus, subsystem=op.decl.name)
 
@@ -704,6 +719,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
             "phi_norms": trace.phi_norms(),
             "inner_iterations": [r.inner_iters for r in trace.rows]},
         "boundary": None if model.boundary_state is None else model.boundary_state.to_dict(),
+        "t_ramp": t_ramps,
         "ready_steps": ready_steps,
         "adjusted_steps": dict(adjusted),
         "splice_deviations": deviations,
@@ -716,7 +732,8 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
 
 def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     """Zero-state ramping baseline on the whole net, its sources ramped
-    over cfg.t_ramp; returns the settled state and the step at which
+    over `ramp_length(full_net, cfg.t_ramp)`, so cfg.t_ramp None means the
+    pipeline's rule; returns the settled state and the step at which
     steadiness was declared.
 
     Rotor angles are dynamic states, not model parameters: machines start
@@ -728,7 +745,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     record = list(cfg.record) or [n for n in full_net.nodes if ":" not in n]
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
-    cfg = replace(cfg, record=record)
+    cfg = replace(cfg, record=record, t_ramp=ramp_length(full_net, cfg.t_ramp))
     init = ek.zero_state(full_net, cfg.dt)
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)

@@ -129,7 +129,8 @@ def hybrid_comparison(hybrid):
     dt = 5e-5
     result = sn.run_emtgis(hybrid, sn.PipelineConfig(dt=dt))
     probes = [b.id for b in hybrid.buses]
-    settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes, t_ramp=0.5)
+    # t_ramp None: `compare`'s default, the full net's `ramp_length`
+    settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes)
     zero_state, zero_fired = sn.settle_from_zero(result.model.full_net, settle_cfg)
     return {
         "case": hybrid,

@@ -305,7 +305,8 @@ class TestSimulate:
             assert out.returncode == 0, out.stderr
             flags[name] = read_json(tmp_path / name / "manifest.json")["flags"]
         assert "t_ramp" not in flags["snapshot"]
-        assert flags["zero"]["t_ramp"] == 0.5
+        # `sn.ramp_length` of ninebus1's full net: no machine swings
+        assert flags["zero"]["t_ramp"] == 0.04
 
 
 class TestAverageRelativeDeviation:
@@ -716,6 +717,54 @@ class TestFaultAfterTheRun:
         assert clear[:-1] == faulted[:-1] and clear[-1] != faulted[-1]
 
 
+class TestRampPastItsBudget:
+    """An explicit --t-ramp at or past --ramp-budget (init, compare), or
+    past --settle-cap (compare), leaves no budget to settle in: an input
+    error found before the power flow, exit 1, one `error:` line, no
+    --out.  Before, `init ninebus1.json --t-ramp 7` stepped the whole 6 s
+    budget, then exited 3 and wrote report.json."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("init", "--t-ramp", "7"), "--t-ramp 7.0 s is not shorter than --ramp-budget 6.0 s"),
+        (("init", "--t-ramp", "0.3", "--ramp-budget", "0.3"),
+         "--t-ramp 0.3 s is not shorter than --ramp-budget 0.3 s"),
+        (("compare", "--t-ramp", "6"), "--t-ramp 6.0 s is not shorter than --ramp-budget 6.0 s"),
+        (("compare", "--t-ramp", "5", "--settle-cap", "4"),
+         "--t-ramp 5.0 s is past --settle-cap 4.0 s"),
+    ], ids=["init-past", "init-at", "compare-at", "compare-past-the-cap"])
+    def test_exits_1_before_the_model(self, tmp_path, capsys, monkeypatch, argv, message):
+        from emtgis.cli import main
+
+        def no_model(*args, **kwargs):
+            raise AssertionError("the system model was built")
+
+        monkeypatch.setattr(sn, "system_model", no_model)
+        out = tmp_path / "out"
+        assert main([argv[0], case_path("ninebus1"), *argv[1:], "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+
+class TestCompareFaultOnAnUnknownBus:
+    """compare checks its --fault bus against the full net right after the
+    pipeline, before the zero-state run settles: exit 1 with the kernel's
+    message, nothing written."""
+
+    def test_exits_1_before_the_settle(self, tmp_path, capsys, monkeypatch):
+        from emtgis.cli import main
+
+        def no_settle(*args, **kwargs):
+            raise AssertionError("the zero-state run was settled")
+
+        monkeypatch.setattr(sn, "settle_from_zero", no_settle)
+        out = tmp_path / "out"
+        assert main(["compare", case_path("hybrid"), "--fault", "NOPE@5.5",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "error: fault targets unknown node 'NOPE'"]
+        assert not out.exists()
+
+
 class TestInvalidFaultSpecs:
     """A fault time must be finite and >= 0, a fault resistance positive
     (inf: no fault) and not NaN.  A bad spec is an input error found before
@@ -785,11 +834,11 @@ class TestManifestFlags:
     @pytest.mark.parametrize("case, command, reads", [
         ("twobus", ("validate",), set()),
         ("twobus", ("ipf",), set()),
-        ("twobus", ("init",), PIPELINE_FLAGS - COORDINATOR_FLAGS),
+        ("twobus", ("init", "--t-ramp", "0.5"), PIPELINE_FLAGS - COORDINATOR_FLAGS),
         ("twobus", ("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
                     "--probes", "B2"),
          {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
-        ("twobus", ("compare", "--fault", "B2@1.0", "--probes", "B2"),
+        ("twobus", ("compare", "--t-ramp", "0.5", "--fault", "B2@1.0", "--probes", "B2"),
          PIPELINE_FLAGS - COORDINATOR_FLAGS | {"window", "settle_cap", "fault", "probes"}),
         ("ninebus1", ("simulate", "--zero-state", "--duration", "0.01", "--probes", "B7"),
          COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "probes"}),

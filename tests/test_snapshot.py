@@ -40,6 +40,7 @@ from conftest import (  # noqa: E402
     injection_thevenin,
     phasor_consistency_error,
     random_linear_net,
+    scaled_case,
     splice_schedule,
     subset_state,
 )
@@ -422,7 +423,7 @@ class TestSplice:
 
         # deliberately unadjusted: region captured half a period later
         bad_sched = sn.SpliceSchedule(
-            "main", main.timestamp_steps, s["n_cycle"],
+            "main", main.timestamp_steps,
             {"main": main.timestamp_steps, "wind1": region_half.timestamp_steps})
         _, bad_dev = sn.splice({"main": main, "wind1": region_half}, bad_sched,
                                s["full"], s["dt"])
@@ -512,7 +513,7 @@ class TestSpliceMatchesReference:
         main, _ = s["split"](s["at_peak"])
         for at in ("at_peak", "at_half", "at_two"):
             _, region = s["split"](s[at])
-            sched = sn.SpliceSchedule("main", main.timestamp_steps, s["n_cycle"],
+            sched = sn.SpliceSchedule("main", main.timestamp_steps,
                                       {"main": main.timestamp_steps,
                                        "wind1": region.timestamp_steps})
             assert_splices_agree({"main": main, "wind1": region}, sched, s["full"], s["dt"])
@@ -646,36 +647,158 @@ class TestRegionNamespace:
 
 class TestPinnedStepCounts:
     """The step counts the benchmark gates (`gis_cost_steps`,
-    `steady_ratio`), pinned at the values of the per-step EmtState kernel
-    that the buffer loop replaced: a kernel change must not move them."""
+    `steady_ratio`).  With every subsystem ramped over an explicit 0.5 s
+    they are pinned at the values of the per-step EmtState kernel that the
+    buffer loop replaced: a kernel change must not move them.  By default
+    each subsystem ramps for `sn.ramp_length` of its own net: two cycles,
+    but 0.5 s for the swinging plant2 of ninebus2 and ninebus3."""
 
-    READY = {
+    READY_AT_HALF_S = {
         "ninebus1": {"main": 0, "wind1": 14000},
         "ninebus2": {"main": 0, "plant2": 14000, "wind1": 14000},
         "ninebus3": {"farm3": 13600, "main": 0, "plant2": 14000, "wind1": 14000},
         "hybrid": {"dclink": 14000, "main": 0, "plant2": 14000, "wind1": 13600},
     }
-    ADJUSTED = {
+    ADJUSTED_AT_HALF_S = {
         "ninebus1": {"main": 0, "wind1": 14400},
         "ninebus2": {"main": 0, "plant2": 14400, "wind1": 14400},
         "ninebus3": {"farm3": 13600, "main": 0, "plant2": 14400, "wind1": 14400},
         "hybrid": {"dclink": 14400, "main": 0, "plant2": 14400, "wind1": 13600},
     }
+    READY = {
+        "ninebus1": {"main": 0, "wind1": 4800},
+        "ninebus2": {"main": 0, "plant2": 14000, "wind1": 4800},
+        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 14000, "wind1": 4800},
+        "hybrid": {"dclink": 5600, "main": 0, "plant2": 5600, "wind1": 4800},
+    }
+    ADJUSTED = {
+        "ninebus1": {"main": 0, "wind1": 4800},
+        "ninebus2": {"main": 0, "plant2": 14400, "wind1": 4800},
+        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 14400, "wind1": 4800},
+        "hybrid": {"dclink": 5600, "main": 0, "plant2": 5600, "wind1": 4800},
+    }
+    T_RAMP = {
+        "ninebus1": {"wind1": 0.04},
+        "ninebus2": {"plant2": 0.5, "wind1": 0.04},
+        "ninebus3": {"farm3": 0.04, "plant2": 0.5, "wind1": 0.04},
+        "hybrid": {"dclink": 0.04, "plant2": 0.04, "wind1": 0.04},
+    }
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_init_ready_and_adjusted_steps_at_half_a_second(self, name, request):
+        result = sn.run_emtgis(request.getfixturevalue(name),
+                               sn.PipelineConfig(dt=5e-5, t_ramp=0.5))
+        assert result.report["ready_steps"] == self.READY_AT_HALF_S[name]
+        assert result.report["adjusted_steps"] == self.ADJUSTED_AT_HALF_S[name]
+        assert result.report["gis_cost_steps"] == 14400
+        assert result.report["t_ramp"] == dict.fromkeys(self.T_RAMP[name], 0.5)
 
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
     def test_init_ready_and_adjusted_steps(self, name, request):
         result = pipeline_result(request, name)
         assert result.report["ready_steps"] == self.READY[name]
         assert result.report["adjusted_steps"] == self.ADJUSTED[name]
-        assert result.report["gis_cost_steps"] == 14400
+        assert result.report["gis_cost_steps"] == max(self.ADJUSTED[name].values())
+        assert result.report["t_ramp"] == self.T_RAMP[name]
 
     def test_compare_steps_to_steady(self, hybrid_comparison):
         # `emtgis compare hybrid.json --fault B7@5.5` settles the same
-        # zero-state run; its fault comes after the settle.
+        # zero-state run; its fault comes after the settle.  The full net
+        # swings, so its ramp is 0.5 s, with --t-ramp 0.5 or without.
         gis = hybrid_comparison["result"].report["gis_cost_steps"]
         zero = hybrid_comparison["zero_fired"]
-        assert (gis, zero) == (14400, 100000)
-        assert zero / gis == 6.944444444444445
+        assert (gis, zero) == (5600, 100000)
+        assert zero / gis == 17.857142857142858
+
+
+class TestRampLength:
+    """`sn.ramp_length`: two cycles for a net where no machine swings, 0.5 s
+    where one does, an explicit length for every net."""
+
+    def test_the_rule(self, bundled_models):
+        _, ninebus1 = bundled_models["ninebus1"]
+        _, hybrid = bundled_models["hybrid"]
+        fixed_rotor = replace(hybrid.full_net, machines=tuple(
+            replace(m, inertia_h=0.0) for m in hybrid.full_net.machines))
+        assert not any(m.inertia_h > 0 for m in ninebus1.full_net.machines)
+        assert sn.ramp_length(ninebus1.full_net) == 0.04
+        assert sn.ramp_length(fixed_rotor) == 0.04
+        assert sn.ramp_length(hybrid.full_net) == 0.5
+        for net in (ninebus1.full_net, fixed_rotor, hybrid.full_net):
+            assert sn.ramp_length(net, 0.3) == 0.3
+
+    def test_settle_from_zero_ramps_by_the_rule(self, bundled_models, monkeypatch):
+        seen = []
+
+        def steady(net, cfg, init=None):
+            seen.append(cfg.t_ramp)
+            return init, 1, None, None
+
+        monkeypatch.setattr(ek, "run_until_steady", steady)
+        for name, given, ramp in (("ninebus1", None, 0.04), ("hybrid", None, 0.5),
+                                  ("hybrid", 0.2, 0.2)):
+            net = bundled_models[name][1].full_net
+            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, duration=1.0, t_ramp=given))
+            assert seen.pop() == ramp
+
+
+def exact_steady_state(net, dt=5e-5):
+    """The net's exact discrete periodic steady state at step 0: one
+    `phasor_solve` with the kernel's companion admittances, which exists
+    because every model here is linear."""
+    node_ph, elem_ph = ek.phasor_solve(net, dt=dt)
+    return sn._state_from_phasors(net, node_ph, elem_ph, dt)
+
+
+def distance(state, exact):
+    """How far a state is from the exact one: v_nodes and elem_i relative
+    to the exact peaks, rotor angles in rad."""
+    return (np.abs(state.v_nodes - exact.v_nodes).max() / np.abs(exact.v_nodes).max(),
+            np.abs(state.elem_i - exact.elem_i).max() / np.abs(exact.elem_i).max(),
+            np.abs(state.machine_delta - exact.machine_delta).max(initial=0.0))
+
+
+class TestExactSteadyState:
+    """The exact steady state as the oracle of the spliced one.  A nonlinear
+    or black-box region would have no such solve, so the pipeline keeps
+    ramping; the oracle checks the ramp, it does not replace it."""
+
+    # Twice the distances (v, i, rotor angle) of the spliced states from the
+    # exact ones when the oracle was added, ramps of 0.5 s and of
+    # `sn.ramp_length` alike: a state that is ready sooner must not be
+    # worse.  The distances then were 1.33e-6 and 1.94e-6 (ninebus1),
+    # 2.56e-5, 5.35e-5 and 3.04e-5 rad (ninebus2), 2.57e-5, 5.35e-5 and
+    # 3.03e-5 rad (ninebus3), 1.92e-6 and 5.52e-6 (hybrid), 3.06e-5, 5.61e-5
+    # and 3.23e-5 rad (scaled k=8); a rotor angle that none of the ramps
+    # moves matched to the bit.
+    BOUNDS = {
+        "ninebus1": (2.66e-6, 3.89e-6, 0.0),
+        "ninebus2": (5.12e-5, 1.07e-4, 6.08e-5),
+        "ninebus3": (5.14e-5, 1.071e-4, 6.06e-5),
+        "hybrid": (3.84e-6, 1.105e-5, 0.0),
+        "scaled8": (6.13e-5, 1.122e-4, 6.47e-5),
+    }
+
+    @pytest.mark.parametrize("name", ["twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_exact_state_is_steady_under_the_kernel(self, name, request):
+        case = request.getfixturevalue(name)
+        net = sn.system_model(case).full_net
+        exact = exact_steady_state(net)
+        n_cycle = int(round(net.period / 5e-5))
+        _, end = ek.run(net, ek.SimConfig(dt=5e-5, duration=3 * n_cycle * 5e-5), init=exact)
+        assert end.step == 3 * n_cycle
+        assert max(distance(end, exact)) <= 1e-12
+
+    @pytest.mark.parametrize("name", list(BOUNDS))
+    def test_spliced_state_is_near_the_exact_one(self, name, request):
+        if name == "scaled8":
+            result = sn.run_emtgis(scaled_case(8, 1), sn.PipelineConfig(dt=5e-5))
+        else:
+            result = pipeline_result(request, name)
+        exact = exact_steady_state(result.model.full_net)
+        spliced = result.snapshot.emt_state
+        assert spliced.step == 0
+        assert all(d <= bound for d, bound in zip(distance(spliced, exact), self.BOUNDS[name]))
 
 
 def pipeline_result(request, name):
