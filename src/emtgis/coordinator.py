@@ -143,9 +143,10 @@ class IterationTrace:
 def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
-    `problem` is the torn main system's PowerFlowProblem, solved to
-    MAIN_PF_TOL at x's angles as they are; each white-box region solves
-    the problem its declaration holds, at `evaluate`'s wrapped angle.
+    `problem` is the torn main system's PowerFlowProblem, decoupled as
+    `jfng_solve` builds it, solved by `solve_main` to MAIN_PF_TOL at x's
+    angles as they are; each white-box region solves the problem its
+    declaration holds by Newton, at `evaluate`'s wrapped angle.
     Both sides see the *same* voltages and run one after another in
     declaration order, so the assembled residual is deterministic.
     """
@@ -390,8 +391,9 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
     rejected.  Every CoordinationError raised here carries the trace.
-    The main system's PowerFlowProblem is built once per call; each
-    white-box region's comes from its declaration.  Without x0 the
+    The main system's PowerFlowProblem is built once per call, with
+    its fast-decoupled matrices inverted once; each white-box region's
+    comes from its declaration.  Without x0 the
     iteration takes the flat start: every boundary voltage 1 pu at angle 0.
     """
     cfg = cfg or JfngConfig()
@@ -401,7 +403,7 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     n = x.size // 2
     M = None  # built before the first correction
     trace = IterationTrace()
-    problem = PowerFlowProblem(case)
+    problem = PowerFlowProblem(case, decoupled=True)
 
     def evaluate_at(xv: np.ndarray) -> BoundaryState:
         return residual(problem, grbcs, xv)

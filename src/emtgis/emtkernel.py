@@ -1138,25 +1138,12 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
 # --- phasor-domain solves on the same network ------------------------------------
 
 
-def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
-                 injections: dict[str, complex] | None = None,
-                 dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Single-frequency nodal solve of the network at its fundamental.
-
-    The net pins its own nodes (`pinned_nodes`): each source's node at the
-    source's RMS phasor, then each machine's EMF node at its build-time
-    EMF; a node pinned twice takes its last value.  `pinned` only adds
-    nodes, node id to RMS phasor, after them.  injections add RMS current
-    sources into nodes.  With dt given, element admittances are the
-    discrete-companion effective values (g + h z)/(1 - j z), z =
-    exp(-j w dt), so the result is the exact periodic steady state of the
-    stepped kernel; otherwise continuous jw admittances are used.  Y is
-    stamped from `element_terminals` in element order.
-
-    Returns (node phasors, element current phasors) as arrays in net.nodes
-    and net.elements order, element currents oriented from n_from to
-    n_to.
-    """
+def nodal_system(net: EmtNet, pinned: dict[str, complex] | None = None,
+                 dt: float | None = None) -> tuple[np.ndarray, ...]:
+    """`phasor_solve`'s nodal system, before injections: (y, f, t, ymat, v,
+    known, unknown), the element admittances, their terminals, Y stamped
+    from them (ground last), the phasors pinned at the `known` node
+    indices (zero elsewhere) and the other indices, ascending."""
     omega = net.omega
     index = {nid: i for i, nid in enumerate(net.nodes)}
     n = len(net.nodes)
@@ -1180,18 +1167,40 @@ def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
     known = np.array(sorted(pins), dtype=int)
     v = np.zeros(n + 1, dtype=complex)
     v[known] = [pins[k] for k in known]
-    inj = np.zeros(n + 1, dtype=complex)
-    for nid, cur in (injections or {}).items():
-        inj[index[nid]] += cur
+    return y, f, t, ymat, v, known, np.delete(np.arange(n), known)
 
-    unknown = np.delete(np.arange(n), known)
+
+def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
+                 injections: dict[str, complex] | None = None,
+                 dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Single-frequency nodal solve of the network at its fundamental.
+
+    The net pins its own nodes (`pinned_nodes`): each source's node at the
+    source's RMS phasor, then each machine's EMF node at its build-time
+    EMF; a node pinned twice takes its last value.  `pinned` only adds
+    nodes, node id to RMS phasor, after them.  injections add RMS current
+    sources into nodes.  With dt given, element admittances are the
+    discrete-companion effective values (g + h z)/(1 - j z), z =
+    exp(-j w dt), so the result is the exact periodic steady state of the
+    stepped kernel; otherwise continuous jw admittances are used.  Y is
+    stamped from `element_terminals` in element order (`nodal_system`).
+
+    Returns (node phasors, element current phasors) as arrays in net.nodes
+    and net.elements order, element currents oriented from n_from to
+    n_to.
+    """
+    y, f, t, ymat, v, known, unknown = nodal_system(net, pinned, dt)
+    inj = np.zeros_like(v)
+    for nid, cur in (injections or {}).items():
+        inj[net.nodes.index(nid)] += cur
+
     if unknown.size:
         rhs = inj[unknown] - ymat[np.ix_(unknown, known)] @ v[known]
         try:
             v[unknown] = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularConductance("phasor nodal matrix is singular") from exc
-    return v[:n], y * (v[f] - v[t])
+    return v[:-1], y * (v[f] - v[t])
 
 
 # --- waveform export --------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Newton-Raphson AC power flow on the polar mismatch equations.
+"""AC power flow on the polar mismatch equations, Newton or fast-decoupled.
 
 The torn main system is solved with its boundary buses held at
 coordinator-supplied phasors (slack-like), and the whole un-torn network
 can be solved monolithically as an independent reference.  Every solve
 takes a PowerFlowProblem, which holds what a solve needs of its case
-alone: the caller builds it once and passes it to every solve of that
-case.
+alone, and picks the method: the caller builds it once and passes it to
+every solve of that case.
 """
 
 from __future__ import annotations
@@ -75,9 +75,14 @@ class PowerFlowProblem:
     So theta_u = theta_0 + dc_gain @ theta_b: `start` holds theta_0, the
     angles at zero boundary angles.  Where B_uu is singular both are
     zero, the flat start.
+
+    With `decoupled` (the coordinator's main problem), `b_inv` holds the
+    inverses of B' = B_uu and B'' = B over the PQ buses, the fast-decoupled
+    matrices of Stott and Alsac (IEEE Trans. PAS-93, 1974); otherwise, or
+    where either is singular, it is None and `solve_main` runs Newton.
     """
 
-    def __init__(self, case: CaseFile):
+    def __init__(self, case: CaseFile, decoupled: bool = False):
         self.case = case
         self.bus_ids = tuple(b.id for b in case.buses)
         self.ybus = build_admittance(case)
@@ -88,6 +93,7 @@ class PowerFlowProblem:
         # Newton solves for theta over pvpq and |V| over pq, the polar
         # state [theta; |V|] at `unknowns`.
         self.pvpq = pvpq = np.concatenate([pv, pq])
+        self.pq = pq
         self.unknowns = np.concatenate([pvpq, n + pq])
         # Scheduled complex injection per bus: machine set points less loads.
         self.s_sched = np.array([complex(-b.p_load, -b.q_load) for b in case.buses])
@@ -113,6 +119,11 @@ class PowerFlowProblem:
             dc = np.zeros((pvpq.size, 1 + self.boundary_idx.size))
         self.start[pvpq] = dc[:, 0]
         self.dc_gain = dc[:, 1:]
+        try:
+            self.b_inv = (np.linalg.inv(bmat[np.ix_(pvpq, pvpq)]),
+                          np.linalg.inv(bmat[np.ix_(pq, pq)])) if decoupled else None
+        except np.linalg.LinAlgError:
+            self.b_inv = None
         # Gathers from float views (a complex entry is real, imag): P rows
         # are real parts over pvpq, Q rows imaginary parts over pq, of
         # S_sched - S and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns'
@@ -121,29 +132,37 @@ class PowerFlowProblem:
         self.jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
         self.jac_idx = self.jac_rows[:, None] + 2 * self.unknowns
         for arr in (self.ybus, self.unknowns, self.s_sched, self.start,
-                    self.pvpq, self.boundary_idx, self.dc_gain,
-                    self.mis_idx, self.jac_rows, self.jac_idx):
+                    self.pvpq, self.pq, self.boundary_idx, self.dc_gain,
+                    self.mis_idx, self.jac_rows, self.jac_idx, *(self.b_inv or ())):
             arr.flags.writeable = False
 
 
-def _fill_ds_dx(out: np.ndarray, ymat: np.ndarray, vm: np.ndarray, vhat: np.ndarray,
-                v: np.ndarray, ibus: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """[dS/dtheta | dS/d|V|] into the contiguous n x 2n complex buffer `out`
+def _ds_dx_views(n: int) -> tuple[np.ndarray, ...]:
+    """A new contiguous n x 2n complex buffer for [dS/dtheta | dS/d|V|] as
+    the views `_fill_ds_dx` writes and the caller reads: its two blocks,
+    the strided diagonals of both, and its float view."""
+    out = np.empty((n, 2 * n), dtype=complex)
+    flat = out.reshape(-1)
+    return out[:, :n], out[:, n:], flat[::2 * n + 1], flat[n::2 * n + 1], out.view(float)
+
+
+def _fill_ds_dx(views: tuple[np.ndarray, ...], ymat: np.ndarray, vm: np.ndarray,
+                vhat: np.ndarray, v: np.ndarray, i_conj: np.ndarray,
+                s: np.ndarray) -> np.ndarray:
+    """[dS/dtheta | dS/d|V|] into the `_ds_dx_views` buffer `views`
     (MATPOWER's dSbus_dV, by broadcasting), at V = vm * vhat with the
-    I = Y V and S = V conj(I) the caller already formed:
+    conj(I), I = Y V, and S = V conj(I) the caller already formed:
     dS/dtheta = j diag(V) conj(diag(I) - Y diag(V)),
     dS/d|V| = diag(V) conj(Y diag(Vhat)) + conj(diag(I)) diag(Vhat).
+    Returns the float view.
     """
-    n = vm.size
-    ds_dva, ds_dvm = out[:, :n], out[:, n:]
+    ds_dva, ds_dvm, diag_va, diag_vm, out = views
     np.multiply(ymat, vhat, out=ds_dvm)
     np.conjugate(ds_dvm, out=ds_dvm)
     ds_dvm *= v[:, None]
     np.multiply(ds_dvm, -1j * vm, out=ds_dva)
-    # Strided views of both block diagonals.
-    flat = out.reshape(-1)
-    flat[::2 * n + 1] += 1j * s
-    flat[n::2 * n + 1] += np.conj(ibus) * vhat
+    diag_va += 1j * s
+    diag_vm += i_conj * vhat
     return out
 
 
@@ -163,15 +182,17 @@ def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
     wrapped: the DC-angle start adds dc_gain @ va_b.
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
-    magnitude; full-Jacobian polar NR over the remaining unknowns, always
-    from the problem's DC-angle start at the supplied boundary angles
-    (flat angles where B_uu is singular; see `PowerFlowProblem`) and
-    |V| 1 or the set point, so a solve is a pure function of its inputs
-    (the coordinator's directional differences rely on that).  The
-    problem is only read, so one serves every solve of its case.
-    An iteration is O(n^2): dS/dV by `_fill_ds_dx` from the I = Y V the
-    mismatch used, and one index gather for the Jacobian.  A non-finite
-    mismatch raises NonConvergence.
+    magnitude; the remaining unknowns are solved by `_fast_decoupled`
+    with the problem's `b_inv`, else, or where that does not converge, by
+    full-Jacobian polar NR.  Both start from the problem's DC-angle start
+    at the supplied boundary angles (flat angles where B_uu is singular;
+    see `PowerFlowProblem`) and |V| 1 or the set point, so a solve is a
+    pure function of its inputs (the coordinator's directional
+    differences rely on that).  The problem is only read, so one serves
+    every solve of its case.  A Newton iteration is O(n^2) before its LU:
+    dS/dV by `_fill_ds_dx` from the conj(I) the mismatch used, into views
+    built once per solve, and one index gather for the Jacobian.  A
+    non-finite mismatch raises NonConvergence.
     """
     y, ids, bnd = problem.ybus, problem.bus_ids, problem.boundary_idx
     n = len(ids)
@@ -182,50 +203,82 @@ def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
     va, vm = x[:n], x[n:]
     vm[bnd], va[bnd] = vm_b, va_b
     va[problem.pvpq] += problem.dc_gain @ va[bnd]
+    if problem.b_inv is not None:
+        try:
+            return _fast_decoupled(problem, x.copy(), tol, max_iter)
+        except NonConvergence:
+            pass  # a net outside the method's reach, such as one of high R/X: Newton
 
     unknowns, s_sched = problem.unknowns, problem.s_sched
     mis_idx, jac_idx = problem.mis_idx, problem.jac_idx
-    ds_dx = np.empty((n, 2 * n), dtype=complex)
-
+    views = _ds_dx_views(n)
     history: list[float] = []
-    converged = False
-    iterations = 0
     for it in range(max_iter + 1):
         vhat = np.exp(1j * va)
         v = vm * vhat
-        ibus = y @ v
-        s = v * np.conj(ibus)
+        i_conj = np.conj(y.dot(v))
+        s = v * i_conj
         mismatch = (s_sched - s).view(float).take(mis_idx)
         max_mis = float(abs(mismatch).max(initial=0.0))
         if not math.isfinite(max_mis):
             raise NonConvergence(it, float("inf"))
         history.append(max_mis)
         if max_mis <= tol:
-            converged = True
-            iterations = it
-            break
+            return _solution(ids, x, s, it, history)
         if it == max_iter:
             break
-        _fill_ds_dx(ds_dx, y, vm, vhat, v, ibus, s)
-        jac = ds_dx.view(float).take(jac_idx)
+        jac = _fill_ds_dx(views, y, vm, vhat, v, i_conj, s).take(jac_idx)
         try:
             x[unknowns] += np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(it) from exc
+    raise NonConvergence(max_iter, history[-1])
 
-    if not converged:
-        raise NonConvergence(max_iter, history[-1])
-    return PowerFlowSolution(
-        bus_ids=ids,
-        vm=vm,
-        va=va,
-        p_calc=s.real.copy(),
-        q_calc=s.imag.copy(),
-        iterations=iterations,
-        converged=True,
-        max_mismatch=history[-1],
-        mismatch_history=history,
-    )
+
+def _fast_decoupled(problem: PowerFlowProblem, x: np.ndarray, tol: float,
+                    max_iter: int) -> PowerFlowSolution:
+    """`solve_main`'s fast-decoupled iterations from the start x = [theta;
+    |V|]: each moves theta over pvpq by B'^-1 dP/|V|, then |V| over pq by
+    B''^-1 dQ/|V| at the new angles.  They converge linearly, so one more
+    runs once the mismatch is within tol.  An overflow, or a non-finite
+    mismatch, raises NonConvergence before it can spread."""
+    y, s_sched, pvpq, pq = problem.ybus, problem.s_sched, problem.pvpq, problem.pq
+    bp_inv, bpp_inv = problem.b_inv
+    n = len(problem.bus_ids)
+    va, vm = x[:n], x[n:]
+
+    def power(vhat: np.ndarray) -> np.ndarray:
+        v = vm * vhat
+        return v * np.conj(y.dot(v))
+
+    history: list[float] = []
+    vhat = np.exp(1j * va)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for it in range(max_iter + 2):
+                s = power(vhat)
+                mismatch = (s_sched - s).view(float).take(problem.mis_idx)
+                history.append(float(abs(mismatch).max(initial=0.0)))
+                if not math.isfinite(history[-1]):
+                    raise NonConvergence(it, float("inf"))
+                if it and history[-2] <= tol:
+                    return _solution(problem.bus_ids, x, s, it, history)
+                if it == max_iter and history[-1] > tol:
+                    raise NonConvergence(max_iter, history[-1])
+                va[pvpq] += bp_inv.dot(mismatch[:pvpq.size] / vm[pvpq])
+                vhat = np.exp(1j * va)
+                vm[pq] += bpp_inv.dot((s_sched - power(vhat)).imag[pq] / vm[pq])
+    except FloatingPointError as exc:
+        raise NonConvergence(len(history), float("inf")) from exc
+    raise AssertionError("unreachable")
+
+
+def _solution(ids: tuple[str, ...], x: np.ndarray, s: np.ndarray, iterations: int,
+              history: list[float]) -> PowerFlowSolution:
+    n = len(ids)
+    return PowerFlowSolution(bus_ids=ids, vm=x[n:], va=x[:n], p_calc=s.real.copy(),
+                             q_calc=s.imag.copy(), iterations=iterations, converged=True,
+                             max_mismatch=history[-1], mismatch_history=history)
 
 
 def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tuple[float, float]]:
@@ -258,9 +311,8 @@ def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
     bnd = np.array([problem.bus_ids.index(b) for b in bus_ids], dtype=int)
     vhat = np.exp(1j * sol.va)
     v = sol.vm * vhat
-    ibus = y @ v
-    ds_dx = _fill_ds_dx(np.empty((n, 2 * n), dtype=complex), y, sol.vm, vhat,
-                        v, ibus, v * np.conj(ibus)).view(float)
+    i_conj = np.conj(y @ v)
+    ds_dx = _fill_ds_dx(_ds_dx_views(n), y, sol.vm, vhat, v, i_conj, v * i_conj)
 
     # Float-view gathers as in solve_main: P rows are real parts, Q rows
     # imaginary parts; theta columns come first in ds_dx, |V| columns second.

@@ -385,27 +385,40 @@ def thevenin_from_measurements(v_b: complex, i_b: complex,
     return TheveninEquivalent(Phasor.from_complex(e_eq), z_eq)
 
 
-def extract_thevenin_from_net(net: EmtNet, boundary: str, v_b: complex,
-                              i_into_attachment: complex) -> TheveninEquivalent:
-    """Two-measurement extraction: operating point plus solid-fault solve."""
-    _, elem_ph = ek.phasor_solve(net, {boundary: 0j})
-    n_from, n_to = ek.element_terminals(net)
-    b = net.nodes.index(boundary)
-    i_into_b = complex(elem_ph[n_to == b].sum() - elem_ph[n_from == b].sum())
-    return thevenin_from_measurements(v_b, i_into_attachment, -i_into_b)
+def fault_currents(net: EmtNet, boundaries: list[str]) -> dict[str, complex]:
+    """Solid-fault current at each node of `boundaries`, as
+    `thevenin_from_measurements` takes it, by the Z-bus Thevenin (Grainger
+    and Stevenson, *Power System Analysis*, 1994, ch. 8): one solve of
+    `ek.nodal_system(net)` for the open-circuit phasors v and, per
+    boundary b, the column Z_b of a unit injection.  Grounding b leaves
+    v - Z_b v_b / Z_bb, so the elements carry v_b / Z_bb into b.  A boundary
+    the net pins itself raises UnsupportedElement."""
+    nodes = [net.nodes.index(b) for b in boundaries]
+    if not nodes:
+        return {}
+    _, _, _, ymat, v, known, unknown = ek.nodal_system(net)
+    if np.isin(nodes, known).any():
+        raise UnsupportedElement("a source pins a boundary node: no solid-fault equivalent")
+    rows = np.searchsorted(unknown, nodes)
+    rhs = np.zeros((unknown.size, 1 + len(rows)), dtype=complex)
+    rhs[:, 0] = -ymat[np.ix_(unknown, known)] @ v[known]
+    rhs[rows, 1 + np.arange(len(rows))] = 1.0
+    sol = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
+    return {b: complex(-sol[r, 0] / sol[r, 1 + k])
+            for k, (b, r) in enumerate(zip(boundaries, rows))}
 
 
-def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, net: EmtNet,
+def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, faults: dict[str, complex],
                      boundary: str) -> TheveninEquivalent:
-    """Boundary equivalent of the main system seen from one region.  `net`
-    is `build_main_net(case, pf)`, built once by the caller."""
+    """Boundary equivalent of the main system seen from one region, from
+    `pf` and the table `faults`, `fault_currents` of the main net."""
     inj = boundary_injections(pf, case)
     if boundary not in inj:
         raise KeyError(f"'{boundary}' is not a boundary bus")
     v_b = pf.voltage(boundary).rect
     p, q = inj[boundary]
     i_b = machine_port_current(complex(p, q), v_b)
-    return extract_thevenin_from_net(net, boundary, v_b, i_b)
+    return thevenin_from_measurements(v_b, i_b, faults[boundary])
 
 
 def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
@@ -669,20 +682,23 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Whole pipeline: coordinated power flow, phasor snapshot of the main
-    system, Thevenin-backed ramp of every region, schedule,
-    splice.  Any stage failure is re-raised tagged with the stage name."""
+    system and its `fault_currents` table, the ramp of every region behind
+    its Thevenin equivalent, schedule, splice.  Any stage failure is
+    re-raised tagged with the stage name."""
     cfg = cfg or PipelineConfig()
     stage = _stage
 
     model = system_model(case, cfg)
     main_net = stage("phasor_init", build_main_net, case, model.main_pf)
+    faults = stage("phasor_init", fault_currents, main_net,
+                   [op.decl.boundary_bus for op in model.region_ops])
     snap_main = stage("phasor_init", phasor_init, case, model.main_pf, main_net, cfg.dt,
                       boundary_draw=model.draws)
 
     t_ramps: dict[str, float] = {}
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
-        thev = thevenin_extract(case, model.main_pf, main_net, op.decl.boundary_bus)
+        thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
         region_net = build_region_net(op, case.frequency_hz)
         t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
         ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=t_ramp)
@@ -701,7 +717,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     def advance_all():
         for op in model.region_ops:
             name = op.decl.name
-            thev = thevenin_extract(case, model.main_pf, main_net, op.decl.boundary_bus)
+            thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
             net, _ = attach_thevenin(build_region_net(op, case.frequency_hz),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,

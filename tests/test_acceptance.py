@@ -301,7 +301,8 @@ def test_criterion_9_thevenin_extraction():
         net, boundary = random_linear_net(rng)
         z_oracle = injection_thevenin(net, boundary)
         node_ph, _ = ek.phasor_solve(net)
-        th = sn.extract_thevenin_from_net(net, boundary, node_ph[net.nodes.index(boundary)], 0j)
+        th = sn.thevenin_from_measurements(node_ph[net.nodes.index(boundary)], 0j,
+                                           sn.fault_currents(net, [boundary])[boundary])
         worst = max(worst, abs(th.z_eq - z_oracle) / abs(z_oracle))
     report("criterion-9 thevenin-extraction",
            f"worst relative impedance error {worst:.2e} over 10 networks",

@@ -1,7 +1,9 @@
 import ast
 import copy
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,13 @@ from emtgis.errors import (
 )
 from emtgis.grbc import parse_declaration
 from emtgis.netmodel import BusKind, BusRecord, Phasor, parse_case
-from emtgis.powerflow import PowerFlowProblem, solve_monolithic
+from emtgis.powerflow import (
+    MAIN_PF_MAX_ITER,
+    MAIN_PF_TOL,
+    PowerFlowProblem,
+    solve_main,
+    solve_monolithic,
+)
 
 
 def oracle_boundary_x(case, mono):
@@ -277,6 +285,45 @@ class TestCoordinationAtScale:
         assert trace.status == "converged"
         x_ref = oracle_boundary_x(case, solve_monolithic(case))
         assert np.max(np.abs(state.x - x_ref)) < 1e-6
+
+
+def high_rx_ninebus1(ratio):
+    """ninebus1 with every main branch's R set to `ratio` times its X."""
+    doc = json.loads(Path(case_path("ninebus1")).read_text())
+    for br in doc["branches"]:
+        br["r"] = ratio * br["x"]
+    return doc
+
+
+class TestHighRxMainSystem:
+    """The fast-decoupled matrices drop the branch resistances, so its
+    iterations stop converging as R/X nears 1; the bundled and scaled
+    main systems have R/X of at most 0.23."""
+
+    def test_decoupled_iterations_that_fail_fall_back_to_newton(self):
+        # At R/X = 1 the decoupled iterations do not converge within
+        # MAIN_PF_MAX_ITER; the solve runs Newton
+        # from the same start, bit for bit, and ipf converges to the
+        # monolithic solution as Newton alone did.
+        case = parse_case(high_rx_ninebus1(1.0), name="rx1")
+        fast, newton = PowerFlowProblem(case, decoupled=True), PowerFlowProblem(case)
+        args = ([1.0], [0.0], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
+        fd, nr = solve_main(fast, *args), solve_main(newton, *args)
+        assert fd.mismatch_history == nr.mismatch_history
+        assert np.array_equal(fd.va, nr.va) and np.array_equal(fd.vm, nr.vm)
+        state, trace = jfng_solve(case, case.grbcs)
+        assert trace.status == "converged"
+        x_ref = oracle_boundary_x(case, solve_monolithic(case))
+        assert np.max(np.abs(state.x - x_ref)) < 1e-6
+
+    def test_rx_2_exits_2_with_its_trace(self, tmp_path):
+        # At R/X = 2 Newton fails too from the flat start, as it did before
+        # the decoupled solve: ipf exits 2 and writes its trace.
+        path = tmp_path / "rx2.json"
+        path.write_text(json.dumps(high_rx_ninebus1(2.0)))
+        out = tmp_path / "ipf"
+        assert cli.main(["ipf", str(path), "--out", str(out)]) == 2
+        assert (out / "trace.csv").read_text().startswith("outer_iter,")
 
 
 def scripted_twobus(twobus):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import case_path, scaled_case
+from emtgis.coordinator import jfng_solve
 from emtgis.errors import (
     NonConvergence,
     OracleUnavailable,
@@ -24,6 +25,8 @@ from emtgis.netmodel import (
     load_case,
 )
 from emtgis.powerflow import (
+    MAIN_PF_MAX_ITER,
+    MAIN_PF_TOL,
     PowerFlowProblem,
     boundary_injections,
     boundary_sensitivity,
@@ -299,6 +302,48 @@ class TestReferenceEquivalence:
                                                {decl.boundary_bus: v_b}, tol=1e-12,
                                                max_iter=60)
                 assert sol is not None
+
+
+class TestFastDecoupled:
+    """The coordinator's main solve, fast-decoupled on a problem built with
+    `decoupled`, against Newton, its oracle: within 1e-9 at the same
+    boundary voltages, those the coordination converges to."""
+
+    @staticmethod
+    def assert_matches_newton(case):
+        state, _ = jfng_solve(case, case.grbcs)
+        fast, newton = PowerFlowProblem(case, decoupled=True), PowerFlowProblem(case)
+        assert fast.b_inv is not None and newton.b_inv is None
+        n = len(state.bus_ids)
+        order = [state.bus_ids.index(bid) for _, bid in fast.boundary]
+        args = (state.x[order], state.x[n:][order], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
+        fd, nr = solve_main(fast, *args), solve_main(newton, *args)
+        # Linear convergence, one iteration past the tolerance.
+        assert fd.iterations > nr.iterations
+        assert fd.mismatch_history[-2] <= MAIN_PF_TOL < fd.mismatch_history[0]
+        for got, want in ((fd.vm, nr.vm), (fd.va, nr.va), (fd.p_calc, nr.p_calc),
+                          (fd.q_calc, nr.q_calc)):
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_bundled_cases_with_regions(self, name):
+        self.assert_matches_newton(load_case(case_path(name)))
+
+    def test_scaled_past_pi(self):
+        # k=32 seed 2: boundary angles past pi, taken unwrapped.
+        self.assert_matches_newton(scaled_case(32, 2))
+
+    def test_singular_b_keeps_newton(self):
+        # A PQ bus tied by a pure resistance: B' is singular, so the
+        # problem keeps Newton.
+        case = CaseFile(100.0, 50.0,
+                        [BusRecord("B1", BusKind.SLACK, 230.0, v_set=1.0),
+                         BusRecord("B2", BusKind.PQ, 230.0, p_load=0.1)],
+                        [BranchRecord("B1", "B2", 0.1, 0.0)])
+        problem = PowerFlowProblem(case, decoupled=True)
+        assert problem.b_inv is None
+        sol = solve_main(problem, tol=MAIN_PF_TOL, max_iter=MAIN_PF_MAX_ITER)
+        assert sol.max_mismatch <= MAIN_PF_TOL
 
 
 def boundary_x(volts, bus_ids):

@@ -16,6 +16,7 @@ from emtgis.errors import (
     StageFailure,
     SteadyStateTimeout,
     TopologyMismatch,
+    UnsupportedElement,
     ZeroFaultCurrentDelta,
 )
 from emtgis.grbc import GrbcKind, internal_pf_case
@@ -30,7 +31,7 @@ from emtgis.netmodel import (
     inline_grbcs,
     load_case,
 )
-from emtgis.powerflow import PowerFlowProblem, solve_main
+from emtgis.powerflow import PowerFlowProblem, boundary_injections, solve_main
 
 OMEGA = 2 * math.pi * 50.0
 
@@ -46,6 +47,7 @@ from conftest import (  # noqa: E402
 )
 from reference_phasor import reference_phasor_solve  # noqa: E402
 from reference_splice import reference_splice  # noqa: E402
+from reference_thevenin import reference_thevenin  # noqa: E402
 
 
 def machine_case():
@@ -224,7 +226,7 @@ class TestThevenin:
             (ek.Element("x", ek.ElementKind.INDUCTOR, "s", "b", 0.1 / OMEGA),),
             (ek.Source("e", "s", 1.0, 0.0),),
         )
-        th = sn.extract_thevenin_from_net(net, "b", 1.0 + 0j, 0j)
+        th = sn.thevenin_from_measurements(1.0 + 0j, 0j, sn.fault_currents(net, ["b"])["b"])
         assert th.z_eq == pytest.approx(0.1j, abs=1e-12)
         assert th.e_eq.rect == pytest.approx(1.0 + 0j, abs=1e-12)
 
@@ -235,9 +237,8 @@ class TestThevenin:
     def test_equivalent_satisfies_measurement_identity(self, ninebus1,
                                                        ninebus1_pipeline):
         pf = ninebus1_pipeline.model.main_pf
-        from emtgis.powerflow import boundary_injections
-
-        th = sn.thevenin_extract(ninebus1, pf, sn.build_main_net(ninebus1, pf), "B10")
+        th = sn.thevenin_extract(ninebus1, pf,
+                                 sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
         p, q = boundary_injections(pf, ninebus1)["B10"]
         v_b = pf.voltage("B10").rect
         i_b = sn.machine_port_current(complex(p, q), v_b)
@@ -250,7 +251,8 @@ class TestThevenin:
         res = ninebus1_pipeline
         op = res.model.region_ops[0]
         pf = res.model.main_pf
-        th = sn.thevenin_extract(ninebus1, pf, sn.build_main_net(ninebus1, pf), "B10")
+        th = sn.thevenin_extract(ninebus1, pf,
+                                 sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
         region = sn.build_region_net(op, 50.0)
         net, probe = sn.attach_thevenin(region, "B10", th)
         assert not net.machines  # the solve pins the sources alone, as the ramp does
@@ -270,9 +272,54 @@ class TestThevenin:
             net, boundary = random_linear_net(rng)
             z_direct = injection_thevenin(net, boundary)
             node_ph, _ = ek.phasor_solve(net)
-            th = sn.extract_thevenin_from_net(net, boundary,
-                                              node_ph[net.nodes.index(boundary)], 0j)
+            th = sn.thevenin_from_measurements(node_ph[net.nodes.index(boundary)], 0j,
+                                               sn.fault_currents(net, [boundary])[boundary])
             assert th.z_eq == pytest.approx(z_direct, rel=1e-9)
+
+
+class TestFaultTable:
+    """`fault_currents` takes every boundary's solid-fault current from one
+    solve by superposition; the per-boundary grounded solve it replaced is
+    the oracle.  Both equivalents agree within 1e-12 relative."""
+
+    @staticmethod
+    def assert_matches_oracle(th, ref):
+        assert abs(th.z_eq - ref.z_eq) <= 1e-12 * abs(ref.z_eq)
+        assert abs(th.e_eq.rect - ref.e_eq.rect) <= 1e-12 * abs(ref.e_eq.rect)
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_every_boundary_of_every_bundled_case(self, name, request):
+        case = request.getfixturevalue(name)
+        pf = sn.system_model(case, sn.PipelineConfig(dt=5e-5)).main_pf
+        net = sn.build_main_net(case, pf)
+        buses = [g.boundary_bus for g in case.grbcs]
+        faults = sn.fault_currents(net, buses)
+        assert list(faults) == buses
+        for bus in buses:
+            th = sn.thevenin_extract(case, pf, faults, bus)
+            v_b = pf.voltage(bus).rect
+            i_b = sn.machine_port_current(complex(*boundary_injections(pf, case)[bus]), v_b)
+            self.assert_matches_oracle(th, reference_thevenin(net, bus, v_b, i_b))
+
+    def test_random_nets_with_several_boundaries(self):
+        rng = np.random.default_rng(2718)
+        for _ in range(10):
+            net, _ = random_linear_net(rng, int(rng.integers(4, 9)))
+            buses = [nid for nid in net.nodes if nid.startswith("n") and nid != "n0"]
+            node_ph, _ = ek.phasor_solve(net)
+            faults = sn.fault_currents(net, buses)
+            for bus in buses:
+                v_b = complex(node_ph[net.nodes.index(bus)])
+                i_b = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+                self.assert_matches_oracle(sn.thevenin_from_measurements(v_b, i_b, faults[bus]),
+                                           reference_thevenin(net, bus, v_b, i_b))
+
+    def test_boundary_pinned_by_the_net_is_unsupported(self):
+        net = ek.EmtNet("pinned", 50.0, ("s", "b"),
+                        (ek.Element("x", ek.ElementKind.INDUCTOR, "s", "b", 0.1 / OMEGA),),
+                        (ek.Source("e", "b", 1.0, 0.0),))
+        with pytest.raises(UnsupportedElement):
+            sn.fault_currents(net, ["b"])
 
 
 class TestRamp:
@@ -581,9 +628,9 @@ class TestPipeline:
         calls = {"thevenin_extract": [], "build_region_net": []}
         real = {fn: getattr(sn, fn) for fn in calls}
 
-        def thevenin(case, pf, main_net, bus):
+        def thevenin(case, pf, faults, bus):
             calls["thevenin_extract"].append(bus)
-            return real["thevenin_extract"](case, pf, main_net, bus)
+            return real["thevenin_extract"](case, pf, faults, bus)
 
         def region_net(op, frequency_hz):
             calls["build_region_net"].append(op.decl.boundary_bus)
