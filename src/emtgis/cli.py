@@ -16,11 +16,11 @@ byte-for-byte (nothing time- or host-dependent is ever serialized).
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period or leaves fewer than 4 steps per period; a
---probes that names no probe; a --window or --duration that rounds to 0
-steps; a simulate --fault at or after the run's end; a --t-ramp at or
-past --ramp-budget or past --settle-cap; a compare --fault on a bus the
-case lacks; a compare window that starts before its initialized
-snapshot; a run too large for memory), 2 coordination failed,
+--probes that names no probe; a --window, --duration, --settle-cap or
+--t-ramp that rounds to 0 steps; a simulate --fault at or after the run's
+end; a --t-ramp at or past --ramp-budget or past --settle-cap; a compare
+--fault on a bus the case lacks; a compare window that starts before its
+initialized snapshot; a run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
 unreadable snapshot (its nodes, elements, machines or dt differ from the
 case's, or it is no version-3 snapshot file) or a start state whose phases
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline = argparse.ArgumentParser(add_help=False, parents=[emt])
     pipeline.add_argument("--t-ramp", type=seconds,
-                          help="source ramp of every region, shorter than --ramp-budget [s] "
-                               "(default: two cycles, 0.5 s with a swinging machine)")
+                          help="source ramp of each region, a step or more, below --ramp-budget [s]"
+                               " (default: two cycles, 0.5 s with a swinging machine)")
     pipeline.add_argument("--ramp-budget", type=seconds, default=sn.PipelineConfig.ramp_budget,
                           help="per-region steady-state search window [s]")
 
@@ -139,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--zero-state", action="store_true",
                      help="start de-energized and ramp sources")
     sim.add_argument("--t-ramp", type=seconds,
-                     help="source ramp of a --zero-state run [s] "
+                     help="source ramp of a --zero-state run, a step or more [s] "
                           "(default: two cycles, 0.5 s with a swinging machine)")
     sim.add_argument("--duration", type=seconds, default=0.5)
     sim.add_argument("--fault", help="fault event BUS@TIME[@R]")
@@ -222,9 +222,11 @@ def _jfng_config(args) -> JfngConfig:
 
 
 def _pipeline_config(args) -> sn.PipelineConfig:
-    if args.t_ramp is not None and args.t_ramp >= args.ramp_budget:
-        raise ValueError(f"--t-ramp {args.t_ramp} s is not shorter than "
-                         f"--ramp-budget {args.ramp_budget} s")
+    if args.t_ramp is not None:
+        _steps(args, "t_ramp")
+        if args.t_ramp >= args.ramp_budget:
+            raise ValueError(f"--t-ramp {args.t_ramp} s is not shorter than "
+                             f"--ramp-budget {args.ramp_budget} s")
     return sn.PipelineConfig(dt=args.dt, t_ramp=args.t_ramp, ramp_budget=args.ramp_budget,
                              jfng=_jfng_config(args))
 
@@ -248,15 +250,16 @@ def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
 
 
 def _steps(args, flag: str) -> int:
-    """A time flag's steps at --dt, rounded as `ek.run` rounds; none is an input error."""
-    if (steps := int(round(getattr(args, flag) / args.dt))) < 1:
-        raise ValueError(f"--{flag} {getattr(args, flag)} s rounds to 0 steps of dt {args.dt} s")
+    """A time flag's steps at --dt (`ek.to_steps`); none is an input error."""
+    if (steps := ek.to_steps(value := getattr(args, flag), args.dt)) < 1:
+        raise ValueError(f"--{flag.replace('_', '-')} {value} s rounds to 0 steps "
+                         f"of dt {args.dt} s")
     return steps
 
 
-def _parse_fault(spec: str) -> ek.SimEvent:
-    """The event of a BUS@TIME[@R] spec, else a ValueError (exit 1): TIME
-    must be finite and >= 0, R positive (inf: no fault) and not NaN."""
+def _parse_fault(spec: str, dt: float) -> ek.SimEvent:
+    """The event of a BUS@TIME[@R] spec at TIME's step, else a ValueError
+    (exit 1): TIME must be finite and >= 0, R positive (inf: no fault)."""
     parts = spec.split("@")
     if len(parts) not in (2, 3):
         raise ValueError(f"fault spec must be BUS@TIME[@R], got '{spec}'")
@@ -266,7 +269,7 @@ def _parse_fault(spec: str) -> ek.SimEvent:
         raise ValueError(f"fault time must be finite and >= 0, got '{spec}'")
     if not r > 0.0:
         raise ValueError(f"fault resistance must be positive, got '{spec}'")
-    return ek.SimEvent(time=time, target=parts[0], r_fault=r)
+    return ek.SimEvent(step=ek.to_steps(time, dt), target=parts[0], r_fault=r)
 
 
 def cmd_validate(args) -> int:
@@ -331,21 +334,24 @@ def cmd_simulate(args) -> int:
         raise ValueError("give exactly one of --snapshot or --zero-state")
     if args.snapshot and args.t_ramp is not None:
         raise ValueError("--t-ramp ramps a --zero-state run; a --snapshot run has no ramp")
-    fault = _parse_fault(args.fault) if args.fault else None
+    fault = _parse_fault(args.fault, args.dt) if args.fault else None
     probes = _probes(args, case)
+    ramp_steps = None if args.t_ramp is None else _steps(args, "t_ramp")
     init = None if args.zero_state else sn.load_snapshot(args.snapshot).emt_state
     # A fault at the run's last step or after it would change no sample.
-    end = (0 if init is None else init.step) + _steps(args, "duration")
-    if fault is not None and int(round(fault.time / args.dt)) >= end:
+    steps = _steps(args, "duration")
+    end = (0 if init is None else init.step) + steps
+    if fault is not None and fault.step >= end:
         raise ValueError(f"--fault {args.fault} is not before the run's end at {end * args.dt:g} s")
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
-    if args.zero_state:
-        args.t_ramp = sn.ramp_length(model.full_net, args.t_ramp)  # recorded in the manifest
+    if args.zero_state and ramp_steps is None:
+        args.t_ramp = sn.ramp_length(model.full_net)  # recorded in the manifest
+        ramp_steps = _steps(args, "t_ramp")
 
-    sim = ek.SimConfig(dt=args.dt, duration=args.duration, record=probes, fault=fault,
-                       t_ramp=args.t_ramp)
+    sim = ek.SimConfig(dt=args.dt, steps=steps, record=probes, fault=fault,
+                       ramp_steps=ramp_steps)
     waves, _ = ek.run(model.full_net, sim, init=init)
 
     outdir = _outdir(args)
@@ -378,9 +384,10 @@ def cmd_compare(args) -> int:
     `average_relative_deviation` per probe key over the window.
     """
     case = _load(args)
-    fault = _parse_fault(args.fault) if args.fault else None
+    fault = _parse_fault(args.fault, args.dt) if args.fault else None
     probes = _probes(args, case)
     window_steps = _steps(args, "window")
+    settle_steps = _steps(args, "settle_cap")
     if args.t_ramp is not None and args.t_ramp > args.settle_cap:
         raise ValueError(f"--t-ramp {args.t_ramp} s is past --settle-cap {args.settle_cap} s")
 
@@ -388,17 +395,15 @@ def cmd_compare(args) -> int:
     full_net = gis.model.full_net
     if fault is not None and fault.target not in full_net.nodes:
         raise UnknownBus(f"fault targets unknown node '{fault.target}'")
-    settle_cfg = ek.SimConfig(dt=args.dt, duration=args.settle_cap, record=probes,
-                              t_ramp=args.t_ramp)
-    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg)
+    settle_cfg = ek.SimConfig(dt=args.dt, steps=settle_steps, record=probes)
+    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg, args.t_ramp)
 
-    cycles = int(round(case.period / args.dt))
+    cycles = ek.to_steps(case.period, args.dt)
     w0_step = ((zero_state.step // cycles) + 2) * cycles
     if fault is not None:
-        fault_step = int(round(fault.time / args.dt))
-        if fault_step * args.dt < w0_step * args.dt:
+        if fault.step < w0_step:
             raise ValueError("fault must come after the zero-state run settles")
-        w0_step = fault_step
+        w0_step = fault.step
     w1_step = w0_step + window_steps
     gis_state = gis.snapshot.emt_state
     if gis_state.step > w0_step:
@@ -406,11 +411,9 @@ def cmd_compare(args) -> int:
                          f"snapshot at step {gis_state.step}")
 
     def window(start: ek.EmtState) -> dict[str, np.ndarray]:
-        lead_in = ek.SimConfig(dt=args.dt, duration=(w0_step - start.step) * args.dt,
-                               record=[])
+        lead_in = ek.SimConfig(dt=args.dt, steps=w0_step - start.step)
         _, at_w0 = ek.run(full_net, lead_in, init=start)
-        sim = ek.SimConfig(dt=args.dt, duration=(w1_step - w0_step) * args.dt,
-                           record=probes, fault=fault)
+        sim = ek.SimConfig(dt=args.dt, steps=window_steps, record=probes, fault=fault)
         return ek.run(full_net, sim, init=at_w0)[0].data
 
     waves_zero = window(zero_state)

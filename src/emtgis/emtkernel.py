@@ -2,6 +2,8 @@
 
 Fixed-step trapezoidal companion models in a nodal conductance matrix,
 with ideal voltage sources and machine EMF nodes as known-voltage nodes.
+The clock is the step n: a run's length, ramp and fault are step counts
+(`SimConfig`), and `to_steps` rounds a time to steps where it enters.
 
 The grid is balanced: every source, machine EMF and the oscillator is a
 balanced set over phases a, b, c at 0, -120, +120 degrees (`PHASE_SHIFT`),
@@ -30,8 +32,8 @@ steps ih alone, one row per L/C element, and x is an output map O of the
 step buffer, not part of it.
 
 The oscillator joins the state: r advances by the fixed rotation R by w*dt,
-and during the linear ramp s = n*dt/t_ramp the product q = n*r advances by
-q' = R (q + r), so the source input (dt/t_ramp) q is linear too.  A machine
+and during the linear ramp s = n/ramp_steps the product q = n*r advances by
+q' = R (q + r), so the source input q/ramp_steps is linear too.  A machine
 whose rotor is fixed (every machine during the ramp, one with inertia_h =
 0 always) is a source at its own angle and folds into F.  One step is then
 one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
@@ -76,6 +78,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
@@ -249,38 +252,52 @@ def pinned_nodes(net: EmtNet) -> list[int]:
 # --- fault and run configuration -----------------------------------------------
 
 
+def to_steps(seconds: float, dt: float) -> int:
+    """Seconds as the nearest whole number of steps of dt: 2.3 s / 1e-4 s
+    evaluates to 22999.999999999996, which is 23,000 steps."""
+    return int(round(seconds / dt))
+
+
+def _count(name: str, value, least: int) -> int:
+    """value as an int if it is an integer (numpy's too) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidParameter(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimEvent:
-    """The one fault of a run: three-phase at node `target` from `time` on,
-    through r_fault ohms per phase (`apply_fault`).  r_fault has no default
-    here; the CLI's is 0.05."""
+    """The one fault of a run: three-phase at node `target` from step
+    `step` of the clock on, through r_fault ohms per phase (`apply_fault`).
+    r_fault has no default here; the CLI's is 0.05."""
 
-    time: float
+    step: int
     target: str
     r_fault: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "step", _count("fault step", self.step, 0))
 
 
 @dataclass
 class SimConfig:
-    """One kernel run, with at most one fault.  Sources ramp linearly from
-    zero over the first t_ramp seconds of step * dt; t_ramp=None means no
-    ramp, sources at full scale from the first step.  The ramp belongs to
-    the run, not to its start state."""
+    """One kernel run of `steps` steps of dt, with at most one fault.
+    Sources ramp linearly from zero: at step n their scale is n/ramp_steps,
+    full from step ramp_steps on; ramp_steps=None means no ramp.  The ramp
+    belongs to the run, not to its start state."""
 
     dt: float
-    duration: float
+    steps: int
     record: list[str] = field(default_factory=list)
     fault: SimEvent | None = None
-    t_ramp: float | None = None
+    ramp_steps: int | None = None
 
     def __post_init__(self):
-        for name in ("dt", "t_ramp"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0.0):
-                raise InvalidParameter(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise InvalidParameter(
-                f"duration must be finite and not negative, got {self.duration}")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise InvalidParameter(f"dt must be finite and positive, got {self.dt}")
+        self.steps = _count("steps", self.steps, 0)
+        if self.ramp_steps is not None:
+            self.ramp_steps = _count("ramp_steps", self.ramp_steps, 1)
 
 
 # --- simulation state -----------------------------------------------------------
@@ -294,7 +311,7 @@ class EmtState:
     i_hist is each element's history current h u(t-dt) + j i(t-dt), zero
     on resistors, so the companion relation i = g u + i_hist holds exactly
     at every stamped state (u recomputes from v_nodes); the EMFs are the
-    net's.  The run that steps it sets the source ramp (`SimConfig.t_ramp`).
+    net's.  The run that steps it sets the source ramp (`SimConfig.ramp_steps`).
     """
 
     step: int
@@ -441,8 +458,8 @@ class CompiledNet:
 
     The constructor does all the set-up, once: it compiles the topology,
     builds the step and output maps for the start state's rotor angles and
-    EMFs and for sources that ramp linearly over t_ramp seconds from t = 0
-    (None: sources at full scale throughout), resolves the probes
+    EMFs and for sources that ramp linearly up to step ramp_steps (None:
+    sources at full scale throughout), resolves the probes
     (`probes`), builds the probes' map of `relax`, and allocates `length`
     + 1 buffers, with room for w*t at the step after each.  Slot 0 holds
     the buffer at step n; `advance` steps from it through the (buffer, next
@@ -469,7 +486,7 @@ class CompiledNet:
     swinging machine: `rows` = n_lc + 4 + n_swinging rows per axis.  With
     r' = R r, R the rotation by w*dt, x' is the output map O applied to z,
 
-        ramp (s < 1):  O = [W, k F_all R, k F_all R, 0],  k = dt/t_ramp
+        ramp (s < 1):  O = [W, k F_all R, k F_all R, 0],  k = 1/ramp_steps
         after it:      O = [W, 0, F_fixed R, B_e]
 
     where F_all folds every machine (no rotor moves during the ramp) and
@@ -532,7 +549,7 @@ class CompiledNet:
     """
 
     def __init__(self, net: EmtNet, dt: float, state: EmtState,
-                 t_ramp: float | None = None, record: list[str] | tuple = (),
+                 ramp_steps: int | None = None, record: list[str] | tuple = (),
                  length: int = 1):
         self.net = net
         self.dt = dt
@@ -604,15 +621,15 @@ class CompiledNet:
 
         # The loop from the start state on.  The step maps are stored as
         # C-contiguous T^T, the form `step` multiplies by; `ramp_end` is the
-        # first step at full source scale (0 without a ramp).
+        # first step at full source scale, ramp_steps (0 without a ramp).
         self.start = state
-        self.ramp_end = 0 if t_ramp is None else _first_full_step(t_ramp, dt)
+        self.ramp_end = ramp_steps or 0
         # The machines, one row [delta, speed_dev, emf, pm] each, the EMFs
         # the net's.
         self.machines = np.column_stack([
             state.machine_delta, state.machine_speed_dev,
             [m.emf_rms for m in net.machines], state.machine_pm]).astype(float)
-        self.outputs, self.ramp_map, self.post_map = self._step_maps(t_ramp)
+        self.outputs, self.ramp_map, self.post_map = self._step_maps(ramp_steps)
         self.probes = ProbeSet(self, record)
         # `relax`'s EMF amplitudes sqrt2 emf, one per swinging machine, and
         # its maps and buffers per chunk length.  The probes' map gives a
@@ -651,8 +668,8 @@ class CompiledNet:
         self.n = state.step
         self.pos = 0  # stack index of the buffer at step n
 
-    def _step_maps(self, t_ramp: float | None) -> tuple:
-        """O during a ramp over t_ramp seconds and after it, and T^T for
+    def _step_maps(self, ramp_steps: int | None) -> tuple:
+        """O during a ramp over ramp_steps steps and after it, and T^T for
         the same two (see the class docstring), at the start's rotor
         angles; without a ramp, both are the maps after it."""
         m, rot = self.n_lc, self.rotation
@@ -668,12 +685,12 @@ class CompiledNet:
         post[:, m + 2:m + 4] = (self.f + emf_cols[:, fixed].sum(axis=1)) @ rot
         post[:, m + 4:] = self.b_machines[:, self.swinging]
         post_map = self._step_map(post).T.copy()
-        if t_ramp is None:
+        if ramp_steps is None:
             return (post, post), post_map, post_map
         ramp = np.zeros_like(post)
         ramp[:, :m] = self.w
         ramp[:, m:m + 2] = ramp[:, m + 2:m + 4] = (
-            (self.dt / t_ramp) * ((self.f + emf_cols.sum(axis=1)) @ rot))
+            (1.0 / ramp_steps) * ((self.f + emf_cols.sum(axis=1)) @ rot))
         t = self._step_map(ramp)
         t[m:m + 2, m:m + 2] = t[m:m + 2, m + 2:m + 4] = rot
         return (ramp, post), t.T.copy(), post_map
@@ -836,15 +853,15 @@ class CompiledNet:
         if self.pos:
             stack[0] = stack[self.pos]
         self.anchor(stack[0], n)
-        # Steps n + 1 .. ramp_end - 1 are the ramp's (`_first_full_step`).
-        ramp_steps = min(max(self.ramp_end - n - 1, 0), length)
-        stepped = ramp_steps if self.swinging.size else length
+        # Steps n + 1 .. ramp_end - 1 are the ramp's, their scale below 1.
+        ramped = min(max(self.ramp_end - n - 1, 0), length)
+        stepped = ramped if self.swinging.size else length
         step, pairs = self.step, iter(self.pairs)
-        for x, out in islice(pairs, ramp_steps):
+        for x, out in islice(pairs, ramped):
             step(x, out, True)
-        for x, out in islice(pairs, stepped - ramp_steps):
+        for x, out in islice(pairs, stepped - ramped):
             step(x, out, False)
-        self.probes.sample(stack[:stepped], samples[:, :stepped], ramp_steps)
+        self.probes.sample(stack[:stepped], samples[:, :stepped], ramped)
         if stepped < length:
             # Slot k holds step n + k, the step before n + k + 1.
             wt = self.wt
@@ -932,17 +949,6 @@ class CompiledNet:
         before_end.dot(self.post_map, stack[first + length])
 
 
-def _first_full_step(t_ramp: float, dt: float) -> int:
-    """The first step whose time reaches t_ramp, where the ramp's scale
-    n*dt/t_ramp reaches 1.0; every earlier step is scaled below it."""
-    n = math.ceil(t_ramp / dt)
-    while n * dt < t_ramp:
-        n += 1
-    while (n - 1) * dt >= t_ramp:
-        n -= 1
-    return n
-
-
 # --- probes and waveform recording -----------------------------------------------
 
 
@@ -981,17 +987,17 @@ class ProbeSet:
         return np.vstack([state.v_nodes, state.elem_i])[self.rows].ravel()
 
     def sample(self, stack: np.ndarray, out: np.ndarray | None = None,
-               ramp_steps: int = 0) -> np.ndarray:
+               ramped: int = 0) -> np.ndarray:
         """The probe values at the steps after a stack of buffers (steps, 2,
         rows), one row per key and one column per buffer, written into out
         when given.
 
-        The first `ramp_steps` buffers step into the ramp, the others after
+        The first `ramped` buffers step into the ramp, the others after
         it.  Each part is one product with that output map's probe rows.
         """
         if out is None:
             out = np.empty((len(self.keys), len(stack)))
-        for part, o_p in zip((slice(None, ramp_steps), slice(ramp_steps, None)),
+        for part, o_p in zip((slice(None, ramped), slice(ramped, None)),
                              self.maps):
             if len(stack[part]):
                 np.matmul(o_p, stack[part].reshape(-1, o_p.shape[1]).T, out=out[:, part])
@@ -1004,21 +1010,9 @@ class WaveformSet:
     data: dict[str, np.ndarray]
 
 
-def _whole_cycles(t: float, period: float, up: bool = False) -> int:
-    """Whole periods in t, rounded down (up with `up`).
-
-    A quotient within 1e-9 of a whole number counts as that number: 2.3 s /
-    0.02 s evaluates to 114.99999999999999,
-    which is 115 cycles, and 0.14 s / 0.02 s to 7.000000000000001, which
-    is 7.
-    """
-    q = t / period
-    return math.ceil(q - 1e-9) if up else math.floor(q + 1e-9)
-
-
 def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
         ) -> tuple[WaveformSet, EmtState]:
-    """Fixed-duration simulation with probe recording and at most one fault.
+    """cfg.steps steps with probe recording and at most one fault.
 
     Advances a `CompiledNet` a cycle at a time.  A fault at or before the
     start step applies before the loop is built, and the start state
@@ -1030,23 +1024,21 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
     state = zero_state(net, cfg.dt) if init is None else init
     check_compatible(net, cfg.dt, state)
 
-    n_steps = int(round(cfg.duration / cfg.dt))
-    start_step = state.step
-    fault = cfg.fault
+    n_steps, start_step, fault = cfg.steps, state.step, cfg.fault
     if fault is not None and fault.target not in net.nodes:
         raise UnknownBus(f"fault targets unknown node '{fault.target}'")
     # An infinite fault resistance is no fault (`apply_fault`): it would
     # only end a chunk and rebuild the same net.
     no_fault = fault is None or math.isinf(fault.r_fault)
-    fault_step = math.inf if no_fault else int(round(fault.time / cfg.dt))
+    fault_step = math.inf if no_fault else fault.step
 
     # One cycle per chunk; a DC net has no cycle and no rotation to drift.
-    cycle = int(round(net.period / cfg.dt)) if net.frequency_hz > 0 else n_steps
+    cycle = to_steps(net.period, cfg.dt) if net.frequency_hz > 0 else n_steps
     chunk = max(1, min(cycle, n_steps))
 
     if fault_step <= start_step:
         net, fault_step = apply_fault(net, fault.target, fault.r_fault), math.inf
-    compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.t_ramp, cfg.record,
+    compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.ramp_steps, cfg.record,
                            chunk)
     times = (start_step + np.arange(n_steps + 1)) * cfg.dt
     traces = np.zeros((len(compiled.probes.keys), n_steps + 1))
@@ -1057,7 +1049,7 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
             state = compiled.state()
             del compiled  # the pre-fault buffers and maps go first
             net, fault_step = apply_fault(net, fault.target, fault.r_fault), math.inf
-            compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.t_ramp,
+            compiled = CompiledNet(net, cfg.dt, migrate_state(net, state), cfg.ramp_steps,
                                    cfg.record, chunk)
         length = min(chunk, n_steps - done, fault_step - compiled.n)
         compiled.advance(length, traces[:, done + 1:done + length + 1])
@@ -1066,13 +1058,15 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
 def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
                      ) -> tuple[EmtState, int | None, np.ndarray, list[str]]:
-    """Step cycle-by-cycle until every probe's cycle RMS stops changing.
+    """Step the whole cycles of cfg.steps until every probe's cycle RMS
+    stops changing.
 
     Steadiness: STEADY_CYCLES consecutive cycle-over-cycle relative RMS
     changes of at most RMS_CHANGE_TOL on every probe (detector armed only
-    after a ramp completes).  After detection, SETTLE_MARGIN_CYCLES more
-    cycles run before the state is returned, and the samples of the final
-    full cycle come back for phasor extraction.  The three constants are
+    after a ramp completes: from cycle ceil(ramp_steps / cycle) on).  After
+    detection, SETTLE_MARGIN_CYCLES more cycles run before the state is
+    returned, and the samples of the final full cycle come back for phasor
+    extraction.  The three constants are
     read at call time.  Each cycle is one `CompiledNet.advance`.
 
     Returns (state, ready_step or None, last cycle samples one row per
@@ -1081,13 +1075,12 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     state = zero_state(net, cfg.dt) if init is None else init.copy()
     check_compatible(net, cfg.dt, state)
 
-    n_cycle = int(round(net.period / cfg.dt))
+    n_cycle = to_steps(net.period, cfg.dt)
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:
         raise InvalidParameter("period must be an integer multiple of dt, 4 steps or more")
-    compiled = CompiledNet(net, cfg.dt, state, cfg.t_ramp, cfg.record, n_cycle)
+    compiled = CompiledNet(net, cfg.dt, state, cfg.ramp_steps, cfg.record, n_cycle)
     keys = compiled.probes.keys
-    max_cycles = _whole_cycles(cfg.duration, net.period)
-    arm_after = 0 if cfg.t_ramp is None else _whole_cycles(cfg.t_ramp, net.period, up=True)
+    arm_after = -(-(cfg.ramp_steps or 0) // n_cycle)  # whole cycles, rounded up
 
     buf = np.zeros((len(keys), n_cycle))
     prev_rms: np.ndarray | None = None
@@ -1095,7 +1088,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     fired_at: int | None = None
     ready: int | None = None
 
-    for c in range(max_cycles):
+    for c in range(cfg.steps // n_cycle):
         compiled.advance(n_cycle, buf)
         if fired_at is not None:
             if c - fired_at >= SETTLE_MARGIN_CYCLES:

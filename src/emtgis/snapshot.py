@@ -38,7 +38,6 @@ from .powerflow import (
     MAIN_PF_TOL,
     PowerFlowProblem,
     PowerFlowSolution,
-    boundary_injections,
     solve_main,
 )
 
@@ -411,13 +410,14 @@ def fault_currents(net: EmtNet, boundaries: list[str]) -> dict[str, complex]:
 def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, faults: dict[str, complex],
                      boundary: str) -> TheveninEquivalent:
     """Boundary equivalent of the main system seen from one region, from
-    `pf` and the table `faults`, `fault_currents` of the main net."""
-    inj = boundary_injections(pf, case)
-    if boundary not in inj:
+    the table `faults`, `fault_currents` of the main net, and the bus's
+    injection in `pf` less its load, as `boundary_injections` nets it."""
+    if boundary not in faults:
         raise KeyError(f"'{boundary}' is not a boundary bus")
+    bus = case.bus(boundary)
+    p, q = pf.injection(boundary)
     v_b = pf.voltage(boundary).rect
-    p, q = inj[boundary]
-    i_b = machine_port_current(complex(p, q), v_b)
+    i_b = machine_port_current(complex(-p - bus.p_load, -q - bus.q_load), v_b)
     return thevenin_from_measurements(v_b, i_b, faults[boundary])
 
 
@@ -454,9 +454,9 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     """Ramp a region net behind its boundary equivalent until steady.
 
     All sources (the equivalent and any internal ones) follow the same
-    linear ramp over cfg.t_ramp, the region's `ramp_length` in the pipeline;
-    the steady-state detector watches every node of the region plus the
-    boundary current.  Boundary phasors come from a single-frequency
+    linear ramp over cfg.ramp_steps, the region's `ramp_length` in the
+    pipeline; the steady-state detector watches every node of the region
+    plus the boundary current.  Boundary phasors come from a single-frequency
     Fourier integral over the final full cycle.
     """
     subsystem = subsystem or grbc_net.name
@@ -466,7 +466,7 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
 
     state, ready_step, last_cycle, keys = ek.run_until_steady(net, cfg)
     if ready_step is None:
-        raise SteadyStateTimeout(cfg.duration)
+        raise SteadyStateTimeout(cfg.steps * cfg.dt)
 
     omega = net.omega
     v_ph = ek.fourier_phasor(last_cycle[:, keys.index(f"{boundary_bus}.a")],
@@ -507,7 +507,7 @@ def schedule_from_steps(ready_steps: dict[str, int], period_steps: int) -> Splic
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
                      dt: float) -> Snapshot:
-    """Continue a subsystem in isolation to its scheduled splice step.
+    """Continue a subsystem in isolation, unramped, to its splice step target_steps.
 
     The boundary phasors are absolute-clock complex amplitudes of a settled
     periodic state, so they carry over unchanged.
@@ -519,8 +519,7 @@ def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
         )
     if extra == 0:
         return snap
-    cfg = SimConfig(dt=dt, duration=extra * dt, record=[])
-    _, state = ek.run(net, cfg, init=snap.emt_state)
+    _, state = ek.run(net, SimConfig(dt=dt, steps=extra), init=snap.emt_state)
     return replace(snap, emt_state=state)
 
 
@@ -696,12 +695,13 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
                       boundary_draw=model.draws)
 
     t_ramps: dict[str, float] = {}
+    budget = ek.to_steps(cfg.ramp_budget, cfg.dt)
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
         thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
         region_net = build_region_net(op, case.frequency_hz)
         t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
-        ramp_cfg = SimConfig(dt=cfg.dt, duration=cfg.ramp_budget, t_ramp=t_ramp)
+        ramp_cfg = SimConfig(dt=cfg.dt, steps=budget, ramp_steps=ek.to_steps(t_ramp, cfg.dt))
         return ramp_to_snapshot(region_net, thev, ramp_cfg,
                                 op.decl.boundary_bus, subsystem=op.decl.name)
 
@@ -711,7 +711,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
         snapshots[snap.subsystem] = snap
 
     ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
-    period_steps = int(round(case.period / cfg.dt))
+    period_steps = ek.to_steps(case.period, cfg.dt)
     schedule = stage("splice_schedule", schedule_from_steps, ready_steps, period_steps)
 
     def advance_all():
@@ -746,11 +746,12 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     return PipelineResult(model, spliced, report, snapshots)
 
 
-def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
-    """Zero-state ramping baseline on the whole net, its sources ramped
-    over `ramp_length(full_net, cfg.t_ramp)`, so cfg.t_ramp None means the
-    pipeline's rule; returns the settled state and the step at which
-    steadiness was declared.
+def settle_from_zero(full_net: EmtNet, cfg: SimConfig,
+                     t_ramp: float | None = None) -> tuple[EmtState, int]:
+    """Zero-state ramping baseline on the whole net for at most cfg.steps
+    steps, its sources ramped over `ramp_length(full_net, t_ramp)` (None:
+    the pipeline's rule; cfg.ramp_steps is not read); returns the settled
+    state and the step at which steadiness was declared.
 
     Rotor angles are dynamic states, not model parameters: machines start
     at zero angle and their swing dynamics (active once the ramp completes)
@@ -761,12 +762,13 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig) -> tuple[EmtState, int]:
     record = list(cfg.record) or [n for n in full_net.nodes if ":" not in n]
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
-    cfg = replace(cfg, record=record, t_ramp=ramp_length(full_net, cfg.t_ramp))
+    cfg = replace(cfg, record=record,
+                  ramp_steps=ek.to_steps(ramp_length(full_net, t_ramp), cfg.dt))
     init = ek.zero_state(full_net, cfg.dt)
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)
     if fired is None:
-        raise SteadyStateTimeout(cfg.duration)
+        raise SteadyStateTimeout(cfg.steps * cfg.dt)
     return state, fired
 
 

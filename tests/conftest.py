@@ -130,7 +130,7 @@ def hybrid_comparison(hybrid):
     result = sn.run_emtgis(hybrid, sn.PipelineConfig(dt=dt))
     probes = [b.id for b in hybrid.buses]
     # t_ramp None: `compare`'s default, the full net's `ramp_length`
-    settle_cfg = ek.SimConfig(dt=dt, duration=12.0, record=probes)
+    settle_cfg = ek.SimConfig(dt=dt, steps=ek.to_steps(12.0, dt), record=probes)
     zero_state, zero_fired = sn.settle_from_zero(result.model.full_net, settle_cfg)
     return {
         "case": hybrid,
@@ -257,9 +257,9 @@ def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
     return rms[-1] if last_only else rms
 
 
-def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramp_steps: int = 0) -> np.ndarray:
+def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramped: int = 0) -> np.ndarray:
     """`ProbeSet.sample` of a single buffer (2, rows): one value per key."""
-    return probes.sample(z[None], None, ramp_steps)[:, 0]
+    return probes.sample(z[None], None, ramped)[:, 0]
 
 
 def _exact_steps(t: float, dt: float, what: str) -> int:

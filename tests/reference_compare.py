@@ -18,7 +18,7 @@ def reference_window(zero_step: int, dt: float, period: float, window: float,
     cycles = int(round(period / dt))
     w0 = ((zero_step // cycles) + 2) * cycles
     if fault is not None:
-        w0 = int(round(fault.time / dt))
+        w0 = fault.step
     return w0, w0 + int(round(window / dt))
 
 
@@ -29,8 +29,7 @@ def reference_deviations(full_net: ek.EmtNet, gis_state: ek.EmtState,
     from `zero_state` over [w0, w1], each run recorded from its start."""
     waves = []
     for start in (zero_state, gis_state):
-        sim = ek.SimConfig(dt=dt, duration=(w1 - start.step) * dt, record=probes,
-                           fault=fault)
+        sim = ek.SimConfig(dt=dt, steps=w1 - start.step, record=probes, fault=fault)
         waves.append((start.step, ek.run(full_net, sim, init=start)[0].data))
     (z, zero), (g, gis) = waves
     return {key: average_relative_deviation(gis[key][w0 - g:w1 - g + 1],

@@ -15,8 +15,8 @@ over 300 steps across a fault, past the 1e-12 the equivalence tests allow.
 
 `reference_run` and `reference_run_until_steady` are the stepping loops of
 `emtkernel.run` and `emtkernel.run_until_steady` as they were before the
-buffer loop: one `EmtState` per step of that stepper.  Both count whole
-cycles of a duration or a ramp within rounding, as the kernel does.
+buffer loop: one `EmtState` per step of that stepper.  Both read the run's
+length, its ramp and its fault in steps, as the kernel does.
 """
 
 import math
@@ -27,15 +27,12 @@ import emtgis.emtkernel as ek
 from emtgis.errors import InvalidParameter
 
 
-def ramp_profile(t: float, t_ramp: float) -> float:
-    """Linear source ramp: 0 for t <= 0, t/t_ramp inside, 1 after."""
-    if t_ramp <= 0.0:
-        raise InvalidParameter("t_ramp must be positive")
-    if t <= 0.0:
-        return 0.0
-    if t >= t_ramp:
-        return 1.0
-    return t / t_ramp
+def ramp_profile(n: int, ramp_steps: int) -> float:
+    """Linear source ramp at step n: s = min(n / ramp_steps, 1), and 0
+    before step 0."""
+    if ramp_steps <= 0:
+        raise InvalidParameter("ramp_steps must be positive")
+    return min(max(n, 0) / ramp_steps, 1.0)
 
 
 def companion(kind: ek.ElementKind, value: float, dt: float) -> tuple[float, float, float]:
@@ -99,10 +96,12 @@ class ReferenceNet:
         arg = self.omega * t + ang[:, None] + ek.PHASE_SHIFT[None, :]
         return ek.SQRT2 * scale * self.known_rms[:, None] * np.cos(arg)
 
-    def step(self, state: ek.EmtState, ramp: bool, t_ramp: float) -> ek.EmtState:
+    def step(self, state: ek.EmtState, ramp_steps: int | None) -> ek.EmtState:
+        """The state one step after `state`, sources ramped over the first
+        ramp_steps steps of the clock (None: at full scale)."""
         dt = self.dt
         t_new = (state.step + 1) * dt
-        scale = ramp_profile(t_new, t_ramp) if ramp else 1.0
+        scale = 1.0 if ramp_steps is None else ramp_profile(state.step + 1, ramp_steps)
 
         v_pad = np.vstack([state.v_nodes, np.zeros((1, 3))])
         u_now = v_pad[self.ef] - v_pad[self.et]
@@ -166,24 +165,23 @@ def reference_migrate(state: ek.EmtState, net: ek.EmtNet) -> ek.EmtState:
 
 
 def reference_run(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
-    """Fixed-duration run with its fault on the reference stepper.
+    """cfg.steps steps with its fault on the reference stepper.
 
     Returns (samples per step, final state, migrated state per fault).
     """
     ref = ReferenceNet(net, cfg.dt)
     state = init.copy()
-    n_steps = int(round(cfg.duration / cfg.dt))
-    pending = [] if cfg.fault is None else [(int(round(cfg.fault.time / cfg.dt)), cfg.fault)]
+    pending = [] if cfg.fault is None else [(cfg.fault.step, cfg.fault)]
     rows = [reference_sample(state, cfg.record)]
     migrated = []
-    for _ in range(n_steps):
+    for _ in range(cfg.steps):
         while pending and state.step >= pending[0][0]:
             ev = pending.pop(0)[1]
             net = ek.apply_fault(net, ev.target, ev.r_fault)
             ref = ReferenceNet(net, cfg.dt)
             state = reference_migrate(state, net)
             migrated.append(state)
-        state = ref.step(state, cfg.t_ramp is not None, cfg.t_ramp)
+        state = ref.step(state, cfg.ramp_steps)
         rows.append(reference_sample(state, cfg.record))
     return np.array(rows), state, migrated
 
@@ -194,13 +192,13 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
     ref = ReferenceNet(net, cfg.dt)
     state = init.copy()
     n_cycle = int(round(net.period / cfg.dt))
-    # Whole cycles, read to 6 decimals: 2.3 / 0.02 evaluates to 114.99999999999999.
-    arm_after = math.ceil(round(cfg.t_ramp / net.period, 6)) if cfg.t_ramp is not None else 0
+    # Armed from the first cycle that starts at or after the ramp's end.
+    arm_after = 0 if cfg.ramp_steps is None else math.ceil(cfg.ramp_steps / n_cycle)
     buf = np.zeros((n_cycle, 3 * len(cfg.record)))
     prev_rms, stable_run, fired_at = None, 0, None
-    for c in range(int(round(cfg.duration / net.period, 6))):
+    for c in range(cfg.steps // n_cycle):
         for k in range(n_cycle):
-            state = ref.step(state, cfg.t_ramp is not None, cfg.t_ramp)
+            state = ref.step(state, cfg.ramp_steps)
             buf[k] = reference_sample(state, cfg.record)
         if fired_at is not None:
             if c - fired_at >= ek.SETTLE_MARGIN_CYCLES:

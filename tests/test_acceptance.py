@@ -165,10 +165,10 @@ def test_criterion_4_gmres_linear_correctness():
 def _window_deviations(full_net, probes, dt, gis_snap, zero_state, w0, w1,
                        fault=None):
     """Average relative deviation per probe over [w0, w1] (absolute steps)."""
-    sim_z = ek.SimConfig(dt=dt, duration=(w1 - zero_state.step) * dt,
+    sim_z = ek.SimConfig(dt=dt, steps=w1 - zero_state.step,
                          record=probes, fault=fault)
     waves_z, _ = ek.run(full_net, sim_z, init=zero_state)
-    sim_g = ek.SimConfig(dt=dt, duration=(w1 - gis_snap.emt_state.step) * dt,
+    sim_g = ek.SimConfig(dt=dt, steps=w1 - gis_snap.emt_state.step,
                          record=probes, fault=fault)
     waves_g, _ = ek.run(full_net, sim_g, init=gis_snap.emt_state)
     out = {}
@@ -187,7 +187,7 @@ def test_criterion_5_steady_state_hold(hybrid_comparison):
     n_cycle = int(round(c["case"].period / dt))
 
     waves, _ = ek.run(res.model.full_net,
-                      ek.SimConfig(dt=dt, duration=0.5, record=c["probes"]),
+                      ek.SimConfig(dt=dt, steps=ek.to_steps(0.5, dt), record=c["probes"]),
                       init=res.snapshot.emt_state)
     worst_hold = 0.0
     for b in c["probes"]:
@@ -211,7 +211,7 @@ def test_criterion_6_fault_response_equivalence(hybrid_comparison):
     n_cycle = int(round(c["case"].period / dt))
     fault_step = ((c["zero_state"].step // n_cycle) + 3) * n_cycle
     w1 = fault_step + int(round(0.1 / dt))
-    fault = ek.SimEvent(time=fault_step * dt, target="B7", r_fault=0.05)
+    fault = ek.SimEvent(step=fault_step, target="B7", r_fault=0.05)
     devs = _window_deviations(res.model.full_net, c["probes"], dt, res.snapshot,
                               c["zero_state"], fault_step, w1, fault=fault)
     worst = max(devs.values())
@@ -240,14 +240,14 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
     full = res.model.full_net
 
-    waves, _ = ek.run(full, ek.SimConfig(dt=dt, duration=0.02, record=["B10"]),
+    waves, _ = ek.run(full, ek.SimConfig(dt=dt, steps=n_cycle, record=["B10"]),
                       init=res.snapshot.emt_state)
     peak_off = int(np.argmax(waves.data["B10.a"][1:])) + 1
-    _, at_peak = ek.run(full, ek.SimConfig(dt=dt, duration=peak_off * dt),
+    _, at_peak = ek.run(full, ek.SimConfig(dt=dt, steps=peak_off),
                         init=res.snapshot.emt_state)
-    _, at_half = ek.run(full, ek.SimConfig(dt=dt, duration=(n_cycle // 2) * dt),
+    _, at_half = ek.run(full, ek.SimConfig(dt=dt, steps=n_cycle // 2),
                         init=at_peak)
-    _, at_two = ek.run(full, ek.SimConfig(dt=dt, duration=2 * n_cycle * dt),
+    _, at_two = ek.run(full, ek.SimConfig(dt=dt, steps=2 * n_cycle),
                        init=at_peak)
 
     def parts(state):
@@ -322,7 +322,7 @@ def test_criterion_10_trapezoidal_order():
              ek.Element("l1", ek.ElementKind.INDUCTOR, "n2", None, 0.01)),
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
-        waves, st = ek.run(net, ek.SimConfig(dt=dt, duration=0.3,
+        waves, st = ek.run(net, ek.SimConfig(dt=dt, steps=ek.to_steps(0.3, dt),
                                              record=["i:l1"]))
         n = int(round(0.02 / dt))
         ph = ek.fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, omega)

@@ -355,7 +355,7 @@ class TestCompareWindow:
         # the reference starts from the same two states
         assert doc["steps_to_steady"]["gis"] == c["result"].report["gis_cost_steps"]
         assert doc["steps_to_steady"]["zero_state"] == c["zero_fired"]
-        event = _parse_fault(fault) if fault else None
+        event = _parse_fault(fault, c["dt"]) if fault else None
         w0, w1 = reference_window(c["zero_state"].step, c["dt"], c["case"].period, 0.1,
                                   event)
         assert doc["window_steps"] == [w0, w1]
@@ -387,7 +387,7 @@ class TestCompareWindow:
         w0, w1 = read_json(path)["window_steps"]
         recording = [cfg for cfg in configs if cfg.record]
         assert len(recording) == 2
-        assert all(round(cfg.duration / cfg.dt) <= w1 - w0 for cfg in recording)
+        assert all(cfg.steps <= w1 - w0 for cfg in recording)
 
     def test_snapshot_past_the_window_is_an_input_error(self, hybrid_comparison, tmp_path,
                                                         monkeypatch, capsys):
@@ -637,9 +637,10 @@ class TestInvalidTimeFlags:
 
 
 class TestSpanShorterThanAStep:
-    """A --window or --duration that rounds to 0 steps at --dt is an input
-    error, found before the power flow and any stepping: exit 1, one
-    `error:` line naming the flag, no --out."""
+    """A --window, --duration or --t-ramp that rounds to 0 steps at --dt is
+    an input error, found before the power flow and any stepping: exit 1,
+    one `error:` line naming the flag, no --out.  A ramp of 0 steps would
+    run with sources at full scale from the first step."""
 
     @staticmethod
     def _exits_1_before_the_model(tmp_path, capsys, monkeypatch, argv, flag):
@@ -664,6 +665,13 @@ class TestSpanShorterThanAStep:
         self._exits_1_before_the_model(tmp_path, capsys, monkeypatch,
                                        ["simulate", case_path("hybrid"), "--zero-state"],
                                        "--duration")
+
+    @pytest.mark.parametrize("command", [["init"], ["compare"], ["simulate", "--zero-state"]],
+                             ids=["init", "compare", "simulate"])
+    def test_t_ramp_shorter_than_a_step_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        self._exits_1_before_the_model(tmp_path, capsys, monkeypatch,
+                                       [command[0], case_path("ninebus1"), *command[1:]],
+                                       "--t-ramp")
 
 
 class TestFaultAfterTheRun:

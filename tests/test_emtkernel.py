@@ -38,10 +38,10 @@ from reference_kernel import (  # noqa: E402
 from reference_relax import reference_relax, reference_swing_maps  # noqa: E402
 
 
-def advance(net, state, steps, t_ramp=None):
+def advance(net, state, steps, ramp_steps=None):
     """The state `steps` steps after `state` on a net without a swinging
     machine: one loop from `state`, one `step` call per step."""
-    compiled = ek.CompiledNet(net, state.dt, state, t_ramp, (), steps)
+    compiled = ek.CompiledNet(net, state.dt, state, ramp_steps, (), steps)
     assert not compiled.swinging.size
     compiled.advance(steps, np.empty((0, steps)))
     return compiled.state()
@@ -108,12 +108,12 @@ class TestStep:
              ek.Element("rb", ek.ElementKind.RESISTOR, "n2", None, 1.0)),
             (ek.Source("src", "n1", 1.0 / math.sqrt(2.0), 0.0),),
         )
-        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, duration=0.01, record=["n2"]))
+        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, steps=100, record=["n2"]))
         assert np.all(waves.data["n2.a"][1:] == pytest.approx(0.5, abs=1e-15))
 
     def test_rl_steady_state_matches_phasor_solution(self):
         net = rl_net()
-        waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.3,
+        waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, steps=15_000,
                                             record=["i:l1"]))
         i_amp = ek.SQRT2 * cycle_rms(waves, "i:l1.a", int(round(0.02 / 2e-5)))
         expect = ek.SQRT2 * 1.0 / abs(1.0 + 1j * OMEGA * 0.01)
@@ -121,7 +121,7 @@ class TestStep:
 
     def test_zero_sources_zero_state_stays_zero(self):
         net = rl_net(rms=0.0)
-        waves, st = ek.run(net, ek.SimConfig(dt=1e-4, duration=0.05,
+        waves, st = ek.run(net, ek.SimConfig(dt=1e-4, steps=500,
                                              record=["n1", "n2", "i:l1"]))
         for v in waves.data.values():
             assert np.all(v == 0.0)
@@ -129,7 +129,7 @@ class TestStep:
 
     def test_three_phases_are_balanced(self):
         net = rl_net()
-        waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.5, record=["n2"]))
+        waves, _ = ek.run(net, ek.SimConfig(dt=2e-5, steps=25_000, record=["n2"]))
         n = int(round(0.02 / 2e-5))
         rms = [cycle_rms(waves, f"n2.{p}", n) for p in "abc"]
         assert max(rms) - min(rms) < 1e-9
@@ -140,21 +140,21 @@ class TestStep:
 
 class TestRampProfile:
     def test_shape(self):
-        assert ramp_profile(0.0, 0.5) == 0.0
-        assert ramp_profile(-1.0, 0.5) == 0.0
-        assert ramp_profile(0.25, 0.5) == 0.5
-        assert ramp_profile(0.5, 0.5) == 1.0
-        assert ramp_profile(2.0, 0.5) == 1.0
+        assert ramp_profile(0, 10) == 0.0
+        assert ramp_profile(-1, 10) == 0.0
+        assert ramp_profile(5, 10) == 0.5
+        assert ramp_profile(10, 10) == 1.0
+        assert ramp_profile(40, 10) == 1.0
 
     def test_bad_duration(self):
         with pytest.raises(InvalidParameter):
-            ramp_profile(0.1, 0.0)
+            ramp_profile(1, 0)
 
 
 class TestRunUntilSteadyCycle:
     @pytest.mark.parametrize("dt", [3e-5, 0.01, 0.02], ids=["not-whole", "2-steps", "1-step"])
     def test_guard_names_both_conditions(self, dt):
-        cfg = ek.SimConfig(dt=dt, duration=1.0, record=["n2"])
+        cfg = ek.SimConfig(dt=dt, steps=ek.to_steps(1.0, dt), record=["n2"])
         with pytest.raises(InvalidParameter,
                            match="^period must be an integer multiple of dt, 4 steps or more$"):
             ek.run_until_steady(rl_net(), cfg)
@@ -168,10 +168,10 @@ class TestFault:
                         0.1 / OMEGA),),
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
-        cfg = ek.SimConfig(dt=1e-4, duration=0.2, record=["n2"],
-                           fault=ek.SimEvent(0.1, "n2", 1e-6))
+        cfg = ek.SimConfig(dt=1e-4, steps=2000, record=["n2"],
+                           fault=ek.SimEvent(1000, "n2", 1e-6))
         waves, _ = ek.run(net, cfg)
-        k = int(0.1 / 1e-4)
+        k = 1000
         assert np.max(np.abs(waves.data["n2.a"][k - 200:k])) > 1.0
         assert abs(waves.data["n2.a"][k + 2]) < 1e-4
 
@@ -186,9 +186,9 @@ class TestFault:
     def test_run_drops_infinite_resistance_events(self):
         # mid-cycle in the ramp and after it: the run is the fault-free one,
         # bit for bit
-        cfg = ek.SimConfig(dt=1e-4, duration=0.1, record=["n2", "i:l1"], t_ramp=0.05)
+        cfg = ek.SimConfig(dt=1e-4, steps=1000, record=["n2", "i:l1"], ramp_steps=500)
         want_waves, want = ek.run(rl_net(), cfg)
-        for fault in (ek.SimEvent(0.0213, "n2", math.inf), ek.SimEvent(0.0731, "n1", math.inf)):
+        for fault in (ek.SimEvent(213, "n2", math.inf), ek.SimEvent(731, "n1", math.inf)):
             waves, got = ek.run(rl_net(), replace(cfg, fault=fault))
             for key, trace in want_waves.data.items():
                 assert np.array_equal(waves.data[key], trace), (fault, key)
@@ -196,8 +196,8 @@ class TestFault:
                 assert np.array_equal(getattr(got, field), getattr(want, field)), (fault, field)
 
     def test_infinite_resistance_event_at_unknown_node_rejected(self):
-        cfg = ek.SimConfig(dt=1e-4, duration=0.01,
-                           fault=ek.SimEvent(0.005, "nope", math.inf))
+        cfg = ek.SimConfig(dt=1e-4, steps=100,
+                           fault=ek.SimEvent(50, "nope", math.inf))
         with pytest.raises(UnknownBus):
             ek.run(rl_net(), cfg)
 
@@ -211,30 +211,52 @@ class TestFault:
             (ek.Source("src", "n1", 1.0, 0.0),),
         )
         faulted = ek.apply_fault(net, "n2", rf)
-        cfg = ek.SimConfig(dt=2e-5, duration=0.4, record=["i:fault:n2"])
+        cfg = ek.SimConfig(dt=2e-5, steps=20_000, record=["i:fault:n2"])
         waves, st = ek.run(faulted, cfg)
         col = waves.data["i:fault:n2.a"]
         i_ph = ek.fourier_phasor(col[-1000:], st.step, 2e-5, OMEGA)
         assert abs(i_ph) == pytest.approx(1.0 / abs(rf + 1j * x), rel=2e-3)
 
     def test_replaced_config_is_validated_again(self):
-        cfg = ek.SimConfig(dt=1e-4, duration=0.1)
+        cfg = ek.SimConfig(dt=1e-4, steps=1000)
         with pytest.raises(InvalidParameter):
-            replace(cfg, duration=-0.1)
+            replace(cfg, steps=-1)
+
+    @pytest.mark.parametrize("change", [
+        dict(steps=-1), dict(steps=10.0), dict(steps=0.5), dict(steps="10"), dict(steps=True),
+        dict(ramp_steps=0), dict(ramp_steps=-3), dict(ramp_steps=2.5), dict(ramp_steps=100.0),
+        dict(dt=0.0), dict(dt=math.nan),
+    ], ids=lambda change: "-".join(f"{k}={v!r}" for k, v in change.items()))
+    def test_step_counts_are_whole_numbers(self, change):
+        # The kernel counts time in steps: a length or a ramp in seconds,
+        # or a count that is not an integer, is not a step count.
+        cfg = ek.SimConfig(dt=1e-4, steps=1000, ramp_steps=10)
+        with pytest.raises(InvalidParameter):
+            replace(cfg, **change)
+
+    def test_counts_of_numpy_integers_are_steps(self):
+        cfg = ek.SimConfig(dt=1e-4, steps=np.int64(10), ramp_steps=np.int32(5),
+                           fault=ek.SimEvent(np.int64(0), "n2", 0.1))
+        assert ek.run(rl_net(), cfg)[1].step == 10
+
+    @pytest.mark.parametrize("step", [-1, 0.5, 3.0])
+    def test_fault_step_is_a_whole_step_of_the_clock(self, step):
+        cfg = ek.SimConfig(dt=1e-4, steps=1000)
+        with pytest.raises(InvalidParameter, match="fault step"):
+            replace(cfg, fault=ek.SimEvent(step, "n2", 0.1))
 
     def test_post_fault_waveform_golden_regression(self):
         golden = json.loads((DATA / "golden_fault.json").read_text())
         net = rl_net()
-        cfg = ek.SimConfig(dt=float(golden["dt"]), duration=float(golden["duration"]),
-                           record=["n2"],
-                           fault=ek.SimEvent(float(golden["fault_time"]), "n2",
-                                             float(golden["r_fault"])))
+        dt = float(golden["dt"])
+        k = ek.to_steps(float(golden["fault_time"]), dt)
+        cfg = ek.SimConfig(dt=dt, steps=ek.to_steps(float(golden["duration"]), dt),
+                           record=["n2"], fault=ek.SimEvent(k, "n2", float(golden["r_fault"])))
         waves, _ = ek.run(net, cfg)
         got = waves.data["n2.a"][golden["window"][0]:golden["window"][1]]
         want = np.array(golden["samples"])
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
         # the fault leaves a visible mark relative to the pre-fault cycle
-        k = int(golden["fault_time"] / golden["dt"])
         pre = waves.data["n2.a"][k - len(want):k]
         assert np.max(np.abs(got - pre)) > 0.01
 
@@ -266,7 +288,7 @@ class TestNumericalContracts:
     def _assert_replay_after_ramp(net):
         # the ramp ends at step 200, so the last 100 steps also swing the machines
         dt = 5e-5
-        _, state = ek.run(net, ek.SimConfig(dt=dt, duration=300 * dt, t_ramp=200 * dt))
+        _, state = ek.run(net, ek.SimConfig(dt=dt, steps=300, ramp_steps=200))
         assert state.step == 300
         assert np.array_equal(ek.companion_replay(ek.CompiledNet(net, dt, state), state),
                               state.elem_i)
@@ -276,7 +298,7 @@ class TestNumericalContracts:
         # error by about four
         def amp_error(dt):
             net = rl_net()
-            waves, st = ek.run(net, ek.SimConfig(dt=dt, duration=0.3,
+            waves, st = ek.run(net, ek.SimConfig(dt=dt, steps=ek.to_steps(0.3, dt),
                                                  record=["i:l1"]))
             n = int(round(0.02 / dt))
             ph = ek.fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, OMEGA)
@@ -294,7 +316,7 @@ class TestNumericalContracts:
              ek.Element("c1", ek.ElementKind.CAPACITOR, "n3", None, 2e-4)),
             (ek.Source("src", "n1", 1.0, 0.3),),
         )
-        _, charged = ek.run(net, ek.SimConfig(dt=2e-5, duration=0.3))
+        _, charged = ek.run(net, ek.SimConfig(dt=2e-5, steps=15_000))
         dead = with_sources_zeroed(net)
         compiled = ek.CompiledNet(dead, 2e-5, charged)
         energies = [stored_energy(dead, charged)]
@@ -308,7 +330,7 @@ class TestNumericalContracts:
 
     def test_identical_runs_are_bitwise_equal(self):
         net = rl_net()
-        cfg = ek.SimConfig(dt=5e-5, duration=0.1, record=["n2", "i:l1"])
+        cfg = ek.SimConfig(dt=5e-5, steps=2000, record=["n2", "i:l1"])
         w1, s1 = ek.run(net, cfg)
         w2, s2 = ek.run(net, cfg)
         for k in w1.data:
@@ -336,12 +358,12 @@ class TestAffineStepEquivalence:
     @settings(max_examples=30, deadline=None)
     def test_matches_reference_on_random_nets(self, seed, ramp):
         net, _ = random_linear_net(np.random.default_rng(seed))
-        dt, t_ramp = 5e-5, 100 * 5e-5
+        dt, ramp_steps = 5e-5, 100 if ramp else None
         reference = ReferenceNet(net, dt)
         fast = slow = ek.zero_state(net, dt)
-        fast = advance(net, fast, 200, t_ramp if ramp else None)
+        fast = advance(net, fast, 200, ramp_steps)
         for _ in range(200):
-            slow = reference.step(slow, ramp, t_ramp)
+            slow = reference.step(slow, ramp_steps)
         assert fast.step == slow.step == 200
         assert_states_close(fast, slow)
 
@@ -353,9 +375,9 @@ class TestAffineStepEquivalence:
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         reference = ReferenceNet(net, dt)
         slow = init
-        _, fast = ek.run(net, ek.SimConfig(dt=dt, duration=200 * dt), init=init)
+        _, fast = ek.run(net, ek.SimConfig(dt=dt, steps=200), init=init)
         for _ in range(200):
-            slow = reference.step(slow, False, 0.5)
+            slow = reference.step(slow, None)
         assert np.all(np.abs(fast.machine_delta - init.machine_delta) > 1e-6)
         assert_states_close(fast, slow)
         np.testing.assert_allclose(fast.machine_speed_dev, slow.machine_speed_dev,
@@ -366,7 +388,7 @@ class TestAffineStepEquivalence:
     def test_step_shares_no_array_with_its_input(self, hybrid_model):
         net = hybrid_model.full_net
         before = ek.zero_state(net, 5e-5)
-        compiled = ek.CompiledNet(net, 5e-5, before, 0.5)
+        compiled = ek.CompiledNet(net, 5e-5, before, 10_000)
         compiled.advance(1, np.empty((0, 1)))
         after = compiled.state()
         assert after.step == 1
@@ -398,7 +420,7 @@ class TestLoopEquivalence:
         assert net.machines
         init = ek.zero_state(net, dt)
         init.machine_delta[:] = 0.0
-        cfg = ek.SimConfig(dt=dt, duration=0.6, record=["B7"], t_ramp=0.5)
+        cfg = ek.SimConfig(dt=dt, steps=12_000, record=["B7"], ramp_steps=10_000)
         steady, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
         waves, final = ek.run(net, cfg, init=init)
         assert ready is None
@@ -415,9 +437,9 @@ class TestLoopEquivalence:
         net, far = random_linear_net(np.random.default_rng(seed))
         dt = 5e-5
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
-        cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           fault=ek.SimEvent(150 * dt, far, 0.05),
-                           t_ramp=200 * dt if ramp else None)
+        cfg = ek.SimConfig(dt=dt, steps=300, record=record,
+                           fault=ek.SimEvent(150, far, 0.05),
+                           ramp_steps=200 if ramp else None)
         init = ek.zero_state(net, dt)
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, ref_migrated = reference_run(net, cfg, init)
@@ -427,7 +449,7 @@ class TestLoopEquivalence:
         self._assert_state_close(final, ref_final)
 
         # The state materialized at the fault and carried onto the faulted net.
-        _, pre = ek.run(net, replace(cfg, duration=150 * dt, fault=None), init=init)
+        _, pre = ek.run(net, replace(cfg, steps=150, fault=None), init=init)
         faulted = ek.apply_fault(net, far, 0.05)
         self._assert_state_close(ek.migrate_state(faulted, pre),
                                  ref_migrated[0])
@@ -437,8 +459,8 @@ class TestLoopEquivalence:
         init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
-        cfg = ek.SimConfig(dt=dt, duration=300 * dt, record=record,
-                           fault=ek.SimEvent(100 * dt, "B7", 0.02))
+        cfg = ek.SimConfig(dt=dt, steps=300, record=record,
+                           fault=ek.SimEvent(100, "B7", 0.02))
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
         got = np.column_stack([waves.data[k] for k in waves.data])
@@ -457,8 +479,8 @@ class TestLoopEquivalence:
         net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
         assert net.machines
         dt = 5e-5
-        cfg = ek.SimConfig(dt=dt, duration=2.0, record=list(region.nodes) + [f"i:{probe}"],
-                           t_ramp=0.5)
+        cfg = ek.SimConfig(dt=dt, steps=40_000, record=list(region.nodes) + [f"i:{probe}"],
+                           ramp_steps=10_000)
         init = ek.zero_state(net, dt)
         state, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
         ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
@@ -506,12 +528,14 @@ class TestAugmentedLoops:
 
     DT = 5e-5
 
-    @pytest.mark.parametrize("t_ramp", [0.13, 0.1234567],
+    # 0.13 s and 0.1234567 s at DT: 2,600 steps, 6.5 cycles, and 2,469
+    # steps, 6.17 cycles, a count the cycles' length does not divide.
+    @pytest.mark.parametrize("ramp_steps", [2600, 2469],
                              ids=["ends-mid-cycle", "off-the-dt-grid"])
-    def test_run_until_steady(self, ninebus3, ninebus3_model, t_ramp):
+    def test_run_until_steady(self, ninebus3, ninebus3_model, ramp_steps):
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
         assert [m.inertia_h > 0 for m in net.machines] == [True]
-        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record, t_ramp=t_ramp)
+        cfg = ek.SimConfig(dt=self.DT, steps=40_000, record=record, ramp_steps=ramp_steps)
         init = ek.zero_state(net, self.DT)
         state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
         ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
@@ -522,15 +546,13 @@ class TestAugmentedLoops:
 
     def test_swing_starts_at_the_step_the_ramp_ends(self, ninebus3, ninebus3_model):
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        t_ramp = 0.0123457  # mid-cycle, off the dt grid
-        end = math.ceil(t_ramp / self.DT)
-        assert ramp_profile((end - 1) * self.DT, t_ramp) < 1.0
-        assert ramp_profile(end * self.DT, t_ramp) == 1.0
+        end = 247  # mid-cycle: step 247 of 400
+        assert ramp_profile(end - 1, end) < 1.0
+        assert ramp_profile(end, end) == 1.0
         init = ek.zero_state(net, self.DT)
         finals = {}
         for steps in (end - 1, end, end + 1):
-            cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record,
-                               t_ramp=t_ramp)
+            cfg = ek.SimConfig(dt=self.DT, steps=steps, record=record, ramp_steps=end)
             waves, final = ek.run(net, cfg, init=init)
             rows, ref_final, _ = reference_run(net, cfg, init)
             assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
@@ -550,8 +572,8 @@ class TestAugmentedLoops:
                                           for m in net.machines))
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
-        cfg = ek.SimConfig(dt=self.DT, duration=700 * self.DT, record=record,
-                           t_ramp=250 * self.DT)
+        cfg = ek.SimConfig(dt=self.DT, steps=700, record=record,
+                           ramp_steps=250)
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
         assert_close_to_reference(np.column_stack(list(waves.data.values())), rows)
@@ -567,7 +589,7 @@ class TestAugmentedLoops:
         # off delta0 takes over 7 s to settle.)
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
         net = replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
-        cfg = ek.SimConfig(dt=self.DT, duration=2.0, record=record, t_ramp=0.3)
+        cfg = ek.SimConfig(dt=self.DT, steps=40_000, record=record, ramp_steps=6000)
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
         state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
@@ -579,9 +601,9 @@ class TestAugmentedLoops:
 
     def test_long_run_after_the_ramp(self, hybrid, hybrid_model):
         net, record = region_net(hybrid, hybrid_model, "wind1")
-        t_ramp, steps = 0.05, 21_200
-        cfg = ek.SimConfig(dt=self.DT, duration=steps * self.DT, record=record, t_ramp=t_ramp)
-        assert steps - t_ramp / self.DT >= 20_000
+        ramp_steps, steps = 1000, 21_200
+        cfg = ek.SimConfig(dt=self.DT, steps=steps, record=record, ramp_steps=ramp_steps)
+        assert steps - ramp_steps >= 20_000
         init = ek.zero_state(net, self.DT)
         waves, final = ek.run(net, cfg, init=init)
         rows, ref_final, _ = reference_run(net, cfg, init)
@@ -609,7 +631,7 @@ class TestHistoryCurrentState:
             n_lc = sum(e.kind in (ek.ElementKind.INDUCTOR, ek.ElementKind.CAPACITOR)
                        for e in net.elements)
             n_swinging = sum(m.inertia_h > 0 for m in net.machines)
-            compiled = ek.CompiledNet(net, self.DT, ek.zero_state(net, self.DT), 0.5)
+            compiled = ek.CompiledNet(net, self.DT, ek.zero_state(net, self.DT), 10_000)
             cols = n_lc + 4 + n_swinging
             assert n_lc < len(net.nodes) + len(net.elements)
             for t in (compiled.ramp_map, compiled.post_map):
@@ -629,8 +651,8 @@ class TestHistoryCurrentState:
         init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
-        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           fault=ek.SimEvent(fault_step * dt, "B7", 0.02))
+        cfg = ek.SimConfig(dt=dt, steps=900, record=record,
+                           fault=ek.SimEvent(fault_step, "B7", 0.02))
         self._assert_run_matches_reference(net, cfg, init)
 
     @pytest.mark.parametrize("fault_step", [1, 401, 800],
@@ -641,8 +663,8 @@ class TestHistoryCurrentState:
         net, far = random_linear_net(np.random.default_rng(7))
         dt = self.DT
         record = [far, "n0"] + [f"i:{e.eid}" for e in net.elements]
-        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=record,
-                           fault=ek.SimEvent(fault_step * dt, far, 0.05), t_ramp=600 * dt)
+        cfg = ek.SimConfig(dt=dt, steps=900, record=record,
+                           fault=ek.SimEvent(fault_step, far, 0.05), ramp_steps=600)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     def test_net_without_inductors_or_capacitors(self):
@@ -654,10 +676,10 @@ class TestHistoryCurrentState:
             (ek.Source("src", "n1", 1.0, 0.4),),
         )
         dt = self.DT
-        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 0.01)
+        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 200)
         assert compiled.n_lc == 0 and compiled.post_map.shape == (4, 4)
-        cfg = ek.SimConfig(dt=dt, duration=900 * dt, record=["n2", "n3", "i:r1", "i:r3"],
-                           fault=ek.SimEvent(500 * dt, "n3", 0.1), t_ramp=300 * dt)
+        cfg = ek.SimConfig(dt=dt, steps=900, record=["n2", "n3", "i:r1", "i:r3"],
+                           fault=ek.SimEvent(500, "n3", 0.1), ramp_steps=300)
         self._assert_run_matches_reference(net, cfg, ek.zero_state(net, dt))
 
     @staticmethod
@@ -704,16 +726,16 @@ class TestSwingRelaxation:
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid_comparison["case"].buses]
         record += [f"i:{m.branch_eid}" for m in net.machines]
-        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           fault=ek.SimEvent((init.step + offset) * self.DT, "B7", 1e-6))
+        cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
+                           fault=ek.SimEvent(init.step + offset, "B7", 1e-6))
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
         net = two_machine_net(hybrid_model.full_net)
         init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, self.DT).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
-        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=record,
-                           fault=ek.SimEvent(250 * self.DT, "B7", 0.02))
+        cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
+                           fault=ek.SimEvent(250, "B7", 0.02))
         compiled = ek.CompiledNet(net, self.DT, init)
         assert compiled.swinging.tolist() == [0, 1]
         TestHistoryCurrentState._assert_run_matches_reference(net, cfg, init)
@@ -730,7 +752,7 @@ class TestSwingRelaxation:
         starts = [self.gis_start(hybrid_comparison),
                   (two, sn.phasor_init(hybrid, hybrid_model.main_pf, two, self.DT).emt_state)]
         for (net, init), steps in itertools.product(starts, [10000, 150]):
-            ends = [ek.run(net, ek.SimConfig(dt=self.DT, duration=steps * self.DT,
+            ends = [ek.run(net, ek.SimConfig(dt=self.DT, steps=steps,
                                              record=record), init=init)[1]
                     for record in ([], ["B1"], [b.id for b in hybrid.buses])]
             for end in ends[1:]:
@@ -750,8 +772,8 @@ class TestSwingRelaxation:
 
         monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
         net, init = self.gis_start(hybrid_comparison)
-        cfg = ek.SimConfig(dt=self.DT, duration=900 * self.DT, record=["B7"],
-                           fault=ek.SimEvent((init.step + 150) * self.DT, "B7", 1e-6))
+        cfg = ek.SimConfig(dt=self.DT, steps=900, record=["B7"],
+                           fault=ek.SimEvent(init.step + 150, "B7", 1e-6))
         ek.run(net, cfg, init=init)
         # 150 steps before the fault: a chunk of 100 and one of 50, which
         # extrapolates the first chunk's start transient; 750 after it: one
@@ -773,9 +795,9 @@ class TestSwingRelaxation:
         # machine and on two.
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid.buses]
-        ramped = dict(duration=0.2, record=record, t_ramp=0.05,
-                      fault=ek.SimEvent(0.15, "B7", 0.02))
-        runs = [(net, init, ek.SimConfig(dt=self.DT, duration=10000 * self.DT, record=record)),
+        ramped = dict(steps=4000, record=record, ramp_steps=1000,
+                      fault=ek.SimEvent(3000, "B7", 0.02))
+        runs = [(net, init, ek.SimConfig(dt=self.DT, steps=10000, record=record)),
                 (net, None, ek.SimConfig(dt=self.DT, **ramped)),
                 (two_machine_net(hybrid_model.full_net), None,
                  ek.SimConfig(dt=self.DT, **ramped))]
@@ -816,7 +838,7 @@ class TestSwingRelaxation:
         # from the migrated start state, bit for bit.
         net, init = self.gis_start(hybrid_comparison)
         faulted = ek.apply_fault(net, "B7", 1e-6)
-        cfg = ek.SimConfig(dt=self.DT, duration=500 * self.DT,
+        cfg = ek.SimConfig(dt=self.DT, steps=500,
                            record=["B7"] + [f"i:{m.branch_eid}" for m in net.machines])
         want_waves, want = ek.run(faulted, cfg,
                                   init=ek.migrate_state(faulted, init))
@@ -828,7 +850,7 @@ class TestSwingRelaxation:
             nets.append(self)
 
         monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
-        fault = ek.SimEvent(init.step * self.DT, "B7", 1e-6)
+        fault = ek.SimEvent(init.step, "B7", 1e-6)
         waves, got = ek.run(net, replace(cfg, fault=fault), init=init)
         assert [c.net for c in nets] == [faulted]
         assert np.array_equal(waves.times, want_waves.times)
@@ -865,7 +887,7 @@ class TestSwingRelaxation:
         assert np.array_equal(wrong.machines, right.machines)
         assert np.array_equal(wrong.stack[length - 1:], right.stack[length - 1:])
 
-        cfg = ek.SimConfig(dt=self.DT, duration=length * self.DT, record=record)
+        cfg = ek.SimConfig(dt=self.DT, steps=length, record=record)
         rows, ref_final, _ = reference_run(net, cfg, init)
         assert_close_to_reference(samples.T, rows[1:])
         final = right.state()
@@ -875,8 +897,8 @@ class TestSwingRelaxation:
     def test_rerun_is_bit_identical(self, hybrid_comparison):
         net, init = self.gis_start(hybrid_comparison)
         record = [b.id for b in hybrid_comparison["case"].buses]
-        cfg = ek.SimConfig(dt=self.DT, duration=2000 * self.DT, record=record,
-                           fault=ek.SimEvent((init.step + 730) * self.DT, "B7", 1e-6))
+        cfg = ek.SimConfig(dt=self.DT, steps=2000, record=record,
+                           fault=ek.SimEvent(init.step + 730, "B7", 1e-6))
         (w1, s1), (w2, s2) = ek.run(net, cfg, init=init), ek.run(net, cfg, init=init)
         for k in w1.data:
             assert np.array_equal(w1.data[k], w2.data[k]), k
@@ -964,26 +986,28 @@ class TestRelaxMatchesReference:
 
 
 class TestCycleCounts:
-    """`run_until_steady` counts whole cycles within rounding: 2.3/0.02 and
-    5.1/0.02 evaluate just below 115 and 255, 0.14/0.02 just above 7."""
+    """`run_until_steady` runs the whole cycles of its steps, and a time
+    rounds to steps once, at `to_steps`: 2.3/1e-4 and 5.1/1e-4 evaluate just
+    below 23,000 and 51,000."""
 
     DT = 1e-4  # 200 steps a cycle
 
     @pytest.mark.parametrize("duration, cycles", [(2.3, 115), (5.1, 255)])
     def test_budget_runs_every_whole_cycle(self, duration, cycles):
-        cfg = ek.SimConfig(dt=self.DT, duration=duration, record=["n2"],
-                           t_ramp=10.0)  # never armed
+        assert duration / self.DT != cycles * 200
+        cfg = ek.SimConfig(dt=self.DT, steps=ek.to_steps(duration, self.DT), record=["n2"],
+                           ramp_steps=100_000)  # never armed
         state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready is None
         assert state.step == cycles * 200
 
     def test_detector_arms_in_the_first_cycle_after_the_ramp(self, monkeypatch):
         # With tolerance 1 every armed cycle counts as steady, so the
-        # detector fires in the cycle it arms in: cycle 7, (0.14, 0.16];
+        # detector fires in the cycle it arms in: cycle 7, steps (1400, 1600];
         # the state is ready SETTLE_MARGIN_CYCLES cycles after it.
         monkeypatch.setattr(ek, "RMS_CHANGE_TOL", 1.0)
         monkeypatch.setattr(ek, "STEADY_CYCLES", 1)
-        cfg = ek.SimConfig(dt=self.DT, duration=1.0, record=["n2"], t_ramp=0.14)
+        cfg = ek.SimConfig(dt=self.DT, steps=10_000, record=["n2"], ramp_steps=1400)
         _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready == (8 + ek.SETTLE_MARGIN_CYCLES) * 200
 
@@ -1007,13 +1031,13 @@ class TestStepCalls:
         return count
 
     def test_run_steps_once_per_step_across_a_fault(self, calls):
-        cfg = ek.SimConfig(dt=1e-4, duration=0.05, record=["n2"],
-                           fault=ek.SimEvent(0.02, "n2", 0.1))
+        cfg = ek.SimConfig(dt=1e-4, steps=500, record=["n2"],
+                           fault=ek.SimEvent(200, "n2", 0.1))
         waves, state = ek.run(rl_net(), cfg)
         assert calls[0] == 500 == state.step == len(waves.times) - 1
 
     def test_run_until_steady_steps_ready_step_times(self, calls):
-        cfg = ek.SimConfig(dt=2e-5, duration=2.0, record=["n2"], t_ramp=0.1)
+        cfg = ek.SimConfig(dt=2e-5, steps=100_000, record=["n2"], ramp_steps=5000)
         state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         assert ready is not None
         assert calls[0] == ready == state.step
@@ -1049,12 +1073,12 @@ class TestHotPathProducts:
         return per_cycle
 
     def test_ramped_detector_loop(self, calls):
-        dt, t_ramp = 2e-5, 0.1
-        cfg = ek.SimConfig(dt=dt, duration=2.0, record=["n2", "i:l1"], t_ramp=t_ramp)
+        dt, ramp_steps = 2e-5, 5000
+        cfg = ek.SimConfig(dt=dt, steps=100_000, record=["n2", "i:l1"], ramp_steps=ramp_steps)
         _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
         n_cycle = round(0.02 / dt)
         assert ready is not None and len(calls) == ready // n_cycle
-        crossing = (ek._first_full_step(t_ramp, dt) - 1) // n_cycle
+        crossing = (ramp_steps - 1) // n_cycle
         assert all(c["dot"] == 0 for c in calls)
         assert [c["matmul"] for c in calls] == [
             2 if k == crossing else 1 for k in range(len(calls))]
@@ -1062,7 +1086,7 @@ class TestHotPathProducts:
     def test_relaxed_full_net(self, calls, hybrid, hybrid_comparison):
         net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
         dt = TestSwingRelaxation.DT
-        cfg = ek.SimConfig(dt=dt, duration=4000 * dt, record=[b.id for b in hybrid.buses])
+        cfg = ek.SimConfig(dt=dt, steps=4000, record=[b.id for b in hybrid.buses])
         ek.run(net, cfg, init=init)
         assert ek.CompiledNet(net, dt, init).swinging.size
         assert len(calls) == 10
@@ -1079,7 +1103,7 @@ class TestHotPathProducts:
         dt = TestSwingRelaxation.DT
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
         cycle = round(net.period / dt)
-        region = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 0.13, record, cycle)
+        region = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 2600, record, cycle)
         net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
         full = ek.CompiledNet(net, dt, init, None, [b.id for b in hybrid.buses], cycle)
         for compiled in (region, full):
@@ -1173,12 +1197,12 @@ class TestProbeSet:
         net = rl_net()
         record = ["n2", "i:l1", "n1", "i:r1", "n2"]
         start = advance(net, ek.zero_state(net, 2e-5), 137)
-        compiled = ek.CompiledNet(net, 2e-5, start, 0.5, record)
+        compiled = ek.CompiledNet(net, 2e-5, start, 25_000, record)
         probes = compiled.probes
         assert probes.keys == [f"{pid}.{ph}" for pid in record for ph in "abc"]
         eids = [e.eid for e in net.elements]
         cols = [0, compiled.n_lc + 2, compiled.n_lc + 3]  # ih, r_c, r_s
-        for ramp_steps, o in ((0, compiled.outputs[1]), (1, compiled.outputs[0])):
+        for ramped, o in ((0, compiled.outputs[1]), (1, compiled.outputs[0])):
             for axis, col in itertools.product(range(2), cols):
                 z = np.zeros((2, compiled.rows))
                 z[axis, col] = 1.0
@@ -1189,14 +1213,14 @@ class TestProbeSet:
                     else:
                         row = compiled.node_index[pid]
                     want += [o[row, col] * ek.TWO_AXIS[axis, ph] for ph in range(3)]
-                got = sample_one(probes, z, ramp_steps)
+                got = sample_one(probes, z, ramped)
                 assert np.array_equal(got, np.array(want))
                 assert got.shape == (len(probes.keys),)
-        # A stack: one column per buffer, the first ramp_steps on the ramp map.
+        # A stack: one column per buffer, the first `ramped` on the ramp map.
         z = np.zeros((2, compiled.rows))
         z[1, cols[1]] = 1.0
         stack = np.stack([z, 2.0 * z, 4.0 * z])
-        got = probes.sample(stack, ramp_steps=1)
+        got = probes.sample(stack, ramped=1)
         assert got.shape == (len(probes.keys), 3)
         assert np.array_equal(got[:, 0], sample_one(probes, z, 1))
         assert np.array_equal(got[:, 1:], np.outer(sample_one(probes, z), [2.0, 4.0]))
@@ -1211,16 +1235,16 @@ class TestProbeSet:
 class TestCompatibility:
     def test_foreign_snapshot_rejected(self):
         net_a, net_b = rl_net(), rl_net(r=2.0)
-        _, state = ek.run(net_a, ek.SimConfig(dt=5e-5, duration=0.01))
+        _, state = ek.run(net_a, ek.SimConfig(dt=5e-5, steps=200))
         other = ek.EmtNet("x", 50.0, ("m1",), (), (ek.Source("s", "m1", 1.0, 0.0),))
         with pytest.raises(IncompatibleSnapshot):
-            ek.run(other, ek.SimConfig(dt=5e-5, duration=0.01), init=state)
+            ek.run(other, ek.SimConfig(dt=5e-5, steps=200), init=state)
 
     def test_dt_mismatch_rejected(self):
         net = rl_net()
-        _, state = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.01))
+        _, state = ek.run(net, ek.SimConfig(dt=5e-5, steps=200))
         with pytest.raises(IncompatibleSnapshot):
-            ek.run(net, ek.SimConfig(dt=1e-4, duration=0.01), init=state)
+            ek.run(net, ek.SimConfig(dt=1e-4, steps=100), init=state)
 
     @pytest.mark.parametrize("machines", [
         lambda s: replace(s, machine_ids=("ghost",) + s.machine_ids[1:]),
@@ -1235,11 +1259,11 @@ class TestCompatibility:
         net = hybrid_model.full_net
         state = machines(ek.zero_state(net, 5e-5))
         with pytest.raises(IncompatibleSnapshot, match="machine set differs"):
-            loop(net, ek.SimConfig(dt=5e-5, duration=0.02), init=state)
+            loop(net, ek.SimConfig(dt=5e-5, steps=400), init=state)
 
     def test_unknown_probe_rejected(self):
         with pytest.raises(UnknownProbe):
-            ek.run(rl_net(), ek.SimConfig(dt=5e-5, duration=0.01,
+            ek.run(rl_net(), ek.SimConfig(dt=5e-5, steps=200,
                                           record=["ghost"]))
 
     @pytest.mark.parametrize("field", ["v_nodes", "elem_i"])
@@ -1249,9 +1273,9 @@ class TestCompatibility:
         # Two axes hold no zero-sequence part: one above ZERO_SEQUENCE_TOL of
         # the peak is rejected, one below it passes (the loop drops it).
         net = rl_net()
-        _, state = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.013))
+        _, state = ek.run(net, ek.SimConfig(dt=5e-5, steps=260))
         peak = np.abs(getattr(state, field)).max()
-        cfg = ek.SimConfig(dt=5e-5, duration=0.02, record=["n2"])
+        cfg = ek.SimConfig(dt=5e-5, steps=400, record=["n2"])
         moved = state.copy()
         getattr(moved, field)[0, 0] += 0.5 * ek.ZERO_SEQUENCE_TOL * peak
         loop(net, cfg, init=moved)
@@ -1273,7 +1297,7 @@ class TestTwoAxisFrame:
 
     def test_every_step_across_the_ramp(self):
         net, dt = rl_net(), 2e-5
-        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 100 * dt, ["n2"], 1)
+        compiled = ek.CompiledNet(net, dt, ek.zero_state(net, dt), 100, ["n2"], 1)
         for _ in range(300):
             compiled.advance(1, np.empty((3, 1)))
             self.assert_balanced(compiled.state())
@@ -1282,8 +1306,8 @@ class TestTwoAxisFrame:
     def test_relaxed_loops_across_a_fault(self, hybrid_comparison, steps):
         net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
         dt = TestSwingRelaxation.DT
-        cfg = ek.SimConfig(dt=dt, duration=steps * dt, record=["B7"],
-                           fault=ek.SimEvent((init.step + 50) * dt, "B7", 0.02))
+        cfg = ek.SimConfig(dt=dt, steps=steps, record=["B7"],
+                           fault=ek.SimEvent(init.step + 50, "B7", 0.02))
         _, final = ek.run(net, cfg, init=init)
         assert final.step == init.step + steps
         self.assert_balanced(final)
@@ -1292,7 +1316,7 @@ class TestTwoAxisFrame:
 class TestWaveformExport:
     def test_csv_layout(self, tmp_path):
         net = rl_net()
-        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, duration=0.01, record=["n2"]))
+        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, steps=100, record=["n2"]))
         path = tmp_path / "w.csv"
         ek.write_waveforms_csv(path, waves)
         lines = path.read_text().splitlines()
@@ -1301,7 +1325,7 @@ class TestWaveformExport:
 
     def test_csv_round_trip_is_exact(self, tmp_path):
         net = rl_net()
-        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, duration=0.02,
+        waves, _ = ek.run(net, ek.SimConfig(dt=1e-4, steps=200,
                                             record=["n1", "n2", "i:l1"]))
         path = tmp_path / "w.csv"
         ek.write_waveforms_csv(path, waves)
@@ -1316,7 +1340,7 @@ class TestWaveformExport:
 class TestSteadyDetector:
     def test_detector_fires_on_settled_rl(self):
         net = rl_net()
-        cfg = ek.SimConfig(dt=2e-5, duration=2.0, record=["n2"])
+        cfg = ek.SimConfig(dt=2e-5, steps=100_000, record=["n2"])
         state, ready, _, _ = ek.run_until_steady(net, cfg)
         assert ready is not None
         # Detection within 0.5 s, then the settle margin.
@@ -1324,7 +1348,7 @@ class TestSteadyDetector:
 
     def test_detector_respects_budget(self):
         net = rl_net()
-        cfg = ek.SimConfig(dt=2e-5, duration=0.04, record=["n2"], t_ramp=0.5)
+        cfg = ek.SimConfig(dt=2e-5, steps=2000, record=["n2"], ramp_steps=25_000)
         _, fired, _, _ = ek.run_until_steady(net, cfg)
         assert fired is None
 

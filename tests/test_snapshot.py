@@ -124,7 +124,7 @@ class TestPhasorInit:
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
         snap = sn.phasor_init(case, pf, net, dt=5e-5)
-        waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.04,
+        waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, steps=800,
                                             record=["B1", "B2", "B3"]),
                           init=snap.emt_state)
         n = int(round(0.02 / 5e-5))
@@ -138,7 +138,7 @@ class TestPhasorInit:
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
         snap = sn.phasor_init(case, pf, net, dt=5e-5)
-        _, fin = ek.run(net, ek.SimConfig(dt=5e-5, duration=0.5),
+        _, fin = ek.run(net, ek.SimConfig(dt=5e-5, steps=10_000),
                         init=snap.emt_state)
         assert fin.machine_delta[0] == pytest.approx(
             snap.emt_state.machine_delta[0], abs=1e-9)
@@ -337,7 +337,7 @@ class TestRamp:
     def test_rl_region_settles_to_divider_solution(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, steps=80_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
         v, i = snap.boundary_phasors["B"]
         z_load = 0.5 + 1.0j
@@ -350,7 +350,7 @@ class TestRamp:
     def test_open_circuit_region_sees_source(self):
         region = ek.EmtNet("region:open", 50.0, ("B",), (), ())
         th = sn.TheveninEquivalent(Phasor(0.97, 0.2), 0.05 + 0.2j)
-        cfg = ek.SimConfig(dt=5e-5, duration=3.0, record=[], t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, steps=60_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="open")
         v, i = snap.boundary_phasors["B"]
         assert abs(v.rect - th.e_eq.rect) < 1e-3
@@ -359,14 +359,14 @@ class TestRamp:
     def test_budget_shorter_than_ramp_times_out(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=0.2, record=[], t_ramp=0.5)
+        cfg = ek.SimConfig(dt=5e-5, steps=4000, record=[], ramp_steps=10_000)
         with pytest.raises(SteadyStateTimeout):
             sn.ramp_to_snapshot(region, th, cfg, "B")
 
     def test_ramped_snapshot_phasor_consistency(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
-        cfg = ek.SimConfig(dt=5e-5, duration=4.0, record=[], t_ramp=0.3)
+        cfg = ek.SimConfig(dt=5e-5, steps=80_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
         assert phasor_consistency_error(snap) < 1e-6
 
@@ -417,14 +417,14 @@ def split_setup(ninebus1, ninebus1_pipeline):
 
     # sample the settled whole system across one period, catching the
     # boundary-voltage peak for a worst-case opposite-phase splice
-    waves, _ = ek.run(full, ek.SimConfig(dt=dt, duration=0.02, record=["B10"]),
+    waves, _ = ek.run(full, ek.SimConfig(dt=dt, steps=n_cycle, record=["B10"]),
                       init=res.snapshot.emt_state)
     peak_off = int(np.argmax(waves.data["B10.a"][1:])) + 1
-    _, at_peak = ek.run(full, ek.SimConfig(dt=dt, duration=peak_off * dt),
+    _, at_peak = ek.run(full, ek.SimConfig(dt=dt, steps=peak_off),
                         init=res.snapshot.emt_state)
-    _, at_half = ek.run(full, ek.SimConfig(dt=dt, duration=(n_cycle // 2) * dt),
+    _, at_half = ek.run(full, ek.SimConfig(dt=dt, steps=n_cycle // 2),
                         init=at_peak)
-    _, at_two = ek.run(full, ek.SimConfig(dt=dt, duration=2 * n_cycle * dt),
+    _, at_two = ek.run(full, ek.SimConfig(dt=dt, steps=2 * n_cycle),
                        init=at_peak)
 
     def split(state):
@@ -455,7 +455,7 @@ class TestSplice:
         merged, dev = sn.splice({"main": main, "wind1": region}, sched,
                                 s["full"], s["dt"])
         assert max(dev.values()) < 1e-6
-        waves, _ = ek.run(s["full"], ek.SimConfig(dt=s["dt"], duration=0.1,
+        waves, _ = ek.run(s["full"], ek.SimConfig(dt=s["dt"], steps=5 * s["n_cycle"],
                                                   record=["B10", "B5"]),
                           init=merged.emt_state)
         for key in ("B10.a", "B5.a"):
@@ -589,7 +589,7 @@ class TestPipeline:
         assert result.snapshot.provenance == sn.PROVENANCE_PHASOR
         assert result.report["gis_cost_steps"] == 0
         waves, _ = ek.run(result.model.full_net,
-                          ek.SimConfig(dt=5e-5, duration=0.1, record=["B2"]),
+                          ek.SimConfig(dt=5e-5, steps=2000, record=["B2"]),
                           init=result.snapshot.emt_state)
         rms = cycle_rms(waves, "B2.a", 400, last_only=False)
         target = result.model.main_pf.voltage("B2").magnitude
@@ -778,14 +778,16 @@ class TestRampLength:
         seen = []
 
         def steady(net, cfg, init=None):
-            seen.append(cfg.t_ramp)
+            seen.append(cfg.ramp_steps)
             return init, 1, None, None
 
         monkeypatch.setattr(ek, "run_until_steady", steady)
-        for name, given, ramp in (("ninebus1", None, 0.04), ("hybrid", None, 0.5),
-                                  ("hybrid", 0.2, 0.2)):
+        # 0.04 s, 0.5 s and 0.2 s at 5e-5 s a step; a config's own ramp is
+        # not read.
+        for name, given, ramp in (("ninebus1", None, 800), ("hybrid", None, 10_000),
+                                  ("hybrid", 0.2, 4000)):
             net = bundled_models[name][1].full_net
-            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, duration=1.0, t_ramp=given))
+            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, steps=20_000, ramp_steps=1), given)
             assert seen.pop() == ramp
 
 
@@ -832,7 +834,7 @@ class TestExactSteadyState:
         net = sn.system_model(case).full_net
         exact = exact_steady_state(net)
         n_cycle = int(round(net.period / 5e-5))
-        _, end = ek.run(net, ek.SimConfig(dt=5e-5, duration=3 * n_cycle * 5e-5), init=exact)
+        _, end = ek.run(net, ek.SimConfig(dt=5e-5, steps=3 * n_cycle), init=exact)
         assert end.step == 3 * n_cycle
         assert max(distance(end, exact)) <= 1e-12
 
@@ -904,7 +906,7 @@ class TestSnapshotFile:
         sn.save_snapshot(ninebus1_pipeline.snapshot, path)
         back = sn.load_snapshot(path)
         waves, _ = ek.run(ninebus1_pipeline.model.full_net,
-                          ek.SimConfig(dt=5e-5, duration=0.05, record=["B10"]),
+                          ek.SimConfig(dt=5e-5, steps=1000, record=["B10"]),
                           init=back.emt_state)
         rms = cycle_rms(waves, "B10.a", 400)
         target = ninebus1_pipeline.model.main_pf.voltage("B10").magnitude
