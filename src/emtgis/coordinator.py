@@ -146,7 +146,9 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
     `problem` is the torn main system's PowerFlowProblem, decoupled as
     `jfng_solve` builds it, solved by `solve_main` to MAIN_PF_TOL at x's
     angles as they are; each white-box region solves the problem its
-    declaration holds by Newton, at `evaluate`'s wrapped angle.
+    declaration holds by `solve_main`'s Newton, at `evaluate`'s wrapped
+    angle: on Python scalars where the region has at most
+    SCALAR_MAX_UNKNOWNS unknowns, as every bundled one does.
     Both sides see the *same* voltages and run one after another in
     declaration order, so the assembled residual is deterministic.
     """

@@ -299,10 +299,12 @@ def _not_evaluable(decl: GrbcDeclaration, v_boundary: Phasor, why) -> InternalNo
 def internal_power_flow(decl: GrbcDeclaration,
                         v_boundary: Phasor) -> powerflow.PowerFlowSolution:
     """The internal power flow of a white-box region at its boundary
-    voltage: `decl.pf_problem` solved from its DC-angle start (flat
-    angles if its B_uu is singular; see `powerflow.PowerFlowProblem`) to
-    the payload's pf_tol in at most 60 iterations, a pure function of
-    (decl, v_boundary).  A failed solve raises InternalNonConvergence."""
+    voltage: `decl.pf_problem` solved by Newton from its DC-angle start
+    (flat angles if its B_uu is singular; see `powerflow.PowerFlowProblem`)
+    to the payload's pf_tol in at most 60 iterations, on Python scalars up
+    to `powerflow.SCALAR_MAX_UNKNOWNS` unknowns and on numpy arrays above,
+    a pure function of (decl, v_boundary).  A failed solve, an overflowing
+    one included, raises InternalNonConvergence."""
     try:
         return powerflow.solve_main(decl.pf_problem, [v_boundary.magnitude],
                                     [v_boundary.angle], decl.payload.pf_tol, 60)

@@ -411,10 +411,12 @@ def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, faults: dict[str, co
                      boundary: str) -> TheveninEquivalent:
     """Boundary equivalent of the main system seen from one region, from
     the table `faults`, `fault_currents` of the main net, and the bus's
-    injection in `pf` less its load, as `boundary_injections` nets it."""
+    injection in `pf` less its load, as `boundary_injections` nets it.
+    `pf` solves `case`, so the bus sits at its position in `pf`: every
+    lookup is by dict, O(1)."""
     if boundary not in faults:
         raise KeyError(f"'{boundary}' is not a boundary bus")
-    bus = case.bus(boundary)
+    bus = case.buses[pf.index(boundary)]
     p, q = pf.injection(boundary)
     v_b = pf.voltage(boundary).rect
     i_b = machine_port_current(complex(-p - bus.p_load, -q - bus.q_load), v_b)

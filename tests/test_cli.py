@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import emtgis.emtkernel as ek
+import emtgis.powerflow as powerflow_module
 from emtgis import snapshot as sn
 from emtgis.cli import average_relative_deviation
 
@@ -447,6 +449,43 @@ class TestFailureExits:
                       "--duration", "0.01", "--out", tmp_path)
         assert out.returncode == 1
         assert_one_line_error(out)
+
+
+def overflowing_load(name):
+    """twobus with B2's load, or ninebus1 with region wind1's W1 load, at
+    1e200 pu: the first Newton mismatch overflows."""
+    doc = read_json(case_path(name))
+    buses = doc["buses"] if name == "twobus" else next(
+        g for g in doc["grbcs"] if g["name"] == "wind1")["payload"]["buses"]
+    next(b for b in buses if b["id"] in ("B2", "W1"))["p_load"] = 1e200
+    return doc
+
+
+class TestOverflowingLoad:
+    """An overflow in a Newton solve is a solve that does not converge:
+    `ipf` exits 2 and `init` 3 with one `error:` line and no warning, on
+    the main system (twobus) and in a region (ninebus1), whether Newton
+    runs on Python scalars or, with the cut-off at 0, on numpy arrays."""
+
+    @pytest.mark.parametrize("cut_off", [powerflow_module.SCALAR_MAX_UNKNOWNS, 0],
+                             ids=["scalar", "numpy"])
+    @pytest.mark.parametrize("name", ["twobus", "ninebus1"])
+    @pytest.mark.parametrize("command, code", [("ipf", 2), ("init", 3)])
+    def test_exits_with_one_error_line(self, tmp_path, capsys, monkeypatch, name, cut_off,
+                                       command, code):
+        from emtgis.cli import main
+
+        monkeypatch.setattr(powerflow_module, "SCALAR_MAX_UNKNOWNS", cut_off)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(overflowing_load(name)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning, numpy's included, fails the run
+            assert main([command, str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "did not converge" in err[0]
+        if command == "ipf":
+            assert (tmp_path / "out" / "trace.csv").exists()
 
 
 class TestOutOfMemory:

@@ -34,6 +34,7 @@ from emtgis.netmodel import BusKind, BusRecord, Phasor, parse_case
 from emtgis.powerflow import (
     MAIN_PF_MAX_ITER,
     MAIN_PF_TOL,
+    SCALAR_MAX_UNKNOWNS,
     PowerFlowProblem,
     solve_main,
     solve_monolithic,
@@ -324,6 +325,33 @@ class TestHighRxMainSystem:
         out = tmp_path / "ipf"
         assert cli.main(["ipf", str(path), "--out", str(out)]) == 2
         assert (out / "trace.csv").read_text().startswith("outer_iter,")
+
+
+def long_region_ninebus1(buses):
+    """ninebus1 with region wind1 a chain of `buses` PQ buses from its
+    boundary, W1 first, each drawing an equal share of W1's load."""
+    doc = json.loads(Path(case_path("ninebus1")).read_text())
+    (wind1,) = doc["grbcs"]
+    ids = [f"W{i}" for i in range(1, buses + 1)]
+    wind1["payload"]["buses"] = [
+        {"id": bid, "kind": "PQ", "base_kv": 230.0, "p_load": 0.35 / buses,
+         "q_load": 0.1 / buses} for bid in ids]
+    wind1["payload"]["branches"] = [
+        {"from": f, "to": t, "r": 0.02, "x": 0.08} for f, t in zip(["B10", *ids], ids)]
+    return doc
+
+
+class TestRegionAboveTheCutOff:
+    def test_coordinates_within_1e_6_of_the_monolithic_solution(self):
+        # One PQ bus more than the cut-off allows scalars for: the region
+        # solves on numpy arrays, and coordination still meets the oracle.
+        case = parse_case(long_region_ninebus1(SCALAR_MAX_UNKNOWNS // 2 + 1), name="long")
+        problem = case.grbcs[0].pf_problem
+        assert problem.unknowns.size > SCALAR_MAX_UNKNOWNS and problem.scalar is None
+        state, trace = jfng_solve(case, case.grbcs)
+        assert trace.status == "converged"
+        x_ref = oracle_boundary_x(case, solve_monolithic(case))
+        assert np.max(np.abs(state.x - x_ref)) < 1e-6
 
 
 def scripted_twobus(twobus):

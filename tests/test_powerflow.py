@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emtgis.powerflow as powerflow_module
 from conftest import case_path, scaled_case
 from emtgis.coordinator import jfng_solve
 from emtgis.errors import (
@@ -27,6 +28,7 @@ from emtgis.netmodel import (
 from emtgis.powerflow import (
     MAIN_PF_MAX_ITER,
     MAIN_PF_TOL,
+    SCALAR_MAX_UNKNOWNS,
     PowerFlowProblem,
     boundary_injections,
     boundary_sensitivity,
@@ -344,6 +346,161 @@ class TestFastDecoupled:
         assert problem.b_inv is None
         sol = solve_main(problem, tol=MAIN_PF_TOL, max_iter=MAIN_PF_MAX_ITER)
         assert sol.max_mismatch <= MAIN_PF_TOL
+
+
+def array_problem(case):
+    """`case`'s problem with the cut-off at 0, so that Newton runs on numpy
+    arrays whatever its size."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerflow_module, "SCALAR_MAX_UNKNOWNS", 0)
+        return PowerFlowProblem(case)
+
+
+def small_case(rng, unknowns):
+    """A random meshed case of `unknowns` Newton unknowns behind a slack or
+    a boundary bus: PV buses, in most draws at least one, and PQ buses
+    (two unknowns each), with shunts and taps as in `random_meshed_case`
+    and loads up to 20 times as heavy, so that some cases have no
+    solution; plus the boundary phasor if there is one."""
+    n_pq = int(rng.integers(0, unknowns // 2 + 1))
+    if unknowns - 2 * n_pq == 0 and n_pq > 0 and rng.random() < 0.7:
+        n_pq -= 1  # keep a PV bus in most draws
+    kinds = [BusKind.PV] * (unknowns - 2 * n_pq) + [BusKind.PQ] * n_pq
+    rng.shuffle(kinds)
+    ref = BusKind.BOUNDARY if rng.random() < 0.5 else BusKind.SLACK
+    buses = [BusRecord("B0", ref, 230.0, v_set=1.0)]
+    machines = []
+    heavy = float(rng.choice([1.0, 1.0, 5.0, 20.0]))
+    for i, kind in enumerate(kinds, 1):
+        if kind is BusKind.PV:
+            buses.append(BusRecord(f"B{i}", kind, 230.0, v_set=float(rng.uniform(0.98, 1.05))))
+            machines.append(MachineRecord(f"B{i}", MachineKind.IDEAL_SOURCE,
+                                          p_set=float(rng.uniform(0.1, 0.8))))
+        else:
+            buses.append(BusRecord(f"B{i}", kind, 230.0,
+                                   p_load=heavy * float(rng.uniform(0.0, 0.6)),
+                                   q_load=heavy * float(rng.uniform(-0.1, 0.3)),
+                                   shunt_b=float(rng.uniform(0.0, 0.05))))
+    n = len(buses)
+
+    def line(f, t):
+        return BranchRecord(f"B{f}", f"B{t}", float(rng.uniform(0.002, 0.03)),
+                            float(rng.uniform(0.03, 0.2)), float(rng.uniform(0.0, 0.05)),
+                            float(rng.choice([1.0, 1.0, rng.uniform(0.95, 1.05)])))
+
+    branches = [line(int(rng.integers(0, i)), i) for i in range(1, n)]
+    for _ in range(int(rng.integers(0, n))):
+        f, t = (int(k) for k in rng.choice(n, size=2, replace=False))
+        branches.append(line(f, t))
+    volts = ({"B0": Phasor(float(rng.uniform(0.95, 1.05)), float(rng.uniform(-3.0, 3.0)))}
+             if ref is BusKind.BOUNDARY else {})
+    return CaseFile(100.0, 50.0, buses, branches, machines, name="small"), volts
+
+
+def assert_paths_agree(case, volts, tol, max_iter, same_iterations):
+    """Newton on Python scalars against Newton on numpy arrays, the same
+    problem at the same boundary phasors: both converge, with p and q
+    within 1e-12, or both raise the same failure."""
+    scalar, array = PowerFlowProblem(case), array_problem(case)
+    assert scalar.scalar is not None and array.scalar is None
+    args = (*boundary_arrays(scalar, volts), tol, max_iter)
+    try:
+        want = solve_main(array, *args)
+    except (NonConvergence, SingularJacobian) as exc:
+        with pytest.raises(type(exc)):
+            solve_main(scalar, *args)
+        return None
+    got = solve_main(scalar, *args)
+    assert np.max(np.abs(got.p_calc - want.p_calc)) <= 1e-12
+    assert np.max(np.abs(got.q_calc - want.q_calc)) <= 1e-12
+    if same_iterations:
+        assert got.iterations == want.iterations
+    return got
+
+
+class TestScalarNewton:
+    """Problems of at most SCALAR_MAX_UNKNOWNS unknowns run Newton on
+    Python scalars; numpy's Newton, which runs above the cut-off, is their
+    oracle."""
+
+    REGIONS = [decl for name in BUNDLED for decl in load_case(case_path(name)).grbcs
+               if decl.kind is GrbcKind.WHITE_BOX_NETWORK]
+
+    @given(st.floats(0.8, 1.2), st.floats(-math.pi, math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_bundled_regions_agree_with_numpy(self, vm, va):
+        # Seven regions of 2 or 3 unknowns at 60 boundary phasors: the
+        # same p, q and iteration count as numpy's Newton.
+        for decl in self.REGIONS:
+            case = internal_pf_case(decl)
+            assert assert_paths_agree(case, {decl.boundary_bus: Phasor(vm, va)},
+                                      decl.payload.pf_tol, 60, same_iterations=True)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, SCALAR_MAX_UNKNOWNS))
+    @settings(max_examples=80, deadline=None)
+    def test_random_problems_up_to_the_cut_off(self, seed, unknowns):
+        case, volts = small_case(np.random.default_rng(seed), unknowns)
+        assert PowerFlowProblem(case).unknowns.size == unknowns
+        assert_paths_agree(case, volts, 1e-12, 40, same_iterations=False)
+
+    @pytest.mark.parametrize("unknowns, scalar", [(SCALAR_MAX_UNKNOWNS, True),
+                                                  (SCALAR_MAX_UNKNOWNS + 1, False)])
+    def test_the_cut_off_selects_the_path(self, unknowns, scalar, monkeypatch):
+        case, volts = small_case(np.random.default_rng(unknowns), unknowns)
+        problem = PowerFlowProblem(case)
+        assert problem.unknowns.size == unknowns
+        assert (problem.scalar is not None) is scalar
+        ran = []
+        for name in ("_newton", "_newton_scalar"):
+            monkeypatch.setattr(powerflow_module, name, lambda *a, name=name: ran.append(name))
+        solve_main(problem, *boundary_arrays(problem, volts))
+        assert ran == ["_newton_scalar" if scalar else "_newton"]
+
+    def test_the_fast_decoupled_fallback_takes_the_scalar_path(self, monkeypatch):
+        # A decoupled problem of a few unknowns runs its fast-decoupled
+        # iterations on numpy; where they fail, Newton runs on scalars.
+        problem = PowerFlowProblem(two_bus(load_p=0.5), decoupled=True)
+        assert problem.b_inv is not None and problem.scalar is not None
+
+        def not_converging(*args):
+            raise NonConvergence(MAIN_PF_MAX_ITER, 1.0)
+
+        monkeypatch.setattr(powerflow_module, "_fast_decoupled", not_converging)
+        sol = solve_main(problem, tol=MAIN_PF_TOL, max_iter=MAIN_PF_MAX_ITER)
+        want = solve_main(array_problem(two_bus(load_p=0.5)), tol=MAIN_PF_TOL,
+                          max_iter=MAIN_PF_MAX_ITER)
+        assert sol.iterations == want.iterations
+        assert np.max(np.abs(sol.va - want.va)) <= 1e-12
+
+    @pytest.mark.parametrize("scalar", [True, False])
+    def test_failures_are_the_same(self, scalar):
+        # The limits of TestSolveMain on both paths: an impossible load
+        # stops at the cap, a NaN load at the first mismatch, an
+        # overflowing one and an infinite boundary angle (cmath's domain
+        # error on scalars, numpy's invalid value on arrays) without a
+        # warning, and a bus cut off from the rest gives a singular
+        # Jacobian.
+        def problem(case):
+            return PowerFlowProblem(case) if scalar else array_problem(case)
+
+        with pytest.raises(NonConvergence) as exc:
+            solve_main(problem(two_bus(load_p=50.0)))
+        assert exc.value.max_iter == 30 and exc.value.final_mismatch > 0
+        for load in (float("nan"), 1e200):
+            with pytest.raises(NonConvergence) as exc:
+                solve_main(problem(two_bus(load_p=load)))
+            assert exc.value.final_mismatch == float("inf")
+        wind1 = internal_pf_case(load_case(case_path("ninebus1")).grbcs[0])
+        with pytest.raises(NonConvergence) as exc:
+            solve_main(problem(wind1), [1.0], [float("inf")])
+        assert (exc.value.max_iter, exc.value.final_mismatch) == (0, float("inf"))
+        isolated = CaseFile(100.0, 50.0,
+                            [BusRecord("B1", BusKind.SLACK, 230.0, v_set=1.0),
+                             BusRecord("B2", BusKind.PQ, 230.0, p_load=0.1),
+                             BusRecord("B3", BusKind.PQ, 230.0, shunt_b=0.1)],
+                            [BranchRecord("B1", "B2", 0.01, 0.1)])
+        with pytest.raises(SingularJacobian):
+            solve_main(problem(isolated))
 
 
 def boundary_x(volts, bus_ids):

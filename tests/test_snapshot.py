@@ -301,6 +301,20 @@ class TestFaultTable:
             i_b = sn.machine_port_current(complex(*boundary_injections(pf, case)[bus]), v_b)
             self.assert_matches_oracle(th, reference_thevenin(net, bus, v_b, i_b))
 
+    def test_a_loaded_boundary_bus_nets_its_own_load(self, ninebus1):
+        # B10 draws a load of its own, which `thevenin_extract` nets off as
+        # `boundary_injections` does, by the bus at B10's position in the
+        # solution: B9 before it and B8 two before it draw others.
+        buses = [replace(b, p_load=0.2 + 0.1 * i, q_load=0.05 * i) if b.id in ("B8", "B9", "B10")
+                 else b for i, b in enumerate(ninebus1.buses)]
+        case = replace(ninebus1, buses=buses)
+        pf = solve_main(PowerFlowProblem(case), [1.01], [-0.1])
+        net = sn.build_main_net(case, pf)
+        v_b = pf.voltage("B10").rect
+        i_b = sn.machine_port_current(complex(*boundary_injections(pf, case)["B10"]), v_b)
+        th = sn.thevenin_extract(case, pf, sn.fault_currents(net, ["B10"]), "B10")
+        self.assert_matches_oracle(th, reference_thevenin(net, "B10", v_b, i_b))
+
     def test_random_nets_with_several_boundaries(self):
         rng = np.random.default_rng(2718)
         for _ in range(10):
