@@ -122,8 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     pipeline = argparse.ArgumentParser(add_help=False, parents=[emt])
     pipeline.add_argument("--t-ramp", type=seconds,
-                          help="source ramp of each region, a step or more, below --ramp-budget [s]"
-                               " (default: two cycles, 0.5 s with a swinging machine)")
+                          help="source ramp of each region, its rotors held at their"
+                               " power-flow angles, and of compare's zero-state run, a step or"
+                               " more, below --ramp-budget [s] (default: two cycles; 0.5 s for"
+                               " a zero-state run with a swinging machine)")
     pipeline.add_argument("--ramp-budget", type=seconds, default=sn.PipelineConfig.ramp_budget,
                           help="per-region steady-state search window [s]")
 
@@ -139,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--zero-state", action="store_true",
                      help="start de-energized and ramp sources")
     sim.add_argument("--t-ramp", type=seconds,
-                     help="source ramp of a --zero-state run, a step or more [s] "
-                          "(default: two cycles, 0.5 s with a swinging machine)")
+                     help="source ramp of a --zero-state run, whose rotors swing, a step or "
+                          "more [s] (default: two cycles, 0.5 s with a swinging machine)")
     sim.add_argument("--duration", type=seconds, default=0.5)
     sim.add_argument("--fault", help="fault event BUS@TIME[@R]")
     sim.add_argument("--probes", help="comma-separated bus ids (default: all buses)")

@@ -35,7 +35,10 @@ The oscillator joins the state: r advances by the fixed rotation R by w*dt,
 and during the linear ramp s = n/ramp_steps the product q = n*r advances by
 q' = R (q + r), so the source input q/ramp_steps is linear too.  A machine
 whose rotor is fixed (every machine during the ramp, one with inertia_h =
-0 always) is a source at its own angle and folds into F.  One step is then
+0 always) is a source at its own angle and folds into F.  The pipeline's
+region nets have every rotor fixed so (`snapshot.hold_rotors`), at its
+power-flow angle from the ramp to the splice; only the full net's rotors,
+as in the zero-state baseline, swing once the ramp ends.  One step is then
 one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
 for the ramp and one after it.
 

@@ -440,12 +440,25 @@ def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
     return b.build(), probe_eid
 
 
+def hold_rotors(net: EmtNet) -> EmtNet:
+    """`net` with every machine's rotor held (inertia_h = 0): the kernel
+    steps each machine as a source at its state's angle, which from
+    `zero_state` on is its build-time angle, the coordinated power flow's.
+    `run_emtgis` ramps and advances every region net so, from the ramp to
+    the splice; the full net keeps its free rotors."""
+    return replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
+
+
 def ramp_length(net: EmtNet, t_ramp: float | None = None) -> float:
     """The source ramp of a start from zero on `net`: t_ramp if given, else
     two periods where no machine swings (inertia_h > 0), which gets a region
     ready in about a third of the steps 0.5 s takes, as close to the exact
     steady state; 0.5 s where one swings, as a fast ramp excites its swing
-    (ninebus3's plant2: 54,400 steps at 0.04 s, 14,000 at 0.5 s)."""
+    (ninebus3's plant2 with a free rotor: 54,400 steps at 0.04 s, 14,000 at
+    0.5 s).  Every region net the pipeline ramps has its rotors held
+    (`hold_rotors`), so it gets two periods; only the full net of the
+    zero-state baseline (`settle_from_zero`, `simulate --zero-state`),
+    whose rotors are free, can get 0.5 s."""
     if t_ramp is not None:
         return t_ramp
     return 0.5 if any(m.inertia_h > 0 for m in net.machines) else 2 * net.period
@@ -459,7 +472,9 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     linear ramp over cfg.ramp_steps, the region's `ramp_length` in the
     pipeline; the steady-state detector watches every node of the region
     plus the boundary current.  Boundary phasors come from a single-frequency
-    Fourier integral over the final full cycle.
+    Fourier integral over the final full cycle.  A machine of `grbc_net`
+    swings after the ramp only if its inertia_h > 0; the pipeline passes
+    the net with its rotors held (`hold_rotors`).
     """
     subsystem = subsystem or grbc_net.name
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
@@ -512,7 +527,9 @@ def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
     """Continue a subsystem in isolation, unramped, to its splice step target_steps.
 
     The boundary phasors are absolute-clock complex amplitudes of a settled
-    periodic state, so they carry over unchanged.
+    periodic state, so they carry over unchanged.  The pipeline passes the
+    net its ramp stepped, rotors held (`hold_rotors`), so a region is
+    spliced at its power-flow rotor angles.
     """
     extra = target_steps - snap.timestamp_steps
     if extra < 0:
@@ -684,8 +701,10 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Whole pipeline: coordinated power flow, phasor snapshot of the main
     system and its `fault_currents` table, the ramp of every region behind
-    its Thevenin equivalent, schedule, splice.  Any stage failure is
-    re-raised tagged with the stage name."""
+    its Thevenin equivalent, schedule, advance, splice.  Each region's
+    rotors stay held at their power-flow angles (`hold_rotors`) from its
+    ramp to the splice.  Any stage failure is re-raised tagged with the
+    stage name."""
     cfg = cfg or PipelineConfig()
     stage = _stage
 
@@ -701,7 +720,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
         thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
-        region_net = build_region_net(op, case.frequency_hz)
+        region_net = hold_rotors(build_region_net(op, case.frequency_hz))
         t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
         ramp_cfg = SimConfig(dt=cfg.dt, steps=budget, ramp_steps=ek.to_steps(t_ramp, cfg.dt))
         return ramp_to_snapshot(region_net, thev, ramp_cfg,
@@ -720,7 +739,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
         for op in model.region_ops:
             name = op.decl.name
             thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
-            net, _ = attach_thevenin(build_region_net(op, case.frequency_hz),
+            net, _ = attach_thevenin(hold_rotors(build_region_net(op, case.frequency_hz)),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,
                                                schedule.t_adj_steps[name], cfg.dt)

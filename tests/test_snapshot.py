@@ -711,8 +711,9 @@ class TestPinnedStepCounts:
     `steady_ratio`).  With every subsystem ramped over an explicit 0.5 s
     they are pinned at the values of the per-step EmtState kernel that the
     buffer loop replaced: a kernel change must not move them.  By default
-    each subsystem ramps for `sn.ramp_length` of its own net: two cycles,
-    but 0.5 s for the swinging plant2 of ninebus2 and ninebus3."""
+    each subsystem ramps for `sn.ramp_length` of its own net, rotors held
+    (`sn.hold_rotors`): two cycles for every region, plant2 of ninebus2
+    and ninebus3 included, whose machine swings only in the full net."""
 
     READY_AT_HALF_S = {
         "ninebus1": {"main": 0, "wind1": 14000},
@@ -728,20 +729,20 @@ class TestPinnedStepCounts:
     }
     READY = {
         "ninebus1": {"main": 0, "wind1": 4800},
-        "ninebus2": {"main": 0, "plant2": 14000, "wind1": 4800},
-        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 14000, "wind1": 4800},
+        "ninebus2": {"main": 0, "plant2": 6000, "wind1": 4800},
+        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 6000, "wind1": 4800},
         "hybrid": {"dclink": 5600, "main": 0, "plant2": 5600, "wind1": 4800},
     }
     ADJUSTED = {
         "ninebus1": {"main": 0, "wind1": 4800},
-        "ninebus2": {"main": 0, "plant2": 14400, "wind1": 4800},
-        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 14400, "wind1": 4800},
+        "ninebus2": {"main": 0, "plant2": 6400, "wind1": 4800},
+        "ninebus3": {"farm3": 4800, "main": 0, "plant2": 6400, "wind1": 4800},
         "hybrid": {"dclink": 5600, "main": 0, "plant2": 5600, "wind1": 4800},
     }
     T_RAMP = {
         "ninebus1": {"wind1": 0.04},
-        "ninebus2": {"plant2": 0.5, "wind1": 0.04},
-        "ninebus3": {"farm3": 0.04, "plant2": 0.5, "wind1": 0.04},
+        "ninebus2": {"plant2": 0.04, "wind1": 0.04},
+        "ninebus3": {"farm3": 0.04, "plant2": 0.04, "wind1": 0.04},
         "hybrid": {"dclink": 0.04, "plant2": 0.04, "wind1": 0.04},
     }
 
@@ -827,19 +828,22 @@ class TestExactSteadyState:
     ramping; the oracle checks the ramp, it does not replace it."""
 
     # Twice the distances (v, i, rotor angle) of the spliced states from the
-    # exact ones when the oracle was added, ramps of 0.5 s and of
-    # `sn.ramp_length` alike: a state that is ready sooner must not be
-    # worse.  The distances then were 1.33e-6 and 1.94e-6 (ninebus1),
+    # exact ones, ramps of 0.5 s and of `sn.ramp_length` alike: a state that
+    # is ready sooner must not be worse.  ninebus1 and hybrid, whose regions
+    # have no machine, at 1.33e-6 and 1.94e-6 (ninebus1) and 1.92e-6 and
+    # 5.52e-6 (hybrid) since the oracle was added.  The regions with a
+    # machine at 1.28e-6 and 3.16e-6 (ninebus2), 1.91e-6 and 3.29e-6
+    # (ninebus3) and 1.93e-6 and 3.35e-6 (scaled k=8) since their rotors are
+    # held from the ramp to the splice; free after the ramp, they read
     # 2.56e-5, 5.35e-5 and 3.04e-5 rad (ninebus2), 2.57e-5, 5.35e-5 and
-    # 3.03e-5 rad (ninebus3), 1.92e-6 and 5.52e-6 (hybrid), 3.06e-5, 5.61e-5
-    # and 3.23e-5 rad (scaled k=8); a rotor angle that none of the ramps
-    # moves matched to the bit.
+    # 3.03e-5 rad (ninebus3) and 3.06e-5, 5.61e-5 and 3.23e-5 rad (k=8).  A
+    # held rotor, and one in a net no ramp steps, matches to the bit.
     BOUNDS = {
         "ninebus1": (2.66e-6, 3.89e-6, 0.0),
-        "ninebus2": (5.12e-5, 1.07e-4, 6.08e-5),
-        "ninebus3": (5.14e-5, 1.071e-4, 6.06e-5),
+        "ninebus2": (2.57e-6, 6.32e-6, 0.0),
+        "ninebus3": (3.83e-6, 6.59e-6, 0.0),
         "hybrid": (3.84e-6, 1.105e-5, 0.0),
-        "scaled8": (6.13e-5, 1.122e-4, 6.47e-5),
+        "scaled8": (3.86e-6, 6.71e-6, 0.0),
     }
 
     @pytest.mark.parametrize("name", ["twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid"])
@@ -862,6 +866,50 @@ class TestExactSteadyState:
         spliced = result.snapshot.emt_state
         assert spliced.step == 0
         assert all(d <= bound for d, bound in zip(distance(spliced, exact), self.BOUNDS[name]))
+
+
+class TestHeldRotors:
+    """Every region net `run_emtgis` steps holds its rotors at their
+    power-flow angles (`sn.hold_rotors`), from the ramp to the splice, so
+    `init` relaxes no chunk; the full net and the zero-state baseline keep
+    their rotors free."""
+
+    @pytest.fixture
+    def compiled_nets(self, monkeypatch):
+        """Every `CompiledNet` the kernel builds while the test runs."""
+        built = []
+
+        class Recorded(ek.CompiledNet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(ek, "CompiledNet", Recorded)
+        return built
+
+    @pytest.mark.parametrize("name", ["ninebus2", "ninebus3"])
+    def test_region_rotors_are_spliced_at_their_power_flow_angles(self, name, request,
+                                                                  compiled_nets):
+        result = sn.run_emtgis(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
+        machines = {m.mid: m for m in result.model.full_net.machines}
+        region = [mid for sub, snap in result.subsystem_snapshots.items()
+                  if sub != sn.MAIN_SUBSYSTEM for mid in snap.emt_state.machine_ids]
+        assert region and any(machines[mid].inertia_h > 0 for mid in region)
+        spliced = result.snapshot.emt_state
+        for mid in region:
+            k = spliced.machine_ids.index(mid)
+            assert bits(spliced.machine_delta[k]) == bits(machines[mid].delta0), mid
+            assert bits(spliced.machine_speed_dev[k]) == bits(0.0), mid
+        assert compiled_nets
+        assert [c.chunks_relaxed for c in compiled_nets] == [0] * len(compiled_nets)
+
+    @pytest.mark.parametrize("name", ["ninebus2", "ninebus3"])
+    def test_the_zero_state_baseline_keeps_free_rotors(self, name, bundled_models,
+                                                       compiled_nets):
+        full_net = bundled_models[name][1].full_net
+        assert sn.ramp_length(full_net) == 0.5
+        sn.settle_from_zero(full_net, ek.SimConfig(dt=5e-5, steps=ek.to_steps(12.0, 5e-5)))
+        assert sum(c.chunks_relaxed for c in compiled_nets) > 0
 
 
 def pipeline_result(request, name):
