@@ -27,6 +27,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .powerflow import (
     MAIN_PF_TOL,
     SOLVE_FAILURES,
     PowerFlowProblem,
-    boundary_injections,
     boundary_sensitivity,
     solve_main,
 )
@@ -140,15 +140,43 @@ class IterationTrace:
             f.write("\n".join(lines) + "\n")
 
 
-def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
+class BoundaryLayout(NamedTuple):
+    """Where `residual` reads and writes the boundary buses, the same at
+    every x: the coordinator's bus ids (the regions' boundary buses in
+    declaration order), the position in x of each of the main problem's
+    boundary buses in its order, and each coordinator bus's row in the
+    main problem and its own load, which `boundary_injections` nets off."""
+
+    bus_ids: tuple[str, ...]
+    order: np.ndarray
+    rows: np.ndarray
+    p_load: np.ndarray
+    q_load: np.ndarray
+
+    @classmethod
+    def build(cls, problem: PowerFlowProblem, grbcs) -> BoundaryLayout:
+        bus_ids = tuple(g.boundary_bus for g in grbcs)
+        pos = {bid: i for i, bid in enumerate(bus_ids)}
+        buses = [problem.case.buses[problem.positions[bid]] for bid in bus_ids]
+        return cls(bus_ids,
+                   np.array([pos[bid] for _, bid in problem.boundary if bid in pos], dtype=int),
+                   np.array([problem.positions[bid] for bid in bus_ids], dtype=int),
+                   np.array([b.p_load for b in buses]), np.array([b.q_load for b in buses]))
+
+
+def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray,
+             layout: BoundaryLayout | None = None) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
     `problem` is the torn main system's PowerFlowProblem, decoupled as
     `jfng_solve` builds it, solved by `solve_main` to MAIN_PF_TOL at x's
-    angles as they are; each white-box region solves the problem its
+    angles as they are: fast-decoupled from DECOUPLED_MIN_BUSES buses on,
+    by Newton below.  Each white-box region solves the problem its
     declaration holds by `solve_main`'s Newton, at `evaluate`'s wrapped
     angle: on Python scalars where the region has at most
     SCALAR_MAX_UNKNOWNS unknowns, as every bundled one does.
+    `layout` is `BoundaryLayout.build(problem, grbcs)`, which `jfng_solve`
+    builds once for all its calls; without it the call builds its own.
     Both sides see the *same* voltages and run one after another in
     declaration order, so the assembled residual is deterministic.
     """
@@ -159,10 +187,7 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
     if np.any(x[:n] <= 0.0):
         raise InvalidVoltage("all boundary voltage magnitudes must be positive")
 
-    bus_ids = tuple(g.boundary_bus for g in grbcs)
-    pos = {bid: i for i, bid in enumerate(bus_ids)}
-    order = np.array([pos[bid] for _, bid in problem.boundary if bid in pos], dtype=int)
-
+    bus_ids, order, rows, p_load, q_load = layout or BoundaryLayout.build(problem, grbcs)
     try:
         sol = solve_main(problem, x[order], x[n + order], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
     except SOLVE_FAILURES as exc:
@@ -174,9 +199,9 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray) -> BoundaryState:
         except (InternalNonConvergence, InvalidVoltage) as exc:
             raise ResidualEvaluationError(f"region '{g.name}'", exc) from exc
 
-    inj = boundary_injections(sol, problem.case)
-    p = np.array([inj[b][0] for b in bus_ids])
-    q = np.array([inj[b][1] for b in bus_ids])
+    # As `boundary_injections` nets them: the power into each torn node.
+    p = -np.asarray(sol.p_calc)[rows] - p_load
+    q = -np.asarray(sol.q_calc)[rows] - q_load
     pt = np.array([e.p_tilde for e in evals])
     qt = np.array([e.q_tilde for e in evals])
     phi = np.concatenate([p + pt, q + qt])
@@ -393,9 +418,10 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
     rejected.  Every CoordinationError raised here carries the trace.
-    The main system's PowerFlowProblem is built once per call, with
-    its fast-decoupled matrices inverted once; each white-box region's
-    comes from its declaration.  Without x0 the
+    The main system's PowerFlowProblem and its `BoundaryLayout` are built
+    once per call, and from DECOUPLED_MIN_BUSES main buses on its
+    fast-decoupled matrices are inverted once; each white-box region's
+    problem comes from its declaration.  Without x0 the
     iteration takes the flat start: every boundary voltage 1 pu at angle 0.
     """
     cfg = cfg or JfngConfig()
@@ -406,9 +432,10 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     M = None  # built before the first correction
     trace = IterationTrace()
     problem = PowerFlowProblem(case, decoupled=True)
+    layout = BoundaryLayout.build(problem, grbcs)
 
     def evaluate_at(xv: np.ndarray) -> BoundaryState:
-        return residual(problem, grbcs, xv)
+        return residual(problem, grbcs, xv, layout)
 
     def guarded(xv: np.ndarray) -> tuple[BoundaryState | None, str]:
         """The state at xv, or None and why xv is rejected."""

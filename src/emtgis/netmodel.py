@@ -331,34 +331,46 @@ def _check_islands(case: CaseFile, rep: ValidationReport):
 # --- nodal admittance -------------------------------------------------------
 
 
-def build_admittance(case: CaseFile) -> np.ndarray:
-    """Assemble the dense complex nodal admittance matrix of the case's own
-    buses, in case.buses order, and branches; boundary buses are ordinary
-    rows and region internals are absent (pass `inline_grbcs(case)` for
-    the whole system).
+def admittance_rows(case: CaseFile) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """The nodal admittance matrix of the case's own buses, in case.buses
+    order, and branches, as Python scalars: per bus its row's nonzeros
+    (column, Y_ik) in column order.  Boundary buses are ordinary rows and
+    region internals are absent (pass `inline_grbcs(case)` for the whole
+    system).  Each entry sums its stamps in branch order, then the bus
+    shunt, as a dense stamping loop would, so `build_admittance` scatters
+    the same bits.  A bus with an empty row raises SingularNetwork.
     """
-    ids = tuple(b.id for b in case.buses)
-    index = {bid: i for i, bid in enumerate(ids)}
-    n = len(ids)
-    y = np.zeros((n, n), dtype=complex)
-
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    acc: list[dict[int, complex]] = [{} for _ in case.buses]
     for br in case.branches:
         f, t = index[br.from_bus], index[br.to_bus]
+        row_f, row_t = acc[f], acc[t]
         ys = br.series_admittance
         ysh = 1j * br.b_half
         tap = br.tap
-        y[f, f] += (ys + ysh) / (tap * tap)
-        y[t, t] += ys + ysh
-        y[f, t] -= ys / tap
-        y[t, f] -= ys / tap
+        row_f[f] = row_f.get(f, 0j) + (ys + ysh) / (tap * tap)
+        row_t[t] = row_t.get(t, 0j) + (ys + ysh)
+        off = -(ys / tap)  # x + off rounds as x - ys / tap
+        row_f[t] = row_f.get(t, 0j) + off
+        row_t[f] = row_t.get(f, 0j) + off
+    for i, b in enumerate(case.buses):
+        acc[i][i] = acc[i].get(i, 0j) + complex(b.shunt_g, b.shunt_b)
 
-    for b in case.buses:
-        i = index[b.id]
-        y[i, i] += complex(b.shunt_g, b.shunt_b)
+    rows = tuple(tuple(sorted((k, y) for k, y in row.items() if y)) for row in acc)
+    for b, row in zip(case.buses, rows):
+        if not row:
+            raise SingularNetwork(f"bus '{b.id}' has no admittance connection")
+    return rows
 
-    for i, bid in enumerate(ids):
-        if np.all(y[i] == 0.0):
-            raise SingularNetwork(f"bus '{bid}' has no admittance connection")
+
+def build_admittance(case: CaseFile, rows=None) -> np.ndarray:
+    """The dense complex nodal admittance matrix of `case`, scattered from
+    its `admittance_rows` (assembled here unless `rows` gives them)."""
+    rows = admittance_rows(case) if rows is None else rows
+    n = len(rows)
+    y = np.zeros((n, n), dtype=complex)
+    y.put([i * n + k for i, row in enumerate(rows) for k, _ in row],
+          [y_ik for row in rows for _, y_ik in row])
     return y
 
 

@@ -7,7 +7,10 @@ takes a PowerFlowProblem, which holds what a solve needs of its case
 alone, and picks the method: the caller builds it once and passes it to
 every solve of that case.  Newton runs on Python complex scalars where the
 problem has at most SCALAR_MAX_UNKNOWNS unknowns (a white-box region's
-internal power flow), on numpy arrays above that.
+internal power flow), on numpy arrays above that; such a problem is built
+from the admittance rows in Python scalars alone, and the numpy data is
+built only where a numpy solve first reads it.  The coordinator's main
+problem solves fast-decoupled from DECOUPLED_MIN_BUSES buses on.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,6 +29,7 @@ from .netmodel import (
     BusKind,
     CaseFile,
     Phasor,
+    admittance_rows,
     build_admittance,
     inline_grbcs,
 )
@@ -32,11 +37,15 @@ from .netmodel import (
 
 @dataclass
 class PowerFlowSolution:
+    """A converged power flow.  Its per-bus vm, va, p_calc and q_calc are
+    numpy arrays from the numpy solves and lists of floats from the scalar
+    one (`_newton_scalar`)."""
+
     bus_ids: tuple[str, ...]
-    vm: np.ndarray  # per-unit magnitudes
-    va: np.ndarray  # radians
-    p_calc: np.ndarray  # network injection per bus (generator convention)
-    q_calc: np.ndarray
+    vm: np.ndarray | list[float]  # per-unit magnitudes
+    va: np.ndarray | list[float]  # radians
+    p_calc: np.ndarray | list[float]  # network injection per bus (generator convention)
+    q_calc: np.ndarray | list[float]
     iterations: int
     converged: bool
     max_mismatch: float
@@ -72,92 +81,141 @@ class PowerFlowSolution:
 
 class PowerFlowProblem:
     """What a power flow of `case` needs that depends on the case alone,
-    built once: the bus ids, the admittance matrix, the Newton index sets
-    and gather indices, the scheduled injections, the boundary rows and
-    the DC-angle start.  `solve_main` reads it and never writes it, so one
-    problem serves every solve of its case; the case must not change
-    after it.
+    built once: the bus ids, the admittance rows (`admittance_rows`), the
+    Newton index sets, the scheduled injections, the boundary rows and the
+    DC-angle start.  `solve_main` reads it and never writes it but for
+    the data it builds on first use, so one problem serves every solve of
+    its case; the case must not change after it.
 
     The start is a DC power flow (Stott, Jardim and Alsac, "DC power flow
     revisited", 2009): with B = -Im(Y), the PV and PQ angles u solve
     B_uu theta_u = P_u - B_ub theta_b, P the scheduled real injections,
     the slack angles 0 and the boundary angles b as a solve supplies them.
-    So theta_u = theta_0 + dc_gain @ theta_b: `start` holds theta_0, the
-    angles at zero boundary angles.  Where B_uu is singular both are
-    zero, the flat start.
+    So theta_u = theta_0 + dc_gain @ theta_b, theta_0 the angles at zero
+    boundary angles.  Where B_uu is singular both are zero, the flat start.
 
-    With `decoupled` (the coordinator's main problem), `b_inv` holds the
-    inverses of B' = B_uu and B'' = B over the PQ buses, the fast-decoupled
-    matrices of Stott and Alsac (IEEE Trans. PAS-93, 1974); otherwise, or
-    where either is singular, it is None and `solve_main` runs Newton.
+    A problem of at most SCALAR_MAX_UNKNOWNS unknowns (a white-box
+    region's internal power flow) is built in Python scalars alone:
+    `scalar` holds its data, DC start included, for `_newton_scalar`.
+    Above that `scalar` is None.  `arrays`, the numpy data of `_newton`,
+    `_fast_decoupled` and `boundary_sensitivity` (the dense Y scattered by
+    `build_admittance`, the gathers and the start), is built on first use,
+    so a problem on the scalar path never builds it.
 
-    `scalar` holds the same data as Python scalars and tuples where the
-    problem has at most SCALAR_MAX_UNKNOWNS unknowns, so that its Newton
-    runs on them (`_newton_scalar`); above that it is None.
+    `decoupled` (the coordinator's main problem asks for it) holds only
+    from DECOUPLED_MIN_BUSES buses on.  There `b_inv` holds the inverses
+    of B' = B_uu and B'' = B over the PQ buses, the fast-decoupled
+    matrices of Stott and Alsac (IEEE Trans. PAS-93, 1974), inverted on
+    first use; below it, or where either is singular, `b_inv` is None and
+    `solve_main` runs Newton.
     """
 
     def __init__(self, case: CaseFile, decoupled: bool = False):
         self.case = case
-        self.bus_ids = tuple(b.id for b in case.buses)
-        self.ybus = build_admittance(case)
-        n = len(case.buses)
-        kinds = [b.kind for b in case.buses]
-        pq = np.array([i for i, k in enumerate(kinds) if k is BusKind.PQ], dtype=int)
-        pv = np.array([i for i, k in enumerate(kinds) if k is BusKind.PV], dtype=int)
-        # Newton solves for theta over pvpq and |V| over pq, the polar
-        # state [theta; |V|] at `unknowns`.
-        self.pvpq = pvpq = np.concatenate([pv, pq])
-        self.pq = pq
-        self.unknowns = np.concatenate([pvpq, n + pq])
-        # Scheduled complex injection per bus: machine set points less loads.
-        self.s_sched = np.array([complex(-b.p_load, -b.q_load) for b in case.buses])
+        buses = case.buses
+        self.bus_ids = tuple(b.id for b in buses)
         self.positions = {bid: i for i, bid in enumerate(self.bus_ids)}
+        self.y_rows = admittance_rows(case)
+        pv = [i for i, b in enumerate(buses) if b.kind is BusKind.PV]
+        pq = [i for i, b in enumerate(buses) if b.kind is BusKind.PQ]
+        # Newton solves for theta over pvpq and |V| over pq.
+        self.pvpq, self.pq = tuple(pv + pq), tuple(pq)
+        self.n_unknowns = len(self.pvpq) + len(pq)
+        # Scheduled complex injection per bus: machine set points less loads.
+        s_sched = [complex(-b.p_load, -b.q_load) for b in buses]
         for m in case.machines:
             if m.bus in self.positions:
-                self.s_sched[self.positions[m.bus]] += m.p_set
-        self.boundary = tuple((i, b.id) for i, b in enumerate(case.buses)
+                s_sched[self.positions[m.bus]] += m.p_set
+        self.s_sched = tuple(s_sched)
+        self.boundary = tuple((i, b.id) for i, b in enumerate(buses)
                               if b.kind is BusKind.BOUNDARY)
+        self.decoupled = decoupled and len(buses) >= DECOUPLED_MIN_BUSES
+        self.scalar = (_scalar_problem(self) if self.n_unknowns <= SCALAR_MAX_UNKNOWNS
+                       else None)
+
+    def _start_magnitudes(self) -> list[float]:
+        """|V| of the start: the set point at slack and PV buses, else 1."""
+        return [b.v_set if b.kind in (BusKind.SLACK, BusKind.PV) else 1.0
+                for b in self.case.buses]
+
+    @cached_property
+    def arrays(self) -> _ArrayProblem:
+        """The problem's `_ArrayProblem`, built on first use."""
+        n = len(self.bus_ids)
+        ybus = build_admittance(self.case, self.y_rows)
+        pvpq, pq = np.array(self.pvpq, dtype=int), np.array(self.pq, dtype=int)
+        unknowns = np.concatenate([pvpq, n + pq])
+        boundary_idx = np.array([i for i, _ in self.boundary], dtype=int)
         # Start: theta_0, |V| 1, held magnitudes at their set points;
         # `_start` writes the boundary voltages into a copy, then adds
         # dc_gain @ theta_b to the PV and PQ angles.
-        self.start = np.concatenate([np.zeros(n), np.ones(n)])
-        for i, b in enumerate(case.buses):
-            if b.kind in (BusKind.SLACK, BusKind.PV):
-                self.start[n + i] = b.v_set
-        self.boundary_idx = np.array([i for i, _ in self.boundary], dtype=int)
-        bmat = -self.ybus.imag
+        start = np.concatenate([np.zeros(n), self._start_magnitudes()])
+        s_sched = np.array(self.s_sched, dtype=complex)
+        bmat = -ybus.imag
         try:
             dc = np.linalg.solve(bmat[np.ix_(pvpq, pvpq)], np.column_stack(
-                [self.s_sched.real[pvpq], -bmat[np.ix_(pvpq, self.boundary_idx)]]))
+                [s_sched.real[pvpq], -bmat[np.ix_(pvpq, boundary_idx)]]))
         except np.linalg.LinAlgError:
-            dc = np.zeros((pvpq.size, 1 + self.boundary_idx.size))
-        self.start[pvpq] = dc[:, 0]
-        self.dc_gain = dc[:, 1:]
-        try:
-            self.b_inv = (np.linalg.inv(bmat[np.ix_(pvpq, pvpq)]),
-                          np.linalg.inv(bmat[np.ix_(pq, pq)])) if decoupled else None
-        except np.linalg.LinAlgError:
-            self.b_inv = None
+            dc = np.zeros((pvpq.size, 1 + boundary_idx.size))
+        start[pvpq] = dc[:, 0]
         # Gathers from float views (a complex entry is real, imag): P rows
         # are real parts over pvpq, Q rows imaginary parts over pq, of
         # S_sched - S and of ds_dx = [dS/dtheta | dS/d|V|] at the unknowns'
         # columns.
-        self.mis_idx = np.concatenate([2 * pvpq, 2 * pq + 1])
-        self.jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
-        self.jac_idx = self.jac_rows[:, None] + 2 * self.unknowns
-        for arr in (self.ybus, self.unknowns, self.s_sched, self.start,
-                    self.pvpq, self.pq, self.boundary_idx, self.dc_gain,
-                    self.mis_idx, self.jac_rows, self.jac_idx, *(self.b_inv or ())):
+        jac_rows = np.concatenate([4 * n * pvpq, 4 * n * pq + 1])
+        arrays = _ArrayProblem(
+            ybus=ybus, s_sched=s_sched, pvpq=pvpq, pq=pq, unknowns=unknowns,
+            boundary_idx=boundary_idx, start=start, dc_gain=dc[:, 1:],
+            mis_idx=np.concatenate([2 * pvpq, 2 * pq + 1]), jac_rows=jac_rows,
+            jac_idx=jac_rows[:, None] + 2 * unknowns)
+        for arr in arrays:
             arr.flags.writeable = False
-        self.scalar = (_ScalarProblem.of(self) if self.unknowns.size <= SCALAR_MAX_UNKNOWNS
-                       else None)
+        return arrays
+
+    @cached_property
+    def b_inv(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The inverses of B' and B'' where the problem is `decoupled` and
+        both are regular, else None; inverted on first use."""
+        if not self.decoupled:
+            return None
+        a = self.arrays
+        bmat = -a.ybus.imag
+        try:
+            b_inv = (np.linalg.inv(bmat[np.ix_(a.pvpq, a.pvpq)]),
+                     np.linalg.inv(bmat[np.ix_(a.pq, a.pq)]))
+        except np.linalg.LinAlgError:
+            return None
+        for arr in b_inv:
+            arr.flags.writeable = False
+        return b_inv
+
+
+class _ArrayProblem(NamedTuple):
+    """A `PowerFlowProblem`'s data as read-only numpy arrays: the dense Y,
+    the scheduled injections, the PV+PQ and PQ buses, the polar unknowns
+    [theta over pvpq; |V| over pq] as positions in [theta; |V|], the
+    boundary buses, the start [theta_0; |V|], the DC gains, and the float
+    view gathers of the mismatch and the Jacobian."""
+
+    ybus: np.ndarray
+    s_sched: np.ndarray
+    pvpq: np.ndarray
+    pq: np.ndarray
+    unknowns: np.ndarray
+    boundary_idx: np.ndarray
+    start: np.ndarray
+    dc_gain: np.ndarray
+    mis_idx: np.ndarray
+    jac_rows: np.ndarray
+    jac_idx: np.ndarray
 
 
 class _ScalarProblem(NamedTuple):
-    """A `PowerFlowProblem`'s data as Python scalars, for `_newton_scalar`:
-    each bus's row of Y as (column, Y_ik) over its nonzeros, the scheduled
-    injections, the start angles and magnitudes, the boundary positions,
-    the PV+PQ and PQ buses, and the DC gains of each PV or PQ bus.
+    """What `_newton_scalar` reads of a `PowerFlowProblem` besides its
+    admittance rows, scheduled injections and index sets, as Python
+    scalars built without numpy: the start angles (theta_0) and
+    magnitudes, the boundary positions and the DC gains of each PV or PQ
+    bus.
 
     The Jacobian's rows [P over pvpq; Q over pq] and columns [theta over
     pvpq; |V| over pq] share an order.  `jac_terms` holds, per PV or PQ bus
@@ -165,36 +223,50 @@ class _ScalarProblem(NamedTuple):
     terms of its Y row at a theta column: (position in the row, k, k's
     theta column, k's |V| column or -1))."""
 
-    y_rows: tuple[tuple[tuple[int, complex], ...], ...]
-    s_sched: tuple[complex, ...]
     va: tuple[float, ...]
     vm: tuple[float, ...]
     boundary: tuple[int, ...]
-    pvpq: tuple[int, ...]
-    pq: tuple[int, ...]
     dc_gain: tuple[tuple[float, ...], ...]
     jac_terms: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...]
 
-    @classmethod
-    def of(cls, problem: PowerFlowProblem) -> _ScalarProblem:
-        n = len(problem.bus_ids)
-        pvpq, pq = tuple(problem.pvpq.tolist()), tuple(problem.pq.tolist())
-        theta_col, vm_col = [-1] * n, [-1] * n
-        for c, i in enumerate(pvpq):
-            theta_col[i] = c
-        for c, i in enumerate(pq, len(pvpq)):
-            vm_col[i] = c
-        y_rows = tuple(tuple((k, y_ik) for k, y_ik in enumerate(row) if y_ik)
-                       for row in problem.ybus.tolist())
-        jac_terms = tuple(
-            (i, theta_col[i], vm_col[i],
-             tuple((e, k, theta_col[k], vm_col[k]) for e, (k, _) in enumerate(y_rows[i])
-                   if theta_col[k] >= 0))
-            for i in pvpq)
-        return cls(y_rows=y_rows, s_sched=tuple(problem.s_sched.tolist()),
-                   va=tuple(problem.start[:n].tolist()), vm=tuple(problem.start[n:].tolist()),
-                   boundary=tuple(problem.boundary_idx.tolist()), pvpq=pvpq, pq=pq,
-                   dc_gain=tuple(map(tuple, problem.dc_gain.tolist())), jac_terms=jac_terms)
+
+def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
+    """`problem`'s `_ScalarProblem`.  Its DC start solves B_uu against the
+    real scheduled injections and against -B_ub's column of each boundary
+    bus by `_solve_pivoted`; a zero pivot gives the flat start."""
+    y_rows, pvpq, pq = problem.y_rows, problem.pvpq, problem.pq
+    n, m = len(y_rows), len(pvpq)
+    boundary = tuple(i for i, _ in problem.boundary)
+    theta_col, vm_col = [-1] * n, [-1] * n
+    for c, i in enumerate(pvpq):
+        theta_col[i] = c
+    for c, i in enumerate(pq, m):
+        vm_col[i] = c
+    b_col = {b: c for c, b in enumerate(boundary, 1)}
+    b_uu = [[0.0] * m for _ in pvpq]
+    rhs = [[problem.s_sched[i].real for i in pvpq]] + [[0.0] * m for _ in boundary]
+    for r, i in enumerate(pvpq):
+        for k, y_ik in y_rows[i]:
+            if theta_col[k] >= 0:
+                b_uu[r][theta_col[k]] = -y_ik.imag
+            elif k in b_col:
+                rhs[b_col[k]][r] = y_ik.imag
+    try:
+        dc = [_solve_pivoted([row[:] for row in b_uu], col, 0) for col in rhs]
+    except SingularJacobian:
+        dc = [[0.0] * m for _ in rhs]
+    va = [0.0] * n
+    for r, i in enumerate(pvpq):
+        va[i] = dc[0][r]
+    jac_terms = tuple(
+        (i, theta_col[i], vm_col[i],
+         tuple((e, k, theta_col[k], vm_col[k]) for e, (k, _) in enumerate(y_rows[i])
+               if theta_col[k] >= 0))
+        for i in pvpq)
+    return _ScalarProblem(va=tuple(va), vm=tuple(problem._start_magnitudes()),
+                          boundary=boundary,
+                          dc_gain=tuple(tuple(col[r] for col in dc[1:]) for r in range(m)),
+                          jac_terms=jac_terms)
 
 
 def _ds_dx_views(n: int) -> tuple[np.ndarray, ...]:
@@ -238,6 +310,14 @@ SOLVE_FAILURES = (NonConvergence, SingularJacobian)
 # scalar against numpy: 34 against 86 us at 2 unknowns, 80 against 88 at 6,
 # 102 against 90 at 7 and 690 against 139 at 18.
 SCALAR_MAX_UNKNOWNS = 6
+# A problem built `decoupled` solves fast-decoupled from this many buses
+# on, by Newton below: the crossover of the two.  Per main solve of the
+# scaled family at its coordinated voltages (one CPU; the best of 30
+# rounds of 30 solves, the two methods alternating), Newton's 3 iterations
+# against fast-decoupled's 9: 117 against 162 us at 12 buses, 153 against
+# 168 at 24, 205 against 185 at 36, 285 against 200 at 48 and 1149
+# against 277 at 96.
+DECOUPLED_MIN_BUSES = 30
 
 
 def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
@@ -249,22 +329,25 @@ def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; the remaining unknowns are solved by `_fast_decoupled`
-    with the problem's `b_inv`, else, or where that does not converge, by
+    with the problem's `b_inv` (a problem built `decoupled` of at least
+    DECOUPLED_MIN_BUSES buses), else, or where that does not converge, by
     full-Jacobian polar NR: `_newton_scalar` on Python scalars where the
     problem holds `scalar` (at most SCALAR_MAX_UNKNOWNS unknowns), else
     `_newton` on numpy arrays.  Each starts from the problem's DC-angle
     start at the supplied boundary angles (flat angles where B_uu is
     singular; see `PowerFlowProblem`) and |V| 1 or the set point, so a
     solve is a pure function of its inputs (the coordinator's directional
-    differences rely on that).  The problem is only read, so one serves
-    every solve of its case.  A non-finite mismatch, or an overflow or
-    invalid value on the way to one, raises NonConvergence; a Jacobian
-    with an exactly zero pivot raises SingularJacobian.
+    differences rely on that).  The problem is only read, but for the
+    data it builds once on first use, so one serves every solve of its
+    case.  A scalar solve returns its vm, va, p_calc and q_calc as lists
+    of floats, the others as numpy arrays.  A non-finite mismatch, or an
+    overflow or invalid value on the way to one, raises NonConvergence; a
+    Jacobian with an exactly zero pivot raises SingularJacobian.
     """
-    bnd = problem.boundary_idx
-    if len(vm_b) != bnd.size or len(va_b) != bnd.size:
+    nb = len(problem.boundary)
+    if len(vm_b) != nb or len(va_b) != nb:
         raise ValueError(f"boundary buses {[bid for _, bid in problem.boundary]} need "
-                         f"{bnd.size} magnitudes and angles, got {len(vm_b)} and {len(va_b)}")
+                         f"{nb} magnitudes and angles, got {len(vm_b)} and {len(va_b)}")
     if problem.b_inv is not None:
         try:
             return _fast_decoupled(problem, _start(problem, vm_b, va_b), tol, max_iter)
@@ -279,11 +362,12 @@ def _start(problem: PowerFlowProblem, vm_b, va_b) -> np.ndarray:
     """The state [theta; |V|] a solve starts from: the problem's start with
     the boundary phasors written in and dc_gain @ va_b added to the PV and
     PQ angles."""
-    n, bnd = len(problem.bus_ids), problem.boundary_idx
-    x = problem.start.copy()
+    a = problem.arrays
+    n, bnd = len(problem.bus_ids), a.boundary_idx
+    x = a.start.copy()
     va, vm = x[:n], x[n:]
     vm[bnd], va[bnd] = vm_b, va_b
-    va[problem.pvpq] += problem.dc_gain @ va[bnd]
+    va[a.pvpq] += a.dc_gain @ va[bnd]
     return x
 
 
@@ -295,8 +379,8 @@ def _newton(problem: PowerFlowProblem, x: np.ndarray, tol: float,
     once per solve, and one index gather for the Jacobian.  Runs with
     numpy's overflow, divide and invalid errors raised, so a diverging
     iterate raises NonConvergence before it spreads or warns."""
-    y, unknowns, s_sched = problem.ybus, problem.unknowns, problem.s_sched
-    mis_idx, jac_idx = problem.mis_idx, problem.jac_idx
+    a = problem.arrays
+    y, unknowns, s_sched, mis_idx, jac_idx = a.ybus, a.unknowns, a.s_sched, a.mis_idx, a.jac_idx
     n = len(problem.bus_ids)
     va, vm = x[:n], x[n:]
     views = _ds_dx_views(n)
@@ -329,22 +413,25 @@ def _newton(problem: PowerFlowProblem, x: np.ndarray, tol: float,
 
 def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
                    max_iter: int) -> PowerFlowSolution:
-    """`_newton` on the Python scalars of `problem.scalar`, for problems of
-    a few unknowns, where numpy's per-call overhead outweighs the
-    arithmetic: the same start, mismatch, test and update.  V comes from
-    cmath.rect, I = Y V sums each row's nonzeros and S = V conj(I); with
+    """`_newton` on Python scalars, the problem's admittance rows and
+    `problem.scalar`, for problems of a few unknowns, where numpy's
+    per-call overhead outweighs the arithmetic: the same start (its DC
+    part solved on scalars, so equal to `_newton`'s up to rounding),
+    mismatch, test and update, and a solution of Python lists.  V comes
+    from cmath.rect, I = Y V sums each row's nonzeros and S = V conj(I); with
     Q_ik = V_i conj(Y_ik V_k), the Jacobian is dS/dtheta = j(diag S - Q)
     and dS/d|V| = (Q + diag S) / |V|_k, read at the P and Q rows, and
     `_solve_pivoted` takes the step.  Python's OverflowError,
     ZeroDivisionError and ValueError (cmath's domain error) raise
     NonConvergence, as numpy's floating-point errors do in `_newton`."""
     sc = problem.scalar
+    y_rows, s_sched, pvpq, pq = problem.y_rows, problem.s_sched, problem.pvpq, problem.pq
     va, vm = list(sc.va), list(sc.vm)
     for b, mag, ang in zip(sc.boundary, vm_b, va_b):
         vm[b], va[b] = float(mag), float(ang)
-    for i, gains in zip(sc.pvpq, sc.dc_gain):
+    for i, gains in zip(pvpq, sc.dc_gain):
         va[i] += sum(g * va[b] for g, b in zip(gains, sc.boundary))
-    y_rows, s_sched, pvpq, pq, jac_terms = sc.y_rows, sc.s_sched, sc.pvpq, sc.pq, sc.jac_terms
+    jac_terms = sc.jac_terms
     m = len(pvpq) + len(pq)
     history: list[float] = []
     try:
@@ -360,8 +447,8 @@ def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
             history.append(max_mis)
             if max_mis <= tol:
                 return PowerFlowSolution(
-                    bus_ids=problem.bus_ids, vm=np.array(vm), va=np.array(va),
-                    p_calc=np.array([c.real for c in s]), q_calc=np.array([c.imag for c in s]),
+                    bus_ids=problem.bus_ids, vm=vm, va=va,
+                    p_calc=[c.real for c in s], q_calc=[c.imag for c in s],
                     iterations=it, converged=True, max_mismatch=max_mis,
                     mismatch_history=history, positions=problem.positions)
             if it == max_iter:
@@ -427,7 +514,8 @@ def _fast_decoupled(problem: PowerFlowProblem, x: np.ndarray, tol: float,
     B''^-1 dQ/|V| at the new angles.  They converge linearly, so one more
     runs once the mismatch is within tol.  An overflow, or a non-finite
     mismatch, raises NonConvergence before it can spread."""
-    y, s_sched, pvpq, pq = problem.ybus, problem.s_sched, problem.pvpq, problem.pq
+    a = problem.arrays
+    y, s_sched, pvpq, pq = a.ybus, a.s_sched, a.pvpq, a.pq
     bp_inv, bpp_inv = problem.b_inv
     n = len(problem.bus_ids)
     va, vm = x[:n], x[n:]
@@ -442,7 +530,7 @@ def _fast_decoupled(problem: PowerFlowProblem, x: np.ndarray, tol: float,
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for it in range(max_iter + 2):
                 s = power(vhat)
-                mismatch = (s_sched - s).view(float).take(problem.mis_idx)
+                mismatch = (s_sched - s).view(float).take(a.mis_idx)
                 history.append(float(abs(mismatch).max(initial=0.0)))
                 if not math.isfinite(history[-1]):
                     raise NonConvergence(it, float("inf"))
@@ -492,17 +580,18 @@ def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
     because `boundary_injections` is the power into the torn node.
     A singular A_uu raises numpy's LinAlgError.
     """
-    y = problem.ybus
+    a = problem.arrays
+    y, vm = a.ybus, np.asarray(sol.vm)
     n = len(problem.bus_ids)
     bnd = np.array([problem.positions[b] for b in bus_ids], dtype=int)
-    vhat = np.exp(1j * sol.va)
-    v = sol.vm * vhat
+    vhat = np.exp(1j * np.asarray(sol.va))
+    v = vm * vhat
     i_conj = np.conj(y @ v)
-    ds_dx = _fill_ds_dx(_ds_dx_views(n), y, sol.vm, vhat, v, i_conj, v * i_conj)
+    ds_dx = _fill_ds_dx(_ds_dx_views(n), y, vm, vhat, v, i_conj, v * i_conj)
 
     # Float-view gathers as in solve_main: P rows are real parts, Q rows
     # imaginary parts; theta columns come first in ds_dx, |V| columns second.
-    rows_u, cols_u = problem.jac_rows, 2 * problem.unknowns
+    rows_u, cols_u = a.jac_rows, 2 * a.unknowns
     rows_b = np.concatenate([4 * n * bnd, 4 * n * bnd + 1])
     cols_b = 2 * np.concatenate([n + bnd, bnd])
 
@@ -518,6 +607,10 @@ def solve_monolithic(case: CaseFile, tol: float = 1e-10, max_iter: int = 40) -> 
     """NR over the whole un-decomposed network (white-box regions inlined).
 
     Serves as the independent reference the torn coordination must match.
+    Its problem is never built `decoupled`, so it never solves
+    fast-decoupled: on the inlined scaled k=8 case (128 buses) those
+    iterations diverge, to a mismatch of 1.8e78 pu after 40, which every
+    oracle solve would pay before falling back to Newton (4 iterations).
     Raises OracleUnavailable if any region is opaque.
     """
     return solve_main(PowerFlowProblem(inline_grbcs(case)), tol=tol, max_iter=max_iter)

@@ -49,11 +49,12 @@ def overloaded_hybrid_doc() -> dict:
     return doc
 
 
-def scaled_case(k, seed, idle_b1=False):
-    """k tied copies of ninebus3 by the benchmark's `scaled_case_doc`,
-    loaded from bench/scaled.py and only read.  With `idle_b1`, B1 of
-    every copy after the first dispatches nothing: the unbalanced chain,
-    whose later copies draw their output from the one slack."""
+def scaled_doc(k, seed, idle_b1=False):
+    """The case document of k tied copies of ninebus3 by the benchmark's
+    `scaled_case_doc`, loaded from bench/scaled.py and only read.  With
+    `idle_b1`, B1 of every copy after the first dispatches nothing: the
+    unbalanced chain, whose later copies draw their output from the one
+    slack."""
     path = Path(__file__).resolve().parents[1] / "bench" / "scaled.py"
     spec = importlib.util.spec_from_file_location("scaled", path)
     scaled = importlib.util.module_from_spec(spec)
@@ -63,7 +64,12 @@ def scaled_case(k, seed, idle_b1=False):
         for m in doc["machines"]:
             if m["bus"].endswith("_B1") and m["bus"] != "c0_B1":
                 m["p_set"] = 0.0
-    return parse_case(doc, name=f"scaled{k}")
+    return doc
+
+
+def scaled_case(k, seed, idle_b1=False):
+    """`scaled_doc(k, seed, idle_b1)` parsed."""
+    return parse_case(scaled_doc(k, seed, idle_b1), name=f"scaled{k}")
 
 
 @pytest.fixture(scope="session")

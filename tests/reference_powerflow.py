@@ -6,18 +6,51 @@ solved per call from its own B blocks.  Per iteration it forms dS/dtheta and
 dS/d|V| from products with the dense matrices diag(V), diag(I) and
 diag(V/|V|), which costs O(n^3), then assembles the four Jacobian blocks
 with `np.ix_` and `np.block`.
+
+`reference_admittance` is the dense stamping loop that
+`netmodel.admittance_rows` and `build_admittance` replaced, kept as their
+bit-for-bit oracle.
 """
 
 import numpy as np
 
-from emtgis.errors import NonConvergence, SingularJacobian
-from emtgis.netmodel import BusKind, build_admittance
+from emtgis.errors import NonConvergence, SingularJacobian, SingularNetwork
+from emtgis.netmodel import BusKind
 from emtgis.powerflow import PowerFlowSolution
+
+
+def reference_admittance(case):
+    """The dense nodal admittance matrix of the case's own buses and
+    branches, stamped branch by branch into a zero matrix, then the bus
+    shunts."""
+    ids = tuple(b.id for b in case.buses)
+    index = {bid: i for i, bid in enumerate(ids)}
+    n = len(ids)
+    y = np.zeros((n, n), dtype=complex)
+
+    for br in case.branches:
+        f, t = index[br.from_bus], index[br.to_bus]
+        ys = br.series_admittance
+        ysh = 1j * br.b_half
+        tap = br.tap
+        y[f, f] += (ys + ysh) / (tap * tap)
+        y[t, t] += ys + ysh
+        y[f, t] -= ys / tap
+        y[t, f] -= ys / tap
+
+    for b in case.buses:
+        i = index[b.id]
+        y[i, i] += complex(b.shunt_g, b.shunt_b)
+
+    for i, bid in enumerate(ids):
+        if np.all(y[i] == 0.0):
+            raise SingularNetwork(f"bus '{bid}' has no admittance connection")
+    return y
 
 
 def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
     boundary_voltages = boundary_voltages or {}
-    y = build_admittance(case)
+    y = reference_admittance(case)
     ids = tuple(b.id for b in case.buses)
     n = len(ids)
     kinds = [b.kind for b in case.buses]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import emtgis.cli as cli
 import emtgis.coordinator as coordinator_module
+import emtgis.powerflow as powerflow_module
 from emtgis.coordinator import (
     JfngConfig,
     directional_difference,
@@ -20,7 +21,7 @@ from emtgis.coordinator import (
     precond_update,
     residual,
 )
-from conftest import case_path, overloaded_hybrid_doc, scaled_case
+from conftest import case_path, overloaded_hybrid_doc, scaled_case, scaled_doc
 from emtgis.errors import (
     InternalNonConvergence,
     MaxOuterExceeded,
@@ -29,9 +30,10 @@ from emtgis.errors import (
     ResidualEvaluationError,
     SingularJacobian,
 )
-from emtgis.grbc import parse_declaration
-from emtgis.netmodel import BusKind, BusRecord, Phasor, parse_case
+from emtgis.grbc import internal_power_flow, parse_declaration
+from emtgis.netmodel import BusKind, BusRecord, Phasor, load_case, parse_case
 from emtgis.powerflow import (
+    DECOUPLED_MIN_BUSES,
     MAIN_PF_MAX_ITER,
     MAIN_PF_TOL,
     SCALAR_MAX_UNKNOWNS,
@@ -301,13 +303,16 @@ class TestHighRxMainSystem:
     iterations stop converging as R/X nears 1; the bundled and scaled
     main systems have R/X of at most 0.23."""
 
-    def test_decoupled_iterations_that_fail_fall_back_to_newton(self):
+    def test_decoupled_iterations_that_fail_fall_back_to_newton(self, monkeypatch):
         # At R/X = 1 the decoupled iterations do not converge within
         # MAIN_PF_MAX_ITER; the solve runs Newton
         # from the same start, bit for bit, and ipf converges to the
-        # monolithic solution as Newton alone did.
+        # monolithic solution as Newton alone did.  ninebus1's main has
+        # fewer than DECOUPLED_MIN_BUSES buses: the method is forced.
+        monkeypatch.setattr(powerflow_module, "DECOUPLED_MIN_BUSES", 0)
         case = parse_case(high_rx_ninebus1(1.0), name="rx1")
         fast, newton = PowerFlowProblem(case, decoupled=True), PowerFlowProblem(case)
+        assert fast.b_inv is not None and newton.b_inv is None
         args = ([1.0], [0.0], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
         fd, nr = solve_main(fast, *args), solve_main(newton, *args)
         assert fd.mismatch_history == nr.mismatch_history
@@ -347,11 +352,115 @@ class TestRegionAboveTheCutOff:
         # solves on numpy arrays, and coordination still meets the oracle.
         case = parse_case(long_region_ninebus1(SCALAR_MAX_UNKNOWNS // 2 + 1), name="long")
         problem = case.grbcs[0].pf_problem
-        assert problem.unknowns.size > SCALAR_MAX_UNKNOWNS and problem.scalar is None
+        assert problem.n_unknowns > SCALAR_MAX_UNKNOWNS and problem.scalar is None
         state, trace = jfng_solve(case, case.grbcs)
         assert trace.status == "converged"
         x_ref = oracle_boundary_x(case, solve_monolithic(case))
         assert np.max(np.abs(state.x - x_ref)) < 1e-6
+
+
+def ring_main(buses):
+    """A main system of `buses` buses: a slack, lightly loaded PQ buses on
+    a ring through it, and a boundary bus off the ring behind a region
+    drawing a constant 0.05 + j0.02 pu."""
+    ids = [f"B{i}" for i in range(1, buses)]
+    doc = {"base_mva": 100.0, "frequency_hz": 50.0,
+           "buses": [{"id": "B1", "kind": "Slack", "base_kv": 230.0, "v_set": 1.02}]
+           + [{"id": bid, "kind": "PQ", "base_kv": 230.0, "p_load": 0.01, "q_load": 0.004}
+              for bid in ids[1:]]
+           + [{"id": "BB", "kind": "Boundary", "base_kv": 230.0}],
+           "branches": [{"from": f, "to": t, "r": 0.002, "x": 0.02}
+                        for f, t in zip(ids, ids[1:] + ids[:1])]
+           + [{"from": ids[len(ids) // 2], "to": "BB", "r": 0.002, "x": 0.02}],
+           "grbcs": [{"name": "s", "boundary_bus": "BB", "kind": "ScriptedResponse",
+                      "payload": {"p": -0.05, "q": -0.02}}]}
+    return parse_case(doc, name=f"ring{buses}")
+
+
+class TestMainMethodBySize:
+    """The coordinator asks for a fast-decoupled main solve; it gets one
+    from DECOUPLED_MIN_BUSES main buses on, and Newton below."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        ran = {"_fast_decoupled": 0, "_newton": 0}
+        for name in ran:
+            def counted(*args, real=getattr(powerflow_module, name), name=name):
+                ran[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(powerflow_module, name, counted)
+        return ran
+
+    @pytest.mark.parametrize("buses, method", [(DECOUPLED_MIN_BUSES - 1, "_newton"),
+                                               (DECOUPLED_MIN_BUSES, "_fast_decoupled")])
+    def test_one_bus_either_side_of_the_constant(self, ran, buses, method):
+        case = ring_main(buses)
+        assert len(case.buses) == buses
+        _, trace = jfng_solve(case, case.grbcs)
+        assert trace.status == "converged"
+        assert ran[method] > 0 and sum(ran.values()) == ran[method]
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
+    def test_bundled_mains_solve_by_newton(self, ran, name):
+        case = load_case(case_path(name))
+        jfng_solve(case, case.grbcs)
+        assert ran["_newton"] > 0 and ran["_fast_decoupled"] == 0
+
+    def test_scaled_k8_main_solves_fast_decoupled(self, ran):
+        # Its 24 regions solve on scalars: no `_newton` call at all.
+        case = scaled_case(8, 1)
+        assert len(case.buses) == 96
+        jfng_solve(case, case.grbcs)
+        assert ran["_fast_decoupled"] > 0 and ran["_newton"] == 0
+
+
+def numpy_leaves(obj):
+    """The numpy objects in `obj`, searched through tuples, lists and dicts."""
+    if isinstance(obj, (tuple, list)):
+        return [leaf for item in obj for leaf in numpy_leaves(item)]
+    if isinstance(obj, dict):
+        return numpy_leaves(list(obj.items()))
+    return [obj] if type(obj).__module__ == "numpy" else []
+
+
+class TestDataBuiltOnFirstUse:
+    """After an in-process `ipf`, a problem on the scalar path holds no
+    numpy data, nor do its solutions, and a main below DECOUPLED_MIN_BUSES
+    holds no inverses of B' and B''."""
+
+    @pytest.mark.parametrize("k", [None, 8])
+    def test_after_ipf(self, k, monkeypatch, tmp_path):
+        if k is None:
+            path, main_name = case_path("ninebus3"), "ninebus3"
+        else:
+            path, main_name = tmp_path / "scaled.json", "scaled"
+            path.write_text(json.dumps(scaled_doc(k, 1)))
+        problems = []
+        build = PowerFlowProblem.__init__
+
+        def recorded(self, *args, **kwargs):
+            build(self, *args, **kwargs)
+            problems.append(self)
+
+        monkeypatch.setattr(PowerFlowProblem, "__init__", recorded)
+        assert cli.main(["ipf", str(path), "--out", str(tmp_path / "ipf")]) == 0
+        (main,) = [p for p in problems if p.case.name == main_name]
+        regions = [p for p in problems if p is not main]
+        assert len(regions) == (3 if k is None else 3 * k)
+        for problem in regions:
+            assert problem.scalar is not None
+            assert "arrays" not in vars(problem) and vars(problem).get("b_inv") is None
+            assert numpy_leaves({key: value for key, value in vars(problem).items()
+                                 if key != "case"}) == []
+        decl = load_case(path).grbcs[0]
+        sol = internal_power_flow(decl, Phasor(1.0, 0.1))
+        assert numpy_leaves(vars(sol)) == []
+        assert main.scalar is None and "arrays" in vars(main)
+        if k is None:
+            assert len(main.bus_ids) < DECOUPLED_MIN_BUSES and vars(main)["b_inv"] is None
+        else:
+            assert len(main.bus_ids) >= DECOUPLED_MIN_BUSES and vars(main)["b_inv"] is not None
 
 
 def scripted_twobus(twobus):
@@ -594,9 +703,9 @@ class TestOuterStepGuard:
             calls.append(dx)
             return dx, M, info
 
-        def recording_residual(problem, grbcs, x):
+        def recording_residual(problem, grbcs, x, layout):
             seen.append(np.array(x))
-            return real_residual(problem, grbcs, x)
+            return real_residual(problem, grbcs, x, layout)
 
         monkeypatch.setattr(coordinator_module, "gmres_m", stretched_gmres)
         monkeypatch.setattr(coordinator_module, "residual", recording_residual)

@@ -255,21 +255,31 @@ class TestStoredProblem:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_ipf_builds_each_problem_once(self, name, monkeypatch, tmp_path):
-        cases, admittances = [], []
-        real_case, real_admittance = internal_pf_case, powerflow_module.build_admittance
+        # One admittance assembly per problem, the main's and each white-box
+        # region's.  Only the main, of more than SCALAR_MAX_UNKNOWNS unknowns,
+        # scatters it into a dense matrix; the regions solve on scalars.
+        cases, rows, dense = [], [], []
+        real_case = internal_pf_case
+        real_rows, real_dense = netmodel_module.admittance_rows, netmodel_module.build_admittance
 
         def counted_case(decl):
             cases.append(decl.name)
             return real_case(decl)
 
-        def counted_admittance(case):
-            admittances.append(case.name)
-            return real_admittance(case)
+        def counted_rows(case):
+            rows.append(case.name)
+            return real_rows(case)
+
+        def counted_dense(case, *args):
+            dense.append(case.name)
+            return real_dense(case, *args)
 
         monkeypatch.setattr(grbc_module, "internal_pf_case", counted_case)
         for mod in (powerflow_module, netmodel_module):
-            monkeypatch.setattr(mod, "build_admittance", counted_admittance)
+            monkeypatch.setattr(mod, "admittance_rows", counted_rows)
+            monkeypatch.setattr(mod, "build_admittance", counted_dense)
         assert cli.main(["ipf", case_path(name), "--out", str(tmp_path)]) == 0
         white = [g.name for g in white_box_regions(name)]
         assert cases == white
-        assert sorted(admittances) == sorted([name, *(f"{w}-internal" for w in white)])
+        assert sorted(rows) == sorted([name, *(f"{w}-internal" for w in white)])
+        assert dense == [name]

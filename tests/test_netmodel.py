@@ -7,19 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emtgis.errors import SingularNetwork
+from conftest import case_path, scaled_case
+from emtgis.errors import OracleUnavailable, SingularNetwork
+from emtgis.grbc import GrbcKind, internal_pf_case
 from emtgis.netmodel import (
     BranchRecord,
     BusKind,
     BusRecord,
     CaseFile,
     Phasor,
+    admittance_rows,
     build_admittance,
     inline_grbcs,
+    load_case,
     normalize_angle,
     parse_case,
     validate_case,
 )
+from reference_powerflow import reference_admittance
 
 
 def make_case(buses, branches, machines=(), grbcs=()):
@@ -184,6 +189,72 @@ class TestAdmittance:
         for _ in range(5):
             v = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert np.real(np.vdot(v, y @ v)) >= -1e-12
+
+
+def problem_cases(case):
+    """`case`, its white-box regions' internal cases and, unless a region
+    is opaque, the inlined whole system: every case a power flow of it
+    assembles an admittance for."""
+    cases = [case] + [internal_pf_case(g) for g in case.grbcs
+                      if g.kind is GrbcKind.WHITE_BOX_NETWORK]
+    try:
+        cases.append(inline_grbcs(case))
+    except OracleUnavailable:
+        pass
+    return cases
+
+
+class TestAdmittanceRows:
+    """`admittance_rows`, and the dense matrix `build_admittance` scatters
+    from them, against the stamping loop they replaced: bit for bit."""
+
+    @staticmethod
+    def assert_matches_stamping_loop(case):
+        try:
+            want = reference_admittance(case)
+        except SingularNetwork:
+            with pytest.raises(SingularNetwork):
+                admittance_rows(case)
+            return
+        rows = admittance_rows(case)
+        assert build_admittance(case).tobytes() == want.tobytes()
+        assert build_admittance(case, rows).tobytes() == want.tobytes()
+        for i, row in enumerate(rows):
+            cols = [k for k, _ in row]
+            assert cols == np.flatnonzero(want[i]).tolist()
+            got = np.array([y for _, y in row], dtype=complex)
+            assert got.tobytes() == want[i, cols].tobytes()
+
+    @pytest.mark.parametrize("name", ("twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid"))
+    def test_bundled_cases(self, name):
+        for case in problem_cases(load_case(case_path(name))):
+            self.assert_matches_stamping_loop(case)
+
+    def test_scaled_k8(self):
+        cases = problem_cases(scaled_case(8, 1))
+        assert len(cases) == 2 + 24
+        for case in cases:
+            self.assert_matches_stamping_loop(case)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_networks(self, seed):
+        # Parallel and self-loop branches, off-nominal taps, shunts that
+        # are zero half the time and buses that may be left unconnected.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 9))
+        buses = [BusRecord(f"B{i}", BusKind.PQ, 230.0,
+                           shunt_g=float(rng.choice([0.0, rng.uniform(0.0, 0.3)])),
+                           shunt_b=float(rng.choice([0.0, rng.uniform(-0.5, 0.5)])))
+                 for i in range(n)]
+        branches = [
+            BranchRecord(f"B{int(rng.integers(0, n))}", f"B{int(rng.integers(0, n))}",
+                         float(rng.choice([0.0, rng.uniform(0.0, 0.1)])),
+                         float(rng.uniform(0.01, 0.5)),
+                         b_half=float(rng.choice([0.0, rng.uniform(0.0, 0.2)])),
+                         tap=float(rng.choice([1.0, rng.uniform(0.9, 1.1)])))
+            for _ in range(int(rng.integers(0, 2 * n + 1)))]
+        self.assert_matches_stamping_loop(make_case(buses, branches))
 
 
 class TestInline:

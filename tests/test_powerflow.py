@@ -311,6 +311,11 @@ class TestFastDecoupled:
     `decoupled`, against Newton, its oracle: within 1e-9 at the same
     boundary voltages, those the coordination converges to."""
 
+    @pytest.fixture(autouse=True)
+    def decoupled_at_any_size(self, monkeypatch):
+        # The bundled mains have fewer than DECOUPLED_MIN_BUSES buses.
+        monkeypatch.setattr(powerflow_module, "DECOUPLED_MIN_BUSES", 0)
+
     @staticmethod
     def assert_matches_newton(case):
         state, _ = jfng_solve(case, case.grbcs)
@@ -440,7 +445,7 @@ class TestScalarNewton:
     @settings(max_examples=80, deadline=None)
     def test_random_problems_up_to_the_cut_off(self, seed, unknowns):
         case, volts = small_case(np.random.default_rng(seed), unknowns)
-        assert PowerFlowProblem(case).unknowns.size == unknowns
+        assert PowerFlowProblem(case).n_unknowns == unknowns
         assert_paths_agree(case, volts, 1e-12, 40, same_iterations=False)
 
     @pytest.mark.parametrize("unknowns, scalar", [(SCALAR_MAX_UNKNOWNS, True),
@@ -448,7 +453,7 @@ class TestScalarNewton:
     def test_the_cut_off_selects_the_path(self, unknowns, scalar, monkeypatch):
         case, volts = small_case(np.random.default_rng(unknowns), unknowns)
         problem = PowerFlowProblem(case)
-        assert problem.unknowns.size == unknowns
+        assert problem.n_unknowns == unknowns
         assert (problem.scalar is not None) is scalar
         ran = []
         for name in ("_newton", "_newton_scalar"):
@@ -459,6 +464,7 @@ class TestScalarNewton:
     def test_the_fast_decoupled_fallback_takes_the_scalar_path(self, monkeypatch):
         # A decoupled problem of a few unknowns runs its fast-decoupled
         # iterations on numpy; where they fail, Newton runs on scalars.
+        monkeypatch.setattr(powerflow_module, "DECOUPLED_MIN_BUSES", 2)
         problem = PowerFlowProblem(two_bus(load_p=0.5), decoupled=True)
         assert problem.b_inv is not None and problem.scalar is not None
 
