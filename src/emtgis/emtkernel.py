@@ -45,20 +45,24 @@ for the ramp and one after it.
 After the ramp, a swinging machine's EMF e_v = sqrt2 emf cos(wt + delta +
 phase) follows its rotor angle, which its electrical power moves: the
 only nonlinearity of the step.  The loop advances such a net in chunks
-of at most `SWING_CHUNK` steps by Gauss-Jacobi waveform relaxation of the
-rotors (Lelarasmee, Ruehli and Sangiovanni-Vincentelli 1982, IEEE Trans.
-CAD 1(3)).  Within a chunk the network is linear in the EMFs, whose axis
-values are amp [cos theta, sin theta], so the machines' currents and the
-probe samples are fixed maps of the chunk's start buffer and its EMFs,
-and the swing recursion is a fixed affine map of the electrical power.
-From the last sweep's angles a sweep forms the currents, the power and,
-in one product, the angles; a chunk ends when its angles repeat bit for
-bit.  Each step's EMF reads the angle before it, so sweep k fixes step k
-for good, and a chunk of L steps stops within L + 1 sweeps, whatever
-the first sweep's angles.  As windowed relaxation seeds each window from
-the last (White and Sangiovanni-Vincentelli 1987, Kluwer), they come from
-the power of the chunk before, extrapolated across the chunk; a loop's
-first chunk, and a chunk after a shorter one, hold the power constant.
+of at most `chunk_steps` of its swinging machines by Gauss-Jacobi
+waveform relaxation of the rotors (Lelarasmee, Ruehli and
+Sangiovanni-Vincentelli 1982, IEEE Trans. CAD 1(3)).  Within a chunk the
+network is linear in the EMFs, whose axis values are amp [cos theta, sin
+theta], so the machines' currents and the probe samples are fixed maps of
+the chunk's start buffer and its EMFs, and the swing recursion is a fixed
+affine map of the electrical power.  From the EMF angles theta = wt +
+delta of the last sweep's angles a sweep forms the currents, the power
+and, in one product, the angles; a chunk ends when the EMF angles repeat
+bit for bit, as a sweep reads nothing else that moves.  Each step's EMF
+reads the angle before it, so sweep k fixes step k for good, and a chunk
+of L steps stops within L sweeps, whatever the first sweep's angles.  As
+windowed relaxation seeds each window from the last (White and
+Sangiovanni-Vincentelli 1987, Kluwer), they come from the power of the
+chunk before, extrapolated across the chunk; a loop's first chunk, and a
+chunk after a shorter one, hold the power constant.  Shorter windows pay
+as more machines are coupled, so the chunks shorten as the machine count
+grows.
 
 A `CompiledNet` is one stepping loop.  From a net, a dt, a start state, a
 source ramp and the probes, its constructor compiles the topology, builds
@@ -98,16 +102,37 @@ from .errors import (
 )
 
 SQRT2 = math.sqrt(2.0)
-# Steps per relaxed chunk of a net with swinging machines after the ramp:
-# longer chunks need fewer numpy calls per step but more sweeps per chunk,
-# each through maps of side length * n_swinging, built once per length.
-# The chunks of one `compare hybrid.json --fault B7@5.5` take 2.29 sweeps
-# each at 50 steps, 2.74 at 100 and 3.33 at 200.
-SWING_CHUNK = 100
 # Steps per block of a relaxed chunk's probe samples: one small map serves
 # every block, from the block's start buffer and its EMFs.
 PROBE_BLOCK = 20
-assert SWING_CHUNK % PROBE_BLOCK == 0
+
+
+def chunk_steps(n_swinging: int) -> int:
+    """Steps per relaxed chunk of a net with `n_swinging` swinging machines
+    after the ramp, a multiple of PROBE_BLOCK: 100 for one or two, 40 from
+    three on.
+
+    A longer chunk takes fewer numpy calls per step but more sweeps, each
+    through maps of side length * n_swinging, so a relaxed step costs about
+    length * n_swinging^2.  Seconds of an in-process `compare` at each
+    length (one CPU, best of 5, 3, 2 and 1 runs for 1, 2-3, 4 and 8-16
+    machines; `hybrid.json --fault B7@5.5`, else seed 1 of the scaled
+    family at k = the machines, no fault):
+
+        machines   L=200   L=100   L=60    L=40    L=20
+        1          0.180   0.139   0.163   0.177
+        2                  0.528   0.441   0.418   0.558
+        3                  1.300   0.995   0.864   0.993
+        4                  2.518   2.144   1.739   2.137
+        8                  16.9    12.8    9.9     12.2
+        16                                 69.2    76.6
+
+    Sweeps per chunk on hybrid: 2.42, 1.84, 1.67 and 1.30 at 200, 100, 60
+    and 40 steps.  Two machines keep 100 steps, though 40 ran 21% faster
+    there: a new length moves a run's rounding, and so the k=2 artifacts
+    stay byte for byte as they were, as do the bundled cases' (one
+    machine at most)."""
+    return 100 if n_swinging <= 2 else 40
 # The steadiness rule of `run_until_steady` (see its docstring).
 RMS_CHANGE_TOL = 5e-4
 STEADY_CYCLES = 3
@@ -423,15 +448,18 @@ class _SwingMaps:
         self.w_at = w_at
 
         self.x, self.power = x, x[:ne]  # x: a view of the loop's `relaxed`
-        # The angles and end speeds of the last sweep and of the new one, each
-        # with its views: all, the steps after the first, the chunk's angles,
-        # and the end step's [delta, speed_dev] per machine.
-        self.sweep = tuple(
-            (a, a[:ne - nsw].reshape(length - 1, nsw), a[:ne],
-             a[ne - nsw:].reshape(2, nsw).T)
-            for a in (np.empty(ne + nsw), np.empty(ne + nsw)))
-        self.theta = np.empty((length, nsw))
-        self.theta_on, self.theta_all = self.theta[1:], self.theta.reshape(ne)
+        # The last sweep's angles and end speed deviations, with its views:
+        # the angles of the steps before the end, the only ones a sweep
+        # reads, the chunk's angles, and the end step's [delta, speed_dev]
+        # per machine.
+        self.out = np.empty(ne + nsw)
+        self.read = self.out[:ne - nsw].reshape(length - 1, nsw)
+        self.angles, self.end = self.out[:ne], self.out[ne - nsw:].reshape(2, nsw).T
+        # theta = wt + delta, the EMFs' angles at the chunk's steps: the
+        # ones the last sweep read and the ones the next would read, each
+        # with its view of the steps after the first.
+        self.theta = np.empty((2, length, nsw))
+        self.thetas = tuple((t.reshape(ne), t[1:]) for t in self.theta)
         self.u, self.y, self.i0 = np.empty((3, 2, ne))
         # [w_0; e], zero past the chunk's end up to a whole probe block.
         blocks = -(-length // PROBE_BLOCK)
@@ -467,7 +495,9 @@ class CompiledNet:
     + 1 buffers, with room for w*t at the step after each.  Slot 0 holds
     the buffer at step n; `advance` steps from it through the (buffer, next
     buffer) view pairs, and `state` rebuilds the state at step n from the
-    buffer a step before it.
+    buffer a step before it.  Three counters tell the loop's work: the
+    steps it advanced, stepped and relaxed (`steps_advanced`), and the
+    chunks and sweeps `relax` took (`chunks_relaxed`, `sweeps`).
 
     The network's only memory is the history current ih = h*(D v) + j*i
     of each inductor and capacitor (n_lc of them; a resistor's is zero).
@@ -514,7 +544,8 @@ class CompiledNet:
 
     `step` is the one product, for the ramp and for a net without a
     swinging machine.  After the ramp, `relax` advances a net with
-    swinging machines a chunk at a time.  Split z into w, the rows before
+    swinging machines a chunk of at most `chunk` steps at a time, the
+    `chunk_steps` of its swinging machines.  Split z into w, the rows before
     the machines', and the machine rows; then w' = T_ww w + T_we e, and
     every output, a machine's current or a probe, is o [w; e] at the step
     the buffer's EMF rows serve.  Over a chunk from w_0 the outputs are
@@ -618,7 +649,9 @@ class CompiledNet:
         active = [net.machines[k] for k in self.swinging]
         self.branch_rows = [nn + eids.index(m.branch_eid) for m in active]
         self.rows = self.n_lc + 4 + len(active)
-        # Work counters of `relax`.
+        # Work counters: the steps `advance` took, stepped and relaxed, and
+        # `relax`'s chunks and sweeps.
+        self.steps_advanced = 0
         self.chunks_relaxed = 0
         self.sweeps = 0
 
@@ -646,11 +679,13 @@ class CompiledNet:
             self.probe_map = g.reshape(-1, g.shape[2]).T.copy()
         # `relax`'s x = [sum(u*y); delta_0, dw_0, emf, pm] ends where its
         # first guess's input starts: [delta_0, dw_0, emf, pm; sum(u*y) at
-        # steps 0, 24, 49, 74 and 99 of the last chunk, the guess nodes, of
-        # 3 to 7 equally spaced ones the fewest sweeps on a compare job].  A
-        # loop starts from pe = amp s / 2 = pm.
-        self.guess_nodes = nodes = np.linspace(0, SWING_CHUNK - 1, 5).astype(int)
-        nsw, c = self.swinging.size, SWING_CHUNK * self.swinging.size
+        # the guess nodes, 5 equally spaced steps of the last chunk from its
+        # first to its last (0, 24, 49, 74 and 99 in a chunk of 100, where 5
+        # of 3 to 7 nodes took the fewest sweeps on a compare job)].  A loop
+        # starts from pe = amp s / 2 = pm.
+        self.chunk = chunk_steps(self.swinging.size)
+        self.guess_nodes = nodes = np.linspace(0, self.chunk - 1, 5).astype(int)
+        nsw, c = self.swinging.size, self.chunk * self.swinging.size
         self.relaxed = np.zeros(c + (4 + len(nodes)) * nsw)
         self.guess_in, self.power_history = self.relaxed[c:], self.relaxed[c + 4 * nsw:]
         self.machine_rows = self.guess_in[:4 * nsw].reshape(4, nsw).T  # one row per machine
@@ -771,12 +806,12 @@ class CompiledNet:
         # Vandermonde matrices in full chunks from this chunk's start.  A
         # shorter chunk hands on its last step's sums at every node: as the
         # weights sum to 1, a constant power.
-        span, k = self.guess_nodes / SWING_CHUNK - 1.0, len(self.guess_nodes)
-        weights = np.linalg.solve(np.vander(span).T,
-                                  np.vander(np.arange(length) / SWING_CHUNK, k).T)
+        chunk, k = self.chunk, len(self.guess_nodes)
+        weights = np.linalg.solve(np.vander(self.guess_nodes / chunk - 1.0).T,
+                                  np.vander(np.arange(length) / chunk, k).T)
         from_nodes = np.einsum("rjm,ij->rim", swing[:ne, :ne].reshape(ne, length, nsw),
                                weights).reshape(ne, -1)
-        nodes = self.guess_nodes if length == SWING_CHUNK else [length - 1] * k
+        nodes = self.guess_nodes if length == chunk else [length - 1] * k
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T.copy(),
@@ -784,7 +819,7 @@ class CompiledNet:
             np.add.outer(np.multiply(nodes, nsw), own).ravel(), amplitude,
             np.vstack([self._w_map(length, blocks),
                        self._w_map(length, range(length - 1, length))]).T.copy(),
-            self.relaxed[(SWING_CHUNK - length) * nsw:(SWING_CHUNK + 4) * nsw], self.probe_map)
+            self.relaxed[(chunk - length) * nsw:(chunk + 4) * nsw], self.probe_map)
         return maps
 
     def anchor(self, x: np.ndarray, step: int) -> None:
@@ -849,7 +884,7 @@ class CompiledNet:
         re-anchored from the clock at step n.  Ramp steps, and every step
         of a net without a swinging machine, take one `step` each, and
         their samples one product.  After the ramp, a net with swinging
-        machines advances in relaxed chunks of at most SWING_CHUNK steps
+        machines advances in relaxed chunks of at most `chunk` steps
         (`relax`).
         """
         stack, n = self.stack, self.n
@@ -871,25 +906,31 @@ class CompiledNet:
             np.add(self.slots, n, out=wt)
             wt *= self.dt
             wt *= self.omega
-        for first in range(stepped, length, SWING_CHUNK):
-            size = min(SWING_CHUNK, length - first)
+        for first in range(stepped, length, self.chunk):
+            size = min(self.chunk, length - first)
             self.relax(first, size, samples[:, first:first + size])
         self.n, self.pos = n + length, length
+        self.steps_advanced += length
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
-        """Advance a net with swinging machines `length` <= SWING_CHUNK
-        steps after the ramp, from the buffer in stack[first], by waveform
+        """Advance a net with swinging machines `length` <= `chunk` steps
+        after the ramp, from the buffer in stack[first], by waveform
         relaxation of its rotors.
 
         The first guess of the angles extrapolates the power sums at the
-        last chunk's guess nodes (`power_history`).  From the last sweep's
-        angles, each sweep forms u = [cos theta; sin theta], then the
+        last chunk's guess nodes (`power_history`).  Each sweep forms the
+        EMF angles theta = wt + delta from the last sweep's angles at the
+        steps before the chunk's end, u = [cos theta; sin theta], then the
         machines' currents y, the power amp/2 * sum(u*y) over the axes and,
         in one product, the angles and the end step's speed deviations.
-        The sweeps stop when the angles repeat bit for bit, after at most
-        length + 1 of them, whatever the guess; `chunks_relaxed` and
-        `sweeps` count the work.  The maps and work buffers of chunks of
-        this length are built once in the loop (`_SwingMaps`).
+        A sweep reads the angles only through theta, and the end step's
+        angle and speed not at all, so the sweeps stop once the theta the
+        next sweep would read equals the last sweep's bit for bit.  One
+        more sweep would reproduce every bit, so the chunk hands on the
+        bits a stop on repeated angles would, one sweep sooner.  They stop
+        after at most `length` sweeps, whatever the guess;
+        `chunks_relaxed` and `sweeps` count the work.  The maps and work buffers of chunks of this length
+        are built once in the loop (`_SwingMaps`).
 
         Writes the probe samples of the chunk's steps into samples, one
         column per step, and advances the machines in place.  The samples
@@ -906,32 +947,32 @@ class CompiledNet:
         # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
         # guess extrapolates the power sums of the last chunk.
         self.machines.take(swinging, 0, self.machine_rows)
-        last, new = m.sweep
-        m.guess_map.dot(self.guess_in, last[2])
+        m.guess_map.dot(self.guess_in, m.angles)
         m.w0[:] = stack[first, :, :w]
         m.w0.dot(m.currents_w, m.i0)  # the currents' part from w_0
         # Each step's EMF is formed at the angle before the step.
         wt = self.wt[first:first + length]
-        np.add(wt[0], self.delta_0, out=m.theta[0])
-        wt_on, theta_on, theta_all, currents, swing = (
-            wt[1:], m.theta_on, m.theta_all, m.currents, m.swing)
+        np.add(wt[0], self.delta_0, out=m.theta[:, 0])
+        (theta, theta_on), (theta_next, next_on) = m.thetas
+        wt_on, read, out, currents, swing = wt[1:], m.read, m.out, m.currents, m.swing
         u, y, x, i0 = m.u, m.y, m.x, m.i0
         cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], m.power
-        for sweeps in range(1, length + 2):
-            np.add(wt_on, last[1], out=theta_on)
-            np.cos(theta_all, out=cos_u)
-            np.sin(theta_all, out=sin_u)
+        np.add(wt_on, read, out=theta_on)
+        for sweeps in range(1, length + 1):
+            np.cos(theta, out=cos_u)
+            np.sin(theta, out=sin_u)
             u.dot(currents, y)
             y += i0
             y *= u
             np.add(y_d, y_q, out=power)
-            swing.dot(x, new[0])
-            last, new = new, last
-            if last[2].tobytes() == new[2].tobytes():
+            swing.dot(x, out)
+            np.add(wt_on, read, out=next_on)
+            if next_on.tobytes() == theta_on.tobytes():
                 break
+            theta, theta_on, theta_next, next_on = theta_next, next_on, theta, theta_on
         self.chunks_relaxed += 1
         self.sweeps += sweeps
-        self.machines[swinging, :2] = last[3]
+        self.machines[swinging, :2] = m.end
         m.power.take(m.history_at, out=self.power_history, mode="clip")  # unbuffered
 
         # The EMF rows amp u the sweeps assumed, then w at the probe blocks'

@@ -1,16 +1,18 @@
 """Reference relax: the per-phase waveform relaxation of swinging machines.
 
 This is `emtkernel.CompiledNet.relax` as it was before its sweeps ran in
-the rotors' two-axis frame.  Its maps cover a whole chunk of SWING_CHUNK
-steps, a shorter chunk takes their leading blocks, and a sweep forms the
-three phases' EMFs, then the machines' currents, the power summed over the
-phases and the angles.  After the sweeps, one map of [w_0; e] gives w at
-every probe block start and in the two buffers the chunk hands on.  The
-only edits are the ones its move out of the class forces (the compiled
-net, its probe rows and the power guess are arguments), and one a loop's
-state forces: it hands on the buffers a step before the chunk's end and
-at its end, as a state is rebuilt from the buffer a step back.  Kept as
-the oracle of the two-axis relax's equivalence test.
+the rotors' two-axis frame.  Its maps cover a whole chunk of the loop's
+length (`CompiledNet.chunk`), a shorter chunk takes their leading blocks,
+and a sweep forms the three phases' EMFs, then the machines' currents, the
+power summed over the phases and the angles.  After the sweeps, one map of
+[w_0; e] gives w at every probe block start and in the two buffers the
+chunk hands on.  The only edits are the ones its move out of the class
+forces (the compiled net, its probe rows and the power guess are
+arguments), one a loop's state forces: it hands on the buffers a step
+before the chunk's end and at its end, as a state is rebuilt from the
+buffer a step back, and the chunk length, the loop's and no longer one
+constant.  Its sweeps still stop when the angles repeat.  Kept as the
+oracle of the two-axis relax's equivalence test.
 """
 
 from typing import NamedTuple
@@ -18,11 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 import emtgis.emtkernel as ek
-from emtgis.emtkernel import PHASE_SHIFT, PROBE_BLOCK, SQRT2, SWING_CHUNK
+from emtgis.emtkernel import PHASE_SHIFT, PROBE_BLOCK, SQRT2
 
 
 class ReferenceSwingMaps(NamedTuple):
-    """The maps over a chunk of N = SWING_CHUNK steps; a shorter chunk uses
+    """The maps over a chunk of N = `CompiledNet.chunk` steps; a shorter chunk uses
     their leading blocks.  w_0 is the chunk's start buffer less its machine
     rows, and e stacks the EMFs of the chunk's steps, step-major, as do the
     outputs, the rotor angles and the speed deviations.  The probes are
@@ -45,7 +47,7 @@ class ReferenceSwingMaps(NamedTuple):
 def reference_swing_maps(compiled: ek.CompiledNet, probe_rows, emf) -> ReferenceSwingMaps:
     """The maps for the probes at `probe_rows` of [v; i] and the swinging
     machines' EMF magnitudes, from the maps of the loop `compiled`."""
-    n, w, nsw = SWING_CHUNK, compiled.n_lc + 4, compiled.swinging.size
+    n, w, nsw = compiled.chunk, compiled.n_lc + 4, compiled.swinging.size
     t = compiled.post_map.T
     powers = np.empty((n + 1, w, w))
     powers[0] = np.eye(w)
@@ -94,7 +96,7 @@ def reference_swing_maps(compiled: ek.CompiledNet, probe_rows, emf) -> Reference
 
 
 def _w_map(maps: ReferenceSwingMaps, w: int, nsw: int, length: int) -> np.ndarray:
-    n = SWING_CHUNK
+    n = len(maps.impulse)
     steps = list(range(0, n, PROBE_BLOCK)) + [length - 1, length]
     m = np.zeros((len(steps), w, w + n * nsw))
     for i, k in enumerate(steps):
@@ -105,10 +107,10 @@ def _w_map(maps: ReferenceSwingMaps, w: int, nsw: int, length: int) -> np.ndarra
 
 def reference_relax(compiled: ek.CompiledNet, maps: ReferenceSwingMaps, stack, first,
                     length, step, machines, samples, pe_guess) -> tuple[np.ndarray, int]:
-    """Advance `length` <= SWING_CHUNK steps from the buffer at `step` in
+    """Advance `length` <= `compiled.chunk` steps from the buffer at `step` in
     stack[first], as `CompiledNet.relax` does, from the power guess
     `pe_guess`.  Returns the next chunk's power guess and the sweeps."""
-    n, w, nsw = SWING_CHUNK, compiled.n_lc + 4, compiled.swinging.size
+    n, w, nsw = compiled.chunk, compiled.n_lc + 4, compiled.swinging.size
     ne = length * nsw
     start = machines[compiled.swinging].T.ravel()  # delta_0, dw_0, emf, pm
     from_start, from_power = maps.from_start[:ne], maps.from_power[:ne, :ne]

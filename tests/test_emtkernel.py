@@ -696,22 +696,49 @@ class TestHistoryCurrentState:
                                                   final), final.elem_i)
 
 
+def with_machine(net, bus, inertia_h, damping, pm):
+    """The net with one more swinging machine at `bus`: an EMF of 1.05 pu
+    leading the bus by 0.1 rad behind 0.2 pu of reactance."""
+    machine = ek.Machine(f"gen:{bus}", bus, f"gen:{bus}:emf", f"gen:{bus}:xd",
+                         inertia_h=inertia_h, damping=damping, emf_rms=1.05, delta0=0.1,
+                         pm=pm)
+    branch = ek.Element(f"gen:{bus}:xd", ek.ElementKind.INDUCTOR, f"gen:{bus}:emf", bus,
+                        0.2 / net.omega)
+    return replace(net, nodes=net.nodes + (f"gen:{bus}:emf",),
+                   elements=net.elements + (branch,), machines=net.machines + (machine,))
+
+
 def two_machine_net(net):
     """The net with a second swinging machine at B9, of other inertia and
-    damping, whose EMF leads the bus by 0.1 rad."""
-    machine = ek.Machine("gen:B9", "B9", "gen:B9:emf", "gen:B9:xd", inertia_h=2.0,
-                         damping=1.0, emf_rms=1.05, delta0=0.1, pm=0.3)
-    branch = ek.Element("gen:B9:xd", ek.ElementKind.INDUCTOR, "gen:B9:emf", "B9",
-                        0.2 / net.omega)
-    return replace(net, nodes=net.nodes + ("gen:B9:emf",),
-                   elements=net.elements + (branch,), machines=net.machines + (machine,))
+    damping."""
+    return with_machine(net, "B9", inertia_h=2.0, damping=1.0, pm=0.3)
+
+
+def three_machine_net(net):
+    """`two_machine_net` with a third swinging machine at B5: three are
+    the fewest that take `chunk_steps`'s shorter chunks."""
+    return with_machine(two_machine_net(net), "B5", inertia_h=3.0, damping=0.5, pm=0.2)
+
+
+SWINGING = {1: "hybrid", 2: "two-machines", 3: "three-machines"}
+
+
+def start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison):
+    """A net with `count` (1, 2 or 3) swinging machines and its start state
+    at dt = 5e-5: the hybrid full net from its GIS snapshot, or
+    `two_machine_net` or `three_machine_net` of it from their phasor init."""
+    if count == 1:
+        return (hybrid_comparison["result"].model.full_net,
+                hybrid_comparison["result"].snapshot.emt_state)
+    net = (two_machine_net, three_machine_net)[count - 2](hybrid_model.full_net)
+    return net, sn.phasor_init(hybrid, hybrid_model.main_pf, net, 5e-5).emt_state
 
 
 class TestSwingRelaxation:
     """After the ramp, the loops advance a net with swinging machines in
-    chunks of at most SWING_CHUNK steps by waveform relaxation of the
-    rotors.  Its fixed point is the step loop's trajectory, so it holds the
-    reference stepper's bounds; faults end chunks anywhere."""
+    chunks of at most `chunk_steps` of its machines by waveform relaxation
+    of the rotors.  Its fixed point is the step loop's trajectory, so it
+    holds the reference stepper's bounds; faults end chunks anywhere."""
 
     DT = 5e-5  # 400 steps a cycle, 4 chunks
 
@@ -785,8 +812,11 @@ class TestSwingRelaxation:
         # Newton, 45 with the fast-decoupled solve, 46 again with the region
         # solves on Python scalars; 7 before and 47 after it, 54 in all as
         # before, with the main solve back on Newton below
-        # DECOUPLED_MIN_BUSES).
-        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 47)]
+        # DECOUPLED_MIN_BUSES).  The sweeps stop when the EMF angles repeat,
+        # no longer when the chunk's angles do, the end step's included:
+        # 42 after the fault, where the angle rule took 47, and 7 before it
+        # either way.
+        assert [(c.chunks_relaxed, c.sweeps) for c in nets] == [(2, 7), (8, 42)]
 
     def test_extrapolated_guess_changes_no_bit(self, hybrid, hybrid_model,
                                                hybrid_comparison, monkeypatch):
@@ -865,7 +895,7 @@ class TestSwingRelaxation:
             else:
                 assert getattr(got, name) == value, name
 
-    @pytest.mark.parametrize("length", [ek.SWING_CHUNK, 7])
+    @pytest.mark.parametrize("length", [ek.chunk_steps(1), 7])
     def test_wrong_angle_guess_reaches_the_same_fixed_point(self, hybrid_comparison,
                                                             length):
         net, init = self.gis_start(hybrid_comparison)
@@ -885,7 +915,7 @@ class TestSwingRelaxation:
         # pe held 1000 pu off over the chunk: angle guesses off by radians
         wrong, wrong_samples = relax(1000.0)
         assert right.chunks_relaxed == wrong.chunks_relaxed == 1
-        assert right.sweeps < wrong.sweeps <= length + 1
+        assert right.sweeps < wrong.sweeps <= length
         assert np.array_equal(wrong_samples, samples)
         assert np.array_equal(wrong.machines, right.machines)
         assert np.array_equal(wrong.stack[length - 1:], right.stack[length - 1:])
@@ -910,34 +940,170 @@ class TestSwingRelaxation:
             assert np.array_equal(getattr(s1, field), getattr(s2, field)), field
 
 
+class TestSweepStopRule:
+    """A relaxed chunk's sweeps read the rotor angles only through the EMF
+    angles theta = wt + delta of its steps, and stop once the theta the
+    next sweep would read equals, bit for bit, the theta the last one read.
+    So every chunk hands on a fixed point: one more sweep from its theta
+    reproduces its angles, end speed deviations and power bit for bit, and
+    a chunk of L steps takes at most L sweeps.  Checked after every chunk
+    of runs on the hybrid full net from its GIS snapshot and on the two-
+    and three-machine nets, with probes and without, across a B7 fault in
+    the middle of a chunk, and of loops that advance chunks of 100, 7 and
+    1 steps."""
+
+    DT = TestSwingRelaxation.DT
+
+    @pytest.fixture
+    def chunks(self, monkeypatch):
+        """`CompiledNet.relax` followed by one more sweep, as `relax` makes
+        it, on the chunk's own maps and buffers; the lengths of the chunks
+        checked."""
+        lengths = []
+        relax = ek.CompiledNet.relax
+
+        def checked(self, first, length, samples):
+            before = self.sweeps
+            relax(self, first, length, samples)
+            assert 1 <= self.sweeps - before <= length
+            lengths.append(length)
+            m = self.swing_maps[length]
+            out, power = m.out.copy(), m.power.copy()
+            handed = self.machines[self.swinging, :2].copy()
+            assert handed.tobytes() == m.end.tobytes()
+            wt = self.wt[first:first + length]
+            theta, theta_on = m.thetas[0]
+            np.add(wt[0], self.delta_0, out=m.theta[0, 0])
+            np.add(wt[1:], m.read, out=theta_on)
+            np.cos(theta, out=m.u[0])
+            np.sin(theta, out=m.u[1])
+            m.u.dot(m.currents, m.y)
+            m.y += m.i0
+            m.y *= m.u
+            np.add(m.y[0], m.y[1], out=m.power)
+            m.swing.dot(m.x, m.out)
+            assert m.power.tobytes() == power.tobytes(), "power"
+            assert m.angles.tobytes() == out[:len(m.angles)].tobytes(), "angles"
+            assert m.end.tobytes() == handed.tobytes(), "end step"
+
+        monkeypatch.setattr(ek.CompiledNet, "relax", checked)
+        return lengths
+
+    @pytest.mark.parametrize("count", SWINGING, ids=SWINGING.values())
+    @pytest.mark.parametrize("probed", [True, False], ids=["probes", "no-probes"])
+    def test_every_chunk_hands_on_a_fixed_point(self, hybrid, hybrid_model, hybrid_comparison,
+                                                count, probed, chunks):
+        net, init = start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison)
+        record = [b.id for b in hybrid.buses] if probed else []
+        # 150 steps, then a fault: it cuts a chunk of 100 at 50 and one of
+        # 40 at 30.
+        cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
+                           fault=ek.SimEvent(init.step + 150, "B7", 1e-6))
+        ek.run(net, cfg, init=init)
+        chunk = ek.chunk_steps(sum(m.inertia_h > 0 for m in net.machines))
+        assert chunks[0] == chunk and 150 % chunk in chunks
+        # Chunks of 100, 7 and 1 steps, the rotors started off their steady
+        # speed; a loop of 40-step chunks relaxes 100 steps in 40, 40 and 20.
+        chunks.clear()
+        compiled = ek.CompiledNet(net, self.DT, init, None, record, 100)
+        compiled.machines[compiled.swinging, 1] = 2e-3
+        for length in (100, 7, 1, 1, 7, 100):
+            compiled.advance(length, np.zeros((len(compiled.probes.keys), length)))
+        tail = [100] if chunk == 100 else [40, 40, 20]
+        assert chunks == tail + [7, 1, 1, 7] + tail
+
+
+class TestChunkSteps:
+    """A loop relaxes chunks of `chunk_steps` of its swinging machines:
+    100 steps for one and two, 40 from three on, each a whole number of
+    PROBE_BLOCK steps."""
+
+    def test_rule(self):
+        assert [ek.chunk_steps(n) for n in (1, 2)] == [100, 100]
+        assert {ek.chunk_steps(n) for n in range(3, 129)} == {40}
+        assert all(ek.chunk_steps(n) % ek.PROBE_BLOCK == 0 for n in range(129))
+
+    @pytest.mark.parametrize("count", SWINGING, ids=SWINGING.values())
+    def test_loop_takes_its_machines_length(self, hybrid, hybrid_model, hybrid_comparison,
+                                            count):
+        # One cycle of 400 steps after the ramp: 4 chunks of 100, or 10 of 40.
+        net, init = start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison)
+        compiled = ek.CompiledNet(net, 5e-5, init, None, (), 400)
+        compiled.advance(400, np.zeros((0, 400)))
+        assert compiled.chunk == ek.chunk_steps(compiled.swinging.size)
+        assert compiled.chunks_relaxed == 400 // compiled.chunk
+        assert list(compiled.swing_maps) == [compiled.chunk]
+
+
+class TestStepCounter:
+    """`CompiledNet.steps_advanced` counts the kernel steps a loop
+    advances, stepped and relaxed."""
+
+    DT = 5e-5  # 400 steps a cycle
+
+    def test_ramped_region_loop(self, ninebus3, ninebus3_model):
+        # plant2's machine swings once its ramp ends: steps 1 to 999 are the
+        # ramp's, stepped, and the 618 after it relax in chunks of 100 at
+        # most, 218 steps (100, 100, 18) in the fourth advance, 400 in the
+        # fifth.
+        net, record = region_net(ninebus3, ninebus3_model, "plant2")
+        compiled = ek.CompiledNet(net, self.DT, ek.zero_state(net, self.DT), 1000, record, 400)
+        assert compiled.swinging.size
+        for length in (400, 400, 17, 400, 400):
+            compiled.advance(length, np.zeros((len(compiled.probes.keys), length)))
+        assert compiled.steps_advanced == 1617 == compiled.n
+        assert compiled.chunks_relaxed == 7
+
+    def test_relaxed_full_net(self, hybrid_comparison):
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        compiled = ek.CompiledNet(net, self.DT, init, None, (), 400)
+        for length in (400, 150, 400):
+            compiled.advance(length, np.zeros((0, length)))
+        assert compiled.steps_advanced == 950 == compiled.n - init.step
+        assert compiled.chunks_relaxed == 10  # 4, 2 (100 and 50) and 4
+
+    def test_run_across_a_fault(self, hybrid_comparison, monkeypatch):
+        nets = []
+        build = ek.CompiledNet.__init__
+
+        def recorded(self, *args):
+            build(self, *args)
+            nets.append(self)
+
+        monkeypatch.setattr(ek.CompiledNet, "__init__", recorded)
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        cfg = ek.SimConfig(dt=self.DT, steps=900, record=["B7"],
+                           fault=ek.SimEvent(init.step + 150, "B7", 1e-6))
+        _, end = ek.run(net, cfg, init=init)
+        assert [c.steps_advanced for c in nets] == [150, 750]
+        assert end.step - init.step == 900
+
+
 class TestRelaxMatchesReference:
     """`CompiledNet.relax` sweeps in the rotors' two-axis frame with maps
     built per chunk length; `reference_relax` is the per-phase relax it
-    replaced.  From the same stack (two-axis buffers z, and K^T z for the
-    reference), machines and power guess (a loop's first, pe = pm), both
-    give the same samples, machines, handed-on buffers at steps L - 1 and L
-    of a chunk of L (in phases) and power at the chunk's last step, the
-    last guess node it hands on, within 1e-12 of each field's largest
-    value.  Measured, as a share of that value: 3.0e-14 on the samples,
-    6.6e-15 on the buffers, 4.3e-15 on the power and 1.1e-17 on the
-    machines."""
+    replaced.  On one, two and three swinging machines, the three in
+    `chunk_steps`'s shorter chunks, and from the same stack (two-axis
+    buffers z, and K^T z for the reference), machines and power guess (a
+    loop's first, pe = pm), both give the same samples, machines,
+    handed-on buffers at steps L - 1 and L of a chunk of L (in phases) and
+    power at the chunk's last step, the last guess node it hands on,
+    within 1e-12 of each field's largest value.  Measured, as a share of
+    that value: 2.6e-14 on the samples, 8.2e-15 on the buffers, 3.4e-15 on
+    the power and 1.1e-17 on the machines."""
 
     DT = 5e-5
 
-    @pytest.fixture(params=[1, 2], ids=["hybrid", "two-machines"])
-    def start(self, request, hybrid, hybrid_model, hybrid_comparison):
-        if request.param == 1:
-            return (hybrid_comparison["result"].model.full_net,
-                    hybrid_comparison["result"].snapshot.emt_state)
-        net = two_machine_net(hybrid_model.full_net)
-        return net, sn.phasor_init(hybrid, hybrid_model.main_pf, net, self.DT).emt_state
-
-    @pytest.mark.parametrize("length", [ek.SWING_CHUNK, 7])
-    @pytest.mark.parametrize("probed", [True, False], ids=["probes", "no-probes"])
-    def test_relax_matches_reference(self, start, hybrid, length, probed):
-        # The loop relaxes one chunk of `length` steps in one `advance`,
-        # which also forms the chunk's samples.
-        net, init = start
+    @pytest.mark.parametrize("count, probed, length", [
+        pytest.param(count, probed, length,
+                     id=f"{name}-{'probes' if probed else 'no-probes'}-{length}")
+        for count, name in SWINGING.items() for probed in (True, False)
+        for length in (ek.chunk_steps(count), 7)])
+    def test_relax_matches_reference(self, hybrid, hybrid_model, hybrid_comparison, count,
+                                     probed, length):
+        # The loop relaxes one chunk of `length` steps, a whole chunk of the
+        # loop's or 7, in one `advance`, which also forms the chunk's samples.
+        net, init = start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison)
         compiled = ek.CompiledNet(net, self.DT, init, None,
                                   [b.id for b in hybrid.buses] if probed else [], length)
         probes = compiled.probes
@@ -1111,13 +1277,13 @@ class TestHotPathProducts:
         full = ek.CompiledNet(net, dt, init, None, [b.id for b in hybrid.buses], cycle)
         for compiled in (region, full):
             compiled.advance(cycle, np.zeros((len(compiled.probes.keys), cycle)))
-        assert region.n < region.ramp_end and full.chunks_relaxed == cycle // ek.SWING_CHUNK
+        assert region.n < region.ramp_end and full.chunks_relaxed == cycle // full.chunk
         named = {"stack": full.stack, "region stack": region.stack,
                  "probe_map": full.probe_map}
         for name in ("ramp_map", "post_map"):
             named |= {f"region {name}": getattr(region, name), name: getattr(full, name)}
         for m in full.swing_maps.values():
-            named |= {f"{name} ({len(m.theta)} steps)": getattr(m, name) for name in (
+            named |= {f"{name} ({m.theta.shape[1]} steps)": getattr(m, name) for name in (
                 "currents_w", "currents", "swing", "guess_map", "w_at", "u", "probe_rows")}
         assert [name for name, a in named.items() if not a.flags.c_contiguous] == []
 
@@ -1151,7 +1317,7 @@ class TestRelaxedChunkSetUp:
             before = count[0]
             compiled.advance(cycle, samples)
             per_cycle.append(count[0] - before)
-        assert compiled.chunks_relaxed == 4 * cycle // ek.SWING_CHUNK
+        assert compiled.chunks_relaxed == 4 * cycle // compiled.chunk
         assert per_cycle[0] > 0  # the first chunk builds the maps
         assert per_cycle[1:] == [0, 0, 0]
 
