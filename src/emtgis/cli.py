@@ -8,10 +8,10 @@ Each subcommand takes a case file, --out and only the flags it reads:
   init      the coordinator's, --dt --t-ramp --ramp-budget
   compare   init's, --probes --window --settle-cap --fault
 Every invocation writes a manifest of the flags it read next to its
-outputs (a case without regions runs no coordination, so its manifest
-leaves out the coordinator's);
-re-running a command from the same inputs reproduces every artifact
-byte-for-byte (nothing time- or host-dependent is ever serialized).
+outputs.  Re-running a command from the same inputs under the same
+OpenBLAS thread setting (OPENBLAS_NUM_THREADS) reproduces every artifact
+byte-for-byte (nothing time- or host-dependent is ever serialized); another
+thread count can move the last bits of some.
 
 Exit codes: 0 ok, 1 input error (a usage error too: an unknown flag, a
 malformed value, no subcommand; a path that cannot be opened; a --dt that
@@ -63,9 +63,6 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_PIPELINE = 3
 EXIT_SNAPSHOT = 4
 EXIT_NO_SETTLE = 5
-
-# The flags of the coordinator, which only a case with regions runs.
-COORDINATOR_FLAGS = ("tol_eps1", "tol_eps2", "gmres_m", "omega", "max_outer")
 
 # Exit code of an error reaching `main`; the first matching type wins.
 EXIT_CODES = (
@@ -205,13 +202,6 @@ def _record_failure(args, exc: EmtgisError) -> None:
         _write_manifest(args, _outdir(args), outputs)
 
 
-def _load(args):
-    """The case, unvalidated: `sn.system_model` validates it (`cmd_ipf` itself)."""
-    case = load_case(args.case)
-    args.coordinated = bool(case.grbcs)  # read by `_write_manifest`
-    return case
-
-
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -234,11 +224,8 @@ def _pipeline_config(args) -> sn.PipelineConfig:
 
 
 def _write_manifest(args, outdir: Path, outputs: list[str]) -> None:
-    unread = {"command", "case", "coordinated"}
-    if not getattr(args, "coordinated", True):
-        unread.update(COORDINATOR_FLAGS)
     flags = {k: v for k, v in sorted(vars(args).items())
-             if k not in unread and v is not None}
+             if k not in ("command", "case") and v is not None}
     doc = {
         "tool": "emtgis",
         "version": __version__,
@@ -294,7 +281,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ipf(args) -> int:
-    case = _load(args)
+    case = load_case(args.case)
     validate_case(case).raise_if_invalid()
     state, trace = jfng_solve(case, case.grbcs, cfg=_jfng_config(args))
 
@@ -308,16 +295,15 @@ def cmd_ipf(args) -> int:
 
 
 def cmd_init(args) -> int:
-    case = _load(args)
+    case = load_case(args.case)
     result = sn.run_emtgis(case, _pipeline_config(args))
 
     outdir = _outdir(args)
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
     (outdir / "report.json").write_text(
         json.dumps(result.report, sort_keys=True, indent=1) + "\n")
-    if result.model.ipf_trace is not None:
-        result.model.ipf_trace.to_csv(outdir / "trace.csv")
-    _write_manifest(args, outdir, ["snapshot.json", "report.json"])
+    result.model.ipf_trace.to_csv(outdir / "trace.csv")
+    _write_manifest(args, outdir, ["snapshot.json", "report.json", "trace.csv"])
     return EXIT_OK
 
 
@@ -331,7 +317,7 @@ def _probes(args, case) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
-    case = _load(args)
+    case = load_case(args.case)
     if bool(args.snapshot) == bool(args.zero_state):
         raise ValueError("give exactly one of --snapshot or --zero-state")
     if args.snapshot and args.t_ramp is not None:
@@ -385,7 +371,7 @@ def cmd_compare(args) -> int:
     no window to compare, an input error (exit 1).  The deviations are
     `average_relative_deviation` per probe key over the window.
     """
-    case = _load(args)
+    case = load_case(args.case)
     fault = _parse_fault(args.fault, args.dt) if args.fault else None
     probes = _probes(args, case)
     window_steps = _steps(args, "window")

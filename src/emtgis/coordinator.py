@@ -11,9 +11,9 @@ The preconditioner starts as the inverse of an approximation of phi'(x0)
 built from the main system's physics and the regions' `evaluate`: the
 main side's analytic boundary sensitivity (powerflow.boundary_sensitivity)
 plus one 2x2 forward-difference block per region, two `evaluate` calls
-each.  If a region fails at its offset point, or the approximation is
-singular or not finite, it starts as the identity instead.  The GMRES
-operator itself still comes only from residual probes.
+each.  If a region fails at its offset point, or the approximation or its
+inverse is singular or not finite, it starts as the identity instead.
+The GMRES operator itself still comes only from residual probes.
 
 A residual evaluation solves the torn main system, then each region in
 declaration order.  Outer steps, like probes, stay inside the voltage basin.
@@ -57,6 +57,13 @@ log = logging.getLogger(__name__)
 VOLTAGE_FLOOR = 0.2  # pu; probe points and outer steps below this are out-of-basin
 EPS_DEN = 1e-12      # rank-one update denominator guard, relative to |dx||dphi|
 OUTER_HALVINGS = 6   # halvings of a rejected outer step before giving up
+
+
+def _norm(v: np.ndarray) -> float:
+    """||v||_2 as np.linalg.norm gives it, inf where that overflows, without
+    numpy's warning."""
+    with np.errstate(over="ignore"):
+        return float(np.linalg.norm(v))
 
 
 @dataclass
@@ -214,10 +221,11 @@ def directional_difference(probe_base: np.ndarray, x: np.ndarray, z: np.ndarray,
 
     Exactly one extra residual evaluation per call; a probe point that
     drops any voltage magnitude below the basin floor or breaks the power
-    flow raises NonFinite so the caller can retry with a smaller omega.
+    flow raises NonFinite so the caller can retry with a smaller omega, as
+    does an omega that is 0 or not finite (where |z| overflows).
     """
-    if omega <= 0:
-        raise ValueError("omega must be positive")
+    if not 0.0 < omega < math.inf:
+        raise NonFinite(f"probe step scale {omega!r} is not finite and positive")
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise NonFinite("probe direction contains non-finite entries")
@@ -238,10 +246,10 @@ def directional_difference(probe_base: np.ndarray, x: np.ndarray, z: np.ndarray,
 
 def _make_probe(x: np.ndarray, phi_x: np.ndarray, residual_fn, omega_base: float):
     """Directional-difference closure with step scaling and retry-on-halving."""
-    xnorm = float(np.linalg.norm(x))
+    xnorm = _norm(x)
 
     def probe(z: np.ndarray) -> np.ndarray:
-        znorm = float(np.linalg.norm(z))
+        znorm = _norm(z)
         if znorm == 0.0:
             return np.zeros_like(phi_x)
         omega = omega_base * max(1.0, xnorm) / max(1e-12, znorm)
@@ -268,7 +276,7 @@ def precond_update(mat: np.ndarray, dx: np.ndarray, dphi: np.ndarray) -> np.ndar
     dx, dphi = np.asarray(dx, float), np.asarray(dphi, float)
     m_dphi = mat @ dphi
     den = float(dx @ m_dphi)
-    scale = float(np.linalg.norm(dx) * np.linalg.norm(dphi))
+    scale = _norm(dx) * _norm(dphi)
     if abs(den) < EPS_DEN * max(scale, 1e-300):
         log.debug("preconditioner update skipped: degenerate denominator")
         return mat
@@ -287,8 +295,8 @@ def _initial_preconditioner(problem: PowerFlowProblem, grbcs, state: BoundarySta
     (V_i + omega, theta_i) and (V_i, theta_i + omega) offset on x, against
     the state's own p_tilde and q_tilde; `evaluate` sees theta_i + omega
     wrapped, which is harmless (see there).  If a region raises at its
-    offset point, or S_main + R is singular or not finite, M0 is the
-    identity, and a debug line says why.
+    offset point, or S_main + R or its inverse is singular or not finite,
+    M0 is the identity, and a debug line says why.
     """
     n = len(grbcs)
     x = state.x
@@ -300,9 +308,9 @@ def _initial_preconditioner(problem: PowerFlowProblem, grbcs, state: BoundarySta
                 e = evaluate(g, point)
                 approx[i, col] += (e.p_tilde - state.p_tilde[i]) / omega
                 approx[n + i, col] += (e.q_tilde - state.q_tilde[i]) / omega
-        if np.all(np.isfinite(approx)):
-            return np.linalg.inv(approx)
-        reason = "S_main + R is not finite"
+        if np.isfinite(approx).all() and np.isfinite(inverse := np.linalg.inv(approx)).all():
+            return inverse
+        reason = "S_main + R or its inverse is not finite"
     except (InternalNonConvergence, InvalidVoltage, np.linalg.LinAlgError) as exc:
         reason = str(exc)
     log.debug("initial preconditioner falls back to the identity: %s", reason)
@@ -333,7 +341,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
     correction is returned with the restart flag set.
     """
     r0 = -np.asarray(phi_at_x, dtype=float)
-    beta = float(np.linalg.norm(r0))
+    beta = _norm(r0)
     if beta == 0.0:
         raise ValueError("gmres_m requires a nonzero residual")
     eps_g = cfg.eps2 * beta
@@ -363,7 +371,8 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
 
         # Arnoldi, modified Gram-Schmidt with one conditional re-pass.
         h = np.zeros(l + 2)
-        w_scale = float(np.linalg.norm(w))
+        if not math.isfinite(w_scale := _norm(w)):
+            raise NonFinite("the probe response's norm overflows")
         for i in range(l + 1):
             h[i] = float(basis[:, i] @ w)
             w = w - h[i] * basis[:, i]
@@ -373,7 +382,7 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
                 c = float(basis[:, i] @ w)
                 h[i] += c
                 w = w - c * basis[:, i]
-        h[l + 1] = float(np.linalg.norm(w))
+        h[l + 1] = _norm(w)
         happy = h[l + 1] < 1e-14
         if not happy:
             basis[:, l + 1] = w / h[l + 1]
@@ -417,7 +426,9 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     (non-converged) inner solve is still applied, damped by halving up to
     four times while it increases ||phi||.  A step below VOLTAGE_FLOOR or
     one that breaks the residual is halved up to OUTER_HALVINGS times, then
-    rejected.  Every CoordinationError raised here carries the trace.
+    rejected.  A residual, probe direction or probe response whose norm
+    overflows raises NonFinite.  Every CoordinationError raised here
+    carries the trace.
     The main system's PowerFlowProblem and its `BoundaryLayout` are built
     once per call, and from DECOUPLED_MIN_BUSES main buses on its
     fast-decoupled matrices are inverted once; each white-box region's
@@ -452,7 +463,8 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     try:
         state = evaluate_at(x)
         for k in range(cfg.max_outer + 1):
-            phi_norm = float(np.linalg.norm(state.phi))
+            if not math.isfinite(phi_norm := _norm(state.phi)):
+                raise NonFinite("the residual's norm overflows")
             if phi_norm <= cfg.eps1:
                 trace.rows.append(OuterRecord(k, phi_norm, 0, [], False))
                 trace.status = "converged"
@@ -472,7 +484,7 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
                 state_new, reason = guarded(x_new)
                 if state_new is not None and (
                         info.converged or halvings >= 4
-                        or float(np.linalg.norm(state_new.phi)) < phi_norm):
+                        or _norm(state_new.phi) < phi_norm):
                     break
                 step = 0.5 * step
             else:

@@ -32,6 +32,7 @@ from .netmodel import (
     _parse_branch,
     _parse_bus,
     _parse_machine,
+    non_finite,
 )
 
 
@@ -182,21 +183,19 @@ def parse_declaration(d: dict, base_mva: float, frequency_hz: float) -> GrbcDecl
 
 def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
     """Payload-level checks; returns (code, subject, message) tuples."""
-    out: list[tuple[str, str, str]] = []
+    out = non_finite(decl.name, decl.payload)
     if decl.kind is GrbcKind.SCRIPTED_RESPONSE:
         for which, expr in (("p", decl.payload.p_expr), ("q", decl.payload.q_expr)):
             try:
                 validate_expr(expr)
             except GrbcPayloadError as exc:
                 out.append(("BadExpression", f"{decl.name}.{which}", str(exc)))
-    elif decl.kind is GrbcKind.SIMPLIFIED_HVDC_TERMINAL:
-        if not math.isfinite(decl.payload.p_dc) or not math.isfinite(decl.payload.tan_phi):
-            out.append(("BadPayload", decl.name, "p_dc and tan_phi must be finite"))
-    else:
+    elif decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         net = decl.payload.network
         seen = set()
         internal_ids = {b.id for b in net.buses}
         for b in net.buses:
+            out += non_finite(f"{decl.name}/{b.id}", b)
             if b.id in seen:
                 out.append(("DuplicateId", f"{decl.name}/{b.id}", "duplicate internal bus"))
             seen.add(b.id)
@@ -207,6 +206,7 @@ def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
                 )
         allowed = internal_ids | {decl.boundary_bus}
         for br in net.branches:
+            out += non_finite(f"{decl.name}/{br.from_bus}-{br.to_bus}", br)
             for end in (br.from_bus, br.to_bus):
                 if end not in allowed:
                     out.append(
@@ -214,6 +214,7 @@ def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
                          "internal branch endpoint undefined")
                     )
         for m in net.machines:
+            out += non_finite(f"{decl.name}/{m.bus}", m)
             if m.bus not in internal_ids:
                 out.append(
                     ("UnknownBusRef", f"{decl.name}/{m.bus}", "machine bus undefined")

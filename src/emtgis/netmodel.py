@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -218,6 +218,10 @@ class ValidationReport:
     def add(self, code: str, subject: str, message: str):
         self.violations.append(Violation(code, subject, message))
 
+    def extend(self, found) -> None:
+        """Add each (code, subject, message) of `found`."""
+        self.violations += [Violation(*v) for v in found]
+
     def codes(self) -> list[str]:
         return [v.code for v in self.violations]
 
@@ -228,6 +232,15 @@ class ValidationReport:
                 f"{v.code}({v.subject})" for v in self.violations))
 
 
+def non_finite(subject: str, record) -> list[tuple[str, str, str]]:
+    """A NonFiniteValue violation (code, subject, message) per float field
+    of the dataclass `record` that is NaN or infinite, which every sign
+    test here would let through."""
+    return [("NonFiniteValue", f"{subject}.{f.name}", f"{f.name} must be finite, got {value}")
+            for f in fields(record)
+            if isinstance(value := getattr(record, f.name), float) and not math.isfinite(value)]
+
+
 def validate_case(case: CaseFile) -> ValidationReport:
     """Check every structural invariant of a case; returns an ordered report.
 
@@ -236,6 +249,7 @@ def validate_case(case: CaseFile) -> ValidationReport:
     from . import grbc
 
     rep = ValidationReport()
+    rep.extend(non_finite(case.name, case))
     if case.base_mva <= 0:
         rep.add("BadBase", case.name, "base_mva must be > 0")
     if case.frequency_hz <= 0:
@@ -246,6 +260,7 @@ def validate_case(case: CaseFile) -> ValidationReport:
         if b.id in seen:
             rep.add("DuplicateId", b.id, f"bus id '{b.id}' appears more than once")
         seen.add(b.id)
+        rep.extend(non_finite(b.id, b))
         if b.base_kv <= 0:
             rep.add("BadBase", b.id, "base_kv must be > 0")
         if b.kind in (BusKind.SLACK, BusKind.PV) and b.v_set is None:
@@ -254,6 +269,7 @@ def validate_case(case: CaseFile) -> ValidationReport:
     bus_ids = {b.id for b in case.buses}
     for br in case.branches:
         label = f"{br.from_bus}-{br.to_bus}"
+        rep.extend(non_finite(label, br))
         for end in (br.from_bus, br.to_bus):
             if end not in bus_ids:
                 rep.add("UnknownBusRef", label, f"branch endpoint '{end}' undefined")
@@ -263,6 +279,7 @@ def validate_case(case: CaseFile) -> ValidationReport:
             rep.add("BadTap", label, "tap ratio must be > 0")
 
     for m in case.machines:
+        rep.extend(non_finite(m.bus, m))
         if m.bus not in bus_ids:
             rep.add("UnknownBusRef", m.bus, f"machine bus '{m.bus}' undefined")
         if m.kind is MachineKind.SYNCHRONOUS_SIMPLIFIED and m.xd_transient <= 0:
@@ -287,8 +304,7 @@ def validate_case(case: CaseFile) -> ValidationReport:
                     f"boundary bus owned by both '{owned[g.boundary_bus]}' and '{g.name}'",
                 )
             owned[g.boundary_bus] = g.name
-        for code, subject, msg in grbc.validate_declaration(g):
-            rep.add(code, subject, msg)
+        rep.extend(grbc.validate_declaration(g))
 
     for b in case.buses:
         if b.kind is BusKind.BOUNDARY and b.id not in owned:

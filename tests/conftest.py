@@ -34,6 +34,18 @@ def cli_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
 
 
+def doc_with(name: str, path: tuple, value) -> dict:
+    """The bundled case `name`'s document with the entry at `path` (keys
+    and list indices) set to `value`."""
+    doc = json.loads(Path(case_path(name)).read_text())
+    *parents, key = path
+    record = doc
+    for step in parents:
+        record = record[step]
+    record[key] = value
+    return doc
+
+
 def overloaded_hybrid_doc() -> dict:
     """The hybrid case with region plant2 scripted to draw 50 + j40 pu.
 

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,8 @@ import emtgis.powerflow as powerflow_module
 from emtgis import snapshot as sn
 from emtgis.cli import average_relative_deviation
 
-from conftest import case_path, cli_env, overloaded_hybrid_doc, phasor_consistency_error
+from conftest import (case_path, cli_env, doc_with, overloaded_hybrid_doc,
+                      phasor_consistency_error)
 from reference_compare import reference_deviations, reference_window
 
 
@@ -488,6 +490,60 @@ class TestOverflowingLoad:
             assert (tmp_path / "out" / "trace.csv").exists()
 
 
+def case_with(name, tmp_path, path, value):
+    """`doc_with(name, path, value)` written to a file in tmp_path."""
+    out = tmp_path / f"{name}.json"
+    out.write_text(json.dumps(doc_with(name, path, value)))
+    return out
+
+
+class TestCoordinatorOverflow:
+    """An overflow in the coordinator's own arithmetic is a coordination
+    failure: `ipf` exits 2 with one `error:` line, no warning, and the
+    trace.  A finite r of 1e300 on B5-B12 overflows a probe direction's
+    norm, so its probe step scale is 0; a finite p_dc of 1e300 overflows
+    the residual's norm."""
+
+    @pytest.mark.parametrize("path, message", [
+        (("branches", 11, "r"), "probe step scale 0.0"),
+        (("grbcs", 2, "payload", "p_dc"), "residual's norm overflows"),
+    ], ids=["B5-B12.r", "dclink.p_dc"])
+    def test_ipf_exits_2_with_one_line(self, tmp_path, capsys, path, message):
+        from emtgis.cli import main
+
+        case = case_with("hybrid", tmp_path, path, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning, numpy's included, fails the run
+            assert main(["ipf", str(case), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+        assert (tmp_path / "out" / "trace.csv").exists()
+
+
+class TestNonFiniteCase:
+    """A NaN or infinite number in a case is an input error: `validate`
+    reports its NonFiniteValue violation on one line, `init` exits 1 with
+    one `error:` line and writes no --out, before any solve could warn."""
+
+    @pytest.mark.parametrize("name, path, value, subject", [
+        ("ninebus1", ("branches", 1, "x"), math.inf, "B4-B5.x"),
+        ("hybrid", ("machines", 1, "xd_transient"), math.nan, "B2.xd_transient"),
+    ], ids=["B4-B5.x", "B2.xd_transient"])
+    def test_validate_and_init_exit_1(self, tmp_path, capsys, name, path, value, subject):
+        from emtgis.cli import main
+
+        case = case_with(name, tmp_path, path, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(case), "--out", str(tmp_path / "v")]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"NonFiniteValue: {subject}: {path[-1]} must be finite, got {value}"]
+            assert main(["init", str(case), "--out", str(tmp_path / "init")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: invalid case: NonFiniteValue({subject})"]
+        assert not (tmp_path / "init").exists()
+
+
 class TestOutOfMemory:
     """A run too large for memory is an input error: exit 1, one `error:`
     line.  1e9 s at the default dt is 2e13 steps, whose array of times
@@ -874,19 +930,19 @@ PIPELINE_FLAGS = COORDINATOR_FLAGS | {"dt", "t_ramp", "ramp_budget"}
 
 class TestManifestFlags:
     """A manifest records exactly the flags its subcommand reads: every
-    optional flag is given, so none is left out for being unset.  A case
-    without regions (twobus) runs no coordination and reads none of the
-    coordinator's flags; one with a region (ninebus1) reads them all."""
+    optional flag is given, so none is left out for being unset.  Every
+    case coordinates, one without regions (twobus) too, so every command
+    but validate reads the coordinator's flags."""
 
     @pytest.mark.parametrize("case, command, reads", [
         ("twobus", ("validate",), set()),
-        ("twobus", ("ipf",), set()),
-        ("twobus", ("init", "--t-ramp", "0.5"), PIPELINE_FLAGS - COORDINATOR_FLAGS),
+        ("twobus", ("ipf",), COORDINATOR_FLAGS),
+        ("twobus", ("init", "--t-ramp", "0.5"), PIPELINE_FLAGS),
         ("twobus", ("simulate", "--zero-state", "--duration", "0.01", "--fault", "B2@0.005",
                     "--probes", "B2"),
-         {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
+         COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "fault", "probes"}),
         ("twobus", ("compare", "--t-ramp", "0.5", "--fault", "B2@1.0", "--probes", "B2"),
-         PIPELINE_FLAGS - COORDINATOR_FLAGS | {"window", "settle_cap", "fault", "probes"}),
+         PIPELINE_FLAGS | {"window", "settle_cap", "fault", "probes"}),
         ("ninebus1", ("simulate", "--zero-state", "--duration", "0.01", "--probes", "B7"),
          COORDINATOR_FLAGS | {"dt", "t_ramp", "zero_state", "duration", "probes"}),
     ], ids=["validate", "ipf", "init", "simulate", "compare", "simulate-with-a-region"])
@@ -908,6 +964,13 @@ class TestDeterminism:
                      "main_pf.csv"):
             assert (tmp_path / "a" / "out" / name).read_bytes() == \
                    (tmp_path / "b" / "out" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("name", ["twobus", "ninebus1"])
+    def test_init_manifest_lists_its_outputs(self, tmp_path, name):
+        assert run_cli("init", case_path(name), "--out", tmp_path).returncode == 0
+        outputs = read_json(tmp_path / "manifest.json")["outputs"]
+        assert outputs == ["report.json", "snapshot.json", "trace.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", *outputs]
 
     def test_manifest_records_command_and_flags(self, tmp_path):
         run_cli("ipf", case_path("twobus"), "--out", tmp_path)

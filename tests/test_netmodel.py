@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import case_path, scaled_case
+from conftest import case_path, doc_with, scaled_case
 from emtgis.errors import OracleUnavailable, SingularNetwork
 from emtgis.grbc import GrbcKind, internal_pf_case
 from emtgis.netmodel import (
@@ -110,6 +110,33 @@ class TestValidation:
             [BranchRecord("B1", "B2", 0.01, 0.1)],
         )
         assert "BoundaryNotDeclared" in validate_case(case).codes()
+
+    # (case, path to the number in its document, the violation's subject):
+    # one number of each record kind the parsers read, the case's own, a
+    # main bus, branch and machine, a white-box payload and its bus, branch
+    # and machine, and an HVDC payload.
+    NON_FINITE = [
+        ("ninebus1", ("frequency_hz",), "ninebus1.frequency_hz"),
+        ("ninebus1", ("buses", 4, "p_load"), "B5.p_load"),
+        ("ninebus1", ("branches", 1, "x"), "B4-B5.x"),
+        ("hybrid", ("machines", 1, "xd_transient"), "B2.xd_transient"),
+        ("ninebus3", ("grbcs", 1, "payload", "pf_tol"), "plant2.pf_tol"),
+        ("ninebus3", ("grbcs", 1, "payload", "buses", 1, "q_load"), "plant2/W3.q_load"),
+        ("ninebus3", ("grbcs", 1, "payload", "branches", 0, "r"), "plant2/B11-W2.r"),
+        ("ninebus3", ("grbcs", 1, "payload", "machines", 0, "inertia_h"),
+         "plant2/W2.inertia_h"),
+        ("hybrid", ("grbcs", 2, "payload", "p_dc"), "dclink.p_dc"),
+    ]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
+    @pytest.mark.parametrize("name, path, subject", NON_FINITE,
+                             ids=[s for _, _, s in NON_FINITE])
+    def test_non_finite_number(self, name, path, subject, value):
+        # NaN passes every sign test, so each gets a violation of its own.
+        case = parse_case(doc_with(name, path, value), name)
+        found = [(v.code, v.subject) for v in validate_case(case).violations]
+        assert ("NonFiniteValue", subject) in found
+        assert found.count(("NonFiniteValue", subject)) == 1
 
 
 class TestAdmittance:

@@ -31,7 +31,13 @@ from emtgis.netmodel import (
     inline_grbcs,
     load_case,
 )
-from emtgis.powerflow import PowerFlowProblem, boundary_injections, solve_main
+from emtgis.powerflow import (
+    MAIN_PF_MAX_ITER,
+    MAIN_PF_TOL,
+    PowerFlowProblem,
+    boundary_injections,
+    solve_main,
+)
 
 OMEGA = 2 * math.pi * 50.0
 
@@ -608,6 +614,25 @@ class TestPipeline:
         rms = cycle_rms(waves, "B2.a", 400, last_only=False)
         target = result.model.main_pf.voltage("B2").magnitude
         assert np.max(np.abs(rms - target)) / target < 1e-3
+
+    def test_zero_region_case_coordinates_to_the_main_solve(self, twobus):
+        # A case without regions coordinates too: with no boundary unknowns
+        # the first residual converges, and it is the main solve bit for bit.
+        model = sn.system_model(twobus, sn.PipelineConfig(dt=5e-5))
+        direct = solve_main(PowerFlowProblem(twobus), tol=MAIN_PF_TOL,
+                            max_iter=MAIN_PF_MAX_ITER)
+        for name in ("vm", "va", "p_calc", "q_calc"):
+            assert np.array_equal(getattr(model.main_pf, name), getattr(direct, name)), name
+        assert model.main_pf.mismatch_history == direct.mismatch_history
+        assert model.ipf_trace.status == "converged"
+        assert model.ipf_trace.outer_iterations == 1
+        assert model.draws == {} and model.boundary_state.to_dict() == {}
+
+    def test_reports_have_the_same_keys_with_or_without_regions(self, twobus,
+                                                                ninebus1_pipeline):
+        report = sn.run_emtgis(twobus, sn.PipelineConfig(dt=5e-5)).report
+        assert set(report) == set(ninebus1_pipeline.report)
+        assert report["ipf"]["status"] == "converged" and report["boundary"] == {}
 
     def test_report_carries_all_stages(self, ninebus1_pipeline):
         rep = ninebus1_pipeline.report
