@@ -69,13 +69,25 @@ source ramp and the probes, its constructor compiles the topology, builds
 the step, output and relax maps for that start, resolves the probes and
 allocates a cycle-long stack of buffers, all once.  `run` and
 `run_until_steady` build one per loop, so one per fault segment, and call
-its `advance` a cycle at a time.  `advance` computes the probe samples of
-the cycle's stepped buffers in one product with the probes' rows of O (a
-relaxed chunk forms its own), and re-anchors r and q from the clock at
-each cycle start, so the rotation's rounding drift never spans more than
-one cycle.  The loop builds an `EmtState` only at its edges (`state`): on
-return, and at a fault event, where `run` migrates the state onto the
-faulted topology and builds the next loop from it.
+its `advance` a cycle at a time.  `advance` re-anchors r and q from the
+clock at each cycle start, so the rotation's rounding drift never spans
+more than one cycle, and takes one of two paths:
+
+* A net without a swinging machine, every region net included, takes one
+  `step` per step, ramp or not, and the samples of the cycle's stepped
+  buffers in one product with the probes' rows of O.
+* A net with swinging machines advances in chunks of `chunk` steps from
+  its first step.  Its rotors are held during the ramp, so each whole
+  chunk of the ramp in a cycle is one linear map of its start buffer
+  (`ramp_chunk`), Dommel's discrete state-space form over L steps; only
+  the ramp's steps after the cycle's last whole chunk take `step`.  After
+  the ramp it relaxes its chunks (`relax`), with the swinging machines'
+  rows kept in the loop's relax buffer from the cycle's first chunk to
+  its last.  Each chunk forms its own samples.
+
+The loop builds an `EmtState` only at its edges (`state`): on return, and
+at a fault event, where `run` migrates the state onto the faulted
+topology and builds the next loop from it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -412,7 +424,77 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
     )
 
 
-class _SwingMaps:
+def _power_sequence(first: np.ndarray, squares: list[np.ndarray], count: int,
+                    right: bool = False) -> np.ndarray:
+    """(count, *first.shape): t^k first for k < count, or first t^k when
+    `right`, by doubling, from squares[i] = t^(2^i): the terms so far
+    times t^m are the next m terms, so count terms take about log2(count)
+    products."""
+    seq = np.empty((count, *first.shape))
+    if count:
+        seq[0] = first
+    done = 1
+    for power in squares:
+        if done >= count:
+            break
+        m = min(done, count - done)
+        seq[done:done + m] = seq[:m] @ power if right else power @ seq[:m]
+        done += m
+    return seq
+
+
+def _matrix_power(squares: list[np.ndarray], k: int) -> np.ndarray:
+    """t^k from squares[i] = t^(2^i), one product per further set bit of k."""
+    factors = [power for i, power in enumerate(squares) if k >> i & 1]
+    out = factors[0] if factors else np.eye(len(squares[0]))
+    for power in factors[1:]:
+        out = out @ power
+    return out
+
+
+class _ChunkMaps:
+    """A linear chunk's maps and buffers for what it hands on and samples,
+    for chunks of one length L in a loop.  `w_at` maps the chunk's input
+    (its start's w, and after the ramp its EMFs) to w at its probe blocks'
+    starts after the first, then to the whole buffer a step before its
+    end, into `at` (views `block_starts` and `handed`).  The probe blocks
+    hold one block and axis per row of `width` columns, each block's start
+    w first; `probe_map` gives a block's samples over its PROBE_BLOCK
+    steps from that row.
+
+    The chunk fills the probe blocks in place, and `sample` forms their
+    samples in one product with `probe_map`, then K^T.  K^T stays out of
+    the map: folded in, as in `ProbeSet.maps`, it would triple the
+    product's work.  Without probes, the map and the samples' buffers have
+    no columns, and the chunk's one product writes the buffer it hands on
+    into the stack.  A ramp chunk's maps are this class alone: the rotors
+    are held, so such a chunk is linear in its start's w."""
+
+    def __init__(self, length: int, w: int, rows: int, width: int, w_at: np.ndarray,
+                 probe_map: np.ndarray):
+        self.w_at, self.probe_map = w_at, probe_map
+        blocks = -(-length // PROBE_BLOCK)
+        self.at = np.empty((2, w_at.shape[1]))
+        self.block_starts = self.at[:, :-rows].reshape(2, -1, w)
+        self.handed = self.at[:, -rows:]
+        # The probe blocks; their samples, then K^T for the phases, and the
+        # phases' view in the samples' order.
+        self.probe_blocks = np.empty((2, blocks, width))
+        self.probe_rows = self.probe_blocks.reshape(2 * blocks, -1)
+        self.taken = np.empty((2, blocks * probe_map.shape[1]))
+        self.taken_rows = self.taken.reshape(2 * blocks, -1)
+        self.phases = np.empty((3, self.taken.shape[1]))
+        self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
+            :, :length].transpose(2, 0, 1)
+
+    def sample(self, samples: np.ndarray) -> None:
+        """Write the probe blocks' samples into samples, one column per step."""
+        self.probe_rows.dot(self.probe_map, self.taken_rows)
+        TWO_AXIS.T.dot(self.taken, self.phases)
+        samples.reshape(-1, 3, samples.shape[1])[:] = self.phase_samples
+
+
+class _SwingMaps(_ChunkMaps):
     """`CompiledNet.relax`'s maps for chunks of one length L in a loop, and
     the chunk's work buffers.
 
@@ -422,64 +504,51 @@ class _SwingMaps:
     views the chunk reads them through, are built with the maps, so a chunk
     allocates nothing.  A chunk writes every buffer before it reads it;
     only the zero padding of [w_0; e] to whole probe blocks carries over.
-    Without probes, the samples' buffers have no columns.  Each map is
-    stored C-contiguous, in the form its product reads, and so are the
-    left-hand buffers u and the probe blocks; w_0 stays a strided view of
-    [w_0; e], as a contiguous copy of it costs more than it saves."""
+    A probe block holds its start's w and its EMFs.  Each map is stored
+    C-contiguous, in the form its product reads, and so are the left-hand
+    buffers u and the probe blocks; w_0 stays a strided view of [w_0; e],
+    as a contiguous copy of it costs more than it saves."""
 
     def __init__(self, length: int, w: int, nsw: int, currents_w: np.ndarray,
                  currents: np.ndarray, swing: np.ndarray, guess_map: np.ndarray,
                  history_at: np.ndarray, amplitude: np.ndarray, w_at: np.ndarray,
                  x: np.ndarray, probe_map: np.ndarray):
+        super().__init__(length, w, w + nsw, w + PROBE_BLOCK * nsw, w_at, probe_map)
         ne = length * nsw
         self.currents_w = currents_w  # (w, ne): C_w^T, the currents from w_0
         self.currents = currents      # (ne, ne): (C_e diag(amp))^T, y from u
         # (ne + nsw, ne + 4*nsw): [F diag(amp) | S], the angles and end speed
         # deviations from x = [sum(u*y); delta_0, dw_0, emf, pm].
         self.swing = swing
-        # (ne, 4*nsw + k*nsw): the first guess's angles from [delta_0, dw_0,
-        # emf, pm; the power sums at the k guess nodes], and where in
-        # sum(u*y) the next chunk's guess nodes are.
+        # (ne, 4*nsw + k*nsw): from [delta_0, dw_0, emf, pm; the power sums
+        # at the k guess nodes], delta_0 and the first guess's angles of the
+        # steps before the end; and where in sum(u*y) the next chunk's guess
+        # nodes are.
         self.guess_map, self.history_at = guess_map, history_at
         self.amplitude = amplitude    # (ne,): sqrt2 emf
-        # (w + ne, b*w): from [w_0; e], w at the chunk's b - 1 probe blocks'
-        # starts after the first (none without probes), then w in the buffer
-        # a step before the chunk's end, the first one it hands on.
-        self.w_at = w_at
+        # w_at is (w + ne, (b-1)*w + w + nsw), from [w_0; e]; the probes'
+        # map, the loop's `probe_map`, reads a block's start w and its EMFs.
 
         self.x, self.power = x, x[:ne]  # x: a view of the loop's `relaxed`
-        # The last sweep's angles and end speed deviations, with its views:
-        # the angles of the steps before the end, the only ones a sweep
-        # reads, the chunk's angles, and the end step's [delta, speed_dev]
-        # per machine.
-        self.out = np.empty(ne + nsw)
-        self.read = self.out[:ne - nsw].reshape(length - 1, nsw)
-        self.angles, self.end = self.out[:ne], self.out[ne - nsw:].reshape(2, nsw).T
+        # delta_0, from the guess, then the last sweep's angles and end speed
+        # deviations, with its views: the angles each step's EMF reads,
+        # delta_0 and those of the steps before the end (flat for the guess,
+        # one row per step for theta); the swing product's; and the end
+        # step's [delta, speed_dev] per machine.
+        self.out = np.empty(ne + 2 * nsw)
+        self.lead, self.read = self.out[:ne], self.out[:ne].reshape(length, nsw)
+        self.swung, self.end = self.out[nsw:], self.out[ne:].reshape(2, nsw).T
         # theta = wt + delta, the EMFs' angles at the chunk's steps: the
         # ones the last sweep read and the ones the next would read, each
-        # with its view of the steps after the first.
+        # with its flat view.
         self.theta = np.empty((2, length, nsw))
-        self.thetas = tuple((t.reshape(ne), t[1:]) for t in self.theta)
+        self.thetas = tuple((t, t.reshape(ne)) for t in self.theta)
         self.u, self.y, self.i0 = np.empty((3, 2, ne))
         # [w_0; e], zero past the chunk's end up to a whole probe block.
-        blocks = -(-length // PROBE_BLOCK)
+        blocks = self.probe_blocks.shape[1]
         we_padded = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
         self.w0, self.e = we_padded[:, :w], we_padded[:, w:w + ne]
         self.we, self.e_blocks = we_padded[:, :w + ne], we_padded[:, w:].reshape(2, blocks, -1)
-        self.at = np.empty((2, w_at.shape[1]))
-        self.block_starts = self.at[:, :-w].reshape(2, -1, w)
-        self.handed = self.at[:, -w:]
-        # The chunk's probe blocks, each block's start w and its EMFs, one
-        # block and axis per row; their samples, then K^T for the phases,
-        # and the phases' view in the samples' order.
-        self.probe_blocks = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
-        self.probe_rows = self.probe_blocks.reshape(2 * blocks, -1)
-        self.taken = np.empty((2, blocks * probe_map.shape[1]))
-        self.taken_rows = self.taken.reshape(2 * blocks, -1)
-        self.phases = np.empty((3, self.taken.shape[1]))
-        self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
-            :, :length].transpose(2, 0, 1)
-        self.handed_emf = self.e[:, ne - nsw:]  # the EMFs of the last step
 
 
 class CompiledNet:
@@ -496,8 +565,9 @@ class CompiledNet:
     the buffer at step n; `advance` steps from it through the (buffer, next
     buffer) view pairs, and `state` rebuilds the state at step n from the
     buffer a step before it.  Three counters tell the loop's work: the
-    steps it advanced, stepped and relaxed (`steps_advanced`), and the
-    chunks and sweeps `relax` took (`chunks_relaxed`, `sweeps`).
+    steps it advanced, stepped, in ramp chunks and relaxed
+    (`steps_advanced`), and the chunks and sweeps `relax` took
+    (`chunks_relaxed`, `sweeps`).
 
     The network's only memory is the history current ih = h*(D v) + j*i
     of each inductor and capacitor (n_lc of them; a resistor's is zero).
@@ -542,34 +612,42 @@ class CompiledNet:
     and `state` rebuilds x and the history currents, K^T of its ih rows,
     from that one buffer.
 
-    `step` is the one product, for the ramp and for a net without a
-    swinging machine.  After the ramp, `relax` advances a net with
-    swinging machines a chunk of at most `chunk` steps at a time, the
-    `chunk_steps` of its swinging machines.  Split z into w, the rows before
-    the machines', and the machine rows; then w' = T_ww w + T_we e, and
-    every output, a machine's current or a probe, is o [w; e] at the step
-    the buffer's EMF rows serve.  Over a chunk from w_0 the outputs are
-    one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on the EMFs the
-    lower block-triangular Toeplitz matrix of the Markov parameters o_e
-    and o_w T_ww^d T_we, one block per machine: C_w and C_e for the
-    machines' currents.  The EMF rows are e = amp u, so the currents are y
-    = C_e diag(amp) u + C_w w_0, the last term formed once per chunk, and
-    the power is amp/2 sum(u*y) over the axes.  The swing recursion is
-    affine in that power, so one product [F diag(amp) | S] [sum(u*y);
-    delta_0, dw_0, emf, pm] gives the angles and the end step's speed
-    deviations.  The first sweep's angles are one product too, [S_a | F
-    diag(amp) E] on [delta_0, dw_0, emf, pm; sum(u*y) at the last chunk's
-    guess nodes], E the Lagrange weights at the chunk's steps and S_a the
-    angles' rows of S; a chunk hands on its sums at the nodes with one
-    take.  `relax` builds these maps, and one of [w_0; e] to w at its
-    probe blocks' starts and in the first buffer a chunk hands on, once per
-    chunk length in the loop, together with the chunk's work buffers and
-    their views (`_SwingMaps`), so a chunk allocates nothing.  The
-    constructor builds the probes' map over a block of PROBE_BLOCK steps.
-    A relaxed chunk fills its probe blocks, each block's start w and its
-    EMFs, in place, and forms its samples in one product with that map,
-    then K^T.  K^T stays out of the map: folded in, as in `ProbeSet.maps`,
-    it would triple the product's work.
+    `step` is the one product, for every step of a net without a swinging
+    machine.  A net with swinging machines advances a chunk of at most
+    `chunk` steps at a time, the `chunk_steps` of its swinging machines:
+    during the ramp, `ramp_chunk` takes each whole chunk of a cycle and
+    `step` the ramp's steps after them; after the ramp, `relax`.  Split z
+    into w, the rows before the machines', and the machine rows; then w'
+    = T_ww w + T_we e, and every output, a machine's current or a probe,
+    is o [w; e] at the step the buffer's EMF rows serve.  During the ramp
+    T_we and o_e are zero, so a ramp chunk's w at step k is T_ww^k w_0 and
+    its outputs o_w T_ww^k w_0.  After it, over a chunk from w_0 the
+    outputs are one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on
+    the EMFs the lower block-triangular Toeplitz matrix of the Markov
+    parameters o_e and o_w T_ww^d T_we, one block per machine: C_w and C_e
+    for the machines' currents.  The EMF rows are e = amp u, so the
+    currents are y = C_e diag(amp) u + C_w w_0, the last term formed once
+    per chunk, and the power is amp/2 sum(u*y) over the axes.  The swing
+    recursion is affine in that power, so one product [F diag(amp) | S]
+    [sum(u*y); delta_0, dw_0, emf, pm] gives the angles and the end step's
+    speed deviations.  The first sweep's angles are one product too, [S_a
+    | F diag(amp) E] on [delta_0, dw_0, emf, pm; sum(u*y) at the last
+    chunk's guess nodes], E the Lagrange weights at the chunk's steps and
+    S_a the angles' rows of S, with a row that picks delta_0 first; a
+    chunk hands on its sums at the nodes with one take.  The machines'
+    rows [delta, speed_dev, emf, pm] live in `machine_rows`, a view of
+    that input, while `advance` relaxes, and in `machines` between its
+    calls.  `relax` builds these maps, and one of [w_0; e] to w at its
+    probe blocks' starts and to the first buffer a chunk hands on, once
+    per chunk length in the loop, together with the chunk's work buffers
+    and their views (`_SwingMaps`); `ramp_chunk` builds its maps on its
+    first chunk (`_ChunkMaps`).  So a chunk allocates nothing.  The
+    sequences of powers of T_ww in these maps double: the terms so far
+    times T_ww^m give the next m.  The constructor builds the probes' map
+    of a relaxed chunk over a block of PROBE_BLOCK steps, and
+    `_ramp_maps` the ramp's, from the ramp's O; a chunk fills its probe
+    blocks in place and forms its samples in one product with its map,
+    then K^T (`_ChunkMaps`).
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -673,6 +751,9 @@ class CompiledNet:
         # without swinging machines or probes.
         self.amplitude = SQRT2 * self.machines[self.swinging, 2]
         self.swing_maps: dict[int, _SwingMaps] = {}
+        # `ramp_chunk`'s maps, from its first chunk to the ramp's end.
+        self.ramp_maps: _ChunkMaps | None = None
+        self.squares: dict[bool, list[np.ndarray]] = {True: [], False: []}  # `_squares`
         self.probe_map = np.zeros((0, 0))
         if self.swinging.size and self.probes.rows.size:
             g = self._chunk_map(self.probes.rows, PROBE_BLOCK)
@@ -688,8 +769,9 @@ class CompiledNet:
         nsw, c = self.swinging.size, self.chunk * self.swinging.size
         self.relaxed = np.zeros(c + (4 + len(nodes)) * nsw)
         self.guess_in, self.power_history = self.relaxed[c:], self.relaxed[c + 4 * nsw:]
-        self.machine_rows = self.guess_in[:4 * nsw].reshape(4, nsw).T  # one row per machine
-        self.delta_0 = self.guess_in[:nsw]
+        # The swinging machines' rows while `advance` relaxes, one per
+        # machine (see `relax`).
+        self.machine_rows = self.guess_in[:4 * nsw].reshape(4, nsw).T
         np.divide(2.0 * self.machines[self.swinging, 3], self.amplitude,
                   out=self.power_history.reshape(len(nodes), nsw))
         # The stack, whose slot 0 holds the start's history currents and its
@@ -751,30 +833,59 @@ class CompiledNet:
         # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
         # w_0, and the Markov parameter d = k + 1 - j on e_j.
         g = np.zeros((steps, len(o), w + steps * nsw))
-        g[0, :, :w] = o[:, :w]
-        for k in range(1, steps):
-            g[k, :, :w] = g[k - 1, :, :w] @ t[:w, :w]
+        g[:, :, :w] = _power_sequence(o[:, :w], self._squares(False, steps), steps, right=True)
         markov = np.concatenate([o[None, :, w:], g[:-1, :, :w] @ t[:w, w:]])
         lower = np.tril_indices(steps)
         from_e = g[:, :, w:].reshape(steps, len(o), steps, nsw)  # a view
         from_e[lower[0], :, lower[1]] = markov[lower[0] - lower[1]]
         return g
 
-    def _w_map(self, length: int, steps: range) -> np.ndarray:
-        """[w_0; e] to w at `steps` of a chunk of `length`, stacked."""
-        w, nsw, t = self.n_lc + 4, self.swinging.size, self.post_map.T
-        impulse = [t[:w, w:]]
-        for _ in range(1, max(steps, default=0)):
-            impulse.append(t[:w, :w] @ impulse[-1])  # T_ww^d T_we
-        from_e = np.hstack(impulse[::-1])
-        m = np.zeros((len(steps), w, w + length * nsw))
-        power, last = np.eye(w), 0
+    def _squares(self, ramp: bool, count: int) -> list[np.ndarray]:
+        """T_ww, T_ww^2, T_ww^4, ... of the ramp's T or the one after it, up
+        to the last power of two below count.  The loop squares each once
+        and builds every map's powers of T_ww from them, so each power
+        rounds the same in every map, whatever the probes."""
+        w = self.n_lc + 4
+        squares = self.squares[ramp]
+        if not squares:
+            squares.append((self.ramp_map if ramp else self.post_map).T[:w, :w].copy())
+        while 2 ** len(squares) < count:
+            squares.append(squares[-1] @ squares[-1])
+        return squares
+
+    def _w_at(self, ramp: bool, length: int, blocks: range) -> np.ndarray:
+        """`_ChunkMaps.w_at` of a chunk of `length` steps in the ramp, from
+        w_0, or after it, from [w_0; e]: w at the probe blocks' starts
+        `blocks`, then the whole buffer a step before the chunk's end, its
+        machine rows the last step's EMFs (zero in the ramp)."""
+        w, nsw = self.n_lc + 4, 0 if ramp else self.swinging.size
+        t = (self.ramp_map if ramp else self.post_map).T
+        squares = self._squares(ramp, length)
+        # T_ww^d T_we for d < length - 1, the latest first.
+        impulse = _power_sequence(t[:w, w:w + nsw], squares, length - 1)
+        from_e = impulse[::-1].transpose(1, 0, 2).reshape(w, (length - 1) * nsw)
+        steps = [*blocks, length - 1]
+        m = np.zeros((len(steps) * w + self.swinging.size, w + length * nsw))
         for i, k in enumerate(steps):
             # w_k = T_ww^k w_0 + sum_(j<=k) T_ww^(k-j) T_we e_j
-            power = np.linalg.matrix_power(t[:w, :w], k - last) @ power
-            m[i, :, :w], last = power, k
-            m[i, :, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
-        return m.reshape(-1, m.shape[2])
+            m[i * w:(i + 1) * w, :w] = _matrix_power(squares, k)
+            m[i * w:(i + 1) * w, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
+        if nsw:
+            m[-nsw:, -nsw:] = np.eye(nsw)
+        return m.T.copy()
+
+    def _ramp_maps(self) -> _ChunkMaps:
+        """`ramp_chunk`'s maps and work buffers (`_ChunkMaps`), from the
+        ramp's T, whose machine rows and columns are zero."""
+        w, length = self.n_lc + 4, self.chunk
+        o = self.outputs[0][self.probes.rows, :w]
+        g = _power_sequence(o, self._squares(True, PROBE_BLOCK), PROBE_BLOCK, right=True)
+        blocks = range(PROBE_BLOCK, length if o.size else 0, PROBE_BLOCK)
+        self.ramp_maps = maps = _ChunkMaps(length, w, self.rows, w,
+                                           self._w_at(True, length, blocks),
+                                           g.reshape(-1, w).T.copy())
+        self.squares[True].clear()  # the ramp's maps are built once
+        return maps
 
     def _swing_maps(self, length: int) -> _SwingMaps:
         """`relax`'s maps for chunks of `length` steps (see the class docstring)."""
@@ -812,13 +923,15 @@ class CompiledNet:
         from_nodes = np.einsum("rjm,ij->rim", swing[:ne, :ne].reshape(ne, length, nsw),
                                weights).reshape(ne, -1)
         nodes = self.guess_nodes if length == chunk else [length - 1] * k
+        # The steps' EMFs read delta_0, picked from the guess's input, and
+        # the guess's angles of the steps before the end.
+        guess = np.hstack([swing[:ne - nsw, ne:], from_nodes[:ne - nsw]])
         blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T.copy(),
-            swing, np.hstack([swing[:ne, ne:], from_nodes]),
+            swing, np.vstack([np.eye(nsw, guess.shape[1]), guess]),
             np.add.outer(np.multiply(nodes, nsw), own).ravel(), amplitude,
-            np.vstack([self._w_map(length, blocks),
-                       self._w_map(length, range(length - 1, length))]).T.copy(),
+            self._w_at(False, length, blocks),
             self.relaxed[(chunk - length) * nsw:(chunk + 4) * nsw], self.probe_map)
         return maps
 
@@ -868,10 +981,10 @@ class CompiledNet:
         before `ramp_end`, so its source scale is below 1) and the
         post-ramp T otherwise.
 
-        It serves the ramp, and every step of a net without a swinging
-        machine; after the ramp, `relax` advances the swinging machines.
-        The kernel's products call the ndarray method: np.dot's C routine,
-        without the array-function dispatch around it.
+        It serves every step of a net without a swinging machine, and the
+        steps of a swinging net's ramp that no whole chunk of the ramp
+        covers (`advance`).  The kernel's products call the ndarray method:
+        np.dot's C routine, without the array-function dispatch around it.
         """
         x.dot(self.ramp_map if ramp else self.post_map, out)
 
@@ -881,11 +994,18 @@ class CompiledNet:
         samples, one column per step.
 
         The buffer at step n carries over to slot 0, and the oscillator is
-        re-anchored from the clock at step n.  Ramp steps, and every step
-        of a net without a swinging machine, take one `step` each, and
-        their samples one product.  After the ramp, a net with swinging
-        machines advances in relaxed chunks of at most `chunk` steps
-        (`relax`).
+        re-anchored from the clock at step n.  A net without a swinging
+        machine takes one `step` per step, ramp or not, and the samples of
+        those steps take one product per output map.  A net with swinging
+        machines advances in chunks of at most `chunk` steps: its ramp's
+        whole chunks of the cycle, from slot 0, as linear maps
+        (`ramp_chunk`), the ramp's steps after them by `step`, and after
+        the ramp relaxed chunks (`relax`).  The relaxed chunks keep the
+        swinging machines' rows in `machine_rows`, the relax buffer's
+        [delta, speed_dev, emf, pm] per machine: they are taken from
+        `machines` once before the first chunk and written back once after
+        the last.  A cycle that steps no step makes no `step` or
+        `ProbeSet.sample` call.
         """
         stack, n = self.stack, self.n
         if self.pos:
@@ -893,103 +1013,149 @@ class CompiledNet:
         self.anchor(stack[0], n)
         # Steps n + 1 .. ramp_end - 1 are the ramp's, their scale below 1.
         ramped = min(max(self.ramp_end - n - 1, 0), length)
-        stepped = ramped if self.swinging.size else length
-        step, pairs = self.step, iter(self.pairs)
-        for x, out in islice(pairs, ramped):
-            step(x, out, True)
-        for x, out in islice(pairs, stepped - ramped):
-            step(x, out, False)
-        self.probes.sample(stack[:stepped], samples[:, :stepped], ramped)
+        if self.swinging.size:
+            chunked, stepped = ramped - ramped % self.chunk, ramped
+            for first in range(0, chunked, self.chunk):
+                self.ramp_chunk(first, samples[:, first:first + self.chunk])
+            if ramped < length:
+                self.ramp_maps = None  # the ramp ends in this cycle
+        else:
+            chunked, stepped = 0, length
+        if chunked < stepped:
+            step, pairs = self.step, islice(self.pairs, chunked, stepped)
+            for x, out in islice(pairs, ramped - chunked):
+                step(x, out, True)
+            for x, out in pairs:
+                step(x, out, False)
+            self.probes.sample(stack[chunked:stepped], samples[:, chunked:stepped],
+                               ramped - chunked)
         if stepped < length:
             # Slot k holds step n + k, the step before n + k + 1.
             wt = self.wt
             np.add(self.slots, n, out=wt)
             wt *= self.dt
             wt *= self.omega
-        for first in range(stepped, length, self.chunk):
-            size = min(self.chunk, length - first)
-            self.relax(first, size, samples[:, first:first + size])
+            self.machines.take(self.swinging, 0, self.machine_rows)
+            for first in range(stepped, length, self.chunk):
+                size = min(self.chunk, length - first)
+                self.relax(first, size, samples[:, first:first + size])
+            self.machines[self.swinging, :2] = self.machine_rows[:, :2]
         self.n, self.pos = n + length, length
         self.steps_advanced += length
+
+    def ramp_chunk(self, first: int, samples: np.ndarray) -> None:
+        """Advance a net with swinging machines a whole `chunk` of steps of
+        its ramp from the buffer in stack[first], writing the chunk's probe
+        samples into samples, one column per step.
+
+        The rotors are held during the ramp, so the chunk is linear in its
+        start's w, the rows before the machines', whose rows the ramp's T
+        neither reads nor writes: w_k = T_ww^k w_0, the discrete
+        state-space form of the companion network (Dommel 1969, IEEE
+        Trans. PAS-88).  One product maps w_0 to w at the chunk's probe
+        blocks' starts and to the buffer a step before its end; one product
+        with the ramp's probe map, o_w T_ww^j over a block's steps j from
+        the ramp's output map, gives the samples, then K^T.  Of the chunk's
+        buffers it hands on two, as `relax` does: the one a step before its
+        end, its machine rows zero as `step` leaves them, and the end buffer
+        by the ramp's product, so no probe moves their rounding.  The maps
+        and work buffers (`_ChunkMaps`) are built on the loop's first ramp
+        chunk and dropped in the cycle the ramp ends, so a chunk allocates
+        nothing.
+        """
+        r = self.ramp_maps or self._ramp_maps()
+        last, stack = first + self.chunk, self.stack
+        start, before_end = stack[first, :, :self.n_lc + 4], stack[last - 1]
+        if r.probe_map.size:
+            start.dot(r.w_at, r.at)
+            r.probe_blocks[:, 0] = start
+            r.probe_blocks[:, 1:] = r.block_starts
+            r.sample(samples)
+            before_end[:] = r.handed
+        else:
+            start.dot(r.w_at, before_end)
+        before_end.dot(self.ramp_map, stack[last])
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= `chunk` steps
         after the ramp, from the buffer in stack[first], by waveform
         relaxation of its rotors.
 
-        The first guess of the angles extrapolates the power sums at the
-        last chunk's guess nodes (`power_history`).  Each sweep forms the
-        EMF angles theta = wt + delta from the last sweep's angles at the
-        steps before the chunk's end, u = [cos theta; sin theta], then the
-        machines' currents y, the power amp/2 * sum(u*y) over the axes and,
-        in one product, the angles and the end step's speed deviations.
-        A sweep reads the angles only through theta, and the end step's
-        angle and speed not at all, so the sweeps stop once the theta the
-        next sweep would read equals the last sweep's bit for bit.  One
-        more sweep would reproduce every bit, so the chunk hands on the
-        bits a stop on repeated angles would, one sweep sooner.  They stop
-        after at most `length` sweeps, whatever the guess;
-        `chunks_relaxed` and `sweeps` count the work.  The maps and work buffers of chunks of this length
-        are built once in the loop (`_SwingMaps`).
+        The chunk reads its machines' start, [delta_0, dw_0, emf, pm] per
+        machine, from `machine_rows` and writes their end step's [delta,
+        speed_dev] there, where the next chunk reads them; `advance` takes
+        them from `machines` and writes them back.  The first guess of the
+        angles extrapolates the power sums at the last chunk's guess nodes
+        (`power_history`): one product gives delta_0 and the guess's angles
+        of the steps before the end, and one add of wt to them the first
+        sweep's EMF angles theta = wt + delta.  Each sweep forms u = [cos
+        theta; sin theta], then the machines' currents y, the power amp/2 *
+        sum(u*y) over the axes and, in one product, the angles and the end
+        step's speed deviations, and from those angles at the steps before
+        the end the next theta.  A sweep reads the angles only through
+        theta, and the end step's angle and speed not at all, so the sweeps
+        stop once the theta the next sweep would read equals the last
+        sweep's bit for bit.  One more sweep would reproduce every bit, so
+        the chunk hands on the bits a stop on repeated angles would, one
+        sweep sooner.  They stop after at most `length` sweeps, whatever
+        the guess; `chunks_relaxed` and `sweeps` count the work.  The maps
+        and work buffers of chunks of this length are built once in the
+        loop (`_SwingMaps`).
 
         Writes the probe samples of the chunk's steps into samples, one
-        column per step, and advances the machines in place.  The samples
-        come from one product of the probes' map with the chunk's probe
-        blocks, each block's start w and its EMFs, then K^T.
-        Of the chunk's buffers it hands on two: the one a step before its
-        end, with its EMF rows written, and the rows before the machines'
-        of its end buffer.  The loop's edges (`state`) and the next chunk
-        read no other.  The first comes from [w_0; e] by its own map, the
-        second by `step`'s product, so no probe moves their rounding.
+        column per step.  The samples come from one product of the probes'
+        map with the chunk's probe blocks, each block's start w and its
+        EMFs, then K^T.  Of the chunk's buffers it hands on two: the one a
+        step before its end, with its EMF rows written, and the rows before
+        the machines' of its end buffer.  The loop's edges (`state`) and
+        the next chunk read no other.  The first comes from [w_0; e] by its
+        own map, the second by `step`'s product, so no probe moves their
+        rounding.
         """
         m = self.swing_maps.get(length) or self._swing_maps(length)
-        w, stack, swinging = self.n_lc + 4, self.stack, self.swinging
+        w, stack = self.n_lc + 4, self.stack
         # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
         # guess extrapolates the power sums of the last chunk.
-        self.machines.take(swinging, 0, self.machine_rows)
-        m.guess_map.dot(self.guess_in, m.angles)
+        m.guess_map.dot(self.guess_in, m.lead)
         m.w0[:] = stack[first, :, :w]
         m.w0.dot(m.currents_w, m.i0)  # the currents' part from w_0
         # Each step's EMF is formed at the angle before the step.
-        wt = self.wt[first:first + length]
-        np.add(wt[0], self.delta_0, out=m.theta[:, 0])
-        (theta, theta_on), (theta_next, next_on) = m.thetas
-        wt_on, read, out, currents, swing = wt[1:], m.read, m.out, m.currents, m.swing
-        u, y, x, i0 = m.u, m.y, m.x, m.i0
+        wt, read, swung, x = self.wt[first:first + length], m.read, m.swung, m.x
+        (theta, theta_u), (theta_next, next_u) = m.thetas
+        u, y, i0, currents, swing = m.u, m.y, m.i0, m.currents, m.swing
         cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], m.power
-        np.add(wt_on, read, out=theta_on)
+        np.add(wt, read, out=theta)
         for sweeps in range(1, length + 1):
-            np.cos(theta, out=cos_u)
-            np.sin(theta, out=sin_u)
+            np.cos(theta_u, out=cos_u)
+            np.sin(theta_u, out=sin_u)
             u.dot(currents, y)
             y += i0
             y *= u
             np.add(y_d, y_q, out=power)
-            swing.dot(x, out)
-            np.add(wt_on, read, out=next_on)
-            if next_on.tobytes() == theta_on.tobytes():
+            swing.dot(x, swung)
+            np.add(wt, read, out=theta_next)
+            if theta_next.tobytes() == theta.tobytes():
                 break
-            theta, theta_on, theta_next, next_on = theta_next, next_on, theta, theta_on
+            theta, theta_u, theta_next, next_u = theta_next, next_u, theta, theta_u
         self.chunks_relaxed += 1
         self.sweeps += sweeps
-        self.machines[swinging, :2] = m.end
+        self.machine_rows[:, :2] = m.end
         m.power.take(m.history_at, out=self.power_history, mode="clip")  # unbuffered
 
         # The EMF rows amp u the sweeps assumed, then w at the probe blocks'
-        # starts and in the first buffer the chunk hands on.
+        # starts and the first buffer the chunk hands on.
         np.multiply(u, m.amplitude, out=m.e)
-        m.we.dot(m.w_at, m.at)
-        if self.probe_map.size:
+        before_end = stack[first + length - 1]
+        if m.probe_map.size:
+            m.we.dot(m.w_at, m.at)
             xb = m.probe_blocks
             xb[:, 0, :w] = m.w0
             xb[:, 1:, :w] = m.block_starts
             xb[:, :, w:] = m.e_blocks
-            m.probe_rows.dot(self.probe_map, m.taken_rows)
-            TWO_AXIS.T.dot(m.taken, m.phases)
-            samples.reshape(-1, 3, length)[:] = m.phase_samples
-        before_end = stack[first + length - 1]
-        before_end[:, :w] = m.handed
-        before_end[:, w:] = m.handed_emf
+            m.sample(samples)
+            before_end[:] = m.handed
+        else:
+            m.we.dot(m.w_at, before_end)
         before_end.dot(self.post_map, stack[first + length])
 
 

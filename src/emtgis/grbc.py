@@ -132,6 +132,15 @@ def validate_expr(node) -> None:
     raise GrbcPayloadError(f"malformed expression node: {node!r}")
 
 
+def expr_constants(node):
+    """The numeric constants of a valid expression tree, at any depth."""
+    if isinstance(node, list):
+        for arg in node[1:]:
+            yield from expr_constants(arg)
+    elif not isinstance(node, str):
+        yield node
+
+
 def eval_expr(node, v: float, theta: float) -> float:
     if isinstance(node, (int, float)):
         return float(node)
@@ -182,15 +191,26 @@ def parse_declaration(d: dict, base_mva: float, frequency_hz: float) -> GrbcDecl
 
 
 def validate_declaration(decl: GrbcDeclaration) -> list[tuple[str, str, str]]:
-    """Payload-level checks; returns (code, subject, message) tuples."""
-    out = non_finite(decl.name, decl.payload)
-    if decl.kind is GrbcKind.SCRIPTED_RESPONSE:
+    """Payload-level checks; returns (code, subject, message) tuples.
+
+    Each NaN or infinite number of a payload is a NonFiniteValue violation:
+    a field's, or a scripted expression's constant at any depth (subject
+    `<region>.p` or `.q`, as for a BadExpression)."""
+    if decl.kind is not GrbcKind.SCRIPTED_RESPONSE:
+        out = non_finite(decl.name, decl.payload)
+    else:
+        out = []
         for which, expr in (("p", decl.payload.p_expr), ("q", decl.payload.q_expr)):
             try:
                 validate_expr(expr)
             except GrbcPayloadError as exc:
                 out.append(("BadExpression", f"{decl.name}.{which}", str(exc)))
-    elif decl.kind is GrbcKind.WHITE_BOX_NETWORK:
+                continue
+            out += [("NonFiniteValue", f"{decl.name}.{which}",
+                     f"every constant of {which} must be finite, got {c}")
+                    for c in expr_constants(expr)
+                    if isinstance(c, float) and not math.isfinite(c)]
+    if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         net = decl.payload.network
         seen = set()
         internal_ids = {b.id for b in net.buses}

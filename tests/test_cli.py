@@ -543,6 +543,26 @@ class TestNonFiniteCase:
         assert err == [f"error: invalid case: NonFiniteValue({subject})"]
         assert not (tmp_path / "init").exists()
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("which", ["p", "q"])
+    def test_constant_nested_in_a_scripted_expression(self, tmp_path, capsys, which, value):
+        # plant2's p is ["-", ["+", 0.2, ["*", 0.05, ["pow", "V", 2]]]] and
+        # its q ["-", ["+", 0.06, ["*", 0.02, ["sin", "theta"]]]]: the
+        # constant 0.2 or 0.06, two levels down, becomes `value`.
+        from emtgis.cli import main
+
+        case = case_with("hybrid", tmp_path, ("grbcs", 1, "payload", which, 1, 1), value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", str(case), "--out", str(tmp_path / "v")]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"NonFiniteValue: plant2.{which}: every constant of {which} "
+                           f"must be finite, got {value}"]
+            assert main(["ipf", str(case), "--out", str(tmp_path / "ipf")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: invalid case: NonFiniteValue(plant2.{which})"]
+        assert not (tmp_path / "ipf").exists()
+
 
 class TestOutOfMemory:
     """A run too large for memory is an input error: exit 1, one `error:`

@@ -114,7 +114,8 @@ class TestValidation:
     # (case, path to the number in its document, the violation's subject):
     # one number of each record kind the parsers read, the case's own, a
     # main bus, branch and machine, a white-box payload and its bus, branch
-    # and machine, and an HVDC payload.
+    # and machine, an HVDC payload, and a constant nested in a scripted
+    # region's p and in its q.
     NON_FINITE = [
         ("ninebus1", ("frequency_hz",), "ninebus1.frequency_hz"),
         ("ninebus1", ("buses", 4, "p_load"), "B5.p_load"),
@@ -126,6 +127,8 @@ class TestValidation:
         ("ninebus3", ("grbcs", 1, "payload", "machines", 0, "inertia_h"),
          "plant2/W2.inertia_h"),
         ("hybrid", ("grbcs", 2, "payload", "p_dc"), "dclink.p_dc"),
+        ("hybrid", ("grbcs", 1, "payload", "p", 1, 1), "plant2.p"),
+        ("hybrid", ("grbcs", 1, "payload", "q", 1, 1), "plant2.q"),
     ]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=str)
