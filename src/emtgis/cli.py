@@ -23,9 +23,10 @@ end; a --t-ramp at or past --ramp-budget or past --settle-cap; a compare
 initialized snapshot; a run too large for memory), 2 coordination failed,
 3 pipeline stage failure or any other emtgis error, 4 incompatible or
 unreadable snapshot (its nodes, elements, machines or dt differ from the
-case's, or it is no version-3 snapshot file) or a start state whose phases
-are not a balanced set, 5 zero-state comparison run failed to settle.  A
-failure prints one `error:` line; an input error writes nothing, not even
+case's, it is no version-3 snapshot file, or one of its numbers is NaN or
+infinite) or a start state whose phases are not a balanced set, 5
+zero-state comparison run failed to settle.  A failure prints one
+`error:` line; an input error writes nothing, not even
 --out, a failed run its trace.csv (coordination) or report.json (stage)
 if it has one.
 """

@@ -48,6 +48,7 @@ from .powerflow import (
     MAIN_PF_TOL,
     SOLVE_FAILURES,
     PowerFlowProblem,
+    PowerFlowSolution,
     boundary_sensitivity,
     solve_main,
 )
@@ -68,7 +69,9 @@ def _norm(v: np.ndarray) -> float:
 
 @dataclass
 class BoundaryState:
-    """Coordination vector, both-side injections and residual at one x."""
+    """Coordination vector, both-side injections and residual at one x,
+    with the torn main system's solution and each region's evaluation
+    (declaration order) they come from."""
 
     bus_ids: tuple[str, ...]
     x: np.ndarray          # (V_1..V_n, theta_1..theta_n)
@@ -77,7 +80,8 @@ class BoundaryState:
     p_tilde: np.ndarray    # region-side injection into each torn node
     q_tilde: np.ndarray
     phi: np.ndarray        # (p + p_tilde, q + q_tilde)
-    main_solution: object = None  # PowerFlowSolution of the torn main system
+    main_solution: PowerFlowSolution
+    evaluations: list      # what `evaluate` returned, per region
 
     def voltage(self, i: int) -> Phasor:
         n = len(self.bus_ids)
@@ -212,7 +216,7 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray,
     pt = np.array([e.p_tilde for e in evals])
     qt = np.array([e.q_tilde for e in evals])
     phi = np.concatenate([p + pt, q + qt])
-    return BoundaryState(bus_ids, x.copy(), p, q, pt, qt, phi, main_solution=sol)
+    return BoundaryState(bus_ids, x.copy(), p, q, pt, qt, phi, sol, evals)
 
 
 def directional_difference(probe_base: np.ndarray, x: np.ndarray, z: np.ndarray,

@@ -15,79 +15,23 @@ probe samples expand with K^T.
 
 Between topology changes the network is linear and time-invariant, and
 its only memory is the companion history current of each inductor and
-capacitor (Dommel's companion method in discrete state-space form).  With
-D the signed element-node incidence matrix, so that element voltages are
-u = D v, the step
+capacitor.  A machine whose rotor is fixed (every machine during the
+ramp, one with inertia_h = 0 always) is a source at its own angle; the
+pipeline's region nets have every rotor fixed so (`snapshot.hold_rotors`),
+at its power-flow angle from the ramp to the splice, and only the full
+net's rotors, as in the zero-state baseline, swing once the ramp ends.
+So a step is one linear map of the history currents and the source
+oscillator, Dommel's companion method in discrete state-space form, but
+for the EMFs of swinging machines, which follow their rotors: the only
+nonlinearity.  `CompiledNet`'s docstring derives the step and chunk
+maps, `CompiledNet.advance`'s names the two paths a cycle takes, and
+`CompiledNet.relax`'s the relaxation of the rotors and its stop rule.
 
-    ih = h*u + j*i                    history currents, zero on resistors
-    v' = P [ih; v_k]                  node voltages, v_k the known nodes
-    i' = g*(D v') + ih
-
-makes the node voltages and element currents x' = [v'; i'] outputs of ih
-and of the known voltages: x' = W ih + F s(t) r(t) + B_e e_v, where r =
-[cos(wt + phase); sin(wt + phase)] and s(t) is the source ramp.  Every
-source enters through the two fixed columns of F by the angle-addition
-identity, the swinging machines' EMFs e_v through B_e.  So the kernel
-steps ih alone, one row per L/C element, and x is an output map O of the
-step buffer, not part of it.
-
-The oscillator joins the state: r advances by the fixed rotation R by w*dt,
-and during the linear ramp s = n/ramp_steps the product q = n*r advances by
-q' = R (q + r), so the source input q/ramp_steps is linear too.  A machine
-whose rotor is fixed (every machine during the ramp, one with inertia_h =
-0 always) is a source at its own angle and folds into F.  The pipeline's
-region nets have every rotor fixed so (`snapshot.hold_rotors`), at its
-power-flow angle from the ramp to the splice; only the full net's rotors,
-as in the zero-state baseline, swing once the ramp ends.  One step is then
-one product z' = T z of the buffer z = [ih; q; r; e_v], with one map T
-for the ramp and one after it.
-
-After the ramp, a swinging machine's EMF e_v = sqrt2 emf cos(wt + delta +
-phase) follows its rotor angle, which its electrical power moves: the
-only nonlinearity of the step.  The loop advances such a net in chunks
-of at most `chunk_steps` of its swinging machines by Gauss-Jacobi
-waveform relaxation of the rotors (Lelarasmee, Ruehli and
-Sangiovanni-Vincentelli 1982, IEEE Trans. CAD 1(3)).  Within a chunk the
-network is linear in the EMFs, whose axis values are amp [cos theta, sin
-theta], so the machines' currents and the probe samples are fixed maps of
-the chunk's start buffer and its EMFs, and the swing recursion is a fixed
-affine map of the electrical power.  From the EMF angles theta = wt +
-delta of the last sweep's angles a sweep forms the currents, the power
-and, in one product, the angles; a chunk ends when the EMF angles repeat
-bit for bit, as a sweep reads nothing else that moves.  Each step's EMF
-reads the angle before it, so sweep k fixes step k for good, and a chunk
-of L steps stops within L sweeps, whatever the first sweep's angles.  As
-windowed relaxation seeds each window from the last (White and
-Sangiovanni-Vincentelli 1987, Kluwer), they come from the power of the
-chunk before, extrapolated across the chunk; a loop's first chunk, and a
-chunk after a shorter one, hold the power constant.  Shorter windows pay
-as more machines are coupled, so the chunks shorten as the machine count
-grows.
-
-A `CompiledNet` is one stepping loop.  From a net, a dt, a start state, a
-source ramp and the probes, its constructor compiles the topology, builds
-the step, output and relax maps for that start, resolves the probes and
-allocates a cycle-long stack of buffers, all once.  `run` and
-`run_until_steady` build one per loop, so one per fault segment, and call
-its `advance` a cycle at a time.  `advance` re-anchors r and q from the
-clock at each cycle start, so the rotation's rounding drift never spans
-more than one cycle, and takes one of two paths:
-
-* A net without a swinging machine, every region net included, takes one
-  `step` per step, ramp or not, and the samples of the cycle's stepped
-  buffers in one product with the probes' rows of O.
-* A net with swinging machines advances in chunks of `chunk` steps from
-  its first step.  Its rotors are held during the ramp, so each whole
-  chunk of the ramp in a cycle is one linear map of its start buffer
-  (`ramp_chunk`), Dommel's discrete state-space form over L steps; only
-  the ramp's steps after the cycle's last whole chunk take `step`.  After
-  the ramp it relaxes its chunks (`relax`), with the swinging machines'
-  rows kept in the loop's relax buffer from the cycle's first chunk to
-  its last.  Each chunk forms its own samples.
-
-The loop builds an `EmtState` only at its edges (`state`): on return, and
-at a fault event, where `run` migrates the state onto the faulted
-topology and builds the next loop from it.
+A `CompiledNet` is one stepping loop.  `run` and `run_until_steady`
+build one per loop, so one per fault segment, and call its `advance` a
+cycle at a time.  The loop builds an `EmtState` only at its edges
+(`state`): on return, and at a fault event, where `run` migrates the
+state onto the faulted topology and builds the next loop from it.
 
 Instantaneous per-unit convention: phasor magnitudes are RMS, instantaneous
 peaks are sqrt(2) times RMS.
@@ -122,28 +66,11 @@ PROBE_BLOCK = 20
 def chunk_steps(n_swinging: int) -> int:
     """Steps per relaxed chunk of a net with `n_swinging` swinging machines
     after the ramp, a multiple of PROBE_BLOCK: 100 for one or two, 40 from
-    three on.
-
-    A longer chunk takes fewer numpy calls per step but more sweeps, each
-    through maps of side length * n_swinging, so a relaxed step costs about
-    length * n_swinging^2.  Seconds of an in-process `compare` at each
-    length (one CPU, best of 5, 3, 2 and 1 runs for 1, 2-3, 4 and 8-16
-    machines; `hybrid.json --fault B7@5.5`, else seed 1 of the scaled
-    family at k = the machines, no fault):
-
-        machines   L=200   L=100   L=60    L=40    L=20
-        1          0.180   0.139   0.163   0.177
-        2                  0.528   0.441   0.418   0.558
-        3                  1.300   0.995   0.864   0.993
-        4                  2.518   2.144   1.739   2.137
-        8                  16.9    12.8    9.9     12.2
-        16                                 69.2    76.6
-
-    Sweeps per chunk on hybrid: 2.42, 1.84, 1.67 and 1.30 at 200, 100, 60
-    and 40 steps.  Two machines keep 100 steps, though 40 ran 21% faster
-    there: a new length moves a run's rounding, and so the k=2 artifacts
-    stay byte for byte as they were, as do the bundled cases' (one
-    machine at most)."""
+    three on.  A longer chunk takes fewer numpy calls per step but more
+    sweeps through maps of side length * n_swinging, so shorter chunks pay
+    as more machines are coupled; two machines keep 100 so that their
+    artifacts stay byte for byte.  The measured lengths are in CHANGES.md
+    ("Relaxed sweeps stop when the EMF angles repeat")."""
     return 100 if n_swinging <= 2 else 40
 # The steadiness rule of `run_until_steady` (see its docstring).
 RMS_CHANGE_TOL = 5e-4
@@ -467,8 +394,7 @@ class _ChunkMaps:
     the map: folded in, as in `ProbeSet.maps`, it would triple the
     product's work.  Without probes, the map and the samples' buffers have
     no columns, and the chunk's one product writes the buffer it hands on
-    into the stack.  A ramp chunk's maps are this class alone: the rotors
-    are held, so such a chunk is linear in its start's w."""
+    into the stack.  A ramp chunk's maps are this class alone."""
 
     def __init__(self, length: int, w: int, rows: int, width: int, w_at: np.ndarray,
                  probe_map: np.ndarray):
@@ -559,35 +485,36 @@ class CompiledNet:
     The constructor does all the set-up, once: it compiles the topology,
     builds the step and output maps for the start state's rotor angles and
     EMFs and for sources that ramp linearly up to step ramp_steps (None:
-    sources at full scale throughout), resolves the probes
-    (`probes`), builds the probes' map of `relax`, and allocates `length`
-    + 1 buffers, with room for w*t at the step after each.  Slot 0 holds
-    the buffer at step n; `advance` steps from it through the (buffer, next
-    buffer) view pairs, and `state` rebuilds the state at step n from the
-    buffer a step before it.  Three counters tell the loop's work: the
-    steps it advanced, stepped, in ramp chunks and relaxed
+    sources at full scale throughout), resolves the probes (`probes`),
+    builds the probes' map of `relax`, and allocates `length` + 1 buffers,
+    with room for w*t at the step after each.  Slot 0 holds the buffer at
+    step n; `advance` steps from it through the (buffer, next buffer) view
+    pairs, and `state` rebuilds the state at step n from the buffer a step
+    before it.  Three counters tell the loop's work: the steps it advanced
     (`steps_advanced`), and the chunks and sweeps `relax` took
     (`chunks_relaxed`, `sweeps`).
 
-    The network's only memory is the history current ih = h*(D v) + j*i
-    of each inductor and capacitor (n_lc of them; a resistor's is zero).
-    The node voltages and element currents x = [v; i] of the next step are
-    outputs of it and of the known voltages:
+    The step.  With element voltages u = D v, the companion step is ih =
+    h*u + j*i (zero on resistors), v' = P [ih; v_k] with v_k the known
+    nodes, and i' = g*(D v') + ih.  Only the n_lc inductors' and
+    capacitors' ih carry over, so the next step's x = [v; i] is
 
         x' = W ih + F s r' + B_e e_v
 
-    * W = [P_h; g*(D P_h) + I] on the L/C columns: the node solve v' =
-      P_h ih + P_k v_k and the element currents i' = g*(D v') + ih.
+    * W = [P_h; g*(D P_h) + I] on the L/C columns.
     * F = [f_c f_s] carries every source through the angle-addition
-      identity: a source of peak a and angle t pins a*cos(t) r_c -
-      a*sin(t) r_s.  The machines whose rotors are fixed fold into F the
-      same way, at the start state's own angle and EMF.
+      identity, with the oscillator r = [cos(wt + phase); sin(wt + phase)]
+      and s the source ramp: a source of peak a and angle t pins
+      a*cos(t) r_c - a*sin(t) r_s.  The machines whose rotors are fixed
+      fold into F the same way, at the start state's own angle and EMF.
     * B_e carries the EMFs of the swinging machines, whose angles move.
 
-    The step state z stacks ih, then two rows q = n*r, then the oscillator
-    r = [cos(wt + phase); sin(wt + phase)] at step n, then one row per
-    swinging machine: `rows` = n_lc + 4 + n_swinging rows per axis.  With
-    r' = R r, R the rotation by w*dt, x' is the output map O applied to z,
+    The step state z stacks ih, then two rows q = n*r, then r at step n,
+    then one row per swinging machine: `rows` = n_lc + 4 + n_swinging rows
+    per axis.  r advances by the rotation R by w*dt, and during the linear
+    ramp s = n/ramp_steps q advances by q' = R (q + r), so the ramp's
+    source input q/ramp_steps is linear too.  x' is the output map O
+    applied to z,
 
         ramp (s < 1):  O = [W, k F_all R, k F_all R, 0],  k = 1/ramp_steps
         after it:      O = [W, 0, F_fixed R, B_e]
@@ -603,51 +530,28 @@ class CompiledNet:
 
     A buffer holds z with one axis per row, shape (2, rows), so a step is
     out = x T^T; the start state's ih enters projected with (2/3) K.  Every
-    map a product multiplies by, the step's, `relax`'s and the probes', is
-    stored C-contiguous, in the form its product reads: at these sizes
-    OpenBLAS takes 15-125% longer on a transposed operand.  Only
-    the loop's edges need x, in phases: the x of step n is (O z^T) K of the
-    buffer at step n - 1, after its EMF rows are written.  `ProbeSet.sample`
-    applies the probes' rows of O, K^T folded in, to a stack of buffers,
-    and `state` rebuilds x and the history currents, K^T of its ih rows,
-    from that one buffer.
+    map a product multiplies by is stored C-contiguous, in the form its
+    product reads: at these sizes OpenBLAS takes 15-125% longer on a
+    transposed operand.  The x of step n is (O z^T) K of the buffer at
+    step n - 1, after its EMF rows are written; `ProbeSet.sample` applies
+    the probes' rows of O, K^T folded in, to a stack of buffers, and
+    `state` rebuilds x and the history currents from that one buffer.
 
-    `step` is the one product, for every step of a net without a swinging
-    machine.  A net with swinging machines advances a chunk of at most
-    `chunk` steps at a time, the `chunk_steps` of its swinging machines:
-    during the ramp, `ramp_chunk` takes each whole chunk of a cycle and
-    `step` the ramp's steps after them; after the ramp, `relax`.  Split z
-    into w, the rows before the machines', and the machine rows; then w'
-    = T_ww w + T_we e, and every output, a machine's current or a probe,
-    is o [w; e] at the step the buffer's EMF rows serve.  During the ramp
-    T_we and o_e are zero, so a ramp chunk's w at step k is T_ww^k w_0 and
-    its outputs o_w T_ww^k w_0.  After it, over a chunk from w_0 the
-    outputs are one map of [w_0; e_1 .. e_L]: o_w T_ww^k on w_0, and on
-    the EMFs the lower block-triangular Toeplitz matrix of the Markov
-    parameters o_e and o_w T_ww^d T_we, one block per machine: C_w and C_e
-    for the machines' currents.  The EMF rows are e = amp u, so the
-    currents are y = C_e diag(amp) u + C_w w_0, the last term formed once
-    per chunk, and the power is amp/2 sum(u*y) over the axes.  The swing
-    recursion is affine in that power, so one product [F diag(amp) | S]
-    [sum(u*y); delta_0, dw_0, emf, pm] gives the angles and the end step's
-    speed deviations.  The first sweep's angles are one product too, [S_a
-    | F diag(amp) E] on [delta_0, dw_0, emf, pm; sum(u*y) at the last
-    chunk's guess nodes], E the Lagrange weights at the chunk's steps and
-    S_a the angles' rows of S, with a row that picks delta_0 first; a
-    chunk hands on its sums at the nodes with one take.  The machines'
-    rows [delta, speed_dev, emf, pm] live in `machine_rows`, a view of
-    that input, while `advance` relaxes, and in `machines` between its
-    calls.  `relax` builds these maps, and one of [w_0; e] to w at its
-    probe blocks' starts and to the first buffer a chunk hands on, once
-    per chunk length in the loop, together with the chunk's work buffers
-    and their views (`_SwingMaps`); `ramp_chunk` builds its maps on its
-    first chunk (`_ChunkMaps`).  So a chunk allocates nothing.  The
-    sequences of powers of T_ww in these maps double: the terms so far
-    times T_ww^m give the next m.  The constructor builds the probes' map
-    of a relaxed chunk over a block of PROBE_BLOCK steps, and
-    `_ramp_maps` the ramp's, from the ramp's O; a chunk fills its probe
-    blocks in place and forms its samples in one product with its map,
-    then K^T (`_ChunkMaps`).
+    Chunk maps.  Split z into w, the rows before the machines', and the
+    machine rows e; then w' = T_ww w + T_we e, and every output, a
+    machine's current or a probe, is o [w; e] at the step the buffer's EMF
+    rows serve.  During the ramp T_we and o_e are zero, so a chunk's w at
+    step k is T_ww^k w_0 and its outputs o_w T_ww^k w_0: Dommel's discrete
+    state-space form over the chunk (IEEE Trans. PAS-88, 1969).  After it,
+    the outputs over a chunk are one map of [w_0; e_1 .. e_L]: o_w T_ww^k
+    on w_0, and on the EMFs the lower block-triangular Toeplitz matrix of
+    the Markov parameters o_e and o_w T_ww^d T_we, C_w and C_e for the
+    machines' currents.  The EMF rows are e = amp u, u = [cos theta; sin
+    theta], so the currents are y = C_e diag(amp) u + C_w w_0, the last
+    term formed once per chunk, and the power is amp/2 sum(u*y) over the
+    axes.  The swing recursion is affine in that
+    power, so one product [F diag(amp) | S] [sum(u*y); delta_0, dw_0, emf,
+    pm] gives the angles and the end step's speed deviations.
 
     `incidence` is D (n_elements x n_nodes), +1 at an element's from-node
     and -1 at its to-node, both from `element_terminals`, the function
@@ -979,13 +883,9 @@ class CompiledNet:
         """Advance buffer x one dt, writing the new buffer into out: the one
         product out = x T^T, with the ramp's T when `ramp` (the new step is
         before `ramp_end`, so its source scale is below 1) and the
-        post-ramp T otherwise.
-
-        It serves every step of a net without a swinging machine, and the
-        steps of a swinging net's ramp that no whole chunk of the ramp
-        covers (`advance`).  The kernel's products call the ndarray method:
-        np.dot's C routine, without the array-function dispatch around it.
-        """
+        post-ramp T otherwise; `advance` says which steps take it.  The
+        kernel's products call the ndarray method: np.dot's C routine,
+        without the array-function dispatch around it."""
         x.dot(self.ramp_map if ramp else self.post_map, out)
 
     def advance(self, length: int, samples: np.ndarray) -> None:
@@ -994,18 +894,22 @@ class CompiledNet:
         samples, one column per step.
 
         The buffer at step n carries over to slot 0, and the oscillator is
-        re-anchored from the clock at step n.  A net without a swinging
-        machine takes one `step` per step, ramp or not, and the samples of
-        those steps take one product per output map.  A net with swinging
-        machines advances in chunks of at most `chunk` steps: its ramp's
-        whole chunks of the cycle, from slot 0, as linear maps
-        (`ramp_chunk`), the ramp's steps after them by `step`, and after
-        the ramp relaxed chunks (`relax`).  The relaxed chunks keep the
-        swinging machines' rows in `machine_rows`, the relax buffer's
-        [delta, speed_dev, emf, pm] per machine: they are taken from
-        `machines` once before the first chunk and written back once after
-        the last.  A cycle that steps no step makes no `step` or
-        `ProbeSet.sample` call.
+        re-anchored from the clock at step n, so the rotation's rounding
+        drift never spans more than one cycle.  Then one of two paths:
+
+        * A net without a swinging machine, every region net included,
+          takes one `step` per step, ramp or not, and the samples of those
+          steps in one product per output map (`ProbeSet.sample`).
+        * A net with swinging machines advances in chunks of at most
+          `chunk` steps from its first step: the ramp's whole chunks of
+          the cycle as linear maps (`ramp_chunk`), the ramp's steps after
+          them by `step`, and after the ramp relaxed chunks (`relax`).
+          The relaxed chunks keep the swinging machines' rows in
+          `machine_rows`, taken from `machines` once before the first and
+          written back once after the last.
+
+        A cycle that steps no step makes no `step` or `ProbeSet.sample`
+        call.
         """
         stack, n = self.stack, self.n
         if self.pos:
@@ -1048,19 +952,13 @@ class CompiledNet:
         its ramp from the buffer in stack[first], writing the chunk's probe
         samples into samples, one column per step.
 
-        The rotors are held during the ramp, so the chunk is linear in its
-        start's w, the rows before the machines', whose rows the ramp's T
-        neither reads nor writes: w_k = T_ww^k w_0, the discrete
-        state-space form of the companion network (Dommel 1969, IEEE
-        Trans. PAS-88).  One product maps w_0 to w at the chunk's probe
-        blocks' starts and to the buffer a step before its end; one product
-        with the ramp's probe map, o_w T_ww^j over a block's steps j from
-        the ramp's output map, gives the samples, then K^T.  Of the chunk's
-        buffers it hands on two, as `relax` does: the one a step before its
-        end, its machine rows zero as `step` leaves them, and the end buffer
-        by the ramp's product, so no probe moves their rounding.  The maps
-        and work buffers (`_ChunkMaps`) are built on the loop's first ramp
-        chunk and dropped in the cycle the ramp ends, so a chunk allocates
+        The rotors are held, so the chunk is linear in its start's w (the
+        class docstring's chunk maps): one product maps w_0 to w at the
+        probe blocks' starts and to the buffer a step before the chunk's
+        end, its machine rows zero as `step` leaves them, and
+        `_ChunkMaps.sample` gives the samples.  It hands on its buffers as
+        `relax` does.  Its maps are built on the loop's first ramp chunk
+        and dropped in the cycle the ramp ends, so a chunk allocates
         nothing.
         """
         r = self.ramp_maps or self._ramp_maps()
@@ -1078,39 +976,40 @@ class CompiledNet:
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= `chunk` steps
-        after the ramp, from the buffer in stack[first], by waveform
-        relaxation of its rotors.
+        after the ramp, from the buffer in stack[first], by Gauss-Jacobi
+        waveform relaxation of its rotors (Lelarasmee, Ruehli and
+        Sangiovanni-Vincentelli 1982, IEEE Trans. CAD 1(3)), writing the
+        chunk's probe samples into samples, one column per step.
 
         The chunk reads its machines' start, [delta_0, dw_0, emf, pm] per
         machine, from `machine_rows` and writes their end step's [delta,
-        speed_dev] there, where the next chunk reads them; `advance` takes
-        them from `machines` and writes them back.  The first guess of the
-        angles extrapolates the power sums at the last chunk's guess nodes
-        (`power_history`): one product gives delta_0 and the guess's angles
+        speed_dev] there, where the next chunk reads them.  As windowed
+        relaxation seeds each window from the last (White and
+        Sangiovanni-Vincentelli 1987, Kluwer), the first guess extrapolates
+        the power sums at the last chunk's guess nodes (`power_history`);
+        a loop's first chunk, and a chunk after a shorter one, hold the
+        power constant.  One product gives delta_0 and the guess's angles
         of the steps before the end, and one add of wt to them the first
-        sweep's EMF angles theta = wt + delta.  Each sweep forms u = [cos
-        theta; sin theta], then the machines' currents y, the power amp/2 *
-        sum(u*y) over the axes and, in one product, the angles and the end
-        step's speed deviations, and from those angles at the steps before
-        the end the next theta.  A sweep reads the angles only through
-        theta, and the end step's angle and speed not at all, so the sweeps
-        stop once the theta the next sweep would read equals the last
-        sweep's bit for bit.  One more sweep would reproduce every bit, so
-        the chunk hands on the bits a stop on repeated angles would, one
-        sweep sooner.  They stop after at most `length` sweeps, whatever
-        the guess; `chunks_relaxed` and `sweeps` count the work.  The maps
-        and work buffers of chunks of this length are built once in the
-        loop (`_SwingMaps`).
+        sweep's EMF angles theta = wt + delta.  Each sweep forms u, the
+        machines' currents y, the power and, in one product, the angles
+        and the end step's speed deviations (the class docstring's chunk
+        maps), and from those angles the next theta.
 
-        Writes the probe samples of the chunk's steps into samples, one
-        column per step.  The samples come from one product of the probes'
-        map with the chunk's probe blocks, each block's start w and its
-        EMFs, then K^T.  Of the chunk's buffers it hands on two: the one a
-        step before its end, with its EMF rows written, and the rows before
-        the machines' of its end buffer.  The loop's edges (`state`) and
-        the next chunk read no other.  The first comes from [w_0; e] by its
-        own map, the second by `step`'s product, so no probe moves their
-        rounding.
+        A sweep reads the angles only through theta, and the end step's
+        angle and speed not at all, so the sweeps stop once the theta the
+        next sweep would read equals the last sweep's bit for bit: one more
+        sweep would reproduce every bit.  Each step's EMF reads the angle
+        before it, so sweep k fixes step k for good, and the sweeps stop
+        after at most `length` of them, whatever the guess.
+        `chunks_relaxed` and `sweeps` count the work.  The maps and work
+        buffers of chunks of this length are built once in the loop
+        (`_SwingMaps`).
+
+        Of the chunk's buffers it hands on two: the one a step before its
+        end, with its EMF rows written, from [w_0; e] by its own map, and
+        the rows before the machines' of its end buffer, by `step`'s
+        product, so no probe moves their rounding.  The loop's edges
+        (`state`) and the next chunk read no other.
         """
         m = self.swing_maps.get(length) or self._swing_maps(length)
         w, stack = self.n_lc + 4, self.stack

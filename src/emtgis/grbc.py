@@ -12,7 +12,7 @@ the region side, so boundary convergence is p_main + p_tilde = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 
@@ -93,8 +93,13 @@ class GrbcDeclaration:
 
 @dataclass(frozen=True)
 class GrbcEvaluation:
+    """A region's injection into its torn node and, for a white-box region,
+    the internal power flow it comes from (None for the other kinds)."""
+
     p_tilde: float
     q_tilde: float
+    internal_pf: powerflow.PowerFlowSolution | None = field(default=None, compare=False,
+                                                           repr=False)
 
 
 # --- expression grammar for scripted responses -------------------------------
@@ -274,10 +279,11 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
 def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     """Injected power of the region into its torn boundary node at the
     supplied boundary voltage.  Pure function of (decl, v_boundary): a
-    white-box region solves its internal power flow every call from the
-    DC-angle start at v_boundary's angle (flat angles if its B_uu is
-    singular), reusing only `decl.pf_problem`, which depends on the
-    declaration alone.
+    white-box region solves `decl.pf_problem`, which depends on the
+    declaration alone, every call, by Newton from its DC-angle start at
+    v_boundary's angle (flat angles if its B_uu is singular; see
+    `powerflow.PowerFlowProblem`) to the payload's pf_tol in at most 60
+    iterations, and returns that solution as `internal_pf`.
 
     The angle arrives wrapped into (-pi, pi], as `Phasor` keeps it; a
     ScriptedResponse expression sees it so too.  That is harmless for a
@@ -285,12 +291,13 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     boundary angle, and its injections depend on angle differences only.
 
     A region that has no finite real injection at v_boundary raises
-    InternalNonConvergence: a white-box internal power flow that fails,
-    or a scripted expression that divides by zero, overflows or leaves
-    the reals."""
+    InternalNonConvergence: a white-box internal power flow that fails
+    (an overflowing one included), or a scripted expression that divides
+    by zero, overflows or leaves the reals."""
     v, th = v_boundary.magnitude, v_boundary.angle
     if v <= 0.0:
         raise InvalidVoltage(f"boundary voltage magnitude must be > 0, got {v}")
+    internal = None
     if decl.kind is GrbcKind.SCRIPTED_RESPONSE:
         try:
             p, q = (eval_expr(e, v, th) for e in (decl.payload.p_expr, decl.payload.q_expr))
@@ -300,39 +307,28 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
         p_eff = decl.payload.p_dc * (v / 0.9 if v < 0.9 else 1.0)
         p, q = -p_eff, -p_eff * decl.payload.tan_phi
     else:
+        try:
+            internal = powerflow.solve_main(decl.pf_problem, [v], [th],
+                                            decl.payload.pf_tol, 60)
+        except powerflow.SOLVE_FAILURES as exc:
+            raise InternalNonConvergence(
+                f"internal power flow of region '{decl.name}' failed: {exc}"
+            ) from exc
         # Injection into the torn node from the region side is the negative
         # of the network injection computed at the boundary row (no
         # region-side load sits on the boundary bus itself).
-        p, q = internal_power_flow(decl, v_boundary).injection(decl.boundary_bus)
+        p, q = internal.injection(decl.boundary_bus)
         p, q = -p, -q
     if not (isinstance(p, float) and isinstance(q, float)
             and math.isfinite(p) and math.isfinite(q)):
         raise _not_evaluable(decl, v_boundary, f"it injects p = {p!r}, q = {q!r}")
-    return GrbcEvaluation(p_tilde=p, q_tilde=q)
+    return GrbcEvaluation(p, q, internal)
 
 
 def _not_evaluable(decl: GrbcDeclaration, v_boundary: Phasor, why) -> InternalNonConvergence:
     return InternalNonConvergence(
         f"region '{decl.name}' is not evaluable at |V| = {v_boundary.magnitude!r}, "
         f"angle {v_boundary.angle!r}: {why}")
-
-
-def internal_power_flow(decl: GrbcDeclaration,
-                        v_boundary: Phasor) -> powerflow.PowerFlowSolution:
-    """The internal power flow of a white-box region at its boundary
-    voltage: `decl.pf_problem` solved by Newton from its DC-angle start
-    (flat angles if its B_uu is singular; see `powerflow.PowerFlowProblem`)
-    to the payload's pf_tol in at most 60 iterations, on Python scalars up
-    to `powerflow.SCALAR_MAX_UNKNOWNS` unknowns and on numpy arrays above,
-    a pure function of (decl, v_boundary).  A failed solve, an overflowing
-    one included, raises InternalNonConvergence."""
-    try:
-        return powerflow.solve_main(decl.pf_problem, [v_boundary.magnitude],
-                                    [v_boundary.angle], decl.payload.pf_tol, 60)
-    except powerflow.SOLVE_FAILURES as exc:
-        raise InternalNonConvergence(
-            f"internal power flow of region '{decl.name}' failed: {exc}"
-        ) from exc
 
 
 def adapter_is_opaque(decl: GrbcDeclaration) -> bool:

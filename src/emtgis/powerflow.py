@@ -47,11 +47,13 @@ class PowerFlowSolution:
     p_calc: np.ndarray | list[float]  # network injection per bus (generator convention)
     q_calc: np.ndarray | list[float]
     iterations: int
-    converged: bool
     max_mismatch: float
     mismatch_history: list[float] = field(default_factory=list)
     # {bus id: position}; a solve passes its problem's, built once.
     positions: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    # Not a field: a solve that fails raises, so every solution converged.
+    # The benchmark's scaled-case set-up still reads it (bench/run.py).
+    converged = True
 
     def __post_init__(self):
         if self.positions is None:
@@ -305,18 +307,12 @@ MAIN_PF_MAX_ITER = 40
 # What `solve_main` raises when it finds no solution.
 SOLVE_FAILURES = (NonConvergence, SingularJacobian)
 # Newton runs on Python scalars up to this many unknowns, on numpy arrays
-# above: the crossover of the two.  Per solve on random meshed nets behind a
-# boundary bus (one CPU; medians over 5 nets of the best of 3 x 200 solves),
-# scalar against numpy: 34 against 86 us at 2 unknowns, 80 against 88 at 6,
-# 102 against 90 at 7 and 690 against 139 at 18.
+# above: their measured crossover (CHANGES.md, "Region power flows of a few
+# unknowns run Newton on Python scalars").
 SCALAR_MAX_UNKNOWNS = 6
 # A problem built `decoupled` solves fast-decoupled from this many buses
-# on, by Newton below: the crossover of the two.  Per main solve of the
-# scaled family at its coordinated voltages (one CPU; the best of 30
-# rounds of 30 solves, the two methods alternating), Newton's 3 iterations
-# against fast-decoupled's 9: 117 against 162 us at 12 buses, 153 against
-# 168 at 24, 205 against 185 at 36, 285 against 200 at 48 and 1149
-# against 277 at 96.
+# on, by Newton below: their measured crossover (CHANGES.md, "Power flows
+# build only what their solver reads").
 DECOUPLED_MIN_BUSES = 30
 
 
@@ -449,7 +445,7 @@ def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
                 return PowerFlowSolution(
                     bus_ids=problem.bus_ids, vm=vm, va=va,
                     p_calc=[c.real for c in s], q_calc=[c.imag for c in s],
-                    iterations=it, converged=True, max_mismatch=max_mis,
+                    iterations=it, max_mismatch=max_mis,
                     mismatch_history=history, positions=problem.positions)
             if it == max_iter:
                 break
@@ -551,7 +547,7 @@ def _solution(problem: PowerFlowProblem, x: np.ndarray, s: np.ndarray, iteration
     n = len(problem.bus_ids)
     return PowerFlowSolution(bus_ids=problem.bus_ids, vm=x[n:], va=x[:n],
                              p_calc=s.real.copy(), q_calc=s.imag.copy(),
-                             iterations=iterations, converged=True, max_mismatch=history[-1],
+                             iterations=iterations, max_mismatch=history[-1],
                              mismatch_history=history, positions=problem.positions)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedElement,
     ZeroFaultCurrentDelta,
 )
-from .grbc import GrbcKind, internal_power_flow
+from .grbc import GrbcEvaluation, GrbcKind
 from .netmodel import CaseFile, MachineKind, Phasor, validate_case
 from .powerflow import PowerFlowSolution
 # Unread here: the benchmark's tracer self-test asserts it wraps this binding.
@@ -225,28 +225,20 @@ def build_main_net(case: CaseFile, pf: PowerFlowSolution) -> EmtNet:
 
 @dataclass
 class RegionOperatingPoint:
-    """Everything needed to build and initialize one region's EMT model.
-
-    A white-box region carries its internal case (`grbc.internal_pf_case`,
-    ids '<region>/<id>', the one its declaration's `pf_problem` holds) and
-    that case's power flow at v_boundary (`grbc.internal_power_flow`).
-    """
+    """Everything needed to build and initialize one region's EMT model:
+    its declaration, and its boundary voltage and `evaluate` result in the
+    coordinator's converged state.  A white-box region's evaluation holds
+    its internal power flow, whose case is `decl.pf_problem.case`
+    (`grbc.internal_pf_case`, ids '<region>/<id>')."""
 
     decl: object
     v_boundary: Phasor
-    s_into_node: complex           # region injection into the torn node (IPF)
-    internal_case: CaseFile | None = None
-    internal_pf: PowerFlowSolution | None = None
+    evaluation: GrbcEvaluation
 
 
-def region_operating_point(decl, v_boundary: Phasor,
-                           p_tilde: float, q_tilde: float) -> RegionOperatingPoint:
-    icase = internal = None
-    if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
-        icase = decl.pf_problem.case
-        internal = internal_power_flow(decl, v_boundary)
-    return RegionOperatingPoint(decl, v_boundary, complex(p_tilde, q_tilde),
-                                icase, internal)
+def region_operating_point(decl, state: BoundaryState, i: int) -> RegionOperatingPoint:
+    """Region i's operating point, read from `state`; nothing is solved."""
+    return RegionOperatingPoint(decl, state.voltage(i), state.evaluations[i])
 
 
 def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
@@ -256,14 +248,14 @@ def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
     internal power flow); opaque regions contribute a source-behind-impedance
     equivalent that reproduces the coordinated boundary injection.
     """
-    decl = op.decl
+    decl, e = op.decl, op.evaluation
     ns = f"{decl.name}/"
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         # the boundary bus row itself carries no region-side load by construction
-        _add_case_parts(builder, op.internal_case, op.internal_pf, namespace=ns)
+        _add_case_parts(builder, decl.pf_problem.case, e.internal_pf, namespace=ns)
     else:
         v = op.v_boundary.rect
-        i_into_region = machine_port_current(-op.s_into_node, v)
+        i_into_region = machine_port_current(-complex(e.p_tilde, e.q_tilde), v)
         e_int = v - OPAQUE_EQUIVALENT_Z * i_into_region
         src_node = f"{ns}src"
         builder.series_rx(f"{ns}zint", builder.node(src_node), decl.boundary_bus,
@@ -623,12 +615,10 @@ class PipelineConfig:
 class SystemModel:
     """Coordinated operating point plus the whole-system EMT model."""
 
-    main_pf: PowerFlowSolution
     boundary_state: BoundaryState
     ipf_trace: IterationTrace
     region_ops: list[RegionOperatingPoint]
     full_net: EmtNet
-    draws: dict[str, tuple[float, float]]
 
 
 @dataclass
@@ -657,10 +647,10 @@ def _stage(name, fn, *args, **kw):
 def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemModel:
     """Validate, coordinate the whole-system power flow (`jfng_solve`; a
     case without regions converges at its first residual, one main solve),
-    resolve every region's operating point and assemble the whole-system
-    EMT model.  An invalid case, or a dt that does not divide the period or
-    leaves fewer than 4 steps per period, raises ValueError, an input error,
-    not a stage failure."""
+    read every region's operating point from the converged state, which
+    solved it, and assemble the whole-system EMT model.  An invalid case,
+    or a dt that does not divide the period or leaves fewer than 4 steps
+    per period, raises ValueError, an input error, not a stage failure."""
     cfg = cfg or PipelineConfig()
     validate_case(case).raise_if_invalid()
     period_steps = case.period / cfg.dt
@@ -672,12 +662,9 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
                          f"{case.period} s, fewer than 4")
 
     state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
-    draws = {bid: (float(state.p[i]), float(state.q[i])) for i, bid in enumerate(state.bus_ids)}
-    region_ops = [_stage("region_operating_point", region_operating_point, decl,
-                         state.voltage(i), float(state.p_tilde[i]), float(state.q_tilde[i]))
-                  for i, decl in enumerate(case.grbcs)]
+    region_ops = [region_operating_point(decl, state, i) for i, decl in enumerate(case.grbcs)]
     full_net = _stage("build_network", build_full_net, case, state.main_solution, region_ops)
-    return SystemModel(state.main_solution, state, trace, region_ops, full_net, draws)
+    return SystemModel(state, trace, region_ops, full_net)
 
 
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
@@ -691,17 +678,20 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     stage = _stage
 
     model = system_model(case, cfg)
-    main_net = stage("phasor_init", build_main_net, case, model.main_pf)
-    faults = stage("phasor_init", fault_currents, main_net,
-                   [op.decl.boundary_bus for op in model.region_ops])
-    snap_main = stage("phasor_init", phasor_init, case, model.main_pf, main_net, cfg.dt,
-                      boundary_draw=model.draws)
+    state = model.boundary_state
+    main_pf = state.main_solution
+    main_net = stage("phasor_init", build_main_net, case, main_pf)
+    faults = stage("phasor_init", fault_currents, main_net, list(state.bus_ids))
+    draws = {bid: (float(state.p[i]), float(state.q[i]))
+             for i, bid in enumerate(state.bus_ids)}
+    snap_main = stage("phasor_init", phasor_init, case, main_pf, main_net, cfg.dt,
+                      boundary_draw=draws)
 
     t_ramps: dict[str, float] = {}
     budget = ek.to_steps(cfg.ramp_budget, cfg.dt)
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
-        thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
+        thev = thevenin_extract(case, main_pf, faults, op.decl.boundary_bus)
         region_net = hold_rotors(build_region_net(op, case.frequency_hz))
         t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
         ramp_cfg = SimConfig(dt=cfg.dt, steps=budget, ramp_steps=ek.to_steps(t_ramp, cfg.dt))
@@ -720,7 +710,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     def advance_all():
         for op in model.region_ops:
             name = op.decl.name
-            thev = thevenin_extract(case, model.main_pf, faults, op.decl.boundary_bus)
+            thev = thevenin_extract(case, main_pf, faults, op.decl.boundary_bus)
             net, _ = attach_thevenin(hold_rotors(build_region_net(op, case.frequency_hz)),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,
@@ -736,7 +726,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
         "ipf": {"status": trace.status, "outer_iterations": trace.outer_iterations,
                 "phi_norms": trace.phi_norms(),
                 "inner_iterations": [r.inner_iters for r in trace.rows]},
-        "boundary": model.boundary_state.to_dict(),
+        "boundary": state.to_dict(),
         "t_ramp": t_ramps,
         "ready_steps": ready_steps,
         "adjusted_steps": dict(adjusted),
@@ -788,7 +778,8 @@ def save_snapshot(snap: Snapshot, path: str | Path) -> None:
     "subsystem", "timestamp_steps", "dt", "frequency_hz", "provenance",
     "parts", "state" (each of STATE_FIELDS as nested lists) and
     "boundary_phasors" (bus: [|V|, angle V, |I|, angle I]).  json writes
-    every float in its shortest exact form, -0.0 and NaN included."""
+    every float in its shortest exact form, -0.0 included; `load_snapshot`
+    refuses a file with a NaN or infinite number."""
     st = snap.emt_state
     doc = {"version": 3, "subsystem": snap.subsystem,
            "timestamp_steps": int(snap.timestamp_steps), "dt": st.dt,
@@ -804,8 +795,8 @@ def load_snapshot(path: str | Path) -> Snapshot:
     """Read a file `save_snapshot` wrote.  A missing file raises
     FileNotFoundError; any other that is not a version-3 snapshot (not a
     JSON object, an earlier version, a key missing, a value of the wrong
-    type, an array whose shape disagrees with its ids) raises
-    IncompatibleSnapshot."""
+    type, an array whose shape disagrees with its ids, a number that is
+    NaN or infinite) raises IncompatibleSnapshot."""
     try:
         doc = json.loads(Path(path).read_bytes())
         if doc.get("version") != 3:
@@ -831,8 +822,12 @@ def load_snapshot(path: str | Path) -> Snapshot:
 
 
 def _floats(name: str, value, shape: tuple[int, ...]) -> np.ndarray:
-    """A snapshot file's numbers as a float array of the given shape."""
+    """A snapshot file's numbers as a float array of the given shape, every
+    one finite."""
     out = np.array(value)
     if out.dtype.kind not in "fi" or out.shape != shape:
         raise TypeError(f"{name} is not numbers of shape {shape}")
-    return out.astype(float)
+    out = out.astype(float)
+    if not np.isfinite(out).all():
+        raise ValueError(f"{name} holds a number that is not finite")
+    return out

@@ -137,6 +137,5 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
     return PowerFlowSolution(
         bus_ids=tuple(ids), vm=vm, va=va,
         p_calc=s.real.copy(), q_calc=s.imag.copy(),
-        iterations=iterations, converged=True,
-        max_mismatch=history[-1], mismatch_history=history,
+        iterations=iterations, max_mismatch=history[-1], mismatch_history=history,
     )

@@ -191,7 +191,7 @@ def test_criterion_5_steady_state_hold(hybrid_comparison):
                       init=res.snapshot.emt_state)
     worst_hold = 0.0
     for b in c["probes"]:
-        target = res.model.main_pf.voltage(b).magnitude
+        target = res.model.boundary_state.main_solution.voltage(b).magnitude
         rms = cycle_rms(waves, f"{b}.a", n_cycle, last_only=False)
         worst_hold = max(worst_hold, float(np.max(np.abs(rms - target)) / target))
 
@@ -236,7 +236,7 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     res = ninebus1_pipeline
     dt = 5e-5
     n_cycle = int(round(ninebus1.period / dt))
-    main_net = sn.build_main_net(ninebus1, res.model.main_pf)
+    main_net = sn.build_main_net(ninebus1, res.model.boundary_state.main_solution)
     region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
     full = res.model.full_net
 

@@ -13,6 +13,7 @@ import emtgis.emtkernel as ek
 import emtgis.powerflow as powerflow_module
 from emtgis import snapshot as sn
 from emtgis.cli import average_relative_deviation
+from emtgis.errors import IncompatibleSnapshot
 
 from conftest import (case_path, cli_env, doc_with, overloaded_hybrid_doc,
                       phasor_consistency_error)
@@ -235,6 +236,35 @@ class TestSimulate:
         assert out.returncode == 4
         assert_one_line_error(out)
         assert "not a balanced set" in out.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("where, value", [
+        (("state", "v_nodes", 3), [math.nan] * 3),
+        (("state", "machine_delta", 0), math.inf),
+        (("dt",), math.nan),
+        (("frequency_hz",), math.nan),
+        (("boundary_phasors", "B10", 2), math.nan),
+    ], ids=["node-voltage", "machine-delta", "dt", "frequency", "boundary-phasor"])
+    def test_non_finite_snapshot_maps_to_exit_4(self, hybrid_comparison, tmp_path,
+                                                where, value):
+        # Once loaded, a NaN node voltage ran to a waveforms.csv of NaN, an
+        # infinite rotor angle warned from numpy, and a NaN dt passed the dt
+        # check, each with exit 0.
+        path = tmp_path / "snapshot.json"
+        sn.save_snapshot(hybrid_comparison["result"].snapshot, path)
+        doc = read_json(path)
+        *keys, last = where
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IncompatibleSnapshot, match="not finite"):
+            sn.load_snapshot(path)
+        out = run_cli("simulate", case_path("hybrid"), "--snapshot", path,
+                      "--duration", "0.02", "--out", tmp_path / "out")
+        assert out.returncode == 4
+        assert_one_line_error(out)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("machines", [

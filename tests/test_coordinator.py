@@ -30,7 +30,7 @@ from emtgis.errors import (
     ResidualEvaluationError,
     SingularJacobian,
 )
-from emtgis.grbc import internal_power_flow, parse_declaration
+from emtgis.grbc import evaluate, parse_declaration
 from emtgis.netmodel import BusKind, BusRecord, Phasor, load_case, parse_case
 from emtgis.powerflow import (
     DECOUPLED_MIN_BUSES,
@@ -454,7 +454,7 @@ class TestDataBuiltOnFirstUse:
             assert numpy_leaves({key: value for key, value in vars(problem).items()
                                  if key != "case"}) == []
         decl = load_case(path).grbcs[0]
-        sol = internal_power_flow(decl, Phasor(1.0, 0.1))
+        sol = evaluate(decl, Phasor(1.0, 0.1)).internal_pf
         assert numpy_leaves(vars(sol)) == []
         assert main.scalar is None and "arrays" in vars(main)
         if k is None:

@@ -271,7 +271,7 @@ class TestNumericalContracts:
     def test_companion_replay_is_bit_exact_on_region_with_machine(self, ninebus3,
                                                                     ninebus3_model):
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
-        pf = ninebus3_model.main_pf
+        pf = ninebus3_model.boundary_state.main_solution
         bus = op.decl.boundary_bus
         thev = sn.thevenin_extract(ninebus3, pf,
                                    sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]), bus)
@@ -370,7 +370,7 @@ class TestAffineStepEquivalence:
     def test_matches_reference_with_swinging_machine(self, hybrid, hybrid_model):
         net = hybrid_model.full_net
         dt = 5e-5
-        snap = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt)
+        snap = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt)
         init = snap.emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         reference = ReferenceNet(net, dt)
@@ -456,7 +456,7 @@ class TestLoopEquivalence:
 
     def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
         net, dt = hybrid_model.full_net, 5e-5
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, steps=300, record=record,
@@ -471,7 +471,7 @@ class TestLoopEquivalence:
 
     def test_run_until_steady_with_ramp_on_region_net(self, ninebus3, ninebus3_model):
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
-        pf = ninebus3_model.main_pf
+        pf = ninebus3_model.boundary_state.main_solution
         bus = op.decl.boundary_bus
         thev = sn.thevenin_extract(ninebus3, pf,
                                    sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]), bus)
@@ -502,7 +502,7 @@ def region_net(case, model, name):
     """A region behind its Thevenin equivalent, as the pipeline ramps it,
     and the detector's probes."""
     op = next(o for o in model.region_ops if o.decl.name == name)
-    pf = model.main_pf
+    pf = model.boundary_state.main_solution
     bus = op.decl.boundary_bus
     thev = sn.thevenin_extract(case, pf, sn.fault_currents(sn.build_main_net(case, pf), [bus]),
                                bus)
@@ -648,7 +648,7 @@ class TestHistoryCurrentState:
                              ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
     def test_fault_with_swinging_machine(self, hybrid, hybrid_model, fault_step):
         net, dt = hybrid_model.full_net, self.DT
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, dt).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, steps=900, record=record,
@@ -731,7 +731,8 @@ def start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison):
         return (hybrid_comparison["result"].model.full_net,
                 hybrid_comparison["result"].snapshot.emt_state)
     net = (two_machine_net, three_machine_net)[count - 2](hybrid_model.full_net)
-    return net, sn.phasor_init(hybrid, hybrid_model.main_pf, net, 5e-5).emt_state
+    return net, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+                               net, 5e-5).emt_state
 
 
 class TestSwingRelaxation:
@@ -759,7 +760,8 @@ class TestSwingRelaxation:
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
         net = two_machine_net(hybrid_model.full_net)
-        init = sn.phasor_init(hybrid, hybrid_model.main_pf, net, self.DT).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+                              net, self.DT).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
                            fault=ek.SimEvent(250, "B7", 0.02))
@@ -777,7 +779,8 @@ class TestSwingRelaxation:
         # and over 150, which end in a chunk of 50.
         two = two_machine_net(hybrid_model.full_net)
         starts = [self.gis_start(hybrid_comparison),
-                  (two, sn.phasor_init(hybrid, hybrid_model.main_pf, two, self.DT).emt_state)]
+                  (two, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+                                       two, self.DT).emt_state)]
         for (net, init), steps in itertools.product(starts, [10000, 150]):
             ends = [ek.run(net, ek.SimConfig(dt=self.DT, steps=steps,
                                              record=record), init=init)[1]

@@ -188,9 +188,11 @@ class TestPhasorSolveReference:
         injections, and each net with one boundary pinned to ground as the
         Thevenin solve pins it."""
         case, model = bundled_models[name]
-        pf = model.main_pf
-        draws = {bus: -sn.machine_port_current(complex(p, q), pf.voltage(bus).rect)
-                 for bus, (p, q) in model.draws.items()}
+        state = model.boundary_state
+        pf = state.main_solution
+        draws = {bus: -sn.machine_port_current(complex(state.p[i], state.q[i]),
+                                               pf.voltage(bus).rect)
+                 for i, bus in enumerate(state.bus_ids)}
         assert draws
         for net, injections in ((sn.build_main_net(case, pf), draws),
                                 (model.full_net, None)):
@@ -242,7 +244,7 @@ class TestThevenin:
 
     def test_equivalent_satisfies_measurement_identity(self, ninebus1,
                                                        ninebus1_pipeline):
-        pf = ninebus1_pipeline.model.main_pf
+        pf = ninebus1_pipeline.model.boundary_state.main_solution
         th = sn.thevenin_extract(ninebus1, pf,
                                  sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
         p, q = boundary_injections(pf, ninebus1)["B10"]
@@ -256,7 +258,7 @@ class TestThevenin:
         phasor network reproduces the coordinated boundary state."""
         res = ninebus1_pipeline
         op = res.model.region_ops[0]
-        pf = res.model.main_pf
+        pf = res.model.boundary_state.main_solution
         th = sn.thevenin_extract(ninebus1, pf,
                                  sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
         region = sn.build_region_net(op, 50.0)
@@ -296,7 +298,7 @@ class TestFaultTable:
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
     def test_every_boundary_of_every_bundled_case(self, name, request):
         case = request.getfixturevalue(name)
-        pf = sn.system_model(case, sn.PipelineConfig(dt=5e-5)).main_pf
+        pf = sn.system_model(case, sn.PipelineConfig(dt=5e-5)).boundary_state.main_solution
         net = sn.build_main_net(case, pf)
         buses = [g.boundary_bus for g in case.grbcs]
         faults = sn.fault_currents(net, buses)
@@ -431,7 +433,7 @@ def split_setup(ninebus1, ninebus1_pipeline):
     case = ninebus1
     dt = 5e-5
     n_cycle = int(round(case.period / dt))
-    main_net = sn.build_main_net(case, res.model.main_pf)
+    main_net = sn.build_main_net(case, res.model.boundary_state.main_solution)
     region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
     full = res.model.full_net
 
@@ -502,7 +504,8 @@ class TestSplice:
         _, good_dev = sn.splice({"main": main, "wind1": region_two}, sched,
                                 s["full"], s["dt"])
 
-        v_peak = ek.SQRT2 * s["res"].model.main_pf.voltage("B10").magnitude
+        main_pf = s["res"].model.boundary_state.main_solution
+        v_peak = ek.SQRT2 * main_pf.voltage("B10").magnitude
         assert max(bad_dev.values()) > 1.5 * v_peak  # near twice the peak
         assert max(good_dev.values()) <= max(bad_dev.values()) / 100.0
 
@@ -612,7 +615,7 @@ class TestPipeline:
                           ek.SimConfig(dt=5e-5, steps=2000, record=["B2"]),
                           init=result.snapshot.emt_state)
         rms = cycle_rms(waves, "B2.a", 400, last_only=False)
-        target = result.model.main_pf.voltage("B2").magnitude
+        target = result.model.boundary_state.main_solution.voltage("B2").magnitude
         assert np.max(np.abs(rms - target)) / target < 1e-3
 
     def test_zero_region_case_coordinates_to_the_main_solve(self, twobus):
@@ -621,12 +624,13 @@ class TestPipeline:
         model = sn.system_model(twobus, sn.PipelineConfig(dt=5e-5))
         direct = solve_main(PowerFlowProblem(twobus), tol=MAIN_PF_TOL,
                             max_iter=MAIN_PF_MAX_ITER)
+        main_pf = model.boundary_state.main_solution
         for name in ("vm", "va", "p_calc", "q_calc"):
-            assert np.array_equal(getattr(model.main_pf, name), getattr(direct, name)), name
-        assert model.main_pf.mismatch_history == direct.mismatch_history
+            assert np.array_equal(getattr(main_pf, name), getattr(direct, name)), name
+        assert main_pf.mismatch_history == direct.mismatch_history
         assert model.ipf_trace.status == "converged"
         assert model.ipf_trace.outer_iterations == 1
-        assert model.draws == {} and model.boundary_state.to_dict() == {}
+        assert model.boundary_state.bus_ids == () and model.boundary_state.to_dict() == {}
 
     def test_reports_have_the_same_keys_with_or_without_regions(self, twobus,
                                                                 ninebus1_pipeline):
@@ -697,6 +701,45 @@ class TestPipeline:
         monkeypatch.setattr(sn, "build_main_net", counted)
         sn.run_emtgis(hybrid, sn.PipelineConfig(dt=5e-5))
         assert calls == [hybrid.name]
+
+
+class TestOneOperatingPoint:
+    """`system_model` reads every region's operating point from the state
+    `jfng_solve` converged to: a white-box region's internal power flow is
+    the one the coordinator's last residual solved, not a second solve."""
+
+    @pytest.mark.parametrize("name", ["ninebus3", "hybrid"])
+    def test_no_region_is_solved_after_coordination(self, name, request, monkeypatch):
+        case = request.getfixturevalue(name)
+        states, late = [], []
+        real_jfng, real_solve = sn.jfng_solve, grbc_module.powerflow.solve_main
+
+        def jfng(*args, **kwargs):
+            out = real_jfng(*args, **kwargs)
+            states.append(out[0])
+            return out
+
+        def solve(problem, *args, **kwargs):
+            if states and problem.case.name != case.name:
+                late.append(problem.case.name)
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sn, "jfng_solve", jfng)
+        monkeypatch.setattr(grbc_module.powerflow, "solve_main", solve)
+        model = sn.system_model(case, sn.PipelineConfig(dt=5e-5))
+        assert late == []
+        (state,) = states
+        assert model.boundary_state is state
+        white = 0
+        for op, evaluation in zip(model.region_ops, state.evaluations, strict=True):
+            assert op.evaluation is evaluation
+            if op.decl.kind is GrbcKind.WHITE_BOX_NETWORK:
+                white += 1
+                assert evaluation.internal_pf is not None
+                assert evaluation.internal_pf.bus_ids == op.decl.pf_problem.bus_ids
+            else:
+                assert evaluation.internal_pf is None
+        assert white
 
 
 class TestRegionNamespace:
@@ -996,7 +1039,7 @@ class TestSnapshotFile:
                           ek.SimConfig(dt=5e-5, steps=1000, record=["B10"]),
                           init=back.emt_state)
         rms = cycle_rms(waves, "B10.a", 400)
-        target = ninebus1_pipeline.model.main_pf.voltage("B10").magnitude
+        target = ninebus1_pipeline.model.boundary_state.main_solution.voltage("B10").magnitude
         assert rms == pytest.approx(target, rel=1e-3)
 
 
