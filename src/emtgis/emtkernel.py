@@ -302,20 +302,23 @@ class EmtState:
 
 
 def check_compatible(net: EmtNet, dt: float, state: EmtState) -> None:
-    """Raise IncompatibleSnapshot unless `state` is a state of `net` at dt
-    whose phases are balanced sets: the zero-sequence part (sum over the
-    phases) of v_nodes and of elem_i may reach ZERO_SEQUENCE_TOL = 1e-9 of
-    the array's peak, no more, as a loop's two axes drop it."""
+    """Raise IncompatibleSnapshot unless `state` is a finite state of `net`
+    at dt whose phases are balanced sets: the zero-sequence part of v_nodes
+    and of elem_i (sum over the phases) may reach ZERO_SEQUENCE_TOL = 1e-9
+    of the array's peak, no more, as a loop's two axes drop it."""
     if state.node_ids != net.nodes:
         raise IncompatibleSnapshot("node set differs from network")
     if state.element_ids != tuple(e.eid for e in net.elements):
         raise IncompatibleSnapshot("element set differs from network")
     if state.machine_ids != tuple(m.mid for m in net.machines):
         raise IncompatibleSnapshot("machine set differs from network")
-    if abs(state.dt - dt) > 1e-18:
+    if not abs(state.dt - dt) <= 1e-18:
         raise IncompatibleSnapshot(
             f"snapshot dt {state.dt} differs from configured dt {dt}"
         )
+    for name, x in vars(state).items():  # its arrays, dt checked above
+        if isinstance(x, np.ndarray) and not np.isfinite(x).all():
+            raise IncompatibleSnapshot(f"the snapshot's {name} holds a non-finite number")
     for name, x in (("v_nodes", state.v_nodes), ("elem_i", state.elem_i)):
         if np.abs(x.sum(axis=1)).max(initial=0.0) > ZERO_SEQUENCE_TOL * np.abs(x).max(initial=0.0):
             raise IncompatibleSnapshot(f"the phases of {name} are not a balanced set")

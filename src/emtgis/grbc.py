@@ -12,7 +12,7 @@ the region side, so boundary convergence is p_main + p_tilde = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -261,13 +261,14 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
     rename = {b.id: f"{decl.name}/{b.id}" for b in net.buses}
     rename[decl.boundary_bus] = decl.boundary_bus
     boundary = BusRecord(decl.boundary_bus, BusKind.BOUNDARY, base_kv=1.0)
+    # One constructor call per renamed record: `dataclasses.replace` costs more.
     return CaseFile(
         base_mva=decl.base_mva,
         frequency_hz=decl.frequency_hz,
-        buses=[boundary, *(replace(b, id=rename[b.id]) for b in net.buses)],
-        branches=[replace(br, from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
-                  for br in net.branches],
-        machines=[replace(m, bus=rename[m.bus]) for m in net.machines],
+        buses=[boundary, *(BusRecord(**{**vars(b), "id": rename[b.id]}) for b in net.buses)],
+        branches=[BranchRecord(**{**vars(br), "from_bus": rename[br.from_bus],
+                                  "to_bus": rename[br.to_bus]}) for br in net.branches],
+        machines=[MachineRecord(**{**vars(m), "bus": rename[m.bus]}) for m in net.machines],
         grbcs=[],
         name=f"{decl.name}-internal",
     )
@@ -298,15 +299,7 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
     if v <= 0.0:
         raise InvalidVoltage(f"boundary voltage magnitude must be > 0, got {v}")
     internal = None
-    if decl.kind is GrbcKind.SCRIPTED_RESPONSE:
-        try:
-            p, q = (eval_expr(e, v, th) for e in (decl.payload.p_expr, decl.payload.q_expr))
-        except (ArithmeticError, ValueError, TypeError) as exc:
-            raise _not_evaluable(decl, v_boundary, exc) from exc
-    elif decl.kind is GrbcKind.SIMPLIFIED_HVDC_TERMINAL:
-        p_eff = decl.payload.p_dc * (v / 0.9 if v < 0.9 else 1.0)
-        p, q = -p_eff, -p_eff * decl.payload.tan_phi
-    else:
+    if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         try:
             internal = powerflow.solve_main(decl.pf_problem, [v], [th],
                                             decl.payload.pf_tol, 60)
@@ -319,6 +312,14 @@ def evaluate(decl: GrbcDeclaration, v_boundary: Phasor) -> GrbcEvaluation:
         # region-side load sits on the boundary bus itself).
         p, q = internal.injection(decl.boundary_bus)
         p, q = -p, -q
+    elif decl.kind is GrbcKind.SCRIPTED_RESPONSE:
+        try:
+            p, q = (eval_expr(e, v, th) for e in (decl.payload.p_expr, decl.payload.q_expr))
+        except (ArithmeticError, ValueError, TypeError) as exc:
+            raise _not_evaluable(decl, v_boundary, exc) from exc
+    else:
+        p_eff = decl.payload.p_dc * (v / 0.9 if v < 0.9 else 1.0)
+        p, q = -p_eff, -p_eff * decl.payload.tan_phi
     if not (isinstance(p, float) and isinstance(q, float)
             and math.isfinite(p) and math.isfinite(q)):
         raise _not_evaluable(decl, v_boundary, f"it injects p = {p!r}, q = {q!r}")

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -236,9 +237,14 @@ def non_finite(subject: str, record) -> list[tuple[str, str, str]]:
     """A NonFiniteValue violation (code, subject, message) per float field
     of the dataclass `record` that is NaN or infinite, which every sign
     test here would let through."""
-    return [("NonFiniteValue", f"{subject}.{f.name}", f"{f.name} must be finite, got {value}")
-            for f in fields(record)
-            if isinstance(value := getattr(record, f.name), float) and not math.isfinite(value)]
+    return [("NonFiniteValue", f"{subject}.{name}", f"{name} must be finite, got {value}")
+            for name in _field_names(type(record))
+            if isinstance(value := getattr(record, name), float) and not math.isfinite(value)]
+
+
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
 
 
 def validate_case(case: CaseFile) -> ValidationReport:

@@ -7,10 +7,11 @@ takes a PowerFlowProblem, which holds what a solve needs of its case
 alone, and picks the method: the caller builds it once and passes it to
 every solve of that case.  Newton runs on Python complex scalars where the
 problem has at most SCALAR_MAX_UNKNOWNS unknowns (a white-box region's
-internal power flow), on numpy arrays above that; such a problem is built
-from the admittance rows in Python scalars alone, and the numpy data is
-built only where a numpy solve first reads it.  The coordinator's main
-problem solves fast-decoupled from DECOUPLED_MIN_BUSES buses on.
+internal power flow), writing its real Jacobian rows straight from the
+branch terms, with results equal bit for bit to those of the complex-row
+kernel it replaced (tests/reference_powerflow.py); on numpy arrays above
+that.  The coordinator's main problem solves fast-decoupled from
+DECOUPLED_MIN_BUSES buses on.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
@@ -214,10 +216,10 @@ class _ArrayProblem(NamedTuple):
 
 class _ScalarProblem(NamedTuple):
     """What `_newton_scalar` reads of a `PowerFlowProblem` besides its
-    admittance rows, scheduled injections and index sets, as Python
-    scalars built without numpy: the start angles (theta_0) and
-    magnitudes, the boundary positions and the DC gains of each PV or PQ
-    bus.
+    admittance rows and index sets, as Python scalars built without numpy:
+    the start angles (theta_0) and magnitudes, the unknowns' positions in
+    [theta; |V|], the boundary and the slack and boundary positions, the
+    DC gains and (i, its Y row, its scheduled P and Q) of each PV or PQ bus.
 
     The Jacobian's rows [P over pvpq; Q over pq] and columns [theta over
     pvpq; |V| over pq] share an order.  `jac_terms` holds, per PV or PQ bus
@@ -227,8 +229,11 @@ class _ScalarProblem(NamedTuple):
 
     va: tuple[float, ...]
     vm: tuple[float, ...]
+    unknowns: tuple[int, ...]
     boundary: tuple[int, ...]
+    fixed: tuple[int, ...]
     dc_gain: tuple[tuple[float, ...], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, complex], ...], float, float], ...]
     jac_terms: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int], ...]], ...]
 
 
@@ -247,12 +252,16 @@ def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
     b_col = {b: c for c, b in enumerate(boundary, 1)}
     b_uu = [[0.0] * m for _ in pvpq]
     rhs = [[problem.s_sched[i].real for i in pvpq]] + [[0.0] * m for _ in boundary]
+    jac_terms = []
     for r, i in enumerate(pvpq):
-        for k, y_ik in y_rows[i]:
+        terms = []
+        for e, (k, y_ik) in enumerate(y_rows[i]):
             if theta_col[k] >= 0:
                 b_uu[r][theta_col[k]] = -y_ik.imag
+                terms.append((e, k, theta_col[k], vm_col[k]))
             elif k in b_col:
                 rhs[b_col[k]][r] = y_ik.imag
+        jac_terms.append((i, theta_col[i], vm_col[i], tuple(terms)))
     try:
         dc = [_solve_pivoted([row[:] for row in b_uu], col, 0) for col in rhs]
     except SingularJacobian:
@@ -260,15 +269,13 @@ def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
     va = [0.0] * n
     for r, i in enumerate(pvpq):
         va[i] = dc[0][r]
-    jac_terms = tuple(
-        (i, theta_col[i], vm_col[i],
-         tuple((e, k, theta_col[k], vm_col[k]) for e, (k, _) in enumerate(y_rows[i])
-               if theta_col[k] >= 0))
-        for i in pvpq)
     return _ScalarProblem(va=tuple(va), vm=tuple(problem._start_magnitudes()),
-                          boundary=boundary,
+                          unknowns=(*pvpq, *(n + i for i in pq)), boundary=boundary,
+                          fixed=tuple(i for i in range(n) if theta_col[i] < 0),
                           dc_gain=tuple(tuple(col[r] for col in dc[1:]) for r in range(m)),
-                          jac_terms=jac_terms)
+                          rows=tuple((i, y_rows[i], problem.s_sched[i].real,
+                                      problem.s_sched[i].imag) for i in pvpq),
+                          jac_terms=tuple(jac_terms))
 
 
 def _ds_dx_views(n: int) -> tuple[np.ndarray, ...]:
@@ -333,12 +340,9 @@ def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
     start at the supplied boundary angles (flat angles where B_uu is
     singular; see `PowerFlowProblem`) and |V| 1 or the set point, so a
     solve is a pure function of its inputs (the coordinator's directional
-    differences rely on that).  The problem is only read, but for the
-    data it builds once on first use, so one serves every solve of its
-    case.  A scalar solve returns its vm, va, p_calc and q_calc as lists
-    of floats, the others as numpy arrays.  A non-finite mismatch, or an
-    overflow or invalid value on the way to one, raises NonConvergence; a
-    Jacobian with an exactly zero pivot raises SingularJacobian.
+    differences rely on that).  A non-finite mismatch, or an overflow or
+    invalid value on the way to one, raises NonConvergence; a Jacobian
+    with an exactly zero pivot raises SingularJacobian.
     """
     nb = len(problem.boundary)
     if len(vm_b) != nb or len(va_b) != nb:
@@ -413,61 +417,70 @@ def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
     `problem.scalar`, for problems of a few unknowns, where numpy's
     per-call overhead outweighs the arithmetic: the same start (its DC
     part solved on scalars, so equal to `_newton`'s up to rounding),
-    mismatch, test and update, and a solution of Python lists.  V comes
-    from cmath.rect, I = Y V sums each row's nonzeros and S = V conj(I); with
-    Q_ik = V_i conj(Y_ik V_k), the Jacobian is dS/dtheta = j(diag S - Q)
-    and dS/d|V| = (Q + diag S) / |V|_k, read at the P and Q rows, and
-    `_solve_pivoted` takes the step.  Python's OverflowError,
+    mismatch, test and update, and a solution of Python lists.  S = V
+    conj(Y V) is formed on the PV and PQ rows, and on the rest once
+    converged.  With Q_ik = V_i conj(Y_ik V_k), the P and Q rows hold
+    (Im Q, -Re Q) at theta columns and (Re Q, Im Q) / |V|_k at |V| columns,
+    and their diagonals add (-Im S_i, Re S_i) and (Re S_i, Im S_i) / |V|_i
+    (Tinney and Hart, IEEE Trans. PAS-86, 1967): the parts of j(diag S - Q)
+    and (Q + diag S) / |V|_k less the exact zeros their complex products
+    add, so every result equals the complex-row kernel's
+    (tests/reference_powerflow.py) bit for bit.  Python's OverflowError,
     ZeroDivisionError and ValueError (cmath's domain error) raise
     NonConvergence, as numpy's floating-point errors do in `_newton`."""
-    sc = problem.scalar
-    y_rows, s_sched, pvpq, pq = problem.y_rows, problem.s_sched, problem.pvpq, problem.pq
-    va, vm = list(sc.va), list(sc.vm)
-    for b, mag, ang in zip(sc.boundary, vm_b, va_b):
-        vm[b], va[b] = float(mag), float(ang)
+    sc, y_rows, pvpq = problem.scalar, problem.y_rows, problem.pvpq
+    n, n_pv, m = len(y_rows), len(pvpq) - len(problem.pq), problem.n_unknowns
+    x = [*sc.va, *sc.vm]  # [theta; |V|]
+    theta_b = list(map(float, va_b))
+    for b, mag, ang in zip(sc.boundary, vm_b, theta_b):
+        x[n + b], x[b] = float(mag), ang
     for i, gains in zip(pvpq, sc.dc_gain):
-        va[i] += sum(g * va[b] for g, b in zip(gains, sc.boundary))
-    jac_terms = sc.jac_terms
-    m = len(pvpq) + len(pq)
+        x[i] += sum(map(mul, gains, theta_b))
     history: list[float] = []
     try:
         for it in range(max_iter + 1):
-            v = [cmath.rect(r, a) for r, a in zip(vm, va)]
-            yv = [[y_ik * v[k] for k, y_ik in row] for row in y_rows]
-            s = [v_i * sum(terms).conjugate() for v_i, terms in zip(v, yv)]
-            mismatch = ([(s_sched[i] - s[i]).real for i in pvpq]
-                        + [(s_sched[i] - s[i]).imag for i in pq])
+            vm = x[n:]
+            v = list(map(cmath.rect, vm, x[:n]))
+            yv, mismatch, q_mis, s = [], [], [], [0j] * n
+            for i, row, p_sched_i, q_sched_i in sc.rows:
+                yv_i = [y_ik * v[k] for k, y_ik in row]
+                s[i] = s_i = v[i] * sum(yv_i).conjugate()
+                yv.append(yv_i)
+                mismatch.append(p_sched_i - s_i.real)
+                q_mis.append(q_sched_i - s_i.imag)
+            mismatch += q_mis[n_pv:]
             if not all(map(math.isfinite, mismatch)):
                 raise NonConvergence(it, float("inf"))
-            max_mis = max(map(abs, mismatch), default=0.0)
+            max_mis = max(map(abs, mismatch)) if m else 0.0
             history.append(max_mis)
             if max_mis <= tol:
+                for i in sc.fixed:
+                    s[i] = v[i] * sum([y_ik * v[k] for k, y_ik in y_rows[i]]).conjugate()
                 return PowerFlowSolution(
-                    bus_ids=problem.bus_ids, vm=vm, va=va,
+                    bus_ids=problem.bus_ids, vm=vm, va=x[:n],
                     p_calc=[c.real for c in s], q_calc=[c.imag for c in s],
                     iterations=it, max_mismatch=max_mis,
                     mismatch_history=history, positions=problem.positions)
             if it == max_iter:
                 break
             p_rows, q_rows = [], []
-            for i, ct_i, cv_i, terms in jac_terms:
-                v_i, yv_i, s_i = v[i], yv[i], s[i]
-                ds = [0j] * m  # [dS_i/dtheta | dS_i/d|V|] at the unknowns
+            for (i, ct_i, cv_i, terms), yv_i in zip(sc.jac_terms, yv):
+                v_i, s_i, p_row, q_row = v[i], s[i], [0.0] * m, [0.0] * m
                 for e, k, ct, cv in terms:
                     q = v_i * yv_i[e].conjugate()
-                    ds[ct] = -1j * q
+                    p_row[ct], q_row[ct] = q.imag, -q.real
                     if cv >= 0:
-                        ds[cv] = q / vm[k]
-                ds[ct_i] += 1j * s_i
-                if cv_i >= 0:
-                    ds[cv_i] += s_i / vm[i]
-                    q_rows.append([d.imag for d in ds])
-                p_rows.append([d.real for d in ds])
+                        p_row[cv], q_row[cv] = q.real / vm[k], q.imag / vm[k]
+                p_row[ct_i] -= s_i.imag
+                p_rows.append(p_row)
+                if cv_i >= 0:  # a PQ bus: its Q row too
+                    q_row[ct_i] += s_i.real
+                    p_row[cv_i] += s_i.real / vm[i]
+                    q_row[cv_i] += s_i.imag / vm[i]
+                    q_rows.append(q_row)
             step = _solve_pivoted(p_rows + q_rows, mismatch, it)
-            for r, i in enumerate(pvpq):
-                va[i] += step[r]
-            for r, i in enumerate(pq, len(pvpq)):
-                vm[i] += step[r]
+            for c, dx in zip(sc.unknowns, step):
+                x[c] += dx
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise NonConvergence(len(history), float("inf")) from exc
     raise NonConvergence(max_iter, history[-1])
@@ -475,27 +488,32 @@ def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
 
 def _solve_pivoted(a: list[list[float]], b: list[float], iteration: int) -> list[float]:
     """x with a x = b by Gaussian elimination with partial pivoting, a row
-    swap to the first largest magnitude in each column as LAPACK's getrf
-    makes; overwrites a, and b with x.  An exactly zero pivot raises
-    SingularJacobian at `iteration`, where getrf reports a singular U."""
+    swap, where the pivot moves, to the first largest magnitude in each
+    column as LAPACK's getrf makes; overwrites a, and b with x, equal bit
+    for bit to the always-swapping oracle's (tests/reference_powerflow.py).
+    An exactly zero pivot raises SingularJacobian at `iteration`, where
+    getrf reports a singular U."""
     m = len(b)
     for c in range(m):
-        piv, big = c, abs(a[c][c])
-        for r in range(c + 1, m):
+        top, rest = a[c], range(c + 1, m)
+        piv, big = c, abs(top[c])
+        for r in rest:
             if abs(a[r][c]) > big:
                 piv, big = r, abs(a[r][c])
         if big == 0.0:
             raise SingularJacobian(iteration)
-        a[c], a[piv], b[c], b[piv] = a[piv], a[c], b[piv], b[c]
-        top, b_c = a[c], b[c]
-        for r in range(c + 1, m):
+        if piv != c:
+            top = a[piv]
+            a[c], a[piv], b[c], b[piv] = top, a[c], b[piv], b[c]
+        top_c, b_c = top[c], b[c]
+        for r in rest:
             row = a[r]
-            f = row[c] / top[c]
+            f = row[c] / top_c
             if f:
-                for j in range(c + 1, m):
+                for j in rest:
                     row[j] -= f * top[j]
                 b[r] -= f * b_c
-    for c in range(m - 1, -1, -1):
+    for c in reversed(range(m)):
         row, x_c = a[c], b[c]
         for j in range(c + 1, m):
             x_c -= row[j] * b[j]

@@ -10,13 +10,21 @@ with `np.ix_` and `np.block`.
 `reference_admittance` is the dense stamping loop that
 `netmodel.admittance_rows` and `build_admittance` replaced, kept as their
 bit-for-bit oracle.
+
+`_newton_scalar` and `_solve_pivoted` are the scalar Newton kernel that
+`powerflow._newton_scalar` replaced, kept verbatim as its bit-for-bit
+oracle: it built each Jacobian row as a complex list [dS_i/dtheta |
+dS_i/d|V|] and read its real and imaginary parts.
 """
+
+import cmath
+import math
 
 import numpy as np
 
 from emtgis.errors import NonConvergence, SingularJacobian, SingularNetwork
 from emtgis.netmodel import BusKind
-from emtgis.powerflow import PowerFlowSolution
+from emtgis.powerflow import PowerFlowProblem, PowerFlowSolution
 
 
 def reference_admittance(case):
@@ -139,3 +147,99 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
         p_calc=s.real.copy(), q_calc=s.imag.copy(),
         iterations=iterations, max_mismatch=history[-1], mismatch_history=history,
     )
+
+
+def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
+                   max_iter: int) -> PowerFlowSolution:
+    """`_newton` on Python scalars, the problem's admittance rows and
+    `problem.scalar`, for problems of a few unknowns, where numpy's
+    per-call overhead outweighs the arithmetic: the same start (its DC
+    part solved on scalars, so equal to `_newton`'s up to rounding),
+    mismatch, test and update, and a solution of Python lists.  V comes
+    from cmath.rect, I = Y V sums each row's nonzeros and S = V conj(I); with
+    Q_ik = V_i conj(Y_ik V_k), the Jacobian is dS/dtheta = j(diag S - Q)
+    and dS/d|V| = (Q + diag S) / |V|_k, read at the P and Q rows, and
+    `_solve_pivoted` takes the step.  Python's OverflowError,
+    ZeroDivisionError and ValueError (cmath's domain error) raise
+    NonConvergence, as numpy's floating-point errors do in `_newton`."""
+    sc = problem.scalar
+    y_rows, s_sched, pvpq, pq = problem.y_rows, problem.s_sched, problem.pvpq, problem.pq
+    va, vm = list(sc.va), list(sc.vm)
+    for b, mag, ang in zip(sc.boundary, vm_b, va_b):
+        vm[b], va[b] = float(mag), float(ang)
+    for i, gains in zip(pvpq, sc.dc_gain):
+        va[i] += sum(g * va[b] for g, b in zip(gains, sc.boundary))
+    jac_terms = sc.jac_terms
+    m = len(pvpq) + len(pq)
+    history: list[float] = []
+    try:
+        for it in range(max_iter + 1):
+            v = [cmath.rect(r, a) for r, a in zip(vm, va)]
+            yv = [[y_ik * v[k] for k, y_ik in row] for row in y_rows]
+            s = [v_i * sum(terms).conjugate() for v_i, terms in zip(v, yv)]
+            mismatch = ([(s_sched[i] - s[i]).real for i in pvpq]
+                        + [(s_sched[i] - s[i]).imag for i in pq])
+            if not all(map(math.isfinite, mismatch)):
+                raise NonConvergence(it, float("inf"))
+            max_mis = max(map(abs, mismatch), default=0.0)
+            history.append(max_mis)
+            if max_mis <= tol:
+                return PowerFlowSolution(
+                    bus_ids=problem.bus_ids, vm=vm, va=va,
+                    p_calc=[c.real for c in s], q_calc=[c.imag for c in s],
+                    iterations=it, max_mismatch=max_mis,
+                    mismatch_history=history, positions=problem.positions)
+            if it == max_iter:
+                break
+            p_rows, q_rows = [], []
+            for i, ct_i, cv_i, terms in jac_terms:
+                v_i, yv_i, s_i = v[i], yv[i], s[i]
+                ds = [0j] * m  # [dS_i/dtheta | dS_i/d|V|] at the unknowns
+                for e, k, ct, cv in terms:
+                    q = v_i * yv_i[e].conjugate()
+                    ds[ct] = -1j * q
+                    if cv >= 0:
+                        ds[cv] = q / vm[k]
+                ds[ct_i] += 1j * s_i
+                if cv_i >= 0:
+                    ds[cv_i] += s_i / vm[i]
+                    q_rows.append([d.imag for d in ds])
+                p_rows.append([d.real for d in ds])
+            step = _solve_pivoted(p_rows + q_rows, mismatch, it)
+            for r, i in enumerate(pvpq):
+                va[i] += step[r]
+            for r, i in enumerate(pq, len(pvpq)):
+                vm[i] += step[r]
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise NonConvergence(len(history), float("inf")) from exc
+    raise NonConvergence(max_iter, history[-1])
+
+
+def _solve_pivoted(a: list[list[float]], b: list[float], iteration: int) -> list[float]:
+    """x with a x = b by Gaussian elimination with partial pivoting, a row
+    swap to the first largest magnitude in each column as LAPACK's getrf
+    makes; overwrites a, and b with x.  An exactly zero pivot raises
+    SingularJacobian at `iteration`, where getrf reports a singular U."""
+    m = len(b)
+    for c in range(m):
+        piv, big = c, abs(a[c][c])
+        for r in range(c + 1, m):
+            if abs(a[r][c]) > big:
+                piv, big = r, abs(a[r][c])
+        if big == 0.0:
+            raise SingularJacobian(iteration)
+        a[c], a[piv], b[c], b[piv] = a[piv], a[c], b[piv], b[c]
+        top, b_c = a[c], b[c]
+        for r in range(c + 1, m):
+            row = a[r]
+            f = row[c] / top[c]
+            if f:
+                for j in range(c + 1, m):
+                    row[j] -= f * top[j]
+                b[r] -= f * b_c
+    for c in range(m - 1, -1, -1):
+        row, x_c = a[c], b[c]
+        for j in range(c + 1, m):
+            x_c -= row[j] * b[j]
+        b[c] = x_c / row[c]
+    return b

@@ -1572,6 +1572,25 @@ class TestCompatibility:
         with pytest.raises(IncompatibleSnapshot, match="not a balanced set"):
             loop(net, cfg, init=moved)
 
+    @pytest.mark.parametrize("field", ["dt", "v_nodes", "elem_i", "i_hist", "machine_delta",
+                                       "machine_speed_dev", "machine_pm"])
+    @pytest.mark.parametrize("loop", [ek.run, ek.run_until_steady],
+                             ids=["run", "run_until_steady"])
+    def test_non_finite_start_state_rejected(self, hybrid_comparison, field, loop):
+        # One NaN anywhere in the hybrid init state, whose full net swings
+        # a machine: every comparison with a NaN is False, so the dt and
+        # zero-sequence tests alone would let it step.
+        net, init = TestSwingRelaxation.gis_start(hybrid_comparison)
+        state = init.copy()
+        if field == "dt":
+            state = replace(state, dt=float("nan"))
+        else:
+            getattr(state, field).flat[-1] = np.nan
+        cfg = ek.SimConfig(dt=TestSwingRelaxation.DT, steps=400, record=["B7"])
+        match = "differs from configured dt" if field == "dt" else f"{field} holds a non-finite"
+        with pytest.raises(IncompatibleSnapshot, match=match):
+            loop(net, cfg, init=state)
+
 
 class TestTwoAxisFrame:
     """A loop steps two axes and expands with K^T at its edges, so every

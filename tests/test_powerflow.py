@@ -35,6 +35,7 @@ from emtgis.powerflow import (
     solve_main,
     solve_monolithic,
 )
+import reference_powerflow
 from reference_powerflow import reference_solve_main
 
 BUNDLED = ("twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid")
@@ -506,6 +507,94 @@ class TestScalarNewton:
                             [BranchRecord("B1", "B2", 0.01, 0.1)])
         with pytest.raises(SingularJacobian):
             solve_main(problem(isolated))
+
+
+def float_bits(values):
+    """Each float as its hex string, so that -0.0 and 0.0 differ."""
+    return [float(x).hex() for x in values]
+
+
+def assert_kernel_equals_oracle(problem, vm_b, va_b, tol, max_iter):
+    """`_newton_scalar` against the complex-row kernel it replaced
+    (`reference_powerflow._newton_scalar`), on the same problem and
+    boundary phasors: the same vm, va, p_calc, q_calc, iteration count and
+    mismatch history, bit for bit, or the same failure at the same
+    iteration.  Returns the solution, or None where both fail."""
+    args = (problem, vm_b, va_b, tol, max_iter)
+    try:
+        want = reference_powerflow._newton_scalar(*args)
+    except (NonConvergence, SingularJacobian) as exc:
+        with pytest.raises(type(exc)) as failed:
+            powerflow_module._newton_scalar(*args)
+        assert vars(failed.value) == vars(exc)
+        return None
+    got = powerflow_module._newton_scalar(*args)
+    for name in ("vm", "va", "p_calc", "q_calc", "mismatch_history"):
+        assert float_bits(getattr(got, name)) == float_bits(getattr(want, name)), name
+    assert (got.iterations, got.max_mismatch) == (want.iterations, want.max_mismatch)
+    return got
+
+
+class TestScalarKernelOracle:
+    """The scalar Newton kernel writes the real Jacobian rows straight from
+    Q_ik = V_i conj(Y_ik V_k); the kernel it replaced formed complex rows
+    and read their parts.  Their arithmetic is the same, so every result
+    is equal, not close."""
+
+    @given(st.floats(0.8, 1.2), st.floats(-math.pi, math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_bundled_regions(self, vm, va):
+        for decl in TestScalarNewton.REGIONS:
+            assert assert_kernel_equals_oracle(decl.pf_problem, [vm], [va],
+                                               decl.payload.pf_tol, 60)
+
+    def test_scaled_regions_at_every_coordinated_phasor(self, monkeypatch):
+        # Every internal solve of the coordinated power flow on scaled k=8
+        # seed 1, the benchmark's `ipf_scaled` case: 24 regions of 2 or 3
+        # unknowns, each at every boundary phasor the coordinator asks for.
+        case = scaled_case(8, 1)
+        calls = []
+        kernel = powerflow_module._newton_scalar
+
+        def recorded(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(powerflow_module, "_newton_scalar", recorded)
+        jfng_solve(case, case.grbcs)
+        monkeypatch.undo()
+        assert {problem for problem, *_ in calls} == {
+            decl.pf_problem for decl in case.grbcs if decl.kind is GrbcKind.WHITE_BOX_NETWORK}
+        for args in calls:
+            assert assert_kernel_equals_oracle(*args)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, SCALAR_MAX_UNKNOWNS))
+    @settings(max_examples=80, deadline=None)
+    def test_random_problems_up_to_the_cut_off(self, seed, unknowns):
+        # Loads up to 20 times as heavy: some of these fail, and must fail
+        # alike.
+        case, volts = small_case(np.random.default_rng(seed), unknowns)
+        problem = PowerFlowProblem(case)
+        assert problem.scalar is not None
+        assert_kernel_equals_oracle(problem, *boundary_arrays(problem, volts), 1e-12, 40)
+
+    def test_failures(self):
+        # TestScalarNewton's failures: the iteration cap, a NaN load, an
+        # overflowing load, an infinite boundary angle and a singular
+        # Jacobian, each at the same iteration as the oracle.
+        wind1 = internal_pf_case(load_case(case_path("ninebus1")).grbcs[0])
+        isolated = CaseFile(100.0, 50.0,
+                            [BusRecord("B1", BusKind.SLACK, 230.0, v_set=1.0),
+                             BusRecord("B2", BusKind.PQ, 230.0, p_load=0.1),
+                             BusRecord("B3", BusKind.PQ, 230.0, shunt_b=0.1)],
+                            [BranchRecord("B1", "B2", 0.01, 0.1)])
+        for case, vm_b, va_b in [(two_bus(load_p=50.0), [], []),
+                                 (two_bus(load_p=float("nan")), [], []),
+                                 (two_bus(load_p=1e200), [], []),
+                                 (wind1, [1.0], [float("inf")]),
+                                 (isolated, [], [])]:
+            assert assert_kernel_equals_oracle(PowerFlowProblem(case), vm_b, va_b,
+                                               1e-8, 30) is None
 
 
 def boundary_x(volts, bus_ids):
