@@ -18,17 +18,18 @@ malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period or leaves fewer than 4 steps per period; a
 --probes that names no probe; a --window, --duration, --settle-cap or
 --t-ramp that rounds to 0 steps; a simulate --fault at or after the run's
-end; a --t-ramp at or past --ramp-budget or past --settle-cap; a compare
---fault on a bus the case lacks; a compare window that starts before its
-initialized snapshot; a run too large for memory), 2 coordination failed,
-3 pipeline stage failure or any other emtgis error, 4 incompatible or
-unreadable snapshot (its nodes, elements, machines or dt differ from the
-case's, it is no version-3 snapshot file, or one of its numbers is NaN or
-infinite) or a start state whose phases are not a balanced set, 5
-zero-state comparison run failed to settle.  A failure prints one
-`error:` line; an input error writes nothing, not even
---out, a failed run its trace.csv (coordination) or report.json (stage)
-if it has one.
+end; a region ramp, --t-ramp or else two cycles, at or past --ramp-budget;
+a compare zero-state ramp, --t-ramp or else two cycles (0.5 s with a
+swinging machine), past --settle-cap; a compare --fault on a bus the case
+lacks; a compare window that starts before its initialized snapshot; a
+run too large for memory), 2 coordination failed, 3 pipeline stage
+failure or any other emtgis error, 4 incompatible or unreadable snapshot
+(its nodes, elements, machines or dt differ from the case's, it is no
+version-3 snapshot file, or one of its numbers is NaN or infinite) or a
+start state whose phases are not a balanced set, 5 zero-state comparison
+run failed to settle.  A failure prints one `error:` line; an input error
+writes nothing, not even --out, a failed run its trace.csv (coordination)
+or report.json (stage) if it has one.
 """
 
 from __future__ import annotations
@@ -217,9 +218,6 @@ def _jfng_config(args) -> JfngConfig:
 def _pipeline_config(args) -> sn.PipelineConfig:
     if args.t_ramp is not None:
         _steps(args, "t_ramp")
-        if args.t_ramp >= args.ramp_budget:
-            raise ValueError(f"--t-ramp {args.t_ramp} s is not shorter than "
-                             f"--ramp-budget {args.ramp_budget} s")
     return sn.PipelineConfig(dt=args.dt, t_ramp=args.t_ramp, ramp_budget=args.ramp_budget,
                              jfng=_jfng_config(args))
 
@@ -377,15 +375,16 @@ def cmd_compare(args) -> int:
     probes = _probes(args, case)
     window_steps = _steps(args, "window")
     settle_steps = _steps(args, "settle_cap")
-    if args.t_ramp is not None and args.t_ramp > args.settle_cap:
-        raise ValueError(f"--t-ramp {args.t_ramp} s is past --settle-cap {args.settle_cap} s")
 
     gis = sn.run_emtgis(case, _pipeline_config(args))
     full_net = gis.model.full_net
     if fault is not None and fault.target not in full_net.nodes:
         raise UnknownBus(f"fault targets unknown node '{fault.target}'")
+    if (t_zero := sn.ramp_length(full_net, args.t_ramp)) > args.settle_cap:
+        raise ValueError(f"the zero-state ramp of {t_zero} s is past --settle-cap "
+                         f"{args.settle_cap} s")
     settle_cfg = ek.SimConfig(dt=args.dt, steps=settle_steps, record=probes)
-    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg, args.t_ramp)
+    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg, t_zero)
 
     cycles = ek.to_steps(case.period, args.dt)
     w0_step = ((zero_state.step // cycles) + 2) * cycles

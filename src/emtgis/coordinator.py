@@ -176,7 +176,7 @@ class BoundaryLayout(NamedTuple):
 
 
 def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray,
-             layout: BoundaryLayout | None = None) -> BoundaryState:
+             layout: BoundaryLayout) -> BoundaryState:
     """Evaluate both torn sides at the boundary voltages packed in x.
 
     `problem` is the torn main system's PowerFlowProblem, decoupled as
@@ -187,7 +187,7 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray,
     angle: on Python scalars where the region has at most
     SCALAR_MAX_UNKNOWNS unknowns, as every bundled one does.
     `layout` is `BoundaryLayout.build(problem, grbcs)`, which `jfng_solve`
-    builds once for all its calls; without it the call builds its own.
+    builds once for all its calls.
     Both sides see the *same* voltages and run one after another in
     declaration order, so the assembled residual is deterministic.
     """
@@ -198,7 +198,7 @@ def residual(problem: PowerFlowProblem, grbcs, x: np.ndarray,
     if np.any(x[:n] <= 0.0):
         raise InvalidVoltage("all boundary voltage magnitudes must be positive")
 
-    bus_ids, order, rows, p_load, q_load = layout or BoundaryLayout.build(problem, grbcs)
+    bus_ids, order, rows, p_load, q_load = layout
     try:
         sol = solve_main(problem, x[order], x[n + order], MAIN_PF_TOL, MAIN_PF_MAX_ITER)
     except SOLVE_FAILURES as exc:

@@ -1098,22 +1098,17 @@ class ProbeSet:
         """The probe values of a state, one per key."""
         return np.vstack([state.v_nodes, state.elem_i])[self.rows].ravel()
 
-    def sample(self, stack: np.ndarray, out: np.ndarray | None = None,
-               ramped: int = 0) -> np.ndarray:
-        """The probe values at the steps after a stack of buffers (steps, 2,
-        rows), one row per key and one column per buffer, written into out
-        when given.
+    def sample(self, stack: np.ndarray, out: np.ndarray, ramped: int) -> None:
+        """Write into out the probe values at the steps after a stack of
+        buffers (steps, 2, rows), one row per key and one column per buffer.
 
         The first `ramped` buffers step into the ramp, the others after
         it.  Each part is one product with that output map's probe rows.
         """
-        if out is None:
-            out = np.empty((len(self.keys), len(stack)))
         for part, o_p in zip((slice(None, ramped), slice(ramped, None)),
                              self.maps):
             if len(stack[part]):
                 np.matmul(o_p, stack[part].reshape(-1, o_p.shape[1]).T, out=out[:, part])
-        return out
 
 
 @dataclass
@@ -1243,14 +1238,12 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
 # --- phasor-domain solves on the same network ------------------------------------
 
 
-def nodal_system(net: EmtNet, pinned: dict[str, complex] | None = None,
-                 dt: float | None = None) -> tuple[np.ndarray, ...]:
+def nodal_system(net: EmtNet, dt: float | None = None) -> tuple[np.ndarray, ...]:
     """`phasor_solve`'s nodal system, before injections: (y, f, t, ymat, v,
     known, unknown), the element admittances, their terminals, Y stamped
     from them (ground last), the phasors pinned at the `known` node
     indices (zero elsewhere) and the other indices, ascending."""
     omega = net.omega
-    index = {nid: i for i, nid in enumerate(net.nodes)}
     n = len(net.nodes)
     if dt is None:
         y = np.array([continuous_admittance(e.kind, e.value, omega) for e in net.elements],
@@ -1268,23 +1261,20 @@ def nodal_system(net: EmtNet, pinned: dict[str, complex] | None = None,
     values = ([cmath.rect(s.rms, s.angle) for s in net.sources]
               + [cmath.rect(m.emf_rms, m.delta0) for m in net.machines])
     pins = dict(zip(pinned_nodes(net), values))
-    pins.update((index[nid], ph) for nid, ph in (pinned or {}).items())
     known = np.array(sorted(pins), dtype=int)
     v = np.zeros(n + 1, dtype=complex)
     v[known] = [pins[k] for k in known]
     return y, f, t, ymat, v, known, np.delete(np.arange(n), known)
 
 
-def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
-                 injections: dict[str, complex] | None = None,
+def phasor_solve(net: EmtNet, injections: dict[str, complex] | None = None,
                  dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Single-frequency nodal solve of the network at its fundamental.
 
     The net pins its own nodes (`pinned_nodes`): each source's node at the
     source's RMS phasor, then each machine's EMF node at its build-time
-    EMF; a node pinned twice takes its last value.  `pinned` only adds
-    nodes, node id to RMS phasor, after them.  injections add RMS current
-    sources into nodes.  With dt given, element admittances are the
+    EMF; a node pinned twice takes its last value.  injections add RMS
+    current sources into nodes.  With dt given, element admittances are the
     discrete-companion effective values (g + h z)/(1 - j z), z =
     exp(-j w dt), so the result is the exact periodic steady state of the
     stepped kernel; otherwise continuous jw admittances are used.  Y is
@@ -1294,7 +1284,7 @@ def phasor_solve(net: EmtNet, pinned: dict[str, complex] | None = None,
     and net.elements order, element currents oriented from n_from to
     n_to.
     """
-    y, f, t, ymat, v, known, unknown = nodal_system(net, pinned, dt)
+    y, f, t, ymat, v, known, unknown = nodal_system(net, dt)
     inj = np.zeros_like(v)
     for nid, cur in (injections or {}).items():
         inj[net.nodes.index(nid)] += cur

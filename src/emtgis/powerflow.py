@@ -3,15 +3,8 @@
 The torn main system is solved with its boundary buses held at
 coordinator-supplied phasors (slack-like), and the whole un-torn network
 can be solved monolithically as an independent reference.  Every solve
-takes a PowerFlowProblem, which holds what a solve needs of its case
-alone, and picks the method: the caller builds it once and passes it to
-every solve of that case.  Newton runs on Python complex scalars where the
-problem has at most SCALAR_MAX_UNKNOWNS unknowns (a white-box region's
-internal power flow), writing its real Jacobian rows straight from the
-branch terms, with results equal bit for bit to those of the complex-row
-kernel it replaced (tests/reference_powerflow.py); on numpy arrays above
-that.  The coordinator's main problem solves fast-decoupled from
-DECOUPLED_MIN_BUSES buses on.
+takes the PowerFlowProblem of its case, built once; `solve_main` picks
+the method.
 """
 
 from __future__ import annotations
@@ -50,16 +43,12 @@ class PowerFlowSolution:
     q_calc: np.ndarray | list[float]
     iterations: int
     max_mismatch: float
-    mismatch_history: list[float] = field(default_factory=list)
-    # {bus id: position}; a solve passes its problem's, built once.
-    positions: dict[str, int] | None = field(default=None, repr=False, compare=False)
+    mismatch_history: list[float]
+    # {bus id: position}: its problem's, built once.
+    positions: dict[str, int] = field(repr=False, compare=False)
     # Not a field: a solve that fails raises, so every solution converged.
     # The benchmark's scaled-case set-up still reads it (bench/run.py).
     converged = True
-
-    def __post_init__(self):
-        if self.positions is None:
-            self.positions = {bid: i for i, bid in enumerate(self.bus_ids)}
 
     def index(self, bus_id: str) -> int:
         return self.positions[bus_id]
@@ -84,12 +73,10 @@ class PowerFlowSolution:
 
 
 class PowerFlowProblem:
-    """What a power flow of `case` needs that depends on the case alone,
-    built once: the bus ids, the admittance rows (`admittance_rows`), the
-    Newton index sets, the scheduled injections, the boundary rows and the
-    DC-angle start.  `solve_main` reads it and never writes it but for
-    the data it builds on first use, so one problem serves every solve of
-    its case; the case must not change after it.
+    """What a power flow of `case` needs that depends on the case alone.
+    `solve_main` reads it and never writes it but for the data it builds
+    on first use, so one problem serves every solve of its case; the case
+    must not change after it.
 
     The start is a DC power flow (Stott, Jardim and Alsac, "DC power flow
     revisited", 2009): with B = -Im(Y), the PV and PQ angles u solve
@@ -99,19 +86,11 @@ class PowerFlowProblem:
     boundary angles.  Where B_uu is singular both are zero, the flat start.
 
     A problem of at most SCALAR_MAX_UNKNOWNS unknowns (a white-box
-    region's internal power flow) is built in Python scalars alone:
-    `scalar` holds its data, DC start included, for `_newton_scalar`.
-    Above that `scalar` is None.  `arrays`, the numpy data of `_newton`,
-    `_fast_decoupled` and `boundary_sensitivity` (the dense Y scattered by
-    `build_admittance`, the gathers and the start), is built on first use,
-    so a problem on the scalar path never builds it.
-
-    `decoupled` (the coordinator's main problem asks for it) holds only
-    from DECOUPLED_MIN_BUSES buses on.  There `b_inv` holds the inverses
-    of B' = B_uu and B'' = B over the PQ buses, the fast-decoupled
-    matrices of Stott and Alsac (IEEE Trans. PAS-93, 1974), inverted on
-    first use; below it, or where either is singular, `b_inv` is None and
-    `solve_main` runs Newton.
+    region's internal power flow) holds its data, DC start included, in
+    Python scalars (`scalar`, else None).  `arrays`, the numpy data, and
+    `b_inv` are built on first use, so a problem on the scalar path never
+    builds them.  `decoupled` (the coordinator's main problem asks for
+    it) holds only from DECOUPLED_MIN_BUSES buses on.
     """
 
     def __init__(self, case: CaseFile, decoupled: bool = False):
@@ -178,8 +157,10 @@ class PowerFlowProblem:
 
     @cached_property
     def b_inv(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """The inverses of B' and B'' where the problem is `decoupled` and
-        both are regular, else None; inverted on first use."""
+        """The inverses of B' = B_uu and B'' = B over the PQ buses, the
+        fast-decoupled matrices of Stott and Alsac (IEEE Trans. PAS-93,
+        1974), where the problem is `decoupled` and both are regular, else
+        None."""
         if not self.decoupled:
             return None
         a = self.arrays
@@ -238,9 +219,8 @@ class _ScalarProblem(NamedTuple):
 
 
 def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
-    """`problem`'s `_ScalarProblem`.  Its DC start solves B_uu against the
-    real scheduled injections and against -B_ub's column of each boundary
-    bus by `_solve_pivoted`; a zero pivot gives the flat start."""
+    """`problem`'s `_ScalarProblem`, its DC start solved by
+    `_solve_pivoted`; a zero pivot gives the flat start."""
     y_rows, pvpq, pq = problem.y_rows, problem.pvpq, problem.pq
     n, m = len(y_rows), len(pvpq)
     boundary = tuple(i for i, _ in problem.boundary)
@@ -332,17 +312,14 @@ def solve_main(problem: PowerFlowProblem, vm_b=(), va_b=(), tol: float = 1e-8,
 
     Slack and Boundary buses keep their phasors exactly; PV buses hold
     magnitude; the remaining unknowns are solved by `_fast_decoupled`
-    with the problem's `b_inv` (a problem built `decoupled` of at least
-    DECOUPLED_MIN_BUSES buses), else, or where that does not converge, by
-    full-Jacobian polar NR: `_newton_scalar` on Python scalars where the
-    problem holds `scalar` (at most SCALAR_MAX_UNKNOWNS unknowns), else
-    `_newton` on numpy arrays.  Each starts from the problem's DC-angle
-    start at the supplied boundary angles (flat angles where B_uu is
-    singular; see `PowerFlowProblem`) and |V| 1 or the set point, so a
-    solve is a pure function of its inputs (the coordinator's directional
-    differences rely on that).  A non-finite mismatch, or an overflow or
-    invalid value on the way to one, raises NonConvergence; a Jacobian
-    with an exactly zero pivot raises SingularJacobian.
+    where the problem has `b_inv`, else, or where that does not converge,
+    by full-Jacobian polar NR: `_newton_scalar` where the problem holds
+    `scalar`, else `_newton` on numpy arrays.  Each starts from the
+    problem's DC-angle start and |V| 1 or the set point, so a solve is a
+    pure function of its inputs (the coordinator's directional differences
+    rely on that).  A non-finite mismatch, or an overflow or invalid value
+    on the way to one, raises NonConvergence; a Jacobian with an exactly
+    zero pivot raises SingularJacobian.
     """
     nb = len(problem.boundary)
     if len(vm_b) != nb or len(va_b) != nb:
@@ -374,9 +351,7 @@ def _start(problem: PowerFlowProblem, vm_b, va_b) -> np.ndarray:
 def _newton(problem: PowerFlowProblem, x: np.ndarray, tol: float,
             max_iter: int) -> PowerFlowSolution:
     """`solve_main`'s Newton iterations on numpy arrays from the start x =
-    [theta; |V|].  An iteration is O(n^2) before its LU: dS/dV by
-    `_fill_ds_dx` from the conj(I) the mismatch used, into views built
-    once per solve, and one index gather for the Jacobian.  Runs with
+    [theta; |V|].  An iteration is O(n^2) before its LU.  Runs with
     numpy's overflow, divide and invalid errors raised, so a diverging
     iterate raises NonConvergence before it spreads or warns."""
     a = problem.arrays
@@ -413,21 +388,19 @@ def _newton(problem: PowerFlowProblem, x: np.ndarray, tol: float,
 
 def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
                    max_iter: int) -> PowerFlowSolution:
-    """`_newton` on Python scalars, the problem's admittance rows and
-    `problem.scalar`, for problems of a few unknowns, where numpy's
-    per-call overhead outweighs the arithmetic: the same start (its DC
-    part solved on scalars, so equal to `_newton`'s up to rounding),
-    mismatch, test and update, and a solution of Python lists.  S = V
-    conj(Y V) is formed on the PV and PQ rows, and on the rest once
-    converged.  With Q_ik = V_i conj(Y_ik V_k), the P and Q rows hold
-    (Im Q, -Re Q) at theta columns and (Re Q, Im Q) / |V|_k at |V| columns,
-    and their diagonals add (-Im S_i, Re S_i) and (Re S_i, Im S_i) / |V|_i
-    (Tinney and Hart, IEEE Trans. PAS-86, 1967): the parts of j(diag S - Q)
-    and (Q + diag S) / |V|_k less the exact zeros their complex products
-    add, so every result equals the complex-row kernel's
+    """`_newton` on Python scalars, for problems of a few unknowns, where
+    numpy's per-call overhead outweighs the arithmetic: the same start
+    (its DC part solved on scalars, so equal to `_newton`'s up to
+    rounding), mismatch, test and update, and a solution of Python lists.
+    With Q_ik = V_i conj(Y_ik V_k), the P and Q rows hold (Im Q, -Re Q) at
+    theta columns and (Re Q, Im Q) / |V|_k at |V| columns, and their
+    diagonals add (-Im S_i, Re S_i) and (Re S_i, Im S_i) / |V|_i (Tinney
+    and Hart, IEEE Trans. PAS-86, 1967): the parts of j(diag S - Q) and
+    (Q + diag S) / |V|_k less the exact zeros their complex products add,
+    so every result equals the complex-row kernel's
     (tests/reference_powerflow.py) bit for bit.  Python's OverflowError,
     ZeroDivisionError and ValueError (cmath's domain error) raise
-    NonConvergence, as numpy's floating-point errors do in `_newton`."""
+    NonConvergence."""
     sc, y_rows, pvpq = problem.scalar, problem.y_rows, problem.pvpq
     n, n_pv, m = len(y_rows), len(pvpq) - len(problem.pq), problem.n_unknowns
     x = [*sc.va, *sc.vm]  # [theta; |V|]
@@ -618,13 +591,11 @@ def boundary_sensitivity(problem: PowerFlowProblem, sol: PowerFlowSolution,
 
 
 def solve_monolithic(case: CaseFile, tol: float = 1e-10, max_iter: int = 40) -> PowerFlowSolution:
-    """NR over the whole un-decomposed network (white-box regions inlined).
-
-    Serves as the independent reference the torn coordination must match.
-    Its problem is never built `decoupled`, so it never solves
-    fast-decoupled: on the inlined scaled k=8 case (128 buses) those
-    iterations diverge, to a mismatch of 1.8e78 pu after 40, which every
-    oracle solve would pay before falling back to Newton (4 iterations).
-    Raises OracleUnavailable if any region is opaque.
+    """NR over the whole un-decomposed network (white-box regions inlined),
+    the independent reference the torn coordination must match.  Never
+    `decoupled`: on the inlined scaled k=8 case (128 buses) fast-decoupled
+    iterations diverge, to a mismatch of 1.8e78 pu after 40, before the
+    fallback to Newton (4 iterations).  Raises OracleUnavailable if any
+    region is opaque.
     """
     return solve_main(PowerFlowProblem(inline_grbcs(case)), tol=tol, max_iter=max_iter)

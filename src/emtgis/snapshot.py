@@ -284,20 +284,16 @@ def build_full_net(case: CaseFile, pf: PowerFlowSolution,
 
 
 def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
-                boundary_draw: dict[str, tuple[float, float]] | None = None) -> Snapshot:
+                draws: dict[str, tuple[float, float]]) -> Snapshot:
     """Snapshot of the main system at step 0 straight from power-flow phasors.
 
-    `net` is the EMT model to initialize, `build_main_net(case, pf)` in
-    the pipeline, built once by the caller.  Per component the port
-    current phasor is conj(S/V); machine EMFs come from the phasor diagram;
-    history currents are instantaneous values one step back, peak-scaled.
-    Node and element phasors come from a nodal solve with the
+    `net` is `build_main_net(case, pf)`, built once by the caller.  `draws`
+    (bus: (p, q)) is the power each region pulls from its torn node, the
+    coordinator's, injected so the state is consistent once the regions
+    are reconnected.  The phasors come from a nodal solve with the
     discrete-companion admittances, so the kernel continues the periodic
-    steady state without any startup transient.  boundary_draw carries the
-    power each region pulls from its torn node so the state is consistent
-    once regions are reconnected.
+    steady state without any startup transient.
     """
-    draws = boundary_draw or {}
     injections = {bus: -machine_port_current(complex(p, q), pf.voltage(bus).rect)
                   for bus, (p, q) in draws.items()}
     node_ph, elem_ph = ek.phasor_solve(net, injections=injections, dt=dt)
@@ -394,19 +390,17 @@ def fault_currents(net: EmtNet, boundaries: list[str]) -> dict[str, complex]:
             for k, (b, r) in enumerate(zip(boundaries, rows))}
 
 
-def thevenin_extract(case: CaseFile, pf: PowerFlowSolution, faults: dict[str, complex],
+def thevenin_extract(pf: PowerFlowSolution, faults: dict[str, complex],
+                     draws: dict[str, tuple[float, float]],
                      boundary: str) -> TheveninEquivalent:
     """Boundary equivalent of the main system seen from one region, from
-    the table `faults`, `fault_currents` of the main net, and the bus's
-    injection in `pf` less its load, as `boundary_injections` nets it.
-    `pf` solves `case`, so the bus sits at its position in `pf`: every
-    lookup is by dict, O(1)."""
+    the table `faults`, `fault_currents` of the main net, the bus's
+    voltage in `pf` and the power `draws` says the region pulls from it,
+    the coordinator's p and q (`BoundaryState`)."""
     if boundary not in faults:
         raise KeyError(f"'{boundary}' is not a boundary bus")
-    bus = case.buses[pf.index(boundary)]
-    p, q = pf.injection(boundary)
     v_b = pf.voltage(boundary).rect
-    i_b = machine_port_current(complex(-p - bus.p_load, -q - bus.q_load), v_b)
+    i_b = machine_port_current(complex(*draws[boundary]), v_b)
     return thevenin_from_measurements(v_b, i_b, faults[boundary])
 
 
@@ -432,7 +426,8 @@ def hold_rotors(net: EmtNet) -> EmtNet:
     steps each machine as a source at its state's angle, which from
     `zero_state` on is its build-time angle, the coordinated power flow's.
     `run_emtgis` ramps and advances every region net so, from the ramp to
-    the splice; the full net keeps its free rotors."""
+    the splice, so each region is spliced at its power-flow rotor angles;
+    the full net keeps its free rotors."""
     return replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
 
 
@@ -442,28 +437,22 @@ def ramp_length(net: EmtNet, t_ramp: float | None = None) -> float:
     ready in about a third of the steps 0.5 s takes, as close to the exact
     steady state; 0.5 s where one swings, as a fast ramp excites its swing
     (ninebus3's plant2 with a free rotor: 54,400 steps at 0.04 s, 14,000 at
-    0.5 s).  Every region net the pipeline ramps has its rotors held
-    (`hold_rotors`), so it gets two periods; only the full net of the
-    zero-state baseline (`settle_from_zero`, `simulate --zero-state`),
-    whose rotors are free, can get 0.5 s."""
+    0.5 s)."""
     if t_ramp is not None:
         return t_ramp
     return 0.5 if any(m.inertia_h > 0 for m in net.machines) else 2 * net.period
 
 
 def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimConfig,
-                     boundary_bus: str, subsystem: str | None = None) -> Snapshot:
+                     boundary_bus: str, subsystem: str) -> Snapshot:
     """Ramp a region net behind its boundary equivalent until steady.
 
     All sources (the equivalent and any internal ones) follow the same
-    linear ramp over cfg.ramp_steps, the region's `ramp_length` in the
-    pipeline; the steady-state detector watches every node of the region
-    plus the boundary current.  Boundary phasors come from a single-frequency
-    Fourier integral over the final full cycle.  A machine of `grbc_net`
-    swings after the ramp only if its inertia_h > 0; the pipeline passes
-    the net with its rotors held (`hold_rotors`).
+    linear ramp over cfg.ramp_steps; the steady-state detector watches
+    every node of the region plus the boundary current.  Boundary phasors
+    come from a single-frequency Fourier integral over the final full
+    cycle.
     """
-    subsystem = subsystem or grbc_net.name
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
     record = [n for n in grbc_net.nodes] + [f"i:{probe_eid}"]
     cfg = replace(cfg, record=record)
@@ -487,7 +476,6 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
 
 @dataclass
 class SpliceSchedule:
-    reference: str
     t_ref_steps: int
     t_adj_steps: dict[str, int]
 
@@ -498,15 +486,13 @@ def schedule_from_steps(ready_steps: dict[str, int], period_steps: int) -> Splic
     subsystem ready first.  Any whole number of periods splices every
     subsystem at one phase of its periodic steady state; two is the one
     value the pipeline ever used, the one its adjusted steps are pinned at."""
-    names = list(ready_steps)
-    reference = min(names, key=lambda n: (ready_steps[n], names.index(n)))
-    t_ref = ready_steps[reference]
+    t_ref = min(ready_steps.values())
     modulus = SPLICE_PERIODS * period_steps
     adj = {}
     for name, t in ready_steps.items():
         k = -((t_ref - t) // modulus)  # ceil((t - t_ref)/modulus)
         adj[name] = t_ref + k * modulus
-    return SpliceSchedule(reference, t_ref, adj)
+    return SpliceSchedule(t_ref, adj)
 
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
@@ -514,9 +500,7 @@ def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
     """Continue a subsystem in isolation, unramped, to its splice step target_steps.
 
     The boundary phasors are absolute-clock complex amplitudes of a settled
-    periodic state, so they carry over unchanged.  The pipeline passes the
-    net its ramp stepped, rotors held (`hold_rotors`), so a region is
-    spliced at its power-flow rotor angles.
+    periodic state, so they carry over unchanged.
     """
     extra = target_steps - snap.timestamp_steps
     if extra < 0:
@@ -649,8 +633,9 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     case without regions converges at its first residual, one main solve),
     read every region's operating point from the converged state, which
     solved it, and assemble the whole-system EMT model.  An invalid case,
-    or a dt that does not divide the period or leaves fewer than 4 steps
-    per period, raises ValueError, an input error, not a stage failure."""
+    a dt that does not divide the period or leaves fewer than 4 steps per
+    period, or a region ramp that leaves no ramp budget to settle in,
+    raises ValueError, an input error, not a stage failure."""
     cfg = cfg or PipelineConfig()
     validate_case(case).raise_if_invalid()
     period_steps = case.period / cfg.dt
@@ -660,6 +645,11 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     if round(period_steps) < 4:
         raise ValueError(f"dt {cfg.dt} s leaves {round(period_steps)} steps per period "
                          f"{case.period} s, fewer than 4")
+    # Region nets ramp with their rotors held: `ramp_length` gives two periods.
+    t_ramp = 2 * case.period if cfg.t_ramp is None else cfg.t_ramp
+    if t_ramp >= cfg.ramp_budget:
+        raise ValueError(f"the region ramp of {t_ramp} s is not shorter than the ramp "
+                         f"budget {cfg.ramp_budget} s")
 
     state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
     region_ops = [region_operating_point(decl, state, i) for i, decl in enumerate(case.grbcs)]
@@ -670,10 +660,8 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
     """Whole pipeline: coordinated power flow, phasor snapshot of the main
     system and its `fault_currents` table, the ramp of every region behind
-    its Thevenin equivalent, schedule, advance, splice.  Each region's
-    rotors stay held at their power-flow angles (`hold_rotors`) from its
-    ramp to the splice.  Any stage failure is re-raised tagged with the
-    stage name."""
+    its Thevenin equivalent, schedule, advance, splice.  Any stage failure
+    is re-raised tagged with the stage name."""
     cfg = cfg or PipelineConfig()
     stage = _stage
 
@@ -684,19 +672,18 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     faults = stage("phasor_init", fault_currents, main_net, list(state.bus_ids))
     draws = {bid: (float(state.p[i]), float(state.q[i]))
              for i, bid in enumerate(state.bus_ids)}
-    snap_main = stage("phasor_init", phasor_init, case, main_pf, main_net, cfg.dt,
-                      boundary_draw=draws)
+    snap_main = stage("phasor_init", phasor_init, case, main_pf, main_net, cfg.dt, draws)
 
     t_ramps: dict[str, float] = {}
     budget = ek.to_steps(cfg.ramp_budget, cfg.dt)
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
-        thev = thevenin_extract(case, main_pf, faults, op.decl.boundary_bus)
+        thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
         region_net = hold_rotors(build_region_net(op, case.frequency_hz))
         t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
         ramp_cfg = SimConfig(dt=cfg.dt, steps=budget, ramp_steps=ek.to_steps(t_ramp, cfg.dt))
-        return ramp_to_snapshot(region_net, thev, ramp_cfg,
-                                op.decl.boundary_bus, subsystem=op.decl.name)
+        return ramp_to_snapshot(region_net, thev, ramp_cfg, op.decl.boundary_bus,
+                                op.decl.name)
 
     snapshots: dict[str, Snapshot] = {MAIN_SUBSYSTEM: snap_main}
     for snap in stage("ramp_to_snapshot",
@@ -710,7 +697,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     def advance_all():
         for op in model.region_ops:
             name = op.decl.name
-            thev = thevenin_extract(case, main_pf, faults, op.decl.boundary_bus)
+            thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
             net, _ = attach_thevenin(hold_rotors(build_region_net(op, case.frequency_hz)),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,
@@ -738,12 +725,11 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
     return PipelineResult(model, spliced, report, snapshots)
 
 
-def settle_from_zero(full_net: EmtNet, cfg: SimConfig,
-                     t_ramp: float | None = None) -> tuple[EmtState, int]:
+def settle_from_zero(full_net: EmtNet, cfg: SimConfig, t_ramp: float) -> tuple[EmtState, int]:
     """Zero-state ramping baseline on the whole net for at most cfg.steps
-    steps, its sources ramped over `ramp_length(full_net, t_ramp)` (None:
-    the pipeline's rule; cfg.ramp_steps is not read); returns the settled
-    state and the step at which steadiness was declared.
+    steps, its sources ramped over t_ramp (cfg.ramp_steps is not read);
+    returns the settled state and the step at which steadiness was
+    declared.
 
     Rotor angles are dynamic states, not model parameters: machines start
     at zero angle and their swing dynamics (active once the ramp completes)
@@ -755,7 +741,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig,
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
     cfg = replace(cfg, record=record,
-                  ramp_steps=ek.to_steps(ramp_length(full_net, t_ramp), cfg.dt))
+                  ramp_steps=ek.to_steps(t_ramp, cfg.dt))
     init = ek.zero_state(full_net, cfg.dt)
     init.machine_delta[:] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)
@@ -778,8 +764,7 @@ def save_snapshot(snap: Snapshot, path: str | Path) -> None:
     "subsystem", "timestamp_steps", "dt", "frequency_hz", "provenance",
     "parts", "state" (each of STATE_FIELDS as nested lists) and
     "boundary_phasors" (bus: [|V|, angle V, |I|, angle I]).  json writes
-    every float in its shortest exact form, -0.0 included; `load_snapshot`
-    refuses a file with a NaN or infinite number."""
+    every float in its shortest exact form, -0.0 included."""
     st = snap.emt_state
     doc = {"version": 3, "subsystem": snap.subsystem,
            "timestamp_steps": int(snap.timestamp_steps), "dt": st.dt,

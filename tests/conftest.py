@@ -147,9 +147,10 @@ def hybrid_comparison(hybrid):
     dt = 5e-5
     result = sn.run_emtgis(hybrid, sn.PipelineConfig(dt=dt))
     probes = [b.id for b in hybrid.buses]
-    # t_ramp None: `compare`'s default, the full net's `ramp_length`
+    # `compare`'s default ramp, the full net's `ramp_length`
     settle_cfg = ek.SimConfig(dt=dt, steps=ek.to_steps(12.0, dt), record=probes)
-    zero_state, zero_fired = sn.settle_from_zero(result.model.full_net, settle_cfg)
+    full_net = result.model.full_net
+    zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg, sn.ramp_length(full_net))
     return {
         "case": hybrid,
         "dt": dt,
@@ -277,7 +278,9 @@ def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
 
 def sample_one(probes: ek.ProbeSet, z: np.ndarray, ramped: int = 0) -> np.ndarray:
     """`ProbeSet.sample` of a single buffer (2, rows): one value per key."""
-    return probes.sample(z[None], None, ramped)[:, 0]
+    out = np.empty((len(probes.keys), 1))
+    probes.sample(z[None], out, ramped)
+    return out[:, 0]
 
 
 def _exact_steps(t: float, dt: float, what: str) -> int:

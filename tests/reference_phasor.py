@@ -30,6 +30,15 @@ def effective_admittance(coef: tuple[float, float, float], omega: float,
     return (g + h * z) / (1.0 - j * z)
 
 
+def net_pins(net: ek.EmtNet) -> dict[str, complex]:
+    """The nodes `emtkernel.phasor_solve` pins from the net itself, as
+    known_phasors: its sources' nodes, then its machines' EMF nodes, at
+    their RMS phasors; a node pinned twice keeps its last value."""
+    known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
+    known.update((m.emf_node, cmath.rect(m.emf_rms, m.delta0)) for m in net.machines)
+    return known
+
+
 def reference_phasor_solve(net: ek.EmtNet, known_phasors: dict[str, complex],
                            injections: dict[str, complex] | None = None,
                            dt: float | None = None

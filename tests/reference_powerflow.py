@@ -146,6 +146,7 @@ def reference_solve_main(case, boundary_voltages=None, tol=1e-8, max_iter=30):
         bus_ids=tuple(ids), vm=vm, va=va,
         p_calc=s.real.copy(), q_calc=s.imag.copy(),
         iterations=iterations, max_mismatch=history[-1], mismatch_history=history,
+        positions={bid: i for i, bid in enumerate(ids)},
     )
 
 

@@ -2,23 +2,26 @@
 
 This is how `snapshot.thevenin_extract` formed a boundary's equivalent
 before `snapshot.fault_currents` took every boundary's solid-fault current
-from one solve: a `phasor_solve` of the whole net with the boundary node
-pinned to zero, whose element currents into that node are the fault
-current.  It is kept as the oracle for the table's equivalence test.
+from one solve: a phasor solve of the whole net with the boundary node
+grounded, whose element currents into that node are the fault current.
+The solve is `reference_phasor_solve`, told the net's own pins
+(`net_pins`) and the boundary at zero.  It is kept as the oracle for the
+table's equivalence test.
 """
 
 import emtgis.emtkernel as ek
 import emtgis.snapshot as sn
+from reference_phasor import net_pins, reference_phasor_solve
 
 
 def reference_fault_current(net: ek.EmtNet, boundary: str) -> complex:
     """The solid-fault current at `boundary` in the orientation
     `thevenin_from_measurements` takes: minus the element currents into
     the grounded node."""
-    _, elem_ph = ek.phasor_solve(net, {boundary: 0j})
-    n_from, n_to = ek.element_terminals(net)
-    b = net.nodes.index(boundary)
-    return -complex(elem_ph[n_to == b].sum() - elem_ph[n_from == b].sum())
+    _, elem_ph = reference_phasor_solve(net, {**net_pins(net), boundary: 0j})
+    into = sum(elem_ph[e.eid] for e in net.elements if e.n_to == boundary)
+    out = sum(elem_ph[e.eid] for e in net.elements if e.n_from == boundary)
+    return -complex(into - out)
 
 
 def reference_thevenin(net: ek.EmtNet, boundary: str, v_b: complex,

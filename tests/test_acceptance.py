@@ -263,7 +263,7 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     _, region_two = parts(at_two)
     snap = lambda name, st: sn.Snapshot(name, 50.0, st, {}, sn.PROVENANCE_RAMP,
                                         {name: "x"})
-    unadjusted = sn.SpliceSchedule("main", main.step,
+    unadjusted = sn.SpliceSchedule(main.step,
                                    {"main": main.step, "wind1": region_half.step})
     _, bad = sn.splice({"main": snap("main", main),
                         "wind1": snap("wind1", region_half)},

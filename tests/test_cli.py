@@ -871,29 +871,42 @@ class TestFaultAfterTheRun:
 
 
 class TestRampPastItsBudget:
-    """An explicit --t-ramp at or past --ramp-budget (init, compare), or
-    past --settle-cap (compare), leaves no budget to settle in: an input
-    error found before the power flow, exit 1, one `error:` line, no
-    --out.  Before, `init ninebus1.json --t-ramp 7` stepped the whole 6 s
-    budget, then exited 3 and wrote report.json."""
+    """A ramp that leaves a run no budget to settle in is an input error:
+    exit 1, one `error:` line, no --out.  The ramp checked is the one the
+    run takes, --t-ramp or else `ramp_length`'s.  A region ramp at or past
+    --ramp-budget (init, compare; two cycles without --t-ramp) is found
+    before the power flow; compare's zero-state ramp past --settle-cap
+    (0.5 s on the hybrid full net, whose machine swings) before the
+    zero-state run.  Before, `init ninebus1.json --t-ramp 7` stepped the
+    whole 6 s budget, then exited 3 and wrote report.json; given by
+    default, `init ninebus1.json --ramp-budget 0.04` exited 3 and
+    `compare hybrid.json --settle-cap 0.3` exited 5."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (("init", "--t-ramp", "7"), "--t-ramp 7.0 s is not shorter than --ramp-budget 6.0 s"),
-        (("init", "--t-ramp", "0.3", "--ramp-budget", "0.3"),
-         "--t-ramp 0.3 s is not shorter than --ramp-budget 0.3 s"),
-        (("compare", "--t-ramp", "6"), "--t-ramp 6.0 s is not shorter than --ramp-budget 6.0 s"),
-        (("compare", "--t-ramp", "5", "--settle-cap", "4"),
-         "--t-ramp 5.0 s is past --settle-cap 4.0 s"),
-    ], ids=["init-past", "init-at", "compare-at", "compare-past-the-cap"])
-    def test_exits_1_before_the_model(self, tmp_path, capsys, monkeypatch, argv, message):
+    @pytest.mark.parametrize("case, argv, before, message", [
+        ("ninebus1", ("init", "--t-ramp", "7"), "jfng_solve",
+         "the region ramp of 7.0 s is not shorter than the ramp budget 6.0 s"),
+        ("ninebus1", ("init", "--t-ramp", "0.3", "--ramp-budget", "0.3"), "jfng_solve",
+         "the region ramp of 0.3 s is not shorter than the ramp budget 0.3 s"),
+        ("ninebus1", ("init", "--ramp-budget", "0.04"), "jfng_solve",
+         "the region ramp of 0.04 s is not shorter than the ramp budget 0.04 s"),
+        ("ninebus1", ("compare", "--t-ramp", "6"), "jfng_solve",
+         "the region ramp of 6.0 s is not shorter than the ramp budget 6.0 s"),
+        ("ninebus1", ("compare", "--t-ramp", "5", "--settle-cap", "4"), "settle_from_zero",
+         "the zero-state ramp of 5.0 s is past --settle-cap 4.0 s"),
+        ("hybrid", ("compare", "--settle-cap", "0.3"), "settle_from_zero",
+         "the zero-state ramp of 0.5 s is past --settle-cap 0.3 s"),
+    ], ids=["init-past", "init-at", "init-default-at", "compare-at", "compare-past-the-cap",
+            "compare-default-past-the-cap"])
+    def test_exits_1_before_the_model(self, tmp_path, capsys, monkeypatch, case, argv,
+                                      before, message):
         from emtgis.cli import main
 
-        def no_model(*args, **kwargs):
-            raise AssertionError("the system model was built")
+        def not_reached(*args, **kwargs):
+            raise AssertionError(f"{before} ran")
 
-        monkeypatch.setattr(sn, "system_model", no_model)
+        monkeypatch.setattr(sn, before, not_reached)
         out = tmp_path / "out"
-        assert main([argv[0], case_path("ninebus1"), *argv[1:], "--out", str(out)]) == 1
+        assert main([argv[0], case_path(case), *argv[1:], "--out", str(out)]) == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
         assert not out.exists()
 

@@ -14,6 +14,7 @@ import emtgis.cli as cli
 import emtgis.coordinator as coordinator_module
 import emtgis.powerflow as powerflow_module
 from emtgis.coordinator import (
+    BoundaryLayout,
     JfngConfig,
     directional_difference,
     gmres_m,
@@ -43,6 +44,11 @@ from emtgis.powerflow import (
 )
 
 
+def torn_residual(problem, grbcs, x):
+    """`residual` with the layout `jfng_solve` builds for it."""
+    return residual(problem, grbcs, x, BoundaryLayout.build(problem, grbcs))
+
+
 def oracle_boundary_x(case, mono):
     """The boundary voltages of the monolithic solution `mono` as x, its
     angles as solved, not wrapped into (-pi, pi]."""
@@ -54,7 +60,7 @@ class TestResidual:
     def test_consistent_tearing_gives_zero_residual(self, ninebus1):
         mono = solve_monolithic(ninebus1, tol=1e-12)
         x = oracle_boundary_x(ninebus1, mono)
-        state = residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, x)
+        state = torn_residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, x)
         assert np.linalg.norm(state.phi) < 1e-8
 
     def test_phi_is_sum_of_both_sides(self, twobus):
@@ -66,7 +72,7 @@ class TestResidual:
             "name": "s", "boundary_bus": "B2", "kind": "ScriptedResponse",
             "payload": {"p": -0.4, "q": 0.0}}, case.base_mva, case.frequency_hz)]
         x = np.array([0.98, -0.03])
-        state = residual(PowerFlowProblem(case), case.grbcs, x)
+        state = torn_residual(PowerFlowProblem(case), case.grbcs, x)
         assert state.phi[0] == pytest.approx(state.p[0] - 0.4, abs=1e-14)
         assert state.phi[1] == pytest.approx(state.q[0] + 0.0, abs=1e-14)
 
@@ -74,8 +80,8 @@ class TestResidual:
         # both evaluations share one problem: a solve only reads it
         x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
         problem = PowerFlowProblem(ninebus3)
-        a = residual(problem, ninebus3.grbcs, x)
-        b = residual(problem, ninebus3.grbcs, x)
+        a = torn_residual(problem, ninebus3.grbcs, x)
+        b = torn_residual(problem, ninebus3.grbcs, x)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.main_solution.vm, b.main_solution.vm)
         assert np.array_equal(a.main_solution.va, b.main_solution.va)
@@ -85,9 +91,9 @@ class TestResidual:
         # residual of a freshly built one
         x = np.array([1.01, 0.99, 1.0, 0.02, -0.03, 0.01])
         shared = PowerFlowProblem(ninebus3)
-        residual(shared, ninebus3.grbcs, np.array([0.97, 1.02, 1.0, -0.05, 0.04, 0.0]))
-        a = residual(PowerFlowProblem(ninebus3), ninebus3.grbcs, x)
-        b = residual(shared, ninebus3.grbcs, x)
+        torn_residual(shared, ninebus3.grbcs, np.array([0.97, 1.02, 1.0, -0.05, 0.04, 0.0]))
+        a = torn_residual(PowerFlowProblem(ninebus3), ninebus3.grbcs, x)
+        b = torn_residual(shared, ninebus3.grbcs, x)
         assert np.array_equal(a.phi, b.phi)
 
     def test_singular_main_jacobian_is_a_residual_error(self, ninebus1, monkeypatch,
@@ -98,7 +104,7 @@ class TestResidual:
 
         monkeypatch.setattr(coordinator_module, "solve_main", singular)
         with pytest.raises(ResidualEvaluationError) as exc:
-            residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, np.array([1.0, 0.0]))
+            torn_residual(PowerFlowProblem(ninebus1), ninebus1.grbcs, np.array([1.0, 0.0]))
         assert exc.value.side == "main-system"
         assert isinstance(exc.value.cause, SingularJacobian)
         out = tmp_path / "ipf"
@@ -479,10 +485,10 @@ class TestInitialPreconditioner:
         # approximate phi'(x0); compare with forward differences of phi
         x0 = flat_start(hybrid)
         problem = PowerFlowProblem(hybrid)
-        state = residual(problem, hybrid.grbcs, x0)
+        state = torn_residual(problem, hybrid.grbcs, x0)
         m0 = coordinator_module._initial_preconditioner(problem, hybrid.grbcs, state, 1e-6)
         h = 1e-6
-        cols = [(residual(problem, hybrid.grbcs, x0 + h * e).phi
+        cols = [(torn_residual(problem, hybrid.grbcs, x0 + h * e).phi
                  - state.phi) / h
                 for e in np.eye(x0.size)]
         deriv = np.column_stack(cols)
@@ -496,7 +502,7 @@ class TestInitialPreconditioner:
         # patched sensitivity
         case = scripted_twobus(twobus)
         problem = PowerFlowProblem(case)
-        state = residual(problem, case.grbcs, np.array([1.0, 0.0]))
+        state = torn_residual(problem, case.grbcs, np.array([1.0, 0.0]))
         monkeypatch.setattr(coordinator_module, "boundary_sensitivity",
                             lambda *args: sensitivity.copy())
         with caplog.at_level("DEBUG", logger=coordinator_module.__name__):

@@ -17,6 +17,7 @@ from emtgis.errors import (
     UnknownBus,
     UnknownProbe,
 )
+from emtgis.powerflow import boundary_injections
 
 OMEGA = 2 * math.pi * 50.0
 DATA = Path(__file__).parent / "data"
@@ -273,8 +274,8 @@ class TestNumericalContracts:
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
         pf = ninebus3_model.boundary_state.main_solution
         bus = op.decl.boundary_bus
-        thev = sn.thevenin_extract(ninebus3, pf,
-                                   sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]), bus)
+        thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]),
+                                   boundary_injections(pf, ninebus3), bus)
         net, _ = sn.attach_thevenin(sn.build_region_net(op, ninebus3.frequency_hz),
                                     op.decl.boundary_bus, thev)
         assert net.machines
@@ -370,7 +371,7 @@ class TestAffineStepEquivalence:
     def test_matches_reference_with_swinging_machine(self, hybrid, hybrid_model):
         net = hybrid_model.full_net
         dt = 5e-5
-        snap = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt)
+        snap = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt, {})
         init = snap.emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         reference = ReferenceNet(net, dt)
@@ -456,7 +457,8 @@ class TestLoopEquivalence:
 
     def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
         net, dt = hybrid_model.full_net, 5e-5
-        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt,
+                              {}).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, steps=300, record=record,
@@ -473,8 +475,8 @@ class TestLoopEquivalence:
         op = next(o for o in ninebus3_model.region_ops if o.decl.name == "plant2")
         pf = ninebus3_model.boundary_state.main_solution
         bus = op.decl.boundary_bus
-        thev = sn.thevenin_extract(ninebus3, pf,
-                                   sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]), bus)
+        thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]),
+                                   boundary_injections(pf, ninebus3), bus)
         region = sn.build_region_net(op, ninebus3.frequency_hz)
         net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
         assert net.machines
@@ -504,8 +506,8 @@ def region_net(case, model, name):
     op = next(o for o in model.region_ops if o.decl.name == name)
     pf = model.boundary_state.main_solution
     bus = op.decl.boundary_bus
-    thev = sn.thevenin_extract(case, pf, sn.fault_currents(sn.build_main_net(case, pf), [bus]),
-                               bus)
+    thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(case, pf), [bus]),
+                               boundary_injections(pf, case), bus)
     region = sn.build_region_net(op, case.frequency_hz)
     net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
     return net, list(region.nodes) + [f"i:{probe}"]
@@ -648,7 +650,8 @@ class TestHistoryCurrentState:
                              ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
     def test_fault_with_swinging_machine(self, hybrid, hybrid_model, fault_step):
         net, dt = hybrid_model.full_net, self.DT
-        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt).emt_state
+        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt,
+                              {}).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=dt, steps=900, record=record,
@@ -732,7 +735,7 @@ def start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison):
                 hybrid_comparison["result"].snapshot.emt_state)
     net = (two_machine_net, three_machine_net)[count - 2](hybrid_model.full_net)
     return net, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
-                               net, 5e-5).emt_state
+                               net, 5e-5, {}).emt_state
 
 
 class TestSwingRelaxation:
@@ -761,7 +764,7 @@ class TestSwingRelaxation:
     def test_two_swinging_machines(self, hybrid, hybrid_model):
         net = two_machine_net(hybrid_model.full_net)
         init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
-                              net, self.DT).emt_state
+                              net, self.DT, {}).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
                            fault=ek.SimEvent(250, "B7", 0.02))
@@ -780,7 +783,7 @@ class TestSwingRelaxation:
         two = two_machine_net(hybrid_model.full_net)
         starts = [self.gis_start(hybrid_comparison),
                   (two, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
-                                       two, self.DT).emt_state)]
+                                       two, self.DT, {}).emt_state)]
         for (net, init), steps in itertools.product(starts, [10000, 150]):
             ends = [ek.run(net, ek.SimConfig(dt=self.DT, steps=steps,
                                              record=record), init=init)[1]
@@ -1509,7 +1512,8 @@ class TestProbeSet:
         z = np.zeros((2, compiled.rows))
         z[1, cols[1]] = 1.0
         stack = np.stack([z, 2.0 * z, 4.0 * z])
-        got = probes.sample(stack, ramped=1)
+        got = np.empty((len(probes.keys), 3))
+        probes.sample(stack, got, 1)
         assert got.shape == (len(probes.keys), 3)
         assert np.array_equal(got[:, 0], sample_one(probes, z, 1))
         assert np.array_equal(got[:, 1:], np.outer(sample_one(probes, z), [2.0, 4.0]))

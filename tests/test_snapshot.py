@@ -51,7 +51,7 @@ from conftest import (  # noqa: E402
     splice_schedule,
     subset_state,
 )
-from reference_phasor import reference_phasor_solve  # noqa: E402
+from reference_phasor import net_pins, reference_phasor_solve  # noqa: E402
 from reference_splice import reference_splice  # noqa: E402
 from reference_thevenin import reference_thevenin  # noqa: E402
 
@@ -99,7 +99,7 @@ class TestPhasorInit:
             [MachineRecord("B1", MachineKind.IDEAL_SOURCE)],
         )
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
-        snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), dt=5e-5)
+        snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), 5e-5, {})
         st = snap.emt_state
         assert np.max(np.abs(st.elem_i)) < 1e-12
         assert np.max(np.abs(st.i_hist)) < 1e-12
@@ -113,7 +113,7 @@ class TestPhasorInit:
         # + its angle), zero on a resistor
         pf = solve_main(PowerFlowProblem(twobus), tol=1e-12)
         net = sn.build_main_net(twobus, pf)
-        st = sn.phasor_init(twobus, pf, net, dt=5e-5).emt_state
+        st = sn.phasor_init(twobus, pf, net, 5e-5, {}).emt_state
         node_ph, elem_ph = ek.phasor_solve(net, dt=5e-5)
         _, h, j = ek.companion_arrays(net, 5e-5)
         v = dict(zip(net.nodes, node_ph))
@@ -129,7 +129,7 @@ class TestPhasorInit:
         case = machine_case()
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
-        snap = sn.phasor_init(case, pf, net, dt=5e-5)
+        snap = sn.phasor_init(case, pf, net, 5e-5, {})
         waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, steps=800,
                                             record=["B1", "B2", "B3"]),
                           init=snap.emt_state)
@@ -143,7 +143,7 @@ class TestPhasorInit:
         case = machine_case()
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
-        snap = sn.phasor_init(case, pf, net, dt=5e-5)
+        snap = sn.phasor_init(case, pf, net, 5e-5, {})
         _, fin = ek.run(net, ek.SimConfig(dt=5e-5, steps=10_000),
                         init=snap.emt_state)
         assert fin.machine_delta[0] == pytest.approx(
@@ -165,14 +165,11 @@ def bundled_models(ninebus1, ninebus2, ninebus3, hybrid):
             for case in (ninebus1, ninebus2, ninebus3, hybrid)}
 
 
-def assert_matches_reference(net, pinned=None, injections=None, dt=None):
+def assert_matches_reference(net, injections=None, dt=None):
     """The array solve against the element-by-element one, which is told
-    every pin: the net's sources, then its machines' EMFs, then `pinned`."""
-    known = {s.node: cmath.rect(s.rms, s.angle) for s in net.sources}
-    known.update((m.emf_node, cmath.rect(m.emf_rms, m.delta0)) for m in net.machines)
-    ref_nodes, ref_elems = reference_phasor_solve(net, {**known, **(pinned or {})},
-                                                  injections, dt)
-    nodes, elems = ek.phasor_solve(net, pinned, injections, dt)
+    every pin (`net_pins`)."""
+    ref_nodes, ref_elems = reference_phasor_solve(net, net_pins(net), injections, dt)
+    nodes, elems = ek.phasor_solve(net, injections, dt)
     ref = np.array([ref_nodes[nid] for nid in net.nodes]
                    + [ref_elems[e.eid] for e in net.elements])
     got = np.concatenate([nodes, elems])
@@ -185,8 +182,7 @@ class TestPhasorSolveReference:
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
     def test_bundled_nets_match_reference(self, bundled_models, name, dt):
         """Main and full nets, the main net with its boundary draws as
-        injections, and each net with one boundary pinned to ground as the
-        Thevenin solve pins it."""
+        injections."""
         case, model = bundled_models[name]
         state = model.boundary_state
         pf = state.main_solution
@@ -197,8 +193,6 @@ class TestPhasorSolveReference:
         for net, injections in ((sn.build_main_net(case, pf), draws),
                                 (model.full_net, None)):
             assert_matches_reference(net, injections=injections, dt=dt)
-            for bus in draws:
-                assert_matches_reference(net, {bus: 0j}, injections, dt)
 
     def test_random_nets_match_reference(self):
         rng = np.random.default_rng(271)
@@ -206,7 +200,6 @@ class TestPhasorSolveReference:
             net, boundary = random_linear_net(rng)
             for dt in (None, 5e-5):
                 assert_matches_reference(net, dt=dt)
-                assert_matches_reference(net, {boundary: 0j}, dt=dt)
                 assert_matches_reference(net, injections={boundary: 0.3 - 0.1j}, dt=dt)
 
     def test_node_pinned_twice_takes_last_value(self):
@@ -216,9 +209,6 @@ class TestPhasorSolveReference:
                         (ek.Source("s1", "a", 1.0, 0.0), ek.Source("s2", "a", 0.5, 0.0)))
         nodes, _ = ek.phasor_solve(net)
         assert nodes[0] == 0.5
-        nodes, elems = ek.phasor_solve(net, {"b": 0.2j})
-        assert list(nodes) == [0.5, 0.2j]
-        assert elems[0] == (0.5 - 0.2j) / 2.0
 
 
 class TestThevenin:
@@ -245,9 +235,10 @@ class TestThevenin:
     def test_equivalent_satisfies_measurement_identity(self, ninebus1,
                                                        ninebus1_pipeline):
         pf = ninebus1_pipeline.model.boundary_state.main_solution
-        th = sn.thevenin_extract(ninebus1, pf,
-                                 sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
-        p, q = boundary_injections(pf, ninebus1)["B10"]
+        draws = boundary_injections(pf, ninebus1)
+        th = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]),
+                                 draws, "B10")
+        p, q = draws["B10"]
         v_b = pf.voltage("B10").rect
         i_b = sn.machine_port_current(complex(p, q), v_b)
         assert i_b * th.z_eq + v_b == pytest.approx(th.e_eq.rect, abs=1e-9)
@@ -259,8 +250,8 @@ class TestThevenin:
         res = ninebus1_pipeline
         op = res.model.region_ops[0]
         pf = res.model.boundary_state.main_solution
-        th = sn.thevenin_extract(ninebus1, pf,
-                                 sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]), "B10")
+        th = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]),
+                                 boundary_injections(pf, ninebus1), "B10")
         region = sn.build_region_net(op, 50.0)
         net, probe = sn.attach_thevenin(region, "B10", th)
         assert not net.machines  # the solve pins the sources alone, as the ramp does
@@ -303,24 +294,26 @@ class TestFaultTable:
         buses = [g.boundary_bus for g in case.grbcs]
         faults = sn.fault_currents(net, buses)
         assert list(faults) == buses
+        draws = boundary_injections(pf, case)
         for bus in buses:
-            th = sn.thevenin_extract(case, pf, faults, bus)
+            th = sn.thevenin_extract(pf, faults, draws, bus)
             v_b = pf.voltage(bus).rect
-            i_b = sn.machine_port_current(complex(*boundary_injections(pf, case)[bus]), v_b)
+            i_b = sn.machine_port_current(complex(*draws[bus]), v_b)
             self.assert_matches_oracle(th, reference_thevenin(net, bus, v_b, i_b))
 
     def test_a_loaded_boundary_bus_nets_its_own_load(self, ninebus1):
-        # B10 draws a load of its own, which `thevenin_extract` nets off as
-        # `boundary_injections` does, by the bus at B10's position in the
-        # solution: B9 before it and B8 two before it draw others.
+        # B10 draws a load of its own, which `boundary_injections` nets off
+        # by the bus at B10's position in the solution: B9 before it and B8
+        # two before it draw others.
         buses = [replace(b, p_load=0.2 + 0.1 * i, q_load=0.05 * i) if b.id in ("B8", "B9", "B10")
                  else b for i, b in enumerate(ninebus1.buses)]
         case = replace(ninebus1, buses=buses)
         pf = solve_main(PowerFlowProblem(case), [1.01], [-0.1])
         net = sn.build_main_net(case, pf)
         v_b = pf.voltage("B10").rect
-        i_b = sn.machine_port_current(complex(*boundary_injections(pf, case)["B10"]), v_b)
-        th = sn.thevenin_extract(case, pf, sn.fault_currents(net, ["B10"]), "B10")
+        draws = boundary_injections(pf, case)
+        i_b = sn.machine_port_current(complex(*draws["B10"]), v_b)
+        th = sn.thevenin_extract(pf, sn.fault_currents(net, ["B10"]), draws, "B10")
         self.assert_matches_oracle(th, reference_thevenin(net, "B10", v_b, i_b))
 
     def test_random_nets_with_several_boundaries(self):
@@ -383,7 +376,7 @@ class TestRamp:
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
         cfg = ek.SimConfig(dt=5e-5, steps=4000, record=[], ramp_steps=10_000)
         with pytest.raises(SteadyStateTimeout):
-            sn.ramp_to_snapshot(region, th, cfg, "B")
+            sn.ramp_to_snapshot(region, th, cfg, "B", "rl")
 
     def test_ramped_snapshot_phasor_consistency(self):
         region = self.setup_rl_region()
@@ -396,7 +389,7 @@ class TestRamp:
 class TestSpliceSchedule:
     def test_next_even_period_boundary(self):
         sched = splice_schedule({"i": 1.0, "j": 1.013}, period=0.02, dt=1e-3)
-        assert sched.reference == "i"
+        assert sched.t_ref_steps == 1000
         assert sched.t_adj_steps["j"] * 1e-3 == pytest.approx(1.04)
 
     def test_equal_ready_times_need_no_delay(self):
@@ -492,7 +485,7 @@ class TestSplice:
 
         # deliberately unadjusted: region captured half a period later
         bad_sched = sn.SpliceSchedule(
-            "main", main.timestamp_steps,
+            main.timestamp_steps,
             {"main": main.timestamp_steps, "wind1": region_half.timestamp_steps})
         _, bad_dev = sn.splice({"main": main, "wind1": region_half}, bad_sched,
                                s["full"], s["dt"])
@@ -583,7 +576,7 @@ class TestSpliceMatchesReference:
         main, _ = s["split"](s["at_peak"])
         for at in ("at_peak", "at_half", "at_two"):
             _, region = s["split"](s[at])
-            sched = sn.SpliceSchedule("main", main.timestamp_steps,
+            sched = sn.SpliceSchedule(main.timestamp_steps,
                                       {"main": main.timestamp_steps,
                                        "wind1": region.timestamp_steps})
             assert_splices_agree({"main": main, "wind1": region}, sched, s["full"], s["dt"])
@@ -664,6 +657,28 @@ class TestPipeline:
         with pytest.raises(ValueError, match="not an integer multiple of dt 3e-05 s"):
             sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=3e-5))
 
+    @pytest.mark.parametrize("name, b10_load", [
+        ("ninebus1", None), ("ninebus2", None), ("ninebus3", None), ("hybrid", None),
+        ("ninebus1", (0.2, 0.05))],
+        ids=["ninebus1", "ninebus2", "ninebus3", "hybrid", "ninebus1-loaded-B10"])
+    def test_boundary_draws_are_the_boundary_injections(self, name, b10_load, request):
+        # The draws `phasor_init` and `thevenin_extract` take come from the
+        # coordinator, which nets each boundary bus's load in `residual`;
+        # they equal `boundary_injections` of the converged main solution
+        # bit for bit (-0.0 apart from 0.0 too).  No bundled boundary bus
+        # draws a load of its own, so B10 of ninebus1 gets one.
+        case = request.getfixturevalue(name)
+        if b10_load is not None:
+            case = replace(case, buses=[
+                replace(b, p_load=b10_load[0], q_load=b10_load[1]) if b.id == "B10" else b
+                for b in case.buses])
+        state = sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5)).model.boundary_state
+        want = boundary_injections(state.main_solution, case)
+        assert sorted(want) == sorted(state.bus_ids)
+        for i, bus in enumerate(state.bus_ids):
+            got = (float(state.p[i]).hex(), float(state.q[i]).hex())
+            assert got == tuple(v.hex() for v in want[bus]), bus
+
     @pytest.mark.parametrize("name", ["ninebus1", "hybrid"])
     def test_pipeline_builds_each_region_twice(self, name, request, monkeypatch):
         # one Thevenin extraction and one region net for the ramp, and again
@@ -671,9 +686,9 @@ class TestPipeline:
         calls = {"thevenin_extract": [], "build_region_net": []}
         real = {fn: getattr(sn, fn) for fn in calls}
 
-        def thevenin(case, pf, faults, bus):
+        def thevenin(pf, faults, draws, bus):
             calls["thevenin_extract"].append(bus)
-            return real["thevenin_extract"](case, pf, faults, bus)
+            return real["thevenin_extract"](pf, faults, draws, bus)
 
         def region_net(op, frequency_hz):
             calls["build_region_net"].append(op.decl.boundary_bus)
@@ -865,12 +880,13 @@ class TestRampLength:
             return init, 1, None, None
 
         monkeypatch.setattr(ek, "run_until_steady", steady)
-        # 0.04 s, 0.5 s and 0.2 s at 5e-5 s a step; a config's own ramp is
-        # not read.
+        # 0.04 s, 0.5 s and 0.2 s at 5e-5 s a step, as `compare` takes them
+        # from the rule; a config's own ramp is not read.
         for name, given, ramp in (("ninebus1", None, 800), ("hybrid", None, 10_000),
                                   ("hybrid", 0.2, 4000)):
             net = bundled_models[name][1].full_net
-            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, steps=20_000, ramp_steps=1), given)
+            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, steps=20_000, ramp_steps=1),
+                                sn.ramp_length(net, given))
             assert seen.pop() == ramp
 
 
@@ -976,7 +992,8 @@ class TestHeldRotors:
                                                        compiled_nets):
         full_net = bundled_models[name][1].full_net
         assert sn.ramp_length(full_net) == 0.5
-        sn.settle_from_zero(full_net, ek.SimConfig(dt=5e-5, steps=ek.to_steps(12.0, 5e-5)))
+        sn.settle_from_zero(full_net, ek.SimConfig(dt=5e-5, steps=ek.to_steps(12.0, 5e-5)),
+                            sn.ramp_length(full_net))
         assert sum(c.chunks_relaxed for c in compiled_nets) > 0
 
 
