@@ -18,16 +18,17 @@ malformed value, no subcommand; a path that cannot be opened; a --dt that
 does not divide the period or leaves fewer than 4 steps per period; a
 --probes that names no probe; a --window, --duration, --settle-cap or
 --t-ramp that rounds to 0 steps; a simulate --fault at or after the run's
-end; a region ramp, --t-ramp or else two cycles, at or past --ramp-budget;
-a compare zero-state ramp, --t-ramp or else two cycles (0.5 s with a
-swinging machine), past --settle-cap; a compare --fault on a bus the case
-lacks; a compare window that starts before its initialized snapshot; a
-run too large for memory), 2 coordination failed, 3 pipeline stage
-failure or any other emtgis error, 4 incompatible or unreadable snapshot
-(its nodes, elements, machines or dt differ from the case's, it is no
-version-3 snapshot file, or one of its numbers is NaN or infinite) or a
-start state whose phases are not a balanced set, 5 zero-state comparison
-run failed to settle.  A failure prints one `error:` line; an input error
+end; a region ramp, --t-ramp or else two cycles, at or past --ramp-budget,
+found before the power flow; a compare zero-state ramp, --t-ramp or else
+two cycles (0.5 s with a swinging machine), past --settle-cap, or a
+compare --fault on a bus the case lacks, both found after the power flow
+and before any region ramps; a compare window that starts before its
+initialized snapshot; a run too large for memory), 2 coordination
+failed, 3 pipeline stage failure or any other emtgis error, 4
+incompatible or unreadable snapshot (its nodes, elements, machines or dt
+differ from the case's, it is no version-3 snapshot file, or one of its
+numbers is NaN or infinite) or a start state whose phases are not a
+balanced set, 5 zero-state comparison run failed to settle.  A failure prints one `error:` line; an input error
 writes nothing, not even --out, a failed run its trace.csv (coordination)
 or report.json (stage) if it has one.
 """
@@ -295,7 +296,8 @@ def cmd_ipf(args) -> int:
 
 def cmd_init(args) -> int:
     case = load_case(args.case)
-    result = sn.run_emtgis(case, _pipeline_config(args))
+    cfg = _pipeline_config(args)
+    result = sn.run_emtgis(case, sn.system_model(case, cfg), cfg)
 
     outdir = _outdir(args)
     sn.save_snapshot(result.snapshot, outdir / "snapshot.json")
@@ -360,15 +362,17 @@ def cmd_compare(args) -> int:
 
     Both runs step the system model's full net: the initialized one from
     the `init` snapshot, the zero-state one from the state where its ramp
-    settled (`sn.settle_from_zero`).  The window [w0, w1] is --window
-    long.  Without a fault, w0 is the second cycle start after the
-    zero-state run settles; a --fault moves w0 to its own step, which must
-    not come before that.  Each run steps from its start state to w0
-    recording nothing, then from w0 to w1 with the probes and the fault:
-    only [w0, w1] is recorded, so a run's memory grows with the window,
-    not with its steps to steady.  An initialized snapshot past w0 leaves
-    no window to compare, an input error (exit 1).  The deviations are
-    `average_relative_deviation` per probe key over the window.
+    settled (`sn.settle_from_zero`).  The --fault bus and the zero-state
+    ramp are checked on the model's full net before any region ramps
+    (`sn.run_emtgis`).  The window [w0, w1] is --window long.  Without a
+    fault, w0 is the second cycle start after the zero-state run settles;
+    a --fault moves w0 to its own step, which must not come before that.
+    Each run steps from its start state to w0 recording nothing, then from
+    w0 to w1 with the probes and the fault: only [w0, w1] is recorded, so
+    a run's memory grows with the window, not with its steps to steady.
+    An initialized snapshot past w0 leaves no window to compare, an input
+    error (exit 1).  The deviations are `average_relative_deviation` per
+    probe key over the window.
     """
     case = load_case(args.case)
     fault = _parse_fault(args.fault, args.dt) if args.fault else None
@@ -376,13 +380,15 @@ def cmd_compare(args) -> int:
     window_steps = _steps(args, "window")
     settle_steps = _steps(args, "settle_cap")
 
-    gis = sn.run_emtgis(case, _pipeline_config(args))
-    full_net = gis.model.full_net
+    cfg = _pipeline_config(args)
+    model = sn.system_model(case, cfg)
+    full_net = model.full_net
     if fault is not None and fault.target not in full_net.nodes:
         raise UnknownBus(f"fault targets unknown node '{fault.target}'")
     if (t_zero := sn.ramp_length(full_net, args.t_ramp)) > args.settle_cap:
         raise ValueError(f"the zero-state ramp of {t_zero} s is past --settle-cap "
                          f"{args.settle_cap} s")
+    gis = sn.run_emtgis(case, model, cfg)
     settle_cfg = ek.SimConfig(dt=args.dt, steps=settle_steps, record=probes)
     zero_state, zero_fired = sn.settle_from_zero(full_net, settle_cfg, t_zero)
 

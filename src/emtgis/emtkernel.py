@@ -383,32 +383,36 @@ def _matrix_power(squares: list[np.ndarray], k: int) -> np.ndarray:
 
 
 class _ChunkMaps:
-    """A linear chunk's maps and buffers for what it hands on and samples,
-    for chunks of one length L in a loop.  `w_at` maps the chunk's input
-    (its start's w, and after the ramp its EMFs) to w at its probe blocks'
-    starts after the first, then to the whole buffer a step before its
-    end, into `at` (views `block_starts` and `handed`).  The probe blocks
-    hold one block and axis per row of `width` columns, each block's start
-    w first; `probe_map` gives a block's samples over its PROBE_BLOCK
-    steps from that row.
+    """A linear chunk's input, and the maps and buffers of its tail, for
+    chunks of one length L in a loop: what it samples and what it hands
+    on.  The input [w_0; e] (`we`, views `w0` and `e`) stacks its start's
+    w and the EMFs of its steps, nsw per step, step-major; a ramp chunk's
+    e has no columns.  It is zero past the chunk's end up to a whole probe
+    block, and a chunk writes every other buffer before it reads it.
+    `w_at` maps [w_0; e] to w at the probe blocks' starts after the first,
+    then to the whole buffer a step before the chunk's end, into `at`
+    (views `block_starts` and `handed`).  The probe blocks hold one block
+    and axis per row: the block's start w, then its EMFs; `probe_map`
+    gives a block's samples over its PROBE_BLOCK steps from that row.
+    Without probes, the map and the samples' buffers have no columns.
+    Every map is stored C-contiguous, in the form its product reads, and
+    so are the probe blocks; w_0 stays a strided view of [w_0; e], as a
+    contiguous copy of it costs more than it saves."""
 
-    The chunk fills the probe blocks in place, and `sample` forms their
-    samples in one product with `probe_map`, then K^T.  K^T stays out of
-    the map: folded in, as in `ProbeSet.maps`, it would triple the
-    product's work.  Without probes, the map and the samples' buffers have
-    no columns, and the chunk's one product writes the buffer it hands on
-    into the stack.  A ramp chunk's maps are this class alone."""
-
-    def __init__(self, length: int, w: int, rows: int, width: int, w_at: np.ndarray,
+    def __init__(self, length: int, w: int, nsw: int, rows: int, w_at: np.ndarray,
                  probe_map: np.ndarray):
         self.w_at, self.probe_map = w_at, probe_map
         blocks = -(-length // PROBE_BLOCK)
+        we_padded = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
+        self.w0, self.e = we_padded[:, :w], we_padded[:, w:w + length * nsw]
+        self.we = we_padded[:, :w + length * nsw]
+        self.e_blocks = we_padded[:, w:].reshape(2, blocks, PROBE_BLOCK * nsw)
         self.at = np.empty((2, w_at.shape[1]))
         self.block_starts = self.at[:, :-rows].reshape(2, -1, w)
         self.handed = self.at[:, -rows:]
         # The probe blocks; their samples, then K^T for the phases, and the
         # phases' view in the samples' order.
-        self.probe_blocks = np.empty((2, blocks, width))
+        self.probe_blocks = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
         self.probe_rows = self.probe_blocks.reshape(2 * blocks, -1)
         self.taken = np.empty((2, blocks * probe_map.shape[1]))
         self.taken_rows = self.taken.reshape(2 * blocks, -1)
@@ -416,33 +420,50 @@ class _ChunkMaps:
         self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
             :, :length].transpose(2, 0, 1)
 
-    def sample(self, samples: np.ndarray) -> None:
-        """Write the probe blocks' samples into samples, one column per step."""
-        self.probe_rows.dot(self.probe_map, self.taken_rows)
-        TWO_AXIS.T.dot(self.taken, self.phases)
-        samples.reshape(-1, 3, samples.shape[1])[:] = self.phase_samples
+    def hand_on(self, stack: np.ndarray, last: int, step_map: np.ndarray,
+                samples: np.ndarray) -> None:
+        """Sample the chunk that ends in stack[last] and hand on its
+        buffers, from [w_0; e]: the one a step before its end, with its EMF
+        rows written (zero in the ramp), by `w_at`, and from it the end
+        buffer by `step`'s product with step_map, so no probe moves their
+        rounding; the loop's edges (`state`) and the next chunk read no
+        other.  With probes, the same product gives the probe blocks'
+        starts, and their samples are one product with `probe_map`, then
+        K^T, written into samples, one column per step.  K^T stays out of
+        the map: folded in, as in `ProbeSet.maps`, it would triple the
+        product's work."""
+        before_end = stack[last - 1]
+        if self.probe_map.size:
+            self.we.dot(self.w_at, self.at)
+            blocks, w = self.probe_blocks, self.w0.shape[1]
+            blocks[:, 0, :w] = self.w0
+            blocks[:, 1:, :w] = self.block_starts
+            blocks[:, :, w:] = self.e_blocks
+            self.probe_rows.dot(self.probe_map, self.taken_rows)
+            TWO_AXIS.T.dot(self.taken, self.phases)
+            samples.reshape(-1, 3, samples.shape[1])[:] = self.phase_samples
+            before_end[:] = self.handed
+        else:
+            self.we.dot(self.w_at, before_end)
+        before_end.dot(step_map, stack[last])
 
 
 class _SwingMaps(_ChunkMaps):
-    """`CompiledNet.relax`'s maps for chunks of one length L in a loop, and
-    the chunk's work buffers.
+    """`CompiledNet.relax`'s sweep maps for chunks of one length L in a
+    loop, and the sweeps' work buffers; the chunk's input and tail are
+    `_ChunkMaps`'s.
 
-    w_0 is the chunk's start buffer less its machine rows; e stacks the
-    EMFs of its steps and u = [cos theta; sin theta] their angles, one row
-    per axis, step-major over ne = L*nsw columns.  The buffers, and the
-    views the chunk reads them through, are built with the maps, so a chunk
-    allocates nothing.  A chunk writes every buffer before it reads it;
-    only the zero padding of [w_0; e] to whole probe blocks carries over.
-    A probe block holds its start's w and its EMFs.  Each map is stored
-    C-contiguous, in the form its product reads, and so are the left-hand
-    buffers u and the probe blocks; w_0 stays a strided view of [w_0; e],
-    as a contiguous copy of it costs more than it saves."""
+    e stacks the EMFs of the chunk's steps and u = [cos theta; sin theta]
+    their angles, one row per axis, step-major over ne = L*nsw columns.
+    The buffers, and the views the sweeps read them through, are built
+    with the maps, so a chunk allocates nothing.  The maps and the
+    left-hand buffers u are stored C-contiguous."""
 
     def __init__(self, length: int, w: int, nsw: int, currents_w: np.ndarray,
                  currents: np.ndarray, swing: np.ndarray, guess_map: np.ndarray,
                  history_at: np.ndarray, amplitude: np.ndarray, w_at: np.ndarray,
                  x: np.ndarray, probe_map: np.ndarray):
-        super().__init__(length, w, w + nsw, w + PROBE_BLOCK * nsw, w_at, probe_map)
+        super().__init__(length, w, nsw, w + nsw, w_at, probe_map)
         ne = length * nsw
         self.currents_w = currents_w  # (w, ne): C_w^T, the currents from w_0
         self.currents = currents      # (ne, ne): (C_e diag(amp))^T, y from u
@@ -455,8 +476,6 @@ class _SwingMaps(_ChunkMaps):
         # nodes are.
         self.guess_map, self.history_at = guess_map, history_at
         self.amplitude = amplitude    # (ne,): sqrt2 emf
-        # w_at is (w + ne, (b-1)*w + w + nsw), from [w_0; e]; the probes'
-        # map, the loop's `probe_map`, reads a block's start w and its EMFs.
 
         self.x, self.power = x, x[:ne]  # x: a view of the loop's `relaxed`
         # delta_0, from the guess, then the last sweep's angles and end speed
@@ -473,11 +492,7 @@ class _SwingMaps(_ChunkMaps):
         self.theta = np.empty((2, length, nsw))
         self.thetas = tuple((t, t.reshape(ne)) for t in self.theta)
         self.u, self.y, self.i0 = np.empty((3, 2, ne))
-        # [w_0; e], zero past the chunk's end up to a whole probe block.
-        blocks = self.probe_blocks.shape[1]
-        we_padded = np.zeros((2, w + blocks * PROBE_BLOCK * nsw))
-        self.w0, self.e = we_padded[:, :w], we_padded[:, w:w + ne]
-        self.we, self.e_blocks = we_padded[:, :w + ne], we_padded[:, w:].reshape(2, blocks, -1)
+        self.axes = (*self.u, *self.y)  # cos u, sin u, y_d, y_q
 
 
 class CompiledNet:
@@ -663,8 +678,7 @@ class CompiledNet:
         self.squares: dict[bool, list[np.ndarray]] = {True: [], False: []}  # `_squares`
         self.probe_map = np.zeros((0, 0))
         if self.swinging.size and self.probes.rows.size:
-            g = self._chunk_map(self.probes.rows, PROBE_BLOCK)
-            self.probe_map = g.reshape(-1, g.shape[2]).T.copy()
+            self.probe_map = self._probe_map(False)
         # `relax`'s x = [sum(u*y); delta_0, dw_0, emf, pm] ends where its
         # first guess's input starts: [delta_0, dw_0, emf, pm; sum(u*y) at
         # the guess nodes, 5 equally spaced steps of the last chunk from its
@@ -730,18 +744,23 @@ class CompiledNet:
         t[m + 2:m + 4, m + 2:m + 4] = self.rotation
         return t
 
-    def _chunk_map(self, rows: np.ndarray | list | tuple, steps: int) -> np.ndarray:
+    def _chunk_map(self, rows: np.ndarray | list | tuple, steps: int,
+                   ramp: bool) -> np.ndarray:
         """(steps, rows, w + steps*nsw): the outputs at `rows` of [v; i]
-        over a chunk from [w_0; e].  Each row set has its own products, so
-        the machines' currents, and with them the trajectory, round the
-        same whatever the probes."""
-        w, nsw, t = self.n_lc + 4, self.swinging.size, self.post_map.T
-        o = self.outputs[1][np.asarray(rows, dtype=int)]
+        over a chunk in the ramp, from w_0 (nsw = 0), or after it, from
+        [w_0; e].  Each row set has its own products, so the machines'
+        currents, and with them the trajectory, round the same whatever
+        the probes."""
+        w, nsw = self.n_lc + 4, 0 if ramp else self.swinging.size
+        o = self.outputs[not ramp][np.asarray(rows, dtype=int), :w + nsw]
         # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
         # w_0, and the Markov parameter d = k + 1 - j on e_j.
+        from_w = _power_sequence(o[:, :w], self._squares(ramp, steps), steps, right=True)
+        if not nsw:
+            return from_w  # no EMF columns: the ramp's outputs read w_0 alone
         g = np.zeros((steps, len(o), w + steps * nsw))
-        g[:, :, :w] = _power_sequence(o[:, :w], self._squares(False, steps), steps, right=True)
-        markov = np.concatenate([o[None, :, w:], g[:-1, :, :w] @ t[:w, w:]])
+        g[:, :, :w] = from_w
+        markov = np.concatenate([o[None, :, w:], g[:-1, :, :w] @ self.post_map.T[:w, w:]])
         lower = np.tril_indices(steps)
         from_e = g[:, :, w:].reshape(steps, len(o), steps, nsw)  # a view
         from_e[lower[0], :, lower[1]] = markov[lower[0] - lower[1]]
@@ -760,18 +779,24 @@ class CompiledNet:
             squares.append(squares[-1] @ squares[-1])
         return squares
 
-    def _w_at(self, ramp: bool, length: int, blocks: range) -> np.ndarray:
+    def _probe_map(self, ramp: bool) -> np.ndarray:
+        """`_ChunkMaps.probe_map` in the ramp or after it."""
+        g = self._chunk_map(self.probes.rows, PROBE_BLOCK, ramp)
+        return g.reshape(-1, g.shape[2]).T.copy()
+
+    def _w_at(self, ramp: bool, length: int, probed: bool) -> np.ndarray:
         """`_ChunkMaps.w_at` of a chunk of `length` steps in the ramp, from
         w_0, or after it, from [w_0; e]: w at the probe blocks' starts
-        `blocks`, then the whole buffer a step before the chunk's end, its
-        machine rows the last step's EMFs (zero in the ramp)."""
+        after the first if `probed`, then the whole buffer a step before
+        the chunk's end, its machine rows the last step's EMFs (zero in the
+        ramp)."""
         w, nsw = self.n_lc + 4, 0 if ramp else self.swinging.size
         t = (self.ramp_map if ramp else self.post_map).T
         squares = self._squares(ramp, length)
         # T_ww^d T_we for d < length - 1, the latest first.
         impulse = _power_sequence(t[:w, w:w + nsw], squares, length - 1)
         from_e = impulse[::-1].transpose(1, 0, 2).reshape(w, (length - 1) * nsw)
-        steps = [*blocks, length - 1]
+        steps = [*range(PROBE_BLOCK, length if probed else 0, PROBE_BLOCK), length - 1]
         m = np.zeros((len(steps) * w + self.swinging.size, w + length * nsw))
         for i, k in enumerate(steps):
             # w_k = T_ww^k w_0 + sum_(j<=k) T_ww^(k-j) T_we e_j
@@ -784,13 +809,10 @@ class CompiledNet:
     def _ramp_maps(self) -> _ChunkMaps:
         """`ramp_chunk`'s maps and work buffers (`_ChunkMaps`), from the
         ramp's T, whose machine rows and columns are zero."""
-        w, length = self.n_lc + 4, self.chunk
-        o = self.outputs[0][self.probes.rows, :w]
-        g = _power_sequence(o, self._squares(True, PROBE_BLOCK), PROBE_BLOCK, right=True)
-        blocks = range(PROBE_BLOCK, length if o.size else 0, PROBE_BLOCK)
-        self.ramp_maps = maps = _ChunkMaps(length, w, self.rows, w,
-                                           self._w_at(True, length, blocks),
-                                           g.reshape(-1, w).T.copy())
+        probe_map = self._probe_map(True)
+        self.ramp_maps = maps = _ChunkMaps(
+            self.chunk, self.n_lc + 4, 0, self.rows,
+            self._w_at(True, self.chunk, probe_map.size > 0), probe_map)
         self.squares[True].clear()  # the ramp's maps are built once
         return maps
 
@@ -798,7 +820,7 @@ class CompiledNet:
         """`relax`'s maps for chunks of `length` steps (see the class docstring)."""
         w, nsw = self.n_lc + 4, self.swinging.size
         ne = length * nsw
-        currents = self._chunk_map(self.branch_rows, length).reshape(ne, -1)
+        currents = self._chunk_map(self.branch_rows, length, False).reshape(ne, -1)
         amplitude = np.tile(self.amplitude, length)
         # Swing over a chunk: with r = 1 - D dt/2H, dw_k = r^k dw_0 +
         # dt/2H sum_(j<=k) r^(k-j) (pm - pe_j) and delta_k = delta_0 + dt w
@@ -833,12 +855,11 @@ class CompiledNet:
         # The steps' EMFs read delta_0, picked from the guess's input, and
         # the guess's angles of the steps before the end.
         guess = np.hstack([swing[:ne - nsw, ne:], from_nodes[:ne - nsw]])
-        blocks = range(PROBE_BLOCK, length if self.probe_map.size else 0, PROBE_BLOCK)
         self.swing_maps[length] = maps = _SwingMaps(
             length, w, nsw, currents[:, :w].T.copy(), (currents[:, w:] * amplitude).T.copy(),
             swing, np.vstack([np.eye(nsw, guess.shape[1]), guess]),
             np.add.outer(np.multiply(nodes, nsw), own).ravel(), amplitude,
-            self._w_at(False, length, blocks),
+            self._w_at(False, length, self.probe_map.size > 0),
             self.relaxed[(chunk - length) * nsw:(chunk + 4) * nsw], self.probe_map)
         return maps
 
@@ -956,26 +977,14 @@ class CompiledNet:
         samples into samples, one column per step.
 
         The rotors are held, so the chunk is linear in its start's w (the
-        class docstring's chunk maps): one product maps w_0 to w at the
-        probe blocks' starts and to the buffer a step before the chunk's
-        end, its machine rows zero as `step` leaves them, and
-        `_ChunkMaps.sample` gives the samples.  It hands on its buffers as
-        `relax` does.  Its maps are built on the loop's first ramp chunk
-        and dropped in the cycle the ramp ends, so a chunk allocates
-        nothing.
+        class docstring's chunk maps): it copies w_0 into its input and
+        `_ChunkMaps.hand_on` does the rest, through the ramp's T.  Its maps
+        are built on the loop's first ramp chunk and dropped in the cycle
+        the ramp ends, so a chunk allocates nothing.
         """
         r = self.ramp_maps or self._ramp_maps()
-        last, stack = first + self.chunk, self.stack
-        start, before_end = stack[first, :, :self.n_lc + 4], stack[last - 1]
-        if r.probe_map.size:
-            start.dot(r.w_at, r.at)
-            r.probe_blocks[:, 0] = start
-            r.probe_blocks[:, 1:] = r.block_starts
-            r.sample(samples)
-            before_end[:] = r.handed
-        else:
-            start.dot(r.w_at, before_end)
-        before_end.dot(self.ramp_map, stack[last])
+        r.w0[:] = self.stack[first, :, :self.n_lc + 4]
+        r.hand_on(self.stack, first + self.chunk, self.ramp_map, samples)
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= `chunk` steps
@@ -1004,28 +1013,23 @@ class CompiledNet:
         sweep would reproduce every bit.  Each step's EMF reads the angle
         before it, so sweep k fixes step k for good, and the sweeps stop
         after at most `length` of them, whatever the guess.
-        `chunks_relaxed` and `sweeps` count the work.  The maps and work
-        buffers of chunks of this length are built once in the loop
-        (`_SwingMaps`).
-
-        Of the chunk's buffers it hands on two: the one a step before its
-        end, with its EMF rows written, from [w_0; e] by its own map, and
-        the rows before the machines' of its end buffer, by `step`'s
-        product, so no probe moves their rounding.  The loop's edges
-        (`state`) and the next chunk read no other.
+        `chunks_relaxed` and `sweeps` count the work.  After the sweeps,
+        the EMF rows amp u they assumed complete the chunk's input, and
+        `_ChunkMaps.hand_on` samples and hands on, through the post-ramp
+        T.  The maps and work buffers of chunks of this length are built
+        once in the loop (`_SwingMaps`).
         """
         m = self.swing_maps.get(length) or self._swing_maps(length)
-        w, stack = self.n_lc + 4, self.stack
         # x = [sum over the axes of u*y; delta_0, dw_0, emf, pm]; the first
         # guess extrapolates the power sums of the last chunk.
         m.guess_map.dot(self.guess_in, m.lead)
-        m.w0[:] = stack[first, :, :w]
+        m.w0[:] = self.stack[first, :, :self.n_lc + 4]
         m.w0.dot(m.currents_w, m.i0)  # the currents' part from w_0
         # Each step's EMF is formed at the angle before the step.
         wt, read, swung, x = self.wt[first:first + length], m.read, m.swung, m.x
         (theta, theta_u), (theta_next, next_u) = m.thetas
-        u, y, i0, currents, swing = m.u, m.y, m.i0, m.currents, m.swing
-        cos_u, sin_u, y_d, y_q, power = u[0], u[1], y[0], y[1], m.power
+        u, y, i0, currents, swing, power = m.u, m.y, m.i0, m.currents, m.swing, m.power
+        cos_u, sin_u, y_d, y_q = m.axes
         np.add(wt, read, out=theta)
         for sweeps in range(1, length + 1):
             np.cos(theta_u, out=cos_u)
@@ -1043,22 +1047,9 @@ class CompiledNet:
         self.sweeps += sweeps
         self.machine_rows[:, :2] = m.end
         m.power.take(m.history_at, out=self.power_history, mode="clip")  # unbuffered
-
-        # The EMF rows amp u the sweeps assumed, then w at the probe blocks'
-        # starts and the first buffer the chunk hands on.
+        # The EMF rows amp u the sweeps assumed complete the chunk's input.
         np.multiply(u, m.amplitude, out=m.e)
-        before_end = stack[first + length - 1]
-        if m.probe_map.size:
-            m.we.dot(m.w_at, m.at)
-            xb = m.probe_blocks
-            xb[:, 0, :w] = m.w0
-            xb[:, 1:, :w] = m.block_starts
-            xb[:, :, w:] = m.e_blocks
-            m.sample(samples)
-            before_end[:] = m.handed
-        else:
-            m.we.dot(m.w_at, before_end)
-        before_end.dot(self.post_map, stack[first + length])
+        m.hand_on(self.stack, first + length, self.post_map, samples)
 
 
 # --- probes and waveform recording -----------------------------------------------

@@ -432,12 +432,10 @@ def hold_rotors(net: EmtNet) -> EmtNet:
 
 
 def ramp_length(net: EmtNet, t_ramp: float | None = None) -> float:
-    """The source ramp of a start from zero on `net`: t_ramp if given, else
-    two periods where no machine swings (inertia_h > 0), which gets a region
-    ready in about a third of the steps 0.5 s takes, as close to the exact
-    steady state; 0.5 s where one swings, as a fast ramp excites its swing
-    (ninebus3's plant2 with a free rotor: 54,400 steps at 0.04 s, 14,000 at
-    0.5 s)."""
+    """The source ramp of a full net's start from zero: t_ramp if given,
+    else two periods where no machine swings (inertia_h > 0) and 0.5 s
+    where one swings, as a fast ramp excites its swing (ninebus3's plant2
+    with a free rotor: 54,400 steps at 0.04 s, 14,000 at 0.5 s)."""
     if t_ramp is not None:
         return t_ramp
     return 0.5 if any(m.inertia_h > 0 for m in net.machines) else 2 * net.period
@@ -587,12 +585,18 @@ def splice(snapshots: dict[str, Snapshot], schedule: SpliceSchedule,
 
 @dataclass
 class PipelineConfig:
-    """t_ramp, if given, ramps every region; None, each its `ramp_length`."""
+    """t_ramp, if given, ramps every region; None, `region_ramp`'s rule."""
 
     dt: float = 5e-5
     t_ramp: float | None = None
     ramp_budget: float = 6.0       # per-region steady-state search window
     jfng: JfngConfig = field(default_factory=JfngConfig)
+
+    def region_ramp(self, case: CaseFile) -> float:
+        """The source ramp of every region net, its rotors held: t_ramp, or
+        else two periods, which gets a region ready in about a third of the
+        steps 0.5 s takes, as close to the exact steady state."""
+        return 2 * case.period if self.t_ramp is None else self.t_ramp
 
 
 @dataclass
@@ -645,9 +649,7 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     if round(period_steps) < 4:
         raise ValueError(f"dt {cfg.dt} s leaves {round(period_steps)} steps per period "
                          f"{case.period} s, fewer than 4")
-    # Region nets ramp with their rotors held: `ramp_length` gives two periods.
-    t_ramp = 2 * case.period if cfg.t_ramp is None else cfg.t_ramp
-    if t_ramp >= cfg.ramp_budget:
+    if (t_ramp := cfg.region_ramp(case)) >= cfg.ramp_budget:
         raise ValueError(f"the region ramp of {t_ramp} s is not shorter than the ramp "
                          f"budget {cfg.ramp_budget} s")
 
@@ -657,15 +659,13 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     return SystemModel(state, trace, region_ops, full_net)
 
 
-def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineResult:
-    """Whole pipeline: coordinated power flow, phasor snapshot of the main
-    system and its `fault_currents` table, the ramp of every region behind
-    its Thevenin equivalent, schedule, advance, splice.  Any stage failure
-    is re-raised tagged with the stage name."""
-    cfg = cfg or PipelineConfig()
+def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> PipelineResult:
+    """The pipeline after `system_model` built `model` from case and cfg:
+    phasor snapshot of the main system and its `fault_currents` table, the
+    ramp of every region behind its Thevenin equivalent, schedule,
+    advance, splice.  Any stage failure is re-raised tagged with the stage
+    name."""
     stage = _stage
-
-    model = system_model(case, cfg)
     state = model.boundary_state
     main_pf = state.main_solution
     main_net = stage("phasor_init", build_main_net, case, main_pf)
@@ -674,14 +674,13 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
              for i, bid in enumerate(state.bus_ids)}
     snap_main = stage("phasor_init", phasor_init, case, main_pf, main_net, cfg.dt, draws)
 
-    t_ramps: dict[str, float] = {}
-    budget = ek.to_steps(cfg.ramp_budget, cfg.dt)
+    t_ramp = cfg.region_ramp(case)
+    ramp_cfg = SimConfig(dt=cfg.dt, steps=ek.to_steps(cfg.ramp_budget, cfg.dt),
+                         ramp_steps=ek.to_steps(t_ramp, cfg.dt))
 
     def ramp_one(op: RegionOperatingPoint) -> Snapshot:
         thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
         region_net = hold_rotors(build_region_net(op, case.frequency_hz))
-        t_ramp = t_ramps[op.decl.name] = ramp_length(region_net, cfg.t_ramp)
-        ramp_cfg = SimConfig(dt=cfg.dt, steps=budget, ramp_steps=ek.to_steps(t_ramp, cfg.dt))
         return ramp_to_snapshot(region_net, thev, ramp_cfg, op.decl.boundary_bus,
                                 op.decl.name)
 
@@ -714,7 +713,7 @@ def run_emtgis(case: CaseFile, cfg: PipelineConfig | None = None) -> PipelineRes
                 "phi_norms": trace.phi_norms(),
                 "inner_iterations": [r.inner_iters for r in trace.rows]},
         "boundary": state.to_dict(),
-        "t_ramp": t_ramps,
+        "t_ramp": {op.decl.name: t_ramp for op in model.region_ops},
         "ready_steps": ready_steps,
         "adjusted_steps": dict(adjusted),
         "splice_deviations": deviations,

@@ -109,6 +109,12 @@ def hybrid():
     return load_case(case_path("hybrid"))
 
 
+def pipeline(case, cfg):
+    """`sn.run_emtgis` on `sn.system_model`'s model of case, as `emtgis
+    init` runs them."""
+    return sn.run_emtgis(case, sn.system_model(case, cfg), cfg)
+
+
 @pytest.fixture(scope="session")
 def ninebus3_model(ninebus3):
     """Coordinated system model of ninebus3 at dt = 5e-5."""
@@ -130,7 +136,7 @@ def ninebus1_pipeline(ninebus1):
     """One shared end-to-end initialization of the single-region fixture."""
     from emtgis import snapshot as sn
 
-    return sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=5e-5))
+    return pipeline(ninebus1, sn.PipelineConfig(dt=5e-5))
 
 
 @pytest.fixture(scope="session")
@@ -145,7 +151,7 @@ def hybrid_comparison(hybrid):
     from emtgis import snapshot as sn
 
     dt = 5e-5
-    result = sn.run_emtgis(hybrid, sn.PipelineConfig(dt=dt))
+    result = pipeline(hybrid, sn.PipelineConfig(dt=dt))
     probes = [b.id for b in hybrid.buses]
     # `compare`'s default ramp, the full net's `ramp_length`
     settle_cfg = ek.SimConfig(dt=dt, steps=ek.to_steps(12.0, dt), record=probes)

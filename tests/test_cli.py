@@ -427,7 +427,7 @@ class TestCompareWindow:
                                                         monkeypatch, capsys):
         result = hybrid_comparison["result"]
         late = replace(result.snapshot.emt_state, step=10**7)
-        monkeypatch.setattr(sn, "run_emtgis", lambda case, cfg: replace(
+        monkeypatch.setattr(sn, "run_emtgis", lambda case, model, cfg: replace(
             result, snapshot=replace(result.snapshot, emt_state=late)))
         code, path = self.compare(tmp_path)
         assert code == 1
@@ -876,11 +876,12 @@ class TestRampPastItsBudget:
     run takes, --t-ramp or else `ramp_length`'s.  A region ramp at or past
     --ramp-budget (init, compare; two cycles without --t-ramp) is found
     before the power flow; compare's zero-state ramp past --settle-cap
-    (0.5 s on the hybrid full net, whose machine swings) before the
-    zero-state run.  Before, `init ninebus1.json --t-ramp 7` stepped the
-    whole 6 s budget, then exited 3 and wrote report.json; given by
-    default, `init ninebus1.json --ramp-budget 0.04` exited 3 and
-    `compare hybrid.json --settle-cap 0.3` exited 5."""
+    (0.5 s on the hybrid full net, whose machine swings) after it, before
+    any region ramps (`TestCompareChecksBeforeTheRamps`).  Before, `init
+    ninebus1.json --t-ramp 7` stepped the whole 6 s budget, then exited 3
+    and wrote report.json; given by default, `init ninebus1.json
+    --ramp-budget 0.04` exited 3 and `compare hybrid.json --settle-cap
+    0.3` exited 5."""
 
     @pytest.mark.parametrize("case, argv, before, message", [
         ("ninebus1", ("init", "--t-ramp", "7"), "jfng_solve",
@@ -912,9 +913,9 @@ class TestRampPastItsBudget:
 
 
 class TestCompareFaultOnAnUnknownBus:
-    """compare checks its --fault bus against the full net right after the
-    pipeline, before the zero-state run settles: exit 1 with the kernel's
-    message, nothing written."""
+    """compare checks its --fault bus against the full net before the
+    zero-state run settles: exit 1 with the kernel's message, nothing
+    written."""
 
     def test_exits_1_before_the_settle(self, tmp_path, capsys, monkeypatch):
         from emtgis.cli import main
@@ -929,6 +930,35 @@ class TestCompareFaultOnAnUnknownBus:
         assert capsys.readouterr().err.strip().splitlines() == [
             "error: fault targets unknown node 'NOPE'"]
         assert not out.exists()
+
+
+class TestCompareChecksBeforeTheRamps:
+    """compare checks its --fault bus and its zero-state ramp on the system
+    model's full net after the power flow, before any region ramps: exit 1,
+    one `error:` line, no --out and no `ramp_to_snapshot` call.  Before,
+    both came after the whole pipeline, its region ramps included."""
+
+    @pytest.mark.parametrize("case, argv, message", [
+        ("hybrid", ("--fault", "NOPE@5.5"), "fault targets unknown node 'NOPE'"),
+        ("ninebus1", ("--t-ramp", "5", "--settle-cap", "4"),
+         "the zero-state ramp of 5.0 s is past --settle-cap 4.0 s"),
+    ], ids=["unknown-fault-bus", "zero-state-ramp-past-the-cap"])
+    def test_exits_1_before_any_region_ramps(self, tmp_path, capsys, monkeypatch, case, argv,
+                                             message):
+        from emtgis.cli import main
+
+        ramps = []
+
+        def counted(*args, _ramp=sn.ramp_to_snapshot):
+            ramps.append(args[-1])
+            return _ramp(*args)
+
+        monkeypatch.setattr(sn, "ramp_to_snapshot", counted)
+        out = tmp_path / "out"
+        assert main(["compare", case_path(case), *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"error: {message}"]
+        assert not out.exists()
+        assert ramps == []
 
 
 class TestInvalidFaultSpecs:

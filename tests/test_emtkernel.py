@@ -779,14 +779,19 @@ class TestSwingRelaxation:
         # The machines' current maps and the buffers a chunk hands on are
         # their own products, so the probes' count cannot move their
         # rounding: on one swinging machine and on two, over 10000 steps
-        # and over 150, which end in a chunk of 50.
+        # and over 150, which end in a chunk of 50; and on the hybrid full
+        # net from the zero state over a ramp to step 1046, whose run takes
+        # ramp chunks, 45 stepped ramp steps and relaxed chunks.
         two = two_machine_net(hybrid_model.full_net)
         starts = [self.gis_start(hybrid_comparison),
                   (two, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
                                        two, self.DT, {}).emt_state)]
-        for (net, init), steps in itertools.product(starts, [10000, 150]):
-            ends = [ek.run(net, ek.SimConfig(dt=self.DT, steps=steps,
-                                             record=record), init=init)[1]
+        runs = [(net, init, ek.SimConfig(dt=self.DT, steps=steps))
+                for (net, init), steps in itertools.product(starts, [10000, 150])]
+        runs.append((hybrid_model.full_net, None,
+                     ek.SimConfig(dt=self.DT, steps=2000, ramp_steps=1046)))
+        for net, init, cfg in runs:
+            ends = [ek.run(net, replace(cfg, record=record), init=init)[1]
                     for record in ([], ["B1"], [b.id for b in hybrid.buses])]
             for end in ends[1:]:
                 for name, value in vars(ends[0]).items():

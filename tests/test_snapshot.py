@@ -46,6 +46,7 @@ from conftest import (  # noqa: E402
     cycle_rms,
     injection_thevenin,
     phasor_consistency_error,
+    pipeline,
     random_linear_net,
     scaled_case,
     splice_schedule,
@@ -601,7 +602,7 @@ class TestSpliceMatchesReference:
 
 class TestPipeline:
     def test_zero_region_case_reduces_to_phasor_init(self, twobus):
-        result = sn.run_emtgis(twobus, sn.PipelineConfig(dt=5e-5))
+        result = pipeline(twobus, sn.PipelineConfig(dt=5e-5))
         assert result.snapshot.provenance == sn.PROVENANCE_PHASOR
         assert result.report["gis_cost_steps"] == 0
         waves, _ = ek.run(result.model.full_net,
@@ -627,7 +628,7 @@ class TestPipeline:
 
     def test_reports_have_the_same_keys_with_or_without_regions(self, twobus,
                                                                 ninebus1_pipeline):
-        report = sn.run_emtgis(twobus, sn.PipelineConfig(dt=5e-5)).report
+        report = pipeline(twobus, sn.PipelineConfig(dt=5e-5)).report
         assert set(report) == set(ninebus1_pipeline.report)
         assert report["ipf"]["status"] == "converged" and report["boundary"] == {}
 
@@ -644,7 +645,7 @@ class TestPipeline:
     def test_stage_failure_is_tagged(self, ninebus1):
         cfg = sn.PipelineConfig(dt=5e-5, ramp_budget=0.2)  # can't finish ramp
         with pytest.raises(StageFailure) as exc:
-            sn.run_emtgis(ninebus1, cfg)
+            pipeline(ninebus1, cfg)
         assert exc.value.stage == "ramp_to_snapshot"
 
     def test_invalid_input_fails_before_any_stage(self, ninebus1):
@@ -653,9 +654,9 @@ class TestPipeline:
         case = copy.deepcopy(ninebus1)
         case.buses.append(case.buses[0])
         with pytest.raises(ValueError, match=r"^invalid case: DuplicateId\(B1\)"):
-            sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5))
+            pipeline(case, sn.PipelineConfig(dt=5e-5))
         with pytest.raises(ValueError, match="not an integer multiple of dt 3e-05 s"):
-            sn.run_emtgis(ninebus1, sn.PipelineConfig(dt=3e-5))
+            pipeline(ninebus1, sn.PipelineConfig(dt=3e-5))
 
     @pytest.mark.parametrize("name, b10_load", [
         ("ninebus1", None), ("ninebus2", None), ("ninebus3", None), ("hybrid", None),
@@ -672,7 +673,7 @@ class TestPipeline:
             case = replace(case, buses=[
                 replace(b, p_load=b10_load[0], q_load=b10_load[1]) if b.id == "B10" else b
                 for b in case.buses])
-        state = sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5)).model.boundary_state
+        state = pipeline(case, sn.PipelineConfig(dt=5e-5)).model.boundary_state
         want = boundary_injections(state.main_solution, case)
         assert sorted(want) == sorted(state.bus_ids)
         for i, bus in enumerate(state.bus_ids):
@@ -697,7 +698,7 @@ class TestPipeline:
         monkeypatch.setattr(sn, "thevenin_extract", thevenin)
         monkeypatch.setattr(sn, "build_region_net", region_net)
         case = request.getfixturevalue(name)
-        sn.run_emtgis(case, sn.PipelineConfig(dt=5e-5))
+        pipeline(case, sn.PipelineConfig(dt=5e-5))
         buses = sorted(g.boundary_bus for g in case.grbcs)
         assert len(buses) == len(set(buses)) > 0
         for fn, got in calls.items():
@@ -714,7 +715,7 @@ class TestPipeline:
             return real_build(case, pf)
 
         monkeypatch.setattr(sn, "build_main_net", counted)
-        sn.run_emtgis(hybrid, sn.PipelineConfig(dt=5e-5))
+        pipeline(hybrid, sn.PipelineConfig(dt=5e-5))
         assert calls == [hybrid.name]
 
 
@@ -785,7 +786,7 @@ class TestRegionNamespace:
             return internal_pf_case(decl)
 
         monkeypatch.setattr(grbc_module, "internal_pf_case", counted)
-        sn.run_emtgis(load_case(case_path("ninebus1")), sn.PipelineConfig(dt=5e-5))
+        pipeline(load_case(case_path("ninebus1")), sn.PipelineConfig(dt=5e-5))
         assert calls == ["wind1"]
 
 
@@ -831,8 +832,8 @@ class TestPinnedStepCounts:
 
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid"])
     def test_init_ready_and_adjusted_steps_at_half_a_second(self, name, request):
-        result = sn.run_emtgis(request.getfixturevalue(name),
-                               sn.PipelineConfig(dt=5e-5, t_ramp=0.5))
+        result = pipeline(request.getfixturevalue(name),
+                          sn.PipelineConfig(dt=5e-5, t_ramp=0.5))
         assert result.report["ready_steps"] == self.READY_AT_HALF_S[name]
         assert result.report["adjusted_steps"] == self.ADJUSTED_AT_HALF_S[name]
         assert result.report["gis_cost_steps"] == 14400
@@ -943,7 +944,7 @@ class TestExactSteadyState:
     @pytest.mark.parametrize("name", list(BOUNDS))
     def test_spliced_state_is_near_the_exact_one(self, name, request):
         if name == "scaled8":
-            result = sn.run_emtgis(scaled_case(8, 1), sn.PipelineConfig(dt=5e-5))
+            result = pipeline(scaled_case(8, 1), sn.PipelineConfig(dt=5e-5))
         else:
             result = pipeline_result(request, name)
         exact = exact_steady_state(result.model.full_net)
@@ -974,7 +975,7 @@ class TestHeldRotors:
     @pytest.mark.parametrize("name", ["ninebus2", "ninebus3"])
     def test_region_rotors_are_spliced_at_their_power_flow_angles(self, name, request,
                                                                   compiled_nets):
-        result = sn.run_emtgis(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
+        result = pipeline(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
         machines = {m.mid: m for m in result.model.full_net.machines}
         region = [mid for sub, snap in result.subsystem_snapshots.items()
                   if sub != sn.MAIN_SUBSYSTEM for mid in snap.emt_state.machine_ids]
@@ -1004,7 +1005,7 @@ def pipeline_result(request, name):
         return request.getfixturevalue("ninebus1_pipeline")
     if name == "hybrid":
         return request.getfixturevalue("hybrid_comparison")["result"]
-    return sn.run_emtgis(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
+    return pipeline(request.getfixturevalue(name), sn.PipelineConfig(dt=5e-5))
 
 
 def bits(value):
