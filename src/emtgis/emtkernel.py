@@ -354,13 +354,13 @@ def zero_state(net: EmtNet, dt: float) -> EmtState:
     )
 
 
-def _power_sequence(first: np.ndarray, squares: list[np.ndarray], count: int,
-                    right: bool = False) -> np.ndarray:
-    """(count, *first.shape): t^k first for k < count, or first t^k when
-    `right`, by doubling, from squares[i] = t^(2^i): the terms so far
-    times t^m are the next m terms, so count terms take about log2(count)
-    products."""
-    seq = np.empty((count, *first.shape))
+def _power_sequence(first: np.ndarray, squares: list[np.ndarray], seq: np.ndarray,
+                    right: bool) -> np.ndarray:
+    """Fill seq, (count, *first.shape), with t^k first for k < count, or
+    first t^k when `right`, by doubling, from squares[i] = t^(2^i): the
+    terms so far times t^m are the next m terms, so count terms take about
+    log2(count) products.  Returns seq."""
+    count = len(seq)
     if count:
         seq[0] = first
     done = 1
@@ -386,9 +386,10 @@ class _ChunkMaps:
     """A linear chunk's input, and the maps and buffers of its tail, for
     chunks of one length L in a loop: what it samples and what it hands
     on.  The input [w_0; e] (`we`, views `w0` and `e`) stacks its start's
-    w and the EMFs of its steps, nsw per step, step-major; a ramp chunk's
-    e has no columns.  It is zero past the chunk's end up to a whole probe
-    block, and a chunk writes every other buffer before it reads it.
+    w and the EMFs of its steps, nsw per step, step-major.  A ramp chunk
+    has no EMF columns, so its input is its w_0 where the stack holds it,
+    and `we` goes unread.  It is zero past the chunk's end up to a whole
+    probe block, and a chunk writes every other buffer before it reads it.
     `w_at` maps [w_0; e] to w at the probe blocks' starts after the first,
     then to the whole buffer a step before the chunk's end, into `at`
     (views `block_starts` and `handed`).  The probe blocks hold one block
@@ -420,31 +421,34 @@ class _ChunkMaps:
         self.phase_samples = self.phases.reshape(3, blocks * PROBE_BLOCK, -1)[
             :, :length].transpose(2, 0, 1)
 
-    def hand_on(self, stack: np.ndarray, last: int, step_map: np.ndarray,
-                samples: np.ndarray) -> None:
+    def hand_on(self, w0: np.ndarray, we: np.ndarray, stack: np.ndarray, last: int,
+                step_map: np.ndarray, samples: np.ndarray) -> None:
         """Sample the chunk that ends in stack[last] and hand on its
-        buffers, from [w_0; e]: the one a step before its end, with its EMF
-        rows written (zero in the ramp), by `w_at`, and from it the end
-        buffer by `step`'s product with step_map, so no probe moves their
-        rounding; the loop's edges (`state`) and the next chunk read no
-        other.  With probes, the same product gives the probe blocks'
-        starts, and their samples are one product with `probe_map`, then
-        K^T, written into samples, one column per step.  K^T stays out of
-        the map: folded in, as in `ProbeSet.maps`, it would triple the
-        product's work."""
+        buffers, from its input we, [w_0; e], and its w_0, w0 (a relaxed
+        chunk's `we` and `w0`; a ramp chunk's w_0 in the stack, as both):
+        the one a step before its end, with its EMF rows written (zero in
+        the ramp), by `w_at`, and from it the end buffer by `step`'s
+        product with step_map, so no probe moves their rounding; the
+        loop's edges (`state`) and the next chunk read no other.  With
+        probes, the same product gives the probe blocks' starts, and their
+        samples are one product with `probe_map`, then K^T, written into
+        samples, one column per step; a ramp chunk's blocks have no EMF
+        columns to fill.  K^T stays out of the map: folded in, as in
+        `ProbeSet.maps`, it would triple the product's work."""
         before_end = stack[last - 1]
         if self.probe_map.size:
-            self.we.dot(self.w_at, self.at)
-            blocks, w = self.probe_blocks, self.w0.shape[1]
-            blocks[:, 0, :w] = self.w0
+            we.dot(self.w_at, self.at)
+            blocks, w = self.probe_blocks, w0.shape[1]
+            blocks[:, 0, :w] = w0
             blocks[:, 1:, :w] = self.block_starts
-            blocks[:, :, w:] = self.e_blocks
+            if self.e.size:
+                blocks[:, :, w:] = self.e_blocks
             self.probe_rows.dot(self.probe_map, self.taken_rows)
             TWO_AXIS.T.dot(self.taken, self.phases)
             samples.reshape(-1, 3, samples.shape[1])[:] = self.phase_samples
             before_end[:] = self.handed
         else:
-            self.we.dot(self.w_at, before_end)
+            we.dot(self.w_at, before_end)
         before_end.dot(step_map, stack[last])
 
 
@@ -754,12 +758,11 @@ class CompiledNet:
         w, nsw = self.n_lc + 4, 0 if ramp else self.swinging.size
         o = self.outputs[not ramp][np.asarray(rows, dtype=int), :w + nsw]
         # Output k + 1 of a chunk reads w_k and e_(k+1): o_w T_ww^k on
-        # w_0, and the Markov parameter d = k + 1 - j on e_j.
-        from_w = _power_sequence(o[:, :w], self._squares(ramp, steps), steps, right=True)
-        if not nsw:
-            return from_w  # no EMF columns: the ramp's outputs read w_0 alone
+        # w_0, built in place, and the Markov parameter d = k + 1 - j on e_j.
         g = np.zeros((steps, len(o), w + steps * nsw))
-        g[:, :, :w] = from_w
+        _power_sequence(o[:, :w], self._squares(ramp, steps), g[:, :, :w], True)
+        if not nsw:
+            return g  # no EMF columns: the ramp's outputs read w_0 alone
         markov = np.concatenate([o[None, :, w:], g[:-1, :, :w] @ self.post_map.T[:w, w:]])
         lower = np.tril_indices(steps)
         from_e = g[:, :, w:].reshape(steps, len(o), steps, nsw)  # a view
@@ -794,7 +797,8 @@ class CompiledNet:
         t = (self.ramp_map if ramp else self.post_map).T
         squares = self._squares(ramp, length)
         # T_ww^d T_we for d < length - 1, the latest first.
-        impulse = _power_sequence(t[:w, w:w + nsw], squares, length - 1)
+        impulse = _power_sequence(t[:w, w:w + nsw], squares,
+                                  np.empty((length - 1, w, nsw)), False)
         from_e = impulse[::-1].transpose(1, 0, 2).reshape(w, (length - 1) * nsw)
         steps = [*range(PROBE_BLOCK, length if probed else 0, PROBE_BLOCK), length - 1]
         m = np.zeros((len(steps) * w + self.swinging.size, w + length * nsw))
@@ -977,14 +981,14 @@ class CompiledNet:
         samples into samples, one column per step.
 
         The rotors are held, so the chunk is linear in its start's w (the
-        class docstring's chunk maps): it copies w_0 into its input and
-        `_ChunkMaps.hand_on` does the rest, through the ramp's T.  Its maps
-        are built on the loop's first ramp chunk and dropped in the cycle
-        the ramp ends, so a chunk allocates nothing.
+        class docstring's chunk maps): `_ChunkMaps.hand_on` reads w_0 where
+        it is in the stack and does the rest, through the ramp's T.  Its
+        maps are built on the loop's first ramp chunk and dropped in the
+        cycle the ramp ends, so a chunk allocates nothing.
         """
         r = self.ramp_maps or self._ramp_maps()
-        r.w0[:] = self.stack[first, :, :self.n_lc + 4]
-        r.hand_on(self.stack, first + self.chunk, self.ramp_map, samples)
+        w0 = self.stack[first, :, :self.n_lc + 4]
+        r.hand_on(w0, w0, self.stack, first + self.chunk, self.ramp_map, samples)
 
     def relax(self, first: int, length: int, samples: np.ndarray) -> None:
         """Advance a net with swinging machines `length` <= `chunk` steps
@@ -1049,7 +1053,7 @@ class CompiledNet:
         m.power.take(m.history_at, out=self.power_history, mode="clip")  # unbuffered
         # The EMF rows amp u the sweeps assumed complete the chunk's input.
         np.multiply(u, m.amplitude, out=m.e)
-        m.hand_on(self.stack, first + length, self.post_map, samples)
+        m.hand_on(m.w0, m.we, self.stack, first + length, self.post_map, samples)
 
 
 # --- probes and waveform recording -----------------------------------------------

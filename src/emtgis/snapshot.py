@@ -15,6 +15,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +242,7 @@ def region_operating_point(decl, state: BoundaryState, i: int) -> RegionOperatin
     return RegionOperatingPoint(decl, state.voltage(i), state.evaluations[i])
 
 
-def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
+def build_region_net(op: RegionOperatingPoint) -> EmtNet:
     """Region-side EMT model sharing the boundary node with the main system.
 
     White-box regions contribute their internal network (initialized at the
@@ -250,45 +251,48 @@ def _add_region_parts(builder: _NetBuilder, op: RegionOperatingPoint):
     """
     decl, e = op.decl, op.evaluation
     ns = f"{decl.name}/"
+    b = _NetBuilder(f"region:{decl.name}", decl.frequency_hz)
+    b.node(decl.boundary_bus)
     if decl.kind is GrbcKind.WHITE_BOX_NETWORK:
         # the boundary bus row itself carries no region-side load by construction
-        _add_case_parts(builder, decl.pf_problem.case, e.internal_pf, namespace=ns)
+        _add_case_parts(b, decl.pf_problem.case, e.internal_pf, namespace=ns)
     else:
         v = op.v_boundary.rect
         i_into_region = machine_port_current(-complex(e.p_tilde, e.q_tilde), v)
         e_int = v - OPAQUE_EQUIVALENT_Z * i_into_region
         src_node = f"{ns}src"
-        builder.series_rx(f"{ns}zint", builder.node(src_node), decl.boundary_bus,
-                          OPAQUE_EQUIVALENT_Z.real, OPAQUE_EQUIVALENT_Z.imag)
-        builder.ideal_source(f"{ns}esrc", src_node, e_int)
-
-
-def build_region_net(op: RegionOperatingPoint, frequency_hz: float) -> EmtNet:
-    b = _NetBuilder(f"region:{op.decl.name}", frequency_hz)
-    b.node(op.decl.boundary_bus)
-    _add_region_parts(b, op)
+        b.series_rx(f"{ns}zint", b.node(src_node), decl.boundary_bus,
+                    OPAQUE_EQUIVALENT_Z.real, OPAQUE_EQUIVALENT_Z.imag)
+        b.ideal_source(f"{ns}esrc", src_node, e_int)
     return b.build()
 
 
-def build_full_net(case: CaseFile, pf: PowerFlowSolution,
-                   region_ops: list[RegionOperatingPoint]) -> EmtNet:
-    """Whole-system EMT model: main plus every region, boundaries reconnected."""
-    b = _NetBuilder(f"{case.name}:full", case.frequency_hz)
-    _add_case_parts(b, case, pf)
-    for op in region_ops:
-        _add_region_parts(b, op)
-    return b.build()
+def _join(name: str, nets: list[EmtNet]) -> EmtNet:
+    """`nets` as one net, in order, at the first one's frequency: their
+    nodes, each once at its first place, so the nets connect at the nodes
+    they share, and their elements, sources and machines."""
+    def chained(part: str) -> tuple:
+        return tuple(chain.from_iterable(getattr(net, part) for net in nets))
+    return EmtNet(name, nets[0].frequency_hz, tuple(dict.fromkeys(chained("nodes"))),
+                  chained("elements"), chained("sources"), chained("machines"))
+
+
+def build_full_net(name: str, main_net: EmtNet, region_nets: list[EmtNet]) -> EmtNet:
+    """Whole-system EMT model `name`: the main net and every region net
+    joined at their boundary nodes (`_join`), nothing converted again, so
+    its every part is one that a subsystem net steps."""
+    return _join(name, [main_net, *region_nets])
 
 
 # --- phasor-based initialization of a white-box network -------------------------
 
 
-def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
+def phasor_init(pf: PowerFlowSolution, net: EmtNet, dt: float,
                 draws: dict[str, tuple[float, float]]) -> Snapshot:
     """Snapshot of the main system at step 0 straight from power-flow phasors.
 
-    `net` is `build_main_net(case, pf)`, built once by the caller.  `draws`
-    (bus: (p, q)) is the power each region pulls from its torn node, the
+    `net` is the main net at pf (`SystemModel.main_net`).  `draws` (bus:
+    (p, q)) is the power each region pulls from its torn node, the
     coordinator's, injected so the state is consistent once the regions
     are reconnected.  The phasors come from a nodal solve with the
     discrete-companion admittances, so the kernel continues the periodic
@@ -304,7 +308,7 @@ def phasor_init(case: CaseFile, pf: PowerFlowSolution, net: EmtNet, dt: float,
         v_b = complex(node_ph[net.nodes.index(bus)])
         boundary_phasors[bus] = (Phasor.from_complex(v_b),
                                  Phasor.from_complex(machine_port_current(complex(p, q), v_b)))
-    return Snapshot(MAIN_SUBSYSTEM, case.frequency_hz, state,
+    return Snapshot(MAIN_SUBSYSTEM, net.frequency_hz, state,
                     boundary_phasors, PROVENANCE_PHASOR,
                     parts={MAIN_SUBSYSTEM: PROVENANCE_PHASOR})
 
@@ -406,19 +410,16 @@ def thevenin_extract(pf: PowerFlowSolution, faults: dict[str, complex],
 
 def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
                     ) -> tuple[EmtNet, str]:
-    """Region net plus the equivalent source; returns the net and the id of
-    the series element whose current flows into the subsystem."""
-    b = _NetBuilder(net.name + "+thev", net.frequency_hz)
-    b.nodes = dict.fromkeys(net.nodes)
-    b.elements = list(net.elements)
-    b.sources = list(net.sources)
-    b.machines = list(net.machines)
+    """Region net plus the equivalent source, joined at the boundary node
+    (`_join`); returns the net and the id of the series element whose
+    current flows into the subsystem."""
+    b = _NetBuilder("thev", net.frequency_hz)
     src_node = b.node("thev:src")
     z = thevenin.z_eq
     b.series_rx("thev:z", src_node, boundary, z.real, z.imag)
     probe_eid = b.elements[-1].eid  # the series part adjacent to the boundary node
     b.ideal_source("thev:e", src_node, thevenin.e_eq.rect)
-    return b.build(), probe_eid
+    return _join(net.name + "+thev", [net, b.build()]), probe_eid
 
 
 def hold_rotors(net: EmtNet) -> EmtNet:
@@ -601,11 +602,15 @@ class PipelineConfig:
 
 @dataclass
 class SystemModel:
-    """Coordinated operating point plus the whole-system EMT model."""
+    """Coordinated operating point plus the EMT models built from it, each
+    once: the main net, one region net per region (`region_ops`' order)
+    and the whole-system net, their join (`build_full_net`)."""
 
     boundary_state: BoundaryState
     ipf_trace: IterationTrace
     region_ops: list[RegionOperatingPoint]
+    main_net: EmtNet
+    region_nets: list[EmtNet]
     full_net: EmtNet
 
 
@@ -636,10 +641,11 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
     """Validate, coordinate the whole-system power flow (`jfng_solve`; a
     case without regions converges at its first residual, one main solve),
     read every region's operating point from the converged state, which
-    solved it, and assemble the whole-system EMT model.  An invalid case,
-    a dt that does not divide the period or leaves fewer than 4 steps per
-    period, or a region ramp that leaves no ramp budget to settle in,
-    raises ValueError, an input error, not a stage failure."""
+    solved it, and build the main net and every region net, then the
+    whole-system net from them.  An invalid case, a dt that does not
+    divide the period or leaves fewer than 4 steps per period, or a region
+    ramp that leaves no ramp budget to settle in, raises ValueError, an
+    input error, not a stage failure."""
     cfg = cfg or PipelineConfig()
     validate_case(case).raise_if_invalid()
     period_steps = case.period / cfg.dt
@@ -655,38 +661,39 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 
     state, trace = _stage("ipf", jfng_solve, case, case.grbcs, cfg=cfg.jfng)
     region_ops = [region_operating_point(decl, state, i) for i, decl in enumerate(case.grbcs)]
-    full_net = _stage("build_network", build_full_net, case, state.main_solution, region_ops)
-    return SystemModel(state, trace, region_ops, full_net)
+    main_net = _stage("build_network", build_main_net, case, state.main_solution)
+    region_nets = [_stage("build_network", build_region_net, op) for op in region_ops]
+    full_net = _stage("build_network", build_full_net, f"{case.name}:full", main_net, region_nets)
+    return SystemModel(state, trace, region_ops, main_net, region_nets, full_net)
 
 
 def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> PipelineResult:
     """The pipeline after `system_model` built `model` from case and cfg:
     phasor snapshot of the main system and its `fault_currents` table, the
     ramp of every region behind its Thevenin equivalent, schedule,
-    advance, splice.  Any stage failure is re-raised tagged with the stage
-    name."""
+    advance, splice.  It steps the model's nets; only the advance builds
+    its own, each region's net and equivalent again.  Any stage failure is
+    re-raised tagged with the stage name."""
     stage = _stage
     state = model.boundary_state
     main_pf = state.main_solution
-    main_net = stage("phasor_init", build_main_net, case, main_pf)
-    faults = stage("phasor_init", fault_currents, main_net, list(state.bus_ids))
+    faults = stage("phasor_init", fault_currents, model.main_net, list(state.bus_ids))
     draws = {bid: (float(state.p[i]), float(state.q[i]))
              for i, bid in enumerate(state.bus_ids)}
-    snap_main = stage("phasor_init", phasor_init, case, main_pf, main_net, cfg.dt, draws)
+    snap_main = stage("phasor_init", phasor_init, main_pf, model.main_net, cfg.dt, draws)
 
     t_ramp = cfg.region_ramp(case)
     ramp_cfg = SimConfig(dt=cfg.dt, steps=ek.to_steps(cfg.ramp_budget, cfg.dt),
                          ramp_steps=ek.to_steps(t_ramp, cfg.dt))
 
-    def ramp_one(op: RegionOperatingPoint) -> Snapshot:
+    def ramp_one(op: RegionOperatingPoint, region_net: EmtNet) -> Snapshot:
         thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
-        region_net = hold_rotors(build_region_net(op, case.frequency_hz))
-        return ramp_to_snapshot(region_net, thev, ramp_cfg, op.decl.boundary_bus,
-                                op.decl.name)
+        return ramp_to_snapshot(hold_rotors(region_net), thev, ramp_cfg,
+                                op.decl.boundary_bus, op.decl.name)
 
     snapshots: dict[str, Snapshot] = {MAIN_SUBSYSTEM: snap_main}
     for snap in stage("ramp_to_snapshot",
-                      lambda: [ramp_one(op) for op in model.region_ops]):
+                      lambda: list(map(ramp_one, model.region_ops, model.region_nets))):
         snapshots[snap.subsystem] = snap
 
     ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
@@ -697,7 +704,7 @@ def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> Pipel
         for op in model.region_ops:
             name = op.decl.name
             thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
-            net, _ = attach_thevenin(hold_rotors(build_region_net(op, case.frequency_hz)),
+            net, _ = attach_thevenin(hold_rotors(build_region_net(op)),
                                      op.decl.boundary_bus, thev)
             snapshots[name] = advance_snapshot(snapshots[name], net,
                                                schedule.t_adj_steps[name], cfg.dt)
@@ -726,23 +733,26 @@ def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> Pipel
 
 def settle_from_zero(full_net: EmtNet, cfg: SimConfig, t_ramp: float) -> tuple[EmtState, int]:
     """Zero-state ramping baseline on the whole net for at most cfg.steps
-    steps, its sources ramped over t_ramp (cfg.ramp_steps is not read);
-    returns the settled state and the step at which steadiness was
-    declared.
+    steps, its sources ramped over t_ramp (cfg.ramp_steps is not read) and
+    its probes cfg.record; returns the settled state and the step at which
+    steadiness was declared.
 
-    Rotor angles are dynamic states, not model parameters: machines start
-    at zero angle and their swing dynamics (active once the ramp completes)
-    find the operating point on their own.  Machine branch currents join
-    the detector probes: rotor swings modulate angles far more than
-    voltage magnitudes, and currents expose them to the cycle-RMS test.
+    Rotor angles are dynamic states, not model parameters: swinging
+    machines (inertia_h > 0) start at zero angle and their swing dynamics
+    (active once the ramp completes) find the operating point on their
+    own.  A machine without inertia has no swing: the kernel steps it as a
+    source at its state's angle all run, so it keeps its power-flow angle.
+    Machine branch currents join the detector probes: rotor swings
+    modulate angles far more than voltage magnitudes, and currents expose
+    them to the cycle-RMS test.
     """
-    record = list(cfg.record) or [n for n in full_net.nodes if ":" not in n]
+    record = list(cfg.record)
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
     cfg = replace(cfg, record=record,
                   ramp_steps=ek.to_steps(t_ramp, cfg.dt))
     init = ek.zero_state(full_net, cfg.dt)
-    init.machine_delta[:] = 0.0
+    init.machine_delta[[m.inertia_h > 0 for m in full_net.machines]] = 0.0
     state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)
     if fired is None:
         raise SteadyStateTimeout(cfg.steps * cfg.dt)

@@ -237,7 +237,7 @@ def test_criterion_8_splice_time_adjustment(ninebus1, ninebus1_pipeline):
     dt = 5e-5
     n_cycle = int(round(ninebus1.period / dt))
     main_net = sn.build_main_net(ninebus1, res.model.boundary_state.main_solution)
-    region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
+    region_net = sn.build_region_net(res.model.region_ops[0])
     full = res.model.full_net
 
     waves, _ = ek.run(full, ek.SimConfig(dt=dt, steps=n_cycle, record=["B10"]),

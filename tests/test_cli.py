@@ -366,6 +366,23 @@ class TestCompare:
         assert_one_line_error(out)
 
 
+class TestCompareFixedRotor:
+    """The zero-state baseline starts only swinging rotors (inertia_h > 0)
+    at zero angle.  A machine without inertia is a source at its state's
+    angle all run, so it keeps its power-flow angle; started at zero, it
+    settled hybrid's baseline with B2 fixed at another operating point, its
+    largest deviation 1.22e-2 against 4.90e-5."""
+
+    def test_baseline_keeps_a_fixed_rotor_at_its_power_flow_angle(self, tmp_path):
+        from emtgis.cli import main
+
+        path = case_with("hybrid", tmp_path, ("machines", 1, "inertia_h"), 0.0)
+        assert read_json(path)["machines"][1]["bus"] == "B2"
+        assert main(["compare", str(path), "--out", str(tmp_path / "out")]) == 0
+        deviations = read_json(tmp_path / "out" / "compare.json")["deviations"]
+        assert max(deviations.values()) < 1e-3
+
+
 class TestCompareWindow:
     """Each run of `compare` steps to w0 recording nothing, then records
     the window [w0, w1] with the fault.  The record-every-step-then-slice

@@ -276,7 +276,7 @@ class TestNumericalContracts:
         bus = op.decl.boundary_bus
         thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]),
                                    boundary_injections(pf, ninebus3), bus)
-        net, _ = sn.attach_thevenin(sn.build_region_net(op, ninebus3.frequency_hz),
+        net, _ = sn.attach_thevenin(sn.build_region_net(op),
                                     op.decl.boundary_bus, thev)
         assert net.machines
         self._assert_replay_after_ramp(net)
@@ -371,7 +371,7 @@ class TestAffineStepEquivalence:
     def test_matches_reference_with_swinging_machine(self, hybrid, hybrid_model):
         net = hybrid_model.full_net
         dt = 5e-5
-        snap = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt, {})
+        snap = sn.phasor_init(hybrid_model.boundary_state.main_solution, net, dt, {})
         init = snap.emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         reference = ReferenceNet(net, dt)
@@ -457,7 +457,7 @@ class TestLoopEquivalence:
 
     def test_run_across_a_fault_with_swinging_machine(self, hybrid, hybrid_model):
         net, dt = hybrid_model.full_net, 5e-5
-        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt,
+        init = sn.phasor_init(hybrid_model.boundary_state.main_solution, net, dt,
                               {}).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
@@ -477,7 +477,7 @@ class TestLoopEquivalence:
         bus = op.decl.boundary_bus
         thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus3, pf), [bus]),
                                    boundary_injections(pf, ninebus3), bus)
-        region = sn.build_region_net(op, ninebus3.frequency_hz)
+        region = sn.build_region_net(op)
         net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
         assert net.machines
         dt = 5e-5
@@ -508,7 +508,7 @@ def region_net(case, model, name):
     bus = op.decl.boundary_bus
     thev = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(case, pf), [bus]),
                                boundary_injections(pf, case), bus)
-    region = sn.build_region_net(op, case.frequency_hz)
+    region = sn.build_region_net(op)
     net, probe = sn.attach_thevenin(region, op.decl.boundary_bus, thev)
     return net, list(region.nodes) + [f"i:{probe}"]
 
@@ -650,7 +650,7 @@ class TestHistoryCurrentState:
                              ids=["step-1", "first-of-a-cycle", "last-of-a-cycle"])
     def test_fault_with_swinging_machine(self, hybrid, hybrid_model, fault_step):
         net, dt = hybrid_model.full_net, self.DT
-        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution, net, dt,
+        init = sn.phasor_init(hybrid_model.boundary_state.main_solution, net, dt,
                               {}).emt_state
         init.machine_pm = init.machine_pm * 1.1  # accelerate the rotors
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
@@ -734,7 +734,7 @@ def start_with_swinging(count, hybrid, hybrid_model, hybrid_comparison):
         return (hybrid_comparison["result"].model.full_net,
                 hybrid_comparison["result"].snapshot.emt_state)
     net = (two_machine_net, three_machine_net)[count - 2](hybrid_model.full_net)
-    return net, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+    return net, sn.phasor_init(hybrid_model.boundary_state.main_solution,
                                net, 5e-5, {}).emt_state
 
 
@@ -763,7 +763,7 @@ class TestSwingRelaxation:
 
     def test_two_swinging_machines(self, hybrid, hybrid_model):
         net = two_machine_net(hybrid_model.full_net)
-        init = sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+        init = sn.phasor_init(hybrid_model.boundary_state.main_solution,
                               net, self.DT, {}).emt_state
         record = ["B7", "B9"] + [f"i:{m.branch_eid}" for m in net.machines]
         cfg = ek.SimConfig(dt=self.DT, steps=900, record=record,
@@ -784,7 +784,7 @@ class TestSwingRelaxation:
         # ramp chunks, 45 stepped ramp steps and relaxed chunks.
         two = two_machine_net(hybrid_model.full_net)
         starts = [self.gis_start(hybrid_comparison),
-                  (two, sn.phasor_init(hybrid, hybrid_model.boundary_state.main_solution,
+                  (two, sn.phasor_init(hybrid_model.boundary_state.main_solution,
                                        two, self.DT, {}).emt_state)]
         runs = [(net, init, ek.SimConfig(dt=self.DT, steps=steps))
                 for (net, init), steps in itertools.product(starts, [10000, 150])]

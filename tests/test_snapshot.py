@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -52,6 +53,7 @@ from conftest import (  # noqa: E402
     splice_schedule,
     subset_state,
 )
+from reference_fullnet import reference_full_net  # noqa: E402
 from reference_phasor import net_pins, reference_phasor_solve  # noqa: E402
 from reference_splice import reference_splice  # noqa: E402
 from reference_thevenin import reference_thevenin  # noqa: E402
@@ -100,7 +102,7 @@ class TestPhasorInit:
             [MachineRecord("B1", MachineKind.IDEAL_SOURCE)],
         )
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
-        snap = sn.phasor_init(case, pf, sn.build_main_net(case, pf), 5e-5, {})
+        snap = sn.phasor_init(pf, sn.build_main_net(case, pf), 5e-5, {})
         st = snap.emt_state
         assert np.max(np.abs(st.elem_i)) < 1e-12
         assert np.max(np.abs(st.i_hist)) < 1e-12
@@ -114,7 +116,7 @@ class TestPhasorInit:
         # + its angle), zero on a resistor
         pf = solve_main(PowerFlowProblem(twobus), tol=1e-12)
         net = sn.build_main_net(twobus, pf)
-        st = sn.phasor_init(twobus, pf, net, 5e-5, {}).emt_state
+        st = sn.phasor_init(pf, net, 5e-5, {}).emt_state
         node_ph, elem_ph = ek.phasor_solve(net, dt=5e-5)
         _, h, j = ek.companion_arrays(net, 5e-5)
         v = dict(zip(net.nodes, node_ph))
@@ -130,7 +132,7 @@ class TestPhasorInit:
         case = machine_case()
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
-        snap = sn.phasor_init(case, pf, net, 5e-5, {})
+        snap = sn.phasor_init(pf, net, 5e-5, {})
         waves, _ = ek.run(net, ek.SimConfig(dt=5e-5, steps=800,
                                             record=["B1", "B2", "B3"]),
                           init=snap.emt_state)
@@ -144,7 +146,7 @@ class TestPhasorInit:
         case = machine_case()
         pf = solve_main(PowerFlowProblem(case), tol=1e-12)
         net = sn.build_main_net(case, pf)
-        snap = sn.phasor_init(case, pf, net, 5e-5, {})
+        snap = sn.phasor_init(pf, net, 5e-5, {})
         _, fin = ek.run(net, ek.SimConfig(dt=5e-5, steps=10_000),
                         init=snap.emt_state)
         assert fin.machine_delta[0] == pytest.approx(
@@ -253,7 +255,7 @@ class TestThevenin:
         pf = res.model.boundary_state.main_solution
         th = sn.thevenin_extract(pf, sn.fault_currents(sn.build_main_net(ninebus1, pf), ["B10"]),
                                  boundary_injections(pf, ninebus1), "B10")
-        region = sn.build_region_net(op, 50.0)
+        region = sn.build_region_net(op)
         net, probe = sn.attach_thevenin(region, "B10", th)
         assert not net.machines  # the solve pins the sources alone, as the ramp does
         node_ph, elem_ph = ek.phasor_solve(net)
@@ -428,7 +430,7 @@ def split_setup(ninebus1, ninebus1_pipeline):
     dt = 5e-5
     n_cycle = int(round(case.period / dt))
     main_net = sn.build_main_net(case, res.model.boundary_state.main_solution)
-    region_net = sn.build_region_net(res.model.region_ops[0], 50.0)
+    region_net = sn.build_region_net(res.model.region_ops[0])
     full = res.model.full_net
 
     # sample the settled whole system across one period, catching the
@@ -682,8 +684,9 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["ninebus1", "hybrid"])
     def test_pipeline_builds_each_region_twice(self, name, request, monkeypatch):
-        # one Thevenin extraction and one region net for the ramp, and again
-        # for the advance: the count the benchmark's per-region calls read
+        # one region net for the model, which the ramp steps, and one for
+        # the advance; one Thevenin extraction for the ramp and one for the
+        # advance: the count the benchmark's per-region calls read
         calls = {"thevenin_extract": [], "build_region_net": []}
         real = {fn: getattr(sn, fn) for fn in calls}
 
@@ -691,9 +694,9 @@ class TestPipeline:
             calls["thevenin_extract"].append(bus)
             return real["thevenin_extract"](pf, faults, draws, bus)
 
-        def region_net(op, frequency_hz):
+        def region_net(op):
             calls["build_region_net"].append(op.decl.boundary_bus)
-            return real["build_region_net"](op, frequency_hz)
+            return real["build_region_net"](op)
 
         monkeypatch.setattr(sn, "thevenin_extract", thevenin)
         monkeypatch.setattr(sn, "build_region_net", region_net)
@@ -705,8 +708,8 @@ class TestPipeline:
             assert sorted(got) == sorted(buses * 2), fn
 
     def test_pipeline_builds_the_main_net_once(self, hybrid, monkeypatch):
-        # the phasor snapshot and each of the three regions' Thevenin
-        # extractions, for the ramp and for the advance, share one main net
+        # the model's one main net serves the full net's join, the phasor
+        # snapshot and the fault table of every Thevenin extraction
         calls = []
         real_build = sn.build_main_net
 
@@ -717,6 +720,57 @@ class TestPipeline:
         monkeypatch.setattr(sn, "build_main_net", counted)
         pipeline(hybrid, sn.PipelineConfig(dt=5e-5))
         assert calls == [hybrid.name]
+
+
+class TestOneNetPerSubsystem:
+    """`system_model` converts the main case and each region once, into the
+    main net and the region nets; the full net is their join, the same
+    net, field by field, as one builder's conversion of every part
+    (`reference_full_net`)."""
+
+    @pytest.mark.parametrize("name", ["twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid",
+                                      "scaled8"])
+    def test_joined_full_net_equals_one_builders(self, name, request):
+        case = scaled_case(8, 1) if name == "scaled8" else request.getfixturevalue(name)
+        model = sn.system_model(case)
+        want = reference_full_net(case, model)
+        assert model.full_net.name == f"{case.name}:full"
+        for f in dataclasses.fields(ek.EmtNet):
+            # repr tells every float bit by bit, -0.0 from 0.0 too
+            assert repr(getattr(model.full_net, f.name)) == repr(getattr(want, f.name)), f.name
+
+    @pytest.mark.parametrize("command", ["init", "compare"])
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus3", "hybrid"])
+    def test_a_run_converts_the_main_case_once_and_each_region_twice(
+            self, name, command, request, monkeypatch, tmp_path):
+        # Every conversion takes a builder.  The main case's parts go into
+        # one, for the model; each region's into one for the model and one
+        # for the advance, and each equivalent's parts into one for the ramp
+        # and one for the advance.
+        from emtgis.cli import main
+
+        built, converted = Counter(), Counter()
+        real_parts = sn._add_case_parts
+
+        class Counted(sn._NetBuilder):
+            def __init__(self, name, frequency_hz):
+                built[name] += 1
+                super().__init__(name, frequency_hz)
+
+        def case_parts(builder, case, pf, namespace=""):
+            converted[case.name] += 1
+            return real_parts(builder, case, pf, namespace)
+
+        monkeypatch.setattr(sn, "_NetBuilder", Counted)
+        monkeypatch.setattr(sn, "_add_case_parts", case_parts)
+        assert main([command, case_path(name), "--out", str(tmp_path)]) == 0
+        case = request.getfixturevalue(name)
+        regions = [g.name for g in case.grbcs]
+        white_box = [g.name for g in case.grbcs if g.kind is GrbcKind.WHITE_BOX_NETWORK]
+        assert regions and white_box
+        assert built == Counter({f"{case.name}:main": 1, "thev": 2 * len(regions),
+                                 **{f"region:{r}": 2 for r in regions}})
+        assert converted == Counter({case.name: 1, **{f"{r}-internal": 2 for r in white_box}})
 
 
 class TestOneOperatingPoint:
@@ -882,12 +936,14 @@ class TestRampLength:
 
         monkeypatch.setattr(ek, "run_until_steady", steady)
         # 0.04 s, 0.5 s and 0.2 s at 5e-5 s a step, as `compare` takes them
-        # from the rule; a config's own ramp is not read.
+        # from the rule, with its probes; a config's own ramp is not read.
         for name, given, ramp in (("ninebus1", None, 800), ("hybrid", None, 10_000),
                                   ("hybrid", 0.2, 4000)):
-            net = bundled_models[name][1].full_net
-            sn.settle_from_zero(net, ek.SimConfig(dt=5e-5, steps=20_000, ramp_steps=1),
-                                sn.ramp_length(net, given))
+            case, model = bundled_models[name]
+            net = model.full_net
+            cfg = ek.SimConfig(dt=5e-5, steps=20_000, record=[b.id for b in case.buses],
+                               ramp_steps=1)
+            sn.settle_from_zero(net, cfg, sn.ramp_length(net, given))
             assert seen.pop() == ramp
 
 
@@ -991,10 +1047,12 @@ class TestHeldRotors:
     @pytest.mark.parametrize("name", ["ninebus2", "ninebus3"])
     def test_the_zero_state_baseline_keeps_free_rotors(self, name, bundled_models,
                                                        compiled_nets):
-        full_net = bundled_models[name][1].full_net
+        case, model = bundled_models[name]
+        full_net = model.full_net
         assert sn.ramp_length(full_net) == 0.5
-        sn.settle_from_zero(full_net, ek.SimConfig(dt=5e-5, steps=ek.to_steps(12.0, 5e-5)),
-                            sn.ramp_length(full_net))
+        cfg = ek.SimConfig(dt=5e-5, steps=ek.to_steps(12.0, 5e-5),
+                           record=[b.id for b in case.buses])
+        sn.settle_from_zero(full_net, cfg, sn.ramp_length(full_net))
         assert sum(c.chunks_relaxed for c in compiled_nets) > 0
 
 
