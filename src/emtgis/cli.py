@@ -139,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", parents=[common, emt], help="run the EMT kernel")
     sim.add_argument("--snapshot", help="snapshot file to start from")
     sim.add_argument("--zero-state", action="store_true",
-                     help="start de-energized and ramp sources")
+                     help="start de-energized, each swinging rotor at angle 0, as compare's"
+                          " zero-state run does, and ramp sources")
     sim.add_argument("--t-ramp", type=seconds,
                      help="source ramp of a --zero-state run, whose rotors swing, a step or "
                           "more [s] (default: two cycles, 0.5 s with a swinging machine)")
@@ -335,9 +336,11 @@ def cmd_simulate(args) -> int:
     # The full net's loads and machine EMFs come from the coordinated power
     # flow, so even a zero-state run needs the system model.
     model = sn.system_model(case, sn.PipelineConfig(dt=args.dt, jfng=_jfng_config(args)))
-    if args.zero_state and ramp_steps is None:
-        args.t_ramp = sn.ramp_length(model.full_net)  # recorded in the manifest
-        ramp_steps = _steps(args, "t_ramp")
+    if args.zero_state:
+        init = sn.zero_start(model.full_net, args.dt)
+        if ramp_steps is None:
+            args.t_ramp = sn.ramp_length(model.full_net)  # recorded in the manifest
+            ramp_steps = _steps(args, "t_ramp")
 
     sim = ek.SimConfig(dt=args.dt, steps=steps, record=probes, fault=fault,
                        ramp_steps=ramp_steps)

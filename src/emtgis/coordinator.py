@@ -67,8 +67,7 @@ def _norm(v: np.ndarray) -> float:
         return float(np.linalg.norm(v))
 
 
-@dataclass
-class BoundaryState:
+class BoundaryState(NamedTuple):
     """Coordination vector, both-side injections and residual at one x,
     with the torn main system's solution and each region's evaluation
     (declaration order) they come from."""
@@ -121,8 +120,7 @@ class JfngConfig:
             raise ValueError(f"max_outer must be >= 0, got {self.max_outer}")
 
 
-@dataclass
-class OuterRecord:
+class OuterRecord(NamedTuple):
     outer_iter: int
     phi_norm: float
     inner_iters: int
@@ -321,8 +319,7 @@ def _initial_preconditioner(problem: PowerFlowProblem, grbcs, state: BoundarySta
     return np.eye(2 * n)
 
 
-@dataclass
-class GmresResult:
+class GmresResult(NamedTuple):
     converged: bool
     iterations: int
     rho_history: list[float]

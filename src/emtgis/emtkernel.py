@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +123,7 @@ def continuous_admittance(kind: ElementKind, value: float, omega: float) -> comp
 # --- network description ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """Two-terminal R/L/C between nodes; n_to None means ground."""
 
     eid: str
@@ -133,8 +133,7 @@ class Element:
     value: float
 
 
-@dataclass(frozen=True)
-class Source:
+class Source(NamedTuple):
     """Ideal grounded voltage source pinning its node."""
 
     sid: str
@@ -143,8 +142,7 @@ class Source:
     angle: float
 
 
-@dataclass(frozen=True)
-class Machine:
+class Machine(NamedTuple):
     """Classical machine: EMF behind transient reactance with swing dynamics.
 
     The EMF node and series inductor are explicit members of the network;
@@ -165,8 +163,7 @@ class Machine:
     pm: float
 
 
-@dataclass(frozen=True)
-class EmtNet:
+class EmtNet(NamedTuple):
     name: str
     frequency_hz: float
     nodes: tuple[str, ...]
@@ -196,7 +193,7 @@ def apply_fault(net: EmtNet, bus: str, r_fault: float) -> EmtNet:
     if r_fault <= 0.0:
         raise InvalidParameter("fault resistance must be positive or infinite")
     fault = Element(f"fault:{bus}", ElementKind.RESISTOR, bus, None, r_fault)
-    return replace(net, elements=net.elements + (fault,))
+    return net._replace(elements=net.elements + (fault,))
 
 
 def element_terminals(net: EmtNet) -> tuple[np.ndarray, np.ndarray]:
@@ -1106,8 +1103,7 @@ class ProbeSet:
                 np.matmul(o_p, stack[part].reshape(-1, o_p.shape[1]).T, out=out[:, part])
 
 
-@dataclass
-class WaveformSet:
+class WaveformSet(NamedTuple):
     times: np.ndarray
     data: dict[str, np.ndarray]
 

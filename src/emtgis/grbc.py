@@ -12,9 +12,10 @@ the region side, so boundary convergence is p_main + p_tilde = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from . import powerflow
 from .errors import (
@@ -42,8 +43,7 @@ class GrbcKind(str, Enum):
     SIMPLIFIED_HVDC_TERMINAL = "SimplifiedHvdcTerminal"
 
 
-@dataclass(frozen=True)
-class Subnetwork:
+class Subnetwork(NamedTuple):
     """Internal phasor network of a white-box region."""
 
     buses: tuple[BusRecord, ...]
@@ -51,21 +51,18 @@ class Subnetwork:
     machines: tuple[MachineRecord, ...]
 
 
-@dataclass(frozen=True)
-class WhiteBoxPayload:
+class WhiteBoxPayload(NamedTuple):
     network: Subnetwork
     oracle: bool = True
     pf_tol: float = 1e-12
 
 
-@dataclass(frozen=True)
-class ScriptedPayload:
+class ScriptedPayload(NamedTuple):
     p_expr: object
     q_expr: object
 
 
-@dataclass(frozen=True)
-class HvdcPayload:
+class HvdcPayload(NamedTuple):
     """Steady-state converter terminal: constant DC power order with
     reactive consumption q = p * tan_phi, derated linearly below 0.9 pu."""
 
@@ -91,15 +88,13 @@ class GrbcDeclaration:
         return powerflow.PowerFlowProblem(internal_pf_case(self))
 
 
-@dataclass(frozen=True)
-class GrbcEvaluation:
+class GrbcEvaluation(NamedTuple):
     """A region's injection into its torn node and, for a white-box region,
     the internal power flow it comes from (None for the other kinds)."""
 
     p_tilde: float
     q_tilde: float
-    internal_pf: powerflow.PowerFlowSolution | None = field(default=None, compare=False,
-                                                           repr=False)
+    internal_pf: powerflow.PowerFlowSolution | None = None
 
 
 # --- expression grammar for scripted responses -------------------------------
@@ -261,14 +256,13 @@ def internal_pf_case(decl: GrbcDeclaration) -> CaseFile:
     rename = {b.id: f"{decl.name}/{b.id}" for b in net.buses}
     rename[decl.boundary_bus] = decl.boundary_bus
     boundary = BusRecord(decl.boundary_bus, BusKind.BOUNDARY, base_kv=1.0)
-    # One constructor call per renamed record: `dataclasses.replace` costs more.
     return CaseFile(
         base_mva=decl.base_mva,
         frequency_hz=decl.frequency_hz,
-        buses=[boundary, *(BusRecord(**{**vars(b), "id": rename[b.id]}) for b in net.buses)],
-        branches=[BranchRecord(**{**vars(br), "from_bus": rename[br.from_bus],
-                                  "to_bus": rename[br.to_bus]}) for br in net.branches],
-        machines=[MachineRecord(**{**vars(m), "bus": rename[m.bus]}) for m in net.machines],
+        buses=[boundary, *(b._replace(id=rename[b.id]) for b in net.buses)],
+        branches=[br._replace(from_bus=rename[br.from_bus], to_bus=rename[br.to_bus])
+                  for br in net.branches],
+        machines=[m._replace(bus=rename[m.bus]) for m in net.machines],
         grbcs=[],
         name=f"{decl.name}-internal",
     )

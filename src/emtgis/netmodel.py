@@ -11,10 +11,10 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +68,7 @@ class MachineKind(str, Enum):
     SYNCHRONOUS_SIMPLIFIED = "SynchronousSimplified"
 
 
-@dataclass(frozen=True)
-class BusRecord:
+class BusRecord(NamedTuple):
     id: str
     kind: BusKind
     base_kv: float
@@ -80,8 +79,7 @@ class BusRecord:
     shunt_b: float = 0.0
 
 
-@dataclass(frozen=True)
-class BranchRecord:
+class BranchRecord(NamedTuple):
     from_bus: str
     to_bus: str
     r: float
@@ -94,8 +92,7 @@ class BranchRecord:
         return 1.0 / complex(self.r, self.x)
 
 
-@dataclass(frozen=True)
-class MachineRecord:
+class MachineRecord(NamedTuple):
     bus: str
     kind: MachineKind
     xd_transient: float = 0.0
@@ -201,8 +198,7 @@ def _parse_machine(d: dict) -> MachineRecord:
 # --- validation -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     subject: str
     message: str
@@ -235,16 +231,12 @@ class ValidationReport:
 
 def non_finite(subject: str, record) -> list[tuple[str, str, str]]:
     """A NonFiniteValue violation (code, subject, message) per float field
-    of the dataclass `record` that is NaN or infinite, which every sign
-    test here would let through."""
+    of `record`, a record or the case, that is NaN or infinite, which every
+    sign test here would let through.  Both kinds of class list their
+    fields, in order, in their annotations."""
     return [("NonFiniteValue", f"{subject}.{name}", f"{name} must be finite, got {value}")
-            for name in _field_names(type(record))
+            for name in type(record).__annotations__
             if isinstance(value := getattr(record, name), float) and not math.isfinite(value)]
-
-
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
 
 
 def validate_case(case: CaseFile) -> ValidationReport:
@@ -406,7 +398,7 @@ def inline_grbcs(case: CaseFile) -> CaseFile:
     """
     from . import grbc
 
-    buses = [replace(b, kind=BusKind.PQ, v_set=None) if b.kind is BusKind.BOUNDARY else b
+    buses = [b._replace(kind=BusKind.PQ, v_set=None) if b.kind is BusKind.BOUNDARY else b
              for b in case.buses]
     branches = list(case.branches)
     machines = list(case.machines)

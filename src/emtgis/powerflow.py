@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 from pathlib import Path
@@ -30,8 +29,7 @@ from .netmodel import (
 )
 
 
-@dataclass
-class PowerFlowSolution:
+class PowerFlowSolution(NamedTuple):
     """A converged power flow.  Its per-bus vm, va, p_calc and q_calc are
     numpy arrays from the numpy solves and lists of floats from the scalar
     one (`_newton_scalar`)."""
@@ -44,8 +42,7 @@ class PowerFlowSolution:
     iterations: int
     max_mismatch: float
     mismatch_history: list[float]
-    # {bus id: position}: its problem's, built once.
-    positions: dict[str, int] = field(repr=False, compare=False)
+    positions: dict[str, int]  # {bus id: position}: its problem's, built once
     # Not a field: a solve that fails raises, so every solution converged.
     # The benchmark's scaled-case set-up still reads it (bench/run.py).
     converged = True
@@ -429,11 +426,9 @@ def _newton_scalar(problem: PowerFlowProblem, vm_b, va_b, tol: float,
             if max_mis <= tol:
                 for i in sc.fixed:
                     s[i] = v[i] * sum([y_ik * v[k] for k, y_ik in y_rows[i]]).conjugate()
-                return PowerFlowSolution(
-                    bus_ids=problem.bus_ids, vm=vm, va=x[:n],
-                    p_calc=[c.real for c in s], q_calc=[c.imag for c in s],
-                    iterations=it, max_mismatch=max_mis,
-                    mismatch_history=history, positions=problem.positions)
+                return PowerFlowSolution(problem.bus_ids, vm, x[:n], [c.real for c in s],
+                                         [c.imag for c in s], it, max_mis, history,
+                                         problem.positions)
             if it == max_iter:
                 break
             p_rows, q_rows = [], []
@@ -536,10 +531,8 @@ def _fast_decoupled(problem: PowerFlowProblem, x: np.ndarray, tol: float,
 def _solution(problem: PowerFlowProblem, x: np.ndarray, s: np.ndarray, iterations: int,
               history: list[float]) -> PowerFlowSolution:
     n = len(problem.bus_ids)
-    return PowerFlowSolution(bus_ids=problem.bus_ids, vm=x[n:], va=x[:n],
-                             p_calc=s.real.copy(), q_calc=s.imag.copy(),
-                             iterations=iterations, max_mismatch=history[-1],
-                             mismatch_history=history, positions=problem.positions)
+    return PowerFlowSolution(problem.bus_ids, x[n:], x[:n], s.real.copy(), s.imag.copy(),
+                             iterations, history[-1], history, problem.positions)
 
 
 def boundary_injections(sol: PowerFlowSolution, case: CaseFile) -> dict[str, tuple[float, float]]:

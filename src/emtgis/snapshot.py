@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -224,8 +225,7 @@ def build_main_net(case: CaseFile, pf: PowerFlowSolution) -> EmtNet:
     return b.build()
 
 
-@dataclass
-class RegionOperatingPoint:
+class RegionOperatingPoint(NamedTuple):
     """Everything needed to build and initialize one region's EMT model:
     its declaration, and its boundary voltage and `evaluate` result in the
     coordinator's converged state.  A white-box region's evaluation holds
@@ -339,8 +339,7 @@ def _state_from_phasors(net: EmtNet, node_ph: np.ndarray, elem_ph: np.ndarray,
 # --- Thevenin extraction ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheveninEquivalent:
+class TheveninEquivalent(NamedTuple):
     """Boundary equivalent: source e_eq behind impedance z_eq.
 
     Satisfies e_eq = i_b * z_eq + v_b with i_b the boundary current into
@@ -429,7 +428,7 @@ def hold_rotors(net: EmtNet) -> EmtNet:
     `run_emtgis` ramps and advances every region net so, from the ramp to
     the splice, so each region is spliced at its power-flow rotor angles;
     the full net keeps its free rotors."""
-    return replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
+    return net._replace(machines=tuple(m._replace(inertia_h=0.0) for m in net.machines))
 
 
 def ramp_length(net: EmtNet, t_ramp: float | None = None) -> float:
@@ -473,8 +472,7 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
 # --- splice schedule --------------------------------------------------------------
 
 
-@dataclass
-class SpliceSchedule:
+class SpliceSchedule(NamedTuple):
     t_ref_steps: int
     t_adj_steps: dict[str, int]
 
@@ -600,8 +598,7 @@ class PipelineConfig:
         return 2 * case.period if self.t_ramp is None else self.t_ramp
 
 
-@dataclass
-class SystemModel:
+class SystemModel(NamedTuple):
     """Coordinated operating point plus the EMT models built from it, each
     once: the main net, one region net per region (`region_ops`' order)
     and the whole-system net, their join (`build_full_net`)."""
@@ -614,8 +611,7 @@ class SystemModel:
     full_net: EmtNet
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     """The system model plus what the pipeline adds: the spliced snapshot,
     its report and the per-subsystem snapshots it was spliced from.  The
     report is the report.json document `emtgis init` writes, built once."""
@@ -731,29 +727,35 @@ def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> Pipel
     return PipelineResult(model, spliced, report, snapshots)
 
 
-def settle_from_zero(full_net: EmtNet, cfg: SimConfig, t_ramp: float) -> tuple[EmtState, int]:
-    """Zero-state ramping baseline on the whole net for at most cfg.steps
-    steps, its sources ramped over t_ramp (cfg.ramp_steps is not read) and
-    its probes cfg.record; returns the settled state and the step at which
-    steadiness was declared.
+def zero_start(full_net: EmtNet, dt: float) -> EmtState:
+    """The start of every zero-state run of the whole net, `simulate
+    --zero-state`'s and `compare`'s baseline alike: `ek.zero_state` with
+    each swinging rotor (inertia_h > 0) at angle 0.
 
-    Rotor angles are dynamic states, not model parameters: swinging
-    machines (inertia_h > 0) start at zero angle and their swing dynamics
-    (active once the ramp completes) find the operating point on their
-    own.  A machine without inertia has no swing: the kernel steps it as a
-    source at its state's angle all run, so it keeps its power-flow angle.
-    Machine branch currents join the detector probes: rotor swings
-    modulate angles far more than voltage magnitudes, and currents expose
-    them to the cycle-RMS test.
+    Rotor angles are dynamic states, not model parameters: a swinging
+    machine's swing dynamics (active once the ramp completes) find the
+    operating point on their own.  A machine without inertia has no
+    swing: the kernel steps it as a source at its state's angle all run,
+    so it keeps its power-flow angle."""
+    state = ek.zero_state(full_net, dt)
+    state.machine_delta[[m.inertia_h > 0 for m in full_net.machines]] = 0.0
+    return state
+
+
+def settle_from_zero(full_net: EmtNet, cfg: SimConfig, t_ramp: float) -> tuple[EmtState, int]:
+    """Zero-state ramping baseline on the whole net from `zero_start` for
+    at most cfg.steps steps, its sources ramped over t_ramp (cfg.ramp_steps
+    is not read) and its probes cfg.record; returns the settled state and
+    the step at which steadiness was declared.  Machine branch currents
+    join the detector probes: rotor swings modulate angles far more than
+    voltage magnitudes, and currents expose them to the cycle-RMS test.
     """
     record = list(cfg.record)
     record += [f"i:{m.branch_eid}" for m in full_net.machines
                if f"i:{m.branch_eid}" not in record]
     cfg = replace(cfg, record=record,
                   ramp_steps=ek.to_steps(t_ramp, cfg.dt))
-    init = ek.zero_state(full_net, cfg.dt)
-    init.machine_delta[[m.inertia_h > 0 for m in full_net.machines]] = 0.0
-    state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=init)
+    state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=zero_start(full_net, cfg.dt))
     if fired is None:
         raise SteadyStateTimeout(cfg.steps * cfg.dt)
     return state, fired

@@ -3,7 +3,6 @@ import importlib.util
 import json
 import math
 import os
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -239,7 +238,7 @@ def subset_state(state, node_ids, element_ids, machine_ids=()):
 
 def with_sources_zeroed(net: ek.EmtNet) -> ek.EmtNet:
     """The net with every source at zero RMS."""
-    return replace(net, sources=tuple(replace(s, rms=0.0) for s in net.sources))
+    return net._replace(sources=tuple(s._replace(rms=0.0) for s in net.sources))
 
 
 def stored_energy(net: ek.EmtNet, state: ek.EmtState) -> float:

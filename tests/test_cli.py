@@ -383,6 +383,46 @@ class TestCompareFixedRotor:
         assert max(deviations.values()) < 1e-3
 
 
+class TestOneZeroState:
+    """`simulate --zero-state` and `compare`'s baseline step the full net
+    from one start state, `sn.zero_start`'s: each swinging rotor at angle
+    0, each fixed one at its power-flow angle."""
+
+    class Started(Exception):
+        """Raised at a run's first step of the full net, its start caught."""
+
+    @pytest.mark.parametrize("fixed_b2", [False, True], ids=["hybrid", "hybrid-fixed-B2"])
+    def test_simulate_and_compare_start_from_one_state(self, fixed_b2, tmp_path, monkeypatch):
+        from emtgis.cli import main
+
+        path = (case_with("hybrid", tmp_path, ("machines", 1, "inertia_h"), 0.0)
+                if fixed_b2 else case_path("hybrid"))
+        starts = []
+
+        def caught(run):
+            def first_full_step(net, cfg, init=None):
+                if net.name.endswith(":full"):  # the kernel's own start if init is None
+                    starts.append((net, ek.zero_state(net, cfg.dt) if init is None else init))
+                    raise self.Started
+                return run(net, cfg, init)
+            return first_full_step
+
+        monkeypatch.setattr(ek, "run", caught(ek.run))
+        monkeypatch.setattr(ek, "run_until_steady", caught(ek.run_until_steady))
+        for command in (["simulate", str(path), "--zero-state"], ["compare", str(path)]):
+            with pytest.raises(self.Started):
+                main([*command, "--out", str(tmp_path / command[0])])
+        (net, simulated), (_, compared) = starts
+        for name, value in vars(compared).items():
+            if isinstance(value, np.ndarray):
+                assert getattr(simulated, name).tobytes() == value.tobytes(), name
+            else:
+                assert getattr(simulated, name) == value, name
+        (b2,) = [i for i, m in enumerate(net.machines) if m.bus == "B2"]
+        assert net.machines[b2].delta0 != 0.0
+        assert compared.machine_delta[b2] == (net.machines[b2].delta0 if fixed_b2 else 0.0)
+
+
 class TestCompareWindow:
     """Each run of `compare` steps to w0 recording nothing, then records
     the window [w0, w1] with the fault.  The record-every-step-then-slice
@@ -444,8 +484,8 @@ class TestCompareWindow:
                                                         monkeypatch, capsys):
         result = hybrid_comparison["result"]
         late = replace(result.snapshot.emt_state, step=10**7)
-        monkeypatch.setattr(sn, "run_emtgis", lambda case, model, cfg: replace(
-            result, snapshot=replace(result.snapshot, emt_state=late)))
+        monkeypatch.setattr(sn, "run_emtgis", lambda case, model, cfg: result._replace(
+            snapshot=replace(result.snapshot, emt_state=late)))
         code, path = self.compare(tmp_path)
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()

@@ -461,7 +461,7 @@ class TestDataBuiltOnFirstUse:
                                  if key != "case"}) == []
         decl = load_case(path).grbcs[0]
         sol = evaluate(decl, Phasor(1.0, 0.1)).internal_pf
-        assert numpy_leaves(vars(sol)) == []
+        assert numpy_leaves(sol) == []
         assert main.scalar is None and "arrays" in vars(main)
         if k is None:
             assert len(main.bus_ids) < DECOUPLED_MIN_BUSES and vars(main)["b_inv"] is None

@@ -570,7 +570,7 @@ class TestAugmentedLoops:
     @pytest.mark.parametrize("swing", [True, False])
     def test_run_from_rotor_angles_off_delta0(self, ninebus3, ninebus3_model, swing):
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        net = replace(net, machines=tuple(replace(m, inertia_h=m.inertia_h if swing else 0.0)
+        net = net._replace(machines=tuple(m._replace(inertia_h=m.inertia_h if swing else 0.0)
                                           for m in net.machines))
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
@@ -590,7 +590,7 @@ class TestAugmentedLoops:
         # run, so both step maps carry it.  (A swinging plant2 rotor started
         # off delta0 takes over 7 s to settle.)
         net, record = region_net(ninebus3, ninebus3_model, "plant2")
-        net = replace(net, machines=tuple(replace(m, inertia_h=0.0) for m in net.machines))
+        net = net._replace(machines=tuple(m._replace(inertia_h=0.0) for m in net.machines))
         cfg = ek.SimConfig(dt=self.DT, steps=40_000, record=record, ramp_steps=6000)
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
@@ -707,8 +707,8 @@ def with_machine(net, bus, inertia_h, damping, pm):
                          pm=pm)
     branch = ek.Element(f"gen:{bus}:xd", ek.ElementKind.INDUCTOR, f"gen:{bus}:emf", bus,
                         0.2 / net.omega)
-    return replace(net, nodes=net.nodes + (f"gen:{bus}:emf",),
-                   elements=net.elements + (branch,), machines=net.machines + (machine,))
+    return net._replace(nodes=net.nodes + (f"gen:{bus}:emf",),
+                        elements=net.elements + (branch,), machines=net.machines + (machine,))
 
 
 def two_machine_net(net):

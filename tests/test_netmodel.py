@@ -300,9 +300,8 @@ class TestInline:
         for g in ninebus3.grbcs:
             if g.name == "plant2":
                 net = g.payload.network
-                machines = tuple(replace(m, damping=7.5) for m in net.machines)
-                g = replace(g, payload=replace(g.payload,
-                                               network=replace(net, machines=machines)))
+                machines = tuple(m._replace(damping=7.5) for m in net.machines)
+                g = replace(g, payload=g.payload._replace(network=net._replace(machines=machines)))
             decls.append(g)
         flat = inline_grbcs(replace(ninebus3, grbcs=decls))
         (machine,) = [m for m in flat.machines if m.bus == "plant2/W2"]

@@ -308,7 +308,7 @@ class TestFaultTable:
         # B10 draws a load of its own, which `boundary_injections` nets off
         # by the bus at B10's position in the solution: B9 before it and B8
         # two before it draw others.
-        buses = [replace(b, p_load=0.2 + 0.1 * i, q_load=0.05 * i) if b.id in ("B8", "B9", "B10")
+        buses = [b._replace(p_load=0.2 + 0.1 * i, q_load=0.05 * i) if b.id in ("B8", "B9", "B10")
                  else b for i, b in enumerate(ninebus1.buses)]
         case = replace(ninebus1, buses=buses)
         pf = solve_main(PowerFlowProblem(case), [1.01], [-0.1])
@@ -673,7 +673,7 @@ class TestPipeline:
         case = request.getfixturevalue(name)
         if b10_load is not None:
             case = replace(case, buses=[
-                replace(b, p_load=b10_load[0], q_load=b10_load[1]) if b.id == "B10" else b
+                b._replace(p_load=b10_load[0], q_load=b10_load[1]) if b.id == "B10" else b
                 for b in case.buses])
         state = pipeline(case, sn.PipelineConfig(dt=5e-5)).model.boundary_state
         want = boundary_injections(state.main_solution, case)
@@ -735,9 +735,9 @@ class TestOneNetPerSubsystem:
         model = sn.system_model(case)
         want = reference_full_net(case, model)
         assert model.full_net.name == f"{case.name}:full"
-        for f in dataclasses.fields(ek.EmtNet):
+        for f in ek.EmtNet._fields:
             # repr tells every float bit by bit, -0.0 from 0.0 too
-            assert repr(getattr(model.full_net, f.name)) == repr(getattr(want, f.name)), f.name
+            assert repr(getattr(model.full_net, f)) == repr(getattr(want, f)), f
 
     @pytest.mark.parametrize("command", ["init", "compare"])
     @pytest.mark.parametrize("name", ["ninebus1", "ninebus3", "hybrid"])
@@ -918,8 +918,8 @@ class TestRampLength:
     def test_the_rule(self, bundled_models):
         _, ninebus1 = bundled_models["ninebus1"]
         _, hybrid = bundled_models["hybrid"]
-        fixed_rotor = replace(hybrid.full_net, machines=tuple(
-            replace(m, inertia_h=0.0) for m in hybrid.full_net.machines))
+        fixed_rotor = hybrid.full_net._replace(machines=tuple(
+            m._replace(inertia_h=0.0) for m in hybrid.full_net.machines))
         assert not any(m.inertia_h > 0 for m in ninebus1.full_net.machines)
         assert sn.ramp_length(ninebus1.full_net) == 0.04
         assert sn.ramp_length(fixed_rotor) == 0.04
