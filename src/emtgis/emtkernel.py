@@ -56,6 +56,7 @@ from .errors import (
     SingularConductance,
     UnknownBus,
     UnknownProbe,
+    UnsupportedElement,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -110,14 +111,6 @@ def companion_arrays(net: EmtNet, dt: float) -> np.ndarray:
             g = 2.0 * e.value / dt
             coef[:, k] = g, -g, -1.0
     return coef
-
-
-def continuous_admittance(kind: ElementKind, value: float, omega: float) -> complex:
-    if kind is ElementKind.RESISTOR:
-        return 1.0 / value
-    if kind is ElementKind.INDUCTOR:
-        return 1.0 / (1j * omega * value)
-    return 1j * omega * value
 
 
 # --- network description ------------------------------------------------------
@@ -1229,21 +1222,32 @@ def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:
 # --- phasor-domain solves on the same network ------------------------------------
 
 
-def nodal_system(net: EmtNet, dt: float | None = None) -> tuple[np.ndarray, ...]:
-    """`phasor_solve`'s nodal system, before injections: (y, f, t, ymat, v,
-    known, unknown), the element admittances, their terminals, Y stamped
-    from them (ground last), the phasors pinned at the `known` node
-    indices (zero elsewhere) and the other indices, ascending."""
-    omega = net.omega
-    n = len(net.nodes)
-    if dt is None:
-        y = np.array([continuous_admittance(e.kind, e.value, omega) for e in net.elements],
-                     dtype=complex)
-    else:
-        g, h, j = companion_arrays(net, dt)
-        z = cmath.exp(-1j * omega * dt)
-        y = (g + h * z) / (1.0 - j * z)
+def phasor_solve(net: EmtNet, dt: float, injected: list[str] | tuple = ()
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Single-frequency nodal solve of the network at its fundamental, its
+    element admittances the discrete-companion values (g + h z)/(1 - j z),
+    z = exp(-j w dt), so the result is the exact periodic steady state of
+    the stepped kernel.  Y is stamped from `element_terminals` in element
+    order.
 
+    The net pins its own nodes (`pinned_nodes`): each source's node at the
+    source's RMS phasor, then each machine's EMF node at its build-time
+    EMF; a node pinned twice takes its last value.  One factorization of
+    the unknown block serves 1 + len(injected) right-hand sides: row 0 of
+    each result is the net's steady state, row 1 + k its response to a
+    unit RMS current into node injected[k] with every pin at zero, the
+    impedance matrix's column of that node (Grainger and Stevenson, *Power
+    System Analysis*, 1994, ch. 8).  A node the net pins takes no
+    injection (UnsupportedElement).
+
+    Returns (node phasors, element current phasors), arrays of shape
+    (1 + len(injected), n) in net.nodes and net.elements order, element
+    currents oriented from n_from to n_to.
+    """
+    n = len(net.nodes)
+    g, h, j = companion_arrays(net, dt)
+    z = cmath.exp(-1j * net.omega * dt)
+    y = (g + h * z) / (1.0 - j * z)
     f, t = element_terminals(net)
     ymat = np.zeros((n + 1, n + 1), dtype=complex)
     np.add.at(ymat, (np.column_stack([f, t, f, t]).ravel(), np.column_stack([f, t, t, f]).ravel()),
@@ -1253,40 +1257,23 @@ def nodal_system(net: EmtNet, dt: float | None = None) -> tuple[np.ndarray, ...]
               + [cmath.rect(m.emf_rms, m.delta0) for m in net.machines])
     pins = dict(zip(pinned_nodes(net), values))
     known = np.array(sorted(pins), dtype=int)
-    v = np.zeros(n + 1, dtype=complex)
-    v[known] = [pins[k] for k in known]
-    return y, f, t, ymat, v, known, np.delete(np.arange(n), known)
-
-
-def phasor_solve(net: EmtNet, injections: dict[str, complex] | None = None,
-                 dt: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Single-frequency nodal solve of the network at its fundamental.
-
-    The net pins its own nodes (`pinned_nodes`): each source's node at the
-    source's RMS phasor, then each machine's EMF node at its build-time
-    EMF; a node pinned twice takes its last value.  injections add RMS
-    current sources into nodes.  With dt given, element admittances are the
-    discrete-companion effective values (g + h z)/(1 - j z), z =
-    exp(-j w dt), so the result is the exact periodic steady state of the
-    stepped kernel; otherwise continuous jw admittances are used.  Y is
-    stamped from `element_terminals` in element order (`nodal_system`).
-
-    Returns (node phasors, element current phasors) as arrays in net.nodes
-    and net.elements order, element currents oriented from n_from to
-    n_to.
-    """
-    y, f, t, ymat, v, known, unknown = nodal_system(net, dt)
-    inj = np.zeros_like(v)
-    for nid, cur in (injections or {}).items():
-        inj[net.nodes.index(nid)] += cur
-
+    unknown = np.delete(np.arange(n), known)
+    cols = [net.nodes.index(nid) for nid in injected]
+    if np.isin(cols, known).any():
+        raise UnsupportedElement("a node the net pins takes no injection")
+    v_known = np.array([pins[k] for k in known], dtype=complex)
+    rhs = np.zeros((unknown.size, 1 + len(cols)), dtype=complex)
+    rhs[:, 0] = -ymat[np.ix_(unknown, known)] @ v_known
+    rhs[np.searchsorted(unknown, cols), 1 + np.arange(len(cols))] = 1.0
     if unknown.size:
-        rhs = inj[unknown] - ymat[np.ix_(unknown, known)] @ v[known]
         try:
-            v[unknown] = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
+            rhs = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularConductance("phasor nodal matrix is singular") from exc
-    return v[:-1], y * (v[f] - v[t])
+    v = np.zeros((1 + len(cols), n + 1), dtype=complex)
+    v[0, known] = v_known
+    v[:, unknown] = rhs.T
+    return v[:, :-1], y * (v[:, f] - v[:, t])
 
 
 # --- waveform export --------------------------------------------------------------

@@ -131,10 +131,6 @@ class UnsupportedElement(EmtgisError):
 # --- snapshots and splicing ------------------------------------------------
 
 
-class ZeroFaultCurrentDelta(EmtgisError):
-    """Fault and steady currents coincide; equivalent impedance undefined."""
-
-
 class SteadyStateTimeout(EmtgisError):
     def __init__(self, duration: float):
         super().__init__(f"steady state not detected within {duration:.3f} s")

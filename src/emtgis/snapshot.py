@@ -1,11 +1,12 @@
 """Initialized snapshots and splicing.
 
-The white-box main system is initialized directly from power-flow phasors
-(discrete-companion consistent, so the kernel resumes exactly on its
-periodic steady state).  Black-box regions are ramped in isolation behind
-a Thevenin equivalent extracted from the solved operating point plus a
-solid-fault analysis, then all subsystem snapshots are spliced at
-phase-aligned times.
+One phasor solve of the white-box main system, with the kernel's
+discrete-companion admittances, gives its steady state and its impedance
+columns at the boundaries.  Each region is ramped in isolation behind the
+Thevenin equivalent those give; the main system's snapshot is then its
+exact discrete steady state at the currents the regions draw at their
+splice steps, so the kernel resumes it on its periodic steady state, and
+all subsystem snapshots are spliced at phase-aligned times.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import (
     SteadyStateTimeout,
     TopologyMismatch,
     UnsupportedElement,
-    ZeroFaultCurrentDelta,
 )
 from .grbc import GrbcEvaluation, GrbcKind
 from .netmodel import CaseFile, MachineKind, Phasor, validate_case
@@ -287,27 +287,24 @@ def build_full_net(name: str, main_net: EmtNet, region_nets: list[EmtNet]) -> Em
 # --- phasor-based initialization of a white-box network -------------------------
 
 
-def phasor_init(pf: PowerFlowSolution, net: EmtNet, dt: float,
-                draws: dict[str, tuple[float, float]]) -> Snapshot:
-    """Snapshot of the main system at step 0 straight from power-flow phasors.
+def phasor_init(net: EmtNet, dt: float, solved: tuple[np.ndarray, np.ndarray],
+                currents: dict[str, complex]) -> Snapshot:
+    """Snapshot of the main system at step 0, with no solve of its own.
 
-    `net` is the main net at pf (`SystemModel.main_net`).  `draws` (bus:
-    (p, q)) is the power each region pulls from its torn node, the
-    coordinator's, injected so the state is consistent once the regions
-    are reconnected.  The phasors come from a nodal solve with the
-    discrete-companion admittances, so the kernel continues the periodic
-    steady state without any startup transient.
+    `solved` is `ek.phasor_solve(net, dt, list(currents))` of the main net
+    (`SystemModel.main_net`), and `currents` (bus: RMS phasor) is the
+    current each region draws from its boundary bus, in the solve's
+    injection order.  By superposition the phasors are row 0 minus each
+    boundary's row times its current: the exact discrete steady state of
+    the main net under those draws, which the kernel continues without
+    any startup transient.
     """
-    injections = {bus: -machine_port_current(complex(p, q), pf.voltage(bus).rect)
-                  for bus, (p, q) in draws.items()}
-    node_ph, elem_ph = ek.phasor_solve(net, injections=injections, dt=dt)
+    w = np.concatenate([[1.0], -np.array(list(currents.values()), dtype=complex)])
+    node_ph, elem_ph = w @ solved[0], w @ solved[1]
     state = _state_from_phasors(net, node_ph, elem_ph, dt)
-
-    boundary_phasors = {}
-    for bus, (p, q) in draws.items():
-        v_b = complex(node_ph[net.nodes.index(bus)])
-        boundary_phasors[bus] = (Phasor.from_complex(v_b),
-                                 Phasor.from_complex(machine_port_current(complex(p, q), v_b)))
+    boundary_phasors = {bus: (Phasor.from_complex(complex(node_ph[net.nodes.index(bus)])),
+                              Phasor.from_complex(i))
+                        for bus, i in currents.items()}
     return Snapshot(MAIN_SUBSYSTEM, net.frequency_hz, state,
                     boundary_phasors, PROVENANCE_PHASOR,
                     parts={MAIN_SUBSYSTEM: PROVENANCE_PHASOR})
@@ -315,9 +312,10 @@ def phasor_init(pf: PowerFlowSolution, net: EmtNet, dt: float,
 
 def _state_from_phasors(net: EmtNet, node_ph: np.ndarray, elem_ph: np.ndarray,
                         dt: float) -> EmtState:
-    """The state at step 0 (t = 0) of the phasors `phasor_solve` returns,
-    history currents h u + j i at -dt; machines keep `zero_state`'s rotors
-    and take the phasors' power, EMF node phasor times branch current."""
+    """The state at step 0 (t = 0) of node and element phasors, a row of
+    `phasor_solve`'s or a sum of rows (`phasor_init`), history currents
+    h u + j i at -dt; machines keep `zero_state`'s rotors and take the
+    phasors' power, EMF node phasor times branch current."""
     state = ek.zero_state(net, dt)
 
     def inst(ph: np.ndarray, t: float) -> np.ndarray:
@@ -343,76 +341,45 @@ class TheveninEquivalent(NamedTuple):
     """Boundary equivalent: source e_eq behind impedance z_eq.
 
     Satisfies e_eq = i_b * z_eq + v_b with i_b the boundary current into
-    the attached region at the measured operating point.
+    the attached region at the operating point and v_b the bus voltage
+    there; z_eq is the main net's impedance at the bus as the kernel steps
+    it, at the discrete-companion admittances (`thevenin_extract`).
     """
 
     e_eq: Phasor
     z_eq: complex
 
 
-def thevenin_from_measurements(v_b: complex, i_b: complex,
-                               i_fb: complex) -> TheveninEquivalent:
-    """Combine the two boundary measurements into the equivalent.
-
-    v_b and i_b come from steady operation with i_b flowing out of the
-    network into the attachment; i_fb is the solid-fault current in the
-    into-network orientation (what the grounded node feeds back).  Then
-    z = v_b / (i_steady_in_network - i_fb) and e = i_b z + v_b, which
-    reproduces the true source/impedance pair for arbitrary loading.
-    """
-    i_steady_in_net = -i_b
-    den = i_steady_in_net - i_fb
-    scale = max(abs(i_steady_in_net), abs(i_fb), 1.0)
-    if abs(den) < 1e-12 * scale:
-        raise ZeroFaultCurrentDelta("fault and steady currents coincide")
-    z_eq = v_b / den
-    e_eq = i_b * z_eq + v_b
-    return TheveninEquivalent(Phasor.from_complex(e_eq), z_eq)
-
-
-def fault_currents(net: EmtNet, boundaries: list[str]) -> dict[str, complex]:
-    """Solid-fault current at each node of `boundaries`, as
-    `thevenin_from_measurements` takes it, by the Z-bus Thevenin (Grainger
-    and Stevenson, *Power System Analysis*, 1994, ch. 8): one solve of
-    `ek.nodal_system(net)` for the open-circuit phasors v and, per
-    boundary b, the column Z_b of a unit injection.  Grounding b leaves
-    v - Z_b v_b / Z_bb, so the elements carry v_b / Z_bb into b.  A boundary
-    the net pins itself raises UnsupportedElement."""
-    nodes = [net.nodes.index(b) for b in boundaries]
-    if not nodes:
-        return {}
-    _, _, _, ymat, v, known, unknown = ek.nodal_system(net)
-    if np.isin(nodes, known).any():
-        raise UnsupportedElement("a source pins a boundary node: no solid-fault equivalent")
-    rows = np.searchsorted(unknown, nodes)
-    rhs = np.zeros((unknown.size, 1 + len(rows)), dtype=complex)
-    rhs[:, 0] = -ymat[np.ix_(unknown, known)] @ v[known]
-    rhs[rows, 1 + np.arange(len(rows))] = 1.0
-    sol = np.linalg.solve(ymat[np.ix_(unknown, unknown)], rhs)
-    return {b: complex(-sol[r, 0] / sol[r, 1 + k])
-            for k, (b, r) in enumerate(zip(boundaries, rows))}
-
-
-def thevenin_extract(pf: PowerFlowSolution, faults: dict[str, complex],
-                     draws: dict[str, tuple[float, float]],
+def thevenin_extract(zbus: dict[str, np.ndarray], drawn: dict[str, complex],
                      boundary: str) -> TheveninEquivalent:
-    """Boundary equivalent of the main system seen from one region, from
-    the table `faults`, `fault_currents` of the main net, the bus's
-    voltage in `pf` and the power `draws` says the region pulls from it,
-    the coordinator's p and q (`BoundaryState`)."""
-    if boundary not in faults:
-        raise KeyError(f"'{boundary}' is not a boundary bus")
-    v_b = pf.voltage(boundary).rect
-    i_b = machine_port_current(complex(*draws[boundary]), v_b)
-    return thevenin_from_measurements(v_b, i_b, faults[boundary])
+    """Boundary equivalent of the main system seen from one region.
+
+    `zbus` holds each boundary bus's column of `ek.phasor_solve` of the
+    main net with a unit injection at every boundary, in the solve's
+    order: its open-circuit phasor v_oc, then its impedances Z_bj to each
+    boundary j.  `drawn` (bus: RMS phasor), in the same order, is the
+    current i_j each region draws at the power-flow operating point.  So
+    the bus sits at v_b = v_oc - sum_j Z_bj i_j, and z_eq = Z_bb, e_eq =
+    v_b + z_eq i_b.
+    """
+    col = zbus[boundary]
+    k = list(zbus).index(boundary)
+    i = np.fromiter(drawn.values(), complex, len(drawn))
+    z_eq = complex(col[1 + k])
+    return TheveninEquivalent(Phasor.from_complex(complex(col[0] - col[1:] @ i + z_eq * i[k])),
+                              z_eq)
 
 
-def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent
-                    ) -> tuple[EmtNet, str]:
+def attach_thevenin(net: EmtNet, boundary: str, thevenin: TheveninEquivalent,
+                    dt: float) -> tuple[EmtNet, str]:
     """Region net plus the equivalent source, joined at the boundary node
     (`_join`); returns the net and the id of the series element whose
-    current flows into the subsystem."""
+    current flows into the subsystem.  The equivalent's reactance x is
+    pre-warped to the trapezoidal rule's frequency w' = (2/dt) tan(w dt/2),
+    an inductance of x/w' or a capacitance of -1/(w' x), so the kernel
+    steps exactly z_eq at w."""
     b = _NetBuilder("thev", net.frequency_hz)
+    b.omega = 2.0 / dt * math.tan(b.omega * dt / 2.0)
     src_node = b.node("thev:src")
     z = thevenin.z_eq
     b.series_rx("thev:z", src_node, boundary, z.real, z.imag)
@@ -451,7 +418,7 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
     come from a single-frequency Fourier integral over the final full
     cycle.
     """
-    net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin)
+    net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin, cfg.dt)
     record = [n for n in grbc_net.nodes] + [f"i:{probe_eid}"]
     cfg = replace(cfg, record=record)
 
@@ -665,46 +632,55 @@ def system_model(case: CaseFile, cfg: PipelineConfig | None = None) -> SystemMod
 
 def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> PipelineResult:
     """The pipeline after `system_model` built `model` from case and cfg:
-    phasor snapshot of the main system and its `fault_currents` table, the
-    ramp of every region behind its Thevenin equivalent, schedule,
-    advance, splice.  It steps the model's nets; only the advance builds
-    its own, each region's net and equivalent again.  Any stage failure is
-    re-raised tagged with the stage name."""
+    one discrete phasor solve of the main net with a unit injection at
+    every boundary, the ramp of every region behind the Thevenin
+    equivalent it gives, schedule, advance, the main system's snapshot at
+    the currents the regions draw at their splice steps (the space vector
+    of each equivalent's probe element current), splice.  It steps the
+    model's nets; only the advance builds its own, each region's net and
+    equivalent again.  Any stage failure is re-raised tagged with the
+    stage name."""
     stage = _stage
     state = model.boundary_state
-    main_pf = state.main_solution
-    faults = stage("phasor_init", fault_currents, model.main_net, list(state.bus_ids))
-    draws = {bid: (float(state.p[i]), float(state.q[i]))
-             for i, bid in enumerate(state.bus_ids)}
-    snap_main = stage("phasor_init", phasor_init, main_pf, model.main_net, cfg.dt, draws)
+    pf = state.main_solution
+    main_net = model.main_net
+    solved = stage("phasor_init", ek.phasor_solve, main_net, cfg.dt, state.bus_ids)
+    zbus = {bus: solved[0][:, main_net.nodes.index(bus)] for bus in state.bus_ids}
+    drawn = {bus: machine_port_current(complex(state.p[i], state.q[i]), pf.voltage(bus).rect)
+             for i, bus in enumerate(state.bus_ids)}
 
     t_ramp = cfg.region_ramp(case)
     ramp_cfg = SimConfig(dt=cfg.dt, steps=ek.to_steps(cfg.ramp_budget, cfg.dt),
                          ramp_steps=ek.to_steps(t_ramp, cfg.dt))
 
     def ramp_one(op: RegionOperatingPoint, region_net: EmtNet) -> Snapshot:
-        thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
+        thev = thevenin_extract(zbus, drawn, op.decl.boundary_bus)
         return ramp_to_snapshot(hold_rotors(region_net), thev, ramp_cfg,
                                 op.decl.boundary_bus, op.decl.name)
 
-    snapshots: dict[str, Snapshot] = {MAIN_SUBSYSTEM: snap_main}
-    for snap in stage("ramp_to_snapshot",
-                      lambda: list(map(ramp_one, model.region_ops, model.region_nets))):
-        snapshots[snap.subsystem] = snap
+    regions = {snap.subsystem: snap for snap in stage(
+        "ramp_to_snapshot", lambda: list(map(ramp_one, model.region_ops, model.region_nets)))}
 
-    ready_steps = {name: s.timestamp_steps for name, s in snapshots.items()}
+    ready_steps = {MAIN_SUBSYSTEM: 0, **{name: s.timestamp_steps for name, s in regions.items()}}
     period_steps = ek.to_steps(case.period, cfg.dt)
     schedule = stage("splice_schedule", schedule_from_steps, ready_steps, period_steps)
 
+    currents = {}
+
     def advance_all():
         for op in model.region_ops:
-            name = op.decl.name
-            thev = thevenin_extract(main_pf, faults, draws, op.decl.boundary_bus)
-            net, _ = attach_thevenin(hold_rotors(build_region_net(op)),
-                                     op.decl.boundary_bus, thev)
-            snapshots[name] = advance_snapshot(snapshots[name], net,
-                                               schedule.t_adj_steps[name], cfg.dt)
+            name, bus = op.decl.name, op.decl.boundary_bus
+            thev = thevenin_extract(zbus, drawn, bus)
+            net, probe = attach_thevenin(hold_rotors(build_region_net(op)), bus, thev, cfg.dt)
+            regions[name] = advance_snapshot(regions[name], net, schedule.t_adj_steps[name],
+                                             cfg.dt)
+            st = regions[name].emt_state
+            phase = net.omega * st.step * st.dt + ek.PHASE_SHIFT
+            currents[bus] = complex(SQRT2 / 3.0 * st.elem_i[st.element_ids.index(probe)]
+                                    @ np.exp(-1j * phase))
     stage("advance", advance_all)
+    snap_main = stage("phasor_init", phasor_init, main_net, cfg.dt, solved, currents)
+    snapshots = {MAIN_SUBSYSTEM: snap_main, **regions}
 
     spliced, deviations = stage("splice", splice, snapshots, schedule, model.full_net,
                                 cfg.dt)

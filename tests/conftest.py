@@ -13,6 +13,9 @@ import emtgis
 import emtgis.emtkernel as ek
 import emtgis.snapshot as sn
 from emtgis.netmodel import load_case, parse_case
+from emtgis.powerflow import boundary_injections
+from reference_kernel import companion
+from reference_phasor import effective_admittance, net_pins
 
 OMEGA_50 = 2 * math.pi * 50.0
 
@@ -195,27 +198,46 @@ def random_linear_net(rng, n_buses=None):
     return net, f"n{n - 1}"
 
 
-def injection_thevenin(net, boundary):
-    """Direct nodal-matrix oracle: ground all sources, inject 1 pu at the
-    boundary, read off the boundary voltage."""
+def injection_thevenin(net, boundary, dt=5e-5):
+    """Direct nodal-matrix oracle of the boundary impedance as the kernel
+    steps it: stamp each element's companion admittance at dt
+    (`effective_admittance`), ground every node the net pins, inject 1 pu
+    at the boundary, read off the boundary voltage."""
     nodes = list(net.nodes)
     index = {nid: i for i, nid in enumerate(nodes)}
     n = len(nodes)
     y = np.zeros((n + 1, n + 1), dtype=complex)
     for e in net.elements:
-        yv = ek.continuous_admittance(e.kind, e.value, net.omega)
+        yv = effective_admittance(companion(e.kind, e.value, dt), net.omega, dt)
         f = index[e.n_from]
         t = n if e.n_to is None else index[e.n_to]
         y[f, f] += yv
         y[t, t] += yv
         y[f, t] -= yv
         y[t, f] -= yv
-    grounded = {index[s.node] for s in net.sources}
+    grounded = {index[nid] for nid in net_pins(net)}
     keep = [i for i in range(n) if i not in grounded]
     inj = np.zeros(len(keep), dtype=complex)
     inj[keep.index(index[boundary])] = 1.0
     v = np.linalg.solve(y[np.ix_(keep, keep)], inj)
     return complex(v[keep.index(index[boundary])])
+
+
+def drawn_currents(pf, case):
+    """The current each region of `case` draws from its boundary bus at
+    the main solution pf, as `sn.run_emtgis` forms the table that
+    `sn.thevenin_extract` takes: its `boundary_injections` (p, q) at the
+    bus's voltage."""
+    return {bus: sn.machine_port_current(complex(p, q), pf.voltage(bus).rect)
+            for bus, (p, q) in boundary_injections(pf, case).items()}
+
+
+def zbus(net, buses, dt=5e-5):
+    """The table `sn.thevenin_extract` takes, as `sn.run_emtgis` builds
+    it: each bus's column of one `ek.phasor_solve` with a unit injection
+    at every bus of `buses`."""
+    nodes, _ = ek.phasor_solve(net, dt, buses)
+    return {bus: nodes[:, net.nodes.index(bus)] for bus in buses}
 
 
 def subset_state(state, node_ids, element_ids, machine_ids=()):

@@ -40,15 +40,14 @@ def net_pins(net: ek.EmtNet) -> dict[str, complex]:
 
 
 def reference_phasor_solve(net: ek.EmtNet, known_phasors: dict[str, complex],
-                           injections: dict[str, complex] | None = None,
-                           dt: float | None = None
+                           injections: dict[str, complex] | None, dt: float
                            ) -> tuple[dict[str, complex], dict[str, complex]]:
     """Single-frequency nodal solve of the network at its fundamental.
 
     known_phasors pin nodes (RMS); injections add RMS current sources into
-    nodes.  With dt given, element admittances are the discrete-companion
-    effective values, so the result is the exact periodic steady state of
-    the stepped kernel; otherwise continuous jw admittances are used.
+    nodes.  Element admittances are the discrete-companion effective
+    values at dt, so the result is the exact periodic steady state of the
+    stepped kernel.
 
     Returns (node phasors, element current phasors) with element currents
     oriented from n_from to n_to.
@@ -60,12 +59,8 @@ def reference_phasor_solve(net: ek.EmtNet, known_phasors: dict[str, complex],
     n = len(nodes)
     ground = n
 
-    yvals = []
-    for e in net.elements:
-        if dt is None:
-            yvals.append(ek.continuous_admittance(e.kind, e.value, omega))
-        else:
-            yvals.append(effective_admittance(companion(e.kind, e.value, dt), omega, dt))
+    yvals = [effective_admittance(companion(e.kind, e.value, dt), omega, dt)
+             for e in net.elements]
 
     ymat = np.zeros((n + 1, n + 1), dtype=complex)
     for e, yv in zip(net.elements, yvals):

@@ -1,31 +1,27 @@
-"""Reference Thevenin extraction: one nodal solve per boundary.
+"""Reference Thevenin extraction: two nodal solves per boundary.
 
-This is how `snapshot.thevenin_extract` formed a boundary's equivalent
-before `snapshot.fault_currents` took every boundary's solid-fault current
-from one solve: a phasor solve of the whole net with the boundary node
-grounded, whose element currents into that node are the fault current.
-The solve is `reference_phasor_solve`, told the net's own pins
-(`net_pins`) and the boundary at zero.  It is kept as the oracle for the
-table's equivalence test.
+`snapshot.thevenin_extract` reads a boundary's equivalent off one solve of
+the main net with a unit injection at every boundary.  This oracle forms
+it from its definition instead, with `reference_phasor_solve` at the
+kernel's companion admittances: the impedance is the boundary's voltage
+under a unit injection into it with every pin at zero, and the source is
+its voltage with the net's own pins (`net_pins`) while every other
+boundary draws its current and the boundary itself draws none.  It is
+kept as the oracle for the table's equivalence test.
 """
 
 import emtgis.emtkernel as ek
 import emtgis.snapshot as sn
+from emtgis.netmodel import Phasor
 from reference_phasor import net_pins, reference_phasor_solve
 
 
-def reference_fault_current(net: ek.EmtNet, boundary: str) -> complex:
-    """The solid-fault current at `boundary` in the orientation
-    `thevenin_from_measurements` takes: minus the element currents into
-    the grounded node."""
-    _, elem_ph = reference_phasor_solve(net, {**net_pins(net), boundary: 0j})
-    into = sum(elem_ph[e.eid] for e in net.elements if e.n_to == boundary)
-    out = sum(elem_ph[e.eid] for e in net.elements if e.n_from == boundary)
-    return -complex(into - out)
-
-
-def reference_thevenin(net: ek.EmtNet, boundary: str, v_b: complex,
-                       i_into_attachment: complex) -> sn.TheveninEquivalent:
-    """Two-measurement extraction: operating point plus solid-fault solve."""
-    return sn.thevenin_from_measurements(v_b, i_into_attachment,
-                                         reference_fault_current(net, boundary))
+def reference_thevenin(net: ek.EmtNet, boundary: str, draws: dict[str, complex],
+                       dt: float = 5e-5) -> sn.TheveninEquivalent:
+    """The equivalent at `boundary` when each bus of `draws` (bus: RMS
+    current drawn from the net) other than it draws its current."""
+    zero = {nid: 0j for nid in net_pins(net)}
+    z_eq = reference_phasor_solve(net, zero, {boundary: 1.0}, dt)[0][boundary]
+    others = {bus: -i for bus, i in draws.items() if bus != boundary}
+    e_eq = reference_phasor_solve(net, net_pins(net), others, dt)[0][boundary]
+    return sn.TheveninEquivalent(Phasor.from_complex(e_eq), z_eq)

@@ -24,6 +24,7 @@ from conftest import (
     injection_thevenin,
     random_linear_net,
     subset_state,
+    zbus,
 )
 from emtgis.coordinator import (
     JfngConfig,
@@ -300,9 +301,7 @@ def test_criterion_9_thevenin_extraction():
     for _ in range(10):
         net, boundary = random_linear_net(rng)
         z_oracle = injection_thevenin(net, boundary)
-        node_ph, _ = ek.phasor_solve(net)
-        th = sn.thevenin_from_measurements(node_ph[net.nodes.index(boundary)], 0j,
-                                           sn.fault_currents(net, [boundary])[boundary])
+        th = sn.thevenin_extract(zbus(net, [boundary]), {boundary: 0j}, boundary)
         worst = max(worst, abs(th.z_eq - z_oracle) / abs(z_oracle))
     report("criterion-9 thevenin-extraction",
            f"worst relative impedance error {worst:.2e} over 10 networks",
