@@ -18,6 +18,11 @@ The GMRES operator itself still comes only from residual probes.
 A residual evaluation solves the torn main system, then each region in
 declaration order.  Outer steps, like probes, stay inside the voltage basin.
 
+Where the main system solves by Newton, the iteration starts one-sided
+(`one_sided_start`): from one power flow of the main system with each
+region held at its injection at 1 pu, angle 0, one block Gauss-Seidel
+sweep of the torn system from the flat start.
+
 The black-box region surface used here is exactly {evaluate,
 adapter_is_opaque}; nothing in this module inspects region internals.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +47,7 @@ from .errors import (
     ResidualEvaluationError,
 )
 from .grbc import adapter_is_opaque, evaluate
-from .netmodel import Phasor
+from .netmodel import BusKind, Phasor
 from .powerflow import (
     MAIN_PF_MAX_ITER,
     MAIN_PF_TOL,
@@ -414,6 +419,34 @@ def gmres_m(phi_at_x: np.ndarray, probe, mat: np.ndarray,
     return correction(m - 1), mat, GmresResult(False, m, rho_hist, True)
 
 
+def one_sided_start(case, grbcs) -> np.ndarray | None:
+    """x from one `solve_main` of `case` with every Boundary bus a PQ bus
+    loaded by minus the summed injections of its regions at 1 pu, angle 0:
+    their magnitudes and their angles unwrapped, in `grbcs` order.  None
+    where a region or that solve fails, or where a magnitude falls below
+    VOLTAGE_FLOOR."""
+    flat = Phasor(1.0, 0.0)
+    loads = {b.id: [b.p_load, b.q_load] for b in case.buses if b.kind is BusKind.BOUNDARY}
+    try:
+        for g in grbcs:
+            e = evaluate(g, flat)
+            loads[g.boundary_bus][0] -= e.p_tilde
+            loads[g.boundary_bus][1] -= e.q_tilde
+        buses = [b._replace(kind=BusKind.PQ, v_set=None, p_load=loads[b.id][0],
+                            q_load=loads[b.id][1]) if b.id in loads else b
+                 for b in case.buses]
+        one_sided = replace(case, buses=buses, grbcs=[], name=f"{case.name}+one-sided")
+        sol = solve_main(PowerFlowProblem(one_sided), tol=MAIN_PF_TOL,
+                         max_iter=MAIN_PF_MAX_ITER)
+    except (InternalNonConvergence, InvalidVoltage, *SOLVE_FAILURES) as exc:
+        log.debug("one-sided start falls back to the flat start: %s", exc)
+        return None
+    at = [sol.index(g.boundary_bus) for g in grbcs]
+    x = np.concatenate([np.asarray(sol.vm, dtype=float)[at],
+                        np.asarray(sol.va, dtype=float)[at]])
+    return x if np.all(x[:len(grbcs)] >= VOLTAGE_FLOOR) else None
+
+
 def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
                ) -> tuple[BoundaryState, IterationTrace]:
     """Newton outer loop over the boundary coordination residual.
@@ -433,18 +466,24 @@ def jfng_solve(case, grbcs, x0=None, cfg: JfngConfig | None = None
     The main system's PowerFlowProblem and its `BoundaryLayout` are built
     once per call, and from DECOUPLED_MIN_BUSES main buses on its
     fast-decoupled matrices are inverted once; each white-box region's
-    problem comes from its declaration.  Without x0 the
-    iteration takes the flat start: every boundary voltage 1 pu at angle 0.
+    problem comes from its declaration.  Without x0 the iteration starts
+    from `one_sided_start` where the case has regions and its main solves
+    by Newton, and otherwise, or where that start is None, from the flat
+    start: every boundary voltage 1 pu at angle 0.  A fast-decoupled main
+    keeps the flat start: there the start's main, solved by Newton, costs
+    more than the residuals it saves.
     """
     cfg = cfg or JfngConfig()
+    problem = PowerFlowProblem(case, decoupled=True)
+    layout = BoundaryLayout.build(problem, grbcs)
+    if x0 is None and grbcs and not problem.decoupled:
+        x0 = one_sided_start(case, grbcs)
     if x0 is None:
         x0 = np.concatenate([np.ones(len(grbcs)), np.zeros(len(grbcs))])
     x = np.asarray(x0, dtype=float).copy()
     n = x.size // 2
     M = None  # built before the first correction
     trace = IterationTrace()
-    problem = PowerFlowProblem(case, decoupled=True)
-    layout = BoundaryLayout.build(problem, grbcs)
 
     def evaluate_at(xv: np.ndarray) -> BoundaryState:
         return residual(problem, grbcs, xv, layout)

@@ -67,13 +67,13 @@ PROBE_BLOCK = 20
 
 def chunk_steps(n_swinging: int) -> int:
     """Steps per relaxed chunk of a net with `n_swinging` swinging machines
-    after the ramp, a multiple of PROBE_BLOCK: 100 for one or two, 40 from
-    three on.  A longer chunk takes fewer numpy calls per step but more
-    sweeps through maps of side length * n_swinging, so shorter chunks pay
-    as more machines are coupled; two machines keep 100 so that their
-    artifacts stay byte for byte.  The measured lengths are in CHANGES.md
-    ("Relaxed sweeps stop when the EMF angles repeat")."""
-    return 100 if n_swinging <= 2 else 40
+    after the ramp, a multiple of PROBE_BLOCK: 100 for one, 40 from two
+    on.  A longer chunk takes fewer numpy calls per step but more sweeps
+    through maps of side length * n_swinging, so shorter chunks pay as
+    more machines are coupled.  The measured lengths are in CHANGES.md
+    ("Relaxed sweeps stop when the EMF angles repeat"; two machines under
+    "Coordinate from the main system's own power flow")."""
+    return 100 if n_swinging <= 1 else 40
 # The steadiness rule of `run_until_steady` (see its docstring).
 RMS_CHANGE_TOL = 5e-4
 STEADY_CYCLES = 3
@@ -380,9 +380,9 @@ class _ChunkMaps:
     has no EMF columns, so its input is its w_0 where the stack holds it,
     and `we` goes unread.  It is zero past the chunk's end up to a whole
     probe block, and a chunk writes every other buffer before it reads it.
-    `w_at` maps [w_0; e] to w at the probe blocks' starts after the first,
-    then to the whole buffer a step before the chunk's end, into `at`
-    (views `block_starts` and `handed`).  The probe blocks hold one block
+    `w_at` maps [w_0; e] to the whole buffer a step before the chunk's
+    end, then to w at the probe blocks' starts after the first, into `at`
+    (views `handed` and `block_starts`).  The probe blocks hold one block
     and axis per row: the block's start w, then its EMFs; `probe_map`
     gives a block's samples over its PROBE_BLOCK steps from that row.
     Without probes, the map and the samples' buffers have no columns.
@@ -399,8 +399,8 @@ class _ChunkMaps:
         self.we = we_padded[:, :w + length * nsw]
         self.e_blocks = we_padded[:, w:].reshape(2, blocks, PROBE_BLOCK * nsw)
         self.at = np.empty((2, w_at.shape[1]))
-        self.block_starts = self.at[:, :-rows].reshape(2, -1, w)
-        self.handed = self.at[:, -rows:]
+        self.handed = self.at[:, :rows]
+        self.block_starts = self.at[:, rows:].reshape(2, -1, w)
         # The probe blocks; their samples, then K^T for the phases, and the
         # phases' view in the samples' order.
         self.probe_blocks = np.empty((2, blocks, w + PROBE_BLOCK * nsw))
@@ -418,9 +418,12 @@ class _ChunkMaps:
         chunk's `we` and `w0`; a ramp chunk's w_0 in the stack, as both):
         the one a step before its end, with its EMF rows written (zero in
         the ramp), by `w_at`, and from it the end buffer by `step`'s
-        product with step_map, so no probe moves their rounding; the
-        loop's edges (`state`) and the next chunk read no other.  With
-        probes, the same product gives the probe blocks' starts, and their
+        product with step_map; the loop's edges (`state`) and the next
+        chunk read no other.  With probes, the same product gives the
+        probe blocks' starts, in the columns after that buffer's: its
+        columns lead the product with probes or without, so no probe
+        moves its rounding (with the blocks' columns first, a two-machine
+        loop's buffer rounded otherwise than without probes).  The blocks'
         samples are one product with `probe_map`, then K^T, written into
         samples, one column per step; a ramp chunk's blocks have no EMF
         columns to fill.  K^T stays out of the map: folded in, as in
@@ -779,10 +782,10 @@ class CompiledNet:
 
     def _w_at(self, ramp: bool, length: int, probed: bool) -> np.ndarray:
         """`_ChunkMaps.w_at` of a chunk of `length` steps in the ramp, from
-        w_0, or after it, from [w_0; e]: w at the probe blocks' starts
-        after the first if `probed`, then the whole buffer a step before
-        the chunk's end, its machine rows the last step's EMFs (zero in the
-        ramp)."""
+        w_0, or after it, from [w_0; e]: the whole buffer a step before the
+        chunk's end, its machine rows the last step's EMFs (zero in the
+        ramp), then w at the probe blocks' starts after the first if
+        `probed`."""
         w, nsw = self.n_lc + 4, 0 if ramp else self.swinging.size
         t = (self.ramp_map if ramp else self.post_map).T
         squares = self._squares(ramp, length)
@@ -790,14 +793,14 @@ class CompiledNet:
         impulse = _power_sequence(t[:w, w:w + nsw], squares,
                                   np.empty((length - 1, w, nsw)), False)
         from_e = impulse[::-1].transpose(1, 0, 2).reshape(w, (length - 1) * nsw)
-        steps = [*range(PROBE_BLOCK, length if probed else 0, PROBE_BLOCK), length - 1]
+        steps = [length - 1, *range(PROBE_BLOCK, length if probed else 0, PROBE_BLOCK)]
         m = np.zeros((len(steps) * w + self.swinging.size, w + length * nsw))
-        for i, k in enumerate(steps):
+        for k, at in zip(steps, [0, *range(w + self.swinging.size, m.shape[0], w)]):
             # w_k = T_ww^k w_0 + sum_(j<=k) T_ww^(k-j) T_we e_j
-            m[i * w:(i + 1) * w, :w] = _matrix_power(squares, k)
-            m[i * w:(i + 1) * w, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
+            m[at:at + w, :w] = _matrix_power(squares, k)
+            m[at:at + w, w:w + k * nsw] = from_e[:, from_e.shape[1] - k * nsw:]
         if nsw:
-            m[-nsw:, -nsw:] = np.eye(nsw)
+            m[w:w + nsw, -nsw:] = np.eye(nsw)
         return m.T.copy()
 
     def _ramp_maps(self) -> _ChunkMaps:

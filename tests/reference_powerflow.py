@@ -15,6 +15,10 @@ bit-for-bit oracle.
 `powerflow._newton_scalar` replaced, kept verbatim as its bit-for-bit
 oracle: it built each Jacobian row as a complex list [dS_i/dtheta |
 dS_i/d|V|] and read its real and imaginary parts.
+
+`scalar_dc_start` is the DC start `powerflow._scalar_problem` formed
+before it eliminated B_uu once for all its right-hand sides: each solved
+alone by `_solve_pivoted` on a fresh copy of B_uu.
 """
 
 import cmath
@@ -244,3 +248,27 @@ def _solve_pivoted(a: list[list[float]], b: list[float], iteration: int) -> list
             x_c -= row[j] * b[j]
         b[c] = x_c / row[c]
     return b
+
+
+def scalar_dc_start(problem: PowerFlowProblem) -> tuple[list[float], list[list[float]]]:
+    """theta_0 over pvpq and the DC gains, one row per PV or PQ bus and one
+    column per boundary bus, of `problem`'s DC start, each right-hand side
+    [P_u | -B_ub] solved alone on a fresh copy of B_uu; zeros where B_uu
+    has a zero pivot."""
+    y_rows, pvpq = problem.y_rows, problem.pvpq
+    m = len(pvpq)
+    col = {i: c for c, i in enumerate(pvpq)}
+    b_col = {i: c for c, (i, _) in enumerate(problem.boundary, 1)}
+    b_uu = [[0.0] * m for _ in pvpq]
+    rhs = [[problem.s_sched[i].real for i in pvpq]] + [[0.0] * m for _ in b_col]
+    for r, i in enumerate(pvpq):
+        for k, y_ik in y_rows[i]:
+            if k in col:
+                b_uu[r][col[k]] = -y_ik.imag
+            elif k in b_col:
+                rhs[b_col[k]][r] = y_ik.imag
+    try:
+        dc = [_solve_pivoted([row[:] for row in b_uu], c, 0) for c in rhs]
+    except SingularJacobian:
+        dc = [[0.0] * m for _ in rhs]
+    return dc[0], [[c[r] for c in dc[1:]] for r in range(m)]

@@ -25,7 +25,9 @@ from emtgis.coordinator import (
 from conftest import case_path, overloaded_hybrid_doc, scaled_case, scaled_doc
 from emtgis.errors import (
     InternalNonConvergence,
+    InvalidVoltage,
     MaxOuterExceeded,
+    NonConvergence,
     NonFinite,
     OuterStepRejected,
     ResidualEvaluationError,
@@ -452,7 +454,11 @@ class TestDataBuiltOnFirstUse:
         monkeypatch.setattr(PowerFlowProblem, "__init__", recorded)
         assert cli.main(["ipf", str(path), "--out", str(tmp_path / "ipf")]) == 0
         (main,) = [p for p in problems if p.case.name == main_name]
-        regions = [p for p in problems if p is not main]
+        # The one-sided start's problem, the main case with its Boundary
+        # buses turned PQ, is built where the main solves by Newton.
+        start = [p for p in problems if p.case.name == f"{main_name}+one-sided"]
+        assert len(start) == (1 if k is None else 0)
+        regions = [p for p in problems if p is not main and p not in start]
         assert len(regions) == (3 if k is None else 3 * k)
         for problem in regions:
             assert problem.scalar is not None
@@ -544,10 +550,11 @@ class TestInitialPreconditioner:
 
 
 class TestCoordinatorWork:
-    """Residual evaluations of a flat-start solve on the bundled cases.
+    """Residual evaluations of a solve on the bundled cases.
 
-    With M0 = I these read 9, 12, 15 and 18; the physics-based M0 cuts the
-    first correction to one inner iteration.
+    From the flat start, with M0 = I these read 9, 12, 15 and 18; the
+    physics-based M0 cuts the first correction to one inner iteration.
+    The one-sided start, the default, about halves them again.
     """
 
     @pytest.fixture
@@ -570,6 +577,139 @@ class TestCoordinatorWork:
         assert trace.status == "converged"
         assert calls[0] == expected
         assert trace.rows[0].inner_iters == 1
+
+    @pytest.mark.parametrize("name, expected", [("twobus", 1), ("ninebus1", 3), ("ninebus2", 6),
+                                                ("ninebus3", 6), ("hybrid", 5)])
+    def test_residual_evaluations_from_the_one_sided_start(self, request, calls, name,
+                                                           expected):
+        case = request.getfixturevalue(name)
+        _, trace = jfng_solve(case, case.grbcs)
+        assert trace.status == "converged"
+        assert calls[0] == expected
+
+
+def trace_rows(case, x0=None):
+    """The rows of `jfng_solve`'s trace on `case`, from x0 or its default."""
+    _, trace = jfng_solve(case, case.grbcs, x0)
+    assert trace.status == "converged"
+    return trace.rows
+
+
+class TestOneSidedStart:
+    """Without x0, a case with regions whose main solves by Newton starts
+    from one power flow of its main system, each region held at its
+    injection at 1 pu, angle 0.  Every fallback takes the flat start, row
+    for row."""
+
+    # Twice the largest boundary-voltage gap between the one-sided and the
+    # flat start's converged states (measured: 5.2e-10, 3.8e-8, 4.1e-8,
+    # 3.5e-11; k=1 seeds 1-3 4.3e-8, 3.5e-8, 3.8e-8; k=2 seeds 1-3 4.8e-8,
+    # 5.6e-8, 4.2e-8), both within the outer tolerance eps1 on ||phi||.
+    GAPS = {"ninebus1": 1.1e-9, "ninebus2": 7.6e-8, "ninebus3": 8.3e-8, "hybrid": 7e-11,
+            (1, 1): 8.7e-8, (1, 2): 7.1e-8, (1, 3): 7.6e-8,
+            (2, 1): 9.6e-8, (2, 2): 1.13e-7, (2, 3): 8.5e-8}
+
+    @pytest.mark.parametrize("which", GAPS, ids=str)
+    def test_converges_next_to_the_flat_start(self, which):
+        case = load_case(case_path(which)) if isinstance(which, str) else scaled_case(*which)
+        assert not PowerFlowProblem(case, decoupled=True).decoupled
+        one, trace = jfng_solve(case, case.grbcs)
+        flat, flat_trace = jfng_solve(case, case.grbcs, flat_start(case))
+        assert trace.status == flat_trace.status == "converged"
+        assert trace.rows[0].phi_norm < flat_trace.rows[0].phi_norm
+        assert np.max(np.abs(one.x - flat.x)) <= self.GAPS[which]
+
+    def test_no_regions_one_main_solve(self, twobus, monkeypatch):
+        solves = []
+        real_solve = coordinator_module.solve_main
+
+        def counted(problem, *args):
+            solves.append(problem.case.name)
+            return real_solve(problem, *args)
+
+        monkeypatch.setattr(coordinator_module, "solve_main", counted)
+        assert trace_rows(twobus) == trace_rows(twobus, np.array([]))
+        assert solves == [twobus.name] * 2
+
+    @pytest.mark.parametrize("error", [InternalNonConvergence, InvalidVoltage])
+    def test_region_failing_at_the_flat_voltage(self, ninebus3, monkeypatch, caplog, error):
+        # The second region fails at its first call, 1 pu at angle 0, and
+        # only there: the flat start's own residual then evaluates it.
+        real_evaluate = coordinator_module.evaluate
+        failed = []
+
+        def failing_once(decl, v):
+            if decl is ninebus3.grbcs[1] and not failed:
+                failed.append(v)
+                raise error("no answer at the flat voltage")
+            return real_evaluate(decl, v)
+
+        monkeypatch.setattr(coordinator_module, "evaluate", failing_once)
+        with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
+            rows = trace_rows(ninebus3)
+        assert failed == [Phasor(1.0, 0.0)]
+        assert "falls back to the flat start" in caplog.text
+        assert rows == trace_rows(ninebus3, flat_start(ninebus3))
+
+    @pytest.mark.parametrize("error", [NonConvergence(30, 1.0), SingularJacobian(0)],
+                             ids=["non-convergence", "singular-jacobian"])
+    def test_start_solve_failing(self, hybrid, monkeypatch, caplog, error):
+        real_solve = coordinator_module.solve_main
+        started = []
+
+        def failing(problem, *args, **kwargs):
+            if problem.case.name == "hybrid+one-sided":
+                started.append(problem)
+                raise error
+            return real_solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(coordinator_module, "solve_main", failing)
+        with caplog.at_level("DEBUG", logger=coordinator_module.__name__):
+            rows = trace_rows(hybrid)
+        assert len(started) == 1 and "falls back to the flat start" in caplog.text
+        assert all(b.kind is not BusKind.BOUNDARY for b in started[0].case.buses)
+        assert rows == trace_rows(hybrid, flat_start(hybrid))
+
+    def test_start_below_the_voltage_floor(self, hybrid, monkeypatch):
+        real_solve = coordinator_module.solve_main
+
+        def sagging(problem, *args, **kwargs):
+            sol = real_solve(problem, *args, **kwargs)
+            if problem.case.name == "hybrid+one-sided":
+                vm = np.array(sol.vm)
+                vm[problem.positions[hybrid.grbcs[2].boundary_bus]] = 0.19
+                sol = sol._replace(vm=vm)
+            return sol
+
+        monkeypatch.setattr(coordinator_module, "solve_main", sagging)
+        assert coordinator_module.one_sided_start(hybrid, hybrid.grbcs) is None
+        assert trace_rows(hybrid) == trace_rows(hybrid, flat_start(hybrid))
+
+    def test_start_is_the_main_solution_unwrapped(self):
+        # k=32 seed 2: boundary angles past pi.  The start reads them from
+        # the solution as solved, not through `Phasor`, which would wrap
+        # them; and it is a pure function of the case.
+        case = scaled_case(32, 2)
+        x = coordinator_module.one_sided_start(case, case.grbcs)
+        assert np.array_equal(x, coordinator_module.one_sided_start(case, case.grbcs))
+        n = len(case.grbcs)
+        assert np.max(np.abs(x[n:])) > math.pi
+        x_ref = oracle_boundary_x(case, solve_monolithic(case))
+        assert np.max(np.abs(x - x_ref)) < 0.1
+
+    def test_fast_decoupled_main_keeps_the_flat_start(self, monkeypatch):
+        # Scaled k=8 seed 1, the benchmark's `ipf_scaled` case: its first
+        # residual norm is the flat start's, as before the one-sided start.
+        case = scaled_case(8, 1)
+        assert PowerFlowProblem(case, decoupled=True).decoupled
+
+        def never(*args):
+            raise AssertionError("a fast-decoupled main took the one-sided start")
+
+        monkeypatch.setattr(coordinator_module, "one_sided_start", never)
+        rows = trace_rows(case)
+        assert rows[0].phi_norm == 1.1844792112519322
+        assert rows == trace_rows(case, flat_start(case))
 
 
 class TestJacobianFreedom:

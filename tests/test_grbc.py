@@ -253,9 +253,11 @@ class TestStoredProblem:
 
     @pytest.mark.parametrize("name", BUNDLED)
     def test_ipf_builds_each_problem_once(self, name, monkeypatch, tmp_path):
-        # One admittance assembly per problem, the main's and each white-box
-        # region's.  Only the main, of more than SCALAR_MAX_UNKNOWNS unknowns,
-        # scatters it into a dense matrix; the regions solve on scalars.
+        # One admittance assembly per problem: the main's, the one-sided
+        # start's (the main case with its Boundary buses turned PQ) and each
+        # white-box region's.  Only the main and the start, of more than
+        # SCALAR_MAX_UNKNOWNS unknowns, scatter it into a dense matrix; the
+        # regions solve on scalars.
         cases, rows, dense = [], [], []
         real_case = internal_pf_case
         real_rows, real_dense = netmodel_module.admittance_rows, netmodel_module.build_admittance
@@ -279,5 +281,6 @@ class TestStoredProblem:
         assert cli.main(["ipf", case_path(name), "--out", str(tmp_path)]) == 0
         white = [g.name for g in white_box_regions(name)]
         assert cases == white
-        assert sorted(rows) == sorted([name, *(f"{w}-internal" for w in white)])
-        assert dense == [name]
+        mains = [name, f"{name}+one-sided"]
+        assert sorted(rows) == sorted([*mains, *(f"{w}-internal" for w in white)])
+        assert sorted(dense) == mains

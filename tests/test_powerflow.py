@@ -535,6 +535,57 @@ def assert_kernel_equals_oracle(problem, vm_b, va_b, tol, max_iter):
     return got
 
 
+def assert_dc_start_equals_oracle(problem):
+    """`problem.scalar`'s DC start, one elimination of B_uu for all its
+    right-hand sides, against each solved alone (the oracle), bit for bit."""
+    theta_0, gains = reference_powerflow.scalar_dc_start(problem)
+    sc = problem.scalar
+    assert float_bits([sc.va[i] for i in problem.pvpq]) == float_bits(theta_0)
+    assert [float_bits(row) for row in sc.dc_gain] == [float_bits(row) for row in gains]
+
+
+class TestScalarDcStart:
+    """B_uu is eliminated once and each right-hand side of the DC start
+    takes its swaps and multipliers, which gives every right-hand side the
+    bits it gets alone."""
+
+    def test_bundled_and_scaled_regions(self):
+        for decl in [*TestScalarNewton.REGIONS, *scaled_case(8, 1).grbcs]:
+            assert_dc_start_equals_oracle(decl.pf_problem)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, SCALAR_MAX_UNKNOWNS))
+    @settings(max_examples=80, deadline=None)
+    def test_random_problems_up_to_the_cut_off(self, seed, unknowns):
+        case, _ = small_case(np.random.default_rng(seed), unknowns)
+        assert_dc_start_equals_oracle(PowerFlowProblem(case))
+
+    def test_two_boundary_buses(self):
+        # A meshed ring behind two Boundary buses: two gain columns.
+        buses = [BusRecord("B1", BusKind.BOUNDARY, 230.0),
+                 BusRecord("B2", BusKind.BOUNDARY, 230.0),
+                 BusRecord("B3", BusKind.PQ, 230.0, p_load=0.3),
+                 BusRecord("B4", BusKind.PV, 230.0, v_set=1.02)]
+        branches = [BranchRecord(f, t, 0.01, x) for f, t, x in
+                    [("B1", "B3", 0.1), ("B2", "B3", 0.07), ("B3", "B4", 0.13),
+                     ("B1", "B4", 0.2)]]
+        machine = MachineRecord("B4", MachineKind.IDEAL_SOURCE, p_set=0.2, v_set=1.02)
+        problem = PowerFlowProblem(CaseFile(100.0, 50.0, buses, branches, [machine]))
+        assert [len(row) for row in problem.scalar.dc_gain] == [2, 2]
+        assert_dc_start_equals_oracle(problem)
+
+    def test_singular_b_uu_gives_the_flat_start(self):
+        # B3 is tied by a conductance alone: its row of B_uu is zero.
+        isolated = CaseFile(100.0, 50.0,
+                            [BusRecord("B1", BusKind.BOUNDARY, 230.0),
+                             BusRecord("B2", BusKind.PQ, 230.0, p_load=0.1),
+                             BusRecord("B3", BusKind.PQ, 230.0, shunt_g=0.1)],
+                            [BranchRecord("B1", "B2", 0.01, 0.1)])
+        problem = PowerFlowProblem(isolated)
+        assert problem.scalar.va == (0.0, 0.0, 0.0)
+        assert problem.scalar.dc_gain == ((0.0,), (0.0,))
+        assert_dc_start_equals_oracle(problem)
+
+
 class TestScalarKernelOracle:
     """The scalar Newton kernel writes the real Jacobian rows straight from
     Q_ik = V_i conj(Y_ik V_k); the kernel it replaced formed complex rows

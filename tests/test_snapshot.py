@@ -1014,22 +1014,19 @@ class TestExactSteadyState:
     ramping; the oracle checks the ramp, it does not replace it."""
 
     # Twice the distances (v, i, rotor angle) of the spliced states from the
-    # exact ones, ramps of 0.5 s and of `sn.ramp_length` alike: a state that
-    # is ready sooner must not be worse.  ninebus1 and hybrid, whose regions
-    # have no machine, at 1.33e-6 and 1.94e-6 (ninebus1) and 1.92e-6 and
-    # 5.52e-6 (hybrid) since the oracle was added.  The regions with a
-    # machine at 1.28e-6 and 3.16e-6 (ninebus2), 1.91e-6 and 3.29e-6
-    # (ninebus3) and 1.93e-6 and 3.35e-6 (scaled k=8) since their rotors are
-    # held from the ramp to the splice; free after the ramp, they read
-    # 2.56e-5, 5.35e-5 and 3.04e-5 rad (ninebus2), 2.57e-5, 5.35e-5 and
-    # 3.03e-5 rad (ninebus3) and 3.06e-5, 5.61e-5 and 3.23e-5 rad (k=8).  A
-    # held rotor, and one in a net no ramp steps, matches to the bit.
+    # exact ones, floored at 1e-12, as they read since main's snapshot holds
+    # the regions' splice-step currents and the coordinator starts
+    # one-sided: ninebus1 2.3e-14 and 1.4e-14, ninebus2 5.85e-8 and
+    # 2.51e-7, ninebus3 5.99e-8 and 2.25e-7, hybrid 4.60e-7 and 4.24e-7,
+    # scaled k=8 6.37e-8 and 2.86e-7.  A return to the splice before that
+    # (ninebus1 at 1.33e-6 and 1.94e-6) fails them.  A held rotor, and one
+    # in a net no ramp steps, matches to the bit.
     BOUNDS = {
-        "ninebus1": (2.66e-6, 3.89e-6, 0.0),
-        "ninebus2": (2.57e-6, 6.32e-6, 0.0),
-        "ninebus3": (3.83e-6, 6.59e-6, 0.0),
-        "hybrid": (3.84e-6, 1.105e-5, 0.0),
-        "scaled8": (3.86e-6, 6.71e-6, 0.0),
+        "ninebus1": (1e-12, 1e-12, 0.0),
+        "ninebus2": (1.171e-7, 5.023e-7, 0.0),
+        "ninebus3": (1.198e-7, 4.501e-7, 0.0),
+        "hybrid": (9.206e-7, 8.473e-7, 0.0),
+        "scaled8": (1.274e-7, 5.724e-7, 0.0),
     }
 
     @pytest.mark.parametrize("name", ["twobus", "ninebus1", "ninebus2", "ninebus3", "hybrid"])
