@@ -1151,20 +1151,18 @@ def run(net: EmtNet, cfg: SimConfig, init: EmtState | None = None
 
 
 def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
-                     ) -> tuple[EmtState, int | None, np.ndarray, list[str]]:
+                     ) -> tuple[EmtState, int | None]:
     """Step the whole cycles of cfg.steps until every probe's cycle RMS
     stops changing.
 
     Steadiness: STEADY_CYCLES consecutive cycle-over-cycle relative RMS
-    changes of at most RMS_CHANGE_TOL on every probe (detector armed only
-    after a ramp completes: from cycle ceil(ramp_steps / cycle) on).  After
-    detection, SETTLE_MARGIN_CYCLES more cycles run before the state is
-    returned, and the samples of the final full cycle come back for phasor
-    extraction.  The three constants are
+    changes of at most RMS_CHANGE_TOL on every probe of cfg.record
+    (detector armed only after a ramp completes: from cycle
+    ceil(ramp_steps / cycle) on).  After detection, SETTLE_MARGIN_CYCLES
+    more cycles run before the state is returned.  The three constants are
     read at call time.  Each cycle is one `CompiledNet.advance`.
 
-    Returns (state, ready_step or None, last cycle samples one row per
-    step, probe keys).
+    Returns (state, ready_step or None).
     """
     state = zero_state(net, cfg.dt) if init is None else init.copy()
     check_compatible(net, cfg.dt, state)
@@ -1173,10 +1171,9 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
     if abs(n_cycle * cfg.dt - net.period) > 1e-9 * net.period or n_cycle < 4:
         raise InvalidParameter("period must be an integer multiple of dt, 4 steps or more")
     compiled = CompiledNet(net, cfg.dt, state, cfg.ramp_steps, cfg.record, n_cycle)
-    keys = compiled.probes.keys
     arm_after = -(-(cfg.ramp_steps or 0) // n_cycle)  # whole cycles, rounded up
 
-    buf = np.zeros((len(keys), n_cycle))
+    buf = np.zeros((len(compiled.probes.keys), n_cycle))
     prev_rms: np.ndarray | None = None
     stable_run = 0
     fired_at: int | None = None
@@ -1197,18 +1194,7 @@ def run_until_steady(net: EmtNet, cfg: SimConfig, init: EmtState | None = None,
                 fired_at = c
         prev_rms = rms
 
-    return compiled.state(), ready, buf.T.copy(), keys
-
-
-def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:
-    """RMS phasor of one full cycle of samples ending at end_step (absolute clock).
-
-    For v(t) = sqrt(2) |V| cos(omega t + a) the result is |V| e^{ja}.
-    """
-    n = len(samples)
-    steps = np.arange(end_step - n + 1, end_step + 1)
-    t = steps * dt
-    return complex(2.0 / (SQRT2 * n) * np.sum(samples * np.exp(-1j * omega * t)))
+    return compiled.state(), ready
 
 
 def companion_replay(compiled: CompiledNet, state: EmtState) -> np.ndarray:

@@ -217,8 +217,8 @@ class _ScalarProblem(NamedTuple):
 
 def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
     """`problem`'s `_ScalarProblem`, its DC start solved by
-    `_solve_columns`, one elimination of B_uu for all its right-hand
-    sides; a zero pivot gives the flat start."""
+    `_solve_pivoted`, each right-hand side on a fresh copy of B_uu; a zero
+    pivot gives the flat start."""
     y_rows, pvpq, pq = problem.y_rows, problem.pvpq, problem.pq
     n, m = len(y_rows), len(pvpq)
     boundary = tuple(i for i, _ in problem.boundary)
@@ -227,9 +227,9 @@ def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
         theta_col[i] = c
     for c, i in enumerate(pq, m):
         vm_col[i] = c
-    b_col = {b: c for c, b in enumerate(boundary, m + 1)}
-    # [B_uu | P_u | -B_ub]: the DC start's right-hand sides ride along.
-    b_uu = [[0.0] * m + [problem.s_sched[i].real] + [0.0] * len(boundary) for i in pvpq]
+    b_col = {b: c for c, b in enumerate(boundary, 1)}
+    b_uu = [[0.0] * m for _ in pvpq]
+    rhs = [[problem.s_sched[i].real for i in pvpq]] + [[0.0] * m for _ in boundary]
     jac_terms = []
     for r, i in enumerate(pvpq):
         terms = []
@@ -238,19 +238,19 @@ def _scalar_problem(problem: PowerFlowProblem) -> _ScalarProblem:
                 b_uu[r][theta_col[k]] = -y_ik.imag
                 terms.append((e, k, theta_col[k], vm_col[k]))
             elif k in b_col:
-                b_uu[r][b_col[k]] = y_ik.imag
+                rhs[b_col[k]][r] = y_ik.imag
         jac_terms.append((i, theta_col[i], vm_col[i], tuple(terms)))
     try:
-        _solve_columns(b_uu, m)
+        dc = [_solve_pivoted([row[:] for row in b_uu], col, 0) for col in rhs]
     except SingularJacobian:
-        b_uu = [[0.0] * (m + 1 + len(boundary)) for _ in pvpq]
+        dc = [[0.0] * m for _ in rhs]
     va = [0.0] * n
     for r, i in enumerate(pvpq):
-        va[i] = b_uu[r][m]
+        va[i] = dc[0][r]
     return _ScalarProblem(va=tuple(va), vm=tuple(problem._start_magnitudes()),
                           unknowns=(*pvpq, *(n + i for i in pq)), boundary=boundary,
                           fixed=tuple(i for i in range(n) if theta_col[i] < 0),
-                          dc_gain=tuple(tuple(row[m + 1:]) for row in b_uu),
+                          dc_gain=tuple(tuple(col[r] for col in dc[1:]) for r in range(m)),
                           rows=tuple((i, y_rows[i], problem.s_sched[i].real,
                                       problem.s_sched[i].imag) for i in pvpq),
                           jac_terms=tuple(jac_terms))
@@ -488,42 +488,6 @@ def _solve_pivoted(a: list[list[float]], b: list[float], iteration: int) -> list
             x_c -= row[j] * b[j]
         b[c] = x_c / row[c]
     return b
-
-
-def _solve_columns(a: list[list[float]], m: int) -> None:
-    """`_solve_pivoted` for every right-hand side b that the rows of a
-    carry past their first m entries, a = [A | b_1 ... b_k] and A m x m:
-    A is eliminated once, with `_solve_pivoted`'s swaps and multipliers,
-    and every b takes them, so each x equals bit for bit what
-    `_solve_pivoted` gives for that b alone.  Overwrites a, whose columns
-    past m end holding the x's.  A zero pivot raises SingularJacobian.
-    Kept apart from `_solve_pivoted`, whose Newton solves, one b each,
-    would pay for the wider rows."""
-    for c in range(m):
-        top, rest = a[c], range(c + 1, m)
-        piv, big = c, abs(top[c])
-        for r in rest:
-            if abs(a[r][c]) > big:
-                piv, big = r, abs(a[r][c])
-        if big == 0.0:
-            raise SingularJacobian(0)
-        if piv != c:
-            top = a[piv]
-            a[c], a[piv] = top, a[c]
-        top_c, cols = top[c], range(c + 1, len(top))
-        for r in rest:
-            row = a[r]
-            f = row[c] / top_c
-            if f:
-                for j in cols:
-                    row[j] -= f * top[j]
-    for c in reversed(range(m)):
-        row = a[c]
-        for t in range(m, len(row)):
-            x_c = row[t]
-            for j in range(c + 1, m):
-                x_c -= row[j] * a[j][t]
-            row[t] = x_c / row[c]
 
 
 def _fast_decoupled(problem: PowerFlowProblem, x: np.ndarray, tol: float,

@@ -6,7 +6,9 @@ columns at the boundaries.  Each region is ramped in isolation behind the
 Thevenin equivalent those give; the main system's snapshot is then its
 exact discrete steady state at the currents the regions draw at their
 splice steps, so the kernel resumes it on its periodic steady state, and
-all subsystem snapshots are spliced at phase-aligned times.
+all subsystem snapshots are spliced at phase-aligned times.  Each
+boundary has one reading: the current its region draws at its splice
+step, with main's node phasor under that current as its voltage.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ SPLICE_PERIODS = 2
 
 @dataclass
 class Snapshot:
-    """Complete instantaneous subsystem state plus its boundary phasors."""
+    """Complete instantaneous subsystem state plus its boundary phasors:
+    for each boundary bus, the current into its region and main's node
+    phasor under it (`phasor_init`), as main's and the spliced snapshot
+    carry them; a region's ramped snapshot carries none."""
 
     subsystem: str
     frequency_hz: float
@@ -297,7 +302,9 @@ def phasor_init(net: EmtNet, dt: float, solved: tuple[np.ndarray, np.ndarray],
     injection order.  By superposition the phasors are row 0 minus each
     boundary's row times its current: the exact discrete steady state of
     the main net under those draws, which the kernel continues without
-    any startup transient.
+    any startup transient.  Each bus's boundary phasors are its node
+    phasor and the current it was given, the one reading of that boundary
+    that the spliced snapshot keeps.
     """
     w = np.concatenate([[1.0], -np.array(list(currents.values()), dtype=complex)])
     node_ph, elem_ph = w @ solved[0], w @ solved[1]
@@ -414,26 +421,17 @@ def ramp_to_snapshot(grbc_net: EmtNet, thevenin: TheveninEquivalent, cfg: SimCon
 
     All sources (the equivalent and any internal ones) follow the same
     linear ramp over cfg.ramp_steps; the steady-state detector watches
-    every node of the region plus the boundary current.  Boundary phasors
-    come from a single-frequency Fourier integral over the final full
-    cycle.
+    every node of the region plus the boundary current.  The snapshot
+    carries no boundary phasors: the spliced snapshot's are main's, at the
+    current the region draws at its splice step (`run_emtgis`).
     """
     net, probe_eid = attach_thevenin(grbc_net, boundary_bus, thevenin, cfg.dt)
-    record = [n for n in grbc_net.nodes] + [f"i:{probe_eid}"]
-    cfg = replace(cfg, record=record)
-
-    state, ready_step, last_cycle, keys = ek.run_until_steady(net, cfg)
+    cfg = replace(cfg, record=[*grbc_net.nodes, f"i:{probe_eid}"])
+    state, ready_step = ek.run_until_steady(net, cfg)
     if ready_step is None:
         raise SteadyStateTimeout(cfg.steps * cfg.dt)
-
-    omega = net.omega
-    v_ph = ek.fourier_phasor(last_cycle[:, keys.index(f"{boundary_bus}.a")],
-                             state.step, cfg.dt, omega)
-    i_ph = ek.fourier_phasor(last_cycle[:, keys.index(f"i:{probe_eid}.a")],
-                             state.step, cfg.dt, omega)
-    return Snapshot(subsystem, net.frequency_hz, state,
-                    {boundary_bus: (Phasor.from_complex(v_ph), Phasor.from_complex(i_ph))},
-                    PROVENANCE_RAMP, parts={subsystem: PROVENANCE_RAMP})
+    return Snapshot(subsystem, net.frequency_hz, state, {}, PROVENANCE_RAMP,
+                    parts={subsystem: PROVENANCE_RAMP})
 
 
 # --- splice schedule --------------------------------------------------------------
@@ -461,11 +459,8 @@ def schedule_from_steps(ready_steps: dict[str, int], period_steps: int) -> Splic
 
 def advance_snapshot(snap: Snapshot, net: EmtNet, target_steps: int,
                      dt: float) -> Snapshot:
-    """Continue a subsystem in isolation, unramped, to its splice step target_steps.
-
-    The boundary phasors are absolute-clock complex amplitudes of a settled
-    periodic state, so they carry over unchanged.
-    """
+    """Continue a subsystem in isolation, unramped, to its splice step
+    target_steps; only its state moves."""
     extra = target_steps - snap.timestamp_steps
     if extra < 0:
         raise ScheduleViolation(
@@ -636,10 +631,11 @@ def run_emtgis(case: CaseFile, model: SystemModel, cfg: PipelineConfig) -> Pipel
     every boundary, the ramp of every region behind the Thevenin
     equivalent it gives, schedule, advance, the main system's snapshot at
     the currents the regions draw at their splice steps (the space vector
-    of each equivalent's probe element current), splice.  It steps the
-    model's nets; only the advance builds its own, each region's net and
-    equivalent again.  Any stage failure is re-raised tagged with the
-    stage name."""
+    of each equivalent's probe element current), which with main's node
+    phasors under them are the spliced snapshot's boundary phasors, and
+    splice.  It steps the model's nets; only the advance builds its own,
+    each region's net and equivalent again.  Any stage failure is
+    re-raised tagged with the stage name."""
     stage = _stage
     state = model.boundary_state
     pf = state.main_solution
@@ -731,7 +727,7 @@ def settle_from_zero(full_net: EmtNet, cfg: SimConfig, t_ramp: float) -> tuple[E
                if f"i:{m.branch_eid}" not in record]
     cfg = replace(cfg, record=record,
                   ramp_steps=ek.to_steps(t_ramp, cfg.dt))
-    state, fired, _, _ = ek.run_until_steady(full_net, cfg, init=zero_start(full_net, cfg.dt))
+    state, fired = ek.run_until_steady(full_net, cfg, init=zero_start(full_net, cfg.dt))
     if fired is None:
         raise SteadyStateTimeout(cfg.steps * cfg.dt)
     return state, fired

@@ -292,6 +292,21 @@ def phasor_consistency_error(snap: sn.Snapshot) -> float:
     return worst
 
 
+def fourier_phasor(samples: np.ndarray, end_step: int, dt: float, omega: float) -> complex:
+    """RMS phasor of one full cycle of samples ending at end_step (absolute
+    clock): for v(t) = sqrt(2) |V| cos(omega t + a) it is |V| e^{ja}."""
+    n = len(samples)
+    t = np.arange(end_step - n + 1, end_step + 1) * dt
+    return complex(2.0 / (ek.SQRT2 * n) * np.sum(samples * np.exp(-1j * omega * t)))
+
+
+def space_vector(rows: np.ndarray, step: int, dt: float, omega: float) -> complex:
+    """RMS phasor at `step` of a balanced three-phase set from its
+    instantaneous phases a, b, c: (sqrt2/3) sum_k x_k e^{-j(omega t +
+    phase_k)}, as `sn.run_emtgis` reads each boundary current."""
+    return complex(ek.SQRT2 / 3.0 * rows @ np.exp(-1j * (omega * step * dt + ek.PHASE_SHIFT)))
+
+
 def cycle_rms(waves: ek.WaveformSet, key: str, samples_per_cycle: int,
               last_only: bool = True):
     """RMS of each whole cycle of one waveform, counted back from its last

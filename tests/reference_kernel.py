@@ -188,7 +188,7 @@ def reference_run(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
 
 def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtState):
     """The cycle-RMS steadiness loop of `run_until_steady` on the reference
-    stepper; returns (state, ready step or None, last cycle samples)."""
+    stepper; returns (state, ready step or None)."""
     ref = ReferenceNet(net, cfg.dt)
     state = init.copy()
     n_cycle = int(round(net.period / cfg.dt))
@@ -202,7 +202,7 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
             buf[k] = reference_sample(state, cfg.record)
         if fired_at is not None:
             if c - fired_at >= ek.SETTLE_MARGIN_CYCLES:
-                return state, state.step, buf
+                return state, state.step
             continue
         rms = np.sqrt(np.mean(buf**2, axis=0))
         if prev_rms is not None and c >= arm_after:
@@ -211,4 +211,4 @@ def reference_run_until_steady(net: ek.EmtNet, cfg: ek.SimConfig, init: ek.EmtSt
             if stable_run >= ek.STEADY_CYCLES:
                 fired_at = c
         prev_rms = rms
-    return state, None, buf
+    return state, None

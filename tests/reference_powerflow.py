@@ -16,8 +16,8 @@ bit-for-bit oracle.
 oracle: it built each Jacobian row as a complex list [dS_i/dtheta |
 dS_i/d|V|] and read its real and imaginary parts.
 
-`scalar_dc_start` is the DC start `powerflow._scalar_problem` formed
-before it eliminated B_uu once for all its right-hand sides: each solved
+`scalar_dc_start` assembles the DC start of `powerflow._scalar_problem`
+on its own from a problem's admittance rows: each right-hand side solved
 alone by `_solve_pivoted` on a fresh copy of B_uu.
 """
 

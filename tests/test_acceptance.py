@@ -21,6 +21,7 @@ from conftest import (
     case_path,
     cli_env,
     cycle_rms,
+    fourier_phasor,
     injection_thevenin,
     random_linear_net,
     subset_state,
@@ -324,7 +325,7 @@ def test_criterion_10_trapezoidal_order():
         waves, st = ek.run(net, ek.SimConfig(dt=dt, steps=ek.to_steps(0.3, dt),
                                              record=["i:l1"]))
         n = int(round(0.02 / dt))
-        ph = ek.fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, omega)
+        ph = fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, omega)
         return abs(abs(ph) - abs(1.0 / (1.0 + 1j * omega * 0.01)))
 
     ratio = amp_error(2e-4) / amp_error(1e-4)

@@ -130,7 +130,7 @@ class TestInit:
         from emtgis.snapshot import load_snapshot
 
         snap = load_snapshot(tmp_path / "snapshot.json")
-        assert phasor_consistency_error(snap) < 1e-4
+        assert phasor_consistency_error(snap) <= 1e-12
         report = read_json(tmp_path / "report.json")
         assert report["ipf"]["status"] == "converged"
         assert report["splice_deviations"]["B10"] < 1e-4

@@ -24,6 +24,7 @@ DATA = Path(__file__).parent / "data"
 from conftest import (  # noqa: E402
     cycle_rms,
     drawn_currents,
+    fourier_phasor,
     random_linear_net,
     sample_one,
     stored_energy,
@@ -216,7 +217,7 @@ class TestFault:
         cfg = ek.SimConfig(dt=2e-5, steps=20_000, record=["i:fault:n2"])
         waves, st = ek.run(faulted, cfg)
         col = waves.data["i:fault:n2.a"]
-        i_ph = ek.fourier_phasor(col[-1000:], st.step, 2e-5, OMEGA)
+        i_ph = fourier_phasor(col[-1000:], st.step, 2e-5, OMEGA)
         assert abs(i_ph) == pytest.approx(1.0 / abs(rf + 1j * x), rel=2e-3)
 
     def test_replaced_config_is_validated_again(self):
@@ -297,7 +298,7 @@ class TestNumericalContracts:
             waves, st = ek.run(net, ek.SimConfig(dt=dt, steps=ek.to_steps(0.3, dt),
                                                  record=["i:l1"]))
             n = int(round(0.02 / dt))
-            ph = ek.fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, OMEGA)
+            ph = fourier_phasor(waves.data["i:l1.a"][-n:], st.step, dt, OMEGA)
             exact = 1.0 / (1.0 + 1j * OMEGA * 0.01)
             return abs(abs(ph) - abs(exact))
 
@@ -417,15 +418,12 @@ class TestLoopEquivalence:
         init = ek.zero_state(net, dt)
         init.machine_delta[:] = 0.0
         cfg = ek.SimConfig(dt=dt, steps=12_000, record=["B7"], ramp_steps=10_000)
-        steady, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
-        waves, final = ek.run(net, cfg, init=init)
+        steady, ready = ek.run_until_steady(net, cfg, init=init)
+        _, final = ek.run(net, cfg, init=init)
         assert ready is None
         assert steady.step == final.step == 12_000
         for name, value in vars(final).items():
             assert np.array_equal(getattr(steady, name), value), name
-        assert keys == list(waves.data)
-        tail = np.column_stack([waves.data[k] for k in keys])[-400:]
-        assert np.array_equal(last, tail)
 
     @given(st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=20, deadline=None)
@@ -471,11 +469,9 @@ class TestLoopEquivalence:
         dt = 5e-5
         cfg = ek.SimConfig(dt=dt, steps=40_000, record=record, ramp_steps=10_000)
         init = ek.zero_state(net, dt)
-        state, ready, last, keys = ek.run_until_steady(net, cfg, init=init)
-        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        state, ready = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready = reference_run_until_steady(net, cfg, init)
         assert ready is not None and ready == ref_ready == state.step
-        assert keys == [f"{p}.{ph}" for p in cfg.record for ph in "abc"]
-        assert_close_to_reference(last, ref_last)
         self._assert_state_close(state, ref_state)
 
     @staticmethod
@@ -524,10 +520,9 @@ class TestAugmentedLoops:
         assert [m.inertia_h > 0 for m in net.machines] == [True]
         cfg = ek.SimConfig(dt=self.DT, steps=40_000, record=record, ramp_steps=ramp_steps)
         init = ek.zero_state(net, self.DT)
-        state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
-        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        state, ready = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready = reference_run_until_steady(net, cfg, init)
         assert ready is not None and ready == ref_ready == state.step
-        assert_close_to_reference(last, ref_last)
         TestLoopEquivalence._assert_state_close(state, ref_state)
         assert_machines_close(state, ref_state)
 
@@ -579,10 +574,9 @@ class TestAugmentedLoops:
         cfg = ek.SimConfig(dt=self.DT, steps=40_000, record=record, ramp_steps=6000)
         init = ek.zero_state(net, self.DT)
         init.machine_delta = init.machine_delta + 0.4
-        state, ready, last, _ = ek.run_until_steady(net, cfg, init=init)
-        ref_state, ref_ready, ref_last = reference_run_until_steady(net, cfg, init)
+        state, ready = ek.run_until_steady(net, cfg, init=init)
+        ref_state, ref_ready = reference_run_until_steady(net, cfg, init)
         assert ready is not None and ready == ref_ready == state.step
-        assert_close_to_reference(last, ref_last)
         TestLoopEquivalence._assert_state_close(state, ref_state)
         assert np.array_equal(state.machine_delta, init.machine_delta)
 
@@ -1240,7 +1234,7 @@ class TestCycleCounts:
         assert duration / self.DT != cycles * 200
         cfg = ek.SimConfig(dt=self.DT, steps=ek.to_steps(duration, self.DT), record=["n2"],
                            ramp_steps=100_000)  # never armed
-        state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        state, ready = ek.run_until_steady(rl_net(), cfg)
         assert ready is None
         assert state.step == cycles * 200
 
@@ -1251,7 +1245,7 @@ class TestCycleCounts:
         monkeypatch.setattr(ek, "RMS_CHANGE_TOL", 1.0)
         monkeypatch.setattr(ek, "STEADY_CYCLES", 1)
         cfg = ek.SimConfig(dt=self.DT, steps=10_000, record=["n2"], ramp_steps=1400)
-        _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        _, ready = ek.run_until_steady(rl_net(), cfg)
         assert ready == (8 + ek.SETTLE_MARGIN_CYCLES) * 200
 
 
@@ -1283,7 +1277,7 @@ class TestStepCalls:
 
     def test_run_until_steady_steps_ready_step_times(self, calls):
         cfg = ek.SimConfig(dt=2e-5, steps=100_000, record=["n2"], ramp_steps=5000)
-        state, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        state, ready = ek.run_until_steady(rl_net(), cfg)
         assert ready is not None
         assert calls[0] == ready == state.step
 
@@ -1321,7 +1315,7 @@ class TestHotPathProducts:
     def test_ramped_detector_loop(self, calls):
         dt, ramp_steps = 2e-5, 5000
         cfg = ek.SimConfig(dt=dt, steps=100_000, record=["n2", "i:l1"], ramp_steps=ramp_steps)
-        _, ready, _, _ = ek.run_until_steady(rl_net(), cfg)
+        _, ready = ek.run_until_steady(rl_net(), cfg)
         n_cycle = round(0.02 / dt)
         assert ready is not None and len(calls) == ready // n_cycle
         crossing = (ramp_steps - 1) // n_cycle
@@ -1642,7 +1636,7 @@ class TestSteadyDetector:
     def test_detector_fires_on_settled_rl(self):
         net = rl_net()
         cfg = ek.SimConfig(dt=2e-5, steps=100_000, record=["n2"])
-        state, ready, _, _ = ek.run_until_steady(net, cfg)
+        state, ready = ek.run_until_steady(net, cfg)
         assert ready is not None
         # Detection within 0.5 s, then the settle margin.
         assert ready * 2e-5 < 0.5 + ek.SETTLE_MARGIN_CYCLES * net.period
@@ -1650,7 +1644,7 @@ class TestSteadyDetector:
     def test_detector_respects_budget(self):
         net = rl_net()
         cfg = ek.SimConfig(dt=2e-5, steps=2000, record=["n2"], ramp_steps=25_000)
-        _, fired, _, _ = ek.run_until_steady(net, cfg)
+        _, fired = ek.run_until_steady(net, cfg)
         assert fired is None
 
 

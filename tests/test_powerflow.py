@@ -536,8 +536,7 @@ def assert_kernel_equals_oracle(problem, vm_b, va_b, tol, max_iter):
 
 
 def assert_dc_start_equals_oracle(problem):
-    """`problem.scalar`'s DC start, one elimination of B_uu for all its
-    right-hand sides, against each solved alone (the oracle), bit for bit."""
+    """`problem.scalar`'s DC start against the oracle's, bit for bit."""
     theta_0, gains = reference_powerflow.scalar_dc_start(problem)
     sc = problem.scalar
     assert float_bits([sc.va[i] for i in problem.pvpq]) == float_bits(theta_0)
@@ -545,9 +544,12 @@ def assert_dc_start_equals_oracle(problem):
 
 
 class TestScalarDcStart:
-    """B_uu is eliminated once and each right-hand side of the DC start
-    takes its swaps and multipliers, which gives every right-hand side the
-    bits it gets alone."""
+    """The DC start that `_scalar_problem` builds into a problem against
+    `reference_powerflow.scalar_dc_start`, which assembles B_uu and the
+    right-hand sides [P_u | -B_ub] from the admittance rows on its own.
+    Both solve each right-hand side alone by `_solve_pivoted` on a fresh
+    copy of B_uu, so the theta_0 and gains they give are equal, not
+    close, and a zero pivot gives both the flat start."""
 
     def test_bundled_and_scaled_regions(self):
         for decl in [*TestScalarNewton.REGIONS, *scaled_case(8, 1).grbcs]:

@@ -50,6 +50,7 @@ from conftest import (  # noqa: E402
     pipeline,
     random_linear_net,
     scaled_case,
+    space_vector,
     splice_schedule,
     subset_state,
     zbus,
@@ -159,10 +160,9 @@ class TestPhasorInit:
     def test_snapshot_phasor_consistency_both_provenances(self, ninebus1_pipeline):
         for name, snap in ninebus1_pipeline.subsystem_snapshots.items():
             assert phasor_consistency_error(snap) < 1e-6, name
-        # the merged snapshot can only disagree by the splicing deviation
-        dev = max(ninebus1_pipeline.report["splice_deviations"].values())
+        # the merged snapshot keeps main's boundary nodes and main's phasors
         merged = phasor_consistency_error(ninebus1_pipeline.snapshot)
-        assert merged <= dev + 1e-6
+        assert merged <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -370,17 +370,27 @@ class TestRamp:
         return ek.EmtNet(net.name, 50.0, net.nodes + ("Bm",), net.elements,
                          net.sources)
 
+    @staticmethod
+    def boundary_reading(region, th, snap, bus="B"):
+        """V and I into the region at the ramped state's step, each the
+        space vector of its three phases: the bus's node voltage and the
+        equivalent's element next to the bus."""
+        _, probe = sn.attach_thevenin(region, bus, th, 5e-5)
+        st = snap.emt_state
+        return (space_vector(st.v_nodes[st.node_ids.index(bus)], st.step, st.dt, OMEGA),
+                space_vector(st.elem_i[st.element_ids.index(probe)], st.step, st.dt, OMEGA))
+
     def test_rl_region_settles_to_divider_solution(self):
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
         cfg = ek.SimConfig(dt=5e-5, steps=80_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
-        v, i = snap.boundary_phasors["B"]
+        v, i = self.boundary_reading(region, th, snap)
         z_load = 0.5 + 1.0j
         expect_v = th.e_eq.rect * z_load / (th.z_eq + z_load)
         expect_i = th.e_eq.rect / (th.z_eq + z_load)
-        assert abs(v.rect - expect_v) / abs(expect_v) < 2e-3
-        assert abs(i.rect - expect_i) / abs(expect_i) < 2e-3
+        assert abs(v - expect_v) / abs(expect_v) < 2e-3
+        assert abs(i - expect_i) / abs(expect_i) < 2e-3
         assert snap.provenance == sn.PROVENANCE_RAMP
 
     def test_open_circuit_region_sees_source(self):
@@ -388,9 +398,9 @@ class TestRamp:
         th = sn.TheveninEquivalent(Phasor(0.97, 0.2), 0.05 + 0.2j)
         cfg = ek.SimConfig(dt=5e-5, steps=60_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="open")
-        v, i = snap.boundary_phasors["B"]
-        assert abs(v.rect - th.e_eq.rect) < 1e-3
-        assert abs(i.rect) < 1e-6
+        v, i = self.boundary_reading(region, th, snap)
+        assert abs(v - th.e_eq.rect) < 1e-3
+        assert abs(i) < 1e-6
 
     def test_budget_shorter_than_ramp_times_out(self):
         region = self.setup_rl_region()
@@ -399,12 +409,13 @@ class TestRamp:
         with pytest.raises(SteadyStateTimeout):
             sn.ramp_to_snapshot(region, th, cfg, "B", "rl")
 
-    def test_ramped_snapshot_phasor_consistency(self):
+    def test_ramped_snapshot_carries_no_boundary_phasors(self):
+        # A boundary is read once, at its region's splice step (`run_emtgis`).
         region = self.setup_rl_region()
         th = sn.TheveninEquivalent(Phasor(1.0, 0.0), 0.02 + 0.1j)
         cfg = ek.SimConfig(dt=5e-5, steps=80_000, record=[], ramp_steps=6000)
         snap = sn.ramp_to_snapshot(region, th, cfg, "B", subsystem="rl")
-        assert phasor_consistency_error(snap) < 1e-6
+        assert snap.boundary_phasors == {}
 
 
 class TestSpliceSchedule:
@@ -977,7 +988,7 @@ class TestRampLength:
 
         def steady(net, cfg, init=None):
             seen.append(cfg.ramp_steps)
-            return init, 1, None, None
+            return init, 1
 
         monkeypatch.setattr(ek, "run_until_steady", steady)
         # 0.04 s, 0.5 s and 0.2 s at 5e-5 s a step, as `compare` takes them
@@ -1067,6 +1078,45 @@ class TestExactSteadyState:
         alternating = np.abs(diff @ (-1.0) ** np.arange(diff.shape[1])) / diff.shape[1]
         assert alternating.max() < 1e-7
         assert np.abs(diff).max() < 2e-6
+
+
+class TestOneBoundaryReading:
+    """Each boundary is read once, at its region's splice step: the spliced
+    snapshot's boundary phasors are the current `phasor_init` was given,
+    the space vector of the equivalent's element next to the bus in the
+    region's advanced state, and main's node phasor under it, which
+    reproduces the spliced boundary node's three phases."""
+
+    @pytest.mark.parametrize("name", ["ninebus1", "ninebus2", "ninebus3", "hybrid", "scaled8"])
+    def test_spliced_phasors_are_the_splice_step_reading(self, name, request, monkeypatch):
+        given = []
+        real = sn.phasor_init
+
+        def recorded(net, dt, solved, currents):
+            given.append(dict(currents))
+            return real(net, dt, solved, currents)
+
+        monkeypatch.setattr(sn, "phasor_init", recorded)
+        case = scaled_case(8, 1) if name == "scaled8" else request.getfixturevalue(name)
+        result = pipeline(case, sn.PipelineConfig(dt=5e-5))
+        [currents] = given
+        model, spliced = result.model, result.snapshot.boundary_phasors
+        assert list(spliced) == list(currents) == list(model.boundary_state.bus_ids)
+        main_phasors = result.subsystem_snapshots[sn.MAIN_SUBSYSTEM].boundary_phasors
+        drawn = drawn_currents(model.boundary_state.main_solution, case)
+        table = zbus(model.main_net, list(drawn))
+        for op in model.region_ops:
+            bus, st = op.decl.boundary_bus, result.subsystem_snapshots[op.decl.name].emt_state
+            assert st.step == result.report["adjusted_steps"][op.decl.name]
+            thev = sn.thevenin_extract(table, drawn, bus)
+            _, probe = sn.attach_thevenin(sn.build_region_net(op), bus, thev, 5e-5)
+            read = space_vector(st.elem_i[st.element_ids.index(probe)], st.step, st.dt,
+                                model.main_net.omega)
+            assert bits(np.array(read)) == bits(np.array(currents[bus])), bus
+            v, i = spliced[bus]
+            assert bits((i,)) == bits((Phasor.from_complex(currents[bus]),)), bus
+            assert bits((v, i)) == bits(main_phasors[bus]), bus
+        assert phasor_consistency_error(result.snapshot) <= 1e-12
 
 
 class TestHeldRotors:
